@@ -15,6 +15,11 @@ step "cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 step "cargo test (workspace)"
+# Every crate's suites, among them the ones pinning the non-blocking
+# edge and its transport: rpc/tests/dedup_window.rs + pipeline.rs
+# (deferred replies answered exactly once, retransmit timers learned per
+# path) and services/tests/bulk_plane.rs (no head-of-line blocking,
+# single-flight fills, invalidation against an in-flight fill).
 cargo test --workspace -q
 
 if [ "${1:-}" != "quick" ]; then
@@ -84,7 +89,9 @@ if [ "${1:-}" != "quick" ]; then
   # 3 WAN regions under Zipf + flash-crowd traffic; asserts by-reference
   # results are bit-identical to inline marshalling, >=5x fewer RPC-path
   # bytes through the catalog, the edge hierarchy absorbs repeat fetches,
-  # and the bulk leg is byte-identical across 1/4 scheduler threads.
+  # the cold-miss tail stays within 3x of inline per region, only
+  # warming paths retransmit on the loss-free network, and the bulk leg
+  # is byte-identical across 1/4 scheduler threads.
   PROXIDE_E19_SMOKE=1 PROXIDE_BENCH_DIR=target \
     cargo run -q --release -p bench --bin e19_bulkplane
 

@@ -19,7 +19,13 @@
 //!
 //! Measured: RPC-path bytes through the catalog node (inline vs bulk —
 //! the headline ≥5x reduction), per-region p50/p99 fetch latency in the
-//! Zipf and flash phases, edge-cache hit ratios (from the flight
+//! Zipf and flash phases (gated: a bulk get is a catalog round trip plus
+//! at worst one origin round trip behind the non-blocking edge, so its
+//! Zipf p99 must stay within 3x of inline in every region),
+//! retransmissions per calling process (gated: the network loses
+//! nothing, so only paths still learning their round trip may
+//! retransmit — a cost that must not grow with the run),
+//! edge-cache hit ratios (from the flight
 //! recorder and the per-edge proxy stats), and a content checksum that
 //! must be *identical* between legs — by-reference is a transport
 //! optimization, never a semantic one. The bulk leg runs at 1 and 4
@@ -50,6 +56,16 @@ const SEED: u64 = 1900;
 
 /// The thread counts the bulk leg is swept over (byte-identity gate).
 const THREADS: [usize; 2] = [1, 4];
+
+/// Retransmission budget on E19's loss-free network, per process that
+/// makes calls (readers and edges). Zero is not attainable with a 10 ms
+/// policy floor under 40-100 ms round trips: the first exchange on each
+/// of a process's paths (name server, catalog, edge, origin) has no
+/// estimate yet and retransmits two or three times before its reply
+/// arrives. That is a fixed cost per process, whatever the run length;
+/// what the budget catches is a path that never learns — fixed timers
+/// cost 188 per process on the full workload.
+const MAX_RETRIES_PER_PROCESS: f64 = 24.0;
 
 /// One workload configuration.
 #[derive(Debug, Clone, Copy)]
@@ -286,6 +302,10 @@ struct Leg {
     msgs: u64,
     bytes: u64,
     lat: Vec<RegionLat>,
+    /// Retransmissions sent, and the processes (readers, edges) that
+    /// could have sent them.
+    retries: u64,
+    callers: u64,
     /// Per-edge `(owner, local_hits, remote_calls)`.
     edges: Vec<(String, u64, u64)>,
     /// Flight-recorder counters over the origin store's chunk ops.
@@ -308,6 +328,9 @@ impl Leg {
     }
     fn bytes_per_sec(&self) -> f64 {
         self.bytes as f64 / self.wall.as_secs_f64()
+    }
+    fn retries_per_process(&self) -> f64 {
+        self.retries as f64 / self.callers as f64
     }
     fn edge_hit_ratio(&self) -> f64 {
         let (h, m) = self
@@ -588,6 +611,8 @@ fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
         events: run.metrics.events_dispatched,
         msgs: run.metrics.msgs_sent,
         bytes: run.metrics.bytes_sent,
+        retries: report.rpc.client.retries,
+        callers: (cfg.clients() + if bulk { cfg.regions } else { 0 }) as u64,
         lat: lat
             .iter()
             .map(|l| {
@@ -698,6 +723,7 @@ fn artifact_json(
     reduction: f64,
     identical_results: bool,
     deterministic: bool,
+    p99_over_inline_max: f64,
 ) -> String {
     let mut regions_json = String::new();
     for r in 0..cfg.regions {
@@ -736,6 +762,7 @@ fn artifact_json(
             "\"reduction_factor\": {reduction:.2}}},\n",
             "  \"origin_blob_bytes\": {{\"inline\": {ob_inline}, \"bulk\": {ob_bulk}}},\n",
             "  \"edge_hit_ratio\": {hit:.4},\n",
+            "  \"retries\": {{\"inline\": {rt_inline}, \"bulk\": {rt_bulk}}},\n",
             "  \"config\": {{\"regions\": {regions}, \"clients_per_region\": {cpr}, ",
             "\"assets\": {assets}, \"rounds\": {rounds}, \"flash_rounds\": {flash}, ",
             "\"zipf_s_x1000\": {zipf}, \"payload_min\": {pmin}, \"payload_max\": {pmax}, ",
@@ -745,6 +772,8 @@ fn artifact_json(
             "    \"leg\": \"{leg}\",\n",
             "    \"wall_ms\": {wall:.3},\n",
             "    \"rpc_bytes_saved_factor\": {reduction:.2},\n",
+            "    \"zipf_p99_over_inline_max\": {p99_ratio:.3},\n",
+            "    \"retries_per_process\": {rt_proc:.2},\n",
             "    \"events_per_sec\": {eps:.0},\n",
             "    \"msgs_per_sec\": {mps:.0},\n",
             "    \"bytes_per_sec\": {bps:.0}\n",
@@ -762,6 +791,10 @@ fn artifact_json(
         ob_inline = inline.origin_blob_bytes,
         ob_bulk = bulk.origin_blob_bytes,
         hit = bulk.edge_hit_ratio(),
+        rt_inline = inline.retries,
+        rt_bulk = bulk.retries,
+        p99_ratio = p99_over_inline_max,
+        rt_proc = bulk.retries_per_process(),
         regions = cfg.regions,
         cpr = cfg.clients_per_region,
         assets = cfg.assets,
@@ -782,7 +815,7 @@ fn artifact_json(
 }
 
 /// Runs E19 and returns its tables and shape checks.
-#[allow(clippy::too_many_lines)] // three legs, four tables, nine checks
+#[allow(clippy::too_many_lines)] // three legs, four tables, eleven checks
 pub fn run() -> ExperimentOutput {
     let (cfg, mode) = Config::pick();
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
@@ -891,6 +924,14 @@ pub fn run() -> ExperimentOutput {
         ),
     ]);
 
+    // The tail gate: a cold bulk get is the catalog round trip inline
+    // also pays, plus the edge's name lookup (first get only) and one
+    // origin round trip for the chunks — three round trips at worst.
+    let p99_over_inline: Vec<f64> = (0..cfg.regions)
+        .map(|r| pct(&bulk.lat[r].zipf, 0.99) as f64 / pct(&inline.lat[r].zipf, 0.99).max(1) as f64)
+        .collect();
+    let p99_over_inline_max = p99_over_inline.iter().copied().fold(0.0, f64::max);
+
     let path = artifact_path();
     let json = artifact_json(
         cfg,
@@ -901,6 +942,7 @@ pub fn run() -> ExperimentOutput {
         reduction,
         identical_results,
         deterministic,
+        p99_over_inline_max,
     );
     let wrote = std::fs::write(&path, &json);
     let artifact_detail = match &wrote {
@@ -976,6 +1018,41 @@ pub fn run() -> ExperimentOutput {
                         "r{r} {:.1}->{:.1}ms",
                         pct(&inline.lat[r].flash, 0.50) as f64 / 1e6,
                         pct(&bulk.lat[r].flash, 0.50) as f64 / 1e6
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(", "),
+        ),
+        check(
+            "cold-miss tail bounded: bulk Zipf p99 within 3x of inline in every region",
+            p99_over_inline_max <= 3.0,
+            (0..cfg.regions)
+                .map(|r| {
+                    format!(
+                        "r{r} {:.1}->{:.1}ms ({:.2}x)",
+                        pct(&inline.lat[r].zipf, 0.99) as f64 / 1e6,
+                        pct(&bulk.lat[r].zipf, 0.99) as f64 / 1e6,
+                        p99_over_inline[r]
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(", "),
+        ),
+        check(
+            "loss-free network: only paths still learning their round trip retransmit \
+             (<= 24 retries per calling process in every leg)",
+            std::iter::once(&inline)
+                .chain(bulk_legs.iter())
+                .all(|l| l.retries_per_process() <= MAX_RETRIES_PER_PROCESS),
+            std::iter::once(&inline)
+                .chain(bulk_legs.iter())
+                .map(|l| {
+                    format!(
+                        "{} {}/{} ({:.1})",
+                        l.label,
+                        l.retries,
+                        l.callers,
+                        l.retries_per_process()
                     )
                 })
                 .collect::<Vec<_>>()

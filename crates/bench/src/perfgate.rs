@@ -103,12 +103,12 @@ impl GateOutcome {
     pub fn render(&self) -> String {
         let mut out = format!(
             "perfgate: {} ({}) — current vs baseline\n\
-             {:<16} {:>14} {:>14} {:>9}  verdict\n",
+             {:<24} {:>14} {:>14} {:>9}  verdict\n",
             self.experiment, self.mode, "metric", "baseline", "current", "delta"
         );
         for m in &self.metrics {
             out.push_str(&format!(
-                "{:<16} {:>14.3} {:>14.3} {:>+8.1}%  {}\n",
+                "{:<24} {:>14.3} {:>14.3} {:>+8.1}%  {}\n",
                 m.name,
                 m.baseline,
                 m.current,
@@ -145,17 +145,22 @@ impl std::fmt::Display for GateError {
     }
 }
 
-/// The metrics gated in a `BENCH_*.json` `best` object, with direction.
-/// Every current metric is wall-clock-derived, so all of them are
-/// skipped when the artifacts' `host_cores` stamps differ; a future
-/// hardware-independent metric (simulated bytes, virtual time) would opt
-/// out of the skip here.
+/// The wall-clock metrics gated in every `BENCH_*.json` `best` object,
+/// with direction (`true` = higher is better). All of them are skipped
+/// when the artifacts' `host_cores` stamps differ.
 const METRICS: &[(&str, bool)] = &[
     ("wall_ms", false),
     ("events_per_sec", true),
     ("msgs_per_sec", true),
     ("bytes_per_sec", true),
 ];
+
+/// Simulated metrics, all lower-is-better: functions of the seed and the
+/// code alone, so they are judged on any host — and only when both
+/// artifacts carry them, since most experiments publish none. E19: the
+/// worst region's bulk-over-inline Zipf p99 ratio, and retransmissions
+/// per calling process on its loss-free network.
+const SIM_METRICS: &[&str] = &["zipf_p99_over_inline_max", "retries_per_process"];
 
 fn str_of<'a>(doc: &'a Json, key: &str, which: &str) -> Result<&'a str, GateError> {
     doc.str_field(key)
@@ -276,6 +281,36 @@ pub fn compare(baseline: &str, current: &str, cfg: &GateConfig) -> Result<GateOu
             current: c,
             delta,
             higher_is_better,
+            verdict,
+        });
+    }
+    for &name in SIM_METRICS {
+        let field = |doc: &Json| doc.get(name).and_then(Json::as_f64);
+        let (Some(b), Some(c)) = (field(&base_best), field(&cur_best)) else {
+            continue;
+        };
+        // A zero baseline (no retransmissions at all) admits no ratio:
+        // staying at zero passes, anything above it regressed.
+        let delta = if b > 0.0 {
+            (b - c) / b
+        } else if c > 0.0 {
+            f64::NEG_INFINITY
+        } else {
+            0.0
+        };
+        let verdict = if delta < -cfg.tolerance {
+            Verdict::Regressed
+        } else if delta > cfg.tolerance {
+            Verdict::Improved
+        } else {
+            Verdict::Pass
+        };
+        metrics.push(MetricVerdict {
+            name,
+            baseline: b,
+            current: c,
+            delta,
+            higher_is_better: false,
             verdict,
         });
     }
@@ -451,6 +486,41 @@ mod tests {
         assert!(out.regressed());
         let out = compare(&stamped, &legacy, &GateConfig::default()).expect("comparable");
         assert!(out.metrics.iter().all(|m| m.verdict != Verdict::Skipped));
+    }
+
+    fn e19_artifact(cores: u32, p99_ratio: f64, retries: f64) -> String {
+        format!(
+            "{{\"experiment\":\"E19\",\"mode\":\"full\",\"host_cores\":{cores},\
+             \"config\":{{\"regions\":3}},\
+             \"best\":{{\"wall_ms\":10,\"events_per_sec\":1000,\
+             \"msgs_per_sec\":1000,\"bytes_per_sec\":1000,\
+             \"zipf_p99_over_inline_max\":{p99_ratio},\"retries_per_process\":{retries}}}}}"
+        )
+    }
+
+    #[test]
+    fn simulated_metrics_are_judged_whatever_the_host() {
+        let base = e19_artifact(1, 2.8, 0.0);
+        let out = compare(&base, &e19_artifact(8, 2.8, 0.0), &GateConfig::default()).unwrap();
+        assert!(!out.regressed());
+        let verdict = |out: &GateOutcome, name: &str| {
+            out.metrics.iter().find(|m| m.name == name).unwrap().verdict
+        };
+        assert_eq!(verdict(&out, "wall_ms"), Verdict::Skipped);
+        assert_eq!(verdict(&out, "zipf_p99_over_inline_max"), Verdict::Pass);
+        assert_eq!(verdict(&out, "retries_per_process"), Verdict::Pass);
+        // A tail that grew back, and retransmissions where there were
+        // none, both fail — on a different host too.
+        let out = compare(&base, &e19_artifact(8, 9.0, 40.0), &GateConfig::default()).unwrap();
+        assert_eq!(
+            verdict(&out, "zipf_p99_over_inline_max"),
+            Verdict::Regressed
+        );
+        assert_eq!(verdict(&out, "retries_per_process"), Verdict::Regressed);
+        // Artifacts without them (every other experiment) list none.
+        let plain = artifact(10.0, 100_000.0, "");
+        let out = compare(&plain, &plain, &GateConfig::default()).unwrap();
+        assert_eq!(out.metrics.len(), 4);
     }
 
     #[test]

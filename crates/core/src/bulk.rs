@@ -127,14 +127,16 @@ fn remote(code: ErrorCode, msg: impl Into<String>) -> RpcError {
 
 /// Chunked blob transfer over the pipelined [`rpc::Channel`].
 ///
-/// One client per store service; the endpoint is resolved through the
-/// name service on first use and cached (a stale endpoint surfaces as a
-/// per-call error and is re-resolved on the next call).
+/// One client per store service, holding one long-lived channel to it:
+/// the endpoint is resolved through the name service on first use, and
+/// the channel's round-trip estimate carries over from transfer to
+/// transfer. A transfer error drops the channel, so a stale endpoint is
+/// re-resolved on the next call.
 #[derive(Debug)]
 pub struct BlobClient {
     store: String,
     ns: NameClient,
-    server: Option<Endpoint>,
+    channel: Option<Channel>,
     chunk: usize,
     depth: usize,
 }
@@ -146,7 +148,7 @@ impl BlobClient {
         BlobClient {
             store: store.into(),
             ns: NameClient::new(ns),
-            server: None,
+            channel: None,
             chunk: chunk.clamp(1, MAX_CHUNK),
             depth: depth.max(1),
         }
@@ -157,36 +159,35 @@ impl BlobClient {
         &self.store
     }
 
-    fn endpoint(&mut self, ctx: &mut Ctx) -> Result<Endpoint, RpcError> {
-        if let Some(ep) = self.server {
-            return Ok(ep);
+    /// Takes the channel out of the client for one transfer;
+    /// [`BlobClient::finish`] puts it back.
+    fn channel(&mut self, ctx: &mut Ctx) -> Result<Channel, RpcError> {
+        if let Some(ch) = self.channel.take() {
+            return Ok(ch);
         }
         let rec = self.ns.resolve(ctx, &self.store)?;
-        self.server = Some(rec.endpoint);
-        Ok(rec.endpoint)
-    }
-
-    fn channel(&mut self, ctx: &mut Ctx) -> Result<Channel, RpcError> {
-        let ep = self.endpoint(ctx)?;
-        // Bulk transfers are throughput-bound, not latency-bound: a
-        // pipelined chunk fetch legitimately queues behind its window
-        // predecessors at the store (or behind a cold edge cache's
-        // serial origin misses over the WAN), so the per-call patience
-        // must cover many upstream round trips — the LAN-sized default
-        // policy would give up on calls the server fully intends to
-        // answer.
-        let policy = rpc::RetryPolicy::exponential(std::time::Duration::from_millis(50), 8);
         Ok(Channel::new(
             self.store.clone(),
-            ep,
-            ChannelConfig::with_depth(self.depth).with_policy(policy),
+            rec.endpoint,
+            ChannelConfig::with_depth(self.depth),
         ))
     }
 
-    fn drain(&mut self, ch: &mut Channel, strays: &mut dyn OnewaySink) {
+    /// Ends a transfer: routes the one-ways the channel absorbed and
+    /// keeps the channel for the next transfer unless this one failed.
+    fn finish<T>(
+        &mut self,
+        mut ch: Channel,
+        strays: &mut dyn OnewaySink,
+        result: Result<T, RpcError>,
+    ) -> Result<T, RpcError> {
         for o in ch.take_strays() {
             strays.push(o);
         }
+        if result.is_ok() {
+            self.channel = Some(ch);
+        }
+        result
     }
 
     /// Uploads `data` under `key`, chunked and pipelined, and returns the
@@ -231,11 +232,7 @@ impl BlobClient {
                 result = Err(e);
             }
         }
-        self.drain(&mut ch, strays);
-        if let Err(e) = result {
-            self.server = None;
-            return Err(e);
-        }
+        self.finish(ch, strays, result)?;
         Ok(BlobRef {
             store: self.store.clone().into(),
             key: key.into(),
@@ -295,11 +292,7 @@ impl BlobClient {
                 Err(e) => result = Err(e),
             }
         }
-        self.drain(&mut ch, strays);
-        if let Err(e) = result {
-            self.server = None;
-            return Err(e);
-        }
+        self.finish(ch, strays, result)?;
         if buf.len() as u64 != r.len {
             return Err(remote(
                 ErrorCode::App,
@@ -336,8 +329,7 @@ impl BlobClient {
         let h = ch.begin_call(ctx, ops::DEL, Value::record([("key", Value::str(key))]));
         ch.wait_all(ctx)?;
         let r = ch.wait(ctx, h).map(drop);
-        self.drain(&mut ch, strays);
-        r
+        self.finish(ch, strays, r)
     }
 }
 

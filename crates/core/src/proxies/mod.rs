@@ -14,12 +14,14 @@ mod adaptive;
 mod caching;
 mod local;
 mod migratory;
+mod read_cache;
 mod stub;
 
 pub use adaptive::AdaptiveProxy;
 pub use caching::CachingProxy;
 pub use local::LocalProxy;
 pub use migratory::MigratoryProxy;
+pub use read_cache::{note_lookup, ReadCache};
 pub use stub::StubProxy;
 
 use naming::NameClient;
@@ -54,23 +56,12 @@ pub(crate) fn robust_call(
     let mut redirects = 0;
     let mut relookups = 0;
     loop {
-        let result = rpc.call_with_strays(ctx, "", op, args.clone(), |_ctx, stray| {
-            match stray {
-                Stray::Oneway(o, _) => {
-                    strays.push((*o).clone());
-                    StrayVerdict::Consumed
-                }
-                // A request landing here mid-call (this process is also
-                // a server, e.g. an edge cache blocked on its origin):
-                // offer it to the sink for requeueing.
-                Stray::Request(_, m) => {
-                    if strays.push_request(m) {
-                        StrayVerdict::Consumed
-                    } else {
-                        StrayVerdict::Drop
-                    }
-                }
+        let result = rpc.call_with_strays(ctx, "", op, args.clone(), |_ctx, stray| match stray {
+            Stray::Oneway(o, _) => {
+                strays.push((*o).clone());
+                StrayVerdict::Consumed
             }
+            Stray::Request(..) => StrayVerdict::Drop,
         });
         match result {
             Err(RpcError::Remote(ref e)) if e.code == ErrorCode::Moved => {

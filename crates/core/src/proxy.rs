@@ -7,7 +7,7 @@
 //! published.
 
 use rpc::{Oneway, RpcError};
-use simnet::{Ctx, Message};
+use simnet::Ctx;
 use wire::Value;
 
 /// Well-known operation and notification names of the proxy protocol.
@@ -52,16 +52,6 @@ pub use obs::ProxyStats;
 pub trait OnewaySink {
     /// Queues a notification for later routing.
     fn push(&mut self, oneway: Oneway);
-
-    /// Offers a *request* datagram that strayed into the mailbox while
-    /// the proxy was blocked (e.g. a client call landing at a process
-    /// that is itself a server — an edge cache mid-miss). Sinks that can
-    /// requeue the message for later service return `true`; the default
-    /// declines, and the caller counts the datagram as dropped — the
-    /// sender's retransmission recovers it.
-    fn push_request(&mut self, _msg: &Message) -> bool {
-        false
-    }
 }
 
 impl OnewaySink for Vec<Oneway> {

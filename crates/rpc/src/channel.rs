@@ -21,6 +21,13 @@
 //! way. Retransmissions are always sent individually: by the time a
 //! timer fires, batch-mates have usually been acknowledged.
 //!
+//! A process that is both client and server (an edge cache: it answers
+//! its own clients and calls its origin) cannot let the channel own the
+//! mailbox — `wait`/`poll` would swallow the requests it is supposed to
+//! serve. Such a process receives for itself, shows each datagram to
+//! [`Channel::offer`] (which takes replies and nothing else) and calls
+//! [`Channel::tick`] to send staged calls and fire timers.
+//!
 //! Every call gets its own `Invoke` span (parented to the caller's
 //! active span), so causal traces show per-call latency even when the
 //! datagrams were shared.
@@ -34,6 +41,11 @@ use wire::Value;
 use crate::client::RetryPolicy;
 use crate::error::{RemoteError, RpcError};
 use crate::proto::{Oneway, Packet, Reply, Request};
+use crate::rtt::{RttEstimator, Sent};
+
+/// How many retransmitted, settled calls a channel remembers so their
+/// late duplicate replies can still bound the round trip.
+const RECENT_RETRANSMITTED: usize = 32;
 
 /// Tuning knobs for a [`Channel`].
 #[derive(Debug, Clone, PartialEq)]
@@ -108,7 +120,10 @@ pub struct ChannelStats {
     pub batched_calls: u64,
     /// Replies that matched no outstanding call.
     pub stale_replies: u64,
-    /// Non-reply datagrams discarded while pumping.
+    /// Non-reply datagrams discarded while the channel owned the mailbox
+    /// (`wait`/`poll`): stray requests, undecodable frames. A datagram
+    /// declined by [`Channel::offer`] stays with the caller and is not
+    /// counted here.
     pub discarded: u64,
 }
 
@@ -131,8 +146,17 @@ struct CallRec {
     bytes: Bytes,
     span: obs::SpanId,
     attempt: u32,
+    sent: Sent,
     deadline: SimTime,
     state: CallState,
+}
+
+/// What [`Channel::absorb`] made of a datagram.
+enum Absorbed {
+    /// It carried replies; they were matched to calls.
+    Replies,
+    /// Not the channel's: the one-way it decoded to, if it was one.
+    Declined(Option<Oneway>),
 }
 
 /// A pipelined, batching RPC channel bound to one server endpoint.
@@ -151,6 +175,9 @@ pub struct Channel {
     queue: VecDeque<u64>,
     outstanding: usize,
     strays: Vec<Oneway>,
+    rtt: RttEstimator,
+    /// Settled calls that had been retransmitted, oldest first.
+    recent: VecDeque<(u64, Sent)>,
     /// Counters (readable by experiment harnesses).
     pub stats: ChannelStats,
 }
@@ -170,6 +197,8 @@ impl Channel {
             queue: VecDeque::new(),
             outstanding: 0,
             strays: Vec::new(),
+            rtt: RttEstimator::default(),
+            recent: VecDeque::new(),
             stats: ChannelStats::default(),
         }
     }
@@ -177,6 +206,18 @@ impl Channel {
     /// The server endpoint this channel is bound to.
     pub fn server(&self) -> Endpoint {
         self.server
+    }
+
+    /// The smoothed round trip to the server, once a call has completed
+    /// on its first transmission (diagnostics only).
+    pub fn srtt(&self) -> Option<std::time::Duration> {
+        self.rtt.srtt()
+    }
+
+    /// The first-attempt timeout in force: the policy's floor or the
+    /// path estimate, whichever is longer.
+    fn rto(&self) -> std::time::Duration {
+        self.rtt.rto(self.cfg.policy.timeout)
     }
 
     /// Calls currently in flight.
@@ -244,6 +285,7 @@ impl Channel {
                 bytes,
                 span,
                 attempt: 0,
+                sent: Sent::at(SimTime::ZERO),
                 deadline: SimTime::ZERO,
                 state: CallState::Queued,
             },
@@ -259,11 +301,13 @@ impl Channel {
             let room = self.cfg.pipeline_depth - self.outstanding;
             let n = self.cfg.max_batch.min(room).min(self.queue.len());
             let ids: Vec<u64> = self.queue.drain(..n).collect();
-            let deadline = ctx.now() + self.cfg.policy.attempt_timeout(0);
+            let now = ctx.now();
+            let deadline = now + self.cfg.policy.attempt_timeout(self.rto(), 0);
             for &id in &ids {
                 let rec = self.calls.get_mut(&id).expect("queued call exists");
                 rec.state = CallState::Outstanding;
                 rec.attempt = 0;
+                rec.sent = Sent::at(now);
                 rec.deadline = deadline;
             }
             self.outstanding += ids.len();
@@ -321,6 +365,7 @@ impl Channel {
     /// out.
     fn expire(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
+        let first = self.rto();
         let mut expired: Vec<u64> = self
             .calls
             .iter()
@@ -353,42 +398,71 @@ impl Channel {
                 attempt: rec.attempt,
             });
             ctx.send_traced(self.server, rec.bytes.clone(), rec.span);
-            rec.deadline = now + self.cfg.policy.attempt_timeout(rec.attempt);
+            rec.sent.last = now;
+            rec.deadline = now + self.cfg.policy.attempt_timeout(first, rec.attempt);
         }
         self.note_depth(ctx);
     }
 
-    fn on_reply(&mut self, ctx: &mut Ctx, rep: Reply, src: Endpoint) {
+    fn on_reply(&mut self, ctx: &mut Ctx, rep: Reply, msg: &Message) {
         ctx.obs().span_reply(rep.span, ctx.now().as_nanos());
-        if src != self.server {
+        if msg.src != self.server {
             self.stats.stale_replies += 1;
             ctx.obs().on_stale_reply();
             return;
         }
+        let floor = self.cfg.policy.timeout;
         match self.calls.get_mut(&rep.call_id) {
             Some(rec) if matches!(rec.state, CallState::Outstanding) => {
                 self.outstanding -= 1;
                 self.stats.completed += 1;
+                self.rtt.on_reply(floor, rec.sent, msg.delivered_at);
+                if rec.sent.retransmitted() {
+                    if self.recent.len() == RECENT_RETRANSMITTED {
+                        self.recent.pop_front();
+                    }
+                    self.recent.push_back((rep.call_id, rec.sent));
+                }
                 ctx.obs()
                     .close_span(rec.span, ctx.now().as_nanos(), rep.result.is_ok());
                 rec.state = CallState::Done(rep.result);
                 self.note_depth(ctx);
             }
             _ => {
-                // Duplicate of an already-settled call, or not ours.
+                // Duplicate of an already-settled call, or not ours. The
+                // answer to a needless retransmission still says how long
+                // the path is.
+                if let Some(&(_, sent)) = self.recent.iter().find(|(id, _)| *id == rep.call_id) {
+                    self.rtt.on_reply(floor, sent, msg.delivered_at);
+                }
                 self.stats.stale_replies += 1;
                 ctx.obs().on_stale_reply();
             }
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx, msg: &Message) {
+    /// Shows the channel a datagram the caller received itself. Replies
+    /// (single or batched) from the channel's server are the channel's:
+    /// they settle calls, and `true` comes back. Anything else — a
+    /// request, a one-way, an undecodable frame, whatever another
+    /// endpoint sent — is declined untouched and uncounted, for the
+    /// caller's own server loop to handle.
+    pub fn offer(&mut self, ctx: &mut Ctx, msg: &Message) -> bool {
+        // Checked before decoding: the caller's own clients send most of
+        // what it receives, and their requests are decoded again by its
+        // server.
+        msg.src == self.server && matches!(self.absorb(ctx, msg), Absorbed::Replies)
+    }
+
+    /// Settles calls from `msg` if it carries replies; declines it
+    /// otherwise.
+    fn absorb(&mut self, ctx: &mut Ctx, msg: &Message) -> Absorbed {
         match Packet::from_frame(&msg.payload) {
-            Ok(Packet::Reply(rep)) => self.on_reply(ctx, rep, msg.src),
-            Ok(Packet::Batch(batch)) => {
+            Ok(Packet::Reply(rep)) => self.on_reply(ctx, rep, msg),
+            Ok(Packet::Batch(batch)) if matches!(batch.items.first(), Some(Packet::Reply(_))) => {
                 for item in batch.items {
                     match item {
-                        Packet::Reply(rep) => self.on_reply(ctx, rep, msg.src),
+                        Packet::Reply(rep) => self.on_reply(ctx, rep, msg),
                         _ => {
                             self.stats.discarded += 1;
                             ctx.obs().on_stray_dropped();
@@ -396,20 +470,41 @@ impl Channel {
                     }
                 }
             }
-            Ok(Packet::Oneway(o)) => self.strays.push(o),
-            Ok(Packet::Request(_)) | Err(_) => {
+            Ok(Packet::Oneway(o)) => return Absorbed::Declined(Some(o)),
+            Ok(_) | Err(_) => return Absorbed::Declined(None),
+        }
+        Absorbed::Replies
+    }
+
+    /// A datagram received while the channel owns the mailbox
+    /// (`wait`/`poll`): a declined one-way is kept for
+    /// [`Channel::take_strays`]; anything else declined is dropped and
+    /// counted. A process that also serves requests must receive for
+    /// itself and use [`Channel::offer`], or its requests end up here.
+    fn on_message(&mut self, ctx: &mut Ctx, msg: &Message) {
+        match self.absorb(ctx, msg) {
+            Absorbed::Replies => {}
+            Absorbed::Declined(Some(o)) => self.strays.push(o),
+            Absorbed::Declined(None) => {
                 self.stats.discarded += 1;
                 ctx.obs().on_stray_dropped();
             }
         }
     }
 
+    /// Receive-free progress for a process that owns its mailbox: sends
+    /// staged calls and fires due retransmission timers. Pair with
+    /// [`Channel::offer`] and wake again at [`Channel::next_deadline`].
+    pub fn tick(&mut self, ctx: &mut Ctx) {
+        self.flush(ctx);
+        self.expire(ctx);
+    }
+
     /// Drives the channel until `target` settles (or, with `None`, until
     /// every staged call has settled).
     fn pump(&mut self, ctx: &mut Ctx, target: Option<u64>) -> Result<(), RpcError> {
         loop {
-            self.flush(ctx);
-            self.expire(ctx);
+            self.tick(ctx);
             let settled = match target {
                 Some(id) => self.is_settled(CallHandle(id)),
                 None => self.outstanding == 0 && self.queue.is_empty(),
@@ -477,8 +572,7 @@ impl Channel {
     ///
     /// [`RpcError::Stopped`] on simulation shutdown.
     pub fn poll(&mut self, ctx: &mut Ctx) -> Result<(), RpcError> {
-        self.flush(ctx);
-        self.expire(ctx);
+        self.tick(ctx);
         while let Some(msg) = ctx.try_recv()? {
             self.on_message(ctx, &msg);
         }

@@ -12,11 +12,18 @@ use wire::Value;
 
 use crate::error::RpcError;
 use crate::proto::{Oneway, Packet, Request};
+use crate::rtt::{RttEstimator, Sent};
 
 /// Retransmission policy for a client.
+///
+/// `timeout` is a *floor*, not the timer: every [`RpcClient`] and
+/// [`Channel`](crate::Channel) measures its own path and waits
+/// `max(timeout, srtt + 4·rttvar)` for the first reply (see the `rtt`
+/// module), backing off from there. On a path faster than the floor the
+/// policy alone decides, exactly as written here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
-    /// How long to wait for the first reply.
+    /// The shortest wait for the first reply.
     pub timeout: Duration,
     /// Total attempts (first send plus retransmissions).
     pub max_attempts: u32,
@@ -53,15 +60,20 @@ impl RetryPolicy {
         }
     }
 
-    pub(crate) fn attempt_timeout(&self, attempt: u32) -> Duration {
+    /// The wait before giving up on transmission number `attempt`, given
+    /// the first-attempt timeout `first` (the floor or the path estimate,
+    /// whichever is longer).
+    pub(crate) fn attempt_timeout(&self, first: Duration, attempt: u32) -> Duration {
         let factor = self.backoff.powi(attempt as i32);
-        Duration::from_nanos((self.timeout.as_nanos() as f64 * factor) as u64)
+        Duration::from_nanos((first.as_nanos() as f64 * factor) as u64)
     }
 }
 
 impl Default for RetryPolicy {
-    /// 10ms initial timeout, 4 attempts, exponential backoff — sized for
-    /// the default LAN profile (500µs one-way latency).
+    /// A 10ms floor, 4 attempts, exponential backoff. The floor covers the
+    /// default LAN profile (500µs one-way latency) ten times over; a
+    /// longer path is covered by the per-path round-trip estimate once
+    /// its first reply has been seen, not by this constant.
     fn default() -> RetryPolicy {
         RetryPolicy::exponential(Duration::from_millis(10), 4)
     }
@@ -82,6 +94,10 @@ pub use obs::CallStats;
 pub struct RpcClient {
     server: Endpoint,
     policy: RetryPolicy,
+    rtt: RttEstimator,
+    /// The latest call that needed a retransmission: its late duplicate
+    /// replies, arriving during the next call, still bound the round trip.
+    retransmitted: Option<(u64, Sent)>,
     /// Counters (readable by experiment harnesses).
     pub stats: CallStats,
 }
@@ -97,6 +113,8 @@ impl RpcClient {
         RpcClient {
             server,
             policy,
+            rtt: RttEstimator::default(),
+            retransmitted: None,
             stats: CallStats::default(),
         }
     }
@@ -108,9 +126,18 @@ impl RpcClient {
 
     /// Repoints the client at a new server endpoint (after a migration
     /// or rebind). In-flight duplicate replies from the old server are
-    /// filtered out by the source check.
+    /// filtered out by the source check. The round-trip estimate belongs
+    /// to the old path and starts over.
     pub fn rebind(&mut self, server: Endpoint) {
         self.server = server;
+        self.rtt = RttEstimator::default();
+        self.retransmitted = None;
+    }
+
+    /// The smoothed round trip to the server, once a call has completed
+    /// on its first transmission (diagnostics only).
+    pub fn srtt(&self) -> Option<Duration> {
+        self.rtt.srtt()
     }
 
     /// Calls `op` on the server's default object.
@@ -176,8 +203,11 @@ impl RpcClient {
         };
         let datagram = request.to_bytes();
 
+        let floor = self.policy.timeout;
+        let mut sent = Sent::at(ctx.now());
         for attempt in 0..self.policy.max_attempts {
             if attempt > 0 {
+                sent.last = ctx.now();
                 self.stats.retries += 1;
                 ctx.obs().on_retry();
                 ctx.obs().span_retransmit_at(span, ctx.now().as_nanos());
@@ -189,7 +219,7 @@ impl RpcClient {
                 });
             }
             ctx.send_traced(self.server, datagram.clone(), span);
-            let deadline = ctx.now() + self.policy.attempt_timeout(attempt);
+            let deadline = ctx.now() + self.policy.attempt_timeout(self.rtt.rto(floor), attempt);
             // Drain replies until the attempt deadline; a `None` recv
             // means the attempt timed out and we retransmit.
             while let Some(msg) = ctx.recv_deadline(deadline)? {
@@ -197,7 +227,16 @@ impl RpcClient {
                     Ok(Packet::Reply(rep)) => {
                         ctx.obs().span_reply(rep.span, ctx.now().as_nanos());
                         if rep.call_id == call_id && msg.src == self.server {
+                            self.rtt.on_reply(floor, sent, msg.delivered_at);
+                            if sent.retransmitted() {
+                                self.retransmitted = Some((call_id, sent));
+                            }
                             return rep.result.map_err(RpcError::Remote);
+                        }
+                        if let Some((id, earlier)) = self.retransmitted {
+                            if rep.call_id == id && msg.src == self.server {
+                                self.rtt.on_reply(floor, earlier, msg.delivered_at);
+                            }
                         }
                         self.stats.stale_replies += 1;
                         ctx.obs().on_stale_reply();
@@ -309,15 +348,24 @@ mod tests {
     #[test]
     fn policy_backoff_grows() {
         let p = RetryPolicy::exponential(Duration::from_millis(10), 4);
-        assert_eq!(p.attempt_timeout(0), Duration::from_millis(10));
-        assert_eq!(p.attempt_timeout(1), Duration::from_millis(20));
-        assert_eq!(p.attempt_timeout(2), Duration::from_millis(40));
+        let first = p.timeout;
+        assert_eq!(p.attempt_timeout(first, 0), Duration::from_millis(10));
+        assert_eq!(p.attempt_timeout(first, 1), Duration::from_millis(20));
+        assert_eq!(p.attempt_timeout(first, 2), Duration::from_millis(40));
+        // A longer first-attempt timeout scales the whole schedule.
+        assert_eq!(
+            p.attempt_timeout(Duration::from_millis(100), 2),
+            Duration::from_millis(400)
+        );
     }
 
     #[test]
     fn policy_fixed_is_flat() {
         let p = RetryPolicy::fixed(Duration::from_millis(5), 3);
-        assert_eq!(p.attempt_timeout(0), p.attempt_timeout(2));
+        assert_eq!(
+            p.attempt_timeout(p.timeout, 0),
+            p.attempt_timeout(p.timeout, 2)
+        );
     }
 
     #[test]

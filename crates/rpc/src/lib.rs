@@ -46,6 +46,7 @@ mod channel;
 mod client;
 mod error;
 mod proto;
+mod rtt;
 mod server;
 
 pub use channel::{CallHandle, Channel, ChannelConfig, ChannelStats};

@@ -12,11 +12,19 @@
 //! set of executed ids above it, instead of a single high-water mark: a
 //! fresh id below the highest executed one still runs, while replayed
 //! ids are suppressed exactly.
+//!
+//! A handler need not answer on the spot. Under
+//! [`RpcServer::handle_deferred`] it may return `None` — "started, will
+//! answer later" — and the owner calls [`RpcServer::complete`] when the
+//! result exists (an edge cache waiting for its origin). Between the two
+//! the id is *executing*: a retransmission of it is dropped, neither
+//! re-run nor answered; after completion it is answered from the reply
+//! cache like any other.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use bytes::Bytes;
-use simnet::{Ctx, Endpoint, Message};
+use simnet::{Ctx, Endpoint, Message, SimTime};
 use wire::Value;
 
 use crate::error::RemoteError;
@@ -45,6 +53,9 @@ pub use obs::ServeStats;
 pub enum Served {
     /// A fresh request was executed and replied to.
     Executed(Request),
+    /// A fresh request was started; its handler deferred the reply to a
+    /// later [`RpcServer::complete`].
+    Deferred(Request),
     /// A duplicate was answered from the reply cache (handler not run).
     DuplicateSuppressed,
     /// A duplicate too old to be cached was dropped.
@@ -57,7 +68,7 @@ pub enum Served {
     /// A batch of requests was unbatched and dispatched; replies were
     /// coalesced per destination. Counts what happened inside.
     Batch {
-        /// Fresh requests executed.
+        /// Fresh requests executed (answered or deferred).
         executed: u64,
         /// Duplicates answered from the reply cache.
         suppressed: u64,
@@ -82,6 +93,21 @@ struct ClientWindow {
     executed: BTreeSet<u64>,
     /// Recent (call_id, encoded reply) pairs, oldest first.
     cached: VecDeque<(u64, Bytes)>,
+    /// Calls started whose reply is still owed (at most the client's
+    /// pipeline depth, so a scan is cheap).
+    executing: Vec<Executing>,
+}
+
+/// A started call whose handler deferred the reply.
+#[derive(Debug)]
+struct Executing {
+    call_id: u64,
+    /// The request's span, echoed in the reply.
+    span: u64,
+    /// The dispatch span, open until the call completes.
+    dispatch: obs::SpanId,
+    op: String,
+    started: SimTime,
 }
 
 impl ClientWindow {
@@ -94,11 +120,17 @@ impl ClientWindow {
         id <= self.floor || self.executed.contains(&id)
     }
 
+    /// Records the reply to an executed call.
     fn insert(&mut self, id: u64, reply: Bytes) {
         if self.cached.len() >= REPLY_CACHE_PER_CLIENT {
             self.cached.pop_front();
         }
         self.cached.push_back((id, reply));
+        self.mark_executed(id);
+    }
+
+    /// Marks `id` as run, whether or not its reply exists yet.
+    fn mark_executed(&mut self, id: u64) {
         if id > self.floor {
             self.executed.insert(id);
         }
@@ -125,8 +157,11 @@ enum Answer {
     Executed(Bytes),
     /// Duplicate answered from the cache; the recorded reply to resend.
     Cached(Bytes),
-    /// Duplicate too old to answer; nothing to send.
+    /// Duplicate too old to answer, or still executing; nothing to send.
     Dropped,
+    /// Fresh execution whose handler deferred the reply; nothing to send
+    /// yet.
+    Deferred,
 }
 
 /// Server-side call dispatch with per-client duplicate suppression.
@@ -161,7 +196,22 @@ impl RpcServer {
         &mut self,
         ctx: &mut Ctx,
         msg: &Message,
-        handler: impl FnMut(&mut Ctx, &Request) -> Result<Value, RemoteError>,
+        mut handler: impl FnMut(&mut Ctx, &Request) -> Result<Value, RemoteError>,
+    ) -> Served {
+        self.handle_deferred(ctx, msg, |ctx, req| Some(handler(ctx, req)))
+    }
+
+    /// [`RpcServer::handle`] for a handler that may answer later: `None`
+    /// means the call has started and its owner will deliver the result
+    /// through [`RpcServer::complete`], naming the request's `reply_to`
+    /// and `call_id`. Until then a retransmission of the id is dropped
+    /// (counted under `duplicates_dropped`), never re-run and never
+    /// answered; afterwards it gets the recorded reply.
+    pub fn handle_deferred(
+        &mut self,
+        ctx: &mut Ctx,
+        msg: &Message,
+        handler: impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
     ) -> Served {
         if let Some(served) = self.try_peek_duplicate(ctx, msg) {
             return served;
@@ -217,7 +267,8 @@ impl RpcServer {
             return Some(Served::DuplicateSuppressed);
         }
         if window.is_executed(id) {
-            // Executed long ago, reply since evicted: drop.
+            // Still executing, or executed long ago and the reply since
+            // evicted: drop.
             self.stats.duplicates_dropped += 1;
             ctx.obs().on_duplicate_dropped();
             return Some(Served::DuplicateDropped);
@@ -229,7 +280,7 @@ impl RpcServer {
         &mut self,
         ctx: &mut Ctx,
         req: Request,
-        handler: &mut impl FnMut(&mut Ctx, &Request) -> Result<Value, RemoteError>,
+        handler: &mut impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
     ) -> Served {
         let span = obs::SpanId::from_raw(req.span);
         match self.answer_request(ctx, &req, handler) {
@@ -238,6 +289,7 @@ impl RpcServer {
                 Served::DuplicateSuppressed
             }
             Answer::Dropped => Served::DuplicateDropped,
+            Answer::Deferred => Served::Deferred(req),
             Answer::Executed(bytes) => {
                 // The reply belongs to the request's span (the handler
                 // restored the server's previous span inside
@@ -257,7 +309,7 @@ impl RpcServer {
         &mut self,
         ctx: &mut Ctx,
         batch: Batch,
-        handler: &mut impl FnMut(&mut Ctx, &Request) -> Result<Value, RemoteError>,
+        handler: &mut impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
     ) -> Served {
         let (mut executed, mut suppressed, mut dropped) = (0u64, 0u64, 0u64);
         // Replies grouped by destination, preserving request order.
@@ -283,6 +335,10 @@ impl RpcServer {
                 }
                 Answer::Dropped => {
                     dropped += 1;
+                    continue;
+                }
+                Answer::Deferred => {
+                    executed += 1;
                     continue;
                 }
             };
@@ -329,7 +385,7 @@ impl RpcServer {
         &mut self,
         ctx: &mut Ctx,
         req: &Request,
-        handler: &mut impl FnMut(&mut Ctx, &Request) -> Result<Value, RemoteError>,
+        handler: &mut impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
     ) -> Answer {
         let window = self.windows.entry(req.reply_to).or_default();
         if let Some(cached) = window.lookup(req.call_id) {
@@ -343,8 +399,9 @@ impl RpcServer {
             return Answer::Cached(cached);
         }
         if window.is_executed(req.call_id) {
-            // Executed long ago and evicted from the reply cache: the
-            // client has long since given up on it — drop.
+            // Still executing (the reply will come when it completes), or
+            // executed long ago and evicted from the reply cache (the
+            // client has long since given up on it) — drop.
             self.stats.duplicates_dropped += 1;
             ctx.obs().on_duplicate_dropped();
             return Answer::Dropped;
@@ -364,27 +421,79 @@ impl RpcServer {
         let started = ctx.now();
         let result = handler(ctx, req);
         ctx.set_current_span(previous);
-        ctx.obs()
-            .close_span(dispatch, ctx.now().as_nanos(), result.is_ok());
-        ctx.trace(simnet::TraceEvent::ServerExecute {
-            service: ctx.name().to_owned(),
-            op: req.op.clone(),
-            span: dispatch,
-            dur_ns: ctx.now().saturating_since(started).as_nanos() as u64,
-        });
-        let reply = Reply {
-            call_id: req.call_id,
-            result,
-            span: req.span,
-        };
-        let encoded = reply.to_bytes();
-        self.windows
-            .entry(req.reply_to)
-            .or_default()
-            .insert(req.call_id, encoded.clone());
         self.stats.executed += 1;
         ctx.obs().on_executed();
-        Answer::Executed(encoded)
+        let executing = Executing {
+            call_id: req.call_id,
+            span: req.span,
+            dispatch,
+            op: req.op.clone(),
+            started,
+        };
+        match result {
+            Some(result) => Answer::Executed(self.finish(ctx, req.reply_to, executing, result)),
+            None => {
+                let window = self.windows.entry(req.reply_to).or_default();
+                window.mark_executed(req.call_id);
+                window.executing.push(executing);
+                Answer::Deferred
+            }
+        }
+    }
+
+    /// Closes a call's dispatch span, records its encoded reply for
+    /// duplicate suppression and returns it for sending.
+    fn finish(
+        &mut self,
+        ctx: &mut Ctx,
+        reply_to: Endpoint,
+        call: Executing,
+        result: Result<Value, RemoteError>,
+    ) -> Bytes {
+        ctx.obs()
+            .close_span(call.dispatch, ctx.now().as_nanos(), result.is_ok());
+        ctx.trace(simnet::TraceEvent::ServerExecute {
+            service: ctx.name().to_owned(),
+            op: call.op,
+            span: call.dispatch,
+            dur_ns: ctx.now().saturating_since(call.started).as_nanos() as u64,
+        });
+        let encoded = Reply {
+            call_id: call.call_id,
+            result,
+            span: call.span,
+        }
+        .to_bytes();
+        self.windows
+            .entry(reply_to)
+            .or_default()
+            .insert(call.call_id, encoded.clone());
+        encoded
+    }
+
+    /// Delivers the result of a call whose handler deferred it (see
+    /// [`RpcServer::handle_deferred`]): the reply is recorded and sent to
+    /// `reply_to`, and the call's dispatch span closes. Returns `false`,
+    /// sending nothing, if `(reply_to, call_id)` is not executing — a
+    /// call is answered once.
+    pub fn complete(
+        &mut self,
+        ctx: &mut Ctx,
+        reply_to: Endpoint,
+        call_id: u64,
+        result: Result<Value, RemoteError>,
+    ) -> bool {
+        let Some(window) = self.windows.get_mut(&reply_to) else {
+            return false;
+        };
+        let Some(at) = window.executing.iter().position(|e| e.call_id == call_id) else {
+            return false;
+        };
+        let call = window.executing.swap_remove(at);
+        let span = obs::SpanId::from_raw(call.span);
+        let encoded = self.finish(ctx, reply_to, call, result);
+        ctx.send_traced(reply_to, encoded, span);
+        true
     }
 
     /// Runs a request loop until the simulation stops. One-way traffic is

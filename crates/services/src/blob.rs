@@ -8,20 +8,26 @@
 //! pushes `inv {svc, tag: key}` to every subscribed edge cache.
 //!
 //! [`spawn_edge_cache`] is the hierarchy piece: a region-local process
-//! serving the same chunk protocol out of a [`CachingProxy`] layered
-//! over the origin store. Repeat fetches in a region are served locally;
-//! origin writes invalidate the edge through the ordinary subscription.
+//! serving the same chunk protocol out of a [`ReadCache`] in front of
+//! the origin store — the caching proxy's store and coherence rules,
+//! filled through an outstanding-miss table instead of a blocking call.
+//! Repeat fetches in a region are served locally; origin writes
+//! invalidate the edge through the ordinary subscription.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use proxy_core::bulk::{ops, MAX_CHUNK};
-use proxy_core::proxies::CachingProxy;
+use proxy_core::proxies::{note_lookup, ReadCache};
 use proxy_core::{
-    CachingParams, Coherence, InterfaceDesc, OnewaySink, OpDesc, Proxy, ProxySpec, ServiceObject,
+    protocol, CachingParams, Coherence, InterfaceDesc, OpDesc, OpKind, ProxySpec, ProxyStats,
+    ServiceObject,
 };
-use rpc::{ErrorCode, RemoteError, RpcError, RpcServer, Served};
-use simnet::{Ctx, Endpoint, Message, NodeId, Simulation};
+use rpc::{
+    CallHandle, Channel, ChannelConfig, ErrorCode, RemoteError, Request, RpcError, RpcServer,
+    Served,
+};
+use simnet::{Ctx, Endpoint, NodeId, Simulation};
 use wire::Value;
 
 use crate::bad_args;
@@ -251,28 +257,146 @@ impl ServiceObject for BlobStore {
     }
 }
 
-/// The edge cache's stray sink: invalidations are collected for the
-/// edge's own proxy, and client requests that arrive while the proxy is
-/// blocked on the origin are requeued for service instead of dropped.
-struct EdgeSink<'a> {
-    oneways: Vec<rpc::Oneway>,
-    requeued: &'a mut VecDeque<Message>,
+/// How many origin calls an edge keeps in flight. A client pipelines up
+/// to its bulk depth (8 by default) in chunk fetches and single-flight
+/// folds requests for the same chunk together, so 64 covers eight
+/// clients all missing on different blobs at once; beyond it misses
+/// queue on the channel and cost a further origin round trip.
+const UPSTREAM_DEPTH: usize = 64;
+
+/// What to do with the cache when an origin call's answer lands.
+enum Then {
+    /// A read: file the answer under this key of the fetch's tag.
+    Install(Vec<u8>),
+    /// A write: drop what it staled (the fetch's tag), as the origin's
+    /// own invalidation, already on its way, will again.
+    Invalidate,
+    /// Nothing: an op the interface omits, or a read whose tag was
+    /// invalidated while it was in flight — its answer is still what the
+    /// origin said when asked, so the waiters get it, but it must not
+    /// outlive them in the cache.
+    Nothing,
 }
 
-impl OnewaySink for EdgeSink<'_> {
-    fn push(&mut self, oneway: rpc::Oneway) {
-        self.oneways.push(oneway);
+/// One origin call in flight and the requests waiting on its answer.
+struct Fetch {
+    call: CallHandle,
+    /// The op's coherence tag (`"*"` for ops the interface omits).
+    tag: String,
+    then: Then,
+    /// `(reply_to, call_id)` of every request waiting on this fetch.
+    waiters: Vec<(Endpoint, u64)>,
+}
+
+/// The edge's request-side state: the cache and the outstanding-miss
+/// table in front of the origin channel.
+struct Edge {
+    origin: String,
+    iface: InterfaceDesc,
+    cache: ReadCache,
+    misses: Vec<Fetch>,
+    stats: ProxyStats,
+}
+
+impl Edge {
+    /// Serves one request: a cached read is answered on the spot;
+    /// anything else is staged on the origin channel (or joins the fetch
+    /// already in flight for the same read) and answered when that lands.
+    fn on_request(
+        &mut self,
+        ctx: &mut Ctx,
+        up: &mut Channel,
+        req: &Request,
+    ) -> Option<Result<Value, RemoteError>> {
+        self.stats.invocations += 1;
+        let waiter = (req.reply_to, req.call_id);
+        let desc = self.iface.op(&req.op);
+        let tag = desc.map_or_else(|| "*".to_owned(), |d| d.tag(&req.args));
+        let then = match desc.map(|d| d.kind) {
+            Some(OpKind::Read) => {
+                let key = ReadCache::key(&req.op, &req.args);
+                if let Some(v) = self.cache.lookup(&tag, &key, ctx.now()) {
+                    self.stats.local_hits += 1;
+                    note_lookup(ctx, &self.origin, &req.op, true);
+                    return Some(Ok(v));
+                }
+                note_lookup(ctx, &self.origin, &req.op, false);
+                Then::Install(key)
+            }
+            Some(OpKind::Write) => Then::Invalidate,
+            None => Then::Nothing,
+        };
+        self.stats.remote_calls += 1;
+        if let Then::Install(key) = &then {
+            // Single-flight: a fetch still bound for the cache is for the
+            // same bytes this request would get. One its tag's
+            // invalidation overtook is not — this request came after the
+            // write, so it asks again.
+            let inflight = self
+                .misses
+                .iter_mut()
+                .find(|f| matches!(&f.then, Then::Install(k) if k == key));
+            if let Some(fetch) = inflight {
+                fetch.waiters.push(waiter);
+                return None;
+            }
+        }
+        self.misses.push(Fetch {
+            call: up.begin_call(ctx, &req.op, req.args.clone()),
+            tag,
+            then,
+            waiters: vec![waiter],
+        });
+        None
     }
 
-    fn push_request(&mut self, msg: &Message) -> bool {
-        self.requeued.push_back(msg.clone());
-        true
+    /// Applies an origin invalidation to the cache and to the reads in
+    /// flight for that tag.
+    fn on_oneway(&mut self, oneway: &rpc::Oneway) {
+        let Some(tag) = self.cache.on_invalidate(oneway) else {
+            return;
+        };
+        self.stats.invalidations_rx += 1;
+        for fetch in &mut self.misses {
+            let staled = tag == "*" || fetch.tag == tag || fetch.tag == "*";
+            if staled && matches!(fetch.then, Then::Install(_)) {
+                fetch.then = Then::Nothing;
+            }
+        }
+    }
+
+    /// Answers the waiters of every fetch whose origin call has settled.
+    fn settle(&mut self, ctx: &mut Ctx, up: &mut Channel, rpc: &mut RpcServer) {
+        let mut at = 0;
+        while at < self.misses.len() {
+            let Some(result) = up.try_take(self.misses[at].call) else {
+                at += 1;
+                continue;
+            };
+            // `remove`, not `swap_remove`: fills landing at the same
+            // instant are answered in the order their requests came.
+            let fetch = self.misses.remove(at);
+            let result = result.map_err(|e| match e {
+                RpcError::Remote(re) => re,
+                e => RemoteError::new(ErrorCode::Unavailable, e.to_string()),
+            });
+            match (&result, fetch.then) {
+                (Ok(v), Then::Install(key)) => {
+                    self.cache.insert(fetch.tag, key, v.clone(), ctx.now());
+                }
+                (Ok(_), Then::Invalidate) => self.cache.invalidate_tag(&fetch.tag),
+                _ => {}
+            }
+            for (reply_to, call_id) in fetch.waiters {
+                rpc.complete(ctx, reply_to, call_id, result.clone());
+            }
+        }
     }
 }
 
 /// Spawns a region-local edge cache for the blob store registered under
 /// `origin`: a process serving the same chunk protocol out of a
-/// [`CachingProxy`] bound to the origin with invalidation coherence.
+/// [`ReadCache`] kept coherent with the origin by invalidation.
 ///
 /// The edge registers itself in the name service under `name` (with a
 /// plain stub spec — its *clients* need no smarts; the caching happens
@@ -281,10 +405,12 @@ impl OnewaySink for EdgeSink<'_> {
 /// invalidation to the edge's subscription, after which the next fetch
 /// re-reads through to the origin.
 ///
-/// While the edge is blocked on an origin miss, concurrent client
-/// requests landing in its mailbox are captured (via
-/// [`OnewaySink::push_request`]) and requeued, so pipelined clients
-/// never lose a request to the edge's own upstream latency.
+/// The edge never blocks on its origin. It is one event loop over one
+/// mailbox: a hit is answered at once even while misses are in flight; a
+/// miss is staged on a long-lived pipelined channel to the origin and its
+/// reply deferred until the fill lands, and concurrent requests for the
+/// same chunk wait on the one fetch. A cold get therefore costs one
+/// origin round trip, whatever else the region is asking for.
 pub fn spawn_edge_cache(
     sim: &Simulation,
     node: NodeId,
@@ -317,22 +443,25 @@ pub fn spawn_edge_cache(
             .get("iface")
             .and_then(|v| InterfaceDesc::from_value(v).ok())
             .unwrap_or_else(BlobStore::interface);
-        let params = CachingParams {
-            coherence: Coherence::Invalidate,
-            capacity,
-        };
-        let mut proxy = match CachingProxy::bind(
-            ctx,
+        let mut up = Channel::new(
             origin.clone(),
             record.endpoint,
-            ns,
-            iface.clone(),
-            params,
-        ) {
-            Ok(p) => p,
+            ChannelConfig::with_depth(UPSTREAM_DEPTH),
+        );
+        // Nobody calls the edge before it registers, so set-up may still
+        // block and let a client own the mailbox. Subscribing over the
+        // origin channel itself gives its timers a first look at the path
+        // before the first burst of misses.
+        let subscribe = up.begin_call(
+            ctx,
+            protocol::OP_SUBSCRIBE,
+            Value::record([("cb", rpc::endpoint_to_value(ctx.endpoint()))]),
+        );
+        match up.wait(ctx, subscribe) {
+            Ok(_) => {}
             Err(RpcError::Stopped) => return,
-            Err(e) => panic!("edge cache failed to bind origin `{origin}`: {e}"),
-        };
+            Err(e) => panic!("edge cache failed to subscribe at origin `{origin}`: {e}"),
+        }
         let meta = Value::record([
             ("spec", ProxySpec::Stub.to_value()),
             ("iface", iface.to_value()),
@@ -343,39 +472,37 @@ pub fn spawn_edge_cache(
             Err(e) => panic!("edge cache `{name}` failed to register: {e}"),
         }
         let mut rpc = RpcServer::new();
-        // Requests that strayed in while a miss blocked on the origin;
-        // replayed before the next receive (same discipline as the
-        // replication primary's propagation window).
-        let mut requeued: VecDeque<Message> = VecDeque::new();
+        let mut edge = Edge {
+            origin,
+            iface,
+            cache: ReadCache::new(CachingParams {
+                coherence: Coherence::Invalidate,
+                capacity,
+            }),
+            misses: Vec::new(),
+            stats: ProxyStats::default(),
+        };
         loop {
-            let msg = match requeued.pop_front() {
-                Some(m) => m,
-                None => match ctx.recv() {
-                    Ok(m) => m,
-                    Err(_) => return,
-                },
+            // Sleep until a datagram arrives or an origin call is due for
+            // retransmission, whichever is first.
+            let msg = match up.next_deadline() {
+                Some(deadline) => ctx.recv_deadline(deadline),
+                None => ctx.recv().map(Some),
             };
-            let served = rpc.handle(ctx, &msg, |ctx, req| {
-                let mut sink = EdgeSink {
-                    oneways: Vec::new(),
-                    requeued: &mut requeued,
-                };
-                let r = proxy.invoke(ctx, &req.op, req.args.clone(), &mut sink);
-                // Invalidations the origin call absorbed belong to us.
-                for o in sink.oneways {
-                    proxy.on_oneway(ctx, &o);
+            let Ok(msg) = msg else { return };
+            if let Some(msg) = msg {
+                if !up.offer(ctx, &msg) {
+                    let served = rpc
+                        .handle_deferred(ctx, &msg, |ctx, req| edge.on_request(ctx, &mut up, req));
+                    if let Served::Oneway(o) = served {
+                        edge.on_oneway(&o);
+                    }
                 }
-                match r {
-                    Ok(v) => Ok(v),
-                    Err(RpcError::Remote(re)) => Err(re),
-                    Err(e) => Err(RemoteError::new(ErrorCode::Unavailable, e.to_string())),
-                }
-            });
-            if let Served::Oneway(o) = served {
-                proxy.on_oneway(ctx, &o);
             }
+            up.tick(ctx);
+            edge.settle(ctx, &mut up, &mut rpc);
             ctx.obs()
-                .set_proxy_stats(ctx.name(), &origin, proxy.stats());
+                .set_proxy_stats(ctx.name(), &edge.origin, edge.stats);
         }
     })
 }
