@@ -19,7 +19,13 @@ step "cargo test (workspace)"
 # edge and its transport: rpc/tests/dedup_window.rs + pipeline.rs
 # (deferred replies answered exactly once, retransmit timers learned per
 # path) and services/tests/bulk_plane.rs (no head-of-line blocking,
-# single-flight fills, invalidation against an in-flight fill).
+# single-flight fills, invalidation against an in-flight fill), and the
+# ones pinning directory invalidation: core/src/sharers.rs (unit),
+# core/tests/proxies_e2e.rs (a write reaches its key's readers and
+# nobody else), runtime_routing.rs (overtaking, replayed and stale
+# invalidations), proptest_core.rs (three caching clients against an
+# oracle), obs_invariance.rs (caching clients over 4 domains, 1 vs 4
+# threads, byte-identical) and the republish case in bulk_plane.rs.
 cargo test --workspace -q
 
 if [ "${1:-}" != "quick" ]; then

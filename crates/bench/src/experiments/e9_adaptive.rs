@@ -5,10 +5,13 @@
 //! and adaptive — with several clients, so invalidation traffic matters.
 //!
 //! Expected shape: the adaptive proxy approaches the caching proxy's
-//! latency in the read phases (it turns caching on), and sheds the
-//! caching proxy's invalidation storm in the write phase (it
-//! unsubscribes) — beating the stub overall while sending fewer
-//! messages than always-caching in write-heavy conditions.
+//! latency in the read phases (it turns caching on), and in the write
+//! phase unsubscribes, so it is sent no invalidations at all — beating
+//! the stub overall while sending fewer messages than always-caching.
+//! The margin on messages is small by construction: the service pushes
+//! a write only to the proxies that read the key since its last write,
+//! so always-caching no longer pays a per-write broadcast either (and
+//! sends fewer messages than the stub).
 
 use std::time::Duration;
 
@@ -173,7 +176,7 @@ pub fn run() -> ExperimentOutput {
             ),
         ),
         check(
-            "adaptive sends fewer messages than always-caching (sheds the invalidation storm)",
+            "adaptive sends fewer messages than always-caching (its write phase is sent no invalidations)",
             adaptive.msgs < caching.msgs,
             format!(
                 "adaptive {} msgs vs caching {} msgs",

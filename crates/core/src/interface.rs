@@ -9,6 +9,8 @@
 //! these declarations to decide what is cacheable and what invalidates
 //! what, without knowing anything else about the service.
 
+use std::borrow::Cow;
+
 use wire::{Value, WireError};
 
 /// Whether an operation observes or mutates service state.
@@ -96,16 +98,14 @@ impl OpDesc {
 
     /// The cache tag this operation touches for the given arguments:
     /// the value of `key_field` if declared and present, otherwise the
-    /// whole-object tag `"*"`.
-    pub fn tag(&self, args: &Value) -> String {
-        match &self.key_field {
-            Some(field) => match args.get(field) {
-                Some(Value::Str(s)) => s.to_string_owned(),
-                Some(Value::U64(n)) => n.to_string(),
-                Some(Value::I64(n)) => n.to_string(),
-                _ => "*".to_owned(),
-            },
-            None => "*".to_owned(),
+    /// whole-object tag `"*"`. String keys — the common case — are
+    /// borrowed from `args`; only numeric keys allocate.
+    pub fn tag<'a>(&self, args: &'a Value) -> Cow<'a, str> {
+        match self.key_field.as_deref().and_then(|field| args.get(field)) {
+            Some(Value::Str(s)) => Cow::Borrowed(s.as_str()),
+            Some(Value::U64(n)) => Cow::Owned(n.to_string()),
+            Some(Value::I64(n)) => Cow::Owned(n.to_string()),
+            _ => Cow::Borrowed("*"),
         }
     }
 

@@ -94,6 +94,7 @@ mod runtime;
 mod server;
 mod session;
 mod session_core;
+mod sharers;
 mod spec;
 mod stable;
 

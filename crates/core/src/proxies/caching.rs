@@ -7,8 +7,13 @@
 //! * **Leases** — every entry expires after a fixed duration; stale
 //!   windows are bounded by the lease with zero server state.
 //! * **Invalidations** — the proxy subscribes at bind time; the service
-//!   pushes an `inv {svc, tag}` notification on every write, and the
-//!   proxy drops the tag when it arrives (at its next mailbox poll).
+//!   files it under every tag it reads, and a write pushes an
+//!   `inv {svc, tag}` notification to the tag's current sharers only.
+//!   The proxy drops the tag when the notification arrives (at its next
+//!   mailbox poll) and the service forgets it until it reads the tag
+//!   again — a proxy that never read what was written hears nothing. A
+//!   notification that overtakes the reply it stales is held back while
+//!   the call blocks and applied after the reply is cached.
 //!
 //! The proxy always invalidates its own tag on its own writes, so a
 //! client reads its own writes regardless of mode.
@@ -21,7 +26,7 @@ use wire::Value;
 use super::read_cache::{note_lookup, ReadCache};
 use super::robust_call;
 use crate::bulk::{BulkEngine, BulkParams};
-use crate::interface::InterfaceDesc;
+use crate::interface::{InterfaceDesc, OpKind};
 use crate::proxy::{protocol, OnewaySink, Proxy, ProxyStats};
 use crate::spec::CachingParams;
 
@@ -296,96 +301,94 @@ impl Proxy for CachingProxy {
             self.drain_mailbox(ctx, strays);
         }
         self.stats.invocations += 1;
-        let desc = self.iface.op(op).cloned();
-        match desc {
-            Some(d) if d.kind == crate::interface::OpKind::Read => {
-                let tag = d.tag(&args);
-                let key = ReadCache::key(op, &args);
-                if let Some(v) = self.cache.lookup(&tag, &key, ctx.now()) {
-                    self.stats.local_hits += 1;
-                    note_lookup(ctx, &self.service, op, true);
-                    return Ok(v);
-                }
-                self.stats.remote_calls += 1;
-                note_lookup(ctx, &self.service, op, false);
-                // A miss goes remote: drain pending asynchronous writes
-                // first so the server answers after our writes applied.
-                self.flush_write_behind(ctx, strays)?;
-                let args = self.bulk_spill(ctx, args, strays)?;
-                let v = robust_call(
-                    &mut self.rpc,
-                    &mut self.ns,
-                    &self.service,
-                    ctx,
-                    op,
-                    args,
-                    strays,
-                    &mut self.stats,
-                )?;
-                let v = self.bulk_resolve(ctx, v, strays)?;
-                self.cache.insert(tag, key, v.clone(), ctx.now());
-                Ok(v)
+        let Some(desc) = self.iface.op(op) else {
+            // Undeclared (system or unknown) op: pass through. It
+            // might write, so drain asynchronous writes first to
+            // preserve ordering.
+            self.stats.remote_calls += 1;
+            self.flush_write_behind(ctx, strays)?;
+            let args = self.bulk_spill(ctx, args, strays)?;
+            let v = robust_call(
+                &mut self.rpc,
+                &mut self.ns,
+                &self.service,
+                ctx,
+                op,
+                args,
+                strays,
+                &mut self.stats,
+            )?;
+            return self.bulk_resolve(ctx, v, strays);
+        };
+        let kind = desc.kind;
+        // Borrowed from `args` on the hit path; owned only once the call
+        // goes remote and `args` moves into it.
+        let tag = desc.tag(&args);
+        if kind == OpKind::Read {
+            let key = ReadCache::key(op, &args);
+            if let Some(v) = self.cache.lookup(&tag, &key, ctx.now()) {
+                self.stats.local_hits += 1;
+                note_lookup(ctx, &self.service, op, true);
+                return Ok(v);
             }
-            Some(d) => {
-                // A write: forward, then drop our own stale reads of the
-                // tag so we read our own writes.
-                let tag = d.tag(&args);
-                self.stats.remote_calls += 1;
-                // Spill before staging: the write-behind channel then
-                // carries only the fixed-size reference, so asynchronous
-                // writes stay cheap on the RPC path too.
-                let args = self.bulk_spill(ctx, args, strays)?;
-                if self.write_behind.is_some() {
-                    // Write-behind: stage the call on the pipelined
-                    // channel and return immediately. The channel's
-                    // retransmission timers and the server's duplicate
-                    // window keep execution at-most-once; the local
-                    // invalidation below plus the flush-on-miss above
-                    // keep read-your-writes.
-                    let mut ch = self.write_behind.take().expect("checked is_some");
-                    ch.begin_call(ctx, op, args);
-                    let r = ch.poll(ctx);
-                    ch.reap_settled();
-                    self.route_channel_strays(&mut ch, strays);
-                    self.write_behind = Some(ch);
-                    r?;
-                    self.cache.invalidate_tag(&tag);
-                    return Ok(Value::Null);
-                }
-                let v = robust_call(
-                    &mut self.rpc,
-                    &mut self.ns,
-                    &self.service,
-                    ctx,
-                    op,
-                    args,
-                    strays,
-                    &mut self.stats,
-                )?;
-                let v = self.bulk_resolve(ctx, v, strays)?;
-                self.cache.invalidate_tag(&tag);
-                Ok(v)
-            }
-            None => {
-                // Undeclared (system or unknown) op: pass through. It
-                // might write, so drain asynchronous writes first to
-                // preserve ordering.
-                self.stats.remote_calls += 1;
-                self.flush_write_behind(ctx, strays)?;
-                let args = self.bulk_spill(ctx, args, strays)?;
-                let v = robust_call(
-                    &mut self.rpc,
-                    &mut self.ns,
-                    &self.service,
-                    ctx,
-                    op,
-                    args,
-                    strays,
-                    &mut self.stats,
-                )?;
-                self.bulk_resolve(ctx, v, strays)
-            }
+            let tag = tag.into_owned();
+            self.stats.remote_calls += 1;
+            note_lookup(ctx, &self.service, op, false);
+            // A miss goes remote: drain pending asynchronous writes
+            // first so the server answers after our writes applied.
+            self.flush_write_behind(ctx, strays)?;
+            let args = self.bulk_spill(ctx, args, strays)?;
+            let v = robust_call(
+                &mut self.rpc,
+                &mut self.ns,
+                &self.service,
+                ctx,
+                op,
+                args,
+                strays,
+                &mut self.stats,
+            )?;
+            let v = self.bulk_resolve(ctx, v, strays)?;
+            self.cache.insert(tag, key, v.clone(), ctx.now());
+            return Ok(v);
         }
+        // A write: forward, then drop our own stale reads of the tag so
+        // we read our own writes.
+        let tag = tag.into_owned();
+        self.stats.remote_calls += 1;
+        // Spill before staging: the write-behind channel then carries
+        // only the fixed-size reference, so asynchronous writes stay
+        // cheap on the RPC path too.
+        let args = self.bulk_spill(ctx, args, strays)?;
+        if self.write_behind.is_some() {
+            // Write-behind: stage the call on the pipelined channel and
+            // return immediately. The channel's retransmission timers
+            // and the server's duplicate window keep execution
+            // at-most-once; the local invalidation below plus the
+            // flush-on-miss above keep read-your-writes.
+            let mut ch = self.write_behind.take().expect("checked is_some");
+            ch.begin_call(ctx, op, args);
+            let r = ch.poll(ctx);
+            ch.reap_settled();
+            self.route_channel_strays(&mut ch, strays);
+            self.write_behind = Some(ch);
+            r?;
+            self.cache.invalidate_tag(&tag);
+            return Ok(Value::Null);
+        }
+        let v = robust_call(
+            &mut self.rpc,
+            &mut self.ns,
+            &self.service,
+            ctx,
+            op,
+            args,
+            strays,
+            &mut self.stats,
+        )?;
+        let v = self.bulk_resolve(ctx, v, strays)?;
+        self.cache.invalidate_tag(&tag);
+        Ok(v)
     }
 
     fn on_oneway(&mut self, _ctx: &mut Ctx, oneway: &rpc::Oneway) {

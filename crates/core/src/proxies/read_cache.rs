@@ -71,11 +71,16 @@ impl ReadCache {
     /// The key a read is cached under within its tag: the operation and
     /// its exact arguments.
     pub fn key(op: &str, args: &Value) -> Vec<u8> {
-        wire::encode(&Value::record([
-            ("op", Value::str(op)),
-            ("a", args.clone()),
-        ]))
-        .to_vec()
+        rpc::with_encoder(|e| {
+            e.encode_borrowed(|w| {
+                w.begin_record(2);
+                w.key("op");
+                w.str(op);
+                w.key("a");
+                w.value(args);
+            })
+            .to_vec()
+        })
     }
 
     /// Drops every entry.
@@ -200,6 +205,9 @@ pub fn note_lookup(ctx: &Ctx, service: &str, op: &str, hit: bool) {
         let series = if hit { "cache_hit" } else { "cache_miss" };
         ctx.obs()
             .ts_add(ctx.now().as_nanos(), &format!("{series}@{service}"), 1);
+    }
+    if !ctx.tracing() {
+        return;
     }
     let (service, op, span) = (service.to_owned(), op.to_owned(), ctx.current_span());
     ctx.trace(if hit {

@@ -16,10 +16,11 @@ use rpc::{
 use simnet::{Ctx, Endpoint, NodeId, Simulation};
 use wire::Value;
 
-use crate::interface::InterfaceDesc;
+use crate::interface::{InterfaceDesc, OpKind};
 use crate::object::{FactoryRegistry, ServiceObject};
 use crate::proxy::protocol;
-use crate::spec::ProxySpec;
+use crate::sharers::Sharers;
+use crate::spec::{CachingParams, ProxySpec};
 use crate::stable::CheckpointPolicy;
 
 /// Counters accumulated by a service context.
@@ -38,7 +39,8 @@ struct Core {
     /// `None` while the object is checked out to a client context.
     object: Option<Box<dyn ServiceObject>>,
     holder: Option<Endpoint>,
-    subscribers: Vec<Endpoint>,
+    /// The invalidation subscribers and what each may be caching.
+    sharers: Sharers,
     factories: Option<FactoryRegistry>,
     checkpoint: Option<CheckpointPolicy>,
     writes_since_checkpoint: u64,
@@ -52,30 +54,30 @@ impl Core {
                 ctx,
                 holder,
                 protocol::MSG_RECALL,
-                Value::record([("svc", Value::str(self.name.clone()))]),
+                &Value::record([("svc", Value::str(self.name.as_str()))]),
             );
             self.stats.recalls_sent += 1;
         }
     }
 
-    fn broadcast_invalidation(&mut self, ctx: &Ctx, op: &str, args: &Value, writer: Endpoint) {
-        let tag = match self.iface.op(op) {
-            Some(desc) => desc.tag(args),
-            None => "*".to_owned(),
+    /// Pushes `inv {svc, tag}` to the caches a successful write under
+    /// `tag` staled: the tag's current sharers and the whole-object
+    /// readers, never the writer (see [`Sharers::take`]).
+    fn invalidate(&mut self, ctx: &Ctx, tag: &str, writer: Endpoint) {
+        let body = |tag: &str| {
+            Value::record([
+                ("svc", Value::str(self.name.as_str())),
+                ("tag", Value::str(tag)),
+            ])
         };
-        for sub in &self.subscribers {
-            if *sub == writer {
-                continue; // the writer invalidated (or updated) locally
-            }
-            send_oneway(
-                ctx,
-                *sub,
-                protocol::MSG_INVALIDATE,
-                Value::record([
-                    ("svc", Value::str(self.name.clone())),
-                    ("tag", Value::str(tag.clone())),
-                ]),
-            );
+        let (mut keyed, mut whole) = (None, None);
+        for (sub, everything) in self.sharers.take(tag, writer) {
+            let args = if everything {
+                whole.get_or_insert_with(|| body("*"))
+            } else {
+                keyed.get_or_insert_with(|| body(tag))
+            };
+            send_oneway(ctx, sub, protocol::MSG_INVALIDATE, args);
             self.stats.invalidations_sent += 1;
         }
     }
@@ -110,9 +112,7 @@ impl Core {
                         .ok_or_else(|| RemoteError::new(ErrorCode::BadArgs, "missing cb"))?,
                 )
                 .map_err(|e| RemoteError::new(ErrorCode::BadArgs, e.to_string()))?;
-                if !self.subscribers.contains(&cb) {
-                    self.subscribers.push(cb);
-                }
+                self.sharers.subscribe(cb);
                 Ok(Value::Null)
             }
             protocol::OP_UNSUBSCRIBE => {
@@ -122,7 +122,7 @@ impl Core {
                         .ok_or_else(|| RemoteError::new(ErrorCode::BadArgs, "missing cb"))?,
                 )
                 .map_err(|e| RemoteError::new(ErrorCode::BadArgs, e.to_string()))?;
-                self.subscribers.retain(|s| *s != cb);
+                self.sharers.unsubscribe(cb);
                 Ok(Value::Null)
             }
             protocol::OP_SNAPSHOT => match &self.object {
@@ -197,16 +197,41 @@ impl Core {
                 Some(obj) => {
                     let result = obj.dispatch(ctx, op, &req.args);
                     self.stats.dispatched += 1;
-                    if result.is_ok() && self.iface.is_write(op) {
-                        self.stats.writes += 1;
-                        self.broadcast_invalidation(ctx, op, &req.args, req.reply_to);
-                        self.maybe_checkpoint(ctx);
+                    if let (Ok(_), Some(desc)) = (&result, self.iface.op(op)) {
+                        let kind = desc.kind;
+                        // A service nobody subscribed to (every stub
+                        // fleet) stops here.
+                        if !self.sharers.is_empty() {
+                            let tag = desc.tag(&req.args);
+                            match kind {
+                                OpKind::Read => self.sharers.note_read(req.reply_to, &tag),
+                                OpKind::Write => self.invalidate(ctx, &tag, req.reply_to),
+                            }
+                        }
+                        if kind == OpKind::Write {
+                            self.stats.writes += 1;
+                            self.maybe_checkpoint(ctx);
+                        }
                     }
                     result
                 }
             },
         }
     }
+}
+
+/// Most tags one subscriber is filed under before the directory gives
+/// up tracking it (see [`Sharers`]). A cache evicts without telling the
+/// service, so a subscriber's filings outgrow the `capacity` entries it
+/// can actually hold; at four times that the service forgets it and has
+/// the next write empty its cache — at most `capacity` entries lost per
+/// `4 * capacity` misses, whatever the capacity. Subscribers of a spec
+/// that publishes no capacity (a region edge in front of a stub-spec
+/// store) are held to the default one.
+fn sharer_cap(spec: &ProxySpec) -> usize {
+    4 * spec
+        .cache_capacity()
+        .unwrap_or_else(|| CachingParams::default().capacity)
 }
 
 /// A process hosting one service object behind the proxy protocol.
@@ -221,7 +246,7 @@ impl std::fmt::Debug for ServiceServer {
             .field("name", &self.core.name)
             .field("spec", &self.core.spec)
             .field("checked_out", &self.core.object.is_none())
-            .field("subscribers", &self.core.subscribers.len())
+            .field("subscribers", &self.core.sharers.len())
             .finish()
     }
 }
@@ -238,11 +263,11 @@ impl ServiceServer {
         ServiceServer {
             core: Core {
                 name: name.into(),
+                sharers: Sharers::new(sharer_cap(&spec)),
                 spec,
                 iface,
                 object: Some(object),
                 holder: None,
-                subscribers: Vec::new(),
                 factories: None,
                 checkpoint: None,
                 writes_since_checkpoint: 0,

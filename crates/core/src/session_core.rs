@@ -212,11 +212,10 @@ impl SessionCore {
         args: Value,
     ) -> Result<Value, RpcError> {
         self.pump(ctx);
-        let service = self.proxies[handle.0].service().to_owned();
         let span = ctx.obs().open_span(
             obs::SpanKind::Invoke,
             ctx.current_span(),
-            &service,
+            self.proxies[handle.0].service(),
             op,
             ctx.now().as_nanos(),
         );
@@ -226,8 +225,9 @@ impl SessionCore {
         ctx.set_current_span(previous);
         ctx.obs()
             .close_span(span, ctx.now().as_nanos(), result.is_ok());
+        let proxy = &self.proxies[handle.0];
         ctx.obs()
-            .set_proxy_stats(ctx.name(), &service, self.proxies[handle.0].stats());
+            .set_proxy_stats(ctx.name(), proxy.service(), proxy.stats());
         self.route(ctx, strays);
         result
     }

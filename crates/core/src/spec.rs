@@ -22,11 +22,18 @@ use crate::bulk::BulkParams;
 pub enum Coherence {
     /// Entries expire after a fixed lease; no server cooperation needed.
     Lease(Duration),
-    /// The proxy subscribes and the service pushes invalidations on
-    /// writes; entries live until invalidated.
+    /// The proxy subscribes and the service pushes an invalidation to
+    /// the proxies that read a datum when it is written; entries live
+    /// until invalidated or evicted. Sending one breaks the callback:
+    /// the service forgets the reader until it reads again. An
+    /// invalidation the network *loses* is therefore not repeated by the
+    /// datum's next write — the stale entry lives until the cache evicts
+    /// it. On links that can lose datagrams use
+    /// [`Coherence::LeaseAndInvalidate`].
     Invalidate,
     /// Both: invalidations for promptness, leases as a safety net
-    /// against lost invalidation messages.
+    /// against lost invalidation messages (a lost one costs at most one
+    /// lease of staleness).
     LeaseAndInvalidate(Duration),
 }
 
@@ -146,6 +153,17 @@ pub enum ProxySpec {
 }
 
 impl ProxySpec {
+    /// The cache capacity this spec tells clients to run with, if it
+    /// makes them cache at all.
+    pub(crate) fn cache_capacity(&self) -> Option<usize> {
+        match self {
+            ProxySpec::Caching(p) => Some(p.capacity),
+            ProxySpec::Adaptive(p) => Some(p.caching.capacity),
+            ProxySpec::Bulk { inner, .. } => inner.cache_capacity(),
+            _ => None,
+        }
+    }
+
     /// Encodes the spec for the name-service metadata record.
     pub fn to_value(&self) -> Value {
         match self {

@@ -4,15 +4,18 @@
 //! is sharded — the layout is a pure contention knob.
 //!
 //! Also: span retirement conserves every report aggregate exactly while
-//! bounding the resident span table.
+//! bounding the resident span table; and a run whose caching clients
+//! sit in four scheduler domains — reads filing sharers, writes pushing
+//! invalidations across domain boundaries — is byte-identical at one
+//! and four worker threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use proxy_core::{
-    BindFuture, CallFuture, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder, ServiceObject,
-    SessionCore,
+    BindFuture, CachingParams, CallFuture, Coherence, InterfaceDesc, OpDesc, ProxySpec,
+    ServiceBuilder, ServiceObject, SessionCore,
 };
 use rpc::{ErrorCode, RemoteError};
 use simnet::{NetworkConfig, NodeId, Poll, ProcCx, Process, Simulation};
@@ -207,4 +210,106 @@ fn retirement_conserves_aggregates_and_bounds_residency() {
     );
     let open = a.get("spans").unwrap().u64_field("open").unwrap();
     assert_eq!(resident, open, "resident == open spans when keeping none");
+}
+
+/// Eight numbered cells: `get {key}`, `put {key, n}`, and `sum`, a
+/// whole-object read every write must invalidate.
+struct Cells([u64; 8]);
+
+impl ServiceObject for Cells {
+    fn interface(&self) -> InterfaceDesc {
+        InterfaceDesc::new(
+            "cells",
+            [
+                OpDesc::read("get", "key"),
+                OpDesc::write("put", "key"),
+                OpDesc::read_whole("sum"),
+            ],
+        )
+    }
+
+    fn dispatch(
+        &mut self,
+        _ctx: &mut simnet::Ctx,
+        op: &str,
+        args: &Value,
+    ) -> Result<Value, RemoteError> {
+        let bad = |e: wire::WireError| RemoteError::new(ErrorCode::BadArgs, e.to_string());
+        match op {
+            "get" => Ok(Value::U64(
+                self.0[args.get_u64("key").map_err(bad)? as usize % 8],
+            )),
+            "put" => {
+                self.0[args.get_u64("key").map_err(bad)? as usize % 8] =
+                    args.get_u64("n").map_err(bad)?;
+                Ok(Value::Null)
+            }
+            "sum" => Ok(Value::U64(self.0.iter().sum())),
+            other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
+        }
+    }
+}
+
+/// Six blocking caching clients over four domains (nodes 10..16, the
+/// service on node 1), each reading every cell and `sum` and writing
+/// the cells it owns, under jitter. Returns `(summary, trace hash,
+/// report JSON)`.
+fn run_caching(seed: u64, threads: usize) -> (String, u64, String) {
+    let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.3), seed)
+        .with_domains(4)
+        .with_threads(threads);
+    sim.enable_trace(1 << 16);
+    let ns = naming::spawn_name_server(&sim, NodeId(0));
+    ServiceBuilder::new("cells")
+        .spec(ProxySpec::Caching(CachingParams {
+            coherence: Coherence::Invalidate,
+            capacity: 4,
+        }))
+        .object(|| Box::new(Cells([0; 8])))
+        .spawn(&sim, NodeId(1), ns);
+    for c in 0..CLIENTS {
+        sim.spawn(format!("client-{c}"), NodeId(10 + c), move |ctx| {
+            let mut core = SessionCore::new(ns);
+            let cells = core.bind(ctx, "cells").expect("bind succeeds");
+            for i in 0..40u32 {
+                let key = u64::from((i * 7 + c) % 8);
+                let (op, args) = match i % 5 {
+                    // Only its own cells: key ≡ c (mod CLIENTS).
+                    0 if key as u32 % CLIENTS == c => (
+                        "put",
+                        Value::record([("key", Value::U64(key)), ("n", Value::U64(i.into()))]),
+                    ),
+                    4 => ("sum", Value::Null),
+                    _ => ("get", Value::record([("key", Value::U64(key))])),
+                };
+                core.invoke(ctx, cells, op, args).expect("call succeeds");
+            }
+            core.shutdown(ctx);
+        });
+    }
+    let report = sim.run();
+    let json = sim.obs_report().to_json();
+    let summary = format!(
+        "end={} sent={} delivered={} events={} inversions={} finished={} inv={}",
+        report.end_time.as_nanos(),
+        report.metrics.msgs_sent,
+        report.metrics.msgs_delivered,
+        report.metrics.events_dispatched,
+        report.metrics.sched_time_inversions,
+        report.finished,
+        sim.obs_report().servers["cells"].invalidations_sent,
+    );
+    (summary, fnv(&obs::to_jsonl(&sim.causal_trace())), json)
+}
+
+#[test]
+fn caching_clients_across_domains_are_thread_invariant() {
+    let base = run_caching(91, 1);
+    assert!(base.0.contains("inversions=0"), "{}", base.0);
+    assert!(
+        !base.0.ends_with("inv=0"),
+        "no invalidation was sent, nothing proved: {}",
+        base.0
+    );
+    assert_eq!(run_caching(91, 4), base, "diverged at 4 threads");
 }

@@ -2,9 +2,12 @@
 //!
 //! * wire roundtrips of every binding-metadata type,
 //! * interface conformance laws,
-//! * and a model check: a caching proxy driven by an arbitrary op
-//!   sequence always agrees with an in-memory oracle (single writer,
-//!   invalidation coherence).
+//! * a model check: a caching proxy driven by an arbitrary op sequence
+//!   always agrees with an in-memory oracle (single writer,
+//!   invalidation coherence),
+//! * and its many-client form: several caching clients, each the only
+//!   writer of its own keys, all agree with the oracle once the network
+//!   is quiet.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -144,14 +147,20 @@ enum Step {
 }
 
 fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    arb_steps_over(8, 1, 40)
+}
+
+/// Up to `len` steps over keys `0..keys`, reads `gets` times as likely
+/// as each other kind.
+fn arb_steps_over(keys: u8, gets: u32, len: usize) -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec(
         prop_oneof![
-            (any::<u8>(), any::<u8>()).prop_map(|(k, v)| Step::Put(k % 8, v)),
-            any::<u8>().prop_map(|k| Step::Get(k % 8)),
-            any::<u8>().prop_map(|k| Step::Del(k % 8)),
-            any::<u8>().prop_map(Step::Sleep),
+            1 => (any::<u8>(), any::<u8>()).prop_map(move |(k, v)| Step::Put(k % keys, v)),
+            gets => any::<u8>().prop_map(move |k| Step::Get(k % keys)),
+            1 => any::<u8>().prop_map(move |k| Step::Del(k % keys)),
+            1 => any::<u8>().prop_map(Step::Sleep),
         ],
-        1..40,
+        1..len,
     )
 }
 
@@ -196,88 +205,176 @@ impl ServiceObject for ModelKv {
     }
 }
 
-/// Drives a caching proxy with `steps` and checks every read against an
-/// in-memory oracle. With a single writer and write-own-tag
-/// invalidation, the proxy must be indistinguishable from the oracle.
-fn run_model(steps: Vec<Step>, coherence: Coherence, seed: u64) -> Result<(), TestCaseError> {
-    let mut sim = Simulation::new(NetworkConfig::lan(), seed);
+/// Clients of the shared-store model.
+const CLIENTS: u8 = 3;
+/// Cache capacity of the single-client runs: deliberately tiny, so
+/// evictions happen mid-run.
+const TINY: usize = 4;
+/// Keys of the shared-store model: more than four times the largest
+/// cache, so every client outgrows the directory's cap.
+const SHARED_KEYS: u8 = 4 * CLIENTS;
+/// Every script is over (80 steps of at most 20 ms each) and every lease
+/// has run out by then.
+const QUIET_AT: Duration = Duration::from_secs(3);
+
+/// Runs one script per client against one caching-proxied store, all at
+/// once, on a loss-free network whose jitter reorders datagrams; key `k`
+/// is written only by client `k % clients`. A client's reads of its own
+/// keys always agree with what it wrote (with one client that is every
+/// read: the proxy is indistinguishable from an in-memory oracle); while
+/// the scripts run it may lawfully read another's key a little late;
+/// once every write has been made and every invalidation delivered, each
+/// client's view of every key is the oracle's. With a capacity small
+/// enough the directory's per-subscriber cap (four times it) overflows
+/// mid-run and whole-cache invalidations are on the path.
+fn run_model(
+    scripts: Vec<Vec<Step>>,
+    coherence: Coherence,
+    capacity: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let clients = scripts.len();
+    let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.5), seed);
     let ns = spawn_name_server(&sim, NodeId(0));
     ServiceBuilder::new("kv")
         .spec(ProxySpec::Caching(CachingParams {
             coherence,
-            capacity: 4, // deliberately tiny: evictions happen mid-run
+            capacity,
         }))
         .object(|| Box::new(ModelKv(BTreeMap::new())))
         .spawn(&sim, NodeId(1), ns);
-    let failure: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    let f2 = Arc::clone(&failure);
-    sim.spawn("driver", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
-        let kv = rt.bind(ctx, "kv").unwrap();
-        let mut oracle: BTreeMap<String, String> = BTreeMap::new();
-        for (i, step) in steps.iter().enumerate() {
+    // The store at quiescence: each key's last write in its owner's script.
+    let mut oracle: BTreeMap<String, String> = BTreeMap::new();
+    for script in &scripts {
+        for step in script {
             match step {
-                Step::Put(k, v) => {
-                    let (k, v) = (format!("k{k}"), format!("v{v}"));
-                    rt.invoke(
-                        ctx,
-                        kv,
-                        "put",
-                        Value::record([("key", Value::str(&*k)), ("value", Value::str(&*v))]),
-                    )
-                    .unwrap();
-                    oracle.insert(k, v);
-                }
-                Step::Del(k) => {
-                    let k = format!("k{k}");
-                    rt.invoke(ctx, kv, "del", Value::record([("key", Value::str(&*k))]))
-                        .unwrap();
-                    oracle.remove(&k);
-                }
-                Step::Get(k) => {
-                    let k = format!("k{k}");
-                    let got = rt
-                        .invoke(ctx, kv, "get", Value::record([("key", Value::str(&*k))]))
-                        .unwrap();
-                    let want = oracle
-                        .get(&k)
-                        .map(|v| Value::str(v.clone()))
-                        .unwrap_or(Value::Null);
-                    if got != want {
-                        *f2.lock().unwrap() = Some(format!(
-                            "step {i}: get({k}) = {got:?}, oracle says {want:?}"
-                        ));
-                        return;
-                    }
-                }
-                Step::Sleep(ms) => {
-                    let _ = ctx.sleep(Duration::from_millis(*ms as u64 % 20));
-                }
+                Step::Put(k, v) => drop(oracle.insert(format!("k{k}"), format!("v{v}"))),
+                Step::Del(k) => drop(oracle.remove(&format!("k{k}"))),
+                Step::Get(_) | Step::Sleep(_) => {}
             }
         }
-    });
+    }
+    let failure: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
+    for (c, script) in scripts.into_iter().enumerate() {
+        let (oracle, failure) = (oracle.clone(), Arc::clone(&failure));
+        sim.spawn(format!("client{c}"), NodeId(2 + c as u32), move |ctx| {
+            let mut rt = ClientRuntime::new(ns);
+            let kv = rt.bind(ctx, "kv").unwrap();
+            let key_args = |k: &str| Value::record([("key", Value::str(k))]);
+            let shown = |v: Option<&String>| v.map_or(Value::Null, |v| Value::str(v.clone()));
+            let fail = |msg: String| {
+                failure.lock().unwrap().get_or_insert(msg);
+            };
+            let mut mine: BTreeMap<String, String> = BTreeMap::new();
+            let mut read: Vec<u8> = Vec::new();
+            for (i, step) in script.iter().enumerate() {
+                match step {
+                    Step::Put(k, v) => {
+                        let (k, v) = (format!("k{k}"), format!("v{v}"));
+                        let args =
+                            Value::record([("key", Value::str(&*k)), ("value", Value::str(&*v))]);
+                        rt.invoke(ctx, kv, "put", args).unwrap();
+                        mine.insert(k, v);
+                    }
+                    Step::Del(k) => {
+                        let k = format!("k{k}");
+                        rt.invoke(ctx, kv, "del", key_args(&k)).unwrap();
+                        mine.remove(&k);
+                    }
+                    Step::Get(k) => {
+                        read.push(*k);
+                        let own = usize::from(*k) % clients == c;
+                        let k = format!("k{k}");
+                        let got = rt.invoke(ctx, kv, "get", key_args(&k)).unwrap();
+                        if own && got != shown(mine.get(&k)) {
+                            fail(format!(
+                                "client {c} step {i}: read {got:?} of its own {k}, wrote {:?}",
+                                mine.get(&k)
+                            ));
+                        }
+                    }
+                    Step::Sleep(ms) => {
+                        let _ = ctx.sleep(Duration::from_millis(*ms as u64 % 20));
+                    }
+                }
+            }
+            let quiet = simnet::SimTime::ZERO + QUIET_AT;
+            ctx.sleep(quiet.saturating_since(ctx.now())).unwrap();
+            // Most recently read first: those are the entries still
+            // cached, and the sweep's own misses would evict them.
+            let mut sweep: Vec<String> = Vec::new();
+            for k in read.into_iter().rev().chain(0..SHARED_KEYS) {
+                let k = format!("k{k}");
+                if !sweep.contains(&k) {
+                    sweep.push(k);
+                }
+            }
+            for k in sweep {
+                let got = rt.invoke(ctx, kv, "get", key_args(&k)).unwrap();
+                if got != shown(oracle.get(&k)) {
+                    fail(format!(
+                        "client {c} at quiescence: get({k}) = {got:?}, oracle says {:?}",
+                        oracle.get(&k)
+                    ));
+                }
+            }
+        });
+    }
     sim.run();
     if let Some(msg) = failure.lock().unwrap().take() {
-        return Err(TestCaseError::fail(msg));
+        return Err(TestCaseError::fail(format!("seed {seed}: {msg}")));
     }
     Ok(())
+}
+
+/// One script per client; its writes are moved onto the client's own keys.
+fn arb_scripts() -> impl Strategy<Value = Vec<Vec<Step>>> {
+    proptest::collection::vec(arb_steps_over(SHARED_KEYS, 4, 80), CLIENTS as usize).prop_map(
+        |scripts| {
+            let own = |k: u8, c: usize| k / CLIENTS * CLIENTS + c as u8;
+            scripts
+                .into_iter()
+                .enumerate()
+                .map(|(c, script)| {
+                    script
+                        .into_iter()
+                        .map(|step| match step {
+                            Step::Put(k, v) => Step::Put(own(k, c), v),
+                            Step::Del(k) => Step::Del(own(k, c)),
+                            other => other,
+                        })
+                        .collect()
+                })
+                .collect()
+        },
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
+    fn caching_clients_agree_with_the_oracle_at_quiescence(
+        scripts in arb_scripts(),
+        capacity in 1usize..3,
+        seed in 0u64..1000,
+    ) {
+        run_model(scripts, Coherence::Invalidate, capacity, seed)?;
+    }
+
+    #[test]
     fn caching_proxy_matches_oracle_invalidate(steps in arb_steps(), seed in 0u64..1000) {
-        run_model(steps, Coherence::Invalidate, seed)?;
+        run_model(vec![steps], Coherence::Invalidate, TINY, seed)?;
     }
 
     #[test]
     fn caching_proxy_matches_oracle_lease(steps in arb_steps(), seed in 0u64..1000) {
-        run_model(steps, Coherence::Lease(Duration::from_millis(5)), seed)?;
+        run_model(vec![steps], Coherence::Lease(Duration::from_millis(5)), TINY, seed)?;
     }
 
     #[test]
     fn caching_proxy_matches_oracle_combined(steps in arb_steps(), seed in 0u64..1000) {
-        run_model(steps, Coherence::LeaseAndInvalidate(Duration::from_millis(3)), seed)?;
+        let lease = Coherence::LeaseAndInvalidate(Duration::from_millis(3));
+        run_model(vec![steps], lease, TINY, seed)?;
     }
 }

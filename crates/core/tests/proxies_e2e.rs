@@ -31,6 +31,7 @@ impl Kv {
                 OpDesc::read("get", "key"),
                 OpDesc::write("put", "key"),
                 OpDesc::read_whole("len"),
+                OpDesc::write_whole("clear"),
             ],
         )
     }
@@ -86,6 +87,10 @@ impl ServiceObject for Kv {
                 Ok(Value::Null)
             }
             "len" => Ok(Value::U64(self.map.len() as u64)),
+            "clear" => {
+                self.map.clear();
+                Ok(Value::Null)
+            }
             other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
         }
     }
@@ -688,4 +693,173 @@ fn caching_write_behind_reads_own_writes_and_drains_on_detach() {
     sim.run();
     // 9 puts + 1 caching-proxy get + 9 stub gets, each exactly once.
     assert_eq!(dispatches.load(Ordering::SeqCst), 19);
+}
+
+// ---------------------------------------------------------------------
+// The sharer directory: a write is pushed to the proxies that read what
+// it staled, and to nobody else. Each test runs its clients on one
+// absolute timeline (`at`), far enough apart that LAN round trips
+// (~1 ms) never overlap a later step.
+// ---------------------------------------------------------------------
+
+/// A `kv` service whose clients cache with pure invalidation coherence.
+fn spawn_invalidating_kv(sim: &Simulation, ns: simnet::Endpoint) {
+    ServiceBuilder::new("kv")
+        .spec(ProxySpec::Caching(CachingParams {
+            coherence: Coherence::Invalidate,
+            capacity: 64,
+        }))
+        .object(|| Box::new(Kv::default()))
+        .spawn(sim, NodeId(1), ns);
+}
+
+/// Sleeps until `ms` milliseconds of simulated time.
+fn at(ctx: &mut Ctx, ms: u64) {
+    let due = simnet::SimTime::ZERO + Duration::from_millis(ms);
+    ctx.sleep(due.saturating_since(ctx.now())).unwrap();
+}
+
+fn server_stats(sim: &Simulation) -> proxy_core::ServerStats {
+    sim.obs_report().servers["kv"]
+}
+
+#[test]
+fn a_write_is_pushed_to_the_readers_of_its_key_and_to_nobody_else() {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 40);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    spawn_invalidating_kv(&sim, ns);
+    sim.spawn("writer", NodeId(2), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let kv = rt.bind(ctx, "kv").unwrap();
+        at(ctx, 5);
+        rt.invoke(ctx, kv, "put", put_args("a", "old")).unwrap();
+        rt.invoke(ctx, kv, "put", put_args("b", "x")).unwrap();
+        at(ctx, 20);
+        rt.invoke(ctx, kv, "put", put_args("a", "new1")).unwrap();
+        // Nobody re-read "a" in between: this one tells no one.
+        at(ctx, 25);
+        rt.invoke(ctx, kv, "put", put_args("a", "new2")).unwrap();
+    });
+    sim.spawn("reader", NodeId(3), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let kv = rt.bind(ctx, "kv").unwrap();
+        at(ctx, 10);
+        assert_eq!(
+            rt.invoke(ctx, kv, "get", get_args("a")).unwrap(),
+            Value::str("old")
+        );
+        at(ctx, 40);
+        assert_eq!(
+            rt.invoke(ctx, kv, "get", get_args("a")).unwrap(),
+            Value::str("new2")
+        );
+        assert_eq!(rt.stats(kv).invalidations_rx, 1, "exactly one, for new1");
+    });
+    sim.spawn("bystander", NodeId(4), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let kv = rt.bind(ctx, "kv").unwrap();
+        at(ctx, 10);
+        rt.invoke(ctx, kv, "get", get_args("b")).unwrap();
+        at(ctx, 40);
+        // It subscribed like everyone else but never read "a": not one
+        // datagram reached it, and its entry is still good.
+        assert!(ctx.try_recv().unwrap().is_none(), "mailbox not empty");
+        rt.invoke(ctx, kv, "get", get_args("b")).unwrap();
+        let s = rt.stats(kv);
+        assert_eq!((s.invalidations_rx, s.local_hits), (0, 1));
+    });
+    sim.run();
+    let s = server_stats(&sim);
+    assert_eq!((s.writes, s.invalidations_sent), (4, 1));
+}
+
+#[test]
+fn whole_object_readers_hear_every_write_and_whole_object_writes_reach_every_sharer() {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 41);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    spawn_invalidating_kv(&sim, ns);
+    sim.spawn("writer", NodeId(2), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let kv = rt.bind(ctx, "kv").unwrap();
+        at(ctx, 5);
+        rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
+        rt.invoke(ctx, kv, "put", put_args("b", "2")).unwrap();
+        // A keyed write nobody cached: only the `len` reader is stale.
+        at(ctx, 20);
+        rt.invoke(ctx, kv, "put", put_args("b", "3")).unwrap();
+        at(ctx, 40);
+        rt.invoke(ctx, kv, "clear", Value::Null).unwrap();
+    });
+    sim.spawn("counter", NodeId(3), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let kv = rt.bind(ctx, "kv").unwrap();
+        at(ctx, 10);
+        assert_eq!(
+            rt.invoke(ctx, kv, "len", Value::Null).unwrap(),
+            Value::U64(2)
+        );
+        at(ctx, 30);
+        assert_eq!(
+            rt.invoke(ctx, kv, "len", Value::Null).unwrap(),
+            Value::U64(2)
+        );
+        let s = rt.stats(kv);
+        assert_eq!((s.invalidations_rx, s.local_hits), (1, 0), "refetched");
+        at(ctx, 50);
+        assert_eq!(
+            rt.invoke(ctx, kv, "len", Value::Null).unwrap(),
+            Value::U64(0)
+        );
+        assert_eq!(rt.stats(kv).invalidations_rx, 2);
+    });
+    sim.spawn("keyed", NodeId(4), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let kv = rt.bind(ctx, "kv").unwrap();
+        at(ctx, 10);
+        assert_eq!(
+            rt.invoke(ctx, kv, "get", get_args("a")).unwrap(),
+            Value::str("1")
+        );
+        at(ctx, 30);
+        rt.pump(ctx);
+        assert_eq!(rt.stats(kv).invalidations_rx, 0, "b is not its key");
+        at(ctx, 50);
+        assert_eq!(
+            rt.invoke(ctx, kv, "get", get_args("a")).unwrap(),
+            Value::Null
+        );
+        assert_eq!(rt.stats(kv).invalidations_rx, 1, "clear reached it");
+    });
+    sim.spawn("idle", NodeId(5), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let _kv = rt.bind(ctx, "kv").unwrap();
+        at(ctx, 50);
+        assert!(ctx.try_recv().unwrap().is_none(), "a sharer of nothing");
+    });
+    sim.run();
+    // put b → counter; clear → counter and keyed.
+    assert_eq!(server_stats(&sim).invalidations_sent, 3);
+}
+
+#[test]
+fn unsubscribing_purges_the_reader_from_the_directory() {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 42);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    spawn_invalidating_kv(&sim, ns);
+    sim.spawn("reader", NodeId(2), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let kv = rt.bind(ctx, "kv").unwrap();
+        rt.invoke(ctx, kv, "get", get_args("a")).unwrap();
+        rt.unbind(ctx, kv);
+        at(ctx, 40);
+        assert!(ctx.try_recv().unwrap().is_none());
+    });
+    sim.spawn("writer", NodeId(3), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let kv = rt.bind(ctx, "kv").unwrap();
+        at(ctx, 20);
+        rt.invoke(ctx, kv, "put", put_args("a", "new")).unwrap();
+    });
+    sim.run();
+    assert_eq!(server_stats(&sim).invalidations_sent, 0);
 }

@@ -163,6 +163,182 @@ fn pump_routes_notifications_while_idle() {
     sim.run();
 }
 
+// ---------------------------------------------------------------------
+// Races the sharer directory leaves to the client. Sending an
+// invalidation makes the service forget the reader, so one that is
+// applied *before* the reply it stales is cached would leave a stale
+// entry nothing ever corrects. Each test moves one reader's link to the
+// service (4 ms one way against the LAN's 0.5 ms) under a fixed
+// timeline to force the ordering.
+// ---------------------------------------------------------------------
+
+const SERVICE: NodeId = NodeId(1);
+const READER: NodeId = NodeId(2);
+
+/// The name server, `svc-a` with invalidation-coherent caching, and the
+/// reader's slow link.
+fn slow_reader_setup(seed: u64) -> (Simulation, simnet::Endpoint) {
+    let sim = Simulation::new(NetworkConfig::lan(), seed);
+    sim.net()
+        .set_link_latency(SERVICE, READER, Duration::from_millis(4));
+    let ns = spawn_name_server(&sim, NodeId(0));
+    ServiceBuilder::new("svc-a")
+        .spec(ProxySpec::Caching(CachingParams {
+            coherence: Coherence::Invalidate,
+            capacity: 64,
+        }))
+        .object(|| {
+            Box::new(SlowKv {
+                map: BTreeMap::new(),
+                read_delay: Duration::ZERO,
+            })
+        })
+        .spawn(&sim, SERVICE, ns);
+    (sim, ns)
+}
+
+/// Sleeps until `ms` milliseconds of simulated time.
+fn at(ctx: &mut Ctx, ms: u64) {
+    let due = simnet::SimTime::ZERO + Duration::from_millis(ms);
+    ctx.sleep(due.saturating_since(ctx.now())).unwrap();
+}
+
+fn invalidations_sent(sim: &Simulation) -> u64 {
+    sim.obs_report().servers["svc-a"].invalidations_sent
+}
+
+#[test]
+fn an_invalidation_that_overtakes_its_reply_is_applied_after_the_fill() {
+    let (mut sim, ns) = slow_reader_setup(12);
+    sim.spawn("reader", READER, move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let a = rt.bind(ctx, "svc-a").unwrap();
+        // Sent at 100, served at 104 (the service files us under "x"),
+        // answered at 108. The write's invalidation arrives at ~105.6.
+        at(ctx, 100);
+        assert_eq!(
+            rt.invoke(ctx, a, "get", key("x")).unwrap(),
+            Value::str("old"),
+            "the read was served before the write"
+        );
+        assert_eq!(rt.stats(a).invalidations_rx, 1, "held back, then applied");
+        // The service has forgotten us: only the order above keeps this
+        // from being a hit on "old" for ever.
+        assert_eq!(
+            rt.invoke(ctx, a, "get", key("x")).unwrap(),
+            Value::str("new")
+        );
+        assert_eq!(rt.stats(a).local_hits, 0);
+    });
+    sim.spawn("writer", NodeId(3), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let a = rt.bind(ctx, "svc-a").unwrap();
+        rt.invoke(ctx, a, "put", kv("x", "old")).unwrap();
+        at(ctx, 105);
+        ctx.net()
+            .set_link_latency(SERVICE, READER, Duration::from_micros(100));
+        rt.invoke(ctx, a, "put", kv("x", "new")).unwrap();
+    });
+    sim.run();
+    assert_eq!(invalidations_sent(&sim), 1);
+}
+
+#[test]
+fn a_replayed_pre_write_reply_does_not_outlive_its_invalidation() {
+    let (mut sim, ns) = slow_reader_setup(13);
+    sim.spawn("reader", READER, move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let a = rt.bind(ctx, "svc-a").unwrap();
+        // Sent at 100 and served at 104, but the reply is lost. The
+        // write at ~105.5 invalidates us (arrives ~109.5, mid-call); our
+        // retransmission is then answered from the duplicate window with
+        // the reply computed *before* the write.
+        at(ctx, 100);
+        assert_eq!(
+            rt.invoke(ctx, a, "get", key("x")).unwrap(),
+            Value::str("old")
+        );
+        assert_eq!(rt.stats(a).invalidations_rx, 1);
+        assert_eq!(
+            rt.invoke(ctx, a, "get", key("x")).unwrap(),
+            Value::str("new"),
+            "the replayed reply stayed cached"
+        );
+    });
+    sim.spawn("writer", NodeId(3), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let a = rt.bind(ctx, "svc-a").unwrap();
+        rt.invoke(ctx, a, "put", kv("x", "old")).unwrap();
+        // The request is already on the wire; the reply will not be.
+        at(ctx, 101);
+        ctx.net().partition(SERVICE, READER);
+        at(ctx, 105);
+        ctx.net().heal(SERVICE, READER);
+        rt.invoke(ctx, a, "put", kv("x", "new")).unwrap();
+    });
+    sim.run();
+    let report = sim.obs_report();
+    assert_eq!(report.servers["svc-a"].invalidations_sent, 1);
+    assert!(
+        report.rpc.server.duplicates_suppressed >= 1,
+        "the read was not answered by replay"
+    );
+}
+
+#[test]
+fn a_stale_invalidation_after_a_re_read_costs_one_miss_and_no_coherence() {
+    let (mut sim, ns) = slow_reader_setup(14);
+    sim.spawn("reader", READER, move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let a = rt.bind(ctx, "svc-a").unwrap();
+        at(ctx, 20);
+        assert_eq!(
+            rt.invoke(ctx, a, "get", key("x")).unwrap(),
+            Value::str("v1")
+        );
+        // v2's invalidation left at ~40.5 on the 20 ms link (due ~60.5).
+        // On the now-fast link we overwrite and re-read first.
+        at(ctx, 42);
+        rt.invoke(ctx, a, "put", kv("x", "v3")).unwrap();
+        assert_eq!(
+            rt.invoke(ctx, a, "get", key("x")).unwrap(),
+            Value::str("v3")
+        );
+        // The stale invalidation lands on the fresh entry: a miss we did
+        // not need, nothing worse — and the service still has us filed.
+        at(ctx, 70);
+        let misses = rt.stats(a).remote_calls;
+        assert_eq!(
+            rt.invoke(ctx, a, "get", key("x")).unwrap(),
+            Value::str("v3")
+        );
+        assert_eq!(rt.stats(a).remote_calls, misses + 1, "spurious miss");
+        at(ctx, 90);
+        assert_eq!(
+            rt.invoke(ctx, a, "get", key("x")).unwrap(),
+            Value::str("v4")
+        );
+        assert_eq!(rt.stats(a).invalidations_rx, 2);
+    });
+    sim.spawn("writer", NodeId(3), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let a = rt.bind(ctx, "svc-a").unwrap();
+        rt.invoke(ctx, a, "put", kv("x", "v1")).unwrap();
+        at(ctx, 39);
+        ctx.net()
+            .set_link_latency(SERVICE, READER, Duration::from_millis(20));
+        at(ctx, 40);
+        rt.invoke(ctx, a, "put", kv("x", "v2")).unwrap();
+        at(ctx, 41);
+        ctx.net()
+            .set_link_latency(SERVICE, READER, Duration::from_micros(500));
+        at(ctx, 80);
+        rt.invoke(ctx, a, "put", kv("x", "v4")).unwrap();
+    });
+    sim.run();
+    assert_eq!(invalidations_sent(&sim), 2, "v2 and v4; v3 was our own");
+}
+
 fn kv(k: &str, v: &str) -> Value {
     Value::record([("key", Value::str(k)), ("value", Value::str(v))])
 }

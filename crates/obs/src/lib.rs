@@ -729,6 +729,8 @@ struct MiscInner {
     proxies: BTreeMap<String, ProxyStats>,
     /// Last published per-service server stats, keyed by service name.
     servers: BTreeMap<String, ServerStats>,
+    /// Scratch for composing a `proxies` key without allocating.
+    key_buf: String,
     /// Slow-call watchdog, when enabled.
     watchdog: Option<WatchdogConfig>,
     /// Exemplars the watchdog has pinned so far.
@@ -1844,12 +1846,21 @@ impl MetricsRegistry {
     /// Publishes the latest stats of one proxy. Keyed `service@owner`;
     /// stats are monotonic so overwriting is idempotent.
     pub fn set_proxy_stats(&self, owner: &str, service: &str, stats: ProxyStats) {
+        use std::fmt::Write;
         if !self.on() {
             return;
         }
-        self.misc()
-            .proxies
-            .insert(format!("{service}@{owner}"), stats);
+        // Called once per invocation: the key is composed in a buffer
+        // kept under the lock and allocated only on first publish.
+        let misc = &mut *self.misc();
+        misc.key_buf.clear();
+        let _ = write!(misc.key_buf, "{service}@{owner}");
+        match misc.proxies.get_mut(misc.key_buf.as_str()) {
+            Some(slot) => *slot = stats,
+            None => {
+                misc.proxies.insert(misc.key_buf.clone(), stats);
+            }
+        }
     }
 
     /// Publishes the latest stats of one service server.
@@ -1857,7 +1868,14 @@ impl MetricsRegistry {
         if !self.on() {
             return;
         }
-        self.misc().servers.insert(service.to_string(), stats);
+        // Called once per datagram served: allocate on first publish only.
+        let mut misc = self.misc();
+        match misc.servers.get_mut(service) {
+            Some(slot) => *slot = stats,
+            None => {
+                misc.servers.insert(service.to_string(), stats);
+            }
+        }
     }
 
     // -- reporting ---------------------------------------------------------

@@ -257,7 +257,7 @@ impl ReplicaServer {
                     match propagation {
                         Propagation::Async => {
                             for b in backups.iter() {
-                                rpc::send_oneway(ctx, *b, "_apply", update.clone());
+                                rpc::send_oneway(ctx, *b, "_apply", &update);
                             }
                         }
                         Propagation::Sync => {

@@ -279,7 +279,7 @@ impl RpcClient {
     /// Stamped with the caller's active span and recorded as an
     /// immediately-closed one-way span parented to it.
     pub fn notify(&self, ctx: &Ctx, op: &str, args: Value) {
-        send_oneway(ctx, self.server, op, args);
+        send_oneway(ctx, self.server, op, &args);
     }
 }
 
@@ -307,38 +307,27 @@ pub enum StrayVerdict {
 /// immediately-closed one-way span parented to it, which is how
 /// invalidations and recalls stay causally attributable to the write
 /// that triggered them.
-pub fn send_oneway(ctx: &Ctx, to: Endpoint, op: &str, args: Value) {
-    let parent = ctx.current_span();
-    let span = note_oneway_span(ctx, parent, op, &args);
-    let msg = Oneway {
-        from: ctx.endpoint(),
-        op: op.to_owned(),
-        args,
-        span: span.raw(),
-    };
-    ctx.send_traced(to, msg.to_bytes(), span);
+pub fn send_oneway(ctx: &Ctx, to: Endpoint, op: &str, args: &Value) {
+    let span = note_oneway_span(ctx, op, args);
+    let payload = Oneway::encode(ctx.endpoint(), op, args, span.raw());
+    ctx.send_traced(to, payload, span);
 }
 
 /// Sends a one-way notification from a specific bound source endpoint.
-pub fn send_oneway_from(ctx: &Ctx, from: Endpoint, to: Endpoint, op: &str, args: Value) {
-    let parent = ctx.current_span();
-    let span = note_oneway_span(ctx, parent, op, &args);
-    let msg = Oneway {
-        from,
-        op: op.to_owned(),
-        args,
-        span: span.raw(),
-    };
-    ctx.send_from_traced(from, to, msg.to_bytes(), span);
+pub fn send_oneway_from(ctx: &Ctx, from: Endpoint, to: Endpoint, op: &str, args: &Value) {
+    let span = note_oneway_span(ctx, op, args);
+    let payload = Oneway::encode(from, op, args, span.raw());
+    ctx.send_from_traced(from, to, payload, span);
 }
 
-/// Records a one-way span for a notification. The service label comes
-/// from the body's `"svc"` field when present (invalidate/recall bodies
-/// carry it), falling back to the sending process's name.
-fn note_oneway_span(ctx: &Ctx, parent: obs::SpanId, op: &str, args: &Value) -> obs::SpanId {
-    let service = args.get_str("svc").unwrap_or(ctx.name()).to_owned();
+/// Records a one-way span for a notification, parented to the caller's
+/// active span. The service label comes from the body's `"svc"` field
+/// when present (invalidate/recall bodies carry it), falling back to the
+/// sending process's name.
+fn note_oneway_span(ctx: &Ctx, op: &str, args: &Value) -> obs::SpanId {
+    let service = args.get_str("svc").unwrap_or(ctx.name());
     ctx.obs()
-        .note_oneway(parent, &service, op, ctx.now().as_nanos())
+        .note_oneway(ctx.current_span(), service, op, ctx.now().as_nanos())
 }
 
 #[cfg(test)]

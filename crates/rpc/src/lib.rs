@@ -54,5 +54,7 @@ pub use client::{
     send_oneway, send_oneway_from, CallStats, RetryPolicy, RpcClient, Stray, StrayVerdict,
 };
 pub use error::{ErrorCode, RemoteError, RpcError};
-pub use proto::{endpoint_from_value, endpoint_to_value, Batch, Oneway, Packet, Reply, Request};
+pub use proto::{
+    endpoint_from_value, endpoint_to_value, with_encoder, Batch, Oneway, Packet, Reply, Request,
+};
 pub use server::{RpcServer, ServeStats, Served};

@@ -266,30 +266,39 @@ impl Oneway {
         Value::record(fields)
     }
 
-    /// Writes this notification's record through a [`ValueWriter`]
-    /// without cloning the op name or args.
-    fn write_into(&self, w: &mut ValueWriter<'_>) {
-        let count = if self.span != 0 { 5 } else { 4 };
-        w.begin_record(count);
+    /// Writes a notification's record through a [`ValueWriter`] straight
+    /// from its parts, cloning neither the op name nor the args.
+    fn write_parts(w: &mut ValueWriter<'_>, from: Endpoint, op: &str, args: &Value, span: u64) {
+        w.begin_record(if span != 0 { 5 } else { 4 });
         w.key("t");
         w.str("msg");
         w.key("from");
-        write_endpoint(w, self.from);
+        write_endpoint(w, from);
         w.key("op");
-        w.str(&self.op);
+        w.str(op);
         w.key("args");
-        w.value(&self.args);
-        if self.span != 0 {
+        w.value(args);
+        if span != 0 {
             w.key("sp");
-            w.u64(self.span);
+            w.u64(span);
         }
     }
 
-    /// Encodes this notification into a framed datagram payload (pooled,
-    /// borrow-based: no intermediate `Value` tree).
-    pub fn to_bytes(&self) -> Bytes {
+    fn write_into(&self, w: &mut ValueWriter<'_>) {
+        Oneway::write_parts(w, self.from, &self.op, &self.args, self.span);
+    }
+
+    /// Encodes a notification into a framed datagram payload from its
+    /// parts (pooled, borrow-based: no intermediate `Value` tree and no
+    /// owned `Oneway`). `span` 0 means untracked.
+    pub fn encode(from: Endpoint, op: &str, args: &Value, span: u64) -> Bytes {
         let _p = obs::scope("rpc;encode");
-        with_encoder(|e| e.frame_with(|w| self.write_into(w)))
+        with_encoder(|e| e.frame_with(|w| Oneway::write_parts(w, from, op, args, span)))
+    }
+
+    /// Encodes this notification into a framed datagram payload.
+    pub fn to_bytes(&self) -> Bytes {
+        Oneway::encode(self.from, &self.op, &self.args, self.span)
     }
 
     fn from_value(v: &Value) -> Result<Oneway, WireError> {

@@ -14,6 +14,7 @@
 //! Repeat fetches in a region are served locally; origin writes
 //! invalidate the edge through the ordinary subscription.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
@@ -311,7 +312,7 @@ impl Edge {
         self.stats.invocations += 1;
         let waiter = (req.reply_to, req.call_id);
         let desc = self.iface.op(&req.op);
-        let tag = desc.map_or_else(|| "*".to_owned(), |d| d.tag(&req.args));
+        let tag = desc.map_or(Cow::Borrowed("*"), |d| d.tag(&req.args));
         let then = match desc.map(|d| d.kind) {
             Some(OpKind::Read) => {
                 let key = ReadCache::key(&req.op, &req.args);
@@ -343,7 +344,7 @@ impl Edge {
         }
         self.misses.push(Fetch {
             call: up.begin_call(ctx, &req.op, req.args.clone()),
-            tag,
+            tag: tag.into_owned(),
             then,
             waiters: vec![waiter],
         });
@@ -357,6 +358,12 @@ impl Edge {
             return;
         };
         self.stats.invalidations_rx += 1;
+        self.stale_in_flight(tag);
+    }
+
+    /// Keeps the answers of reads now in flight under `tag` out of the
+    /// cache (their waiters still get them).
+    fn stale_in_flight(&mut self, tag: &str) {
         for fetch in &mut self.misses {
             let staled = tag == "*" || fetch.tag == tag || fetch.tag == "*";
             if staled && matches!(fetch.then, Then::Install(_)) {
@@ -384,7 +391,14 @@ impl Edge {
                 (Ok(v), Then::Install(key)) => {
                     self.cache.insert(fetch.tag, key, v.clone(), ctx.now());
                 }
-                (Ok(_), Then::Invalidate) => self.cache.invalidate_tag(&fetch.tag),
+                (Ok(_), Then::Invalidate) => {
+                    // The origin tells every sharer of the tag but the
+                    // writer, and to the origin that is us: a read it
+                    // served before this write may still be on its way
+                    // back, and no invalidation will follow it.
+                    self.cache.invalidate_tag(&fetch.tag);
+                    self.stale_in_flight(&fetch.tag);
+                }
                 _ => {}
             }
             for (reply_to, call_id) in fetch.waiters {

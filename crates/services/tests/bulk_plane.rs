@@ -474,7 +474,7 @@ fn fill_overtaken_by_its_invalidation_is_delivered_but_not_cached() {
                             ctx,
                             subscriber.expect("edge subscribed"),
                             "inv",
-                            Value::record([("svc", Value::str("blob")), ("tag", Value::str("k"))]),
+                            &Value::record([("svc", Value::str("blob")), ("tag", Value::str("k"))]),
                         );
                     }
                     Ok(Value::record([("data", Value::blob(vec![n as u8; 64]))]))
@@ -505,6 +505,48 @@ fn fill_overtaken_by_its_invalidation_is_delivered_but_not_cached() {
     });
     sim.run();
     assert_eq!(reads.load(Ordering::SeqCst), 2);
+}
+
+/// (d) The origin tells an edge about a republish only if that edge
+/// fetched the asset since it was last written: ten `put_chunk`s of a
+/// new version cost one datagram to the edge that holds the old one
+/// (the first breaks the callback, the other nine find no sharer) and
+/// none to the edge that only ever served something else.
+#[test]
+fn republish_invalidates_only_the_edges_that_fetched_the_asset() {
+    let (mut sim, ns, _, refs) = edge_over_a_far_origin(34, &["a", "b"]);
+    spawn_edge_cache(&sim, NodeId(3), ns, "edge2", "blob", 64);
+    let (a, b) = (refs[0].clone(), refs[1].clone());
+    sim.spawn("near-edge1", NodeId(4), move |ctx| {
+        let mut edge = BlobClient::new("edge1", ns, CHUNK, 4);
+        fetch_via_edge(ctx, &mut edge, &a, &payload(40_000, 0));
+        // Version 2 is out and its invalidation delivered by then.
+        sleep_until(ctx, SimTime::ZERO + Duration::from_secs(3));
+        let v2 = payload(40_000, 9);
+        let a2 = wire::BlobRef {
+            crc: wire::crc32(&v2),
+            ..a.clone()
+        };
+        fetch_via_edge(ctx, &mut edge, &a2, &v2);
+    });
+    sim.spawn("near-edge2", NodeId(5), move |ctx| {
+        let mut edge = BlobClient::new("edge2", ns, CHUNK, 4);
+        fetch_via_edge(ctx, &mut edge, &b, &payload(40_000, 1));
+    });
+    sim.spawn("publisher", NodeId(6), move |ctx| {
+        sleep_until(ctx, SimTime::ZERO + Duration::from_secs(2));
+        let mut origin = BlobClient::new("blob", ns, CHUNK, 4);
+        let mut strays: Vec<rpc::Oneway> = Vec::new();
+        origin
+            .put(ctx, "a", &Bytes::from(payload(40_000, 9)), &mut strays)
+            .unwrap();
+    });
+    sim.run();
+    let report = sim.obs_report();
+    let origin = report.servers["blob"];
+    assert_eq!((origin.writes, origin.invalidations_sent), (CHUNKS, 1));
+    assert_eq!(report.proxies["blob@edge-edge1"].invalidations_rx, 1);
+    assert_eq!(report.proxies["blob@edge-edge2"].invalidations_rx, 0);
 }
 
 /// Satellite 3 (reassembly half; `Value::Ref` codec round-trips live in

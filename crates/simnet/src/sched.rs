@@ -53,7 +53,7 @@
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -386,6 +386,11 @@ struct Shared {
     /// (spawn/kill) are timestamped `now + lookahead` so they land at or
     /// beyond the round horizon in the target's timeline.
     round_lookahead_ns: AtomicU64,
+    /// Whether [`Simulation::enable_trace`] installed the trace rings.
+    /// Relaxed: it guards no data (the rings sit under the domain
+    /// mutexes); it only lets an untraced run skip locking a domain to
+    /// find no ring there.
+    tracing: AtomicBool,
     registry: Mutex<Registry>,
     network: RwLock<Network>,
     metrics: Arc<Metrics>,
@@ -423,6 +428,9 @@ impl Shared {
     /// current instant. One lock acquisition covers both reads so the
     /// timestamp can never drift from the ring it lands in.
     fn record(&self, d: usize, event: TraceEvent) {
+        if !self.tracing.load(Ordering::Relaxed) {
+            return;
+        }
         let mut st = self.domains[d].lock();
         let now = st.now;
         if let Some(trace) = st.trace.as_mut() {
@@ -1532,6 +1540,13 @@ impl Ctx {
         self.shared.record(self.domain, event);
     }
 
+    /// Whether a timeline is being recorded. [`Ctx::trace`] is a no-op
+    /// otherwise; callers whose events own strings check this first and
+    /// skip building them.
+    pub fn tracing(&self) -> bool {
+        self.shared.tracing.load(Ordering::Relaxed)
+    }
+
     /// Binds an additional well-known port routed to this process's
     /// mailbox. Incoming [`Message::dst`] distinguishes the ports.
     ///
@@ -1967,6 +1982,7 @@ impl Simulation {
                 outboxes: build_outboxes(1),
                 series: build_series(1),
                 round_lookahead_ns: AtomicU64::new(u64::MAX),
+                tracing: AtomicBool::new(false),
                 registry: Mutex::new(Registry {
                     procs: HashMap::new(),
                     endpoints: HashMap::new(),
@@ -2103,6 +2119,7 @@ impl Simulation {
         for dom in self.shared.domains.iter() {
             dom.lock().trace = Some(Trace::new(capacity));
         }
+        self.shared.tracing.store(true, Ordering::Relaxed);
     }
 
     /// Drains and returns the recorded timeline (empty if tracing was

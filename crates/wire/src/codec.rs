@@ -309,9 +309,16 @@ impl Encoder {
     /// Encodes one value written through a [`ValueWriter`] (borrow-based:
     /// no intermediate tree).
     pub fn encode_with(&mut self, f: impl FnOnce(&mut ValueWriter<'_>)) -> Bytes {
+        Bytes::copy_from_slice(self.encode_borrowed(f))
+    }
+
+    /// Encodes one value written through a [`ValueWriter`] and lends the
+    /// scratch buffer that holds it: for bytes that are only compared,
+    /// hashed or copied once (a cache key), with no allocation here.
+    pub fn encode_borrowed(&mut self, f: impl FnOnce(&mut ValueWriter<'_>)) -> &[u8] {
         self.scratch.clear();
         f(&mut ValueWriter::new(&mut self.scratch));
-        Bytes::copy_from_slice(&self.scratch)
+        &self.scratch
     }
 
     /// Frames one value (checksummed envelope), reusing the scratch
