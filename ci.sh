@@ -18,8 +18,10 @@ step "cargo test (workspace)"
 # Every crate's suites, among them the ones pinning the non-blocking
 # edge and its transport: rpc/tests/dedup_window.rs + pipeline.rs
 # (deferred replies answered exactly once, retransmit timers learned per
-# path) and services/tests/bulk_plane.rs (no head-of-line blocking,
-# single-flight fills, invalidation against an in-flight fill), and the
+# path, loss repaired a round trip after a later call overtook it while
+# the policy alone gives up) and services/tests/bulk_plane.rs (no
+# head-of-line blocking, single-flight fills, invalidation against an
+# in-flight fill), and the
 # ones pinning directory invalidation: core/src/sharers.rs (unit),
 # core/tests/proxies_e2e.rs (a write reaches its key's readers and
 # nobody else), runtime_routing.rs (overtaking, replayed and stale
@@ -34,6 +36,13 @@ if [ "${1:-}" != "quick" ]; then
 
   step "cargo bench --no-run (Criterion benches must compile)"
   cargo bench -p bench --no-run
+
+  step "benchmark/ builds and its smoke run passes (small sizes, every output check on)"
+  # The benchmark is a workspace of its own, so nothing above compiles
+  # benchmark/src/sut.rs — the one file through which it calls the
+  # program. A change to that surface has to fail here, not in the
+  # acceptance pipeline.
+  bash benchmark/run.sh --smoke
 
   step "E14 macro-benchmark smoke (closed-loop hot path + BENCH_e14.json)"
   # Shrunken workload; asserts the closed loop completes, the run is

@@ -14,6 +14,12 @@
 //! queueing/processing). Because the sub-intervals tile the span, the
 //! components **sum to the span's measured duration exactly** — the
 //! invariant `tracectl` asserts and CI smoke-checks.
+//!
+//! A datagram shared by several calls (a batch) carries no one span, so
+//! its send, delivery or loss is on no request's timeline. One thing is
+//! still known about such a call: a retransmission proves it had been
+//! sent, so the client-side time leading up to a retransmission was the
+//! wait for its timer, and is attributed to that component.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -236,6 +242,11 @@ pub fn critical_paths(trace: &CausalTrace) -> Vec<CriticalPath> {
             }
             let slice = at - cursor;
             match phase {
+                // Sent already, in a datagram the trace attributes to no
+                // one call: waiting for the timer, not queueing.
+                Phase::Queue if matches!(kind, NetEventKind::Retransmit { .. }) => {
+                    path.retransmit_ns += slice
+                }
                 Phase::Queue => path.queue_ns += slice,
                 Phase::Wire => path.wire_ns += slice,
                 Phase::Server => path.server_ns += slice,
@@ -488,6 +499,42 @@ mod tests {
         assert_eq!(p.retransmissions, 1);
         assert_eq!(p.dominant(), "retransmit");
         assert_eq!(p.timeline.len(), 8);
+    }
+
+    #[test]
+    fn time_before_a_batched_calls_retransmission_is_timer_wait() {
+        // The call went out in a batch (no event carries its span), the
+        // batch was lost, and 1.3 ms after the span opened the call was
+        // retransmitted, again in a batch; the reply batch settles it.
+        let mut sink = TraceSink::new();
+        sink.push_span(SpanRecord {
+            id: SpanId(1),
+            parent: SpanId::NONE,
+            kind: SpanKind::Invoke,
+            service: "blobsvc".into(),
+            op: "put".into(),
+            start_ns: 0,
+            end_ns: Some(2_300_000),
+            ok: Some(true),
+            retransmissions: 1,
+            replies: 1,
+        });
+        sink.push_net(NetEvent {
+            at_ns: 1_300_000,
+            span: SpanId(1),
+            kind: NetEventKind::Retransmit {
+                src: Loc::new(1, 10),
+                dst: Loc::new(2, 11),
+                attempt: 1,
+            },
+        });
+        let paths = critical_paths(&sink.build());
+        let p = &paths[0];
+        assert_eq!(p.components_ns(), p.total_ns, "phases tile the span");
+        assert_eq!(p.retransmit_ns, 1_300_000);
+        assert_eq!(p.wire_ns, 1_000_000);
+        assert_eq!(p.queue_ns, 0);
+        assert_eq!(p.dominant(), "retransmit");
     }
 
     #[test]

@@ -18,8 +18,27 @@
 //! the same endpoint coalesce into one [`Batch`] datagram (up to
 //! [`ChannelConfig::max_batch`] per frame), and the server coalesces the
 //! replies on the way back — many calls, one network traversal each
-//! way. Retransmissions are always sent individually: by the time a
-//! timer fires, batch-mates have usually been acknowledged.
+//! way. A lost datagram loses its calls together, so calls whose
+//! retransmission falls due together go out as one batch again.
+//!
+//! Loss is detected from evidence before it is inferred from silence.
+//! Every datagram the channel sends takes the next number of a send
+//! sequence; when a reply settles a call whose latest transmission went
+//! out *after* that of a call still outstanding, the outstanding one has
+//! been *overtaken* — the path has carried a later datagram there and
+//! back — and it is retransmitted once its latest transmission is a
+//! path timeout old (`srtt + max(4·rttvar, srtt/8)`, the estimate of the
+//! `rtt` module with no floor under it), backing off from that estimate
+//! for each further such transmission. Under silence the
+//! [`RetryPolicy`] floor times the call as before. The two clocks share
+//! one deadline per call, whichever is earlier, and one division of
+//! labour: detection decides when to resend, the policy decides when to
+//! give up — a transmission made on evidence consumes none of
+//! [`RetryPolicy::max_attempts`], and the policy's own timers fire when
+//! they always did. A server that answers out of order by design (an
+//! edge cache: hits at once, misses after its origin answers) is covered
+//! by the variance term of the estimate, which has to span its slow mode
+//! anyway; a channel with no round-trip sample yet draws no conclusions.
 //!
 //! A process that is both client and server (an edge cache: it answers
 //! its own clients and calls its origin) cannot let the channel own the
@@ -127,28 +146,28 @@ pub struct ChannelStats {
     pub discarded: u64,
 }
 
-#[derive(Debug)]
-enum CallState {
-    /// Staged, not yet sent (pipeline window was full).
-    Queued,
-    /// Sent; waiting for its reply or its retransmission timer.
-    Outstanding,
-    /// Reply arrived.
-    Done(Result<Value, RemoteError>),
-    /// Retry budget exhausted.
-    TimedOut,
-}
-
+/// A call that has not settled: staged, or sent and waiting for its
+/// reply or its retransmission timer. The fields after `span` mean
+/// nothing until the call is sent.
 #[derive(Debug)]
 struct CallRec {
     request: Request,
     /// Encoded once; retransmissions reuse the bytes (and thus the span).
     bytes: Bytes,
     span: obs::SpanId,
+    /// Transmissions the policy's timer has made; it gives up at
+    /// [`RetryPolicy::max_attempts`].
     attempt: u32,
+    /// Transmissions made on evidence, which the policy does not count.
+    overtaken: u32,
+    /// Where the latest transmission stands in the channel's send
+    /// sequence.
+    seq: u64,
     sent: Sent,
+    /// When the policy's timer for the latest attempt fires.
+    policy_deadline: SimTime,
+    /// When to retransmit: `policy_deadline`, or sooner once overtaken.
     deadline: SimTime,
-    state: CallState,
 }
 
 /// What [`Channel::absorb`] made of a datagram.
@@ -170,10 +189,17 @@ pub struct Channel {
     service: String,
     server: Endpoint,
     cfg: ChannelConfig,
-    calls: HashMap<u64, CallRec>,
-    /// Queued call ids in begin order.
-    queue: VecDeque<u64>,
+    /// Unsettled calls in begin order, which is ascending id order (ids
+    /// come from a per-process counter), so a call is found by binary
+    /// search. Calls are sent in this order too: the first `outstanding`
+    /// are in flight, the rest are queued.
+    calls: VecDeque<CallRec>,
     outstanding: usize,
+    /// Settled calls nobody has claimed yet: the reply, or `None` for a
+    /// call that timed out.
+    settled: HashMap<u64, Option<Result<Value, RemoteError>>>,
+    /// Datagrams sent so far carrying requests.
+    sends: u64,
     strays: Vec<Oneway>,
     rtt: RttEstimator,
     /// Settled calls that had been retransmitted, oldest first.
@@ -193,9 +219,10 @@ impl Channel {
                 max_batch: cfg.max_batch.max(1),
                 policy: cfg.policy,
             },
-            calls: HashMap::new(),
-            queue: VecDeque::new(),
+            calls: VecDeque::new(),
             outstanding: 0,
+            settled: HashMap::new(),
+            sends: 0,
             strays: Vec::new(),
             rtt: RttEstimator::default(),
             recent: VecDeque::new(),
@@ -227,15 +254,19 @@ impl Channel {
 
     /// Calls staged but not yet sent.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.calls.len() - self.outstanding
     }
 
     /// Whether this handle has settled (reply arrived or timed out).
     pub fn is_settled(&self, h: CallHandle) -> bool {
-        match self.calls.get(&h.0) {
-            Some(rec) => matches!(rec.state, CallState::Done(_) | CallState::TimedOut),
-            None => true,
-        }
+        self.position(h.0).is_none()
+    }
+
+    /// Where the unsettled call `id` sits in `calls`.
+    fn position(&self, id: u64) -> Option<usize> {
+        self.calls
+            .binary_search_by_key(&id, |rec| rec.request.call_id)
+            .ok()
     }
 
     /// Stages a call on the server's default object and returns its
@@ -278,63 +309,76 @@ impl Channel {
             span: span.raw(),
         };
         let bytes = request.to_bytes();
-        self.calls.insert(
-            call_id,
-            CallRec {
-                request,
-                bytes,
-                span,
-                attempt: 0,
-                sent: Sent::at(SimTime::ZERO),
-                deadline: SimTime::ZERO,
-                state: CallState::Queued,
-            },
+        debug_assert!(
+            self.calls
+                .back()
+                .is_none_or(|last| last.request.call_id < call_id),
+            "call ids ascend"
         );
-        self.queue.push_back(call_id);
+        self.calls.push_back(CallRec {
+            request,
+            bytes,
+            span,
+            attempt: 0,
+            overtaken: 0,
+            seq: 0,
+            sent: Sent::at(SimTime::ZERO, std::time::Duration::ZERO),
+            policy_deadline: SimTime::ZERO,
+            deadline: SimTime::ZERO,
+        });
         CallHandle(call_id)
     }
 
     /// Promotes queued calls into the pipeline window and sends them,
     /// coalescing up to `max_batch` requests per datagram.
     pub fn flush(&mut self, ctx: &mut Ctx) {
-        while self.outstanding < self.cfg.pipeline_depth && !self.queue.is_empty() {
+        while self.outstanding < self.cfg.pipeline_depth && self.queued() > 0 {
             let room = self.cfg.pipeline_depth - self.outstanding;
-            let n = self.cfg.max_batch.min(room).min(self.queue.len());
-            let ids: Vec<u64> = self.queue.drain(..n).collect();
+            let n = self.cfg.max_batch.min(room).min(self.queued());
+            let batch = self.outstanding..self.outstanding + n;
             let now = ctx.now();
             let deadline = now + self.cfg.policy.attempt_timeout(self.rto(), 0);
-            for &id in &ids {
-                let rec = self.calls.get_mut(&id).expect("queued call exists");
-                rec.state = CallState::Outstanding;
-                rec.attempt = 0;
-                rec.sent = Sent::at(now);
+            for rec in self.calls.range_mut(batch.clone()) {
+                rec.sent = Sent::at(now, self.cfg.policy.timeout);
+                rec.policy_deadline = deadline;
                 rec.deadline = deadline;
             }
-            self.outstanding += ids.len();
-            if ids.len() == 1 {
-                let rec = &self.calls[&ids[0]];
-                ctx.send_traced(self.server, rec.bytes.clone(), rec.span);
-            } else {
-                // Borrow-based batch encode: the staged requests are
-                // written straight into the frame, never cloned.
-                let payload = crate::proto::encode_request_batch(
-                    ids.iter().map(|id| &self.calls[id].request),
-                );
+            self.outstanding += n;
+            if n > 1 {
                 self.stats.batches_sent += 1;
-                self.stats.batched_calls += ids.len() as u64;
-                // The datagram serves many spans at once, so it is
-                // attributed to none; each call's own span still opens
-                // and closes around its reply.
-                ctx.trace(simnet::TraceEvent::Batched {
-                    src: ctx.endpoint(),
-                    dst: self.server,
-                    count: ids.len(),
-                    span: obs::SpanId::NONE,
-                });
-                ctx.send_traced(self.server, payload, obs::SpanId::NONE);
+                self.stats.batched_calls += n as u64;
             }
+            self.transmit(ctx, batch);
         }
         self.note_depth(ctx);
+    }
+
+    /// Sends the requests at `batch` (positions in `calls`) as one
+    /// datagram, the next in the send sequence.
+    fn transmit(&mut self, ctx: &mut Ctx, batch: impl ExactSizeIterator<Item = usize> + Clone) {
+        self.sends += 1;
+        for i in batch.clone() {
+            self.calls[i].seq = self.sends;
+        }
+        if batch.len() == 1 {
+            let rec = &self.calls[batch.clone().next().expect("one call")];
+            ctx.send_traced(self.server, rec.bytes.clone(), rec.span);
+            return;
+        }
+        // Borrow-based batch encode: the staged requests are written
+        // straight into the frame, never cloned.
+        let payload =
+            crate::proto::encode_request_batch(batch.clone().map(|i| &self.calls[i].request));
+        // The datagram serves many spans at once, so it is attributed to
+        // none; each call's own span still opens and closes around its
+        // reply.
+        ctx.trace(simnet::TraceEvent::Batched {
+            src: ctx.endpoint(),
+            dst: self.server,
+            count: batch.len(),
+            span: obs::SpanId::NONE,
+        });
+        ctx.send_traced(self.server, payload, obs::SpanId::NONE);
     }
 
     /// Samples the channel's pipeline window and backlog into the flight
@@ -355,39 +399,44 @@ impl Channel {
         obs.ts_gauge(
             now_ns,
             &format!("queued@{}", self.service),
-            self.queue.len() as u64,
+            self.queued() as u64,
         );
     }
 
-    /// Fires retransmission timers: calls past their deadline either
-    /// retransmit (individually — batch-mates are usually already
-    /// acknowledged) or, once the retry budget is gone, settle as timed
-    /// out.
+    /// Fires retransmission timers: calls past their deadline
+    /// retransmit, those falling due together sharing datagrams as first
+    /// sends do, or — when it is the policy's timer that fired and its
+    /// budget is gone — settle as timed out.
     fn expire(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
         let first = self.rto();
-        let mut expired: Vec<u64> = self
-            .calls
-            .iter()
-            .filter(|(_, r)| matches!(r.state, CallState::Outstanding) && r.deadline <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        // HashMap iteration order varies run to run; retransmitting in
-        // map order would let two calls with equal deadlines swap their
-        // send order between seeds-identical runs. Sorted ids keep the
-        // retransmission stream a pure function of simulation state.
-        expired.sort_unstable();
-        for id in expired {
-            let rec = self.calls.get_mut(&id).expect("expired call exists");
-            rec.attempt += 1;
-            if rec.attempt >= self.cfg.policy.max_attempts {
-                rec.state = CallState::TimedOut;
-                self.outstanding -= 1;
-                self.stats.timeouts += 1;
-                ctx.obs().on_timeout();
-                ctx.obs().close_span(rec.span, ctx.now().as_nanos(), false);
+        let path = self.rtt.path_rto();
+        let policy = &self.cfg.policy;
+        let mut resend = Vec::new();
+        let mut timed_out = Vec::new();
+        for (i, rec) in self.calls.iter_mut().take(self.outstanding).enumerate() {
+            if rec.deadline > now {
                 continue;
             }
+            if rec.deadline < rec.policy_deadline {
+                rec.overtaken += 1;
+            } else {
+                rec.attempt += 1;
+                if rec.attempt >= policy.max_attempts {
+                    timed_out.push(i);
+                    continue;
+                }
+                rec.policy_deadline = now + policy.attempt_timeout(first, rec.attempt);
+            }
+            // A call that has been overtaken stays on its path's clock,
+            // backed off once per transmission that clock has made.
+            rec.deadline = match path {
+                Some(path) if rec.overtaken > 0 => rec
+                    .policy_deadline
+                    .min(now + policy.attempt_timeout(path, rec.overtaken)),
+                _ => rec.policy_deadline,
+            };
+            rec.sent.again(now, rec.deadline.saturating_since(now));
             self.stats.retries += 1;
             ctx.obs().on_retry();
             ctx.obs().span_retransmit_at(rec.span, now.as_nanos());
@@ -395,13 +444,41 @@ impl Channel {
                 src: ctx.endpoint(),
                 dst: self.server,
                 span: rec.span,
-                attempt: rec.attempt,
+                attempt: rec.attempt + rec.overtaken,
             });
-            ctx.send_traced(self.server, rec.bytes.clone(), rec.span);
-            rec.sent.last = now;
-            rec.deadline = now + self.cfg.policy.attempt_timeout(first, rec.attempt);
+            resend.push(i);
+        }
+        for batch in resend.chunks(self.cfg.max_batch) {
+            self.transmit(ctx, batch.iter().copied());
+        }
+        // Last, and from the back: removal shifts the positions behind it.
+        for i in timed_out.into_iter().rev() {
+            let rec = self.calls.remove(i).expect("timed-out call exists");
+            self.settled.insert(rec.request.call_id, None);
+            self.outstanding -= 1;
+            self.stats.timeouts += 1;
+            ctx.obs().on_timeout();
+            ctx.obs().close_span(rec.span, now.as_nanos(), false);
         }
         self.note_depth(ctx);
+    }
+
+    /// A reply has settled a call whose latest transmission was number
+    /// `seq`: every call in flight whose latest transmission is older
+    /// has been overtaken, and waits no longer than its path asks.
+    fn overtake(&mut self, seq: u64) {
+        let Some(path) = self.rtt.path_rto() else {
+            return;
+        };
+        for rec in self.calls.iter_mut().take(self.outstanding) {
+            if rec.seq < seq {
+                let timeout = self.cfg.policy.attempt_timeout(path, rec.overtaken);
+                if rec.sent.last + timeout < rec.deadline {
+                    rec.deadline = rec.sent.last + timeout;
+                    rec.sent.shorten(timeout);
+                }
+            }
+        }
     }
 
     fn on_reply(&mut self, ctx: &mut Ctx, rep: Reply, msg: &Message) {
@@ -411,12 +488,13 @@ impl Channel {
             ctx.obs().on_stale_reply();
             return;
         }
-        let floor = self.cfg.policy.timeout;
-        match self.calls.get_mut(&rep.call_id) {
-            Some(rec) if matches!(rec.state, CallState::Outstanding) => {
+        // Only a call in flight can be replied to.
+        let in_flight = self.position(rep.call_id).filter(|&i| i < self.outstanding);
+        match in_flight.and_then(|i| self.calls.remove(i)) {
+            Some(rec) => {
                 self.outstanding -= 1;
                 self.stats.completed += 1;
-                self.rtt.on_reply(floor, rec.sent, msg.delivered_at);
+                self.rtt.on_reply(rec.sent, msg.delivered_at);
                 if rec.sent.retransmitted() {
                     if self.recent.len() == RECENT_RETRANSMITTED {
                         self.recent.pop_front();
@@ -425,15 +503,16 @@ impl Channel {
                 }
                 ctx.obs()
                     .close_span(rec.span, ctx.now().as_nanos(), rep.result.is_ok());
-                rec.state = CallState::Done(rep.result);
+                self.settled.insert(rep.call_id, Some(rep.result));
+                self.overtake(rec.seq);
                 self.note_depth(ctx);
             }
-            _ => {
+            None => {
                 // Duplicate of an already-settled call, or not ours. The
                 // answer to a needless retransmission still says how long
                 // the path is.
                 if let Some(&(_, sent)) = self.recent.iter().find(|(id, _)| *id == rep.call_id) {
-                    self.rtt.on_reply(floor, sent, msg.delivered_at);
+                    self.rtt.on_reply(sent, msg.delivered_at);
                 }
                 self.stats.stale_replies += 1;
                 ctx.obs().on_stale_reply();
@@ -507,18 +586,12 @@ impl Channel {
             self.tick(ctx);
             let settled = match target {
                 Some(id) => self.is_settled(CallHandle(id)),
-                None => self.outstanding == 0 && self.queue.is_empty(),
+                None => self.calls.is_empty(),
             };
             if settled {
                 return Ok(());
             }
-            let deadline = self
-                .calls
-                .values()
-                .filter(|r| matches!(r.state, CallState::Outstanding))
-                .map(|r| r.deadline)
-                .min();
-            let Some(deadline) = deadline else {
+            let Some(deadline) = self.next_deadline() else {
                 // Nothing in flight but the target is unsettled: flush on
                 // the next iteration will send queued work.
                 continue;
@@ -542,11 +615,13 @@ impl Channel {
         if !self.is_settled(h) {
             self.pump(ctx, Some(h.0))?;
         }
-        match self.calls.remove(&h.0) {
-            Some(CallRec {
-                state: CallState::Done(result),
-                ..
-            }) => result.map_err(RpcError::Remote),
+        self.claim(h)
+    }
+
+    /// Hands out the result of a settled call, once.
+    fn claim(&mut self, h: CallHandle) -> Result<Value, RpcError> {
+        match self.settled.remove(&h.0) {
+            Some(Some(result)) => result.map_err(RpcError::Remote),
             _ => Err(RpcError::Timeout {
                 attempts: self.cfg.policy.max_attempts,
             }),
@@ -585,18 +660,7 @@ impl Channel {
     /// reaped or unknown handle reports `Some(Err(Timeout))`, matching
     /// [`Channel::wait`].
     pub fn try_take(&mut self, h: CallHandle) -> Option<Result<Value, RpcError>> {
-        if !self.is_settled(h) {
-            return None;
-        }
-        Some(match self.calls.remove(&h.0) {
-            Some(CallRec {
-                state: CallState::Done(result),
-                ..
-            }) => result.map_err(RpcError::Remote),
-            _ => Err(RpcError::Timeout {
-                attempts: self.cfg.policy.max_attempts,
-            }),
-        })
+        self.is_settled(h).then(|| self.claim(h))
     }
 
     /// The earliest retransmission deadline among in-flight calls, or
@@ -605,9 +669,9 @@ impl Channel {
     /// final timeouts fire even if no reply ever arrives.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.calls
-            .values()
-            .filter(|r| matches!(r.state, CallState::Outstanding))
-            .map(|r| r.deadline)
+            .iter()
+            .take(self.outstanding)
+            .map(|rec| rec.deadline)
             .min()
     }
 
@@ -657,10 +721,9 @@ impl Channel {
     /// results do not accumulate; a later [`Channel::wait`] on a reaped
     /// handle reports a timeout.
     pub fn reap_settled(&mut self) -> usize {
-        let before = self.calls.len();
-        self.calls
-            .retain(|_, r| !matches!(r.state, CallState::Done(_) | CallState::TimedOut));
-        before - self.calls.len()
+        let dropped = self.settled.len();
+        self.settled.clear();
+        dropped
     }
 }
 

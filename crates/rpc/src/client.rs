@@ -21,11 +21,20 @@ use crate::rtt::{RttEstimator, Sent};
 /// `max(timeout, srtt + 4·rttvar)` for the first reply (see the `rtt`
 /// module), backing off from there. On a path faster than the floor the
 /// policy alone decides, exactly as written here.
+///
+/// The floor bounds the wait under *silence*. A pipelined channel that
+/// sees a later call answered first knows more than silence tells it: an
+/// overtaken call is timed by its path (`srtt + 4·rttvar`, no floor) and
+/// goes out again that soon. Such transmissions are extra — they consume
+/// none of `max_attempts`, and the policy's own timers fire, and finally
+/// give up, exactly when they would have without them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
-    /// The shortest wait for the first reply.
+    /// The shortest wait for the first reply when nothing but silence
+    /// says it is missing.
     pub timeout: Duration,
-    /// Total attempts (first send plus retransmissions).
+    /// Total attempts (first send plus the retransmissions the policy's
+    /// timer makes).
     pub max_attempts: u32,
     /// Multiplier applied to the timeout after each attempt
     /// (1.0 = fixed interval, 2.0 = exponential backoff).
@@ -204,10 +213,11 @@ impl RpcClient {
         let datagram = request.to_bytes();
 
         let floor = self.policy.timeout;
-        let mut sent = Sent::at(ctx.now());
+        let mut sent = Sent::at(ctx.now(), floor);
         for attempt in 0..self.policy.max_attempts {
+            let timeout = self.policy.attempt_timeout(self.rtt.rto(floor), attempt);
             if attempt > 0 {
-                sent.last = ctx.now();
+                sent.again(ctx.now(), timeout);
                 self.stats.retries += 1;
                 ctx.obs().on_retry();
                 ctx.obs().span_retransmit_at(span, ctx.now().as_nanos());
@@ -219,7 +229,7 @@ impl RpcClient {
                 });
             }
             ctx.send_traced(self.server, datagram.clone(), span);
-            let deadline = ctx.now() + self.policy.attempt_timeout(self.rtt.rto(floor), attempt);
+            let deadline = ctx.now() + timeout;
             // Drain replies until the attempt deadline; a `None` recv
             // means the attempt timed out and we retransmit.
             while let Some(msg) = ctx.recv_deadline(deadline)? {
@@ -227,7 +237,7 @@ impl RpcClient {
                     Ok(Packet::Reply(rep)) => {
                         ctx.obs().span_reply(rep.span, ctx.now().as_nanos());
                         if rep.call_id == call_id && msg.src == self.server {
-                            self.rtt.on_reply(floor, sent, msg.delivered_at);
+                            self.rtt.on_reply(sent, msg.delivered_at);
                             if sent.retransmitted() {
                                 self.retransmitted = Some((call_id, sent));
                             }
@@ -235,7 +245,7 @@ impl RpcClient {
                         }
                         if let Some((id, earlier)) = self.retransmitted {
                             if rep.call_id == id && msg.src == self.server {
-                                self.rtt.on_reply(floor, earlier, msg.delivered_at);
+                                self.rtt.on_reply(earlier, msg.delivered_at);
                             }
                         }
                         self.stats.stale_replies += 1;

@@ -1,9 +1,12 @@
 //! End-to-end tests of the pipelined [`Channel`]: multiple outstanding
 //! calls, out-of-order completion, batching, and — the property that
 //! must survive all of it — at-most-once execution under loss and
-//! duplication, also when the server defers its replies. The last
-//! section covers the per-path round-trip estimate behind the
-//! retransmission timers of both [`Channel`] and [`RpcClient`].
+//! duplication, also when the server defers its replies. The later
+//! sections cover the per-path round-trip estimate behind the
+//! retransmission timers of both [`Channel`] and [`RpcClient`], and loss
+//! detection from evidence: an overtaken call is repaired a round trip
+//! after the evidence, reordering alone repairs nothing, and the policy
+//! still decides when to give up.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -35,6 +38,48 @@ fn spawn_counter(
             },
             |_, _| {},
         );
+    });
+    (ep, execs)
+}
+
+/// Spawns a counter server that may answer later: `delay` maps a
+/// request's op to how long after its start the reply is owed (`None`:
+/// on the spot). Every op counts one execution and returns the count.
+fn spawn_slow_counter(
+    sim: &Simulation,
+    node: NodeId,
+    port: PortId,
+    delay: impl Fn(&str) -> Option<Duration> + Send + 'static,
+) -> (simnet::Endpoint, Arc<AtomicU64>) {
+    let execs = Arc::new(AtomicU64::new(0));
+    let e = Arc::clone(&execs);
+    let ep = sim.spawn_at("slow-counter", node, port, move |ctx| {
+        let mut srv = rpc::RpcServer::new();
+        // (due, reply_to, call_id, value), in due order.
+        let mut owed: Vec<(simnet::SimTime, simnet::Endpoint, u64, u64)> = Vec::new();
+        loop {
+            let msg = match owed.first() {
+                Some(&(due, ..)) => ctx.recv_deadline(due),
+                None => ctx.recv().map(Some),
+            };
+            let Ok(msg) = msg else { return };
+            if let Some(msg) = msg {
+                srv.handle_deferred(ctx, &msg, |ctx, req| {
+                    let n = e.fetch_add(1, Ordering::SeqCst) + 1;
+                    let Some(delay) = delay(&req.op) else {
+                        return Some(Ok(Value::U64(n)));
+                    };
+                    let due = ctx.now() + delay;
+                    let at = owed.partition_point(|&(d, ..)| d <= due);
+                    owed.insert(at, (due, req.reply_to, req.call_id, n));
+                    None
+                });
+            }
+            while owed.first().is_some_and(|&(due, ..)| due <= ctx.now()) {
+                let (_, reply_to, call_id, n) = owed.remove(0);
+                assert!(srv.complete(ctx, reply_to, call_id, Ok(Value::U64(n))));
+            }
+        }
     });
     (ep, execs)
 }
@@ -260,32 +305,8 @@ fn deferred_replies_under_loss_and_duplication_execute_exactly_once() {
     // not answered ahead of the completion.
     let cfg = NetworkConfig::lan().with_loss(0.30).with_duplicate(0.30);
     let mut sim = Simulation::new(cfg, 23);
-    let execs = Arc::new(AtomicU64::new(0));
-    let e = Arc::clone(&execs);
-    let server = sim.spawn_at("slow-counter", NodeId(0), PortId(1), move |ctx| {
-        let mut srv = rpc::RpcServer::new();
-        // (due, reply_to, call_id, value), in start order.
-        let mut owed: std::collections::VecDeque<(simnet::SimTime, simnet::Endpoint, u64, u64)> =
-            std::collections::VecDeque::new();
-        loop {
-            let msg = match owed.front() {
-                Some(&(due, ..)) => ctx.recv_deadline(due),
-                None => ctx.recv().map(Some),
-            };
-            let Ok(msg) = msg else { return };
-            if let Some(msg) = msg {
-                srv.handle_deferred(ctx, &msg, |ctx, req| {
-                    let n = e.fetch_add(1, Ordering::SeqCst) + 1;
-                    let due = ctx.now() + Duration::from_millis(3);
-                    owed.push_back((due, req.reply_to, req.call_id, n));
-                    None
-                });
-            }
-            while owed.front().is_some_and(|&(due, ..)| due <= ctx.now()) {
-                let (_, reply_to, call_id, n) = owed.pop_front().expect("checked front");
-                assert!(srv.complete(ctx, reply_to, call_id, Ok(Value::U64(n))));
-            }
-        }
+    let (server, execs) = spawn_slow_counter(&sim, NodeId(0), PortId(1), |_| {
+        Some(Duration::from_millis(3))
     });
     let out = Arc::new(Mutex::new((Vec::new(), 0u64, 0u64)));
     let o2 = Arc::clone(&out);
@@ -442,4 +463,500 @@ fn a_path_faster_than_the_floor_never_moves_its_timers() {
         assert!(ch.srtt().is_some_and(|rtt| rtt < Duration::from_millis(2)));
     });
     sim.run();
+}
+
+// -- loss detected from evidence ------------------------------------------
+
+const FLOOR: Duration = Duration::from_millis(10);
+
+/// The benchmark's channel: window 16, four calls per datagram, a 10 ms
+/// floor.
+fn windowed(attempts: u32) -> ChannelConfig {
+    ChannelConfig::with_depth(16)
+        .batched(4)
+        .with_policy(RetryPolicy::exponential(FLOOR, attempts))
+}
+
+/// Issues `calls` calls of `op(i)` keeping the channel's window full, and
+/// hands each result to `each` as soon as its call has settled.
+fn drive(
+    ch: &mut Channel,
+    ctx: &mut simnet::Ctx,
+    calls: u64,
+    op: impl Fn(u64) -> &'static str,
+    mut each: impl FnMut(&Channel, u64, Result<Value, RpcError>),
+) {
+    let mut open = std::collections::VecDeque::new();
+    let mut issued = 0;
+    while issued < calls || !open.is_empty() {
+        while issued < calls && open.len() < 16 {
+            open.push_back((issued, ch.begin_call(ctx, op(issued), Value::Null)));
+            issued += 1;
+        }
+        let (_, front) = open[0];
+        if !ch.is_settled(front) {
+            let result = ch.wait(ctx, front);
+            let (i, _) = open.pop_front().expect("front exists");
+            each(ch, i, result);
+        }
+        // Out-of-order completion: claim whatever else has settled.
+        let mut k = 0;
+        while k < open.len() {
+            match ch.try_take(open[k].1) {
+                Some(result) => {
+                    let (i, _) = open.remove(k).expect("index in range");
+                    each(ch, i, result);
+                }
+                None => k += 1,
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn reordering_alone_is_not_evidence_enough(
+        one_way_us in 50u64..500_000,
+        jitter in 0.0f64..0.3,
+        seed in any::<u64>(),
+    ) {
+        // Loss-free link, replies overtaking each other by up to 0.6 of
+        // the one-way latency: before the first clean sample the floor may
+        // fire needlessly (as it always did on a slow path), afterwards
+        // nothing is ever sent twice.
+        let net = NetworkConfig::lan()
+            .with_remote_latency(Duration::from_micros(one_way_us))
+            .with_jitter(jitter);
+        let mut sim = Simulation::new(net, seed);
+        let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
+        let out = Arc::new(Mutex::new((None, 0u64)));
+        let o2 = Arc::clone(&out);
+        sim.spawn("client", NodeId(1), move |ctx| {
+            let mut ch = Channel::new("counter", server, windowed(8));
+            let mut at_first_sample = None;
+            drive(&mut ch, ctx, 240, |_| "inc", |ch, _, result| {
+                result.expect("loss-free call");
+                if ch.srtt().is_some() {
+                    at_first_sample.get_or_insert(ch.stats.retries);
+                }
+            });
+            *o2.lock().unwrap() = (at_first_sample, ch.stats.retries);
+        });
+        sim.run();
+        let (at_first_sample, retries) = *out.lock().unwrap();
+        prop_assert_eq!(execs.load(Ordering::SeqCst), 240);
+        prop_assert_eq!(
+            at_first_sample,
+            Some(retries),
+            "retransmitted after the first sample ({}us one way, jitter {})",
+            one_way_us,
+            jitter
+        );
+    }
+}
+
+/// One lossy run on the benchmark's channel. Returns the distinct
+/// counters the calls saw, `(ok, timeouts, retries)` and the server's
+/// executions.
+fn lossy_leg(loss: f64, deferred: bool, seed: u64) -> (usize, (u64, u64, u64), u64) {
+    let net = NetworkConfig::lan()
+        .with_jitter(0.05)
+        .with_loss(loss)
+        .with_duplicate(loss);
+    let mut sim = Simulation::new(net, seed);
+    let (server, execs) = if deferred {
+        spawn_slow_counter(&sim, NodeId(0), PortId(1), |_| {
+            Some(Duration::from_millis(3))
+        })
+    } else {
+        spawn_counter(&sim, NodeId(0), PortId(1))
+    };
+    let out = Arc::new(Mutex::new((Vec::new(), 0u64, 0u64)));
+    let o2 = Arc::clone(&out);
+    sim.spawn("client", NodeId(1), move |ctx| {
+        let mut ch = Channel::new("counter", server, windowed(10));
+        let mut seen = Vec::new();
+        drive(
+            &mut ch,
+            ctx,
+            400,
+            |_| "inc",
+            |_, _, result| match result {
+                Ok(Value::U64(n)) => seen.push(n),
+                Ok(other) => panic!("bad reply {other:?}"),
+                Err(RpcError::Timeout { .. }) => {}
+                Err(e) => panic!("unexpected error {e}"),
+            },
+        );
+        *o2.lock().unwrap() = (seen, ch.stats.timeouts, ch.stats.retries);
+    });
+    sim.run();
+    let (mut seen, timeouts, retries) = std::mem::take(&mut *out.lock().unwrap());
+    let ok = seen.len() as u64;
+    seen.sort_unstable();
+    seen.dedup();
+    (
+        seen.len(),
+        (ok, timeouts, retries),
+        execs.load(Ordering::SeqCst),
+    )
+}
+
+#[test]
+fn batched_retransmissions_under_loss_and_duplication_execute_exactly_once() {
+    // Retransmissions made on evidence, ahead of the policy's timers and
+    // four to a datagram, meet the same server window: no call runs
+    // twice, no two calls see one execution, whether the server answers
+    // on the spot or 3 ms later.
+    for (loss, deferred, seed) in [
+        (0.02, false, 41),
+        (0.02, true, 43),
+        (0.30, false, 47),
+        (0.30, true, 53),
+    ] {
+        let leg = format!("loss {loss}, deferred {deferred}");
+        let (distinct, (ok, timeouts, retries), execs) = lossy_leg(loss, deferred, seed);
+        assert!(retries > 0, "{leg}: no retransmission, nothing proved");
+        assert_eq!(
+            ok + timeouts,
+            400,
+            "{leg}: a call neither settled nor timed out"
+        );
+        assert_eq!(distinct as u64, ok, "{leg}: two calls saw one execution");
+        assert!(execs >= ok, "{leg}: {execs} execs for {ok} ok");
+        assert!(
+            execs <= ok + timeouts,
+            "{leg}: over-execution: {execs} execs for {ok} ok + {timeouts} timeouts"
+        );
+        if loss < 0.1 {
+            assert_eq!(timeouts, 0, "{leg}: 2% loss exhausted ten attempts");
+        }
+    }
+}
+
+/// A client on node 1 that has warmed its channel up with 64 calls, then
+/// loses one whole batch (`lost`, sent while partitioned from the
+/// server) and sends a second one (`later`) that gets through. Runs
+/// `then` with both and returns what it returns, plus the datagrams the
+/// whole simulation sent.
+fn lose_a_batch<T: Send + 'static>(
+    then: impl FnOnce(&mut Channel, &mut simnet::Ctx, [rpc::CallHandle; 4], [rpc::CallHandle; 4]) -> T
+        + Send
+        + 'static,
+) -> (T, u64, u64) {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 59);
+    let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
+    let out = Arc::new(Mutex::new(None));
+    let o2 = Arc::clone(&out);
+    sim.spawn("client", NodeId(1), move |ctx| {
+        let mut ch = Channel::new("counter", server, windowed(8));
+        drive(
+            &mut ch,
+            ctx,
+            64,
+            |_| "inc",
+            |_, _, r| {
+                r.expect("warm-up call");
+            },
+        );
+        assert_eq!(ch.stats.retries, 0);
+        ctx.net().partition(NodeId(0), NodeId(1));
+        let lost = [(); 4].map(|()| ch.begin_call(ctx, "inc", Value::Null));
+        ch.flush(ctx);
+        ctx.net().heal(NodeId(0), NodeId(1));
+        let later = [(); 4].map(|()| ch.begin_call(ctx, "inc", Value::Null));
+        ch.flush(ctx);
+        *o2.lock().unwrap() = Some(then(&mut ch, ctx, lost, later));
+    });
+    let report = sim.run();
+    let t = out.lock().unwrap().take().expect("client finished");
+    (t, report.metrics.msgs_sent, execs.load(Ordering::SeqCst))
+}
+
+#[test]
+fn a_lost_batch_is_repaired_a_round_trip_after_the_evidence() {
+    let ((srtt, evidence, repaired, retries), msgs, execs) =
+        lose_a_batch(|ch, ctx, lost, later| {
+            let sent = ctx.now();
+            for h in later {
+                ch.wait(ctx, h).expect("later batch");
+            }
+            let evidence = ctx.now() - sent;
+            for h in lost {
+                ch.wait(ctx, h).expect("lost batch, retransmitted");
+            }
+            let srtt = ch.srtt().expect("warmed up");
+            (srtt, evidence, ctx.now() - sent, ch.stats.retries)
+        });
+    assert_eq!(execs, 72);
+    assert_eq!(retries, 4, "each lost call retransmitted once");
+    assert!(
+        repaired - evidence <= srtt * 4,
+        "overtaken at {evidence:?}, repaired only at {repaired:?} (srtt {srtt:?})"
+    );
+    assert!(repaired < FLOOR, "waited out the floor: {repaired:?}");
+    // 16 + 16 warm-up datagrams, the lost batch, the later batch and its
+    // reply batch — and ONE retransmission with ONE reply batch.
+    assert_eq!(msgs, 37, "batch-mates were not retransmitted together");
+}
+
+#[test]
+fn a_lost_retransmission_backs_off_from_the_path_not_the_floor() {
+    let ((repaired, retries), _, execs) = lose_a_batch(|ch, ctx, lost, later| {
+        let sent = ctx.now();
+        for h in later {
+            ch.wait(ctx, h).expect("later batch");
+        }
+        // The overtaken batch goes out again a path timeout after it was
+        // sent: lose that one too.
+        ctx.net().partition(NodeId(0), NodeId(1));
+        while ch.stats.retries == 0 {
+            ctx.sleep(Duration::from_micros(100)).expect("running");
+            ch.poll(ctx).expect("running");
+        }
+        ctx.net().heal(NodeId(0), NodeId(1));
+        for h in lost {
+            ch.wait(ctx, h).expect("lost batch, retransmitted twice");
+        }
+        (ctx.now() - sent, ch.stats.retries)
+    });
+    assert_eq!(execs, 72);
+    assert_eq!(retries, 8, "each lost call retransmitted twice");
+    assert!(
+        repaired < FLOOR,
+        "the second loss waited for the floor: {repaired:?}"
+    );
+}
+
+#[test]
+fn a_bimodal_server_teaches_its_slow_mode_once() {
+    // An edge cache in miniature: hits answered at once, misses 100 ms
+    // later, on one channel, so hits overtake misses all the time. Until
+    // a miss has been seen to take that long its calls go out again (on
+    // evidence and on the floor); once the slow mode is known, being
+    // overtaken by a hit is no reason to resend anything.
+    let mut sim = Simulation::new(NetworkConfig::lan(), 61);
+    let (server, execs) = spawn_slow_counter(&sim, NodeId(0), PortId(1), |op| {
+        (op == "miss").then_some(Duration::from_millis(100))
+    });
+    let out = Arc::new(Mutex::new((None, 0u64)));
+    let o2 = Arc::clone(&out);
+    sim.spawn("client", NodeId(1), move |ctx| {
+        let cfg = ChannelConfig::with_depth(16).with_policy(RetryPolicy::exponential(FLOOR, 8));
+        let mut ch = Channel::new("edge", server, cfg);
+        let mut after_first_miss = None;
+        let op = |i| if i % 16 == 8 { "miss" } else { "hit" };
+        drive(&mut ch, ctx, 800, op, |ch, i, result| {
+            result.expect("loss-free call");
+            if op(i) == "miss" {
+                after_first_miss.get_or_insert(ch.stats.retries);
+            }
+        });
+        *o2.lock().unwrap() = (after_first_miss, ch.stats.retries);
+    });
+    sim.run();
+    let (after_first_miss, retries) = *out.lock().unwrap();
+    assert_eq!(execs.load(Ordering::SeqCst), 800);
+    let warm_up = after_first_miss.expect("a miss completed");
+    assert!(
+        warm_up > 0,
+        "the first miss never retransmitted: floor above 100 ms?"
+    );
+    assert!(
+        warm_up <= 10,
+        "{warm_up} retransmissions of one miss within 100 ms"
+    );
+    assert_eq!(
+        retries, warm_up,
+        "a miss retransmitted after the slow mode was known"
+    );
+}
+
+/// Against a server that never answers `dead` calls, how long until the
+/// first of them times out, how many were retransmitted in total, and
+/// the error's attempt count.
+fn time_to_timeout(attempts: u32, answer_one_first: bool) -> (Duration, u64, u32) {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 67);
+    // Answers `live` calls, swallows everything else.
+    let server = sim.spawn_at("half-dead", NodeId(0), PortId(1), |ctx| {
+        let mut srv = rpc::RpcServer::new();
+        while let Ok(msg) = ctx.recv() {
+            srv.handle_deferred(ctx, &msg, |_, req| {
+                (req.op == "live").then_some(Ok(Value::Null))
+            });
+        }
+    });
+    let out = Arc::new(Mutex::new(None));
+    let o2 = Arc::clone(&out);
+    sim.spawn("client", NodeId(1), move |ctx| {
+        let mut ch = Channel::new("half-dead", server, windowed(attempts));
+        if answer_one_first {
+            // A round-trip sample, so that evidence can count at all.
+            let h = ch.begin_call(ctx, "live", Value::Null);
+            ch.wait(ctx, h).expect("live call");
+        }
+        let sent = ctx.now();
+        let dead = [(); 4].map(|()| ch.begin_call(ctx, "dead", Value::Null));
+        ch.flush(ctx);
+        if answer_one_first {
+            // Sent later, answered: the dead batch is overtaken.
+            let h = ch.begin_call(ctx, "live", Value::Null);
+            ch.wait(ctx, h).expect("live call");
+        }
+        let err = ch.wait(ctx, dead[0]).expect_err("nobody answers");
+        let RpcError::Timeout { attempts } = err else {
+            panic!("expected a timeout, got {err}");
+        };
+        *o2.lock().unwrap() = Some((ctx.now() - sent, ch.stats.retries, attempts));
+    });
+    sim.run();
+    let t = out.lock().unwrap().take().expect("client finished");
+    t
+}
+
+#[test]
+fn the_policy_alone_decides_when_to_give_up() {
+    // Silence: the policy's timers at 10, 30, 70, ... ms after the send,
+    // the last one giving up — to the nanosecond what it was before the
+    // channel looked for evidence.
+    for (attempts, expect_ms) in [(4, 150), (8, 2550)] {
+        let (took, retries, reported) = time_to_timeout(attempts, false);
+        assert_eq!(
+            took,
+            Duration::from_millis(expect_ms),
+            "{attempts} attempts"
+        );
+        assert_eq!(retries, 4 * u64::from(attempts - 1));
+        assert_eq!(reported, attempts);
+        // Overtaken: more transmissions, on the path's clock — and the
+        // same instant of giving up, because those consume no attempt.
+        let (took, retries, reported) = time_to_timeout(attempts, true);
+        assert_eq!(
+            took,
+            Duration::from_millis(expect_ms),
+            "{attempts} attempts, overtaken"
+        );
+        assert!(
+            retries > 4 * u64::from(attempts - 1),
+            "evidence changed nothing: {retries} retransmissions"
+        );
+        assert_eq!(reported, attempts);
+    }
+}
+
+/// A lossy pipelined run over four scheduler domains. Returns every byte
+/// an observer can see: summary counters, the causal trace as JSONL and
+/// the report JSON.
+fn lossy_run_across_domains(seed: u64, threads: usize) -> (String, String, String) {
+    let net = NetworkConfig::lan()
+        .with_jitter(0.05)
+        .with_loss(0.02)
+        .with_duplicate(0.005);
+    let mut sim = Simulation::new(net, seed)
+        .with_domains(4)
+        .with_threads(threads);
+    sim.enable_trace(1 << 18);
+    let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
+    let retries = Arc::new(AtomicU64::new(0));
+    for c in 0..3u32 {
+        let retries = Arc::clone(&retries);
+        sim.spawn(format!("client-{c}"), NodeId(1 + c), move |ctx| {
+            let mut ch = Channel::new("counter", server, windowed(8));
+            drive(
+                &mut ch,
+                ctx,
+                600,
+                |_| "inc",
+                |_, _, result| {
+                    result.expect("2% loss, eight attempts");
+                },
+            );
+            retries.fetch_add(ch.stats.retries, Ordering::SeqCst);
+        });
+    }
+    let report = sim.run();
+    let summary = format!(
+        "end={} sent={} delivered={} dropped={} events={} inversions={} execs={} retries={}",
+        report.end_time.as_nanos(),
+        report.metrics.msgs_sent,
+        report.metrics.msgs_delivered,
+        report.metrics.msgs_dropped,
+        report.metrics.events_dispatched,
+        report.metrics.sched_time_inversions,
+        execs.load(Ordering::SeqCst),
+        retries.load(Ordering::SeqCst),
+    );
+    (
+        summary,
+        obs::to_jsonl(&sim.causal_trace()),
+        sim.obs_report().to_json(),
+    )
+}
+
+#[test]
+fn a_lossy_pipelined_run_is_a_function_of_its_seed() {
+    let base = lossy_run_across_domains(71, 1);
+    assert!(base.0.contains("inversions=0 execs=1800"), "{}", base.0);
+    assert!(
+        !base.0.ends_with("retries=0"),
+        "nothing was lost: {}",
+        base.0
+    );
+    assert!(
+        lossy_run_across_domains(71, 1) == base,
+        "diverged between two runs of one seed: {}",
+        base.0
+    );
+    assert!(
+        lossy_run_across_domains(71, 4) == base,
+        "diverged at 4 threads: {}",
+        base.0
+    );
+}
+
+#[test]
+fn a_retransmitted_batch_is_answered_from_the_reply_cache_in_one_datagram() {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 73);
+    let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
+    sim.spawn("client", NodeId(1), move |ctx| {
+        let items = (1..=4u64)
+            .map(|call_id| {
+                rpc::Packet::Request(rpc::Request {
+                    call_id,
+                    reply_to: ctx.endpoint(),
+                    object: String::new(),
+                    op: "inc".to_owned(),
+                    args: Value::Null,
+                    span: 0,
+                })
+            })
+            .collect();
+        let datagram = rpc::Batch { items }.to_bytes();
+        let mut answers = Vec::new();
+        for _ in 0..2 {
+            ctx.send(server, datagram.clone());
+            let reply = ctx.recv().expect("running");
+            let Ok(rpc::Packet::Batch(batch)) = rpc::Packet::from_frame(&reply.payload) else {
+                panic!("expected one reply batch");
+            };
+            answers.push(batch.to_bytes());
+            // Nothing else is on its way: one datagram answered them all.
+            assert!(ctx
+                .recv_timeout(Duration::from_millis(5))
+                .expect("running")
+                .is_none());
+        }
+        assert_eq!(
+            answers[0], answers[1],
+            "the second answer is not the recorded one"
+        );
+    });
+    let report = sim.run();
+    assert_eq!(
+        execs.load(Ordering::SeqCst),
+        4,
+        "a retransmitted id ran again"
+    );
+    assert_eq!(report.metrics.msgs_sent, 4);
 }
