@@ -1,7 +1,5 @@
-//! Standalone runner for E17 (million-span observability plane).
-//!
-//! `PROXIDE_E17_SMOKE=1` for the fast CI configuration.
-
+//! Runs experiment e17 standalone. Set `PROXIDE_SMOKE=1` for the
+//! fast CI configuration.
 fn main() {
     let ok = bench::experiments::e17_obsplane::run().print();
     std::process::exit(if ok { 0 } else { 1 });

@@ -1,4 +1,4 @@
-//! Runs experiment e18 standalone. Set `PROXIDE_E18_SMOKE=1` for the
+//! Runs experiment e18 standalone. Set `PROXIDE_SMOKE=1` for the
 //! fast CI configuration.
 fn main() {
     let ok = bench::experiments::e18_multicore::run().print();

@@ -1,4 +1,4 @@
-//! Runs experiment e19 standalone. Set `PROXIDE_E19_SMOKE=1` for the
+//! Runs experiment e19 standalone. Set `PROXIDE_SMOKE=1` for the
 //! fast CI configuration.
 fn main() {
     let ok = bench::experiments::e19_bulkplane::run().print();

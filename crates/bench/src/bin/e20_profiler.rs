@@ -1,4 +1,4 @@
-//! Runs experiment e20 standalone. Set `PROXIDE_E20_SMOKE=1` for the
+//! Runs experiment e20 standalone. Set `PROXIDE_SMOKE=1` for the
 //! fast CI configuration.
 fn main() {
     let ok = bench::experiments::e20_profiler::run().print();

@@ -1,28 +1,22 @@
-//! E14 — Hot-path macro-benchmark: wall-clock throughput of the full
-//! stack under a closed-loop pipelined workload.
+//! E14 — Closed-loop pipelined hot path: the full stack under a
+//! windowed, batched workload, checked for shape.
 //!
-//! Every other experiment reports *simulated* time; E8 reports real CPU
-//! time of isolated kernels. E14 closes the gap: it drives a pipelined,
-//! batched RPC workload (several clients hammering one server with
-//! blob-carrying puts) through every layer at once — codec, framing +
-//! CRC, channel batching, at-most-once server, scheduler — and reports
-//! how fast the *host* chews through it: scheduler events/sec, network
-//! messages/sec, and payload bytes/sec of real wall-clock time.
+//! It drives a pipelined, batched RPC workload (several clients
+//! hammering one server with blob-carrying puts) through every layer at
+//! once — codec, framing + CRC, channel batching, at-most-once server,
+//! scheduler — and asserts that every call completes, that repetitions
+//! dispatch the same events, and that batching beats 2 msgs/call.
 //!
-//! This is the measurement harness for the hot-path work (zero-copy
-//! decode, pooled encode buffers, slice-by-16 CRC, single scheduler
-//! lock): those optimisations only count if this number moves. Each run
-//! writes a `BENCH_e14.json` artifact to the repo root so successive
-//! commits leave a comparable perf trajectory behind (see the README's
-//! "Perf trajectory" section).
+//! The table also prints how fast the *host* chewed through it
+//! (events/s, msgs/s, MB/s). Those columns are host-dependent and judged
+//! by nothing beyond "positive and finite". The hot-path macro-benchmark
+//! is `benchmark/`'s `pipeline_blob` (this workload's shape, under loss)
+//! and `fleet_stub` workloads, which pin, interleave and have
+//! statistics: a hot-path optimisation counts if `bash benchmark/run.sh`
+//! moves.
 //!
-//! Shape checks are deliberately conservative — they assert the workload
-//! completed correctly and the harness produced sane, positive rates,
-//! not absolute speed (CI machines vary). The artifact carries the
-//! absolute numbers.
-//!
-//! Fast smoke mode for CI: set `PROXIDE_E14_SMOKE=1` to shrink the
-//! workload (fewer clients/calls, one repetition).
+//! `PROXIDE_SMOKE=1` shrinks the workload (fewer clients/calls, one
+//! repetition).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,7 +26,7 @@ use rpc::{Channel, ChannelConfig, ErrorCode, RemoteError, RpcServer};
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
-use crate::{check, slot, take, ExperimentOutput, Table};
+use crate::{check, per_sec, pick, slot, take, ExperimentOutput, Table};
 
 /// One workload configuration.
 #[derive(Debug, Clone, Copy)]
@@ -68,13 +62,6 @@ impl Config {
         }
     }
 
-    fn pick() -> (Config, &'static str) {
-        match std::env::var_os("PROXIDE_E14_SMOKE") {
-            Some(v) if !v.is_empty() && v != "0" => (Config::smoke(), "smoke"),
-            _ => (Config::full(), "full"),
-        }
-    }
-
     fn total_calls(&self) -> u64 {
         self.clients as u64 * self.calls_per_client
     }
@@ -93,13 +80,13 @@ struct Rep {
 
 impl Rep {
     fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall.as_secs_f64()
+        per_sec(self.events, self.wall)
     }
     fn msgs_per_sec(&self) -> f64 {
-        self.msgs as f64 / self.wall.as_secs_f64()
+        per_sec(self.msgs, self.wall)
     }
     fn bytes_per_sec(&self) -> f64 {
-        self.bytes as f64 / self.wall.as_secs_f64()
+        per_sec(self.bytes, self.wall)
     }
 }
 
@@ -162,148 +149,15 @@ fn run_once(cfg: Config, seed: u64) -> Rep {
     }
 }
 
-/// Where `BENCH_e14.json` lands: `$PROXIDE_BENCH_DIR` or the repo root
-/// (two levels up from this crate's manifest).
-fn artifact_path() -> std::path::PathBuf {
-    if let Some(dir) = std::env::var_os("PROXIDE_BENCH_DIR") {
-        return std::path::PathBuf::from(dir).join("BENCH_e14.json");
-    }
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .ancestors()
-        .nth(2)
-        .unwrap_or(manifest)
-        .join("BENCH_e14.json")
-}
-
-/// FNV-1a over the workload-shaping fields, so perfgate has a config
-/// fingerprint that is stable across formatting changes to the artifact.
-fn config_hash(cfg: Config) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in [
-        cfg.clients as u64,
-        cfg.calls_per_client,
-        cfg.depth as u64,
-        cfg.batch as u64,
-        cfg.payload as u64,
-    ] {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
-}
-
-/// Git revision of the working tree, when a git binary and repo are
-/// around; benches must keep working in an exported tarball.
-fn git_rev() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let rev = String::from_utf8(out.stdout).ok()?;
-    let rev = rev.trim();
-    if rev.is_empty() {
-        None
-    } else {
-        Some(rev.to_owned())
-    }
-}
-
-fn artifact_meta(cfg: Config) -> String {
-    // Seed of the first rep; later reps are 1400+i by construction.
-    let mut meta = format!(
-        "{{\"seed\": 1400, \"config_hash\": \"{}\"",
-        config_hash(cfg)
-    );
-    if let Some(rev) = git_rev() {
-        meta.push_str(&format!(", \"git_rev\": \"{rev}\""));
-    }
-    // ISO date is passed in by the harness; the sandboxed sim has no
-    // clock of record of its own.
-    if let Ok(date) = std::env::var("PROXIDE_RUN_DATE") {
-        if !date.is_empty() {
-            meta.push_str(&format!(", \"date\": \"{date}\""));
-        }
-    }
-    meta.push('}');
-    meta
-}
-
-fn artifact_json(cfg: Config, mode: &str, reps: &[Rep], best: &Rep, host_cores: usize) -> String {
-    let mut runs = String::new();
-    for (i, r) in reps.iter().enumerate() {
-        if i > 0 {
-            runs.push_str(", ");
-        }
-        runs.push_str(&format!(
-            "{{\"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"msgs_per_sec\": {:.0}, \"bytes_per_sec\": {:.0}}}",
-            r.wall.as_secs_f64() * 1e3,
-            r.events_per_sec(),
-            r.msgs_per_sec(),
-            r.bytes_per_sec(),
-        ));
-    }
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"E14\",\n",
-            "  \"title\": \"hot-path macro-benchmark (closed-loop pipelined RPC, wall-clock)\",\n",
-            "  \"mode\": \"{mode}\",\n",
-            "  \"meta\": {meta},\n",
-            "  \"host_cores\": {host_cores},\n",
-            "  \"config\": {{\"clients\": {clients}, \"calls_per_client\": {cpc}, ",
-            "\"depth\": {depth}, \"batch\": {batch}, \"payload_bytes\": {payload}, \"reps\": {reps}}},\n",
-            "  \"best\": {{\n",
-            "    \"wall_ms\": {wall:.3},\n",
-            "    \"sim_ms\": {sim:.3},\n",
-            "    \"ok_calls\": {ok},\n",
-            "    \"events_dispatched\": {events},\n",
-            "    \"msgs_sent\": {msgs},\n",
-            "    \"bytes_sent\": {bytes},\n",
-            "    \"events_per_sec\": {eps:.0},\n",
-            "    \"msgs_per_sec\": {mps:.0},\n",
-            "    \"bytes_per_sec\": {bps:.0}\n",
-            "  }},\n",
-            "  \"runs\": [{runs}]\n",
-            "}}\n",
-        ),
-        mode = mode,
-        meta = artifact_meta(cfg),
-        host_cores = host_cores,
-        clients = cfg.clients,
-        cpc = cfg.calls_per_client,
-        depth = cfg.depth,
-        batch = cfg.batch,
-        payload = cfg.payload,
-        reps = cfg.reps,
-        wall = best.wall.as_secs_f64() * 1e3,
-        sim = best.sim_us / 1e3,
-        ok = best.ok,
-        events = best.events,
-        msgs = best.msgs,
-        bytes = best.bytes,
-        eps = best.events_per_sec(),
-        mps = best.msgs_per_sec(),
-        bps = best.bytes_per_sec(),
-        runs = runs,
-    )
-}
-
 /// Runs E14 and returns its tables and shape checks.
 pub fn run() -> ExperimentOutput {
-    let (cfg, mode) = Config::pick();
+    let (cfg, mode) = pick(Config::full(), Config::smoke());
     let mut reps = Vec::with_capacity(cfg.reps);
     for i in 0..cfg.reps {
         reps.push(run_once(cfg, 1400 + i as u64));
     }
-    // Best-of-N is the standard wall-clock convention: the minimum is
-    // the least noise-polluted observation of the same deterministic
-    // workload.
+    // The minimum wall is the least noise-polluted observation of the
+    // same deterministic workload.
     let best = *reps
         .iter()
         .min_by(|a, b| a.wall.cmp(&b.wall))
@@ -315,12 +169,25 @@ pub fn run() -> ExperimentOutput {
             cfg.clients, cfg.calls_per_client, cfg.depth, cfg.batch, cfg.payload
         ),
         &[
-            "rep", "wall ms", "sim ms", "ok", "events", "msgs", "events/s", "msgs/s", "MB/s",
+            "rep",
+            "wall ms (host)",
+            "sim ms",
+            "ok",
+            "events",
+            "msgs",
+            "events/s (host)",
+            "msgs/s (host)",
+            "MB/s (host)",
         ],
     );
-    for (i, r) in reps.iter().enumerate() {
+    let labelled = reps
+        .iter()
+        .enumerate()
+        .map(|(i, r)| ((i + 1).to_string(), r))
+        .chain(std::iter::once(("best".to_owned(), &best)));
+    for (label, r) in labelled {
         table.add_row(vec![
-            (i + 1).to_string(),
+            label,
             format!("{:.2}", r.wall.as_secs_f64() * 1e3),
             format!("{:.2}", r.sim_us / 1e3),
             r.ok.to_string(),
@@ -331,26 +198,6 @@ pub fn run() -> ExperimentOutput {
             format!("{:.2}", r.bytes_per_sec() / 1e6),
         ]);
     }
-    table.add_row(vec![
-        "best".into(),
-        format!("{:.2}", best.wall.as_secs_f64() * 1e3),
-        format!("{:.2}", best.sim_us / 1e3),
-        best.ok.to_string(),
-        best.events.to_string(),
-        best.msgs.to_string(),
-        format!("{:.0}", best.events_per_sec()),
-        format!("{:.0}", best.msgs_per_sec()),
-        format!("{:.2}", best.bytes_per_sec() / 1e6),
-    ]);
-
-    let path = artifact_path();
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let json = artifact_json(cfg, mode, &reps, &best, host_cores);
-    let wrote = std::fs::write(&path, &json);
-    let artifact_detail = match &wrote {
-        Ok(()) => format!("wrote {}", path.display()),
-        Err(e) => format!("write to {} failed: {e}", path.display()),
-    };
 
     let total = cfg.total_calls();
     // Unbatched request/reply costs 2 datagrams per call; batching must
@@ -388,16 +235,11 @@ pub fn run() -> ExperimentOutput {
                 best.bytes_per_sec() / 1e6
             ),
         ),
-        check(
-            "BENCH_e14.json artifact written",
-            wrote.is_ok(),
-            artifact_detail,
-        ),
     ];
 
     ExperimentOutput {
         id: "E14",
-        title: "Hot-path macro-benchmark (wall-clock events/s, msgs/s, bytes/s)",
+        title: "Closed-loop pipelined hot path (completion, determinism, batching; host rates reported, not judged)",
         tables: vec![table],
         checks,
         reports: Vec::new(),

@@ -4,11 +4,9 @@
 //! The thread-backed process model tops out at a few thousand
 //! concurrent processes — each one costs an OS thread stack and two
 //! channel handoffs per scheduling decision. This experiment exercises
-//! the other process kind: every client is a [`simnet::Process`] state
-//! machine driven through [`SessionCore`]'s non-blocking surface
-//! (`bind_async` → `poll_bind` → `invoke_async` → `poll_call`), so a
-//! parked client costs one registry entry holding its own state struct
-//! — no stack, no thread.
+//! the other process kind: the poll-driven fleet of [`crate::fleet`],
+//! where a parked client costs one registry entry holding its own state
+//! struct — no stack, no thread.
 //!
 //! The workload: `clients` poll-driven clients spread over `nodes`
 //! simulated nodes, each binding to one of `shards` stub-grade KV
@@ -17,349 +15,47 @@
 //! the process-table high-water mark (`processes_peak`) must cover
 //! every one of them, which is the point: the same shape with threads
 //! would need ~8 GiB of stacks at the full 100k-client scale, while
-//! here the whole fleet parks in `clients × size_of::<ClientProc>()`
-//! bytes of machine state (reported as `rss_proxy_bytes`).
+//! here the whole fleet parks in `clients × fleet::STATE_BYTES` bytes of
+//! machine state (the "rss proxy" column).
 //!
-//! Each run writes a `BENCH_e16.json` artifact (same contract as
-//! `BENCH_e14.json`: wall-clock events/s, msgs/s, bytes/s plus the
-//! memory-proxy numbers) wired into the perf gate warn-only.
+//! Wall-clock columns are host-dependent; `benchmark/`'s `fleet_stub`
+//! workload is where this shape's speed is measured.
 //!
-//! Fast smoke mode for CI: set `PROXIDE_E16_SMOKE=1` to shrink the
-//! fleet to ~2k clients.
+//! `PROXIDE_SMOKE=1` shrinks the fleet to ~2k clients.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use simnet::{NetworkConfig, NodeId, Simulation};
 
-use proxy_core::{AsyncHandle, BindFuture, CallFuture, ProxySpec, ServiceBuilder, SessionCore};
-use services::kv::KvStore;
-use simnet::{NetworkConfig, NodeId, Poll, ProcCx, Process, Simulation};
-use wire::Value;
+use crate::fleet::{self, Shape, STATE_BYTES};
+use crate::{check, obs_report, per_sec, pick, ExperimentOutput, ObsReport, Table};
 
-use crate::{check, obs_report, ExperimentOutput, Table};
+const FULL: Shape = Shape {
+    clients: 100_000,
+    calls_per_client: 4,
+    shards: 8,
+    nodes: 32,
+};
 
-/// One workload configuration.
-#[derive(Debug, Clone, Copy)]
-struct Config {
-    clients: usize,
-    calls_per_client: u32,
-    shards: usize,
-    nodes: u32,
-}
+const SMOKE: Shape = Shape {
+    clients: 2_000,
+    calls_per_client: 4,
+    shards: 4,
+    nodes: 8,
+};
 
-impl Config {
-    fn full() -> Config {
-        Config {
-            clients: 100_000,
-            calls_per_client: 4,
-            shards: 8,
-            nodes: 32,
-        }
-    }
-
-    fn smoke() -> Config {
-        Config {
-            clients: 2_000,
-            calls_per_client: 4,
-            shards: 4,
-            nodes: 8,
-        }
-    }
-
-    fn pick() -> (Config, &'static str) {
-        match std::env::var_os("PROXIDE_E16_SMOKE") {
-            Some(v) if !v.is_empty() && v != "0" => (Config::smoke(), "smoke"),
-            _ => (Config::full(), "full"),
-        }
-    }
-
-    fn total_calls(&self) -> u64 {
-        self.clients as u64 * u64::from(self.calls_per_client)
-    }
-}
-
-/// Where a poll-driven client is in its lifecycle.
-enum ClientState {
-    Start,
-    Binding(BindFuture),
-    Calling(AsyncHandle, CallFuture),
-    Done,
-}
-
-/// One client: a state machine that binds to its shard and alternates
-/// put/get calls through the non-blocking session surface. Everything
-/// the client *is* lives in this struct — its size is the per-process
-/// memory cost the experiment reports.
-struct ClientProc {
-    core: SessionCore,
-    state: ClientState,
-    shard: String,
-    id: usize,
-    calls_target: u32,
-    calls_done: u32,
-    ok: Arc<AtomicU64>,
-    completed: Arc<AtomicU64>,
-}
-
-impl ClientProc {
-    fn next_call(&mut self, cx: &mut ProcCx, h: AsyncHandle) {
-        let key = format!("c{}/k", self.id);
-        let f = if self.calls_done.is_multiple_of(2) {
-            self.core.invoke_async(
-                cx,
-                h,
-                "put",
-                Value::record([
-                    ("key", Value::str(key)),
-                    ("value", Value::str(format!("v{}", self.calls_done))),
-                ]),
-            )
-        } else {
-            self.core
-                .invoke_async(cx, h, "get", Value::record([("key", Value::str(key))]))
-        };
-        self.state = ClientState::Calling(h, f);
-    }
-}
-
-impl Process for ClientProc {
-    fn poll(&mut self, cx: &mut ProcCx) -> Poll<()> {
-        loop {
-            match self.state {
-                ClientState::Start => {
-                    let f = self.core.bind_async(cx, &self.shard);
-                    self.state = ClientState::Binding(f);
-                }
-                ClientState::Binding(f) => match self.core.poll_bind(cx, f) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(Ok(h)) => self.next_call(cx, h),
-                    Poll::Ready(Err(_)) => {
-                        self.state = ClientState::Done;
-                    }
-                },
-                ClientState::Calling(h, f) => match self.core.poll_call(cx, f) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(r) => {
-                        if r.is_ok() {
-                            self.ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                        self.calls_done += 1;
-                        if self.calls_done < self.calls_target {
-                            self.next_call(cx, h);
-                        } else {
-                            self.state = ClientState::Done;
-                        }
-                    }
-                },
-                ClientState::Done => {
-                    self.completed.fetch_add(1, Ordering::Relaxed);
-                    return Poll::Ready(());
-                }
-            }
-        }
-    }
-}
-
-/// One measured repetition.
-#[derive(Debug, Clone, Copy)]
-struct Rep {
-    wall: Duration,
-    sim_us: f64,
-    ok: u64,
-    completed: u64,
-    events: u64,
-    msgs: u64,
-    bytes: u64,
-    procs_peak: u64,
-}
-
-impl Rep {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall.as_secs_f64()
-    }
-    fn msgs_per_sec(&self) -> f64 {
-        self.msgs as f64 / self.wall.as_secs_f64()
-    }
-    fn bytes_per_sec(&self) -> f64 {
-        self.bytes as f64 / self.wall.as_secs_f64()
-    }
-}
-
-fn run_once(cfg: Config, seed: u64) -> (Rep, Option<crate::ObsReport>) {
+fn run_once(cfg: Shape, seed: u64) -> (fleet::Run, ObsReport) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
     let ns = naming::spawn_name_server(&sim, NodeId(0));
-    for s in 0..cfg.shards {
-        ServiceBuilder::new(format!("kv{s}"))
-            .spec(ProxySpec::Stub)
-            .object(|| Box::new(KvStore::new()))
-            .spawn(&sim, NodeId(1 + s as u32), ns);
-    }
-    let ok = Arc::new(AtomicU64::new(0));
-    let completed = Arc::new(AtomicU64::new(0));
-    let first_node = 1 + cfg.shards as u32;
-    for c in 0..cfg.clients {
-        let node = NodeId(first_node + (c as u32 % cfg.nodes));
-        sim.spawn_poll(
-            format!("c{c}"),
-            node,
-            ClientProc {
-                core: SessionCore::new(ns),
-                state: ClientState::Start,
-                shard: format!("kv{}", c % cfg.shards),
-                id: c,
-                calls_target: cfg.calls_per_client,
-                calls_done: 0,
-                ok: Arc::clone(&ok),
-                completed: Arc::clone(&completed),
-            },
-        );
-    }
-    let t0 = Instant::now();
-    let report = sim.run();
-    let wall = t0.elapsed();
-    let rep = Rep {
-        wall,
-        sim_us: report.end_time.as_nanos() as f64 / 1000.0,
-        ok: ok.load(Ordering::Relaxed),
-        completed: completed.load(Ordering::Relaxed),
-        events: report.metrics.events_dispatched,
-        msgs: report.metrics.msgs_sent,
-        bytes: report.metrics.bytes_sent,
-        procs_peak: report.metrics.processes_peak,
-    };
-    let obs = obs_report("e16", &sim);
-    (rep, Some(obs))
-}
-
-/// Where `BENCH_e16.json` lands: `$PROXIDE_BENCH_DIR` or the repo root.
-fn artifact_path() -> std::path::PathBuf {
-    if let Some(dir) = std::env::var_os("PROXIDE_BENCH_DIR") {
-        return std::path::PathBuf::from(dir).join("BENCH_e16.json");
-    }
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .ancestors()
-        .nth(2)
-        .unwrap_or(manifest)
-        .join("BENCH_e16.json")
-}
-
-/// FNV-1a over the workload-shaping fields (perfgate's config
-/// fingerprint).
-fn config_hash(cfg: Config) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in [
-        cfg.clients as u64,
-        u64::from(cfg.calls_per_client),
-        cfg.shards as u64,
-        u64::from(cfg.nodes),
-    ] {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
-}
-
-fn git_rev() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let rev = String::from_utf8(out.stdout).ok()?;
-    let rev = rev.trim();
-    if rev.is_empty() {
-        None
-    } else {
-        Some(rev.to_owned())
-    }
-}
-
-fn artifact_meta(cfg: Config) -> String {
-    let mut meta = format!(
-        "{{\"seed\": 1600, \"config_hash\": \"{}\"",
-        config_hash(cfg)
-    );
-    if let Some(rev) = git_rev() {
-        meta.push_str(&format!(", \"git_rev\": \"{rev}\""));
-    }
-    if let Ok(date) = std::env::var("PROXIDE_RUN_DATE") {
-        if !date.is_empty() {
-            meta.push_str(&format!(", \"date\": \"{date}\""));
-        }
-    }
-    meta.push('}');
-    meta
-}
-
-fn artifact_json(
-    cfg: Config,
-    mode: &str,
-    rep: &Rep,
-    state_bytes: usize,
-    host_cores: usize,
-) -> String {
-    let rss_proxy = rep.procs_peak * state_bytes as u64;
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"E16\",\n",
-            "  \"title\": \"million-process scale (poll-driven clients, sharded KV, wall-clock)\",\n",
-            "  \"mode\": \"{mode}\",\n",
-            "  \"meta\": {meta},\n",
-            "  \"host_cores\": {host_cores},\n",
-            "  \"config\": {{\"clients\": {clients}, \"calls_per_client\": {cpc}, ",
-            "\"shards\": {shards}, \"nodes\": {nodes}}},\n",
-            "  \"best\": {{\n",
-            "    \"wall_ms\": {wall:.3},\n",
-            "    \"sim_ms\": {sim:.3},\n",
-            "    \"ok_calls\": {ok},\n",
-            "    \"clients_completed\": {completed},\n",
-            "    \"events_dispatched\": {events},\n",
-            "    \"msgs_sent\": {msgs},\n",
-            "    \"bytes_sent\": {bytes},\n",
-            "    \"processes_peak\": {peak},\n",
-            "    \"state_bytes_per_client\": {state},\n",
-            "    \"rss_proxy_bytes\": {rss},\n",
-            "    \"events_per_sec\": {eps:.0},\n",
-            "    \"msgs_per_sec\": {mps:.0},\n",
-            "    \"bytes_per_sec\": {bps:.0}\n",
-            "  }}\n",
-            "}}\n",
-        ),
-        mode = mode,
-        meta = artifact_meta(cfg),
-        host_cores = host_cores,
-        clients = cfg.clients,
-        cpc = cfg.calls_per_client,
-        shards = cfg.shards,
-        nodes = cfg.nodes,
-        wall = rep.wall.as_secs_f64() * 1e3,
-        sim = rep.sim_us / 1e3,
-        ok = rep.ok,
-        completed = rep.completed,
-        events = rep.events,
-        msgs = rep.msgs,
-        bytes = rep.bytes,
-        peak = rep.procs_peak,
-        state = state_bytes,
-        rss = rss_proxy,
-        eps = rep.events_per_sec(),
-        mps = rep.msgs_per_sec(),
-        bps = rep.bytes_per_sec(),
-    )
+    let rep = fleet::spawn(&sim, cfg, &[ns], 1).run(&mut sim);
+    (rep, obs_report("e16", &sim))
 }
 
 /// Runs E16 and returns its tables and shape checks.
 pub fn run() -> ExperimentOutput {
-    let (cfg, mode) = Config::pick();
+    let (cfg, mode) = pick(FULL, SMOKE);
     let (rep, obs) = run_once(cfg, 1600);
-    let state_bytes = std::mem::size_of::<ClientProc>();
-    let rss_proxy = rep.procs_peak * state_bytes as u64;
+    let metrics = &rep.report.metrics;
+    let procs_peak = metrics.processes_peak;
+    let rss_proxy = procs_peak * STATE_BYTES as u64;
 
     let mut table = Table::new(
         format!(
@@ -368,11 +64,11 @@ pub fn run() -> ExperimentOutput {
         ),
         &[
             "clients",
-            "wall ms",
+            "wall ms (host)",
             "sim ms",
             "ok",
             "events",
-            "events/s",
+            "events/s (host)",
             "peak procs",
             "state B",
             "rss proxy MB",
@@ -381,23 +77,14 @@ pub fn run() -> ExperimentOutput {
     table.add_row(vec![
         cfg.clients.to_string(),
         format!("{:.2}", rep.wall.as_secs_f64() * 1e3),
-        format!("{:.2}", rep.sim_us / 1e3),
+        format!("{:.2}", rep.sim_ms()),
         rep.ok.to_string(),
-        rep.events.to_string(),
+        rep.events().to_string(),
         format!("{:.0}", rep.events_per_sec()),
-        rep.procs_peak.to_string(),
-        state_bytes.to_string(),
+        procs_peak.to_string(),
+        STATE_BYTES.to_string(),
         format!("{:.2}", rss_proxy as f64 / 1e6),
     ]);
-
-    let path = artifact_path();
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let json = artifact_json(cfg, mode, &rep, state_bytes, host_cores);
-    let wrote = std::fs::write(&path, &json);
-    let artifact_detail = match &wrote {
-        Ok(()) => format!("wrote {}", path.display()),
-        Err(e) => format!("write to {} failed: {e}", path.display()),
-    };
 
     let total = cfg.total_calls();
     // Thread stacks default to 8 MiB of address space on Linux; even the
@@ -418,20 +105,17 @@ pub fn run() -> ExperimentOutput {
         ),
         check(
             "the whole fleet was concurrently parked",
-            rep.procs_peak >= cfg.clients as u64,
+            procs_peak >= cfg.clients as u64,
             format!(
-                "processes_peak {} >= {} clients (plus {} services + ns)",
-                rep.procs_peak,
-                cfg.clients,
-                cfg.shards
+                "processes_peak {procs_peak} >= {} clients (plus {} services + ns)",
+                cfg.clients, cfg.shards
             ),
         ),
         check(
             "process table stays bounded: well under a thread stack per client",
             bytes_per_client < 4096.0,
             format!(
-                "{bytes_per_client:.0} B/client ({} peak procs x {state_bytes} B state = {:.2} MB total)",
-                rep.procs_peak,
+                "{bytes_per_client:.0} B/client ({procs_peak} peak procs x {STATE_BYTES} B state = {:.2} MB total)",
                 rss_proxy as f64 / 1e6
             ),
         ),
@@ -441,15 +125,10 @@ pub fn run() -> ExperimentOutput {
             format!(
                 "{:.0} events/s, {:.0} msgs/s, {:.2} MB/s over {:.2}s wall",
                 rep.events_per_sec(),
-                rep.msgs_per_sec(),
-                rep.bytes_per_sec() / 1e6,
+                per_sec(metrics.msgs_sent, rep.wall),
+                per_sec(metrics.bytes_sent, rep.wall) / 1e6,
                 rep.wall.as_secs_f64()
             ),
-        ),
-        check(
-            "BENCH_e16.json artifact written",
-            wrote.is_ok(),
-            artifact_detail,
         ),
     ];
 
@@ -458,7 +137,7 @@ pub fn run() -> ExperimentOutput {
         title: "Million-process scale (poll-driven clients, non-blocking session API)",
         tables: vec![table],
         checks,
-        reports: obs.into_iter().collect(),
+        reports: vec![obs],
         traces: Vec::new(),
     }
 }

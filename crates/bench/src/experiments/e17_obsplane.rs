@@ -3,8 +3,8 @@
 //!
 //! E16 proved a million poll-driven clients fit in the process table;
 //! this experiment proves the *instrumentation* survives the same
-//! scale. The workload is E16's sharded-KV fleet pushed to 1M clients,
-//! run twice with the same seed:
+//! scale. The workload is E16's sharded-KV fleet ([`crate::fleet`])
+//! pushed to 1M clients, run twice with the same seed:
 //!
 //! * **obs-on** — the sharded registry with span retirement armed
 //!   (closed spans fold into per-`(service, op)` aggregates and leave
@@ -13,28 +13,21 @@
 //! * **obs-off** — the registry master switch off: `open_span` returns
 //!   `SpanId::NONE`, every recording call is a no-op. The floor.
 //!
-//! The delta between the legs *is* the cost of observability, reported
-//! as first-class numbers in `BENCH_e17.json` (`obs_overhead` section)
-//! and gated by perfgate on the obs-on leg — the configuration we claim
-//! production would run.
+//! The delta between the legs *is* the cost of observability. Both legs
+//! run in one process on one host, so their wall-clock *ratio* is judged
+//! (< 2x); the magnitudes are host-dependent and only printed.
 //!
 //! Name lookups go through a replicated name-server cluster
 //! ([`naming::spawn_name_cluster`]): the striped shared directory keeps
 //! 1M concurrent `bind_async` NotFound-backoff polls from serializing
 //! on one server process.
 //!
-//! Fast smoke mode for CI: set `PROXIDE_E17_SMOKE=1`.
+//! `PROXIDE_SMOKE=1` shrinks the fleet to 20k clients.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use simnet::{NetworkConfig, NodeId, Simulation};
 
-use proxy_core::{AsyncHandle, BindFuture, CallFuture, ProxySpec, ServiceBuilder, SessionCore};
-use services::kv::KvStore;
-use simnet::{Endpoint, NetworkConfig, NodeId, Poll, ProcCx, Process, Simulation};
-use wire::Value;
-
-use crate::{check, obs_report, ExperimentOutput, Table};
+use crate::fleet::{self, Shape};
+use crate::{check, obs_report, pick, ExperimentOutput, ObsReport, Table};
 
 /// Keep every nth retired span resident as a sampled exemplar.
 const KEEP_EVERY: u64 = 10_000;
@@ -42,137 +35,33 @@ const KEEP_EVERY: u64 = 10_000;
 /// One workload configuration.
 #[derive(Debug, Clone, Copy)]
 struct Config {
-    clients: usize,
-    calls_per_client: u32,
-    shards: usize,
-    nodes: u32,
+    fleet: Shape,
     ns_replicas: u32,
 }
 
-impl Config {
-    fn full() -> Config {
-        Config {
-            clients: 1_000_000,
-            calls_per_client: 2,
-            shards: 16,
-            nodes: 64,
-            ns_replicas: 4,
-        }
-    }
+const FULL: Config = Config {
+    fleet: Shape {
+        clients: 1_000_000,
+        calls_per_client: 2,
+        shards: 16,
+        nodes: 64,
+    },
+    ns_replicas: 4,
+};
 
-    fn smoke() -> Config {
-        Config {
-            clients: 20_000,
-            calls_per_client: 2,
-            shards: 8,
-            nodes: 16,
-            ns_replicas: 2,
-        }
-    }
-
-    fn pick() -> (Config, &'static str) {
-        match std::env::var_os("PROXIDE_E17_SMOKE") {
-            Some(v) if !v.is_empty() && v != "0" => (Config::smoke(), "smoke"),
-            _ => (Config::full(), "full"),
-        }
-    }
-
-    fn total_calls(&self) -> u64 {
-        self.clients as u64 * u64::from(self.calls_per_client)
-    }
-}
-
-/// Where a poll-driven client is in its lifecycle.
-enum ClientState {
-    Start,
-    Binding(BindFuture),
-    Calling(AsyncHandle, CallFuture),
-    Done,
-}
-
-/// One client: binds to its KV shard through the name cluster, then
-/// alternates put/get calls through the non-blocking session surface.
-struct ClientProc {
-    core: SessionCore,
-    state: ClientState,
-    shard: String,
-    id: usize,
-    calls_target: u32,
-    calls_done: u32,
-    ok: Arc<AtomicU64>,
-    completed: Arc<AtomicU64>,
-}
-
-impl ClientProc {
-    fn next_call(&mut self, cx: &mut ProcCx, h: AsyncHandle) {
-        let key = format!("c{}/k", self.id);
-        let f = if self.calls_done.is_multiple_of(2) {
-            self.core.invoke_async(
-                cx,
-                h,
-                "put",
-                Value::record([
-                    ("key", Value::str(key)),
-                    ("value", Value::str(format!("v{}", self.calls_done))),
-                ]),
-            )
-        } else {
-            self.core
-                .invoke_async(cx, h, "get", Value::record([("key", Value::str(key))]))
-        };
-        self.state = ClientState::Calling(h, f);
-    }
-}
-
-impl Process for ClientProc {
-    fn poll(&mut self, cx: &mut ProcCx) -> Poll<()> {
-        loop {
-            match self.state {
-                ClientState::Start => {
-                    let f = self.core.bind_async(cx, &self.shard);
-                    self.state = ClientState::Binding(f);
-                }
-                ClientState::Binding(f) => match self.core.poll_bind(cx, f) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(Ok(h)) => self.next_call(cx, h),
-                    Poll::Ready(Err(_)) => {
-                        self.state = ClientState::Done;
-                    }
-                },
-                ClientState::Calling(h, f) => match self.core.poll_call(cx, f) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(r) => {
-                        if r.is_ok() {
-                            self.ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                        self.calls_done += 1;
-                        if self.calls_done < self.calls_target {
-                            self.next_call(cx, h);
-                        } else {
-                            self.state = ClientState::Done;
-                        }
-                    }
-                },
-                ClientState::Done => {
-                    self.completed.fetch_add(1, Ordering::Relaxed);
-                    return Poll::Ready(());
-                }
-            }
-        }
-    }
-}
+const SMOKE: Config = Config {
+    fleet: Shape {
+        clients: 20_000,
+        calls_per_client: 2,
+        shards: 8,
+        nodes: 16,
+    },
+    ns_replicas: 2,
+};
 
 /// One measured leg (obs-on or obs-off).
-#[derive(Debug, Clone, Copy)]
-struct Rep {
-    wall: Duration,
-    sim_us: f64,
-    ok: u64,
-    completed: u64,
-    events: u64,
-    msgs: u64,
-    bytes: u64,
-    procs_peak: u64,
+struct Leg {
+    run: fleet::Run,
     /// The obs plane's own gauges at run end.
     plane: obs::ObsPlaneReport,
     /// Spans allocated over the run (`started + oneways`), for the
@@ -183,19 +72,7 @@ struct Rep {
     spans_open: u64,
 }
 
-impl Rep {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall.as_secs_f64()
-    }
-    fn msgs_per_sec(&self) -> f64 {
-        self.msgs as f64 / self.wall.as_secs_f64()
-    }
-    fn bytes_per_sec(&self) -> f64 {
-        self.bytes as f64 / self.wall.as_secs_f64()
-    }
-}
-
-fn run_once(cfg: Config, seed: u64, obs_on: bool) -> (Rep, Option<crate::ObsReport>) {
+fn run_once(cfg: Config, seed: u64, obs_on: bool) -> (Leg, Option<ObsReport>) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
     if obs_on {
         sim.obs().enable_retirement(KEEP_EVERY);
@@ -204,206 +81,23 @@ fn run_once(cfg: Config, seed: u64, obs_on: bool) -> (Rep, Option<crate::ObsRepo
         sim.obs().set_enabled(false);
     }
     let ns_nodes: Vec<NodeId> = (0..cfg.ns_replicas).map(NodeId).collect();
-    let cluster: Vec<Endpoint> = naming::spawn_name_cluster(&sim, &ns_nodes);
-    let first_service_node = cfg.ns_replicas;
-    for s in 0..cfg.shards {
-        let reg_ep = cluster[s % cluster.len()];
-        ServiceBuilder::new(format!("kv{s}"))
-            .spec(ProxySpec::Stub)
-            .object(|| Box::new(KvStore::new()))
-            .spawn(&sim, NodeId(first_service_node + s as u32), reg_ep);
-    }
-    let ok = Arc::new(AtomicU64::new(0));
-    let completed = Arc::new(AtomicU64::new(0));
-    let first_client_node = first_service_node + cfg.shards as u32;
-    for c in 0..cfg.clients {
-        let node = NodeId(first_client_node + (c as u32 % cfg.nodes));
-        sim.spawn_poll(
-            format!("c{c}"),
-            node,
-            ClientProc {
-                core: SessionCore::new(cluster[0]).with_ns_replicas(cluster.clone()),
-                state: ClientState::Start,
-                shard: format!("kv{}", c % cfg.shards),
-                id: c,
-                calls_target: cfg.calls_per_client,
-                calls_done: 0,
-                ok: Arc::clone(&ok),
-                completed: Arc::clone(&completed),
-            },
-        );
-    }
-    let t0 = Instant::now();
-    let report = sim.run();
-    let wall = t0.elapsed();
+    let cluster = naming::spawn_name_cluster(&sim, &ns_nodes);
+    let run = fleet::spawn(&sim, cfg.fleet, &cluster, cfg.ns_replicas).run(&mut sim);
     let run_report = sim.obs_report();
-    let rep = Rep {
-        wall,
-        sim_us: report.end_time.as_nanos() as f64 / 1000.0,
-        ok: ok.load(Ordering::Relaxed),
-        completed: completed.load(Ordering::Relaxed),
-        events: report.metrics.events_dispatched,
-        msgs: report.metrics.msgs_sent,
-        bytes: report.metrics.bytes_sent,
-        procs_peak: report.metrics.processes_peak,
+    let leg = Leg {
+        run,
         plane: run_report.obs,
         spans_allocated: run_report.spans.started + run_report.spans.oneways,
         spans_open: run_report.spans.open,
     };
     let obs = obs_on.then(|| obs_report("e17 (obs-on)", &sim));
-    (rep, obs)
-}
-
-/// Where `BENCH_e17.json` lands: `$PROXIDE_BENCH_DIR` or the repo root.
-fn artifact_path() -> std::path::PathBuf {
-    if let Some(dir) = std::env::var_os("PROXIDE_BENCH_DIR") {
-        return std::path::PathBuf::from(dir).join("BENCH_e17.json");
-    }
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .ancestors()
-        .nth(2)
-        .unwrap_or(manifest)
-        .join("BENCH_e17.json")
-}
-
-/// FNV-1a over the workload-shaping fields (perfgate's config
-/// fingerprint).
-fn config_hash(cfg: Config) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in [
-        cfg.clients as u64,
-        u64::from(cfg.calls_per_client),
-        cfg.shards as u64,
-        u64::from(cfg.nodes),
-        u64::from(cfg.ns_replicas),
-        KEEP_EVERY,
-    ] {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
-}
-
-fn git_rev() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let rev = String::from_utf8(out.stdout).ok()?;
-    let rev = rev.trim();
-    if rev.is_empty() {
-        None
-    } else {
-        Some(rev.to_owned())
-    }
-}
-
-fn artifact_meta(cfg: Config) -> String {
-    let mut meta = format!(
-        "{{\"seed\": 1700, \"config_hash\": \"{}\"",
-        config_hash(cfg)
-    );
-    if let Some(rev) = git_rev() {
-        meta.push_str(&format!(", \"git_rev\": \"{rev}\""));
-    }
-    if let Ok(date) = std::env::var("PROXIDE_RUN_DATE") {
-        if !date.is_empty() {
-            meta.push_str(&format!(", \"date\": \"{date}\""));
-        }
-    }
-    meta.push('}');
-    meta
-}
-
-/// The artifact: perfgated `best` numbers come from the obs-ON leg (the
-/// configuration we claim production runs), and the `obs_overhead`
-/// section carries the on-vs-off delta.
-fn artifact_json(cfg: Config, mode: &str, on: &Rep, off: &Rep, host_cores: usize) -> String {
-    let overhead_pct = (on.wall.as_secs_f64() / off.wall.as_secs_f64() - 1.0) * 100.0;
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"E17\",\n",
-            "  \"title\": \"million-span observability plane (obs-on vs obs-off, sharded registry + retirement)\",\n",
-            "  \"mode\": \"{mode}\",\n",
-            "  \"meta\": {meta},\n",
-            "  \"host_cores\": {host_cores},\n",
-            "  \"config\": {{\"clients\": {clients}, \"calls_per_client\": {cpc}, ",
-            "\"shards\": {shards}, \"nodes\": {nodes}, \"ns_replicas\": {nsr}, ",
-            "\"retire_keep_every\": {keep}}},\n",
-            "  \"best\": {{\n",
-            "    \"wall_ms\": {wall:.3},\n",
-            "    \"sim_ms\": {sim:.3},\n",
-            "    \"ok_calls\": {ok},\n",
-            "    \"clients_completed\": {completed},\n",
-            "    \"events_dispatched\": {events},\n",
-            "    \"msgs_sent\": {msgs},\n",
-            "    \"bytes_sent\": {bytes},\n",
-            "    \"processes_peak\": {peak},\n",
-            "    \"spans_allocated\": {allocated},\n",
-            "    \"spans_retired\": {retired},\n",
-            "    \"spans_resident_peak\": {resident_peak},\n",
-            "    \"span_table_bytes_peak\": {bytes_peak},\n",
-            "    \"events_per_sec\": {eps:.0},\n",
-            "    \"msgs_per_sec\": {mps:.0},\n",
-            "    \"bytes_per_sec\": {bps:.0}\n",
-            "  }},\n",
-            "  \"obs_overhead\": {{\n",
-            "    \"on_wall_ms\": {on_wall:.3},\n",
-            "    \"off_wall_ms\": {off_wall:.3},\n",
-            "    \"overhead_pct\": {overhead:.2},\n",
-            "    \"self_ns\": {self_ns},\n",
-            "    \"self_calls\": {self_calls},\n",
-            "    \"spans_resident_final\": {resident_final},\n",
-            "    \"span_table_bytes_final\": {bytes_final},\n",
-            "    \"table_bytes_peak_per_client\": {bpc:.1}\n",
-            "  }}\n",
-            "}}\n",
-        ),
-        mode = mode,
-        meta = artifact_meta(cfg),
-        host_cores = host_cores,
-        clients = cfg.clients,
-        cpc = cfg.calls_per_client,
-        shards = cfg.shards,
-        nodes = cfg.nodes,
-        nsr = cfg.ns_replicas,
-        keep = KEEP_EVERY,
-        wall = on.wall.as_secs_f64() * 1e3,
-        sim = on.sim_us / 1e3,
-        ok = on.ok,
-        completed = on.completed,
-        events = on.events,
-        msgs = on.msgs,
-        bytes = on.bytes,
-        peak = on.procs_peak,
-        allocated = on.spans_allocated,
-        retired = on.plane.spans_retired,
-        resident_peak = on.plane.spans_resident_peak,
-        bytes_peak = on.plane.span_table_bytes_peak,
-        eps = on.events_per_sec(),
-        mps = on.msgs_per_sec(),
-        bps = on.bytes_per_sec(),
-        on_wall = on.wall.as_secs_f64() * 1e3,
-        off_wall = off.wall.as_secs_f64() * 1e3,
-        overhead = overhead_pct,
-        self_ns = on.plane.self_ns,
-        self_calls = on.plane.self_calls,
-        resident_final = on.plane.spans_resident,
-        bytes_final = on.plane.span_table_bytes,
-        bpc = on.plane.span_table_bytes_peak as f64 / cfg.clients as f64,
-    )
+    (leg, obs)
 }
 
 /// Runs E17 and returns its tables and shape checks.
 pub fn run() -> ExperimentOutput {
-    let (cfg, mode) = Config::pick();
+    let (cfg, mode) = pick(FULL, SMOKE);
+    let shape = cfg.fleet;
     // Same seed both legs: the simulation is deterministic, so the two
     // runs do identical work — the wall-clock delta is pure obs cost.
     let (off, _) = run_once(cfg, 1700, false);
@@ -412,13 +106,13 @@ pub fn run() -> ExperimentOutput {
     let mut table = Table::new(
         format!(
             "obs plane at scale ({mode}) — {} clients x {} calls, {} KV shards, {} ns replicas",
-            cfg.clients, cfg.calls_per_client, cfg.shards, cfg.ns_replicas
+            shape.clients, shape.calls_per_client, shape.shards, cfg.ns_replicas
         ),
         &[
             "leg",
-            "wall ms",
+            "wall ms (host)",
             "ok",
-            "events/s",
+            "events/s (host)",
             "spans alloc",
             "retired",
             "resident peak",
@@ -429,9 +123,9 @@ pub fn run() -> ExperimentOutput {
     for (label, rep) in [("obs-on", &on), ("obs-off", &off)] {
         table.add_row(vec![
             label.to_string(),
-            format!("{:.2}", rep.wall.as_secs_f64() * 1e3),
-            rep.ok.to_string(),
-            format!("{:.0}", rep.events_per_sec()),
+            format!("{:.2}", rep.run.wall.as_secs_f64() * 1e3),
+            rep.run.ok.to_string(),
+            format!("{:.0}", rep.run.events_per_sec()),
             rep.spans_allocated.to_string(),
             rep.plane.spans_retired.to_string(),
             rep.plane.spans_resident_peak.to_string(),
@@ -440,31 +134,26 @@ pub fn run() -> ExperimentOutput {
         ]);
     }
 
-    let path = artifact_path();
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let json = artifact_json(cfg, mode, &on, &off, host_cores);
-    let wrote = std::fs::write(&path, &json);
-    let artifact_detail = match &wrote {
-        Ok(()) => format!("wrote {}", path.display()),
-        Err(e) => format!("write to {} failed: {e}", path.display()),
-    };
-
-    let total = cfg.total_calls();
-    let overhead_pct = (on.wall.as_secs_f64() / off.wall.as_secs_f64() - 1.0) * 100.0;
+    let total = shape.total_calls();
+    let (on_m, off_m) = (&on.run.report.metrics, &off.run.report.metrics);
+    let overhead_pct = (on.run.wall.as_secs_f64() / off.run.wall.as_secs_f64() - 1.0) * 100.0;
     let retired_frac = on.plane.spans_retired as f64 / on.spans_allocated.max(1) as f64;
     let checks = vec![
         check(
             "every client completed on both legs",
-            on.completed == cfg.clients as u64 && off.completed == cfg.clients as u64,
+            on.run.completed == shape.clients as u64 && off.run.completed == shape.clients as u64,
             format!(
                 "obs-on {} / obs-off {} of {} clients",
-                on.completed, off.completed, cfg.clients
+                on.run.completed, off.run.completed, shape.clients
             ),
         ),
         check(
             "every call succeeded on both legs",
-            on.ok == total && off.ok == total,
-            format!("obs-on {} / obs-off {} of {total} calls ok", on.ok, off.ok),
+            on.run.ok == total && off.run.ok == total,
+            format!(
+                "obs-on {} / obs-off {} of {total} calls ok",
+                on.run.ok, off.run.ok
+            ),
         ),
         check(
             "obs-off leg allocated no spans at all",
@@ -479,10 +168,10 @@ pub fn run() -> ExperimentOutput {
         // varint-encodes shorter, and transmission delay follows size.
         check(
             "the two legs did identical simulated work",
-            on.msgs == off.msgs && on.bytes >= off.bytes,
+            on_m.msgs_sent == off_m.msgs_sent && on_m.bytes_sent >= off_m.bytes_sent,
             format!(
                 "msgs {} vs {} (bytes {} vs {}: span ids on the wire)",
-                on.msgs, off.msgs, on.bytes, off.bytes
+                on_m.msgs_sent, off_m.msgs_sent, on_m.bytes_sent, off_m.bytes_sent
             ),
         ),
         check(
@@ -521,14 +210,9 @@ pub fn run() -> ExperimentOutput {
             overhead_pct.is_finite() && overhead_pct < 100.0,
             format!(
                 "obs-on {:.2}s vs obs-off {:.2}s wall ({overhead_pct:+.1}%)",
-                on.wall.as_secs_f64(),
-                off.wall.as_secs_f64()
+                on.run.wall.as_secs_f64(),
+                off.run.wall.as_secs_f64()
             ),
-        ),
-        check(
-            "BENCH_e17.json artifact written",
-            wrote.is_ok(),
-            artifact_detail,
         ),
     ];
 

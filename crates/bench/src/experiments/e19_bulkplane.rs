@@ -33,12 +33,11 @@
 //! counters, causal trace JSONL, `RunReport` JSON), re-checked by
 //! `ci.sh` with `cmp` on the exported `e19-t1`/`e19-t4` traces.
 //!
-//! Each run writes a `BENCH_e19.json` artifact (perfgate contract:
-//! `best` holds the bulk-leg wall-clock rates; `host_cores` is stamped
-//! so the gate can skip wall-clock comparisons across differently-sized
-//! hosts).
+//! Every gate above is on simulated time, bytes or counts; the one
+//! wall-clock column is host-dependent and only printed (`benchmark/`'s
+//! `bulk_edge` workload measures this shape's speed).
 //!
-//! Fast smoke mode for CI: set `PROXIDE_E19_SMOKE=1`.
+//! `PROXIDE_SMOKE=1` shrinks the workload.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -50,7 +49,7 @@ use services::kv::KvStore;
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
 
-use crate::{capture_trace, check, obs_report, ExperimentOutput, Table, TraceArtifact};
+use crate::{capture_trace, check, obs_report, pick, ExperimentOutput, Table, TraceArtifact};
 
 const SEED: u64 = 1900;
 
@@ -79,7 +78,7 @@ struct Config {
     rounds: u32,
     /// Flash-crowd reads per client (everyone hammers one asset).
     flash_rounds: u32,
-    /// Zipf exponent ×1000 (integer so the config hash stays exact).
+    /// Zipf exponent ×1000.
     zipf_s_x1000: u64,
     payload_min: usize,
     payload_max: usize,
@@ -117,13 +116,6 @@ impl Config {
             payload_max: 24 * 1024,
             edge_capacity: 64,
             domains: 8,
-        }
-    }
-
-    fn pick() -> (Config, &'static str) {
-        match std::env::var_os("PROXIDE_E19_SMOKE") {
-            Some(v) if !v.is_empty() && v != "0" => (Config::smoke(), "smoke"),
-            _ => (Config::full(), "full"),
         }
     }
 
@@ -172,8 +164,7 @@ fn region_of(cfg: Config, n: u32) -> usize {
 
 /// One-way latency between two latency regions: 1ms inside a region,
 /// widening WAN hops between the origin and each region and between
-/// regions (the exact matrix is workload-shaping and hashed via the
-/// config, which pins the topology constants through `regions`).
+/// regions.
 fn region_latency(a: usize, b: usize) -> Duration {
     if a == b {
         return Duration::from_millis(1);
@@ -298,8 +289,6 @@ struct Leg {
     catalog_bytes: u64,
     /// Wire bytes on links touching the origin blob node.
     origin_blob_bytes: u64,
-    events: u64,
-    msgs: u64,
     bytes: u64,
     lat: Vec<RegionLat>,
     /// Retransmissions sent, and the processes (readers, edges) that
@@ -320,15 +309,6 @@ struct Leg {
 }
 
 impl Leg {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall.as_secs_f64()
-    }
-    fn msgs_per_sec(&self) -> f64 {
-        self.msgs as f64 / self.wall.as_secs_f64()
-    }
-    fn bytes_per_sec(&self) -> f64 {
-        self.bytes as f64 / self.wall.as_secs_f64()
-    }
     fn retries_per_process(&self) -> f64 {
         self.retries as f64 / self.callers as f64
     }
@@ -608,8 +588,6 @@ fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
         ok_gets: ok_gets.load(Ordering::Relaxed),
         catalog_bytes,
         origin_blob_bytes,
-        events: run.metrics.events_dispatched,
-        msgs: run.metrics.msgs_sent,
         bytes: run.metrics.bytes_sent,
         retries: report.rpc.client.retries,
         callers: (cfg.clients() + if bulk { cfg.regions } else { 0 }) as u64,
@@ -642,183 +620,10 @@ fn ctx_now(s: &mut Session<'_>) -> u64 {
     s.ctx().now().as_nanos()
 }
 
-// -- artifact ----------------------------------------------------------
-
-/// Where `BENCH_e19.json` lands: `$PROXIDE_BENCH_DIR` or the repo root.
-fn artifact_path() -> std::path::PathBuf {
-    if let Some(dir) = std::env::var_os("PROXIDE_BENCH_DIR") {
-        return std::path::PathBuf::from(dir).join("BENCH_e19.json");
-    }
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .ancestors()
-        .nth(2)
-        .unwrap_or(manifest)
-        .join("BENCH_e19.json")
-}
-
-/// FNV-1a over the workload-shaping fields.
-fn config_hash(cfg: Config) -> String {
-    let mut h: u64 = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        h = fnv_bytes(h, &v.to_le_bytes());
-    };
-    mix(cfg.regions as u64);
-    mix(cfg.clients_per_region as u64);
-    mix(cfg.assets as u64);
-    mix(u64::from(cfg.rounds));
-    mix(u64::from(cfg.flash_rounds));
-    mix(cfg.zipf_s_x1000);
-    mix(cfg.payload_min as u64);
-    mix(cfg.payload_max as u64);
-    mix(cfg.edge_capacity as u64);
-    mix(cfg.domains as u64);
-    for t in THREADS {
-        mix(t as u64);
-    }
-    format!("{h:016x}")
-}
-
-fn git_rev() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let rev = String::from_utf8(out.stdout).ok()?;
-    let rev = rev.trim();
-    if rev.is_empty() {
-        None
-    } else {
-        Some(rev.to_owned())
-    }
-}
-
-fn artifact_meta(cfg: Config) -> String {
-    let mut meta = format!(
-        "{{\"seed\": {SEED}, \"config_hash\": \"{}\"",
-        config_hash(cfg)
-    );
-    if let Some(rev) = git_rev() {
-        meta.push_str(&format!(", \"git_rev\": \"{rev}\""));
-    }
-    if let Ok(date) = std::env::var("PROXIDE_RUN_DATE") {
-        if !date.is_empty() {
-            meta.push_str(&format!(", \"date\": \"{date}\""));
-        }
-    }
-    meta.push('}');
-    meta
-}
-
-#[allow(clippy::too_many_arguments)] // flat snapshot of the run, serialized once
-fn artifact_json(
-    cfg: Config,
-    mode: &str,
-    inline: &Leg,
-    bulk: &Leg,
-    host_cores: usize,
-    reduction: f64,
-    identical_results: bool,
-    deterministic: bool,
-    p99_over_inline_max: f64,
-) -> String {
-    let mut regions_json = String::new();
-    for r in 0..cfg.regions {
-        if r > 0 {
-            regions_json.push_str(",\n");
-        }
-        let il = &inline.lat[r];
-        let bl = &bulk.lat[r];
-        regions_json.push_str(&format!(
-            "    {{\"region\": {r}, \
-             \"zipf_p50_ms\": {{\"inline\": {:.3}, \"bulk\": {:.3}}}, \
-             \"zipf_p99_ms\": {{\"inline\": {:.3}, \"bulk\": {:.3}}}, \
-             \"flash_p50_ms\": {{\"inline\": {:.3}, \"bulk\": {:.3}}}, \
-             \"flash_p99_ms\": {{\"inline\": {:.3}, \"bulk\": {:.3}}}}}",
-            pct(&il.zipf, 0.50) as f64 / 1e6,
-            pct(&bl.zipf, 0.50) as f64 / 1e6,
-            pct(&il.zipf, 0.99) as f64 / 1e6,
-            pct(&bl.zipf, 0.99) as f64 / 1e6,
-            pct(&il.flash, 0.50) as f64 / 1e6,
-            pct(&bl.flash, 0.50) as f64 / 1e6,
-            pct(&il.flash, 0.99) as f64 / 1e6,
-            pct(&bl.flash, 0.99) as f64 / 1e6,
-        ));
-    }
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"E19\",\n",
-            "  \"title\": \"out-of-band bulk data plane (pass-by-reference + edge caches, Zipf + flash crowd)\",\n",
-            "  \"mode\": \"{mode}\",\n",
-            "  \"meta\": {meta},\n",
-            "  \"host_cores\": {host_cores},\n",
-            "  \"identical_results_inline_vs_bulk\": {ident},\n",
-            "  \"deterministic_across_threads\": {det},\n",
-            "  \"rpc_bytes\": {{\"inline\": {cb_inline}, \"bulk\": {cb_bulk}, ",
-            "\"reduction_factor\": {reduction:.2}}},\n",
-            "  \"origin_blob_bytes\": {{\"inline\": {ob_inline}, \"bulk\": {ob_bulk}}},\n",
-            "  \"edge_hit_ratio\": {hit:.4},\n",
-            "  \"retries\": {{\"inline\": {rt_inline}, \"bulk\": {rt_bulk}}},\n",
-            "  \"config\": {{\"regions\": {regions}, \"clients_per_region\": {cpr}, ",
-            "\"assets\": {assets}, \"rounds\": {rounds}, \"flash_rounds\": {flash}, ",
-            "\"zipf_s_x1000\": {zipf}, \"payload_min\": {pmin}, \"payload_max\": {pmax}, ",
-            "\"edge_capacity\": {cap}, \"domains\": {domains}, \"threads_swept\": [1, 4]}},\n",
-            "  \"regions\": [\n{regions_json}\n  ],\n",
-            "  \"best\": {{\n",
-            "    \"leg\": \"{leg}\",\n",
-            "    \"wall_ms\": {wall:.3},\n",
-            "    \"rpc_bytes_saved_factor\": {reduction:.2},\n",
-            "    \"zipf_p99_over_inline_max\": {p99_ratio:.3},\n",
-            "    \"retries_per_process\": {rt_proc:.2},\n",
-            "    \"events_per_sec\": {eps:.0},\n",
-            "    \"msgs_per_sec\": {mps:.0},\n",
-            "    \"bytes_per_sec\": {bps:.0}\n",
-            "  }}\n",
-            "}}\n",
-        ),
-        mode = mode,
-        meta = artifact_meta(cfg),
-        host_cores = host_cores,
-        ident = identical_results,
-        det = deterministic,
-        cb_inline = inline.catalog_bytes,
-        cb_bulk = bulk.catalog_bytes,
-        reduction = reduction,
-        ob_inline = inline.origin_blob_bytes,
-        ob_bulk = bulk.origin_blob_bytes,
-        hit = bulk.edge_hit_ratio(),
-        rt_inline = inline.retries,
-        rt_bulk = bulk.retries,
-        p99_ratio = p99_over_inline_max,
-        rt_proc = bulk.retries_per_process(),
-        regions = cfg.regions,
-        cpr = cfg.clients_per_region,
-        assets = cfg.assets,
-        rounds = cfg.rounds,
-        flash = cfg.flash_rounds,
-        zipf = cfg.zipf_s_x1000,
-        pmin = cfg.payload_min,
-        pmax = cfg.payload_max,
-        cap = cfg.edge_capacity,
-        domains = cfg.domains,
-        regions_json = regions_json,
-        leg = bulk.label,
-        wall = bulk.wall.as_secs_f64() * 1e3,
-        eps = bulk.events_per_sec(),
-        mps = bulk.msgs_per_sec(),
-        bps = bulk.bytes_per_sec(),
-    )
-}
-
 /// Runs E19 and returns its tables and shape checks.
 #[allow(clippy::too_many_lines)] // three legs, four tables, eleven checks
 pub fn run() -> ExperimentOutput {
-    let (cfg, mode) = Config::pick();
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let (cfg, mode) = pick(Config::full(), Config::smoke());
 
     let inline = run_leg(cfg, false, 1);
     let bulk_legs: Vec<Leg> = THREADS.iter().map(|&t| run_leg(cfg, true, t)).collect();
@@ -856,7 +661,7 @@ pub fn run() -> ExperimentOutput {
             "catalog bytes",
             "origin-blob bytes",
             "total bytes",
-            "wall ms",
+            "wall ms (host)",
         ],
     );
     for l in std::iter::once(&inline).chain(bulk_legs.iter()) {
@@ -931,24 +736,6 @@ pub fn run() -> ExperimentOutput {
         .map(|r| pct(&bulk.lat[r].zipf, 0.99) as f64 / pct(&inline.lat[r].zipf, 0.99).max(1) as f64)
         .collect();
     let p99_over_inline_max = p99_over_inline.iter().copied().fold(0.0, f64::max);
-
-    let path = artifact_path();
-    let json = artifact_json(
-        cfg,
-        mode,
-        &inline,
-        bulk,
-        host_cores,
-        reduction,
-        identical_results,
-        deterministic,
-        p99_over_inline_max,
-    );
-    let wrote = std::fs::write(&path, &json);
-    let artifact_detail = match &wrote {
-        Ok(()) => format!("wrote {}", path.display()),
-        Err(e) => format!("write to {} failed: {e}", path.display()),
-    };
 
     // Flash-phase medians: every bulk get still pays the catalog WAN
     // round-trip for the (fixed-size) reference, so the median cannot
@@ -1070,11 +857,6 @@ pub fn run() -> ExperimentOutput {
             "every region has an active edge with origin traffic",
             bulk.edges.len() == cfg.regions && bulk.edges.iter().all(|e| e.2 > 0),
             format!("{} edges: {:?}", bulk.edges.len(), bulk.edges),
-        ),
-        check(
-            "BENCH_e19.json artifact written",
-            wrote.is_ok(),
-            artifact_detail,
         ),
     ];
 

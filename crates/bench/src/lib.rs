@@ -1,6 +1,6 @@
 //! # bench — the experiment harness
 //!
-//! One module per experiment in `DESIGN.md` §3 (E1–E12). Each experiment
+//! One module per experiment in `DESIGN.md` §3 (E1–E20). Each experiment
 //! builds a deterministic simulation, runs its workload sweep, prints the
 //! table(s) the paper's evaluation would contain, and then *checks its
 //! expected qualitative shape* (who wins, where the crossover falls) so a
@@ -12,10 +12,16 @@
 //! Simulated-time results (latency, message counts) come from these
 //! binaries; real-CPU-time results (marshalling throughput, dispatch
 //! overhead — experiment E8) live in the Criterion bench
-//! `benches/overhead.rs`.
+//! `benches/overhead.rs`. Wall-clock columns some tables carry are
+//! host-dependent: printed, never judged. The instrument for host time
+//! is `bash benchmark/run.sh` (and `run.sh compare`), which pins,
+//! interleaves and has statistics.
+//!
+//! The larger experiments (E14, E16–E20) shrink to CI sizes when
+//! `PROXIDE_SMOKE=1` is set; see [`smoke`].
 
 pub mod experiments;
-pub mod perfgate;
+pub mod fleet;
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -332,6 +338,28 @@ impl ExperimentOutput {
         }
         ok
     }
+}
+
+/// Whether the larger experiments (E14, E16–E20) run their shrunken CI
+/// sizes: `PROXIDE_SMOKE` set to anything but empty or `0`.
+pub fn smoke() -> bool {
+    std::env::var_os("PROXIDE_SMOKE").is_some_and(|v| !v.is_empty() && v != "0")
+}
+
+/// Picks an experiment's configuration by [`smoke`], with the mode name
+/// its tables print.
+pub fn pick<T>(full: T, smoke_sized: T) -> (T, &'static str) {
+    if smoke() {
+        (smoke_sized, "smoke")
+    } else {
+        (full, "full")
+    }
+}
+
+/// `count` per second of host time. Host-dependent: for table columns
+/// and check details, never for a verdict.
+pub fn per_sec(count: u64, wall: Duration) -> f64 {
+    count as f64 / wall.as_secs_f64()
 }
 
 /// Shared single-value cell used to smuggle a measurement out of a

@@ -15,8 +15,9 @@
 //!   depend only on simulated execution, which is byte-identical across
 //!   `with_threads` (proptested in `simnet/tests/profile_determinism.rs`).
 //!   Only `wall_ns` is host-dependent; consumers must treat it as
-//!   *reported, not judged* — perfgate skips wall metrics across hosts,
-//!   and the determinism tests compare paths/calls with wall excluded.
+//!   *reported, not judged* — the experiments print it and gate only
+//!   within-run ratios, and the determinism tests compare paths/calls
+//!   with wall excluded.
 //! * **Counted, never silent, evictions**: the per-lane table is
 //!   bounded; once full, folds into *new* paths are dropped and counted
 //!   in `frames_evicted` (existing paths keep accumulating).
