@@ -27,6 +27,16 @@ if [ "${1:-}" != "quick" ]; then
   step "cargo bench --no-run (Criterion benches must compile)"
   cargo bench -p bench --no-run
 
+  step "examples (the user-facing API: each must end with '<name> OK')"
+  for x in quickstart persistent_store replicated_directory file_cache mobile_document shared_whiteboard; do
+    out="$(cargo run -q --release --example "$x")"
+    if [ "$(printf '%s\n' "$out" | tail -n 1)" != "$x OK" ]; then
+      printf '%s\n' "$out"
+      echo "ci.sh: example $x did not end with '$x OK'" >&2
+      exit 1
+    fi
+  done
+
   step "benchmark/ builds and its smoke run passes (small sizes, every output check on)"
   # The benchmark is a workspace of its own, so nothing above compiles
   # benchmark/src/sut.rs — the one file through which it calls the

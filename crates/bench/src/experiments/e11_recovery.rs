@@ -17,8 +17,8 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    CheckpointPolicy, ClientRuntime, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder,
-    ServiceObject, ServiceServer, StableStore,
+    CheckpointPolicy, ClientRuntime, InterfaceDesc, OpDesc, ServiceBuilder, ServiceObject,
+    StableStore,
 };
 use rpc::{ErrorCode, RemoteError, RpcError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
@@ -81,8 +81,13 @@ impl ServiceObject for Ledger {
     }
 }
 
-fn factories() -> proxy_core::FactoryRegistry {
-    proxy_core::FactoryRegistry::new().register("ledger", Ledger::from_snapshot)
+/// The ledger service: every incarnation is spawned from this recipe,
+/// and starts from whatever checkpoint its node's store holds.
+fn ledger(store: &StableStore, interval: u64) -> ServiceBuilder {
+    ServiceBuilder::new("ledger")
+        .factories(proxy_core::FactoryRegistry::new().register("ledger", Ledger::from_snapshot))
+        .recovered(CheckpointPolicy::every(store.clone(), interval))
+        .object(|| Box::<Ledger>::default())
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -96,11 +101,7 @@ fn measure(interval: u64, seed: u64) -> (Point, ObsReport) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
     let ns = spawn_name_server(&sim, NodeId(0));
     let store = StableStore::new();
-    let incarnation = ServiceBuilder::new("ledger")
-        .factories(factories())
-        .recovered(CheckpointPolicy::every(store.clone(), interval))
-        .object(|| Box::<Ledger>::default())
-        .spawn(&sim, NodeId(1), ns);
+    let incarnation = ledger(&store, interval).spawn(&sim, NodeId(1), ns);
     let (w, r) = slot::<Point>();
     sim.spawn("client", NodeId(2), move |ctx| {
         let mut rt = ClientRuntime::new(ns);
@@ -121,19 +122,7 @@ fn measure(interval: u64, seed: u64) -> (Point, ObsReport) {
         // Crash & restart from the checkpoint.
         assert!(ctx.kill(incarnation));
         let t_down = ctx.now();
-        let f = factories();
-        let policy = CheckpointPolicy::every(store.clone(), interval);
-        ctx.spawn("ledger-reborn", NodeId(1), move |sctx| {
-            let default: Box<dyn ServiceObject> = Box::new(Ledger::default());
-            let object = match policy.store.load(sctx.node(), "ledger") {
-                Some(snapshot) => f.create("ledger", &snapshot).unwrap_or(default),
-                None => default,
-            };
-            ServiceServer::new("ledger", object, ProxySpec::Stub)
-                .with_factories(f)
-                .with_checkpointing(policy)
-                .run(sctx, ns);
-        });
+        ledger(&store, interval).spawn_from(ctx, NodeId(1), ns);
         ctx.sleep(Duration::from_millis(5)).unwrap();
 
         // First call after the crash rides through the rebind path.

@@ -100,7 +100,7 @@ mod stable;
 
 pub use bulk::{BlobClient, BulkEngine, BulkParams};
 pub use interface::{InterfaceDesc, OpDesc, OpKind};
-pub use object::{FactoryRegistry, ObjectCtor, ServiceObject};
+pub use object::{dispatch_blocking, FactoryRegistry, ObjectCtor, ServiceObject};
 pub use proxy::{protocol, DiscardStrays, OnewaySink, Proxy, ProxyStats};
 pub use runtime::{BindContext, Binder, ClientRuntime, ProxyCtor};
 pub use server::{ServerStats, ServiceBuilder, ServiceServer};

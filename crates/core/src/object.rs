@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Duration;
 
 use rpc::{ErrorCode, RemoteError};
 use simnet::Ctx;
@@ -21,19 +22,39 @@ use crate::interface::InterfaceDesc;
 
 /// An object hosted by a service context.
 ///
-/// `dispatch` receives the simulation [`Ctx`] so implementations can
-/// model compute time (`ctx.sleep(..)`) or talk to other services.
+/// `dispatch` receives the simulation [`Ctx`] for the clock, tracing,
+/// observability and sends (an object may notify other services). It
+/// **must not block**: the server context is a poll-driven state machine
+/// and cannot suspend inside a handler, so `ctx.sleep(..)`/`ctx.recv()`
+/// there panic. An object that models compute or disk time declares it
+/// through [`service_time`](ServiceObject::service_time) and its host
+/// spends it.
 pub trait ServiceObject: Send {
     /// The interface this object exports.
     fn interface(&self) -> InterfaceDesc;
 
-    /// Executes one operation.
+    /// Executes one operation, without blocking.
     ///
     /// # Errors
     ///
     /// A [`RemoteError`] describing the failure; it is shipped to the
     /// caller verbatim.
     fn dispatch(&mut self, ctx: &mut Ctx, op: &str, args: &Value) -> Result<Value, RemoteError>;
+
+    /// How long this operation occupies the object's host before
+    /// `dispatch` runs (simulated compute or disk time; default none).
+    /// The host is a single FIFO server for that long:
+    ///
+    /// * a [`crate::ServiceServer`] opens the call's dispatch span at
+    ///   arrival, leaves its mailbox undrained until the time has passed
+    ///   (a retransmission waits there and is then answered from the
+    ///   reply cache), and only then dispatches and replies;
+    /// * a blocking host — a local or migratory proxy holding the object
+    ///   in the client's context, the `migration` and `replication`
+    ///   servers — sleeps it through [`dispatch_blocking`].
+    fn service_time(&self, _op: &str, _args: &Value) -> Duration {
+        Duration::ZERO
+    }
 
     /// Captures the object's full state for migration or replication.
     ///
@@ -47,6 +68,24 @@ pub trait ServiceObject: Send {
             "object does not support state capture",
         ))
     }
+}
+
+/// How a thread-backed host executes an operation: sleeps the object's
+/// [`service_time`](ServiceObject::service_time), then dispatches.
+///
+/// # Errors
+///
+/// Whatever `dispatch` reports.
+pub fn dispatch_blocking(
+    object: &mut dyn ServiceObject,
+    ctx: &mut Ctx,
+    op: &str,
+    args: &Value,
+) -> Result<Value, RemoteError> {
+    // Interrupted only by shutdown; the call still completes, as a
+    // handler that slept did.
+    let _ = ctx.sleep(object.service_time(op, args));
+    object.dispatch(ctx, op, args)
 }
 
 impl fmt::Debug for dyn ServiceObject {

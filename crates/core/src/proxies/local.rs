@@ -10,7 +10,7 @@ use rpc::RpcError;
 use simnet::Ctx;
 use wire::Value;
 
-use crate::object::ServiceObject;
+use crate::object::{dispatch_blocking, ServiceObject};
 use crate::proxy::{OnewaySink, Proxy, ProxyStats};
 
 /// A proxy for an object living in this very context.
@@ -58,9 +58,7 @@ impl Proxy for LocalProxy {
     ) -> Result<Value, RpcError> {
         self.stats.invocations += 1;
         self.stats.local_hits += 1;
-        self.object
-            .dispatch(ctx, op, &args)
-            .map_err(RpcError::Remote)
+        dispatch_blocking(self.object.as_mut(), ctx, op, &args).map_err(RpcError::Remote)
     }
 
     fn stats(&self) -> ProxyStats {

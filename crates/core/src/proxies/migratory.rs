@@ -17,7 +17,7 @@ use wire::Value;
 
 use super::robust_call;
 use crate::interface::InterfaceDesc;
-use crate::object::{FactoryRegistry, ServiceObject};
+use crate::object::{dispatch_blocking, FactoryRegistry, ServiceObject};
 use crate::proxy::{protocol, OnewaySink, Proxy, ProxyStats};
 
 /// A proxy that migrates the object into the client context once the
@@ -178,7 +178,7 @@ impl Proxy for MigratoryProxy {
         match &mut self.local {
             Some(obj) => {
                 self.stats.local_hits += 1;
-                obj.dispatch(ctx, op, &args).map_err(RpcError::Remote)
+                dispatch_blocking(obj.as_mut(), ctx, op, &args).map_err(RpcError::Remote)
             }
             None => {
                 self.stats.remote_calls += 1;

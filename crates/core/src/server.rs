@@ -7,13 +7,32 @@
 //! protocol — ordinary operations, plus the system operations that smart
 //! proxies rely on (interface fetch, invalidation subscriptions,
 //! checkout/checkin for migration).
+//!
+//! How the context executes is the service's private business — no
+//! client can tell — so it is the cheap kind: a poll-driven
+//! [`Process`], not a thread. The machine has three states:
+//!
+//! * **registering** — its first poll sends the registration; it parks
+//!   until the name server answers, retransmitting on the default
+//!   [`rpc::RetryPolicy`]'s schedule, and panics if that gives up;
+//! * **serving** — every poll drains the mailbox, answers each datagram
+//!   and parks on the empty mailbox;
+//! * **in service** — a request whose object declares a
+//!   [`service_time`](ServiceObject::service_time) is started (its
+//!   dispatch span opens) but neither executed nor answered until that
+//!   long has passed; meanwhile the mailbox is left alone, because the
+//!   context is a single FIFO server. Then the machine executes it,
+//!   replies and goes back to serving.
+
+use std::collections::VecDeque;
+use std::time::Duration;
 
 use naming::NameClient;
 use rpc::{
-    endpoint_from_value, send_oneway, ErrorCode, RemoteError, Request, RpcError, RpcServer,
-    ServeStats, Served,
+    endpoint_from_value, send_oneway, ErrorCode, InFlight, RemoteError, Request, RpcError,
+    RpcServer,
 };
-use simnet::{Ctx, Endpoint, NodeId, Simulation};
+use simnet::{Ctx, Endpoint, Message, NodeId, Poll, ProcCx, Process, SimTime, Simulation};
 use wire::Value;
 
 use crate::interface::{InterfaceDesc, OpKind};
@@ -98,6 +117,16 @@ impl Core {
                 self.stats.checkpoints += 1;
                 self.writes_since_checkpoint = 0;
             }
+        }
+    }
+
+    /// How long `req` occupies the context before it executes: what the
+    /// hosted object declares for an operation of its own, nothing for a
+    /// protocol operation or while the object is checked out.
+    fn service_time(&self, req: &Request) -> Duration {
+        match &self.object {
+            Some(obj) if !req.op.starts_with('_') => obj.service_time(&req.op, &req.args),
+            _ => Duration::ZERO,
         }
     }
 
@@ -234,10 +263,21 @@ fn sharer_cap(spec: &ProxySpec) -> usize {
         .unwrap_or_else(|| CachingParams::default().capacity)
 }
 
-/// A process hosting one service object behind the proxy protocol.
+/// A process hosting one service object behind the proxy protocol: a
+/// poll-driven [`Process`] (see the module docs for its states), built
+/// and spawned by [`ServiceBuilder`].
 pub struct ServiceServer {
     core: Core,
     rpc: RpcServer,
+    /// The registration in flight; `None` once the name server answered.
+    registering: Option<Box<(NameClient, InFlight)>>,
+    /// Calls started but not yet executed: the front one's service time
+    /// runs until `ready_at`; requests the same batch carried behind it
+    /// wait their turn.
+    in_service: VecDeque<Request>,
+    ready_at: SimTime,
+    /// Whether a datagram was served since the counters were published.
+    unpublished: bool,
 }
 
 impl std::fmt::Debug for ServiceServer {
@@ -252,111 +292,87 @@ impl std::fmt::Debug for ServiceServer {
 }
 
 impl ServiceServer {
-    /// Creates a server hosting `object` under `name`, exporting `spec`
-    /// as the proxy its clients must run.
-    pub fn new(
-        name: impl Into<String>,
-        object: Box<dyn ServiceObject>,
-        spec: ProxySpec,
-    ) -> ServiceServer {
-        let iface = object.interface();
-        ServiceServer {
-            core: Core {
-                name: name.into(),
-                sharers: Sharers::new(sharer_cap(&spec)),
-                spec,
-                iface,
-                object: Some(object),
-                holder: None,
-                factories: None,
-                checkpoint: None,
-                writes_since_checkpoint: 0,
-                stats: ServerStats::default(),
-            },
-            rpc: RpcServer::new(),
+    /// Drains the mailbox, unless a call is in service: then nothing
+    /// else is looked at until its time has passed and it has executed.
+    fn serve(&mut self, cx: &mut ProcCx) -> Poll<()> {
+        loop {
+            if !self.in_service.is_empty() {
+                if cx.now() < self.ready_at {
+                    cx.wake_at(self.ready_at);
+                    return Poll::Pending;
+                }
+                self.execute_front(cx);
+                continue;
+            }
+            match cx.try_recv() {
+                Ok(Some(msg)) => self.handle_msg(cx, &msg),
+                Ok(None) => return Poll::Pending,
+                Err(_stopped) => return Poll::Ready(()),
+            }
         }
     }
 
-    /// Supplies the factory registry needed to restore checked-in
-    /// objects (required for [`ProxySpec::Migratory`] services).
-    pub fn with_factories(mut self, factories: FactoryRegistry) -> ServiceServer {
-        self.core.factories = Some(factories);
-        self
+    /// Processes one incoming datagram. A fresh request is executed and
+    /// answered on the spot unless it has a service time to wait out (or
+    /// stands behind one that has): that one is only started.
+    fn handle_msg(&mut self, ctx: &mut Ctx, msg: &Message) {
+        let (core, in_service, ready_at) =
+            (&mut self.core, &mut self.in_service, &mut self.ready_at);
+        self.rpc.handle_deferred(ctx, msg, |ctx, req| {
+            if in_service.is_empty() {
+                let time = core.service_time(req);
+                if time.is_zero() {
+                    return Some(core.execute(ctx, req));
+                }
+                *ready_at = ctx.now() + time;
+            }
+            in_service.push_back(req.clone());
+            None
+        });
+        self.unpublished = true;
     }
 
-    /// Enables periodic checkpointing of the object's snapshot to the
-    /// node's stable storage. Combine with [`ServiceBuilder::recovered`]
-    /// to survive crashes.
-    pub fn with_checkpointing(mut self, policy: CheckpointPolicy) -> ServiceServer {
-        self.core.checkpoint = Some(policy);
-        self
-    }
-
-    /// The service name.
-    pub fn name(&self) -> &str {
-        &self.core.name
-    }
-
-    /// The hosted object's interface.
-    pub fn interface(&self) -> &InterfaceDesc {
-        &self.core.iface
-    }
-
-    /// The binding metadata published to the name service:
-    /// `{spec, iface}`.
-    pub fn meta(&self) -> Value {
-        Value::record([
-            ("spec", self.core.spec.to_value()),
-            ("iface", self.core.iface.to_value()),
-        ])
-    }
-
-    /// Current server counters.
-    pub fn stats(&self) -> ServerStats {
-        self.core.stats
-    }
-
-    /// Transport-level counters (duplicate suppression etc.).
-    pub fn rpc_stats(&self) -> ServeStats {
-        self.rpc.stats
-    }
-
-    /// Registers this service with the name server at `ns`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RpcError`] from the registration call.
-    pub fn register(&self, ctx: &mut Ctx, ns: Endpoint) -> Result<(), RpcError> {
-        let mut nc = NameClient::new(ns);
-        nc.register(ctx, &self.core.name, ctx.endpoint(), self.meta())?;
-        Ok(())
-    }
-
-    /// Processes one incoming datagram (for custom server loops).
-    pub fn handle_msg(&mut self, ctx: &mut Ctx, msg: &simnet::Message) -> Served {
+    /// Executes the call whose service time has passed, under the
+    /// dispatch span it opened on arrival, and answers it.
+    fn execute_front(&mut self, ctx: &mut Ctx) {
+        let req = self.in_service.pop_front().expect("a call is in service");
         let core = &mut self.core;
-        let served = self.rpc.handle(ctx, msg, |ctx, req| core.execute(ctx, req));
-        // Publish the latest counters so the unified run report always
-        // reflects this service, even if the process never exits.
-        ctx.obs().set_server_stats(&self.core.name, self.core.stats);
-        served
+        self.rpc
+            .complete_with(ctx, req.reply_to, req.call_id, |ctx| {
+                core.execute(ctx, &req)
+            });
+        if let Some(next) = self.in_service.front() {
+            self.ready_at = ctx.now() + self.core.service_time(next);
+        }
+        self.unpublished = true;
     }
+}
 
-    /// Registers with the name service and serves until shutdown.
-    ///
+impl Process for ServiceServer {
     /// # Panics
     ///
     /// Panics if registration fails for a reason other than simulation
     /// shutdown.
-    pub fn run(mut self, ctx: &mut Ctx, ns: Endpoint) {
-        match self.register(ctx, ns) {
-            Ok(()) => {}
-            Err(RpcError::Stopped) => return,
-            Err(e) => panic!("service `{}` failed to register: {e}", self.core.name),
+    fn poll(&mut self, cx: &mut ProcCx) -> Poll<()> {
+        if let Some(reg) = &mut self.registering {
+            match reg.0.poll_register(cx, &mut reg.1) {
+                Poll::Pending => return Poll::Pending,
+                Poll::Ready(Ok(_)) => self.registering = None,
+                Poll::Ready(Err(RpcError::Stopped)) => return Poll::Ready(()),
+                Poll::Ready(Err(e)) => {
+                    panic!("service `{}` failed to register: {e}", self.core.name)
+                }
+            }
         }
-        while let Ok(msg) = ctx.recv() {
-            self.handle_msg(ctx, &msg);
+        let done = self.serve(cx);
+        // Publish the latest counters so the unified run report always
+        // reflects this service, even if the process never exits — once
+        // per drained mailbox, not per datagram: the report reads only
+        // the last value.
+        if std::mem::take(&mut self.unpublished) {
+            cx.obs().set_server_stats(&self.core.name, self.core.stats);
         }
+        done
     }
 }
 
@@ -462,42 +478,84 @@ impl ServiceBuilder {
     /// if [`recovered`](ServiceBuilder::recovered) was requested without
     /// [`factories`](ServiceBuilder::factories).
     pub fn spawn(self, sim: &Simulation, node: NodeId, ns: Endpoint) -> Endpoint {
-        let ServiceBuilder {
-            name,
-            spec,
-            make_object,
-            factories,
-            checkpoint,
-            recover,
-        } = self;
-        let make_object = make_object
-            .unwrap_or_else(|| panic!("service `{name}` spawned without an object closure"));
+        let (label, process) = self.into_process(ns);
+        sim.spawn_poll(label, node, process)
+    }
+
+    /// [`spawn`](ServiceBuilder::spawn) from inside a running process:
+    /// how a crashed service is restarted mid-run (with
+    /// [`recovered`](ServiceBuilder::recovered), from its checkpoint).
+    ///
+    /// # Panics
+    ///
+    /// As [`spawn`](ServiceBuilder::spawn).
+    pub fn spawn_from(self, ctx: &Ctx, node: NodeId, ns: Endpoint) -> Endpoint {
+        let (label, process) = self.into_process(ns);
+        ctx.spawn_poll(label, node, process)
+    }
+
+    /// The process label and the machine: the server is built by the
+    /// process's own first poll, then polled.
+    fn into_process(self, ns: Endpoint) -> (String, impl Process) {
+        let name = &self.name;
         assert!(
-            !recover || factories.is_some(),
+            self.make_object.is_some(),
+            "service `{name}` spawned without an object closure"
+        );
+        assert!(
+            !self.recover || self.factories.is_some(),
             "service `{name}`: recovery needs a factory registry to rebuild snapshots"
         );
         let label = format!("svc-{name}");
-        sim.spawn(label, node, move |ctx| {
-            let default = make_object();
-            let object = match (&checkpoint, recover) {
-                (Some(policy), true) => match policy.store.load(ctx.node(), &name) {
+        let mut recipe = Some(self);
+        let mut server = None;
+        let process = move |cx: &mut ProcCx| {
+            server
+                .get_or_insert_with(|| recipe.take().expect("built once").build(cx, ns))
+                .poll(cx)
+        };
+        (label, process)
+    }
+
+    /// Runs on the process's first poll: makes the object — recovered
+    /// from the node's last checkpoint if asked to and there is one —
+    /// and the server around it, and sends its registration `{spec,
+    /// iface}` to the name server at `ns`.
+    fn build(self, ctx: &mut Ctx, ns: Endpoint) -> ServiceServer {
+        let default = (self.make_object.expect("checked at spawn"))();
+        let object = match (&self.checkpoint, &self.factories) {
+            (Some(policy), Some(factories)) if self.recover => {
+                match policy.store.load(ctx.node(), &self.name) {
                     Some(snapshot) => factories
-                        .as_ref()
-                        .expect("checked above")
                         .create(&default.interface().type_name, &snapshot)
                         .unwrap_or(default),
                     None => default,
-                },
-                _ => default,
-            };
-            let mut server = ServiceServer::new(name, object, spec);
-            if let Some(factories) = factories {
-                server = server.with_factories(factories);
+                }
             }
-            if let Some(policy) = checkpoint {
-                server = server.with_checkpointing(policy);
-            }
-            server.run(ctx, ns);
-        })
+            _ => default,
+        };
+        let iface = object.interface();
+        let meta = Value::record([("spec", self.spec.to_value()), ("iface", iface.to_value())]);
+        let mut names = NameClient::new(ns);
+        let call = names.start_register(ctx, &self.name, ctx.endpoint(), meta);
+        ServiceServer {
+            core: Core {
+                name: self.name,
+                sharers: Sharers::new(sharer_cap(&self.spec)),
+                spec: self.spec,
+                iface,
+                object: Some(object),
+                holder: None,
+                factories: self.factories,
+                checkpoint: self.checkpoint,
+                writes_since_checkpoint: 0,
+                stats: ServerStats::default(),
+            },
+            rpc: RpcServer::new(),
+            registering: Some(Box::new((names, call))),
+            in_service: VecDeque::new(),
+            ready_at: SimTime::ZERO,
+            unpublished: false,
+        }
     }
 }

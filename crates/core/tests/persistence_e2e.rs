@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    CheckpointPolicy, ClientRuntime, FactoryRegistry, InterfaceDesc, OpDesc, ProxySpec,
-    ServiceBuilder, ServiceObject, StableStore,
+    CheckpointPolicy, ClientRuntime, FactoryRegistry, InterfaceDesc, OpDesc, ServiceBuilder,
+    ServiceObject, StableStore,
 };
 use rpc::{ErrorCode, RemoteError, RpcError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
@@ -149,19 +149,11 @@ fn crash_restart_recovers_last_checkpoint_and_clients_rebind() {
 
         // ── Recovery: a fresh incarnation restarts on the same node
         //    from the last checkpoint and re-registers. ─────────────
-        let f = factories();
-        let policy = CheckpointPolicy::every(store2.clone(), 2);
-        ctx.spawn("svc-kv-reborn", NodeId(1), move |sctx| {
-            let default: Box<dyn ServiceObject> = Box::new(Kv::default());
-            let object = match policy.store.load(sctx.node(), "kv") {
-                Some(snapshot) => f.create("pkv", &snapshot).unwrap_or(default),
-                None => default,
-            };
-            proxy_core::ServiceServer::new("kv", object, ProxySpec::Stub)
-                .with_factories(f)
-                .with_checkpointing(policy)
-                .run(sctx, ns);
-        });
+        ServiceBuilder::new("kv")
+            .factories(factories())
+            .recovered(CheckpointPolicy::every(store2.clone(), 2))
+            .object(|| Box::new(Kv::default()))
+            .spawn_from(ctx, NodeId(1), ns);
         ctx.sleep(Duration::from_millis(10)).unwrap();
 
         // The stub proxy re-resolves through naming after its timeout:

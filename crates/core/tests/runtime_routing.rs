@@ -30,21 +30,22 @@ impl ServiceObject for SlowKv {
             [OpDesc::read("get", "key"), OpDesc::write("put", "key")],
         )
     }
-    fn dispatch(&mut self, ctx: &mut Ctx, op: &str, args: &Value) -> Result<Value, RemoteError> {
+    fn service_time(&self, op: &str, _args: &Value) -> Duration {
+        match op {
+            "get" => self.read_delay,
+            _ => Duration::ZERO,
+        }
+    }
+    fn dispatch(&mut self, _ctx: &mut Ctx, op: &str, args: &Value) -> Result<Value, RemoteError> {
         let key = args
             .get_str("key")
             .map_err(|e| RemoteError::new(ErrorCode::BadArgs, e.to_string()))?;
         match op {
-            "get" => {
-                if !self.read_delay.is_zero() {
-                    let _ = ctx.sleep(self.read_delay);
-                }
-                Ok(self
-                    .map
-                    .get(key)
-                    .map(|v| Value::str(v.clone()))
-                    .unwrap_or(Value::Null))
-            }
+            "get" => Ok(self
+                .map
+                .get(key)
+                .map(|v| Value::str(v.clone()))
+                .unwrap_or(Value::Null)),
             "put" => {
                 let v = args
                     .get_str("value")

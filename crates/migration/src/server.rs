@@ -1,7 +1,9 @@
 //! The migratable service host and its forwarder after-life.
 
 use naming::NameClient;
-use proxy_core::{protocol, FactoryRegistry, InterfaceDesc, ProxySpec, ServiceObject};
+use proxy_core::{
+    dispatch_blocking, protocol, FactoryRegistry, InterfaceDesc, ProxySpec, ServiceObject,
+};
 use rpc::{
     endpoint_from_value, endpoint_to_value, ErrorCode, RemoteError, Request, RpcClient, RpcError,
     RpcServer,
@@ -258,7 +260,7 @@ fn execute_host(
             Ok(Value::record([("ep", endpoint_to_value(new_ep))]))
         }
         op if op.starts_with('_') => Err(RemoteError::new(ErrorCode::NoSuchOp, op.to_owned())),
-        op => object.dispatch(ctx, op, &req.args),
+        op => dispatch_blocking(object.as_mut(), ctx, op, &req.args),
     }
 }
 

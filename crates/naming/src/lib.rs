@@ -37,15 +37,22 @@ mod server;
 
 pub use directory::Directory;
 pub use record::NameRecord;
-pub use server::{
-    name_server_body, serve_directory, spawn_name_cluster, spawn_name_server, NAME_SERVER_PORT,
-};
+pub use server::{spawn_name_cluster, spawn_name_server, NAME_SERVER_PORT};
 
 use std::collections::HashMap;
 
-use rpc::{endpoint_to_value, ErrorCode, RpcClient, RpcError};
-use simnet::{Ctx, Endpoint};
+use rpc::{endpoint_to_value, ErrorCode, InFlight, RpcClient, RpcError};
+use simnet::{Ctx, Endpoint, Poll, ProcCx};
 use wire::Value;
+
+/// The arguments of `register` and `update`: a name's binding.
+fn binding_args(name: &str, endpoint: Endpoint, meta: Value) -> Value {
+    Value::record([
+        ("name", Value::str(name)),
+        ("ep", endpoint_to_value(endpoint)),
+        ("meta", meta),
+    ])
+}
 
 /// Typed client for the name service, with an optional binding cache.
 ///
@@ -87,16 +94,35 @@ impl NameClient {
         endpoint: Endpoint,
         meta: Value,
     ) -> Result<u64, RpcError> {
-        let rep = self.rpc.call(
-            ctx,
-            "register",
-            Value::record([
-                ("name", Value::str(name)),
-                ("ep", endpoint_to_value(endpoint)),
-                ("meta", meta),
-            ]),
-        )?;
+        let rep = self
+            .rpc
+            .call(ctx, "register", binding_args(name, endpoint, meta))?;
         Ok(rep.get_u64("gen")?)
+    }
+
+    /// [`NameClient::register`] for a process that cannot block: sends
+    /// the same request and returns it in flight, to be driven by
+    /// [`NameClient::poll_register`].
+    pub fn start_register(
+        &mut self,
+        ctx: &mut Ctx,
+        name: &str,
+        endpoint: Endpoint,
+        meta: Value,
+    ) -> InFlight {
+        self.rpc
+            .start(ctx, "", "register", binding_args(name, endpoint, meta))
+    }
+
+    /// Advances a registration made by [`NameClient::start_register`]
+    /// (see [`RpcClient::poll`]); `Ready` carries what
+    /// [`NameClient::register`] returns.
+    pub fn poll_register(
+        &mut self,
+        cx: &mut ProcCx,
+        call: &mut InFlight,
+    ) -> Poll<Result<u64, RpcError>> {
+        self.rpc.poll(cx, call).map(|rep| Ok(rep?.get_u64("gen")?))
     }
 
     /// Updates the location of an existing name (migration), bumping its
@@ -113,15 +139,9 @@ impl NameClient {
         endpoint: Endpoint,
         meta: Value,
     ) -> Result<u64, RpcError> {
-        let rep = self.rpc.call(
-            ctx,
-            "update",
-            Value::record([
-                ("name", Value::str(name)),
-                ("ep", endpoint_to_value(endpoint)),
-                ("meta", meta),
-            ]),
-        )?;
+        let rep = self
+            .rpc
+            .call(ctx, "update", binding_args(name, endpoint, meta))?;
         self.cache.remove(name);
         Ok(rep.get_u64("gen")?)
     }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use rpc::{endpoint_from_value, ErrorCode, RemoteError, Request, RpcServer};
-use simnet::{Ctx, Endpoint, NodeId, PortId, Simulation};
+use simnet::{Endpoint, NodeId, Poll, PortId, ProcCx, Process, Simulation};
 use wire::{Value, WireError};
 
 use crate::directory::Directory;
@@ -75,35 +75,41 @@ fn handle(dir: &Directory, req: &Request) -> Result<Value, RemoteError> {
     }
 }
 
-/// The name-server process body; spawn it yourself for custom placements:
-///
-/// ```
-/// use simnet::{Simulation, NetworkConfig, NodeId, PortId};
-///
-/// let sim = Simulation::new(NetworkConfig::lan(), 0);
-/// sim.spawn_at("names", NodeId(2), PortId(1), naming::name_server_body);
-/// ```
-pub fn name_server_body(ctx: &mut Ctx) {
-    serve_directory(ctx, Arc::new(Directory::new()));
-}
-
-/// A name-server process body serving a caller-provided (typically
-/// shared) [`Directory`]. This is what replica bodies run: each replica
-/// answers from the same striped table, so a registration through any
-/// replica is immediately visible to lookups through every other.
-pub fn serve_directory(ctx: &mut Ctx, dir: Arc<Directory>) {
+/// The name-server process: a poll-driven machine that answers every
+/// datagram in its mailbox from `dir` and parks. Replicas are given one
+/// shared directory, so a registration through any of them is visible
+/// to lookups through every other in the same instant.
+fn name_server(dir: Arc<Directory>) -> impl Process {
     let mut server = RpcServer::new();
-    server.serve(ctx, |_ctx, req| handle(&dir, req), |_, _| {});
+    move |cx: &mut ProcCx| {
+        while let Ok(Some(msg)) = cx.try_recv() {
+            server.handle(cx, &msg, |_ctx, req| handle(&dir, req));
+        }
+        if cx.is_stopped() {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    }
 }
 
 /// Spawns the name server on `node` at [`NAME_SERVER_PORT`], returning
 /// its endpoint.
 ///
+/// ```
+/// use simnet::{Simulation, NetworkConfig, NodeId};
+///
+/// let sim = Simulation::new(NetworkConfig::lan(), 0);
+/// let ns = naming::spawn_name_server(&sim, NodeId(2));
+/// assert_eq!((ns.node, ns.port), (NodeId(2), naming::NAME_SERVER_PORT));
+/// ```
+///
 /// # Panics
 ///
 /// Panics if the port is already bound on that node.
 pub fn spawn_name_server(sim: &Simulation, node: NodeId) -> Endpoint {
-    sim.spawn_at("name-server", node, NAME_SERVER_PORT, name_server_body)
+    let dir = Arc::new(Directory::new());
+    sim.spawn_poll_at("name-server", node, NAME_SERVER_PORT, name_server(dir))
 }
 
 /// Spawns one name-server replica per node in `nodes`, all serving one
@@ -127,13 +133,8 @@ pub fn spawn_name_cluster(sim: &Simulation, nodes: &[NodeId]) -> Vec<Endpoint> {
         .iter()
         .enumerate()
         .map(|(i, &node)| {
-            let dir = Arc::clone(&dir);
-            sim.spawn_at(
-                format!("name-server-{i}"),
-                node,
-                NAME_SERVER_PORT,
-                move |ctx: &mut Ctx| serve_directory(ctx, dir),
-            )
+            let replica = name_server(Arc::clone(&dir));
+            sim.spawn_poll_at(format!("name-server-{i}"), node, NAME_SERVER_PORT, replica)
         })
         .collect()
 }

@@ -134,3 +134,45 @@ fn survives_lossy_network() {
     });
     sim.run();
 }
+
+/// Four replicas over one shared directory, one per scheduler domain. A
+/// client registers through replica 0 and, the instant that is
+/// acknowledged, looks the name up through replicas 3, 2 and 1: each
+/// finds it on the first try, because there is nothing to propagate
+/// between replicas. Returns the report and the trace.
+fn run_cluster(threads: usize) -> (String, String) {
+    use naming::spawn_name_cluster;
+
+    let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.2), 7)
+        .with_domains(4)
+        .with_threads(threads);
+    sim.enable_trace(1 << 12);
+    let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
+    let replicas = spawn_name_cluster(&sim, &nodes);
+    let found = Arc::new(AtomicU64::new(0));
+    let f = Arc::clone(&found);
+    sim.spawn("client", NodeId(5), move |ctx| {
+        let gen = NameClient::new(replicas[0])
+            .register(ctx, "svc", ctx.endpoint(), Value::Null)
+            .unwrap();
+        for &replica in replicas[1..].iter().rev() {
+            let rec = NameClient::new(replica).lookup(ctx, "svc").unwrap();
+            assert_eq!((rec.endpoint, rec.generation), (ctx.endpoint(), gen));
+            f.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+    let report = sim.run();
+    assert_eq!(found.load(Ordering::SeqCst), 3);
+    // Four calls, one request and one reply each: nothing was retried.
+    assert_eq!(report.metrics.msgs_sent, 8);
+    (
+        sim.obs_report().to_json(),
+        format!("{:?}", sim.take_trace()),
+    )
+}
+
+#[test]
+fn a_registration_is_visible_through_every_replica_at_any_thread_count() {
+    let one = run_cluster(1);
+    assert!(one == run_cluster(4), "diverged at 4 threads");
+}

@@ -13,7 +13,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use naming::NameClient;
-use proxy_core::{protocol, InterfaceDesc, ProxySpec, ReadTarget, ServiceObject};
+use proxy_core::{
+    dispatch_blocking, protocol, InterfaceDesc, ProxySpec, ReadTarget, ServiceObject,
+};
 use rpc::{
     endpoint_to_value, ErrorCode, RemoteError, Request, RpcClient, RpcError, RpcServer, Served,
     Stray, StrayVerdict,
@@ -241,7 +243,7 @@ impl ReplicaServer {
                     propagation,
                     log,
                 } => {
-                    let result = object.dispatch(ctx, op, &req.args)?;
+                    let result = dispatch_blocking(object.as_mut(), ctx, op, &req.args)?;
                     *version += 1;
                     stats.writes_applied += 1;
                     log.push_back((*version, op.to_owned(), req.args.clone()));
@@ -303,14 +305,14 @@ impl ReplicaServer {
                 }
             },
             op if iface.is_read(op) => {
-                let result = object.dispatch(ctx, op, &req.args)?;
+                let result = dispatch_blocking(object.as_mut(), ctx, op, &req.args)?;
                 stats.reads += 1;
                 Ok(Value::record([
                     ("val", result),
                     ("ver", Value::U64(*version)),
                 ]))
             }
-            op => object.dispatch(ctx, op, &req.args),
+            op => dispatch_blocking(object.as_mut(), ctx, op, &req.args),
         }
     }
 
@@ -420,7 +422,7 @@ impl ReplicaServer {
     ) {
         while let Some(entry) = pending.remove(&(*version + 1)) {
             let (op, op_args) = entry;
-            if object.dispatch(ctx, &op, &op_args).is_ok() {
+            if dispatch_blocking(object.as_mut(), ctx, &op, &op_args).is_ok() {
                 stats.writes_applied += 1;
             }
             *version += 1;

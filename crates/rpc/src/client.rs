@@ -1,13 +1,19 @@
-//! The RPC client: synchronous calls with retransmission.
+//! The RPC client: one call at a time, with retransmission.
 //!
 //! A [`RpcClient`] issues one call at a time against a fixed server
 //! endpoint. Retransmissions reuse the call id, so together with the
 //! server's duplicate suppression the protocol gives **at-most-once**
 //! execution (the Birrell & Nelson design the paper's stubs assume).
+//!
+//! A thread-backed process blocks in [`RpcClient::call`]; a poll-driven
+//! one makes the same call with [`RpcClient::start`] and drives it from
+//! its `poll` with [`RpcClient::poll`]. Both are one implementation: the
+//! blocking call is `start` plus a loop that waits for the mailbox.
 
 use std::time::Duration;
 
-use simnet::{Ctx, Endpoint, Message};
+use bytes::Bytes;
+use simnet::{Ctx, Endpoint, Message, Poll, ProcCx, SimTime};
 use wire::Value;
 
 use crate::error::RpcError;
@@ -190,6 +196,25 @@ impl RpcClient {
         args: Value,
         mut on_stray: impl FnMut(&mut Ctx, Stray<'_>) -> StrayVerdict,
     ) -> Result<Value, RpcError> {
+        let mut call = self.start(ctx, object, op, args);
+        loop {
+            // A `None` recv means the attempt timed out.
+            let settled = match ctx.recv_deadline(call.deadline)? {
+                Some(msg) => self.absorb(ctx, &call, &msg, &mut on_stray),
+                None => self.expire(ctx, &mut call),
+            };
+            if let Some(result) = settled {
+                return result;
+            }
+        }
+    }
+
+    /// Sends the first transmission of a call and returns it in flight,
+    /// for a process that cannot block: drive it with [`RpcClient::poll`].
+    /// The blocking calls above are this plus a loop that waits, so a
+    /// call goes out, is retransmitted and gives up identically either
+    /// way.
+    pub fn start(&mut self, ctx: &mut Ctx, object: &str, op: &str, args: Value) -> InFlight {
         // Call ids come from the per-process counter so every client
         // object in a process shares one id space: the server's
         // duplicate-suppression window (keyed by our endpoint) then
@@ -199,90 +224,135 @@ impl RpcClient {
         ctx.obs().on_call();
 
         // The request inherits the caller's active span. It is encoded
-        // exactly once, so every retransmission below carries the same
-        // span by construction.
+        // exactly once, so every retransmission carries the same span by
+        // construction.
         let span = ctx.current_span();
-        let request = Request {
+        let datagram = Request {
             call_id,
             reply_to: ctx.endpoint(),
             object: object.to_owned(),
             op: op.to_owned(),
             args,
             span: span.raw(),
+        }
+        .to_bytes();
+        let mut call = InFlight {
+            call_id,
+            span,
+            datagram,
+            sent: Sent::at(ctx.now(), self.policy.timeout),
+            attempt: 0,
+            deadline: ctx.now(),
         };
-        let datagram = request.to_bytes();
+        self.transmit(ctx, &mut call);
+        call
+    }
 
-        let floor = self.policy.timeout;
-        let mut sent = Sent::at(ctx.now(), floor);
-        for attempt in 0..self.policy.max_attempts {
-            let timeout = self.policy.attempt_timeout(self.rtt.rto(floor), attempt);
-            if attempt > 0 {
-                sent.again(ctx.now(), timeout);
-                self.stats.retries += 1;
-                ctx.obs().on_retry();
-                ctx.obs().span_retransmit_at(span, ctx.now().as_nanos());
-                ctx.trace(simnet::TraceEvent::Retransmit {
-                    src: ctx.endpoint(),
-                    dst: self.server,
-                    span,
-                    attempt,
-                });
-            }
-            ctx.send_traced(self.server, datagram.clone(), span);
-            let deadline = ctx.now() + timeout;
-            // Drain replies until the attempt deadline; a `None` recv
-            // means the attempt timed out and we retransmit.
-            while let Some(msg) = ctx.recv_deadline(deadline)? {
-                match Packet::from_frame(&msg.payload) {
-                    Ok(Packet::Reply(rep)) => {
-                        ctx.obs().span_reply(rep.span, ctx.now().as_nanos());
-                        if rep.call_id == call_id && msg.src == self.server {
-                            self.rtt.on_reply(sent, msg.delivered_at);
-                            if sent.retransmitted() {
-                                self.retransmitted = Some((call_id, sent));
-                            }
-                            return rep.result.map_err(RpcError::Remote);
-                        }
-                        if let Some((id, earlier)) = self.retransmitted {
-                            if rep.call_id == id && msg.src == self.server {
-                                self.rtt.on_reply(earlier, msg.delivered_at);
-                            }
-                        }
-                        self.stats.stale_replies += 1;
-                        ctx.obs().on_stale_reply();
-                    }
-                    Ok(Packet::Oneway(o)) => match on_stray(ctx, Stray::Oneway(&o, &msg)) {
-                        StrayVerdict::Consumed => {}
-                        StrayVerdict::Drop => {
-                            self.stats.strays_dropped += 1;
-                            ctx.obs().on_stray_dropped();
-                        }
-                    },
-                    Ok(Packet::Request(r)) => match on_stray(ctx, Stray::Request(&r, &msg)) {
-                        StrayVerdict::Consumed => {}
-                        StrayVerdict::Drop => {
-                            self.stats.strays_dropped += 1;
-                            ctx.obs().on_stray_dropped();
-                        }
-                    },
-                    Ok(Packet::Batch(_)) => {
-                        // A synchronous client never batches, so batched
-                        // replies cannot be addressed to it.
-                        self.stats.strays_dropped += 1;
-                        ctx.obs().on_stray_dropped();
-                    }
-                    Err(_) => {
-                        self.stats.strays_dropped += 1;
-                        ctx.obs().on_stray_dropped();
-                    }
+    /// Advances a call made by [`RpcClient::start`] as far as the mailbox
+    /// allows: takes every datagram already delivered (non-replies are
+    /// dropped and counted, as [`RpcClient::call_object`] does), and
+    /// retransmits or gives up when the attempt's deadline has passed.
+    /// `Pending` means the reply is still owed; the wake for the current
+    /// deadline is armed, and a delivery polls the process anyway.
+    ///
+    /// # Errors
+    ///
+    /// See [`RpcClient::call_object`].
+    pub fn poll(&mut self, cx: &mut ProcCx, call: &mut InFlight) -> Poll<Result<Value, RpcError>> {
+        loop {
+            let settled = match cx.try_recv() {
+                Err(stopped) => Some(Err(stopped.into())),
+                Ok(Some(msg)) => self.absorb(cx, call, &msg, &mut |_, _| StrayVerdict::Drop),
+                Ok(None) if call.deadline <= cx.now() => self.expire(cx, call),
+                Ok(None) => {
+                    cx.wake_at(call.deadline);
+                    return Poll::Pending;
                 }
+            };
+            if let Some(result) = settled {
+                return Poll::Ready(result);
             }
+        }
+    }
+
+    /// Puts the call's datagram on the wire (again) and arms the
+    /// attempt's deadline.
+    fn transmit(&mut self, ctx: &mut Ctx, call: &mut InFlight) {
+        let floor = self.policy.timeout;
+        let timeout = self
+            .policy
+            .attempt_timeout(self.rtt.rto(floor), call.attempt);
+        if call.attempt > 0 {
+            call.sent.again(ctx.now(), timeout);
+            self.stats.retries += 1;
+            ctx.obs().on_retry();
+            ctx.obs()
+                .span_retransmit_at(call.span, ctx.now().as_nanos());
+            ctx.trace(simnet::TraceEvent::Retransmit {
+                src: ctx.endpoint(),
+                dst: self.server,
+                span: call.span,
+                attempt: call.attempt,
+            });
+        }
+        ctx.send_traced(self.server, call.datagram.clone(), call.span);
+        call.deadline = ctx.now() + timeout;
+    }
+
+    /// The attempt's deadline passed in silence: retransmits, or settles
+    /// the call as timed out once the policy's attempts are spent.
+    fn expire(&mut self, ctx: &mut Ctx, call: &mut InFlight) -> Option<Result<Value, RpcError>> {
+        call.attempt += 1;
+        if call.attempt < self.policy.max_attempts {
+            self.transmit(ctx, call);
+            return None;
         }
         self.stats.timeouts += 1;
         ctx.obs().on_timeout();
-        Err(RpcError::Timeout {
+        Some(Err(RpcError::Timeout {
             attempts: self.policy.max_attempts,
-        })
+        }))
+    }
+
+    /// Takes one datagram that arrived while `call` was waiting; `Some`
+    /// is the call's outcome if the datagram was its reply.
+    fn absorb(
+        &mut self,
+        ctx: &mut Ctx,
+        call: &InFlight,
+        msg: &Message,
+        on_stray: &mut impl FnMut(&mut Ctx, Stray<'_>) -> StrayVerdict,
+    ) -> Option<Result<Value, RpcError>> {
+        let verdict = match Packet::from_frame(&msg.payload) {
+            Ok(Packet::Reply(rep)) => {
+                ctx.obs().span_reply(rep.span, ctx.now().as_nanos());
+                if rep.call_id == call.call_id && msg.src == self.server {
+                    self.rtt.on_reply(call.sent, msg.delivered_at);
+                    if call.sent.retransmitted() {
+                        self.retransmitted = Some((call.call_id, call.sent));
+                    }
+                    return Some(rep.result.map_err(RpcError::Remote));
+                }
+                if let Some((id, earlier)) = self.retransmitted {
+                    if rep.call_id == id && msg.src == self.server {
+                        self.rtt.on_reply(earlier, msg.delivered_at);
+                    }
+                }
+                self.stats.stale_replies += 1;
+                ctx.obs().on_stale_reply();
+                return None;
+            }
+            Ok(Packet::Oneway(o)) => on_stray(ctx, Stray::Oneway(&o, msg)),
+            Ok(Packet::Request(r)) => on_stray(ctx, Stray::Request(&r, msg)),
+            // A synchronous client never batches, so batched replies
+            // cannot be addressed to it.
+            Ok(Packet::Batch(_)) | Err(_) => StrayVerdict::Drop,
+        };
+        if verdict == StrayVerdict::Drop {
+            self.stats.strays_dropped += 1;
+            ctx.obs().on_stray_dropped();
+        }
+        None
     }
 
     /// Sends a one-way notification to the server (no reply, no retry).
@@ -291,6 +361,21 @@ impl RpcClient {
     pub fn notify(&self, ctx: &Ctx, op: &str, args: Value) {
         send_oneway(ctx, self.server, op, &args);
     }
+}
+
+/// A call in flight: made by [`RpcClient::start`], driven to its outcome
+/// by [`RpcClient::poll`].
+#[derive(Debug)]
+pub struct InFlight {
+    call_id: u64,
+    span: obs::SpanId,
+    /// The encoded request; every transmission sends these bytes.
+    datagram: Bytes,
+    sent: Sent,
+    /// Transmissions the policy's timer has given up on.
+    attempt: u32,
+    /// When the current transmission is given up on.
+    deadline: SimTime,
 }
 
 /// A non-reply datagram observed while a call was waiting.

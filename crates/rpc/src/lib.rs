@@ -51,7 +51,7 @@ mod server;
 
 pub use channel::{CallHandle, Channel, ChannelConfig, ChannelStats};
 pub use client::{
-    send_oneway, send_oneway_from, CallStats, RetryPolicy, RpcClient, Stray, StrayVerdict,
+    send_oneway, send_oneway_from, CallStats, InFlight, RetryPolicy, RpcClient, Stray, StrayVerdict,
 };
 pub use error::{ErrorCode, RemoteError, RpcError};
 pub use proto::{

@@ -483,6 +483,22 @@ impl RpcServer {
         call_id: u64,
         result: Result<Value, RemoteError>,
     ) -> bool {
+        self.complete_with(ctx, reply_to, call_id, |_| result)
+    }
+
+    /// [`RpcServer::complete`] for a call whose work was put off along
+    /// with its reply (a server modelling service time): `run` produces
+    /// the result with the call's dispatch span as the process's active
+    /// span, exactly as a handler that answers on the spot runs, so what
+    /// it sends is parented to the dispatch. `run` is not called if the
+    /// call is not executing.
+    pub fn complete_with(
+        &mut self,
+        ctx: &mut Ctx,
+        reply_to: Endpoint,
+        call_id: u64,
+        run: impl FnOnce(&mut Ctx) -> Result<Value, RemoteError>,
+    ) -> bool {
         let Some(window) = self.windows.get_mut(&reply_to) else {
             return false;
         };
@@ -490,6 +506,9 @@ impl RpcServer {
             return false;
         };
         let call = window.executing.swap_remove(at);
+        let previous = ctx.set_current_span(call.dispatch);
+        let result = run(ctx);
+        ctx.set_current_span(previous);
         let span = obs::SpanId::from_raw(call.span);
         let encoded = self.finish(ctx, reply_to, call, result);
         ctx.send_traced(reply_to, encoded, span);

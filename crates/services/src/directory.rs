@@ -89,10 +89,11 @@ impl ServiceObject for Directory {
         Directory::interface()
     }
 
-    fn dispatch(&mut self, ctx: &mut Ctx, op: &str, args: &Value) -> Result<Value, RemoteError> {
-        if !self.service_time.is_zero() {
-            let _ = ctx.sleep(self.service_time);
-        }
+    fn service_time(&self, _op: &str, _args: &Value) -> std::time::Duration {
+        self.service_time
+    }
+
+    fn dispatch(&mut self, _ctx: &mut Ctx, op: &str, args: &Value) -> Result<Value, RemoteError> {
         match op {
             "lookup" => {
                 let path = args.get_str("path").map_err(bad_args)?;

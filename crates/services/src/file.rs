@@ -86,41 +86,50 @@ fn parse_addr(addr: &str) -> Option<(String, u64)> {
     Some((name.to_owned(), idx.parse().ok()?))
 }
 
+/// The block a `read` or `write` addresses.
+fn block_key(args: &Value) -> Result<(String, u64), RemoteError> {
+    let addr = args.get_str("addr").map_err(bad_args)?;
+    parse_addr(addr).ok_or_else(|| RemoteError::new(ErrorCode::BadArgs, "bad block addr"))
+}
+
+/// The content a `write` carries.
+fn block_data(args: &Value) -> Result<&Bytes, RemoteError> {
+    let data = args.get_blob("data").map_err(bad_args)?;
+    if data.len() > BLOCK_SIZE {
+        return Err(RemoteError::new(
+            ErrorCode::BadArgs,
+            format!("block larger than {BLOCK_SIZE} bytes"),
+        ));
+    }
+    Ok(data)
+}
+
 impl ServiceObject for BlockFile {
     fn interface(&self) -> InterfaceDesc {
         BlockFile::interface()
     }
 
-    fn dispatch(&mut self, ctx: &mut Ctx, op: &str, args: &Value) -> Result<Value, RemoteError> {
+    /// A block access that reaches the disk costs `disk_time`; a request
+    /// rejected for its arguments never gets that far.
+    fn service_time(&self, op: &str, args: &Value) -> Duration {
         match op {
-            "read" => {
-                let addr = args.get_str("addr").map_err(bad_args)?;
-                let key = parse_addr(addr)
-                    .ok_or_else(|| RemoteError::new(ErrorCode::BadArgs, "bad block addr"))?;
-                if !self.disk_time.is_zero() {
-                    let _ = ctx.sleep(self.disk_time);
-                }
-                Ok(self
-                    .blocks
-                    .get(&key)
-                    .map(|b| Value::Blob(b.clone()))
-                    .unwrap_or(Value::Null))
-            }
+            _ if self.disk_time.is_zero() => Duration::ZERO,
+            "read" if block_key(args).is_ok() => self.disk_time,
+            "write" if block_key(args).is_ok() && block_data(args).is_ok() => self.disk_time,
+            _ => Duration::ZERO,
+        }
+    }
+
+    fn dispatch(&mut self, _ctx: &mut Ctx, op: &str, args: &Value) -> Result<Value, RemoteError> {
+        match op {
+            "read" => Ok(self
+                .blocks
+                .get(&block_key(args)?)
+                .map(|b| Value::Blob(b.clone()))
+                .unwrap_or(Value::Null)),
             "write" => {
-                let addr = args.get_str("addr").map_err(bad_args)?;
-                let key = parse_addr(addr)
-                    .ok_or_else(|| RemoteError::new(ErrorCode::BadArgs, "bad block addr"))?;
-                let data = args.get_blob("data").map_err(bad_args)?;
-                if data.len() > BLOCK_SIZE {
-                    return Err(RemoteError::new(
-                        ErrorCode::BadArgs,
-                        format!("block larger than {BLOCK_SIZE} bytes"),
-                    ));
-                }
-                if !self.disk_time.is_zero() {
-                    let _ = ctx.sleep(self.disk_time);
-                }
-                self.blocks.insert(key, data.clone());
+                let key = block_key(args)?;
+                self.blocks.insert(key, block_data(args)?.clone());
                 Ok(Value::Null)
             }
             "blocks" => Ok(Value::U64(self.blocks.len() as u64)),
@@ -308,7 +317,8 @@ mod tests {
         with_object(|ctx, f| {
             *f = BlockFile::new().with_disk_time(Duration::from_millis(2));
             let t0 = ctx.now();
-            f.dispatch(
+            proxy_core::dispatch_blocking(
+                f,
                 ctx,
                 "write",
                 &Value::record([
@@ -317,6 +327,9 @@ mod tests {
                 ]),
             )
             .unwrap();
+            assert_eq!(ctx.now() - t0, Duration::from_millis(2));
+            // A request rejected for its arguments never reaches the disk.
+            proxy_core::dispatch_blocking(f, ctx, "read", &Value::Null).unwrap_err();
             assert_eq!(ctx.now() - t0, Duration::from_millis(2));
         });
     }

@@ -71,6 +71,34 @@ fn file_client_full_surface() {
     sim.run();
 }
 
+/// The poll-driven server charges a block access its disk time exactly
+/// as the thread that slept inside `dispatch` did: the arithmetic
+/// `file.rs`'s `disk_time_is_charged` checks locally, end to end.
+#[test]
+fn a_disk_read_takes_exactly_its_disk_time_longer() {
+    let disk = Duration::from_millis(2);
+    let mut sim = Simulation::new(NetworkConfig::lan(), 8);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    ServiceBuilder::new("ram")
+        .object(|| Box::new(BlockFile::new()))
+        .spawn(&sim, NodeId(1), ns);
+    ServiceBuilder::new("disk")
+        .object(move || Box::new(BlockFile::new().with_disk_time(disk)))
+        .spawn(&sim, NodeId(1), ns);
+    sim.spawn("client", NodeId(2), move |ctx| {
+        let mut rt = ClientRuntime::new(ns);
+        let mut s = Session::new(&mut rt, ctx);
+        let mut read_takes = |service: &str| {
+            let fs = FileClient::bind(&mut s, service).unwrap();
+            let t0 = s.ctx().now();
+            assert_eq!(fs.read(&mut s, "doc", 0).unwrap(), None);
+            s.ctx().now() - t0
+        };
+        assert_eq!(read_takes("disk"), read_takes("ram") + disk);
+    });
+    sim.run();
+}
+
 #[test]
 fn counter_client_full_surface() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 3);

@@ -1,15 +1,19 @@
 //! Poll-driven processes: a parked process is one heap entry, not a
 //! thread stack.
 //!
-//! The classic simnet process is an OS thread running blocking code (see
-//! [`sched`](crate::sched)); that style reads naturally but caps a
-//! simulation at a few thousand processes. A *poll-driven* process is a
-//! state machine instead: a [`Process`] whose `poll` method the
-//! scheduler calls whenever one of its wake conditions fires, and which
-//! returns [`Poll::Pending`] to park itself. Parking costs nothing but
-//! the machine's own struct in the process table, so a simulation can
-//! hold hundreds of thousands of concurrent clients (experiment E16
-//! runs 100k+).
+//! A thread-backed simnet process is an OS thread running blocking code
+//! (see [`sched`](crate::sched)); that style reads naturally but caps a
+//! simulation at a few thousand processes and pays a thread hand-off
+//! each way for every event. A *poll-driven* process is a state machine
+//! instead: a [`Process`] whose `poll` method the scheduler calls
+//! whenever one of its wake conditions fires, and which returns
+//! [`Poll::Pending`] to park itself. Parking costs nothing but the
+//! machine's own struct in the process table, and a wake is a function
+//! call on the scheduler's thread. This is how every server context in
+//! the workspace runs (`proxy_core::ServiceServer`, the name servers),
+//! and how a simulation holds hundreds of thousands of concurrent
+//! clients (experiment E16 runs 100k+); threads remain for clients and
+//! experiment logic written as straight-line blocking code.
 //!
 //! # Process states and block reasons
 //!

@@ -9,12 +9,15 @@
 //!   ordinary blocking Rust code against a [`Ctx`] handle. The process
 //!   runs until it blocks (in [`Ctx::recv`], [`Ctx::sleep`], …) and
 //!   control then returns to the scheduler via a channel handoff.
-//!   Natural to write, but each parked process pins a thread stack.
+//!   Natural to write — clients and experiment logic use it — but each
+//!   parked process pins a thread stack and each event costs a hand-off
+//!   to that thread and back.
 //! * **Poll-driven** ([`Simulation::spawn_poll`]) — a [`Process`] state
-//!   machine the scheduler polls in event order; parking costs one heap
-//!   entry in the process table, so simulations scale to hundreds of
-//!   thousands of concurrent processes (see the [`poll`](crate::poll)
-//!   module and experiment E16).
+//!   machine the scheduler polls in event order, on its own thread;
+//!   parking costs one heap entry in the process table, so simulations
+//!   scale to hundreds of thousands of concurrent processes (see the
+//!   [`poll`](crate::poll) module and experiment E16). Server contexts
+//!   (services, name servers) are processes of this kind.
 //!
 //! # Domains and parallel execution
 //!
@@ -47,9 +50,9 @@
 //! unsafe (see `sched_time_inversions`) rather than silently wrong.
 //!
 //! This is the repo's substitute for the paper's testbed of Unix processes
-//! on a LAN (see `DESIGN.md` §6): processes get the natural blocking style
-//! of real code, while the network in between is simulated and fault-
-//! injectable.
+//! on a LAN (see `DESIGN.md` §6): client processes can keep the natural
+//! blocking style of real code, while the network in between is
+//! simulated and fault-injectable.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use proxide::prelude::*;
-use proxide::proxy_core::{CheckpointPolicy, ServiceServer, StableStore};
+use proxide::proxy_core::{CheckpointPolicy, StableStore};
 use proxide::services::all_factories;
 use proxide::services::kv::{KvClient, KvStore};
 
@@ -44,23 +44,11 @@ fn main() {
         }
 
         // ── Operations restarts it on the same node from its disk. ──
-        let factories = all_factories();
-        let policy = CheckpointPolicy::every(store.clone(), 3);
-        session
-            .ctx()
-            .spawn("ledger-reborn", NodeId(1), move |sctx| {
-                let default: Box<dyn ServiceObject> = Box::new(KvStore::new());
-                let object = match policy.store.load(sctx.node(), "ledger") {
-                    Some(snapshot) => factories
-                        .create(proxide::services::kv::TYPE_NAME, &snapshot)
-                        .unwrap_or(default),
-                    None => default,
-                };
-                ServiceServer::new("ledger", object, ProxySpec::Stub)
-                    .with_factories(factories)
-                    .with_checkpointing(policy)
-                    .run(sctx, ns);
-            });
+        ServiceBuilder::new("ledger")
+            .factories(all_factories())
+            .recovered(CheckpointPolicy::every(store.clone(), 3))
+            .object(|| Box::new(KvStore::new()))
+            .spawn_from(session.ctx(), NodeId(1), ns);
         session.ctx().sleep(Duration::from_millis(10)).unwrap();
 
         // Same proxy keeps working: it re-resolves through the name
