@@ -20,6 +20,14 @@ step "cargo test (workspace)"
 # stand-ins; here so a red suite stops the gate before the release build.
 cargo test --workspace -q
 
+step "cargo test --release -p wire (the CRC kernel as it ships)"
+# `#[target_feature]` SIMD code inlines and schedules differently under
+# optimisation, and the benchmark and every experiment run the release
+# build. Sender and receiver share the kernel, so a wrong checksum still
+# round-trips: only wire's known-answer and differential tests catch it,
+# and they have to catch it in the build that is measured.
+cargo test -q --release -p wire
+
 if [ "${1:-}" != "quick" ]; then
   step "cargo build --release (experiment harness)"
   cargo build --release -p bench

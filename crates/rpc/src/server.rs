@@ -245,7 +245,12 @@ impl RpcServer {
     /// one-ways, batches, or malformed frames (the slow path re-derives
     /// the precise error accounting).
     fn try_peek_duplicate(&mut self, ctx: &mut Ctx, msg: &Message) -> Option<Served> {
-        let raw = wire::peek_frame(&msg.payload).ok()?;
+        let raw = {
+            // The server's first checksum pass over the datagram; the
+            // second is `Packet::from_frame`'s, under `rpc;decode`.
+            let _p = obs::scope("rpc;peek");
+            wire::peek_frame(&msg.payload).ok()?
+        };
         if raw.get_str("t").ok()? != "req" {
             return None;
         }

@@ -57,6 +57,30 @@ fn calls_execute_exactly_once_on_clean_network() {
 }
 
 #[test]
+fn profiler_bills_both_server_side_checksum_passes() {
+    // Every datagram the server takes in is verified twice: once by the
+    // duplicate-suppression peek, once by the full decode. Each pass
+    // runs under a profiler frame of its own, one call per datagram.
+    let mut sim = Simulation::new(NetworkConfig::lan(), 1);
+    sim.obs().enable_profile(64);
+    let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
+    sim.spawn("client", NodeId(1), move |ctx| {
+        let mut c = RpcClient::new(server);
+        for _ in 0..50 {
+            c.call(ctx, "inc", Value::Null).unwrap();
+        }
+    });
+    sim.run();
+    assert_eq!(execs.load(Ordering::SeqCst), 50);
+    let prof = sim.obs().profile_report().expect("profiler is on");
+    assert_eq!(prof.frames["rpc;peek"].calls, 50, "50 requests peeked");
+    assert_eq!(
+        prof.frames["rpc;decode"].calls, 100,
+        "50 requests decoded by the server, 50 replies by the client"
+    );
+}
+
+#[test]
 fn lossy_network_retries_but_never_double_executes() {
     // 20% loss: retransmissions happen, yet the non-idempotent counter
     // must advance exactly once per successful call.

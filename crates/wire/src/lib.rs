@@ -19,8 +19,13 @@
 //!   couple of header fields without materializing the message.
 //! * [`frame`] / [`unframe`] — versioned envelope with a CRC-32 checksum.
 //! * [`crc32`] / [`Crc32`] — the checksum itself (implemented here to keep
-//!   the workspace dependency-minimal); slice-by-16 fast path with
-//!   [`crc32_bytewise`] kept as the differential oracle.
+//!   the workspace dependency-minimal). One private dispatch point picks
+//!   the kernel from the CPU and the input length, nothing else:
+//!   carry-less multiplication for 64 bytes and up on x86-64 with
+//!   `pclmulqdq` (64 being the four 16-byte blocks its fold starts
+//!   from), portable slice-by-16 tables for shorter inputs, tails and
+//!   every other machine; [`crc32_bytewise`] is kept as the differential
+//!   oracle.
 //!
 //! ## Example
 //!

@@ -1,10 +1,11 @@
 //! Differential property tests for the hot-path rewrites.
 //!
 //! Each optimised implementation is checked against its simple oracle on
-//! arbitrary inputs: the zero-copy decoder against the tree decoder, the
-//! slice-by-16 CRC kernel against the byte-at-a-time version (one-shot
-//! and under arbitrary streaming split points), and the pooled encoder
-//! against the one-shot allocation path.
+//! arbitrary inputs: the zero-copy decoder against the tree decoder,
+//! `crc32` — the carry-less-multiply kernel on long inputs, slice-by-16
+//! on short ones and tails — against the byte-at-a-time version (one-shot
+//! at every alignment, and under arbitrary streaming split points), and
+//! the pooled encoder against the one-shot allocation path.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -69,19 +70,32 @@ proptest! {
         prop_assert_eq!(unframe_bytes(&framed).unwrap(), unframe(&framed).unwrap());
     }
 
-    /// Slice-by-16 equals the byte-at-a-time oracle on any input.
+    /// `crc32` equals the byte-at-a-time oracle on any input: below and
+    /// above the 64 bytes at which the carry-less-multiply kernel takes
+    /// over, multi-KiB, and starting at each of the sixteen positions
+    /// relative to a 16-byte boundary (the kernel's loads are unaligned;
+    /// nothing may depend on where the slice begins).
     #[test]
-    fn crc_slice16_matches_bytewise(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+    fn crc_slice16_matches_bytewise(data in proptest::collection::vec(any::<u8>(), 0..6144)) {
+        let want = crc32_bytewise(&data);
+        let mut buf = vec![0u8; data.len() + 16];
+        for offset in 0..16 {
+            let window = offset..offset + data.len();
+            buf[window.clone()].copy_from_slice(&data);
+            prop_assert_eq!(crc32(&buf[window]), want, "offset {}", offset);
+        }
     }
 
     /// Streaming `Crc32::update` over arbitrary split points equals the
     /// one-shot value of both kernels — chunk boundaries must not be
-    /// observable.
+    /// observable. Inputs run to 1 KiB so that a piece can land on either
+    /// side of the 64-byte threshold (one update on the fold, the next on
+    /// the tables, state handed across), and cuts are byte-granular, so
+    /// they fall inside 16-byte blocks as well as between them.
     #[test]
     fn crc_streaming_split_points_match(
-        data in proptest::collection::vec(any::<u8>(), 0..256),
-        cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        data in proptest::collection::vec(any::<u8>(), 0..1024),
+        cuts in proptest::collection::vec(any::<usize>(), 0..8),
     ) {
         let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
         cuts.sort_unstable();
