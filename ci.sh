@@ -28,6 +28,15 @@ step "cargo test --release -p wire (the CRC kernel as it ships)"
 # and they have to catch it in the build that is measured.
 cargo test -q --release -p wire
 
+step "cargo test --release -p simnet (the stack switch as it ships)"
+# A blocking process body runs on a stack of its own, entered and left
+# through `unsafe` code and a few lines of assembly. How much stack a
+# frame takes, what is inlined around the switch and which registers
+# are live across it all differ under optimisation, and the benchmark
+# and every experiment run the release build: the hand-off's own tests
+# and tests/blocking_process.rs have to pass in that build too.
+cargo test -q --release -p simnet
+
 if [ "${1:-}" != "quick" ]; then
   step "cargo build --release (experiment harness)"
   cargo build --release -p bench

@@ -48,8 +48,8 @@ pub use export::{
     validate_timeseries_csv, ChromeSummary, ReportSummary, TimeSeriesCsvSummary,
 };
 pub use profile::{
-    profile_to_folded, scope, set_ambient_profiler, validate_folded, FoldedSummary, FrameStat,
-    ProfileReport, ScopeGuard,
+    profile_to_folded, scope, set_ambient_profiler, swap_open_frames, validate_folded,
+    FoldedSummary, FrameStat, ProfileReport, ScopeGuard,
 };
 pub use timeseries::{GaugeStat, TimeSeries, TimeSeriesReport, WindowReport};
 pub use trace::{CausalEvent, CausalTrace, Loc, NetEvent, NetEventKind, TraceSink};
@@ -902,10 +902,11 @@ thread_local! {
 
 /// Declares which writer lane the calling thread records into (clamped
 /// modulo the registry's lane count at use). The simulator sets this on
-/// every thread that executes a scheduler domain — worker threads before
-/// each domain round, simulated-process threads once at spawn — so that
-/// all order-sensitive observability state advances deterministically
-/// per domain. Threads that never call this write to lane 0.
+/// every thread that executes a scheduler domain — before each domain
+/// round and each domain's shutdown, which is also where that domain's
+/// blocking process bodies run — so that all order-sensitive
+/// observability state advances deterministically per domain. Threads
+/// that never call this write to lane 0.
 pub fn set_ambient_lane(lane: usize) {
     AMBIENT_LANE.with(|l| l.set(lane));
 }

@@ -28,7 +28,9 @@
 //!
 //! Profilers are per-[`MetricsRegistry`]; threads declare which
 //! registry they profile into with [`set_ambient_profiler`] (the
-//! simulator does this for its driver, worker and process threads).
+//! simulator does this for its driver and worker threads, and carries
+//! each blocking process's open scopes with the process through
+//! [`swap_open_frames`]).
 //! The registry folds per writer lane — the same lane striping the rest
 //! of the plane uses — and [`MetricsRegistry::profile_report`] merges
 //! lanes key-ordered, so the merged frame table is byte-identical for
@@ -80,10 +82,28 @@ thread_local! {
 /// Declares which registry the calling thread's [`scope`] guards fold
 /// into (`None` disarms the thread). The simulator sets this on every
 /// thread that executes simulated work — the driver at `run`, worker
-/// threads at pool start, simulated-process threads at spawn — mirroring
-/// [`crate::set_ambient_lane`].
+/// threads at pool start — mirroring [`crate::set_ambient_lane`].
 pub fn set_ambient_profiler(reg: Option<Arc<MetricsRegistry>>) {
     PROF_TLS.with(|t| t.borrow_mut().reg = reg);
+}
+
+/// Exchanges the calling thread's open-frame stack with `frames`.
+///
+/// This is the simulator's hook, not an application's: simulated
+/// processes that block share the thread of their scheduler domain, so
+/// a scope one of them holds open across a blocking call must leave the
+/// thread's stack with it — or it would become the parent of every frame
+/// any other process folds meanwhile. The simulator keeps one `frames`
+/// per suspended process and calls this on the way into and out of each.
+///
+/// Like [`scope`], it is one relaxed load and nothing else while no
+/// profiler in the process is armed.
+#[inline]
+pub fn swap_open_frames(frames: &mut Vec<&'static str>) {
+    if ACTIVE.load(Ordering::Relaxed) == 0 {
+        return;
+    }
+    PROF_TLS.with(|t| std::mem::swap(&mut t.borrow_mut().stack, frames));
 }
 
 /// Opens a profiling scope named `name`. Returns a guard that, when

@@ -19,8 +19,9 @@ use crate::error::{ErrorCode, RemoteError};
 thread_local! {
     /// Per-thread pooled encoder: every `to_bytes` in this module reuses
     /// one scratch buffer instead of allocating a fresh one per message.
-    /// (Each simulated process is an OS thread, so there is no
-    /// contention and no sharing of buffers across processes.)
+    /// (Simulated processes of one scheduler domain share a thread and
+    /// this buffer, one at a time: `with_encoder` closures are leaf
+    /// work and never block.)
     static ENCODER: RefCell<Encoder> = RefCell::new(Encoder::with_capacity(256));
 }
 

@@ -1,19 +1,21 @@
 //! Poll-driven processes: a parked process is one heap entry, not a
-//! thread stack.
+//! stack.
 //!
-//! A thread-backed simnet process is an OS thread running blocking code
-//! (see [`sched`](crate::sched)); that style reads naturally but caps a
-//! simulation at a few thousand processes and pays a thread hand-off
-//! each way for every event. A *poll-driven* process is a state machine
-//! instead: a [`Process`] whose `poll` method the scheduler calls
-//! whenever one of its wake conditions fires, and which returns
-//! [`Poll::Pending`] to park itself. Parking costs nothing but the
-//! machine's own struct in the process table, and a wake is a function
-//! call on the scheduler's thread. This is how every server context in
-//! the workspace runs (`proxy_core::ServiceServer`, the name servers),
-//! and how a simulation holds hundreds of thousands of concurrent
-//! clients (experiment E16 runs 100k+); threads remain for clients and
-//! experiment logic written as straight-line blocking code.
+//! A blocking simnet process is straight-line code suspended on a stack
+//! of its own (see [`sched`](crate::sched)); that style reads naturally
+//! and — now that the scheduler resumes it in place instead of handing
+//! off to a thread — dispatches about as fast as a poll, but every
+//! parked body pins the stack pages it has touched. A *poll-driven*
+//! process is a state machine instead: a [`Process`] whose `poll`
+//! method the scheduler calls whenever one of its wake conditions
+//! fires, and which returns [`Poll::Pending`] to park itself. Parking
+//! costs nothing but the machine's own struct in the process table, and
+//! a wake is a function call on the scheduler's thread. This is how
+//! every server context in the workspace runs
+//! (`proxy_core::ServiceServer`, the name servers), and how a
+//! simulation holds hundreds of thousands of concurrent clients
+//! (experiment E16 runs 100k+); blocking bodies remain for clients and
+//! experiment logic written as straight-line code.
 //!
 //! # Process states and block reasons
 //!
@@ -27,7 +29,7 @@
 //!   machine panicked, or the process was killed).
 //!
 //! A parked process wakes for exactly two reasons, mirroring the block
-//! reasons of the threaded runtime:
+//! reasons of a blocking body:
 //!
 //! * **message delivery** (the `recv` reason) — every datagram delivered
 //!   to one of the process's endpoints triggers a poll, so a machine

@@ -5,16 +5,31 @@
 //! The scheduler runs two kinds of simulated process behind one event
 //! loop:
 //!
-//! * **Thread-backed** ([`Simulation::spawn`]) — an OS thread running
-//!   ordinary blocking Rust code against a [`Ctx`] handle. The process
-//!   runs until it blocks (in [`Ctx::recv`], [`Ctx::sleep`], …) and
-//!   control then returns to the scheduler via a channel handoff.
-//!   Natural to write — clients and experiment logic use it — but each
-//!   parked process pins a thread stack and each event costs a hand-off
-//!   to that thread and back.
+//! * **Blocking** ([`Simulation::spawn`]) — ordinary blocking Rust code
+//!   against a [`Ctx`] handle, on a stack of its own. The body runs
+//!   until it blocks (in [`Ctx::recv`], [`Ctx::sleep`], …); control then
+//!   returns to the scheduler, which resumes the body in place when the
+//!   event it waits for is dispatched. On x86-64 Linux the stack is a
+//!   coroutine's — a private 2 MiB mapping switched to and from in user
+//!   space, on the thread running the body's domain — so a scheduling
+//!   decision costs two register swaps and a parked body costs the
+//!   stack pages it has touched. Every other target gives each body an
+//!   OS thread and hands off through two channels; nothing but the cost
+//!   differs. Natural to write — clients and experiment logic use it.
+//!
+//!   What a body may rely on and what it may not: it is only ever
+//!   resumed on the OS thread that started it (the scheduler runs a
+//!   domain's rounds *and its shutdown* on one fixed thread, and the
+//!   hand-off checks), so thread-locals and non-`Send` values may live
+//!   across a blocking call; it shares that thread's thread-locals with
+//!   the scheduler and the domain's other processes; overflowing its
+//!   stack is a bare `SIGSEGV` on the guard page; and a destructor that
+//!   blocks while the body is unwinding from a panic hands control to a
+//!   scheduler whose thread reports `std::thread::panicking()`.
 //! * **Poll-driven** ([`Simulation::spawn_poll`]) — a [`Process`] state
 //!   machine the scheduler polls in event order, on its own thread;
-//!   parking costs one heap entry in the process table, so simulations
+//!   parking costs one heap entry in the process table — no stack at
+//!   all, which is the reason left to write one by hand — so simulations
 //!   scale to hundreds of thousands of concurrent processes (see the
 //!   [`poll`](crate::poll) module and experiment E16). Server contexts
 //!   (services, name servers) are processes of this kind.
@@ -62,16 +77,20 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::addr::{Endpoint, NodeId, PortId, ProcId};
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+use crate::coro::{Handoff, Yielder};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::msg::Message;
 use crate::net::{Fate, Network, NetworkConfig};
 use crate::poll::{Poll, ProcCx, Process};
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+use crate::thread_handoff::{Handoff, Yielder};
 use crate::time::{duration_to_nanos, SimTime};
 use crate::trace::{Trace, TraceDump, TraceEvent, TraceRecord};
 
@@ -89,7 +108,7 @@ impl std::fmt::Display for Stopped {
 impl std::error::Error for Stopped {}
 
 /// Extracts a displayable message from a caught panic payload.
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     p.downcast_ref::<&str>()
         .map(|s| s.to_string())
         .or_else(|| p.downcast_ref::<String>().cloned())
@@ -98,7 +117,7 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 
 /// Scheduler → process control transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resume {
+pub(crate) enum Resume {
     /// First transfer: begin executing the process body.
     Start,
     /// A sleep expired.
@@ -113,7 +132,7 @@ enum Resume {
 
 /// Process → scheduler control transfer.
 #[derive(Debug)]
-enum YieldMsg {
+pub(crate) enum YieldMsg {
     /// Block until the given instant.
     Sleep(SimTime),
     /// Block until a message arrives or the deadline (if any) passes.
@@ -195,13 +214,14 @@ struct PolledMachine {
     cx: ProcCx,
 }
 
-/// How a process executes: a parked thread stack or a heap-allocated
-/// state machine.
+/// How a process executes: a blocking body suspended on a stack of its
+/// own, or a heap-allocated state machine.
 enum ProcKind {
-    Thread {
-        resume_tx: Sender<Resume>,
-        yield_rx: Receiver<YieldMsg>,
-        handle: Option<JoinHandle<()>>,
+    /// Taken out of the registry while the body runs (no lock is held
+    /// during user code) and put back when it blocks; gone — stack and
+    /// all — once the body has finished.
+    Blocking {
+        handoff: Option<Handoff>,
     },
     Polled {
         machine: Option<PolledMachine>,
@@ -212,7 +232,7 @@ struct ProcEntry {
     name: String,
     mailbox: VecDeque<Message>,
     state: ProcState,
-    /// Incremented every time the process blocks in recv (threaded) or
+    /// Incremented every time the process blocks in recv (blocking) or
     /// parks (poll-driven); stale timeout events carry an older
     /// generation and are ignored.
     gen: u64,
@@ -663,43 +683,31 @@ impl Shared {
         let stripe = spawner.unwrap_or(target) as u32;
         let (pid, endpoint) = self.alloc_proc(stripe, node, port);
 
-        let (resume_tx, resume_rx) = bounded::<Resume>(1);
-        let (yield_tx, yield_rx) = bounded::<YieldMsg>(1);
-
         let mut ctx = Ctx {
             pid,
             name: name.clone(),
             endpoint,
             domain: target,
             shared: Arc::clone(self),
-            resume_rx: Some(resume_rx),
-            yield_tx: Some(yield_tx.clone()),
+            yielder: None,
             stopped: false,
             seq_counter: std::cell::Cell::new(0),
             current_span: std::cell::Cell::new(obs::SpanId::NONE),
         };
-
-        let handle = std::thread::Builder::new()
-            .name(format!("sim-{name}"))
-            .spawn(move || {
+        let handoff = Handoff::new(
+            &name,
+            Box::new(move |yielder| {
                 // Everything this process records flows through its
-                // domain's obs writer lane (and its simulation's
-                // profiler).
+                // domain's obs writer lane and its simulation's
+                // profiler. A body sharing the thread that runs its
+                // domain finds both already so; one with a thread of
+                // its own says it here, once.
                 obs::set_ambient_lane(target);
                 obs::set_ambient_profiler(Some(Arc::clone(&ctx.shared.obs)));
-                // Wait for the scheduler to start us (or abort pre-start).
-                match ctx.resume_rx.as_ref().expect("threaded ctx").recv() {
-                    Ok(Resume::Start) => {}
-                    _ => {
-                        let _ = yield_tx.send(YieldMsg::Finished { panic_msg: None });
-                        return;
-                    }
-                }
-                let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-                let panic_msg = result.err().map(|p| panic_message(p.as_ref()));
-                let _ = yield_tx.send(YieldMsg::Finished { panic_msg });
-            })
-            .expect("failed to spawn simulation process thread");
+                ctx.yielder = Some(yielder);
+                body(&mut ctx);
+            }),
+        );
 
         let entry = ProcEntry {
             name,
@@ -707,10 +715,8 @@ impl Shared {
             state: ProcState::NotStarted,
             gen: 0,
             domain: target,
-            kind: ProcKind::Thread {
-                resume_tx,
-                yield_rx,
-                handle: Some(handle),
+            kind: ProcKind::Blocking {
+                handoff: Some(handoff),
             },
             panic_msg: None,
         };
@@ -738,10 +744,9 @@ impl Shared {
             endpoint,
             domain: target,
             shared: Arc::clone(self),
-            // No scheduler channels: a poll-driven process parks by
-            // returning Pending, never by a thread handoff.
-            resume_rx: None,
-            yield_tx: None,
+            // No hand-off: a poll-driven process parks by returning
+            // Pending, never by suspending a stack.
+            yielder: None,
             stopped: false,
             seq_counter: std::cell::Cell::new(0),
             current_span: std::cell::Cell::new(obs::SpanId::NONE),
@@ -1033,7 +1038,7 @@ impl Shared {
                             return None;
                         }
                         match (&e.kind, e.state) {
-                            (ProcKind::Thread { .. }, ProcState::BlockedRecv) => Some(false),
+                            (ProcKind::Blocking { .. }, ProcState::BlockedRecv) => Some(false),
                             (ProcKind::Polled { .. }, ProcState::Parked) => Some(true),
                             _ => None,
                         }
@@ -1050,19 +1055,11 @@ impl Shared {
                 Some((_, true)) => {
                     // A killed state machine just drops: a crash runs no
                     // farewell code (destructors still run, as they would
-                    // for a thread unwinding out of Stopped).
+                    // for a blocking body returning out of Stopped).
                     self.finish_polled(d, pid, None);
                 }
-                Some((_, false)) => {
-                    // Tear the victim down now: keep resuming it with
-                    // Shutdown until its body returns.
-                    loop {
-                        match self.proc_status(pid) {
-                            Some((ProcState::Finished, _)) | None => break,
-                            _ => self.resume_and_wait(d, pid, Resume::Shutdown),
-                        }
-                    }
-                }
+                // Tear the victim down now, in its own domain's round.
+                Some((_, false)) => self.stop_blocking(d, pid),
             },
             EvKind::ApplySpawn {
                 pid,
@@ -1085,12 +1082,12 @@ impl Shared {
                 let (delivered_src, delivered_dst, delivered_bytes, delivered_span) =
                     (msg.src, msg.dst, msg.payload.len(), msg.span);
                 // What the delivery should do to the receiving process:
-                // resume a thread blocked in recv, poll a parked machine,
+                // resume a body blocked in recv, poll a parked machine,
                 // or nothing (it will find the message when it next runs).
                 #[derive(PartialEq)]
                 enum After {
                     Nothing,
-                    ResumeThread,
+                    ResumeBody,
                     PollMachine,
                 }
                 let target = {
@@ -1104,8 +1101,8 @@ impl Shared {
                             } else {
                                 entry.mailbox.push_back(msg);
                                 let after = match (&entry.kind, entry.state) {
-                                    (ProcKind::Thread { .. }, ProcState::BlockedRecv) => {
-                                        After::ResumeThread
+                                    (ProcKind::Blocking { .. }, ProcState::BlockedRecv) => {
+                                        After::ResumeBody
                                     }
                                     // Every delivery wakes a parked machine:
                                     // it parked after seeing an empty
@@ -1136,7 +1133,7 @@ impl Shared {
                             },
                         );
                         match after {
-                            After::ResumeThread => self.resume_and_wait(d, pid, Resume::Delivered),
+                            After::ResumeBody => self.resume_and_wait(d, pid, Resume::Delivered),
                             After::PollMachine => self.poll_process(d, pid),
                             After::Nothing => {}
                         }
@@ -1180,7 +1177,7 @@ impl Shared {
             }
             match &mut entry.kind {
                 ProcKind::Polled { machine } => machine.take(),
-                ProcKind::Thread { .. } => unreachable!("poll of thread-backed process"),
+                ProcKind::Blocking { .. } => unreachable!("poll of a blocking process"),
             }
         };
         let Some(mut m) = machine else {
@@ -1197,7 +1194,7 @@ impl Shared {
                     entry.state = ProcState::Parked;
                     match &mut entry.kind {
                         ProcKind::Polled { machine } => *machine = Some(m),
-                        ProcKind::Thread { .. } => unreachable!(),
+                        ProcKind::Blocking { .. } => unreachable!(),
                     }
                     entry.gen
                 };
@@ -1217,56 +1214,71 @@ impl Shared {
         }
     }
 
-    /// Marks a poll-driven process finished, dropping its machine (and
-    /// with it the process's share of the table memory).
+    /// Marks a poll-driven process finished, dropping its machine and
+    /// its mailbox (and with them the process's share of the table
+    /// memory).
     fn finish_polled(&self, d: usize, pid: ProcId, panic_msg: Option<String>) {
-        let newly_finished = {
+        let released = {
             let mut reg = self.registry.lock();
             let Some(entry) = reg.procs.get_mut(&pid) else {
                 return;
             };
-            let newly = entry.state != ProcState::Finished;
-            entry.state = ProcState::Finished;
             if panic_msg.is_some() {
                 entry.panic_msg = panic_msg;
             }
-            if let ProcKind::Polled { machine } = &mut entry.kind {
-                *machine = None;
+            if entry.state == ProcState::Finished {
+                return;
             }
-            newly
+            entry.state = ProcState::Finished;
+            let machine = match &mut entry.kind {
+                ProcKind::Polled { machine } => machine.take(),
+                ProcKind::Blocking { .. } => None,
+            };
+            // Nothing reads a finished mailbox and later arrivals are
+            // blackholed: what is queued (whole chunks on the bulk path)
+            // goes now, not when the simulation is dropped.
+            (machine, std::mem::take(&mut entry.mailbox))
         };
-        if newly_finished {
-            self.note_proc_finished(d);
-            self.record(d, TraceEvent::Finished { pid });
-        }
+        // User destructors run outside the registry lock.
+        drop(released);
+        self.note_proc_finished(d);
+        self.record(d, TraceEvent::Finished { pid });
     }
 
-    /// Resumes `pid` and blocks until it yields again, then records the
-    /// yield. The registry lock is **not** held while the process runs.
+    /// Resumes `pid`'s blocking body and runs it — on this thread — until
+    /// it blocks again or finishes, then records what it yielded. The
+    /// registry lock is **not** held while the body runs.
+    ///
+    /// Must run on the thread that executes domain `d`'s rounds: a body
+    /// suspended on its own stack can only continue on the thread that
+    /// started it (see `coro.rs`; the hand-off checks).
     fn resume_and_wait(&self, d: usize, pid: ProcId, resume: Resume) {
-        let (tx, rx) = {
-            let reg = self.registry.lock();
-            let entry = reg.procs.get(&pid).expect("resume of unknown proc");
-            match &entry.kind {
-                ProcKind::Thread {
-                    resume_tx,
-                    yield_rx,
-                    ..
-                } => (resume_tx.clone(), yield_rx.clone()),
+        let mut handoff = {
+            let mut reg = self.registry.lock();
+            let entry = reg.procs.get_mut(&pid).expect("resume of unknown proc");
+            debug_assert_eq!(entry.domain, d, "process resumed outside its domain");
+            match &mut entry.kind {
+                ProcKind::Blocking { handoff } => handoff
+                    .take()
+                    .expect("resume of a running or finished process"),
                 ProcKind::Polled { .. } => unreachable!("resume of poll-driven process"),
             }
         };
-        tx.send(resume).expect("process thread gone before resume");
-        let y = rx.recv().expect("process thread gone before yield");
+        let y = handoff.resume(resume);
         let mut reg = self.registry.lock();
         let entry = reg.procs.get_mut(&pid).expect("proc vanished");
+        let ProcKind::Blocking { handoff: slot } = &mut entry.kind else {
+            unreachable!("checked above");
+        };
         match y {
             YieldMsg::Sleep(until) => {
+                *slot = Some(handoff);
                 entry.state = ProcState::Sleeping;
                 drop(reg);
                 self.push_event_domain(d, until, EvKind::Wake(pid));
             }
             YieldMsg::Recv { deadline } => {
+                *slot = Some(handoff);
                 entry.gen += 1;
                 entry.state = ProcState::BlockedRecv;
                 let gen = entry.gen;
@@ -1278,66 +1290,60 @@ impl Shared {
             YieldMsg::Finished { panic_msg } => {
                 entry.state = ProcState::Finished;
                 entry.panic_msg = panic_msg;
+                // As in `finish_polled`: the mailbox goes with the stack,
+                // and both outside the lock.
+                let mailbox = std::mem::take(&mut entry.mailbox);
                 drop(reg);
+                drop((handoff, mailbox));
                 self.note_proc_finished(d);
                 self.record(d, TraceEvent::Finished { pid });
             }
         }
     }
 
-    /// Tells every live process to stop: threads are resumed with
-    /// `Shutdown` until they return (then joined); poll-driven machines
-    /// get one final poll with the stop flag set — the mirror of a
-    /// thread seeing [`Stopped`] — and are then dropped regardless.
-    /// Runs on the driving thread only; teardown is ordered by pid so
-    /// the `Finished` trace tail is deterministic.
-    fn shutdown(&self) {
-        let mut pids: Vec<(ProcId, bool, usize)> = {
+    /// Tells every live process of domain `d` to stop, in pid order (so
+    /// the domain's `Finished` trace tail is the same however many
+    /// threads there are): a blocking body is resumed with `Shutdown`
+    /// until it returns; a poll-driven machine gets one final poll with
+    /// the stop flag set — the mirror of a body seeing [`Stopped`] — and
+    /// is then dropped regardless. Like a round, this runs on the thread
+    /// that executes the domain: suspended bodies continue nowhere else.
+    fn shutdown_domain(&self, d: usize) {
+        let mut pids: Vec<(ProcId, bool)> = {
             let reg = self.registry.lock();
             reg.procs
                 .iter()
-                .filter(|(_, e)| e.state != ProcState::Finished)
-                .map(|(pid, e)| (*pid, matches!(e.kind, ProcKind::Polled { .. }), e.domain))
+                .filter(|(_, e)| e.domain == d && e.state != ProcState::Finished)
+                .map(|(pid, e)| (*pid, matches!(e.kind, ProcKind::Polled { .. })))
                 .collect()
         };
-        pids.sort_by_key(|(pid, _, _)| pid.0);
-        for (pid, polled, d) in pids {
+        pids.sort_by_key(|(pid, _)| pid.0);
+        for (pid, polled) in pids {
             if polled {
                 self.shutdown_polled(d, pid);
             } else {
-                // A stopping process may legally block a few more times
-                // before noticing; keep resuming it with Shutdown until
-                // it finishes.
-                loop {
-                    match self.proc_status(pid) {
-                        Some((ProcState::Finished, _)) | None => break,
-                        _ => self.resume_and_wait(d, pid, Resume::Shutdown),
-                    }
-                }
+                self.stop_blocking(d, pid);
             }
         }
-        let mut handles: Vec<(ProcId, String, JoinHandle<()>)> = {
-            let mut reg = self.registry.lock();
-            reg.procs
-                .iter_mut()
-                .filter_map(|(pid, e)| match &mut e.kind {
-                    ProcKind::Thread { handle, .. } => {
-                        handle.take().map(|h| (*pid, e.name.clone(), h))
-                    }
-                    ProcKind::Polled { .. } => None,
-                })
-                .collect()
-        };
-        handles.sort_by_key(|(pid, _, _)| pid.0);
-        for (_, name, h) in handles {
-            if h.join().is_err() {
-                // Panic message already captured via YieldMsg::Finished.
-                eprintln!("simnet: process thread '{name}' terminated abnormally");
+    }
+
+    /// Tears one blocking process down: a stopping body may legally
+    /// block a few more times before noticing, so keep resuming it with
+    /// `Shutdown` until it finishes.
+    fn stop_blocking(&self, d: usize, pid: ProcId) {
+        loop {
+            match self.proc_status(pid) {
+                Some((ProcState::Finished, _)) | None => break,
+                _ => self.resume_and_wait(d, pid, Resume::Shutdown),
             }
         }
-        // Drop any undispatched events: an `ApplySpawn` parked in a heap
-        // or outbox owns a ProcEntry whose context points back at this
-        // Shared — clearing here breaks the cycle so the Arc can free.
+    }
+
+    /// Drops every undispatched event once all domains have shut down:
+    /// an `ApplySpawn` parked in a heap or outbox owns a ProcEntry whose
+    /// context points back at this Shared (and whose body never ran) —
+    /// clearing here breaks the cycle so the Arc can free.
+    fn clear_pending(&self) {
         for dom in self.domains.iter() {
             dom.lock().events.clear();
         }
@@ -1360,7 +1366,7 @@ impl Shared {
             }
             match &mut entry.kind {
                 ProcKind::Polled { machine } => machine.take(),
-                ProcKind::Thread { .. } => unreachable!(),
+                ProcKind::Blocking { .. } => unreachable!(),
             }
         };
         let panic_msg = machine.and_then(|mut m| {
@@ -1411,10 +1417,10 @@ pub struct Ctx {
     /// The domain this process executes in (its node's domain).
     domain: usize,
     shared: Arc<Shared>,
-    /// `None` for poll-driven processes, which never block on the
-    /// scheduler and so carry no handoff channels at all.
-    resume_rx: Option<Receiver<Resume>>,
-    yield_tx: Option<Sender<YieldMsg>>,
+    /// The process's side of its hand-off with the scheduler, from the
+    /// moment a blocking body starts. `None` for poll-driven processes,
+    /// which never block on the scheduler.
+    yielder: Option<Yielder>,
     stopped: bool,
     seq_counter: std::cell::Cell<u64>,
     current_span: std::cell::Cell<obs::SpanId>,
@@ -1790,11 +1796,11 @@ impl Ctx {
     /// operations are unavailable there; protocol layers can branch on
     /// this to pick a non-blocking strategy.
     pub fn is_poll_driven(&self) -> bool {
-        self.yield_tx.is_none()
+        self.yielder.is_none()
     }
 
     fn block_on(&mut self, y: YieldMsg) -> Resume {
-        let (Some(tx), Some(rx)) = (&self.yield_tx, &self.resume_rx) else {
+        let Some(yielder) = &self.yielder else {
             panic!(
                 "blocking Ctx operation ({y:?}) in poll-driven process '{}': \
                  a state machine parks by returning Poll::Pending (arm a timer \
@@ -1803,8 +1809,7 @@ impl Ctx {
                 self.name
             );
         };
-        tx.send(y).expect("scheduler disappeared");
-        rx.recv().expect("scheduler disappeared")
+        yielder.block_on(y)
     }
 }
 
@@ -1825,12 +1830,19 @@ pub struct RunReport {
     pub trace_evicted: u64,
 }
 
-/// One barrier round's parameters, broadcast to every worker.
+/// What every worker is told to do with each domain it owns.
 #[derive(Debug, Clone, Copy)]
-struct Job {
-    gm: SimTime,
-    horizon: SimTime,
-    limit: SimTime,
+enum Job {
+    /// Execute one barrier round with these parameters.
+    Round {
+        gm: SimTime,
+        horizon: SimTime,
+        limit: SimTime,
+    },
+    /// Stop the domain's processes ([`Shared::shutdown_domain`]): a
+    /// suspended blocking body can only be resumed by the thread that
+    /// ran it, so shutdown is a job like any round.
+    Shutdown,
 }
 
 /// A small pool of OS threads that execute domain rounds. Domains are
@@ -1865,7 +1877,12 @@ impl WorkerPool {
                         let r = panic::catch_unwind(AssertUnwindSafe(|| {
                             for d in (w..nd).step_by(size) {
                                 obs::set_ambient_lane(d);
-                                shared.domain_round(d, job.gm, job.horizon, job.limit);
+                                match job {
+                                    Job::Round { gm, horizon, limit } => {
+                                        shared.domain_round(d, gm, horizon, limit)
+                                    }
+                                    Job::Shutdown => shared.shutdown_domain(d),
+                                }
                             }
                         }));
                         let ack = r.map_err(|p| panic_message(p.as_ref()));
@@ -1888,10 +1905,10 @@ impl WorkerPool {
         self.job_txs.len()
     }
 
-    /// Broadcasts one round and blocks until every worker acks. All
-    /// acks are collected before any panic propagates, so a worker
-    /// failure can never leave a peer running into the next round.
-    fn run_round(&self, job: Job) {
+    /// Broadcasts one job and blocks until every worker acks. All acks
+    /// are collected before any panic propagates, so a worker failure
+    /// can never leave a peer running into the next round.
+    fn run(&self, job: Job) {
         for tx in &self.job_txs {
             tx.send(job).expect("simnet worker gone");
         }
@@ -2234,7 +2251,7 @@ impl Simulation {
     /// Spawns a poll-driven process on `node` with an ephemeral port.
     /// The scheduler polls it whenever a message is delivered to it or a
     /// timer it armed with [`ProcCx::wake_at`] fires; it parks by
-    /// returning [`Poll::Pending`] and costs no thread while parked.
+    /// returning [`Poll::Pending`] and costs no stack while parked.
     /// See the [`poll`](crate::poll) module for the full model.
     pub fn spawn_poll<P>(&self, name: impl Into<String>, node: NodeId, process: P) -> Endpoint
     where
@@ -2265,14 +2282,14 @@ impl Simulation {
     }
 
     /// Runs the simulation until no events remain, then shuts all
-    /// processes down and joins their threads.
+    /// processes down.
     ///
     /// # Panics
     ///
     /// Panics if any simulated process panicked, propagating its message.
     pub fn run(&mut self) -> RunReport {
         let report = self.run_until(SimTime::MAX);
-        self.shared.shutdown();
+        self.shutdown();
         self.shared.check_panics();
         report
     }
@@ -2333,6 +2350,25 @@ impl Simulation {
         }
     }
 
+    /// Stops every live process, each domain on the thread that ran its
+    /// rounds — the worker pool if one was built, this thread otherwise
+    /// — then drops whatever never got dispatched.
+    fn shutdown(&self) {
+        obs::set_ambient_profiler(Some(Arc::clone(&self.shared.obs)));
+        match &self.workers {
+            Some(pool) => pool.run(Job::Shutdown),
+            None => {
+                let nd = self.shared.ndomains();
+                for d in 0..nd {
+                    obs::set_ambient_lane(d);
+                    self.shared.shutdown_domain(d);
+                }
+                obs::set_ambient_lane(0);
+            }
+        }
+        self.shared.clear_pending();
+    }
+
     /// Execution proceeds in barrier rounds: compute the global minimum
     /// event time, let every domain run up to the conservative lookahead
     /// horizon, then merge cross-domain outboxes. With one domain a
@@ -2380,13 +2416,10 @@ impl Simulation {
             self.shared.round_lookahead_ns.store(la, Ordering::Relaxed);
             let horizon = SimTime::from_nanos(gm.as_nanos().saturating_add(la));
             let live_start = self.shared.metrics.live();
-            let job = Job { gm, horizon, limit };
+            let job = Job::Round { gm, horizon, limit };
             let t_pick = profiling.then(Instant::now);
             if nw > 1 {
-                self.workers
-                    .as_ref()
-                    .expect("pool built above")
-                    .run_round(job);
+                self.workers.as_ref().expect("pool built above").run(job);
             } else {
                 for d in 0..nd {
                     if nd > 1 {
@@ -2434,10 +2467,11 @@ impl Simulation {
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        // Don't leave process threads parked forever; ignore errors since
-        // we may be unwinding already.
+        // Don't leave processes suspended forever (their locals would
+        // never be dropped) — unless we are unwinding already: a second
+        // panic out of a process's teardown would abort.
         if !std::thread::panicking() {
-            self.shared.shutdown();
+            self.shutdown();
         }
     }
 }
@@ -3003,5 +3037,49 @@ mod domain_tests {
             )
         }
         assert_eq!(staged(1), staged(2));
+    }
+
+    /// Datagrams that reached a process before it returned must not stay
+    /// resident until the simulation is dropped: nothing can read them.
+    #[test]
+    fn finished_process_releases_its_mailbox() {
+        let mut sim = Simulation::new(NetworkConfig::lan(), 0);
+        // Both sleep through the deliveries, then finish without reading.
+        let blocking = sim.spawn("blocking", NodeId(0), |ctx| {
+            ctx.sleep(Duration::from_millis(10)).unwrap();
+        });
+        let polled = sim.spawn_poll("polled", NodeId(0), |cx: &mut ProcCx| {
+            let until = SimTime::from_millis(10);
+            if cx.now() < until {
+                cx.wake_at(until); // a delivery woke us: keep waiting
+                return Poll::Pending;
+            }
+            Poll::Ready(())
+        });
+        sim.spawn("sender", NodeId(1), move |ctx| {
+            for dst in [blocking, polled] {
+                for _ in 0..3 {
+                    ctx.send(dst, Bytes::from(vec![7u8; 4096]));
+                }
+            }
+        });
+        let mid = sim.run_until(SimTime::from_millis(5));
+        assert_eq!(mid.metrics.msgs_delivered, 6);
+        let queued = |sim: &Simulation| -> Vec<(usize, usize)> {
+            let reg = sim.shared.registry.lock();
+            [blocking, polled]
+                .iter()
+                .map(|ep| {
+                    let m = &reg.procs[&reg.endpoints[ep]].mailbox;
+                    (m.len(), m.capacity())
+                })
+                .collect()
+        };
+        assert!(queued(&sim).iter().all(|&(len, _)| len == 3));
+        // Processes stay in the table after they finish; their mail
+        // must not.
+        let end = sim.run_until(SimTime::MAX);
+        assert_eq!((end.finished, end.alive), (3, 0));
+        assert_eq!(queued(&sim), vec![(0, 0), (0, 0)]);
     }
 }
