@@ -2,7 +2,7 @@
 # Local CI gate: everything a PR must pass.
 #
 #   ./ci.sh          # full gate
-#   ./ci.sh quick    # skip the release build (fmt + clippy + tests)
+#   ./ci.sh quick    # skip the release build (fmt + clippy + doc + tests)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -13,6 +13,11 @@ cargo fmt --all -- --check
 
 step "cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "cargo doc (broken or private intra-doc links are errors)"
+# Deleting or hiding a public item orphans every [`link`] to it, and
+# nothing else notices: rustdoc only warns.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 step "cargo test (workspace)"
 # What tier-1's `cargo test -q` runs (`default-members`: the root

@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use proxy_core::{ClientRuntime, OpDesc};
+use proxy_core::{OpDesc, SessionCore};
 use services::kv::KvStore;
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::{crc32, crc32_bytewise, decode, decode_bytes, encode, frame, unframe, Encoder, Value};
@@ -106,7 +106,7 @@ fn bench_dispatch(c: &mut Criterion) {
             let start = std::sync::Arc::new(std::sync::Mutex::new(Duration::ZERO));
             let s2 = std::sync::Arc::clone(&start);
             sim.spawn("host", NodeId(0), move |ctx| {
-                let mut rt = ClientRuntime::new(ns);
+                let mut rt = SessionCore::new(ns);
                 let kv = rt.host_local("kv", Box::new(KvStore::new()));
                 let args = Value::record([("key", Value::str("k")), ("value", Value::str("v"))]);
                 let t0 = Instant::now();

@@ -10,7 +10,7 @@
 
 use migration::{request_migration, spawn_migratable, ForwardMode, MigratableConfig};
 use naming::spawn_name_server;
-use proxy_core::ClientRuntime;
+use proxy_core::SessionCore;
 use services::counter::Counter;
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
@@ -42,7 +42,7 @@ fn measure(mode: ForwardMode, hops: u32, seed: u64) -> (Point, ObsReport) {
     );
     let (w, r) = slot::<Point>();
     sim.spawn("client", NodeId(50), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let ctr = rt.bind(ctx, "ctr").unwrap();
         rt.invoke(ctx, ctr, "get", Value::Null).unwrap(); // warm bind
 
@@ -74,7 +74,7 @@ fn measure(mode: ForwardMode, hops: u32, seed: u64) -> (Point, ObsReport) {
     let (fw, fr) = slot::<(f64, u64)>();
     sim.spawn("fresh-client", NodeId(51), move |ctx| {
         ctx.sleep(std::time::Duration::from_millis(200)).unwrap();
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let ctr = rt.bind(ctx, "ctr").unwrap();
         let t0 = ctx.now();
         rt.invoke(ctx, ctr, "get", Value::Null).unwrap();

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    CheckpointPolicy, ClientRuntime, InterfaceDesc, OpDesc, ServiceBuilder, ServiceObject,
+    CheckpointPolicy, InterfaceDesc, OpDesc, ServiceBuilder, ServiceObject, SessionCore,
     StableStore,
 };
 use rpc::{ErrorCode, RemoteError, RpcError};
@@ -104,7 +104,7 @@ fn measure(interval: u64, seed: u64) -> (Point, ObsReport) {
     let incarnation = ledger(&store, interval).spawn(&sim, NodeId(1), ns);
     let (w, r) = slot::<Point>();
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let h = rt.bind(ctx, "ledger").unwrap();
         for i in 0..WRITES_BEFORE_CRASH {
             rt.invoke(

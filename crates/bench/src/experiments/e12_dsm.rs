@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use dsm::{spawn_dsm_manager, DsmClient, PageId};
 use naming::spawn_name_server;
-use proxy_core::{ClientRuntime, ProxySpec, ServiceBuilder};
+use proxy_core::{ProxySpec, ServiceBuilder, SessionCore};
 use services::counter::Counter;
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
@@ -62,7 +62,7 @@ fn locality_proxy(label: &str, spec: ProxySpec, seed: u64) -> (f64, u64, ObsRepo
         .spawn(&sim, NodeId(0), ns);
     let (w, r) = slot::<f64>();
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut rt = ClientRuntime::new(ns).with_factories(services::all_factories());
+        let mut rt = SessionCore::new(ns).with_factories(services::all_factories());
         let ctr = rt.bind(ctx, "ctr").unwrap();
         let t0 = ctx.now();
         for _ in 0..OPS {
@@ -118,7 +118,7 @@ fn pingpong_stub(seed: u64) -> f64 {
         let (w, r) = slot::<f64>();
         slots.push(r);
         sim.spawn(format!("writer{c}"), NodeId(1 + c), move |ctx| {
-            let mut rt = ClientRuntime::new(ns);
+            let mut rt = SessionCore::new(ns);
             let ctr = rt.bind(ctx, "ctr").unwrap();
             let t0 = ctx.now();
             for _ in 0..50 {

@@ -1,10 +1,11 @@
 //! E16 — Million-process scale: poll-driven clients against sharded KV
 //! services.
 //!
-//! The thread-backed process model tops out at a few thousand
-//! concurrent processes — each one costs an OS thread stack and two
-//! channel handoffs per scheduling decision. This experiment exercises
-//! the other process kind: the poll-driven fleet of [`crate::fleet`],
+//! A blocking process (a `sim.spawn` body: a coroutine on x86-64
+//! Linux, a thread elsewhere) keeps a stack of its own and pins every
+//! page of it that it has touched for as long as it is parked, which a
+//! million parked clients cannot afford. This experiment exercises the
+//! other process kind: the poll-driven fleet of [`crate::fleet`],
 //! where a parked client costs one registry entry holding its own state
 //! struct — no stack, no thread.
 //!

@@ -15,7 +15,7 @@
 use std::time::Duration;
 
 use naming::spawn_name_server;
-use proxy_core::{CachingParams, ClientRuntime, Coherence, ProxySpec, ServiceBuilder};
+use proxy_core::{CachingParams, Coherence, ProxySpec, ServiceBuilder, SessionCore};
 use rpc::{RetryPolicy, RpcClient};
 use services::kv::KvStore;
 use simnet::{Ctx, NetworkConfig, NodeId, SimTime, Simulation};
@@ -107,7 +107,7 @@ fn measure(label: &str, spec: Option<ProxySpec>, seed: u64) -> (Row, ObsReport) 
                     )
                 }
                 Some(_) => {
-                    let mut rt = ClientRuntime::new(ns).with_factories(services::all_factories());
+                    let mut rt = SessionCore::new(ns).with_factories(services::all_factories());
                     let kv = rt.bind(ctx, "kv").unwrap();
                     let t0 = ctx.now();
                     workload(ctx, |ctx, is_read, key| {

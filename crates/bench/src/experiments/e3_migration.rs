@@ -11,7 +11,7 @@
 //! the threshold.
 
 use naming::spawn_name_server;
-use proxy_core::{ClientRuntime, ProxySpec, ServiceBuilder};
+use proxy_core::{ProxySpec, ServiceBuilder, SessionCore};
 use services::counter::Counter;
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
@@ -44,7 +44,7 @@ fn measure(migratory: bool, n: u64, seed: u64) -> (Point, ObsReport, TraceArtifa
     builder.spawn(&sim, NodeId(1), ns);
     let (w, r) = slot::<Point>();
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns).with_factories(factories);
+        let mut rt = SessionCore::new(ns).with_factories(factories);
         let ctr = rt.bind(ctx, "ctr").unwrap();
         let t0 = ctx.now();
         for _ in 0..n {

@@ -10,7 +10,7 @@
 //! apart, with client code identical in all three cases.
 
 use naming::spawn_name_server;
-use proxy_core::{ClientRuntime, ServiceBuilder};
+use proxy_core::{ServiceBuilder, SessionCore};
 use services::counter::Counter;
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
@@ -46,7 +46,7 @@ fn measure(label: &str, placement: Placement, seed: u64) -> (Point, ObsReport) {
     }
     let (w, r) = slot::<Point>();
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let ctr = match placement {
             Placement::SameContext => rt.host_local("ctr", Box::new(Counter::new())),
             _ => rt.bind(ctx, "ctr").unwrap(),

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    AdaptiveParams, CachingParams, ClientRuntime, Coherence, ProxySpec, ServiceBuilder,
+    AdaptiveParams, CachingParams, Coherence, ProxySpec, ServiceBuilder, SessionCore,
 };
 use services::kv::KvStore;
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
@@ -44,7 +44,7 @@ fn phase_read_pct(phase: usize) -> u64 {
     }
 }
 
-fn run_workload(rt: &mut ClientRuntime, ctx: &mut Ctx, handle: proxy_core::ProxyHandle) {
+fn run_workload(rt: &mut SessionCore, ctx: &mut Ctx, handle: proxy_core::ProxyHandle) {
     for phase in 0..3 {
         let read_pct = phase_read_pct(phase);
         for i in 0..PHASE_OPS {
@@ -85,7 +85,7 @@ fn measure(label: &str, spec: ProxySpec, seed: u64) -> (Point, ObsReport) {
         sim.spawn(format!("client{c}"), NodeId(2 + c), move |ctx| {
             // Stagger starts slightly so clients interleave.
             ctx.sleep(Duration::from_micros(200 * c as u64)).unwrap();
-            let mut rt = ClientRuntime::new(ns);
+            let mut rt = SessionCore::new(ns);
             let kv = rt.bind(ctx, "kv").unwrap();
             let t0 = ctx.now();
             run_workload(&mut rt, ctx, kv);

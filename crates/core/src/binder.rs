@@ -1,13 +1,9 @@
-//! The binding protocol and the client-context runtime.
+//! The binding protocol.
 //!
 //! [`Binder::bind`] is the proxy principle's installation step: resolve
 //! the service name, read the **service-chosen** [`ProxySpec`] from the
 //! binding metadata, and instantiate the corresponding proxy in the
 //! client's context. The client never picks the strategy.
-//!
-//! [`ClientRuntime`] is the per-process context manager: it owns every
-//! proxy bound in this context, routes incoming one-way notifications
-//! (invalidations, recalls) to the right proxy, and pumps deferred work.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -18,11 +14,11 @@ use rpc::RpcError;
 use simnet::{Ctx, Endpoint};
 use wire::{Value, WireError};
 
+use crate::bulk::BulkEngine;
 use crate::interface::InterfaceDesc;
 use crate::object::FactoryRegistry;
 use crate::proxies::{AdaptiveProxy, CachingProxy, MigratoryProxy, StubProxy};
-use crate::proxy::{Proxy, ProxyStats};
-use crate::session_core::{ProxyHandle, SessionCore};
+use crate::proxy::Proxy;
 use crate::spec::ProxySpec;
 
 /// Everything a custom proxy factory gets to work with.
@@ -197,43 +193,25 @@ impl Binder {
                 self.bind_custom(ctx, "replicated", service, record, &iface, &params)
             }
             ProxySpec::Bulk { inner, params } => {
-                let proxy: Box<dyn Proxy> = match *inner {
+                let mut bulk = BulkEngine::new(params, self.ns_ep);
+                bulk.set_route(self.bulk_route.clone());
+                match *inner {
                     ProxySpec::Stub => {
                         let mut p = StubProxy::new(service, server, self.ns_ep);
-                        p.enable_bulk(params, self.ns_ep);
-                        if let Some(route) = &self.bulk_route {
-                            p.bulk_mut()
-                                .expect("just enabled")
-                                .set_route(Some(route.clone()));
-                        }
-                        Box::new(p)
+                        p.enable_bulk(bulk);
+                        Ok(Box::new(p))
                     }
                     ProxySpec::Caching(cp) => {
                         let mut p =
                             CachingProxy::bind(ctx, service, server, self.ns_ep, iface, cp)?;
-                        p.enable_bulk(params, self.ns_ep);
-                        if let Some(route) = &self.bulk_route {
-                            p.bulk_mut()
-                                .expect("just enabled")
-                                .set_route(Some(route.clone()));
-                        }
-                        Box::new(p)
+                        p.enable_bulk(bulk);
+                        Ok(Box::new(p))
                     }
-                    other => {
-                        return Err(RpcError::Wire(WireError::WrongKind {
-                            expected: "bulk inner spec of kind stub or caching",
-                            actual: match other {
-                                ProxySpec::Migratory { .. } => "migratory",
-                                ProxySpec::Replicated { .. } => "replicated",
-                                ProxySpec::Adaptive(_) => "adaptive",
-                                ProxySpec::Bulk { .. } => "bulk",
-                                ProxySpec::Custom { .. } => "custom",
-                                ProxySpec::Stub | ProxySpec::Caching(_) => unreachable!(),
-                            },
-                        }))
-                    }
-                };
-                Ok(proxy)
+                    other => Err(RpcError::Wire(WireError::WrongKind {
+                        expected: "bulk inner spec of kind stub or caching",
+                        actual: other.kind(),
+                    })),
+                }
             }
             ProxySpec::Custom { kind, params } => {
                 self.bind_custom(ctx, &kind, service, record, &iface, &params)
@@ -265,130 +243,5 @@ impl Binder {
             factories: &self.factories,
         };
         ctor(ctx, &bind_ctx)
-    }
-}
-
-/// The per-process context manager — the blocking face of
-/// [`SessionCore`].
-///
-/// Owns all proxies bound in this context and routes one-way
-/// notifications between them, so invalidations for service A arriving
-/// while a call to service B is in flight are never lost. Every method
-/// is a thin delegation to [`SessionCore`]'s blocking surface; code
-/// that also wants the non-blocking surface (poll-driven processes)
-/// reaches it through [`ClientRuntime::core_mut`] or uses
-/// [`SessionCore`] directly.
-pub struct ClientRuntime {
-    core: SessionCore,
-}
-
-impl fmt::Debug for ClientRuntime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ClientRuntime")
-            .field("core", &self.core)
-            .finish()
-    }
-}
-
-impl ClientRuntime {
-    /// Creates a runtime talking to the name server at `ns`.
-    pub fn new(ns: Endpoint) -> ClientRuntime {
-        ClientRuntime {
-            core: SessionCore::new(ns),
-        }
-    }
-
-    /// Supplies object factories (for migratory services).
-    pub fn with_factories(mut self, factories: FactoryRegistry) -> ClientRuntime {
-        self.core = self.core.with_factories(factories);
-        self
-    }
-
-    /// Access to the underlying binder (to register custom proxy kinds).
-    pub fn binder_mut(&mut self) -> &mut Binder {
-        self.core.binder_mut()
-    }
-
-    /// The session core behind this runtime (read-only).
-    pub fn core(&self) -> &SessionCore {
-        &self.core
-    }
-
-    /// The session core behind this runtime — e.g. to use the
-    /// non-blocking surface alongside the blocking one.
-    pub fn core_mut(&mut self) -> &mut SessionCore {
-        &mut self.core
-    }
-
-    /// Binds to `service`, waiting up to 100ms of virtual time for it to
-    /// register.
-    ///
-    /// # Errors
-    ///
-    /// See [`Binder::bind_wait`].
-    pub fn bind(&mut self, ctx: &mut Ctx, service: &str) -> Result<ProxyHandle, RpcError> {
-        self.core.bind(ctx, service)
-    }
-
-    /// Invokes an operation through a bound proxy.
-    ///
-    /// See [`SessionCore::invoke`] for span and metrics behaviour.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RpcError`] from the proxy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle did not come from this runtime.
-    pub fn invoke(
-        &mut self,
-        ctx: &mut Ctx,
-        handle: ProxyHandle,
-        op: &str,
-        args: Value,
-    ) -> Result<Value, RpcError> {
-        self.core.invoke(ctx, handle, op, args)
-    }
-
-    /// Hosts an object directly in this context under `service` — the
-    /// same-context fast path (experiment E5): invocations through the
-    /// returned handle are ordinary procedure calls, no messages at all.
-    pub fn host_local(
-        &mut self,
-        service: impl Into<String>,
-        object: Box<dyn crate::ServiceObject>,
-    ) -> ProxyHandle {
-        self.core.host_local(service, object)
-    }
-
-    /// Drains the process mailbox and routes notifications; gives every
-    /// proxy a chance to do deferred work (honour recalls, etc.). Call
-    /// this periodically from client loops that go quiet.
-    pub fn pump(&mut self, ctx: &mut Ctx) {
-        self.core.pump(ctx);
-    }
-
-    /// Stats for one proxy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle did not come from this runtime.
-    pub fn stats(&self, handle: ProxyHandle) -> ProxyStats {
-        self.core.stats(handle)
-    }
-
-    /// Cleanly detaches one proxy (unsubscribe, check state back in).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle did not come from this runtime.
-    pub fn unbind(&mut self, ctx: &mut Ctx, handle: ProxyHandle) {
-        self.core.unbind(ctx, handle);
-    }
-
-    /// Detaches every proxy (call before client exit).
-    pub fn shutdown(&mut self, ctx: &mut Ctx) {
-        self.core.shutdown(ctx);
     }
 }

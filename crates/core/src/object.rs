@@ -70,7 +70,7 @@ pub trait ServiceObject: Send {
     }
 }
 
-/// How a thread-backed host executes an operation: sleeps the object's
+/// How a blocking host executes an operation: sleeps the object's
 /// [`service_time`](ServiceObject::service_time), then dispatches.
 ///
 /// # Errors

@@ -25,7 +25,7 @@ use wire::Value;
 
 use super::read_cache::{note_lookup, ReadCache};
 use super::robust_call;
-use crate::bulk::{BulkEngine, BulkParams};
+use crate::bulk::BulkEngine;
 use crate::interface::{InterfaceDesc, OpKind};
 use crate::proxy::{protocol, OnewaySink, Proxy, ProxyStats};
 use crate::spec::CachingParams;
@@ -131,11 +131,10 @@ impl CachingProxy {
         self.write_behind = Some(Channel::new(self.service.clone(), self.rpc.server(), cfg));
     }
 
-    /// Enables the out-of-band bulk data plane (see
-    /// [`crate::bulk::BulkEngine`]). `ns` is the name server used to
-    /// locate blob stores.
-    pub fn enable_bulk(&mut self, params: BulkParams, ns: Endpoint) {
-        self.bulk = Some(BulkEngine::new(params, ns));
+    /// Enables the out-of-band bulk data plane: `engine` spills and
+    /// resolves this proxy's blobs.
+    pub fn enable_bulk(&mut self, engine: BulkEngine) {
+        self.bulk = Some(engine);
     }
 
     /// The bulk engine, if [`Self::enable_bulk`] was called — for
@@ -401,8 +400,9 @@ impl Proxy for CachingProxy {
         if self.write_behind.is_none() && self.subscribed {
             self.drain_mailbox(ctx, &mut sink);
             // Strays for other services found during a poll cannot be
-            // routed from here; the runtime's pump drains the mailbox
-            // itself, so this path only runs for standalone proxies.
+            // routed from here; the session core's pump drains the
+            // mailbox itself, so this path only runs for standalone
+            // proxies.
         }
     }
 

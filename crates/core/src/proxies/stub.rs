@@ -6,7 +6,7 @@ use simnet::{Ctx, Endpoint};
 use wire::Value;
 
 use super::robust_call;
-use crate::bulk::{BulkEngine, BulkParams};
+use crate::bulk::BulkEngine;
 use crate::proxy::{OnewaySink, Proxy, ProxyStats};
 
 /// The degenerate proxy: every invocation becomes one remote call.
@@ -44,10 +44,9 @@ impl StubProxy {
 
     /// Enables the out-of-band bulk data plane: over-threshold blobs in
     /// arguments are spilled to the store before the call, and
-    /// references in replies are resolved after it. `ns` is the name
-    /// server used to locate blob stores.
-    pub fn enable_bulk(&mut self, params: BulkParams, ns: Endpoint) {
-        self.bulk = Some(BulkEngine::new(params, ns));
+    /// references in replies are resolved after it, both by `engine`.
+    pub fn enable_bulk(&mut self, engine: BulkEngine) {
+        self.bulk = Some(engine);
     }
 
     /// The bulk engine, if [`Self::enable_bulk`] was called — for

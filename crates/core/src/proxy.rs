@@ -48,7 +48,7 @@ pub use obs::ProxyStats;
 
 /// Collects one-way notifications that arrive while a proxy is blocked
 /// in a call but belong to *other* proxies in the same context. The
-/// [`crate::ClientRuntime`] routes them after the call returns.
+/// [`crate::SessionCore`] routes them after the call returns.
 pub trait OnewaySink {
     /// Queues a notification for later routing.
     fn push(&mut self, oneway: Oneway);
@@ -94,11 +94,11 @@ pub trait Proxy: Send {
     fn on_oneway(&mut self, _ctx: &mut Ctx, _oneway: &Oneway) {}
 
     /// Gives the proxy a chance to do deferred work (e.g. honour a
-    /// pending recall). Called by the runtime between invocations.
+    /// pending recall). Called by the session core between invocations.
     fn poll(&mut self, _ctx: &mut Ctx) {}
 
     /// Cleanly unbinds: unsubscribe, check state back in. Called by
-    /// [`crate::ClientRuntime::unbind`] and before client exit.
+    /// [`crate::SessionCore::unbind`] and before client exit.
     fn detach(&mut self, _ctx: &mut Ctx) {}
 
     /// Current counters.

@@ -5,10 +5,10 @@
 //! through two surfaces:
 //!
 //! * **Blocking** ([`SessionCore::bind`], [`SessionCore::invoke`], …):
-//!   the classic call-and-wait style used by thread-backed processes.
-//!   [`ClientRuntime`](crate::ClientRuntime) and
-//!   [`Session`](crate::Session) are thin shims over these methods —
-//!   the paper's proxy interface, unchanged.
+//!   the classic call-and-wait style used by blocking processes
+//!   (`sim.spawn` bodies). [`Session`](crate::Session) borrows a core
+//!   and its [`Ctx`] together and forwards to these methods — the
+//!   paper's proxy interface, unchanged.
 //! * **Non-blocking** ([`SessionCore::bind_async`],
 //!   [`SessionCore::invoke_async`] and their `poll_*` drivers): returns
 //!   [`BindFuture`] / [`CallFuture`] tickets a poll-driven process
@@ -37,9 +37,9 @@ use rpc::{Channel, ChannelConfig, Oneway, RpcError};
 use simnet::{Ctx, Endpoint, Poll, ProcCx, SimTime};
 use wire::{Value, WireError};
 
+use crate::binder::Binder;
 use crate::object::FactoryRegistry;
 use crate::proxy::{Proxy, ProxyStats};
-use crate::runtime::Binder;
 use crate::spec::ProxySpec;
 
 /// Handle to a proxy owned by a session core (blocking surface).
@@ -101,7 +101,11 @@ struct AsyncService {
 /// The client-context engine behind [`Session`](crate::Session): the
 /// binder, the proxy table and the non-blocking call machinery.
 ///
-/// See the [module docs](self) for the blocking/non-blocking split.
+/// It has two surfaces: blocking ([`SessionCore::bind`],
+/// [`SessionCore::invoke`]) for `sim.spawn` bodies, which binds any
+/// [`ProxySpec`], and non-blocking ([`SessionCore::bind_async`],
+/// [`SessionCore::invoke_async`]) for poll-driven processes, which
+/// binds [`ProxySpec::Stub`] services only.
 pub struct SessionCore {
     binder: Binder,
     proxies: Vec<Box<dyn Proxy>>,

@@ -164,16 +164,29 @@ impl ProxySpec {
         }
     }
 
+    /// The `kind` field of the encoded spec.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            ProxySpec::Stub => "stub",
+            ProxySpec::Caching(_) => "caching",
+            ProxySpec::Migratory { .. } => "migratory",
+            ProxySpec::Replicated { .. } => "replicated",
+            ProxySpec::Adaptive(_) => "adaptive",
+            ProxySpec::Bulk { .. } => "bulk",
+            ProxySpec::Custom { .. } => "custom",
+        }
+    }
+
     /// Encodes the spec for the name-service metadata record.
     pub fn to_value(&self) -> Value {
         match self {
-            ProxySpec::Stub => Value::record([("kind", Value::str("stub"))]),
+            ProxySpec::Stub => Value::record([("kind", Value::str(self.kind()))]),
             ProxySpec::Caching(p) => Value::record([
-                ("kind", Value::str("caching")),
+                ("kind", Value::str(self.kind())),
                 ("params", caching_to_value(p)),
             ]),
             ProxySpec::Migratory { threshold } => Value::record([
-                ("kind", Value::str("migratory")),
+                ("kind", Value::str(self.kind())),
                 ("threshold", Value::U64(*threshold)),
             ]),
             ProxySpec::Replicated {
@@ -181,7 +194,7 @@ impl ProxySpec {
                 replicas,
                 read_target,
             } => Value::record([
-                ("kind", Value::str("replicated")),
+                ("kind", Value::str(self.kind())),
                 ("primary", endpoint_to_value(*primary)),
                 (
                     "replicas",
@@ -196,19 +209,19 @@ impl ProxySpec {
                 ),
             ]),
             ProxySpec::Adaptive(p) => Value::record([
-                ("kind", Value::str("adaptive")),
+                ("kind", Value::str(self.kind())),
                 ("window", Value::U64(p.window as u64)),
                 ("enable_at", Value::F64(p.enable_at)),
                 ("disable_at", Value::F64(p.disable_at)),
                 ("caching", caching_to_value(&p.caching)),
             ]),
             ProxySpec::Bulk { inner, params } => Value::record([
-                ("kind", Value::str("bulk")),
+                ("kind", Value::str(self.kind())),
                 ("inner", inner.to_value()),
                 ("bulk", params.to_value()),
             ]),
             ProxySpec::Custom { kind, params } => Value::record([
-                ("kind", Value::str("custom")),
+                ("kind", Value::str(self.kind())),
                 ("custom_kind", Value::str(kind.clone())),
                 ("params", params.clone()),
             ]),

@@ -12,8 +12,8 @@ use std::time::Duration;
 
 use naming::{spawn_name_server, NameClient, NAME_SERVER_PORT};
 use proxy_core::{
-    CheckpointPolicy, ClientRuntime, FactoryRegistry, InterfaceDesc, OpDesc, ServiceBuilder,
-    ServiceObject, StableStore,
+    CheckpointPolicy, FactoryRegistry, InterfaceDesc, OpDesc, ServiceBuilder, ServiceObject,
+    SessionCore, StableStore,
 };
 use rpc::{ErrorCode, RemoteError, RpcClient, RpcError};
 use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, SimTime, Simulation, TraceEvent};
@@ -101,7 +101,7 @@ fn a_builder_service_dispatches_inside_a_poll_driven_process() {
         .object(move || Box::new(Probe(seen)))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let probe = rt.bind(ctx, "probe").unwrap();
         rt.invoke(ctx, probe, "get", Value::Null).unwrap();
     });
@@ -262,7 +262,7 @@ fn crash_and_recover(threads: usize) -> (String, String) {
     let checked = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&checked);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let work = rt.bind(ctx, "work").unwrap();
         for _ in 0..3 {
             rt.invoke(ctx, work, "work", Value::Null).unwrap();

@@ -16,8 +16,8 @@ use std::time::Duration;
 use naming::spawn_name_server;
 use proptest::prelude::*;
 use proxy_core::{
-    AdaptiveParams, CachingParams, ClientRuntime, Coherence, InterfaceDesc, OpDesc, OpKind,
-    ProxySpec, ReadTarget, ServiceBuilder, ServiceObject,
+    AdaptiveParams, CachingParams, Coherence, InterfaceDesc, OpDesc, OpKind, ProxySpec, ReadTarget,
+    ServiceBuilder, ServiceObject, SessionCore,
 };
 use rpc::{ErrorCode, RemoteError};
 use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, PortId, Simulation};
@@ -258,7 +258,7 @@ fn run_model(
     for (c, script) in scripts.into_iter().enumerate() {
         let (oracle, failure) = (oracle.clone(), Arc::clone(&failure));
         sim.spawn(format!("client{c}"), NodeId(2 + c as u32), move |ctx| {
-            let mut rt = ClientRuntime::new(ns);
+            let mut rt = SessionCore::new(ns);
             let kv = rt.bind(ctx, "kv").unwrap();
             let key_args = |k: &str| Value::record([("key", Value::str(k))]);
             let shown = |v: Option<&String>| v.map_or(Value::Null, |v| Value::str(v.clone()));

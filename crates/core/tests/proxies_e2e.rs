@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    AdaptiveParams, CachingParams, ClientRuntime, Coherence, DiscardStrays, FactoryRegistry,
-    InterfaceDesc, OpDesc, Proxy, ProxySpec, ServiceBuilder, ServiceObject,
+    AdaptiveParams, CachingParams, Coherence, DiscardStrays, FactoryRegistry, InterfaceDesc,
+    OpDesc, Proxy, ProxySpec, ServiceBuilder, ServiceObject, SessionCore,
 };
 use rpc::{ErrorCode, RemoteError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
@@ -120,7 +120,7 @@ fn stub_proxy_forwards_everything() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
         for _ in 0..5 {
@@ -151,7 +151,7 @@ fn caching_proxy_hits_after_first_read() {
         .object(move || Box::new(Kv::with_counter(d)))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
         for _ in 0..10 {
@@ -177,7 +177,7 @@ fn caching_proxy_reads_own_writes() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
         assert_eq!(
@@ -211,7 +211,7 @@ fn invalidations_propagate_between_clients() {
     // Reader caches "a", then waits; writer updates "a"; reader must see
     // the new value after the invalidation arrives.
     sim.spawn("reader", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "old")).unwrap();
         assert_eq!(
@@ -229,7 +229,7 @@ fn invalidations_propagate_between_clients() {
     });
     sim.spawn("writer", NodeId(3), move |ctx| {
         ctx.sleep(Duration::from_millis(20)).unwrap();
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "new")).unwrap();
     });
@@ -251,7 +251,7 @@ fn lease_coherence_expires_entries() {
         .object(move || Box::new(Kv::with_counter(d)))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
         // Fill, then hit within the lease.
@@ -279,7 +279,7 @@ fn cache_capacity_is_bounded() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         for i in 0..16 {
             let k = format!("k{i}");
@@ -312,7 +312,7 @@ fn migratory_proxy_localizes_after_threshold() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns).with_factories(factories);
+        let mut rt = SessionCore::new(ns).with_factories(factories);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
         for _ in 0..20 {
@@ -351,7 +351,7 @@ fn migratory_object_recalled_for_second_client() {
 
     let fa = factories.clone();
     sim.spawn("client-a", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns).with_factories(fa);
+        let mut rt = SessionCore::new(ns).with_factories(fa);
         let kv = rt.bind(ctx, "kv").unwrap();
         // Trigger migration to A.
         rt.invoke(ctx, kv, "put", put_args("a", "from-a")).unwrap();
@@ -376,7 +376,7 @@ fn migratory_object_recalled_for_second_client() {
     let fb = factories;
     sim.spawn("client-b", NodeId(3), move |ctx| {
         ctx.sleep(Duration::from_millis(30)).unwrap();
-        let mut rt = ClientRuntime::new(ns).with_factories(fb);
+        let mut rt = SessionCore::new(ns).with_factories(fb);
         let kv = rt.bind(ctx, "kv").unwrap();
         // The object is checked out to A; our calls bounce with
         // Unavailable until A checks in. Retry with backoff.
@@ -417,7 +417,7 @@ fn adaptive_proxy_switches_with_workload() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
 
@@ -452,7 +452,7 @@ fn adaptive_proxy_switches_with_workload() {
 fn service_switches_spec_without_client_change() {
     // The encapsulation claim: the same client code works when the
     // service changes its published proxy from stub to caching.
-    fn client_workload(rt: &mut ClientRuntime, ctx: &mut Ctx) -> u64 {
+    fn client_workload(rt: &mut SessionCore, ctx: &mut Ctx) -> u64 {
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
         for _ in 0..20 {
@@ -484,7 +484,7 @@ fn service_switches_spec_without_client_change() {
         let calls = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&calls);
         sim.spawn("client", NodeId(2), move |ctx| {
-            let mut rt = ClientRuntime::new(ns);
+            let mut rt = SessionCore::new(ns);
             c.store(client_workload(&mut rt, ctx), Ordering::SeqCst);
         });
         sim.run();
@@ -535,7 +535,7 @@ fn custom_proxy_kind_via_factory() {
     let count = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&count);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let c2 = Arc::clone(&c);
         rt.binder_mut().register_proxy("counting", move |_ctx, bc| {
             Ok(Box::new(CountingProxy {
@@ -564,7 +564,7 @@ fn unknown_custom_kind_fails_bind() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let err = rt.bind(ctx, "kv").unwrap_err();
         match err {
             rpc::RpcError::Remote(e) => assert_eq!(e.code, ErrorCode::Unavailable),
@@ -729,7 +729,7 @@ fn a_write_is_pushed_to_the_readers_of_its_key_and_to_nobody_else() {
     let ns = spawn_name_server(&sim, NodeId(0));
     spawn_invalidating_kv(&sim, ns);
     sim.spawn("writer", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         at(ctx, 5);
         rt.invoke(ctx, kv, "put", put_args("a", "old")).unwrap();
@@ -741,7 +741,7 @@ fn a_write_is_pushed_to_the_readers_of_its_key_and_to_nobody_else() {
         rt.invoke(ctx, kv, "put", put_args("a", "new2")).unwrap();
     });
     sim.spawn("reader", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         at(ctx, 10);
         assert_eq!(
@@ -756,7 +756,7 @@ fn a_write_is_pushed_to_the_readers_of_its_key_and_to_nobody_else() {
         assert_eq!(rt.stats(kv).invalidations_rx, 1, "exactly one, for new1");
     });
     sim.spawn("bystander", NodeId(4), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         at(ctx, 10);
         rt.invoke(ctx, kv, "get", get_args("b")).unwrap();
@@ -779,7 +779,7 @@ fn whole_object_readers_hear_every_write_and_whole_object_writes_reach_every_sha
     let ns = spawn_name_server(&sim, NodeId(0));
     spawn_invalidating_kv(&sim, ns);
     sim.spawn("writer", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         at(ctx, 5);
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
@@ -791,7 +791,7 @@ fn whole_object_readers_hear_every_write_and_whole_object_writes_reach_every_sha
         rt.invoke(ctx, kv, "clear", Value::Null).unwrap();
     });
     sim.spawn("counter", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         at(ctx, 10);
         assert_eq!(
@@ -813,7 +813,7 @@ fn whole_object_readers_hear_every_write_and_whole_object_writes_reach_every_sha
         assert_eq!(rt.stats(kv).invalidations_rx, 2);
     });
     sim.spawn("keyed", NodeId(4), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         at(ctx, 10);
         assert_eq!(
@@ -831,7 +831,7 @@ fn whole_object_readers_hear_every_write_and_whole_object_writes_reach_every_sha
         assert_eq!(rt.stats(kv).invalidations_rx, 1, "clear reached it");
     });
     sim.spawn("idle", NodeId(5), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let _kv = rt.bind(ctx, "kv").unwrap();
         at(ctx, 50);
         assert!(ctx.try_recv().unwrap().is_none(), "a sharer of nothing");
@@ -847,7 +847,7 @@ fn unsubscribing_purges_the_reader_from_the_directory() {
     let ns = spawn_name_server(&sim, NodeId(0));
     spawn_invalidating_kv(&sim, ns);
     sim.spawn("reader", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "get", get_args("a")).unwrap();
         rt.unbind(ctx, kv);
@@ -855,7 +855,7 @@ fn unsubscribing_purges_the_reader_from_the_directory() {
         assert!(ctx.try_recv().unwrap().is_none());
     });
     sim.spawn("writer", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         at(ctx, 20);
         rt.invoke(ctx, kv, "put", put_args("a", "new")).unwrap();

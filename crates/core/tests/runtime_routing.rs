@@ -1,4 +1,4 @@
-//! Tests of the client runtime's notification routing: one-way traffic
+//! Tests of the session core's notification routing: one-way traffic
 //! for proxy A arriving while proxy B is mid-call must reach A, never
 //! be lost, and never corrupt B's call.
 
@@ -9,12 +9,12 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    CachingParams, ClientRuntime, Coherence, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder,
-    ServiceObject,
+    BulkParams, CachingParams, Coherence, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder,
+    ServiceObject, SessionCore,
 };
-use rpc::{ErrorCode, RemoteError};
+use rpc::{ErrorCode, RemoteError, RpcError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
-use wire::Value;
+use wire::{Value, WireError};
 
 /// KV whose reads can be made artificially slow, to hold a call open
 /// while other traffic arrives.
@@ -90,7 +90,7 @@ fn invalidation_for_proxy_a_arriving_during_call_to_b_is_routed() {
     let observed = Arc::new(AtomicU64::new(0));
     let o2 = Arc::clone(&observed);
     sim.spawn("observer", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         let b = rt.bind(ctx, "svc-b").unwrap();
         // Prime A's cache.
@@ -104,7 +104,7 @@ fn invalidation_for_proxy_a_arriving_during_call_to_b_is_routed() {
         // — the stub retransmits and dedup suppresses; the reply
         // eventually arrives). During that window, the writer updates
         // A's key and the invalidation lands in OUR mailbox while we
-        // wait on B. The runtime must hand it to proxy A.
+        // wait on B. The core must hand it to proxy A.
         let _ = rt.invoke(ctx, b, "get", key("anything")).unwrap();
         // No sleeps: immediately read A again. If the invalidation was
         // lost, the stale cached "old" comes back.
@@ -117,7 +117,7 @@ fn invalidation_for_proxy_a_arriving_during_call_to_b_is_routed() {
         // Fire while the observer is blocked on B (B's read takes 30ms
         // and starts ~6ms in; write at 15ms lands inside the window).
         ctx.sleep(Duration::from_millis(15)).unwrap();
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         rt.invoke(ctx, a, "put", kv("x", "new")).unwrap();
     });
@@ -142,7 +142,7 @@ fn pump_routes_notifications_while_idle() {
         })
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("observer", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         rt.invoke(ctx, a, "put", kv("x", "old")).unwrap();
         rt.invoke(ctx, a, "get", key("x")).unwrap(); // cached
@@ -157,9 +157,53 @@ fn pump_routes_notifications_while_idle() {
     });
     sim.spawn("writer", NodeId(3), move |ctx| {
         ctx.sleep(Duration::from_millis(10)).unwrap();
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         rt.invoke(ctx, a, "put", kv("x", "new")).unwrap();
+    });
+    sim.run();
+}
+
+#[test]
+fn a_bulk_spec_around_an_unsupported_inner_is_refused_and_the_core_stays_usable() {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 15);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    let fast_kv = || {
+        Box::new(SlowKv {
+            map: BTreeMap::new(),
+            read_delay: Duration::ZERO,
+        }) as Box<dyn ServiceObject>
+    };
+    ServiceBuilder::new("svc-bulk")
+        .spec(ProxySpec::Bulk {
+            inner: Box::new(ProxySpec::Migratory { threshold: 3 }),
+            params: BulkParams::default(),
+        })
+        .object(fast_kv)
+        .spawn(&sim, NodeId(1), ns);
+    ServiceBuilder::new("svc-stub")
+        .spec(ProxySpec::Stub)
+        .object(fast_kv)
+        .spawn(&sim, NodeId(2), ns);
+    sim.spawn("client", NodeId(3), move |ctx| {
+        let mut rt = SessionCore::new(ns);
+        let refused = rt.bind(ctx, "svc-bulk").unwrap_err();
+        assert!(
+            matches!(
+                refused,
+                RpcError::Wire(WireError::WrongKind {
+                    actual: "migratory",
+                    ..
+                })
+            ),
+            "{refused:?}"
+        );
+        let stub = rt.bind(ctx, "svc-stub").unwrap();
+        rt.invoke(ctx, stub, "put", kv("x", "1")).unwrap();
+        assert_eq!(
+            rt.invoke(ctx, stub, "get", key("x")).unwrap(),
+            Value::str("1")
+        );
     });
     sim.run();
 }
@@ -212,7 +256,7 @@ fn invalidations_sent(sim: &Simulation) -> u64 {
 fn an_invalidation_that_overtakes_its_reply_is_applied_after_the_fill() {
     let (mut sim, ns) = slow_reader_setup(12);
     sim.spawn("reader", READER, move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         // Sent at 100, served at 104 (the service files us under "x"),
         // answered at 108. The write's invalidation arrives at ~105.6.
@@ -232,7 +276,7 @@ fn an_invalidation_that_overtakes_its_reply_is_applied_after_the_fill() {
         assert_eq!(rt.stats(a).local_hits, 0);
     });
     sim.spawn("writer", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         rt.invoke(ctx, a, "put", kv("x", "old")).unwrap();
         at(ctx, 105);
@@ -248,7 +292,7 @@ fn an_invalidation_that_overtakes_its_reply_is_applied_after_the_fill() {
 fn a_replayed_pre_write_reply_does_not_outlive_its_invalidation() {
     let (mut sim, ns) = slow_reader_setup(13);
     sim.spawn("reader", READER, move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         // Sent at 100 and served at 104, but the reply is lost. The
         // write at ~105.5 invalidates us (arrives ~109.5, mid-call); our
@@ -267,7 +311,7 @@ fn a_replayed_pre_write_reply_does_not_outlive_its_invalidation() {
         );
     });
     sim.spawn("writer", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         rt.invoke(ctx, a, "put", kv("x", "old")).unwrap();
         // The request is already on the wire; the reply will not be.
@@ -290,7 +334,7 @@ fn a_replayed_pre_write_reply_does_not_outlive_its_invalidation() {
 fn a_stale_invalidation_after_a_re_read_costs_one_miss_and_no_coherence() {
     let (mut sim, ns) = slow_reader_setup(14);
     sim.spawn("reader", READER, move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         at(ctx, 20);
         assert_eq!(
@@ -322,7 +366,7 @@ fn a_stale_invalidation_after_a_re_read_costs_one_miss_and_no_coherence() {
         assert_eq!(rt.stats(a).invalidations_rx, 2);
     });
     sim.spawn("writer", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         rt.invoke(ctx, a, "put", kv("x", "v1")).unwrap();
         at(ctx, 39);

@@ -2,7 +2,7 @@
 //! non-blocking `SessionCore` surface are two faces of one engine, so a
 //! workload expressed both ways must look identical to the service.
 //!
-//! Twin runs with the same seed — one thread-backed client using
+//! Twin runs with the same seed — one blocking client using
 //! `Session::{bind,invoke}`, one poll-driven `Process` using
 //! `bind_async`/`invoke_async` — must produce the same per-call
 //! results, the same server-side dispatch counts, and the same number
@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use proxy_core::{
-    AsyncHandle, BindFuture, CallFuture, ClientRuntime, InterfaceDesc, OpDesc, ProxySpec,
-    ServiceBuilder, ServiceObject, Session, SessionCore,
+    AsyncHandle, BindFuture, CallFuture, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder,
+    ServiceObject, Session, SessionCore,
 };
 use rpc::{ErrorCode, RemoteError};
 use simnet::{NetworkConfig, NodeId, Poll, ProcCx, Process, Simulation};
@@ -76,7 +76,7 @@ fn blocking_run(seed: u64) -> RunShape {
     let results = Arc::new(Mutex::new(Vec::new()));
     let r2 = Arc::clone(&results);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut session = Session::new(&mut rt, ctx);
         let h = session.bind("adder").unwrap();
         for i in 0..CALLS {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use migration::{request_migration, spawn_migratable, ForwardMode, MigratableConfig};
 use naming::spawn_name_server;
-use proxy_core::{ClientRuntime, FactoryRegistry, InterfaceDesc, OpDesc, ServiceObject};
+use proxy_core::{FactoryRegistry, InterfaceDesc, OpDesc, ServiceObject, SessionCore};
 use rpc::{ErrorCode, RemoteError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
 use wire::Value;
@@ -57,7 +57,7 @@ fn migration_is_transparent_and_preserves_state() {
         || Box::new(Counter(0)),
     );
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let ctr = rt.bind(ctx, "ctr").unwrap();
         for _ in 0..5 {
             rt.invoke(ctx, ctr, "inc", Value::Null).unwrap();
@@ -95,7 +95,7 @@ fn chain_rebinds(mode: ForwardMode, hops: u32, seed: u64) -> (u64, u64) {
     let out = Arc::new(AtomicU64::new(0));
     let out2 = Arc::clone(&out);
     sim.spawn("client", NodeId(100), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let ctr = rt.bind(ctx, "ctr").unwrap();
         // Bind is warm: one call before any migration.
         assert_eq!(
@@ -169,7 +169,7 @@ fn naming_updates_let_fresh_clients_bind_directly() {
         let _h3 = request_migration(ctx, h2, NodeId(4)).unwrap();
         // A fresh client binds *after* the moves: naming points at the
         // current home, so no redirects at all.
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let ctr = rt.bind(ctx, "ctr").unwrap();
         assert_eq!(
             rt.invoke(ctx, ctr, "get", Value::Null).unwrap(),
@@ -197,7 +197,7 @@ fn migrating_twice_to_same_chain_is_consistent_under_writes() {
         || Box::new(Counter(0)),
     );
     sim.spawn("client", NodeId(9), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let ctr = rt.bind(ctx, "ctr").unwrap();
         let mut expected = 0u64;
         let mut host = home;

@@ -33,8 +33,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 pub mod analysis;
 pub mod export;
 pub mod json;
@@ -64,7 +62,7 @@ pub use trace::{CausalEvent, CausalTrace, Loc, NetEvent, NetEventKind, TraceSink
 /// the value 0 ([`SpanId::NONE`]) means "no span" and is what a packet
 /// carries when it was sent outside any tracked invocation (e.g. name
 /// service traffic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
@@ -98,7 +96,7 @@ impl std::fmt::Display for SpanId {
 }
 
 /// What kind of work a span covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// A client-side proxy invocation (opened by the client runtime).
     Invoke,
@@ -120,7 +118,7 @@ impl SpanKind {
 }
 
 /// One recorded span. All times are simulated nanoseconds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpanRecord {
     /// This span's id.
     pub id: SpanId,
@@ -160,7 +158,7 @@ impl SpanRecord {
 ///
 /// Produced by `simnet::Metrics::snapshot`; a [`RunReport`] embeds the
 /// snapshot taken when the report was built.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Messages handed to the network.
     pub msgs_sent: u64,
@@ -247,7 +245,7 @@ impl MetricsSnapshot {
 ///
 /// Canonical definition; `rpc` re-exports it and each `RpcClient` keeps
 /// its own copy, while the registry aggregates across all clients.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CallStats {
     /// Calls issued.
     pub calls: u64,
@@ -280,7 +278,7 @@ impl CallStats {
 }
 
 /// Server-side RPC counters (at-most-once executor).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests executed for the first time.
     pub executed: u64,
@@ -313,7 +311,7 @@ impl ServeStats {
 }
 
 /// Per-proxy counters maintained by the client runtime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProxyStats {
     /// Invocations routed through the proxy.
     pub invocations: u64,
@@ -344,7 +342,7 @@ pub struct ProxyStats {
 }
 
 /// Per-service counters maintained by the service server.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Operations dispatched to the service object.
     pub dispatched: u64,
@@ -379,7 +377,7 @@ const BUCKETS: usize = 65;
 /// the error within the bucket's factor-of-two width. That resolution is
 /// plenty for latency distributions where the interesting differences
 /// are multiples, not percents.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -526,7 +524,7 @@ impl Histogram {
 }
 
 /// Latency summary for one `(service, op)` pair, in simulated nanoseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpLatency {
     /// Samples recorded.
     pub count: u64,
@@ -561,7 +559,7 @@ pub struct OpLatency {
 ///
 /// The rolling p99 is computed *before* the closing span's own sample is
 /// recorded, so an outlier cannot raise the bar it is judged against.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WatchdogConfig {
     /// Trigger factor over the rolling p99 (e.g. 3.0).
     pub multiplier: f64,
@@ -589,7 +587,7 @@ impl Default for WatchdogConfig {
 /// Queue/wire/server/retransmit decomposition of an exemplar's span,
 /// copied from [`analysis::critical_paths`]. The four components tile
 /// the span exactly: they sum to the exemplar's `latency_ns`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExemplarBreakdown {
     /// Time spent queued client-side before hitting the wire.
     pub queue_ns: u64,
@@ -607,7 +605,7 @@ pub struct ExemplarBreakdown {
 
 /// One slow call pinned by the watchdog: the span, why it tripped, and
 /// (once [`RunReport::attach_exemplars`] has run) where the time went.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Exemplar {
     /// The offending invoke span.
     pub span: SpanId,
@@ -635,7 +633,7 @@ pub struct Exemplar {
 /// artifacts so tooling can refuse to compare incomparable runs.
 /// Everything is optional: fields the harness cannot know stay absent
 /// rather than inventing values.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunMeta {
     /// RNG seed the simulation ran with.
     pub seed: Option<u64>,
@@ -743,7 +741,7 @@ struct MiscInner {
 
 /// Self-measurement of the observability plane: what the plane itself
 /// costs, reported as first-class gauges inside the report it produces.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsPlaneReport {
     /// Closed spans folded into per-`(service, op)` aggregates and
     /// evicted from the span table.
@@ -1346,30 +1344,10 @@ impl MetricsRegistry {
         self.sm_end(t0);
     }
 
-    /// Notes a retransmission of the request belonging to `id`. A span
-    /// already retired counts toward the run total without a record to
-    /// land on.
-    pub fn span_retransmit(&self, id: SpanId) {
-        if !id.is_some() || !self.on() {
-            return;
-        }
-        let t0 = self.sm_start();
-        let mut shard = self.shard(id.0);
-        match shard.get_mut(&id.0) {
-            Some(rec) => rec.retransmissions += 1,
-            None => {
-                if id.0 <= self.next_span.load(Ordering::Relaxed) {
-                    self.retired_retransmissions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        drop(shard);
-        self.sm_end(t0);
-    }
-
-    /// Like [`MetricsRegistry::span_retransmit`], but with a timestamp
-    /// so the retransmission also lands in the `retx@<service>` window
-    /// of the flight recorder (when enabled).
+    /// Notes a retransmission of the request belonging to `id`, sent at
+    /// `now_ns` (it also lands in the `retx@<service>` window of the
+    /// flight recorder, when enabled). A span already retired counts
+    /// toward the run total without a record to land on.
     pub fn span_retransmit_at(&self, id: SpanId, now_ns: u64) {
         if !id.is_some() || !self.on() {
             return;
@@ -1982,7 +1960,7 @@ impl MetricsRegistry {
 // ---------------------------------------------------------------------------
 
 /// Aggregated RPC counters, both sides.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RpcReport {
     /// Summed over every client in the run.
     pub client: CallStats,
@@ -1991,7 +1969,7 @@ pub struct RpcReport {
 }
 
 /// Reply/span correlation counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplyReport {
     /// Replies matched to a live span.
     pub matched: u64,
@@ -2005,7 +1983,7 @@ pub struct ReplyReport {
 }
 
 /// Span table summary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanReport {
     /// Invoke + dispatch spans opened.
     pub started: u64,
@@ -2024,7 +2002,7 @@ pub struct SpanReport {
 /// The unified observability report for one run: network counters, RPC
 /// counters, per-proxy and per-server stats, per-op latency percentiles
 /// and the span summary, in one serializable value.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Simulated clock when the report was taken, in nanoseconds.
     pub end_time_ns: u64,
@@ -2098,9 +2076,8 @@ impl RunReport {
     }
     /// Renders the report as a self-contained JSON object.
     ///
-    /// Hand-rolled so the report stays serializable even when the
-    /// workspace is built against the offline serde stand-in; the output
-    /// is stable (maps are ordered) and safe to diff across runs.
+    /// Hand-rolled (the workspace carries no JSON crate); the output is
+    /// stable (maps are ordered) and safe to diff across runs.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.obj(|w| {
@@ -2621,8 +2598,8 @@ mod tests {
     fn retransmissions_accumulate_on_one_span() {
         let reg = MetricsRegistry::new();
         let sp = reg.open_span(SpanKind::Invoke, SpanId::NONE, "kv", "put", 0);
-        reg.span_retransmit(sp);
-        reg.span_retransmit(sp);
+        reg.span_retransmit_at(sp, 10);
+        reg.span_retransmit_at(sp, 20);
         let report = reg.report(MetricsSnapshot::default(), 50);
         assert_eq!(report.spans.retransmissions, 2);
         let rec = reg.span_record(sp).expect("span resident");
@@ -2998,7 +2975,7 @@ mod tests {
             let inv = reg.open_span(SpanKind::Invoke, SpanId::NONE, svc, op, i * 10);
             let disp = reg.open_span(SpanKind::Dispatch, inv, svc, op, i * 10 + 2);
             if i % 7 == 0 {
-                reg.span_retransmit(inv);
+                reg.span_retransmit_at(inv, i * 10 + 4);
             }
             reg.on_call();
             reg.on_executed();
@@ -3084,7 +3061,7 @@ mod tests {
         // A reply for a retired span is by definition late: retirement
         // only ever evicts closed spans.
         assert_eq!(reg.span_reply(sp.raw(), 9), ReplyKind::Late);
-        reg.span_retransmit(sp);
+        reg.span_retransmit_at(sp, 9);
         let report = reg.report(MetricsSnapshot::default(), 10);
         assert_eq!(report.spans.replies.late, 1);
         assert_eq!(report.spans.replies.unknown_span, 0);

@@ -42,8 +42,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use crate::MetricsRegistry;
 
 /// How many registries currently have profiling enabled, across the
@@ -177,7 +175,7 @@ impl Drop for ScopeGuard {
 }
 
 /// Accumulated statistics for one frame path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameStat {
     /// Times the path was folded (deterministic across thread counts).
     pub calls: u64,
@@ -248,7 +246,7 @@ impl ProfileLane {
 
 /// The merged profiler section of a [`crate::RunReport`]: the folded
 /// frame table plus honesty counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileReport {
     /// Folded frame paths → accumulated stats, key-ordered (merged
     /// across writer lanes; byte-identical for any thread count).

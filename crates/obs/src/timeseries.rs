@@ -46,12 +46,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Histogram, OpLatency};
 
 /// Summary of one gauge inside one window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GaugeStat {
     /// The last level sampled in the window.
     pub last: u64,
@@ -163,7 +161,7 @@ impl TimeSeries {
     /// Merges per-lane recordings into one store, deterministically.
     ///
     /// Windows are united by index: counters sum, histograms merge
-    /// bucket-wise, gauges combine via [`GaugeStat::absorb`] in
+    /// bucket-wise, gauges combine via `GaugeStat::absorb` in
     /// ascending lane order. Eviction and straggler counts sum — a
     /// window evicted from *any* lane's ring still counts as truncation
     /// even if another lane retained its copy of that window index.
@@ -291,7 +289,7 @@ impl TimeSeries {
 
 /// One exported window: everything that landed in
 /// `[start_ns, start_ns + width_ns)`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WindowReport {
     /// Window start (simulated nanoseconds).
     pub start_ns: u64,
@@ -304,7 +302,7 @@ pub struct WindowReport {
 }
 
 /// The exported flight recording: a run's windows in time order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeriesReport {
     /// Window width (simulated nanoseconds).
     pub width_ns: u64,

@@ -8,8 +8,8 @@
 
 use naming::NameClient;
 use proxy_core::{
-    protocol, BindContext, Binder, ClientRuntime, InterfaceDesc, OnewaySink, Proxy, ProxyStats,
-    ReadTarget,
+    protocol, BindContext, Binder, InterfaceDesc, OnewaySink, Proxy, ProxyStats, ReadTarget,
+    SessionCore,
 };
 use rpc::{ErrorCode, RpcClient, RpcError};
 use simnet::{Ctx, Endpoint};
@@ -214,9 +214,9 @@ pub fn register_replica_proxy(binder: &mut Binder) {
     });
 }
 
-/// A [`ClientRuntime`] with the replica proxy pre-registered.
-pub fn client_runtime(ns: Endpoint) -> ClientRuntime {
-    let mut rt = ClientRuntime::new(ns);
+/// A [`SessionCore`] with the replica proxy pre-registered.
+pub fn client_runtime(ns: Endpoint) -> SessionCore {
+    let mut rt = SessionCore::new(ns);
     register_replica_proxy(rt.binder_mut());
     rt
 }

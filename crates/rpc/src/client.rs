@@ -5,7 +5,7 @@
 //! server's duplicate suppression the protocol gives **at-most-once**
 //! execution (the Birrell & Nelson design the paper's stubs assume).
 //!
-//! A thread-backed process blocks in [`RpcClient::call`]; a poll-driven
+//! A blocking process blocks in [`RpcClient::call`]; a poll-driven
 //! one makes the same call with [`RpcClient::start`] and drives it from
 //! its `poll` with [`RpcClient::poll`]. Both are one implementation: the
 //! blocking call is `start` plus a loop that waits for the mailbox.

@@ -15,8 +15,8 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use proxy_core::bulk::{ops, BlobClient};
 use proxy_core::{
-    BulkParams, CachingParams, ClientRuntime, Coherence, InterfaceDesc, ProxySpec, ServiceBuilder,
-    ServiceObject, Session,
+    BulkParams, CachingParams, Coherence, InterfaceDesc, ProxySpec, ServiceBuilder, ServiceObject,
+    Session, SessionCore,
 };
 use services::blob::{spawn_edge_cache, BlobStore};
 use services::kv::KvStore;
@@ -47,7 +47,7 @@ fn stub_proxy_spills_and_resolves_through_blob_store() {
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(2), ns);
     sim.spawn("client", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let kv = s.bind("kv").unwrap();
         let data = payload(256 * 1024, 3);
@@ -99,7 +99,7 @@ fn caching_proxy_caches_resolved_bulk_values() {
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(2), ns);
     sim.spawn("client", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let kv = s.bind("kv").unwrap();
         let data = payload(64 * 1024, 9);

@@ -13,9 +13,7 @@ use std::fmt;
 /// let n = NodeId(3);
 /// assert_eq!(n.to_string(), "n3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -29,9 +27,7 @@ impl fmt::Display for NodeId {
 /// Ports below [`PortId::EPHEMERAL_BASE`] are "well-known" and may be bound
 /// explicitly (services listen on them); ports at or above it are assigned
 /// automatically to spawned processes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(pub u32);
 
 impl PortId {
@@ -58,9 +54,7 @@ impl fmt::Display for PortId {
 /// let ep = Endpoint::new(NodeId(1), PortId(80));
 /// assert_eq!(ep.to_string(), "n1:p80");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Endpoint {
     /// The node this endpoint lives on.
     pub node: NodeId,

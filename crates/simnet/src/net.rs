@@ -28,7 +28,7 @@ use crate::time::SimTime;
 /// assert_eq!(cfg.loss, 0.01);
 /// assert!(cfg.remote_latency > Duration::ZERO);
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// One-way latency between two ports on the same node (IPC cost).
     pub local_latency: Duration,

@@ -2,7 +2,7 @@
 //! stack.
 //!
 //! A blocking simnet process is straight-line code suspended on a stack
-//! of its own (see [`sched`](crate::sched)); that style reads naturally
+//! of its own (see [`Simulation::spawn`]); that style reads naturally
 //! and — now that the scheduler resumes it in place instead of handing
 //! off to a thread — dispatches about as fast as a poll, but every
 //! parked body pins the stack pages it has touched. A *poll-driven*
@@ -82,6 +82,10 @@
 //! let report = sim.run();
 //! assert_eq!(report.finished, 1);
 //! ```
+//!
+//! [`Simulation::spawn`]: crate::Simulation::spawn
+//! [`Simulation::with_domains`]: crate::Simulation::with_domains
+//! [`Simulation::with_threads`]: crate::Simulation::with_threads
 
 use std::ops::{Deref, DerefMut};
 use std::time::Duration;

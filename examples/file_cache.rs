@@ -29,7 +29,7 @@ fn main() {
 
     // Engineer A: writes a file, then "builds" (re-reads it many times).
     sim.spawn("engineer-a", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut session = Session::new(&mut rt, ctx);
         let fs = FileClient::bind(&mut session, "src-tree").expect("bind");
 
@@ -67,7 +67,7 @@ fn main() {
     // Engineer B: saves block 0 of the same file mid-build.
     sim.spawn("engineer-b", NodeId(3), move |ctx| {
         ctx.sleep(Duration::from_millis(15)).unwrap();
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut session = Session::new(&mut rt, ctx);
         let fs = FileClient::bind(&mut session, "src-tree").expect("bind");
         fs.write(&mut session, "main.rs", 0, vec![b'B'; 512])

@@ -68,7 +68,7 @@ fn chaos_soak_preserves_every_layer_invariant() {
         let fails = Arc::clone(&invariant_failures);
         let facs = factories.clone();
         sim.spawn(format!("client{c}"), NodeId(10 + c), move |ctx| {
-            let mut rt = ClientRuntime::new(ns).with_factories(facs);
+            let mut rt = SessionCore::new(ns).with_factories(facs);
             register_replica_proxy(rt.binder_mut());
             let mut s = Session::new(&mut rt, ctx);
             let kv = match KvClient::bind(&mut s, "kv") {
@@ -247,7 +247,7 @@ fn proxy_stats_meter_adversity() {
     let observed = Arc::new(AtomicU64::new(0));
     let obs2 = Arc::clone(&observed);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns).with_factories(factories);
+        let mut rt = SessionCore::new(ns).with_factories(factories);
         let mut s = Session::new(&mut rt, ctx);
         let ctr = CounterClient::bind(&mut s, "ctr").unwrap();
         for _ in 0..15 {
@@ -301,7 +301,7 @@ fn proxy_stats_meter_adversity() {
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let kv = KvClient::bind(&mut s, "adapt").unwrap();
         kv.put(&mut s, "k", "v").unwrap();

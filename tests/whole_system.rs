@@ -58,7 +58,7 @@ fn five_services_five_strategies_one_client() {
     let done = Arc::new(AtomicU64::new(0));
     let d = Arc::clone(&done);
     sim.spawn("client", NodeId(9), move |ctx| {
-        let mut rt = ClientRuntime::new(ns).with_factories(factories);
+        let mut rt = SessionCore::new(ns).with_factories(factories);
         register_replica_proxy(rt.binder_mut());
         let mut s = Session::new(&mut rt, ctx);
 
@@ -120,7 +120,7 @@ fn whole_system_is_deterministic() {
             .spawn(&sim, NodeId(1), ns);
         for c in 0..3u32 {
             sim.spawn(format!("c{c}"), NodeId(2 + c), move |ctx| {
-                let mut rt = ClientRuntime::new(ns);
+                let mut rt = SessionCore::new(ns);
                 let mut s = Session::new(&mut rt, ctx);
                 let kv = KvClient::bind(&mut s, "kv").unwrap();
                 for i in 0..30u64 {
@@ -160,7 +160,7 @@ fn queue_is_exactly_once_under_hostile_network() {
     let submitted = Arc::new(AtomicU64::new(0));
     let s2 = Arc::clone(&submitted);
     sim.spawn("submitter", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let q = QueueClient::bind(&mut s, "printq").unwrap();
         let mut ok = 0u64;
@@ -207,7 +207,7 @@ fn migration_and_caching_coexist() {
         .spawn(&sim, NodeId(2), ns);
 
     sim.spawn("client", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns).with_factories(factories);
+        let mut rt = SessionCore::new(ns).with_factories(factories);
         let mut s = Session::new(&mut rt, ctx);
         let ctr = CounterClient::bind(&mut s, "ctr").unwrap();
         let kv = KvClient::bind(&mut s, "kv").unwrap();
@@ -238,7 +238,7 @@ fn crash_and_recovery_through_same_proxy() {
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let kv = KvClient::bind(&mut s, "kv").unwrap();
         kv.put(&mut s, "x", "1").unwrap();
