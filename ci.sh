@@ -8,6 +8,10 @@ cd "$(dirname "$0")"
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# A green gate leaves the working tree as it found it; checked at the end.
+tree() { git status --porcelain 2>/dev/null || true; }
+tree_at_start="$(tree)"
+
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -63,8 +67,14 @@ if [ "${1:-}" != "quick" ]; then
   # The benchmark is a workspace of its own, so nothing above compiles
   # benchmark/src/sut.rs — the one file through which it calls the
   # program. A change to that surface has to fail here, not in the
-  # acceptance pipeline.
-  bash benchmark/run.sh --smoke
+  # acceptance pipeline. run.sh builds `--offline` without `--locked`,
+  # and the committed benchmark/Cargo.lock lists crates the workspace no
+  # longer has, so cargo rewrites it: put it back, pass or fail.
+  cp benchmark/Cargo.lock target/ci-benchmark-Cargo.lock
+  smoke=0
+  bash benchmark/run.sh --smoke || smoke=$?
+  mv target/ci-benchmark-Cargo.lock benchmark/Cargo.lock
+  [ "$smoke" -eq 0 ] || exit "$smoke"
 
   step "E14, E16-E20 smokes (PROXIDE_SMOKE=1: CI sizes, every shape check on)"
   # Each binary exits nonzero if a shape check fails: completion,
@@ -111,6 +121,13 @@ if [ "${1:-}" != "quick" ]; then
 
   step "chaos causality gate (verify_causality under loss/partitions/crashes)"
   cargo test -q --test chaos
+fi
+
+step "working tree untouched (git status as at the start)"
+if [ "$(tree)" != "$tree_at_start" ]; then
+  tree
+  echo "ci.sh: the gate changed the working tree" >&2
+  exit 1
 fi
 
 printf '\nci.sh: all green\n'

@@ -68,11 +68,6 @@ impl AdaptiveProxy {
         })
     }
 
-    /// Whether caching is currently enabled.
-    pub fn is_caching(&self) -> bool {
-        self.caching_on
-    }
-
     /// Number of strategy switches so far.
     pub fn switches(&self) -> u64 {
         self.switches

@@ -114,11 +114,6 @@ impl CachingProxy {
         Ok(())
     }
 
-    /// Number of live cache entries.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Switches writes to write-behind: instead of blocking on a round
     /// trip, write ops are staged on a pipelined [`Channel`] and the
     /// call returns `Value::Null` immediately. The proxy still

@@ -37,11 +37,6 @@ impl LocalProxy {
             stats: ProxyStats::default(),
         }
     }
-
-    /// Gives the hosted object back (e.g. to export it remotely later).
-    pub fn into_object(self) -> Box<dyn ServiceObject> {
-        self.object
-    }
 }
 
 impl Proxy for LocalProxy {

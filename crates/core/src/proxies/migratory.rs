@@ -72,11 +72,6 @@ impl MigratoryProxy {
         }
     }
 
-    /// Whether the object currently lives in this context.
-    pub fn is_local(&self) -> bool {
-        self.local.is_some()
-    }
-
     fn try_checkout(&mut self, ctx: &mut Ctx, strays: &mut dyn OnewaySink) {
         if !self.factories.knows(&self.iface.type_name) {
             return;

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use naming::NameClient;
 use rpc::{
-    endpoint_from_value, send_oneway, ErrorCode, InFlight, RemoteError, Request, RpcError,
+    endpoint_from_value, send_oneway, CallHandle, ErrorCode, RemoteError, Request, RpcError,
     RpcServer,
 };
 use simnet::{Ctx, Endpoint, Message, NodeId, Poll, ProcCx, Process, SimTime, Simulation};
@@ -270,7 +270,7 @@ pub struct ServiceServer {
     core: Core,
     rpc: RpcServer,
     /// The registration in flight; `None` once the name server answered.
-    registering: Option<Box<(NameClient, InFlight)>>,
+    registering: Option<Box<(NameClient, CallHandle)>>,
     /// Calls started but not yet executed: the front one's service time
     /// runs until `ready_at`; requests the same batch carried behind it
     /// wait their turn.
@@ -355,7 +355,7 @@ impl Process for ServiceServer {
     /// shutdown.
     fn poll(&mut self, cx: &mut ProcCx) -> Poll<()> {
         if let Some(reg) = &mut self.registering {
-            match reg.0.poll_register(cx, &mut reg.1) {
+            match reg.0.poll_register(cx, reg.1) {
                 Poll::Pending => return Poll::Pending,
                 Poll::Ready(Ok(_)) => self.registering = None,
                 Poll::Ready(Err(RpcError::Stopped)) => return Poll::Ready(()),

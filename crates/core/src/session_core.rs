@@ -114,7 +114,6 @@ pub struct SessionCore {
     /// every lookup goes to the binder's single name server.
     ns_replicas: Vec<Endpoint>,
     // -- non-blocking surface state --
-    cfg: ChannelConfig,
     binds: Vec<BindState>,
     services: Vec<AsyncService>,
     async_by_service: HashMap<String, usize>,
@@ -137,7 +136,6 @@ impl SessionCore {
             proxies: Vec::new(),
             by_service: HashMap::new(),
             ns_replicas: Vec::new(),
-            cfg: ChannelConfig::default(),
             binds: Vec::new(),
             services: Vec::new(),
             async_by_service: HashMap::new(),
@@ -153,13 +151,6 @@ impl SessionCore {
     /// single-server path. An empty list restores that path.
     pub fn with_ns_replicas(mut self, replicas: Vec<Endpoint>) -> SessionCore {
         self.ns_replicas = replicas;
-        self
-    }
-
-    /// Sets the channel configuration (pipeline depth, batching,
-    /// retries) used by async-bound services.
-    pub fn with_channel_config(mut self, cfg: ChannelConfig) -> SessionCore {
-        self.cfg = cfg;
         self
     }
 
@@ -338,7 +329,11 @@ impl SessionCore {
     }
 
     fn start_lookup(&mut self, cx: &mut ProcCx, service: &str, deadline: SimTime) -> BindState {
-        let mut chan = Box::new(Channel::new("ns", self.ns_for(service), self.cfg.clone()));
+        let mut chan = Box::new(Channel::new(
+            "ns",
+            self.ns_for(service),
+            ChannelConfig::default(),
+        ));
         let call = chan.begin_call(
             cx.ctx(),
             "lookup",
@@ -477,7 +472,7 @@ impl SessionCore {
         }
         let idx = self.services.len();
         self.services.push(AsyncService {
-            chan: Channel::new(service, record.endpoint, self.cfg.clone()),
+            chan: Channel::new(service, record.endpoint, ChannelConfig::default()),
         });
         Ok(idx)
     }

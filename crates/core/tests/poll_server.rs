@@ -293,6 +293,53 @@ fn crash_and_recover(threads: usize) -> (String, String) {
     )
 }
 
+/// At the parent: passes — the registration was a polled `RpcClient`
+/// call with a matcher of its own, which dropped and counted the same
+/// request.
+#[test]
+fn a_request_that_finds_the_service_still_registering_is_dropped_counted_and_retransmitted() {
+    let mut sim = Simulation::new(flat_lan(), 7);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    let store = StableStore::new();
+    let first = recoverable(&store).spawn(&sim, NodeId(1), ns);
+    let checked = Arc::new(AtomicU64::new(0));
+    let c = Arc::clone(&checked);
+    sim.spawn("client", NodeId(2), move |ctx| {
+        ctx.sleep(20 * MS).unwrap();
+        let mut client = RpcClient::new(first);
+        for n in 1..=3 {
+            assert_eq!(
+                client.call(ctx, "work", Value::Null).unwrap(),
+                Value::U64(n)
+            );
+        }
+        assert!(ctx.kill(first));
+        // The client knows the new endpoint before the name server does:
+        // its request arrives half a millisecond into the registration's
+        // one-millisecond round trip. The registering service has nobody
+        // to hand it to; the retransmission 10 ms later is served.
+        let reborn = recoverable(&store).spawn_from(ctx, NodeId(1), ns);
+        let sent = ctx.now();
+        let mut client = RpcClient::new(reborn);
+        assert_eq!(
+            client.call(ctx, "work", Value::Null).unwrap(),
+            Value::U64(4)
+        );
+        assert_eq!(ctx.now().saturating_since(sent), 11 * MS);
+        assert_eq!(client.stats.retries, 1);
+        assert_eq!(client.call(ctx, "get", Value::Null).unwrap(), Value::U64(4));
+        c.store(1, Ordering::SeqCst);
+    });
+    sim.run();
+    assert_eq!(checked.load(Ordering::SeqCst), 1);
+    let rpc = sim.obs_report().rpc;
+    assert_eq!(rpc.client.strays_dropped, 1, "the registering service's");
+    assert_eq!(rpc.client.retries, 1, "the client's");
+    // Two registrations, four `work`s, one `get`: nothing ran twice.
+    assert_eq!(rpc.server.executed, 7);
+    assert_eq!(rpc.server.duplicates_suppressed, 0);
+}
+
 /// At the parent: does not compile (`spawn_from`); its hand-rolled
 /// restart thread re-registered at the same instant.
 #[test]

@@ -55,12 +55,6 @@ impl MigratableConfig {
         }
     }
 
-    /// Sets the proxy spec published at registration.
-    pub fn with_spec(mut self, spec: ProxySpec) -> MigratableConfig {
-        self.spec = spec;
-        self
-    }
-
     /// Also update the name service on every migration.
     pub fn with_naming_updates(mut self) -> MigratableConfig {
         self.update_naming = true;

@@ -41,7 +41,7 @@ pub use server::{spawn_name_cluster, spawn_name_server, NAME_SERVER_PORT};
 
 use std::collections::HashMap;
 
-use rpc::{endpoint_to_value, ErrorCode, InFlight, RpcClient, RpcError};
+use rpc::{endpoint_to_value, CallHandle, ErrorCode, RpcClient, RpcError};
 use simnet::{Ctx, Endpoint, Poll, ProcCx};
 use wire::Value;
 
@@ -109,7 +109,7 @@ impl NameClient {
         name: &str,
         endpoint: Endpoint,
         meta: Value,
-    ) -> InFlight {
+    ) -> CallHandle {
         self.rpc
             .start(ctx, "", "register", binding_args(name, endpoint, meta))
     }
@@ -120,7 +120,7 @@ impl NameClient {
     pub fn poll_register(
         &mut self,
         cx: &mut ProcCx,
-        call: &mut InFlight,
+        call: CallHandle,
     ) -> Poll<Result<u64, RpcError>> {
         self.rpc.poll(cx, call).map(|rep| Ok(rep?.get_u64("gen")?))
     }

@@ -1008,11 +1008,6 @@ impl MetricsRegistry {
         self.prof_rearm_lanes();
     }
 
-    /// How many writer lanes the registry has.
-    pub fn writer_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     #[inline]
     fn on(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
@@ -1123,11 +1118,6 @@ impl MetricsRegistry {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// True when the plane is recording (the default).
-    pub fn is_enabled(&self) -> bool {
-        self.on()
-    }
-
     /// Arms span retirement: closed `Invoke`/`Dispatch`/`Oneway` spans
     /// fold into per-`(service, op)` aggregates and are evicted from the
     /// table, keeping the resident working set O(open spans + sampled
@@ -1138,11 +1128,6 @@ impl MetricsRegistry {
     pub fn enable_retirement(&self, keep_every: u64) {
         self.retire_keep_every.store(keep_every, Ordering::Relaxed);
         self.retire_enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// True when span retirement is armed.
-    pub fn retirement_enabled(&self) -> bool {
-        self.retire_enabled.load(Ordering::Relaxed)
     }
 
     /// Arms self-measurement: every registry call is timed with a

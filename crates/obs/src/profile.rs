@@ -297,14 +297,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Turns the profiler off again (recording stops; the accumulated
-    /// report stays readable).
-    pub fn disable_profile(&self) {
-        if self.prof_enabled.swap(false, Ordering::Relaxed) {
-            active_dec();
-        }
-    }
-
     /// True when this registry's profiler is armed: one relaxed load,
     /// the same fast-path discipline as
     /// [`MetricsRegistry::timeseries_enabled`].

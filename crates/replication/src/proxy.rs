@@ -99,11 +99,6 @@ impl ReplicaProxy {
         self.nearest
     }
 
-    /// The highest version this client has observed.
-    pub fn version_floor(&self) -> u64 {
-        self.min_version
-    }
-
     fn call_collecting(
         rpc: &mut RpcClient,
         ctx: &mut Ctx,

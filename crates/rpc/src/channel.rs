@@ -1,18 +1,18 @@
-//! The pipelined RPC channel: many outstanding calls, one endpoint.
+//! The RPC channel: the one client transport. Many outstanding calls,
+//! one endpoint.
 //!
-//! [`RpcClient`](crate::RpcClient) is strictly synchronous — one call,
-//! one reply, one RTT. A [`Channel`] keeps up to
-//! [`ChannelConfig::pipeline_depth`] calls in flight against one server
-//! endpoint: [`Channel::begin_call`] stages a call and returns a
-//! [`CallHandle`]; [`Channel::wait`] / [`Channel::wait_all`] drive the
-//! channel until replies arrive (blocking style), and
-//! [`Channel::poll_wait`] / [`Channel::try_take`] do the same for
-//! poll-driven processes, completing on the reply's own delivery wake
-//! instead of a parked thread. Replies are matched by call id, each
-//! call keeps its own retransmission timer, and ids retransmit unchanged
-//! — so the server's per-client window gives the same at-most-once
-//! guarantee the synchronous client enjoys, even though calls now
-//! complete out of order.
+//! A [`Channel`] keeps up to [`ChannelConfig::pipeline_depth`] calls in
+//! flight against one server endpoint: [`Channel::begin_call`] stages a
+//! call and returns a [`CallHandle`]; [`Channel::wait`] /
+//! [`Channel::wait_all`] drive the channel until replies arrive
+//! (blocking style), and [`Channel::poll_wait`] / [`Channel::try_take`]
+//! do the same for poll-driven processes, completing on the reply's own
+//! delivery wake. Replies are matched by call id, each call keeps its
+//! own retransmission timer, and ids retransmit unchanged — so the
+//! server's per-client window gives at-most-once execution even though
+//! calls complete out of order. [`RpcClient`](crate::RpcClient) is this
+//! machine at depth 1 behind a blocking call: one call, one reply, one
+//! RTT.
 //!
 //! On top of pipelining the channel *batches*: staged requests bound for
 //! the same endpoint coalesce into one [`Batch`] datagram (up to
@@ -47,9 +47,9 @@
 //! [`Channel::offer`] (which takes replies and nothing else) and calls
 //! [`Channel::tick`] to send staged calls and fire timers.
 //!
-//! Every call gets its own `Invoke` span (parented to the caller's
-//! active span), so causal traces show per-call latency even when the
-//! datagrams were shared.
+//! Every call begun through [`Channel::begin_call`] gets its own
+//! `Invoke` span (parented to the caller's active span), so causal traces
+//! show per-call latency even when the datagrams were shared.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -69,7 +69,7 @@ const RECENT_RETRANSMITTED: usize = 32;
 /// Tuning knobs for a [`Channel`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelConfig {
-    /// Maximum calls in flight at once (1 = synchronous behaviour).
+    /// Maximum calls in flight at once (1 = one call, one round trip).
     pub pipeline_depth: usize,
     /// Maximum staged requests coalesced into one datagram (1 = no
     /// batching).
@@ -147,14 +147,19 @@ pub struct ChannelStats {
 }
 
 /// A call that has not settled: staged, or sent and waiting for its
-/// reply or its retransmission timer. The fields after `span` mean
+/// reply or its retransmission timer. The fields after `close` mean
 /// nothing until the call is sent.
 #[derive(Debug)]
 struct CallRec {
     request: Request,
     /// Encoded once; retransmissions reuse the bytes (and thus the span).
     bytes: Bytes,
+    /// The span the request carries and its transmissions are traced
+    /// under.
     span: obs::SpanId,
+    /// The span settling the call closes: `span` if the channel opened
+    /// it, none if it is the caller's.
+    close: obs::SpanId,
     /// Transmissions the policy's timer has made; it gives up at
     /// [`RetryPolicy::max_attempts`].
     attempt: u32,
@@ -174,8 +179,8 @@ struct CallRec {
 enum Absorbed {
     /// It carried replies; they were matched to calls.
     Replies,
-    /// Not the channel's: the one-way it decoded to, if it was one.
-    Declined(Option<Oneway>),
+    /// Not the channel's: what it decoded to, if it decoded.
+    Declined(Option<Packet>),
 }
 
 /// A pipelined, batching RPC channel bound to one server endpoint.
@@ -235,6 +240,15 @@ impl Channel {
         self.server
     }
 
+    /// Repoints the channel at a new server endpoint. The round-trip
+    /// estimate, and the retransmitted calls remembered for it, belong to
+    /// the old path and start over.
+    pub(crate) fn rebind(&mut self, server: Endpoint) {
+        self.server = server;
+        self.rtt = RttEstimator::default();
+        self.recent.clear();
+    }
+
     /// The smoothed round trip to the server, once a call has completed
     /// on its first transmission (diagnostics only).
     pub fn srtt(&self) -> Option<std::time::Duration> {
@@ -284,15 +298,8 @@ impl Channel {
         op: &str,
         args: Value,
     ) -> CallHandle {
-        // Ids come from the per-process counter, shared with any
-        // RpcClient in the process, so the server's per-endpoint window
-        // sees one id space.
-        let call_id = ctx.next_seq();
-        self.stats.calls += 1;
-        ctx.obs().on_call();
         // Each call gets its own invoke span parented to the caller's
-        // active span; the request is encoded once so retransmissions
-        // carry the same span by construction.
+        // active span.
         let span = ctx.obs().open_span(
             obs::SpanKind::Invoke,
             ctx.current_span(),
@@ -300,6 +307,29 @@ impl Channel {
             op,
             ctx.now().as_nanos(),
         );
+        self.stage(ctx, object, op, args, span, span)
+    }
+
+    /// Stages a call whose request carries `span` and whose settling
+    /// closes `close`: the same span if it is the channel's to close,
+    /// none if `span` is the caller's.
+    pub(crate) fn stage(
+        &mut self,
+        ctx: &mut Ctx,
+        object: &str,
+        op: &str,
+        args: Value,
+        span: obs::SpanId,
+        close: obs::SpanId,
+    ) -> CallHandle {
+        // Ids come from the per-process counter, shared by every channel
+        // and client in the process, so the server's per-endpoint window
+        // sees one id space.
+        let call_id = ctx.next_seq();
+        self.stats.calls += 1;
+        ctx.obs().on_call();
+        // The request is encoded once, so retransmissions carry the same
+        // span by construction.
         let request = Request {
             call_id,
             reply_to: ctx.endpoint(),
@@ -319,6 +349,7 @@ impl Channel {
             request,
             bytes,
             span,
+            close,
             attempt: 0,
             overtaken: 0,
             seq: 0,
@@ -382,12 +413,13 @@ impl Channel {
     }
 
     /// Samples the channel's pipeline window and backlog into the flight
-    /// recorder, keyed by service. Called at every transition point
-    /// (flush, expiry, reply) so the gauges bracket each change; costs
-    /// one relaxed load when the recorder is off.
+    /// recorder, keyed by service; a channel with no service label has no
+    /// key and records nothing. Called at every transition point (flush,
+    /// expiry, reply) so the gauges bracket each change; costs one
+    /// relaxed load when the recorder is off.
     fn note_depth(&self, ctx: &mut Ctx) {
         let obs = ctx.obs();
-        if !obs.timeseries_enabled() {
+        if self.service.is_empty() || !obs.timeseries_enabled() {
             return;
         }
         let now_ns = ctx.now().as_nanos();
@@ -458,7 +490,7 @@ impl Channel {
             self.outstanding -= 1;
             self.stats.timeouts += 1;
             ctx.obs().on_timeout();
-            ctx.obs().close_span(rec.span, now.as_nanos(), false);
+            ctx.obs().close_span(rec.close, now.as_nanos(), false);
         }
         self.note_depth(ctx);
     }
@@ -502,7 +534,7 @@ impl Channel {
                     self.recent.push_back((rep.call_id, rec.sent));
                 }
                 ctx.obs()
-                    .close_span(rec.span, ctx.now().as_nanos(), rep.result.is_ok());
+                    .close_span(rec.close, ctx.now().as_nanos(), rep.result.is_ok());
                 self.settled.insert(rep.call_id, Some(rep.result));
                 self.overtake(rec.seq);
                 self.note_depth(ctx);
@@ -542,32 +574,31 @@ impl Channel {
                 for item in batch.items {
                     match item {
                         Packet::Reply(rep) => self.on_reply(ctx, rep, msg),
-                        _ => {
-                            self.stats.discarded += 1;
-                            ctx.obs().on_stray_dropped();
-                        }
+                        _ => self.discard(ctx),
                     }
                 }
             }
-            Ok(Packet::Oneway(o)) => return Absorbed::Declined(Some(o)),
-            Ok(_) | Err(_) => return Absorbed::Declined(None),
+            Ok(other) => return Absorbed::Declined(Some(other)),
+            Err(_) => return Absorbed::Declined(None),
         }
         Absorbed::Replies
     }
 
-    /// A datagram received while the channel owns the mailbox
-    /// (`wait`/`poll`): a declined one-way is kept for
-    /// [`Channel::take_strays`]; anything else declined is dropped and
-    /// counted. A process that also serves requests must receive for
-    /// itself and use [`Channel::offer`], or its requests end up here.
-    fn on_message(&mut self, ctx: &mut Ctx, msg: &Message) {
-        match self.absorb(ctx, msg) {
-            Absorbed::Replies => {}
-            Absorbed::Declined(Some(o)) => self.strays.push(o),
-            Absorbed::Declined(None) => {
-                self.stats.discarded += 1;
-                ctx.obs().on_stray_dropped();
-            }
+    /// Counts a datagram (or batch item) nobody wanted.
+    pub(crate) fn discard(&mut self, ctx: &mut Ctx) {
+        self.stats.discarded += 1;
+        ctx.obs().on_stray_dropped();
+    }
+
+    /// What `wait`/`poll` do with a datagram the channel declined while
+    /// it owned the mailbox: a one-way is kept for
+    /// [`Channel::take_strays`]; anything else is dropped and counted. A
+    /// process that also serves requests must receive for itself and use
+    /// [`Channel::offer`], or its requests end up here.
+    fn keep_oneway(&mut self, ctx: &mut Ctx, declined: Option<Packet>, _msg: &Message) {
+        match declined {
+            Some(Packet::Oneway(o)) => self.strays.push(o),
+            _ => self.discard(ctx),
         }
     }
 
@@ -580,24 +611,30 @@ impl Channel {
     }
 
     /// Drives the channel until `target` settles (or, with `None`, until
-    /// every staged call has settled).
-    fn pump(&mut self, ctx: &mut Ctx, target: Option<u64>) -> Result<(), RpcError> {
+    /// every staged call has settled), handing each datagram that is not
+    /// the channel's to `declined` as it arrives.
+    pub(crate) fn pump(
+        &mut self,
+        ctx: &mut Ctx,
+        target: Option<CallHandle>,
+        mut declined: impl FnMut(&mut Channel, &mut Ctx, Option<Packet>, &Message),
+    ) -> Result<(), RpcError> {
         loop {
             self.tick(ctx);
             let settled = match target {
-                Some(id) => self.is_settled(CallHandle(id)),
+                Some(h) => self.is_settled(h),
                 None => self.calls.is_empty(),
             };
             if settled {
                 return Ok(());
             }
-            let Some(deadline) = self.next_deadline() else {
-                // Nothing in flight but the target is unsettled: flush on
-                // the next iteration will send queued work.
-                continue;
-            };
+            // The flush above put every call the window has room for in
+            // flight, the unsettled target among them.
+            let deadline = self.next_deadline().expect("a call is in flight");
             if let Some(msg) = ctx.recv_deadline(deadline)? {
-                self.on_message(ctx, &msg);
+                if let Absorbed::Declined(packet) = self.absorb(ctx, &msg) {
+                    declined(self, ctx, packet, &msg);
+                }
             }
         }
     }
@@ -613,13 +650,13 @@ impl Channel {
     /// * [`RpcError::Stopped`] — simulation shutdown.
     pub fn wait(&mut self, ctx: &mut Ctx, h: CallHandle) -> Result<Value, RpcError> {
         if !self.is_settled(h) {
-            self.pump(ctx, Some(h.0))?;
+            self.pump(ctx, Some(h), Channel::keep_oneway)?;
         }
         self.claim(h)
     }
 
     /// Hands out the result of a settled call, once.
-    fn claim(&mut self, h: CallHandle) -> Result<Value, RpcError> {
+    pub(crate) fn claim(&mut self, h: CallHandle) -> Result<Value, RpcError> {
         match self.settled.remove(&h.0) {
             Some(Some(result)) => result.map_err(RpcError::Remote),
             _ => Err(RpcError::Timeout {
@@ -636,7 +673,7 @@ impl Channel {
     ///
     /// [`RpcError::Stopped`] on simulation shutdown.
     pub fn wait_all(&mut self, ctx: &mut Ctx) -> Result<(), RpcError> {
-        self.pump(ctx, None)
+        self.pump(ctx, None, Channel::keep_oneway)
     }
 
     /// Non-blocking progress: sends staged calls, fires due timers, and
@@ -649,7 +686,9 @@ impl Channel {
     pub fn poll(&mut self, ctx: &mut Ctx) -> Result<(), RpcError> {
         self.tick(ctx);
         while let Some(msg) = ctx.try_recv()? {
-            self.on_message(ctx, &msg);
+            if let Absorbed::Declined(packet) = self.absorb(ctx, &msg) {
+                self.keep_oneway(ctx, packet, &msg);
+            }
         }
         self.flush(ctx);
         Ok(())
@@ -682,7 +721,7 @@ impl Channel {
     /// timer at the next retransmission deadline.
     ///
     /// Completed calls settle via the *completion wake* of the reply
-    /// datagram; there is no condvar and no parked thread.
+    /// datagram.
     pub fn poll_wait(
         &mut self,
         cx: &mut simnet::ProcCx,

@@ -5,25 +5,28 @@
 //! server's duplicate suppression the protocol gives **at-most-once**
 //! execution (the Birrell & Nelson design the paper's stubs assume).
 //!
-//! A blocking process blocks in [`RpcClient::call`]; a poll-driven
-//! one makes the same call with [`RpcClient::start`] and drives it from
-//! its `poll` with [`RpcClient::poll`]. Both are one implementation: the
-//! blocking call is `start` plus a loop that waits for the mailbox.
+//! The client is the synchronous face of a [`Channel`] of depth 1:
+//! sending, timing, retransmitting, matching replies and giving up are
+//! the channel's. The client adds its surface: a call opens no span of
+//! its own (the request carries the caller's), and a datagram that is not
+//! a reply is offered, as it arrived, to the caller's stray handler while
+//! the call waits. A blocking process blocks in [`RpcClient::call`]; a
+//! poll-driven one makes the same call with [`RpcClient::start`] and
+//! drives it from its `poll` with [`RpcClient::poll`].
 
 use std::time::Duration;
 
-use bytes::Bytes;
-use simnet::{Ctx, Endpoint, Message, Poll, ProcCx, SimTime};
+use simnet::{Ctx, Endpoint, Message, Poll, ProcCx};
 use wire::Value;
 
+use crate::channel::{CallHandle, Channel, ChannelConfig};
 use crate::error::RpcError;
 use crate::proto::{Oneway, Packet, Request};
-use crate::rtt::{RttEstimator, Sent};
 
 /// Retransmission policy for a client.
 ///
-/// `timeout` is a *floor*, not the timer: every [`RpcClient`] and
-/// [`Channel`](crate::Channel) measures its own path and waits
+/// `timeout` is a *floor*, not the timer: every [`Channel`] (an
+/// [`RpcClient`] holds one) measures its own path and waits
 /// `max(timeout, srtt + 4·rttvar)` for the first reply (see the `rtt`
 /// module), backing off from there. On a path faster than the floor the
 /// policy alone decides, exactly as written here.
@@ -101,18 +104,14 @@ impl Default for RetryPolicy {
 /// aggregates the same counters across every client.
 pub use obs::CallStats;
 
-/// A synchronous RPC client bound to one server endpoint.
+/// A synchronous RPC client bound to one server endpoint: the blocking
+/// face of a [`Channel`] whose window holds one call.
 ///
-/// One call may be outstanding at a time (calls are blocking). Replies are
-/// matched on `(server endpoint, call id)`.
+/// One call may be outstanding at a time. Replies are matched on
+/// `(server endpoint, call id)`.
 #[derive(Debug)]
 pub struct RpcClient {
-    server: Endpoint,
-    policy: RetryPolicy,
-    rtt: RttEstimator,
-    /// The latest call that needed a retransmission: its late duplicate
-    /// replies, arriving during the next call, still bound the round trip.
-    retransmitted: Option<(u64, Sent)>,
+    channel: Channel,
     /// Counters (readable by experiment harnesses).
     pub stats: CallStats,
 }
@@ -126,17 +125,16 @@ impl RpcClient {
     /// Creates a client with an explicit policy.
     pub fn with_policy(server: Endpoint, policy: RetryPolicy) -> RpcClient {
         RpcClient {
-            server,
-            policy,
-            rtt: RttEstimator::default(),
-            retransmitted: None,
+            // No service label: calls run under the caller's span, and
+            // one call at a time is no window for the recorder to sample.
+            channel: Channel::new("", server, ChannelConfig::with_depth(1).with_policy(policy)),
             stats: CallStats::default(),
         }
     }
 
     /// The server endpoint this client calls.
     pub fn server(&self) -> Endpoint {
-        self.server
+        self.channel.server()
     }
 
     /// Repoints the client at a new server endpoint (after a migration
@@ -144,15 +142,13 @@ impl RpcClient {
     /// filtered out by the source check. The round-trip estimate belongs
     /// to the old path and starts over.
     pub fn rebind(&mut self, server: Endpoint) {
-        self.server = server;
-        self.rtt = RttEstimator::default();
-        self.retransmitted = None;
+        self.channel.rebind(server);
     }
 
     /// The smoothed round trip to the server, once a call has completed
     /// on its first transmission (diagnostics only).
     pub fn srtt(&self) -> Option<Duration> {
-        self.rtt.srtt()
+        self.channel.srtt()
     }
 
     /// Calls `op` on the server's default object.
@@ -196,186 +192,75 @@ impl RpcClient {
         args: Value,
         mut on_stray: impl FnMut(&mut Ctx, Stray<'_>) -> StrayVerdict,
     ) -> Result<Value, RpcError> {
-        let mut call = self.start(ctx, object, op, args);
-        loop {
-            // A `None` recv means the attempt timed out.
-            let settled = match ctx.recv_deadline(call.deadline)? {
-                Some(msg) => self.absorb(ctx, &call, &msg, &mut on_stray),
-                None => self.expire(ctx, &mut call),
-            };
-            if let Some(result) = settled {
-                return result;
-            }
-        }
+        let call = self.start(ctx, object, op, args);
+        let pumped = self
+            .channel
+            .pump(ctx, Some(call), |channel, ctx, declined, msg| {
+                let verdict = match &declined {
+                    Some(Packet::Oneway(o)) => on_stray(ctx, Stray::Oneway(o, msg)),
+                    Some(Packet::Request(r)) => on_stray(ctx, Stray::Request(r, msg)),
+                    _ => StrayVerdict::Drop,
+                };
+                if verdict == StrayVerdict::Drop {
+                    channel.discard(ctx);
+                }
+            });
+        self.publish();
+        pumped?;
+        self.channel.claim(call)
     }
 
-    /// Sends the first transmission of a call and returns it in flight,
+    /// Sends the first transmission of a call and returns its handle,
     /// for a process that cannot block: drive it with [`RpcClient::poll`].
-    /// The blocking calls above are this plus a loop that waits, so a
-    /// call goes out, is retransmitted and gives up identically either
-    /// way.
-    pub fn start(&mut self, ctx: &mut Ctx, object: &str, op: &str, args: Value) -> InFlight {
-        // Call ids come from the per-process counter so every client
-        // object in a process shares one id space: the server's
-        // duplicate-suppression window (keyed by our endpoint) then
-        // sees strictly increasing fresh ids.
-        let call_id = ctx.next_seq();
-        self.stats.calls += 1;
-        ctx.obs().on_call();
-
-        // The request inherits the caller's active span. It is encoded
-        // exactly once, so every retransmission carries the same span by
-        // construction.
+    /// The blocking calls above start the same way, so a call goes out,
+    /// is retransmitted and gives up identically either way.
+    pub fn start(&mut self, ctx: &mut Ctx, object: &str, op: &str, args: Value) -> CallHandle {
+        // No span of the call's own: the request carries the caller's.
         let span = ctx.current_span();
-        let datagram = Request {
-            call_id,
-            reply_to: ctx.endpoint(),
-            object: object.to_owned(),
-            op: op.to_owned(),
-            args,
-            span: span.raw(),
-        }
-        .to_bytes();
-        let mut call = InFlight {
-            call_id,
-            span,
-            datagram,
-            sent: Sent::at(ctx.now(), self.policy.timeout),
-            attempt: 0,
-            deadline: ctx.now(),
-        };
-        self.transmit(ctx, &mut call);
+        let call = self
+            .channel
+            .stage(ctx, object, op, args, span, obs::SpanId::NONE);
+        self.channel.flush(ctx);
+        self.publish();
         call
     }
 
     /// Advances a call made by [`RpcClient::start`] as far as the mailbox
-    /// allows: takes every datagram already delivered (non-replies are
-    /// dropped and counted, as [`RpcClient::call_object`] does), and
-    /// retransmits or gives up when the attempt's deadline has passed.
-    /// `Pending` means the reply is still owed; the wake for the current
-    /// deadline is armed, and a delivery polls the process anyway.
+    /// allows ([`Channel::poll_wait`]); non-replies are dropped and
+    /// counted, as [`RpcClient::call_object`] does. `Pending` means the
+    /// reply is still owed and the wake for the current deadline is armed.
     ///
     /// # Errors
     ///
     /// See [`RpcClient::call_object`].
-    pub fn poll(&mut self, cx: &mut ProcCx, call: &mut InFlight) -> Poll<Result<Value, RpcError>> {
-        loop {
-            let settled = match cx.try_recv() {
-                Err(stopped) => Some(Err(stopped.into())),
-                Ok(Some(msg)) => self.absorb(cx, call, &msg, &mut |_, _| StrayVerdict::Drop),
-                Ok(None) if call.deadline <= cx.now() => self.expire(cx, call),
-                Ok(None) => {
-                    cx.wake_at(call.deadline);
-                    return Poll::Pending;
-                }
-            };
-            if let Some(result) = settled {
-                return Poll::Ready(result);
-            }
+    pub fn poll(&mut self, cx: &mut ProcCx, call: CallHandle) -> Poll<Result<Value, RpcError>> {
+        let polled = self.channel.poll_wait(cx, call);
+        // Nobody to hand the one-ways to: they go the way of the rest.
+        for _ in self.channel.take_strays() {
+            self.channel.discard(cx);
         }
+        self.publish();
+        polled
     }
 
-    /// Puts the call's datagram on the wire (again) and arms the
-    /// attempt's deadline.
-    fn transmit(&mut self, ctx: &mut Ctx, call: &mut InFlight) {
-        let floor = self.policy.timeout;
-        let timeout = self
-            .policy
-            .attempt_timeout(self.rtt.rto(floor), call.attempt);
-        if call.attempt > 0 {
-            call.sent.again(ctx.now(), timeout);
-            self.stats.retries += 1;
-            ctx.obs().on_retry();
-            ctx.obs()
-                .span_retransmit_at(call.span, ctx.now().as_nanos());
-            ctx.trace(simnet::TraceEvent::Retransmit {
-                src: ctx.endpoint(),
-                dst: self.server,
-                span: call.span,
-                attempt: call.attempt,
-            });
-        }
-        ctx.send_traced(self.server, call.datagram.clone(), call.span);
-        call.deadline = ctx.now() + timeout;
-    }
-
-    /// The attempt's deadline passed in silence: retransmits, or settles
-    /// the call as timed out once the policy's attempts are spent.
-    fn expire(&mut self, ctx: &mut Ctx, call: &mut InFlight) -> Option<Result<Value, RpcError>> {
-        call.attempt += 1;
-        if call.attempt < self.policy.max_attempts {
-            self.transmit(ctx, call);
-            return None;
-        }
-        self.stats.timeouts += 1;
-        ctx.obs().on_timeout();
-        Some(Err(RpcError::Timeout {
-            attempts: self.policy.max_attempts,
-        }))
-    }
-
-    /// Takes one datagram that arrived while `call` was waiting; `Some`
-    /// is the call's outcome if the datagram was its reply.
-    fn absorb(
-        &mut self,
-        ctx: &mut Ctx,
-        call: &InFlight,
-        msg: &Message,
-        on_stray: &mut impl FnMut(&mut Ctx, Stray<'_>) -> StrayVerdict,
-    ) -> Option<Result<Value, RpcError>> {
-        let verdict = match Packet::from_frame(&msg.payload) {
-            Ok(Packet::Reply(rep)) => {
-                ctx.obs().span_reply(rep.span, ctx.now().as_nanos());
-                if rep.call_id == call.call_id && msg.src == self.server {
-                    self.rtt.on_reply(call.sent, msg.delivered_at);
-                    if call.sent.retransmitted() {
-                        self.retransmitted = Some((call.call_id, call.sent));
-                    }
-                    return Some(rep.result.map_err(RpcError::Remote));
-                }
-                if let Some((id, earlier)) = self.retransmitted {
-                    if rep.call_id == id && msg.src == self.server {
-                        self.rtt.on_reply(earlier, msg.delivered_at);
-                    }
-                }
-                self.stats.stale_replies += 1;
-                ctx.obs().on_stale_reply();
-                return None;
-            }
-            Ok(Packet::Oneway(o)) => on_stray(ctx, Stray::Oneway(&o, msg)),
-            Ok(Packet::Request(r)) => on_stray(ctx, Stray::Request(&r, msg)),
-            // A synchronous client never batches, so batched replies
-            // cannot be addressed to it.
-            Ok(Packet::Batch(_)) | Err(_) => StrayVerdict::Drop,
+    /// Brings `stats` up to date with the channel's counters.
+    fn publish(&mut self) {
+        let channel = &self.channel.stats;
+        self.stats = CallStats {
+            calls: channel.calls,
+            retries: channel.retries,
+            timeouts: channel.timeouts,
+            stale_replies: channel.stale_replies,
+            strays_dropped: channel.discarded,
         };
-        if verdict == StrayVerdict::Drop {
-            self.stats.strays_dropped += 1;
-            ctx.obs().on_stray_dropped();
-        }
-        None
     }
 
     /// Sends a one-way notification to the server (no reply, no retry).
     /// Stamped with the caller's active span and recorded as an
     /// immediately-closed one-way span parented to it.
     pub fn notify(&self, ctx: &Ctx, op: &str, args: Value) {
-        send_oneway(ctx, self.server, op, &args);
+        send_oneway(ctx, self.server(), op, &args);
     }
-}
-
-/// A call in flight: made by [`RpcClient::start`], driven to its outcome
-/// by [`RpcClient::poll`].
-#[derive(Debug)]
-pub struct InFlight {
-    call_id: u64,
-    span: obs::SpanId,
-    /// The encoded request; every transmission sends these bytes.
-    datagram: Bytes,
-    sent: Sent,
-    /// Transmissions the policy's timer has given up on.
-    attempt: u32,
-    /// When the current transmission is given up on.
-    deadline: SimTime,
 }
 
 /// A non-reply datagram observed while a call was waiting.

@@ -5,10 +5,13 @@
 //! server-side duplicate suppression, giving **at-most-once** execution
 //! under message loss and duplication.
 //!
-//! A plain RPC *stub* — the degenerate proxy of the paper — is simply an
-//! [`RpcClient`] plus marshalling; the smart proxies in `proxy-core`
-//! layer caching, replication and migration strategies on top of this
-//! same machinery.
+//! There is one client transport, the [`Channel`]: a window of calls in
+//! flight against one endpoint, each with its own retransmission timer.
+//! [`RpcClient`] is its synchronous face, a channel of depth 1 behind a
+//! blocking `call`. A plain RPC *stub* — the degenerate proxy of the
+//! paper — is simply an [`RpcClient`] plus marshalling; the smart proxies
+//! in `proxy-core` layer caching, replication and migration strategies
+//! on top of this same machinery.
 //!
 //! ## Example
 //!
@@ -51,7 +54,7 @@ mod server;
 
 pub use channel::{CallHandle, Channel, ChannelConfig, ChannelStats};
 pub use client::{
-    send_oneway, send_oneway_from, CallStats, InFlight, RetryPolicy, RpcClient, Stray, StrayVerdict,
+    send_oneway, send_oneway_from, CallStats, RetryPolicy, RpcClient, Stray, StrayVerdict,
 };
 pub use error::{ErrorCode, RemoteError, RpcError};
 pub use proto::{

@@ -3,12 +3,12 @@
 //! A retransmit timer shorter than the path's round trip sends every
 //! request several times on a network that lost nothing. The constant in
 //! a [`RetryPolicy`](crate::RetryPolicy) cannot know the path, so it is
-//! only the *floor*: each [`RpcClient`](crate::RpcClient) and
-//! [`Channel`](crate::Channel) learns its own path with the classic
-//! smoothed estimator (SRTT / RTTVAR, Jacobson & Karels) and arms its
-//! first-attempt timer at `max(floor, srtt + 4·rttvar)`. The estimate
-//! only ever lengthens that timer, so under silence a path faster than
-//! its floor behaves exactly as it did without an estimator.
+//! only the *floor*: each [`Channel`](crate::Channel) — the one inside an
+//! [`RpcClient`](crate::RpcClient) included — learns its own path with
+//! the classic smoothed estimator (SRTT / RTTVAR, Jacobson & Karels) and
+//! arms its first-attempt timer at `max(floor, srtt + 4·rttvar)`. The
+//! estimate only ever lengthens that timer, so under silence a path
+//! faster than its floor behaves exactly as it did without an estimator.
 //!
 //! The same estimate *without* the floor ([`RttEstimator::path_rto`])
 //! times a call the path has provably gone past: a pipelined

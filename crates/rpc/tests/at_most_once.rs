@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rpc::{ErrorCode, RemoteError, RetryPolicy, RpcClient, RpcError, RpcServer};
+use rpc::{ErrorCode, RemoteError, Request, RetryPolicy, RpcClient, RpcError, RpcServer};
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
@@ -139,6 +139,62 @@ fn duplicating_network_never_double_executes() {
     });
     sim.run();
     assert_eq!(execs.load(Ordering::SeqCst), 100);
+}
+
+#[test]
+fn a_blocked_client_counts_every_reply_it_cannot_use_and_every_stray_it_drops() {
+    // Every datagram arrives twice, both copies at one instant (no
+    // jitter), so the counts are arithmetic, not a property of the seed.
+    // Per call the server executes one copy of the request and answers
+    // the other from its reply cache: four replies reach the client
+    // together. It takes the first and returns; the next call finds the
+    // other three in the mailbox.
+    const CALLS: u64 = 10;
+    let expected = rpc::CallStats {
+        calls: CALLS,
+        retries: 0,
+        timeouts: 0,
+        stale_replies: 3 * (CALLS - 1),
+        strays_dropped: 4,
+    };
+    let mut sim = Simulation::new(NetworkConfig::lan().with_duplicate(1.0), 17);
+    let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
+    let client = sim.spawn_at("client", NodeId(1), PortId(5), move |ctx| {
+        let mut c = RpcClient::new(server);
+        for i in 1..=CALLS {
+            // Under a span of the caller's, so replies are correlated.
+            let (kind, now) = (obs::SpanKind::Invoke, ctx.now().as_nanos());
+            let span = (ctx.obs()).open_span(kind, obs::SpanId::NONE, "counter", "inc", now);
+            ctx.set_current_span(span);
+            assert_eq!(c.call(ctx, "inc", Value::Null).unwrap(), Value::U64(i));
+            ctx.obs().close_span(span, ctx.now().as_nanos(), true);
+        }
+        assert_eq!(c.stats, expected);
+    });
+    // While the first call waits (its replies arrive at 1 ms): a one-way
+    // and a request nobody asked the client to serve, two copies of each.
+    sim.spawn("intruder", NodeId(2), move |ctx| {
+        rpc::send_oneway(ctx, client, "poke", &Value::Null);
+        let request = Request {
+            call_id: 1,
+            reply_to: ctx.endpoint(),
+            object: String::new(),
+            op: "inc".to_owned(),
+            args: Value::Null,
+            span: 0,
+        };
+        ctx.send(client, request.to_bytes());
+    });
+    sim.run();
+    assert_eq!(execs.load(Ordering::SeqCst), CALLS);
+    let report = sim.obs_report();
+    assert_eq!(report.rpc.client, expected);
+    assert_eq!(report.rpc.server.executed, CALLS);
+    assert_eq!(report.rpc.server.duplicates_suppressed, CALLS);
+    // The first reply finds its call's span open; the three the next
+    // call drains find it closed.
+    assert_eq!(report.spans.replies.matched, CALLS);
+    assert_eq!(report.spans.replies.late, 3 * (CALLS - 1));
 }
 
 #[test]

@@ -345,50 +345,60 @@ fn deferred_replies_under_loss_and_duplication_execute_exactly_once() {
 
 // -- the round-trip estimate behind the timers ---------------------------
 
-/// What one client saw over a run of sequential calls on a loss-free
-/// link: per call, the retransmissions it needed and whether the client
-/// held a round-trip sample afterwards.
-type CallLog = Vec<(u64, bool)>;
+/// What one client saw over a run of sequential calls: per call, the
+/// retransmissions it needed, whether the client held a round-trip
+/// sample afterwards, and when it completed.
+type CallLog = Vec<(u64, bool, simnet::SimTime)>;
 
-/// Runs `calls` sequential echo calls over a jitter-free link of
-/// `one_way` latency, once through a [`Channel`] and once through an
-/// [`RpcClient`], both with a 10 ms floor and patience for a 1 s round
-/// trip.
-fn sequential_calls(one_way: Duration, calls: u64) -> (CallLog, CallLog) {
-    let policy = RetryPolicy::exponential(Duration::from_millis(10), 8);
-    let mut sim = Simulation::new(NetworkConfig::lan().with_remote_latency(one_way), 29);
-    let (server, _) = spawn_counter(&sim, NodeId(0), PortId(1));
-    let logs = Arc::new(Mutex::new((CallLog::new(), CallLog::new())));
-    let (l1, l2, p2) = (Arc::clone(&logs), Arc::clone(&logs), policy.clone());
-    sim.spawn("pipelined", NodeId(1), move |ctx| {
-        let mut ch = Channel::new(
-            "counter",
-            server,
-            ChannelConfig::with_depth(4).with_policy(policy),
-        );
-        for i in 0..calls {
-            let before = ch.stats.retries;
-            let h = ch.begin_call(ctx, "echo", Value::U64(i));
-            assert_eq!(ch.wait(ctx, h).unwrap(), Value::U64(i));
-            let entry = (ch.stats.retries - before, ch.srtt().is_some());
-            l1.lock().unwrap().0.push(entry);
-        }
-    });
-    sim.spawn("synchronous", NodeId(2), move |ctx| {
-        let mut client = RpcClient::with_policy(server, p2);
-        for i in 0..calls {
-            let before = client.stats.retries;
-            assert_eq!(
-                client.call(ctx, "echo", Value::U64(i)).unwrap(),
-                Value::U64(i)
-            );
-            let entry = (client.stats.retries - before, client.srtt().is_some());
-            l2.lock().unwrap().1.push(entry);
-        }
-    });
-    sim.run();
-    let logs = std::mem::take(&mut *logs.lock().unwrap());
-    logs
+/// Runs `calls` sequential echo calls over `cfg`, once through a
+/// [`Channel`] of depth 1 and once through an [`RpcClient`], both with a
+/// 10 ms floor and patience for a 1 s round trip. Each client has a
+/// simulation of its own with the same seed, so the two meet the same
+/// network as long as they send the same datagrams at the same instants.
+fn sequential_calls(
+    cfg: NetworkConfig,
+    calls: u64,
+) -> ((CallLog, obs::RunReport), (CallLog, obs::RunReport)) {
+    let run = |pipelined: bool| {
+        let policy = RetryPolicy::exponential(Duration::from_millis(10), 8);
+        let mut sim = Simulation::new(cfg.clone(), 29);
+        let (server, _) = spawn_counter(&sim, NodeId(0), PortId(1));
+        let log = Arc::new(Mutex::new(CallLog::new()));
+        let l2 = Arc::clone(&log);
+        sim.spawn("client", NodeId(1), move |ctx| {
+            let cfg = ChannelConfig::with_depth(1).with_policy(policy.clone());
+            let mut ch = Channel::new("counter", server, cfg);
+            let mut client = RpcClient::with_policy(server, policy);
+            for i in 0..calls {
+                let (retries, sampled) = if pipelined {
+                    let before = ch.stats.retries;
+                    let h = ch.begin_call(ctx, "echo", Value::U64(i));
+                    assert_eq!(ch.wait(ctx, h).unwrap(), Value::U64(i));
+                    (ch.stats.retries - before, ch.srtt().is_some())
+                } else {
+                    // The channel opens an invoke span for each call and
+                    // its requests carry it; the client's carry the
+                    // caller's, so the caller opens the same one.
+                    let (kind, now) = (obs::SpanKind::Invoke, ctx.now().as_nanos());
+                    let parent = ctx.current_span();
+                    let span = (ctx.obs()).open_span(kind, parent, "counter", "echo", now);
+                    let outer = ctx.set_current_span(span);
+                    let before = client.stats.retries;
+                    let reply = client.call(ctx, "echo", Value::U64(i));
+                    ctx.set_current_span(outer);
+                    let now = ctx.now().as_nanos();
+                    ctx.obs().close_span(span, now, reply.is_ok());
+                    assert_eq!(reply.unwrap(), Value::U64(i));
+                    (client.stats.retries - before, client.srtt().is_some())
+                };
+                l2.lock().unwrap().push((retries, sampled, ctx.now()));
+            }
+        });
+        sim.run();
+        let log = std::mem::take(&mut *log.lock().unwrap());
+        (log, sim.obs_report())
+    };
+    (run(true), run(false))
 }
 
 /// Karn's rule and its consequence, read off one call log: a call that
@@ -396,7 +406,7 @@ fn sequential_calls(one_way: Duration, calls: u64) -> (CallLog, CallLog) {
 /// exists no later call is retransmitted.
 fn check_log(log: &CallLog, who: &str, one_way: Duration) -> Result<(), TestCaseError> {
     let mut sampled = false;
-    for (i, &(retries, has_sample)) in log.iter().enumerate() {
+    for (i, &(retries, has_sample, _)) in log.iter().enumerate() {
         if sampled {
             prop_assert_eq!(
                 retries,
@@ -434,10 +444,27 @@ proptest! {
         one_way_us in 50u64..500_000,
     ) {
         let one_way = Duration::from_micros(one_way_us);
-        let (pipelined, synchronous) = sequential_calls(one_way, 12);
+        let cfg = NetworkConfig::lan().with_remote_latency(one_way);
+        let ((pipelined, _), (synchronous, _)) = sequential_calls(cfg, 12);
         check_log(&pipelined, "channel", one_way)?;
         check_log(&synchronous, "client", one_way)?;
     }
+}
+
+#[test]
+fn a_depth_one_channel_and_a_client_are_one_transport_under_loss_and_duplication() {
+    // Same seed, same network: as long as the two send the same bytes at
+    // the same instants they draw the same fates, so any difference in
+    // timer, matcher or estimator shows up as a difference below.
+    let cfg = NetworkConfig::lan().with_loss(0.10).with_duplicate(0.10);
+    let ((channel, ch_report), (client, cl_report)) = sequential_calls(cfg, 300);
+    let retransmitted = client.iter().filter(|&&(retries, ..)| retries > 0);
+    assert!(retransmitted.count() > 10, "the seed must lose datagrams");
+    assert_eq!(channel, client, "per-call retransmissions and instants");
+    assert_eq!(ch_report.net, cl_report.net, "datagrams and bytes sent");
+    assert_eq!(ch_report.rpc, cl_report.rpc, "client and server counters");
+    assert_eq!(cl_report.rpc.server.executed, 300);
+    assert!(cl_report.rpc.server.duplicates_suppressed > 0);
 }
 
 #[test]

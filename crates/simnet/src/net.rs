@@ -196,16 +196,6 @@ impl Network {
         self.config.loss = loss;
     }
 
-    /// Replaces the duplication probability (runtime fault injection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn set_duplicate(&mut self, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "duplicate must be in [0,1]");
-        self.config.duplicate = p;
-    }
-
     /// Overrides the one-way latency between a specific node pair
     /// (both directions). Used to model topologies where some replicas
     /// are nearer than others.

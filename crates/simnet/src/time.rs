@@ -61,11 +61,6 @@ impl SimTime {
         self.0 / 1_000_000
     }
 
-    /// This instant expressed as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Elapsed duration since `earlier`, saturating to zero if `earlier`
     /// is in the future.
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
