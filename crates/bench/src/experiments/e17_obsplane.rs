@@ -70,6 +70,8 @@ struct Leg {
     /// Invoke/dispatch spans still open at run end. 0 on the obs-off
     /// leg.
     spans_open: u64,
+    /// Writer lanes of the registry (one per scheduler domain).
+    lanes: u64,
 }
 
 fn run_once(cfg: Config, seed: u64, obs_on: bool) -> (Leg, Option<ObsReport>) {
@@ -89,6 +91,7 @@ fn run_once(cfg: Config, seed: u64, obs_on: bool) -> (Leg, Option<ObsReport>) {
         plane: run_report.obs,
         spans_allocated: run_report.spans.started + run_report.spans.oneways,
         spans_open: run_report.spans.open,
+        lanes: sim.domains() as u64,
     };
     let obs = obs_on.then(|| obs_report("e17 (obs-on)", &sim));
     (leg, obs)
@@ -138,6 +141,11 @@ pub fn run() -> ExperimentOutput {
     let (on_m, off_m) = (&on.run.report.metrics, &off.run.report.metrics);
     let overhead_pct = (on.run.wall.as_secs_f64() / off.run.wall.as_secs_f64() - 1.0) * 100.0;
     let retired_frac = on.plane.spans_retired as f64 / on.spans_allocated.max(1) as f64;
+    // Spans retire in about the order they opened, so each lane holds
+    // its resident spans plus two partial pages (see
+    // `obs::SPAN_PAGE_BYTES`).
+    let table_bound =
+        on.plane.spans_resident_peak * obs::SPAN_SLOT_BYTES + 2 * on.lanes * obs::SPAN_PAGE_BYTES;
     let checks = vec![
         check(
             "every client completed on both legs",
@@ -193,6 +201,18 @@ pub fn run() -> ExperimentOutput {
                 on.spans_open,
                 on.plane.spans_sampled,
                 on.spans_allocated
+            ),
+        ),
+        check(
+            "the slab returns memory: table peak within resident peak plus two pages per lane",
+            on.plane.span_table_bytes_peak <= table_bound,
+            format!(
+                "{} B peak <= {} resident x {} B + 2 x {} lane(s) x {} B = {table_bound} B",
+                on.plane.span_table_bytes_peak,
+                on.plane.spans_resident_peak,
+                obs::SPAN_SLOT_BYTES,
+                on.lanes,
+                obs::SPAN_PAGE_BYTES
             ),
         ),
         check(

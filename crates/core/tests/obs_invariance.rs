@@ -1,7 +1,7 @@
-//! Merge determinism of the sharded observability registry, proved at
+//! Merge determinism of the striped observability registry, proved at
 //! the full simulation level: for a fixed seed, the `RunReport` JSON
-//! and the causal trace are byte-identical no matter how the registry
-//! is sharded — the layout is a pure contention knob.
+//! and the causal trace are byte-identical no matter how many statistic
+//! stripes the registry has — the layout is a pure contention knob.
 //!
 //! Also: span retirement conserves every report aggregate exactly while
 //! bounding the resident span table; and a run whose caching clients
@@ -119,10 +119,10 @@ fn fnv(s: &str) -> u64 {
 }
 
 /// One full run; returns `(report JSON, trace hash, calls ok)`.
-fn run(seed: u64, layout: Option<(usize, usize)>, retire: Option<u64>) -> (String, u64, u64) {
+fn run(seed: u64, stripes: Option<usize>, retire: Option<u64>) -> (String, u64, u64) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
-    if let Some((shards, stripes)) = layout {
-        sim = sim.with_obs_layout(shards, stripes);
+    if let Some(stripes) = stripes {
+        sim = sim.with_obs_layout(stripes);
     }
     if let Some(keep_every) = retire {
         sim.obs().enable_retirement(keep_every);
@@ -156,25 +156,25 @@ fn run(seed: u64, layout: Option<(usize, usize)>, retire: Option<u64>) -> (Strin
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Same seed, shard layouts 1x1 / 4x2 / 16x8 → identical report
-    /// bytes and identical causal trace.
+    /// Same seed, 1 / 2 / 8 statistic stripes → identical report bytes
+    /// and identical causal trace.
     #[test]
     fn report_and_trace_invariant_across_layouts(seed in 0u64..10_000) {
-        let (base_json, base_trace, base_ok) = run(seed, Some((1, 1)), None);
+        let (base_json, base_trace, base_ok) = run(seed, Some(1), None);
         prop_assert_eq!(base_ok, u64::from(CLIENTS * CALLS));
-        for layout in [(4, 2), (16, 8)] {
-            let (json, trace, ok) = run(seed, Some(layout), None);
+        for stripes in [2, 8] {
+            let (json, trace, ok) = run(seed, Some(stripes), None);
             prop_assert_eq!(ok, base_ok);
-            prop_assert_eq!(&json, &base_json, "layout {:?} changed the report", layout);
-            prop_assert_eq!(trace, base_trace, "layout {:?} changed the trace", layout);
+            prop_assert_eq!(&json, &base_json, "{} stripes changed the report", stripes);
+            prop_assert_eq!(trace, base_trace, "{} stripes changed the trace", stripes);
         }
     }
 }
 
 #[test]
-fn default_layout_matches_single_shard() {
+fn default_layout_matches_single_stripe() {
     let (a, ta, _) = run(1234, None, None);
-    let (b, tb, _) = run(1234, Some((1, 1)), None);
+    let (b, tb, _) = run(1234, Some(1), None);
     assert_eq!(a, b);
     assert_eq!(ta, tb);
 }

@@ -29,14 +29,15 @@
 //! Format JSON or a JSONL log, and [`analysis`] decomposes every
 //! request into queueing/wire/server/retransmit components.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, RwLock};
 
 pub mod analysis;
 pub mod export;
 pub mod json;
 pub mod profile;
+mod spans;
 pub mod timeseries;
 pub mod trace;
 
@@ -49,106 +50,9 @@ pub use profile::{
     profile_to_folded, scope, set_ambient_profiler, swap_open_frames, validate_folded,
     FoldedSummary, FrameStat, ProfileReport, ScopeGuard,
 };
+pub use spans::{ReplyKind, SpanId, SpanKind, SpanRecord, SPAN_PAGE_BYTES, SPAN_SLOT_BYTES};
 pub use timeseries::{GaugeStat, TimeSeries, TimeSeriesReport, WindowReport};
 pub use trace::{CausalEvent, CausalTrace, Loc, NetEvent, NetEventKind, TraceSink};
-
-// ---------------------------------------------------------------------------
-// Span identifiers
-// ---------------------------------------------------------------------------
-
-/// Identifier of one causal call span.
-///
-/// Span ids are allocated by [`MetricsRegistry::open_span`] starting at 1;
-/// the value 0 ([`SpanId::NONE`]) means "no span" and is what a packet
-/// carries when it was sent outside any tracked invocation (e.g. name
-/// service traffic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpanId(pub u64);
-
-impl SpanId {
-    /// The absent span (wire value 0).
-    pub const NONE: SpanId = SpanId(0);
-
-    /// Raw wire representation.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Builds a span id back from its wire representation.
-    pub fn from_raw(raw: u64) -> SpanId {
-        SpanId(raw)
-    }
-
-    /// True if this is a real span (not [`SpanId::NONE`]).
-    pub fn is_some(self) -> bool {
-        self.0 != 0
-    }
-}
-
-impl std::fmt::Display for SpanId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0 == 0 {
-            write!(f, "sp:-")
-        } else {
-            write!(f, "sp:{}", self.0)
-        }
-    }
-}
-
-/// What kind of work a span covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
-    /// A client-side proxy invocation (opened by the client runtime).
-    Invoke,
-    /// A server-side dispatch of one request (child of an `Invoke`).
-    Dispatch,
-    /// A one-way notification (invalidate / recall / custom message).
-    Oneway,
-}
-
-impl SpanKind {
-    /// Short lowercase label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            SpanKind::Invoke => "invoke",
-            SpanKind::Dispatch => "dispatch",
-            SpanKind::Oneway => "oneway",
-        }
-    }
-}
-
-/// One recorded span. All times are simulated nanoseconds.
-#[derive(Debug, Clone)]
-pub struct SpanRecord {
-    /// This span's id.
-    pub id: SpanId,
-    /// Parent span, or [`SpanId::NONE`] for roots.
-    pub parent: SpanId,
-    /// What the span covers.
-    pub kind: SpanKind,
-    /// Service name (client view for invokes, process name for dispatches).
-    pub service: String,
-    /// Operation name.
-    pub op: String,
-    /// When the span was opened.
-    pub start_ns: u64,
-    /// When the span was closed; `None` while still open.
-    pub end_ns: Option<u64>,
-    /// `Some(true)` if the spanned work succeeded, `Some(false)` if it
-    /// failed, `None` while open.
-    pub ok: Option<bool>,
-    /// Number of retransmissions that reused this span's request.
-    pub retransmissions: u64,
-    /// Number of replies observed for this span (matched + late).
-    pub replies: u64,
-}
-
-impl SpanRecord {
-    /// Span duration, if closed.
-    pub fn duration_ns(&self) -> Option<u64> {
-        self.end_ns.map(|e| e.saturating_sub(self.start_ns))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Counter structs (canonical definitions, re-exported by their producers)
@@ -651,19 +555,6 @@ pub struct RunMeta {
 // Registry
 // ---------------------------------------------------------------------------
 
-/// How a reply related to the span it carried when it was observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplyKind {
-    /// Reply for a span that was still open — the normal case.
-    Matched,
-    /// Reply for a span that had already closed (duplicate or stale).
-    Late,
-    /// Reply carried a span id the registry never allocated.
-    UnknownSpan,
-    /// Reply carried no span (sent outside any tracked invocation).
-    Untracked,
-}
-
 /// Per-`(service, op)` fold of retired spans.
 ///
 /// When span retirement is on ([`MetricsRegistry::enable_retirement`]),
@@ -682,17 +573,35 @@ struct RetiredAgg {
     retransmissions: u64,
 }
 
-/// One statistics stripe. Every `(service, op)` key lives wholly in one
-/// stripe (picked by key hash), so per-key state — the latency
-/// histogram the watchdog judges against and the retired-span
-/// aggregate — never needs cross-stripe merging and the report merge
-/// stays deterministic for any stripe count.
+/// One statistics stripe. Every interned `(service, op)` key lives
+/// wholly in one stripe (stripe `key % stripes`, entry `key / stripes`),
+/// so per-key state — the latency histogram the watchdog judges against
+/// and the retired-span aggregate — never needs cross-stripe merging
+/// and the report merge stays deterministic for any stripe count.
 #[derive(Debug, Default)]
 struct StatStripe {
-    /// Per `(service, op)` latency histograms.
-    hists: HashMap<(String, String), Histogram>,
-    /// Per `(service, op)` folds of retired spans.
-    retired: HashMap<(String, String), RetiredAgg>,
+    /// Per-key latency histograms; `None` until a sample lands.
+    hists: Vec<Option<Histogram>>,
+    /// Per-key folds of retired spans.
+    retired: Vec<RetiredAgg>,
+}
+
+impl StatStripe {
+    /// The histogram of entry `i`, created empty on first use.
+    fn hist(&mut self, i: usize) -> &mut Histogram {
+        if self.hists.len() <= i {
+            self.hists.resize_with(i + 1, || None);
+        }
+        self.hists[i].get_or_insert_with(Histogram::new)
+    }
+
+    /// The retired-span fold of entry `i`.
+    fn retired(&mut self, i: usize) -> &mut RetiredAgg {
+        if self.retired.len() <= i {
+            self.retired.resize(i + 1, RetiredAgg::default());
+        }
+        &mut self.retired[i]
+    }
 }
 
 /// One stripe of the hot RPC counters. Cache-line aligned so stripes on
@@ -753,10 +662,16 @@ pub struct ObsPlaneReport {
     pub spans_resident: u64,
     /// High-water mark of resident spans over the run.
     pub spans_resident_peak: u64,
-    /// Estimated resident span-table bytes at report time (record
-    /// struct plus its service/op string payloads).
+    /// Bytes the span table's slabs hold at report time: one
+    /// [`SPAN_PAGE_BYTES`] page per live slab page (a page of
+    /// [`SPAN_SLOT_BYTES`] slots is freed once every slot in it has been
+    /// allocated and retired) plus one slot per kept exemplar. Summed
+    /// over writer lanes; each lane's figure follows from that lane's
+    /// own span calls alone, so it is deterministic. The registry-wide
+    /// `(service, op)` name table is not counted.
     pub span_table_bytes: u64,
-    /// High-water mark of the span-table byte estimate.
+    /// Sum over writer lanes of each lane's high-water mark of
+    /// `span_table_bytes`.
     pub span_table_bytes_peak: u64,
     /// Wall-clock nanoseconds spent inside registry calls while
     /// self-measurement was on (0 when it never was).
@@ -765,14 +680,12 @@ pub struct ObsPlaneReport {
     pub self_calls: u64,
 }
 
-/// Default number of span-table shards.
-const DEFAULT_SPAN_SHARDS: usize = 16;
 /// Default number of `(service, op)` statistic stripes.
 const DEFAULT_STAT_STRIPES: usize = 8;
 /// Number of hot-counter stripes (fixed; must be a power of two).
 const COUNTER_STRIPES: usize = 8;
 
-/// FNV-1a over a `(service, op)` key, for stripe selection.
+/// FNV-1a over a `(service, op)` key, for interning.
 fn key_hash(service: &str, op: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
@@ -787,13 +700,6 @@ fn key_hash(service: &str, op: &str) -> u64 {
     h
 }
 
-/// Byte estimate of one resident span record: the struct itself plus
-/// its heap-owned string payloads. Deliberately `len`-based (not
-/// capacity) so the estimate is identical across shard counts.
-fn span_bytes(rec: &SpanRecord) -> u64 {
-    (std::mem::size_of::<SpanRecord>() + rec.service.len() + rec.op.len()) as u64
-}
-
 /// The process-wide sink for spans, histograms and counters.
 ///
 /// One registry is shared by every process of a simulation (it hangs off
@@ -801,22 +707,18 @@ fn span_bytes(rec: &SpanRecord) -> u64 {
 /// whole run. All methods take `&self`; interior mutability keeps the
 /// call sites free of plumbing.
 ///
-/// Internally the registry is sharded so a million-client run can leave
-/// it on: span records live in id-keyed shards, per-`(service, op)`
-/// statistics (histograms, retirement aggregates, the watchdog's
-/// rolling p99) live in key-hashed stripes, and the hot RPC counters
-/// are striped relaxed atomics. [`MetricsRegistry::report`] merges all
-/// of it deterministically: every per-key statistic lives wholly in one
-/// stripe, every cross-shard sum is commutative, and map output is
-/// key-ordered — so the report is byte-identical for any shard or
-/// stripe count.
+/// Internally the registry is split so a million-client run can leave
+/// it on: span records live in per-writer-lane slabs of fixed-size
+/// slots, their `(service, op)` names interned once into `u32` keys;
+/// per-key statistics (histograms, retirement aggregates, the
+/// watchdog's rolling p99) live in key-indexed stripes, and the hot RPC
+/// counters are striped relaxed atomics. [`MetricsRegistry::report`]
+/// merges all of it deterministically: every per-key statistic lives
+/// wholly in one stripe, every cross-lane and cross-stripe sum is
+/// commutative, and map output is ordered by name — so the report is
+/// byte-identical for any stripe count.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    /// High-water mark of allocated span ids (ids are lane-striped, so
-    /// this is a watermark, not a count — see [`MetricsRegistry::span_count`]
-    /// for the count). Used by the reply/retransmit plausibility checks:
-    /// any id above the watermark was certainly never allocated.
-    next_span: AtomicU64,
     /// Mirrors "the flight recorder is on" so hot paths can skip the
     /// lane lock (and the series-name formatting feeding it) with a
     /// single relaxed load when the recorder is off.
@@ -830,11 +732,6 @@ pub struct MetricsRegistry {
     retire_enabled: AtomicBool,
     /// Keep every nth closed span resident (0 = keep none).
     retire_keep_every: AtomicU64,
-    retired: AtomicU64,
-    sampled_kept: AtomicU64,
-    /// Retransmissions noted for spans already retired (attributable to
-    /// the run but no longer to a record).
-    retired_retransmissions: AtomicU64,
     // -- self-measurement --
     sm_enabled: AtomicBool,
     self_ns: AtomicU64,
@@ -851,40 +748,35 @@ pub struct MetricsRegistry {
     // -- writer lanes --
     /// Per-lane sequenced state. Each concurrent deterministic writer
     /// (a scheduler domain) owns one lane, selected by the thread's
-    /// ambient lane ([`set_ambient_lane`]): span-id striping, the
-    /// retirement sampler's close sequence, residency gauges, and the
+    /// ambient lane ([`set_ambient_lane`]): span-id striping, the span
+    /// slab with its retirement sampler and residency gauges, and the
     /// flight recorder all advance per lane so parallel domains never
     /// interleave on order-sensitive state. One lane (the default)
-    /// reproduces the unstriped behavior exactly. Unlike the shard /
-    /// stripe layout, the lane count is part of the run configuration:
-    /// it changes span ids and sampling decisions, the way a different
-    /// seed would.
+    /// reproduces the unstriped behavior exactly. Unlike the stripe
+    /// layout, the lane count is part of the run configuration: it
+    /// changes span ids and sampling decisions, the way a different seed
+    /// would.
     lanes: Box<[WriterLane]>,
-    // -- sharded state --
-    span_shards: Box<[Mutex<HashMap<u64, SpanRecord>>]>,
+    /// Interned `(service, op)` names; read-mostly.
+    keys: RwLock<spans::KeyTable>,
+    // -- striped state --
     stripes: Box<[Mutex<StatStripe>]>,
     counters: Box<[CounterCell]>,
     misc: Mutex<MiscInner>,
 }
 
 /// Per-writer-lane sequenced state (see [`MetricsRegistry::lanes`]).
+/// Cache-line aligned so lanes written by different threads never
+/// false-share.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 struct WriterLane {
-    /// Spans this lane has opened; span id = `count * nlanes + lane + 1`.
-    spans_opened: AtomicU64,
-    /// Lane-local close sequence driving the keep-every-nth retirement
-    /// sampler (lane-local so the decision is independent of how the
-    /// other lanes interleave; still independent of the shard count).
-    closed_seq: AtomicU64,
-    // Residency gauges. A span is opened, closed and retired by the
-    // same simulated process, hence the same lane, so lane-local
-    // current values are exact; the cross-lane peak is reported as the
-    // sum of lane peaks — a deterministic upper bound on the true
-    // concurrent peak (exact with one lane).
-    resident: AtomicU64,
-    resident_peak: AtomicU64,
-    table_bytes: AtomicU64,
-    table_bytes_peak: AtomicU64,
+    /// The spans this lane opened (span id = `count * nlanes + lane +
+    /// 1`), with the lane's retirement sampler and residency gauges.
+    /// The cross-lane peaks are reported as the sum of lane peaks — a
+    /// deterministic upper bound on the true concurrent peak (exact with
+    /// one lane).
+    spans: Mutex<spans::LaneSlab>,
     /// This lane's slice of the flight recorder, when enabled. Reports
     /// merge the lanes deterministically (see [`TimeSeries::merged`]).
     timeseries: Mutex<Option<TimeSeries>>,
@@ -916,7 +808,7 @@ pub fn ambient_lane() -> usize {
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
-        MetricsRegistry::with_layout(DEFAULT_SPAN_SHARDS, DEFAULT_STAT_STRIPES)
+        MetricsRegistry::with_layout(DEFAULT_STAT_STRIPES)
     }
 }
 
@@ -930,41 +822,24 @@ impl Drop for MetricsRegistry {
     }
 }
 
-/// What `close_span` carries out of the span-shard phase into the
-/// stripe phase.
-struct ClosedSpan {
-    kind: SpanKind,
-    start_ns: u64,
-    service: String,
-    op: String,
-    /// `Some(retransmissions)` when the record was retired and must be
-    /// folded into the stripe's aggregate.
-    fold_retransmissions: Option<u64>,
-}
-
 impl MetricsRegistry {
-    /// A fresh registry with the default shard layout.
+    /// A fresh registry with the default stripe layout.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// A registry with an explicit shard layout (rounded up to powers
-    /// of two, clamped to at least 1). The layout affects contention and
-    /// memory granularity only — never the report: byte-identical
-    /// output for any layout is a tested invariant.
-    pub fn with_layout(span_shards: usize, stat_stripes: usize) -> MetricsRegistry {
-        let span_shards = span_shards.clamp(1, 1 << 16).next_power_of_two();
+    /// A registry with an explicit number of `(service, op)` statistic
+    /// stripes (rounded up to a power of two, clamped to at least 1).
+    /// The layout affects contention only — never the report:
+    /// byte-identical output for any layout is a tested invariant.
+    pub fn with_layout(stat_stripes: usize) -> MetricsRegistry {
         let stat_stripes = stat_stripes.clamp(1, 1 << 16).next_power_of_two();
         MetricsRegistry {
-            next_span: AtomicU64::new(0),
             ts_enabled: AtomicBool::new(false),
             wd_enabled: AtomicBool::new(false),
             enabled: AtomicBool::new(true),
             retire_enabled: AtomicBool::new(false),
             retire_keep_every: AtomicU64::new(0),
-            retired: AtomicU64::new(0),
-            sampled_kept: AtomicU64::new(0),
-            retired_retransmissions: AtomicU64::new(0),
             sm_enabled: AtomicBool::new(false),
             self_ns: AtomicU64::new(0),
             self_calls: AtomicU64::new(0),
@@ -973,9 +848,7 @@ impl MetricsRegistry {
             prof_self_ns: AtomicU64::new(0),
             prof_self_calls: AtomicU64::new(0),
             lanes: (0..1).map(|_| WriterLane::default()).collect(),
-            span_shards: (0..span_shards)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            keys: RwLock::default(),
             stripes: (0..stat_stripes)
                 .map(|_| Mutex::new(StatStripe::default()))
                 .collect(),
@@ -988,11 +861,12 @@ impl MetricsRegistry {
 
     /// Sets the number of writer lanes (clamped to ≥ 1). One lane per
     /// concurrent deterministic writer — the simulator calls this with
-    /// its domain count before any span opens. Unlike the shard/stripe
-    /// layout this is run *configuration*: span ids are striped across
-    /// lanes and the retirement sampler advances per lane, so a
-    /// different lane count is a different (equally valid) run. Must be
-    /// called before recording starts — it resets lane-sequenced state.
+    /// its domain count before any span opens. Unlike the stripe layout
+    /// this is run *configuration*: span ids are striped across lanes
+    /// and the retirement sampler advances per lane, so a different lane
+    /// count is a different (equally valid) run. Must be called before
+    /// recording starts — it resets lane-sequenced state, spans
+    /// included.
     pub fn set_writer_lanes(&mut self, n: usize) {
         let n = n.max(1);
         let recorder = self.lanes[0]
@@ -1013,16 +887,18 @@ impl MetricsRegistry {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    fn shard(&self, id: u64) -> std::sync::MutexGuard<'_, HashMap<u64, SpanRecord>> {
-        let idx = (id as usize).wrapping_sub(1) & (self.span_shards.len() - 1);
-        self.span_shards[idx]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    fn keys(&self) -> std::sync::RwLockReadGuard<'_, spans::KeyTable> {
+        self.keys.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn stripe(&self, service: &str, op: &str) -> std::sync::MutexGuard<'_, StatStripe> {
-        let idx = (key_hash(service, op) as usize) & (self.stripes.len() - 1);
-        self.stripes[idx].lock().unwrap_or_else(|e| e.into_inner())
+    /// The stripe owning `key`, and the key's entry in it.
+    fn stripe(&self, key: u32) -> (std::sync::MutexGuard<'_, StatStripe>, usize) {
+        let n = self.stripes.len();
+        let key = key as usize;
+        let stripe = self.stripes[key & (n - 1)]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        (stripe, key >> n.trailing_zeros())
     }
 
     fn misc(&self) -> std::sync::MutexGuard<'_, MiscInner> {
@@ -1085,29 +961,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Bookkeeping for a record leaving the table. Retire happens on
-    /// the same lane that opened the span (same simulated process), so
-    /// the lane-local residency gauges stay exact.
-    fn note_evicted(&self, rec: &SpanRecord) {
-        let lane = self.lane();
-        self.retired.fetch_add(1, Ordering::Relaxed);
-        lane.resident.fetch_sub(1, Ordering::Relaxed);
-        lane.table_bytes
-            .fetch_sub(span_bytes(rec), Ordering::Relaxed);
-    }
-
-    /// The keep-every-nth retirement sampling decision for the next
-    /// closed span (also advances the calling lane's close sequence;
-    /// lane-local so the decision is independent of how concurrent
-    /// lanes interleave, and of the shard count as before).
-    fn retire_keeps(&self) -> bool {
-        let seq = self.lane().closed_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        match self.retire_keep_every.load(Ordering::Relaxed) {
-            0 => false,
-            n => seq.is_multiple_of(n),
-        }
-    }
-
     // -- switches ----------------------------------------------------------
 
     /// Master switch for the whole plane. When off, `open_span` returns
@@ -1138,435 +991,6 @@ impl MetricsRegistry {
         self.sm_enabled.store(true, Ordering::Relaxed);
     }
 
-    // -- spans ------------------------------------------------------------
-
-    /// Opens a span and returns its id (never [`SpanId::NONE`] while the
-    /// plane is enabled; always [`SpanId::NONE`] when disabled).
-    pub fn open_span(
-        &self,
-        kind: SpanKind,
-        parent: SpanId,
-        service: &str,
-        op: &str,
-        now_ns: u64,
-    ) -> SpanId {
-        if !self.on() {
-            return SpanId::NONE;
-        }
-        let t0 = self.sm_start();
-        // Ids are striped across writer lanes: lane `l` of `n` allocates
-        // `count*n + l + 1`, so concurrent lanes never contend and every
-        // lane's sequence is deterministic. One lane degenerates to the
-        // dense `count + 1` sequence. `next_span` tracks the high-water
-        // mark for the plausibility checks.
-        let li = self.lane_idx();
-        let lane = &self.lanes[li];
-        let nlanes = self.lanes.len() as u64;
-        let count = lane.spans_opened.fetch_add(1, Ordering::Relaxed);
-        let id = SpanId(count * nlanes + li as u64 + 1);
-        self.next_span.fetch_max(id.0, Ordering::Relaxed);
-        let rec = SpanRecord {
-            id,
-            parent,
-            kind,
-            service: service.to_string(),
-            op: op.to_string(),
-            start_ns: now_ns,
-            end_ns: None,
-            ok: None,
-            retransmissions: 0,
-            replies: 0,
-        };
-        let bytes = span_bytes(&rec);
-        self.shard(id.0).insert(id.0, rec);
-        let resident = lane.resident.fetch_add(1, Ordering::Relaxed) + 1;
-        lane.resident_peak.fetch_max(resident, Ordering::Relaxed);
-        let total = lane.table_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        lane.table_bytes_peak.fetch_max(total, Ordering::Relaxed);
-        self.sm_end(t0);
-        id
-    }
-
-    /// Closes a span and, for `Invoke` and `Dispatch` spans, records its
-    /// duration into the `(service, op)` histogram. Closing
-    /// [`SpanId::NONE`] or an already-closed span is a no-op. When
-    /// retirement is armed the closed record folds into its stripe's
-    /// aggregate and leaves the table (unless the sampler keeps it).
-    pub fn close_span(&self, id: SpanId, now_ns: u64, ok: bool) {
-        if !id.is_some() || !self.on() {
-            return;
-        }
-        let t0 = self.sm_start();
-        // Phase 1 — span shard: close the record, decide retirement.
-        let closed: ClosedSpan = {
-            let mut shard = self.shard(id.0);
-            let retire;
-            let kind;
-            let start_ns;
-            {
-                let Some(rec) = shard.get_mut(&id.0) else {
-                    self.sm_end(t0);
-                    return;
-                };
-                if rec.end_ns.is_some() {
-                    self.sm_end(t0);
-                    return;
-                }
-                rec.end_ns = Some(now_ns);
-                rec.ok = Some(ok);
-                kind = rec.kind;
-                start_ns = rec.start_ns;
-                retire = self.retire_enabled.load(Ordering::Relaxed)
-                    && matches!(kind, SpanKind::Invoke | SpanKind::Dispatch);
-            }
-            if retire && !self.retire_keeps() {
-                let rec = shard.remove(&id.0).expect("record just closed");
-                self.note_evicted(&rec);
-                ClosedSpan {
-                    kind,
-                    start_ns,
-                    service: rec.service,
-                    op: rec.op,
-                    fold_retransmissions: Some(rec.retransmissions),
-                }
-            } else {
-                if retire {
-                    self.sampled_kept.fetch_add(1, Ordering::Relaxed);
-                }
-                let rec = shard.get(&id.0).expect("record just closed");
-                ClosedSpan {
-                    kind,
-                    start_ns,
-                    service: rec.service.clone(),
-                    op: rec.op.clone(),
-                    fold_retransmissions: None,
-                }
-            }
-        };
-        let dur = now_ns.saturating_sub(closed.start_ns);
-        // The watchdog judges the closing call against the p99 of the
-        // calls *before* it, so the outlier cannot raise its own bar.
-        let wd = if closed.kind == SpanKind::Invoke && self.wd_enabled.load(Ordering::Relaxed) {
-            self.misc().watchdog
-        } else {
-            None
-        };
-        // Phase 2 — stat stripe: watchdog judgment, histogram, fold.
-        let key = (closed.service, closed.op);
-        let mut tripped: Option<(u64, &'static str, u64)> = None;
-        {
-            let mut stripe = self.stripe(&key.0, &key.1);
-            if let Some(cfg) = wd {
-                let p99 = stripe
-                    .hists
-                    .get(&key)
-                    .filter(|h| h.count() >= cfg.min_samples)
-                    .map(|h| h.p99())
-                    .unwrap_or(0);
-                let rel = if p99 > 0 {
-                    Some((cfg.multiplier * p99 as f64) as u64)
-                } else {
-                    None
-                };
-                tripped = match (rel, cfg.slo_ns) {
-                    (Some(r), Some(s)) if dur > r.min(s) => Some(if r <= s {
-                        (r, "p99", p99)
-                    } else {
-                        (s, "slo", p99)
-                    }),
-                    (Some(r), None) if dur > r => Some((r, "p99", p99)),
-                    (None, Some(s)) if dur > s => Some((s, "slo", p99)),
-                    _ => None,
-                };
-            }
-            if matches!(closed.kind, SpanKind::Invoke | SpanKind::Dispatch) {
-                stripe.hists.entry(key.clone()).or_default().record(dur);
-            }
-            if let Some(retx) = closed.fold_retransmissions {
-                let agg = stripe.retired.entry(key.clone()).or_default();
-                match closed.kind {
-                    SpanKind::Invoke => agg.invokes += 1,
-                    SpanKind::Dispatch => agg.dispatches += 1,
-                    SpanKind::Oneway => agg.oneways += 1,
-                }
-                agg.retransmissions += retx;
-            }
-        }
-        // Phase 3 — misc: exemplar pinning and the flight recorder.
-        if let Some((threshold_ns, trigger, p99)) = tripped {
-            let mut misc = self.misc();
-            let cap = misc.watchdog.map_or(0, |c| c.max_exemplars);
-            if misc.exemplars.len() < cap {
-                let exemplar = Exemplar {
-                    span: id,
-                    service: key.0.clone(),
-                    op: key.1.clone(),
-                    start_ns: closed.start_ns,
-                    latency_ns: dur,
-                    threshold_ns,
-                    p99_ns: p99,
-                    trigger,
-                    ok,
-                    breakdown: None,
-                };
-                misc.exemplars.push(exemplar);
-            } else {
-                misc.exemplars_suppressed += 1;
-            }
-        }
-        if closed.kind == SpanKind::Invoke && self.ts_enabled.load(Ordering::Relaxed) {
-            let mut guard = self
-                .lane()
-                .timeseries
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if let Some(ts) = guard.as_mut() {
-                let outcome = if ok { "calls_ok" } else { "calls_err" };
-                ts.add(now_ns, &format!("{outcome}@{}", key.0), 1);
-                ts.observe(now_ns, &format!("latency@{}", key.0), dur);
-            }
-        }
-        self.sm_end(t0);
-    }
-
-    /// Notes a retransmission of the request belonging to `id`, sent at
-    /// `now_ns` (it also lands in the `retx@<service>` window of the
-    /// flight recorder, when enabled). A span already retired counts
-    /// toward the run total without a record to land on.
-    pub fn span_retransmit_at(&self, id: SpanId, now_ns: u64) {
-        if !id.is_some() || !self.on() {
-            return;
-        }
-        let t0 = self.sm_start();
-        let mut service: Option<String> = None;
-        {
-            let mut shard = self.shard(id.0);
-            match shard.get_mut(&id.0) {
-                Some(rec) => {
-                    rec.retransmissions += 1;
-                    if self.ts_enabled.load(Ordering::Relaxed) {
-                        service = Some(rec.service.clone());
-                    }
-                }
-                None => {
-                    if id.0 <= self.next_span.load(Ordering::Relaxed) {
-                        self.retired_retransmissions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        if let Some(service) = service {
-            self.ts_add(now_ns, &format!("retx@{service}"), 1);
-        }
-        self.sm_end(t0);
-    }
-
-    /// Notes a reply observed for the raw wire span `raw` and classifies
-    /// it against the registry's span table. A reply for a span that was
-    /// allocated but has since been retired is `Late` — retirement only
-    /// ever evicts *closed* spans, so any further reply is by definition
-    /// a duplicate or stale one.
-    pub fn span_reply(&self, raw: u64, _now_ns: u64) -> ReplyKind {
-        if !self.on() {
-            return ReplyKind::Untracked;
-        }
-        let t0 = self.sm_start();
-        let kind = if raw == 0 {
-            self.cell()
-                .replies_untracked
-                .fetch_add(1, Ordering::Relaxed);
-            ReplyKind::Untracked
-        } else if raw > self.next_span.load(Ordering::Relaxed) {
-            self.cell()
-                .replies_unknown_span
-                .fetch_add(1, Ordering::Relaxed);
-            ReplyKind::UnknownSpan
-        } else {
-            let mut shard = self.shard(raw);
-            match shard.get_mut(&raw) {
-                Some(rec) => {
-                    rec.replies += 1;
-                    if rec.end_ns.is_some() {
-                        self.cell().replies_late.fetch_add(1, Ordering::Relaxed);
-                        ReplyKind::Late
-                    } else {
-                        self.cell().replies_matched.fetch_add(1, Ordering::Relaxed);
-                        ReplyKind::Matched
-                    }
-                }
-                None => {
-                    self.cell().replies_late.fetch_add(1, Ordering::Relaxed);
-                    ReplyKind::Late
-                }
-            }
-        };
-        self.sm_end(t0);
-        kind
-    }
-
-    /// Records a one-way notification as an immediately-closed span
-    /// parented to `parent` (commonly the dispatch span that triggered
-    /// the notification). Returns the new span's id.
-    pub fn note_oneway(&self, parent: SpanId, service: &str, op: &str, now_ns: u64) -> SpanId {
-        if !self.on() {
-            return SpanId::NONE;
-        }
-        let id = self.open_span(SpanKind::Oneway, parent, service, op, now_ns);
-        let t0 = self.sm_start();
-        let mut fold = false;
-        {
-            let mut shard = self.shard(id.0);
-            if let Some(rec) = shard.get_mut(&id.0) {
-                // Close without touching the latency histograms: a
-                // one-way has no observable duration.
-                rec.end_ns = Some(now_ns);
-                rec.ok = Some(true);
-                if self.retire_enabled.load(Ordering::Relaxed) {
-                    if self.retire_keeps() {
-                        self.sampled_kept.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        let rec = shard.remove(&id.0).expect("record just closed");
-                        self.note_evicted(&rec);
-                        fold = true;
-                    }
-                }
-            }
-        }
-        if fold {
-            self.stripe(service, op)
-                .retired
-                .entry((service.to_string(), op.to_string()))
-                .or_default()
-                .oneways += 1;
-        }
-        self.sm_end(t0);
-        id
-    }
-
-    /// Visits every resident span in ascending id order. This replaces
-    /// the old `spans()` full-table clone: the visitor borrows each
-    /// record in place (one shard lock at a time), so building a trace
-    /// or checking invariants costs O(resident), not O(all-time) heap.
-    pub fn for_each_span(&self, mut f: impl FnMut(&SpanRecord)) {
-        let mut ids: Vec<u64> = Vec::new();
-        for shard in self.span_shards.iter() {
-            let s = shard.lock().unwrap_or_else(|e| e.into_inner());
-            ids.extend(s.keys().copied());
-        }
-        ids.sort_unstable();
-        for id in ids {
-            let s = self.shard(id);
-            if let Some(rec) = s.get(&id) {
-                f(rec);
-            }
-        }
-    }
-
-    /// Copy of one resident span record, if `id` is still in the table.
-    pub fn span_record(&self, id: SpanId) -> Option<SpanRecord> {
-        if !id.is_some() {
-            return None;
-        }
-        self.shard(id.0).get(&id.0).cloned()
-    }
-
-    /// Number of spans opened so far (summed over writer lanes).
-    pub fn span_count(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.spans_opened.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Spans currently resident in the table (open + retained).
-    pub fn resident_spans(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.resident.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// The plane's self-measurement gauges, as they stand right now.
-    /// Current values are exact lane sums; the peaks are the sum of
-    /// per-lane peaks — a deterministic upper bound on the true
-    /// concurrent peak (exact with one writer lane).
-    pub fn obs_plane(&self) -> ObsPlaneReport {
-        let lsum = |field: fn(&WriterLane) -> &AtomicU64| -> u64 {
-            self.lanes
-                .iter()
-                .map(|l| field(l).load(Ordering::Relaxed))
-                .sum()
-        };
-        ObsPlaneReport {
-            spans_retired: self.retired.load(Ordering::Relaxed),
-            spans_sampled: self.sampled_kept.load(Ordering::Relaxed),
-            spans_resident: lsum(|l| &l.resident),
-            spans_resident_peak: lsum(|l| &l.resident_peak),
-            span_table_bytes: lsum(|l| &l.table_bytes),
-            span_table_bytes_peak: lsum(|l| &l.table_bytes_peak),
-            self_ns: self.self_ns.load(Ordering::Relaxed),
-            self_calls: self.self_calls.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Checks the structural causality invariants of the span table and
-    /// returns a human-readable description of each violation:
-    ///
-    /// * every parent reference points at an allocated span,
-    /// * a child span never starts before its parent (when the parent is
-    ///   still resident — a retired parent was a valid closed span),
-    /// * every `Dispatch` span has an `Invoke` or `Dispatch` parent,
-    /// * no reply was observed for a span id that was never allocated.
-    pub fn verify_causality(&self) -> Vec<String> {
-        let allocated = self.next_span.load(Ordering::Relaxed);
-        let mut spans: Vec<SpanRecord> = Vec::new();
-        self.for_each_span(|rec| spans.push(rec.clone()));
-        let by_id: HashMap<u64, usize> =
-            spans.iter().enumerate().map(|(i, r)| (r.id.0, i)).collect();
-        let mut violations = Vec::new();
-        for rec in &spans {
-            if rec.parent.is_some() {
-                if rec.parent.0 > allocated {
-                    violations.push(format!(
-                        "{} ({} {}/{}) has unallocated parent {}",
-                        rec.id,
-                        rec.kind.label(),
-                        rec.service,
-                        rec.op,
-                        rec.parent
-                    ));
-                } else if let Some(&pi) = by_id.get(&rec.parent.0) {
-                    let parent = &spans[pi];
-                    if rec.start_ns < parent.start_ns {
-                        violations.push(format!(
-                            "{} starts at {}ns before its parent {} at {}ns",
-                            rec.id, rec.start_ns, parent.id, parent.start_ns
-                        ));
-                    }
-                    if rec.kind == SpanKind::Dispatch && parent.kind == SpanKind::Oneway {
-                        violations.push(format!(
-                            "dispatch {} is parented to one-way {}",
-                            rec.id, parent.id
-                        ));
-                    }
-                }
-                // An allocated-but-absent parent was retired: it closed
-                // validly, nothing left to cross-check.
-            }
-        }
-        let unknown: u64 = self
-            .counters
-            .iter()
-            .map(|c| c.replies_unknown_span.load(Ordering::Relaxed))
-            .sum();
-        if unknown > 0 {
-            violations.push(format!(
-                "{unknown} replies carried span ids never allocated"
-            ));
-        }
-        violations
-    }
-
     // -- latency ----------------------------------------------------------
 
     /// Records a latency sample for `(service, op)` directly (spans do
@@ -1576,20 +1000,38 @@ impl MetricsRegistry {
             return;
         }
         let t0 = self.sm_start();
-        self.stripe(service, op)
-            .hists
-            .entry((service.to_string(), op.to_string()))
-            .or_default()
-            .record(ns);
+        let (mut stripe, i) = self.stripe(self.intern(service, op));
+        stripe.hist(i).record(ns);
+        drop(stripe);
         self.sm_end(t0);
     }
 
     /// Copy of the histogram for `(service, op)`, if any sample landed.
     pub fn histogram(&self, service: &str, op: &str) -> Option<Histogram> {
-        self.stripe(service, op)
-            .hists
-            .get(&(service.to_string(), op.to_string()))
-            .cloned()
+        let (stripe, i) = self.stripe(self.find_key(service, op)?);
+        stripe.hists.get(i)?.clone()
+    }
+
+    /// The plane's self-measurement gauges, as they stand right now.
+    /// Current values are exact lane sums; the peaks are the sum of
+    /// per-lane peaks — a deterministic upper bound on the true
+    /// concurrent peak (exact with one writer lane).
+    pub fn obs_plane(&self) -> ObsPlaneReport {
+        let mut plane = ObsPlaneReport {
+            self_ns: self.self_ns.load(Ordering::Relaxed),
+            self_calls: self.self_calls.load(Ordering::Relaxed),
+            ..ObsPlaneReport::default()
+        };
+        for lane in 0..self.lanes.len() {
+            let slab = self.slab(lane);
+            plane.spans_retired += slab.retired;
+            plane.spans_sampled += slab.sampled;
+            plane.spans_resident += slab.resident;
+            plane.spans_resident_peak += slab.resident_peak;
+            plane.span_table_bytes += slab.bytes;
+            plane.span_table_bytes_peak += slab.bytes_peak;
+        }
+        plane
     }
 
     // -- flight recorder ---------------------------------------------------
@@ -1848,9 +1290,9 @@ impl MetricsRegistry {
     /// snapshot and `end_time_ns` the simulated clock at report time.
     ///
     /// The merge is deterministic: per-key statistics live wholly in one
-    /// stripe, cross-shard sums are commutative, and map output is
-    /// key-ordered — the same run produces byte-identical JSON for any
-    /// shard/stripe layout.
+    /// stripe, cross-lane and cross-stripe sums are commutative, and map
+    /// output is ordered by name — the same run produces byte-identical
+    /// JSON for any stripe layout.
     pub fn report(&self, net: MetricsSnapshot, end_time_ns: u64) -> RunReport {
         // Hot counters: sum the stripes.
         let csum = |field: fn(&CounterCell) -> &AtomicU64| -> u64 {
@@ -1873,39 +1315,53 @@ impl MetricsRegistry {
             oneways: csum(|c| &c.oneways),
             undecodable: csum(|c| &c.undecodable),
         };
-        // Stripes: histograms into the key-ordered ops map, retired
+        // Stripes: histograms into the name-ordered ops map, retired
         // aggregates into the span totals.
-        let mut ops = BTreeMap::new();
+        let mut hists: Vec<(u32, OpLatency)> = Vec::new();
         let mut started = 0u64;
         let mut completed = 0u64;
         let mut oneways = 0u64;
-        let mut retransmissions = self.retired_retransmissions.load(Ordering::Relaxed);
-        for stripe in self.stripes.iter() {
-            let s = stripe.lock().unwrap_or_else(|e| e.into_inner());
-            for ((service, op), hist) in &s.hists {
-                ops.insert(format!("{service}/{op}"), hist.summary());
+        let mut retransmissions = 0u64;
+        let n = self.stripes.len();
+        for (s, stripe) in self.stripes.iter().enumerate() {
+            let stripe = stripe.lock().unwrap_or_else(|e| e.into_inner());
+            for (i, hist) in stripe.hists.iter().enumerate() {
+                if let Some(hist) = hist {
+                    hists.push(((i * n + s) as u32, hist.summary()));
+                }
             }
-            for agg in s.retired.values() {
+            for agg in &stripe.retired {
                 started += agg.invokes + agg.dispatches;
                 completed += agg.invokes + agg.dispatches;
                 oneways += agg.oneways;
                 retransmissions += agg.retransmissions;
             }
         }
-        // Shards: the resident spans.
-        for shard in self.span_shards.iter() {
-            let s = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for rec in s.values() {
-                match rec.kind {
+        let ops: BTreeMap<String, OpLatency> = {
+            let keys = self.keys();
+            hists
+                .into_iter()
+                .map(|(key, summary)| {
+                    let (service, op) = keys.names(key);
+                    (format!("{service}/{op}"), summary)
+                })
+                .collect()
+        };
+        // Lane slabs: the resident spans.
+        for lane in 0..self.lanes.len() {
+            let slab = self.slab(lane);
+            retransmissions += slab.retired_retransmissions;
+            for (_, slot) in slab.resident() {
+                match slot.kind {
                     SpanKind::Oneway => oneways += 1,
                     _ => {
                         started += 1;
-                        if rec.end_ns.is_some() {
+                        if !slot.is_open() {
                             completed += 1;
                         }
                     }
                 }
-                retransmissions += rec.retransmissions;
+                retransmissions += slot.retransmissions;
             }
         }
         let misc = self.misc();
@@ -2980,15 +2436,15 @@ mod tests {
     #[test]
     fn report_is_byte_identical_across_layouts() {
         let base = {
-            let reg = MetricsRegistry::with_layout(1, 1);
+            let reg = MetricsRegistry::with_layout(1);
             drive(&reg);
             reg.report(MetricsSnapshot::default(), 10_000).to_json()
         };
-        for (shards, stripes) in [(4, 2), (16, 8), (64, 16)] {
-            let reg = MetricsRegistry::with_layout(shards, stripes);
+        for stripes in [2, 8, 16] {
+            let reg = MetricsRegistry::with_layout(stripes);
             drive(&reg);
             let json = reg.report(MetricsSnapshot::default(), 10_000).to_json();
-            assert_eq!(json, base, "layout {shards}x{stripes} diverged");
+            assert_eq!(json, base, "{stripes} stripes diverged");
         }
     }
 
@@ -3078,20 +2534,85 @@ mod tests {
             .is_some());
     }
 
+    /// A registry with `n` writer lanes.
+    fn with_lanes(n: usize) -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new();
+        reg.set_writer_lanes(n);
+        reg
+    }
+
+    /// Opens a span from writer lane `lane`.
+    fn open_on(reg: &MetricsRegistry, lane: usize, parent: SpanId, op: &str, at: u64) -> SpanId {
+        set_ambient_lane(lane);
+        let id = reg.open_span(SpanKind::Invoke, parent, "kv", op, at);
+        set_ambient_lane(0);
+        id
+    }
+
     #[test]
     fn for_each_span_visits_ascending_ids() {
-        let reg = MetricsRegistry::with_layout(4, 2);
+        let reg = with_lanes(3);
+        // Uneven lanes: lane 2 runs ahead, lane 1 lags.
         for i in 0..50u64 {
-            reg.open_span(SpanKind::Invoke, SpanId::NONE, "kv", "get", i);
+            let lane = [0, 2, 2, 1, 0, 2][i as usize % 6];
+            open_on(&reg, lane, SpanId::NONE, "get", i);
         }
-        let mut prev = 0;
-        let mut seen = 0;
-        reg.for_each_span(|rec| {
-            assert!(rec.id.raw() > prev, "ids must ascend");
-            prev = rec.id.raw();
-            seen += 1;
-        });
-        assert_eq!(seen, 50);
+        let mut ids = Vec::new();
+        reg.for_each_span(|rec| ids.push(rec.id.raw()));
+        assert_eq!(ids.len(), 50);
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "ids must ascend: {ids:?}"
+        );
+    }
+
+    #[test]
+    fn span_record_round_trips_across_lanes() {
+        let reg = with_lanes(3);
+        let root = open_on(&reg, 1, SpanId::NONE, "get", 10);
+        let child = open_on(&reg, 2, root, "put", 20);
+        set_ambient_lane(2);
+        reg.span_retransmit_at(child, 25);
+        reg.close_span(child, 30, false);
+        set_ambient_lane(0);
+        assert_eq!(reg.span_reply(child.raw(), 31), ReplyKind::Late);
+        let r = reg.span_record(root).expect("root resident");
+        assert_eq!(
+            (r.id, r.parent, r.kind),
+            (root, SpanId::NONE, SpanKind::Invoke)
+        );
+        assert_eq!((r.service.as_str(), r.op.as_str()), ("kv", "get"));
+        assert_eq!((r.start_ns, r.end_ns, r.ok), (10, None, None));
+        let c = reg.span_record(child).expect("child resident");
+        assert_eq!((c.id, c.parent), (child, root));
+        assert_eq!(c.op, "put");
+        assert_eq!((c.start_ns, c.end_ns, c.ok), (20, Some(30), Some(false)));
+        assert_eq!((c.retransmissions, c.replies), (1, 1));
+        assert_ne!(root.raw() % 3, child.raw() % 3, "different lanes");
+    }
+
+    #[test]
+    fn unallocated_ids_are_unknown_per_lane() {
+        // Lane 3 of 4 allocates id 4; ids 1..=3 belong to lanes that
+        // have opened nothing.
+        let reg = with_lanes(4);
+        let sp = open_on(&reg, 3, SpanId::NONE, "get", 0);
+        assert_eq!(sp, SpanId(4));
+        assert_eq!(reg.span_reply(2, 5), ReplyKind::UnknownSpan);
+        assert_eq!(reg.span_reply(4, 6), ReplyKind::Matched);
+        reg.span_retransmit_at(SpanId(2), 7);
+        open_on(&reg, 3, SpanId(2), "put", 8);
+        let report = reg.report(MetricsSnapshot::default(), 10);
+        assert_eq!(report.spans.replies.unknown_span, 1);
+        assert_eq!(report.spans.retransmissions, 0);
+        let violations = reg.verify_causality();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("unallocated parent sp:2")),
+            "{violations:?}"
+        );
+        assert!(violations.iter().any(|v| v.contains("never allocated")));
     }
 
     #[test]
@@ -3102,18 +2623,67 @@ mod tests {
         let full = reg.obs_plane();
         assert_eq!(full.spans_resident, 2);
         assert_eq!(full.spans_resident_peak, 2);
-        let per = std::mem::size_of::<SpanRecord>() as u64;
-        let strings = ("kv".len() + "get".len() + "dirsvc".len() + "lookup".len()) as u64;
-        assert_eq!(full.span_table_bytes, 2 * per + strings);
+        // The first span allocates the lane's first page; names live in
+        // the key table, not in the slab.
+        assert_eq!(full.span_table_bytes, SPAN_PAGE_BYTES);
         reg.enable_retirement(0);
         reg.close_span(a, 5, true);
         reg.close_span(b, 6, true);
         let after = reg.obs_plane();
         assert_eq!(after.spans_resident, 0);
-        assert_eq!(after.span_table_bytes, 0);
+        // Retired, but the page is not full yet: it stays.
+        assert_eq!(after.span_table_bytes, SPAN_PAGE_BYTES);
         assert_eq!(after.spans_resident_peak, 2);
         assert_eq!(after.span_table_bytes_peak, full.span_table_bytes);
         assert_eq!(after.spans_retired, 2);
+    }
+
+    #[test]
+    fn retirement_frees_every_page() {
+        let reg = with_lanes(2);
+        reg.enable_retirement(0);
+        // 100k pairs over two lanes: 50 whole pages each.
+        for i in 0..100_000u64 {
+            set_ambient_lane((i % 2) as usize);
+            let sp = reg.open_span(SpanKind::Invoke, SpanId::NONE, "kv", "get", i);
+            reg.close_span(sp, i + 1, true);
+        }
+        set_ambient_lane(0);
+        let obs = reg.obs_plane();
+        assert_eq!(obs.spans_retired, 100_000);
+        assert_eq!(obs.spans_resident, 0);
+        assert_eq!(obs.span_table_bytes, 0);
+        assert_eq!(obs.span_table_bytes_peak, 2 * SPAN_PAGE_BYTES);
+        assert_eq!(reg.span_count(), 100_000);
+    }
+
+    #[test]
+    fn kept_exemplars_survive_page_frees() {
+        let reg = MetricsRegistry::new();
+        reg.enable_retirement(10);
+        let mut kept = Vec::new();
+        for i in 0..5_000u64 {
+            let sp = reg.open_span(SpanKind::Invoke, SpanId::NONE, "kv", "get", i);
+            reg.span_retransmit_at(sp, i);
+            reg.close_span(sp, i + 1, true);
+            if (i + 1) % 10 == 0 {
+                kept.push(sp);
+            }
+        }
+        let obs = reg.obs_plane();
+        assert_eq!((obs.spans_sampled, obs.spans_retired), (500, 4_500));
+        // Every page filled and emptied; only the side map remains.
+        assert!(obs.span_table_bytes < SPAN_PAGE_BYTES);
+        let mut seen = Vec::new();
+        reg.for_each_span(|rec| {
+            assert_eq!(rec.end_ns, Some(rec.start_ns + 1));
+            assert_eq!(rec.retransmissions, 1);
+            seen.push(rec.id);
+        });
+        assert_eq!(seen, kept);
+        // A kept span still takes its replies.
+        assert_eq!(reg.span_reply(kept[0].raw(), 9_999), ReplyKind::Late);
+        assert_eq!(reg.span_record(kept[0]).map(|r| r.replies), Some(1));
     }
 
     #[test]
