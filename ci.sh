@@ -46,6 +46,13 @@ step "cargo test --release -p simnet (the stack switch as it ships)"
 # and tests/blocking_process.rs have to pass in that build too.
 cargo test -q --release -p simnet
 
+step "cargo test --release -p rpc (the envelope decoder as it ships)"
+# Every datagram is decoded in one pass over its frame: a depth guard,
+# canonical-varint and length checks, and keys borrowed straight from
+# the buffer. The differential proptest against the tree decoder and the
+# pinned allocation counts have to hold in the build that is measured.
+cargo test -q --release -p rpc
+
 if [ "${1:-}" != "quick" ]; then
   step "cargo build --release (experiment harness)"
   cargo build --release -p bench

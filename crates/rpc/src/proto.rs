@@ -7,12 +7,23 @@
 //! way out, replies on the way back) into one datagram so a pipelined
 //! channel pays one network traversal for many calls; batches never
 //! nest.
+//!
+//! Encoding writes each envelope straight from its struct through the
+//! pooled [`ValueWriter`]. Decoding, [`Packet::from_frame`], is one
+//! forward pass over the frame with a [`FieldReader`]: the header fields
+//! (`t`, `id`, `rt`/`from`, `obj`, `op`, `sp`, `err`, `msg`) are read in
+//! place, batch items in the same pass, and a [`Value`] is built only for
+//! `args`, `ok` and `data`, whose strings and blobs alias the datagram.
+//! It accepts exactly the frames a decode of the whole record as one
+//! `Value` tree followed by field lookups would, and yields equal
+//! packets: fields in any order, the first of two same-named fields
+//! counting, unknown fields validated and ignored.
 
 use std::cell::RefCell;
 
 use bytes::Bytes;
 use simnet::{Endpoint, NodeId, PortId};
-use wire::{unframe, unframe_bytes, Encoder, Value, ValueWriter, WireError};
+use wire::{Encoder, FieldReader, Value, ValueWriter, WireError};
 
 use crate::error::{ErrorCode, RemoteError};
 
@@ -127,17 +138,6 @@ impl Request {
         let _p = obs::scope("rpc;encode");
         with_encoder(|e| e.frame_with(|w| self.write_into(w)))
     }
-
-    fn from_value(v: &Value) -> Result<Request, WireError> {
-        Ok(Request {
-            call_id: v.get_u64("id")?,
-            reply_to: endpoint_from_value(v.get("rt").ok_or(WireError::MissingField("rt"))?)?,
-            object: v.get_str("obj")?.to_owned(),
-            op: v.get_str("op")?.to_owned(),
-            args: v.get("args").cloned().unwrap_or(Value::Null),
-            span: v.get_u64("sp").unwrap_or(0),
-        })
-    }
 }
 
 /// An RPC reply envelope.
@@ -216,24 +216,6 @@ impl Reply {
         let _p = obs::scope("rpc;encode");
         with_encoder(|e| e.frame_with(|w| self.write_into(w)))
     }
-
-    fn from_value(v: &Value) -> Result<Reply, WireError> {
-        let call_id = v.get_u64("id")?;
-        let result = if let Some(ok) = v.get("ok") {
-            Ok(ok.clone())
-        } else {
-            Err(RemoteError {
-                code: ErrorCode::from_str_loose(v.get_str("err")?),
-                message: v.get_str("msg")?.to_owned(),
-                data: v.get("data").cloned().unwrap_or(Value::Null),
-            })
-        };
-        Ok(Reply {
-            call_id,
-            result,
-            span: v.get_u64("sp").unwrap_or(0),
-        })
-    }
 }
 
 /// A one-way notification (no reply expected): cache invalidations,
@@ -301,15 +283,6 @@ impl Oneway {
     pub fn to_bytes(&self) -> Bytes {
         Oneway::encode(self.from, &self.op, &self.args, self.span)
     }
-
-    fn from_value(v: &Value) -> Result<Oneway, WireError> {
-        Ok(Oneway {
-            from: endpoint_from_value(v.get("from").ok_or(WireError::MissingField("from"))?)?,
-            op: v.get_str("op")?.to_owned(),
-            args: v.get("args").cloned().unwrap_or(Value::Null),
-            span: v.get_u64("sp").unwrap_or(0),
-        })
-    }
 }
 
 /// A batch of coalesced envelopes sent as one datagram.
@@ -356,24 +329,6 @@ impl Batch {
             })
         })
     }
-
-    fn from_value(v: &Value) -> Result<Batch, WireError> {
-        let mut items = Vec::new();
-        for item in v.get_list("items")? {
-            match item.get_str("t")? {
-                "req" => items.push(Packet::Request(Request::from_value(item)?)),
-                "rep" => items.push(Packet::Reply(Reply::from_value(item)?)),
-                "msg" => items.push(Packet::Oneway(Oneway::from_value(item)?)),
-                _ => {
-                    return Err(WireError::WrongKind {
-                        expected: "req|rep|msg",
-                        actual: "nested or unknown batch item",
-                    })
-                }
-            }
-        }
-        Ok(Batch { items })
-    }
 }
 
 /// Encodes a batch of *borrowed* requests into one framed datagram —
@@ -413,43 +368,213 @@ pub enum Packet {
 }
 
 impl Packet {
-    /// Decodes a framed datagram payload.
+    /// Decodes a framed datagram payload held in a plain slice, by
+    /// copying it into a buffer of its own first. For tests and tools:
+    /// a received datagram is already a [`Bytes`], for
+    /// [`Packet::from_frame`].
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] for malformed frames or unknown envelope
-    /// kinds.
+    /// As for [`Packet::from_frame`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Packet, WireError> {
-        let _p = obs::scope("rpc;decode");
-        Packet::from_unframed(unframe(bytes)?)
+        Packet::from_frame(&Bytes::copy_from_slice(bytes))
     }
 
-    /// Decodes a framed datagram payload zero-copy: blob arguments and
-    /// reply payloads inside the resulting packet alias the datagram's
-    /// refcounted buffer instead of being copied out of it. Preferred
-    /// over [`Packet::from_bytes`] whenever the payload is an owned
-    /// [`Bytes`] (as simulated datagrams are).
+    /// Decodes a framed datagram payload in one pass over the frame.
+    ///
+    /// The envelope's header fields are read in place; only `args`, `ok`
+    /// and `data` become [`Value`]s, and those alias the datagram's
+    /// refcounted buffer instead of copying out of it. Fields may come in
+    /// any order; of two fields with one name the first counts; unknown
+    /// fields are validated and ignored.
     ///
     /// # Errors
     ///
-    /// As for [`Packet::from_bytes`].
+    /// Returns a [`WireError`] for malformed frames, unknown envelope
+    /// kinds, a batch inside a batch, or a missing or malformed field the
+    /// envelope's kind needs.
     pub fn from_frame(bytes: &Bytes) -> Result<Packet, WireError> {
         let _p = obs::scope("rpc;decode");
-        Packet::from_unframed(unframe_bytes(bytes)?)
+        let mut r = FieldReader::from_frame(bytes)?;
+        let envelope = match r.record(0)? {
+            Some(count) => Some(Envelope::read(&mut r, count, 1, true)?),
+            None => None,
+        };
+        r.finish()?;
+        envelope.ok_or(WireError::MissingField("t"))?.into_packet()
+    }
+}
+
+/// An envelope field: `None` while absent, `Some(None)` when present
+/// with the wrong kind or shape. Whether either is an error depends on
+/// the envelope's kind, which `t` may name last.
+type Slot<T> = Option<Option<T>>;
+
+/// The first occurrence of each envelope field, read in place.
+#[derive(Default)]
+struct Envelope<'a> {
+    t: Slot<&'a str>,
+    id: Slot<u64>,
+    sp: Slot<u64>,
+    rt: Slot<Endpoint>,
+    from: Slot<Endpoint>,
+    obj: Slot<&'a str>,
+    op: Slot<&'a str>,
+    err: Slot<&'a str>,
+    msg: Slot<&'a str>,
+    args: Option<Value>,
+    ok: Option<Value>,
+    data: Option<Value>,
+    items: Slot<Vec<Packet>>,
+}
+
+impl<'a> Envelope<'a> {
+    /// Reads the `count` fields of an envelope record whose values sit at
+    /// `depth`. A batch item (`top` false) leaves its `items` unread, so
+    /// a batch inside a batch fails in [`Envelope::into_packet`] as one
+    /// without items.
+    fn read(
+        r: &mut FieldReader<'a>,
+        count: usize,
+        depth: usize,
+        top: bool,
+    ) -> Result<Envelope<'a>, WireError> {
+        let mut e = Envelope::default();
+        for _ in 0..count {
+            match r.key()? {
+                "t" => first(&mut e.t, r, depth, FieldReader::str),
+                "id" => first(&mut e.id, r, depth, FieldReader::u64),
+                "sp" => first(&mut e.sp, r, depth, FieldReader::u64),
+                "rt" => first(&mut e.rt, r, depth, read_endpoint),
+                "from" => first(&mut e.from, r, depth, read_endpoint),
+                "obj" => first(&mut e.obj, r, depth, FieldReader::str),
+                "op" => first(&mut e.op, r, depth, FieldReader::str),
+                "err" => first(&mut e.err, r, depth, FieldReader::str),
+                "msg" => first(&mut e.msg, r, depth, FieldReader::str),
+                "args" => first(&mut e.args, r, depth, FieldReader::value),
+                "ok" => first(&mut e.ok, r, depth, FieldReader::value),
+                "data" => first(&mut e.data, r, depth, FieldReader::value),
+                "items" if top => first(&mut e.items, r, depth, read_items),
+                _ => r.skip(depth),
+            }?;
+        }
+        Ok(e)
     }
 
-    fn from_unframed(v: Value) -> Result<Packet, WireError> {
-        match v.get_str("t")? {
-            "req" => Ok(Packet::Request(Request::from_value(&v)?)),
-            "rep" => Ok(Packet::Reply(Reply::from_value(&v)?)),
-            "msg" => Ok(Packet::Oneway(Oneway::from_value(&v)?)),
-            "bat" => Ok(Packet::Batch(Batch::from_value(&v)?)),
+    /// Builds the packet `t` names from the fields its kind needs.
+    fn into_packet(self) -> Result<Packet, WireError> {
+        // A non-u64 span reads as untracked, like a missing one.
+        let span = self.sp.flatten().unwrap_or(0);
+        let args = self.args.unwrap_or(Value::Null);
+        match need(self.t, "t")? {
+            "req" => Ok(Packet::Request(Request {
+                call_id: need(self.id, "id")?,
+                reply_to: need(self.rt, "rt")?,
+                object: need(self.obj, "obj")?.to_owned(),
+                op: need(self.op, "op")?.to_owned(),
+                args,
+                span,
+            })),
+            "rep" => {
+                let call_id = need(self.id, "id")?;
+                let result = match self.ok {
+                    Some(v) => Ok(v),
+                    None => Err(RemoteError {
+                        code: ErrorCode::from_str_loose(need(self.err, "err")?),
+                        message: need(self.msg, "msg")?.to_owned(),
+                        data: self.data.unwrap_or(Value::Null),
+                    }),
+                };
+                Ok(Packet::Reply(Reply {
+                    call_id,
+                    result,
+                    span,
+                }))
+            }
+            "msg" => Ok(Packet::Oneway(Oneway {
+                from: need(self.from, "from")?,
+                op: need(self.op, "op")?.to_owned(),
+                args,
+                span,
+            })),
+            "bat" => Ok(Packet::Batch(Batch {
+                items: need(self.items, "items")?,
+            })),
             _ => Err(WireError::WrongKind {
                 expected: "req|rep|msg|bat",
                 actual: "unknown envelope",
             }),
         }
     }
+}
+
+/// Reads a field into `slot` unless an earlier field of the same name
+/// filled it: the first one counts, as with [`Value::get`], and a later
+/// one is validated and ignored.
+fn first<'a, T>(
+    slot: &mut Option<T>,
+    r: &mut FieldReader<'a>,
+    depth: usize,
+    read: impl FnOnce(&mut FieldReader<'a>, usize) -> Result<T, WireError>,
+) -> Result<(), WireError> {
+    match slot {
+        Some(_) => r.skip(depth),
+        None => {
+            *slot = Some(read(r, depth)?);
+            Ok(())
+        }
+    }
+}
+
+/// A field the envelope's kind needs.
+fn need<T>(slot: Slot<T>, name: &'static str) -> Result<T, WireError> {
+    slot.ok_or(WireError::MissingField(name))?
+        .ok_or(WireError::WrongKind {
+            expected: name,
+            actual: "malformed field",
+        })
+}
+
+/// Reads an endpoint record in place (see [`endpoint_from_value`]);
+/// `None` if it is no record or lacks a `u32` node or port.
+fn read_endpoint(r: &mut FieldReader<'_>, depth: usize) -> Result<Option<Endpoint>, WireError> {
+    let Some(count) = r.record(depth)? else {
+        return Ok(None);
+    };
+    let (mut node, mut port) = (None, None);
+    for _ in 0..count {
+        match r.key()? {
+            "n" => first(&mut node, r, depth + 1, FieldReader::u64),
+            "p" => first(&mut port, r, depth + 1, FieldReader::u64),
+            _ => r.skip(depth + 1),
+        }?;
+    }
+    let part = |slot: Slot<u64>| slot.flatten().and_then(|n| u32::try_from(n).ok());
+    Ok(part(node)
+        .zip(part(port))
+        .map(|(n, p)| Endpoint::new(NodeId(n), PortId(p))))
+}
+
+/// Reads a batch's item list; `None` if it is no list or any item is no
+/// request, reply or one-way envelope.
+fn read_items(r: &mut FieldReader<'_>, depth: usize) -> Result<Option<Vec<Packet>>, WireError> {
+    let Some(count) = r.list(depth)? else {
+        return Ok(None);
+    };
+    let mut items = Some(Vec::with_capacity(count.min(1024)));
+    for _ in 0..count {
+        let item = match r.record(depth + 1)? {
+            Some(n) => Envelope::read(r, n, depth + 2, false)?.into_packet().ok(),
+            None => None,
+        };
+        // A bad item fails the batch, but the items after it must still
+        // be well-formed bytes.
+        items = items.zip(item).map(|(mut items, item)| {
+            items.push(item);
+            items
+        });
+    }
+    Ok(items)
 }
 
 #[cfg(test)]

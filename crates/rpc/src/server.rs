@@ -98,16 +98,24 @@ struct ClientWindow {
     executing: Vec<Executing>,
 }
 
-/// A started call whose handler deferred the reply.
-#[derive(Debug)]
-struct Executing {
+/// A started call, as much of it as answering it needs besides its op
+/// name.
+#[derive(Debug, Clone, Copy)]
+struct Call {
     call_id: u64,
     /// The request's span, echoed in the reply.
     span: u64,
     /// The dispatch span, open until the call completes.
     dispatch: obs::SpanId,
-    op: String,
     started: SimTime,
+}
+
+/// A started call whose handler deferred the reply: the only case that
+/// keeps its own copy of the op name.
+#[derive(Debug)]
+struct Executing {
+    call: Call,
+    op: String,
 }
 
 impl ClientWindow {
@@ -427,19 +435,21 @@ impl RpcServer {
         ctx.set_current_span(previous);
         self.stats.executed += 1;
         ctx.obs().on_executed();
-        let executing = Executing {
+        let call = Call {
             call_id: req.call_id,
             span: req.span,
             dispatch,
-            op: req.op.clone(),
             started,
         };
         match result {
-            Some(result) => Answer::Executed(self.finish(ctx, req.reply_to, executing, result)),
+            Some(result) => Answer::Executed(self.finish(ctx, req.reply_to, call, &req.op, result)),
             None => {
                 let window = self.windows.entry(req.reply_to).or_default();
                 window.mark_executed(req.call_id);
-                window.executing.push(executing);
+                window.executing.push(Executing {
+                    call,
+                    op: req.op.clone(),
+                });
                 Answer::Deferred
             }
         }
@@ -451,14 +461,15 @@ impl RpcServer {
         &mut self,
         ctx: &mut Ctx,
         reply_to: Endpoint,
-        call: Executing,
+        call: Call,
+        op: &str,
         result: Result<Value, RemoteError>,
     ) -> Bytes {
         ctx.obs()
             .close_span(call.dispatch, ctx.now().as_nanos(), result.is_ok());
         ctx.trace(call.dispatch, || obs::NetEventKind::ServerExecute {
             service: ctx.name().to_owned(),
-            op: call.op,
+            op: op.to_owned(),
             dur_ns: ctx.now().saturating_since(call.started).as_nanos() as u64,
         });
         let encoded = Reply {
@@ -505,15 +516,19 @@ impl RpcServer {
         let Some(window) = self.windows.get_mut(&reply_to) else {
             return false;
         };
-        let Some(at) = window.executing.iter().position(|e| e.call_id == call_id) else {
+        let Some(at) = window
+            .executing
+            .iter()
+            .position(|e| e.call.call_id == call_id)
+        else {
             return false;
         };
-        let call = window.executing.swap_remove(at);
+        let Executing { call, op } = window.executing.swap_remove(at);
         let previous = ctx.set_current_span(call.dispatch);
         let result = run(ctx);
         ctx.set_current_span(previous);
         let span = obs::SpanId::from_raw(call.span);
-        let encoded = self.finish(ctx, reply_to, call, result);
+        let encoded = self.finish(ctx, reply_to, call, &op, result);
         ctx.send_traced(reply_to, encoded, span);
         true
     }

@@ -31,6 +31,9 @@
 //!   (and record keys) are cheap slices of the input, sharing its
 //!   allocation.
 //!
+//! [`FieldReader`][crate::FieldReader] walks the same grammar one field
+//! at a time, for protocol envelopes read in a single pass.
+//!
 //! Encoding offers a matching pair: the [`encode`] convenience and the
 //! pooled [`Encoder`], which reuses one scratch buffer across messages
 //! and exposes a borrow-based [`ValueWriter`] so protocol layers can
@@ -357,11 +360,12 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn new_shared(input: &'a Bytes) -> Reader<'a> {
+    /// A reader over `buf[base..]` whose str/blob leaves slice `buf`.
+    pub(crate) fn new_shared(buf: &'a Bytes, base: usize) -> Reader<'a> {
         Reader {
-            input,
+            input: &buf[base..],
             pos: 0,
-            shared: Some((input, 0)),
+            shared: Some((buf, base)),
         }
     }
 
@@ -410,7 +414,7 @@ impl<'a> Reader<'a> {
         Err(WireError::BadVarint)
     }
 
-    fn length(&mut self) -> Result<usize, WireError> {
+    pub(crate) fn length(&mut self) -> Result<usize, WireError> {
         let n = self.varint()?;
         if n > MAX_LEN {
             return Err(WireError::TooLong(n));
@@ -621,11 +625,9 @@ pub fn decode(input: &[u8]) -> Result<Value, WireError> {
 /// Any [`WireError`] describing the malformation, including
 /// [`WireError::TrailingBytes`] if input remains after the value.
 pub fn decode_bytes(input: &Bytes) -> Result<Value, WireError> {
-    let mut r = Reader::new_shared(input);
+    let mut r = crate::FieldReader::new(input);
     let v = r.value(0)?;
-    if r.pos != input.len() {
-        return Err(WireError::TrailingBytes(input.len() - r.pos));
-    }
+    r.finish()?;
     Ok(v)
 }
 

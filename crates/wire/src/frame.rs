@@ -20,7 +20,7 @@
 
 use bytes::Bytes;
 
-use crate::codec::{decode, decode_bytes, encode_into};
+use crate::codec::{decode, encode_into};
 use crate::crc::crc32;
 use crate::error::WireError;
 use crate::value::Value;
@@ -132,8 +132,10 @@ pub fn unframe(input: &[u8]) -> Result<Value, WireError> {
 ///
 /// As for [`unframe`].
 pub fn unframe_bytes(input: &Bytes) -> Result<Value, WireError> {
-    check_frame(input)?;
-    decode_bytes(&input.slice(HEADER_LEN..input.len()))
+    let mut r = crate::FieldReader::from_frame(input)?;
+    let v = r.value(0)?;
+    r.finish()?;
+    Ok(v)
 }
 
 #[cfg(test)]

@@ -15,6 +15,9 @@
 //!   decoded `Str`/`Blob` leaves are slices of the incoming frame.
 //! * [`Encoder`] / [`ValueWriter`] — pooled, borrow-based send path:
 //!   one reusable scratch buffer, no intermediate `Value` trees.
+//! * [`FieldReader`] — the one-pass envelope reader: a protocol layer
+//!   walks a frame's record field by field, reads header scalars in
+//!   place and materializes (zero-copy) only the fields it keeps.
 //! * [`RawRecord`] / [`peek_frame`] — lazily-decoded views for reading a
 //!   couple of header fields without materializing the message.
 //! * [`frame`] / [`unframe`] — versioned envelope with a CRC-32 checksum.
@@ -48,6 +51,7 @@
 mod codec;
 mod crc;
 mod error;
+mod fields;
 mod frame;
 mod raw;
 mod value;
@@ -59,6 +63,7 @@ pub use codec::{
 };
 pub use crc::{crc32, crc32_bytewise, Crc32};
 pub use error::WireError;
+pub use fields::FieldReader;
 pub use frame::{frame, unframe, unframe_bytes, FRAME_VERSION, HEADER_LEN};
 pub use raw::{peek_frame, RawRecord};
 pub use value::{BlobRef, Value};

@@ -14,7 +14,6 @@
 use crate::codec::{tag, Reader};
 use crate::error::WireError;
 use crate::frame::check_frame;
-use crate::value::Value;
 
 fn tag_name(t: u8) -> &'static str {
     match t {
@@ -118,7 +117,7 @@ impl<'a> RawRecord<'a> {
     }
 
     /// Locates a field by name, returning a reader positioned at its
-    /// value. First match wins, like [`Value::get`]. Infallible walking:
+    /// value. First match wins, like [`crate::Value::get`]. Infallible walking:
     /// `parse` already validated the structure.
     fn seek(&self, name: &str) -> Option<Reader<'a>> {
         let mut r = Reader::new(self.input);
@@ -208,17 +207,6 @@ impl<'a> RawRecord<'a> {
         r.skip_value(1)?;
         RawRecord::parse(&self.input[start..r.pos])
     }
-
-    /// Materializes one field as a full [`Value`] (copying decoder),
-    /// leaving the rest of the record untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::MissingField`] if absent, or any decode error.
-    pub fn get_value(&self, name: &'static str) -> Result<Value, WireError> {
-        let mut r = self.seek(name).ok_or(WireError::MissingField(name))?;
-        r.value(1)
-    }
 }
 
 /// Validates a frame's envelope (magic, version, length, CRC) and
@@ -246,6 +234,7 @@ mod tests {
     use super::*;
     use crate::codec::encode;
     use crate::frame::frame;
+    use crate::value::Value;
 
     fn sample() -> Value {
         Value::record([
@@ -289,16 +278,6 @@ mod tests {
                 actual: "u64"
             })
         );
-    }
-
-    #[test]
-    fn get_value_materializes_one_field() {
-        let enc = encode(&sample());
-        let raw = RawRecord::parse(&enc).unwrap();
-        let args = raw.get_value("args").unwrap();
-        assert_eq!(args.as_list().unwrap().len(), 2);
-        let nested = raw.get_value("nested").unwrap();
-        assert_eq!(nested.get_bool("deep"), Ok(true));
     }
 
     #[test]
