@@ -19,7 +19,12 @@
 //! [`ChannelConfig::max_batch`] per frame), and the server coalesces the
 //! replies on the way back — many calls, one network traversal each
 //! way. A lost datagram loses its calls together, so calls whose
-//! retransmission falls due together go out as one batch again.
+//! retransmission falls due together go out as one batch again. A staged
+//! call is encoded where it travels: straight into the frame of each
+//! batch that carries it, and into a frame of its own only the first
+//! time a datagram carries it alone — every later lone retransmission
+//! sends those same bytes. A call that only ever travels in batches is
+//! never framed by itself.
 //!
 //! Loss is detected from evidence before it is inferred from silence.
 //! Every datagram the channel sends takes the next number of a send
@@ -152,8 +157,10 @@ pub struct ChannelStats {
 #[derive(Debug)]
 struct CallRec {
     request: Request,
-    /// Encoded once; retransmissions reuse the bytes (and thus the span).
-    bytes: Bytes,
+    /// The call's own frame, built the first time a datagram carries the
+    /// call alone; later lone retransmissions reuse the bytes (and thus
+    /// the span). `None` while the call has only travelled in batches.
+    bytes: Option<Bytes>,
     /// The span the request carries and its transmissions are traced
     /// under.
     span: obs::SpanId,
@@ -328,8 +335,9 @@ impl Channel {
         let call_id = ctx.next_seq();
         self.stats.calls += 1;
         ctx.obs().on_call();
-        // The request is encoded once, so retransmissions carry the same
-        // span by construction.
+        // `transmit` encodes the request into whichever datagram carries
+        // it, from this one record, so every transmission carries the
+        // same span.
         let request = Request {
             call_id,
             reply_to: ctx.endpoint(),
@@ -338,7 +346,6 @@ impl Channel {
             args,
             span: span.raw(),
         };
-        let bytes = request.to_bytes();
         debug_assert!(
             self.calls
                 .back()
@@ -347,7 +354,7 @@ impl Channel {
         );
         self.calls.push_back(CallRec {
             request,
-            bytes,
+            bytes: None,
             span,
             close,
             attempt: 0,
@@ -392,8 +399,9 @@ impl Channel {
             self.calls[i].seq = self.sends;
         }
         if batch.len() == 1 {
-            let rec = &self.calls[batch.clone().next().expect("one call")];
-            ctx.send_traced(self.server, rec.bytes.clone(), rec.span);
+            let rec = &mut self.calls[batch.clone().next().expect("one call")];
+            let bytes = rec.bytes.get_or_insert_with(|| rec.request.to_bytes());
+            ctx.send_traced(self.server, bytes.clone(), rec.span);
             return;
         }
         // Borrow-based batch encode: the staged requests are written
