@@ -99,13 +99,18 @@ if [ "${1:-}" != "quick" ]; then
   for t in e3-migratory-n200 e7-loss-30 e13-depth-8; do
     cargo run -q --release -p bench --bin tracectl -- check target/traces/$t.trace.jsonl
   done
-  # E13 is the one paper experiment whose channels batch, and a batched
-  # call's own frame is built lazily, at its first lone send. A second
-  # run must pass its checks again and export the same trace, byte for
-  # byte.
-  mv target/traces/e13-depth-8.trace.jsonl target/traces/e13-depth-8.first.trace.jsonl
-  cargo run -q --release -p bench --bin e13_pipeline >/dev/null
-  cmp target/traces/e13-depth-8.first.trace.jsonl target/traces/e13-depth-8.trace.jsonl
+  # A second run of E7 and E13 must pass its checks again and export the
+  # same trace, byte for byte. E7's servers answer duplicates under loss
+  # and duplication, decoding each datagram once whatever their reply
+  # cache holds; E13 is the one paper experiment whose channels batch,
+  # and a batched call's own frame is built lazily, at its first lone
+  # send.
+  for pair in e7_loss:e7-loss-30 e13_pipeline:e13-depth-8; do
+    e="${pair%%:*}" t="${pair#*:}"
+    mv target/traces/$t.trace.jsonl target/traces/$t.first.trace.jsonl
+    cargo run -q --release -p bench --bin "$e" >/dev/null
+    cmp target/traces/$t.first.trace.jsonl target/traces/$t.trace.jsonl
+  done
 
   step "E14, E16-E20 smokes (PROXIDE_SMOKE=1: CI sizes, every shape check on)"
   # Each binary exits nonzero if a shape check fails: completion,

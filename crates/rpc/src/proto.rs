@@ -368,18 +368,6 @@ pub enum Packet {
 }
 
 impl Packet {
-    /// Decodes a framed datagram payload held in a plain slice, by
-    /// copying it into a buffer of its own first. For tests and tools:
-    /// a received datagram is already a [`Bytes`], for
-    /// [`Packet::from_frame`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Packet::from_frame`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Packet, WireError> {
-        Packet::from_frame(&Bytes::copy_from_slice(bytes))
-    }
-
     /// Decodes a framed datagram payload in one pass over the frame.
     ///
     /// The envelope's header fields are read in place; only `args`, `ok`
@@ -596,7 +584,7 @@ mod tests {
             args: Value::record([("key", Value::str("color"))]),
             span: 9,
         };
-        match Packet::from_bytes(&req.to_bytes()).unwrap() {
+        match Packet::from_frame(&req.to_bytes()).unwrap() {
             Packet::Request(r) => assert_eq!(r, req),
             other => panic!("wrong packet {other:?}"),
         }
@@ -609,7 +597,7 @@ mod tests {
             result: Ok(Value::str("blue")),
             span: 9,
         };
-        match Packet::from_bytes(&rep.to_bytes()).unwrap() {
+        match Packet::from_frame(&rep.to_bytes()).unwrap() {
             Packet::Reply(r) => assert_eq!(r, rep),
             other => panic!("wrong packet {other:?}"),
         }
@@ -626,7 +614,7 @@ mod tests {
             )),
             span: 0,
         };
-        match Packet::from_bytes(&rep.to_bytes()).unwrap() {
+        match Packet::from_frame(&rep.to_bytes()).unwrap() {
             Packet::Reply(r) => {
                 let e = r.result.unwrap_err();
                 assert_eq!(e.code, ErrorCode::Moved);
@@ -644,7 +632,7 @@ mod tests {
             args: Value::str("key1"),
             span: 3,
         };
-        match Packet::from_bytes(&m.to_bytes()).unwrap() {
+        match Packet::from_frame(&m.to_bytes()).unwrap() {
             Packet::Oneway(o) => assert_eq!(o, m),
             other => panic!("wrong packet {other:?}"),
         }
@@ -664,7 +652,7 @@ mod tests {
         };
         let v = wire::unframe(&req.to_bytes()).unwrap();
         assert!(v.get("sp").is_none());
-        match Packet::from_bytes(&req.to_bytes()).unwrap() {
+        match Packet::from_frame(&req.to_bytes()).unwrap() {
             Packet::Request(r) => assert_eq!(r.span, 0),
             other => panic!("wrong packet {other:?}"),
         }
@@ -672,7 +660,7 @@ mod tests {
 
     #[test]
     fn garbage_rejected() {
-        assert!(Packet::from_bytes(b"not a frame").is_err());
+        assert!(Packet::from_frame(&Bytes::from_static(b"not a frame")).is_err());
     }
 
     #[test]
@@ -691,7 +679,7 @@ mod tests {
                 })
                 .collect(),
         };
-        match Packet::from_bytes(&batch.to_bytes()).unwrap() {
+        match Packet::from_frame(&batch.to_bytes()).unwrap() {
             Packet::Batch(b) => assert_eq!(b, batch),
             other => panic!("wrong packet {other:?}"),
         }
@@ -713,7 +701,7 @@ mod tests {
                 }),
             ],
         };
-        match Packet::from_bytes(&batch.to_bytes()).unwrap() {
+        match Packet::from_frame(&batch.to_bytes()).unwrap() {
             Packet::Batch(b) => assert_eq!(b.items.len(), 2),
             other => panic!("wrong packet {other:?}"),
         }
@@ -727,13 +715,13 @@ mod tests {
             ("t", Value::str("bat")),
             ("items", Value::List(vec![inner])),
         ]));
-        assert!(Packet::from_bytes(&outer).is_err());
+        assert!(Packet::from_frame(&outer).is_err());
     }
 
     #[test]
     fn empty_batch_roundtrips() {
         let batch = Batch { items: vec![] };
-        match Packet::from_bytes(&batch.to_bytes()).unwrap() {
+        match Packet::from_frame(&batch.to_bytes()).unwrap() {
             Packet::Batch(b) => assert!(b.items.is_empty()),
             other => panic!("wrong packet {other:?}"),
         }
@@ -801,7 +789,7 @@ mod tests {
     }
 
     #[test]
-    fn from_frame_matches_from_bytes() {
+    fn from_frame_aliases_the_datagram() {
         let req = Request {
             call_id: 5,
             reply_to: ep(4, 2),
@@ -811,11 +799,10 @@ mod tests {
             span: 0,
         };
         let bytes = req.to_bytes();
-        let a = Packet::from_bytes(&bytes).unwrap();
-        let b = Packet::from_frame(&bytes).unwrap();
-        assert_eq!(a, b);
-        // And the zero-copy path aliases the datagram.
-        if let Packet::Request(r) = b {
+        let packet = Packet::from_frame(&bytes).unwrap();
+        assert_eq!(packet, Packet::Request(req));
+        // The blob is a slice of the datagram, not a copy.
+        if let Packet::Request(r) = packet {
             let blob = r.args.get_blob("blob").unwrap().clone();
             let f_ptr = bytes.as_ref().as_ptr() as usize;
             let b_ptr = blob.as_ref().as_ptr() as usize;

@@ -58,7 +58,9 @@ pub enum Served {
     Deferred(Request),
     /// A duplicate was answered from the reply cache (handler not run).
     DuplicateSuppressed,
-    /// A duplicate too old to be cached was dropped.
+    /// A duplicate was dropped, unanswered: its call is still executing
+    /// (the reply comes when it completes), or its reply has been evicted
+    /// from the cache.
     DuplicateDropped,
     /// A one-way notification; the caller decides what to do with it.
     Oneway(Oneway),
@@ -196,10 +198,10 @@ impl RpcServer {
     /// each item dispatched with the same duplicate suppression, and the
     /// replies coalesced into one batch datagram per destination.
     ///
-    /// Duplicate requests take a fast path: the routing header (`"t"`,
-    /// `"id"`, `"rt"`) is *peeked* from the validated frame without
-    /// materializing the value tree, and a cache hit resends the recorded
-    /// reply with the op name and arguments never decoded at all.
+    /// Every datagram is decoded once, by [`Packet::from_frame`],
+    /// duplicates included: whether a frame is accepted never depends on
+    /// the duplicate-suppression state. A retransmission of a call with
+    /// a recorded reply gets that reply resent, byte for byte.
     pub fn handle(
         &mut self,
         ctx: &mut Ctx,
@@ -219,11 +221,8 @@ impl RpcServer {
         &mut self,
         ctx: &mut Ctx,
         msg: &Message,
-        handler: impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
+        mut handler: impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
     ) -> Served {
-        if let Some(served) = self.try_peek_duplicate(ctx, msg) {
-            return served;
-        }
         let packet = match Packet::from_frame(&msg.payload) {
             Ok(p) => p,
             Err(_) => {
@@ -232,7 +231,6 @@ impl RpcServer {
                 return Served::Undecodable;
             }
         };
-        let mut handler = handler;
         match packet {
             Packet::Request(req) => self.handle_request(ctx, req, &mut handler),
             Packet::Oneway(o) => {
@@ -243,50 +241,6 @@ impl RpcServer {
             Packet::Reply(r) => Served::Reply(r),
             Packet::Batch(batch) => self.handle_batch(ctx, batch, &mut handler),
         }
-    }
-
-    /// The duplicate-suppression fast path: peeks at a single request's
-    /// routing fields through [`wire::peek_frame`] (frame checked,
-    /// structure validated, nothing materialized) and answers known call
-    /// ids straight from the per-client state. Returns `None` for
-    /// anything that needs the full decode — fresh requests, replies,
-    /// one-ways, batches, or malformed frames (the slow path re-derives
-    /// the precise error accounting).
-    fn try_peek_duplicate(&mut self, ctx: &mut Ctx, msg: &Message) -> Option<Served> {
-        let raw = {
-            // The server's first checksum pass over the datagram; the
-            // second is `Packet::from_frame`'s, under `rpc;decode`.
-            let _p = obs::scope("rpc;peek");
-            wire::peek_frame(&msg.payload).ok()?
-        };
-        if raw.get_str("t").ok()? != "req" {
-            return None;
-        }
-        let id = raw.get_u64("id").ok()?;
-        let rt = raw.get_record("rt").ok()?;
-        let node = u32::try_from(rt.get_u64("n").ok()?).ok()?;
-        let port = u32::try_from(rt.get_u64("p").ok()?).ok()?;
-        let reply_to = Endpoint::new(simnet::NodeId(node), simnet::PortId(port));
-        let window = self.windows.get(&reply_to)?;
-        if let Some(cached) = window.lookup(id) {
-            // Retransmission with a recorded reply: resend it. The op
-            // name and args of the retransmitted request are never
-            // decoded (or even UTF-8 validated) on this path.
-            let cached = cached.clone();
-            let span = obs::SpanId::from_raw(raw.get_u64("sp").unwrap_or(0));
-            self.stats.duplicates_suppressed += 1;
-            ctx.obs().on_duplicate_suppressed();
-            ctx.send_traced(reply_to, cached, span);
-            return Some(Served::DuplicateSuppressed);
-        }
-        if window.is_executed(id) {
-            // Still executing, or executed long ago and the reply since
-            // evicted: drop.
-            self.stats.duplicates_dropped += 1;
-            ctx.obs().on_duplicate_dropped();
-            return Some(Served::DuplicateDropped);
-        }
-        None
     }
 
     fn handle_request(

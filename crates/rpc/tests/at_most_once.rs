@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rpc::{ErrorCode, RemoteError, Request, RetryPolicy, RpcClient, RpcError, RpcServer};
+use rpc::{ErrorCode, Packet, RemoteError, Request, RetryPolicy, RpcClient, RpcError, RpcServer};
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
@@ -56,11 +56,18 @@ fn calls_execute_exactly_once_on_clean_network() {
     assert_eq!(execs.load(Ordering::SeqCst), 50);
 }
 
+/// The names of the profiler frames `rpc` opened: a datagram is read
+/// under one frame, written under the other.
+fn rpc_frames(prof: &obs::ProfileReport) -> Vec<&str> {
+    let names = prof.frames.keys().map(String::as_str);
+    names.filter(|k| k.starts_with("rpc;")).collect()
+}
+
 #[test]
-fn profiler_bills_both_server_side_checksum_passes() {
-    // Every datagram the server takes in is verified twice: once by the
-    // duplicate-suppression peek, once by the full decode. Each pass
-    // runs under a profiler frame of its own, one call per datagram.
+fn every_datagram_is_decoded_once() {
+    // The server reads every datagram it takes in through one decoder,
+    // duplicates included, under one profiler frame: one call per
+    // datagram, at either end.
     let mut sim = Simulation::new(NetworkConfig::lan(), 1);
     sim.obs().enable_profile(64);
     let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
@@ -73,11 +80,46 @@ fn profiler_bills_both_server_side_checksum_passes() {
     sim.run();
     assert_eq!(execs.load(Ordering::SeqCst), 50);
     let prof = sim.obs().profile_report().expect("profiler is on");
-    assert_eq!(prof.frames["rpc;peek"].calls, 50, "50 requests peeked");
     assert_eq!(
         prof.frames["rpc;decode"].calls, 100,
         "50 requests decoded by the server, 50 replies by the client"
     );
+    assert_eq!(rpc_frames(&prof), ["rpc;decode", "rpc;encode"]);
+
+    // Call 1 sent three times by hand: one execution, two answers from
+    // the reply cache, and all six datagrams decoded once each.
+    let mut sim = Simulation::new(NetworkConfig::lan(), 1);
+    sim.obs().enable_profile(64);
+    let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
+    sim.spawn("client", NodeId(1), move |ctx| {
+        let request = Request {
+            call_id: 1,
+            reply_to: ctx.endpoint(),
+            object: String::new(),
+            op: "inc".to_owned(),
+            args: Value::Null,
+            span: 0,
+        }
+        .to_bytes();
+        for _ in 0..3 {
+            ctx.send(server, request.clone());
+        }
+        for _ in 0..3 {
+            match Packet::from_frame(&ctx.recv().unwrap().payload).unwrap() {
+                Packet::Reply(r) => assert_eq!(r.result.unwrap(), Value::U64(1)),
+                other => panic!("expected reply, got {other:?}"),
+            }
+        }
+    });
+    sim.run();
+    assert_eq!(execs.load(Ordering::SeqCst), 1);
+    assert_eq!(sim.obs_report().rpc.server.duplicates_suppressed, 2);
+    let prof = sim.obs().profile_report().expect("profiler is on");
+    assert_eq!(
+        prof.frames["rpc;decode"].calls, 6,
+        "3 requests decoded by the server, 3 replies by the client"
+    );
+    assert_eq!(rpc_frames(&prof), ["rpc;decode", "rpc;encode"]);
 }
 
 #[test]

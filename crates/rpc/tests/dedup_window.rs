@@ -23,8 +23,8 @@ fn raw_request(call_id: u64, reply_to: Endpoint, op: &str) -> Bytes {
     .to_bytes()
 }
 
-fn decode_reply(payload: &[u8]) -> Reply {
-    match Packet::from_bytes(payload).unwrap() {
+fn decode_reply(payload: &Bytes) -> Reply {
+    match Packet::from_frame(payload).unwrap() {
         Packet::Reply(r) => r,
         other => panic!("expected reply, got {other:?}"),
     }
@@ -121,6 +121,69 @@ fn undecodable_datagrams_are_counted_and_ignored() {
     });
     sim.run();
     assert_eq!(stats.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn a_duplicate_the_decoder_rejects_is_undecodable_though_its_call_is_cached() {
+    // Whether a frame is accepted does not depend on the server's
+    // duplicate state: a checksum-valid retransmission of an executed
+    // call whose op name is not UTF-8 is dropped as undecodable, not
+    // answered from the reply cache.
+    let mut sim = Simulation::new(NetworkConfig::lan(), 7);
+    let execs = Arc::new(AtomicU64::new(0));
+    let undecodable = Arc::new(AtomicU64::new(0));
+    let counted = Arc::new(AtomicU64::new(0));
+    let (e2, u2, c2) = (
+        Arc::clone(&execs),
+        Arc::clone(&undecodable),
+        Arc::clone(&counted),
+    );
+    let server = sim.spawn_at("srv", NodeId(0), PortId(1), move |ctx| {
+        let mut rpc = RpcServer::new();
+        while let Ok(msg) = ctx.recv() {
+            let served = rpc.handle(ctx, &msg, |_c, _req| {
+                Ok(Value::U64(e2.fetch_add(1, Ordering::SeqCst) + 1))
+            });
+            if matches!(served, Served::Undecodable) {
+                u2.fetch_add(1, Ordering::SeqCst);
+            }
+            c2.store(rpc.stats.undecodable, Ordering::SeqCst);
+        }
+    });
+    sim.spawn("client", NodeId(1), move |ctx| {
+        let me = ctx.endpoint();
+        ctx.send(server, raw_request(1, me, "inc"));
+        let rep = decode_reply(&ctx.recv().unwrap().payload);
+        assert_eq!(rep.result.unwrap(), Value::U64(1));
+
+        // The same request with its op bytes made invalid UTF-8 and the
+        // header's checksum rewritten to match.
+        let mut bad = raw_request(1, me, "inc").to_vec();
+        let is_op = |w: &[u8]| w == b"inc";
+        assert_eq!(bad.windows(3).filter(|w| is_op(w)).count(), 1);
+        let at = bad.windows(3).position(is_op).unwrap();
+        bad[at..at + 3].copy_from_slice(&[0xFF, 0xFE, 0xFD]);
+        let crc = wire::crc32(&bad[wire::HEADER_LEN..]);
+        bad[3..7].copy_from_slice(&crc.to_le_bytes());
+        let bad = Bytes::from(bad);
+        assert_eq!(
+            Packet::from_frame(&bad).unwrap_err(),
+            wire::WireError::BadUtf8
+        );
+        ctx.send(server, bad);
+        let silent = ctx
+            .recv_timeout(std::time::Duration::from_millis(20))
+            .unwrap();
+        assert!(silent.is_none(), "an undecodable duplicate got a reply");
+    });
+    sim.run();
+    assert_eq!(
+        undecodable.load(Ordering::SeqCst),
+        1,
+        "not Served::Undecodable"
+    );
+    assert_eq!(counted.load(Ordering::SeqCst), 1, "stats.undecodable");
+    assert_eq!(execs.load(Ordering::SeqCst), 1, "handler re-ran");
 }
 
 #[test]

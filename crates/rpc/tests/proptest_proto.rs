@@ -55,7 +55,7 @@ proptest! {
         args in arb_value(),
     ) {
         let req = Request { call_id, reply_to, object, op, args, span: 0 };
-        match Packet::from_bytes(&req.to_bytes()).unwrap() {
+        match Packet::from_frame(&req.to_bytes()).unwrap() {
             Packet::Request(r) => prop_assert_eq!(r, req),
             other => prop_assert!(false, "wrong packet {:?}", other),
         }
@@ -64,7 +64,7 @@ proptest! {
     #[test]
     fn reply_ok_roundtrips(call_id in any::<u64>(), v in arb_value()) {
         let rep = Reply { call_id, result: Ok(v), span: 0 };
-        match Packet::from_bytes(&rep.to_bytes()).unwrap() {
+        match Packet::from_frame(&rep.to_bytes()).unwrap() {
             Packet::Reply(r) => prop_assert_eq!(r, rep),
             other => prop_assert!(false, "wrong packet {:?}", other),
         }
@@ -82,7 +82,7 @@ proptest! {
             result: Err(RemoteError { code, message: msg, data }),
             span: 0,
         };
-        match Packet::from_bytes(&rep.to_bytes()).unwrap() {
+        match Packet::from_frame(&rep.to_bytes()).unwrap() {
             Packet::Reply(r) => prop_assert_eq!(r, rep),
             other => prop_assert!(false, "wrong packet {:?}", other),
         }
@@ -91,7 +91,7 @@ proptest! {
     #[test]
     fn oneway_roundtrips(from in arb_endpoint(), op in "[a-z_]{1,12}", args in arb_value()) {
         let m = Oneway { from, op, args, span: 0 };
-        match Packet::from_bytes(&m.to_bytes()).unwrap() {
+        match Packet::from_frame(&m.to_bytes()).unwrap() {
             Packet::Oneway(o) => prop_assert_eq!(o, m),
             other => prop_assert!(false, "wrong packet {:?}", other),
         }
@@ -116,9 +116,9 @@ proptest! {
         let req = Request { call_id, reply_to, object: String::new(), op: op.clone(), args: args.clone(), span: 0 };
         let rep = Reply { call_id, result: Ok(args.clone()), span: 0 };
         let one = Oneway { from: reply_to, op, args, span: 0 };
-        prop_assert!(matches!(Packet::from_bytes(&req.to_bytes()).unwrap(), Packet::Request(_)));
-        prop_assert!(matches!(Packet::from_bytes(&rep.to_bytes()).unwrap(), Packet::Reply(_)));
-        prop_assert!(matches!(Packet::from_bytes(&one.to_bytes()).unwrap(), Packet::Oneway(_)));
+        prop_assert!(matches!(Packet::from_frame(&req.to_bytes()).unwrap(), Packet::Request(_)));
+        prop_assert!(matches!(Packet::from_frame(&rep.to_bytes()).unwrap(), Packet::Reply(_)));
+        prop_assert!(matches!(Packet::from_frame(&one.to_bytes()).unwrap(), Packet::Oneway(_)));
     }
 
     #[test]

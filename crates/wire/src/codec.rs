@@ -512,77 +512,17 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Walks over exactly one encoded value without materializing it:
-    /// every tag, varint and length is still validated, but nothing is
-    /// allocated and UTF-8 is not checked. The raw-view API uses this to
-    /// find field extents.
-    pub(crate) fn skip_value(&mut self, depth: usize) -> Result<(), WireError> {
-        if depth > MAX_DEPTH {
-            return Err(WireError::TooDeep);
-        }
-        let t = self.byte()?;
-        match t {
-            tag::NULL | tag::FALSE | tag::TRUE => Ok(()),
-            tag::U64 | tag::I64 => self.varint().map(drop),
-            tag::F64 => self.take(8).map(drop),
-            tag::STR | tag::BLOB => {
-                let len = self.length()?;
-                self.take(len).map(drop)
-            }
-            tag::LIST => {
-                let count = self.length()?;
-                for _ in 0..count {
-                    self.skip_value(depth + 1)?;
-                }
-                Ok(())
-            }
-            tag::RECORD => {
-                let count = self.length()?;
-                for _ in 0..count {
-                    let klen = self.length()?;
-                    self.take(klen)?;
-                    self.skip_value(depth + 1)?;
-                }
-                Ok(())
-            }
-            tag::REF => {
-                let slen = self.length()?;
-                self.take(slen)?;
-                let klen = self.length()?;
-                self.take(klen)?;
-                self.bulk_length()?;
-                self.take(4).map(drop)
-            }
-            other => Err(WireError::BadTag(other)),
-        }
-    }
-
-    /// Skips `n` raw bytes (raw-view API).
-    pub(crate) fn skip_bytes(&mut self, n: usize) -> Result<(), WireError> {
-        self.take(n).map(drop)
-    }
-
     /// Reads a length-prefixed string, borrowing from the input (used by
-    /// the raw-view API; does validate UTF-8).
+    /// `FieldReader`; does validate UTF-8).
     pub(crate) fn str_borrowed(&mut self) -> Result<&'a str, WireError> {
         let len = self.length()?;
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
     }
 
-    /// Reads one varint (raw-view API).
+    /// Reads one varint (used by `FieldReader`).
     pub(crate) fn read_varint(&mut self) -> Result<u64, WireError> {
         self.varint()
-    }
-
-    /// Reads one tag byte (raw-view API).
-    pub(crate) fn read_byte(&mut self) -> Result<u8, WireError> {
-        self.byte()
-    }
-
-    /// Un-zigzags (raw-view API).
-    pub(crate) fn unzigzag64(n: u64) -> i64 {
-        unzigzag(n)
     }
 }
 
@@ -629,18 +569,6 @@ pub fn decode_bytes(input: &Bytes) -> Result<Value, WireError> {
     let v = r.value(0)?;
     r.finish()?;
     Ok(v)
-}
-
-/// Decodes a value from the front of `input`, returning it along with the
-/// number of bytes consumed. Useful when concatenating encodings.
-///
-/// # Errors
-///
-/// Any [`WireError`] describing the malformation.
-pub fn decode_prefix(input: &[u8]) -> Result<(Value, usize), WireError> {
-    let mut r = Reader::new(input);
-    let v = r.value(0)?;
-    Ok((v, r.pos))
 }
 
 #[cfg(test)]
@@ -794,19 +722,6 @@ mod tests {
         // One level deeper in the args and the whole batch is rejected.
         let over = Value::record([("batch", Value::List(vec![call(0, Value::List(vec![deep]))]))]);
         assert_eq!(decode(&encode(&over)), Err(WireError::TooDeep));
-    }
-
-    #[test]
-    fn decode_prefix_reports_consumed() {
-        let a = encode(&Value::U64(300));
-        let b = encode(&Value::str("tail"));
-        let joined: Vec<u8> = a.iter().chain(b.iter()).copied().collect();
-        let (v, used) = decode_prefix(&joined).unwrap();
-        assert_eq!(v, Value::U64(300));
-        assert_eq!(used, a.len());
-        let (v2, used2) = decode_prefix(&joined[used..]).unwrap();
-        assert_eq!(v2, Value::str("tail"));
-        assert_eq!(used + used2, joined.len());
     }
 
     #[test]
@@ -1018,9 +933,6 @@ mod tests {
         put_varint(&mut raw, MAX_BULK_LEN + 1);
         raw.extend_from_slice(&0u32.to_le_bytes());
         assert_eq!(decode(&raw), Err(WireError::TooLong(MAX_BULK_LEN + 1)));
-        // skip_value walks the same grammar and applies the same guard.
-        let mut r = Reader::new(&raw);
-        assert_eq!(r.skip_value(0), Err(WireError::TooLong(MAX_BULK_LEN + 1)));
         // A declared length at the ceiling is fine: refs may exceed the
         // inline MAX_LEN because the bytes never ride the frame.
         const { assert!(MAX_BULK_LEN > MAX_LEN) };

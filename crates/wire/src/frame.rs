@@ -70,8 +70,9 @@ pub fn frame(v: &Value) -> Bytes {
 }
 
 /// Validates the envelope (magic, version, length, checksum) and returns
-/// the payload slice without decoding it. Shared by [`unframe`],
-/// [`unframe_bytes`] and the raw peek API.
+/// the payload slice without decoding it. Shared by [`unframe`] and
+/// `FieldReader::from_frame`, which [`unframe_bytes`] and the RPC
+/// envelope decoder read through.
 pub(crate) fn check_frame(input: &[u8]) -> Result<&[u8], WireError> {
     if input.len() < HEADER_LEN {
         return Err(WireError::UnexpectedEof {

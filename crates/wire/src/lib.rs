@@ -18,8 +18,6 @@
 //! * [`FieldReader`] — the one-pass envelope reader: a protocol layer
 //!   walks a frame's record field by field, reads header scalars in
 //!   place and materializes (zero-copy) only the fields it keeps.
-//! * [`RawRecord`] / [`peek_frame`] — lazily-decoded views for reading a
-//!   couple of header fields without materializing the message.
 //! * [`frame`] / [`unframe`] — versioned envelope with a CRC-32 checksum.
 //! * [`crc32`] / [`Crc32`] — the checksum itself (implemented here to keep
 //!   the workspace dependency-minimal). One private dispatch point picks
@@ -53,18 +51,15 @@ mod crc;
 mod error;
 mod fields;
 mod frame;
-mod raw;
 mod value;
 mod wstr;
 
 pub use codec::{
-    decode, decode_bytes, decode_prefix, encode, Encoder, ValueWriter, MAX_BULK_LEN, MAX_DEPTH,
-    MAX_LEN,
+    decode, decode_bytes, encode, Encoder, ValueWriter, MAX_BULK_LEN, MAX_DEPTH, MAX_LEN,
 };
 pub use crc::{crc32, crc32_bytewise, Crc32};
 pub use error::WireError;
 pub use fields::FieldReader;
 pub use frame::{frame, unframe, unframe_bytes, FRAME_VERSION, HEADER_LEN};
-pub use raw::{peek_frame, RawRecord};
 pub use value::{BlobRef, Value};
 pub use wstr::WStr;
