@@ -53,12 +53,15 @@ step "cargo test --release -p rpc (the envelope decoder as it ships)"
 # pinned allocation counts have to hold in the build that is measured.
 cargo test -q --release -p rpc
 
+step "cargo test --release -p bench --test budgets (per-call costs as they ship)"
+# The exact datagrams, frames, decodes, spans and allocations every call
+# of the benchmark's five workload shapes costs. The benchmark measures
+# the release build, so the pinned table has to hold in that build too.
+cargo test -q --release -p bench --test budgets
+
 if [ "${1:-}" != "quick" ]; then
   step "cargo build --release (experiment harness)"
   cargo build --release -p bench
-
-  step "cargo bench --no-run (Criterion benches must compile)"
-  cargo bench -p bench --no-run
 
   step "examples (the user-facing API: each must end with '<name> OK')"
   for x in quickstart persistent_store replicated_directory file_cache mobile_document shared_whiteboard; do
@@ -112,13 +115,13 @@ if [ "${1:-}" != "quick" ]; then
     cmp target/traces/$t.first.trace.jsonl target/traces/$t.trace.jsonl
   done
 
-  step "E14, E16-E20 smokes (PROXIDE_SMOKE=1: CI sizes, every shape check on)"
+  step "E16-E20 smokes (PROXIDE_SMOKE=1: CI sizes, every shape check on)"
   # Each binary exits nonzero if a shape check fails: completion,
   # determinism, conservation, at-most-once, purity, byte-identity
   # across thread counts, and the within-run ratio and simulated-time
   # gates of E17, E19 and E20. Wall-clock is printed, not judged; that
   # is benchmark/'s job. E18-E20 export the traces the gates below read.
-  for e in e14_hotpath e16_million e17_obsplane e18_multicore e19_bulkplane e20_profiler; do
+  for e in e16_million e17_obsplane e18_multicore e19_bulkplane e20_profiler; do
     PROXIDE_SMOKE=1 cargo run -q --release -p bench --bin "$e"
   done
 

@@ -68,7 +68,7 @@ const MAX_RETRIES_PER_PROCESS: f64 = 24.0;
 
 /// One workload configuration.
 #[derive(Debug, Clone, Copy)]
-struct Config {
+pub struct Config {
     /// Client regions (each gets an edge cache and its own latency row).
     regions: usize,
     clients_per_region: usize,
@@ -104,7 +104,8 @@ impl Config {
         }
     }
 
-    fn smoke() -> Config {
+    /// The CI size `PROXIDE_SMOKE=1` selects.
+    pub fn smoke() -> Config {
         Config {
             regions: 3,
             clients_per_region: 2,
@@ -119,11 +120,13 @@ impl Config {
         }
     }
 
-    fn clients(&self) -> usize {
+    /// Readers over all regions.
+    pub fn clients(&self) -> usize {
         self.regions * self.clients_per_region
     }
 
-    fn gets_per_client(&self) -> u32 {
+    /// Gets each reader makes: the Zipf rounds, then the flash rounds.
+    pub fn gets_per_client(&self) -> u32 {
         self.rounds + self.flash_rounds
     }
 }
@@ -340,14 +343,21 @@ fn parse_link(series: &str) -> Option<(u32, u32)> {
     Some((a.parse().ok()?, b.parse().ok()?))
 }
 
-#[allow(clippy::too_many_lines)] // one leg is one story: topology, services, clients, harvest
-fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
-    let label = if bulk {
-        format!("bulk-t{threads}")
-    } else {
-        format!("inline-t{threads}")
-    };
-    let mut sim = Simulation::new(NetworkConfig::wan(), SEED)
+/// What a leg's readers count as they go, read once the run is over.
+pub struct Tallies {
+    checksum: Arc<AtomicU64>,
+    completed: Arc<AtomicU64>,
+    ok_gets: Arc<AtomicU64>,
+    lat: Vec<Arc<Mutex<RegionLat>>>,
+}
+
+/// Builds one leg, ready to run: the WAN topology, the name server, the
+/// catalog (a stub, or `ProxySpec::Bulk` over one with `bulk`), the
+/// origin blob store, an edge cache per region with `bulk`, the
+/// publisher and the readers.
+#[allow(clippy::too_many_lines)] // one leg is one story: topology, services, clients
+pub fn spawn_leg(cfg: Config, bulk: bool, threads: usize) -> (Simulation, Tallies) {
+    let sim = Simulation::new(NetworkConfig::wan(), SEED)
         .with_domains(cfg.domains)
         .with_threads(threads);
     apply_latency_matrix(&sim, cfg);
@@ -539,6 +549,30 @@ fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
         }
     }
 
+    let tallies = Tallies {
+        checksum,
+        completed,
+        ok_gets,
+        lat,
+    };
+    (sim, tallies)
+}
+
+fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
+    let label = if bulk {
+        format!("bulk-t{threads}")
+    } else {
+        format!("inline-t{threads}")
+    };
+    let (
+        mut sim,
+        Tallies {
+            checksum,
+            completed,
+            ok_gets,
+            lat,
+        },
+    ) = spawn_leg(cfg, bulk, threads);
     let t0 = Instant::now();
     let run = sim.run();
     let wall = t0.elapsed();

@@ -18,20 +18,27 @@ use services::file::{block_addr, BlockFile};
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
 
-use crate::{check, obs_report, slot, take, us_per_op_f, ExperimentOutput, ObsReport, Table};
+use crate::{check, obs_report, slot, take, us_per_op_f, ExperimentOutput, ObsReport, Slot, Table};
 
-const OPS: u64 = 300;
-const BLOCKS: u64 = 10;
+/// Operations the client makes per point, after seeding the blocks.
+pub const OPS: u64 = 300;
+/// Blocks the operations cycle over.
+pub const BLOCKS: u64 = 10;
 
+/// What the client measured over its [`OPS`] operations.
 #[derive(Debug, Clone, Copy)]
-struct Point {
+pub struct Point {
     per_op_us: f64,
     remote: u64,
     hits: u64,
 }
 
-fn measure(label: &str, spec: ProxySpec, read_pct: u64, seed: u64) -> (Point, ObsReport) {
-    let mut sim = Simulation::new(NetworkConfig::lan(), seed);
+/// Builds one sweep point, ready to run: a name server, the `fs` block
+/// file published with `spec`, and a client that seeds every block and
+/// then makes [`OPS`] operations, `read_pct` % of them reads. The client
+/// fills the slot when it is done.
+pub fn spawn(spec: ProxySpec, read_pct: u64, seed: u64) -> (Simulation, Slot<Point>) {
+    let sim = Simulation::new(NetworkConfig::lan(), seed);
     let ns = spawn_name_server(&sim, NodeId(0));
     ServiceBuilder::new("fs")
         .spec(spec)
@@ -82,6 +89,11 @@ fn measure(label: &str, spec: ProxySpec, read_pct: u64, seed: u64) -> (Point, Ob
             hits: s.local_hits - base.local_hits,
         });
     });
+    (sim, r)
+}
+
+fn measure(label: &str, spec: ProxySpec, read_pct: u64, seed: u64) -> (Point, ObsReport) {
+    let (mut sim, r) = spawn(spec, read_pct, seed);
     sim.run();
     (
         take(r),

@@ -4,7 +4,6 @@ pub mod e10_forwarding;
 pub mod e11_recovery;
 pub mod e12_dsm;
 pub mod e13_pipeline;
-pub mod e14_hotpath;
 pub mod e15_flight;
 pub mod e16_million;
 pub mod e17_obsplane;
@@ -38,7 +37,6 @@ pub fn run_all() -> bool {
         e11_recovery::run(),
         e12_dsm::run(),
         e13_pipeline::run(),
-        e14_hotpath::run(),
         e15_flight::run(),
         e16_million::run(),
         e17_obsplane::run(),
@@ -59,6 +57,6 @@ pub fn run_all() -> bool {
             "FAILURES (see above)"
         }
     );
-    println!("(E8 — real-time overheads — runs under Criterion: `cargo bench -p bench`)");
+    println!("(E8 — per-call costs — is a test: `cargo test -p bench --test budgets`)");
     all
 }

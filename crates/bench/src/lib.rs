@@ -1,6 +1,6 @@
 //! # bench — the experiment harness
 //!
-//! One module per experiment in `DESIGN.md` §3 (E1–E20). Each experiment
+//! One module per experiment in `DESIGN.md` §3. Each experiment
 //! builds a deterministic simulation, runs its workload sweep, prints the
 //! table(s) the paper's evaluation would contain, and then *checks its
 //! expected qualitative shape* (who wins, where the crossover falls) so a
@@ -10,14 +10,15 @@
 //! Run everything:     `cargo run -p bench --bin all_experiments`
 //!
 //! Simulated-time results (latency, message counts) come from these
-//! binaries; real-CPU-time results (marshalling throughput, dispatch
-//! overhead — experiment E8) live in the Criterion bench
-//! `benches/overhead.rs`. Wall-clock columns some tables carry are
+//! binaries. The work one call costs — datagrams, frames, decodes,
+//! spans and allocations, for each benchmark workload shape and for an
+//! in-context local call (experiment E8) — is pinned exactly by the
+//! table in `tests/budgets.rs`. Wall-clock columns some tables carry are
 //! host-dependent: printed, never judged. The instrument for host time
 //! is `bash benchmark/run.sh` (and `run.sh compare`), which pins,
 //! interleaves and has statistics.
 //!
-//! The larger experiments (E14, E16–E20) shrink to CI sizes when
+//! The larger experiments (E16–E20) shrink to CI sizes when
 //! `PROXIDE_SMOKE=1` is set; see [`smoke`].
 
 pub mod experiments;
@@ -340,7 +341,7 @@ impl ExperimentOutput {
     }
 }
 
-/// Whether the larger experiments (E14, E16–E20) run their shrunken CI
+/// Whether the larger experiments (E16–E20) run their shrunken CI
 /// sizes: `PROXIDE_SMOKE` set to anything but empty or `0`.
 pub fn smoke() -> bool {
     std::env::var_os("PROXIDE_SMOKE").is_some_and(|v| !v.is_empty() && v != "0")

@@ -1863,23 +1863,10 @@ impl JsonWriter {
         }
     }
 
-    fn push_escaped(&mut self, s: &str) {
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => {
-                    self.out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.out.push(c),
-            }
-        }
-    }
-
     fn key(&mut self, key: &str) {
         self.sep();
         self.out.push('"');
-        self.push_escaped(key);
+        json::escape_into(key, &mut self.out);
         self.out.push_str("\":");
     }
 
@@ -1899,7 +1886,7 @@ impl JsonWriter {
     fn field_str(&mut self, key: &str, value: &str) {
         self.key(key);
         self.out.push('"');
-        self.push_escaped(value);
+        json::escape_into(value, &mut self.out);
         self.out.push('"');
     }
 
@@ -2714,5 +2701,19 @@ mod tests {
         assert_eq!(obs.u64_field("spans_sampled"), Some(2));
         assert_eq!(obs.u64_field("spans_resident"), Some(2));
         assert_eq!(obs.u64_field("self_calls"), Some(0));
+    }
+
+    #[test]
+    fn run_report_json_escapes_names() {
+        let reg = MetricsRegistry::new();
+        let (svc, op) = ("k\"v\\s", "g\\e\nt\"");
+        let sp = reg.open_span(SpanKind::Invoke, SpanId::NONE, svc, op, 0);
+        reg.close_span(sp, 10, true);
+        let json = reg.report(MetricsSnapshot::default(), 100).to_json();
+        let parsed = json::parse(&json).expect("report json parses");
+        let ops = parsed.get("ops").and_then(json::Json::as_obj).expect("ops");
+        let key = format!("{svc}/{op}");
+        assert_eq!(ops.keys().collect::<Vec<_>>(), [&key], "in {json}");
+        assert_eq!(ops[&key].u64_field("count"), Some(1));
     }
 }
