@@ -151,6 +151,17 @@ if [ "${1:-}" != "quick" ]; then
   cargo run -q --release -p bench --bin e15_flight
   cargo run -q --release -p bench --bin tracectl -- check target/traces/e15-flight.timeseries.csv
   cargo run -q --release -p bench --bin tracectl -- check target/traces/e15-flight.report.json
+  # A second run must export the same report and flight recording, byte
+  # for byte. The report carries the watchdog's exemplars, which each
+  # writer lane pins against its own history; the recording carries
+  # every lane's windows.
+  for f in report.json timeseries.csv; do
+    mv target/traces/e15-flight.$f target/traces/e15-flight.first.$f
+  done
+  cargo run -q --release -p bench --bin e15_flight >/dev/null
+  for f in report.json timeseries.csv; do
+    cmp target/traces/e15-flight.first.$f target/traces/e15-flight.$f
+  done
 
   step "tracectl smoke (trace export + round-trip + critical-path self-check)"
   # Exits nonzero on malformed Chrome output, a failed JSONL round-trip,

@@ -19,7 +19,7 @@
 //! client reads its own writes regardless of mode.
 
 use naming::NameClient;
-use rpc::{endpoint_to_value, Channel, ChannelConfig, RpcClient, RpcError};
+use rpc::{endpoint_to_value, RpcClient, RpcError};
 use simnet::{Ctx, Endpoint};
 use wire::Value;
 
@@ -39,9 +39,6 @@ pub struct CachingProxy {
     iface: InterfaceDesc,
     subscribed: bool,
     cache: ReadCache,
-    /// When `Some`, writes go through this pipelined channel instead of
-    /// blocking on a round trip (write-behind mode).
-    write_behind: Option<Channel>,
     /// When `Some`, over-threshold blobs spill out-of-band and reply
     /// references resolve out-of-band. Replies are resolved *before*
     /// they enter the cache, so repeat reads of a bulk value are pure
@@ -72,7 +69,6 @@ impl CachingProxy {
             iface,
             subscribed: false,
             cache: ReadCache::new(params.clone()),
-            write_behind: None,
             bulk: None,
             stats: ProxyStats::default(),
         };
@@ -112,18 +108,6 @@ impl CachingProxy {
             self.subscribed = false;
         }
         Ok(())
-    }
-
-    /// Switches writes to write-behind: instead of blocking on a round
-    /// trip, write ops are staged on a pipelined [`Channel`] and the
-    /// call returns `Value::Null` immediately. The proxy still
-    /// invalidates its own tags on write, and a read *miss* drains the
-    /// channel before going remote, so the client continues to read its
-    /// own writes. Durability is deferred: a write is only known to have
-    /// executed once the channel drains ([`Proxy::poll`] makes progress;
-    /// [`Proxy::detach`] drains fully).
-    pub fn enable_write_behind(&mut self, cfg: ChannelConfig) {
-        self.write_behind = Some(Channel::new(self.service.clone(), self.rpc.server(), cfg));
     }
 
     /// Enables the out-of-band bulk data plane: `engine` spills and
@@ -220,53 +204,6 @@ impl CachingProxy {
         }
     }
 
-    /// Routes one-way notifications the write-behind channel absorbed
-    /// while pumping, then puts the channel back.
-    fn route_channel_strays(&mut self, ch: &mut Channel, strays: &mut dyn OnewaySink) {
-        for o in ch.take_strays() {
-            if o.args.get("svc").and_then(Value::as_str) == Some(self.service.as_str()) {
-                self.handle_oneway(&o);
-            } else {
-                strays.push(o);
-            }
-        }
-    }
-
-    /// Non-blocking write-behind progress: send staged writes, absorb
-    /// replies already in the mailbox, drop settled records.
-    fn pump_write_behind(
-        &mut self,
-        ctx: &mut Ctx,
-        strays: &mut dyn OnewaySink,
-    ) -> Result<(), RpcError> {
-        let Some(mut ch) = self.write_behind.take() else {
-            return Ok(());
-        };
-        let r = ch.poll(ctx);
-        ch.reap_settled();
-        self.route_channel_strays(&mut ch, strays);
-        self.write_behind = Some(ch);
-        r
-    }
-
-    /// Drains the write-behind pipeline completely. Read misses call
-    /// this before going remote so the server observes our writes first
-    /// (read-your-writes survives the asynchrony).
-    fn flush_write_behind(
-        &mut self,
-        ctx: &mut Ctx,
-        strays: &mut dyn OnewaySink,
-    ) -> Result<(), RpcError> {
-        let Some(mut ch) = self.write_behind.take() else {
-            return Ok(());
-        };
-        let r = ch.wait_all(ctx);
-        ch.reap_settled();
-        self.route_channel_strays(&mut ch, strays);
-        self.write_behind = Some(ch);
-        r
-    }
-
     fn handle_oneway(&mut self, o: &rpc::Oneway) {
         if self.cache.on_invalidate(o).is_some() {
             self.stats.invalidations_rx += 1;
@@ -286,21 +223,13 @@ impl Proxy for CachingProxy {
         args: Value,
         strays: &mut dyn OnewaySink,
     ) -> Result<Value, RpcError> {
-        if self.write_behind.is_some() {
-            // The channel drains the mailbox itself: replies feed its
-            // outstanding calls, one-ways come back via take_strays.
-            // A raw drain here would eat the channel's replies.
-            self.pump_write_behind(ctx, strays)?;
-        } else if self.subscribed {
+        if self.subscribed {
             self.drain_mailbox(ctx, strays);
         }
         self.stats.invocations += 1;
         let Some(desc) = self.iface.op(op) else {
-            // Undeclared (system or unknown) op: pass through. It
-            // might write, so drain asynchronous writes first to
-            // preserve ordering.
+            // Undeclared (system or unknown) op: pass through.
             self.stats.remote_calls += 1;
-            self.flush_write_behind(ctx, strays)?;
             let args = self.bulk_spill(ctx, args, strays)?;
             let v = robust_call(
                 &mut self.rpc,
@@ -328,9 +257,6 @@ impl Proxy for CachingProxy {
             let tag = tag.into_owned();
             self.stats.remote_calls += 1;
             note_lookup(ctx, &self.service, op, false);
-            // A miss goes remote: drain pending asynchronous writes
-            // first so the server answers after our writes applied.
-            self.flush_write_behind(ctx, strays)?;
             let args = self.bulk_spill(ctx, args, strays)?;
             let v = robust_call(
                 &mut self.rpc,
@@ -350,26 +276,7 @@ impl Proxy for CachingProxy {
         // we read our own writes.
         let tag = tag.into_owned();
         self.stats.remote_calls += 1;
-        // Spill before staging: the write-behind channel then carries
-        // only the fixed-size reference, so asynchronous writes stay
-        // cheap on the RPC path too.
         let args = self.bulk_spill(ctx, args, strays)?;
-        if self.write_behind.is_some() {
-            // Write-behind: stage the call on the pipelined channel and
-            // return immediately. The channel's retransmission timers
-            // and the server's duplicate window keep execution
-            // at-most-once; the local invalidation below plus the
-            // flush-on-miss above keep read-your-writes.
-            let mut ch = self.write_behind.take().expect("checked is_some");
-            ch.begin_call(ctx, op, args);
-            let r = ch.poll(ctx);
-            ch.reap_settled();
-            self.route_channel_strays(&mut ch, strays);
-            self.write_behind = Some(ch);
-            r?;
-            self.cache.invalidate_tag(&tag);
-            return Ok(Value::Null);
-        }
         let v = robust_call(
             &mut self.rpc,
             &mut self.ns,
@@ -390,9 +297,8 @@ impl Proxy for CachingProxy {
     }
 
     fn poll(&mut self, ctx: &mut Ctx) {
-        let mut sink: Vec<rpc::Oneway> = Vec::new();
-        let _ = self.pump_write_behind(ctx, &mut sink);
-        if self.write_behind.is_none() && self.subscribed {
+        if self.subscribed {
+            let mut sink: Vec<rpc::Oneway> = Vec::new();
             self.drain_mailbox(ctx, &mut sink);
             // Strays for other services found during a poll cannot be
             // routed from here; the session core's pump drains the
@@ -402,10 +308,6 @@ impl Proxy for CachingProxy {
     }
 
     fn detach(&mut self, ctx: &mut Ctx) {
-        // Flush asynchronous writes before tearing down: detach is the
-        // durability point of write-behind mode.
-        let mut sink: Vec<rpc::Oneway> = Vec::new();
-        let _ = self.flush_write_behind(ctx, &mut sink);
         let _ = self.unsubscribe(ctx);
         self.clear();
     }

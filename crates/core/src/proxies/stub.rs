@@ -1,7 +1,7 @@
 //! The stub proxy: marshal and forward.
 
 use naming::NameClient;
-use rpc::{Channel, ChannelConfig, RpcClient, RpcError};
+use rpc::{RpcClient, RpcError};
 use simnet::{Ctx, Endpoint};
 use wire::Value;
 
@@ -53,46 +53,6 @@ impl StubProxy {
     /// region routing overrides and transfer counters.
     pub fn bulk_mut(&mut self) -> Option<&mut BulkEngine> {
         self.bulk.as_mut()
-    }
-
-    /// Issues many calls through a pipelined [`Channel`] and returns
-    /// their results in call order. With `cfg.pipeline_depth > 1` the
-    /// calls overlap on the wire (and with `cfg.max_batch > 1` they
-    /// share datagrams), so `n` calls cost far fewer than `n` round
-    /// trips — the stub's answer to the caching proxy's latency tricks
-    /// when every result is really needed.
-    ///
-    /// One-way notifications that arrive while the channel pumps are
-    /// routed to `strays`. Unlike [`Proxy::invoke`], this path does not
-    /// chase `Moved` redirects: a migration mid-pipeline surfaces as
-    /// that call's error entry.
-    ///
-    /// # Errors
-    ///
-    /// [`RpcError::Stopped`] on simulation shutdown; every other
-    /// failure is per-call in the returned vector.
-    pub fn invoke_many(
-        &mut self,
-        ctx: &mut Ctx,
-        calls: &[(&str, Value)],
-        cfg: ChannelConfig,
-        strays: &mut dyn OnewaySink,
-    ) -> Result<Vec<Result<Value, RpcError>>, RpcError> {
-        let mut ch = Channel::new(self.service.clone(), self.rpc.server(), cfg);
-        let handles: Vec<_> = calls
-            .iter()
-            .map(|(op, args)| {
-                self.stats.invocations += 1;
-                self.stats.remote_calls += 1;
-                ch.begin_call(ctx, op, args.clone())
-            })
-            .collect();
-        ch.wait_all(ctx)?;
-        let results = handles.into_iter().map(|h| ch.wait(ctx, h)).collect();
-        for o in ch.take_strays() {
-            strays.push(o);
-        }
-        Ok(results)
     }
 }
 

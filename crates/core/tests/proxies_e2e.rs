@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    AdaptiveParams, CachingParams, Coherence, DiscardStrays, FactoryRegistry, InterfaceDesc,
-    OpDesc, Proxy, ProxySpec, ServiceBuilder, ServiceObject, SessionCore,
+    AdaptiveParams, CachingParams, Coherence, FactoryRegistry, InterfaceDesc, OpDesc, ProxySpec,
+    ServiceBuilder, ServiceObject, SessionCore,
 };
 use rpc::{ErrorCode, RemoteError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
@@ -572,127 +572,6 @@ fn unknown_custom_kind_fails_bind() {
         }
     });
     sim.run();
-}
-
-#[test]
-fn stub_invoke_many_pipelines_calls() {
-    let mut sim = Simulation::new(NetworkConfig::lan(), 21);
-    let ns = spawn_name_server(&sim, NodeId(0));
-    let dispatches = Arc::new(AtomicU64::new(0));
-    let d = Arc::clone(&dispatches);
-    let server = ServiceBuilder::new("kv")
-        .object(move || Box::new(Kv::with_counter(Arc::clone(&d))))
-        .spawn(&sim, NodeId(1), ns);
-    sim.spawn("client", NodeId(2), move |ctx| {
-        let mut stub = proxy_core::proxies::StubProxy::new("kv", server, ns);
-        let cfg = rpc::ChannelConfig::with_depth(8).batched(4);
-        let keys: Vec<String> = (0..8).map(|i| format!("k{i}")).collect();
-
-        let puts: Vec<(&str, Value)> = keys
-            .iter()
-            .map(|k| ("put", put_args(k, &format!("v-{k}"))))
-            .collect();
-        let results = stub
-            .invoke_many(ctx, &puts, cfg.clone(), &mut DiscardStrays)
-            .unwrap();
-        assert_eq!(results.len(), 8);
-        for r in &results {
-            assert_eq!(*r.as_ref().unwrap(), Value::Null);
-        }
-
-        // A second pipelined round reads everything back: results come
-        // out in call order even though the wire work overlapped.
-        let gets: Vec<(&str, Value)> = keys.iter().map(|k| ("get", get_args(k))).collect();
-        let results = stub
-            .invoke_many(ctx, &gets, cfg, &mut DiscardStrays)
-            .unwrap();
-        for (k, r) in keys.iter().zip(&results) {
-            assert_eq!(*r.as_ref().unwrap(), Value::str(format!("v-{k}")));
-        }
-
-        let s = stub.stats();
-        assert_eq!(s.invocations, 16);
-        assert_eq!(s.remote_calls, 16);
-    });
-    sim.run();
-    assert_eq!(
-        dispatches.load(Ordering::SeqCst),
-        16,
-        "each pipelined call dispatched exactly once"
-    );
-}
-
-#[test]
-fn caching_write_behind_reads_own_writes_and_drains_on_detach() {
-    let mut sim = Simulation::new(NetworkConfig::lan(), 22);
-    let ns = spawn_name_server(&sim, NodeId(0));
-    let dispatches = Arc::new(AtomicU64::new(0));
-    let d = Arc::clone(&dispatches);
-    let server = ServiceBuilder::new("kv")
-        .object(move || Box::new(Kv::with_counter(Arc::clone(&d))))
-        .spawn(&sim, NodeId(1), ns);
-    sim.spawn("client", NodeId(2), move |ctx| {
-        let mut p = proxy_core::proxies::CachingProxy::bind(
-            ctx,
-            "kv",
-            server,
-            ns,
-            Kv::iface(),
-            CachingParams::default(),
-        )
-        .unwrap();
-        p.enable_write_behind(rpc::ChannelConfig::with_depth(8).batched(4));
-
-        // Staged writes return immediately: six puts cost less wall
-        // clock than a single one-way network hop (500us on this LAN).
-        let t0 = ctx.now();
-        for i in 0..6 {
-            let r = p
-                .invoke(
-                    ctx,
-                    "put",
-                    put_args(&format!("k{i}"), &format!("v{i}")),
-                    &mut DiscardStrays,
-                )
-                .unwrap();
-            assert_eq!(r, Value::Null, "write-behind acks locally");
-        }
-        assert!(
-            ctx.now() - t0 < Duration::from_micros(500),
-            "write-behind puts must not block on round trips"
-        );
-
-        // A read miss flushes the pipeline first, so the client reads
-        // its own (still-in-flight) writes.
-        let v = p
-            .invoke(ctx, "get", get_args("k3"), &mut DiscardStrays)
-            .unwrap();
-        assert_eq!(v, Value::str("v3"));
-
-        // More writes, then detach: detach is the durability point.
-        for i in 6..9 {
-            p.invoke(
-                ctx,
-                "put",
-                put_args(&format!("k{i}"), &format!("v{i}")),
-                &mut DiscardStrays,
-            )
-            .unwrap();
-        }
-        p.detach(ctx);
-
-        // A plain stub sees every write on the server.
-        let mut stub = proxy_core::proxies::StubProxy::new("kv", server, ns);
-        for i in 0..9 {
-            let v = stub
-                .invoke(ctx, "get", get_args(&format!("k{i}")), &mut DiscardStrays)
-                .unwrap();
-            assert_eq!(v, Value::str(format!("v{i}")), "k{i} durable after detach");
-        }
-    });
-    sim.run();
-    // 9 puts + 1 caching-proxy get + 9 stub gets, each exactly once.
-    assert_eq!(dispatches.load(Ordering::SeqCst), 19);
 }
 
 // ---------------------------------------------------------------------

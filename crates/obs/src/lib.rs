@@ -573,30 +573,37 @@ struct RetiredAgg {
     retransmissions: u64,
 }
 
-/// One statistics stripe. Every interned `(service, op)` key lives
-/// wholly in one stripe (stripe `key % stripes`, entry `key / stripes`),
-/// so per-key state — the latency histogram the watchdog judges against
-/// and the retired-span aggregate — never needs cross-stripe merging
-/// and the report merge stays deterministic for any stripe count.
+/// What one writer lane's closing spans have recorded, indexed by
+/// interned `(service, op)` key: the latency histograms the watchdog
+/// judges against, the folds of retired spans, and the exemplars the
+/// watchdog pinned. Kept under the lane's span-slab lock, so a close
+/// takes one lock; written only by the lane's own domain, so what a lane
+/// holds never depends on how domains interleave.
 #[derive(Debug, Default)]
-struct StatStripe {
+pub(crate) struct LaneStats {
     /// Per-key latency histograms; `None` until a sample lands.
     hists: Vec<Option<Histogram>>,
     /// Per-key folds of retired spans.
     retired: Vec<RetiredAgg>,
+    /// Slow calls this lane's watchdog pinned, in close order.
+    exemplars: Vec<Exemplar>,
+    /// Slow calls seen after this lane's exemplar buffer filled.
+    exemplars_suppressed: u64,
 }
 
-impl StatStripe {
-    /// The histogram of entry `i`, created empty on first use.
-    fn hist(&mut self, i: usize) -> &mut Histogram {
+impl LaneStats {
+    /// The histogram of `key`, created empty on first use.
+    fn hist(&mut self, key: u32) -> &mut Histogram {
+        let i = key as usize;
         if self.hists.len() <= i {
             self.hists.resize_with(i + 1, || None);
         }
         self.hists[i].get_or_insert_with(Histogram::new)
     }
 
-    /// The retired-span fold of entry `i`.
-    fn retired(&mut self, i: usize) -> &mut RetiredAgg {
+    /// The retired-span fold of `key`.
+    fn retired(&mut self, key: u32) -> &mut RetiredAgg {
+        let i = key as usize;
         if self.retired.len() <= i {
             self.retired.resize(i + 1, RetiredAgg::default());
         }
@@ -604,12 +611,11 @@ impl StatStripe {
     }
 }
 
-/// One stripe of the hot RPC counters. Cache-line aligned so stripes on
-/// different cores never false-share; every field is a relaxed atomic
-/// because the counters are pure sums with no cross-field invariants.
+/// The hot RPC counters of one writer lane. Every field is a relaxed
+/// atomic because the counters are pure sums with no cross-field
+/// invariants; the report sums the lanes.
 #[derive(Debug, Default)]
-#[repr(align(128))]
-struct CounterCell {
+struct LaneCounters {
     calls: AtomicU64,
     retries: AtomicU64,
     timeouts: AtomicU64,
@@ -627,9 +633,7 @@ struct CounterCell {
 }
 
 /// Cold, rarely-written registry state behind a single mutex: published
-/// snapshots, the flight recorder, the watchdog and its exemplars, and
-/// run provenance. Nothing on the per-call hot path touches this lock
-/// unless the corresponding feature is armed.
+/// snapshots, the watchdog's configuration and run provenance.
 #[derive(Debug, Default)]
 struct MiscInner {
     /// Last published per-proxy stats, keyed `service@owner`.
@@ -640,10 +644,6 @@ struct MiscInner {
     key_buf: String,
     /// Slow-call watchdog, when enabled.
     watchdog: Option<WatchdogConfig>,
-    /// Exemplars the watchdog has pinned so far.
-    exemplars: Vec<Exemplar>,
-    /// Slow calls seen after the exemplar buffer filled.
-    exemplars_suppressed: u64,
     /// Run provenance stamped by the harness.
     meta: RunMeta,
 }
@@ -680,11 +680,6 @@ pub struct ObsPlaneReport {
     pub self_calls: u64,
 }
 
-/// Default number of `(service, op)` statistic stripes.
-const DEFAULT_STAT_STRIPES: usize = 8;
-/// Number of hot-counter stripes (fixed; must be a power of two).
-const COUNTER_STRIPES: usize = 8;
-
 /// FNV-1a over a `(service, op)` key, for interning.
 fn key_hash(service: &str, op: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -707,16 +702,16 @@ fn key_hash(service: &str, op: &str) -> u64 {
 /// whole run. All methods take `&self`; interior mutability keeps the
 /// call sites free of plumbing.
 ///
-/// Internally the registry is split so a million-client run can leave
-/// it on: span records live in per-writer-lane slabs of fixed-size
-/// slots, their `(service, op)` names interned once into `u32` keys;
-/// per-key statistics (histograms, retirement aggregates, the
-/// watchdog's rolling p99) live in key-indexed stripes, and the hot RPC
-/// counters are striped relaxed atomics. [`MetricsRegistry::report`]
-/// merges all of it deterministically: every per-key statistic lives
-/// wholly in one stripe, every cross-lane and cross-stripe sum is
-/// commutative, and map output is ordered by name — so the report is
-/// byte-identical for any stripe count.
+/// Internally the registry is split into writer lanes, one per
+/// scheduler domain, so a million-client run can leave it on: each lane
+/// holds the span records its domain opened (slabs of fixed-size slots,
+/// their `(service, op)` names interned once into `u32` keys), the
+/// per-key statistics its closing spans recorded (histograms, retirement
+/// folds, the watchdog's exemplars) and its share of the hot RPC
+/// counters. [`MetricsRegistry::report`] merges the lanes: histograms
+/// merge exactly, counters sum, map output is ordered by name and
+/// exemplars are concatenated in lane order — so the report does not
+/// depend on how many threads ran the domains.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     /// Mirrors "the flight recorder is on" so hot paths can skip the
@@ -746,22 +741,19 @@ pub struct MetricsRegistry {
     prof_self_ns: AtomicU64,
     prof_self_calls: AtomicU64,
     // -- writer lanes --
-    /// Per-lane sequenced state. Each concurrent deterministic writer
-    /// (a scheduler domain) owns one lane, selected by the thread's
-    /// ambient lane ([`set_ambient_lane`]): span-id striping, the span
-    /// slab with its retirement sampler and residency gauges, and the
-    /// flight recorder all advance per lane so parallel domains never
-    /// interleave on order-sensitive state. One lane (the default)
-    /// reproduces the unstriped behavior exactly. Unlike the stripe
-    /// layout, the lane count is part of the run configuration: it
-    /// changes span ids and sampling decisions, the way a different seed
+    /// Per-lane state. Each concurrent deterministic writer (a scheduler
+    /// domain) owns one lane, selected by the thread's ambient lane
+    /// ([`set_ambient_lane`]): span-id striping, the span slab with its
+    /// retirement sampler and residency gauges, the per-key statistics
+    /// and exemplars, the hot counters and the flight recorder all
+    /// advance per lane so parallel domains never interleave on
+    /// order-sensitive state. The lane count is part of the run
+    /// configuration: it changes span ids, sampling decisions and the
+    /// history each watchdog judgment sees, the way a different seed
     /// would.
     lanes: Box<[WriterLane]>,
     /// Interned `(service, op)` names; read-mostly.
     keys: RwLock<spans::KeyTable>,
-    // -- striped state --
-    stripes: Box<[Mutex<StatStripe>]>,
-    counters: Box<[CounterCell]>,
     misc: Mutex<MiscInner>,
 }
 
@@ -772,11 +764,13 @@ pub struct MetricsRegistry {
 #[repr(align(128))]
 struct WriterLane {
     /// The spans this lane opened (span id = `count * nlanes + lane +
-    /// 1`), with the lane's retirement sampler and residency gauges.
-    /// The cross-lane peaks are reported as the sum of lane peaks — a
-    /// deterministic upper bound on the true concurrent peak (exact with
-    /// one lane).
+    /// 1`), with the lane's retirement sampler and residency gauges and
+    /// the statistics its closing spans recorded. The cross-lane peaks
+    /// are reported as the sum of lane peaks — a deterministic upper
+    /// bound on the true concurrent peak (exact with one lane).
     spans: Mutex<spans::LaneSlab>,
+    /// The RPC counters bumped by threads writing to this lane.
+    counters: LaneCounters,
     /// This lane's slice of the flight recorder, when enabled. Reports
     /// merge the lanes deterministically (see [`TimeSeries::merged`]).
     timeseries: Mutex<Option<TimeSeries>>,
@@ -794,9 +788,9 @@ thread_local! {
 /// modulo the registry's lane count at use). The simulator sets this on
 /// every thread that executes a scheduler domain — before each domain
 /// round and each domain's shutdown, which is also where that domain's
-/// blocking process bodies run — so that all order-sensitive
-/// observability state advances deterministically per domain. Threads
-/// that never call this write to lane 0.
+/// blocking process bodies run — so that all observability state
+/// advances deterministically per domain. Threads that never call this
+/// write to lane 0.
 pub fn set_ambient_lane(lane: usize) {
     AMBIENT_LANE.with(|l| l.set(lane));
 }
@@ -808,7 +802,7 @@ pub fn ambient_lane() -> usize {
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
-        MetricsRegistry::with_layout(DEFAULT_STAT_STRIPES)
+        MetricsRegistry::new()
     }
 }
 
@@ -823,17 +817,8 @@ impl Drop for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// A fresh registry with the default stripe layout.
+    /// A fresh registry with one writer lane.
     pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// A registry with an explicit number of `(service, op)` statistic
-    /// stripes (rounded up to a power of two, clamped to at least 1).
-    /// The layout affects contention only — never the report:
-    /// byte-identical output for any layout is a tested invariant.
-    pub fn with_layout(stat_stripes: usize) -> MetricsRegistry {
-        let stat_stripes = stat_stripes.clamp(1, 1 << 16).next_power_of_two();
         MetricsRegistry {
             ts_enabled: AtomicBool::new(false),
             wd_enabled: AtomicBool::new(false),
@@ -849,24 +834,18 @@ impl MetricsRegistry {
             prof_self_calls: AtomicU64::new(0),
             lanes: (0..1).map(|_| WriterLane::default()).collect(),
             keys: RwLock::default(),
-            stripes: (0..stat_stripes)
-                .map(|_| Mutex::new(StatStripe::default()))
-                .collect(),
-            counters: (0..COUNTER_STRIPES)
-                .map(|_| CounterCell::default())
-                .collect(),
             misc: Mutex::new(MiscInner::default()),
         }
     }
 
     /// Sets the number of writer lanes (clamped to ≥ 1). One lane per
     /// concurrent deterministic writer — the simulator calls this with
-    /// its domain count before any span opens. Unlike the stripe layout
-    /// this is run *configuration*: span ids are striped across lanes
-    /// and the retirement sampler advances per lane, so a different lane
-    /// count is a different (equally valid) run. Must be called before
-    /// recording starts — it resets lane-sequenced state, spans
-    /// included.
+    /// its domain count before any span opens. This is run
+    /// *configuration*: span ids are striped across lanes, and the
+    /// retirement sampler and the watchdog's history advance per lane,
+    /// so a different lane count is a different (equally valid) run.
+    /// Must be called before recording starts — it resets all lane
+    /// state: spans, statistics, exemplars and counters.
     pub fn set_writer_lanes(&mut self, n: usize) {
         let n = n.max(1);
         let recorder = self.lanes[0]
@@ -891,16 +870,6 @@ impl MetricsRegistry {
         self.keys.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The stripe owning `key`, and the key's entry in it.
-    fn stripe(&self, key: u32) -> (std::sync::MutexGuard<'_, StatStripe>, usize) {
-        let n = self.stripes.len();
-        let key = key as usize;
-        let stripe = self.stripes[key & (n - 1)]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        (stripe, key >> n.trailing_zeros())
-    }
-
     fn misc(&self) -> std::sync::MutexGuard<'_, MiscInner> {
         self.misc.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -917,25 +886,18 @@ impl MetricsRegistry {
         &self.lanes[self.lane_idx()]
     }
 
-    /// The calling thread's counter stripe. Threads are assigned
-    /// round-robin on first use; the report sums all stripes, so the
-    /// assignment never shows in the output.
-    fn cell(&self) -> &CounterCell {
-        use std::cell::Cell;
-        use std::sync::atomic::AtomicUsize;
-        thread_local! {
-            static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-        }
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let idx = STRIPE.with(|s| {
-            let mut i = s.get();
-            if i == usize::MAX {
-                i = NEXT.fetch_add(1, Ordering::Relaxed);
-                s.set(i);
-            }
-            i
-        });
-        &self.counters[idx & (COUNTER_STRIPES - 1)]
+    /// The calling thread's lane's counters.
+    #[inline]
+    fn counters(&self) -> &LaneCounters {
+        &self.lane().counters
+    }
+
+    /// `field` summed over every lane's counters.
+    fn counter_sum(&self, field: fn(&LaneCounters) -> &AtomicU64) -> u64 {
+        self.lanes
+            .iter()
+            .map(|l| field(&l.counters).load(Ordering::Relaxed))
+            .sum()
     }
 
     #[inline]
@@ -989,27 +951,6 @@ impl MetricsRegistry {
     /// per call are not free — that is the point of measuring).
     pub fn enable_self_measure(&self) {
         self.sm_enabled.store(true, Ordering::Relaxed);
-    }
-
-    // -- latency ----------------------------------------------------------
-
-    /// Records a latency sample for `(service, op)` directly (spans do
-    /// this automatically when closed).
-    pub fn record_latency(&self, service: &str, op: &str, ns: u64) {
-        if !self.on() {
-            return;
-        }
-        let t0 = self.sm_start();
-        let (mut stripe, i) = self.stripe(self.intern(service, op));
-        stripe.hist(i).record(ns);
-        drop(stripe);
-        self.sm_end(t0);
-    }
-
-    /// Copy of the histogram for `(service, op)`, if any sample landed.
-    pub fn histogram(&self, service: &str, op: &str) -> Option<Histogram> {
-        let (stripe, i) = self.stripe(self.find_key(service, op)?);
-        stripe.hists.get(i)?.clone()
     }
 
     /// The plane's self-measurement gauges, as they stand right now.
@@ -1138,9 +1079,30 @@ impl MetricsRegistry {
         self.wd_enabled.store(true, Ordering::Relaxed);
     }
 
-    /// Copy of the exemplars pinned so far.
+    /// Copy of the exemplars pinned so far, as [`RunReport::exemplars`]
+    /// lists them.
     pub fn exemplars(&self) -> Vec<Exemplar> {
-        self.misc().exemplars.clone()
+        self.merged_exemplars().0
+    }
+
+    /// Every lane's exemplars concatenated in lane order and capped at
+    /// `max_exemplars`, with the suppressed count: the lanes' own plus
+    /// whatever the cap cut off here. With one lane this is that lane's
+    /// buffer verbatim.
+    fn merged_exemplars(&self) -> (Vec<Exemplar>, u64) {
+        let cap = self.misc().watchdog.map_or(0, |c| c.max_exemplars);
+        let mut exemplars = Vec::new();
+        let mut suppressed = 0;
+        for lane in 0..self.lanes.len() {
+            let slab = self.slab(lane);
+            exemplars.extend(slab.stats.exemplars.iter().cloned());
+            suppressed += slab.stats.exemplars_suppressed;
+        }
+        if exemplars.len() > cap {
+            suppressed += (exemplars.len() - cap) as u64;
+            exemplars.truncate(cap);
+        }
+        (exemplars, suppressed)
     }
 
     /// Stamps run provenance into the registry (merged field-wise: only
@@ -1176,49 +1138,53 @@ impl MetricsRegistry {
     /// A call was issued.
     pub fn on_call(&self) {
         if self.on() {
-            self.cell().calls.fetch_add(1, Ordering::Relaxed);
+            self.counters().calls.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A request was retransmitted.
     pub fn on_retry(&self) {
         if self.on() {
-            self.cell().retries.fetch_add(1, Ordering::Relaxed);
+            self.counters().retries.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A call exhausted all attempts.
     pub fn on_timeout(&self) {
         if self.on() {
-            self.cell().timeouts.fetch_add(1, Ordering::Relaxed);
+            self.counters().timeouts.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A reply arrived for an already-completed call.
     pub fn on_stale_reply(&self) {
         if self.on() {
-            self.cell().stale_replies.fetch_add(1, Ordering::Relaxed);
+            self.counters()
+                .stale_replies
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A stray packet was discarded while waiting for a reply.
     pub fn on_stray_dropped(&self) {
         if self.on() {
-            self.cell().strays_dropped.fetch_add(1, Ordering::Relaxed);
+            self.counters()
+                .strays_dropped
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A request was executed for the first time.
     pub fn on_executed(&self) {
         if self.on() {
-            self.cell().executed.fetch_add(1, Ordering::Relaxed);
+            self.counters().executed.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A duplicate request was answered from the reply cache.
     pub fn on_duplicate_suppressed(&self) {
         if self.on() {
-            self.cell()
+            self.counters()
                 .duplicates_suppressed
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -1227,7 +1193,7 @@ impl MetricsRegistry {
     /// A duplicate request was dropped.
     pub fn on_duplicate_dropped(&self) {
         if self.on() {
-            self.cell()
+            self.counters()
                 .duplicates_dropped
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -1236,14 +1202,14 @@ impl MetricsRegistry {
     /// A one-way message was received by a server.
     pub fn on_oneway_rx(&self) {
         if self.on() {
-            self.cell().oneways.fetch_add(1, Ordering::Relaxed);
+            self.counters().oneways.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// An undecodable packet was received by a server.
     pub fn on_undecodable(&self) {
         if self.on() {
-            self.cell().undecodable.fetch_add(1, Ordering::Relaxed);
+            self.counters().undecodable.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1289,18 +1255,13 @@ impl MetricsRegistry {
     /// Builds the unified report. `net` is the simulator's counter
     /// snapshot and `end_time_ns` the simulated clock at report time.
     ///
-    /// The merge is deterministic: per-key statistics live wholly in one
-    /// stripe, cross-lane and cross-stripe sums are commutative, and map
-    /// output is ordered by name — the same run produces byte-identical
-    /// JSON for any stripe layout.
+    /// The lanes merge deterministically: per-key histograms merge
+    /// exactly, counters and folds sum, map output is ordered by name
+    /// and exemplars are concatenated in lane order. A run reports the
+    /// same bytes at any thread count, and a one-lane run reports its
+    /// lane verbatim.
     pub fn report(&self, net: MetricsSnapshot, end_time_ns: u64) -> RunReport {
-        // Hot counters: sum the stripes.
-        let csum = |field: fn(&CounterCell) -> &AtomicU64| -> u64 {
-            self.counters
-                .iter()
-                .map(|c| field(c).load(Ordering::Relaxed))
-                .sum()
-        };
+        let csum = |field| self.counter_sum(field);
         let client = CallStats {
             calls: csum(|c| &c.calls),
             retries: csum(|c| &c.retries),
@@ -1315,41 +1276,30 @@ impl MetricsRegistry {
             oneways: csum(|c| &c.oneways),
             undecodable: csum(|c| &c.undecodable),
         };
-        // Stripes: histograms into the name-ordered ops map, retired
-        // aggregates into the span totals.
-        let mut hists: Vec<(u32, OpLatency)> = Vec::new();
+        let mut hists: Vec<Option<Histogram>> = Vec::new();
         let mut started = 0u64;
         let mut completed = 0u64;
         let mut oneways = 0u64;
         let mut retransmissions = 0u64;
-        let n = self.stripes.len();
-        for (s, stripe) in self.stripes.iter().enumerate() {
-            let stripe = stripe.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, hist) in stripe.hists.iter().enumerate() {
+        for lane in 0..self.lanes.len() {
+            let slab = self.slab(lane);
+            // Per-key statistics: histograms into the name-ordered ops
+            // map, retired folds into the span totals.
+            if hists.len() < slab.stats.hists.len() {
+                hists.resize_with(slab.stats.hists.len(), || None);
+            }
+            for (merged, hist) in hists.iter_mut().zip(&slab.stats.hists) {
                 if let Some(hist) = hist {
-                    hists.push(((i * n + s) as u32, hist.summary()));
+                    merged.get_or_insert_with(Histogram::new).merge(hist);
                 }
             }
-            for agg in &stripe.retired {
+            for agg in &slab.stats.retired {
                 started += agg.invokes + agg.dispatches;
                 completed += agg.invokes + agg.dispatches;
                 oneways += agg.oneways;
                 retransmissions += agg.retransmissions;
             }
-        }
-        let ops: BTreeMap<String, OpLatency> = {
-            let keys = self.keys();
-            hists
-                .into_iter()
-                .map(|(key, summary)| {
-                    let (service, op) = keys.names(key);
-                    (format!("{service}/{op}"), summary)
-                })
-                .collect()
-        };
-        // Lane slabs: the resident spans.
-        for lane in 0..self.lanes.len() {
-            let slab = self.slab(lane);
+            // The resident spans.
             retransmissions += slab.retired_retransmissions;
             for (_, slot) in slab.resident() {
                 match slot.kind {
@@ -1364,6 +1314,18 @@ impl MetricsRegistry {
                 retransmissions += slot.retransmissions;
             }
         }
+        let ops: BTreeMap<String, OpLatency> = {
+            let keys = self.keys();
+            hists
+                .iter()
+                .enumerate()
+                .filter_map(|(key, hist)| {
+                    let (service, op) = keys.names(key as u32);
+                    Some((format!("{service}/{op}"), hist.as_ref()?.summary()))
+                })
+                .collect()
+        };
+        let (exemplars, exemplars_suppressed) = self.merged_exemplars();
         let misc = self.misc();
         RunReport {
             end_time_ns,
@@ -1390,8 +1352,8 @@ impl MetricsRegistry {
             meta: misc.meta.clone(),
             timeseries: self.timeseries_report(),
             profile: self.profile_report(),
-            exemplars: misc.exemplars.clone(),
-            exemplars_suppressed: misc.exemplars_suppressed,
+            exemplars,
+            exemplars_suppressed,
         }
     }
 }
@@ -1996,15 +1958,12 @@ mod tests {
         // Closing twice is a no-op.
         reg.close_span(inv, 999, false);
 
-        let h = reg.histogram("kv", "get").unwrap();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.p50(), 100);
-        let hd = reg.histogram("svc-kv", "get").unwrap();
-        assert_eq!(hd.count(), 1);
-
         assert!(reg.verify_causality().is_empty());
 
         let report = reg.report(MetricsSnapshot::default(), 1000);
+        assert_eq!(report.ops["kv/get"].count, 1);
+        assert_eq!(report.ops["kv/get"].p50_ns, 100);
+        assert_eq!(report.ops["svc-kv/get"].count, 1);
         assert_eq!(report.spans.started, 2);
         assert_eq!(report.spans.completed, 2);
         assert_eq!(report.spans.replies.matched, 1);
@@ -2053,7 +2012,8 @@ mod tests {
         assert_eq!(rec.parent, disp);
         assert_eq!(rec.end_ns, Some(20));
         // One-way spans never land in a latency histogram.
-        assert!(reg.histogram("kv", "inv").is_none());
+        let report = reg.report(MetricsSnapshot::default(), 30);
+        assert!(!report.ops.contains_key("kv/inv"));
     }
 
     #[test]
@@ -2310,6 +2270,42 @@ mod tests {
     }
 
     #[test]
+    fn watchdog_judges_against_its_own_lane() {
+        let reg = with_lanes(2);
+        reg.enable_watchdog(WatchdogConfig {
+            multiplier: 3.0,
+            slo_ns: None,
+            min_samples: 10,
+            max_exemplars: 2,
+        });
+        let call = |lane: usize, at: u64, dur: u64| {
+            set_ambient_lane(lane);
+            let sp = reg.open_span(SpanKind::Invoke, SpanId::NONE, "kv", "get", at);
+            reg.close_span(sp, at + dur, true);
+            set_ambient_lane(0);
+            sp
+        };
+        for i in 0..10 {
+            call(0, i * 1_000, 100);
+        }
+        // Lane 0's history does not arm lane 1's trigger.
+        call(1, 20_000, 5_000);
+        assert!(reg.exemplars().is_empty());
+        for i in 0..10 {
+            call(1, 30_000 + i * 1_000, 100);
+        }
+        let late = call(1, 50_000, 100_000);
+        let first = call(0, 60_000, 5_000);
+        let second = call(0, 70_000, 100_000);
+        // Lane order, not close order; the cap applies to the merge.
+        let report = reg.report(MetricsSnapshot::default(), 100_000);
+        let spans: Vec<SpanId> = report.exemplars.iter().map(|e| e.span).collect();
+        assert_eq!(spans, [first, second]);
+        assert_eq!(report.exemplars_suppressed, 1);
+        assert_ne!(late, first);
+    }
+
+    #[test]
     fn timeseries_feeds_from_span_close_and_retransmit() {
         let reg = MetricsRegistry::new();
         assert!(!reg.timeseries_enabled());
@@ -2395,9 +2391,11 @@ mod tests {
         );
     }
 
-    /// Drives an identical call sequence into a registry.
-    fn drive(reg: &MetricsRegistry) {
+    /// Drives an identical call sequence into a registry, call `i` from
+    /// writer lane `i % lanes`.
+    fn drive(reg: &MetricsRegistry, lanes: usize) {
         for i in 0..100u64 {
+            set_ambient_lane(i as usize % lanes);
             let svc = if i % 2 == 0 { "kv" } else { "dir" };
             let op = if i % 3 == 0 { "get" } else { "put" };
             let inv = reg.open_span(SpanKind::Invoke, SpanId::NONE, svc, op, i * 10);
@@ -2414,6 +2412,7 @@ mod tests {
                 reg.note_oneway(disp, svc, "inv", i * 10 + 9);
             }
         }
+        set_ambient_lane(0);
         // Leave a few spans open so `open` is nonzero.
         for _ in 0..3 {
             reg.open_span(SpanKind::Invoke, SpanId::NONE, "kv", "get", 9_999);
@@ -2421,27 +2420,30 @@ mod tests {
     }
 
     #[test]
-    fn report_is_byte_identical_across_layouts() {
-        let base = {
-            let reg = MetricsRegistry::with_layout(1);
-            drive(&reg);
-            reg.report(MetricsSnapshot::default(), 10_000).to_json()
-        };
-        for stripes in [2, 8, 16] {
-            let reg = MetricsRegistry::with_layout(stripes);
-            drive(&reg);
-            let json = reg.report(MetricsSnapshot::default(), 10_000).to_json();
-            assert_eq!(json, base, "{stripes} stripes diverged");
-        }
+    fn report_merges_lanes_exactly() {
+        let one = MetricsRegistry::new();
+        drive(&one, 1);
+        let four = with_lanes(4);
+        drive(&four, 4);
+        let a = one.report(MetricsSnapshot::default(), 10_000);
+        let b = four.report(MetricsSnapshot::default(), 10_000);
+        // Histograms merge exactly and counters sum, so how the calls
+        // were spread over lanes does not show. (The `obs` section's
+        // peaks are per-lane upper bounds and may differ.)
+        assert_eq!(a.rpc, b.rpc);
+        assert_eq!(a.ops, b.ops);
+        assert_eq!(a.spans, b.spans);
+        assert_eq!(a.ops.len(), 4, "{:?}", a.ops.keys());
+        assert_eq!(a.rpc.client.calls, 100);
     }
 
     #[test]
     fn retirement_conserves_report_totals() {
         let plain = MetricsRegistry::new();
-        drive(&plain);
+        drive(&plain, 1);
         let retiring = MetricsRegistry::new();
         retiring.enable_retirement(0);
-        drive(&retiring);
+        drive(&retiring, 1);
 
         let a = plain.report(MetricsSnapshot::default(), 10_000);
         let b = retiring.report(MetricsSnapshot::default(), 10_000);
@@ -2506,7 +2508,6 @@ mod tests {
         assert_eq!(reg.span_reply(7, 9), ReplyKind::Untracked);
         reg.on_call();
         reg.on_executed();
-        reg.record_latency("kv", "get", 100);
         let report = reg.report(MetricsSnapshot::default(), 10);
         assert_eq!(report.spans.started, 0);
         assert_eq!(report.rpc.client.calls, 0);

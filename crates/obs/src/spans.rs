@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering;
 
-use crate::{key_hash, Exemplar, MetricsRegistry};
+use crate::{key_hash, Exemplar, LaneStats, MetricsRegistry};
 
 // ---------------------------------------------------------------------------
 // Span vocabulary
@@ -288,12 +288,12 @@ struct Page {
 }
 
 /// One writer lane's share of the span table, with the lane's residency
-/// and retirement gauges.
+/// and retirement gauges and the statistics its closing spans recorded.
 ///
 /// `bytes` is what the slab holds: [`SPAN_PAGE_BYTES`] per live page
 /// plus [`SPAN_SLOT_BYTES`] per kept exemplar (the side map's keys and
-/// nodes are not counted). It is a function of the lane's own sequence
-/// of span calls, so it is deterministic per lane.
+/// nodes are not counted, nor are `stats`). It is a function of the
+/// lane's own sequence of span calls, so it is deterministic per lane.
 #[derive(Debug, Default)]
 pub(crate) struct LaneSlab {
     /// Spans this lane has opened: a count below this was allocated.
@@ -317,6 +317,8 @@ pub(crate) struct LaneSlab {
     pub(crate) resident_peak: u64,
     pub(crate) bytes: u64,
     pub(crate) bytes_peak: u64,
+    /// Per-key histograms, retired folds and pinned exemplars.
+    pub(crate) stats: LaneStats,
 }
 
 impl LaneSlab {
@@ -438,11 +440,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// The key of `(service, op)`, if it was ever interned.
-    pub(crate) fn find_key(&self, service: &str, op: &str) -> Option<u32> {
-        self.keys().find(key_hash(service, op), service, op)
-    }
-
     /// Owned `(service, op)` names of `key`.
     fn key_names(&self, key: u32) -> (String, String) {
         let keys = self.keys();
@@ -508,18 +505,22 @@ impl MetricsRegistry {
     }
 
     /// Closes a span and, for `Invoke` and `Dispatch` spans, records its
-    /// duration into the `(service, op)` histogram. Closing
-    /// [`SpanId::NONE`] or an already-closed span is a no-op. When
-    /// retirement is armed the closed record folds into its stripe's
+    /// duration into the `(service, op)` histogram of the span's lane.
+    /// Closing [`SpanId::NONE`] or an already-closed span is a no-op.
+    /// When retirement is armed the closed record folds into its lane's
     /// aggregate and leaves the table (unless the sampler keeps it).
     pub fn close_span(&self, id: SpanId, now_ns: u64, ok: bool) {
         if !id.is_some() || !self.on() {
             return;
         }
         let t0 = self.sm_start();
-        // Phase 1 — lane slab: close the record, decide retirement.
+        let wd = if self.wd_enabled.load(Ordering::Relaxed) {
+            self.misc().watchdog
+        } else {
+            None
+        };
         let (lane, count) = self.span_loc(id.0);
-        let (closed, retired) = {
+        let (closed, dur) = {
             let mut slab = self.slab(lane);
             let Some(slot) = slab.get_mut(count).filter(|s| s.is_open()) else {
                 drop(slab);
@@ -537,24 +538,15 @@ impl MetricsRegistry {
                 }
                 _ => false,
             };
-            (closed, retired)
-        };
-        let dur = now_ns.saturating_sub(closed.start_ns);
-        // The watchdog judges the closing call against the p99 of the
-        // calls *before* it, so the outlier cannot raise its own bar.
-        let wd = if closed.kind == SpanKind::Invoke && self.wd_enabled.load(Ordering::Relaxed) {
-            self.misc().watchdog
-        } else {
-            None
-        };
-        // Phase 2 — stat stripe: watchdog judgment, histogram, fold.
-        let mut tripped: Option<(u64, &'static str, u64)> = None;
-        {
-            let (mut stripe, i) = self.stripe(closed.key);
-            if let Some(cfg) = wd {
-                let p99 = stripe
+            let dur = now_ns.saturating_sub(closed.start_ns);
+            let stats = &mut slab.stats;
+            // The watchdog judges the closing call against the p99 of the
+            // lane's calls *before* it, so the outlier cannot raise its
+            // own bar.
+            if let Some(cfg) = wd.filter(|_| closed.kind == SpanKind::Invoke) {
+                let p99 = stats
                     .hists
-                    .get(i)
+                    .get(closed.key as usize)
                     .and_then(Option::as_ref)
                     .filter(|h| h.count() >= cfg.min_samples)
                     .map(|h| h.p99())
@@ -564,22 +556,39 @@ impl MetricsRegistry {
                 } else {
                     None
                 };
-                tripped = match (rel, cfg.slo_ns) {
-                    (Some(r), Some(s)) if dur > r.min(s) => Some(if r <= s {
-                        (r, "p99", p99)
-                    } else {
-                        (s, "slo", p99)
-                    }),
-                    (Some(r), None) if dur > r => Some((r, "p99", p99)),
-                    (None, Some(s)) if dur > s => Some((s, "slo", p99)),
+                let tripped = match (rel, cfg.slo_ns) {
+                    (Some(r), Some(s)) if dur > r.min(s) => {
+                        Some(if r <= s { (r, "p99") } else { (s, "slo") })
+                    }
+                    (Some(r), None) if dur > r => Some((r, "p99")),
+                    (None, Some(s)) if dur > s => Some((s, "slo")),
                     _ => None,
                 };
+                if let Some((threshold_ns, trigger)) = tripped {
+                    if stats.exemplars.len() < cfg.max_exemplars {
+                        let (service, op) = self.key_names(closed.key);
+                        stats.exemplars.push(Exemplar {
+                            span: id,
+                            service,
+                            op,
+                            start_ns: closed.start_ns,
+                            latency_ns: dur,
+                            threshold_ns,
+                            p99_ns: p99,
+                            trigger,
+                            ok,
+                            breakdown: None,
+                        });
+                    } else {
+                        stats.exemplars_suppressed += 1;
+                    }
+                }
             }
             if matches!(closed.kind, SpanKind::Invoke | SpanKind::Dispatch) {
-                stripe.hist(i).record(dur);
+                stats.hist(closed.key).record(dur);
             }
             if retired {
-                let agg = stripe.retired(i);
+                let agg = stats.retired(closed.key);
                 match closed.kind {
                     SpanKind::Invoke => agg.invokes += 1,
                     SpanKind::Dispatch => agg.dispatches += 1,
@@ -587,30 +596,8 @@ impl MetricsRegistry {
                 }
                 agg.retransmissions += closed.retransmissions;
             }
-        }
-        // Phase 3 — misc: exemplar pinning and the flight recorder.
-        if let Some((threshold_ns, trigger, p99)) = tripped {
-            let (service, op) = self.key_names(closed.key);
-            let mut misc = self.misc();
-            let cap = misc.watchdog.map_or(0, |c| c.max_exemplars);
-            if misc.exemplars.len() < cap {
-                let exemplar = Exemplar {
-                    span: id,
-                    service,
-                    op,
-                    start_ns: closed.start_ns,
-                    latency_ns: dur,
-                    threshold_ns,
-                    p99_ns: p99,
-                    trigger,
-                    ok,
-                    breakdown: None,
-                };
-                misc.exemplars.push(exemplar);
-            } else {
-                misc.exemplars_suppressed += 1;
-            }
-        }
+            (closed, dur)
+        };
         if closed.kind == SpanKind::Invoke && self.timeseries_enabled() {
             let (service, _) = self.key_names(closed.key);
             let outcome = if ok { "calls_ok" } else { "calls_err" };
@@ -682,12 +669,12 @@ impl MetricsRegistry {
                 None => ReplyKind::UnknownSpan,
             }
         };
-        let cell = self.cell();
+        let counters = self.counters();
         match kind {
-            ReplyKind::Matched => &cell.replies_matched,
-            ReplyKind::Late => &cell.replies_late,
-            ReplyKind::UnknownSpan => &cell.replies_unknown_span,
-            ReplyKind::Untracked => &cell.replies_untracked,
+            ReplyKind::Matched => &counters.replies_matched,
+            ReplyKind::Late => &counters.replies_late,
+            ReplyKind::UnknownSpan => &counters.replies_unknown_span,
+            ReplyKind::Untracked => &counters.replies_untracked,
         }
         .fetch_add(1, Ordering::Relaxed);
         self.sm_end(t0);
@@ -707,23 +694,19 @@ impl MetricsRegistry {
         }
         let t0 = self.sm_start();
         let (lane, count) = self.span_loc(id.0);
-        let folded = {
-            let mut slab = self.slab(lane);
-            let slot = slab.get_mut(count).expect("span just opened");
-            // Close without touching the latency histograms: a one-way
-            // has no observable duration.
-            slot.end_ns = now_ns;
-            slot.ok = true;
-            let key = slot.key;
-            match self.retirement() {
-                Some(keep_every) if slab.retire(count, keep_every) => Some(key),
-                _ => None,
+        let mut slab = self.slab(lane);
+        let slot = slab.get_mut(count).expect("span just opened");
+        // Close without touching the latency histograms: a one-way has
+        // no observable duration.
+        slot.end_ns = now_ns;
+        slot.ok = true;
+        let key = slot.key;
+        if let Some(keep_every) = self.retirement() {
+            if slab.retire(count, keep_every) {
+                slab.stats.retired(key).oneways += 1;
             }
-        };
-        if let Some(key) = folded {
-            let (mut stripe, i) = self.stripe(key);
-            stripe.retired(i).oneways += 1;
         }
+        drop(slab);
         self.sm_end(t0);
         id
     }
@@ -817,11 +800,7 @@ impl MetricsRegistry {
                 // validly, nothing left to cross-check.
             }
         }
-        let unknown: u64 = self
-            .counters
-            .iter()
-            .map(|c| c.replies_unknown_span.load(Ordering::Relaxed))
-            .sum();
+        let unknown = self.counter_sum(|c| &c.replies_unknown_span);
         if unknown > 0 {
             violations.push(format!(
                 "{unknown} replies carried span ids never allocated"

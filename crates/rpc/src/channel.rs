@@ -683,8 +683,7 @@ impl Channel {
     }
 
     /// Non-blocking progress: sends staged calls, fires due timers, and
-    /// absorbs whatever already sits in the mailbox. The write-behind
-    /// path of the caching proxy calls this between invocations.
+    /// absorbs whatever already sits in the mailbox.
     ///
     /// # Errors
     ///
@@ -702,7 +701,7 @@ impl Channel {
 
     /// Claims the result of a settled call without blocking, consuming
     /// its slot. Returns `None` while the call is still in flight; a
-    /// reaped or unknown handle reports `Some(Err(Timeout))`, matching
+    /// claimed or unknown handle reports `Some(Err(Timeout))`, matching
     /// [`Channel::wait`].
     pub fn try_take(&mut self, h: CallHandle) -> Option<Result<Value, RpcError>> {
         self.is_settled(h).then(|| self.claim(h))
@@ -758,17 +757,6 @@ impl Channel {
     /// their proxies.
     pub fn take_strays(&mut self) -> Vec<Oneway> {
         std::mem::take(&mut self.strays)
-    }
-
-    /// Discards every settled call record without claiming its result
-    /// and returns how many were dropped. Fire-and-forget users (the
-    /// caching proxy's write-behind path) call this so unclaimed
-    /// results do not accumulate; a later [`Channel::wait`] on a reaped
-    /// handle reports a timeout.
-    pub fn reap_settled(&mut self) -> usize {
-        let dropped = self.settled.len();
-        self.settled.clear();
-        dropped
     }
 }
 

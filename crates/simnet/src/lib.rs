@@ -12,9 +12,10 @@
 //!   machines that park as a single heap entry with no stack at all
 //!   (see the [`poll`] module) — the latter scale to hundreds of
 //!   thousands of concurrent processes. A blocking body is only ever
-//!   resumed on the OS thread that started it. The
-//!   scheduler runs exactly one process at a time, in virtual-time
-//!   order, so every run is deterministic for a given seed.
+//!   resumed on the OS thread that started it. Each scheduling
+//!   domain runs one process at a time, in virtual-time order, and
+//!   domains exchange messages only at round barriers, so every run is
+//!   deterministic for a given seed at any thread count.
 //! * **The network** between nodes models latency, bandwidth, jitter,
 //!   loss, duplication, reordering, link overrides, partitions and node
 //!   crashes (see [`NetworkConfig`] and [`Network`]).

@@ -2080,28 +2080,6 @@ impl Simulation {
         self.threads
     }
 
-    /// Replaces the observability registry with one using an explicit
-    /// number of statistic stripes (see
-    /// [`obs::MetricsRegistry::with_layout`]). The layout affects lock
-    /// contention only — for a fixed seed the resulting
-    /// [`obs::RunReport`] is byte-identical for any layout, which the
-    /// merge-determinism tests pin down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after a process has been spawned (the registry
-    /// is already shared at that point).
-    #[must_use]
-    pub fn with_obs_layout(mut self, stat_stripes: usize) -> Simulation {
-        let lanes = self.shared.ndomains();
-        let shared =
-            Arc::get_mut(&mut self.shared).expect("set the obs layout before spawning any process");
-        let mut reg = obs::MetricsRegistry::with_layout(stat_stripes);
-        reg.set_writer_lanes(lanes);
-        shared.obs = Arc::new(reg);
-        self
-    }
-
     /// Current simulated time (the most advanced domain clock).
     pub fn now(&self) -> SimTime {
         self.shared.max_now()
