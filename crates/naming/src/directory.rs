@@ -23,8 +23,8 @@ use wire::Value;
 
 use crate::record::NameRecord;
 
-/// Default stripe count (power of two).
-const DEFAULT_STRIPES: usize = 16;
+/// Stripe count (a power of two).
+const STRIPES: usize = 16;
 
 /// FNV-1a hash of a name, for stripe selection.
 fn name_hash(name: &str) -> u64 {
@@ -42,37 +42,20 @@ fn name_hash(name: &str) -> u64 {
 /// lock one stripe exclusive. Generation numbers come from a single
 /// atomic, so they are unique and monotonic directory-wide no matter
 /// which replica served the write.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Directory {
-    stripes: Box<[RwLock<BTreeMap<String, NameRecord>>]>,
+    stripes: [RwLock<BTreeMap<String, NameRecord>>; STRIPES],
     next_gen: AtomicU64,
 }
 
-impl Default for Directory {
-    fn default() -> Self {
-        Directory::with_stripes(DEFAULT_STRIPES)
-    }
-}
-
 impl Directory {
-    /// An empty directory with the default stripe count.
+    /// An empty directory.
     pub fn new() -> Directory {
         Directory::default()
     }
 
-    /// An empty directory with an explicit stripe count (rounded up to
-    /// a power of two, clamped to at least 1). Stripe count affects
-    /// contention only, never results.
-    pub fn with_stripes(stripes: usize) -> Directory {
-        let stripes = stripes.clamp(1, 1 << 12).next_power_of_two();
-        Directory {
-            stripes: (0..stripes).map(|_| RwLock::new(BTreeMap::new())).collect(),
-            next_gen: AtomicU64::new(0),
-        }
-    }
-
     fn stripe(&self, name: &str) -> &RwLock<BTreeMap<String, NameRecord>> {
-        &self.stripes[(name_hash(name) as usize) & (self.stripes.len() - 1)]
+        &self.stripes[(name_hash(name) as usize) & (STRIPES - 1)]
     }
 
     fn bump(&self) -> u64 {
@@ -170,7 +153,7 @@ mod tests {
 
     #[test]
     fn generations_are_unique_across_stripes() {
-        let dir = Directory::with_stripes(4);
+        let dir = Directory::new();
         let mut gens = Vec::new();
         for i in 0..100 {
             gens.push(dir.register(&format!("svc-{i}"), ep(i, 1), Value::Null));
@@ -204,24 +187,10 @@ mod tests {
 
     #[test]
     fn list_is_sorted_across_stripes() {
-        let dir = Directory::with_stripes(8);
+        let dir = Directory::new();
         for n in ["zeta", "alpha", "mid", "beta"] {
             dir.register(n, ep(0, 1), Value::Null);
         }
         assert_eq!(dir.list(), vec!["alpha", "beta", "mid", "zeta"]);
-    }
-
-    #[test]
-    fn stripe_count_does_not_change_results() {
-        for stripes in [1, 4, 64] {
-            let dir = Directory::with_stripes(stripes);
-            for i in 0..20 {
-                dir.register(&format!("svc-{i}"), ep(i, 1), Value::Null);
-            }
-            dir.unregister("svc-7");
-            let names = dir.list();
-            assert_eq!(names.len(), 19);
-            assert!(!names.contains(&"svc-7".to_string()));
-        }
     }
 }

@@ -293,13 +293,6 @@ pub fn send_oneway(ctx: &Ctx, to: Endpoint, op: &str, args: &Value) {
     ctx.send_traced(to, payload, span);
 }
 
-/// Sends a one-way notification from a specific bound source endpoint.
-pub fn send_oneway_from(ctx: &Ctx, from: Endpoint, to: Endpoint, op: &str, args: &Value) {
-    let span = note_oneway_span(ctx, op, args);
-    let payload = Oneway::encode(from, op, args, span.raw());
-    ctx.send_from_traced(from, to, payload, span);
-}
-
 /// Records a one-way span for a notification, parented to the caller's
 /// active span. The service label comes from the body's `"svc"` field
 /// when present (invalidate/recall bodies carry it), falling back to the

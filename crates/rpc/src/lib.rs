@@ -53,9 +53,7 @@ mod rtt;
 mod server;
 
 pub use channel::{CallHandle, Channel, ChannelConfig, ChannelStats};
-pub use client::{
-    send_oneway, send_oneway_from, CallStats, RetryPolicy, RpcClient, Stray, StrayVerdict,
-};
+pub use client::{send_oneway, CallStats, RetryPolicy, RpcClient, Stray, StrayVerdict};
 pub use error::{ErrorCode, RemoteError, RpcError};
 pub use proto::{
     endpoint_from_value, endpoint_to_value, with_encoder, Batch, Oneway, Packet, Reply, Request,

@@ -270,7 +270,7 @@ pub(crate) struct Handoff {
 
 // SAFETY: `Inner`'s body is `Send` and its stack mapping, words and
 // frame names are plain data, so an unstarted or finished hand-off may
-// sit in (and be dropped from) a registry any thread can lock. Once
+// sit in (and be dropped from) a process table any thread can lock. Once
 // started, the frames on the stack may hold anything — that is what the
 // owner-thread invariant is for: `resume` refuses to run them anywhere
 // but on the thread that started them, and `drop` leaks rather than

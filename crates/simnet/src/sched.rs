@@ -39,7 +39,10 @@
 //! The event queue is sharded into **domains**: nodes are partitioned
 //! round-robin (`node % ndomains`, see [`Simulation::with_domains`]) and
 //! each domain owns its own virtual clock, event heap, tie-breaking
-//! sequence counter, RNG stream and trace ring. Domains advance in
+//! sequence counter, RNG stream, trace ring, process table, id counters
+//! and outbox, under one mutex. A round locks only its own domain (debug
+//! builds check it); the only shared state it touches is the network
+//! `RwLock`, the metrics atomics and its own obs lane. Domains advance in
 //! *barrier rounds* under conservative lookahead: each round computes
 //! the global minimum event time and lets every domain execute events up
 //! to `min cross-domain link latency` past it; cross-domain effects
@@ -69,6 +72,7 @@
 //! blocking style of real code, while the network in between is
 //! simulated and fault-injectable.
 
+use std::cell::Cell;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -78,7 +82,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -207,7 +211,7 @@ impl Ord for Ev {
 }
 
 /// A poll-driven process's state machine plus its per-process context.
-/// Taken out of the registry while being polled so no lock is held
+/// Taken out of the process table while being polled so no lock is held
 /// during user code, and put back if the poll returns `Pending`.
 struct PolledMachine {
     process: Box<dyn Process>,
@@ -217,7 +221,7 @@ struct PolledMachine {
 /// How a process executes: a blocking body suspended on a stack of its
 /// own, or a heap-allocated state machine.
 enum ProcKind {
-    /// Taken out of the registry while the body runs (no lock is held
+    /// Taken out of the process table while the body runs (no lock is held
     /// during user code) and put back when it blocks; gone — stack and
     /// all — once the body has finished.
     Blocking {
@@ -236,51 +240,18 @@ struct ProcEntry {
     /// parks (poll-driven); stale timeout events carry an older
     /// generation and are ignored.
     gen: u64,
-    /// The domain the process's node maps to. Every event that touches
-    /// this entry executes in this domain.
-    domain: usize,
     kind: ProcKind,
     panic_msg: Option<String>,
 }
 
-struct Registry {
-    procs: HashMap<ProcId, ProcEntry>,
-    endpoints: HashMap<Endpoint, ProcId>,
-    /// Identifier-allocation stripe count (== domain count). Ids are
-    /// striped by the *allocating* domain — `id = count · stripes +
-    /// stripe` — so domains running concurrently mint disjoint sequences
-    /// that are each deterministic in the allocating domain's own
-    /// execution order. With one stripe this is exactly the classic
-    /// sequential counter.
-    stripes: u32,
-    /// Per-stripe count of pids handed out.
-    next_proc: Vec<u32>,
-    /// Per `(node, stripe)` count of ephemeral ports handed out.
-    next_ephemeral: HashMap<(NodeId, u32), u32>,
-}
-
-impl Registry {
-    fn alloc_pid(&mut self, stripe: u32) -> ProcId {
-        let c = &mut self.next_proc[stripe as usize];
-        let pid = ProcId(*c * self.stripes + stripe);
-        *c += 1;
-        pid
-    }
-
-    fn alloc_ephemeral_port(&mut self, node: NodeId, stripe: u32) -> PortId {
-        let c = self.next_ephemeral.entry((node, stripe)).or_insert(0);
-        let port = PortId(PortId::EPHEMERAL_BASE + *c * self.stripes + stripe);
-        *c += 1;
-        port
-    }
-}
-
 /// One domain's share of the scheduler: its virtual clock, pending-event
-/// heap, tie-breaking sequence counter, RNG stream, trace ring and
-/// process-accounting ledger. Clock, heap and seq live under ONE mutex
-/// (per domain) so the round loop pops the next event and advances time
-/// in a single acquisition — no observer can see a clock out of step
-/// with the heap it was derived from.
+/// heap, tie-breaking sequence counter, RNG stream, trace ring, process
+/// table, id counters, outbox and process-accounting ledger — everything
+/// a round touches, under ONE mutex per domain. Only the domain's own
+/// round (or the driving thread between rounds) takes it, so the round
+/// loop pops the next event and advances time in a single uncontended
+/// acquisition, and no observer can see a clock out of step with the
+/// heap it was derived from.
 struct DomainState {
     now: SimTime,
     events: BinaryHeap<Ev>,
@@ -293,6 +264,20 @@ struct DomainState {
     /// This domain's slice of the timeline; merged on
     /// [`Simulation::take_trace`] by `(time, domain, push order)`.
     trace: Option<Trace>,
+    /// The processes on this domain's nodes, and the endpoint each one
+    /// is bound to (one per process).
+    procs: HashMap<ProcId, ProcEntry>,
+    endpoints: HashMap<Endpoint, ProcId>,
+    /// Pids this domain has handed out, and ephemeral ports per node.
+    /// Ids are striped by the *allocating* domain — `id = count ·
+    /// ndomains + domain` — so domains running concurrently mint
+    /// disjoint sequences, each deterministic in its own execution
+    /// order. With one domain this is the classic sequential counter.
+    next_proc: u32,
+    next_ephemeral: HashMap<NodeId, u32>,
+    /// Cross-domain events this domain's execution produced this round,
+    /// in send order; the barrier drains every outbox and merges them.
+    outbox: Vec<OutboundEv>,
     /// Processes spawned into this domain (lifetime total).
     spawned: u64,
     /// Processes of this domain currently alive.
@@ -326,12 +311,41 @@ impl DomainState {
             seq: 0,
             rng: StdRng::seed_from_u64(rng_seed),
             trace: None,
+            procs: HashMap::new(),
+            endpoints: HashMap::new(),
+            next_proc: 0,
+            next_ephemeral: HashMap::new(),
+            outbox: Vec::new(),
             spawned: 0,
             live: 0,
             round_delta: 0,
             round_rise: 0,
             round_events_run: 0,
             round_busy_ns: 0,
+        }
+    }
+
+    /// Enqueues an event into this domain's heap with a fresh
+    /// domain-local sequence number.
+    fn push_event(&mut self, time: SimTime, kind: EvKind) {
+        self.seq += 1;
+        let key = EvKey {
+            time,
+            seq: self.seq,
+        };
+        self.events.push(Ev { key, kind });
+    }
+
+    /// Appends the event `event` builds to the trace ring at the
+    /// domain's current instant; an untraced domain never calls `event`.
+    fn record(&mut self, span: obs::SpanId, event: impl FnOnce() -> TraceEvent) {
+        let at = self.now;
+        if let Some(trace) = self.trace.as_mut() {
+            trace.push(TraceRecord {
+                at,
+                span,
+                event: event(),
+            });
         }
     }
 }
@@ -397,13 +411,38 @@ struct OutboundEv {
     kind: EvKind,
 }
 
+/// One scheduling domain: its state, and the series names it reports
+/// under.
+struct Domain {
+    state: Mutex<DomainState>,
+    series: DomainSeries,
+}
+
+thread_local! {
+    /// The `(simulation, domain)` whose round or shutdown this thread is
+    /// executing, if any: what the debug ownership check in
+    /// [`Shared::dom`] compares against.
+    static RUNNING: Cell<Option<(*const Shared, usize)>> = const { Cell::new(None) };
+}
+
+/// Marks this thread as executing one domain's round (or shutdown)
+/// until dropped.
+struct Running(Option<(*const Shared, usize)>);
+
+impl Running {
+    fn enter(shared: &Shared, d: usize) -> Running {
+        Running(RUNNING.replace(Some((shared, d))))
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        RUNNING.set(self.0);
+    }
+}
+
 struct Shared {
-    domains: Box<[Mutex<DomainState>]>,
-    /// Per-*source*-domain buffers of cross-domain events. Only the
-    /// owning domain's execution pushes, so there is no contention; the
-    /// barrier drains them all and merges deterministically.
-    outboxes: Box<[Mutex<Vec<OutboundEv>>]>,
-    series: Box<[DomainSeries]>,
+    domains: Box<[Domain]>,
     /// The current round's conservative lookahead in nanoseconds
     /// (`u64::MAX` for a single domain). Deferred cross-domain effects
     /// (spawn/kill) are timestamped `now + lookahead` so they land at or
@@ -414,7 +453,6 @@ struct Shared {
     /// mutexes); it only lets an untraced run skip building the event
     /// and locking a domain to find no ring there.
     tracing: AtomicBool,
-    registry: Mutex<Registry>,
     network: RwLock<Network>,
     metrics: Arc<Metrics>,
     obs: Arc<obs::MetricsRegistry>,
@@ -433,16 +471,31 @@ impl Shared {
         node.0 as usize % self.domains.len()
     }
 
+    /// The one way to a domain's state. A round owns its domain: in
+    /// debug builds, the round (or shutdown) of domain `e` asking for
+    /// domain `d ≠ e` panics. The barrier merge and the driving thread
+    /// between rounds run outside every round and may touch any domain.
+    fn dom(&self, d: usize) -> MutexGuard<'_, DomainState> {
+        if cfg!(debug_assertions) {
+            if let Some((sim, own)) = RUNNING.get() {
+                assert!(
+                    own == d || !std::ptr::eq(sim, self),
+                    "simnet: domain {own}'s round touched domain {d}'s state"
+                );
+            }
+        }
+        self.domains[d].state.lock()
+    }
+
     fn domain_now(&self, d: usize) -> SimTime {
-        self.domains[d].lock().now
+        self.dom(d).now
     }
 
     /// The most advanced domain clock — what an outside observer calls
     /// "now". With one domain this is the classic scheduler clock.
     fn max_now(&self) -> SimTime {
-        self.domains
-            .iter()
-            .map(|d| d.lock().now)
+        (0..self.ndomains())
+            .map(|d| self.domain_now(d))
             .max()
             .unwrap_or(SimTime::ZERO)
     }
@@ -457,20 +510,7 @@ impl Shared {
             return;
         }
         let event = event();
-        let mut st = self.domains[d].lock();
-        let at = st.now;
-        if let Some(trace) = st.trace.as_mut() {
-            trace.push(TraceRecord { at, span, event });
-        }
-    }
-
-    /// Enqueues an event into domain `d`'s own heap with a fresh
-    /// domain-local sequence number.
-    fn push_event_domain(&self, d: usize, time: SimTime, kind: EvKind) {
-        let mut st = self.domains[d].lock();
-        st.seq += 1;
-        let key = EvKey { time, seq: st.seq };
-        st.events.push(Ev { key, kind });
+        self.dom(d).record(span, || event);
     }
 
     /// Plans delivery for a payload and enqueues the resulting events.
@@ -485,8 +525,11 @@ impl Shared {
     fn send(&self, src: Endpoint, dst: Endpoint, payload: Bytes, span: obs::SpanId) {
         let sd = self.domain_of(src.node);
         let dd = self.domain_of(dst.node);
-        let now = self.domain_now(sd);
         self.metrics.on_send(payload.len());
+        // Lock order: network before domain, never the reverse.
+        let net = self.network.read();
+        let mut st = self.dom(sd);
+        let now = st.now;
         // Per-link wire bytes for the flight recorder. The enabled check
         // is one relaxed load; the series-name formatting only happens
         // when someone is recording.
@@ -497,20 +540,14 @@ impl Shared {
                 payload.len() as u64,
             );
         }
-        self.record(sd, span, || {
+        st.record(span, || {
             TraceEvent::Net(obs::NetEventKind::Sent {
                 src: src.into(),
                 dst: dst.into(),
                 bytes: payload.len() as u64,
             })
         });
-        // Lock order: network before domain, never the reverse.
-        let fate = {
-            let net = self.network.read();
-            let mut st = self.domains[sd].lock();
-            net.plan(src.node, dst.node, payload.len(), now, &mut st.rng)
-        };
-        match fate {
+        match net.plan(src.node, dst.node, payload.len(), now, &mut st.rng) {
             Fate::Deliver(times) => {
                 if times.len() > 1 {
                     self.metrics.on_duplicate();
@@ -527,12 +564,12 @@ impl Shared {
                         },
                     };
                     if dd == sd {
-                        self.push_event_domain(sd, t, kind);
+                        st.push_event(t, kind);
                     } else {
                         // Cross-domain: park in the source outbox; the
                         // round barrier merges outboxes in (time, src
                         // domain, send order) order.
-                        self.outboxes[sd].lock().push(OutboundEv {
+                        st.outbox.push(OutboundEv {
                             dst: dd,
                             time: t,
                             kind,
@@ -542,7 +579,7 @@ impl Shared {
             }
             Fate::Dropped => {
                 self.metrics.on_drop();
-                self.record(sd, span, || {
+                st.record(span, || {
                     TraceEvent::Net(obs::NetEventKind::Dropped {
                         src: src.into(),
                         dst: dst.into(),
@@ -551,7 +588,7 @@ impl Shared {
             }
             Fate::Blackholed => {
                 self.metrics.on_blackhole();
-                self.record(sd, span, || {
+                st.record(span, || {
                     TraceEvent::Net(obs::NetEventKind::Blackholed {
                         src: src.into(),
                         dst: dst.into(),
@@ -561,32 +598,36 @@ impl Shared {
         }
     }
 
-    fn pop_mailbox(&self, pid: ProcId) -> Option<Message> {
-        self.registry
-            .lock()
+    fn pop_mailbox(&self, d: usize, pid: ProcId) -> Option<Message> {
+        self.dom(d)
             .procs
             .get_mut(&pid)
             .and_then(|e| e.mailbox.pop_front())
     }
 
-    /// Allocates a pid and the primary endpoint for a new process.
-    /// Identifiers are striped by the allocating domain (`stripe`), so
-    /// concurrent domains mint disjoint, individually-deterministic id
-    /// sequences. The endpoint is *not* bound here — binding happens at
-    /// registration time, in the target domain's timeline.
-    fn alloc_proc(&self, stripe: u32, node: NodeId, port: Option<PortId>) -> (ProcId, Endpoint) {
-        let mut reg = self.registry.lock();
-        let pid = reg.alloc_pid(stripe);
-        let port = match port {
-            Some(p) => {
-                assert!(
-                    !p.is_ephemeral(),
-                    "explicitly bound ports must be below PortId::EPHEMERAL_BASE, got {p}"
-                );
-                p
-            }
-            None => reg.alloc_ephemeral_port(node, stripe),
-        };
+    /// Allocates a pid and the primary endpoint for a new process from
+    /// domain `stripe`'s counters: the spawner's domain for an in-round
+    /// spawn, the target's for one from the driving thread. The endpoint
+    /// is *not* bound here — binding happens at registration time, in
+    /// the target domain's timeline.
+    fn alloc_proc(&self, stripe: usize, node: NodeId, port: Option<PortId>) -> (ProcId, Endpoint) {
+        if let Some(p) = port {
+            assert!(
+                !p.is_ephemeral(),
+                "explicitly bound ports must be below PortId::EPHEMERAL_BASE, got {p}"
+            );
+        }
+        let nd = self.ndomains() as u32;
+        let s = stripe as u32;
+        let mut st = self.dom(stripe);
+        let pid = ProcId(st.next_proc * nd + s);
+        st.next_proc += 1;
+        let port = port.unwrap_or_else(|| {
+            let c = st.next_ephemeral.entry(node).or_insert(0);
+            let port = PortId(PortId::EPHEMERAL_BASE + *c * nd + s);
+            *c += 1;
+            port
+        });
         (pid, Endpoint::new(node, port))
     }
 
@@ -602,28 +643,26 @@ impl Shared {
         entry: ProcEntry,
         in_round: bool,
     ) {
-        self.record(d, obs::SpanId::NONE, || TraceEvent::Spawned {
+        let mut st = self.dom(d);
+        st.record(obs::SpanId::NONE, || TraceEvent::Spawned {
             pid,
             name: entry.name.clone(),
             endpoint,
         });
-        {
-            let mut reg = self.registry.lock();
-            assert!(
-                !reg.endpoints.contains_key(&endpoint),
-                "endpoint {endpoint} already bound"
-            );
-            reg.endpoints.insert(endpoint, pid);
-            reg.procs.insert(pid, entry);
-        }
-        self.note_proc_spawned(d, in_round);
+        assert!(
+            !st.endpoints.contains_key(&endpoint),
+            "endpoint {endpoint} already bound"
+        );
+        st.endpoints.insert(endpoint, pid);
+        st.procs.insert(pid, entry);
+        self.note_proc_spawned(d, &mut st, in_round);
         // Start the process at the domain's current instant.
-        let now = self.domain_now(d);
-        self.push_event_domain(d, now, EvKind::Wake(pid));
+        let now = st.now;
+        st.push_event(now, EvKind::Wake(pid));
     }
 
     /// Updates process-count metrics and gauges for a spawn landing in
-    /// domain `d`.
+    /// domain `d` (whose state is `st`).
     ///
     /// Single-domain simulations take the classic exact path (`peak`
     /// updated inline). Multi-domain simulations cannot order concurrent
@@ -632,13 +671,12 @@ impl Shared {
     /// folds the ledgers into a deterministic *upper bound* on the peak
     /// (see `finish_round`). Out-of-round spawns (from the driving
     /// thread, nothing else running) still take the exact path.
-    fn note_proc_spawned(&self, d: usize, in_round: bool) {
-        let nd = self.ndomains();
+    fn note_proc_spawned(&self, d: usize, st: &mut DomainState, in_round: bool) {
         let ts = self.obs.timeseries_enabled();
-        if nd == 1 {
+        let now_ns = st.now.as_nanos();
+        if self.ndomains() == 1 {
             let (spawned, peak) = self.metrics.on_proc_spawn();
             if ts {
-                let now_ns = self.domain_now(0).as_nanos();
                 self.obs.ts_gauge(now_ns, "processes_spawned", spawned);
                 self.obs.ts_gauge(now_ns, "processes_peak", peak);
             }
@@ -651,19 +689,14 @@ impl Shared {
             // live count is exact — keep the classic peak fold.
             let _ = self.metrics.on_proc_spawn();
         }
-        let (dom_spawned, dom_live, now) = {
-            let mut st = self.domains[d].lock();
-            st.spawned += 1;
-            st.live += 1;
-            st.round_delta += 1;
-            st.round_rise = st.round_rise.max(st.round_delta);
-            (st.spawned, st.live, st.now)
-        };
+        st.spawned += 1;
+        st.live += 1;
+        st.round_delta += 1;
+        st.round_rise = st.round_rise.max(st.round_delta);
         if ts {
-            let now_ns = now.as_nanos();
-            self.obs
-                .ts_gauge(now_ns, &self.series[d].spawned, dom_spawned);
-            self.obs.ts_gauge(now_ns, &self.series[d].current, dom_live);
+            let series = &self.domains[d].series;
+            self.obs.ts_gauge(now_ns, &series.spawned, st.spawned);
+            self.obs.ts_gauge(now_ns, &series.current, st.live);
         }
     }
 
@@ -672,7 +705,7 @@ impl Shared {
     fn note_proc_finished(&self, d: usize) {
         self.metrics.on_proc_finish();
         if self.ndomains() > 1 {
-            let mut st = self.domains[d].lock();
+            let mut st = self.dom(d);
             st.live = st.live.saturating_sub(1);
             st.round_delta -= 1;
         }
@@ -687,8 +720,7 @@ impl Shared {
         body: Box<dyn FnOnce(&mut Ctx) + Send + 'static>,
     ) -> Endpoint {
         let target = self.domain_of(node);
-        let stripe = spawner.unwrap_or(target) as u32;
-        let (pid, endpoint) = self.alloc_proc(stripe, node, port);
+        let (pid, endpoint) = self.alloc_proc(spawner.unwrap_or(target), node, port);
 
         let mut ctx = Ctx {
             pid,
@@ -721,7 +753,6 @@ impl Shared {
             mailbox: VecDeque::new(),
             state: ProcState::NotStarted,
             gen: 0,
-            domain: target,
             kind: ProcKind::Blocking {
                 handoff: Some(handoff),
             },
@@ -742,8 +773,7 @@ impl Shared {
         process: Box<dyn Process>,
     ) -> Endpoint {
         let target = self.domain_of(node);
-        let stripe = spawner.unwrap_or(target) as u32;
-        let (pid, endpoint) = self.alloc_proc(stripe, node, port);
+        let (pid, endpoint) = self.alloc_proc(spawner.unwrap_or(target), node, port);
 
         let ctx = Ctx {
             pid,
@@ -764,7 +794,6 @@ impl Shared {
             mailbox: VecDeque::new(),
             state: ProcState::NotStarted,
             gen: 0,
-            domain: target,
             kind: ProcKind::Polled {
                 machine: Some(PolledMachine {
                     process,
@@ -777,13 +806,21 @@ impl Shared {
         endpoint
     }
 
+    /// Parks `kind` in domain `s`'s outbox for domain `dst`, one
+    /// lookahead past `s`'s clock: the earliest instant `dst` can
+    /// causally observe anything from `s`'s current round.
+    fn defer(&self, s: usize, dst: usize, kind: EvKind) {
+        let la = self.round_lookahead_ns.load(Ordering::Relaxed);
+        let mut st = self.dom(s);
+        let time = SimTime::from_nanos(st.now.as_nanos().saturating_add(la));
+        st.outbox.push(OutboundEv { dst, time, kind });
+    }
+
     /// Registers a freshly built process entry. Same-domain (and
     /// out-of-round) spawns register immediately, exactly like the
     /// sequential scheduler. A spawn *from another domain's execution*
     /// is instead shipped through the outbox as an `ApplySpawn` that
-    /// lands one lookahead later in the target's timeline — the earliest
-    /// instant the target can causally observe anything from the
-    /// spawner's current round.
+    /// lands one lookahead later in the target's timeline.
     fn commit_spawn(
         &self,
         spawner: Option<usize>,
@@ -793,20 +830,15 @@ impl Shared {
         entry: ProcEntry,
     ) {
         match spawner {
-            Some(s) if s != target => {
-                let now = self.domain_now(s);
-                let la = self.round_lookahead_ns.load(Ordering::Relaxed);
-                let at = SimTime::from_nanos(now.as_nanos().saturating_add(la));
-                self.outboxes[s].lock().push(OutboundEv {
-                    dst: target,
-                    time: at,
-                    kind: EvKind::ApplySpawn {
-                        pid,
-                        endpoint,
-                        entry: Box::new(entry),
-                    },
-                });
-            }
+            Some(s) if s != target => self.defer(
+                s,
+                target,
+                EvKind::ApplySpawn {
+                    pid,
+                    endpoint,
+                    entry: Box::new(entry),
+                },
+            ),
             _ => self.register_proc(target, pid, endpoint, entry, spawner.is_some()),
         }
     }
@@ -818,48 +850,38 @@ impl Shared {
     /// the victim's timeline and optimistically returns `true` (the
     /// caller cannot observe the victim's state without crossing the
     /// same latency anyway).
-    fn request_kill(&self, from: Option<usize>, target: Endpoint) -> bool {
+    fn request_kill(&self, from: usize, target: Endpoint) -> bool {
         let td = self.domain_of(target.node);
-        match from {
-            Some(s) if s != td => {
-                let now = self.domain_now(s);
-                let la = self.round_lookahead_ns.load(Ordering::Relaxed);
-                let at = SimTime::from_nanos(now.as_nanos().saturating_add(la));
-                self.outboxes[s].lock().push(OutboundEv {
-                    dst: td,
-                    time: at,
-                    kind: EvKind::RemoteKill { target },
-                });
-                true
-            }
-            _ => self.kill_local(td, target),
+        if from == td {
+            return self.kill_local(td, target);
         }
+        self.defer(from, td, EvKind::RemoteKill { target });
+        true
     }
 
-    /// Kill running in the victim's own domain: unbind endpoints, clear
-    /// the mailbox, schedule teardown at the domain's current instant.
+    /// Kill running in the victim's own domain: unbind its endpoint,
+    /// clear the mailbox, schedule teardown at the domain's current
+    /// instant.
     fn kill_local(&self, d: usize, target: Endpoint) -> bool {
-        let mut reg = self.registry.lock();
-        let Some(pid) = reg.endpoints.get(&target).copied() else {
+        let mut guard = self.dom(d);
+        let st = &mut *guard;
+        let Some(&pid) = st.endpoints.get(&target) else {
             return false;
         };
-        let alive = reg
+        let Some(entry) = st
             .procs
-            .get(&pid)
-            .map(|e| e.state != ProcState::Finished)
-            .unwrap_or(false);
-        if !alive {
+            .get_mut(&pid)
+            .filter(|e| e.state != ProcState::Finished)
+        else {
             return false;
-        }
-        reg.endpoints.retain(|_, p| *p != pid);
+        };
         // Drop anything already queued: a crashed process processes
         // nothing more.
-        if let Some(entry) = reg.procs.get_mut(&pid) {
-            entry.mailbox.clear();
-        }
-        drop(reg);
-        self.record(d, obs::SpanId::NONE, || TraceEvent::Killed { pid });
-        self.push_event_domain(d, self.domain_now(d), EvKind::Kill(pid));
+        entry.mailbox.clear();
+        st.endpoints.remove(&target);
+        st.record(obs::SpanId::NONE, || TraceEvent::Killed { pid });
+        let now = st.now;
+        st.push_event(now, EvKind::Kill(pid));
         true
     }
 
@@ -882,9 +904,9 @@ impl Shared {
 }
 
 /// The round-execution engine. Everything here runs with `&self` — a
-/// worker thread executes `domain_round` for the domains it owns, and
-/// all shared state sits behind the per-domain mutexes, the registry
-/// mutex, the network rwlock and relaxed atomics.
+/// worker thread executes `domain_round` for the domains it owns. A
+/// round locks only its own domain; the only shared state it touches is
+/// the network `RwLock`, the metrics atomics and its own obs lane.
 impl Shared {
     /// Executes one barrier round for domain `d`: pop-and-run every
     /// event with time `t` satisfying `t <= limit && (t == gm || t <
@@ -893,6 +915,7 @@ impl Shared {
     /// run); the strict `<` keeps the horizon conservative under float
     /// truncation.
     fn domain_round(&self, d: usize, gm: SimTime, horizon: SimTime, limit: SimTime) {
+        let _running = Running::enter(self, d);
         // Profiler bookkeeping: count the events this round runs
         // (deterministic) and, while the profiler is armed, bracket the
         // whole drain with two clock reads — per round per domain, not
@@ -900,13 +923,14 @@ impl Shared {
         // loop.
         let profiling = self.obs.profile_enabled();
         let t_round = profiling.then(Instant::now);
+        let series = &self.domains[d].series;
         let mut events_run: u64 = 0;
         loop {
             // One lock acquisition pops the next runnable event AND
             // advances the domain clock to it, so no observer can see
             // the old time paired with the drained heap (or vice versa).
             let popped = {
-                let mut st = self.domains[d].lock();
+                let mut st = self.dom(d);
                 match st.events.peek() {
                     Some(ev)
                         if ev.key.time <= limit && (ev.key.time == gm || ev.key.time < horizon) =>
@@ -950,10 +974,10 @@ impl Shared {
                 // genuinely varying heap-depth gauge hangs on.
                 self.obs.ts_observe(
                     now_ns,
-                    &self.series[d].lag,
+                    &series.lag,
                     now_ns.saturating_sub(ev.key.time.as_nanos()),
                 );
-                self.obs.ts_gauge(now_ns, &self.series[d].depth, depth);
+                self.obs.ts_gauge(now_ns, &series.depth, depth);
             }
             self.dispatch(d, ev.kind);
             events_run += 1;
@@ -966,14 +990,14 @@ impl Shared {
             // the horizon deferred. Both values are deterministic, so
             // the series stay byte-identical across thread counts.
             let (now_ns, deferred) = {
-                let mut st = self.domains[d].lock();
+                let mut st = self.dom(d);
                 st.round_events_run = events_run;
                 st.round_busy_ns = busy_ns;
                 (st.now.as_nanos(), st.events.len() as u64)
             };
             if self.obs.timeseries_enabled() {
-                self.obs.ts_add(now_ns, &self.series[d].run, events_run);
-                self.obs.ts_gauge(now_ns, &self.series[d].pending, deferred);
+                self.obs.ts_add(now_ns, &series.run, events_run);
+                self.obs.ts_gauge(now_ns, &series.pending, deferred);
             }
         }
     }
@@ -986,8 +1010,8 @@ impl Shared {
     /// count.
     fn flush_outboxes(&self) {
         let mut all: Vec<(SimTime, usize, usize, OutboundEv)> = Vec::new();
-        for (src, outbox) in self.outboxes.iter().enumerate() {
-            let drained = std::mem::take(&mut *outbox.lock());
+        for src in 0..self.ndomains() {
+            let drained = std::mem::take(&mut self.dom(src).outbox);
             for (idx, ev) in drained.into_iter().enumerate() {
                 all.push((ev.time, src, idx, ev));
             }
@@ -997,7 +1021,7 @@ impl Shared {
         }
         all.sort_by_key(|a| (a.0, a.1, a.2));
         for (_, _, _, ev) in all {
-            self.push_event_domain(ev.dst, ev.time, ev.kind);
+            self.dom(ev.dst).push_event(ev.time, ev.kind);
         }
     }
 
@@ -1009,13 +1033,9 @@ impl Shared {
     /// per-domain facts — so the reported peak is identical for every
     /// worker count (and exact whenever one domain drives the growth).
     fn finish_round(&self, live_start: u64, gm: SimTime) {
-        let mut rise_sum: u64 = 0;
-        for dom in self.domains.iter() {
-            let st = dom.lock();
-            if st.round_rise > 0 {
-                rise_sum += st.round_rise as u64;
-            }
-        }
+        let rise_sum: u64 = (0..self.ndomains())
+            .map(|d| self.dom(d).round_rise.max(0) as u64)
+            .sum();
         if rise_sum == 0 {
             return;
         }
@@ -1027,7 +1047,7 @@ impl Shared {
 
     fn dispatch(&self, d: usize, kind: EvKind) {
         match kind {
-            EvKind::Wake(pid) => match self.proc_status(pid) {
+            EvKind::Wake(pid) => match self.proc_status(d, pid) {
                 Some((ProcState::NotStarted, false)) => self.resume_and_wait(d, pid, Resume::Start),
                 Some((ProcState::Sleeping, false)) => self.resume_and_wait(d, pid, Resume::Woken),
                 Some((ProcState::NotStarted | ProcState::Parked, true)) => {
@@ -1038,26 +1058,23 @@ impl Shared {
             EvKind::Timeout { pid, gen } => {
                 // A timer is live only if the process still blocks on the
                 // park that armed it: the generation bumps on every park.
-                let polled = {
-                    let reg = self.registry.lock();
-                    reg.procs.get(&pid).and_then(|e| {
-                        if e.gen != gen {
-                            return None;
-                        }
-                        match (&e.kind, e.state) {
-                            (ProcKind::Blocking { .. }, ProcState::BlockedRecv) => Some(false),
-                            (ProcKind::Polled { .. }, ProcState::Parked) => Some(true),
-                            _ => None,
-                        }
-                    })
-                };
+                let polled = self.dom(d).procs.get(&pid).and_then(|e| {
+                    if e.gen != gen {
+                        return None;
+                    }
+                    match (&e.kind, e.state) {
+                        (ProcKind::Blocking { .. }, ProcState::BlockedRecv) => Some(false),
+                        (ProcKind::Polled { .. }, ProcState::Parked) => Some(true),
+                        _ => None,
+                    }
+                });
                 match polled {
                     Some(false) => self.resume_and_wait(d, pid, Resume::TimedOut),
                     Some(true) => self.poll_process(d, pid),
                     None => {}
                 }
             }
-            EvKind::Kill(pid) => match self.proc_status(pid) {
+            EvKind::Kill(pid) => match self.proc_status(d, pid) {
                 Some((ProcState::Finished, _)) | None => {}
                 Some((_, true)) => {
                     // A killed state machine just drops: a crash runs no
@@ -1086,93 +1103,81 @@ impl Shared {
                 let _ = self.kill_local(d, target);
             }
             EvKind::Deliver { msg } => {
-                let (delivered_src, delivered_dst, delivered_bytes, delivered_span) =
-                    (msg.src, msg.dst, msg.payload.len(), msg.span);
                 // What the delivery should do to the receiving process:
                 // resume a body blocked in recv, poll a parked machine,
                 // or nothing (it will find the message when it next runs).
-                #[derive(PartialEq)]
                 enum After {
-                    Nothing,
                     ResumeBody,
                     PollMachine,
                 }
-                let target = {
-                    let mut reg = self.registry.lock();
-                    let pid = reg.endpoints.get(&msg.dst).copied();
-                    match pid {
-                        Some(pid) => {
-                            let entry = reg.procs.get_mut(&pid).expect("endpoint maps to proc");
-                            if entry.state == ProcState::Finished {
-                                None
-                            } else {
-                                entry.mailbox.push_back(msg);
-                                let after = match (&entry.kind, entry.state) {
-                                    (ProcKind::Blocking { .. }, ProcState::BlockedRecv) => {
-                                        After::ResumeBody
-                                    }
-                                    // Every delivery wakes a parked machine:
-                                    // it parked after seeing an empty
-                                    // mailbox, so this message is news. No
-                                    // wakeup can be lost — racing
-                                    // completions each schedule a poll.
-                                    (ProcKind::Polled { .. }, ProcState::Parked) => {
-                                        After::PollMachine
-                                    }
-                                    _ => After::Nothing,
-                                };
-                                Some((pid, after))
-                            }
-                        }
-                        None => None,
-                    }
-                };
-                match target {
-                    Some((pid, after)) => {
-                        self.metrics.on_deliver();
-                        self.record(d, delivered_span, || {
-                            TraceEvent::Net(obs::NetEventKind::Delivered {
-                                src: delivered_src.into(),
-                                dst: delivered_dst.into(),
-                                bytes: delivered_bytes as u64,
-                            })
-                        });
-                        match after {
-                            After::ResumeBody => self.resume_and_wait(d, pid, Resume::Delivered),
-                            After::PollMachine => self.poll_process(d, pid),
-                            After::Nothing => {}
-                        }
-                    }
-                    None => {
+                let (src, dst, bytes, span) = (msg.src, msg.dst, msg.payload.len(), msg.span);
+                let after = {
+                    let mut guard = self.dom(d);
+                    let st = &mut *guard;
+                    let entry = st
+                        .endpoints
+                        .get(&dst)
+                        .map(|pid| (*pid, st.procs.get_mut(pid).expect("endpoint maps to proc")))
+                        .filter(|(_, e)| e.state != ProcState::Finished);
+                    let Some((pid, entry)) = entry else {
                         self.metrics.on_blackhole();
-                        self.record(d, delivered_span, || {
+                        st.record(span, || {
                             TraceEvent::Net(obs::NetEventKind::Blackholed {
-                                src: delivered_src.into(),
-                                dst: delivered_dst.into(),
+                                src: src.into(),
+                                dst: dst.into(),
                             })
                         });
+                        return;
+                    };
+                    entry.mailbox.push_back(msg);
+                    let after = match (&entry.kind, entry.state) {
+                        (ProcKind::Blocking { .. }, ProcState::BlockedRecv) => {
+                            Some(After::ResumeBody)
+                        }
+                        // Every delivery wakes a parked machine: it parked
+                        // after seeing an empty mailbox, so this message
+                        // is news. No wakeup can be lost — racing
+                        // completions each schedule a poll.
+                        (ProcKind::Polled { .. }, ProcState::Parked) => Some(After::PollMachine),
+                        _ => None,
+                    };
+                    self.metrics.on_deliver();
+                    st.record(span, || {
+                        TraceEvent::Net(obs::NetEventKind::Delivered {
+                            src: src.into(),
+                            dst: dst.into(),
+                            bytes: bytes as u64,
+                        })
+                    });
+                    after.map(|a| (pid, a))
+                };
+                match after {
+                    Some((pid, After::ResumeBody)) => {
+                        self.resume_and_wait(d, pid, Resume::Delivered)
                     }
+                    Some((pid, After::PollMachine)) => self.poll_process(d, pid),
+                    None => {}
                 }
             }
         }
     }
 
     /// The process's state plus whether it is poll-driven.
-    fn proc_status(&self, pid: ProcId) -> Option<(ProcState, bool)> {
-        self.registry
-            .lock()
+    fn proc_status(&self, d: usize, pid: ProcId) -> Option<(ProcState, bool)> {
+        self.dom(d)
             .procs
             .get(&pid)
             .map(|e| (e.state, matches!(e.kind, ProcKind::Polled { .. })))
     }
 
     /// Polls a poll-driven process once. The machine is taken out of the
-    /// registry for the duration, so no lock is held while user code
-    /// runs (and the machine may freely spawn or kill other processes).
+    /// process table for the duration, so no lock is held while user
+    /// code runs (and the machine may freely spawn or kill other
+    /// processes).
     fn poll_process(&self, d: usize, pid: ProcId) {
         let machine = {
-            let mut reg = self.registry.lock();
-            let Some(entry) = reg.procs.get_mut(&pid) else {
+            let mut st = self.dom(d);
+            let Some(entry) = st.procs.get_mut(&pid) else {
                 return;
             };
             if entry.state == ProcState::Finished {
@@ -1190,20 +1195,18 @@ impl Shared {
         let wake = m.cx.take_wake();
         match result {
             Ok(Poll::Pending) => {
-                let gen = {
-                    let mut reg = self.registry.lock();
-                    let entry = reg.procs.get_mut(&pid).expect("proc vanished");
-                    entry.gen += 1;
-                    entry.state = ProcState::Parked;
-                    match &mut entry.kind {
-                        ProcKind::Polled { machine } => *machine = Some(m),
-                        ProcKind::Blocking { .. } => unreachable!(),
-                    }
-                    entry.gen
-                };
+                let mut st = self.dom(d);
+                let entry = st.procs.get_mut(&pid).expect("proc vanished");
+                entry.gen += 1;
+                entry.state = ProcState::Parked;
+                match &mut entry.kind {
+                    ProcKind::Polled { machine } => *machine = Some(m),
+                    ProcKind::Blocking { .. } => unreachable!(),
+                }
+                let gen = entry.gen;
                 if let Some(at) = wake {
-                    let at = at.max(self.domain_now(d));
-                    self.push_event_domain(d, at, EvKind::Timeout { pid, gen });
+                    let at = at.max(st.now);
+                    st.push_event(at, EvKind::Timeout { pid, gen });
                 }
             }
             Ok(Poll::Ready(())) => {
@@ -1222,8 +1225,8 @@ impl Shared {
     /// memory).
     fn finish_polled(&self, d: usize, pid: ProcId, panic_msg: Option<String>) {
         let released = {
-            let mut reg = self.registry.lock();
-            let Some(entry) = reg.procs.get_mut(&pid) else {
+            let mut st = self.dom(d);
+            let Some(entry) = st.procs.get_mut(&pid) else {
                 return;
             };
             if panic_msg.is_some() {
@@ -1242,7 +1245,7 @@ impl Shared {
             // goes now, not when the simulation is dropped.
             (machine, std::mem::take(&mut entry.mailbox))
         };
-        // User destructors run outside the registry lock.
+        // User destructors run outside the domain lock.
         drop(released);
         self.note_proc_finished(d);
         self.record(d, obs::SpanId::NONE, || TraceEvent::Finished { pid });
@@ -1250,16 +1253,15 @@ impl Shared {
 
     /// Resumes `pid`'s blocking body and runs it — on this thread — until
     /// it blocks again or finishes, then records what it yielded. The
-    /// registry lock is **not** held while the body runs.
+    /// domain lock is **not** held while the body runs.
     ///
     /// Must run on the thread that executes domain `d`'s rounds: a body
     /// suspended on its own stack can only continue on the thread that
     /// started it (see `coro.rs`; the hand-off checks).
     fn resume_and_wait(&self, d: usize, pid: ProcId, resume: Resume) {
         let mut handoff = {
-            let mut reg = self.registry.lock();
-            let entry = reg.procs.get_mut(&pid).expect("resume of unknown proc");
-            debug_assert_eq!(entry.domain, d, "process resumed outside its domain");
+            let mut st = self.dom(d);
+            let entry = st.procs.get_mut(&pid).expect("resume of unknown proc");
             match &mut entry.kind {
                 ProcKind::Blocking { handoff } => handoff
                     .take()
@@ -1268,8 +1270,8 @@ impl Shared {
             }
         };
         let y = handoff.resume(resume);
-        let mut reg = self.registry.lock();
-        let entry = reg.procs.get_mut(&pid).expect("proc vanished");
+        let mut st = self.dom(d);
+        let entry = st.procs.get_mut(&pid).expect("proc vanished");
         let ProcKind::Blocking { handoff: slot } = &mut entry.kind else {
             unreachable!("checked above");
         };
@@ -1277,17 +1279,15 @@ impl Shared {
             YieldMsg::Sleep(until) => {
                 *slot = Some(handoff);
                 entry.state = ProcState::Sleeping;
-                drop(reg);
-                self.push_event_domain(d, until, EvKind::Wake(pid));
+                st.push_event(until, EvKind::Wake(pid));
             }
             YieldMsg::Recv { deadline } => {
                 *slot = Some(handoff);
                 entry.gen += 1;
                 entry.state = ProcState::BlockedRecv;
                 let gen = entry.gen;
-                drop(reg);
                 if let Some(dl) = deadline {
-                    self.push_event_domain(d, dl, EvKind::Timeout { pid, gen });
+                    st.push_event(dl, EvKind::Timeout { pid, gen });
                 }
             }
             YieldMsg::Finished { panic_msg } => {
@@ -1296,7 +1296,7 @@ impl Shared {
                 // As in `finish_polled`: the mailbox goes with the stack,
                 // and both outside the lock.
                 let mailbox = std::mem::take(&mut entry.mailbox);
-                drop(reg);
+                drop(st);
                 drop((handoff, mailbox));
                 self.note_proc_finished(d);
                 self.record(d, obs::SpanId::NONE, || TraceEvent::Finished { pid });
@@ -1312,14 +1312,14 @@ impl Shared {
     /// is then dropped regardless. Like a round, this runs on the thread
     /// that executes the domain: suspended bodies continue nowhere else.
     fn shutdown_domain(&self, d: usize) {
-        let mut pids: Vec<(ProcId, bool)> = {
-            let reg = self.registry.lock();
-            reg.procs
-                .iter()
-                .filter(|(_, e)| e.domain == d && e.state != ProcState::Finished)
-                .map(|(pid, e)| (*pid, matches!(e.kind, ProcKind::Polled { .. })))
-                .collect()
-        };
+        let _running = Running::enter(self, d);
+        let mut pids: Vec<(ProcId, bool)> = self
+            .dom(d)
+            .procs
+            .iter()
+            .filter(|(_, e)| e.state != ProcState::Finished)
+            .map(|(pid, e)| (*pid, matches!(e.kind, ProcKind::Polled { .. })))
+            .collect();
         pids.sort_by_key(|(pid, _)| pid.0);
         for (pid, polled) in pids {
             if polled {
@@ -1335,7 +1335,7 @@ impl Shared {
     /// `Shutdown` until it finishes.
     fn stop_blocking(&self, d: usize, pid: ProcId) {
         loop {
-            match self.proc_status(pid) {
+            match self.proc_status(d, pid) {
                 Some((ProcState::Finished, _)) | None => break,
                 _ => self.resume_and_wait(d, pid, Resume::Shutdown),
             }
@@ -1347,21 +1347,21 @@ impl Shared {
     /// context points back at this Shared (and whose body never ran) —
     /// clearing here breaks the cycle so the Arc can free.
     fn clear_pending(&self) {
-        for dom in self.domains.iter() {
-            dom.lock().events.clear();
-        }
-        for outbox in self.outboxes.iter() {
-            outbox.lock().clear();
+        for d in 0..self.ndomains() {
+            let mut st = self.dom(d);
+            st.events.clear();
+            st.outbox.clear();
         }
     }
 
     /// One final poll with the stop flag raised, then finish. Dropping
-    /// the machine here also breaks the `Shared → registry → ProcCx →
-    /// Shared` reference cycle a parked machine's context holds.
+    /// the machine here also breaks the `Shared → process table →
+    /// ProcCx → Shared` reference cycle a parked machine's context
+    /// holds.
     fn shutdown_polled(&self, d: usize, pid: ProcId) {
         let machine = {
-            let mut reg = self.registry.lock();
-            let Some(entry) = reg.procs.get_mut(&pid) else {
+            let mut st = self.dom(d);
+            let Some(entry) = st.procs.get_mut(&pid) else {
                 return;
             };
             if entry.state == ProcState::Finished {
@@ -1384,17 +1384,14 @@ impl Shared {
     /// Panics (deterministically, sorted by pid) if any simulated
     /// process panicked.
     fn check_panics(&self) {
-        let mut panics: Vec<(u32, String, String)> = {
-            let reg = self.registry.lock();
-            reg.procs
-                .iter()
-                .filter_map(|(pid, e)| {
-                    e.panic_msg
-                        .as_ref()
-                        .map(|m| (pid.0, e.name.clone(), m.clone()))
-                })
-                .collect()
-        };
+        let mut panics: Vec<(u32, String, String)> = Vec::new();
+        for d in 0..self.ndomains() {
+            panics.extend(self.dom(d).procs.iter().filter_map(|(pid, e)| {
+                e.panic_msg
+                    .as_ref()
+                    .map(|m| (pid.0, e.name.clone(), m.clone()))
+            }));
+        }
         if !panics.is_empty() {
             panics.sort();
             let mut s = String::from("simulated process(es) panicked:");
@@ -1514,14 +1511,6 @@ impl Ctx {
             .send(self.endpoint, dst, payload, self.current_span.get());
     }
 
-    /// Sends `payload` to `dst` with an explicit source endpoint, which
-    /// must be one of this process's bound endpoints (e.g. an extra port
-    /// bound with [`Ctx::bind_port`]).
-    pub fn send_from(&self, src: Endpoint, dst: Endpoint, payload: Bytes) {
-        debug_assert_eq!(src.node, self.endpoint.node, "send_from across nodes");
-        self.shared.send(src, dst, payload, self.current_span.get());
-    }
-
     /// Like [`Ctx::send`], but attributes the send to an explicit span
     /// instead of the process's current one. Protocol layers use this
     /// when the packet belongs to a different causal context than the
@@ -1530,18 +1519,6 @@ impl Ctx {
     /// span, not to whatever the server is doing now.
     pub fn send_traced(&self, dst: Endpoint, payload: Bytes, span: obs::SpanId) {
         self.shared.send(self.endpoint, dst, payload, span);
-    }
-
-    /// [`Ctx::send_from`] with an explicit span, see [`Ctx::send_traced`].
-    pub fn send_from_traced(
-        &self,
-        src: Endpoint,
-        dst: Endpoint,
-        payload: Bytes,
-        span: obs::SpanId,
-    ) {
-        debug_assert_eq!(src.node, self.endpoint.node, "send_from across nodes");
-        self.shared.send(src, dst, payload, span);
     }
 
     /// Appends a protocol-level event, attributed to `span`, to the
@@ -1556,27 +1533,6 @@ impl Ctx {
     pub fn trace(&self, span: obs::SpanId, event: impl FnOnce() -> obs::NetEventKind) {
         self.shared
             .record(self.domain, span, || TraceEvent::Net(event()));
-    }
-
-    /// Binds an additional well-known port routed to this process's
-    /// mailbox. Incoming [`Message::dst`] distinguishes the ports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port is ephemeral-range or already bound on this node.
-    pub fn bind_port(&self, port: PortId) -> Endpoint {
-        let ep = Endpoint::new(self.endpoint.node, port);
-        let mut reg = self.shared.registry.lock();
-        assert!(
-            !port.is_ephemeral(),
-            "bind_port requires a well-known port, got {port}"
-        );
-        assert!(
-            !reg.endpoints.contains_key(&ep),
-            "endpoint {ep} already bound"
-        );
-        reg.endpoints.insert(ep, self.pid);
-        ep
     }
 
     /// Blocks until a message arrives.
@@ -1623,7 +1579,7 @@ impl Ctx {
         if self.stopped {
             return Err(Stopped);
         }
-        Ok(self.shared.pop_mailbox(self.pid))
+        Ok(self.shared.pop_mailbox(self.domain, self.pid))
     }
 
     fn recv_inner(&mut self, deadline: Option<SimTime>) -> Result<Option<Message>, Stopped> {
@@ -1631,7 +1587,7 @@ impl Ctx {
             return Err(Stopped);
         }
         loop {
-            if let Some(m) = self.shared.pop_mailbox(self.pid) {
+            if let Some(m) = self.shared.pop_mailbox(self.domain, self.pid) {
                 return Ok(Some(m));
             }
             if let Some(dl) = deadline {
@@ -1766,7 +1722,7 @@ impl Ctx {
 
     /// Crashes the process owning `target`: it is torn down (its
     /// blocking call returns [`Stopped`]; a well-behaved process then
-    /// exits) and all of its endpoints are unbound, so in-flight and
+    /// exits) and its endpoint is unbound, so in-flight and
     /// future messages to it blackhole. Returns false if no live
     /// process owns the endpoint.
     ///
@@ -1779,14 +1735,14 @@ impl Ctx {
     /// Killing your own endpoint is allowed but pointless — prefer
     /// returning from the process body.
     pub fn kill(&self, target: Endpoint) -> bool {
-        self.shared.request_kill(Some(self.domain), target)
+        self.shared.request_kill(self.domain, target)
     }
 
     /// Runs `f` with this process's domain RNG — deterministic in the
     /// domain's execution order. With one domain this is the classic
     /// simulation-wide RNG stream.
     pub fn with_rng<T>(&self, f: impl FnOnce(&mut StdRng) -> T) -> T {
-        f(&mut self.shared.domains[self.domain].lock().rng)
+        f(&mut self.shared.dom(self.domain).rng)
     }
 
     /// Draws a uniformly random `u64` from the domain RNG.
@@ -1938,6 +1894,25 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Each of `nd` domains' share of the barrier wait in one round's exec
+/// phase of `exec_ns`, as `(domain, stall)` thread by thread. Thread `w`
+/// of `threads` runs domains `w, w + threads, …` back to back, so it
+/// waits `exec_ns` minus their summed `busy` time; that wait is split
+/// evenly over them.
+fn stall_split(
+    exec_ns: u64,
+    nd: usize,
+    threads: usize,
+    busy: &impl Fn(usize) -> u64,
+) -> impl Iterator<Item = (usize, u64)> + '_ {
+    (0..threads.min(nd)).flat_map(move |w| {
+        let mine = (w..nd).step_by(threads);
+        let wait = exec_ns.saturating_sub(mine.clone().map(busy).sum());
+        let share = wait / mine.len() as u64;
+        mine.map(move |d| (d, share))
+    })
+}
+
 /// A deterministic discrete-event simulation.
 ///
 /// # Examples
@@ -1980,18 +1955,13 @@ impl std::fmt::Debug for Simulation {
     }
 }
 
-fn build_domains(n: usize, seed: u64) -> Box<[Mutex<DomainState>]> {
+fn build_domains(n: usize, seed: u64) -> Box<[Domain]> {
     (0..n)
-        .map(|d| Mutex::new(DomainState::new(d, seed)))
+        .map(|d| Domain {
+            state: Mutex::new(DomainState::new(d, seed)),
+            series: DomainSeries::new(d, n),
+        })
         .collect()
-}
-
-fn build_outboxes(n: usize) -> Box<[Mutex<Vec<OutboundEv>>]> {
-    (0..n).map(|_| Mutex::new(Vec::new())).collect()
-}
-
-fn build_series(n: usize) -> Box<[DomainSeries]> {
-    (0..n).map(|d| DomainSeries::new(d, n)).collect()
 }
 
 impl Simulation {
@@ -2001,17 +1971,8 @@ impl Simulation {
         Simulation {
             shared: Arc::new(Shared {
                 domains: build_domains(1, seed),
-                outboxes: build_outboxes(1),
-                series: build_series(1),
                 round_lookahead_ns: AtomicU64::new(u64::MAX),
                 tracing: AtomicBool::new(false),
-                registry: Mutex::new(Registry {
-                    procs: HashMap::new(),
-                    endpoints: HashMap::new(),
-                    stripes: 1,
-                    next_proc: vec![0],
-                    next_ephemeral: HashMap::new(),
-                }),
                 network: RwLock::new(Network::new(config)),
                 metrics: Arc::new(Metrics::new()),
                 obs: Arc::new(obs::MetricsRegistry::new()),
@@ -2041,19 +2002,17 @@ impl Simulation {
         let seed = self.shared.seed;
         let shared = Arc::get_mut(&mut self.shared)
             .expect("set the domain count before spawning any process");
+        assert!(
+            shared
+                .domains
+                .iter_mut()
+                .all(|d| d.state.get_mut().procs.is_empty()),
+            "set the domain count before spawning"
+        );
         shared.domains = build_domains(n, seed);
-        shared.outboxes = build_outboxes(n);
-        shared.series = build_series(n);
         shared
             .round_lookahead_ns
             .store(if n == 1 { u64::MAX } else { 0 }, Ordering::Relaxed);
-        {
-            let mut reg = shared.registry.lock();
-            assert!(reg.procs.is_empty(), "set the domain count before spawning");
-            reg.stripes = n as u32;
-            reg.next_proc = vec![0; n];
-            reg.next_ephemeral.clear();
-        }
         Arc::get_mut(&mut shared.obs)
             .expect("set the domain count before sharing the obs registry")
             .set_writer_lanes(n);
@@ -2117,8 +2076,8 @@ impl Simulation {
     /// domain* (older entries fall off). Call before spawning to
     /// capture everything.
     pub fn enable_trace(&self, capacity: usize) {
-        for dom in self.shared.domains.iter() {
-            dom.lock().trace = Some(Trace::new(capacity));
+        for d in 0..self.shared.ndomains() {
+            self.shared.dom(d).trace = Some(Trace::new(capacity));
         }
         self.shared.tracing.store(true, Ordering::Relaxed);
     }
@@ -2133,8 +2092,9 @@ impl Simulation {
     pub fn take_trace(&self) -> TraceDump {
         let nd = self.shared.ndomains();
         if nd == 1 {
-            return self.shared.domains[0]
-                .lock()
+            return self
+                .shared
+                .dom(0)
                 .trace
                 .as_mut()
                 .map(|t| t.drain())
@@ -2142,8 +2102,8 @@ impl Simulation {
         }
         let mut tagged: Vec<(SimTime, usize, usize, TraceRecord)> = Vec::new();
         let mut evicted = 0;
-        for (d, dom) in self.shared.domains.iter().enumerate() {
-            let dump = match dom.lock().trace.as_mut() {
+        for d in 0..nd {
+            let dump = match self.shared.dom(d).trace.as_mut() {
                 Some(t) => t.drain(),
                 None => continue,
             };
@@ -2163,10 +2123,8 @@ impl Simulation {
     /// (without draining). Also surfaced by [`RunReport::trace_evicted`]
     /// and reset by [`Simulation::take_trace`].
     pub fn trace_evicted(&self) -> u64 {
-        self.shared
-            .domains
-            .iter()
-            .map(|d| d.lock().trace.as_ref().map(|t| t.truncated).unwrap_or(0))
+        (0..self.shared.ndomains())
+            .map(|d| self.shared.dom(d).trace.as_ref().map_or(0, |t| t.truncated))
             .sum()
     }
 
@@ -2280,8 +2238,9 @@ impl Simulation {
     /// Folds one barrier round's wall time into the profiler: the
     /// `sched;round` pick/exec/merge phase frames (consecutive clock
     /// reads on the driving thread, so the phases tile the round wall
-    /// time *exactly*), each domain's busy/stall split of the exec
-    /// phase, and — when the flight recorder is also on — the
+    /// time *exactly*), each domain's busy time and its share of the
+    /// barrier wait (see [`stall_split`]), and — when the flight
+    /// recorder is also on — the
     /// per-domain utilization gauges plus the cross-domain imbalance
     /// figure. Frame call counts (1 per round per frame) and the
     /// imbalance series are deterministic; every `wall_ns` is
@@ -2299,22 +2258,18 @@ impl Simulation {
         let nd = self.shared.ndomains();
         let mut max_run = 0u64;
         let mut sum_run = 0u64;
-        for (d, dom) in self.shared.domains.iter().enumerate() {
-            let (busy, run) = {
-                let st = dom.lock();
-                (st.round_busy_ns, st.round_events_run)
-            };
-            // The domain's own clock reads bracket a subset of the exec
-            // phase, so clamp before splitting: busy is what the domain
-            // measured running events, stall is the rest of the phase
-            // (barrier wait + not being scheduled).
-            let busy = busy.min(exec_ns);
-            let series = &self.shared.series[d];
+        // The domain's own clock reads bracket a subset of the exec
+        // phase, so clamp: busy is what the domain measured running
+        // events.
+        let busy = |d: usize| self.shared.dom(d).round_busy_ns.min(exec_ns);
+        for (d, stall) in stall_split(exec_ns, nd, self.threads.min(nd), &busy) {
+            let (busy, run) = (busy(d), self.shared.dom(d).round_events_run);
+            let series = &self.shared.domains[d].series;
             obs.profile_add(&series.busy_frame, 1, busy);
-            obs.profile_add(&series.stall_frame, 1, exec_ns - busy);
+            obs.profile_add(&series.stall_frame, 1, stall);
             if ts && exec_ns > 0 {
                 obs.ts_gauge(gm_ns, &series.busy_frac, busy * 1000 / exec_ns);
-                obs.ts_gauge(gm_ns, &series.stall_frac, (exec_ns - busy) * 1000 / exec_ns);
+                obs.ts_gauge(gm_ns, &series.stall_frac, stall * 1000 / exec_ns);
             }
             max_run = max_run.max(run);
             sum_run += run;
@@ -2375,8 +2330,8 @@ impl Simulation {
             // Round setup runs alone on the driving thread: reset the
             // per-round spawn ledgers and find the global minimum.
             let mut gm: Option<SimTime> = None;
-            for dom in self.shared.domains.iter() {
-                let mut st = dom.lock();
+            for d in 0..nd {
+                let mut st = self.shared.dom(d);
                 st.round_delta = 0;
                 st.round_rise = 0;
                 if let Some(ev) = st.events.peek() {
@@ -2420,20 +2375,21 @@ impl Simulation {
             }
         }
         if beyond_limit {
-            for dom in self.shared.domains.iter() {
-                dom.lock().now = limit;
+            for d in 0..nd {
+                self.shared.dom(d).now = limit;
             }
         }
         self.shared.check_panics();
-        let (finished, alive) = {
-            let reg = self.shared.registry.lock();
-            let finished = reg
-                .procs
-                .values()
-                .filter(|p| p.state == ProcState::Finished)
-                .count();
-            (finished, reg.procs.len() - finished)
-        };
+        let (mut finished, mut alive) = (0, 0);
+        for d in 0..nd {
+            for p in self.shared.dom(d).procs.values() {
+                if p.state == ProcState::Finished {
+                    finished += 1;
+                } else {
+                    alive += 1;
+                }
+            }
+        }
         RunReport {
             end_time: self.shared.max_now(),
             metrics: self.shared.metrics.snapshot(),
@@ -2574,30 +2530,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(count.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn extra_port_demultiplexes_by_dst() {
-        let mut sim = Simulation::new(NetworkConfig::lan(), 0);
-        let hits = Arc::new(Mutex::new(Vec::new()));
-        let h = Arc::clone(&hits);
-        let main = sim.spawn_at("multi", NodeId(0), PortId(5), move |ctx| {
-            let cb = ctx.bind_port(PortId(6));
-            for _ in 0..2 {
-                let m = ctx.recv().unwrap();
-                h.lock().push(m.dst == cb);
-            }
-        });
-        sim.spawn("sender", NodeId(1), move |ctx| {
-            ctx.send(main, Bytes::from_static(b"a"));
-            ctx.send(
-                Endpoint::new(NodeId(0), PortId(6)),
-                Bytes::from_static(b"b"),
-            );
-        });
-        sim.run();
-        let v = hits.lock().clone();
-        assert_eq!(v, vec![false, true]);
     }
 
     #[test]
@@ -3097,12 +3029,13 @@ mod domain_tests {
         });
         let mid = sim.run_until(SimTime::from_millis(5));
         assert_eq!(mid.metrics.msgs_delivered, 6);
+        // Both live on node 0: domain 0's table.
         let queued = |sim: &Simulation| -> Vec<(usize, usize)> {
-            let reg = sim.shared.registry.lock();
+            let st = sim.shared.dom(0);
             [blocking, polled]
                 .iter()
                 .map(|ep| {
-                    let m = &reg.procs[&reg.endpoints[ep]].mailbox;
+                    let m = &st.procs[&st.endpoints[ep]].mailbox;
                     (m.len(), m.capacity())
                 })
                 .collect()
@@ -3113,5 +3046,96 @@ mod domain_tests {
         let end = sim.run_until(SimTime::MAX);
         assert_eq!((end.finished, end.alive), (3, 0));
         assert_eq!(queued(&sim), vec![(0, 0), (0, 0)]);
+    }
+
+    /// Every `Spawned` record's `(name, pid, endpoint)` on 4 domains, from
+    /// out-of-round spawns, in-round same- and cross-domain spawns and
+    /// one in-round `spawn_at`.
+    fn spawned_ids(threads: usize) -> Vec<(String, u32, String)> {
+        let mut sim = Simulation::new(NetworkConfig::lan(), 3)
+            .with_domains(4)
+            .with_threads(threads);
+        sim.enable_trace(4096);
+        for n in 0..6u32 {
+            sim.spawn(format!("root{n}"), NodeId(n), |ctx| {
+                let node = ctx.node().0;
+                ctx.spawn(format!("same{node}"), NodeId(node + 4), |_| {});
+                ctx.spawn(format!("cross{node}"), NodeId(node + 1), |_| {});
+                if node == 1 {
+                    ctx.spawn_at("well-known", NodeId(6), PortId(7), |ctx| {
+                        ctx.spawn("grandchild", NodeId(6), |_| {});
+                    });
+                }
+            });
+        }
+        sim.run();
+        sim.take_trace()
+            .iter()
+            .filter_map(|r| match &r.event {
+                TraceEvent::Spawned {
+                    pid,
+                    name,
+                    endpoint,
+                } => Some((name.clone(), pid.0, endpoint.to_string())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Pids and ports keep the striped sequence of the simulation-wide
+    /// table they came from: each counter belongs to the allocating
+    /// domain, whatever the thread count.
+    #[test]
+    fn id_sequence_is_pinned() {
+        let want: Vec<(String, u32, String)> = [
+            ("root0", 0, "n0:p65536"),
+            ("root4", 4, "n4:p65536"),
+            ("same0", 8, "n4:p65540"),
+            ("same4", 16, "n8:p65536"),
+            ("root1", 1, "n1:p65537"),
+            ("root5", 5, "n5:p65537"),
+            ("same1", 9, "n5:p65541"),
+            ("same5", 21, "n9:p65537"),
+            ("root2", 2, "n2:p65538"),
+            ("same2", 6, "n6:p65538"),
+            ("root3", 3, "n3:p65539"),
+            ("same3", 7, "n7:p65539"),
+            ("cross3", 11, "n4:p65539"),
+            ("cross0", 12, "n1:p65536"),
+            ("cross4", 20, "n5:p65536"),
+            ("cross1", 13, "n2:p65537"),
+            ("well-known", 17, "n6:p7"),
+            ("cross5", 25, "n6:p65537"),
+            ("grandchild", 14, "n6:p65542"),
+            ("cross2", 10, "n3:p65538"),
+        ]
+        .into_iter()
+        .map(|(name, pid, ep)| (name.to_string(), pid, ep.to_string()))
+        .collect();
+        assert_eq!(spawned_ids(1), want);
+        assert_eq!(spawned_ids(4), want);
+    }
+
+    /// A thread waits out the exec phase minus the busy time of the
+    /// domains it runs; each of them gets an even share.
+    #[test]
+    fn stall_is_the_threads_barrier_wait() {
+        let split = |busy: [u64; 8], threads: usize| {
+            let mut stall = [u64::MAX; 8];
+            for (d, s) in stall_split(1000, 8, threads, &|d| busy[d]) {
+                stall[d] = s;
+            }
+            stall
+        };
+        let busy = [100, 120, 90, 110, 130, 100, 80, 70];
+        // One thread runs all eight: 1000 − 800 = 200 of wait.
+        assert_eq!(split(busy, 1), [25; 8]);
+        // Thread 0 runs d0, d2, d4, d6 (busy 400), thread 1 runs d1, d3,
+        // d5, d7 (busy 400): 600 of wait each, 150 per domain.
+        assert_eq!(split(busy, 2), [150; 8]);
+        // Thread 0's domains were busy past the phase (their clock reads
+        // are their own): no wait, never a negative one.
+        let uneven = [300, 100, 300, 100, 300, 100, 300, 100];
+        assert_eq!(split(uneven, 2), [0, 150, 0, 150, 0, 150, 0, 150]);
     }
 }
