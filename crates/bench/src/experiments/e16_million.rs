@@ -46,7 +46,7 @@ const SMOKE: Shape = Shape {
 fn run_once(cfg: Shape, seed: u64) -> (fleet::Run, ObsReport) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
     let ns = naming::spawn_name_server(&sim, NodeId(0));
-    let rep = fleet::spawn(&sim, cfg, &[ns], 1).run(&mut sim);
+    let rep = fleet::spawn(&sim, cfg, ns, 1).run(&mut sim);
     (rep, obs_report("e16", &sim))
 }
 

@@ -17,10 +17,8 @@
 //! run in one process on one host, so their wall-clock *ratio* is judged
 //! (< 2x); the magnitudes are host-dependent and only printed.
 //!
-//! Name lookups go through a replicated name-server cluster
-//! ([`naming::spawn_name_cluster`]): the striped shared directory keeps
-//! 1M concurrent `bind_async` NotFound-backoff polls from serializing
-//! on one server process.
+//! One name server on node 0 answers every lookup; the fleet starts on
+//! node 1.
 //!
 //! `PROXIDE_SMOKE=1` shrinks the fleet to 20k clients.
 
@@ -32,31 +30,18 @@ use crate::{check, obs_report, pick, ExperimentOutput, ObsReport, Table};
 /// Keep every nth retired span resident as a sampled exemplar.
 const KEEP_EVERY: u64 = 10_000;
 
-/// One workload configuration.
-#[derive(Debug, Clone, Copy)]
-struct Config {
-    fleet: Shape,
-    ns_replicas: u32,
-}
-
-const FULL: Config = Config {
-    fleet: Shape {
-        clients: 1_000_000,
-        calls_per_client: 2,
-        shards: 16,
-        nodes: 64,
-    },
-    ns_replicas: 4,
+const FULL: Shape = Shape {
+    clients: 1_000_000,
+    calls_per_client: 2,
+    shards: 16,
+    nodes: 64,
 };
 
-const SMOKE: Config = Config {
-    fleet: Shape {
-        clients: 20_000,
-        calls_per_client: 2,
-        shards: 8,
-        nodes: 16,
-    },
-    ns_replicas: 2,
+const SMOKE: Shape = Shape {
+    clients: 20_000,
+    calls_per_client: 2,
+    shards: 8,
+    nodes: 16,
 };
 
 /// One measured leg (obs-on or obs-off).
@@ -74,7 +59,7 @@ struct Leg {
     lanes: u64,
 }
 
-fn run_once(cfg: Config, seed: u64, obs_on: bool) -> (Leg, Option<ObsReport>) {
+fn run_once(shape: Shape, seed: u64, obs_on: bool) -> (Leg, Option<ObsReport>) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
     if obs_on {
         sim.obs().enable_retirement(KEEP_EVERY);
@@ -82,9 +67,8 @@ fn run_once(cfg: Config, seed: u64, obs_on: bool) -> (Leg, Option<ObsReport>) {
     } else {
         sim.obs().set_enabled(false);
     }
-    let ns_nodes: Vec<NodeId> = (0..cfg.ns_replicas).map(NodeId).collect();
-    let cluster = naming::spawn_name_cluster(&sim, &ns_nodes);
-    let run = fleet::spawn(&sim, cfg.fleet, &cluster, cfg.ns_replicas).run(&mut sim);
+    let ns = naming::spawn_name_server(&sim, NodeId(0));
+    let run = fleet::spawn(&sim, shape, ns, 1).run(&mut sim);
     let run_report = sim.obs_report();
     let leg = Leg {
         run,
@@ -99,17 +83,16 @@ fn run_once(cfg: Config, seed: u64, obs_on: bool) -> (Leg, Option<ObsReport>) {
 
 /// Runs E17 and returns its tables and shape checks.
 pub fn run() -> ExperimentOutput {
-    let (cfg, mode) = pick(FULL, SMOKE);
-    let shape = cfg.fleet;
+    let (shape, mode) = pick(FULL, SMOKE);
     // Same seed both legs: the simulation is deterministic, so the two
     // runs do identical work — the wall-clock delta is pure obs cost.
-    let (off, _) = run_once(cfg, 1700, false);
-    let (on, obs) = run_once(cfg, 1700, true);
+    let (off, _) = run_once(shape, 1700, false);
+    let (on, obs) = run_once(shape, 1700, true);
 
     let mut table = Table::new(
         format!(
-            "obs plane at scale ({mode}) — {} clients x {} calls, {} KV shards, {} ns replicas",
-            shape.clients, shape.calls_per_client, shape.shards, cfg.ns_replicas
+            "obs plane at scale ({mode}) — {} clients x {} calls, {} KV shards",
+            shape.clients, shape.calls_per_client, shape.shards
         ),
         &[
             "leg",

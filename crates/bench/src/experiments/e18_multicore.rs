@@ -81,7 +81,7 @@ fn run_leg(cfg: Shape, seed: u64, threads: usize) -> Leg {
         .with_threads(threads);
     sim.enable_trace(1 << 16);
     let ns = naming::spawn_name_server(&sim, NodeId(0));
-    let run = fleet::spawn(&sim, cfg, &[ns], 1).run(&mut sim);
+    let run = fleet::spawn(&sim, cfg, ns, 1).run(&mut sim);
 
     let trace = capture_trace(format!("t{threads}"), &sim);
     Leg {

@@ -48,12 +48,6 @@ use crate::{
 /// silent.
 const MAX_FRAMES: usize = 4096;
 
-/// Timeseries window for the utilization series (1ms of simulated
-/// time). Enabled in *both* profiled and unprofiled legs so the only
-/// delta the overhead ratio sees is the profiler itself.
-const TS_WINDOW_NS: u64 = 1_000_000;
-const TS_CAPACITY: usize = 4096;
-
 /// One leg: the measured numbers, the determinism surfaces, and (when
 /// profiled) the folded-stack report.
 struct Leg {
@@ -73,12 +67,11 @@ fn run_leg(cfg: Shape, seed: u64, threads: usize, profiled: bool, label: &'stati
         .with_domains(DOMAINS)
         .with_threads(threads);
     sim.enable_trace(1 << 16);
-    sim.obs().enable_timeseries(TS_WINDOW_NS, TS_CAPACITY);
     if profiled {
         sim.obs().enable_profile(MAX_FRAMES);
     }
     let ns = naming::spawn_name_server(&sim, NodeId(0));
-    let run = fleet::spawn(&sim, cfg, &[ns], 1).run(&mut sim);
+    let run = fleet::spawn(&sim, cfg, ns, 1).run(&mut sim);
 
     let profile = sim.obs().profile_report();
     let trace = capture_trace(label, &sim);

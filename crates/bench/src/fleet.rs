@@ -3,7 +3,7 @@
 //! Every client is a [`simnet::Process`] state machine on
 //! [`SessionCore`]'s non-blocking surface (`bind_async` → `poll_bind` →
 //! `invoke_async` → `poll_call`): it binds to one of `shards` stub-grade
-//! KV services through the name server(s), then alternates put/get
+//! KV services through the name server, then alternates put/get
 //! calls. A parked client costs one registry entry holding its own state
 //! struct — no stack, no thread — so the whole fleet is alive at once.
 
@@ -130,16 +130,14 @@ pub struct Fleet {
 }
 
 /// Spawns the fleet: `shape.shards` KV services on the nodes from
-/// `first_node` up (service `s` registers with `ns[s % ns.len()]`), then
+/// `first_node` up, each registered with the name server at `ns`, then
 /// the clients round-robin over the `shape.nodes` nodes after those.
-/// With several name servers the clients spread their lookups over all
-/// of them; with one, every lookup goes there.
-pub fn spawn(sim: &Simulation, shape: Shape, ns: &[Endpoint], first_node: u32) -> Fleet {
+pub fn spawn(sim: &Simulation, shape: Shape, ns: Endpoint, first_node: u32) -> Fleet {
     for s in 0..shape.shards {
         ServiceBuilder::new(format!("kv{s}"))
             .spec(ProxySpec::Stub)
             .object(|| Box::new(KvStore::new()))
-            .spawn(sim, NodeId(first_node + s as u32), ns[s % ns.len()]);
+            .spawn(sim, NodeId(first_node + s as u32), ns);
     }
     let fleet = Fleet::default();
     let first_client_node = first_node + shape.shards as u32;
@@ -148,7 +146,7 @@ pub fn spawn(sim: &Simulation, shape: Shape, ns: &[Endpoint], first_node: u32) -
             format!("c{c}"),
             NodeId(first_client_node + (c as u32 % shape.nodes)),
             ClientProc {
-                core: SessionCore::new(ns[0]).with_ns_replicas(ns.to_vec()),
+                core: SessionCore::new(ns),
                 state: ClientState::Start,
                 shard: format!("kv{}", c % shape.shards),
                 id: c,

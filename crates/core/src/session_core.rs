@@ -110,9 +110,6 @@ pub struct SessionCore {
     binder: Binder,
     proxies: Vec<Box<dyn Proxy>>,
     by_service: HashMap<String, usize>,
-    /// Name-server replica endpoints for async lookups; empty means
-    /// every lookup goes to the binder's single name server.
-    ns_replicas: Vec<Endpoint>,
     // -- non-blocking surface state --
     binds: Vec<BindState>,
     services: Vec<AsyncService>,
@@ -135,23 +132,10 @@ impl SessionCore {
             binder: Binder::new(ns),
             proxies: Vec::new(),
             by_service: HashMap::new(),
-            ns_replicas: Vec::new(),
             binds: Vec::new(),
             services: Vec::new(),
             async_by_service: HashMap::new(),
         }
-    }
-
-    /// Spreads async name lookups across name-server replicas (see
-    /// `naming::spawn_name_cluster`): each service name hashes to one
-    /// replica, so a large fleet's NotFound-backoff polls fan out over
-    /// the cluster instead of serializing on a single server process.
-    /// The hash is by service name — repeated retries for one bind stick
-    /// to one replica, keeping per-bind behavior identical to the
-    /// single-server path. An empty list restores that path.
-    pub fn with_ns_replicas(mut self, replicas: Vec<Endpoint>) -> SessionCore {
-        self.ns_replicas = replicas;
-        self
     }
 
     /// Supplies object factories (for migratory services).
@@ -314,24 +298,10 @@ impl SessionCore {
         BindFuture(idx)
     }
 
-    /// The name server answering lookups for `service`: the replica its
-    /// name hashes to, or the binder's single server without replicas.
-    fn ns_for(&self, service: &str) -> Endpoint {
-        if self.ns_replicas.is_empty() {
-            return self.binder.ns_endpoint();
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in service.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.ns_replicas[(h % self.ns_replicas.len() as u64) as usize]
-    }
-
     fn start_lookup(&mut self, cx: &mut ProcCx, service: &str, deadline: SimTime) -> BindState {
         let mut chan = Box::new(Channel::new(
             "ns",
-            self.ns_for(service),
+            self.binder.ns_endpoint(),
             ChannelConfig::default(),
         ));
         let call = chan.begin_call(

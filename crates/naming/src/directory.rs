@@ -1,51 +1,27 @@
-//! The shared, read-optimized name directory.
+//! The name server's table.
 //!
-//! A single-process name server keeps its table as process-local state,
-//! which is fine until a million clients poll `bind_async` against it:
-//! every NotFound-backoff retry then funnels through one exclusive
-//! table. [`Directory`] is the read-optimized alternative: the table is
-//! striped into shards keyed by name hash, each behind its own
-//! `RwLock`, so lookups (by far the dominant operation) take a shared
-//! read lock on one stripe and never contend with lookups of other
-//! names — or even of other readers of the same name. Writes take the
-//! write lock of just their stripe.
-//!
-//! One `Arc<Directory>` can back any number of name-server replicas
-//! ([`crate::spawn_name_cluster`]); generations stay globally unique
-//! and monotonic across replicas via one shared atomic.
+//! [`Directory`] is one ordered map from name to [`NameRecord`] and one
+//! generation counter. The name-server process owns it outright: other
+//! contexts reach it only by message, so nothing here locks. Every
+//! successful write takes the next generation, so generations are
+//! unique, increase by one per write and never skip.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
 
 use simnet::Endpoint;
 use wire::Value;
 
 use crate::record::NameRecord;
 
-/// Stripe count (a power of two).
-const STRIPES: usize = 16;
-
-/// FNV-1a hash of a name, for stripe selection.
-fn name_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// A striped name table safe to share across server replicas.
+/// A name table owned by one name-server process.
 ///
-/// All operations take `&self`; reads lock one stripe shared, writes
-/// lock one stripe exclusive. Generation numbers come from a single
-/// atomic, so they are unique and monotonic directory-wide no matter
-/// which replica served the write.
+/// All operations take `&self` (the map sits in a `RefCell`), so a
+/// caller holding a shared reference can still populate one.
 #[derive(Debug, Default)]
 pub struct Directory {
-    stripes: [RwLock<BTreeMap<String, NameRecord>>; STRIPES],
-    next_gen: AtomicU64,
+    names: RefCell<BTreeMap<String, NameRecord>>,
+    last_gen: Cell<u64>,
 }
 
 impl Directory {
@@ -54,20 +30,17 @@ impl Directory {
         Directory::default()
     }
 
-    fn stripe(&self, name: &str) -> &RwLock<BTreeMap<String, NameRecord>> {
-        &self.stripes[(name_hash(name) as usize) & (STRIPES - 1)]
-    }
-
     fn bump(&self) -> u64 {
-        self.next_gen.fetch_add(1, Ordering::Relaxed) + 1
+        let gen = self.last_gen.get() + 1;
+        self.last_gen.set(gen);
+        gen
     }
 
     /// Binds `name` to `ep` (replacing any existing binding) and
     /// returns the new generation.
     pub fn register(&self, name: &str, ep: Endpoint, meta: Value) -> u64 {
         let gen = self.bump();
-        let mut map = self.stripe(name).write().unwrap_or_else(|e| e.into_inner());
-        map.insert(
+        self.names.borrow_mut().insert(
             name.to_string(),
             NameRecord {
                 endpoint: ep,
@@ -79,55 +52,42 @@ impl Directory {
     }
 
     /// Rebinds an existing `name` to `ep`, returning the new generation,
-    /// or `None` when the name is not bound. A `Value::Null` meta keeps
-    /// the existing meta.
+    /// or `None` (using up no generation) when the name is not bound. A
+    /// `Value::Null` meta keeps the existing meta.
     pub fn update(&self, name: &str, ep: Endpoint, meta: Value) -> Option<u64> {
-        let gen = self.bump();
-        let mut map = self.stripe(name).write().unwrap_or_else(|e| e.into_inner());
-        let rec = map.get_mut(name)?;
+        let mut names = self.names.borrow_mut();
+        let rec = names.get_mut(name)?;
         rec.endpoint = ep;
         if meta != Value::Null {
             rec.meta = meta;
         }
-        rec.generation = gen;
-        Some(gen)
+        rec.generation = self.bump();
+        Some(rec.generation)
     }
 
     /// Removes the binding for `name`; `false` when it was not bound.
     pub fn unregister(&self, name: &str) -> bool {
-        let mut map = self.stripe(name).write().unwrap_or_else(|e| e.into_inner());
-        map.remove(name).is_some()
+        self.names.borrow_mut().remove(name).is_some()
     }
 
-    /// The current record for `name`, if bound. This is the hot path:
-    /// one shared read lock on one stripe.
+    /// The current record for `name`, if bound.
     pub fn lookup(&self, name: &str) -> Option<NameRecord> {
-        let map = self.stripe(name).read().unwrap_or_else(|e| e.into_inner());
-        map.get(name).cloned()
+        self.names.borrow().get(name).cloned()
     }
 
     /// All bound names, sorted.
     pub fn list(&self) -> Vec<String> {
-        let mut names: Vec<String> = Vec::new();
-        for stripe in self.stripes.iter() {
-            let map = stripe.read().unwrap_or_else(|e| e.into_inner());
-            names.extend(map.keys().cloned());
-        }
-        names.sort_unstable();
-        names
+        self.names.borrow().keys().cloned().collect()
     }
 
     /// Number of bound names.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        self.names.borrow().len()
     }
 
     /// True when nothing is bound.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.names.borrow().is_empty()
     }
 }
 
@@ -154,14 +114,10 @@ mod tests {
     #[test]
     fn generations_are_unique_across_stripes() {
         let dir = Directory::new();
-        let mut gens = Vec::new();
-        for i in 0..100 {
-            gens.push(dir.register(&format!("svc-{i}"), ep(i, 1), Value::Null));
-        }
-        let mut sorted = gens.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 100, "generations must be unique");
+        let gens: Vec<u64> = (0..100)
+            .map(|i| dir.register(&format!("svc-{i}"), ep(i, 1), Value::Null))
+            .collect();
+        assert_eq!(gens, (1..=100).collect::<Vec<u64>>());
         assert_eq!(dir.len(), 100);
     }
 
@@ -169,9 +125,9 @@ mod tests {
     fn update_requires_existing_binding() {
         let dir = Directory::new();
         assert!(dir.update("kv", ep(1, 2), Value::Null).is_none());
-        dir.register("kv", ep(1, 2), Value::Null);
+        assert_eq!(dir.register("kv", ep(1, 2), Value::Null), 1);
         let gen = dir.update("kv", ep(3, 4), Value::Null).expect("bound");
-        assert!(gen > 1);
+        assert_eq!(gen, 2, "a failed update uses up no generation");
         assert_eq!(dir.lookup("kv").unwrap().endpoint, ep(3, 4));
     }
 

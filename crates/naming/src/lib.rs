@@ -8,7 +8,9 @@
 //!
 //! The name server is itself an ordinary RPC service: the bootstrap
 //! problem is solved the classic way, by making its endpoint well known
-//! ([`NAME_SERVER_PORT`] on an agreed node).
+//! ([`NAME_SERVER_PORT`] on an agreed node). It is one process, and it
+//! owns its table ([`Directory`]): every other context reaches the
+//! table only by message, so the table needs no lock.
 //!
 //! ## Example
 //!
@@ -37,7 +39,7 @@ mod server;
 
 pub use directory::Directory;
 pub use record::NameRecord;
-pub use server::{spawn_name_cluster, spawn_name_server, NAME_SERVER_PORT};
+pub use server::{spawn_name_server, NAME_SERVER_PORT};
 
 use std::collections::HashMap;
 

@@ -1,7 +1,5 @@
 //! The name server process.
 
-use std::sync::Arc;
-
 use rpc::{endpoint_from_value, ErrorCode, RemoteError, Request, RpcServer};
 use simnet::{Endpoint, NodeId, Poll, PortId, ProcCx, Process, Simulation};
 use wire::{Value, WireError};
@@ -75,11 +73,9 @@ fn handle(dir: &Directory, req: &Request) -> Result<Value, RemoteError> {
     }
 }
 
-/// The name-server process: a poll-driven machine that answers every
-/// datagram in its mailbox from `dir` and parks. Replicas are given one
-/// shared directory, so a registration through any of them is visible
-/// to lookups through every other in the same instant.
-fn name_server(dir: Arc<Directory>) -> impl Process {
+/// The name-server process: a poll-driven machine that owns `dir`,
+/// answers every datagram in its mailbox from it and parks.
+fn name_server(dir: Directory) -> impl Process {
     let mut server = RpcServer::new();
     move |cx: &mut ProcCx| {
         while let Ok(Some(msg)) = cx.try_recv() {
@@ -108,35 +104,12 @@ fn name_server(dir: Arc<Directory>) -> impl Process {
 ///
 /// Panics if the port is already bound on that node.
 pub fn spawn_name_server(sim: &Simulation, node: NodeId) -> Endpoint {
-    let dir = Arc::new(Directory::new());
-    sim.spawn_poll_at("name-server", node, NAME_SERVER_PORT, name_server(dir))
-}
-
-/// Spawns one name-server replica per node in `nodes`, all serving one
-/// shared striped [`Directory`], and returns their endpoints (one per
-/// node, in order).
-///
-/// Clients spread their lookups across the replicas (see
-/// `SessionCore::with_ns_replicas` in `core`), so a million concurrent
-/// bind backoff polls fan out over `nodes.len()` server queues instead
-/// of serializing on one process — while registrations stay visible
-/// directory-wide in the same instant.
-///
-/// # Panics
-///
-/// Panics if `nodes` is empty or [`NAME_SERVER_PORT`] is already bound
-/// on any of the nodes.
-pub fn spawn_name_cluster(sim: &Simulation, nodes: &[NodeId]) -> Vec<Endpoint> {
-    assert!(!nodes.is_empty(), "name cluster needs at least one node");
-    let dir = Arc::new(Directory::new());
-    nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| {
-            let replica = name_server(Arc::clone(&dir));
-            sim.spawn_poll_at(format!("name-server-{i}"), node, NAME_SERVER_PORT, replica)
-        })
-        .collect()
+    sim.spawn_poll_at(
+        "name-server",
+        node,
+        NAME_SERVER_PORT,
+        name_server(Directory::new()),
+    )
 }
 
 #[cfg(test)]

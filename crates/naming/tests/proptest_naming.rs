@@ -1,7 +1,7 @@
 //! Property-based tests of the name service: an arbitrary sequence of
 //! register/update/unregister/lookup commands behaves exactly like an
-//! in-memory oracle map, and generations are globally strictly
-//! increasing across all mutations.
+//! in-memory oracle map, and every successful register or update takes
+//! the next generation: one per write, never skipping.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -50,9 +50,9 @@ proptest! {
                         let name = format!("svc{n}");
                         let ep = Endpoint::new(NodeId(9), PortId(*p as u32));
                         let g = nc.register(ctx, &name, ep, Value::Null).unwrap();
-                        if g <= last_gen {
+                        if g != last_gen + 1 {
                             *f2.lock().unwrap() =
-                                Some(format!("step {i}: generation {g} not increasing"));
+                                Some(format!("step {i}: generation {g} after {last_gen}"));
                             return;
                         }
                         last_gen = g;
@@ -69,9 +69,9 @@ proptest! {
                                     ));
                                     return;
                                 }
-                                if g <= last_gen {
+                                if g != last_gen + 1 {
                                     *f2.lock().unwrap() =
-                                        Some(format!("step {i}: generation {g} not increasing"));
+                                        Some(format!("step {i}: generation {g} after {last_gen}"));
                                     return;
                                 }
                                 last_gen = g;

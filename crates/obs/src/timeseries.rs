@@ -35,12 +35,9 @@
 //! | `link_bytes@n<a>->n<b>`     | counter | simnet send path           |
 //! | `sched_lag`                 | hist    | scheduler dispatch loop    |
 //! | `sched_depth`               | gauge   | scheduler event heap       |
-//! | `processes_spawned`         | gauge   | simnet process spawn path  |
-//! | `processes_peak`            | gauge   | simnet live high-water mark|
 //!
 //! A multi-domain scheduler suffixes its per-domain series with
-//! `@d<domain>` (`sched_lag@d2`, `sched_depth@d0`,
-//! `processes_spawned@d1`, `processes_current@d1`) so each domain's
+//! `@d<domain>` (`sched_lag@d2`, `sched_depth@d0`) so each domain's
 //! stream stays deterministic regardless of how domains interleave; the
 //! plain names above are the single-domain (default) spelling.
 

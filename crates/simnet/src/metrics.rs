@@ -63,16 +63,15 @@ impl Metrics {
         self.events_dispatched.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Notes one process spawn and returns `(spawned_total, peak)` for
-    /// the caller to sample into the flight recorder. The peak update is
-    /// a plain load/store: only the scheduler thread mutates these.
-    pub(crate) fn on_proc_spawn(&self) -> (u64, u64) {
-        let spawned = self.processes_spawned.fetch_add(1, Ordering::Relaxed) + 1;
+    /// Notes one process spawn and folds the live count into the peak.
+    /// The peak update is a plain load/store: only the scheduler thread
+    /// mutates these.
+    pub(crate) fn on_proc_spawn(&self) {
+        self.processes_spawned.fetch_add(1, Ordering::Relaxed);
         let live = self.processes_live.fetch_add(1, Ordering::Relaxed) + 1;
         if live > self.processes_peak.load(Ordering::Relaxed) {
             self.processes_peak.store(live, Ordering::Relaxed);
         }
-        (spawned, self.processes_peak.load(Ordering::Relaxed))
     }
 
     /// Spawn accounting without the peak fold, for multi-domain rounds
@@ -93,11 +92,9 @@ impl Metrics {
         self.processes_live.load(Ordering::Relaxed)
     }
 
-    /// Raises the peak to at least `bound` and returns the new peak.
-    pub(crate) fn note_peak_bound(&self, bound: u64) -> u64 {
-        self.processes_peak
-            .fetch_max(bound, Ordering::Relaxed)
-            .max(bound)
+    /// Raises the peak to at least `bound`.
+    pub(crate) fn note_peak_bound(&self, bound: u64) {
+        self.processes_peak.fetch_max(bound, Ordering::Relaxed);
     }
 
     /// Counts one scheduler time inversion — an event dispatched at a

@@ -278,18 +278,11 @@ struct DomainState {
     /// Cross-domain events this domain's execution produced this round,
     /// in send order; the barrier drains every outbox and merges them.
     outbox: Vec<OutboundEv>,
-    /// Processes spawned into this domain (lifetime total).
-    spawned: u64,
-    /// Processes of this domain currently alive.
-    live: u64,
     /// Net spawn-minus-finish delta accumulated this round.
     round_delta: i64,
     /// Maximum prefix value of `round_delta` this round — the domain's
     /// contribution to the deterministic `processes_peak` upper bound.
     round_rise: i64,
-    /// Events this domain executed in the current round (deterministic:
-    /// a pure function of seed + topology).
-    round_events_run: u64,
     /// Wall nanoseconds this domain spent popping + dispatching events
     /// this round (host-dependent; only accumulated while the profiler
     /// is on).
@@ -316,11 +309,8 @@ impl DomainState {
             next_proc: 0,
             next_ephemeral: HashMap::new(),
             outbox: Vec::new(),
-            spawned: 0,
-            live: 0,
             round_delta: 0,
             round_rise: 0,
-            round_events_run: 0,
             round_busy_ns: 0,
         }
     }
@@ -356,15 +346,6 @@ impl DomainState {
 struct DomainSeries {
     lag: String,
     depth: String,
-    spawned: String,
-    current: String,
-    /// Profiler-gated lookahead-efficiency pair: events the domain ran
-    /// this round vs events still pending past the horizon.
-    run: String,
-    pending: String,
-    /// Profiler-gated utilization gauges (per-mille of the exec phase).
-    busy_frac: String,
-    stall_frac: String,
     /// Folded-stack frame paths for the domain's share of the exec
     /// phase (wall busy vs barrier stall).
     busy_frame: String,
@@ -377,12 +358,6 @@ impl DomainSeries {
             DomainSeries {
                 lag: "sched_lag".to_string(),
                 depth: "sched_depth".to_string(),
-                spawned: "processes_spawned".to_string(),
-                current: "processes_current".to_string(),
-                run: "sched_round_run".to_string(),
-                pending: "sched_round_pending".to_string(),
-                busy_frac: "sched_busy_frac".to_string(),
-                stall_frac: "sched_stall_frac".to_string(),
                 busy_frame: "sched;round;exec;busy".to_string(),
                 stall_frame: "sched;round;exec;stall".to_string(),
             }
@@ -390,12 +365,6 @@ impl DomainSeries {
             DomainSeries {
                 lag: format!("sched_lag@d{d}"),
                 depth: format!("sched_depth@d{d}"),
-                spawned: format!("processes_spawned@d{d}"),
-                current: format!("processes_current@d{d}"),
-                run: format!("sched_round_run@d{d}"),
-                pending: format!("sched_round_pending@d{d}"),
-                busy_frac: format!("sched_busy_frac@d{d}"),
-                stall_frac: format!("sched_stall_frac@d{d}"),
                 busy_frame: format!("sched;round;exec;busy@d{d}"),
                 stall_frame: format!("sched;round;exec;stall@d{d}"),
             }
@@ -655,14 +624,14 @@ impl Shared {
         );
         st.endpoints.insert(endpoint, pid);
         st.procs.insert(pid, entry);
-        self.note_proc_spawned(d, &mut st, in_round);
+        self.note_proc_spawned(&mut st, in_round);
         // Start the process at the domain's current instant.
         let now = st.now;
         st.push_event(now, EvKind::Wake(pid));
     }
 
-    /// Updates process-count metrics and gauges for a spawn landing in
-    /// domain `d` (whose state is `st`).
+    /// Updates process-count metrics for a spawn landing in the domain
+    /// whose state is `st`.
     ///
     /// Single-domain simulations take the classic exact path (`peak`
     /// updated inline). Multi-domain simulations cannot order concurrent
@@ -671,15 +640,9 @@ impl Shared {
     /// folds the ledgers into a deterministic *upper bound* on the peak
     /// (see `finish_round`). Out-of-round spawns (from the driving
     /// thread, nothing else running) still take the exact path.
-    fn note_proc_spawned(&self, d: usize, st: &mut DomainState, in_round: bool) {
-        let ts = self.obs.timeseries_enabled();
-        let now_ns = st.now.as_nanos();
+    fn note_proc_spawned(&self, st: &mut DomainState, in_round: bool) {
         if self.ndomains() == 1 {
-            let (spawned, peak) = self.metrics.on_proc_spawn();
-            if ts {
-                self.obs.ts_gauge(now_ns, "processes_spawned", spawned);
-                self.obs.ts_gauge(now_ns, "processes_peak", peak);
-            }
+            self.metrics.on_proc_spawn();
             return;
         }
         if in_round {
@@ -687,17 +650,10 @@ impl Shared {
         } else {
             // Out-of-round: no other domain is executing, the global
             // live count is exact — keep the classic peak fold.
-            let _ = self.metrics.on_proc_spawn();
+            self.metrics.on_proc_spawn();
         }
-        st.spawned += 1;
-        st.live += 1;
         st.round_delta += 1;
         st.round_rise = st.round_rise.max(st.round_delta);
-        if ts {
-            let series = &self.domains[d].series;
-            self.obs.ts_gauge(now_ns, &series.spawned, st.spawned);
-            self.obs.ts_gauge(now_ns, &series.current, st.live);
-        }
     }
 
     /// Process-count bookkeeping for a process that finished or was
@@ -705,9 +661,7 @@ impl Shared {
     fn note_proc_finished(&self, d: usize) {
         self.metrics.on_proc_finish();
         if self.ndomains() > 1 {
-            let mut st = self.dom(d);
-            st.live = st.live.saturating_sub(1);
-            st.round_delta -= 1;
+            self.dom(d).round_delta -= 1;
         }
     }
 
@@ -916,15 +870,11 @@ impl Shared {
     /// truncation.
     fn domain_round(&self, d: usize, gm: SimTime, horizon: SimTime, limit: SimTime) {
         let _running = Running::enter(self, d);
-        // Profiler bookkeeping: count the events this round runs
-        // (deterministic) and, while the profiler is armed, bracket the
-        // whole drain with two clock reads — per round per domain, not
-        // per event, so the measurement itself stays out of the hot
-        // loop.
-        let profiling = self.obs.profile_enabled();
-        let t_round = profiling.then(Instant::now);
+        // While the profiler is armed, bracket the whole drain with two
+        // clock reads — per round per domain, not per event, so the
+        // measurement itself stays out of the hot loop.
+        let t_round = self.obs.profile_enabled().then(Instant::now);
         let series = &self.domains[d].series;
-        let mut events_run: u64 = 0;
         loop {
             // One lock acquisition pops the next runnable event AND
             // advances the domain clock to it, so no observer can see
@@ -980,25 +930,10 @@ impl Shared {
                 self.obs.ts_gauge(now_ns, &series.depth, depth);
             }
             self.dispatch(d, ev.kind);
-            events_run += 1;
         }
         if let Some(t_round) = t_round {
-            let busy_ns = t_round.elapsed().as_nanos() as u64;
-            // Stamp the round ledger for the driver's phase accounting
-            // and record the lookahead-efficiency pair at the domain
-            // clock: how much runnable work this round found vs how much
-            // the horizon deferred. Both values are deterministic, so
-            // the series stay byte-identical across thread counts.
-            let (now_ns, deferred) = {
-                let mut st = self.dom(d);
-                st.round_events_run = events_run;
-                st.round_busy_ns = busy_ns;
-                (st.now.as_nanos(), st.events.len() as u64)
-            };
-            if self.obs.timeseries_enabled() {
-                self.obs.ts_add(now_ns, &series.run, events_run);
-                self.obs.ts_gauge(now_ns, &series.pending, deferred);
-            }
+            // Stamp the round ledger for the driver's phase accounting.
+            self.dom(d).round_busy_ns = t_round.elapsed().as_nanos() as u64;
         }
     }
 
@@ -1032,16 +967,12 @@ impl Shared {
     /// bounds every possible interleaving from above and depends only on
     /// per-domain facts — so the reported peak is identical for every
     /// worker count (and exact whenever one domain drives the growth).
-    fn finish_round(&self, live_start: u64, gm: SimTime) {
+    fn finish_round(&self, live_start: u64) {
         let rise_sum: u64 = (0..self.ndomains())
             .map(|d| self.dom(d).round_rise.max(0) as u64)
             .sum();
-        if rise_sum == 0 {
-            return;
-        }
-        let new_peak = self.metrics.note_peak_bound(live_start + rise_sum);
-        if self.obs.timeseries_enabled() {
-            self.obs.ts_gauge(gm.as_nanos(), "processes_peak", new_peak);
+        if rise_sum > 0 {
+            self.metrics.note_peak_bound(live_start + rise_sum);
         }
     }
 
@@ -2238,14 +2169,11 @@ impl Simulation {
     /// Folds one barrier round's wall time into the profiler: the
     /// `sched;round` pick/exec/merge phase frames (consecutive clock
     /// reads on the driving thread, so the phases tile the round wall
-    /// time *exactly*), each domain's busy time and its share of the
-    /// barrier wait (see [`stall_split`]), and — when the flight
-    /// recorder is also on — the
-    /// per-domain utilization gauges plus the cross-domain imbalance
-    /// figure. Frame call counts (1 per round per frame) and the
-    /// imbalance series are deterministic; every `wall_ns` is
+    /// time *exactly*) and each domain's busy time and its share of the
+    /// barrier wait (see [`stall_split`]). Frame call counts (1 per
+    /// round per frame) are deterministic; every `wall_ns` is
     /// host-dependent and reported-not-judged.
-    fn profile_round(&self, gm: SimTime, t0: Instant, t1: Instant, t2: Instant) {
+    fn profile_round(&self, t0: Instant, t1: Instant, t2: Instant) {
         let t3 = Instant::now();
         let obs = &self.shared.obs;
         obs.profile_add("sched;round", 1, (t3 - t0).as_nanos() as u64);
@@ -2253,34 +2181,15 @@ impl Simulation {
         let exec_ns = (t2 - t1).as_nanos() as u64;
         obs.profile_add("sched;round;exec", 1, exec_ns);
         obs.profile_add("sched;round;merge", 1, (t3 - t2).as_nanos() as u64);
-        let ts = obs.timeseries_enabled();
-        let gm_ns = gm.as_nanos();
         let nd = self.shared.ndomains();
-        let mut max_run = 0u64;
-        let mut sum_run = 0u64;
         // The domain's own clock reads bracket a subset of the exec
         // phase, so clamp: busy is what the domain measured running
         // events.
         let busy = |d: usize| self.shared.dom(d).round_busy_ns.min(exec_ns);
         for (d, stall) in stall_split(exec_ns, nd, self.threads.min(nd), &busy) {
-            let (busy, run) = (busy(d), self.shared.dom(d).round_events_run);
             let series = &self.shared.domains[d].series;
-            obs.profile_add(&series.busy_frame, 1, busy);
+            obs.profile_add(&series.busy_frame, 1, busy(d));
             obs.profile_add(&series.stall_frame, 1, stall);
-            if ts && exec_ns > 0 {
-                obs.ts_gauge(gm_ns, &series.busy_frac, busy * 1000 / exec_ns);
-                obs.ts_gauge(gm_ns, &series.stall_frac, stall * 1000 / exec_ns);
-            }
-            max_run = max_run.max(run);
-            sum_run += run;
-        }
-        if ts && nd > 1 && sum_run > 0 {
-            // Cross-domain imbalance: the busiest domain's share of the
-            // round's events relative to a perfectly level split, in
-            // per-mille (1000 = balanced). Event counts only, so the
-            // series is byte-identical across thread counts.
-            let imb = max_run.saturating_mul(1000).saturating_mul(nd as u64) / sum_run;
-            obs.ts_gauge(gm_ns, "sched_imbalance_permille", imb);
         }
     }
 
@@ -2368,10 +2277,10 @@ impl Simulation {
             let t_exec = profiling.then(Instant::now);
             self.shared.flush_outboxes();
             if nd > 1 {
-                self.shared.finish_round(live_start, gm);
+                self.shared.finish_round(live_start);
             }
             if let (Some(t0), Some(t1), Some(t2)) = (t_round, t_pick, t_exec) {
-                self.profile_round(gm, t0, t1, t2);
+                self.profile_round(t0, t1, t2);
             }
         }
         if beyond_limit {
