@@ -130,6 +130,7 @@ if [ "${1:-}" != "quick" ]; then
   # RunReport it came from. Both must validate, and re-deriving the
   # folded file from the report must reproduce it byte for byte.
   cargo run -q --release -p bench --bin tracectl -- check target/traces/e20-profile.folded
+  cargo run -q --release -p bench --bin tracectl -- check target/traces/e20-profile.report.json
   cargo run -q --release -p bench --bin tracectl -- flame \
     target/traces/e20-profile.report.json --out=target/traces/e20-profile.rt.folded
   cmp target/traces/e20-profile.folded target/traces/e20-profile.rt.folded
@@ -147,21 +148,16 @@ if [ "${1:-}" != "quick" ]; then
 
   step "E15 flight-recorder smoke (windowed telemetry + exemplars + validators)"
   # Runs the chaos sweep, asserts re-bucketing invariance, conservation,
-  # exemplar tiling, and exports artifacts for the checks below.
+  # exemplar tiling, and exports the report checked below.
   cargo run -q --release -p bench --bin e15_flight
-  cargo run -q --release -p bench --bin tracectl -- check target/traces/e15-flight.timeseries.csv
   cargo run -q --release -p bench --bin tracectl -- check target/traces/e15-flight.report.json
-  # A second run must export the same report and flight recording, byte
-  # for byte. The report carries the watchdog's exemplars, which each
-  # writer lane pins against its own history; the recording carries
-  # every lane's windows.
-  for f in report.json timeseries.csv; do
-    mv target/traces/e15-flight.$f target/traces/e15-flight.first.$f
-  done
+  # A second run must export the same report, byte for byte. It carries
+  # the watchdog's exemplars, which each writer lane pins against its
+  # own history, and the flight recording, which carries every lane's
+  # windows.
+  mv target/traces/e15-flight.report.json target/traces/e15-flight.first.report.json
   cargo run -q --release -p bench --bin e15_flight >/dev/null
-  for f in report.json timeseries.csv; do
-    cmp target/traces/e15-flight.first.$f target/traces/e15-flight.$f
-  done
+  cmp target/traces/e15-flight.first.report.json target/traces/e15-flight.report.json
 
   step "tracectl smoke (trace export + round-trip + critical-path self-check)"
   # Exits nonzero on malformed Chrome output, a failed JSONL round-trip,

@@ -15,7 +15,7 @@
 //! tracectl run [--loss P] [--dup P] [--seed N] [--rounds N] [--clients N]
 //!              [--top K] [--sample N] [--out DIR]
 //! tracectl analyze <trace.jsonl> [--top K]
-//! tracectl check <artifact>     # Chrome trace, run report, timeseries CSV, or folded flamegraph
+//! tracectl check <artifact>     # trace JSONL, Chrome trace, run report, or folded flamegraph
 //! tracectl flame <report.json> [--out=FILE]
 //! tracectl smoke
 //! ```
@@ -108,7 +108,7 @@ fn main() -> ExitCode {
                  \x20       [--top K] [--sample N] [--out DIR]   drive a chaos run, export + analyze\n\
                  analyze <trace.jsonl> [--top K]                analyze an exported trace\n\
                  check   <artifact>                             validate an exported artifact\n\
-                 \x20                                           (Chrome trace, run report, timeseries CSV,\n\
+                 \x20                                           (trace JSONL, Chrome trace, run report,\n\
                  \x20                                           or folded flamegraph)\n\
                  flame   <report.json> [--out=FILE]             export a report's profile section as a\n\
                  \x20                                           collapsed flamegraph\n\
@@ -405,11 +405,10 @@ fn cmd_analyze(path: &str, top: usize) -> ExitCode {
     finish(&failures)
 }
 
-/// Validates an exported artifact, dispatching on its shape: a
-/// flight-recorder CSV (leading `# width_ns=` comment or a `.csv`
-/// path), a Chrome trace (JSON with `traceEvents`), or a full run
-/// report (JSON with `end_time_ns`, including the timeseries and
-/// exemplar sections).
+/// Validates an exported artifact, dispatching on its shape: a folded
+/// flamegraph (`.folded`), a trace JSONL (`.jsonl`), a Chrome trace
+/// (JSON with `traceEvents`), or else a full run report (including the
+/// timeseries, exemplar and profile sections).
 fn cmd_check(path: &str) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -418,21 +417,6 @@ fn cmd_check(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if path.ends_with(".csv") || text.starts_with("# width_ns=") {
-        return match obs::validate_timeseries_csv(&text) {
-            Ok(s) => {
-                println!(
-                    "{path}: valid timeseries CSV — {} rows over {} windows, {} series ({} counter, {} gauge, {} hist rows)",
-                    s.rows, s.windows, s.series, s.counters, s.gauges, s.hists
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID timeseries CSV — {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     if path.ends_with(".folded") {
         return match obs::validate_folded(&text) {
             Ok(s) => {
@@ -489,11 +473,15 @@ fn cmd_check(path: &str) -> ExitCode {
         };
     }
     match obs::validate_report(&text) {
-        Ok(s) => {
+        Ok(r) => {
+            let windows = r.timeseries.map_or(0, |ts| ts.windows.len());
+            let explained = r.exemplars.iter().filter(|e| e.breakdown.is_some()).count();
+            let (frames, evicted) = r
+                .profile
+                .map_or((0, 0), |p| (p.frames_resident, p.frames_evicted));
             println!(
-                "{path}: valid run report — {} timeseries windows, {} exemplars ({} with causal breakdown), {} spans retired / {} resident, {} profile frames ({} evicted)",
-                s.windows, s.exemplars, s.with_breakdown, s.spans_retired, s.spans_resident,
-                s.prof_frames, s.prof_evicted
+                "{path}: valid run report — {windows} timeseries windows, {} exemplars ({explained} with causal breakdown), {} spans retired / {} resident, {frames} profile frames ({evicted} evicted)",
+                r.exemplars.len(), r.obs.spans_retired, r.obs.spans_resident
             );
             ExitCode::SUCCESS
         }
@@ -516,33 +504,15 @@ fn cmd_flame(path: &str, out: Option<&str>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let doc = match obs::json::parse(&text) {
-        Ok(d) => d,
+    let report = match obs::RunReport::from_json(&text) {
+        Ok(r) => r.profile.unwrap_or_default(),
         Err(e) => {
-            eprintln!("{path}: not valid JSON — {e}");
+            eprintln!("{path}: not a run report — {e}");
             return ExitCode::FAILURE;
         }
     };
-    let Some(frames) = doc
-        .get("profile")
-        .and_then(|p| p.get("frames"))
-        .and_then(|f| f.as_obj())
-    else {
-        eprintln!("{path}: no profile section (was the profiler enabled for this run?)");
-        return ExitCode::FAILURE;
-    };
-    let mut report = obs::ProfileReport::default();
-    for (frame, st) in frames {
-        let (Some(calls), Some(wall_ns)) = (st.u64_field("calls"), st.u64_field("wall_ns")) else {
-            eprintln!("{path}: profile frame {frame:?} lacks calls/wall_ns");
-            return ExitCode::FAILURE;
-        };
-        report
-            .frames
-            .insert(frame.clone(), obs::FrameStat { calls, wall_ns });
-    }
     if report.frames.is_empty() {
-        eprintln!("{path}: profile section has no frames");
+        eprintln!("{path}: no profile frames (was the profiler enabled for this run?)");
         return ExitCode::FAILURE;
     }
     let folded = obs::profile_to_folded(&report);

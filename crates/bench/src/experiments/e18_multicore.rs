@@ -71,7 +71,7 @@ impl Leg {
     fn identical_to(&self, base: &Leg) -> bool {
         self.summary == base.summary
             && self.trace_jsonl == base.trace_jsonl
-            && self.obs.json == base.obs.json
+            && self.obs.report.to_json() == base.obs.report.to_json()
     }
 }
 
@@ -111,7 +111,7 @@ pub fn run() -> ExperimentOutput {
         if l.trace_jsonl != base.trace_jsonl {
             divergences.push(format!("t{}: causal trace", l.threads));
         }
-        if l.obs.json != base.obs.json {
+        if l.obs.report.to_json() != base.obs.report.to_json() {
             divergences.push(format!("t{}: RunReport JSON", l.threads));
         }
     }

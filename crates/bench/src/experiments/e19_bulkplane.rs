@@ -603,7 +603,7 @@ fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
     let trace = capture_trace(format!("t{threads}"), &sim);
     let trace_jsonl = obs::to_jsonl(&trace.trace);
     let obs_rep = obs_report(format!("e19-{label}"), &sim);
-    let report_json = obs_rep.json.clone();
+    let report_json = obs_rep.report.to_json();
     let summary = format!(
         "end={} sent={} delivered={} events={} spawned={} finished={} alive={}",
         run.end_time.as_nanos(),

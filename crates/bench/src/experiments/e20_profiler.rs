@@ -211,7 +211,8 @@ pub fn run() -> ExperimentOutput {
     let dir = trace_dir();
     let folded = obs::profile_to_folded(&prof);
     let folded_valid = obs::validate_folded(&folded);
-    let report_valid = obs::validate_report(&on_a.obs.json);
+    let report_json = on_a.obs.report.to_json();
+    let report_valid = obs::validate_report(&report_json);
     let mut export_err: Option<String> = None;
     if let Err(e) = std::fs::create_dir_all(&dir) {
         export_err = Some(format!("create {}: {e}", dir.display()));
@@ -219,7 +220,7 @@ pub fn run() -> ExperimentOutput {
         if let Err(e) = std::fs::write(dir.join("e20-profile.folded"), &folded) {
             export_err = Some(format!("write e20-profile.folded: {e}"));
         }
-        if let Err(e) = std::fs::write(dir.join("e20-profile.report.json"), &on_a.obs.json) {
+        if let Err(e) = std::fs::write(dir.join("e20-profile.report.json"), &report_json) {
             export_err = Some(format!("write e20-profile.report.json: {e}"));
         }
     }

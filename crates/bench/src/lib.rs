@@ -82,7 +82,7 @@ impl Table {
     }
 }
 
-/// A labelled unified observability report, serialized as JSON.
+/// A labelled unified observability report.
 ///
 /// Captured from a representative run of each experiment so the whole
 /// suite emits machine-readable `obs::RunReport` records alongside its
@@ -91,15 +91,15 @@ impl Table {
 pub struct ObsReport {
     /// Which run/configuration the report covers.
     pub label: String,
-    /// The `obs::RunReport` JSON from [`simnet::Simulation::obs_report`].
-    pub json: String,
+    /// The report from [`simnet::Simulation::obs_report`].
+    pub report: obs::RunReport,
 }
 
 /// Captures the unified run report of a finished simulation.
 pub fn obs_report(label: impl Into<String>, sim: &simnet::Simulation) -> ObsReport {
     ObsReport {
         label: label.into(),
-        json: sim.obs_report().to_json(),
+        report: sim.obs_report(),
     }
 }
 
@@ -161,77 +161,38 @@ pub struct Check {
     pub detail: String,
 }
 
-/// One-line digest of a `RunReport` JSON blob for the experiment log:
-/// the loss-shaped counters a reader would otherwise have to dig out of
-/// the blob (proxy-discarded datagrams, trace-ring evictions) plus the
+/// One-line digest of a `RunReport` for the experiment log: the
+/// loss-shaped counters a reader would otherwise have to dig out of the
+/// JSON (proxy-discarded datagrams, trace-ring evictions) plus the
 /// flight-recorder headlines (pinned exemplars, recorded windows) and
 /// the obs-plane honesty counts (spans retired vs resident, time spent
 /// inside the plane itself) and the profiler's (frames resident vs
-/// evicted, fold overhead). `None` only when the blob does not parse.
-fn obs_summary_line(json: &str) -> Option<String> {
-    let doc = obs::json::parse(json).ok()?;
-    let discarded: u64 = doc
-        .get("proxies")
-        .and_then(|p| p.as_obj())
-        .map(|m| {
-            m.values()
-                .filter_map(|s| s.u64_field("datagrams_discarded"))
-                .sum()
-        })
-        .unwrap_or(0);
-    let trace_evicted = doc.u64_field("trace_evicted").unwrap_or(0);
-    let exemplars = doc
-        .get("exemplars")
-        .and_then(|e| e.as_arr())
-        .map_or(0, <[obs::json::Json]>::len);
-    let windows = doc
-        .get("timeseries")
-        .and_then(|t| t.get("windows"))
-        .and_then(|w| w.as_arr())
-        .map_or(0, <[obs::json::Json]>::len);
-    let procs_spawned = doc
-        .get("net")
-        .and_then(|n| n.u64_field("processes_spawned"))
-        .unwrap_or(0);
-    let procs_peak = doc
-        .get("net")
-        .and_then(|n| n.u64_field("processes_peak"))
-        .unwrap_or(0);
-    let inversions = doc
-        .get("net")
-        .and_then(|n| n.u64_field("sched_time_inversions"))
-        .unwrap_or(0);
-    let spans_retired = doc
-        .get("obs")
-        .and_then(|o| o.u64_field("spans_retired"))
-        .unwrap_or(0);
-    let spans_resident = doc
-        .get("obs")
-        .and_then(|o| o.u64_field("spans_resident"))
-        .unwrap_or(0);
-    let obs_self_us = doc
-        .get("obs")
-        .and_then(|o| o.u64_field("self_ns"))
-        .unwrap_or(0)
-        / 1_000;
-    let prof = doc.get("profile");
-    let prof_frames = prof
-        .and_then(|p| p.u64_field("frames_resident"))
-        .unwrap_or(0);
-    let prof_evicted = prof
-        .and_then(|p| p.u64_field("frames_evicted"))
-        .unwrap_or(0);
-    let prof_self_us = prof.and_then(|p| p.u64_field("self_ns")).unwrap_or(0) / 1_000;
-    Some(format!(
-        "datagrams_discarded={discarded} trace_evicted={trace_evicted} \
-         exemplars={exemplars} ts_windows={windows} \
-         procs_spawned={procs_spawned} procs_peak={procs_peak} \
-         sched_time_inversions={inversions} \
-         spans_retired={spans_retired} spans_resident={spans_resident} \
-         obs_self_us={obs_self_us} \
+/// evicted, fold overhead).
+fn obs_summary_line(r: &obs::RunReport) -> String {
+    let discarded: u64 = r.proxies.values().map(|s| s.datagrams_discarded).sum();
+    let windows = r.timeseries.as_ref().map_or(0, |ts| ts.windows.len());
+    let (prof_frames, prof_evicted, prof_self_ns) = r.profile.as_ref().map_or((0, 0, 0), |p| {
+        (p.frames_resident, p.frames_evicted, p.self_ns)
+    });
+    format!(
+        "datagrams_discarded={discarded} trace_evicted={} \
+         exemplars={} ts_windows={windows} \
+         procs_spawned={} procs_peak={} \
+         sched_time_inversions={} \
+         spans_retired={} spans_resident={} \
+         obs_self_us={} \
          prof_frames={prof_frames} prof_evicted={prof_evicted} \
-         prof_self_us={prof_self_us}"
-    ))
+         prof_self_us={}",
+        r.trace_evicted,
+        r.exemplars.len(),
+        r.net.processes_spawned,
+        r.net.processes_peak,
+        r.net.sched_time_inversions,
+        r.obs.spans_retired,
+        r.obs.spans_resident,
+        r.obs.self_ns / 1_000,
+        prof_self_ns / 1_000,
+    )
 }
 
 /// Builds a check.
@@ -279,10 +240,8 @@ impl ExperimentOutput {
             all &= c.pass;
         }
         for r in &self.reports {
-            println!("  obs-report[{}] {}", r.label, r.json);
-            if let Some(line) = obs_summary_line(&r.json) {
-                println!("  obs-summary[{}] {}", r.label, line);
-            }
+            println!("  obs-report[{}] {}", r.label, r.report.to_json());
+            println!("  obs-summary[{}] {}", r.label, obs_summary_line(&r.report));
         }
         all &= self.export_traces();
         all

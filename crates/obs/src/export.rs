@@ -1,4 +1,5 @@
-//! Trace exporters: Chrome Trace Format JSON and a compact JSONL log.
+//! Trace and report exporters, all printed through the one JSON model
+//! ([`crate::json`]).
 //!
 //! * [`to_chrome_json`] emits the Trace Event Format understood by
 //!   Perfetto / `chrome://tracing`: one *process* track per context
@@ -11,50 +12,122 @@
 //!   file long after the simulation is gone.
 //! * [`validate_chrome`] structurally checks an exported Chrome trace —
 //!   the CI smoke test fails on malformed output.
+//! * [`validate_report`] reads a run report back, re-prints it, and
+//!   checks what the format promises beyond its shape.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
 
-use crate::json::{self, Json};
-use crate::timeseries::TimeSeriesReport;
+use crate::json::{self, json_model, member, Json, JsonModel};
 use crate::trace::{CausalEvent, CausalTrace, Loc, NetEvent, NetEventKind};
-use crate::{SpanId, SpanKind, SpanRecord};
+use crate::{RunReport, SpanKind, SpanRecord};
+
+// ---------------------------------------------------------------------------
+// The per-event mapping (JSONL lines and Chrome instant args)
+// ---------------------------------------------------------------------------
+
+json_model! {
+    Loc { node, port }
+    SpanRecord {
+        id, parent, kind, service, op, start_ns: "t", end_ns, ok,
+        retransmissions: "retx", replies,
+    }
+}
+
+json_model! {
+    enum NetEventKind by "k" {
+        Sent "sent" { src, dst, bytes },
+        Delivered "delivered" { src, dst, bytes },
+        Dropped "dropped" { src, dst },
+        Blackholed "blackholed" { src, dst },
+        Batched "batched" { src, dst, count },
+        Retransmit "retransmit" { src, dst, attempt },
+        ServerExecute "server_execute" { service, op, dur_ns },
+        ProxyCacheHit "cache_hit" { service, op },
+        ProxyCacheMiss "cache_miss" { service, op },
+        Forwarded "forwarded" { from, to },
+        Migrated "migrated" { service, from, to },
+    }
+}
+
+impl JsonModel for SpanKind {
+    fn to_value(&self) -> Json {
+        Json::from(self.label())
+    }
+
+    fn from_value(v: &Json) -> Result<SpanKind, String> {
+        [SpanKind::Invoke, SpanKind::Dispatch, SpanKind::Oneway]
+            .into_iter()
+            .find(|k| v.as_str() == Some(k.label()))
+            .ok_or_else(|| format!("bad span kind {v}"))
+    }
+}
+
+/// A network event: its kind's members plus `t` and `span`.
+impl JsonModel for NetEvent {
+    fn to_value(&self) -> Json {
+        let mut v = self.kind.to_value();
+        v.insert("t", self.at_ns.into());
+        v.insert("span", self.span.to_value());
+        v
+    }
+
+    fn from_value(v: &Json) -> Result<NetEvent, String> {
+        Ok(NetEvent {
+            kind: NetEventKind::from_value(v)?,
+            at_ns: member(v, "t")?,
+            span: member(v, "span")?,
+        })
+    }
+}
+
+/// One JSONL line: a span (`"k":"span"`) or a network event.
+impl JsonModel for CausalEvent {
+    fn to_value(&self) -> Json {
+        match self {
+            CausalEvent::Span(s) => {
+                let mut v = s.to_value();
+                v.insert("k", "span".into());
+                v
+            }
+            CausalEvent::Net(e) => e.to_value(),
+        }
+    }
+
+    fn from_value(v: &Json) -> Result<CausalEvent, String> {
+        match v.str_field("k") {
+            Some("span") => SpanRecord::from_value(v).map(CausalEvent::Span),
+            _ => NetEvent::from_value(v).map(CausalEvent::Net),
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Chrome Trace Format
 // ---------------------------------------------------------------------------
 
-/// Where a network event is drawn: the track of the node it happened on.
-fn net_event_site(e: &NetEvent) -> Option<(Loc, &'static str)> {
+/// The track a network event is drawn on: its node's, with the port as
+/// the thread, or for a service-level event its service's.
+fn net_event_track(e: &NetEvent) -> (String, u64) {
+    let node = |loc: &Loc| (format!("node {}", loc.node), u64::from(loc.port));
     match &e.kind {
-        NetEventKind::Sent { src, .. } => Some((*src, "sent")),
-        NetEventKind::Delivered { dst, .. } => Some((*dst, "delivered")),
-        NetEventKind::Dropped { src, .. } => Some((*src, "dropped")),
-        NetEventKind::Blackholed { src, .. } => Some((*src, "blackholed")),
-        NetEventKind::Retransmit { src, .. } => Some((*src, "retransmit")),
-        NetEventKind::Batched { src, .. } => Some((*src, "batched")),
-        NetEventKind::Forwarded { from, .. } => Some((*from, "forwarded")),
-        NetEventKind::ServerExecute { .. }
-        | NetEventKind::ProxyCacheHit { .. }
-        | NetEventKind::ProxyCacheMiss { .. }
-        | NetEventKind::Migrated { .. } => None,
-    }
-}
-
-/// The process-track name a net event belongs to when it has no
-/// node site (service-level events).
-fn net_event_service(e: &NetEvent) -> Option<&str> {
-    match &e.kind {
+        NetEventKind::Sent { src, .. }
+        | NetEventKind::Dropped { src, .. }
+        | NetEventKind::Blackholed { src, .. }
+        | NetEventKind::Retransmit { src, .. }
+        | NetEventKind::Batched { src, .. } => node(src),
+        NetEventKind::Delivered { dst, .. } => node(dst),
+        NetEventKind::Forwarded { from, .. } => node(from),
         NetEventKind::ServerExecute { service, .. }
         | NetEventKind::ProxyCacheHit { service, .. }
         | NetEventKind::ProxyCacheMiss { service, .. }
-        | NetEventKind::Migrated { service, .. } => Some(service),
-        _ => None,
+        | NetEventKind::Migrated { service, .. } => (service.clone(), 0),
     }
 }
 
-fn micros(ns: u64) -> f64 {
-    ns as f64 / 1000.0
+/// Simulated nanoseconds as the format's microseconds.
+fn micros(ns: u64) -> Json {
+    Json::Num(ns as f64 / 1000.0)
 }
 
 struct ChromeWriter {
@@ -65,14 +138,6 @@ struct ChromeWriter {
 }
 
 impl ChromeWriter {
-    fn new() -> ChromeWriter {
-        ChromeWriter {
-            out: String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"),
-            first: true,
-            pids: BTreeMap::new(),
-        }
-    }
-
     fn pid(&mut self, track: &str) -> u64 {
         if let Some(&p) = self.pids.get(track) {
             return p;
@@ -82,58 +147,39 @@ impl ChromeWriter {
         p
     }
 
-    fn event(&mut self, body: &str) {
+    fn event(&mut self, ev: Json) {
         if !self.first {
             self.out.push_str(",\n");
         }
         self.first = false;
-        self.out.push('{');
-        self.out.push_str(body);
-        self.out.push('}');
-    }
-
-    fn finish(mut self) -> String {
-        // Metadata events naming every track, emitted last (Chrome does
-        // not care about ordering of "M" events).
-        let pids: Vec<(String, u64)> = self
-            .pids
-            .iter()
-            .map(|(name, &pid)| (name.clone(), pid))
-            .collect();
-        for (name, pid) in pids {
-            self.event(&format!(
-                "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":{}}}",
-                json::quote(&name)
-            ));
-        }
-        self.out.push_str("\n]}\n");
-        self.out
+        let _ = write!(self.out, "{ev}");
     }
 }
 
-/// Exports the trace as Chrome Trace Format JSON.
+/// Exports the trace as Chrome Trace Format JSON, one event per line.
 ///
 /// Load the result in [Perfetto](https://ui.perfetto.dev) or
 /// `chrome://tracing`. Spans whose service is `S` land on the `S`
 /// process track; network instants land on their node's `node N` track
-/// with the port as the thread id.
+/// with the port as the thread id, and carry the event's JSONL form as
+/// their args.
 pub fn to_chrome_json(trace: &CausalTrace) -> String {
-    let mut w = ChromeWriter::new();
+    let mut w = ChromeWriter {
+        out: String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"),
+        first: true,
+        pids: BTreeMap::new(),
+    };
 
     // Spans → "X" complete events on greedy non-overlapping lanes.
     let mut lanes: HashMap<u64, Vec<u64>> = HashMap::new(); // pid → lane end times
-    for ev in &trace.events {
-        let span = match ev {
-            CausalEvent::Span(s) => s,
-            CausalEvent::Net(_) => continue,
-        };
+    for span in trace.spans() {
         let pid = w.pid(&span.service);
-        let (ts, dur) = match span.end_ns {
-            Some(end) => (span.start_ns, end.saturating_sub(span.start_ns)),
-            // Open span: zero-length marker so it is still visible.
-            None => (span.start_ns, 0),
-        };
+        // An open span is a zero-length marker so it is still visible.
+        let (ts, dur) = (
+            span.start_ns,
+            span.end_ns
+                .map_or(0, |end| end.saturating_sub(span.start_ns)),
+        );
         let lane_ends = lanes.entry(pid).or_default();
         let lane = match lane_ends.iter().position(|&end| end <= ts) {
             Some(i) => {
@@ -145,84 +191,45 @@ pub fn to_chrome_json(trace: &CausalTrace) -> String {
                 lane_ends.len() - 1
             }
         };
-        let mut body = String::new();
-        let _ = write!(
-            body,
-            "\"name\":{},\"cat\":\"span\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-             \"pid\":{},\"tid\":{},\"args\":{{\"span\":{},\"parent\":{},\"kind\":\"{}\"",
-            json::quote(&format!("{}/{}", span.service, span.op)),
-            micros(ts),
-            micros(dur),
-            pid,
-            lane,
-            span.id.raw(),
-            span.parent.raw(),
-            span.kind.label(),
-        );
+        let mut args = Json::obj([
+            ("span", span.id.to_value()),
+            ("parent", span.parent.to_value()),
+            ("kind", span.kind.to_value()),
+        ]);
         if let Some(ok) = span.ok {
-            let _ = write!(body, ",\"ok\":{ok}");
+            args.insert("ok", Json::Bool(ok));
         }
         if span.retransmissions > 0 {
-            let _ = write!(body, ",\"retx\":{}", span.retransmissions);
+            args.insert("retx", span.retransmissions.into());
         }
-        body.push('}');
-        w.event(&body);
+        w.event(Json::obj([
+            ("name", Json::Str(format!("{}/{}", span.service, span.op))),
+            ("cat", "span".into()),
+            ("ph", "X".into()),
+            ("ts", micros(ts)),
+            ("dur", micros(dur)),
+            ("pid", pid.into()),
+            ("tid", (lane as u64).into()),
+            ("args", args),
+        ]));
     }
 
     // Network events → instants, plus flow arrows for send→deliver.
     let mut flow_id = 0u64;
-    let mut pending_sends: HashMap<(u64, Loc, Loc), VecDeque<(u64, u64)>> = HashMap::new();
+    let mut pending_sends: HashMap<(u64, Loc, Loc), VecDeque<u64>> = HashMap::new();
     for e in trace.net_events() {
-        let (pid, tid) = match net_event_site(e) {
-            Some((loc, _)) => (w.pid(&format!("node {}", loc.node)), loc.port as u64),
-            None => match net_event_service(e) {
-                Some(service) => (w.pid(service), 0),
-                None => continue,
-            },
-        };
-        let mut args = String::new();
-        let _ = write!(args, "\"span\":{}", e.span.raw());
-        match &e.kind {
-            NetEventKind::Sent { src, dst, bytes }
-            | NetEventKind::Delivered { src, dst, bytes } => {
-                let _ = write!(
-                    args,
-                    ",\"src\":\"{src}\",\"dst\":\"{dst}\",\"bytes\":{bytes}"
-                );
-            }
-            NetEventKind::Dropped { src, dst }
-            | NetEventKind::Blackholed { src, dst }
-            | NetEventKind::Retransmit { src, dst, .. } => {
-                let _ = write!(args, ",\"src\":\"{src}\",\"dst\":\"{dst}\"");
-            }
-            NetEventKind::Batched { src, dst, count } => {
-                let _ = write!(
-                    args,
-                    ",\"src\":\"{src}\",\"dst\":\"{dst}\",\"count\":{count}"
-                );
-            }
-            NetEventKind::ServerExecute { op, dur_ns, .. } => {
-                let _ = write!(args, ",\"op\":{},\"dur_ns\":{dur_ns}", json::quote(op));
-            }
-            NetEventKind::ProxyCacheHit { op, .. } | NetEventKind::ProxyCacheMiss { op, .. } => {
-                let _ = write!(args, ",\"op\":{}", json::quote(op));
-            }
-            NetEventKind::Forwarded { from, to } => {
-                let _ = write!(args, ",\"from\":\"{from}\",\"to\":\"{to}\"");
-            }
-            NetEventKind::Migrated { from, to, .. } => {
-                let _ = write!(args, ",\"from\":\"{from}\",\"to\":\"{to}\"");
-            }
-        }
-        w.event(&format!(
-            "\"name\":\"{}\",\"cat\":\"net\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\
-             \"pid\":{},\"tid\":{},\"args\":{{{}}}",
-            e.kind.tag(),
-            micros(e.at_ns),
-            pid,
-            tid,
-            args
-        ));
+        let (track, tid) = net_event_track(e);
+        let pid = w.pid(&track);
+        w.event(Json::obj([
+            ("name", e.kind.tag().into()),
+            ("cat", "net".into()),
+            ("ph", "i".into()),
+            ("s", "t".into()),
+            ("ts", micros(e.at_ns)),
+            ("pid", pid.into()),
+            ("tid", tid.into()),
+            ("args", e.to_value()),
+        ]));
 
         // Flow arrows: a Delivered matches the oldest unmatched Sent
         // with the same (span, src, dst).
@@ -231,39 +238,49 @@ pub fn to_chrome_json(trace: &CausalTrace) -> String {
                 pending_sends
                     .entry((e.span.raw(), *src, *dst))
                     .or_default()
-                    .push_back((e.at_ns, pid));
+                    .push_back(e.at_ns);
             }
             NetEventKind::Delivered { src, dst, .. } => {
                 let sent = pending_sends
                     .get_mut(&(e.span.raw(), *src, *dst))
-                    .and_then(|q| q.pop_front());
-                if let Some((sent_ns, _)) = sent {
+                    .and_then(VecDeque::pop_front);
+                if let Some(sent_ns) = sent {
                     flow_id += 1;
-                    let src_pid = w.pid(&format!("node {}", src.node));
-                    let dst_pid = w.pid(&format!("node {}", dst.node));
-                    w.event(&format!(
-                        "\"name\":\"msg\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{},\
-                         \"ts\":{:.3},\"pid\":{},\"tid\":{}",
-                        flow_id,
-                        micros(sent_ns),
-                        src_pid,
-                        src.port
-                    ));
-                    w.event(&format!(
-                        "\"name\":\"msg\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\
-                         \"id\":{},\"ts\":{:.3},\"pid\":{},\"tid\":{}",
-                        flow_id,
-                        micros(e.at_ns),
-                        dst_pid,
-                        dst.port
-                    ));
+                    for (ph, at_ns, loc) in [("s", sent_ns, src), ("f", e.at_ns, dst)] {
+                        let mut flow = Json::obj([
+                            ("name", "msg".into()),
+                            ("cat", "flow".into()),
+                            ("ph", ph.into()),
+                            ("id", flow_id.into()),
+                            ("ts", micros(at_ns)),
+                            ("pid", w.pid(&format!("node {}", loc.node)).into()),
+                            ("tid", u64::from(loc.port).into()),
+                        ]);
+                        if ph == "f" {
+                            flow.insert("bp", "e".into());
+                        }
+                        w.event(flow);
+                    }
                 }
             }
             _ => {}
         }
     }
 
-    w.finish()
+    // Metadata events naming every track, emitted last (Chrome does not
+    // care about the order of "M" events).
+    let pids = std::mem::take(&mut w.pids);
+    for (name, pid) in pids {
+        w.event(Json::obj([
+            ("name", "process_name".into()),
+            ("ph", "M".into()),
+            ("pid", pid.into()),
+            ("tid", 0u64.into()),
+            ("args", Json::obj([("name", Json::Str(name))])),
+        ]));
+    }
+    w.out.push_str("\n]}\n");
+    w.out
 }
 
 /// Summary returned by [`validate_chrome`].
@@ -371,13 +388,8 @@ pub fn validate_chrome(text: &str) -> Result<ChromeSummary, String> {
 // JSONL
 // ---------------------------------------------------------------------------
 
-fn jsonl_loc(out: &mut String, prefix: &str, loc: Loc) {
-    let _ = write!(
-        out,
-        ",\"{prefix}_n\":{},\"{prefix}_p\":{}",
-        loc.node, loc.port
-    );
-}
+/// The `{"k":"meta",...}` header line's counters.
+const META: [&str; 3] = ["evicted", "sampled_out_spans", "sampled_out_events"];
 
 /// Exports the trace as one JSON object per line.
 ///
@@ -386,132 +398,20 @@ fn jsonl_loc(out: &mut String, prefix: &str, loc: Loc) {
 /// `{"k":"span",...}` record or a network event keyed by
 /// [`NetEventKind::tag`]. [`from_jsonl`] reads the format back.
 pub fn to_jsonl(trace: &CausalTrace) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"k\":\"meta\",\"evicted\":{},\"sampled_out_spans\":{},\"sampled_out_events\":{}}}",
-        trace.evicted, trace.sampled_out_spans, trace.sampled_out_events
-    );
+    let counts = [
+        trace.evicted,
+        trace.sampled_out_spans,
+        trace.sampled_out_events,
+    ];
+    let mut meta = Json::obj([("k", "meta".into())]);
+    for (key, n) in META.into_iter().zip(counts) {
+        meta.insert(key, n.into());
+    }
+    let mut out = format!("{meta}\n");
     for ev in &trace.events {
-        match ev {
-            CausalEvent::Span(s) => {
-                let _ = write!(
-                    out,
-                    "{{\"k\":\"span\",\"t\":{},\"id\":{},\"parent\":{},\"kind\":\"{}\",\
-                     \"service\":{},\"op\":{},\"retx\":{},\"replies\":{}",
-                    s.start_ns,
-                    s.id.raw(),
-                    s.parent.raw(),
-                    s.kind.label(),
-                    json::quote(&s.service),
-                    json::quote(&s.op),
-                    s.retransmissions,
-                    s.replies
-                );
-                if let Some(end) = s.end_ns {
-                    let _ = write!(out, ",\"end_ns\":{end}");
-                }
-                if let Some(ok) = s.ok {
-                    let _ = write!(out, ",\"ok\":{ok}");
-                }
-                out.push_str("}\n");
-            }
-            CausalEvent::Net(e) => {
-                let _ = write!(
-                    out,
-                    "{{\"k\":\"{}\",\"t\":{},\"span\":{}",
-                    e.kind.tag(),
-                    e.at_ns,
-                    e.span.raw()
-                );
-                match &e.kind {
-                    NetEventKind::Sent { src, dst, bytes }
-                    | NetEventKind::Delivered { src, dst, bytes } => {
-                        jsonl_loc(&mut out, "src", *src);
-                        jsonl_loc(&mut out, "dst", *dst);
-                        let _ = write!(out, ",\"bytes\":{bytes}");
-                    }
-                    NetEventKind::Dropped { src, dst } | NetEventKind::Blackholed { src, dst } => {
-                        jsonl_loc(&mut out, "src", *src);
-                        jsonl_loc(&mut out, "dst", *dst);
-                    }
-                    NetEventKind::Retransmit { src, dst, attempt } => {
-                        jsonl_loc(&mut out, "src", *src);
-                        jsonl_loc(&mut out, "dst", *dst);
-                        let _ = write!(out, ",\"attempt\":{attempt}");
-                    }
-                    NetEventKind::Batched { src, dst, count } => {
-                        jsonl_loc(&mut out, "src", *src);
-                        jsonl_loc(&mut out, "dst", *dst);
-                        let _ = write!(out, ",\"count\":{count}");
-                    }
-                    NetEventKind::ServerExecute {
-                        service,
-                        op,
-                        dur_ns,
-                    } => {
-                        let _ = write!(
-                            out,
-                            ",\"service\":{},\"op\":{},\"dur_ns\":{dur_ns}",
-                            json::quote(service),
-                            json::quote(op)
-                        );
-                    }
-                    NetEventKind::ProxyCacheHit { service, op }
-                    | NetEventKind::ProxyCacheMiss { service, op } => {
-                        let _ = write!(
-                            out,
-                            ",\"service\":{},\"op\":{}",
-                            json::quote(service),
-                            json::quote(op)
-                        );
-                    }
-                    NetEventKind::Forwarded { from, to } => {
-                        jsonl_loc(&mut out, "from", *from);
-                        jsonl_loc(&mut out, "to", *to);
-                    }
-                    NetEventKind::Migrated { service, from, to } => {
-                        let _ = write!(out, ",\"service\":{}", json::quote(service));
-                        jsonl_loc(&mut out, "from", *from);
-                        jsonl_loc(&mut out, "to", *to);
-                    }
-                }
-                out.push_str("}\n");
-            }
-        }
+        let _ = writeln!(out, "{}", ev.to_value());
     }
     out
-}
-
-fn parse_loc(v: &Json, prefix: &str) -> Result<Loc, String> {
-    let node = v
-        .u64_field(&format!("{prefix}_n"))
-        .ok_or_else(|| format!("missing {prefix}_n"))?;
-    let port = v
-        .u64_field(&format!("{prefix}_p"))
-        .ok_or_else(|| format!("missing {prefix}_p"))?;
-    Ok(Loc::new(node as u32, port as u32))
-}
-
-fn parse_span_line(v: &Json) -> Result<SpanRecord, String> {
-    let kind = match v.str_field("kind") {
-        Some("invoke") => SpanKind::Invoke,
-        Some("dispatch") => SpanKind::Dispatch,
-        Some("oneway") => SpanKind::Oneway,
-        other => return Err(format!("bad span kind {other:?}")),
-    };
-    Ok(SpanRecord {
-        id: SpanId(v.u64_field("id").ok_or("span missing id")?),
-        parent: SpanId(v.u64_field("parent").unwrap_or(0)),
-        kind,
-        service: v.str_field("service").unwrap_or("").to_owned(),
-        op: v.str_field("op").unwrap_or("").to_owned(),
-        start_ns: v.u64_field("t").ok_or("span missing t")?,
-        end_ns: v.u64_field("end_ns"),
-        ok: v.get("ok").and_then(Json::as_bool),
-        retransmissions: v.u64_field("retx").unwrap_or(0),
-        replies: v.u64_field("replies").unwrap_or(0),
-    })
 }
 
 /// Reads a JSONL trace produced by [`to_jsonl`] back into a
@@ -527,432 +427,134 @@ pub fn from_jsonl(text: &str) -> Result<CausalTrace, String> {
         if line.is_empty() {
             continue;
         }
-        let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let err = |msg: String| format!("line {}: {msg}", lineno + 1);
-        let kind = v.str_field("k").ok_or_else(|| err("missing k".into()))?;
-        match kind {
-            "meta" => {
-                trace.evicted = v.u64_field("evicted").unwrap_or(0);
-                trace.sampled_out_spans = v.u64_field("sampled_out_spans").unwrap_or(0);
-                trace.sampled_out_events = v.u64_field("sampled_out_events").unwrap_or(0);
-                continue;
-            }
-            "span" => {
-                trace
-                    .events
-                    .push(CausalEvent::Span(parse_span_line(&v).map_err(err)?));
-                continue;
-            }
-            _ => {}
+        let at = |msg: String| format!("line {}: {msg}", lineno + 1);
+        let v = json::parse(line).map_err(|e| at(e.to_string()))?;
+        if v.str_field("k") == Some("meta") {
+            let [evicted, spans, events] = META.map(|key| member(&v, key));
+            trace.evicted = evicted.map_err(at)?;
+            trace.sampled_out_spans = spans.map_err(at)?;
+            trace.sampled_out_events = events.map_err(at)?;
+        } else {
+            trace.events.push(CausalEvent::from_value(&v).map_err(at)?);
         }
-        let at_ns = v.u64_field("t").ok_or_else(|| err("missing t".into()))?;
-        let span = SpanId(v.u64_field("span").unwrap_or(0));
-        let net_kind = match kind {
-            "sent" => NetEventKind::Sent {
-                src: parse_loc(&v, "src").map_err(&err)?,
-                dst: parse_loc(&v, "dst").map_err(&err)?,
-                bytes: v.u64_field("bytes").unwrap_or(0),
-            },
-            "delivered" => NetEventKind::Delivered {
-                src: parse_loc(&v, "src").map_err(&err)?,
-                dst: parse_loc(&v, "dst").map_err(&err)?,
-                bytes: v.u64_field("bytes").unwrap_or(0),
-            },
-            "dropped" => NetEventKind::Dropped {
-                src: parse_loc(&v, "src").map_err(&err)?,
-                dst: parse_loc(&v, "dst").map_err(&err)?,
-            },
-            "blackholed" => NetEventKind::Blackholed {
-                src: parse_loc(&v, "src").map_err(&err)?,
-                dst: parse_loc(&v, "dst").map_err(&err)?,
-            },
-            "retransmit" => NetEventKind::Retransmit {
-                src: parse_loc(&v, "src").map_err(&err)?,
-                dst: parse_loc(&v, "dst").map_err(&err)?,
-                attempt: v.u64_field("attempt").unwrap_or(0) as u32,
-            },
-            "batched" => NetEventKind::Batched {
-                src: parse_loc(&v, "src").map_err(&err)?,
-                dst: parse_loc(&v, "dst").map_err(&err)?,
-                count: v.u64_field("count").unwrap_or(0),
-            },
-            "server_execute" => NetEventKind::ServerExecute {
-                service: v.str_field("service").unwrap_or("").to_owned(),
-                op: v.str_field("op").unwrap_or("").to_owned(),
-                dur_ns: v.u64_field("dur_ns").unwrap_or(0),
-            },
-            "cache_hit" => NetEventKind::ProxyCacheHit {
-                service: v.str_field("service").unwrap_or("").to_owned(),
-                op: v.str_field("op").unwrap_or("").to_owned(),
-            },
-            "cache_miss" => NetEventKind::ProxyCacheMiss {
-                service: v.str_field("service").unwrap_or("").to_owned(),
-                op: v.str_field("op").unwrap_or("").to_owned(),
-            },
-            "forwarded" => NetEventKind::Forwarded {
-                from: parse_loc(&v, "from").map_err(&err)?,
-                to: parse_loc(&v, "to").map_err(&err)?,
-            },
-            "migrated" => NetEventKind::Migrated {
-                service: v.str_field("service").unwrap_or("").to_owned(),
-                from: parse_loc(&v, "from").map_err(&err)?,
-                to: parse_loc(&v, "to").map_err(&err)?,
-            },
-            other => return Err(err(format!("unknown event kind {other:?}"))),
-        };
-        trace.events.push(CausalEvent::Net(NetEvent {
-            at_ns,
-            span,
-            kind: net_kind,
-        }));
     }
     trace.events.sort_by_key(CausalEvent::at_ns);
     Ok(trace)
 }
 
 // ---------------------------------------------------------------------------
-// Flight-recorder time series
-// ---------------------------------------------------------------------------
-
-/// Column header of the time-series CSV, in long format: one row per
-/// `(window, series)` pair. Counter rows fill only `value`; gauge rows
-/// fill `value` (last level), `min`, `max`, `mean` and `count`
-/// (samples); histogram rows fill everything but `value`.
-pub const TIMESERIES_CSV_HEADER: &str = "start_ns,kind,series,value,min,max,mean,p50,p95,p99,count";
-
-/// Exports a flight recording as CSV in long format, windows in time
-/// order and series sorted within each window. The layout imports
-/// directly into spreadsheet tools and plotters; the `kind` column
-/// (`counter` / `gauge` / `hist`) tells rows apart.
-pub fn timeseries_to_csv(ts: &TimeSeriesReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# width_ns={} windows_evicted={} late_dropped={}",
-        ts.width_ns, ts.windows_evicted, ts.late_dropped
-    );
-    out.push_str(TIMESERIES_CSV_HEADER);
-    out.push('\n');
-    for w in &ts.windows {
-        for (name, v) in &w.counters {
-            let _ = writeln!(out, "{},counter,{name},{v},,,,,,,", w.start_ns);
-        }
-        for (name, g) in &w.gauges {
-            let _ = writeln!(
-                out,
-                "{},gauge,{name},{},{},{},{},,,,{}",
-                w.start_ns,
-                g.last,
-                g.min,
-                g.max,
-                g.mean(),
-                g.samples
-            );
-        }
-        for (name, h) in &w.hists {
-            let _ = writeln!(
-                out,
-                "{},hist,{name},,{},{},{},{},{},{},{}",
-                w.start_ns, h.min_ns, h.max_ns, h.mean_ns, h.p50_ns, h.p95_ns, h.p99_ns, h.count
-            );
-        }
-    }
-    out
-}
-
-/// Summary returned by [`validate_timeseries_csv`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TimeSeriesCsvSummary {
-    /// Data rows (excluding comment and header).
-    pub rows: usize,
-    /// Distinct window start times.
-    pub windows: usize,
-    /// Distinct series names.
-    pub series: usize,
-    /// Counter rows.
-    pub counters: usize,
-    /// Gauge rows.
-    pub gauges: usize,
-    /// Histogram rows.
-    pub hists: usize,
-}
-
-/// Structurally validates a time-series CSV produced by
-/// [`timeseries_to_csv`]: exact header, 11 columns per row, numeric
-/// fields where the row kind requires them, non-decreasing window start
-/// times, and per-row sanity (`min ≤ max`, histogram quantiles ordered).
-///
-/// # Errors
-///
-/// Returns a description of the first violation found.
-pub fn validate_timeseries_csv(text: &str) -> Result<TimeSeriesCsvSummary, String> {
-    let mut lines = text.lines();
-    let comment = lines.next().ok_or("empty file")?;
-    if !comment.starts_with("# width_ns=") {
-        return Err("missing width_ns comment line".into());
-    }
-    let header = lines.next().ok_or("missing header")?;
-    if header != TIMESERIES_CSV_HEADER {
-        return Err(format!("bad header {header:?}"));
-    }
-    let mut summary = TimeSeriesCsvSummary::default();
-    let mut starts: Vec<u64> = Vec::new();
-    let mut names: Vec<&str> = Vec::new();
-    let mut last_start = 0u64;
-    for (i, line) in lines.enumerate() {
-        let at = |msg: &str| format!("row {}: {msg}", i + 1);
-        if line.is_empty() {
-            continue;
-        }
-        let cols: Vec<&str> = line.split(',').collect();
-        if cols.len() != 11 {
-            return Err(at(&format!("{} columns, want 11", cols.len())));
-        }
-        let num = |s: &str, what: &str| -> Result<u64, String> {
-            s.parse::<u64>()
-                .map_err(|_| at(&format!("bad {what} {s:?}")))
-        };
-        let start = num(cols[0], "start_ns")?;
-        if start < last_start {
-            return Err(at("window start went backwards"));
-        }
-        last_start = start;
-        starts.push(start);
-        if cols[2].is_empty() {
-            return Err(at("empty series name"));
-        }
-        names.push(cols[2]);
-        match cols[1] {
-            "counter" => {
-                num(cols[3], "counter value")?;
-                summary.counters += 1;
-            }
-            "gauge" => {
-                num(cols[3], "gauge last")?;
-                let min = num(cols[4], "gauge min")?;
-                let max = num(cols[5], "gauge max")?;
-                if min > max {
-                    return Err(at("gauge min > max"));
-                }
-                num(cols[10], "gauge samples")?;
-                summary.gauges += 1;
-            }
-            "hist" => {
-                let min = num(cols[4], "hist min")?;
-                let max = num(cols[5], "hist max")?;
-                let p50 = num(cols[7], "p50")?;
-                let p95 = num(cols[8], "p95")?;
-                let p99 = num(cols[9], "p99")?;
-                if min > max || p50 > p95 || p95 > p99 || p99 > max {
-                    return Err(at("histogram quantiles out of order"));
-                }
-                num(cols[10], "hist count")?;
-                summary.hists += 1;
-            }
-            other => return Err(at(&format!("unknown row kind {other:?}"))),
-        }
-        summary.rows += 1;
-    }
-    starts.dedup();
-    summary.windows = starts.len();
-    names.sort_unstable();
-    names.dedup();
-    summary.series = names.len();
-    Ok(summary)
-}
-
-// ---------------------------------------------------------------------------
 // Run-report validation
 // ---------------------------------------------------------------------------
 
-/// Summary returned by [`validate_report`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReportSummary {
-    /// Windows in the embedded flight recording (0 when absent).
-    pub windows: usize,
-    /// Exemplars pinned by the watchdog.
-    pub exemplars: usize,
-    /// Of those, exemplars with a causal breakdown attached.
-    pub with_breakdown: usize,
-    /// Spans retired (folded into aggregates and evicted) by the
-    /// sharded registry; 0 for reports predating the obs section.
-    pub spans_retired: u64,
-    /// Spans resident in the span table at report time.
-    pub spans_resident: u64,
-    /// Distinct profiler frame paths resident (0 when the profiler was
-    /// off).
-    pub prof_frames: u64,
-    /// Profiler folds dropped on a full frame table.
-    pub prof_evicted: u64,
-}
-
-/// Structurally validates a `RunReport` JSON document, including the
-/// flight-recorder sections added by the watchdog work:
+/// Validates a `RunReport` JSON document and returns the report it
+/// holds. It must read back through [`RunReport::from_json`] and
+/// re-print to the same bytes, and then keep the promises its shape
+/// cannot express:
 ///
-/// * required aggregate sections (`net`, `rpc`, `spans`) are present,
 /// * `timeseries.windows` (when present) are in strictly increasing
-///   start order, each aligned to `width_ns`,
-/// * every exemplar names a span/service/trigger and — when a breakdown
-///   is attached — its queue/wire/server/retransmit components tile the
-///   exemplar latency *exactly*,
-/// * the obs self-measurement section (when present) carries every
-///   gauge, and retirement conserves spans: retired + resident equals
-///   the spans the run allocated (`started + oneways`). Reports written
-///   before the sharded registry have no `obs` object and stay valid,
-/// * the profiler section (when present) carries its honesty counters,
-///   `frames_resident` matches the frame map, and every frame path is
-///   well-formed with a nonzero call count.
+///   start order, each aligned to a nonzero `width_ns`; every gauge has
+///   `min ≤ max`, every histogram `min ≤ max` and `p50 ≤ p95 ≤ p99 ≤
+///   max`,
+/// * every exemplar's latency exceeds its threshold, and — when a
+///   breakdown is attached — its queue/wire/server/retransmit
+///   components tile the latency *exactly*,
+/// * the obs self-measurement gauges do not exceed their peaks, and
+///   retirement conserves spans: retired + resident equals the spans the
+///   run allocated (`started + oneways`),
+/// * the profiler section (when present) has `frames_resident` equal to
+///   its frame count, and every frame path is well-formed with a
+///   nonzero call count.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violation found.
-pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    doc.u64_field("end_time_ns").ok_or("missing end_time_ns")?;
-    for section in ["net", "rpc", "spans"] {
-        if doc.get(section).and_then(Json::as_obj).is_none() {
-            return Err(format!("missing {section} object"));
-        }
+pub fn validate_report(text: &str) -> Result<RunReport, String> {
+    let report = RunReport::from_json(text)?;
+    if report.to_json() != text {
+        return Err("not canonical: re-printing the report changes its bytes".into());
     }
-    let mut summary = ReportSummary::default();
-    if let Some(ts) = doc.get("timeseries") {
-        let width = ts
-            .u64_field("width_ns")
-            .ok_or("timeseries missing width_ns")?;
-        if width == 0 {
+    if let Some(ts) = &report.timeseries {
+        if ts.width_ns == 0 {
             return Err("timeseries width_ns is 0".into());
         }
-        let windows = ts
-            .get("windows")
-            .and_then(Json::as_arr)
-            .ok_or("timeseries missing windows array")?;
         let mut prev: Option<u64> = None;
-        for (i, w) in windows.iter().enumerate() {
+        for (i, w) in ts.windows.iter().enumerate() {
             let at = |msg: &str| format!("windows[{i}]: {msg}");
-            let start = w
-                .u64_field("start_ns")
-                .ok_or_else(|| at("missing start_ns"))?;
-            if start % width != 0 {
+            if w.start_ns % ts.width_ns != 0 {
                 return Err(at("start_ns not aligned to width_ns"));
             }
-            if let Some(p) = prev {
-                if start <= p {
-                    return Err(at("window starts not strictly increasing"));
-                }
+            if prev.is_some_and(|p| w.start_ns <= p) {
+                return Err(at("window starts not strictly increasing"));
             }
-            prev = Some(start);
-            for section in ["counters", "gauges", "hists"] {
-                if w.get(section).and_then(Json::as_obj).is_none() {
-                    return Err(at(&format!("missing {section} object")));
-                }
+            prev = Some(w.start_ns);
+            if let Some((name, _)) = w.gauges.iter().find(|(_, g)| g.min > g.max) {
+                return Err(at(&format!("gauge {name:?} min > max")));
+            }
+            if let Some((name, _)) = w.hists.iter().find(|(_, h)| {
+                h.min_ns > h.max_ns
+                    || h.p50_ns > h.p95_ns
+                    || h.p95_ns > h.p99_ns
+                    || h.p99_ns > h.max_ns
+            }) {
+                return Err(at(&format!("histogram {name:?} quantiles out of order")));
             }
         }
-        summary.windows = windows.len();
     }
-    if let Some(exemplars) = doc.get("exemplars").and_then(Json::as_arr) {
-        for (i, ex) in exemplars.iter().enumerate() {
-            let at = |msg: &str| format!("exemplars[{i}]: {msg}");
-            ex.u64_field("span").ok_or_else(|| at("missing span"))?;
-            ex.str_field("service")
-                .ok_or_else(|| at("missing service"))?;
-            let latency = ex
-                .u64_field("latency_ns")
-                .ok_or_else(|| at("missing latency_ns"))?;
-            let threshold = ex
-                .u64_field("threshold_ns")
-                .ok_or_else(|| at("missing threshold_ns"))?;
-            if latency <= threshold {
-                return Err(at("latency does not exceed threshold"));
-            }
-            match ex.str_field("trigger") {
-                Some("p99") | Some("slo") => {}
-                other => return Err(at(&format!("bad trigger {other:?}"))),
-            }
-            if let Some(b) = ex.get("breakdown") {
-                let part = |k: &str| b.u64_field(k).ok_or_else(|| at(&format!("missing {k}")));
-                let total = part("queue_ns")?
-                    + part("wire_ns")?
-                    + part("server_ns")?
-                    + part("retransmit_ns")?;
-                if total != latency {
-                    return Err(at(&format!(
-                        "breakdown sums to {total}ns, span is {latency}ns"
-                    )));
-                }
-                summary.with_breakdown += 1;
+    for (i, ex) in report.exemplars.iter().enumerate() {
+        let at = |msg: &str| format!("exemplars[{i}]: {msg}");
+        if ex.latency_ns <= ex.threshold_ns {
+            return Err(at("latency does not exceed threshold"));
+        }
+        if let Some(b) = ex.breakdown {
+            let total = b.queue_ns + b.wire_ns + b.server_ns + b.retransmit_ns;
+            if total != ex.latency_ns {
+                return Err(at(&format!(
+                    "breakdown sums to {total}ns, span is {}ns",
+                    ex.latency_ns
+                )));
             }
         }
-        summary.exemplars = exemplars.len();
     }
-    if let Some(obs) = doc.get("obs") {
-        let field = |k: &str| obs.u64_field(k).ok_or_else(|| format!("obs: missing {k}"));
-        let retired = field("spans_retired")?;
-        let resident = field("spans_resident")?;
-        let resident_peak = field("spans_resident_peak")?;
-        let bytes = field("span_table_bytes")?;
-        let bytes_peak = field("span_table_bytes_peak")?;
-        field("spans_sampled")?;
-        field("self_ns")?;
-        field("self_calls")?;
-        if resident > resident_peak {
-            return Err("obs: spans_resident exceeds its peak".into());
-        }
-        if bytes > bytes_peak {
-            return Err("obs: span_table_bytes exceeds its peak".into());
-        }
-        let spans = doc.get("spans").expect("presence checked above");
-        let allocated =
-            spans.u64_field("started").unwrap_or(0) + spans.u64_field("oneways").unwrap_or(0);
-        if retired + resident != allocated {
+    let obs = report.obs;
+    if obs.spans_resident > obs.spans_resident_peak {
+        return Err("obs: spans_resident exceeds its peak".into());
+    }
+    if obs.span_table_bytes > obs.span_table_bytes_peak {
+        return Err("obs: span_table_bytes exceeds its peak".into());
+    }
+    let allocated = report.spans.started + report.spans.oneways;
+    if obs.spans_retired + obs.spans_resident != allocated {
+        return Err(format!(
+            "obs: retirement does not conserve spans — \
+             {} retired + {} resident != {allocated} allocated",
+            obs.spans_retired, obs.spans_resident
+        ));
+    }
+    if let Some(prof) = &report.profile {
+        if prof.frames.len() as u64 != prof.frames_resident {
             return Err(format!(
-                "obs: retirement does not conserve spans — \
-                 {retired} retired + {resident} resident != {allocated} allocated"
+                "profile: frames_resident says {}, frames object has {}",
+                prof.frames_resident,
+                prof.frames.len()
             ));
         }
-        summary.spans_retired = retired;
-        summary.spans_resident = resident;
-    }
-    if let Some(prof) = doc.get("profile") {
-        let field = |k: &str| {
-            prof.u64_field(k)
-                .ok_or_else(|| format!("profile: missing {k}"))
-        };
-        let resident = field("frames_resident")?;
-        let evicted = field("frames_evicted")?;
-        field("self_ns")?;
-        field("self_calls")?;
-        let frames = prof
-            .get("frames")
-            .and_then(Json::as_obj)
-            .ok_or("profile: missing frames object")?;
-        if frames.len() as u64 != resident {
-            return Err(format!(
-                "profile: frames_resident says {resident}, frames object has {}",
-                frames.len()
-            ));
-        }
-        for (path, st) in frames {
-            let at = |msg: &str| format!("profile frame {path:?}: {msg}");
-            if path.is_empty() || path.split(';').any(str::is_empty) {
-                return Err(at("empty frame in path"));
+        for (path, st) in &prof.frames {
+            if path.split(';').any(str::is_empty) {
+                return Err(format!("profile frame {path:?}: empty frame in path"));
             }
-            let calls = st.u64_field("calls").ok_or_else(|| at("missing calls"))?;
-            if calls == 0 {
-                return Err(at("zero calls"));
+            if st.calls == 0 {
+                return Err(format!("profile frame {path:?}: zero calls"));
             }
-            st.u64_field("wall_ns")
-                .ok_or_else(|| at("missing wall_ns"))?;
         }
-        summary.prof_frames = resident;
-        summary.prof_evicted = evicted;
     }
-    Ok(summary)
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::TraceSink;
+    use crate::SpanId;
 
     fn sample_trace() -> CausalTrace {
         let mut sink = TraceSink::new();
@@ -1074,10 +676,15 @@ mod tests {
 
     #[test]
     fn sample_trace_has_every_kind() {
-        let mut tags: Vec<&str> = sample_trace().net_events().map(|e| e.kind.tag()).collect();
+        let trace = sample_trace();
+        let mut tags: Vec<&str> = trace.net_events().map(|e| e.kind.tag()).collect();
         tags.sort_unstable();
         tags.dedup();
         assert_eq!(tags.len(), 11, "{tags:?}");
+        // The JSONL mapping names each kind by its tag.
+        for e in trace.net_events() {
+            assert_eq!(e.to_value().str_field("k"), Some(e.kind.tag()));
+        }
     }
 
     #[test]
@@ -1106,6 +713,13 @@ mod tests {
             "{\"traceEvents\":[{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"dur\":1}]}"
         )
         .is_err());
+        // A fractional pid is no integer.
+        let named = r#"{"args":{"name":"n"},"name":"process_name","ph":"M","pid":1,"tid":0}"#;
+        let doc = |pid: &str| {
+            format!(r#"{{"traceEvents":[{named},{{"ph":"i","ts":1,"pid":{pid},"tid":0}}]}}"#)
+        };
+        assert!(validate_chrome(&doc("1")).is_ok());
+        assert!(validate_chrome(&doc("1.5")).is_err());
     }
 
     #[test]
@@ -1123,6 +737,8 @@ mod tests {
         for (a, b) in back.net_events().zip(trace.net_events()) {
             assert_eq!(a, b);
         }
+        // And so do the bytes.
+        assert_eq!(to_jsonl(&back), text);
     }
 
     #[test]
@@ -1131,77 +747,61 @@ mod tests {
         assert!(from_jsonl("{\"t\":1}").is_err());
         assert!(from_jsonl("{\"k\":\"sent\",\"t\":1}").is_err());
         assert!(from_jsonl("{\"k\":\"warp\",\"t\":1}").is_err());
+        // A fractional time is no nanosecond count.
+        let sent = |t: &str| {
+            format!(
+                r#"{{"bytes":64,"dst":{{"node":1,"port":10}},"k":"sent","span":1,"src":{{"node":0,"port":7}},"t":{t}}}"#
+            )
+        };
+        assert!(from_jsonl(&sent("1")).is_ok());
+        assert!(from_jsonl(&sent("1.5")).is_err());
     }
 
-    #[test]
-    fn timeseries_csv_round_validates() {
-        let mut ts = crate::TimeSeries::new(1_000, 16);
-        ts.add(100, "calls_ok@kv", 3);
-        ts.add(1_100, "calls_ok@kv", 2);
-        ts.gauge(150, "inflight@kv", 5);
-        ts.gauge(180, "inflight@kv", 2);
-        ts.observe(1_200, "latency@kv", 400);
-        ts.observe(1_300, "latency@kv", 900);
-        let csv = timeseries_to_csv(&ts.report());
-        let summary = validate_timeseries_csv(&csv).expect("well-formed csv");
-        assert_eq!(summary.counters, 2);
-        assert_eq!(summary.gauges, 1);
-        assert_eq!(summary.hists, 1);
-        assert_eq!(summary.windows, 2);
-        assert_eq!(summary.series, 3);
-        assert_eq!(summary.rows, 4);
-    }
-
-    #[test]
-    fn timeseries_csv_validator_rejects_malformed() {
-        assert!(validate_timeseries_csv("").is_err());
-        assert!(validate_timeseries_csv("start_ns,kind\n").is_err());
-        let good_head =
-            format!("# width_ns=10 windows_evicted=0 late_dropped=0\n{TIMESERIES_CSV_HEADER}\n");
-        // Wrong column count.
-        assert!(validate_timeseries_csv(&format!("{good_head}10,counter,x,1\n")).is_err());
-        // Non-numeric counter value.
-        assert!(validate_timeseries_csv(&format!("{good_head}10,counter,x,abc,,,,,,,\n")).is_err());
-        // Window start regression.
-        assert!(validate_timeseries_csv(&format!(
-            "{good_head}20,counter,x,1,,,,,,,\n10,counter,x,1,,,,,,,\n"
-        ))
-        .is_err());
-        // Unknown row kind.
-        assert!(validate_timeseries_csv(&format!("{good_head}10,meter,x,1,,,,,,,\n")).is_err());
-        // Empty file body is fine (a run with the recorder on but idle).
-        assert!(validate_timeseries_csv(&good_head).is_ok());
-    }
-
-    #[test]
-    fn report_validator_accepts_live_report_and_checks_tiling() {
-        use crate::{MetricsRegistry, MetricsSnapshot, SpanKind, WatchdogConfig};
+    /// A live report with one SLO exemplar (latency 5 000 ns) and one
+    /// flight-recorder window holding a gauge and a histogram.
+    fn live_report() -> RunReport {
+        use crate::{MetricsRegistry, MetricsSnapshot, WatchdogConfig};
         let reg = MetricsRegistry::new();
-        reg.enable_timeseries(1_000, 8);
+        reg.enable_timeseries(10_000, 8);
         reg.enable_watchdog(WatchdogConfig {
             slo_ns: Some(100),
             min_samples: u64::MAX,
             ..Default::default()
         });
         let sp = reg.open_span(SpanKind::Invoke, SpanId::NONE, "kv", "get", 0);
+        reg.ts_gauge(10, "depth", 3);
         reg.close_span(sp, 5_000, true);
-        let report = reg.report(MetricsSnapshot::default(), 5_000);
-        let summary = validate_report(&report.to_json()).expect("valid report");
-        assert_eq!(summary.windows, 1);
-        assert_eq!(summary.exemplars, 1);
-        assert_eq!(summary.with_breakdown, 0);
+        reg.report(MetricsSnapshot::default(), 5_000)
+    }
 
-        // Hand-build a breakdown that does NOT tile the span: rejected.
-        let bad = r#"{"end_time_ns":1,"net":{},"rpc":{},"spans":{},
-            "exemplars":[{"span":1,"service":"kv","op":"get","latency_ns":100,
-            "threshold_ns":10,"trigger":"slo",
-            "breakdown":{"queue_ns":10,"wire_ns":10,"server_ns":10,"retransmit_ns":10}}]}"#;
-        let err = validate_report(bad).unwrap_err();
+    fn windows(r: &mut RunReport) -> &mut Vec<crate::WindowReport> {
+        &mut r.timeseries.as_mut().expect("recorder on").windows
+    }
+
+    #[test]
+    fn report_validator_accepts_live_report_and_checks_tiling() {
+        let mut report = live_report();
+        let valid = validate_report(&report.to_json()).expect("valid report");
+        assert_eq!(valid.to_json(), report.to_json());
+        assert_eq!(valid.timeseries.map(|ts| ts.windows.len()), Some(1));
+        assert_eq!(valid.exemplars.len(), 1);
+
+        // A breakdown that does NOT tile the span: rejected.
+        let mut b = crate::ExemplarBreakdown {
+            queue_ns: 10,
+            wire_ns: 10,
+            server_ns: 10,
+            retransmit_ns: 10,
+            ..Default::default()
+        };
+        report.exemplars[0].breakdown = Some(b);
+        let err = validate_report(&report.to_json()).unwrap_err();
         assert!(err.contains("breakdown sums to 40ns"), "{err}");
         // And one that does: accepted, counted.
-        let good = bad.replace("\"queue_ns\":10", "\"queue_ns\":70");
-        let summary = validate_report(&good).expect("tiling breakdown accepted");
-        assert_eq!(summary.with_breakdown, 1);
+        b.queue_ns = 4_970;
+        report.exemplars[0].breakdown = Some(b);
+        let valid = validate_report(&report.to_json()).expect("tiling breakdown accepted");
+        assert_eq!(valid.exemplars[0].breakdown, Some(b));
     }
 
     #[test]
@@ -1209,17 +809,65 @@ mod tests {
         assert!(validate_report("not json").is_err());
         assert!(validate_report("{\"end_time_ns\":1}").is_err());
         // Misaligned window start.
-        let bad = r#"{"end_time_ns":1,"net":{},"rpc":{},"spans":{},
-            "timeseries":{"width_ns":1000,"windows":[
-            {"start_ns":500,"counters":{},"gauges":{},"hists":{}}]}}"#;
-        assert!(validate_report(bad).unwrap_err().contains("aligned"));
-        // Non-increasing window starts.
-        let bad = r#"{"end_time_ns":1,"net":{},"rpc":{},"spans":{},
-            "timeseries":{"width_ns":1000,"windows":[
-            {"start_ns":1000,"counters":{},"gauges":{},"hists":{}},
-            {"start_ns":1000,"counters":{},"gauges":{},"hists":{}}]}}"#;
-        assert!(validate_report(bad)
+        let mut bad = live_report();
+        windows(&mut bad)[0].start_ns = 500;
+        assert!(validate_report(&bad.to_json())
+            .unwrap_err()
+            .contains("aligned"));
+        // A report that reads back but was not printed canonically.
+        let spaced = live_report().to_json().replacen(':', ": ", 1);
+        let err = validate_report(&spaced).unwrap_err();
+        assert!(err.contains("not canonical"), "{err}");
+    }
+
+    #[test]
+    fn report_validator_rejects_non_increasing_windows() {
+        let mut bad = live_report();
+        let w = windows(&mut bad);
+        w.push(w[0].clone());
+        assert!(validate_report(&bad.to_json())
             .unwrap_err()
             .contains("strictly increasing"));
+    }
+
+    #[test]
+    fn report_validator_rejects_non_numeric_values() {
+        let text = live_report().to_json();
+        let bad = text.replace("\"calls_ok@kv\":1", "\"calls_ok@kv\":\"abc\"");
+        assert_ne!(bad, text);
+        let err = validate_report(&bad).unwrap_err();
+        assert!(err.contains("calls_ok@kv"), "{err}");
+    }
+
+    #[test]
+    fn report_validator_rejects_gauge_min_above_max() {
+        let mut bad = live_report();
+        windows(&mut bad)[0].gauges.get_mut("depth").unwrap().min = 4;
+        assert!(validate_report(&bad.to_json())
+            .unwrap_err()
+            .contains("min > max"));
+    }
+
+    #[test]
+    fn report_validator_rejects_unordered_quantiles() {
+        let mut bad = live_report();
+        windows(&mut bad)[0]
+            .hists
+            .get_mut("latency@kv")
+            .unwrap()
+            .p50_ns = 6_000;
+        assert!(validate_report(&bad.to_json())
+            .unwrap_err()
+            .contains("quantiles out of order"));
+    }
+
+    #[test]
+    fn report_validator_checks_span_conservation() {
+        let mut bad = live_report();
+        bad.obs.spans_resident += 1;
+        bad.obs.spans_resident_peak += 1;
+        assert!(validate_report(&bad.to_json())
+            .unwrap_err()
+            .contains("does not conserve spans"));
     }
 }

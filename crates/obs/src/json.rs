@@ -1,15 +1,20 @@
-//! A minimal JSON value model, parser and string escaper.
+//! The one JSON model every obs artifact is written and read through.
 //!
-//! The workspace deliberately carries no `serde_json`; reports are
-//! written with hand-rolled emitters. The trace pipeline also needs to
-//! *read* JSON back (re-analyzing an exported JSONL trace, validating a
-//! Chrome trace file in CI), so this module provides the small
-//! recursive-descent parser those paths share. It accepts exactly the
-//! JSON this crate emits plus ordinary standard JSON; it is not meant
-//! to be a pathological-input fuzzing target.
+//! The workspace deliberately carries no `serde_json`. Instead, every
+//! artifact (the run report, each JSONL trace line, each Chrome trace
+//! event) is built as a [`Json`] value and printed by its one canonical
+//! compact printer (`Display`): members in key order, integral numbers
+//! without a point, strings through [`escape_into`]. Typed values cross
+//! into and out of the model through `JsonModel`; a struct declares
+//! its field list once (`json_model!`) and gets both directions, so a
+//! reader re-printing what it read reproduces the input byte for byte.
+//!
+//! The parser is a small recursive-descent one. It accepts standard
+//! JSON, nests at most [`MAX_DEPTH`] arrays and objects deep, and
+//! refuses unpaired UTF-16 surrogate escapes.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,19 +23,43 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (kept as f64; u64s up to 2^53 round-trip exactly,
-    /// which covers every id and nanosecond this crate emits).
+    /// Any number, kept as `f64`: integers up to 2^53 are exact, and
+    /// the typed readers write `u64`s from 2^53 up as decimal strings.
     Num(f64),
     /// A string.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. Key order is normalized (BTreeMap) — none of our
-    /// formats are order-sensitive.
+    /// An object. Key order is normalized (BTreeMap), which is the order
+    /// the printer writes members in.
     Obj(BTreeMap<String, Json>),
 }
 
+/// 2^53: every integer up to it is exactly an `f64`.
+const EXACT: u64 = 1 << 53;
+
+/// Arrays and objects nest at most this deep; obs's deepest artifact
+/// (a report's timeseries gauge) nests five.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
+    /// An object of `members`.
+    pub(crate) fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), v))
+                .collect(),
+        )
+    }
+
+    /// Sets member `key` of an object; any other value is left as it is.
+    pub(crate) fn insert(&mut self, key: &str, value: Json) {
+        if let Json::Obj(m) = self {
+            m.insert(key.to_owned(), value);
+        }
+    }
+
     /// Member lookup on an object; `None` for absent keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -55,10 +84,11 @@ impl Json {
         }
     }
 
-    /// The numeric payload as `u64`, if this is a non-negative number.
+    /// The numeric payload as `u64`, if this is an integral number in
+    /// `0..=2^53` (the range an `f64` holds exactly).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= EXACT as f64 => Some(*n as u64),
             _ => None,
         }
     }
@@ -99,6 +129,243 @@ impl Json {
     }
 }
 
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        n.to_value()
+    }
+}
+
+/// The canonical compact form: no whitespace, members in key order,
+/// integral numbers up to 2^53 without a point (larger ones in exponent
+/// form, so no integer literal is ever rounded), non-finite numbers as
+/// `null`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) if !n.is_finite() => f.write_str("null"),
+            Json::Num(n) if n.abs() > EXACT as f64 => write!(f, "{n:e}"),
+            Json::Num(n) => write!(f, "{n}"),
+            Json::Str(s) => f.write_str(&quote(s)),
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(f, "{}{item}", if i > 0 { "," } else { "" })?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(members) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in members.iter().enumerate() {
+                    write!(f, "{}{}:{value}", if i > 0 { "," } else { "" }, quote(key))?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// A type with one JSON form, read back exactly: printing
+/// `from_value(&v)?.to_value()` reproduces `v` for every `v` the type
+/// wrote.
+pub(crate) trait JsonModel: Sized {
+    /// The value's JSON form.
+    fn to_value(&self) -> Json;
+
+    /// Reads the value back, or says what is missing or malformed, and
+    /// where.
+    fn from_value(v: &Json) -> Result<Self, String>;
+
+    /// The form as an object member; `None` leaves the member out.
+    fn to_member(&self) -> Option<Json> {
+        Some(self.to_value())
+    }
+
+    /// Reads an object member, `None` when it is absent (an error
+    /// unless the type says otherwise).
+    fn from_member(v: Option<&Json>) -> Result<Self, String> {
+        Self::from_value(v.ok_or("missing")?)
+    }
+}
+
+/// Reads member `key` of `v`; an error names the key.
+pub(crate) fn member<T: JsonModel>(v: &Json, key: &str) -> Result<T, String> {
+    T::from_member(v.get(key)).map_err(|e| format!("{key}: {e}"))
+}
+
+/// A `u64` below 2^53 is a number; from 2^53 up it is its decimal
+/// string, because an `f64` cannot tell 2^53 from 2^53 + 1.
+impl JsonModel for u64 {
+    fn to_value(&self) -> Json {
+        if *self < EXACT {
+            Json::Num(*self as f64)
+        } else {
+            Json::Str(self.to_string())
+        }
+    }
+
+    fn from_value(v: &Json) -> Result<u64, String> {
+        Ok(match v {
+            Json::Str(s) => s.parse().ok().filter(|&n| n >= EXACT),
+            _ => v.as_u64().filter(|&n| n < EXACT),
+        }
+        .ok_or("not a u64")?)
+    }
+}
+
+impl JsonModel for u32 {
+    fn to_value(&self) -> Json {
+        Json::Num(f64::from(*self))
+    }
+
+    fn from_value(v: &Json) -> Result<u32, String> {
+        Ok(v.as_u64()
+            .and_then(|n| n.try_into().ok())
+            .ok_or("not a u32")?)
+    }
+}
+
+impl JsonModel for bool {
+    fn to_value(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn from_value(v: &Json) -> Result<bool, String> {
+        Ok(v.as_bool().ok_or("not a bool")?)
+    }
+}
+
+impl JsonModel for String {
+    fn to_value(&self) -> Json {
+        Json::Str(self.clone())
+    }
+
+    fn from_value(v: &Json) -> Result<String, String> {
+        Ok(v.as_str().ok_or("not a string")?.to_owned())
+    }
+}
+
+/// An absent member when `None`.
+impl<T: JsonModel> JsonModel for Option<T> {
+    fn to_value(&self) -> Json {
+        self.to_member().unwrap_or(Json::Null)
+    }
+
+    fn from_value(v: &Json) -> Result<Option<T>, String> {
+        Self::from_member(Some(v).filter(|v| **v != Json::Null))
+    }
+
+    fn to_member(&self) -> Option<Json> {
+        self.as_ref().map(T::to_value)
+    }
+
+    fn from_member(v: Option<&Json>) -> Result<Option<T>, String> {
+        v.map(T::from_value).transpose()
+    }
+}
+
+impl<T: JsonModel> JsonModel for Vec<T> {
+    fn to_value(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_value).collect())
+    }
+
+    fn from_value(v: &Json) -> Result<Vec<T>, String> {
+        let items = v.as_arr().ok_or("not an array")?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::from_value(item).map_err(|e| format!("[{i}]: {e}")))
+            .collect()
+    }
+}
+
+impl<T: JsonModel> JsonModel for BTreeMap<String, T> {
+    fn to_value(&self) -> Json {
+        Json::Obj(
+            self.iter()
+                .map(|(k, v)| (k.clone(), v.to_value()))
+                .collect(),
+        )
+    }
+
+    fn from_value(v: &Json) -> Result<BTreeMap<String, T>, String> {
+        let keys = v.as_obj().ok_or("not an object")?.keys();
+        keys.map(|k| Ok((k.clone(), member(v, k)?))).collect()
+    }
+}
+
+/// Implements [`JsonModel`] from one field list per type, so neither
+/// direction can forget a field: both destructure exhaustively, and a
+/// new field is a compile error until it is listed.
+///
+/// * `Ty { a, b: "key" }` — a struct as an object, one member per field,
+///   named after it or after the string given;
+/// * `enum Ty by "tag" { Variant "name" { a, b }, ... }` — an enum of
+///   struct variants as an object of the variant's fields plus member
+///   `tag` naming the variant.
+macro_rules! json_model {
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (enum $ty:ident by $tag:literal {
+        $($variant:ident $name:literal { $($field:ident),* }),* $(,)?
+    }) => {
+        impl $crate::json::JsonModel for $ty {
+            fn to_value(&self) -> $crate::json::Json {
+                let (name, mut v) = match self {
+                    $($ty::$variant { $($field),* } => ($name, $crate::json::Json::obj([
+                        $((stringify!($field), $crate::json::JsonModel::to_value($field))),*
+                    ])),)*
+                };
+                v.insert($tag, $crate::json::Json::from(name));
+                v
+            }
+
+            fn from_value(v: &$crate::json::Json) -> Result<Self, String> {
+                match v.str_field($tag) {
+                    $(Some($name) => Ok($ty::$variant {
+                        $($field: $crate::json::member(v, stringify!($field))?),*
+                    }),)*
+                    _ => Err(match v.get($tag) {
+                        Some(name) => format!("{}: unknown {name}", $tag),
+                        None => format!("{}: missing", $tag),
+                    }),
+                }
+            }
+        }
+    };
+    ($($ty:ident { $($field:ident $(: $key:literal)?),* $(,)? })*) => {$(
+        impl $crate::json::JsonModel for $ty {
+            fn to_value(&self) -> $crate::json::Json {
+                let $ty { $($field),* } = self;
+                let mut members = std::collections::BTreeMap::new();
+                $(
+                    if let Some(v) = $crate::json::JsonModel::to_member($field) {
+                        members.insert($crate::json::json_model!(@key $field $($key)?).to_owned(), v);
+                    }
+                )*
+                $crate::json::Json::Obj(members)
+            }
+
+            fn from_value(v: &$crate::json::Json) -> Result<Self, String> {
+                if v.as_obj().is_none() {
+                    return Err("not an object".to_owned());
+                }
+                Ok($ty {
+                    $($field: $crate::json::member(v, $crate::json::json_model!(@key $field $($key)?))?,)*
+                })
+            }
+        }
+    )*};
+}
+pub(crate) use json_model;
+
 /// A parse failure, with the byte offset where parsing stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -121,11 +388,13 @@ impl std::error::Error for JsonError {}
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] locating the first malformed byte.
+/// Returns a [`JsonError`] locating the first malformed byte, or the
+/// first array or object nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -146,7 +415,7 @@ pub fn escape_into(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -165,6 +434,8 @@ pub fn quote(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -213,8 +484,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nested deeper than MAX_DEPTH"));
+                }
+                self.depth += 1;
+                let v = if b == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -288,23 +570,23 @@ impl<'a> Parser<'a> {
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
                         let cp = self.hex4()?;
-                        // Surrogate pairs: only decode the well-formed
-                        // \uD800-\uDBFF + \uDC00-\uDFFF sequence.
-                        let c = if (0xD800..0xDC00).contains(&cp) {
-                            if self.bytes[self.pos..].starts_with(b"\\u") {
+                        // A high surrogate must be followed by a low one;
+                        // a lone low surrogate is no code point.
+                        let cp = if (0xD800..0xDC00).contains(&cp) {
+                            let lo = if self.bytes[self.pos..].starts_with(b"\\u") {
                                 self.pos += 2;
-                                let lo = self.hex4()?;
-                                let combined =
-                                    0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                char::from_u32(combined)
-                                    .ok_or_else(|| self.err("invalid surrogate pair"))?
+                                self.hex4()?
                             } else {
-                                return Err(self.err("lone high surrogate"));
+                                0
+                            };
+                            if !(0xDC00..0xE000).contains(&lo) {
+                                return Err(self.err("invalid surrogate pair"));
                             }
+                            0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00)
                         } else {
-                            char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?
+                            cp
                         };
-                        out.push(c);
+                        out.push(char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?);
                     }
                     _ => return Err(self.err("invalid escape")),
                 },
@@ -421,6 +703,19 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("\"\\q\"").is_err());
+        // Unpaired surrogates: high + non-surrogate, high alone, low alone.
+        assert!(parse(r#""\ud800\u0041""#).is_err());
+        assert!(parse(r#""\ud800""#).is_err());
+        assert!(parse(r#""\udc00""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
     }
 
     #[test]
@@ -428,5 +723,35 @@ mod tests {
         // Every id/time we emit is < 2^53, so f64 is lossless.
         let v = parse("9007199254740992").unwrap();
         assert_eq!(v.as_u64(), Some(1u64 << 53));
+    }
+
+    #[test]
+    fn as_u64_takes_only_exact_integers() {
+        for text in ["1.5", "-1", "9007199254740994", "1e300"] {
+            assert_eq!(parse(text).unwrap().as_u64(), None, "{text}");
+        }
+        // Past 2^53 the model writes a string, and reads only that.
+        for n in [0, EXACT - 1, EXACT, EXACT + 1, u64::MAX] {
+            let text = n.to_value().to_string();
+            assert_eq!(u64::from_value(&parse(&text).unwrap()), Ok(n), "{text}");
+        }
+        assert!(u64::from_value(&parse("9007199254740993").unwrap()).is_err());
+        assert!(u64::from_value(&parse("\"5\"").unwrap()).is_err());
+    }
+
+    #[test]
+    fn printer_is_canonical() {
+        let text = r#"{"a":[1,-0.5,true,null,"x\"\n"],"b":{},"c":1e300}"#;
+        let v = parse(text).unwrap();
+        let printed = v.to_string();
+        assert_eq!(
+            printed,
+            r#"{"a":[1,-0.5,true,null,"x\"\n"],"b":{},"c":1e300}"#
+        );
+        assert_eq!(parse(&printed).unwrap(), v);
+        assert_eq!(
+            parse(" { \"b\" : 2 , \"a\" : 1.0 } ").unwrap().to_string(),
+            r#"{"a":1,"b":2}"#
+        );
     }
 }

@@ -43,8 +43,7 @@ pub mod trace;
 
 pub use analysis::{critical_paths, link_attribution, top_k_slowest, CriticalPath, LinkStats};
 pub use export::{
-    from_jsonl, timeseries_to_csv, to_chrome_json, to_jsonl, validate_chrome, validate_report,
-    validate_timeseries_csv, ChromeSummary, ReportSummary, TimeSeriesCsvSummary,
+    from_jsonl, to_chrome_json, to_jsonl, validate_chrome, validate_report, ChromeSummary,
 };
 pub use profile::{
     profile_to_folded, scope, set_ambient_profiler, swap_open_frames, validate_folded,
@@ -53,6 +52,8 @@ pub use profile::{
 pub use spans::{ReplyKind, SpanId, SpanKind, SpanRecord, SPAN_PAGE_BYTES, SPAN_SLOT_BYTES};
 pub use timeseries::{GaugeStat, TimeSeries, TimeSeriesReport, WindowReport};
 pub use trace::{CausalEvent, CausalTrace, Loc, NetEvent, NetEventKind, TraceSink};
+
+use json::{json_model, Json, JsonModel};
 
 // ---------------------------------------------------------------------------
 // Counter structs (canonical definitions, re-exported by their producers)
@@ -1477,403 +1478,87 @@ impl RunReport {
         }
         attached
     }
-    /// Renders the report as a self-contained JSON object.
-    ///
-    /// Hand-rolled (the workspace carries no JSON crate); the output is
-    /// stable (maps are ordered) and safe to diff across runs.
+
+    /// Renders the report as one compact JSON object through the
+    /// canonical printer (`Display` of [`json::Json`]): members in key
+    /// order, so the bytes are stable and safe to diff across runs.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.obj(|w| {
-            w.field_u64("end_time_ns", self.end_time_ns);
-            w.field_u64("trace_evicted", self.trace_evicted);
-            w.field_obj("meta", |w| {
-                let RunMeta {
-                    seed,
-                    mode,
-                    config_hash,
-                    git_rev,
-                    date,
-                } = &self.meta;
-                if let Some(seed) = seed {
-                    w.field_u64("seed", *seed);
-                }
-                if let Some(mode) = mode {
-                    w.field_str("mode", mode);
-                }
-                if let Some(hash) = config_hash {
-                    w.field_str("config_hash", hash);
-                }
-                if let Some(rev) = git_rev {
-                    w.field_str("git_rev", rev);
-                }
-                if let Some(date) = date {
-                    w.field_str("date", date);
-                }
-            });
-            w.field_obj("net", |w| {
-                let MetricsSnapshot {
-                    msgs_sent,
-                    msgs_delivered,
-                    msgs_dropped,
-                    msgs_duplicated,
-                    msgs_blackholed,
-                    bytes_sent,
-                    events_dispatched,
-                    processes_spawned,
-                    processes_peak,
-                    sched_time_inversions,
-                } = self.net;
-                w.field_u64("msgs_sent", msgs_sent);
-                w.field_u64("msgs_delivered", msgs_delivered);
-                w.field_u64("msgs_dropped", msgs_dropped);
-                w.field_u64("msgs_duplicated", msgs_duplicated);
-                w.field_u64("msgs_blackholed", msgs_blackholed);
-                w.field_u64("bytes_sent", bytes_sent);
-                w.field_u64("events_dispatched", events_dispatched);
-                w.field_u64("processes_spawned", processes_spawned);
-                w.field_u64("processes_peak", processes_peak);
-                w.field_u64("sched_time_inversions", sched_time_inversions);
-            });
-            w.field_obj("rpc", |w| {
-                w.field_obj("client", |w| {
-                    let CallStats {
-                        calls,
-                        retries,
-                        timeouts,
-                        stale_replies,
-                        strays_dropped,
-                    } = self.rpc.client;
-                    w.field_u64("calls", calls);
-                    w.field_u64("retries", retries);
-                    w.field_u64("timeouts", timeouts);
-                    w.field_u64("stale_replies", stale_replies);
-                    w.field_u64("strays_dropped", strays_dropped);
-                });
-                w.field_obj("server", |w| {
-                    let ServeStats {
-                        executed,
-                        duplicates_suppressed,
-                        duplicates_dropped,
-                        oneways,
-                        undecodable,
-                    } = self.rpc.server;
-                    w.field_u64("executed", executed);
-                    w.field_u64("duplicates_suppressed", duplicates_suppressed);
-                    w.field_u64("duplicates_dropped", duplicates_dropped);
-                    w.field_u64("oneways", oneways);
-                    w.field_u64("undecodable", undecodable);
-                });
-            });
-            w.field_obj("proxies", |w| {
-                for (key, s) in &self.proxies {
-                    w.field_obj(key, |w| {
-                        let ProxyStats {
-                            invocations,
-                            local_hits,
-                            remote_calls,
-                            invalidations_rx,
-                            migrations,
-                            checkins,
-                            rebinds,
-                            strategy_switches,
-                            datagrams_discarded,
-                            bulk_spills,
-                            bulk_resolves,
-                        } = *s;
-                        w.field_u64("invocations", invocations);
-                        w.field_u64("local_hits", local_hits);
-                        w.field_u64("remote_calls", remote_calls);
-                        w.field_u64("invalidations_rx", invalidations_rx);
-                        w.field_u64("migrations", migrations);
-                        w.field_u64("checkins", checkins);
-                        w.field_u64("rebinds", rebinds);
-                        w.field_u64("strategy_switches", strategy_switches);
-                        w.field_u64("datagrams_discarded", datagrams_discarded);
-                        w.field_u64("bulk_spills", bulk_spills);
-                        w.field_u64("bulk_resolves", bulk_resolves);
-                    });
-                }
-            });
-            w.field_obj("servers", |w| {
-                for (key, s) in &self.servers {
-                    w.field_obj(key, |w| {
-                        let ServerStats {
-                            dispatched,
-                            writes,
-                            invalidations_sent,
-                            checkouts,
-                            checkins,
-                            recalls_sent,
-                            unavailable,
-                            checkpoints,
-                        } = *s;
-                        w.field_u64("dispatched", dispatched);
-                        w.field_u64("writes", writes);
-                        w.field_u64("invalidations_sent", invalidations_sent);
-                        w.field_u64("checkouts", checkouts);
-                        w.field_u64("checkins", checkins);
-                        w.field_u64("recalls_sent", recalls_sent);
-                        w.field_u64("unavailable", unavailable);
-                        w.field_u64("checkpoints", checkpoints);
-                    });
-                }
-            });
-            w.field_obj("ops", |w| {
-                for (key, s) in &self.ops {
-                    w.field_obj(key, |w| {
-                        let OpLatency {
-                            count,
-                            min_ns,
-                            max_ns,
-                            mean_ns,
-                            p50_ns,
-                            p95_ns,
-                            p99_ns,
-                        } = *s;
-                        w.field_u64("count", count);
-                        w.field_u64("min_ns", min_ns);
-                        w.field_u64("max_ns", max_ns);
-                        w.field_u64("mean_ns", mean_ns);
-                        w.field_u64("p50_ns", p50_ns);
-                        w.field_u64("p95_ns", p95_ns);
-                        w.field_u64("p99_ns", p99_ns);
-                    });
-                }
-            });
-            w.field_obj("spans", |w| {
-                let SpanReport {
-                    started,
-                    completed,
-                    open,
-                    oneways,
-                    retransmissions,
-                    replies,
-                } = self.spans;
-                w.field_u64("started", started);
-                w.field_u64("completed", completed);
-                w.field_u64("open", open);
-                w.field_u64("oneways", oneways);
-                w.field_u64("retransmissions", retransmissions);
-                w.field_obj("replies", |w| {
-                    let ReplyReport {
-                        matched,
-                        late,
-                        unknown_span,
-                        untracked,
-                    } = replies;
-                    w.field_u64("matched", matched);
-                    w.field_u64("late", late);
-                    w.field_u64("unknown_span", unknown_span);
-                    w.field_u64("untracked", untracked);
-                });
-            });
-            w.field_obj("obs", |w| {
-                let ObsPlaneReport {
-                    spans_retired,
-                    spans_sampled,
-                    spans_resident,
-                    spans_resident_peak,
-                    span_table_bytes,
-                    span_table_bytes_peak,
-                    self_ns,
-                    self_calls,
-                } = self.obs;
-                w.field_u64("spans_retired", spans_retired);
-                w.field_u64("spans_sampled", spans_sampled);
-                w.field_u64("spans_resident", spans_resident);
-                w.field_u64("spans_resident_peak", spans_resident_peak);
-                w.field_u64("span_table_bytes", span_table_bytes);
-                w.field_u64("span_table_bytes_peak", span_table_bytes_peak);
-                w.field_u64("self_ns", self_ns);
-                w.field_u64("self_calls", self_calls);
-            });
-            if let Some(p) = &self.profile {
-                w.field_obj("profile", |w| {
-                    w.field_u64("frames_resident", p.frames_resident);
-                    w.field_u64("frames_evicted", p.frames_evicted);
-                    w.field_u64("self_ns", p.self_ns);
-                    w.field_u64("self_calls", p.self_calls);
-                    w.field_obj("frames", |w| {
-                        for (path, st) in &p.frames {
-                            w.field_obj(path, |w| {
-                                w.field_u64("calls", st.calls);
-                                w.field_u64("wall_ns", st.wall_ns);
-                            });
-                        }
-                    });
-                });
-            }
-            w.field_u64("exemplars_suppressed", self.exemplars_suppressed);
-            w.field_arr("exemplars", |w| {
-                for ex in &self.exemplars {
-                    w.elem_obj(|w| {
-                        w.field_u64("span", ex.span.raw());
-                        w.field_str("service", &ex.service);
-                        w.field_str("op", &ex.op);
-                        w.field_u64("start_ns", ex.start_ns);
-                        w.field_u64("latency_ns", ex.latency_ns);
-                        w.field_u64("threshold_ns", ex.threshold_ns);
-                        w.field_u64("p99_ns", ex.p99_ns);
-                        w.field_str("trigger", ex.trigger);
-                        w.field_u64("ok", u64::from(ex.ok));
-                        if let Some(b) = ex.breakdown {
-                            w.field_obj("breakdown", |w| {
-                                let ExemplarBreakdown {
-                                    queue_ns,
-                                    wire_ns,
-                                    server_ns,
-                                    retransmit_ns,
-                                    retransmissions,
-                                    drops,
-                                } = b;
-                                w.field_u64("queue_ns", queue_ns);
-                                w.field_u64("wire_ns", wire_ns);
-                                w.field_u64("server_ns", server_ns);
-                                w.field_u64("retransmit_ns", retransmit_ns);
-                                w.field_u64("retransmissions", retransmissions);
-                                w.field_u64("drops", drops);
-                            });
-                        }
-                    });
-                }
-            });
-            if let Some(ts) = &self.timeseries {
-                w.field_obj("timeseries", |w| {
-                    w.field_u64("width_ns", ts.width_ns);
-                    w.field_u64("windows_evicted", ts.windows_evicted);
-                    w.field_u64("late_dropped", ts.late_dropped);
-                    w.field_arr("windows", |w| {
-                        for win in &ts.windows {
-                            w.elem_obj(|w| {
-                                w.field_u64("start_ns", win.start_ns);
-                                w.field_obj("counters", |w| {
-                                    for (name, v) in &win.counters {
-                                        w.field_u64(name, *v);
-                                    }
-                                });
-                                w.field_obj("gauges", |w| {
-                                    for (name, g) in &win.gauges {
-                                        w.field_obj(name, |w| {
-                                            let GaugeStat {
-                                                last,
-                                                min,
-                                                max,
-                                                sum,
-                                                samples,
-                                            } = *g;
-                                            w.field_u64("last", last);
-                                            w.field_u64("min", min);
-                                            w.field_u64("max", max);
-                                            w.field_u64("sum", sum);
-                                            w.field_u64("samples", samples);
-                                        });
-                                    }
-                                });
-                                w.field_obj("hists", |w| {
-                                    for (name, h) in &win.hists {
-                                        w.field_obj(name, |w| {
-                                            let OpLatency {
-                                                count,
-                                                min_ns,
-                                                max_ns,
-                                                mean_ns,
-                                                p50_ns,
-                                                p95_ns,
-                                                p99_ns,
-                                            } = *h;
-                                            w.field_u64("count", count);
-                                            w.field_u64("min_ns", min_ns);
-                                            w.field_u64("max_ns", max_ns);
-                                            w.field_u64("mean_ns", mean_ns);
-                                            w.field_u64("p50_ns", p50_ns);
-                                            w.field_u64("p95_ns", p95_ns);
-                                            w.field_u64("p99_ns", p99_ns);
-                                        });
-                                    }
-                                });
-                            });
-                        }
-                    });
-                });
-            }
-        });
-        w.finish()
+        self.to_value().to_string()
+    }
+
+    /// Reads a report written by [`RunReport::to_json`] back.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse error, or the path of the first missing or
+    /// malformed member.
+    pub fn from_json(text: &str) -> Result<RunReport, String> {
+        RunReport::from_value(&json::parse(text).map_err(|e| e.to_string())?)
     }
 }
 
-/// Minimal JSON emitter: objects with string keys and u64 / nested
-/// object values — exactly what [`RunReport::to_json`] needs.
-struct JsonWriter {
-    out: String,
-    need_comma: Vec<bool>,
+// Every report section, declared once for both directions.
+json_model! {
+    RunReport {
+        end_time_ns, trace_evicted, meta, net, rpc, proxies, servers, ops, spans, obs,
+        profile, exemplars_suppressed, exemplars, timeseries,
+    }
+    RunMeta { seed, mode, config_hash, git_rev, date }
+    MetricsSnapshot {
+        msgs_sent, msgs_delivered, msgs_dropped, msgs_duplicated, msgs_blackholed, bytes_sent,
+        events_dispatched, processes_spawned, processes_peak, sched_time_inversions,
+    }
+    RpcReport { client, server }
+    CallStats { calls, retries, timeouts, stale_replies, strays_dropped }
+    ServeStats { executed, duplicates_suppressed, duplicates_dropped, oneways, undecodable }
+    ProxyStats {
+        invocations, local_hits, remote_calls, invalidations_rx, migrations, checkins, rebinds,
+        strategy_switches, datagrams_discarded, bulk_spills, bulk_resolves,
+    }
+    ServerStats {
+        dispatched, writes, invalidations_sent, checkouts, checkins, recalls_sent, unavailable,
+        checkpoints,
+    }
+    OpLatency { count, min_ns, max_ns, mean_ns, p50_ns, p95_ns, p99_ns }
+    SpanReport { started, completed, open, oneways, retransmissions, replies }
+    ReplyReport { matched, late, unknown_span, untracked }
+    ObsPlaneReport {
+        spans_retired, spans_sampled, spans_resident, spans_resident_peak, span_table_bytes,
+        span_table_bytes_peak, self_ns, self_calls,
+    }
+    ProfileReport { frames, frames_resident, frames_evicted, self_ns, self_calls }
+    FrameStat { calls, wall_ns }
+    Exemplar {
+        span, service, op, start_ns, latency_ns, threshold_ns, p99_ns, trigger, ok, breakdown,
+    }
+    ExemplarBreakdown { queue_ns, wire_ns, server_ns, retransmit_ns, retransmissions, drops }
+    TimeSeriesReport { width_ns, windows_evicted, late_dropped, windows }
+    WindowReport { start_ns, counters, gauges, hists }
+    GaugeStat { last, min, max, sum, samples }
 }
 
-impl JsonWriter {
-    fn new() -> JsonWriter {
-        JsonWriter {
-            out: String::new(),
-            need_comma: Vec::new(),
+impl JsonModel for SpanId {
+    fn to_value(&self) -> Json {
+        self.0.to_value()
+    }
+
+    fn from_value(v: &Json) -> Result<SpanId, String> {
+        u64::from_value(v).map(SpanId)
+    }
+}
+
+/// The only `&'static str` a report carries: an exemplar's trigger.
+impl JsonModel for &'static str {
+    fn to_value(&self) -> Json {
+        Json::from(*self)
+    }
+
+    fn from_value(v: &Json) -> Result<&'static str, String> {
+        match v.as_str() {
+            Some("p99") => Ok("p99"),
+            Some("slo") => Ok("slo"),
+            _ => Err(format!("bad trigger {v}")),
         }
-    }
-
-    fn sep(&mut self) {
-        if let Some(need) = self.need_comma.last_mut() {
-            if *need {
-                self.out.push(',');
-            }
-            *need = true;
-        }
-    }
-
-    fn key(&mut self, key: &str) {
-        self.sep();
-        self.out.push('"');
-        json::escape_into(key, &mut self.out);
-        self.out.push_str("\":");
-    }
-
-    fn obj(&mut self, body: impl FnOnce(&mut JsonWriter)) {
-        self.out.push('{');
-        self.need_comma.push(false);
-        body(self);
-        self.need_comma.pop();
-        self.out.push('}');
-    }
-
-    fn field_u64(&mut self, key: &str, value: u64) {
-        self.key(key);
-        self.out.push_str(&value.to_string());
-    }
-
-    fn field_str(&mut self, key: &str, value: &str) {
-        self.key(key);
-        self.out.push('"');
-        json::escape_into(value, &mut self.out);
-        self.out.push('"');
-    }
-
-    fn field_obj(&mut self, key: &str, body: impl FnOnce(&mut JsonWriter)) {
-        self.key(key);
-        self.obj(body);
-    }
-
-    fn field_arr(&mut self, key: &str, body: impl FnOnce(&mut JsonWriter)) {
-        self.key(key);
-        self.out.push('[');
-        self.need_comma.push(false);
-        body(self);
-        self.need_comma.pop();
-        self.out.push(']');
-    }
-
-    /// One object element inside a [`JsonWriter::field_arr`] body.
-    fn elem_obj(&mut self, body: impl FnOnce(&mut JsonWriter)) {
-        self.sep();
-        self.obj(body);
-    }
-
-    fn finish(self) -> String {
-        self.out
     }
 }
 
@@ -2353,7 +2038,7 @@ mod tests {
         assert_eq!(report.meta.mode.as_deref(), Some("full"));
         assert_eq!(report.meta.date.as_deref(), Some("2026-08-06"));
         let json = report.to_json();
-        assert!(json.contains("\"meta\":{\"seed\":42,\"mode\":\"full\",\"date\":\"2026-08-06\"}"));
+        assert!(json.contains("\"meta\":{\"date\":\"2026-08-06\",\"mode\":\"full\",\"seed\":42}"));
     }
 
     #[test]
@@ -2369,9 +2054,10 @@ mod tests {
         reg.ts_gauge(500, "sched_depth", 3);
         reg.close_span(sp, 2_500, true);
         let json = reg.report(MetricsSnapshot::default(), 3_000).to_json();
-        assert!(json.contains("\"exemplars\":[{\"span\":1"));
+        assert!(json.contains("\"exemplars\":[{\"latency_ns\":2500,"));
+        assert!(json.contains("\"span\":1,"));
         assert!(json.contains("\"trigger\":\"slo\""));
-        assert!(json.contains("\"timeseries\":{\"width_ns\":1000"));
+        assert!(json.contains("\"timeseries\":{\"late_dropped\":0,\"width_ns\":1000"));
         assert!(json.contains("\"windows\":[{"));
         assert!(json.contains("\"calls_ok@kv\":1"));
         assert!(json.contains("\"sched_depth\""));

@@ -37,7 +37,7 @@
 //! any thread count.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -410,8 +410,7 @@ pub fn profile_to_folded(report: &ProfileReport) -> String {
     out
 }
 
-/// Shape summary returned by [`validate_folded`], in the style of
-/// [`crate::TimeSeriesCsvSummary`].
+/// Shape summary returned by [`validate_folded`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FoldedSummary {
     /// Stack lines in the artifact.
@@ -424,66 +423,51 @@ pub struct FoldedSummary {
     pub total_value: u64,
 }
 
-/// Validates a collapsed-flamegraph artifact: every line must be
-/// `frame(;frame)* value` with a `u64` value and no empty frames, lines
-/// must be strictly sorted by stack (so the artifact is unique and
-/// canonical), and re-emitting the parse must reproduce the input
-/// byte-for-byte.
+/// Validates a collapsed-flamegraph artifact the way
+/// [`crate::validate_report`] validates a report: every line must read
+/// as `frame(;frame)* value` with a `u64` value, no empty frame and no
+/// space inside the stack, and re-emitting what was read must reproduce
+/// the input byte for byte (so the stacks are strictly sorted, one line
+/// each, and the artifact is canonical).
 pub fn validate_folded(text: &str) -> Result<FoldedSummary, String> {
-    if text.is_empty() {
-        return Err("folded artifact is empty".into());
-    }
-    let mut summary = FoldedSummary::default();
-    let mut prev_stack: Option<&str> = None;
-    let mut roots: Vec<&str> = Vec::new();
-    let mut canonical = String::with_capacity(text.len());
+    let mut report = ProfileReport::default();
     for (i, line) in text.lines().enumerate() {
-        let n = i + 1;
-        let Some((stack, value)) = line.rsplit_once(' ') else {
-            return Err(format!("line {n}: no `stack value` separator"));
-        };
-        let value: u64 = value
+        let at = |msg: String| format!("line {}: {msg}", i + 1);
+        let (stack, value) = line
+            .rsplit_once(' ')
+            .ok_or_else(|| at("no `stack value` separator".into()))?;
+        let wall_ns = value
             .parse()
-            .map_err(|_| format!("line {n}: value {value:?} is not a u64"))?;
-        if stack.is_empty() {
-            return Err(format!("line {n}: empty stack"));
+            .map_err(|_| at(format!("value {value:?} is not a u64")))?;
+        if stack.contains(' ') || stack.split(';').any(str::is_empty) {
+            return Err(at(format!("stack {stack:?} has an empty frame or a space")));
         }
-        if stack.contains(' ') {
-            return Err(format!(
-                "line {n}: stack {stack:?} contains a space (the value separator)"
-            ));
-        }
-        let frames: Vec<&str> = stack.split(';').collect();
-        if frames.iter().any(|f| f.is_empty()) {
-            return Err(format!("line {n}: empty frame in {stack:?}"));
-        }
-        if let Some(prev) = prev_stack {
-            if stack <= prev {
-                return Err(format!(
-                    "line {n}: stacks not strictly sorted ({prev:?} then {stack:?})"
-                ));
-            }
-        }
-        prev_stack = Some(stack);
-        if !roots.contains(&frames[0]) {
-            roots.push(frames[0]);
-        }
-        summary.lines += 1;
-        summary.max_depth = summary.max_depth.max(frames.len());
-        summary.total_value += value;
-        canonical.push_str(stack);
-        canonical.push(' ');
-        canonical.push_str(&value.to_string());
-        canonical.push('\n');
+        report
+            .frames
+            .insert(stack.to_owned(), FrameStat { calls: 0, wall_ns });
     }
-    if summary.lines == 0 {
+    if report.frames.is_empty() {
         return Err("folded artifact has no stack lines".into());
     }
-    if canonical != text {
-        return Err("canonical re-emit differs from input (non-canonical artifact)".into());
+    if profile_to_folded(&report) != text {
+        return Err("not canonical: re-emitting the stacks changes the bytes".into());
     }
-    summary.roots = roots.len();
-    Ok(summary)
+    let roots: BTreeSet<&str> = report
+        .frames
+        .keys()
+        .filter_map(|s| s.split(';').next())
+        .collect();
+    Ok(FoldedSummary {
+        lines: report.frames.len(),
+        max_depth: report
+            .frames
+            .keys()
+            .map(|s| s.split(';').count())
+            .max()
+            .unwrap_or(0),
+        roots: roots.len(),
+        total_value: report.frames.values().map(|st| st.wall_ns).sum(),
+    })
 }
 
 #[cfg(test)]

@@ -74,11 +74,6 @@ impl GaugeStat {
         self.samples += 1;
     }
 
-    /// Mean sampled level, or 0 if the window saw no samples.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.samples).unwrap_or(0)
-    }
-
     /// Folds `other` into `self` when merging writer lanes. Extrema,
     /// sum and sample count combine exactly; `last` is taken from
     /// `other` when it has samples (lanes are absorbed in ascending
@@ -370,7 +365,7 @@ mod tests {
         assert_eq!(r.windows[1].counters["calls"], 1);
         let g = r.windows[0].gauges["depth"];
         assert_eq!((g.min, g.max, g.last, g.samples), (2, 4, 2, 2));
-        assert_eq!(g.mean(), 3);
+        assert_eq!(g.sum / g.samples, 3);
         assert_eq!(r.windows[2].hists["lat"].max_ns, 42);
         assert_eq!(r.counter_total("calls"), 3);
     }
