@@ -89,8 +89,8 @@ if [ "${1:-}" != "quick" ]; then
   step "the paper's evaluation: E1-E7, E9-E13 (each exits 1 on a failed shape check)"
   # The experiments that reproduce the paper's claims; together they take
   # well under a second in the release build. Their tables are printed
-  # only when a check fails. E3, E7 and E13 export the causal traces
-  # checked right after.
+  # only when a check fails. E3, E4, E7, E10, E12 and E13 export the
+  # causal traces checked right after.
   for e in e1_access_methods e2_cache_sweep e3_migration e4_replication e5_local_fastpath \
            e6_binding_cost e7_loss e9_adaptive e10_forwarding e11_recovery e12_dsm e13_pipeline; do
     if ! out="$(cargo run -q --release -p bench --bin "$e")"; then
@@ -99,20 +99,29 @@ if [ "${1:-}" != "quick" ]; then
       exit 1
     fi
   done
-  for t in e3-migratory-n200 e7-loss-30 e13-depth-8; do
+  for t in e3-migratory-n200 e4-reads-3 e4-writes-sync e4-writes-async e7-loss-30 \
+           e10-nexthop-k8 e10-resolve-k8 e12-locality e12-pingpong e13-depth-8; do
     cargo run -q --release -p bench --bin tracectl -- check target/traces/$t.trace.jsonl
   done
-  # A second run of E7 and E13 must pass its checks again and export the
-  # same trace, byte for byte. E7's servers answer duplicates under loss
-  # and duplication, decoding each datagram once whatever their reply
-  # cache holds; E13 is the one paper experiment whose channels batch,
-  # and a batched call's own frame is built lazily, at its first lone
-  # send.
-  for pair in e7_loss:e7-loss-30 e13_pipeline:e13-depth-8; do
-    e="${pair%%:*}" t="${pair#*:}"
-    mv target/traces/$t.trace.jsonl target/traces/$t.first.trace.jsonl
+  # A second run of E4, E7, E10, E12 and E13 must pass its checks again
+  # and export the same traces, byte for byte. E7's servers answer
+  # duplicates under loss and duplication, decoding each datagram once
+  # whatever their reply cache holds; E13 is the one paper experiment
+  # whose channels batch, and a batched call's own frame is built
+  # lazily, at its first lone send. E4, E10 and E12 run the replica, the
+  # migration host and forwarder, and the DSM manager and pager, whose
+  # handlers park their requests while they call out.
+  for pair in e7_loss:e7-loss-30 e13_pipeline:e13-depth-8 \
+              e4_replication:e4-reads-3,e4-writes-sync,e4-writes-async \
+              e10_forwarding:e10-nexthop-k8,e10-resolve-k8 e12_dsm:e12-locality,e12-pingpong; do
+    e="${pair%%:*}" traces="${pair#*:}"
+    for t in ${traces//,/ }; do
+      mv target/traces/$t.trace.jsonl target/traces/$t.first.trace.jsonl
+    done
     cargo run -q --release -p bench --bin "$e" >/dev/null
-    cmp target/traces/$t.first.trace.jsonl target/traces/$t.trace.jsonl
+    for t in ${traces//,/ }; do
+      cmp target/traces/$t.first.trace.jsonl target/traces/$t.trace.jsonl
+    done
   done
 
   step "E16-E20 smokes (PROXIDE_SMOKE=1: CI sizes, every shape check on)"

@@ -15,7 +15,9 @@ use services::counter::Counter;
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
 
-use crate::{check, obs_report, slot, take, ExperimentOutput, ObsReport, Table};
+use crate::{
+    capture_trace, check, obs_report, slot, take, ExperimentOutput, ObsReport, Table, TraceArtifact,
+};
 
 #[derive(Debug, Clone, Copy)]
 struct Point {
@@ -29,8 +31,9 @@ struct Point {
     fresh_redirects: u64,
 }
 
-fn measure(mode: ForwardMode, hops: u32, seed: u64) -> (Point, ObsReport) {
+fn measure(mode: ForwardMode, hops: u32, seed: u64) -> (Point, ObsReport, TraceArtifact) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
+    sim.enable_trace(1 << 16);
     let ns = spawn_name_server(&sim, NodeId(0));
     let home = spawn_migratable(
         &sim,
@@ -85,7 +88,12 @@ fn measure(mode: ForwardMode, hops: u32, seed: u64) -> (Point, ObsReport) {
     let (fresh_us, fresh_redirects) = take(fr);
     p.fresh_first_us = fresh_us;
     p.fresh_redirects = fresh_redirects;
-    (p, obs_report(format!("{mode:?}@k={hops}"), &sim))
+    let label = format!("{mode:?}-k{hops}").to_lowercase();
+    (
+        p,
+        obs_report(format!("{mode:?}@k={hops}"), &sim),
+        capture_trace(label, &sim),
+    )
 }
 
 /// Runs E10 and returns its tables and shape checks.
@@ -108,12 +116,15 @@ pub fn run() -> ExperimentOutput {
     let mut nexthop = Vec::new();
     let mut resolve = Vec::new();
     let mut reports = Vec::new();
+    let mut traces = Vec::new();
     for (i, &k) in sweep.iter().enumerate() {
-        let (nh, nh_obs) = measure(ForwardMode::NextHop, k, 110 + i as u64);
-        let (rs, rs_obs) = measure(ForwardMode::Resolve, k, 120 + i as u64);
+        let (nh, nh_obs, nh_trace) = measure(ForwardMode::NextHop, k, 110 + i as u64);
+        let (rs, rs_obs, rs_trace) = measure(ForwardMode::Resolve, k, 120 + i as u64);
         if k == 8 {
             reports.push(nh_obs);
             reports.push(rs_obs);
+            traces.push(nh_trace);
+            traces.push(rs_trace);
         }
         for (mode, p) in [("next-hop", &nh), ("resolve", &rs)] {
             table.add_row(vec![
@@ -192,6 +203,6 @@ pub fn run() -> ExperimentOutput {
         tables: vec![table],
         checks,
         reports,
-        traces: vec![],
+        traces,
     }
 }

@@ -25,13 +25,17 @@ use services::counter::Counter;
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
 
-use crate::{check, obs_report, slot, take, us_per_op_f, ExperimentOutput, ObsReport, Table};
+use crate::{
+    capture_trace, check, obs_report, slot, take, us_per_op_f, ExperimentOutput, ObsReport, Table,
+    TraceArtifact,
+};
 
 const OPS: u64 = 200;
 
 /// Scenario A: one client hammers one object (90% reads).
-fn locality_dsm(seed: u64) -> (f64, u64, ObsReport) {
+fn locality_dsm(seed: u64) -> (f64, u64, ObsReport, TraceArtifact) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
+    sim.enable_trace(1 << 16);
     let manager = spawn_dsm_manager(&sim, NodeId(0), 64);
     let (w, r) = slot::<f64>();
     sim.spawn("client", NodeId(1), move |ctx| {
@@ -49,7 +53,12 @@ fn locality_dsm(seed: u64) -> (f64, u64, ObsReport) {
         *w.lock().unwrap() = Some(us_per_op_f(ctx.now() - t0, OPS));
     });
     let report = sim.run();
-    (take(r), report.metrics.msgs_sent, obs_report("dsm", &sim))
+    (
+        take(r),
+        report.metrics.msgs_sent,
+        obs_report("dsm", &sim),
+        capture_trace("locality", &sim),
+    )
 }
 
 fn locality_proxy(label: &str, spec: ProxySpec, seed: u64) -> (f64, u64, ObsReport) {
@@ -78,8 +87,9 @@ fn locality_proxy(label: &str, spec: ProxySpec, seed: u64) -> (f64, u64, ObsRepo
 
 /// Scenario B: two contexts alternately write fields in the same page
 /// (DSM) or the same object (stub RPC). Returns mean µs per write.
-fn pingpong_dsm(seed: u64) -> f64 {
+fn pingpong_dsm(seed: u64) -> (f64, TraceArtifact) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
+    sim.enable_trace(1 << 16);
     let manager = spawn_dsm_manager(&sim, NodeId(0), 64);
     let mut slots = Vec::new();
     for c in 0..2u32 {
@@ -103,7 +113,7 @@ fn pingpong_dsm(seed: u64) -> f64 {
     for s in slots {
         worst = worst.max(take(s));
     }
-    worst
+    (worst, capture_trace("pingpong", &sim))
 }
 
 fn pingpong_stub(seed: u64) -> f64 {
@@ -138,7 +148,7 @@ fn pingpong_stub(seed: u64) -> f64 {
 
 /// Runs E12 and returns its tables and shape checks.
 pub fn run() -> ExperimentOutput {
-    let (dsm_us, dsm_msgs, dsm_obs) = locality_dsm(140);
+    let (dsm_us, dsm_msgs, dsm_obs, locality_trace) = locality_dsm(140);
     let (stub_us, stub_msgs, stub_obs) = locality_proxy("stub", ProxySpec::Stub, 141);
     let (mig_us, mig_msgs, mig_obs) =
         locality_proxy("migratory", ProxySpec::Migratory { threshold: 10 }, 142);
@@ -163,7 +173,7 @@ pub fn run() -> ExperimentOutput {
         dsm_msgs.to_string(),
     ]);
 
-    let pp_dsm = pingpong_dsm(143);
+    let (pp_dsm, pingpong_trace) = pingpong_dsm(143);
     let pp_stub = pingpong_stub(144);
     let mut t2 = Table::new(
         "scenario B — two contexts alternately writing the same page/object (fine-grained sharing)"
@@ -202,6 +212,6 @@ pub fn run() -> ExperimentOutput {
         tables: vec![t1, t2],
         checks,
         reports: vec![dsm_obs, stub_obs, mig_obs],
-        traces: vec![],
+        traces: vec![locality_trace, pingpong_trace],
     }
 }

@@ -20,7 +20,9 @@ use services::directory::Directory;
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
 
-use crate::{check, obs_report, slot, take, ExperimentOutput, ObsReport, Table};
+use crate::{
+    capture_trace, check, obs_report, slot, take, ExperimentOutput, ObsReport, Table, TraceArtifact,
+};
 
 const CLIENTS: u32 = 6;
 const READS_PER_CLIENT: u64 = 100;
@@ -33,8 +35,9 @@ struct Point {
 }
 
 /// Client node ids start at 100; replica nodes at 1.
-fn measure_reads(replicas: u32, seed: u64) -> (Point, ObsReport) {
+fn measure_reads(replicas: u32, seed: u64) -> (Point, ObsReport, TraceArtifact) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
+    sim.enable_trace(1 << 18);
     {
         let mut net = sim.net();
         for c in 0..CLIENTS {
@@ -115,12 +118,14 @@ fn measure_reads(replicas: u32, seed: u64) -> (Point, ObsReport) {
             throughput_kops: total_ops / max_elapsed * 1e3,
         },
         obs_report(format!("{replicas}-replicas"), &sim),
+        capture_trace(format!("reads-{replicas}"), &sim),
     )
 }
 
 /// Mean write latency for one client against a 3-replica group.
-fn measure_writes(propagation: Propagation, seed: u64) -> f64 {
+fn measure_writes(propagation: Propagation, seed: u64) -> (f64, TraceArtifact) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
+    sim.enable_trace(1 << 16);
     let ns = spawn_name_server(&sim, NodeId(0));
     spawn_replica_group(
         &sim,
@@ -153,7 +158,8 @@ fn measure_writes(propagation: Propagation, seed: u64) -> f64 {
         *w.lock().unwrap() = Some((ctx.now() - t0).as_secs_f64() * 1e6 / 50.0);
     });
     sim.run();
-    take(r)
+    let label = format!("writes-{propagation:?}").to_lowercase();
+    (take(r), capture_trace(label, &sim))
 }
 
 /// Runs E4 and returns its tables and shape checks.
@@ -167,10 +173,12 @@ pub fn run() -> ExperimentOutput {
     );
     let mut pts = Vec::new();
     let mut reports = Vec::new();
+    let mut traces = Vec::new();
     for (i, &n) in sweep.iter().enumerate() {
-        let (p, obs) = measure_reads(n, 40 + i as u64);
+        let (p, obs, trace) = measure_reads(n, 40 + i as u64);
         if n == 3 {
             reports.push(obs);
+            traces.push(trace);
         }
         table.add_row(vec![
             n.to_string(),
@@ -180,8 +188,10 @@ pub fn run() -> ExperimentOutput {
         pts.push(p);
     }
 
-    let sync_us = measure_writes(Propagation::Sync, 50);
-    let async_us = measure_writes(Propagation::Async, 51);
+    let (sync_us, sync_trace) = measure_writes(Propagation::Sync, 50);
+    let (async_us, async_trace) = measure_writes(Propagation::Async, 51);
+    traces.push(sync_trace);
+    traces.push(async_trace);
     let mut wtable = Table::new(
         "write latency ablation — 3 replicas, primary reads".to_string(),
         &["propagation", "mean write us"],
@@ -235,6 +245,6 @@ pub fn run() -> ExperimentOutput {
         tables: vec![table, wtable],
         checks,
         reports,
-        traces: vec![],
+        traces,
     }
 }

@@ -102,9 +102,11 @@ mod stable;
 pub use binder::{BindContext, Binder, ProxyCtor};
 pub use bulk::{BlobClient, BulkEngine, BulkParams};
 pub use interface::{InterfaceDesc, OpDesc, OpKind};
-pub use object::{dispatch_blocking, FactoryRegistry, ObjectCtor, ServiceObject};
+pub use object::{FactoryRegistry, ObjectCtor, ServiceObject};
 pub use proxy::{protocol, DiscardStrays, OnewaySink, Proxy, ProxyStats};
-pub use server::{ServerStats, ServiceBuilder, ServiceServer};
+pub use server::{
+    server_process, Control, Outcome, ServerStats, ServiceBuilder, ServiceServer, Step, Strays,
+};
 pub use session::Session;
 pub use session_core::{AsyncHandle, BindFuture, CallFuture, ProxyHandle, SessionCore};
 pub use spec::{AdaptiveParams, CachingParams, Coherence, ProxySpec, ReadTarget};

@@ -45,13 +45,13 @@ pub trait ServiceObject: Send {
     /// `dispatch` runs (simulated compute or disk time; default none).
     /// The host is a single FIFO server for that long:
     ///
-    /// * a [`crate::ServiceServer`] opens the call's dispatch span at
+    /// * a [`crate::ServiceServer`] — whatever its kind: object host,
+    ///   migration host or replica — opens the call's dispatch span at
     ///   arrival, leaves its mailbox undrained until the time has passed
     ///   (a retransmission waits there and is then answered from the
     ///   reply cache), and only then dispatches and replies;
-    /// * a blocking host — a local or migratory proxy holding the object
-    ///   in the client's context, the `migration` and `replication`
-    ///   servers — sleeps it through [`dispatch_blocking`].
+    /// * a proxy holding the object in the client's own context (local or
+    ///   migratory) sleeps it in the client's process, then dispatches.
     fn service_time(&self, _op: &str, _args: &Value) -> Duration {
         Duration::ZERO
     }
@@ -70,13 +70,10 @@ pub trait ServiceObject: Send {
     }
 }
 
-/// How a blocking host executes an operation: sleeps the object's
+/// How a proxy holding the object in a blocking client's context
+/// executes an operation: sleeps the object's
 /// [`service_time`](ServiceObject::service_time), then dispatches.
-///
-/// # Errors
-///
-/// Whatever `dispatch` reports.
-pub fn dispatch_blocking(
+pub(crate) fn dispatch_blocking(
     object: &mut dyn ServiceObject,
     ctx: &mut Ctx,
     op: &str,

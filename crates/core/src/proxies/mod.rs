@@ -25,7 +25,7 @@ pub use read_cache::{note_lookup, ReadCache};
 pub use stub::StubProxy;
 
 use naming::NameClient;
-use rpc::{endpoint_from_value, ErrorCode, RpcClient, RpcError, Stray, StrayVerdict};
+use rpc::{endpoint_from_value, ErrorCode, RpcClient, RpcError};
 use simnet::Ctx;
 use wire::Value;
 
@@ -56,13 +56,10 @@ pub(crate) fn robust_call(
     let mut redirects = 0;
     let mut relookups = 0;
     loop {
-        let result = rpc.call_with_strays(ctx, "", op, args.clone(), |_ctx, stray| match stray {
-            Stray::Oneway(o, _) => {
-                strays.push((*o).clone());
-                StrayVerdict::Consumed
-            }
-            Stray::Request(..) => StrayVerdict::Drop,
-        });
+        let result = rpc.call(ctx, op, args.clone());
+        for oneway in rpc.take_strays() {
+            strays.push(oneway);
+        }
         match result {
             Err(RpcError::Remote(ref e)) if e.code == ErrorCode::Moved => {
                 if redirects >= MAX_REDIRECTS {

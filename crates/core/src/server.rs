@@ -10,27 +10,40 @@
 //!
 //! How the context executes is the service's private business — no
 //! client can tell — so it is the cheap kind: a poll-driven
-//! [`Process`], not a thread. The machine has three states:
+//! [`Process`], not a thread. What it does with a request is its
+//! [`Control`] part: the object host [`ServiceBuilder`] builds, or one
+//! plugged in through [`server_process`] (the migration host, the
+//! replica, the DSM manager and pager). Every kind runs on one machine
+//! with four states:
 //!
-//! * **registering** — its first poll sends the registration; it parks
-//!   until the name server answers, retransmitting on the default
-//!   [`rpc::RetryPolicy`]'s schedule, and panics if that gives up;
+//! * **registering** — its first poll sends the registration, if the
+//!   kind registers; it parks until the name server answers,
+//!   retransmitting on the default [`rpc::RetryPolicy`]'s schedule, and
+//!   panics if that gives up;
 //! * **serving** — every poll drains the mailbox, answers each datagram
 //!   and parks on the empty mailbox;
-//! * **in service** — a request whose object declares a
-//!   [`service_time`](ServiceObject::service_time) is started (its
-//!   dispatch span opens) but neither executed nor answered until that
-//!   long has passed; meanwhile the mailbox is left alone, because the
-//!   context is a single FIFO server. Then the machine executes it,
-//!   replies and goes back to serving.
+//! * **in service** — a request whose control part asks for service
+//!   time ([`Step::Busy`], [`Step::Sleep`]) is started (its dispatch
+//!   span opens) but neither finished nor answered until that long has
+//!   passed; meanwhile the mailbox is left alone, because the context is
+//!   a single FIFO server;
+//! * **calling out** — a request whose control part calls out
+//!   ([`Step::Call`]) is parked the same way while the machine drives
+//!   the call, reading the mailbox for its reply and treating anything
+//!   else by the call's [`Strays`] rule.
+//!
+//! When the wait ends the control part continues the request: it may
+//! wait again or answer, through [`RpcServer::complete`], exactly once.
+//! Work a one-way starts (a backup repairing a gap) waits the same way,
+//! for no request.
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
 use naming::NameClient;
 use rpc::{
-    endpoint_from_value, send_oneway, CallHandle, ErrorCode, RemoteError, Request, RpcError,
-    RpcServer,
+    endpoint_from_value, send_oneway, Advance, CallHandle, ErrorCode, Oneway, Packet, RemoteError,
+    Request, RpcClient, RpcError, RpcServer, Served,
 };
 use simnet::{Ctx, Endpoint, Message, NodeId, Poll, ProcCx, Process, SimTime, Simulation};
 use wire::Value;
@@ -49,11 +62,11 @@ use crate::stable::CheckpointPolicy;
 /// snapshots the same counters per service.
 pub use obs::ServerStats;
 
-/// Everything but the RPC machinery, so the dispatch closure can borrow
-/// it while [`RpcServer`] is borrowed separately.
+/// The object host: the [`Control`] part [`ServiceBuilder`] builds,
+/// serving one object and the proxy protocol's system operations.
+#[derive(Debug)]
 struct Core {
     name: String,
-    spec: ProxySpec,
     iface: InterfaceDesc,
     /// `None` while the object is checked out to a client context.
     object: Option<Box<dyn ServiceObject>>,
@@ -130,7 +143,7 @@ impl Core {
         }
     }
 
-    fn execute(&mut self, ctx: &mut Ctx, req: &Request) -> Result<Value, RemoteError> {
+    fn run(&mut self, ctx: &mut Ctx, req: &Request) -> Result<Value, RemoteError> {
         match req.op.as_str() {
             protocol::OP_IFACE => Ok(self.iface.to_value()),
             protocol::OP_PING => Ok(Value::Null),
@@ -261,92 +274,324 @@ fn sharer_cap(spec: &ProxySpec) -> usize {
         .unwrap_or_else(|| CachingParams::default().capacity)
 }
 
-/// A process hosting one service object behind the proxy protocol: a
-/// poll-driven [`Process`] (see the module docs for its states), built
-/// and spawned by [`ServiceBuilder`].
-pub struct ServiceServer {
-    core: Core,
-    rpc: RpcServer,
-    /// The registration in flight; `None` once the name server answered.
-    registering: Option<Box<(NameClient, CallHandle)>>,
-    /// Calls started but not yet executed: the front one's service time
-    /// runs until `ready_at`; requests the same batch carried behind it
-    /// wait their turn.
-    in_service: VecDeque<Request>,
-    ready_at: SimTime,
-    /// Whether a datagram was served since the counters were published.
-    unpublished: bool,
+/// What a [`Control`] part does next with the work in hand.
+#[derive(Debug)]
+pub enum Step {
+    /// Done: answer its request, if it has one.
+    Reply(Result<Value, RemoteError>),
+    /// Spend this much service time, then resume. A delivery meanwhile
+    /// polls the context, which leaves the mailbox alone and re-arms its
+    /// timer (the object host's accounting).
+    Busy(Duration),
+    /// As `Busy`, but deaf: deliveries wait without polling the context,
+    /// event for event as they waited for a blocking host's `Ctx::sleep`.
+    Sleep(Duration),
+    /// Call `op` with these args at an endpoint, treating whatever else
+    /// arrives by the [`Strays`] rule, then resume with the outcome.
+    Call(Endpoint, &'static str, Value, Strays),
+    /// As `Call`, on the client that made the previous call to the same
+    /// endpoint (its round-trip estimate included), as a blocking caller
+    /// retrying on one `RpcClient` does.
+    Retry(Endpoint, &'static str, Value, Strays),
 }
 
-impl std::fmt::Debug for ServiceServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServiceServer")
-            .field("name", &self.core.name)
-            .field("spec", &self.core.spec)
-            .field("checked_out", &self.core.object.is_none())
-            .field("subscribers", &self.core.sharers.len())
-            .finish()
+/// What a context does with a datagram that arrives while it calls out
+/// and is not the call's reply. The call site chooses: what it holds,
+/// keeps or drops decides which requests are answered, and when.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Strays {
+    /// Requests go through the reply window as they arrive: a
+    /// retransmission of a started call is dropped, a fresh request is
+    /// started and waits its turn. Anything else is dropped and counted.
+    Queue,
+    /// Dropped and counted, requests included, as `RpcClient::call`
+    /// drops them.
+    Drop,
+    /// Requests are held raw — not decoded, deduplicated or spanned — and
+    /// served in arrival order once the work is done; anything else is
+    /// dropped and counted.
+    Hold,
+    /// As `Hold`, but one-ways of this op are kept for the outcome.
+    HoldKeeping(&'static str),
+}
+
+/// How a call or a wait ended, for [`Control::resume`].
+#[derive(Debug)]
+pub struct Outcome {
+    /// The call's result; `Ok(Null)` after service time.
+    pub result: Result<Value, RpcError>,
+    /// The one-ways [`Strays::HoldKeeping`] kept, in arrival order.
+    pub kept: Vec<Oneway>,
+}
+
+/// The control part of a server context: what it does with each
+/// request. The machine around it is the same for every kind; see the
+/// module docs.
+pub trait Control: Send + std::fmt::Debug + 'static {
+    /// The name the context registers under, if it registers.
+    fn name(&self) -> &str;
+
+    /// Starts a fresh request, under its open dispatch span.
+    fn execute(&mut self, ctx: &mut Ctx, req: &Request) -> Step;
+
+    /// Continues the work a waiting [`Step`] suspended, under the same
+    /// span; `req` is the request it is for, if any.
+    fn resume(&mut self, ctx: &mut Ctx, req: Option<&Request>, outcome: Outcome) -> Step;
+
+    /// A one-way notification arrived (default: ignored).
+    fn oneway(&mut self, _ctx: &mut Ctx, _oneway: Oneway) -> Step {
+        Step::Reply(Ok(Value::Null))
+    }
+
+    /// Consulted with each datagram before it is handled: a call returned
+    /// here runs first, for no request, while the datagram waits.
+    fn intercept(&mut self) -> Option<Step> {
+        None
+    }
+
+    /// Publishes the kind's counters, once per drained mailbox.
+    fn publish(&self, _obs: &obs::MetricsRegistry) {}
+}
+
+impl Control for Core {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn execute(&mut self, ctx: &mut Ctx, req: &Request) -> Step {
+        match self.service_time(req) {
+            time if time.is_zero() => Step::Reply(self.run(ctx, req)),
+            time => Step::Busy(time),
+        }
+    }
+
+    fn resume(&mut self, ctx: &mut Ctx, req: Option<&Request>, _: Outcome) -> Step {
+        Step::Reply(self.run(ctx, req.expect("an object host waits for requests")))
+    }
+
+    fn publish(&self, obs: &obs::MetricsRegistry) {
+        obs.set_server_stats(&self.name, self.stats);
     }
 }
 
-impl ServiceServer {
-    /// Drains the mailbox, unless a call is in service: then nothing
-    /// else is looked at until its time has passed and it has executed.
+/// What the work in hand waits for: an instant (deafly or not), or a
+/// call with its stray rule and the one-ways it kept.
+#[derive(Debug)]
+enum Wait {
+    Until(SimTime, bool),
+    Call(CallHandle, Strays, Vec<Oneway>),
+}
+
+/// A process hosting one server context: a poll-driven [`Process`] (see
+/// the module docs for its states) around a [`Control`] part. Built by
+/// [`ServiceBuilder`] for an object host, or by [`server_process`].
+#[derive(Debug)]
+pub struct ServiceServer<C> {
+    control: C,
+    rpc: RpcServer,
+    /// The registration in flight; `None` once the name server answered
+    /// (or for a kind that does not register).
+    registering: Option<Box<(NameClient, CallHandle)>>,
+    /// The work in hand, and whether it answers the front of
+    /// `in_service` (or no request).
+    task: Option<(bool, Wait)>,
+    /// Calls started but not yet answered: the front one is the task's
+    /// (or is about to run); requests the same batch carried behind it
+    /// wait their turn.
+    in_service: VecDeque<Request>,
+    /// Requests held raw by [`Strays::Hold`]; served before the mailbox.
+    held: VecDeque<Message>,
+    /// The client of the latest outbound call.
+    client: Option<RpcClient>,
+    /// Whether anything was served since the counters were published.
+    unpublished: bool,
+}
+
+impl<C: Control> ServiceServer<C> {
+    /// A context running `control`, registering nothing.
+    pub fn new(control: C) -> ServiceServer<C> {
+        ServiceServer {
+            control,
+            rpc: RpcServer::new(),
+            registering: None,
+            task: None,
+            in_service: VecDeque::new(),
+            held: VecDeque::new(),
+            client: None,
+            unpublished: false,
+        }
+    }
+
+    /// Sends the registration of the control part's
+    /// [`name`](Control::name) at this process's endpoint, with `meta`,
+    /// to the name server at `ns`; the context serves once answered.
+    pub fn register(mut self, ctx: &mut Ctx, ns: Endpoint, meta: Value) -> ServiceServer<C> {
+        let mut names = NameClient::new(ns);
+        let call = names.start_register(ctx, self.control.name(), ctx.endpoint(), meta);
+        self.registering = Some(Box::new((names, call)));
+        self
+    }
+
+    /// Serves until the mailbox is empty or the work in hand waits.
     fn serve(&mut self, cx: &mut ProcCx) -> Poll<()> {
         loop {
-            if !self.in_service.is_empty() {
-                if cx.now() < self.ready_at {
-                    cx.wake_at(self.ready_at);
-                    return Poll::Pending;
+            if let Some((for_request, wait)) = &mut self.task {
+                let for_request = *for_request;
+                let outcome = match wait {
+                    Wait::Until(at, deaf) if cx.now() < *at => {
+                        match deaf {
+                            true => cx.sleep_until(*at),
+                            false => cx.wake_at(*at),
+                        }
+                        return Poll::Pending;
+                    }
+                    Wait::Until(..) => Ok(Value::Null),
+                    Wait::Call(handle, strays, kept) => {
+                        let client = self.client.as_mut().expect("a call is out");
+                        match client.advance(cx, *handle) {
+                            Advance::Pending => return Poll::Pending,
+                            Advance::Settled(Err(RpcError::Stopped)) => return Poll::Ready(()),
+                            Advance::Settled(result) => result,
+                            Advance::Stray(packet, msg) => {
+                                match (*strays, packet) {
+                                    (
+                                        Strays::Queue,
+                                        Some(Packet::Request(_) | Packet::Batch(_)),
+                                    ) => self.handle_msg(cx, &msg),
+                                    (
+                                        Strays::Hold | Strays::HoldKeeping(_),
+                                        Some(Packet::Request(_)),
+                                    ) => self.held.push_back(msg),
+                                    (Strays::HoldKeeping(op), Some(Packet::Oneway(o)))
+                                        if o.op == op =>
+                                    {
+                                        kept.push(o)
+                                    }
+                                    _ => client.discard(cx),
+                                }
+                                continue;
+                            }
+                        }
+                    }
+                };
+                let kept = match self.task.take() {
+                    Some((_, Wait::Call(_, _, kept))) => kept,
+                    _ => Vec::new(),
+                };
+                let outcome = Outcome {
+                    result: outcome,
+                    kept,
+                };
+                let step = self.within(cx, for_request, |control, _, ctx, req| {
+                    control.resume(ctx, req, outcome)
+                });
+                self.step(cx, for_request, step);
+            } else if !self.in_service.is_empty() {
+                let step = self.within(cx, true, |control, _, ctx, req| {
+                    control.execute(ctx, req.expect("a request is in service"))
+                });
+                self.step(cx, true, step);
+            } else {
+                let msg = match self.held.pop_front() {
+                    Some(msg) => msg,
+                    None => match cx.try_recv() {
+                        Ok(Some(msg)) => msg,
+                        Ok(None) => return Poll::Pending,
+                        Err(_stopped) => return Poll::Ready(()),
+                    },
+                };
+                match self.control.intercept() {
+                    Some(step) => {
+                        self.held.push_front(msg);
+                        self.step(cx, false, step);
+                    }
+                    None => self.handle_msg(cx, &msg),
                 }
-                self.execute_front(cx);
-                continue;
-            }
-            match cx.try_recv() {
-                Ok(Some(msg)) => self.handle_msg(cx, &msg),
-                Ok(None) => return Poll::Pending,
-                Err(_stopped) => return Poll::Ready(()),
             }
         }
     }
 
     /// Processes one incoming datagram. A fresh request is executed and
-    /// answered on the spot unless it has a service time to wait out (or
-    /// stands behind one that has): that one is only started.
+    /// answered on the spot unless its control part parks it (or it
+    /// stands behind work in hand): that one is only started.
     fn handle_msg(&mut self, ctx: &mut Ctx, msg: &Message) {
-        let (core, in_service, ready_at) =
-            (&mut self.core, &mut self.in_service, &mut self.ready_at);
-        self.rpc.handle_deferred(ctx, msg, |ctx, req| {
-            if in_service.is_empty() {
-                let time = core.service_time(req);
-                if time.is_zero() {
-                    return Some(core.execute(ctx, req));
+        let idle = self.task.is_none();
+        let (control, in_service) = (&mut self.control, &mut self.in_service);
+        let mut parked = None;
+        let served = self.rpc.handle_deferred(ctx, msg, |ctx, req| {
+            if idle && in_service.is_empty() {
+                match control.execute(ctx, req) {
+                    Step::Reply(result) => return Some(result),
+                    step => parked = Some(step),
                 }
-                *ready_at = ctx.now() + time;
             }
             in_service.push_back(req.clone());
             None
         });
-        self.unpublished = true;
-    }
-
-    /// Executes the call whose service time has passed, under the
-    /// dispatch span it opened on arrival, and answers it.
-    fn execute_front(&mut self, ctx: &mut Ctx) {
-        let req = self.in_service.pop_front().expect("a call is in service");
-        let core = &mut self.core;
-        self.rpc
-            .complete_with(ctx, req.reply_to, req.call_id, |ctx| {
-                core.execute(ctx, &req)
-            });
-        if let Some(next) = self.in_service.front() {
-            self.ready_at = ctx.now() + self.core.service_time(next);
+        if let Served::Oneway(oneway) = served {
+            let step = self.control.oneway(ctx, oneway);
+            self.step(ctx, false, step);
+        }
+        if let Some(step) = parked {
+            self.step(ctx, true, step);
         }
         self.unpublished = true;
     }
+
+    /// Runs `f` for the request in service, under its dispatch span, or —
+    /// `for_request` false — for no request.
+    fn within<R>(
+        &mut self,
+        ctx: &mut Ctx,
+        for_request: bool,
+        f: impl FnOnce(&mut C, &mut Option<RpcClient>, &mut Ctx, Option<&Request>) -> R,
+    ) -> R {
+        let (control, client) = (&mut self.control, &mut self.client);
+        match self.in_service.front().filter(|_| for_request) {
+            Some(req) => self
+                .rpc
+                .continue_with(ctx, req.reply_to, req.call_id, |ctx| {
+                    f(control, client, ctx, Some(req))
+                })
+                .expect("the request in service is executing"),
+            None => f(control, client, ctx, None),
+        }
+    }
+
+    /// Puts `step` into effect for the request in service (or for no
+    /// request): answers it, or makes it the work in hand.
+    fn step(&mut self, ctx: &mut Ctx, for_request: bool, step: Step) {
+        let again = matches!(step, Step::Retry(..));
+        let wait = match step {
+            Step::Reply(result) => {
+                if for_request {
+                    let req = self
+                        .in_service
+                        .pop_front()
+                        .expect("a request is in service");
+                    self.rpc.complete(ctx, req.reply_to, req.call_id, result);
+                }
+                self.unpublished = true;
+                return;
+            }
+            Step::Busy(time) => Wait::Until(ctx.now() + time, false),
+            Step::Sleep(time) => Wait::Until(ctx.now() + time, true),
+            Step::Call(to, op, args, strays) | Step::Retry(to, op, args, strays) => {
+                let handle = self.within(ctx, for_request, |_, client, ctx, _| {
+                    let client = match client {
+                        Some(client) if again && client.server() == to => client,
+                        slot => slot.insert(RpcClient::new(to)),
+                    };
+                    client.start(ctx, "", op, args)
+                });
+                Wait::Call(handle, strays, Vec::new())
+            }
+        };
+        self.task = Some((for_request, wait));
+    }
 }
 
-impl Process for ServiceServer {
+impl<C: Control> Process for ServiceServer<C> {
     /// # Panics
     ///
     /// Panics if registration fails for a reason other than simulation
@@ -358,7 +603,7 @@ impl Process for ServiceServer {
                 Poll::Ready(Ok(_)) => self.registering = None,
                 Poll::Ready(Err(RpcError::Stopped)) => return Poll::Ready(()),
                 Poll::Ready(Err(e)) => {
-                    panic!("service `{}` failed to register: {e}", self.core.name)
+                    panic!("service `{}` failed to register: {e}", self.control.name())
                 }
             }
         }
@@ -368,9 +613,24 @@ impl Process for ServiceServer {
         // per drained mailbox, not per datagram: the report reads only
         // the last value.
         if std::mem::take(&mut self.unpublished) {
-            cx.obs().set_server_stats(&self.core.name, self.core.stats);
+            self.control.publish(cx.obs());
         }
         done
+    }
+}
+
+/// The process of a server context that `build` makes on its first poll
+/// (on the context's own node, with its own endpoint): how a crate runs
+/// its own [`Control`] part. Spawn it with `spawn_poll`.
+pub fn server_process<C: Control>(
+    build: impl FnOnce(&mut Ctx) -> ServiceServer<C> + Send + 'static,
+) -> impl Process {
+    let mut build = Some(build);
+    let mut server = None;
+    move |cx: &mut ProcCx| {
+        server
+            .get_or_insert_with(|| (build.take().expect("built once"))(cx))
+            .poll(cx)
     }
 }
 
@@ -456,8 +716,10 @@ impl ServiceBuilder {
     /// checkpoint at spawn, if one exists (the [`object`] closure then
     /// only supplies the cold-start default). Re-registering bumps the
     /// naming generation, so stub proxies whose calls time out against
-    /// the dead incarnation transparently re-resolve to the new one.
-    /// Requires [`factories`].
+    /// the dead incarnation transparently re-resolve to the new one. A
+    /// stored checkpoint the factory refuses stops the service with a
+    /// panic naming it, never a silent cold start. Requires
+    /// [`factories`].
     ///
     /// [`object`]: ServiceBuilder::object
     /// [`factories`]: ServiceBuilder::factories
@@ -505,28 +767,29 @@ impl ServiceBuilder {
             "service `{name}`: recovery needs a factory registry to rebuild snapshots"
         );
         let label = format!("svc-{name}");
-        let mut recipe = Some(self);
-        let mut server = None;
-        let process = move |cx: &mut ProcCx| {
-            server
-                .get_or_insert_with(|| recipe.take().expect("built once").build(cx, ns))
-                .poll(cx)
-        };
-        (label, process)
+        (label, server_process(move |ctx| self.build(ctx, ns)))
     }
 
     /// Runs on the process's first poll: makes the object — recovered
     /// from the node's last checkpoint if asked to and there is one —
     /// and the server around it, and sends its registration `{spec,
     /// iface}` to the name server at `ns`.
-    fn build(self, ctx: &mut Ctx, ns: Endpoint) -> ServiceServer {
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the service, if a stored checkpoint cannot be
+    /// restored: starting cold instead would silently forget what the
+    /// checkpoint says was done.
+    fn build(self, ctx: &mut Ctx, ns: Endpoint) -> ServiceServer<Core> {
         let default = (self.make_object.expect("checked at spawn"))();
         let object = match (&self.checkpoint, &self.factories) {
             (Some(policy), Some(factories)) if self.recover => {
                 match policy.store.load(ctx.node(), &self.name) {
                     Some(snapshot) => factories
                         .create(&default.interface().type_name, &snapshot)
-                        .unwrap_or(default),
+                        .unwrap_or_else(|e| {
+                            panic!("service `{}` cannot restore its checkpoint: {e}", self.name)
+                        }),
                     None => default,
                 }
             }
@@ -534,26 +797,17 @@ impl ServiceBuilder {
         };
         let iface = object.interface();
         let meta = Value::record([("spec", self.spec.to_value()), ("iface", iface.to_value())]);
-        let mut names = NameClient::new(ns);
-        let call = names.start_register(ctx, &self.name, ctx.endpoint(), meta);
-        ServiceServer {
-            core: Core {
-                name: self.name,
-                sharers: Sharers::new(sharer_cap(&self.spec)),
-                spec: self.spec,
-                iface,
-                object: Some(object),
-                holder: None,
-                factories: self.factories,
-                checkpoint: self.checkpoint,
-                writes_since_checkpoint: 0,
-                stats: ServerStats::default(),
-            },
-            rpc: RpcServer::new(),
-            registering: Some(Box::new((names, call))),
-            in_service: VecDeque::new(),
-            ready_at: SimTime::ZERO,
-            unpublished: false,
-        }
+        let core = Core {
+            sharers: Sharers::new(sharer_cap(&self.spec)),
+            iface,
+            object: Some(object),
+            holder: None,
+            factories: self.factories,
+            checkpoint: self.checkpoint,
+            writes_since_checkpoint: 0,
+            stats: ServerStats::default(),
+            name: self.name,
+        };
+        ServiceServer::new(core).register(ctx, ns, meta)
     }
 }

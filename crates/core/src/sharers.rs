@@ -57,11 +57,6 @@ impl Sharers {
         self.subscribers.is_empty()
     }
 
-    /// Number of subscribers.
-    pub(crate) fn len(&self) -> usize {
-        self.subscribers.len()
-    }
-
     pub(crate) fn subscribe(&mut self, cb: Endpoint) {
         if !self.index.contains_key(&cb) {
             self.index.insert(cb, self.subscribers.len());
@@ -240,7 +235,7 @@ mod tests {
         s.note_read(ep(2), "b"); // over a cap of 1: overflowed
         s.unsubscribe(ep(1));
         s.unsubscribe(ep(1)); // twice is harmless
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.subscribers.len(), 3);
         assert_eq!(
             s.take("a", ep(9)),
             [(ep(0), false), (ep(2), true), (ep(3), false)]

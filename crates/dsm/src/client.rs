@@ -8,7 +8,7 @@ use rpc::{endpoint_to_value, RpcClient, RpcError};
 use simnet::{Ctx, Endpoint};
 use wire::Value;
 
-use crate::pager::{pager_body, CachedPage, PageCache};
+use crate::pager::{spawn_pager, CachedPage, PageCache};
 use crate::{proto, Mode, PageId};
 
 /// Error from a DSM access.
@@ -82,9 +82,7 @@ impl DsmClient {
     pub fn attach(ctx: &mut Ctx, manager: Endpoint) -> DsmClient {
         let cache: PageCache = Arc::new(Mutex::new(HashMap::new()));
         let pager_cache = Arc::clone(&cache);
-        let pager = ctx.spawn("pager", ctx.node(), move |pctx| {
-            pager_body(pctx, pager_cache)
-        });
+        let pager = spawn_pager(ctx, pager_cache);
         DsmClient {
             manager: RpcClient::new(manager),
             pager,

@@ -23,10 +23,14 @@
 //!
 //! Each [`DsmClient`] spawns a sibling **pager** process in its context
 //! that shares the page cache and serves the manager's coherence traffic
-//! (`downgrade`, `invalidate`, `surrender`) synchronously — the analogue
-//! of an MMU trap handler. This gives real single-writer/multi-reader
-//! coherence: at any instant a page has either one writable mapping or
-//! any number of read-only mappings.
+//! (`downgrade`, `invalidate`, `surrender`) on the spot — the analogue
+//! of an MMU trap handler. The manager grants a fetch only after those
+//! calls return, one pager at a time: the fetch waits, answered
+//! deferred, while the manager calls out. This gives real
+//! single-writer/multi-reader coherence: at any instant a page has either
+//! one writable mapping or any number of read-only mappings. Manager and
+//! pager are [`proxy_core::Control`] parts on the server engine every
+//! service runs on.
 //!
 //! ## The trade the paper's contemporaries argued about
 //!
@@ -84,6 +88,15 @@ pub enum Mode {
     Read,
     /// Exclusive writable mapping; no other copies exist.
     Write,
+}
+
+/// The `page` argument of a DSM request.
+pub(crate) fn page_arg(args: &wire::Value) -> Result<PageId, rpc::RemoteError> {
+    let bad_args = |e: String| rpc::RemoteError::new(rpc::ErrorCode::BadArgs, e);
+    let n = args.get_u64("page").map_err(|e| bad_args(e.to_string()))?;
+    Ok(PageId(
+        u32::try_from(n).map_err(|_| bad_args("page id out of range".into()))?,
+    ))
 }
 
 pub(crate) mod proto {

@@ -2,21 +2,21 @@
 //!
 //! Tracks, for every page, whether it is unmapped, shared by a copyset
 //! of reader contexts, or exclusively owned by one writer context — and
-//! orchestrates the transitions by calling the affected pagers
-//! *synchronously* before granting a new mapping. That ordering is what
-//! makes the protocol single-writer/multiple-reader at every instant.
+//! orchestrates the transitions by calling the affected pagers before
+//! granting a new mapping: the fetch waits, answered deferred, while the
+//! manager calls out, one pager at a time. That ordering is what makes
+//! the protocol single-writer/multiple-reader at every instant.
 
 use std::collections::{HashMap, VecDeque};
+use std::time::Duration;
 
 use bytes::Bytes;
-use rpc::{
-    endpoint_from_value, ErrorCode, RemoteError, Request, RpcClient, RpcError, RpcServer, Served,
-    Stray, StrayVerdict,
-};
-use simnet::{Ctx, Endpoint, Message, NodeId, Simulation};
+use proxy_core::{server_process, Control, Outcome, ServiceServer, Step, Strays};
+use rpc::{endpoint_from_value, ErrorCode, RemoteError, Request, RpcError};
+use simnet::{Ctx, Endpoint, NodeId, Simulation};
 use wire::Value;
 
-use crate::{proto, PageId};
+use crate::{page_arg, proto, PageId};
 
 /// Counters accumulated by the manager.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,20 +41,45 @@ enum PageState {
     Exclusive { owner: Endpoint },
 }
 
+/// A fetch waiting for its coherence calls: `op` goes to each of
+/// `pagers` in turn (the front one is being called) before `page` is
+/// granted to `to`. `data` is the home copy, when it is current.
+#[derive(Debug)]
+struct Pending {
+    page: PageId,
+    to: Endpoint,
+    op: &'static str,
+    pagers: VecDeque<Endpoint>,
+    data: Bytes,
+    /// Calls of the front pager made before this one, and whether the
+    /// manager is waiting to call again.
+    tries: u32,
+    backing_off: bool,
+}
+
+/// Tries one coherence call makes before giving up.
+const COHERENCE_TRIES: u32 = 32;
+
+impl Pending {
+    /// The call of the front pager. App requests arriving meanwhile are
+    /// held; one-ways are dropped.
+    fn call(&self, again: bool) -> Step {
+        let pager = *self.pagers.front().expect("a pager to call");
+        let args = Value::record([("page", Value::U64(self.page.0.into()))]);
+        match again {
+            true => Step::Retry(pager, self.op, args, Strays::Hold),
+            false => Step::Call(pager, self.op, args, Strays::Hold),
+        }
+    }
+}
+
+/// The manager's [`Control`] part: the page directory.
+#[derive(Debug)]
 struct Manager {
     page_size: usize,
     pages: HashMap<PageId, PageState>,
-    requeued: VecDeque<Message>,
+    pending: Option<Pending>,
     stats: ManagerStats,
-}
-
-fn page_arg(args: &Value) -> Result<PageId, RemoteError> {
-    let n = args
-        .get_u64("page")
-        .map_err(|e| RemoteError::new(ErrorCode::BadArgs, e.to_string()))?;
-    Ok(PageId(u32::try_from(n).map_err(|_| {
-        RemoteError::new(ErrorCode::BadArgs, "page id out of range")
-    })?))
 }
 
 fn pager_arg(args: &Value) -> Result<Endpoint, RemoteError> {
@@ -66,165 +91,168 @@ fn pager_arg(args: &Value) -> Result<Endpoint, RemoteError> {
 }
 
 impl Manager {
-    /// Calls a pager, requeueing any app requests that arrive meanwhile.
-    ///
-    /// A grant reply and a subsequent coherence request race on the
-    /// network: the manager may demand a surrender/downgrade before the
-    /// target app has even received the grant that creates the mapping.
-    /// The pager answers `NoSuchObject` in that window, so coherence
-    /// calls retry briefly until the mapping lands — the standard
-    /// in-flight-grant resolution in directory-based DSM protocols.
-    fn call_pager(
-        &mut self,
-        ctx: &mut Ctx,
-        pager: Endpoint,
-        op: &str,
-        page: PageId,
-    ) -> Result<Value, RpcError> {
-        let mut rpc = RpcClient::new(pager);
-        for _attempt in 0..32 {
-            let requeued = &mut self.requeued;
-            let result = rpc.call_with_strays(
-                ctx,
-                "",
-                op,
-                Value::record([("page", Value::U64(page.0.into()))]),
-                |_ctx, stray| match stray {
-                    Stray::Request(_, m) => {
-                        requeued.push_back((*m).clone());
-                        StrayVerdict::Consumed
-                    }
-                    Stray::Oneway(..) => StrayVerdict::Drop,
-                },
-            );
-            match result {
-                Err(RpcError::Remote(ref e))
-                    if e.code == ErrorCode::NoSuchObject && op != proto::OP_INVALIDATE =>
-                {
-                    // Grant still in flight to that context; let it land.
-                    if ctx.sleep(std::time::Duration::from_millis(1)).is_err() {
-                        return result;
-                    }
-                }
-                other => return other,
-            }
-        }
-        Err(RpcError::Remote(RemoteError::new(
-            ErrorCode::Unavailable,
-            format!("{op} for {page} never became possible"),
-        )))
+    fn zero_page(&self) -> Bytes {
+        Bytes::from(vec![0u8; self.page_size])
     }
 
-    fn fetch_ro(
-        &mut self,
-        ctx: &mut Ctx,
-        page: PageId,
-        pager: Endpoint,
-    ) -> Result<Value, RemoteError> {
+    /// Maps `page` for the pager named in `req`, exclusively or not,
+    /// after demoting, taking or shooting down whatever other mappings
+    /// the protocol forbids alongside it.
+    fn fetch(&mut self, req: &Request, exclusive: bool) -> Result<Step, RemoteError> {
+        let (page, to) = (page_arg(&req.args)?, pager_arg(&req.args)?);
+        let zero = self.zero_page();
         let state = self.pages.remove(&page).unwrap_or(PageState::Shared {
-            data: Bytes::from(vec![0u8; self.page_size]),
+            data: zero.clone(),
             copyset: Vec::new(),
         });
-        let (data, mut copyset) = match state {
-            PageState::Shared { data, copyset } => (data, copyset),
-            PageState::Exclusive { owner } => {
-                // Demote the writer so both can read.
-                let bytes = self
-                    .call_pager(ctx, owner, proto::OP_DOWNGRADE, page)
-                    .map_err(|e| {
-                        RemoteError::new(ErrorCode::Unavailable, format!("downgrade failed: {e}"))
-                    })?;
-                self.stats.downgrades += 1;
-                let data = bytes
-                    .as_blob()
-                    .cloned()
-                    .unwrap_or_else(|| Bytes::from(vec![0u8; self.page_size]));
-                (data, vec![owner])
+        let (op, pagers, data) = match (state, exclusive) {
+            (PageState::Shared { data, copyset }, false) => {
+                return Ok(self.grant_ro(page, to, data, copyset))
+            }
+            // Already ours (a lost reply being retried at a higher
+            // layer); nothing to transfer.
+            (PageState::Exclusive { owner }, true) if owner == to => {
+                self.pages.insert(page, PageState::Exclusive { owner });
+                self.stats.rw_grants += 1;
+                return Ok(Step::Reply(Ok(Value::Null)));
+            }
+            // Demote the writer so both can read.
+            (PageState::Exclusive { owner }, false) => (proto::OP_DOWNGRADE, vec![owner], zero),
+            (PageState::Exclusive { owner }, true) => (proto::OP_SURRENDER, vec![owner], zero),
+            // Shoot down every reader except the requester.
+            (PageState::Shared { data, copyset }, true) => {
+                let readers = copyset.into_iter().filter(|r| *r != to).collect();
+                (proto::OP_INVALIDATE, readers, data)
             }
         };
-        if !copyset.contains(&pager) {
-            copyset.push(pager);
+        let pending = Pending {
+            page,
+            to,
+            op,
+            pagers: pagers.into(),
+            data,
+            tries: 0,
+            backing_off: false,
+        };
+        Ok(self.next(pending))
+    }
+
+    /// Calls the next pager of `pending`, or grants once none is left.
+    fn next(&mut self, pending: Pending) -> Step {
+        if pending.pagers.is_empty() {
+            return self.grant_rw(pending.page, pending.to, pending.data);
+        }
+        let call = pending.call(false);
+        self.pending = Some(pending);
+        call
+    }
+
+    fn grant_ro(
+        &mut self,
+        page: PageId,
+        to: Endpoint,
+        data: Bytes,
+        mut copyset: Vec<Endpoint>,
+    ) -> Step {
+        if !copyset.contains(&to) {
+            copyset.push(to);
         }
         self.stats.ro_grants += 1;
         let reply = Value::blob(data.clone());
         self.pages.insert(page, PageState::Shared { data, copyset });
-        Ok(reply)
+        Step::Reply(Ok(reply))
     }
 
-    fn fetch_rw(
-        &mut self,
-        ctx: &mut Ctx,
-        page: PageId,
-        pager: Endpoint,
-    ) -> Result<Value, RemoteError> {
-        let state = self.pages.remove(&page).unwrap_or(PageState::Shared {
-            data: Bytes::from(vec![0u8; self.page_size]),
-            copyset: Vec::new(),
-        });
-        let data = match state {
-            PageState::Exclusive { owner } if owner == pager => {
-                // Already ours (a lost reply being retried at a higher
-                // layer); nothing to transfer.
-                self.pages.insert(page, PageState::Exclusive { owner });
-                self.stats.rw_grants += 1;
-                return Ok(Value::Null);
-            }
-            PageState::Exclusive { owner } => {
-                let bytes = self
-                    .call_pager(ctx, owner, proto::OP_SURRENDER, page)
-                    .map_err(|e| {
-                        RemoteError::new(ErrorCode::Unavailable, format!("surrender failed: {e}"))
-                    })?;
-                self.stats.surrenders += 1;
-                bytes
-                    .as_blob()
-                    .cloned()
-                    .unwrap_or_else(|| Bytes::from(vec![0u8; self.page_size]))
-            }
-            PageState::Shared { data, copyset } => {
-                // Shoot down every reader except the requester.
-                for reader in copyset {
-                    if reader == pager {
-                        continue;
-                    }
-                    self.call_pager(ctx, reader, proto::OP_INVALIDATE, page)
-                        .map_err(|e| {
-                            RemoteError::new(
-                                ErrorCode::Unavailable,
-                                format!("invalidate failed: {e}"),
-                            )
-                        })?;
-                    self.stats.invalidations += 1;
-                }
-                data
-            }
-        };
+    fn grant_rw(&mut self, page: PageId, to: Endpoint, data: Bytes) -> Step {
         self.stats.rw_grants += 1;
-        self.pages
-            .insert(page, PageState::Exclusive { owner: pager });
-        Ok(Value::blob(data))
+        self.pages.insert(page, PageState::Exclusive { owner: to });
+        Step::Reply(Ok(Value::blob(data)))
+    }
+}
+
+impl Control for Manager {
+    fn name(&self) -> &str {
+        "dsm-manager"
     }
 
-    fn execute(&mut self, ctx: &mut Ctx, req: &Request) -> Result<Value, RemoteError> {
-        match req.op.as_str() {
-            proto::OP_FETCH_RO => {
-                let page = page_arg(&req.args)?;
-                let pager = pager_arg(&req.args)?;
-                self.fetch_ro(ctx, page, pager)
-            }
-            proto::OP_FETCH_RW => {
-                let page = page_arg(&req.args)?;
-                let pager = pager_arg(&req.args)?;
-                self.fetch_rw(ctx, page, pager)
-            }
-            "_stats" => Ok(Value::record([
+    fn execute(&mut self, _ctx: &mut Ctx, req: &Request) -> Step {
+        let step = match req.op.as_str() {
+            proto::OP_FETCH_RO => self.fetch(req, false),
+            proto::OP_FETCH_RW => self.fetch(req, true),
+            "_stats" => Ok(Step::Reply(Ok(Value::record([
                 ("ro", Value::U64(self.stats.ro_grants)),
                 ("rw", Value::U64(self.stats.rw_grants)),
                 ("downgrades", Value::U64(self.stats.downgrades)),
                 ("invalidations", Value::U64(self.stats.invalidations)),
                 ("surrenders", Value::U64(self.stats.surrenders)),
-            ])),
+            ])))),
             other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
+        };
+        step.unwrap_or_else(|e| Step::Reply(Err(e)))
+    }
+
+    /// A grant reply and a subsequent coherence request race on the
+    /// network: the manager may demand a surrender/downgrade before the
+    /// target app has even received the grant that creates the mapping.
+    /// The pager answers `NoSuchObject` in that window, so coherence
+    /// calls retry briefly until the mapping lands — the standard
+    /// in-flight-grant resolution in directory-based DSM protocols. A
+    /// failed call fails the fetch, and the page's entry stays dropped.
+    fn resume(&mut self, _ctx: &mut Ctx, _req: Option<&Request>, outcome: Outcome) -> Step {
+        let mut p = self
+            .pending
+            .take()
+            .expect("the manager waits only for a fetch");
+        let result = if p.backing_off {
+            p.backing_off = false;
+            p.tries += 1;
+            if p.tries < COHERENCE_TRIES {
+                let call = p.call(true);
+                self.pending = Some(p);
+                return call;
+            }
+            Err(RpcError::Remote(RemoteError::new(
+                ErrorCode::Unavailable,
+                format!("{} for {} never became possible", p.op, p.page),
+            )))
+        } else {
+            match outcome.result {
+                Err(RpcError::Remote(ref e))
+                    if e.code == ErrorCode::NoSuchObject && p.op != proto::OP_INVALIDATE =>
+                {
+                    // Grant still in flight to that context; let it land.
+                    p.backing_off = true;
+                    self.pending = Some(p);
+                    return Step::Sleep(Duration::from_millis(1));
+                }
+                result => result,
+            }
+        };
+        let reply = match result {
+            Ok(reply) => reply,
+            Err(e) => {
+                let e = RemoteError::new(ErrorCode::Unavailable, format!("{} failed: {e}", p.op));
+                return Step::Reply(Err(e));
+            }
+        };
+        let pager = p.pagers.pop_front().expect("the pager called");
+        let data = reply.as_blob().cloned();
+        match p.op {
+            proto::OP_DOWNGRADE => {
+                self.stats.downgrades += 1;
+                let data = data.unwrap_or_else(|| self.zero_page());
+                self.grant_ro(p.page, p.to, data, vec![pager])
+            }
+            proto::OP_SURRENDER => {
+                self.stats.surrenders += 1;
+                let data = data.unwrap_or_else(|| self.zero_page());
+                self.grant_rw(p.page, p.to, data)
+            }
+            _ => {
+                self.stats.invalidations += 1;
+                p.tries = 0;
+                self.next(p)
+            }
         }
     }
 }
@@ -233,25 +261,16 @@ impl Manager {
 /// its endpoint (pass to [`crate::DsmClient::attach`]).
 pub fn spawn_dsm_manager(sim: &Simulation, node: NodeId, page_size: usize) -> Endpoint {
     assert!(page_size > 0, "page size must be positive");
-    sim.spawn("dsm-manager", node, move |ctx| {
-        let mut mgr = Manager {
-            page_size,
-            pages: HashMap::new(),
-            requeued: VecDeque::new(),
-            stats: ManagerStats::default(),
-        };
-        let mut rpc = RpcServer::new();
-        loop {
-            let msg = match mgr.requeued.pop_front() {
-                Some(m) => m,
-                None => match ctx.recv() {
-                    Ok(m) => m,
-                    Err(_) => return,
-                },
-            };
-            let mgr_ref = &mut mgr;
-            let served = rpc.handle(ctx, &msg, |ctx, req| mgr_ref.execute(ctx, req));
-            let _ = matches!(served, Served::Executed(_));
-        }
-    })
+    sim.spawn_poll(
+        "dsm-manager",
+        node,
+        server_process(move |_| {
+            ServiceServer::new(Manager {
+                page_size,
+                pages: HashMap::new(),
+                pending: None,
+                stats: ManagerStats::default(),
+            })
+        }),
+    )
 }

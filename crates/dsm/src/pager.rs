@@ -1,18 +1,20 @@
 //! The pager: a context's coherence servant.
 //!
 //! A sibling process sharing the app's page cache; it serves the
-//! manager's downgrade/invalidate/surrender requests synchronously, the
-//! way an MMU trap handler would shoot down a mapping.
+//! manager's downgrade/invalidate/surrender requests on the spot, the
+//! way an MMU trap handler would shoot down a mapping. It is a plain
+//! [`Control`] part on the server engine.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rpc::{ErrorCode, RemoteError, RpcServer};
-use simnet::Ctx;
+use proxy_core::{server_process, Control, Outcome, ServiceServer, Step};
+use rpc::{ErrorCode, RemoteError, Request};
+use simnet::{Ctx, Endpoint};
 use wire::Value;
 
-use crate::{proto, Mode, PageId};
+use crate::{page_arg, proto, Mode, PageId};
 
 /// One locally mapped page.
 #[derive(Debug, Clone)]
@@ -24,50 +26,60 @@ pub(crate) struct CachedPage {
 /// The page table shared between an app context and its pager.
 pub(crate) type PageCache = Arc<Mutex<HashMap<PageId, CachedPage>>>;
 
-fn page_arg(args: &Value) -> Result<PageId, RemoteError> {
-    let n = args
-        .get_u64("page")
-        .map_err(|e| RemoteError::new(ErrorCode::BadArgs, e.to_string()))?;
-    Ok(PageId(u32::try_from(n).map_err(|_| {
-        RemoteError::new(ErrorCode::BadArgs, "page id out of range")
-    })?))
+/// The pager's [`Control`] part: every coherence request is answered on
+/// the spot from the shared page table.
+#[derive(Debug)]
+struct Pager(PageCache);
+
+impl Control for Pager {
+    fn name(&self) -> &str {
+        "pager"
+    }
+
+    fn execute(&mut self, _ctx: &mut Ctx, req: &Request) -> Step {
+        let unmapped =
+            |page| RemoteError::new(ErrorCode::NoSuchObject, format!("{page} not mapped here"));
+        let page = match page_arg(&req.args) {
+            Ok(page) => page,
+            Err(e) => return Step::Reply(Err(e)),
+        };
+        let mut table = self.0.lock();
+        Step::Reply(match req.op.as_str() {
+            proto::OP_DOWNGRADE => match table.get_mut(&page) {
+                Some(entry) => {
+                    entry.mode = Mode::Read;
+                    Ok(Value::blob(entry.data.clone()))
+                }
+                None => Err(unmapped(page)),
+            },
+            proto::OP_INVALIDATE => {
+                // Idempotent: invalidating an unmapped page is fine
+                // (we may have dropped it voluntarily).
+                table.remove(&page);
+                Ok(Value::Null)
+            }
+            proto::OP_SURRENDER => match table.remove(&page) {
+                Some(entry) => Ok(Value::blob(entry.data)),
+                None => Err(unmapped(page)),
+            },
+            other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
+        })
+    }
+
+    fn resume(&mut self, _ctx: &mut Ctx, _req: Option<&Request>, _outcome: Outcome) -> Step {
+        unreachable!("a pager answers on the spot")
+    }
 }
 
-/// The pager process body: serves coherence traffic forever.
-pub(crate) fn pager_body(ctx: &mut Ctx, cache: PageCache) {
-    let mut rpc = RpcServer::new();
-    while let Ok(msg) = ctx.recv() {
-        rpc.handle(ctx, &msg, |_ctx, req| {
-            let page = page_arg(&req.args)?;
-            let mut table = cache.lock();
-            match req.op.as_str() {
-                proto::OP_DOWNGRADE => match table.get_mut(&page) {
-                    Some(entry) => {
-                        entry.mode = Mode::Read;
-                        Ok(Value::blob(entry.data.clone()))
-                    }
-                    None => Err(RemoteError::new(
-                        ErrorCode::NoSuchObject,
-                        format!("{page} not mapped here"),
-                    )),
-                },
-                proto::OP_INVALIDATE => {
-                    // Idempotent: invalidating an unmapped page is fine
-                    // (we may have dropped it voluntarily).
-                    table.remove(&page);
-                    Ok(Value::Null)
-                }
-                proto::OP_SURRENDER => match table.remove(&page) {
-                    Some(entry) => Ok(Value::blob(entry.data)),
-                    None => Err(RemoteError::new(
-                        ErrorCode::NoSuchObject,
-                        format!("{page} not mapped here"),
-                    )),
-                },
-                other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
-            }
-        });
-    }
+/// Spawns the pager for `cache` on `ctx`'s node, a sibling of the app
+/// process: it serves coherence traffic for as long as the simulation
+/// runs.
+pub(crate) fn spawn_pager(ctx: &Ctx, cache: PageCache) -> Endpoint {
+    ctx.spawn_poll(
+        "pager",
+        ctx.node(),
+        server_process(move |_| ServiceServer::new(Pager(cache))),
+    )
 }
 
 #[cfg(test)]
@@ -88,7 +100,11 @@ mod tests {
             },
         );
         let c2 = Arc::clone(&cache);
-        let pager = sim.spawn("pager", NodeId(0), move |ctx| pager_body(ctx, c2));
+        let pager = sim.spawn_poll(
+            "pager",
+            NodeId(0),
+            server_process(move |_| ServiceServer::new(Pager(c2))),
+        );
         let c3 = Arc::clone(&cache);
         sim.spawn("manager", NodeId(1), move |ctx| {
             let mut rpc = RpcClient::new(pager);

@@ -19,6 +19,12 @@
 //! *chains*: the first post-move call pays one hop per traversed
 //! forwarder, after which the client's proxy points at the true home.
 //!
+//! Host and forwarder are one [`proxy_core::Control`] part on the server
+//! engine every service runs on: `_migrate` is a system op (it parks
+//! while the naming update, if any, is out), and the forwarding state
+//! keeps the host's reply window, so a retransmission that straddles the
+//! move is still answered once.
+//!
 //! ## Example
 //!
 //! ```

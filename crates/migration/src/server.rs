@@ -1,12 +1,12 @@
-//! The migratable service host and its forwarder after-life.
+//! The migratable service host and its forwarder after-life: one
+//! [`Control`] part on the server engine.
 
-use naming::NameClient;
 use proxy_core::{
-    dispatch_blocking, protocol, FactoryRegistry, InterfaceDesc, ProxySpec, ServiceObject,
+    protocol, server_process, Control, FactoryRegistry, InterfaceDesc, Outcome, ProxySpec,
+    ServiceObject, ServiceServer, Step, Strays,
 };
 use rpc::{
     endpoint_from_value, endpoint_to_value, ErrorCode, RemoteError, Request, RpcClient, RpcError,
-    RpcServer,
 };
 use simnet::{Ctx, Endpoint, NodeId, Simulation};
 use wire::Value;
@@ -113,16 +113,6 @@ pub fn request_migration(
         .ok_or(MigrationError::BadReply)
 }
 
-/// State shipped to a freshly spawned host.
-struct HostSeed {
-    config: MigratableConfig,
-    ns: Endpoint,
-    factories: FactoryRegistry,
-    object: Box<dyn ServiceObject>,
-    /// Only the very first host registers the name.
-    register: bool,
-}
-
 /// Spawns the initial host of a migratable service on `node`.
 ///
 /// The object's type (its `InterfaceDesc::type_name`) must be buildable
@@ -139,174 +129,213 @@ where
     F: FnOnce() -> Box<dyn ServiceObject> + Send + 'static,
 {
     let label = format!("migratable-{}", config.service);
-    sim.spawn(label, node, move |ctx| {
-        host_body(
-            ctx,
-            HostSeed {
-                config,
-                ns,
-                factories,
-                object: make_object(),
-                register: true,
-            },
-        );
-    })
+    sim.spawn_poll(
+        label,
+        node,
+        server_process(move |ctx| {
+            let host = Host::new(config, ns, factories, make_object());
+            // Only the very first host registers the name.
+            let spec = host.config.spec.to_value();
+            let meta = Value::record([("spec", spec), ("iface", host.iface.to_value())]);
+            ServiceServer::new(host).register(ctx, ns, meta)
+        }),
+    )
 }
 
-/// Serves the object until a migration order arrives, then becomes a
-/// forwarder for the rest of the process's life.
-fn host_body(ctx: &mut Ctx, seed: HostSeed) {
-    let HostSeed {
-        config,
-        ns,
-        factories,
-        mut object,
-        register,
-    } = seed;
-    let iface = object.interface();
-
-    if register {
-        let meta = Value::record([
-            ("spec", config.spec.to_value()),
-            ("iface", iface.to_value()),
-        ]);
-        let mut nc = NameClient::new(ns);
-        match nc.register(ctx, &config.service, ctx.endpoint(), meta) {
-            Ok(_) => {}
-            Err(RpcError::Stopped) => return,
-            Err(e) => panic!("migratable `{}` failed to register: {e}", config.service),
-        }
-    }
-
-    let mut rpc = RpcServer::new();
-    let mut departed_to: Option<Endpoint> = None;
-
-    while departed_to.is_none() {
-        let msg = match ctx.recv() {
-            Ok(m) => m,
-            Err(_) => return,
-        };
-        let obj = &mut object;
-        let departed = &mut departed_to;
-        let cfg = &config;
-        let ifc = &iface;
-        let facs = &factories;
-        rpc.handle(ctx, &msg, |ctx, req| {
-            execute_host(ctx, req, obj, ifc, cfg, facs, ns, departed)
-        });
-    }
-
-    forwarder_body(
-        ctx,
-        rpc,
-        departed_to.expect("departed"),
-        config.forward_mode,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_host(
-    ctx: &mut Ctx,
-    req: &Request,
-    object: &mut Box<dyn ServiceObject>,
-    iface: &InterfaceDesc,
-    config: &MigratableConfig,
-    factories: &FactoryRegistry,
+/// A migratable service's control part: it serves the object until a
+/// `_migrate` order arrives, then forwards for the rest of its life.
+#[derive(Debug)]
+struct Host {
+    config: MigratableConfig,
     ns: Endpoint,
-    departed: &mut Option<Endpoint>,
-) -> Result<Value, RemoteError> {
-    match req.op.as_str() {
-        protocol::OP_PING => Ok(Value::Null),
-        protocol::OP_IFACE => Ok(iface.to_value()),
-        protocol::OP_SNAPSHOT => object.snapshot(),
-        OP_LOCATE => Ok(endpoint_to_value(ctx.endpoint())),
-        OP_MIGRATE => {
-            let node = NodeId(
-                u32::try_from(
-                    req.args
-                        .get_u64("node")
-                        .map_err(|e| RemoteError::new(ErrorCode::BadArgs, e.to_string()))?,
-                )
-                .map_err(|_| RemoteError::new(ErrorCode::BadArgs, "node id out of range"))?,
-            );
-            let state = object.snapshot()?;
-            let restored = factories.create(&iface.type_name, &state)?;
-            let seed = HostSeed {
-                config: config.clone(),
-                ns,
-                factories: factories.clone(),
-                object: restored,
-                register: false,
-            };
-            let label = format!("migratable-{}", config.service);
-            let new_ep = ctx.spawn(label, node, move |cctx| host_body(cctx, seed));
-            if config.update_naming {
-                let mut nc = NameClient::new(ns);
-                let _ = nc.update(ctx, &config.service, new_ep, Value::Null);
-            }
-            *departed = Some(new_ep);
-            ctx.trace(ctx.current_span(), || obs::NetEventKind::Migrated {
-                service: config.service.clone(),
-                from: ctx.endpoint().into(),
-                to: new_ep.into(),
-            });
-            Ok(Value::record([("ep", endpoint_to_value(new_ep))]))
+    factories: FactoryRegistry,
+    iface: InterfaceDesc,
+    state: State,
+}
+
+#[derive(Debug)]
+enum State {
+    /// The object lives here; `moving` is its new home while the
+    /// `_migrate` that made it waits for the naming update.
+    Home {
+        object: Box<dyn ServiceObject>,
+        moving: Option<Endpoint>,
+    },
+    /// The object left for `next_hop`. A [`ForwardMode::Resolve`]
+    /// forwarder walks the chain once: `walk` is the hop being asked and
+    /// the calls made so far, `resolved` where the walk ended.
+    Forwarding {
+        next_hop: Endpoint,
+        walk: Option<(Endpoint, u32)>,
+        resolved: Option<Endpoint>,
+    },
+}
+
+/// Most `_locate` calls one chain walk makes.
+const MAX_WALK: u32 = 32;
+
+/// Asks `hop` where the object is.
+fn locate(hop: Endpoint) -> Step {
+    Step::Call(hop, OP_LOCATE, Value::Null, Strays::Drop)
+}
+
+impl Host {
+    fn new(
+        config: MigratableConfig,
+        ns: Endpoint,
+        factories: FactoryRegistry,
+        object: Box<dyn ServiceObject>,
+    ) -> Host {
+        Host {
+            config,
+            ns,
+            factories,
+            iface: object.interface(),
+            state: State::Home {
+                object,
+                moving: None,
+            },
         }
-        op if op.starts_with('_') => Err(RemoteError::new(ErrorCode::NoSuchOp, op.to_owned())),
-        op => dispatch_blocking(object.as_mut(), ctx, op, &req.args),
+    }
+
+    /// Moves the object to a new host on `req`'s node; sends the naming
+    /// update first, if configured.
+    fn migrate(&mut self, ctx: &mut Ctx, req: &Request) -> Result<Step, RemoteError> {
+        let bad_args = |e: String| RemoteError::new(ErrorCode::BadArgs, e);
+        let node = req
+            .args
+            .get_u64("node")
+            .map_err(|e| bad_args(e.to_string()))?;
+        let node =
+            NodeId(u32::try_from(node).map_err(|_| bad_args("node id out of range".into()))?);
+        let State::Home { object, moving } = &mut self.state else {
+            unreachable!("only a home migrates")
+        };
+        let restored = self
+            .factories
+            .create(&self.iface.type_name, &object.snapshot()?)?;
+        let host = Host::new(
+            self.config.clone(),
+            self.ns,
+            self.factories.clone(),
+            restored,
+        );
+        let label = format!("migratable-{}", self.config.service);
+        let process = server_process(move |_| ServiceServer::new(host));
+        let new_ep = ctx.spawn_poll(label, node, process);
+        if !self.config.update_naming {
+            return Ok(self.depart(ctx, new_ep));
+        }
+        *moving = Some(new_ep);
+        let binding = naming::binding_args(&self.config.service, new_ep, Value::Null);
+        Ok(Step::Call(self.ns, "update", binding, Strays::Drop))
+    }
+
+    /// Becomes a forwarder to `new_ep` and answers the `_migrate`.
+    fn depart(&mut self, ctx: &mut Ctx, new_ep: Endpoint) -> Step {
+        self.state = State::Forwarding {
+            next_hop: new_ep,
+            walk: None,
+            resolved: None,
+        };
+        ctx.trace(ctx.current_span(), || obs::NetEventKind::Migrated {
+            service: self.config.service.clone(),
+            from: ctx.endpoint().into(),
+            to: new_ep.into(),
+        });
+        Step::Reply(Ok(Value::record([("ep", endpoint_to_value(new_ep))])))
     }
 }
 
-/// The after-life of a host whose object departed: answer everything
-/// with a redirect.
-fn forwarder_body(ctx: &mut Ctx, mut rpc: RpcServer, next_hop: Endpoint, mode: ForwardMode) {
-    // For `Resolve` mode: the chain-walk result, refreshed lazily when a
-    // redirected client bounces back (it won't — it goes to the target —
-    // so in practice resolved once and cached).
-    let mut resolved: Option<Endpoint> = None;
+impl Control for Host {
+    fn name(&self) -> &str {
+        &self.config.service
+    }
 
-    while let Ok(msg) = ctx.recv() {
-        let target = match mode {
-            ForwardMode::NextHop => next_hop,
-            ForwardMode::Resolve => match resolved {
-                Some(ep) => ep,
-                None => {
-                    let ep = resolve_chain(ctx, next_hop);
-                    resolved = Some(ep);
-                    ep
+    fn execute(&mut self, ctx: &mut Ctx, req: &Request) -> Step {
+        let object = match &mut self.state {
+            State::Home { object, .. } => object,
+            State::Forwarding {
+                next_hop, resolved, ..
+            } => {
+                let target = resolved.unwrap_or(*next_hop);
+                if req.op == OP_LOCATE {
+                    return Step::Reply(Ok(endpoint_to_value(target)));
                 }
-            },
-        };
-        rpc.handle(ctx, &msg, |fctx, req| match req.op.as_str() {
-            OP_LOCATE => Ok(endpoint_to_value(target)),
-            _ => {
-                fctx.trace(fctx.current_span(), || obs::NetEventKind::Forwarded {
-                    from: fctx.endpoint().into(),
+                ctx.trace(ctx.current_span(), || obs::NetEventKind::Forwarded {
+                    from: ctx.endpoint().into(),
                     to: target.into(),
                 });
-                Err(RemoteError::with_data(
-                    ErrorCode::Moved,
-                    "object has migrated",
-                    endpoint_to_value(target),
-                ))
+                let moved = endpoint_to_value(target);
+                let e = RemoteError::with_data(ErrorCode::Moved, "object has migrated", moved);
+                return Step::Reply(Err(e));
             }
-        });
-    }
-}
-
-/// Walks the forwarding chain via `_locate` until it reaches a live host
-/// (which answers with its own endpoint) or the walk stops progressing.
-fn resolve_chain(ctx: &mut Ctx, first: Endpoint) -> Endpoint {
-    let mut current = first;
-    for _ in 0..32 {
-        let mut client = RpcClient::new(current);
-        match client.call(ctx, OP_LOCATE, Value::Null) {
-            Ok(v) => match endpoint_from_value(&v) {
-                Ok(ep) if ep != current => current = ep,
-                _ => return current,
+        };
+        Step::Reply(match req.op.as_str() {
+            protocol::OP_PING => Ok(Value::Null),
+            protocol::OP_IFACE => Ok(self.iface.to_value()),
+            protocol::OP_SNAPSHOT => object.snapshot(),
+            OP_LOCATE => Ok(endpoint_to_value(ctx.endpoint())),
+            OP_MIGRATE => {
+                return self
+                    .migrate(ctx, req)
+                    .unwrap_or_else(|e| Step::Reply(Err(e)))
+            }
+            op if op.starts_with('_') => Err(RemoteError::new(ErrorCode::NoSuchOp, op.to_owned())),
+            op => match object.service_time(op, &req.args) {
+                time if time.is_zero() => object.dispatch(ctx, op, &req.args),
+                time => return Step::Sleep(time),
             },
-            Err(_) => return current,
+        })
+    }
+
+    fn resume(&mut self, ctx: &mut Ctx, req: Option<&Request>, outcome: Outcome) -> Step {
+        match &mut self.state {
+            // The naming update answered (or gave up): either way the
+            // object has moved.
+            State::Home {
+                moving: Some(new_ep),
+                ..
+            } => {
+                let new_ep = *new_ep;
+                self.depart(ctx, new_ep)
+            }
+            State::Home { object, .. } => {
+                let req = req.expect("an operation's service time is a request's");
+                Step::Reply(object.dispatch(ctx, &req.op, &req.args))
+            }
+            State::Forwarding { walk, resolved, .. } => {
+                let (hop, calls) = walk.take().expect("a chain walk is under way");
+                let located = outcome
+                    .result
+                    .ok()
+                    .and_then(|v| endpoint_from_value(&v).ok());
+                match located {
+                    Some(next) if next != hop && calls + 1 < MAX_WALK => {
+                        *walk = Some((next, calls + 1));
+                        return locate(next);
+                    }
+                    Some(next) if next != hop => *resolved = Some(next),
+                    _ => *resolved = Some(hop),
+                }
+                Step::Reply(Ok(Value::Null))
+            }
         }
     }
-    current
+
+    /// A resolving forwarder walks the chain once, when the first
+    /// datagram after the move arrives, before answering it.
+    fn intercept(&mut self) -> Option<Step> {
+        match &mut self.state {
+            State::Forwarding {
+                next_hop,
+                walk,
+                resolved: None,
+            } if self.config.forward_mode == ForwardMode::Resolve => {
+                *walk = Some((*next_hop, 0));
+                Some(locate(*next_hop))
+            }
+            _ => None,
+        }
+    }
 }

@@ -43,12 +43,12 @@ pub use server::{spawn_name_server, NAME_SERVER_PORT};
 
 use std::collections::HashMap;
 
-use rpc::{endpoint_to_value, CallHandle, ErrorCode, RpcClient, RpcError};
+use rpc::{endpoint_to_value, Advance, CallHandle, ErrorCode, RpcClient, RpcError};
 use simnet::{Ctx, Endpoint, Poll, ProcCx};
 use wire::Value;
 
 /// The arguments of `register` and `update`: a name's binding.
-fn binding_args(name: &str, endpoint: Endpoint, meta: Value) -> Value {
+pub fn binding_args(name: &str, endpoint: Endpoint, meta: Value) -> Value {
     Value::record([
         ("name", Value::str(name)),
         ("ep", endpoint_to_value(endpoint)),
@@ -117,14 +117,21 @@ impl NameClient {
     }
 
     /// Advances a registration made by [`NameClient::start_register`]
-    /// (see [`RpcClient::poll`]); `Ready` carries what
+    /// (see [`RpcClient::advance`]; whatever else arrives meanwhile is
+    /// dropped and counted); `Ready` carries what
     /// [`NameClient::register`] returns.
     pub fn poll_register(
         &mut self,
         cx: &mut ProcCx,
         call: CallHandle,
     ) -> Poll<Result<u64, RpcError>> {
-        self.rpc.poll(cx, call).map(|rep| Ok(rep?.get_u64("gen")?))
+        loop {
+            match self.rpc.advance(cx, call) {
+                Advance::Pending => return Poll::Pending,
+                Advance::Settled(rep) => return Poll::Ready(Ok(rep?.get_u64("gen")?)),
+                Advance::Stray(..) => self.rpc.discard(cx),
+            }
+        }
     }
 
     /// Updates the location of an existing name (migration), bumping its

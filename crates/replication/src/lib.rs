@@ -5,9 +5,10 @@
 //! and encode that choice entirely in the proxy it hands its clients.
 //! Client code is identical to the single-server case.
 //!
-//! * [`ReplicaServer`] / [`spawn_replica_group`] — the server side: a
-//!   primary applying and versioning writes, backups replaying them in
-//!   order (sync or async propagation).
+//! * [`spawn_replica_group`] — the server side: a primary applying and
+//!   versioning writes, backups replaying them in order (sync or async
+//!   propagation), each a replica state on the `proxy_core` server
+//!   engine.
 //! * [`ReplicaProxy`] — the client side: reads from the nearest replica
 //!   (RTT-probed at bind), writes to the primary, with a version floor
 //!   giving monotonic reads and read-your-writes.
@@ -63,6 +64,4 @@ mod proxy;
 mod server;
 
 pub use proxy::{client_runtime, register_replica_proxy, ReplicaProxy, ReplicaProxyStats};
-pub use server::{
-    spawn_replica_group, Propagation, ReplicaGroupConfig, ReplicaServer, ReplicaStats,
-};
+pub use server::{spawn_replica_group, Propagation, ReplicaGroupConfig, ReplicaStats};

@@ -106,14 +106,11 @@ impl ReplicaProxy {
         args: Value,
         strays: &mut dyn OnewaySink,
     ) -> Result<Value, RpcError> {
-        rpc.call_with_strays(ctx, "", op, args, |_ctx, stray| {
-            if let rpc::Stray::Oneway(o, _) = stray {
-                strays.push((*o).clone());
-                rpc::StrayVerdict::Consumed
-            } else {
-                rpc::StrayVerdict::Drop
-            }
-        })
+        let result = rpc.call(ctx, op, args);
+        for oneway in rpc.take_strays() {
+            strays.push(oneway);
+        }
+        result
     }
 
     fn unwrap_versioned(&mut self, reply: Value) -> Result<Value, RpcError> {

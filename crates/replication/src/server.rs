@@ -6,21 +6,23 @@
 //! (RPC, reply gated on all backups) or asynchronously (one-way,
 //! bounded staleness). Reads are served by any replica and return
 //! `{val, ver}` so the proxy can enforce read-your-writes.
+//!
+//! A replica is a [`Control`] part on the server engine: a sync write
+//! is answered deferred, once the backups have acknowledged it one at a
+//! time, and a backup that finds a gap calls the primary for the
+//! missing range the same way.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use naming::NameClient;
 use proxy_core::{
-    dispatch_blocking, protocol, InterfaceDesc, ProxySpec, ReadTarget, ServiceObject,
+    protocol, server_process, Control, InterfaceDesc, Outcome, ProxySpec, ReadTarget,
+    ServiceObject, ServiceServer, Step, Strays,
 };
-use rpc::{
-    endpoint_to_value, ErrorCode, RemoteError, Request, RpcClient, RpcError, RpcServer, Served,
-    Stray, StrayVerdict,
-};
-use simnet::{Ctx, Endpoint, Message, NodeId, Simulation};
+use rpc::{endpoint_to_value, ErrorCode, Oneway, RemoteError, Request};
+use simnet::{Ctx, Endpoint, NodeId, Simulation};
 use wire::Value;
 
 /// How the primary ships writes to its backups.
@@ -49,6 +51,7 @@ pub struct ReplicaStats {
     pub repaired: u64,
 }
 
+#[derive(Debug)]
 enum Role {
     Primary {
         backups: Vec<Endpoint>,
@@ -57,156 +60,261 @@ enum Role {
         log: VecDeque<(u64, String, Value)>,
     },
     Backup {
-        /// Filled in by the group spawner once the primary exists.
-        primary: Arc<Mutex<Option<Endpoint>>>,
+        primary: Endpoint,
         /// Out-of-order updates waiting for their predecessors.
         pending: BTreeMap<u64, (String, Value)>,
     },
 }
 
-/// One member of a replica group.
-pub struct ReplicaServer {
+/// What a replica is in the middle of, while its context waits.
+#[derive(Debug)]
+enum Job {
+    /// An operation waiting out its service time.
+    Dispatch,
+    /// A primary's sync propagation: `update` goes to backup `next`, and
+    /// `reply` answers the writer after the last one.
+    Propagate {
+        update: Value,
+        next: usize,
+        reply: Value,
+    },
+    /// A backup applying consecutive updates: `applying` is the next,
+    /// taken off `pending` (it waits out its service time first);
+    /// `repaired_from` is the version a gap repair's drain started at.
+    Ingest {
+        applying: Option<(String, Value)>,
+        repaired_from: Option<u64>,
+    },
+    /// A backup waiting for the primary's log.
+    Fetch,
+}
+
+/// One member of a replica group: the group's [`Control`] part.
+#[derive(Debug)]
+struct Replica {
     service: String,
     object: Box<dyn ServiceObject>,
     iface: InterfaceDesc,
     version: u64,
     role: Role,
-    rpc: RpcServer,
-    /// Requests that arrived while the primary was mid-propagation;
-    /// replayed before the next receive.
-    requeued: VecDeque<Message>,
-    /// Counters (readable via shared handles in tests).
-    pub stats: ReplicaStats,
-}
-
-impl std::fmt::Debug for ReplicaServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplicaServer")
-            .field("service", &self.service)
-            .field("version", &self.version)
-            .field(
-                "role",
-                &match self.role {
-                    Role::Primary { .. } => "primary",
-                    Role::Backup { .. } => "backup",
-                },
-            )
-            .finish()
-    }
+    job: Option<Job>,
+    stats: ReplicaStats,
 }
 
 const LOG_CAP: usize = 1024;
 
-impl ReplicaServer {
-    /// Creates the primary member.
-    pub fn primary(
-        service: impl Into<String>,
-        object: Box<dyn ServiceObject>,
-        backups: Vec<Endpoint>,
-        propagation: Propagation,
-    ) -> ReplicaServer {
-        let iface = object.interface();
-        ReplicaServer {
-            service: service.into(),
+fn bad_args(msg: impl Into<String>) -> Step {
+    Step::Reply(Err(RemoteError::new(ErrorCode::BadArgs, msg)))
+}
+
+impl Replica {
+    fn new(service: String, object: Box<dyn ServiceObject>, role: Role) -> Replica {
+        Replica {
+            iface: object.interface(),
+            service,
             object,
-            iface,
             version: 0,
-            role: Role::Primary {
-                backups,
-                propagation,
-                log: VecDeque::new(),
-            },
-            rpc: RpcServer::new(),
-            requeued: VecDeque::new(),
+            role,
+            job: None,
             stats: ReplicaStats::default(),
         }
     }
 
-    /// Creates a backup member. The primary's endpoint is usually not
-    /// known yet when backups spawn; the group spawner fills `primary`
-    /// in before the simulation runs.
-    pub fn backup(
-        service: impl Into<String>,
-        object: Box<dyn ServiceObject>,
-        primary: Arc<Mutex<Option<Endpoint>>>,
-    ) -> ReplicaServer {
-        let iface = object.interface();
-        ReplicaServer {
-            service: service.into(),
-            object,
-            iface,
-            version: 0,
-            role: Role::Backup {
-                primary,
-                pending: BTreeMap::new(),
-            },
-            rpc: RpcServer::new(),
-            requeued: VecDeque::new(),
-            stats: ReplicaStats::default(),
+    /// Runs an operation on the object, after its service time.
+    fn dispatch(&mut self, ctx: &mut Ctx, req: &Request) -> Step {
+        let time = self.object.service_time(&req.op, &req.args);
+        if !time.is_zero() {
+            self.job = Some(Job::Dispatch);
+            return Step::Sleep(time);
+        }
+        self.finish_dispatch(ctx, req)
+    }
+
+    fn finish_dispatch(&mut self, ctx: &mut Ctx, req: &Request) -> Step {
+        let op = req.op.as_str();
+        let val = match self.object.dispatch(ctx, op, &req.args) {
+            Ok(val) => val,
+            Err(e) => return Step::Reply(Err(e)),
+        };
+        if self.iface.is_write(op) {
+            return self.commit(ctx, req, val);
+        }
+        if !self.iface.is_read(op) {
+            return Step::Reply(Ok(val));
+        }
+        self.stats.reads += 1;
+        Step::Reply(Ok(self.versioned(val)))
+    }
+
+    fn versioned(&self, val: Value) -> Value {
+        Value::record([("val", val), ("ver", Value::U64(self.version))])
+    }
+
+    /// A primary's applied write: version it, log it and ship it.
+    fn commit(&mut self, ctx: &mut Ctx, req: &Request, val: Value) -> Step {
+        self.version += 1;
+        self.stats.writes_applied += 1;
+        let reply = self.versioned(val);
+        let Role::Primary {
+            backups,
+            propagation,
+            log,
+        } = &mut self.role
+        else {
+            unreachable!("backups refuse writes")
+        };
+        log.push_back((self.version, req.op.clone(), req.args.clone()));
+        if log.len() > LOG_CAP {
+            log.pop_front();
+        }
+        let update = Value::record([
+            ("svc", Value::str(self.service.as_str())),
+            ("op", Value::str(req.op.as_str())),
+            ("args", req.args.clone()),
+            ("ver", Value::U64(self.version)),
+        ]);
+        match propagation {
+            Propagation::Async => {
+                for b in backups.iter() {
+                    rpc::send_oneway(ctx, *b, "_apply", &update);
+                }
+                Step::Reply(Ok(reply))
+            }
+            Propagation::Sync => self.propagate(update, 0, reply),
         }
     }
 
-    /// Serves forever (no name registration; the group spawner registers
-    /// the service once, from the primary).
-    pub fn run(mut self, ctx: &mut Ctx) {
-        loop {
-            let msg = match self.requeued.pop_front() {
-                Some(m) => m,
-                None => match ctx.recv() {
-                    Ok(m) => m,
-                    Err(_) => return,
-                },
-            };
-            self.handle(ctx, &msg);
-        }
-    }
-
-    fn handle(&mut self, ctx: &mut Ctx, msg: &Message) {
-        // Split borrows: the dispatch closure may not touch `self.rpc`.
-        let service = &self.service;
-        let object = &mut self.object;
-        let iface = &self.iface;
-        let version = &mut self.version;
-        let role = &mut self.role;
-        let stats = &mut self.stats;
-        let requeued = &mut self.requeued;
-        let served = self.rpc.handle(ctx, msg, |ctx, req| {
-            Self::execute(
-                service, object, iface, version, role, stats, requeued, ctx, req,
-            )
+    /// Sends the sync propagation of `update` to backup `next`, or — all
+    /// acknowledged — answers the writer with `reply`. Requests arriving
+    /// meanwhile are held, not dropped; a backup that missed the update
+    /// (e.g. partitioned) is stale until it repairs.
+    fn propagate(&mut self, update: Value, next: usize, reply: Value) -> Step {
+        let Role::Primary { backups, .. } = &self.role else {
+            unreachable!("only the primary propagates")
+        };
+        let Some(&backup) = backups.get(next) else {
+            return Step::Reply(Ok(reply));
+        };
+        let call = Step::Call(backup, "_apply", update.clone(), Strays::Hold);
+        self.job = Some(Job::Propagate {
+            update,
+            next,
+            reply,
         });
-        if let Served::Oneway(o) = served {
-            if o.op == "_apply" {
-                self.apply_notification(ctx, &o.args);
+        call
+    }
+
+    /// Takes an `_apply` update in, buffering out-of-order versions and
+    /// repairing persistent gaps from the primary's log.
+    fn ingest(&mut self, ctx: &mut Ctx, args: &Value) -> Step {
+        let Role::Backup { pending, .. } = &mut self.role else {
+            return Step::Reply(Ok(Value::Null));
+        };
+        let (Ok(ver), Ok(op)) = (args.get_u64("ver"), args.get_str("op")) else {
+            return Step::Reply(Ok(Value::Null));
+        };
+        if ver <= self.version {
+            return Step::Reply(Ok(Value::Null)); // duplicate
+        }
+        let op_args = args.get("args").cloned().unwrap_or(Value::Null);
+        pending.insert(ver, (op.to_owned(), op_args));
+        self.job = Some(Job::Ingest {
+            applying: None,
+            repaired_from: None,
+        });
+        self.drain(ctx)
+    }
+
+    /// Applies every consecutive pending update, each after its service
+    /// time; then, after a first drain that leaves a gap, asks the
+    /// primary for the missing range.
+    fn drain(&mut self, ctx: &mut Ctx) -> Step {
+        let Role::Backup { primary, pending } = &mut self.role else {
+            unreachable!("only backups ingest")
+        };
+        let Some(Job::Ingest {
+            applying,
+            repaired_from,
+        }) = &mut self.job
+        else {
+            unreachable!("a drain belongs to an ingest")
+        };
+        loop {
+            if let Some((op, args)) = applying.take() {
+                if self.object.dispatch(ctx, &op, &args).is_ok() {
+                    self.stats.writes_applied += 1;
+                }
+                self.version += 1;
+            }
+            let Some((op, args)) = pending.remove(&(self.version + 1)) else {
+                break;
+            };
+            let time = self.object.service_time(&op, &args);
+            *applying = Some((op, args));
+            if !time.is_zero() {
+                return Step::Sleep(time);
             }
         }
+        if let Some(before) = *repaired_from {
+            self.stats.repaired += self.version - before;
+        } else if !pending.is_empty() {
+            self.stats.buffered += pending.len() as u64;
+            // A gap: some predecessor was lost in flight. Updates that
+            // arrive while the fetch waits are kept and merged after the
+            // reply: the fetch was issued before they were logged, and
+            // no later update may ever come to expose the new gap.
+            self.job = Some(Job::Fetch);
+            let from = Value::record([("from", Value::U64(self.version + 1))]);
+            return Step::Call(*primary, "_fetch", from, Strays::HoldKeeping("_apply"));
+        }
+        self.job = None;
+        Step::Reply(Ok(Value::Null))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        service: &str,
-        object: &mut Box<dyn ServiceObject>,
-        iface: &InterfaceDesc,
-        version: &mut u64,
-        role: &mut Role,
-        stats: &mut ReplicaStats,
-        requeued: &mut VecDeque<Message>,
-        ctx: &mut Ctx,
-        req: &Request,
-    ) -> Result<Value, RemoteError> {
+    /// Merges the primary's log (and the updates that arrived while it
+    /// was on its way) into the pending set, then drains it.
+    fn repair(&mut self, ctx: &mut Ctx, reply: &Value, late: &[Oneway]) -> Step {
+        let Role::Backup { pending, .. } = &mut self.role else {
+            unreachable!("only backups repair")
+        };
+        let updates = reply.get_list("updates").unwrap_or(&[]);
+        for u in updates.iter().chain(late.iter().map(|o| &o.args)) {
+            if let (Ok(v), Ok(op)) = (u.get_u64("ver"), u.get_str("op")) {
+                if v > self.version && !pending.contains_key(&v) {
+                    pending.insert(
+                        v,
+                        (op.to_owned(), u.get("args").cloned().unwrap_or(Value::Null)),
+                    );
+                }
+            }
+        }
+        self.job = Some(Job::Ingest {
+            applying: None,
+            repaired_from: Some(self.version),
+        });
+        self.drain(ctx)
+    }
+}
+
+impl Control for Replica {
+    fn name(&self) -> &str {
+        &self.service
+    }
+
+    fn execute(&mut self, ctx: &mut Ctx, req: &Request) -> Step {
         match req.op.as_str() {
-            protocol::OP_PING => Ok(Value::Null),
-            protocol::OP_IFACE => Ok(iface.to_value()),
-            "_ver" => Ok(Value::U64(*version)),
-            "_fetch" => match role {
+            protocol::OP_PING => Step::Reply(Ok(Value::Null)),
+            protocol::OP_IFACE => Step::Reply(Ok(self.iface.to_value())),
+            "_ver" => Step::Reply(Ok(Value::U64(self.version))),
+            "_fetch" => match &self.role {
                 // Gap repair: a backup asks for every logged update at
                 // or after `from`.
                 Role::Primary { log, .. } => {
-                    let from = req
-                        .args
-                        .get_u64("from")
-                        .map_err(|e| RemoteError::new(ErrorCode::BadArgs, e.to_string()))?;
-                    Ok(Value::record([(
+                    let from = match req.args.get_u64("from") {
+                        Ok(from) => from,
+                        Err(e) => return bad_args(e.to_string()),
+                    };
+                    Step::Reply(Ok(Value::record([(
                         "updates",
                         Value::list(log.iter().filter(|(v, _, _)| *v >= from).map(
                             |(v, op, args)| {
@@ -217,216 +325,58 @@ impl ReplicaServer {
                                 ])
                             },
                         )),
-                    )]))
+                    )])))
                 }
-                Role::Backup { .. } => Err(RemoteError::new(
-                    ErrorCode::BadArgs,
-                    "backups have no log to fetch",
-                )),
+                Role::Backup { .. } => bad_args("backups have no log to fetch"),
             },
-            "_apply" => {
-                // Sync propagation arrives as an RPC.
-                match role {
-                    Role::Backup { .. } => {
-                        Self::ingest_update(object, version, role, stats, requeued, ctx, &req.args);
-                        Ok(Value::Null)
-                    }
-                    Role::Primary { .. } => Err(RemoteError::new(
-                        ErrorCode::BadArgs,
-                        "primary does not accept _apply",
-                    )),
-                }
-            }
-            op if iface.is_write(op) => match role {
-                Role::Primary {
-                    backups,
-                    propagation,
-                    log,
-                } => {
-                    let result = dispatch_blocking(object.as_mut(), ctx, op, &req.args)?;
-                    *version += 1;
-                    stats.writes_applied += 1;
-                    log.push_back((*version, op.to_owned(), req.args.clone()));
-                    if log.len() > LOG_CAP {
-                        log.pop_front();
-                    }
-                    let update = Value::record([
-                        ("svc", Value::str(service)),
-                        ("op", Value::str(op)),
-                        ("args", req.args.clone()),
-                        ("ver", Value::U64(*version)),
-                    ]);
-                    match propagation {
-                        Propagation::Async => {
-                            for b in backups.iter() {
-                                rpc::send_oneway(ctx, *b, "_apply", &update);
-                            }
-                        }
-                        Propagation::Sync => {
-                            for b in backups.iter() {
-                                let mut client = RpcClient::new(*b);
-                                // Requests arriving during propagation are
-                                // requeued, not dropped.
-                                let r = client.call_with_strays(
-                                    ctx,
-                                    "",
-                                    "_apply",
-                                    update.clone(),
-                                    |_ctx, stray| match stray {
-                                        Stray::Request(_, m) => {
-                                            requeued.push_back((*m).clone());
-                                            StrayVerdict::Consumed
-                                        }
-                                        Stray::Oneway(..) => StrayVerdict::Drop,
-                                    },
-                                );
-                                if let Err(e) = r {
-                                    // A backup missed a sync update (e.g.
-                                    // partitioned); it will be stale until
-                                    // heal + catch-up. Log-and-continue.
-                                    let _ = e;
-                                }
-                            }
-                        }
-                    }
-                    Ok(Value::record([
-                        ("val", result),
-                        ("ver", Value::U64(*version)),
-                    ]))
-                }
+            // Sync propagation arrives as an RPC.
+            "_apply" => match &self.role {
+                Role::Backup { .. } => self.ingest(ctx, &req.args),
+                Role::Primary { .. } => bad_args("primary does not accept _apply"),
+            },
+            op if self.iface.is_write(op) => match &self.role {
+                Role::Primary { .. } => self.dispatch(ctx, req),
                 Role::Backup { primary, .. } => {
-                    stats.not_primary += 1;
-                    let data = primary.lock().map(endpoint_to_value).unwrap_or(Value::Null);
-                    Err(RemoteError::with_data(
+                    self.stats.not_primary += 1;
+                    Step::Reply(Err(RemoteError::with_data(
                         ErrorCode::NotPrimary,
                         "writes must go to the primary",
-                        data,
-                    ))
+                        endpoint_to_value(*primary),
+                    )))
                 }
             },
-            op if iface.is_read(op) => {
-                let result = dispatch_blocking(object.as_mut(), ctx, op, &req.args)?;
-                stats.reads += 1;
-                Ok(Value::record([
-                    ("val", result),
-                    ("ver", Value::U64(*version)),
-                ]))
+            _ => self.dispatch(ctx, req),
+        }
+    }
+
+    fn resume(&mut self, ctx: &mut Ctx, req: Option<&Request>, outcome: Outcome) -> Step {
+        match self
+            .job
+            .take()
+            .expect("a replica waits only with a job in hand")
+        {
+            Job::Dispatch => self.finish_dispatch(ctx, req.expect("a dispatch is a request's")),
+            Job::Propagate {
+                update,
+                next,
+                reply,
+            } => self.propagate(update, next + 1, reply),
+            job @ Job::Ingest { .. } => {
+                self.job = Some(job);
+                self.drain(ctx)
             }
-            op => dispatch_blocking(object.as_mut(), ctx, op, &req.args),
-        }
-    }
-
-    fn apply_notification(&mut self, ctx: &mut Ctx, args: &Value) {
-        let object = &mut self.object;
-        let version = &mut self.version;
-        let role = &mut self.role;
-        let stats = &mut self.stats;
-        let requeued = &mut self.requeued;
-        Self::ingest_update(object, version, role, stats, requeued, ctx, args);
-    }
-
-    /// Applies an `_apply` update, buffering out-of-order versions and
-    /// repairing persistent gaps from the primary's log.
-    fn ingest_update(
-        object: &mut Box<dyn ServiceObject>,
-        version: &mut u64,
-        role: &mut Role,
-        stats: &mut ReplicaStats,
-        requeued: &mut VecDeque<Message>,
-        ctx: &mut Ctx,
-        args: &Value,
-    ) {
-        let Role::Backup { pending, primary } = role else {
-            return;
-        };
-        let (Ok(ver), Ok(op)) = (args.get_u64("ver"), args.get_str("op")) else {
-            return;
-        };
-        let op_args = args.get("args").cloned().unwrap_or(Value::Null);
-        if ver <= *version {
-            return; // duplicate
-        }
-        pending.insert(ver, (op.to_owned(), op_args));
-        Self::drain_pending(object, version, pending, stats, ctx);
-        if pending.is_empty() {
-            return;
-        }
-        stats.buffered += pending.len() as u64;
-        // A gap: some predecessor was lost in flight. Fetch the missing
-        // range from the primary's log (requests arriving meanwhile are
-        // requeued, not dropped).
-        let Some(primary_ep) = *primary.lock() else {
-            return;
-        };
-        let mut rpc = RpcClient::new(primary_ep);
-        let from = *version + 1;
-        // Updates propagated while we wait for the fetch reply arrive as
-        // stray one-ways; losing them would leave the backup permanently
-        // behind (the fetch was issued before they were logged, and no
-        // later update may ever come to expose the new gap). Buffer them
-        // and merge after the reply.
-        let mut late_applies: Vec<Value> = Vec::new();
-        let reply = rpc.call_with_strays(
-            ctx,
-            "",
-            "_fetch",
-            Value::record([("from", Value::U64(from))]),
-            |_ctx, stray| match stray {
-                Stray::Request(_, m) => {
-                    requeued.push_back((*m).clone());
-                    StrayVerdict::Consumed
-                }
-                Stray::Oneway(ow, _) if ow.op == "_apply" => {
-                    late_applies.push(ow.args.clone());
-                    StrayVerdict::Consumed
-                }
-                Stray::Oneway(..) => StrayVerdict::Drop,
+            Job::Fetch => match outcome.result {
+                Ok(reply) => self.repair(ctx, &reply, &outcome.kept),
+                Err(_) => Step::Reply(Ok(Value::Null)),
             },
-        );
-        if let Ok(reply) = reply {
-            if let Ok(updates) = reply.get_list("updates") {
-                for u in updates {
-                    if let (Ok(v), Ok(op)) = (u.get_u64("ver"), u.get_str("op")) {
-                        if v > *version && !pending.contains_key(&v) {
-                            pending.insert(
-                                v,
-                                (op.to_owned(), u.get("args").cloned().unwrap_or(Value::Null)),
-                            );
-                        }
-                    }
-                }
-            }
-            for u in &late_applies {
-                if let (Ok(v), Ok(op)) = (u.get_u64("ver"), u.get_str("op")) {
-                    if v > *version && !pending.contains_key(&v) {
-                        pending.insert(
-                            v,
-                            (op.to_owned(), u.get("args").cloned().unwrap_or(Value::Null)),
-                        );
-                    }
-                }
-            }
-            let before = *version;
-            Self::drain_pending(object, version, pending, stats, ctx);
-            stats.repaired += *version - before;
         }
     }
 
-    /// Applies every consecutive pending update.
-    fn drain_pending(
-        object: &mut Box<dyn ServiceObject>,
-        version: &mut u64,
-        pending: &mut BTreeMap<u64, (String, Value)>,
-        stats: &mut ReplicaStats,
-        ctx: &mut Ctx,
-    ) {
-        while let Some(entry) = pending.remove(&(*version + 1)) {
-            let (op, op_args) = entry;
-            if dispatch_blocking(object.as_mut(), ctx, &op, &op_args).is_ok() {
-                stats.writes_applied += 1;
-            }
-            *version += 1;
+    fn oneway(&mut self, ctx: &mut Ctx, oneway: Oneway) -> Step {
+        if oneway.op == "_apply" {
+            return self.ingest(ctx, &oneway.args);
         }
+        Step::Reply(Ok(Value::Null))
     }
 }
 
@@ -463,17 +413,27 @@ where
     let make_object = std::sync::Arc::new(make_object);
 
     // Spawn backups first so the primary knows their endpoints; the
-    // primary's own endpoint is published to them through a shared slot
-    // the spawner fills in below (before the simulation runs).
+    // primary's own endpoint reaches them through a slot the spawner
+    // fills in below, before the simulation runs (and so before any
+    // backup's first poll reads it).
     let primary_slot: Arc<Mutex<Option<Endpoint>>> = Arc::new(Mutex::new(None));
     let mut backups = Vec::new();
     for (i, node) in config.nodes.iter().copied().enumerate().skip(1) {
         let mk = std::sync::Arc::clone(&make_object);
         let service = config.service.clone();
         let slot = Arc::clone(&primary_slot);
-        let ep = sim.spawn(format!("replica-{service}-{i}"), node, move |ctx| {
-            ReplicaServer::backup(service, mk(), slot).run(ctx);
-        });
+        let label = format!("replica-{service}-{i}");
+        let ep = sim.spawn_poll(
+            label,
+            node,
+            server_process(move |_| {
+                let role = Role::Backup {
+                    primary: slot.lock().expect("the primary is spawned before the run"),
+                    pending: BTreeMap::new(),
+                };
+                ServiceServer::new(Replica::new(service, mk(), role))
+            }),
+        );
         backups.push(ep);
     }
 
@@ -482,10 +442,10 @@ where
     let propagation = config.propagation;
     let read_target = config.read_target;
     let backups_for_primary = backups.clone();
-    let primary = sim.spawn(
+    let primary = sim.spawn_poll(
         format!("replica-{service}-primary"),
         config.nodes[0],
-        move |ctx| {
+        server_process(move |ctx| {
             let object = mk();
             let iface = object.interface();
             let me = ctx.endpoint();
@@ -497,14 +457,13 @@ where
                 read_target,
             };
             let meta = Value::record([("spec", spec.to_value()), ("iface", iface.to_value())]);
-            let mut nc = NameClient::new(ns);
-            match nc.register(ctx, &service, me, meta) {
-                Ok(_) => {}
-                Err(RpcError::Stopped) => return,
-                Err(e) => panic!("replica group `{service}` failed to register: {e}"),
-            }
-            ReplicaServer::primary(service, object, backups_for_primary, propagation).run(ctx);
-        },
+            let role = Role::Primary {
+                backups: backups_for_primary,
+                propagation,
+                log: VecDeque::new(),
+            };
+            ServiceServer::new(Replica::new(service, object, role)).register(ctx, ns, meta)
+        }),
     );
 
     *primary_slot.lock() = Some(primary);

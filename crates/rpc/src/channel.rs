@@ -182,6 +182,27 @@ struct CallRec {
     deadline: SimTime,
 }
 
+/// One step of a call driven by a process that reads its own mailbox
+/// ([`RpcClient::advance`](crate::RpcClient::advance)).
+#[derive(Debug)]
+pub enum Advance {
+    /// The call settled: its result.
+    Settled(Result<Value, RpcError>),
+    /// A datagram that is not the channel's, as it arrived, with what it
+    /// decoded to if it decoded.
+    Stray(Option<Packet>, Message),
+    /// The mailbox is empty; the wake for the next deadline is armed.
+    Pending,
+}
+
+/// Where one [`Channel::drive`] stopped.
+enum Turn {
+    Settled,
+    Stray(Option<Packet>, Message),
+    /// Nothing to receive before this deadline.
+    Empty(SimTime),
+}
+
 /// What [`Channel::absorb`] made of a datagram.
 enum Absorbed {
     /// It carried replies; they were matched to calls.
@@ -616,15 +637,17 @@ impl Channel {
         self.expire(ctx);
     }
 
-    /// Drives the channel until `target` settles (or, with `None`, until
-    /// every staged call has settled), handing each datagram that is not
-    /// the channel's to `declined` as it arrives.
-    pub(crate) fn pump(
+    /// Drives the channel until `target` settles (with `None`, until
+    /// every staged call has), a datagram that is not the channel's
+    /// arrives, or `recv`, handed the next deadline, finds nothing before
+    /// it. The one loop behind a blocking wait (`recv` blocks until the
+    /// deadline) and a poll-driven one (`recv` only looks).
+    fn drive(
         &mut self,
         ctx: &mut Ctx,
         target: Option<CallHandle>,
-        mut declined: impl FnMut(&mut Channel, &mut Ctx, Option<Packet>, &Message),
-    ) -> Result<(), RpcError> {
+        mut recv: impl FnMut(&mut Ctx, SimTime) -> Result<Option<Message>, simnet::Stopped>,
+    ) -> Result<Turn, RpcError> {
         loop {
             self.tick(ctx);
             let settled = match target {
@@ -632,15 +655,48 @@ impl Channel {
                 None => self.calls.is_empty(),
             };
             if settled {
-                return Ok(());
+                return Ok(Turn::Settled);
             }
             // The flush above put every call the window has room for in
             // flight, the unsettled target among them.
             let deadline = self.next_deadline().expect("a call is in flight");
-            if let Some(msg) = ctx.recv_deadline(deadline)? {
-                if let Absorbed::Declined(packet) = self.absorb(ctx, &msg) {
-                    declined(self, ctx, packet, &msg);
+            match recv(ctx, deadline)? {
+                Some(msg) => {
+                    if let Absorbed::Declined(packet) = self.absorb(ctx, &msg) {
+                        return Ok(Turn::Stray(packet, msg));
+                    }
                 }
+                // Past the deadline: the timer fires on the next turn.
+                None if deadline <= ctx.now() => {}
+                None => return Ok(Turn::Empty(deadline)),
+            }
+        }
+    }
+
+    /// Blocks until `target` settles (see [`Channel::drive`]), keeping
+    /// one-ways and dropping what else arrives.
+    fn pump(&mut self, ctx: &mut Ctx, target: Option<CallHandle>) -> Result<(), RpcError> {
+        loop {
+            match self.drive(ctx, target, Ctx::recv_deadline)? {
+                Turn::Settled => return Ok(()),
+                Turn::Stray(packet, msg) => self.keep_oneway(ctx, packet, &msg),
+                Turn::Empty(_) => unreachable!("a blocking receive waits out its deadline"),
+            }
+        }
+    }
+
+    /// One turn of [`Channel::drive`] for a poll-driven caller that reads
+    /// its own mailbox, arming the wake for the next deadline when the
+    /// mailbox is empty: a call goes out, retransmits, settles and hands
+    /// over strays exactly as a blocking caller's does.
+    pub(crate) fn advance(&mut self, cx: &mut simnet::ProcCx, h: CallHandle) -> Advance {
+        match self.drive(cx.ctx(), Some(h), |ctx, _| ctx.try_recv()) {
+            Err(e) => Advance::Settled(Err(e)),
+            Ok(Turn::Settled) => Advance::Settled(self.claim(h)),
+            Ok(Turn::Stray(packet, msg)) => Advance::Stray(packet, msg),
+            Ok(Turn::Empty(deadline)) => {
+                cx.wake_at(deadline);
+                Advance::Pending
             }
         }
     }
@@ -656,7 +712,7 @@ impl Channel {
     /// * [`RpcError::Stopped`] — simulation shutdown.
     pub fn wait(&mut self, ctx: &mut Ctx, h: CallHandle) -> Result<Value, RpcError> {
         if !self.is_settled(h) {
-            self.pump(ctx, Some(h), Channel::keep_oneway)?;
+            self.pump(ctx, Some(h))?;
         }
         self.claim(h)
     }
@@ -679,7 +735,7 @@ impl Channel {
     ///
     /// [`RpcError::Stopped`] on simulation shutdown.
     pub fn wait_all(&mut self, ctx: &mut Ctx) -> Result<(), RpcError> {
-        self.pump(ctx, None, Channel::keep_oneway)
+        self.pump(ctx, None)
     }
 
     /// Non-blocking progress: sends staged calls, fires due timers, and

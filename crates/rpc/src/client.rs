@@ -8,20 +8,21 @@
 //! The client is the synchronous face of a [`Channel`] of depth 1:
 //! sending, timing, retransmitting, matching replies and giving up are
 //! the channel's. The client adds its surface: a call opens no span of
-//! its own (the request carries the caller's), and a datagram that is not
-//! a reply is offered, as it arrived, to the caller's stray handler while
-//! the call waits. A blocking process blocks in [`RpcClient::call`]; a
+//! its own (the request carries the caller's), and while it waits it
+//! keeps one-way notifications for [`RpcClient::take_strays`] and drops
+//! everything else. A blocking process blocks in [`RpcClient::call`]; a
 //! poll-driven one makes the same call with [`RpcClient::start`] and
-//! drives it from its `poll` with [`RpcClient::poll`].
+//! drives it from its `poll`, one datagram at a time, with
+//! [`RpcClient::advance`].
 
 use std::time::Duration;
 
-use simnet::{Ctx, Endpoint, Message, Poll, ProcCx};
+use simnet::{Ctx, Endpoint, ProcCx};
 use wire::Value;
 
-use crate::channel::{CallHandle, Channel, ChannelConfig};
+use crate::channel::{Advance, CallHandle, Channel, ChannelConfig};
 use crate::error::RpcError;
-use crate::proto::{Oneway, Packet, Request};
+use crate::proto::Oneway;
 
 /// Retransmission policy for a client.
 ///
@@ -162,6 +163,12 @@ impl RpcClient {
 
     /// Calls `op` on a named object in the server context.
     ///
+    /// While the call waits, a one-way notification that arrives is kept
+    /// for [`RpcClient::take_strays`] (a smart proxy routes the
+    /// invalidations it finds there); any other datagram that is not the
+    /// reply is dropped and counted as it arrives. One-ways a call kept
+    /// and nobody took are dropped and counted when the next call starts.
+    ///
     /// # Errors
     ///
     /// * [`RpcError::Timeout`] — no reply within the retry budget.
@@ -174,47 +181,25 @@ impl RpcClient {
         op: &str,
         args: Value,
     ) -> Result<Value, RpcError> {
-        self.call_with_strays(ctx, object, op, args, |_, _| StrayVerdict::Drop)
+        let call = self.start(ctx, object, op, args);
+        let result = self.channel.wait(ctx, call);
+        self.publish();
+        result
     }
 
-    /// Like [`RpcClient::call_object`], but non-reply datagrams that
-    /// arrive while waiting are offered to `on_stray` (smart proxies use
-    /// this to process invalidations without losing them).
-    ///
-    /// # Errors
-    ///
-    /// See [`RpcClient::call_object`].
-    pub fn call_with_strays(
-        &mut self,
-        ctx: &mut Ctx,
-        object: &str,
-        op: &str,
-        args: Value,
-        mut on_stray: impl FnMut(&mut Ctx, Stray<'_>) -> StrayVerdict,
-    ) -> Result<Value, RpcError> {
-        let call = self.start(ctx, object, op, args);
-        let pumped = self
-            .channel
-            .pump(ctx, Some(call), |channel, ctx, declined, msg| {
-                let verdict = match &declined {
-                    Some(Packet::Oneway(o)) => on_stray(ctx, Stray::Oneway(o, msg)),
-                    Some(Packet::Request(r)) => on_stray(ctx, Stray::Request(r, msg)),
-                    _ => StrayVerdict::Drop,
-                };
-                if verdict == StrayVerdict::Drop {
-                    channel.discard(ctx);
-                }
-            });
-        self.publish();
-        pumped?;
-        self.channel.claim(call)
+    /// Takes the one-way notifications the last call kept.
+    pub fn take_strays(&mut self) -> Vec<Oneway> {
+        self.channel.take_strays()
     }
 
     /// Sends the first transmission of a call and returns its handle,
-    /// for a process that cannot block: drive it with [`RpcClient::poll`].
+    /// for a process that cannot block: drive it with [`RpcClient::advance`].
     /// The blocking calls above start the same way, so a call goes out,
     /// is retransmitted and gives up identically either way.
     pub fn start(&mut self, ctx: &mut Ctx, object: &str, op: &str, args: Value) -> CallHandle {
+        for _ in self.channel.take_strays() {
+            self.channel.discard(ctx);
+        }
         // No span of the call's own: the request carries the caller's.
         let span = ctx.current_span();
         let call = self
@@ -225,22 +210,25 @@ impl RpcClient {
         call
     }
 
-    /// Advances a call made by [`RpcClient::start`] as far as the mailbox
-    /// allows ([`Channel::poll_wait`]); non-replies are dropped and
-    /// counted, as [`RpcClient::call_object`] does. `Pending` means the
-    /// reply is still owed and the wake for the current deadline is armed.
-    ///
-    /// # Errors
-    ///
-    /// See [`RpcClient::call_object`].
-    pub fn poll(&mut self, cx: &mut ProcCx, call: CallHandle) -> Poll<Result<Value, RpcError>> {
-        let polled = self.channel.poll_wait(cx, call);
-        // Nobody to hand the one-ways to: they go the way of the rest.
-        for _ in self.channel.take_strays() {
-            self.channel.discard(cx);
-        }
+    /// One step of a call made by [`RpcClient::start`], for a poll-driven
+    /// process that reads its own mailbox (a server calling out): as a
+    /// blocking call does between two receives, it fires due timers,
+    /// checks whether the call has settled, and takes one datagram. A
+    /// reply is the client's; anything else comes back as
+    /// [`Advance::Stray`] for the caller's own rule (to keep it, or to
+    /// [`discard`](RpcClient::discard) it). `Pending` means the mailbox
+    /// is empty and the wake for the next deadline is armed.
+    pub fn advance(&mut self, cx: &mut ProcCx, call: CallHandle) -> Advance {
+        let advanced = self.channel.advance(cx, call);
         self.publish();
-        polled
+        advanced
+    }
+
+    /// Counts a datagram [`RpcClient::advance`] handed back that its
+    /// caller drops, as a blocking call counts the strays it drops.
+    pub fn discard(&mut self, ctx: &mut Ctx) {
+        self.channel.discard(ctx);
+        self.publish();
     }
 
     /// Brings `stats` up to date with the channel's counters.
@@ -261,24 +249,6 @@ impl RpcClient {
     pub fn notify(&self, ctx: &Ctx, op: &str, args: Value) {
         send_oneway(ctx, self.server(), op, &args);
     }
-}
-
-/// A non-reply datagram observed while a call was waiting.
-#[derive(Debug)]
-pub enum Stray<'a> {
-    /// A one-way notification (e.g. a cache invalidation).
-    Oneway(&'a Oneway, &'a Message),
-    /// A request addressed to this process (e.g. callback traffic).
-    Request(&'a Request, &'a Message),
-}
-
-/// What the stray handler did with the datagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StrayVerdict {
-    /// The handler processed it.
-    Consumed,
-    /// Not interesting; count it as dropped.
-    Drop,
 }
 
 /// Sends a one-way notification outside any client (helper for servers

@@ -52,8 +52,8 @@ mod proto;
 mod rtt;
 mod server;
 
-pub use channel::{CallHandle, Channel, ChannelConfig, ChannelStats};
-pub use client::{send_oneway, CallStats, RetryPolicy, RpcClient, Stray, StrayVerdict};
+pub use channel::{Advance, CallHandle, Channel, ChannelConfig, ChannelStats};
+pub use client::{send_oneway, CallStats, RetryPolicy, RpcClient};
 pub use error::{ErrorCode, RemoteError, RpcError};
 pub use proto::{
     endpoint_from_value, endpoint_to_value, with_encoder, Batch, Oneway, Packet, Reply, Request,

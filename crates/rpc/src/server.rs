@@ -451,22 +451,6 @@ impl RpcServer {
         call_id: u64,
         result: Result<Value, RemoteError>,
     ) -> bool {
-        self.complete_with(ctx, reply_to, call_id, |_| result)
-    }
-
-    /// [`RpcServer::complete`] for a call whose work was put off along
-    /// with its reply (a server modelling service time): `run` produces
-    /// the result with the call's dispatch span as the process's active
-    /// span, exactly as a handler that answers on the spot runs, so what
-    /// it sends is parented to the dispatch. `run` is not called if the
-    /// call is not executing.
-    pub fn complete_with(
-        &mut self,
-        ctx: &mut Ctx,
-        reply_to: Endpoint,
-        call_id: u64,
-        run: impl FnOnce(&mut Ctx) -> Result<Value, RemoteError>,
-    ) -> bool {
         let Some(window) = self.windows.get_mut(&reply_to) else {
             return false;
         };
@@ -478,13 +462,35 @@ impl RpcServer {
             return false;
         };
         let Executing { call, op } = window.executing.swap_remove(at);
-        let previous = ctx.set_current_span(call.dispatch);
-        let result = run(ctx);
-        ctx.set_current_span(previous);
         let span = obs::SpanId::from_raw(call.span);
         let encoded = self.finish(ctx, reply_to, call, &op, result);
         ctx.send_traced(reply_to, encoded, span);
         true
+    }
+
+    /// Runs `run` with the dispatch span of the started call `(reply_to,
+    /// call_id)` as the process's active span, exactly as a handler that
+    /// answers on the spot runs, so what it sends is parented to the
+    /// dispatch; the call stays executing. How an owner does the work of
+    /// a call it answers later (a server modelling service time, or
+    /// calling out). `None`, and `run` not called, if the call is not
+    /// executing.
+    pub fn continue_with<R>(
+        &self,
+        ctx: &mut Ctx,
+        reply_to: Endpoint,
+        call_id: u64,
+        run: impl FnOnce(&mut Ctx) -> R,
+    ) -> Option<R> {
+        let window = self.windows.get(&reply_to)?;
+        let started = window
+            .executing
+            .iter()
+            .find(|e| e.call.call_id == call_id)?;
+        let previous = ctx.set_current_span(started.call.dispatch);
+        let result = run(ctx);
+        ctx.set_current_span(previous);
+        Some(result)
     }
 
     /// Runs a request loop until the simulation stops. One-way traffic is

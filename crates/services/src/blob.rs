@@ -31,7 +31,7 @@ use rpc::{
 use simnet::{Ctx, Endpoint, NodeId, Simulation};
 use wire::Value;
 
-use crate::bad_args;
+use crate::{bad_args, malformed};
 
 /// The interface type name (keys the factory registry).
 pub const TYPE_NAME: &str = "proxide.blob";
@@ -86,34 +86,35 @@ impl BlobStore {
     ///
     /// # Errors
     ///
-    /// Never fails for well-formed snapshots produced by
-    /// [`ServiceObject::snapshot`]; malformed entries are skipped.
+    /// [`ErrorCode::BadArgs`] for a shape [`ServiceObject::snapshot`]
+    /// does not produce: a snapshot that cannot be read is refused, not
+    /// reset.
     pub fn from_snapshot(v: &Value) -> Result<Box<dyn ServiceObject>, RemoteError> {
+        let fields = v
+            .as_record()
+            .ok_or_else(|| malformed("a blob snapshot is a record"))?;
         let mut store = BlobStore::new();
-        if let Some(fields) = v.as_record() {
-            for (k, entry) in fields {
-                let (Ok(len), Ok(crc), Some(Value::List(chunks))) = (
-                    entry.get_u64("len"),
-                    entry.get_u64("crc"),
-                    entry.get("chunks"),
-                ) else {
-                    continue;
-                };
-                let chunks: Vec<Option<Bytes>> = chunks
-                    .iter()
-                    .filter_map(|c| c.as_blob().cloned())
-                    .map(Some)
-                    .collect();
-                store.map.insert(
-                    k.to_string_owned(),
-                    Stored {
-                        total: chunks.len() as u64,
-                        len,
-                        crc: crc as u32,
-                        chunks,
-                    },
-                );
-            }
+        for (k, entry) in fields {
+            let len = entry.get_u64("len").map_err(bad_args)?;
+            let crc = u32::try_from(entry.get_u64("crc").map_err(bad_args)?)
+                .map_err(|_| malformed(format!("`{k}`: crc out of range")))?;
+            let chunks = entry
+                .get_list("chunks")
+                .map_err(bad_args)?
+                .iter()
+                .map(|c| c.as_blob().cloned().map(Some))
+                .collect::<Option<Vec<_>>>()
+                .filter(|chunks| !chunks.is_empty())
+                .ok_or_else(|| malformed(format!("`{k}`: chunks are not blobs")))?;
+            store.map.insert(
+                k.to_string_owned(),
+                Stored {
+                    total: chunks.len() as u64,
+                    len,
+                    crc,
+                    chunks,
+                },
+            );
         }
         Ok(Box::new(store))
     }

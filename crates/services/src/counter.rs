@@ -9,7 +9,7 @@ use rpc::{ErrorCode, RemoteError, RpcError};
 use simnet::Ctx;
 use wire::Value;
 
-use crate::bad_args;
+use crate::{bad_args, malformed};
 
 /// The interface type name (keys the factory registry).
 pub const TYPE_NAME: &str = "proxide.counter";
@@ -48,11 +48,14 @@ impl Counter {
     ///
     /// # Errors
     ///
-    /// Never fails; a malformed snapshot restores to zero.
+    /// [`ErrorCode::BadArgs`] for a shape [`ServiceObject::snapshot`]
+    /// does not produce: a snapshot that cannot be read is refused, not
+    /// reset.
     pub fn from_snapshot(v: &Value) -> Result<Box<dyn ServiceObject>, RemoteError> {
-        Ok(Box::new(Counter {
-            value: v.as_u64().unwrap_or(0),
-        }))
+        let value = v
+            .as_u64()
+            .ok_or_else(|| malformed("a counter snapshot is a u64"))?;
+        Ok(Box::new(Counter { value }))
     }
 }
 

@@ -11,7 +11,7 @@ use rpc::{ErrorCode, RemoteError, RpcError};
 use simnet::Ctx;
 use wire::Value;
 
-use crate::bad_args;
+use crate::{bad_args, malformed};
 
 /// The interface type name (keys the factory registry).
 pub const TYPE_NAME: &str = "proxide.directory";
@@ -64,21 +64,24 @@ impl Directory {
     ///
     /// # Errors
     ///
-    /// Never fails; malformed snapshot fields are skipped.
+    /// [`ErrorCode::BadArgs`] for a shape [`ServiceObject::snapshot`]
+    /// does not produce: a snapshot that cannot be read is refused, not
+    /// reset.
     pub fn from_snapshot(v: &Value) -> Result<Box<dyn ServiceObject>, RemoteError> {
+        let fields = v
+            .as_record()
+            .ok_or_else(|| malformed("a directory snapshot is a record"))?;
         let mut d = Directory::new();
-        if let Some(fields) = v.as_record() {
-            for (path, entry) in fields {
-                if let (Ok(value), Ok(revision)) = (entry.get_str("v"), entry.get_u64("r")) {
-                    d.entries.insert(
-                        path.to_string_owned(),
-                        DirEntry {
-                            value: value.to_owned(),
-                            revision,
-                        },
-                    );
-                }
-            }
+        for (path, entry) in fields {
+            let value = entry.get_str("v").map_err(bad_args)?;
+            let revision = entry.get_u64("r").map_err(bad_args)?;
+            d.entries.insert(
+                path.to_string_owned(),
+                DirEntry {
+                    value: value.to_owned(),
+                    revision,
+                },
+            );
         }
         Ok(Box::new(d))
     }

@@ -14,7 +14,7 @@ use rpc::{ErrorCode, RemoteError, RpcError};
 use simnet::Ctx;
 use wire::Value;
 
-use crate::bad_args;
+use crate::{bad_args, malformed};
 
 /// The interface type name (keys the factory registry).
 pub const TYPE_NAME: &str = "proxide.file";
@@ -62,15 +62,19 @@ impl BlockFile {
     ///
     /// # Errors
     ///
-    /// Never fails; malformed snapshot fields are skipped.
+    /// [`ErrorCode::BadArgs`] for a shape [`ServiceObject::snapshot`]
+    /// does not produce: a snapshot that cannot be read is refused, not
+    /// reset.
     pub fn from_snapshot(v: &Value) -> Result<Box<dyn ServiceObject>, RemoteError> {
+        let fields = v
+            .as_record()
+            .ok_or_else(|| malformed("a file snapshot is a record"))?;
         let mut f = BlockFile::new();
-        if let Some(fields) = v.as_record() {
-            for (addr, val) in fields {
-                if let (Some((name, idx)), Some(b)) = (parse_addr(addr), val.as_blob()) {
-                    f.blocks.insert((name, idx), b.clone());
-                }
-            }
+        for (addr, val) in fields {
+            match (parse_addr(addr), val.as_blob()) {
+                (Some(key), Some(b)) => f.blocks.insert(key, b.clone()),
+                _ => return Err(malformed(format!("`{addr}` is not a block"))),
+            };
         }
         Ok(Box::new(f))
     }
@@ -314,24 +318,18 @@ mod tests {
 
     #[test]
     fn disk_time_is_charged() {
-        with_object(|ctx, f| {
-            *f = BlockFile::new().with_disk_time(Duration::from_millis(2));
-            let t0 = ctx.now();
-            proxy_core::dispatch_blocking(
-                f,
-                ctx,
-                "write",
-                &Value::record([
-                    ("addr", Value::str("doc:0")),
-                    ("data", Value::blob(vec![1u8])),
-                ]),
-            )
-            .unwrap();
-            assert_eq!(ctx.now() - t0, Duration::from_millis(2));
-            // A request rejected for its arguments never reaches the disk.
-            proxy_core::dispatch_blocking(f, ctx, "read", &Value::Null).unwrap_err();
-            assert_eq!(ctx.now() - t0, Duration::from_millis(2));
-        });
+        let f = BlockFile::new().with_disk_time(Duration::from_millis(2));
+        let write = Value::record([
+            ("addr", Value::str("doc:0")),
+            ("data", Value::blob(vec![1u8])),
+        ]);
+        assert_eq!(f.service_time("write", &write), Duration::from_millis(2));
+        // A request rejected for its arguments never reaches the disk.
+        assert_eq!(f.service_time("read", &Value::Null), Duration::ZERO);
+        assert_eq!(
+            BlockFile::new().service_time("write", &write),
+            Duration::ZERO
+        );
     }
 
     #[test]

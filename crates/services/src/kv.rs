@@ -7,7 +7,7 @@ use rpc::{ErrorCode, RemoteError, RpcError};
 use simnet::Ctx;
 use wire::Value;
 
-use crate::bad_args;
+use crate::{bad_args, malformed};
 
 /// The interface type name (keys the factory registry).
 pub const TYPE_NAME: &str = "proxide.kv";
@@ -46,14 +46,16 @@ impl KvStore {
     ///
     /// # Errors
     ///
-    /// Never fails for well-formed snapshots produced by
-    /// [`ServiceObject::snapshot`]; malformed fields are skipped.
+    /// [`ErrorCode::BadArgs`] for a shape [`ServiceObject::snapshot`]
+    /// does not produce: a snapshot that cannot be read is refused, not
+    /// reset.
     pub fn from_snapshot(v: &Value) -> Result<Box<dyn ServiceObject>, RemoteError> {
+        let fields = v
+            .as_record()
+            .ok_or_else(|| malformed("a kv snapshot is a record"))?;
         let mut store = KvStore::new();
-        if let Some(fields) = v.as_record() {
-            for (k, val) in fields {
-                store.map.insert(k.to_string_owned(), val.clone());
-            }
+        for (k, val) in fields {
+            store.map.insert(k.to_string_owned(), val.clone());
         }
         Ok(Box::new(store))
     }

@@ -48,6 +48,15 @@ pub(crate) fn bad_args(e: wire::WireError) -> rpc::RemoteError {
     rpc::RemoteError::new(rpc::ErrorCode::BadArgs, e.to_string())
 }
 
+/// The `BadArgs` error of a snapshot whose shape an object does not
+/// recognise.
+pub(crate) fn malformed(what: impl std::fmt::Display) -> rpc::RemoteError {
+    rpc::RemoteError::new(
+        rpc::ErrorCode::BadArgs,
+        format!("malformed snapshot: {what}"),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,16 +47,16 @@ impl PrintQueue {
     ///
     /// # Errors
     ///
-    /// Never fails; malformed snapshot fields are skipped.
+    /// [`ErrorCode::BadArgs`] for a shape [`ServiceObject::snapshot`]
+    /// does not produce: a snapshot that cannot be read is refused, not
+    /// reset.
     pub fn from_snapshot(v: &Value) -> Result<Box<dyn ServiceObject>, RemoteError> {
         let mut q = PrintQueue::new();
-        q.next_id = v.get_u64("next").unwrap_or(1);
-        if let Ok(items) = v.get_list("jobs") {
-            for item in items {
-                if let (Ok(id), Ok(doc)) = (item.get_u64("id"), item.get_str("doc")) {
-                    q.jobs.push_back((id, doc.to_owned()));
-                }
-            }
+        q.next_id = v.get_u64("next").map_err(bad_args)?;
+        for item in v.get_list("jobs").map_err(bad_args)? {
+            let id = item.get_u64("id").map_err(bad_args)?;
+            let doc = item.get_str("doc").map_err(bad_args)?;
+            q.jobs.push_back((id, doc.to_owned()));
         }
         Ok(Box::new(q))
     }

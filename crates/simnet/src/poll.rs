@@ -127,6 +127,7 @@ where
 pub struct ProcCx {
     pub(crate) ctx: Ctx,
     pub(crate) wake_at: Option<SimTime>,
+    pub(crate) sleep_until: Option<SimTime>,
 }
 
 impl std::fmt::Debug for ProcCx {
@@ -134,6 +135,7 @@ impl std::fmt::Debug for ProcCx {
         f.debug_struct("ProcCx")
             .field("ctx", &self.ctx)
             .field("wake_at", &self.wake_at)
+            .field("sleep_until", &self.sleep_until)
             .finish()
     }
 }
@@ -153,7 +155,11 @@ impl DerefMut for ProcCx {
 
 impl ProcCx {
     pub(crate) fn new(ctx: Ctx) -> ProcCx {
-        ProcCx { ctx, wake_at: None }
+        ProcCx {
+            ctx,
+            wake_at: None,
+            sleep_until: None,
+        }
     }
 
     /// The underlying [`Ctx`] (equivalent to deref, spelled out for
@@ -188,8 +194,21 @@ impl ProcCx {
         self.wake_at(now);
     }
 
-    /// Takes the armed timer registration, leaving none (scheduler use).
-    pub(crate) fn take_wake(&mut self) -> Option<SimTime> {
-        self.wake_at.take()
+    /// Parks until `at` *deaf*: deliveries meanwhile wait in the mailbox
+    /// without polling the process, and the one wake is the timer — what
+    /// a blocking body's [`Ctx::sleep`] does, event for event. Takes
+    /// precedence over any [`ProcCx::wake_at`] of the same poll.
+    pub fn sleep_until(&mut self, at: SimTime) {
+        self.sleep_until = Some(at);
+    }
+
+    /// Takes the armed wake registration, leaving none (scheduler use):
+    /// a deaf sleep if one was asked for, else the timer.
+    pub(crate) fn take_wake(&mut self) -> Option<(SimTime, bool)> {
+        let wake = self.wake_at.take();
+        match self.sleep_until.take() {
+            Some(at) => Some((at, true)),
+            None => wake.map(|at| (at, false)),
+        }
     }
 }

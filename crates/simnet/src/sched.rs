@@ -981,7 +981,7 @@ impl Shared {
             EvKind::Wake(pid) => match self.proc_status(d, pid) {
                 Some((ProcState::NotStarted, false)) => self.resume_and_wait(d, pid, Resume::Start),
                 Some((ProcState::Sleeping, false)) => self.resume_and_wait(d, pid, Resume::Woken),
-                Some((ProcState::NotStarted | ProcState::Parked, true)) => {
+                Some((ProcState::NotStarted | ProcState::Parked | ProcState::Sleeping, true)) => {
                     self.poll_process(d, pid)
                 }
                 _ => {} // finished or stale
@@ -1128,16 +1128,27 @@ impl Shared {
             Ok(Poll::Pending) => {
                 let mut st = self.dom(d);
                 let entry = st.procs.get_mut(&pid).expect("proc vanished");
-                entry.gen += 1;
-                entry.state = ProcState::Parked;
                 match &mut entry.kind {
                     ProcKind::Polled { machine } => *machine = Some(m),
                     ProcKind::Blocking { .. } => unreachable!(),
                 }
-                let gen = entry.gen;
-                if let Some(at) = wake {
-                    let at = at.max(st.now);
-                    st.push_event(at, EvKind::Timeout { pid, gen });
+                match wake {
+                    // A deaf sleep parks exactly as a blocking body's
+                    // `sleep` does: no generation bump, one wake.
+                    Some((until, true)) => {
+                        entry.state = ProcState::Sleeping;
+                        let until = until.max(st.now);
+                        st.push_event(until, EvKind::Wake(pid));
+                    }
+                    wake => {
+                        entry.gen += 1;
+                        entry.state = ProcState::Parked;
+                        let gen = entry.gen;
+                        if let Some((at, _)) = wake {
+                            let at = at.max(st.now);
+                            st.push_event(at, EvKind::Timeout { pid, gen });
+                        }
+                    }
                 }
             }
             Ok(Poll::Ready(())) => {
@@ -2511,6 +2522,54 @@ mod tests {
         let r = sim.run();
         assert_eq!(delivered.load(Ordering::SeqCst), 1);
         assert_eq!(r.metrics.msgs_blackholed, 1);
+    }
+
+    #[test]
+    fn a_deaf_sleep_wakes_once_as_a_blocking_sleep_does() {
+        // The same sleeper twice: a blocking body, then a machine parked
+        // with `sleep_until`. Deliveries during the sleep wake neither;
+        // both find the three messages at 10ms, after the same events.
+        fn run(deaf: bool) -> (u64, u64, u64) {
+            let mut sim = Simulation::new(NetworkConfig::lan(), 0);
+            let seen = Arc::new(AtomicU64::new(0));
+            let at = Arc::new(AtomicU64::new(0));
+            let (s, a) = (Arc::clone(&seen), Arc::clone(&at));
+            let drain = move |ctx: &mut Ctx| {
+                while let Ok(Some(_)) = ctx.try_recv() {
+                    s.fetch_add(1, Ordering::SeqCst);
+                }
+                a.store(ctx.now().as_millis(), Ordering::SeqCst);
+            };
+            let sleeper = if deaf {
+                let mut drain = Some(drain);
+                sim.spawn_poll("sleeper", NodeId(0), move |cx: &mut ProcCx| {
+                    if cx.now() == SimTime::ZERO {
+                        cx.sleep_until(SimTime::from_millis(10));
+                        return Poll::Pending;
+                    }
+                    (drain.take().expect("woken once"))(cx);
+                    Poll::Ready(())
+                })
+            } else {
+                sim.spawn("sleeper", NodeId(0), move |ctx| {
+                    ctx.sleep(Duration::from_millis(10)).unwrap();
+                    drain(ctx);
+                })
+            };
+            sim.spawn("sender", NodeId(1), move |ctx| {
+                for _ in 0..3 {
+                    ctx.send(sleeper, Bytes::from_static(b"x"));
+                }
+            });
+            let r = sim.run();
+            (
+                seen.load(Ordering::SeqCst),
+                at.load(Ordering::SeqCst),
+                r.metrics.events_dispatched,
+            )
+        }
+        assert_eq!(run(true), (3, 10, run(false).2));
+        assert_eq!(run(false).0, 3);
     }
 
     #[test]
