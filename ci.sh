@@ -106,9 +106,10 @@ if [ "${1:-}" != "quick" ]; then
   # A second run of E4, E7, E10, E12 and E13 must pass its checks again
   # and export the same traces, byte for byte. E7's servers answer
   # duplicates under loss and duplication, decoding each datagram once
-  # whatever their reply cache holds; E13 is the one paper experiment
-  # whose channels batch, and a batched call's own frame is built
-  # lazily, at its first lone send. E4, E10 and E12 run the replica, the
+  # whatever their reply cache holds; E13's channels batch, and a
+  # batched call's own frame is built lazily, at its first lone send
+  # (E19's bulk transfers batch too; its second run follows its smoke
+  # below). E4, E10 and E12 run the replica, the
   # migration host and forwarder, and the DSM manager and pager, whose
   # handlers park their requests while they call out.
   for pair in e7_loss:e7-loss-30 e13_pipeline:e13-depth-8 \
@@ -133,6 +134,13 @@ if [ "${1:-}" != "quick" ]; then
   for e in e16_million e17_obsplane e18_multicore e19_bulkplane e20_profiler; do
     PROXIDE_SMOKE=1 cargo run -q --release -p bench --bin "$e"
   done
+  # A second E19 smoke must export the same 1-thread trace, byte for
+  # byte. Its transfers send their chunk calls in batches, and the blob
+  # store and the edge caches splice the replies they recorded into
+  # their reply batches, fresh and retransmitted alike.
+  mv target/traces/e19-t1.trace.jsonl target/traces/e19-t1.first.trace.jsonl
+  PROXIDE_SMOKE=1 cargo run -q --release -p bench --bin e19_bulkplane >/dev/null
+  cmp target/traces/e19-t1.first.trace.jsonl target/traces/e19-t1.trace.jsonl
 
   step "flamegraph gate (folded export validates + tracectl flame round-trips)"
   # The E20 smoke above exported the collapsed flamegraph and the

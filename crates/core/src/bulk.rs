@@ -67,6 +67,16 @@ pub const DEFAULT_CHUNK: usize = 64 * 1024;
 /// [`wire::MAX_BULK_LEN`] on a ref's declared total length).
 pub const MAX_CHUNK: usize = 1 << 20;
 
+/// Largest pipeline depth a transfer uses. The depth also sizes a
+/// transfer's datagrams — up to `depth` chunks travel in one batch each
+/// way — so binding metadata must not be able to ask for a datagram
+/// whose length overflows a frame's `u32` length field. Every depth in
+/// use is well below it.
+pub const MAX_DEPTH: usize = 64;
+
+// A batch of `MAX_DEPTH` chunks of `MAX_CHUNK` bytes fits one frame.
+const _: () = assert!(MAX_DEPTH * MAX_CHUNK < u32::MAX as usize);
+
 /// The bulk plane's contract between a service and its clients' proxies.
 ///
 /// Published inside [`crate::ProxySpec::Bulk`] so both the writer (who
@@ -80,7 +90,9 @@ pub struct BulkParams {
     pub threshold: usize,
     /// Transfer chunk size in bytes.
     pub chunk: usize,
-    /// Pipeline depth for chunked transfers.
+    /// Pipeline depth for chunked transfers, and their batch size: up to
+    /// `depth` chunk calls leave in one datagram, and the store answers
+    /// them in one.
     pub depth: usize,
 }
 
@@ -116,7 +128,7 @@ impl BulkParams {
             store: v.get_str("store")?.to_owned(),
             threshold: v.get_u64("threshold")? as usize,
             chunk: (v.get_u64("chunk")? as usize).clamp(1, MAX_CHUNK),
-            depth: (v.get_u64("depth")? as usize).max(1),
+            depth: (v.get_u64("depth")? as usize).clamp(1, MAX_DEPTH),
         })
     }
 }
@@ -132,6 +144,12 @@ fn remote(code: ErrorCode, msg: impl Into<String>) -> RpcError {
 /// the channel's round-trip estimate carries over from transfer to
 /// transfer. A transfer error drops the channel, so a stale endpoint is
 /// re-resolved on the next call.
+///
+/// The channel batches as deep as it pipelines: a transfer's chunk calls
+/// leave `depth` to a datagram, and the store (or edge cache) answers
+/// every chunk it has on the spot in one datagram back. A put of up to
+/// `depth` chunks, or a get an edge serves from its cache, is one
+/// datagram each way.
 #[derive(Debug)]
 pub struct BlobClient {
     store: String,
@@ -150,7 +168,7 @@ impl BlobClient {
             ns: NameClient::new(ns),
             channel: None,
             chunk: chunk.clamp(1, MAX_CHUNK),
-            depth: depth.max(1),
+            depth: depth.clamp(1, MAX_DEPTH),
         }
     }
 
@@ -169,7 +187,7 @@ impl BlobClient {
         Ok(Channel::new(
             self.store.clone(),
             rec.endpoint,
-            ChannelConfig::with_depth(self.depth),
+            ChannelConfig::with_depth(self.depth).batched(self.depth),
         ))
     }
 
@@ -512,15 +530,22 @@ mod tests {
         };
         assert_eq!(BulkParams::from_value(&p.to_value()).unwrap(), p);
         // Hostile values are clamped into the legal range.
-        let hostile = Value::record([
-            ("store", Value::str("s")),
-            ("threshold", Value::U64(10)),
-            ("chunk", Value::U64(u64::MAX)),
-            ("depth", Value::U64(0)),
-        ]);
-        let parsed = BulkParams::from_value(&hostile).unwrap();
+        let hostile = |depth| {
+            Value::record([
+                ("store", Value::str("s")),
+                ("threshold", Value::U64(10)),
+                ("chunk", Value::U64(u64::MAX)),
+                ("depth", Value::U64(depth)),
+            ])
+        };
+        let parsed = BulkParams::from_value(&hostile(0)).unwrap();
         assert_eq!(parsed.chunk, MAX_CHUNK);
         assert_eq!(parsed.depth, 1);
+        let parsed = BulkParams::from_value(&hostile(u64::MAX)).unwrap();
+        assert_eq!(parsed.depth, MAX_DEPTH);
+        let ns = Endpoint::new(simnet::NodeId(0), simnet::PortId(1));
+        let client = BlobClient::new("s", ns, usize::MAX, usize::MAX);
+        assert_eq!((client.chunk, client.depth), (MAX_CHUNK, MAX_DEPTH));
     }
 
     #[test]

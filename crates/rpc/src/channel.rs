@@ -17,8 +17,12 @@
 //! On top of pipelining the channel *batches*: staged requests bound for
 //! the same endpoint coalesce into one [`Batch`] datagram (up to
 //! [`ChannelConfig::max_batch`] per frame), and the server coalesces the
-//! replies on the way back — many calls, one network traversal each
-//! way. A lost datagram loses its calls together, so calls whose
+//! replies it gives on the spot on the way back, splicing the reply
+//! frames it recorded into one batch as they stand — many calls, one
+//! network traversal each way. That holds for large replies as much as
+//! for small ones: a bulk transfer batches as deep as it pipelines, and
+//! a batch of 16 KiB chunk replies is one copy of each chunk. A lost
+//! datagram loses its calls together, so calls whose
 //! retransmission falls due together go out as one batch again. A staged
 //! call is encoded where it travels: straight into the frame of each
 //! batch that carries it, and into a frame of its own only the first

@@ -307,28 +307,36 @@ impl Batch {
     ///
     /// Panics (debug builds) if an item is itself a batch.
     pub fn to_bytes(&self) -> Bytes {
-        let _p = obs::scope("rpc;encode");
-        with_encoder(|e| {
-            e.frame_with(|w| {
-                w.begin_record(2);
-                w.key("t");
-                w.str("bat");
-                w.key("items");
-                w.begin_list(self.items.len());
-                for p in &self.items {
-                    match p {
-                        Packet::Request(r) => r.write_into(w),
-                        Packet::Reply(r) => r.write_into(w),
-                        Packet::Oneway(o) => o.write_into(w),
-                        Packet::Batch(_) => {
-                            debug_assert!(false, "batches do not nest");
-                            w.null();
-                        }
+        encode_batch(self.items.len(), |w| {
+            for p in &self.items {
+                match p {
+                    Packet::Request(r) => r.write_into(w),
+                    Packet::Reply(r) => r.write_into(w),
+                    Packet::Oneway(o) => o.write_into(w),
+                    Packet::Batch(_) => {
+                        debug_assert!(false, "batches do not nest");
+                        w.null();
                     }
                 }
-            })
+            }
         })
     }
+}
+
+/// Frames a batch of `count` items, each written by `items`, in one
+/// `rpc;encode` scope.
+fn encode_batch(count: usize, items: impl FnOnce(&mut ValueWriter<'_>)) -> Bytes {
+    let _p = obs::scope("rpc;encode");
+    with_encoder(|e| {
+        e.frame_with(|w| {
+            w.begin_record(2);
+            w.key("t");
+            w.str("bat");
+            w.key("items");
+            w.begin_list(count);
+            items(w);
+        })
+    })
 }
 
 /// Encodes a batch of *borrowed* requests into one framed datagram —
@@ -339,18 +347,23 @@ impl Batch {
 pub(crate) fn encode_request_batch<'a>(
     requests: impl ExactSizeIterator<Item = &'a Request>,
 ) -> Bytes {
-    let _p = obs::scope("rpc;encode");
-    with_encoder(|e| {
-        e.frame_with(|w| {
-            w.begin_record(2);
-            w.key("t");
-            w.str("bat");
-            w.key("items");
-            w.begin_list(requests.len());
-            for r in requests {
-                r.write_into(w);
-            }
-        })
+    encode_batch(requests.len(), |w| {
+        for r in requests {
+            r.write_into(w);
+        }
+    })
+}
+
+/// Encodes recorded reply frames as one batch datagram: each frame's
+/// record, past its header, is copied in behind the batch header as it
+/// stands. Byte-identical to `Batch { items }.to_bytes()` over the
+/// replies the frames decode to, without decoding them. Every frame must
+/// be one [`Reply::to_bytes`] built.
+pub(crate) fn splice_reply_batch(frames: &[Bytes]) -> Bytes {
+    encode_batch(frames.len(), |w| {
+        for f in frames {
+            w.encoded(&f[wire::HEADER_LEN..]);
+        }
     })
 }
 

@@ -28,7 +28,7 @@ use simnet::{Ctx, Endpoint, Message, SimTime};
 use wire::Value;
 
 use crate::error::RemoteError;
-use crate::proto::{Batch, Oneway, Packet, Reply, Request};
+use crate::proto::{splice_reply_batch, Batch, Oneway, Packet, Reply, Request};
 
 /// How many encoded replies to retain per client endpoint. Sized for a
 /// pipelined channel's outstanding window with slack for late
@@ -272,6 +272,13 @@ impl RpcServer {
     /// datagram per `reply_to` (a single reply goes out plain).
     /// Non-request items inside a batch are a protocol violation and are
     /// counted as undecodable.
+    ///
+    /// A coalesced reply is the frame recorded for duplicate suppression,
+    /// fresh or cached: its encoded record is spliced into the batch as
+    /// it stands, never decoded and written again. The batch comes out
+    /// byte-identical to one built from the decoded replies, and a
+    /// bulk-plane batch of 16 KiB chunk replies costs one copy of each
+    /// chunk instead of a decode and a re-encode.
     fn handle_batch(
         &mut self,
         ctx: &mut Ctx,
@@ -321,14 +328,7 @@ impl RpcServer {
                 ctx.send_traced(dest, replies.pop().unwrap(), obs::SpanId::NONE);
             } else {
                 let count = replies.len();
-                let items = replies
-                    .iter()
-                    .map(|b| match Packet::from_frame(b) {
-                        Ok(p) => p,
-                        Err(_) => unreachable!("server-encoded reply must decode"),
-                    })
-                    .collect();
-                let payload = Batch { items }.to_bytes();
+                let payload = splice_reply_batch(&replies);
                 ctx.trace(obs::SpanId::NONE, || obs::NetEventKind::Batched {
                     src: ctx.endpoint().into(),
                     dst: dest.into(),

@@ -7,15 +7,21 @@
 //! The first test counts the frames built (one `rpc;encode` profiler
 //! scope per frame) on a loss-free run; the second records every request
 //! datagram a server receives under loss and duplication and holds each
-//! lone one to the call's own encoding.
+//! lone one to the call's own encoding. The third holds a server's reply
+//! batch, spliced from the replies it recorded, to the bytes the same
+//! batch encoded from its decoded replies has.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
-use rpc::{Channel, ChannelConfig, Packet, Request, RetryPolicy, RpcServer};
-use simnet::{NetworkConfig, NodeId, PortId, Simulation};
+use proptest::prelude::*;
+use rpc::{
+    Batch, Channel, ChannelConfig, ErrorCode, Packet, RemoteError, Reply, Request, RetryPolicy,
+    RpcServer,
+};
+use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
 /// Frames built so far in the whole simulation: `rpc;encode` wraps every
@@ -149,4 +155,117 @@ fn a_lone_datagram_is_the_calls_own_frame() {
         batched_then_alone > 0,
         "no call travelled in a batch and then alone, twice"
     );
+}
+
+/// What one request asks the splice test's server to answer: a blob of
+/// `len` bytes, as the result or as an error's data, under `span`.
+#[derive(Debug, Clone)]
+struct Ask {
+    ok: bool,
+    len: usize,
+    span: u64,
+}
+
+impl Ask {
+    fn args(&self) -> Value {
+        Value::record([
+            ("ok", Value::Bool(self.ok)),
+            ("len", Value::U64(self.len as u64)),
+        ])
+    }
+}
+
+fn arb_ask() -> impl Strategy<Value = Ask> {
+    let len = prop_oneof![0usize..64, 0usize..=64 * 1024];
+    let span = prop_oneof![Just(0u64), 1u64..u64::MAX];
+    (any::<bool>(), len, span).prop_map(|(ok, len, span)| Ask { ok, len, span })
+}
+
+/// The reply the splice test's server gives to `args`.
+fn answer(args: &Value) -> Result<Value, RemoteError> {
+    let len = args.get_u64("len").expect("a length") as usize;
+    let blob = Value::blob(vec![len as u8; len]);
+    if args.get("ok") == Some(&Value::Bool(true)) {
+        Ok(blob)
+    } else {
+        Err(RemoteError::with_data(ErrorCode::App, "refused", blob))
+    }
+}
+
+/// Sends `calls` to `server` as one raw batch datagram and returns every
+/// datagram that comes back before the link falls quiet.
+fn exchange(ctx: &mut Ctx, server: Endpoint, calls: &[(u64, Ask)]) -> Vec<Bytes> {
+    let items = calls
+        .iter()
+        .map(|(call_id, ask)| {
+            Packet::Request(Request {
+                call_id: *call_id,
+                reply_to: ctx.endpoint(),
+                object: String::new(),
+                op: "answer".into(),
+                args: ask.args(),
+                span: ask.span,
+            })
+        })
+        .collect();
+    ctx.send(server, Batch { items }.to_bytes());
+    let mut got = Vec::new();
+    while let Some(msg) = ctx.recv_timeout(Duration::from_millis(20)).unwrap() {
+        got.push(msg.payload);
+    }
+    got
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A batch of fresh calls, then one of repeats the server answers
+    /// from its reply cache (some twice in the same batch) mixed with
+    /// fresh calls: every reply batch is byte for byte the batch its
+    /// decoded replies encode to, and carries the replies asked for.
+    #[test]
+    fn a_spliced_reply_batch_is_the_batch_of_its_decoded_replies(
+        first in proptest::collection::vec(arb_ask(), 2..6),
+        repeats in proptest::collection::vec(any::<usize>(), 1..4),
+        fresh in proptest::collection::vec(arb_ask(), 0..3),
+    ) {
+        let mut sim = Simulation::new(NetworkConfig::lan(), 3);
+        let server = sim.spawn_at("answers", NodeId(0), PortId(1), |ctx| {
+            RpcServer::new().serve(ctx, |_, req| answer(&req.args), |_, _| {});
+        });
+        let first_calls: Vec<(u64, Ask)> = (1..).zip(first).collect();
+        let mut second_calls: Vec<(u64, Ask)> = repeats
+            .iter()
+            .map(|i| first_calls[i % first_calls.len()].clone())
+            .collect();
+        second_calls.extend((100..).zip(fresh));
+        let datagrams = Arc::new(Mutex::new(Vec::new()));
+        let out = Arc::clone(&datagrams);
+        let asked = [first_calls.clone(), second_calls.clone()];
+        sim.spawn("client", NodeId(1), move |ctx| {
+            for calls in &asked {
+                let got = exchange(ctx, server, calls);
+                out.lock().unwrap().push(got);
+            }
+        });
+        sim.run();
+        let datagrams = datagrams.lock().unwrap();
+        for (calls, got) in [&first_calls, &second_calls].into_iter().zip(datagrams.iter()) {
+            prop_assert_eq!(got.len(), 1, "one reply datagram per request batch");
+            let replies = match Packet::from_frame(&got[0]).expect("a reply datagram decodes") {
+                Packet::Batch(batch) => {
+                    prop_assert_eq!(&batch.to_bytes(), &got[0], "spliced batch differs");
+                    batch.items
+                }
+                lone => vec![lone],
+            };
+            let expected: Vec<Packet> = calls
+                .iter()
+                .map(|(call_id, ask)| {
+                    Packet::Reply(Reply { call_id: *call_id, result: answer(&ask.args()), span: ask.span })
+                })
+                .collect();
+            prop_assert_eq!(replies, expected);
+        }
+    }
 }

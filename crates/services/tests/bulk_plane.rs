@@ -549,6 +549,73 @@ fn republish_invalidates_only_the_edges_that_fetched_the_asset() {
     assert_eq!(report.proxies["blob@edge-edge2"].invalidations_rx, 0);
 }
 
+/// Datagrams from `src` to `dst` sent in `[from, to]`, in a drained trace.
+fn datagrams(
+    trace: &[simnet::TraceRecord],
+    src: simnet::Endpoint,
+    dst: simnet::Endpoint,
+    (from, to): (SimTime, SimTime),
+) -> usize {
+    let (src, dst) = (obs::Loc::from(src), obs::Loc::from(dst));
+    trace
+        .iter()
+        .filter(|r| (from..=to).contains(&r.at))
+        .filter(|r| {
+            matches!(&r.event, simnet::TraceEvent::Net(obs::NetEventKind::Sent { src: s, dst: d, .. })
+                if *s == src && *d == dst)
+        })
+        .count()
+}
+
+/// A transfer's chunk calls travel batched, `depth` to a datagram, and
+/// whatever the server answers on the spot comes back in one: on a
+/// loss-free LAN a four-chunk put is one datagram each way, and so is a
+/// warm get through an edge that holds every chunk. A cold get still
+/// asks the edge in one datagram; the edge answers each chunk as its
+/// fill lands.
+#[test]
+fn a_transfer_of_depth_chunks_is_one_datagram_each_way() {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 35);
+    sim.enable_trace(1 << 16);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    let store = ServiceBuilder::new("blob")
+        .object(|| Box::new(BlobStore::new()))
+        .spawn(&sim, ORIGIN, ns);
+    let edge = spawn_edge_cache(&sim, EDGE, ns, "edge1", "blob", 64);
+    let phases = Arc::new(Mutex::new(Vec::new()));
+    let out = Arc::clone(&phases);
+    let client = sim.spawn("client", NodeId(3), move |ctx| {
+        let data = Bytes::from(payload(4 * CHUNK, 5));
+        let mut strays: Vec<rpc::Oneway> = Vec::new();
+        let mut origin = BlobClient::new("blob", ns, CHUNK, 4);
+        let mut near = BlobClient::new("edge1", ns, CHUNK, 4);
+        // Each phase starts once the last one's traffic has landed.
+        let mut windows = Vec::new();
+        ctx.sleep(Duration::from_millis(50)).unwrap();
+        let started = ctx.now();
+        let r = origin.put(ctx, "k", &data, &mut strays).unwrap();
+        windows.push((started, ctx.now()));
+        for _cold_then_warm in 0..2 {
+            ctx.sleep(Duration::from_millis(50)).unwrap();
+            let started = ctx.now();
+            assert_eq!(near.get(ctx, &r, &mut strays).unwrap(), data);
+            windows.push((started, ctx.now()));
+        }
+        *out.lock() = windows;
+    });
+    sim.run();
+    let trace = sim.take_trace();
+    assert!(trace.is_complete(), "the trace ring kept every record");
+    let &[put, cold, warm] = phases.lock().as_slice() else {
+        panic!("the client did not finish");
+    };
+    assert_eq!(datagrams(&trace, client, store, put), 1, "put request");
+    assert_eq!(datagrams(&trace, store, client, put), 1, "put reply");
+    assert_eq!(datagrams(&trace, client, edge, cold), 1, "cold get request");
+    assert_eq!(datagrams(&trace, client, edge, warm), 1, "warm get request");
+    assert_eq!(datagrams(&trace, edge, client, warm), 1, "warm get reply");
+}
+
 /// Satellite 3 (reassembly half; `Value::Ref` codec round-trips live in
 /// the wire crate's proptests): chunked put/get reassembles the exact
 /// payload under loss, reordering, and duplicate delivery. Duplicated

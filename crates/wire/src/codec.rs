@@ -254,6 +254,13 @@ impl<'a> ValueWriter<'a> {
         encode_into(v, self.buf);
     }
 
+    /// Writes one value that is already encoded (a frame's body past
+    /// its header), byte for byte. Trusted like every other write: the
+    /// bytes must be exactly one encoded value.
+    pub fn encoded(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Writes an out-of-band blob reference ([`Value::Ref`]).
     pub fn blob_ref(&mut self, store: &str, key: &str, len: u64, crc: u32) {
         self.buf.push(tag::REF);
