@@ -456,11 +456,11 @@ impl<C: Control> ServiceServer<C> {
                                 match (*strays, packet) {
                                     (
                                         Strays::Queue,
-                                        Some(Packet::Request(_) | Packet::Batch(_)),
+                                        Some(Packet::Request(..) | Packet::Batch(_)),
                                     ) => self.handle_msg(cx, &msg),
                                     (
                                         Strays::Hold | Strays::HoldKeeping(_),
-                                        Some(Packet::Request(_)),
+                                        Some(Packet::Request(..)),
                                     ) => self.held.push_back(msg),
                                     (Strays::HoldKeeping(op), Some(Packet::Oneway(o)))
                                         if o.op == op =>

@@ -56,6 +56,20 @@
 //! [`Channel::offer`] (which takes replies and nothing else) and calls
 //! [`Channel::tick`] to send staged calls and fire timers.
 //!
+//! Every request the channel sends carries `lo`, the lowest call id its
+//! *process* still awaits ([`simnet::Ctx::lowest_awaited`]), beside the
+//! request itself. It is per process, not per channel, because call ids
+//! come from one per-process counter that every channel shares. Each
+//! call holds its id as awaited from the moment it is staged until its
+//! record goes — a reply, a timeout, or the channel dropped with the
+//! call in flight — so `lo` only rises, and a server may forget every
+//! reply it recorded below it (see [`RpcServer`](crate::RpcServer)):
+//! what a server keeps for a client is bounded by what the client still
+//! awaits, not by a cache size, and a reply the client awaits is never
+//! forgotten. A batch is stamped when it is built; a lone frame keeps
+//! the `lo` of its first send, which is never above the current one, so
+//! a retransmission at worst releases less than it could.
+//!
 //! Every call begun through [`Channel::begin_call`] gets its own
 //! `Invoke` span (parented to the caller's active span), so causal traces
 //! show per-call latency even when the datagrams were shared.
@@ -161,6 +175,9 @@ pub struct ChannelStats {
 #[derive(Debug)]
 struct CallRec {
     request: Request,
+    /// Holds the call's id as one its process awaits until the record is
+    /// dropped: when the call settles, or with the channel.
+    _awaited: simnet::Awaited,
     /// The call's own frame, built the first time a datagram carries the
     /// call alone; later lone retransmissions reuse the bytes (and thus
     /// the span). `None` while the call has only travelled in batches.
@@ -202,7 +219,9 @@ pub enum Advance {
 /// Where one [`Channel::drive`] stopped.
 enum Turn {
     Settled,
-    Stray(Option<Packet>, Message),
+    /// A datagram that is not the channel's, with what it decoded to.
+    /// Boxed: it is the rare turn, and the others stay small.
+    Stray(Box<(Option<Packet>, Message)>),
     /// Nothing to receive before this deadline.
     Empty(SimTime),
 }
@@ -357,7 +376,8 @@ impl Channel {
         // Ids come from the per-process counter, shared by every channel
         // and client in the process, so the server's per-endpoint window
         // sees one id space.
-        let call_id = ctx.next_seq();
+        let awaited = ctx.await_next();
+        let call_id = awaited.id();
         self.stats.calls += 1;
         ctx.obs().on_call();
         // `transmit` encodes the request into whichever datagram carries
@@ -379,6 +399,7 @@ impl Channel {
         );
         self.calls.push_back(CallRec {
             request,
+            _awaited: awaited,
             bytes: None,
             span,
             close,
@@ -417,22 +438,29 @@ impl Channel {
     }
 
     /// Sends the requests at `batch` (positions in `calls`) as one
-    /// datagram, the next in the send sequence.
+    /// datagram, the next in the send sequence, each stamped with the
+    /// process's `lo`.
     fn transmit(&mut self, ctx: &mut Ctx, batch: impl ExactSizeIterator<Item = usize> + Clone) {
         self.sends += 1;
         for i in batch.clone() {
             self.calls[i].seq = self.sends;
         }
+        // Every call here is unsettled, so the process awaits something.
+        let lo = |ctx: &Ctx| ctx.lowest_awaited().unwrap_or(0);
         if batch.len() == 1 {
             let rec = &mut self.calls[batch.clone().next().expect("one call")];
-            let bytes = rec.bytes.get_or_insert_with(|| rec.request.to_bytes());
+            let bytes = rec
+                .bytes
+                .get_or_insert_with(|| rec.request.to_bytes_with_lo(lo(ctx)));
             ctx.send_traced(self.server, bytes.clone(), rec.span);
             return;
         }
         // Borrow-based batch encode: the staged requests are written
         // straight into the frame, never cloned.
-        let payload =
-            crate::proto::encode_request_batch(batch.clone().map(|i| &self.calls[i].request));
+        let payload = crate::proto::encode_request_batch(
+            batch.clone().map(|i| &self.calls[i].request),
+            lo(ctx),
+        );
         // The datagram serves many spans at once, so it is attributed to
         // none; each call's own span still opens and closes around its
         // reply.
@@ -667,7 +695,7 @@ impl Channel {
             match recv(ctx, deadline)? {
                 Some(msg) => {
                     if let Absorbed::Declined(packet) = self.absorb(ctx, &msg) {
-                        return Ok(Turn::Stray(packet, msg));
+                        return Ok(Turn::Stray(Box::new((packet, msg))));
                     }
                 }
                 // Past the deadline: the timer fires on the next turn.
@@ -683,7 +711,7 @@ impl Channel {
         loop {
             match self.drive(ctx, target, Ctx::recv_deadline)? {
                 Turn::Settled => return Ok(()),
-                Turn::Stray(packet, msg) => self.keep_oneway(ctx, packet, &msg),
+                Turn::Stray(stray) => self.keep_oneway(ctx, stray.0, &stray.1),
                 Turn::Empty(_) => unreachable!("a blocking receive waits out its deadline"),
             }
         }
@@ -697,7 +725,10 @@ impl Channel {
         match self.drive(cx.ctx(), Some(h), |ctx, _| ctx.try_recv()) {
             Err(e) => Advance::Settled(Err(e)),
             Ok(Turn::Settled) => Advance::Settled(self.claim(h)),
-            Ok(Turn::Stray(packet, msg)) => Advance::Stray(packet, msg),
+            Ok(Turn::Stray(stray)) => {
+                let (packet, msg) = *stray;
+                Advance::Stray(packet, msg)
+            }
             Ok(Turn::Empty(deadline)) => {
                 cx.wake_at(deadline);
                 Advance::Pending

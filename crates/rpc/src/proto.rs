@@ -8,10 +8,17 @@
 //! channel pays one network traversal for many calls; batches never
 //! nest.
 //!
+//! A request record may carry, beside the [`Request`] itself, its
+//! sender's `lo`: the lowest call id the sending process still awaits
+//! (one varint field, omitted when zero). It is how a client tells a
+//! server which recorded replies it may forget; see
+//! [`RpcServer`](crate::RpcServer). [`Packet::Request`] holds it, 0 for
+//! a request that states none.
+//!
 //! Encoding writes each envelope straight from its struct through the
 //! pooled [`ValueWriter`]. Decoding, [`Packet::from_frame`], is one
 //! forward pass over the frame with a [`FieldReader`]: the header fields
-//! (`t`, `id`, `rt`/`from`, `obj`, `op`, `sp`, `err`, `msg`) are read in
+//! (`t`, `id`, `rt`/`from`, `obj`, `op`, `sp`, `lo`, `err`, `msg`) are read in
 //! place, batch items in the same pass, and a [`Value`] is built only for
 //! `args`, `ok` and `data`, whose strings and blobs alias the datagram.
 //! It accepts exactly the frames a decode of the whole record as one
@@ -93,7 +100,7 @@ pub struct Request {
 
 impl Request {
     /// Encodes this request as a wire value (the unframed form batches
-    /// embed).
+    /// embed), with no `lo` beside it.
     pub fn to_value(&self) -> Value {
         let mut fields = vec![
             ("t", Value::str("req")),
@@ -109,10 +116,11 @@ impl Request {
         Value::record(fields)
     }
 
-    /// Writes this request's record through a [`ValueWriter`] without
-    /// cloning the object name, op name or args.
-    pub(crate) fn write_into(&self, w: &mut ValueWriter<'_>) {
-        let count = if self.span != 0 { 7 } else { 6 };
+    /// Writes this request's record, with `lo` beside it unless zero,
+    /// through a [`ValueWriter`] without cloning the object name, op name
+    /// or args.
+    pub(crate) fn write_into(&self, w: &mut ValueWriter<'_>, lo: u64) {
+        let count = 6 + usize::from(self.span != 0) + usize::from(lo != 0);
         w.begin_record(count);
         w.key("t");
         w.str("req");
@@ -130,13 +138,23 @@ impl Request {
             w.key("sp");
             w.u64(self.span);
         }
+        if lo != 0 {
+            w.key("lo");
+            w.u64(lo);
+        }
     }
 
     /// Encodes this request into a framed datagram payload (pooled,
-    /// borrow-based: no intermediate `Value` tree).
+    /// borrow-based: no intermediate `Value` tree), stating no `lo`.
     pub fn to_bytes(&self) -> Bytes {
+        self.to_bytes_with_lo(0)
+    }
+
+    /// [`Request::to_bytes`] with the sender's `lo` beside the request
+    /// (0 states none).
+    pub fn to_bytes_with_lo(&self, lo: u64) -> Bytes {
         let _p = obs::scope("rpc;encode");
-        with_encoder(|e| e.frame_with(|w| self.write_into(w)))
+        with_encoder(|e| e.frame_with(|w| self.write_into(w, lo)))
     }
 }
 
@@ -310,7 +328,7 @@ impl Batch {
         encode_batch(self.items.len(), |w| {
             for p in &self.items {
                 match p {
-                    Packet::Request(r) => r.write_into(w),
+                    Packet::Request(r, lo) => r.write_into(w, *lo),
                     Packet::Reply(r) => r.write_into(w),
                     Packet::Oneway(o) => o.write_into(w),
                     Packet::Batch(_) => {
@@ -339,17 +357,18 @@ fn encode_batch(count: usize, items: impl FnOnce(&mut ValueWriter<'_>)) -> Bytes
     })
 }
 
-/// Encodes a batch of *borrowed* requests into one framed datagram —
-/// the zero-clone path a pipelined channel uses to coalesce its staged
-/// calls (building a [`Batch`] would clone every request first).
-/// Byte-identical to `Batch { items }.to_bytes()` over the same
-/// requests.
+/// Encodes a batch of *borrowed* requests, each with `lo` beside it,
+/// into one framed datagram — the zero-clone path a pipelined channel
+/// uses to coalesce its staged calls (building a [`Batch`] would clone
+/// every request first). Byte-identical to `Batch { items }.to_bytes()`
+/// over the same requests and `lo`.
 pub(crate) fn encode_request_batch<'a>(
     requests: impl ExactSizeIterator<Item = &'a Request>,
+    lo: u64,
 ) -> Bytes {
     encode_batch(requests.len(), |w| {
         for r in requests {
-            r.write_into(w);
+            r.write_into(w, lo);
         }
     })
 }
@@ -370,8 +389,10 @@ pub(crate) fn splice_reply_batch(frames: &[Bytes]) -> Bytes {
 /// Any decoded RPC datagram.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Packet {
-    /// A request expecting a reply.
-    Request(Request),
+    /// A request expecting a reply, and its sender's `lo`: the lowest
+    /// call id the sending process still awaits, 0 if the request
+    /// states none.
+    Request(Request, u64),
     /// A reply to an earlier request.
     Reply(Reply),
     /// A one-way notification.
@@ -417,6 +438,7 @@ struct Envelope<'a> {
     t: Slot<&'a str>,
     id: Slot<u64>,
     sp: Slot<u64>,
+    lo: Slot<u64>,
     rt: Slot<Endpoint>,
     from: Slot<Endpoint>,
     obj: Slot<&'a str>,
@@ -446,6 +468,7 @@ impl<'a> Envelope<'a> {
                 "t" => first(&mut e.t, r, depth, FieldReader::str),
                 "id" => first(&mut e.id, r, depth, FieldReader::u64),
                 "sp" => first(&mut e.sp, r, depth, FieldReader::u64),
+                "lo" => first(&mut e.lo, r, depth, FieldReader::u64),
                 "rt" => first(&mut e.rt, r, depth, read_endpoint),
                 "from" => first(&mut e.from, r, depth, read_endpoint),
                 "obj" => first(&mut e.obj, r, depth, FieldReader::str),
@@ -468,14 +491,18 @@ impl<'a> Envelope<'a> {
         let span = self.sp.flatten().unwrap_or(0);
         let args = self.args.unwrap_or(Value::Null);
         match need(self.t, "t")? {
-            "req" => Ok(Packet::Request(Request {
-                call_id: need(self.id, "id")?,
-                reply_to: need(self.rt, "rt")?,
-                object: need(self.obj, "obj")?.to_owned(),
-                op: need(self.op, "op")?.to_owned(),
-                args,
-                span,
-            })),
+            "req" => Ok(Packet::Request(
+                Request {
+                    call_id: need(self.id, "id")?,
+                    reply_to: need(self.rt, "rt")?,
+                    object: need(self.obj, "obj")?.to_owned(),
+                    op: need(self.op, "op")?.to_owned(),
+                    args,
+                    span,
+                },
+                // A non-u64 `lo`, like a missing one, states none.
+                self.lo.flatten().unwrap_or(0),
+            )),
             "rep" => {
                 let call_id = need(self.id, "id")?;
                 let result = match self.ok {
@@ -598,9 +625,30 @@ mod tests {
             span: 9,
         };
         match Packet::from_frame(&req.to_bytes()).unwrap() {
-            Packet::Request(r) => assert_eq!(r, req),
+            Packet::Request(r, lo) => assert_eq!((r, lo), (req, 0)),
             other => panic!("wrong packet {other:?}"),
         }
+    }
+
+    #[test]
+    fn lo_travels_beside_the_request_and_never_in_its_value() {
+        let req = Request {
+            call_id: 42,
+            reply_to: ep(1, 70000),
+            object: "kv0".into(),
+            op: "get".into(),
+            args: Value::Null,
+            span: 9,
+        };
+        assert!(req.to_value().get("lo").is_none());
+        let framed = req.to_bytes_with_lo(40);
+        assert_eq!(wire::unframe(&framed).unwrap().get_u64("lo"), Ok(40));
+        assert_eq!(
+            Packet::from_frame(&framed).unwrap(),
+            Packet::Request(req.clone(), 40)
+        );
+        // Zero states no `lo`: the field is left out.
+        assert_eq!(req.to_bytes_with_lo(0), req.to_bytes());
     }
 
     #[test]
@@ -666,7 +714,7 @@ mod tests {
         let v = wire::unframe(&req.to_bytes()).unwrap();
         assert!(v.get("sp").is_none());
         match Packet::from_frame(&req.to_bytes()).unwrap() {
-            Packet::Request(r) => assert_eq!(r.span, 0),
+            Packet::Request(r, _) => assert_eq!(r.span, 0),
             other => panic!("wrong packet {other:?}"),
         }
     }
@@ -681,14 +729,17 @@ mod tests {
         let batch = Batch {
             items: (1..=4u64)
                 .map(|i| {
-                    Packet::Request(Request {
-                        call_id: i,
-                        reply_to: ep(1, 70000),
-                        object: String::new(),
-                        op: "inc".into(),
-                        args: Value::U64(i * 10),
-                        span: 100 + i,
-                    })
+                    Packet::Request(
+                        Request {
+                            call_id: i,
+                            reply_to: ep(1, 70000),
+                            object: String::new(),
+                            op: "inc".into(),
+                            args: Value::U64(i * 10),
+                            span: 100 + i,
+                        },
+                        i % 2,
+                    )
                 })
                 .collect(),
         };
@@ -792,7 +843,7 @@ mod tests {
         assert_eq!(msg.to_bytes(), frame(&msg.to_value()));
 
         let batch = Batch {
-            items: vec![Packet::Request(req.clone()), Packet::Reply(ok.clone())],
+            items: vec![Packet::Request(req.clone(), 0), Packet::Reply(ok.clone())],
         };
         let tree = frame(&Value::record([
             ("t", Value::str("bat")),
@@ -813,9 +864,9 @@ mod tests {
         };
         let bytes = req.to_bytes();
         let packet = Packet::from_frame(&bytes).unwrap();
-        assert_eq!(packet, Packet::Request(req));
+        assert_eq!(packet, Packet::Request(req, 0));
         // The blob is a slice of the datagram, not a copy.
-        if let Packet::Request(r) = packet {
+        if let Packet::Request(r, _) = packet {
             let blob = r.args.get_blob("blob").unwrap().clone();
             let f_ptr = bytes.as_ref().as_ptr() as usize;
             let b_ptr = blob.as_ref().as_ptr() as usize;

@@ -1,17 +1,30 @@
 //! The RPC server: dispatch with duplicate suppression.
 //!
 //! [`RpcServer`] implements the server half of at-most-once semantics: it
-//! remembers, per client endpoint, which call ids it has executed and the
-//! encoded replies for recent ones. A retransmitted request is answered
-//! from the reply cache without re-executing the handler — the property
-//! experiment E7 verifies under loss and duplication.
+//! remembers, per client endpoint, the encoded reply of every call it has
+//! executed that the client may still be waiting for. A retransmitted
+//! request is answered from that reply cache without re-executing the
+//! handler — the property experiment E7 verifies under loss and
+//! duplication.
+//!
+//! How long a reply is kept is the client's to say, not a constant's.
+//! Every request a [`Channel`](crate::Channel) sends carries `lo`, the
+//! lowest call id its process still awaits (see
+//! [`Packet::Request`]). The client waits on no id below `lo`, so the
+//! server forgets those replies and raises the client's `floor` to
+//! `lo − 1`: a request at or below the floor is one the client no longer
+//! awaits, and it is dropped unrun. So a reply stays until the client
+//! has it or has given up on its call, however many later calls
+//! complete first, and what a server keeps per client is bounded by
+//! that client's outstanding window. A request that states no `lo`
+//! releases nothing.
 //!
 //! A pipelined client keeps many calls outstanding, so ids may *execute
-//! out of order* (call 7's datagram can arrive before call 5's). The
-//! executed-id window therefore tracks a contiguous floor plus an exact
-//! set of executed ids above it, instead of a single high-water mark: a
-//! fresh id below the highest executed one still runs, while replayed
-//! ids are suppressed exactly.
+//! out of order* (call 7's datagram can arrive before call 5's). Above
+//! the floor the window therefore knows each id exactly — replied to,
+//! executing, or not yet seen — instead of keeping a single high-water
+//! mark: a fresh id below the highest executed one still runs, while
+//! replayed ids are suppressed exactly.
 //!
 //! A handler need not answer on the spot. Under
 //! [`RpcServer::handle_deferred`] it may return `None` — "started, will
@@ -21,7 +34,7 @@
 //! re-run nor answered; after completion it is answered from the reply
 //! cache like any other.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 use simnet::{Ctx, Endpoint, Message, SimTime};
@@ -29,17 +42,6 @@ use wire::Value;
 
 use crate::error::RemoteError;
 use crate::proto::{splice_reply_batch, Batch, Oneway, Packet, Reply, Request};
-
-/// How many encoded replies to retain per client endpoint. Sized for a
-/// pipelined channel's outstanding window with slack for late
-/// duplicates.
-const REPLY_CACHE_PER_CLIENT: usize = 32;
-
-/// Cap on the exact executed-id set above the contiguous floor. A
-/// pipelined client keeps at most `pipeline_depth` ids in flight, so
-/// gaps close quickly; this bound only matters for pathological clients
-/// and keeps per-client state O(1).
-const EXECUTED_SET_LIMIT: usize = 1024;
 
 /// Counters accumulated by a server.
 ///
@@ -58,9 +60,9 @@ pub enum Served {
     Deferred(Request),
     /// A duplicate was answered from the reply cache (handler not run).
     DuplicateSuppressed,
-    /// A duplicate was dropped, unanswered: its call is still executing
-    /// (the reply comes when it completes), or its reply has been evicted
-    /// from the cache.
+    /// A request was dropped, unanswered and unrun: its call is still
+    /// executing (the reply comes when it completes), or the client no
+    /// longer awaits it.
     DuplicateDropped,
     /// A one-way notification; the caller decides what to do with it.
     Oneway(Oneway),
@@ -74,26 +76,29 @@ pub enum Served {
         executed: u64,
         /// Duplicates answered from the reply cache.
         suppressed: u64,
-        /// Duplicates too old to answer, dropped.
+        /// Requests the client no longer awaits, or still executing,
+        /// dropped.
         dropped: u64,
     },
     /// The datagram failed to decode and was dropped.
     Undecodable,
 }
 
-/// Per-client executed-id window plus reply cache.
+/// Per-client at-most-once state: the client's floor, and above it
+/// every id that has run.
 ///
-/// `floor` is the contiguous high-water mark: every id `<= floor` has
-/// been executed (or permanently abandoned). `executed` holds the exact
-/// ids above the floor that have run — out-of-order completions leave
-/// gaps, and the floor only advances when its successor is present.
+/// `floor` is everything the client no longer awaits: it is raised only
+/// by a request's `lo`, to `lo − 1`, and never falls. An id above it has
+/// run if and only if its reply is in `cached` or its call is in
+/// `executing`; any other id above it is fresh. Both hold only ids the
+/// client may still ask about, so both are bounded by its outstanding
+/// window.
 #[derive(Debug, Default)]
 struct ClientWindow {
-    /// Ids `<= floor` are all executed/handled.
+    /// Every id `<= floor` is one the client no longer awaits.
     floor: u64,
-    /// Executed ids above the floor (gaps = still-pending ids).
-    executed: BTreeSet<u64>,
-    /// Recent (call_id, encoded reply) pairs, oldest first.
+    /// (call_id, encoded reply) for executed ids above the floor, in
+    /// completion order.
     cached: VecDeque<(u64, Bytes)>,
     /// Calls started whose reply is still owed (at most the client's
     /// pipeline depth, so a scan is cheap).
@@ -125,38 +130,28 @@ impl ClientWindow {
         self.cached.iter().find(|(i, _)| *i == id).map(|(_, b)| b)
     }
 
-    /// Has this id already been executed (run the handler)?
-    fn is_executed(&self, id: u64) -> bool {
-        id <= self.floor || self.executed.contains(&id)
+    /// Whether a request for `id`, which has no recorded reply, is
+    /// dropped unrun: its call is still executing, or the client no
+    /// longer awaits it.
+    fn drops(&self, id: u64) -> bool {
+        id <= self.floor || self.executing.iter().any(|e| e.call.call_id == id)
     }
 
-    /// Records the reply to an executed call.
+    /// Takes a request's `lo`: the client awaits no id below it, so the
+    /// floor rises to `lo − 1` and the replies below it are forgotten.
+    /// A `lo` of 0 or 1 releases nothing.
+    fn release_below(&mut self, lo: u64) {
+        if lo > self.floor + 1 {
+            self.floor = lo - 1;
+            self.cached.retain(|&(id, _)| id >= lo);
+        }
+    }
+
+    /// Records the reply to an executed call, unless the client no
+    /// longer awaits it.
     fn insert(&mut self, id: u64, reply: Bytes) {
-        if self.cached.len() >= REPLY_CACHE_PER_CLIENT {
-            self.cached.pop_front();
-        }
-        self.cached.push_back((id, reply));
-        self.mark_executed(id);
-    }
-
-    /// Marks `id` as run, whether or not its reply exists yet.
-    fn mark_executed(&mut self, id: u64) {
         if id > self.floor {
-            self.executed.insert(id);
-        }
-        // Compact: absorb the contiguous run just above the floor.
-        while self.executed.first() == Some(&(self.floor + 1)) {
-            self.executed.pop_first();
-            self.floor += 1;
-        }
-        // Bound the set: absorbing the smallest id into the floor also
-        // writes off any never-seen ids below it — safe (at-most-once is
-        // preserved; a >LIMIT-deep straggler would be dropped), and
-        // unreachable for any sane pipeline depth.
-        while self.executed.len() > EXECUTED_SET_LIMIT {
-            if let Some(min) = self.executed.pop_first() {
-                self.floor = self.floor.max(min);
-            }
+            self.cached.push_back((id, reply));
         }
     }
 }
@@ -167,7 +162,7 @@ enum Answer {
     Executed(Bytes),
     /// Duplicate answered from the cache; the recorded reply to resend.
     Cached(Bytes),
-    /// Duplicate too old to answer, or still executing; nothing to send.
+    /// Still executing, or no longer awaited; nothing to send.
     Dropped,
     /// Fresh execution whose handler deferred the reply; nothing to send
     /// yet.
@@ -232,7 +227,7 @@ impl RpcServer {
             }
         };
         match packet {
-            Packet::Request(req) => self.handle_request(ctx, req, &mut handler),
+            Packet::Request(req, lo) => self.handle_request(ctx, req, lo, &mut handler),
             Packet::Oneway(o) => {
                 self.stats.oneways += 1;
                 ctx.obs().on_oneway_rx();
@@ -247,10 +242,11 @@ impl RpcServer {
         &mut self,
         ctx: &mut Ctx,
         req: Request,
+        lo: u64,
         handler: &mut impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
     ) -> Served {
         let span = obs::SpanId::from_raw(req.span);
-        match self.answer_request(ctx, &req, handler) {
+        match self.answer_request(ctx, &req, lo, handler) {
             Answer::Cached(bytes) => {
                 ctx.send_traced(req.reply_to, bytes, span);
                 Served::DuplicateSuppressed
@@ -289,8 +285,8 @@ impl RpcServer {
         // Replies grouped by destination, preserving request order.
         let mut by_dest: Vec<(Endpoint, Vec<Bytes>)> = Vec::new();
         for item in batch.items {
-            let req = match item {
-                Packet::Request(r) => r,
+            let (req, lo) = match item {
+                Packet::Request(r, lo) => (r, lo),
                 _ => {
                     self.stats.undecodable += 1;
                     ctx.obs().on_undecodable();
@@ -298,7 +294,7 @@ impl RpcServer {
                 }
             };
             let reply_to = req.reply_to;
-            let bytes = match self.answer_request(ctx, &req, handler) {
+            let bytes = match self.answer_request(ctx, &req, lo, handler) {
                 Answer::Executed(b) => {
                     executed += 1;
                     b
@@ -344,16 +340,21 @@ impl RpcServer {
         }
     }
 
-    /// Duplicate-suppressed execution of one request: runs the handler
+    /// Duplicate-suppressed execution of one request: first forgets what
+    /// the client's `lo` says it no longer awaits, then runs the handler
     /// only for fresh ids, records the encoded reply, and returns what
-    /// to send — without sending it, so batch dispatch can coalesce.
+    /// to send — without sending it, so batch dispatch can coalesce. A
+    /// request whose `lo` is above its own id is one its client no longer
+    /// awaits, and is dropped.
     fn answer_request(
         &mut self,
         ctx: &mut Ctx,
         req: &Request,
+        lo: u64,
         handler: &mut impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
     ) -> Answer {
         let window = self.windows.entry(req.reply_to).or_default();
+        window.release_below(lo);
         if let Some(cached) = window.lookup(req.call_id) {
             // Retransmission of a call we already executed: resend the
             // recorded reply; do NOT run the handler again. The cached
@@ -364,10 +365,9 @@ impl RpcServer {
             ctx.obs().on_duplicate_suppressed();
             return Answer::Cached(cached);
         }
-        if window.is_executed(req.call_id) {
+        if window.drops(req.call_id) {
             // Still executing (the reply will come when it completes), or
-            // executed long ago and evicted from the reply cache (the
-            // client has long since given up on it) — drop.
+            // at or below the floor: the client no longer awaits it — drop.
             self.stats.duplicates_dropped += 1;
             ctx.obs().on_duplicate_dropped();
             return Answer::Dropped;
@@ -399,7 +399,6 @@ impl RpcServer {
             Some(result) => Answer::Executed(self.finish(ctx, req.reply_to, call, &req.op, result)),
             None => {
                 let window = self.windows.entry(req.reply_to).or_default();
-                window.mark_executed(req.call_id);
                 window.executing.push(Executing {
                     call,
                     op: req.op.clone(),
@@ -512,23 +511,52 @@ impl RpcServer {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
     use super::*;
-    use simnet::{NodeId, PortId};
+    use crate::RpcClient;
+    use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 
     fn ep(n: u32, p: u32) -> Endpoint {
         Endpoint::new(NodeId(n), PortId(p))
     }
 
+    /// The ids above the floor a window knows have run.
+    fn ran_above_floor(w: &ClientWindow) -> usize {
+        w.cached.len() + w.executing.len()
+    }
+
     #[test]
     fn window_caches_and_evicts() {
+        // The client still awaits call 1 while 200 later calls complete:
+        // its reply stays, however many there are.
+        let first = Bytes::from_static(b"first");
         let mut w = ClientWindow::default();
-        for id in 1..=(REPLY_CACHE_PER_CLIENT as u64 + 5) {
+        w.insert(1, first.clone());
+        for id in 2..=201 {
+            w.release_below(1);
             w.insert(id, Bytes::from_static(b"r"));
         }
-        assert_eq!(w.floor, REPLY_CACHE_PER_CLIENT as u64 + 5);
-        assert!(w.lookup(1).is_none(), "oldest evicted");
-        assert!(w.lookup(REPLY_CACHE_PER_CLIENT as u64 + 5).is_some());
-        assert!(w.lookup(6).is_some(), "recent retained");
+        assert_eq!(w.lookup(1), Some(&first), "an awaited reply was evicted");
+        assert_eq!(w.floor, 0);
+        // Its next request says it awaits nothing below 150: those
+        // replies go, and those ids are never run again.
+        w.release_below(150);
+        assert_eq!(w.floor, 149);
+        assert!(w.lookup(1).is_none() && w.lookup(149).is_none());
+        assert!(w.drops(1) && w.drops(149), "a released id would run");
+        assert!(w.lookup(150).is_some() && w.lookup(201).is_some());
+        assert_eq!(w.cached.len(), 52);
+        // An older `lo` (a late datagram) lowers nothing.
+        w.release_below(10);
+        assert_eq!(w.floor, 149);
+        // A request stating no `lo` releases nothing.
+        w.release_below(0);
+        assert_eq!((w.floor, w.cached.len()), (149, 52));
+        // A reply to a call the client has given up on is not kept.
+        w.insert(120, Bytes::from_static(b"late"));
+        assert!(w.lookup(120).is_none());
     }
 
     #[test]
@@ -547,27 +575,66 @@ mod tests {
         // must not mark 1 and 2 as duplicates.
         let mut w = ClientWindow::default();
         w.insert(3, Bytes::from_static(b"c"));
-        assert!(w.is_executed(3));
-        assert!(!w.is_executed(1), "gap id 1 wrongly suppressed");
-        assert!(!w.is_executed(2), "gap id 2 wrongly suppressed");
+        assert!(w.lookup(3).is_some());
+        assert!(!w.drops(1), "gap id 1 wrongly suppressed");
+        assert!(!w.drops(2), "gap id 2 wrongly suppressed");
         w.insert(1, Bytes::from_static(b"a"));
-        assert_eq!(w.floor, 1, "floor advances over contiguous prefix");
         w.insert(2, Bytes::from_static(b"b"));
-        assert_eq!(w.floor, 3, "floor absorbs the closed gap");
-        assert!(w.executed.is_empty(), "set drained into the floor");
-        assert!(w.is_executed(1) && w.is_executed(2) && w.is_executed(3));
-        assert!(!w.is_executed(4));
+        assert!((1..=3).all(|id| w.lookup(id).is_some()));
+        assert!(!w.drops(4));
+        // Only the client moves the floor.
+        assert_eq!(w.floor, 0);
     }
 
     #[test]
     fn executed_set_stays_bounded() {
+        // A client that sends this server only odd ids (the even ones go
+        // elsewhere), one call at a time: every request's `lo` is its own
+        // id, so the window never knows more than that one call.
         let mut w = ClientWindow::default();
-        // Insert only odd ids: every one leaves a gap, so nothing
-        // compacts into the floor until the bound kicks in.
-        for i in 0..(EXECUTED_SET_LIMIT as u64 + 100) {
-            w.insert(2 * i + 1, Bytes::from_static(b"r"));
+        for id in (1..4000u64).step_by(2) {
+            w.release_below(id);
+            assert!(!w.drops(id), "fresh id {id} dropped");
+            w.insert(id, Bytes::from_static(b"r"));
+            assert_eq!(ran_above_floor(&w), 1);
         }
-        assert!(w.executed.len() <= EXECUTED_SET_LIMIT);
-        assert!(w.floor > 0, "bound absorbed the oldest ids");
+        assert_eq!(w.floor, 3998);
+    }
+
+    #[test]
+    fn a_client_alternating_between_two_servers_stays_within_its_window_at_each() {
+        // One process, one call at a time, alternating between two
+        // servers: each sees every other id. The gaps never close, yet
+        // neither server holds more than the one call the client has
+        // outstanding.
+        let mut sim = Simulation::new(NetworkConfig::lan(), 11);
+        let most = Arc::new(AtomicUsize::new(0));
+        let servers: Vec<Endpoint> = (0..2)
+            .map(|n| {
+                let most = Arc::clone(&most);
+                sim.spawn_at("counter", NodeId(n), PortId(1), move |ctx| {
+                    let mut srv = RpcServer::new();
+                    let mut calls = 0u64;
+                    while let Ok(msg) = ctx.recv() {
+                        srv.handle(ctx, &msg, |_, _| {
+                            calls += 1;
+                            Ok(Value::U64(calls))
+                        });
+                        let held = srv.windows.values().map(ran_above_floor).max();
+                        most.fetch_max(held.unwrap_or(0), Ordering::SeqCst);
+                    }
+                })
+            })
+            .collect();
+        sim.spawn("client", NodeId(2), move |ctx| {
+            let mut clients: Vec<_> = servers.iter().map(|&s| RpcClient::new(s)).collect();
+            for round in 1..=150u64 {
+                for c in &mut clients {
+                    assert_eq!(c.call(ctx, "inc", Value::Null), Ok(Value::U64(round)));
+                }
+            }
+        });
+        sim.run();
+        assert_eq!(most.load(Ordering::SeqCst), 1);
     }
 }

@@ -2,10 +2,13 @@
 //! duplication and reordering (the property experiment E7 measures).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rpc::{ErrorCode, Packet, RemoteError, Request, RetryPolicy, RpcClient, RpcError, RpcServer};
+use rpc::{
+    Channel, ChannelConfig, ErrorCode, Packet, RemoteError, Request, RetryPolicy, RpcClient,
+    RpcError, RpcServer, Served,
+};
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
@@ -345,5 +348,145 @@ fn retry_cost_grows_with_loss_rate() {
     assert!(
         lossy > clean * 1.2,
         "loss must raise message cost: {lossy} vs {clean}"
+    );
+}
+
+#[test]
+fn a_call_staged_behind_two_hundred_others_completes_under_loss_and_duplication() {
+    // Two hundred calls staged at once on a depth-16, batch-4 channel,
+    // 20 % loss and 20 % duplication: a call whose reply is lost can wait
+    // behind any number of later calls that complete. Its reply must
+    // still be there when its retransmission arrives — when the reply
+    // cache held a fixed 32 per client, this run timed out 6 calls and
+    // dropped 93 retransmissions unanswered. Every request the server
+    // drops must be one its client has released: an id below the
+    // highest `lo` that client has stated.
+    let net = NetworkConfig::lan().with_loss(0.2).with_duplicate(0.2);
+    let mut sim = Simulation::new(net, 30);
+    let execs = Arc::new(AtomicU64::new(0));
+    // (requests dropped, of which released by the client's `lo`)
+    let drops = Arc::new(Mutex::new((0u64, 0u64)));
+    let (e2, d2) = (Arc::clone(&execs), Arc::clone(&drops));
+    let server = sim.spawn_at("counter", NodeId(0), PortId(1), move |ctx| {
+        let mut srv = RpcServer::new();
+        let mut max_lo = 0;
+        while let Ok(msg) = ctx.recv() {
+            let items = match Packet::from_frame(&msg.payload) {
+                Ok(Packet::Batch(b)) => b.items,
+                Ok(p) => vec![p],
+                Err(_) => Vec::new(),
+            };
+            let mut ids = Vec::new();
+            for item in items {
+                if let Packet::Request(req, lo) = item {
+                    max_lo = max_lo.max(lo);
+                    ids.push(req.call_id);
+                }
+            }
+            let dropped = match srv.handle(ctx, &msg, |_, _| {
+                Ok(Value::U64(e2.fetch_add(1, Ordering::SeqCst) + 1))
+            }) {
+                Served::DuplicateDropped => 1,
+                Served::Batch { dropped, .. } => dropped,
+                _ => 0,
+            };
+            let released = ids.iter().filter(|&&id| id < max_lo).count() as u64;
+            let mut d = d2.lock().unwrap();
+            d.0 += dropped;
+            d.1 += dropped.min(released);
+        }
+    });
+    let stats = Arc::new(Mutex::new(None));
+    let s2 = Arc::clone(&stats);
+    sim.spawn("client", NodeId(1), move |ctx| {
+        let policy = RetryPolicy::exponential(Duration::from_millis(4), 10);
+        let cfg = ChannelConfig::with_depth(16).batched(4).with_policy(policy);
+        let mut ch = Channel::new("counter", server, cfg);
+        let handles: Vec<_> = (0..200)
+            .map(|_| ch.begin_call(ctx, "inc", Value::Null))
+            .collect();
+        ch.wait_all(ctx).unwrap();
+        let mut seen = std::collections::BTreeSet::new();
+        for h in handles {
+            let v = ch.wait(ctx, h).expect("every call completes");
+            let n = v.as_u64().expect("a count");
+            assert!(seen.insert(n), "two calls got one execution's reply");
+        }
+        assert_eq!(
+            ctx.lowest_awaited(),
+            None,
+            "a settled call is still awaited"
+        );
+        *s2.lock().unwrap() = Some(ch.stats);
+    });
+    sim.run();
+    let stats = stats.lock().unwrap().take().expect("client finished");
+    assert_eq!(stats.timeouts, 0);
+    assert_eq!(stats.completed, 200);
+    assert!(stats.retries > 0, "the loss was not exercised");
+    assert_eq!(execs.load(Ordering::SeqCst), 200, "a call ran twice");
+    let (dropped, released) = *drops.lock().unwrap();
+    assert_eq!(
+        dropped, released,
+        "a request the client still awaited was dropped"
+    );
+}
+
+#[test]
+fn a_dropped_channel_releases_the_calls_it_had_in_flight() {
+    // A channel dropped with eight calls in flight to a server that never
+    // answers (a transfer that failed part-way, say) must not pin its
+    // process's `lo` there: the next request the process sends, to
+    // another server, states a `lo` above every one of them.
+    let mut sim = Simulation::new(NetworkConfig::lan(), 31);
+    let silent = sim.spawn_at(
+        "silent",
+        NodeId(0),
+        PortId(1),
+        |ctx| {
+            while ctx.recv().is_ok() {}
+        },
+    );
+    let seen: Arc<Mutex<Vec<(u64, u64)>>> = Arc::default();
+    let s2 = Arc::clone(&seen);
+    let counter = sim.spawn_at("counter", NodeId(2), PortId(1), move |ctx| {
+        let mut srv = RpcServer::new();
+        while let Ok(msg) = ctx.recv() {
+            if let Ok(Packet::Request(req, lo)) = Packet::from_frame(&msg.payload) {
+                s2.lock().unwrap().push((req.call_id, lo));
+            }
+            srv.handle(ctx, &msg, |_, _| Ok(Value::Null));
+        }
+    });
+    let stuck = Arc::new(Mutex::new(Vec::new()));
+    let st2 = Arc::clone(&stuck);
+    sim.spawn("client", NodeId(1), move |ctx| {
+        let mut ch = Channel::new("silent", silent, ChannelConfig::with_depth(8).batched(4));
+        let ids: Vec<u64> = (0..8)
+            .map(|_| ch.begin_call(ctx, "inc", Value::Null).call_id())
+            .collect();
+        ch.flush(ctx);
+        assert_eq!(ch.outstanding(), 8);
+        assert_eq!(ctx.lowest_awaited(), Some(ids[0]));
+        drop(ch);
+        assert_eq!(
+            ctx.lowest_awaited(),
+            None,
+            "a dropped call is still awaited"
+        );
+        RpcClient::new(counter)
+            .call(ctx, "get", Value::Null)
+            .unwrap();
+        *st2.lock().unwrap() = ids;
+    });
+    sim.run();
+    let stuck = stuck.lock().unwrap();
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 1);
+    let (id, lo) = seen[0];
+    assert_eq!(lo, id, "the next call is the lowest one awaited");
+    assert!(
+        stuck.iter().all(|&s| s < lo),
+        "{stuck:?} not released by lo {lo}"
     );
 }

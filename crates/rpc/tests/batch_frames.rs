@@ -7,9 +7,10 @@
 //! The first test counts the frames built (one `rpc;encode` profiler
 //! scope per frame) on a loss-free run; the second records every request
 //! datagram a server receives under loss and duplication and holds each
-//! lone one to the call's own encoding. The third holds a server's reply
-//! batch, spliced from the replies it recorded, to the bytes the same
-//! batch encoded from its decoded replies has.
+//! lone one to the call's own encoding, with the `lo` of its first send.
+//! The third holds a server's reply batch, spliced from the replies it
+//! recorded, to the bytes the same batch encoded from its decoded
+//! replies has.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -101,9 +102,9 @@ fn a_lone_datagram_is_the_calls_own_frame() {
         let policy = RetryPolicy::exponential(Duration::from_millis(4), 10);
         let cfg = ChannelConfig::with_depth(16).batched(4).with_policy(policy);
         let mut ch = Channel::new("recorder", server, cfg);
-        // Rounds of one full window: every call's first datagram is a
-        // batch, and no call waits behind more completed calls than the
-        // server's reply cache holds.
+        // Rounds of one full window, so every call's first datagram is a
+        // batch. (How many completed calls one waits behind does not
+        // matter: the server keeps every reply the client still awaits.)
         for round in 0..25u64 {
             let handles: Vec<_> = (0..16u64)
                 .map(|k| ch.begin_call(ctx, "echo", Value::U64(round * 16 + k)))
@@ -117,27 +118,40 @@ fn a_lone_datagram_is_the_calls_own_frame() {
 
     // Per call: the request as it first reached the server, whether a
     // batch carried it there, and the lone datagrams that carried it.
-    // Each lone one must be the first arrival's own frame — span and all
-    // — which also makes every repeat byte-identical.
+    // Each lone one must carry the first arrival's request — span and
+    // all — in the call's own encoding, and be byte for byte the first
+    // lone one: the frame is built once, with the `lo` of its first
+    // send. Every request states a `lo` no higher than its own id.
     let mut first: BTreeMap<u64, (Request, bool)> = BTreeMap::new();
-    let mut lone: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut lone: BTreeMap<u64, (Bytes, u64)> = BTreeMap::new();
     for payload in log.lock().unwrap().iter() {
         match Packet::from_frame(payload).expect("a request datagram decodes") {
-            Packet::Request(req) => {
+            Packet::Request(req, lo) => {
                 let id = req.call_id;
-                let (call, _) = first.entry(id).or_insert((req, false));
+                assert!((1..=id).contains(&lo), "call {id} states lo {lo}");
                 assert_eq!(
                     *payload,
-                    call.to_bytes(),
+                    req.to_bytes_with_lo(lo),
+                    "call {id}: not its own encoding"
+                );
+                let (call, _) = first.entry(id).or_insert((req.clone(), false));
+                assert_eq!(
+                    req, *call,
+                    "call {id}: a lone datagram carries another request"
+                );
+                let (frame, sends) = lone.entry(id).or_insert((payload.clone(), 0));
+                assert_eq!(
+                    payload, frame,
                     "call {id}: a lone datagram is not the call's own frame"
                 );
-                *lone.entry(id).or_default() += 1;
+                *sends += 1;
             }
             Packet::Batch(batch) => {
                 for item in batch.items {
-                    let Packet::Request(req) = item else {
+                    let Packet::Request(req, lo) = item else {
                         panic!("a batch item is not a request: {item:?}");
                     };
+                    assert!((1..=req.call_id).contains(&lo), "lo {lo} in {req:?}");
                     first.entry(req.call_id).or_insert((req, true));
                 }
             }
@@ -149,7 +163,7 @@ fn a_lone_datagram_is_the_calls_own_frame() {
     // later, and alone more than once.
     let batched_then_alone = lone
         .iter()
-        .filter(|&(id, &sends)| first[id].1 && sends > 1)
+        .filter(|&(id, &(_, sends))| first[id].1 && sends > 1)
         .count();
     assert!(
         batched_then_alone > 0,
@@ -198,14 +212,15 @@ fn exchange(ctx: &mut Ctx, server: Endpoint, calls: &[(u64, Ask)]) -> Vec<Bytes>
     let items = calls
         .iter()
         .map(|(call_id, ask)| {
-            Packet::Request(Request {
+            let req = Request {
                 call_id: *call_id,
                 reply_to: ctx.endpoint(),
                 object: String::new(),
                 op: "answer".into(),
                 args: ask.args(),
                 span: ask.span,
-            })
+            };
+            Packet::Request(req, 0)
         })
         .collect();
     ctx.send(server, Batch { items }.to_bytes());

@@ -104,7 +104,9 @@ fn ok_reply(i: u64, v: Value) -> Reply {
 
 #[test]
 fn fleet_request_allocates_its_op_and_args_record() {
-    assert_eq!(decode_allocs(&fleet_request(1).to_bytes()), 2);
+    // As a channel sends it, with the process's `lo` beside it: read in
+    // place, like every other header field.
+    assert_eq!(decode_allocs(&fleet_request(1).to_bytes_with_lo(1_001)), 2);
 }
 
 #[test]
@@ -116,7 +118,9 @@ fn ok_reply_allocates_nothing() {
 #[test]
 fn batch_of_blob_requests_allocates_two_per_item_plus_the_list() {
     let batch = Batch {
-        items: (0..4).map(|i| Packet::Request(blob_request(i))).collect(),
+        items: (0..4)
+            .map(|i| Packet::Request(blob_request(i), 1_000))
+            .collect(),
     };
     assert_eq!(decode_allocs(&batch.to_bytes()), 9);
 }

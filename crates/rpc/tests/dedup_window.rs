@@ -1,5 +1,6 @@
-//! Duplicate-suppression window edge cases: cache hits, evictions, very
-//! late duplicates, and duplicates of a call whose reply was deferred.
+//! Duplicate-suppression window edge cases: cache hits, replies released
+//! by the client's `lo` and kept without one, very late duplicates, and
+//! duplicates of a call whose reply was deferred.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,12 +58,9 @@ fn retransmission_served_from_cache_without_reexecution() {
     assert_eq!(execs.load(Ordering::SeqCst), 1);
 }
 
-#[test]
-fn evicted_duplicate_is_dropped_not_reexecuted() {
-    // Push the client's window past its capacity (32), then replay call
-    // id 1: it is older than the window, so it must be *dropped* — never
-    // re-executed, and no reply sent.
-    let mut sim = Simulation::new(NetworkConfig::lan(), 2);
+/// A server counting executions of its one op and the requests it drops.
+/// Returns `(endpoint, executions, drops)`.
+fn spawn_counting(sim: &Simulation) -> (Endpoint, Arc<AtomicU64>, Arc<AtomicU64>) {
     let execs = Arc::new(AtomicU64::new(0));
     let dropped = Arc::new(AtomicU64::new(0));
     let (e2, d2) = (Arc::clone(&execs), Arc::clone(&dropped));
@@ -77,19 +75,51 @@ fn evicted_duplicate_is_dropped_not_reexecuted() {
             }
         }
     });
+    (server, execs, dropped)
+}
+
+/// `raw_request` with the sender's `lo` beside it.
+fn raw_request_lo(call_id: u64, reply_to: Endpoint, op: &str, lo: u64) -> Bytes {
+    Request {
+        call_id,
+        reply_to,
+        object: String::new(),
+        op: op.to_owned(),
+        args: Value::Null,
+        span: 0,
+    }
+    .to_bytes_with_lo(lo)
+}
+
+/// Waits a little for a datagram that must not come.
+fn assert_silent(ctx: &mut simnet::Ctx, what: &str) {
+    let silent = ctx
+        .recv_timeout(std::time::Duration::from_millis(20))
+        .unwrap();
+    assert!(silent.is_none(), "{what}");
+}
+
+#[test]
+fn evicted_duplicate_is_dropped_not_reexecuted() {
+    // Forty calls, one at a time, each stating `lo` = its own id: by the
+    // last the client has released calls 1..=39, so the server has
+    // forgotten their replies. A very late duplicate of call 1 must be
+    // *dropped* — never re-executed, and no reply sent — while the one
+    // call the client may still await is answered from the cache.
+    let mut sim = Simulation::new(NetworkConfig::lan(), 2);
+    let (server, execs, dropped) = spawn_counting(&sim);
     sim.spawn("client", NodeId(1), move |ctx| {
         let me = ctx.endpoint();
         for id in 1..=40u64 {
-            ctx.send(server, raw_request(id, me, "inc"));
+            ctx.send(server, raw_request_lo(id, me, "inc", id));
             let _ = ctx.recv().unwrap();
         }
-        // Very late duplicate of the long-evicted call 1.
-        ctx.send(server, raw_request(1, me, "inc"));
-        // No reply should come back for it.
-        let silent = ctx
-            .recv_timeout(std::time::Duration::from_millis(20))
-            .unwrap();
-        assert!(silent.is_none(), "evicted duplicate got a reply");
+        // Very late duplicate of the released call 1, as first sent.
+        ctx.send(server, raw_request_lo(1, me, "inc", 1));
+        assert_silent(ctx, "released duplicate got a reply");
+        ctx.send(server, raw_request_lo(40, me, "inc", 40));
+        let rep = decode_reply(&ctx.recv().unwrap().payload);
+        assert_eq!(rep.result.unwrap(), Value::U64(40));
     });
     sim.run();
     assert_eq!(
@@ -98,6 +128,53 @@ fn evicted_duplicate_is_dropped_not_reexecuted() {
         "late duplicate re-executed"
     );
     assert_eq!(dropped.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn a_request_whose_lo_is_above_its_own_id_is_dropped_unrun() {
+    // A request that says its client no longer awaits it is moot: it is
+    // dropped without running the handler or being answered, fresh id
+    // or not.
+    let mut sim = Simulation::new(NetworkConfig::lan(), 8);
+    let (server, execs, dropped) = spawn_counting(&sim);
+    sim.spawn("client", NodeId(1), move |ctx| {
+        let me = ctx.endpoint();
+        ctx.send(server, raw_request_lo(5, me, "inc", 6));
+        assert_silent(ctx, "a released call was answered");
+        // The `lo` it stated still counts: id 3 is released too.
+        ctx.send(server, raw_request(3, me, "inc"));
+        assert_silent(ctx, "an id below the stated lo was answered");
+        ctx.send(server, raw_request_lo(6, me, "inc", 6));
+        let rep = decode_reply(&ctx.recv().unwrap().payload);
+        assert_eq!(rep.result.unwrap(), Value::U64(1));
+    });
+    sim.run();
+    assert_eq!(execs.load(Ordering::SeqCst), 1, "a released call ran");
+    assert_eq!(dropped.load(Ordering::SeqCst), 2);
+}
+
+#[test]
+fn a_request_without_lo_evicts_nothing() {
+    // Forty calls that state no `lo`: the server cannot tell which
+    // replies the client is done with, so it keeps them all. A late
+    // duplicate of call 1 gets the recorded reply, not a re-execution.
+    let mut sim = Simulation::new(NetworkConfig::lan(), 9);
+    let (server, execs, dropped) = spawn_counting(&sim);
+    sim.spawn("client", NodeId(1), move |ctx| {
+        let me = ctx.endpoint();
+        let mut first = None;
+        for id in 1..=40u64 {
+            ctx.send(server, raw_request(id, me, "inc"));
+            let payload = ctx.recv().unwrap().payload;
+            first.get_or_insert(payload);
+        }
+        ctx.send(server, raw_request(1, me, "inc"));
+        let resent = ctx.recv().unwrap().payload;
+        assert_eq!(Some(resent), first, "not the recorded reply");
+    });
+    sim.run();
+    assert_eq!(execs.load(Ordering::SeqCst), 40, "call 1 re-executed");
+    assert_eq!(dropped.load(Ordering::SeqCst), 0);
 }
 
 #[test]

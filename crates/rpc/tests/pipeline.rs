@@ -949,14 +949,15 @@ fn a_retransmitted_batch_is_answered_from_the_reply_cache_in_one_datagram() {
     sim.spawn("client", NodeId(1), move |ctx| {
         let items = (1..=4u64)
             .map(|call_id| {
-                rpc::Packet::Request(rpc::Request {
+                let req = rpc::Request {
                     call_id,
                     reply_to: ctx.endpoint(),
                     object: String::new(),
                     op: "inc".to_owned(),
                     args: Value::Null,
                     span: 0,
-                })
+                };
+                rpc::Packet::Request(req, 1)
             })
             .collect();
         let datagram = rpc::Batch { items }.to_bytes();

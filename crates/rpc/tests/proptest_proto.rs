@@ -33,6 +33,11 @@ fn arb_value() -> impl Strategy<Value = Value> {
     })
 }
 
+/// A sender's `lo`: none stated, or any id.
+fn arb_lo() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), any::<u64>()]
+}
+
 fn arb_code() -> impl Strategy<Value = ErrorCode> {
     prop_oneof![
         Just(ErrorCode::NoSuchOp),
@@ -53,12 +58,39 @@ proptest! {
         object in "[a-z0-9]{0,8}",
         op in "[a-z_]{1,12}",
         args in arb_value(),
+        lo in arb_lo(),
     ) {
         let req = Request { call_id, reply_to, object, op, args, span: 0 };
         match Packet::from_frame(&req.to_bytes()).unwrap() {
-            Packet::Request(r) => prop_assert_eq!(r, req),
+            Packet::Request(r, none) => prop_assert_eq!((r, none), (req.clone(), 0)),
             other => prop_assert!(false, "wrong packet {:?}", other),
         }
+        match Packet::from_frame(&req.to_bytes_with_lo(lo)).unwrap() {
+            Packet::Request(r, got) => prop_assert_eq!((r, got), (req, lo)),
+            other => prop_assert!(false, "wrong packet {:?}", other),
+        }
+    }
+
+    /// `lo` rides beside each request, lone or batched, present or not,
+    /// and never inside the request's own value: the value a request
+    /// encodes to is still a request with all six fields and no `lo`.
+    #[test]
+    fn lo_roundtrips_lone_and_batched(
+        reqs in proptest::collection::vec((arb_request(), arb_lo()), 1..5),
+    ) {
+        for (req, lo) in &reqs {
+            prop_assert!(req.to_value().get("lo").is_none());
+            prop_assert_eq!(
+                Packet::from_frame(&wire::frame(&req.to_value())).unwrap(),
+                Packet::Request(req.clone(), 0)
+            );
+            let lone = req.to_bytes_with_lo(*lo);
+            prop_assert_eq!(Packet::from_frame(&lone).unwrap(), Packet::Request(req.clone(), *lo));
+        }
+        let batch = Batch {
+            items: reqs.iter().map(|(r, lo)| Packet::Request(r.clone(), *lo)).collect(),
+        };
+        prop_assert_eq!(Packet::from_frame(&batch.to_bytes()).unwrap(), Packet::Batch(batch));
     }
 
     #[test]
@@ -116,7 +148,7 @@ proptest! {
         let req = Request { call_id, reply_to, object: String::new(), op: op.clone(), args: args.clone(), span: 0 };
         let rep = Reply { call_id, result: Ok(args.clone()), span: 0 };
         let one = Oneway { from: reply_to, op, args, span: 0 };
-        prop_assert!(matches!(Packet::from_frame(&req.to_bytes()).unwrap(), Packet::Request(_)));
+        prop_assert!(matches!(Packet::from_frame(&req.to_bytes()).unwrap(), Packet::Request(..)));
         prop_assert!(matches!(Packet::from_frame(&rep.to_bytes()).unwrap(), Packet::Reply(_)));
         prop_assert!(matches!(Packet::from_frame(&one.to_bytes()).unwrap(), Packet::Oneway(_)));
     }
@@ -139,17 +171,21 @@ fn tree_decode(frame: &Bytes) -> Result<Packet, WireError> {
 
 fn tree_packet(v: &Value, top: bool) -> Result<Packet, WireError> {
     let span = v.get_u64("sp").unwrap_or(0);
+    let lo = v.get_u64("lo").unwrap_or(0);
     let args = || v.get("args").cloned().unwrap_or(Value::Null);
     let endpoint = |name| endpoint_from_value(v.get(name).ok_or(WireError::MissingField(name))?);
     match v.get_str("t")? {
-        "req" => Ok(Packet::Request(Request {
-            call_id: v.get_u64("id")?,
-            reply_to: endpoint("rt")?,
-            object: v.get_str("obj")?.to_owned(),
-            op: v.get_str("op")?.to_owned(),
-            args: args(),
-            span,
-        })),
+        "req" => Ok(Packet::Request(
+            Request {
+                call_id: v.get_u64("id")?,
+                reply_to: endpoint("rt")?,
+                object: v.get_str("obj")?.to_owned(),
+                op: v.get_str("op")?.to_owned(),
+                args: args(),
+                span,
+            },
+            lo,
+        )),
         "rep" => {
             let call_id = v.get_u64("id")?;
             let result = match v.get("ok") {
@@ -262,7 +298,7 @@ fn arb_oneway() -> BoxedStrategy<Oneway> {
 /// Every envelope kind, batches of any non-batch items included.
 fn arb_packet() -> BoxedStrategy<Packet> {
     let item = prop_oneof![
-        arb_request().prop_map(Packet::Request),
+        (arb_request(), arb_lo()).prop_map(|(r, lo)| Packet::Request(r, lo)),
         arb_reply().prop_map(Packet::Reply),
         arb_oneway().prop_map(Packet::Oneway),
     ];
@@ -274,7 +310,13 @@ fn arb_packet() -> BoxedStrategy<Packet> {
 
 fn to_value(p: &Packet) -> Value {
     match p {
-        Packet::Request(r) => r.to_value(),
+        Packet::Request(r, lo) => {
+            let mut v = r.to_value();
+            if let (Value::Record(fields), true) = (&mut v, *lo != 0) {
+                fields.push((WStr::from("lo"), Value::U64(*lo)));
+            }
+            v
+        }
         Packet::Reply(r) => r.to_value(),
         Packet::Oneway(o) => o.to_value(),
         Packet::Batch(b) => Value::record([
@@ -285,9 +327,9 @@ fn to_value(p: &Packet) -> Value {
 }
 
 /// Every key an envelope or endpoint uses, and two it does not.
-const KEYS: [&str; 17] = [
-    "t", "id", "sp", "rt", "from", "obj", "op", "err", "msg", "args", "ok", "data", "items", "n",
-    "p", "junk", "",
+const KEYS: [&str; 18] = [
+    "t", "id", "sp", "lo", "rt", "from", "obj", "op", "err", "msg", "args", "ok", "data", "items",
+    "n", "p", "junk", "",
 ];
 
 /// `levels` lists around a number: as `args` of a datagram it sits at
@@ -436,7 +478,7 @@ proptest! {
     #[test]
     fn one_pass_decodes_valid_envelopes_as_the_tree_decoder(p in arb_packet()) {
         let bytes = match &p {
-            Packet::Request(r) => r.to_bytes(),
+            Packet::Request(r, lo) => r.to_bytes_with_lo(*lo),
             Packet::Reply(r) => r.to_bytes(),
             Packet::Oneway(o) => o.to_bytes(),
             Packet::Batch(b) => b.to_bytes(),
@@ -483,7 +525,7 @@ fn depth_limit_is_counted_as_the_tree_decoder_counts_it() {
     assert!(!alone(MAX_DEPTH));
     let batched = |levels| {
         let batch = Batch {
-            items: vec![Packet::Request(req(levels))],
+            items: vec![Packet::Request(req(levels), 0)],
         };
         agree(&batch.to_bytes()).unwrap().is_some()
     };

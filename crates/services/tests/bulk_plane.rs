@@ -664,3 +664,36 @@ proptest! {
         );
     }
 }
+
+/// A failed transfer releases every chunk call it made: afterwards the
+/// client's process awaits nothing, so no server keeps replies for it on
+/// that transfer's account, and the next transfer succeeds.
+#[test]
+fn a_failed_transfer_leaves_no_call_awaited() {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 17);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    ServiceBuilder::new("blob")
+        .object(|| Box::new(BlobStore::new()))
+        .spawn(&sim, NodeId(1), ns);
+    let done = Arc::new(AtomicU64::new(0));
+    let d2 = Arc::clone(&done);
+    sim.spawn("client", NodeId(2), move |ctx| {
+        let mut client = BlobClient::new("blob", ns, 4096, 4);
+        let mut strays: Vec<rpc::Oneway> = Vec::new();
+        let missing = wire::BlobRef {
+            store: "blob".into(),
+            key: "never-put".into(),
+            len: 40_000,
+            crc: 0,
+        };
+        assert!(client.get(ctx, &missing, &mut strays).is_err());
+        assert_eq!(ctx.lowest_awaited(), None, "a failed transfer pins lo");
+        let data = Bytes::from(payload(40_000, 9));
+        let r = client.put(ctx, "asset", &data, &mut strays).unwrap();
+        assert_eq!(client.get(ctx, &r, &mut strays).unwrap(), data);
+        assert_eq!(ctx.lowest_awaited(), None);
+        d2.store(1, Ordering::SeqCst);
+    });
+    sim.run();
+    assert_eq!(done.load(Ordering::SeqCst), 1);
+}

@@ -46,6 +46,7 @@
 #![warn(missing_debug_implementations)]
 
 mod addr;
+mod awaited;
 // How a blocking process body and the scheduler hand control to each
 // other is chosen by platform at build time and by nothing else.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -63,6 +64,7 @@ mod time;
 mod trace;
 
 pub use addr::{Endpoint, NodeId, PortId, ProcId};
+pub use awaited::Awaited;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use msg::Message;
 pub use net::{Network, NetworkConfig};

@@ -87,6 +87,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::addr::{Endpoint, NodeId, PortId, ProcId};
+use crate::awaited::{Awaited, AwaitedIds};
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 use crate::coro::{Handoff, Yielder};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -685,6 +686,7 @@ impl Shared {
             yielder: None,
             stopped: false,
             seq_counter: std::cell::Cell::new(0),
+            awaited: std::cell::OnceCell::new(),
             current_span: std::cell::Cell::new(obs::SpanId::NONE),
         };
         let handoff = Handoff::new(
@@ -740,6 +742,7 @@ impl Shared {
             yielder: None,
             stopped: false,
             seq_counter: std::cell::Cell::new(0),
+            awaited: std::cell::OnceCell::new(),
             current_span: std::cell::Cell::new(obs::SpanId::NONE),
         };
 
@@ -1365,6 +1368,9 @@ pub struct Ctx {
     yielder: Option<Yielder>,
     stopped: bool,
     seq_counter: std::cell::Cell<u64>,
+    /// The ids minted by [`Ctx::await_next`] still awaited; made on the
+    /// first, so a process that never awaits a call pays nothing.
+    awaited: std::cell::OnceCell<AwaitedIds>,
     current_span: std::cell::Cell<obs::SpanId>,
 }
 
@@ -1422,6 +1428,19 @@ impl Ctx {
         let v = self.seq_counter.get() + 1;
         self.seq_counter.set(v);
         v
+    }
+
+    /// Mints the next [`Ctx::next_seq`] value as an id this process
+    /// awaits until the returned [`Awaited`] is dropped.
+    pub fn await_next(&self) -> Awaited {
+        let id = self.next_seq();
+        crate::awaited::hold(self.awaited.get_or_init(AwaitedIds::default), id)
+    }
+
+    /// The lowest id an [`Awaited`] of this process still holds, or
+    /// `None` if it awaits nothing.
+    pub fn lowest_awaited(&self) -> Option<u64> {
+        self.awaited.get()?.lock().front().copied()
     }
 
     /// The simulation-wide observability registry: spans, latency
