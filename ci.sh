@@ -103,8 +103,10 @@ if [ "${1:-}" != "quick" ]; then
            e10-nexthop-k8 e10-resolve-k8 e12-locality e12-pingpong e13-depth-8; do
     cargo run -q --release -p bench --bin tracectl -- check target/traces/$t.trace.jsonl
   done
-  # A second run of E4, E7, E10, E12 and E13 must pass its checks again
-  # and export the same traces, byte for byte. E7's servers answer
+  # A second run of E3, E4, E7, E10, E12 and E13 must pass its checks
+  # again and export the same traces, byte for byte. E3's clients are
+  # blocking bodies, polled through the scheduler's body adapter like
+  # every other process. E7's servers answer
   # duplicates under loss and duplication, decoding each datagram once
   # whatever their reply cache holds; E13's channels batch, and a
   # batched call's own frame is built lazily, at its first lone send
@@ -112,7 +114,7 @@ if [ "${1:-}" != "quick" ]; then
   # below). E4, E10 and E12 run the replica, the
   # migration host and forwarder, and the DSM manager and pager, whose
   # handlers park their requests while they call out.
-  for pair in e7_loss:e7-loss-30 e13_pipeline:e13-depth-8 \
+  for pair in e3_migration:e3-migratory-n200 e7_loss:e7-loss-30 e13_pipeline:e13-depth-8 \
               e4_replication:e4-reads-3,e4-writes-sync,e4-writes-async \
               e10_forwarding:e10-nexthop-k8,e10-resolve-k8 e12_dsm:e12-locality,e12-pingpong; do
     e="${pair%%:*}" traces="${pair#*:}"

@@ -61,11 +61,11 @@ struct Row {
 
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
-    Row { shape: "fleet_stub", calls: 256, datagrams: 3.0625, wire_bytes: 291.78125, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 51.5703125, alloc_bytes: 7976.02734375 },
-    Row { shape: "fleet_sharded", calls: 256, datagrams: 3.0625, wire_bytes: 291.3515625, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 52.21875, alloc_bytes: 9935.8984375 },
-    Row { shape: "pipeline_blob", calls: 256, datagrams: 0.5, wire_bytes: 4223.00390625, events: 0.76953125, frames: 1.5, decodes: 0.5, spans: 2.0, allocs: 9.28125, alloc_bytes: 5597.8515625 },
-    Row { shape: "proxy_cache", calls: 310, datagrams: 0.43870967741935485, wire_bytes: 82.20645161290322, events: 0.8774193548387097, frames: 0.43870967741935485, decodes: 0.43870967741935485, spans: 1.2193548387096773, allocs: 11.3, alloc_bytes: 853.0322580645161 },
-    Row { shape: "bulk_edge", calls: 60, datagrams: 9.2, wire_bytes: 27962.683333333334, events: 16.816666666666666, frames: 8.383333333333333, decodes: 9.2, spans: 7.95, allocs: 324.06666666666666, alloc_bytes: 104873.21666666666 },
+    Row { shape: "fleet_stub", calls: 256, datagrams: 3.0625, wire_bytes: 291.78125, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 51.5703125, alloc_bytes: 7975.58984375 },
+    Row { shape: "fleet_sharded", calls: 256, datagrams: 3.0625, wire_bytes: 291.3515625, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 52.21875, alloc_bytes: 9935.3984375 },
+    Row { shape: "pipeline_blob", calls: 256, datagrams: 0.5, wire_bytes: 4223.00390625, events: 0.76953125, frames: 1.5, decodes: 0.5, spans: 2.0, allocs: 9.28125, alloc_bytes: 5597.7890625 },
+    Row { shape: "proxy_cache", calls: 310, datagrams: 0.43870967741935485, wire_bytes: 82.20645161290322, events: 0.8774193548387097, frames: 0.43870967741935485, decodes: 0.43870967741935485, spans: 1.2193548387096773, allocs: 11.3, alloc_bytes: 852.9806451612903 },
+    Row { shape: "bulk_edge", calls: 60, datagrams: 9.2, wire_bytes: 27962.683333333334, events: 16.816666666666666, frames: 8.383333333333333, decodes: 9.2, spans: 7.95, allocs: 324.06666666666666, alloc_bytes: 104877.21666666666 },
     Row { shape: "local", calls: 100, datagrams: 0.0, wire_bytes: 0.0, events: 0.01, frames: 0.0, decodes: 0.0, spans: 1.0, allocs: 2.35, alloc_bytes: 721.13 },
 ];
 

@@ -171,7 +171,7 @@ impl Binder {
     ) -> Result<Box<dyn Proxy>, RpcError> {
         let server = record.endpoint;
         match spec {
-            ProxySpec::Stub => Ok(Box::new(StubProxy::new(service, server, self.ns_ep))),
+            ProxySpec::Stub => Ok(Box::new(StubProxy::new(service, server, self.ns_ep, iface))),
             ProxySpec::Caching(params) => Ok(Box::new(CachingProxy::bind(
                 ctx, service, server, self.ns_ep, iface, params,
             )?)),
@@ -197,7 +197,7 @@ impl Binder {
                 bulk.set_route(self.bulk_route.clone());
                 match *inner {
                     ProxySpec::Stub => {
-                        let mut p = StubProxy::new(service, server, self.ns_ep);
+                        let mut p = StubProxy::new(service, server, self.ns_ep, iface);
                         p.enable_bulk(bulk);
                         Ok(Box::new(p))
                     }

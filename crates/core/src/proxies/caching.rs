@@ -172,6 +172,7 @@ impl CachingProxy {
             &mut self.rpc,
             &mut self.ns,
             &self.service,
+            &self.iface,
             ctx,
             op,
             args,
@@ -235,6 +236,7 @@ impl Proxy for CachingProxy {
                 &mut self.rpc,
                 &mut self.ns,
                 &self.service,
+                &self.iface,
                 ctx,
                 op,
                 args,
@@ -262,6 +264,7 @@ impl Proxy for CachingProxy {
                 &mut self.rpc,
                 &mut self.ns,
                 &self.service,
+                &self.iface,
                 ctx,
                 op,
                 args,
@@ -281,6 +284,7 @@ impl Proxy for CachingProxy {
             &mut self.rpc,
             &mut self.ns,
             &self.service,
+            &self.iface,
             ctx,
             op,
             args,

@@ -80,6 +80,7 @@ impl MigratoryProxy {
             &mut self.rpc,
             &mut self.ns,
             &self.service,
+            &self.iface,
             ctx,
             protocol::OP_CHECKOUT,
             Value::Null,
@@ -123,6 +124,7 @@ impl MigratoryProxy {
             &mut self.rpc,
             &mut self.ns,
             &self.service,
+            &self.iface,
             ctx,
             protocol::OP_CHECKIN,
             Value::record([("state", state)]),
@@ -181,6 +183,7 @@ impl Proxy for MigratoryProxy {
                     &mut self.rpc,
                     &mut self.ns,
                     &self.service,
+                    &self.iface,
                     ctx,
                     op,
                     args,

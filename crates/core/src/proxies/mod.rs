@@ -29,6 +29,7 @@ use rpc::{endpoint_from_value, ErrorCode, RpcClient, RpcError};
 use simnet::Ctx;
 use wire::Value;
 
+use crate::interface::InterfaceDesc;
 use crate::proxy::{OnewaySink, ProxyStats};
 
 /// Cap on `Moved` redirects followed within one logical call; bounds the
@@ -39,6 +40,13 @@ pub(crate) const MAX_REDIRECTS: u32 = 16;
 /// following `Moved` redirects (forwarding pointers left by migration)
 /// and falling back to a fresh name-service lookup after a timeout.
 ///
+/// After that lookup the call is issued again only if `iface` declares
+/// `op` idempotent, or does not declare it at all (system ops). A timed
+/// out call may have run with its reply lost, and the re-issue is a new
+/// call: a recovered incarnation would run a non-idempotent op twice.
+/// Such a call returns its `Timeout`; the proxy stays rebound for the
+/// next one.
+///
 /// Local rebinds performed here are the *lazy* path-compression of
 /// experiment E10: after following a chain once, the proxy points at the
 /// object's true home and later calls pay a single hop.
@@ -47,6 +55,7 @@ pub(crate) fn robust_call(
     rpc: &mut RpcClient,
     ns: &mut NameClient,
     service: &str,
+    iface: &InterfaceDesc,
     ctx: &mut Ctx,
     op: &str,
     args: Value,
@@ -85,6 +94,9 @@ pub(crate) fn robust_call(
                         stats.rebinds += 1;
                     }
                     _ => return result,
+                }
+                if iface.op(op).is_some_and(|d| !d.idempotent) {
+                    return result;
                 }
             }
             other => return other,

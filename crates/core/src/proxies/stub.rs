@@ -7,6 +7,7 @@ use wire::Value;
 
 use super::robust_call;
 use crate::bulk::BulkEngine;
+use crate::interface::InterfaceDesc;
 use crate::proxy::{OnewaySink, Proxy, ProxyStats};
 
 /// The degenerate proxy: every invocation becomes one remote call.
@@ -14,10 +15,12 @@ use crate::proxy::{OnewaySink, Proxy, ProxyStats};
 /// This is exactly the stub of classic RPC (Birrell & Nelson 1984) —
 /// the baseline the paper generalizes. It still benefits from the
 /// binding protocol: `Moved` redirects and dead-endpoint re-lookups are
-/// handled transparently.
+/// handled transparently, and the interface says which calls a timeout
+/// may re-issue.
 #[derive(Debug)]
 pub struct StubProxy {
     service: String,
+    iface: InterfaceDesc,
     rpc: RpcClient,
     ns: NameClient,
     stats: ProxyStats,
@@ -26,10 +29,17 @@ pub struct StubProxy {
 
 impl StubProxy {
     /// Creates a stub proxy for `service` at `server`, using the name
-    /// server at `ns` for rebinds.
-    pub fn new(service: impl Into<String>, server: Endpoint, ns: Endpoint) -> StubProxy {
+    /// server at `ns` for rebinds. After a timeout it re-issues only the
+    /// ops `iface` declares idempotent (and the ones it does not declare).
+    pub fn new(
+        service: impl Into<String>,
+        server: Endpoint,
+        ns: Endpoint,
+        iface: InterfaceDesc,
+    ) -> StubProxy {
         StubProxy {
             service: service.into(),
+            iface,
             rpc: RpcClient::new(server),
             ns: NameClient::new(ns),
             stats: ProxyStats::default(),
@@ -78,6 +88,7 @@ impl Proxy for StubProxy {
             &mut self.rpc,
             &mut self.ns,
             &self.service,
+            &self.iface,
             ctx,
             op,
             args,

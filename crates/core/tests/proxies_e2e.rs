@@ -539,7 +539,12 @@ fn custom_proxy_kind_via_factory() {
         let c2 = Arc::clone(&c);
         rt.binder_mut().register_proxy("counting", move |_ctx, bc| {
             Ok(Box::new(CountingProxy {
-                inner: proxy_core::proxies::StubProxy::new(bc.service, bc.record.endpoint, bc.ns),
+                inner: proxy_core::proxies::StubProxy::new(
+                    bc.service,
+                    bc.record.endpoint,
+                    bc.ns,
+                    bc.iface.clone(),
+                ),
                 count: Arc::clone(&c2),
             }))
         });

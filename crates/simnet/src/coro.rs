@@ -43,7 +43,8 @@ use std::arch::naked_asm;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr::NonNull;
 
-use crate::sched::{panic_message, Resume, YieldMsg};
+use crate::body::{Resume, YieldMsg};
+use crate::sched::panic_message;
 
 /// The three libc calls a stack needs. `std` already links libc on this
 /// target, so declaring them adds no dependency.

@@ -3,7 +3,7 @@
 //! `thread_handoff.rs`, so the two stay interchangeable.
 
 use super::{Handoff, Yielder};
-use crate::sched::{Resume, YieldMsg};
+use crate::body::{Resume, YieldMsg};
 use crate::time::SimTime;
 use std::sync::Arc;
 

@@ -4,15 +4,15 @@
 //! on. It stands in for the 1986 testbed of the proxy-principle paper
 //! (Unix processes on a LAN) with something strictly more controllable:
 //!
-//! * **Processes** come in two kinds behind one scheduler: ordinary
-//!   blocking Rust code against a [`Ctx`] handle ([`Ctx::send`],
-//!   [`Ctx::recv`], [`Ctx::sleep`]), suspended on a stack of its own —
-//!   a stackful coroutine resumed in place by the scheduler on x86-64
-//!   Linux, an OS thread elsewhere — and poll-driven [`Process`] state
-//!   machines that park as a single heap entry with no stack at all
-//!   (see the [`poll`] module) — the latter scale to hundreds of
-//!   thousands of concurrent processes. A blocking body is only ever
-//!   resumed on the OS thread that started it. Each scheduling
+//! * **Processes** are [`Process`] state machines the scheduler polls
+//!   in event order; a parked one is a single heap entry with no stack
+//!   at all (see the [`poll`] module), so simulations scale to hundreds
+//!   of thousands of concurrent processes. Ordinary blocking Rust code
+//!   against a [`Ctx`] handle ([`Ctx::send`], [`Ctx::recv`],
+//!   [`Ctx::sleep`]) runs as one too: the machine polled for it resumes
+//!   a stack of its own — a stackful coroutine on x86-64 Linux, an OS
+//!   thread elsewhere — until the body blocks again. A blocking body is
+//!   only ever resumed on the OS thread that started it. Each scheduling
 //!   domain runs one process at a time, in virtual-time order, and
 //!   domains exchange messages only at round barriers, so every run is
 //!   deterministic for a given seed at any thread count.
@@ -47,6 +47,7 @@
 
 mod addr;
 mod awaited;
+mod body;
 // How a blocking process body and the scheduler hand control to each
 // other is chosen by platform at build time and by nothing else.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]

@@ -1,48 +1,48 @@
-//! Poll-driven processes: a parked process is one heap entry, not a
-//! stack.
+//! Processes: every simulated process is a state machine the scheduler
+//! polls, and a parked one is a table entry.
 //!
-//! A blocking simnet process is straight-line code suspended on a stack
-//! of its own (see [`Simulation::spawn`]); that style reads naturally
-//! and — now that the scheduler resumes it in place instead of handing
-//! off to a thread — dispatches about as fast as a poll, but every
-//! parked body pins the stack pages it has touched. A *poll-driven*
-//! process is a state machine instead: a [`Process`] whose `poll`
-//! method the scheduler calls whenever one of its wake conditions
-//! fires, and which returns [`Poll::Pending`] to park itself. Parking
-//! costs nothing but the machine's own struct in the process table, and
-//! a wake is a function call on the scheduler's thread. This is how
-//! every server context in the workspace runs
-//! (`proxy_core::ServiceServer`, the name servers), and how a
-//! simulation holds hundreds of thousands of concurrent clients
-//! (experiment E16 runs 100k+); blocking bodies remain for clients and
-//! experiment logic written as straight-line code.
+//! A [`Process`] is polled whenever one of its wake conditions fires,
+//! and returns [`Poll::Pending`] to park itself. This is the scheduler's
+//! only process model. A process written by hand as a state machine
+//! ([`Simulation::spawn_poll`]) parks at the cost of its own struct in
+//! the process table, and a wake is a function call on the scheduler's
+//! thread: this is how every server context in the workspace runs
+//! (`proxy_core::ServiceServer`, the name servers), and how a simulation
+//! holds hundreds of thousands of concurrent clients (experiment E16 runs
+//! 100k+). A blocking body ([`Simulation::spawn`]) is straight-line code
+//! on a stack of its own, run by a machine whose poll resumes that stack
+//! until the body blocks again: it reads naturally and dispatches about
+//! as fast, but every parked body pins the stack pages it has touched.
+//! Clients and experiment logic are written that way.
 //!
-//! # Process states and block reasons
+//! # Process states and wake reasons
 //!
-//! A poll-driven process moves through three states:
+//! A process moves through four states:
 //!
 //! * **not started** — spawned, first poll scheduled at the current
 //!   instant;
 //! * **parked** — the last poll returned [`Poll::Pending`]; the machine
 //!   sits in the process table waiting for a wake;
+//! * **sleeping** — parked *deaf* by [`ProcCx::sleep_until`]: only its
+//!   timer wakes it, and deliveries wait in the mailbox;
 //! * **finished** — the last poll returned [`Poll::Ready`] (or the
 //!   machine panicked, or the process was killed).
 //!
-//! A parked process wakes for exactly two reasons, mirroring the block
-//! reasons of a blocking body:
+//! A parked process wakes for exactly two reasons — the ones a blocking
+//! body's [`Ctx::recv`] waits for:
 //!
-//! * **message delivery** (the `recv` reason) — every datagram delivered
-//!   to one of the process's endpoints triggers a poll, so a machine
-//!   that drains its mailbox with [`Ctx::try_recv`] can never miss a
-//!   message: anything that arrives after it observed an empty mailbox
-//!   schedules a fresh poll. Completion of an in-flight RPC is this
-//!   reason seen from one layer up: the reply datagram *is* the wake.
-//! * **timer** (the `sleep`/`timeout` reason) — the machine asked for a
-//!   wake at an instant via [`ProcCx::wake_at`] / [`ProcCx::wake_after`]
-//!   before parking. Each park arms at most one timer (the earliest
-//!   requested); re-arming happens naturally because `poll` re-requests
-//!   whatever deadline still matters. Stale timers from earlier parks
-//!   are ignored via a per-park generation counter.
+//! * **message delivery** — every datagram delivered to one of the
+//!   process's endpoints triggers a poll, so a machine that drains its
+//!   mailbox with [`Ctx::try_recv`] can never miss a message: anything
+//!   that arrives after it observed an empty mailbox schedules a fresh
+//!   poll. Completion of an in-flight RPC is this reason seen from one
+//!   layer up: the reply datagram *is* the wake.
+//! * **timer** — the machine asked for a wake at an instant via
+//!   [`ProcCx::wake_at`] / [`ProcCx::wake_after`] before parking. Each
+//!   park arms at most one timer (the earliest requested); re-arming
+//!   happens naturally because `poll` re-requests whatever deadline still
+//!   matters. Stale timers from earlier parks are ignored via a per-park
+//!   generation counter.
 //!
 //! Inside `poll` the machine has the full non-blocking [`Ctx`] surface
 //! (`ProcCx` derefs to `Ctx`): `try_recv`, `send`, `spawn`, tracing,
@@ -84,6 +84,7 @@
 //! ```
 //!
 //! [`Simulation::spawn`]: crate::Simulation::spawn
+//! [`Simulation::spawn_poll`]: crate::Simulation::spawn_poll
 //! [`Simulation::with_domains`]: crate::Simulation::with_domains
 //! [`Simulation::with_threads`]: crate::Simulation::with_threads
 

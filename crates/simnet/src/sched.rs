@@ -2,20 +2,32 @@
 //!
 //! # Execution model
 //!
-//! The scheduler runs two kinds of simulated process behind one event
-//! loop:
+//! Every simulated process is a [`Process`]: a state machine the
+//! scheduler polls in event order, on the thread running its domain,
+//! whenever one of its wake conditions fires (its first instant, a
+//! delivery, a timer it armed), and which parks by returning
+//! [`Poll::Pending`]. A parked process is one entry in its domain's
+//! process table; how it executes is invisible to the scheduler. Two
+//! spawn calls make one:
 //!
-//! * **Blocking** ([`Simulation::spawn`]) — ordinary blocking Rust code
-//!   against a [`Ctx`] handle, on a stack of its own. The body runs
-//!   until it blocks (in [`Ctx::recv`], [`Ctx::sleep`], …); control then
-//!   returns to the scheduler, which resumes the body in place when the
-//!   event it waits for is dispatched. On x86-64 Linux the stack is a
-//!   coroutine's — a private 2 MiB mapping switched to and from in user
-//!   space, on the thread running the body's domain — so a scheduling
-//!   decision costs two register swaps and a parked body costs the
-//!   stack pages it has touched. Every other target gives each body an
-//!   OS thread and hands off through two channels; nothing but the cost
-//!   differs. Natural to write — clients and experiment logic use it.
+//! * [`Simulation::spawn_poll`] takes a hand-written machine. Parked, it
+//!   costs its own struct and no stack at all — the reason left to write
+//!   one by hand — so simulations scale to hundreds of thousands of
+//!   concurrent processes (see the [`poll`](crate::poll) module and
+//!   experiment E16). Server contexts (services, name servers) are
+//!   written this way.
+//! * [`Simulation::spawn`] takes ordinary blocking Rust code against a
+//!   [`Ctx`], on a stack of its own. The machine polled for it resumes
+//!   the stack until the body blocks again (in [`Ctx::recv`],
+//!   [`Ctx::sleep`], …), then parks the way a machine waiting for the
+//!   same thing would (see `body.rs`), so the two dispatch the same
+//!   events. On x86-64 Linux the stack is a coroutine's — a private
+//!   2 MiB mapping switched to and from in user space, on the thread
+//!   running the body's domain — so a poll costs two register swaps and
+//!   a parked body costs the stack pages it has touched. Every other
+//!   target gives each body an OS thread and hands off through two
+//!   channels; nothing but the cost differs. Natural to write — clients
+//!   and experiment logic use it.
 //!
 //!   What a body may rely on and what it may not: it is only ever
 //!   resumed on the OS thread that started it (the scheduler runs a
@@ -26,13 +38,6 @@
 //!   stack is a bare `SIGSEGV` on the guard page; and a destructor that
 //!   blocks while the body is unwinding from a panic hands control to a
 //!   scheduler whose thread reports `std::thread::panicking()`.
-//! * **Poll-driven** ([`Simulation::spawn_poll`]) — a [`Process`] state
-//!   machine the scheduler polls in event order, on its own thread;
-//!   parking costs one heap entry in the process table — no stack at
-//!   all, which is the reason left to write one by hand — so simulations
-//!   scale to hundreds of thousands of concurrent processes (see the
-//!   [`poll`](crate::poll) module and experiment E16). Server contexts
-//!   (services, name servers) are processes of this kind.
 //!
 //! # Domains and parallel execution
 //!
@@ -72,13 +77,13 @@
 //! blocking style of real code, while the network in between is
 //! simulated and fault-injectable.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -88,14 +93,15 @@ use rand::{Rng, SeedableRng};
 
 use crate::addr::{Endpoint, NodeId, PortId, ProcId};
 use crate::awaited::{Awaited, AwaitedIds};
+use crate::body::Body;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-use crate::coro::{Handoff, Yielder};
+use crate::coro::Yielder;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::msg::Message;
 use crate::net::{Fate, Network, NetworkConfig};
 use crate::poll::{Poll, ProcCx, Process};
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-use crate::thread_handoff::{Handoff, Yielder};
+use crate::thread_handoff::Yielder;
 use crate::time::{duration_to_nanos, SimTime};
 use crate::trace::{Trace, TraceDump, TraceEvent, TraceRecord};
 
@@ -120,38 +126,13 @@ pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic>".to_string())
 }
 
-/// Scheduler → process control transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Resume {
-    /// First transfer: begin executing the process body.
-    Start,
-    /// A sleep expired.
-    Woken,
-    /// A message is available in the mailbox.
-    Delivered,
-    /// A `recv` deadline expired with no message.
-    TimedOut,
-    /// The simulation is over; unwind out of blocking calls.
-    Shutdown,
-}
-
-/// Process → scheduler control transfer.
-#[derive(Debug)]
-pub(crate) enum YieldMsg {
-    /// Block until the given instant.
-    Sleep(SimTime),
-    /// Block until a message arrives or the deadline (if any) passes.
-    Recv { deadline: Option<SimTime> },
-    /// The process body returned (or panicked with the given message).
-    Finished { panic_msg: Option<String> },
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcState {
     NotStarted,
+    /// Parked deaf until a timer ([`ProcCx::sleep_until`]).
     Sleeping,
-    BlockedRecv,
-    /// Poll-driven process whose last poll returned `Pending`.
+    /// The last poll returned `Pending`: a delivery or the armed timer
+    /// wakes it.
     Parked,
     Finished,
 }
@@ -211,37 +192,23 @@ impl Ord for Ev {
     }
 }
 
-/// A poll-driven process's state machine plus its per-process context.
-/// Taken out of the process table while being polled so no lock is held
-/// during user code, and put back if the poll returns `Pending`.
+/// A process's state machine plus its per-process context.
 struct PolledMachine {
     process: Box<dyn Process>,
     cx: ProcCx,
-}
-
-/// How a process executes: a blocking body suspended on a stack of its
-/// own, or a heap-allocated state machine.
-enum ProcKind {
-    /// Taken out of the process table while the body runs (no lock is held
-    /// during user code) and put back when it blocks; gone — stack and
-    /// all — once the body has finished.
-    Blocking {
-        handoff: Option<Handoff>,
-    },
-    Polled {
-        machine: Option<PolledMachine>,
-    },
 }
 
 struct ProcEntry {
     name: String,
     mailbox: VecDeque<Message>,
     state: ProcState,
-    /// Incremented every time the process blocks in recv (blocking) or
-    /// parks (poll-driven); stale timeout events carry an older
-    /// generation and are ignored.
+    /// Incremented every time the process parks; stale timeout events
+    /// carry an older generation and are ignored.
     gen: u64,
-    kind: ProcKind,
+    /// Taken out of the process table while being polled, so no lock is
+    /// held during user code, and put back if the poll returns
+    /// `Pending`; gone once the process has finished.
+    machine: Option<PolledMachine>,
     panic_msg: Option<String>,
 }
 
@@ -666,97 +633,30 @@ impl Shared {
         }
     }
 
+    /// The one spawn path: allocates the process's pid and endpoint,
+    /// builds its context, and registers the machine `make` builds
+    /// against that context (see [`Shared::commit_spawn`]).
     fn spawn_proc(
         self: &Arc<Self>,
         spawner: Option<usize>,
         name: String,
         node: NodeId,
         port: Option<PortId>,
-        body: Box<dyn FnOnce(&mut Ctx) + Send + 'static>,
+        make: impl FnOnce(&Ctx) -> Box<dyn Process>,
     ) -> Endpoint {
         let target = self.domain_of(node);
         let (pid, endpoint) = self.alloc_proc(spawner.unwrap_or(target), node, port);
-
-        let mut ctx = Ctx {
-            pid,
-            name: name.clone(),
-            endpoint,
-            domain: target,
-            shared: Arc::clone(self),
-            yielder: None,
-            stopped: false,
-            seq_counter: std::cell::Cell::new(0),
-            awaited: std::cell::OnceCell::new(),
-            current_span: std::cell::Cell::new(obs::SpanId::NONE),
-        };
-        let handoff = Handoff::new(
-            &name,
-            Box::new(move |yielder| {
-                // Everything this process records flows through its
-                // domain's obs writer lane and its simulation's
-                // profiler. A body sharing the thread that runs its
-                // domain finds both already so; one with a thread of
-                // its own says it here, once.
-                obs::set_ambient_lane(target);
-                obs::set_ambient_profiler(Some(Arc::clone(&ctx.shared.obs)));
-                ctx.yielder = Some(yielder);
-                body(&mut ctx);
+        let ctx = Ctx::new(pid, name.clone(), endpoint, target, Arc::clone(self));
+        let process = make(&ctx);
+        let entry = ProcEntry {
+            name,
+            mailbox: VecDeque::new(),
+            state: ProcState::NotStarted,
+            gen: 0,
+            machine: Some(PolledMachine {
+                process,
+                cx: ProcCx::new(ctx),
             }),
-        );
-
-        let entry = ProcEntry {
-            name,
-            mailbox: VecDeque::new(),
-            state: ProcState::NotStarted,
-            gen: 0,
-            kind: ProcKind::Blocking {
-                handoff: Some(handoff),
-            },
-            panic_msg: None,
-        };
-        self.commit_spawn(spawner, target, pid, endpoint, entry);
-        endpoint
-    }
-
-    /// Spawns a poll-driven process: no thread, just a state machine in
-    /// the process table. See the [`poll`](crate::poll) module.
-    fn spawn_polled(
-        self: &Arc<Self>,
-        spawner: Option<usize>,
-        name: String,
-        node: NodeId,
-        port: Option<PortId>,
-        process: Box<dyn Process>,
-    ) -> Endpoint {
-        let target = self.domain_of(node);
-        let (pid, endpoint) = self.alloc_proc(spawner.unwrap_or(target), node, port);
-
-        let ctx = Ctx {
-            pid,
-            name: name.clone(),
-            endpoint,
-            domain: target,
-            shared: Arc::clone(self),
-            // No hand-off: a poll-driven process parks by returning
-            // Pending, never by suspending a stack.
-            yielder: None,
-            stopped: false,
-            seq_counter: std::cell::Cell::new(0),
-            awaited: std::cell::OnceCell::new(),
-            current_span: std::cell::Cell::new(obs::SpanId::NONE),
-        };
-
-        let entry = ProcEntry {
-            name,
-            mailbox: VecDeque::new(),
-            state: ProcState::NotStarted,
-            gen: 0,
-            kind: ProcKind::Polled {
-                machine: Some(PolledMachine {
-                    process,
-                    cx: ProcCx::new(ctx),
-                }),
-            },
             panic_msg: None,
         };
         self.commit_spawn(spawner, target, pid, endpoint, entry);
@@ -981,44 +881,23 @@ impl Shared {
 
     fn dispatch(&self, d: usize, kind: EvKind) {
         match kind {
-            EvKind::Wake(pid) => match self.proc_status(d, pid) {
-                Some((ProcState::NotStarted, false)) => self.resume_and_wait(d, pid, Resume::Start),
-                Some((ProcState::Sleeping, false)) => self.resume_and_wait(d, pid, Resume::Woken),
-                Some((ProcState::NotStarted | ProcState::Parked | ProcState::Sleeping, true)) => {
-                    self.poll_process(d, pid)
-                }
-                _ => {} // finished or stale
-            },
+            // A process's first instant, or the end of a deaf sleep.
+            EvKind::Wake(pid) => self.poll_process(d, pid),
             EvKind::Timeout { pid, gen } => {
                 // A timer is live only if the process still blocks on the
                 // park that armed it: the generation bumps on every park.
-                let polled = self.dom(d).procs.get(&pid).and_then(|e| {
-                    if e.gen != gen {
-                        return None;
-                    }
-                    match (&e.kind, e.state) {
-                        (ProcKind::Blocking { .. }, ProcState::BlockedRecv) => Some(false),
-                        (ProcKind::Polled { .. }, ProcState::Parked) => Some(true),
-                        _ => None,
-                    }
-                });
-                match polled {
-                    Some(false) => self.resume_and_wait(d, pid, Resume::TimedOut),
-                    Some(true) => self.poll_process(d, pid),
-                    None => {}
+                let live = self
+                    .dom(d)
+                    .procs
+                    .get(&pid)
+                    .is_some_and(|e| e.gen == gen && e.state == ProcState::Parked);
+                if live {
+                    self.poll_process(d, pid);
                 }
             }
-            EvKind::Kill(pid) => match self.proc_status(d, pid) {
-                Some((ProcState::Finished, _)) | None => {}
-                Some((_, true)) => {
-                    // A killed state machine just drops: a crash runs no
-                    // farewell code (destructors still run, as they would
-                    // for a blocking body returning out of Stopped).
-                    self.finish_polled(d, pid, None);
-                }
-                // Tear the victim down now, in its own domain's round.
-                Some((_, false)) => self.stop_blocking(d, pid),
-            },
+            // A crash runs no farewell code: the machine just drops (a
+            // blocking body unwinds out of `Stopped` as it does).
+            EvKind::Kill(pid) => self.finish(d, pid, None),
             EvKind::ApplySpawn {
                 pid,
                 endpoint,
@@ -1037,15 +916,8 @@ impl Shared {
                 let _ = self.kill_local(d, target);
             }
             EvKind::Deliver { msg } => {
-                // What the delivery should do to the receiving process:
-                // resume a body blocked in recv, poll a parked machine,
-                // or nothing (it will find the message when it next runs).
-                enum After {
-                    ResumeBody,
-                    PollMachine,
-                }
                 let (src, dst, bytes, span) = (msg.src, msg.dst, msg.payload.len(), msg.span);
-                let after = {
+                let parked = {
                     let mut guard = self.dom(d);
                     let st = &mut *guard;
                     let entry = st
@@ -1064,17 +936,12 @@ impl Shared {
                         return;
                     };
                     entry.mailbox.push_back(msg);
-                    let after = match (&entry.kind, entry.state) {
-                        (ProcKind::Blocking { .. }, ProcState::BlockedRecv) => {
-                            Some(After::ResumeBody)
-                        }
-                        // Every delivery wakes a parked machine: it parked
-                        // after seeing an empty mailbox, so this message
-                        // is news. No wakeup can be lost — racing
-                        // completions each schedule a poll.
-                        (ProcKind::Polled { .. }, ProcState::Parked) => Some(After::PollMachine),
-                        _ => None,
-                    };
+                    // Every delivery wakes a parked process: it parked
+                    // after seeing an empty mailbox, so this message is
+                    // news. No wakeup can be lost — racing completions
+                    // each schedule a poll. Any other process finds the
+                    // message when it next runs.
+                    let parked = (entry.state == ProcState::Parked).then_some(pid);
                     self.metrics.on_deliver();
                     st.record(span, || {
                         TraceEvent::Net(obs::NetEventKind::Delivered {
@@ -1083,207 +950,114 @@ impl Shared {
                             bytes: bytes as u64,
                         })
                     });
-                    after.map(|a| (pid, a))
+                    parked
                 };
-                match after {
-                    Some((pid, After::ResumeBody)) => {
-                        self.resume_and_wait(d, pid, Resume::Delivered)
-                    }
-                    Some((pid, After::PollMachine)) => self.poll_process(d, pid),
-                    None => {}
+                if let Some(pid) = parked {
+                    self.poll_process(d, pid);
                 }
             }
         }
     }
 
-    /// The process's state plus whether it is poll-driven.
-    fn proc_status(&self, d: usize, pid: ProcId) -> Option<(ProcState, bool)> {
-        self.dom(d)
-            .procs
-            .get(&pid)
-            .map(|e| (e.state, matches!(e.kind, ProcKind::Polled { .. })))
-    }
-
-    /// Polls a poll-driven process once. The machine is taken out of the
-    /// process table for the duration, so no lock is held while user
-    /// code runs (and the machine may freely spawn or kill other
-    /// processes).
+    /// Polls a process once. The machine is taken out of the process
+    /// table for the duration, so no lock is held while user code runs
+    /// (and the machine may freely spawn or kill other processes).
     fn poll_process(&self, d: usize, pid: ProcId) {
-        let machine = {
-            let mut st = self.dom(d);
-            let Some(entry) = st.procs.get_mut(&pid) else {
-                return;
-            };
-            if entry.state == ProcState::Finished {
-                return;
-            }
-            match &mut entry.kind {
-                ProcKind::Polled { machine } => machine.take(),
-                ProcKind::Blocking { .. } => unreachable!("poll of a blocking process"),
-            }
-        };
-        let Some(mut m) = machine else {
-            return;
+        let Some(mut m) = self
+            .dom(d)
+            .procs
+            .get_mut(&pid)
+            .and_then(|e| e.machine.take())
+        else {
+            return; // finished, or a stale wake
         };
         let result = panic::catch_unwind(AssertUnwindSafe(|| m.process.poll(&mut m.cx)));
         let wake = m.cx.take_wake();
         match result {
             Ok(Poll::Pending) => {
                 let mut st = self.dom(d);
+                let now = st.now;
                 let entry = st.procs.get_mut(&pid).expect("proc vanished");
-                match &mut entry.kind {
-                    ProcKind::Polled { machine } => *machine = Some(m),
-                    ProcKind::Blocking { .. } => unreachable!(),
-                }
-                match wake {
-                    // A deaf sleep parks exactly as a blocking body's
-                    // `sleep` does: no generation bump, one wake.
+                entry.machine = Some(m);
+                let event = match wake {
+                    // A deaf sleep: no generation bump, one wake.
                     Some((until, true)) => {
                         entry.state = ProcState::Sleeping;
-                        let until = until.max(st.now);
-                        st.push_event(until, EvKind::Wake(pid));
+                        Some((until, EvKind::Wake(pid)))
                     }
                     wake => {
                         entry.gen += 1;
                         entry.state = ProcState::Parked;
                         let gen = entry.gen;
-                        if let Some((at, _)) = wake {
-                            let at = at.max(st.now);
-                            st.push_event(at, EvKind::Timeout { pid, gen });
-                        }
+                        wake.map(|(at, _)| (at, EvKind::Timeout { pid, gen }))
                     }
+                };
+                if let Some((at, kind)) = event {
+                    st.push_event(at.max(now), kind);
                 }
             }
             Ok(Poll::Ready(())) => {
                 drop(m);
-                self.finish_polled(d, pid, None);
+                self.finish(d, pid, None);
             }
             Err(p) => {
                 drop(m);
-                self.finish_polled(d, pid, Some(panic_message(p.as_ref())));
+                self.finish(d, pid, Some(panic_message(p.as_ref())));
             }
         }
     }
 
-    /// Marks a poll-driven process finished, dropping its machine and
-    /// its mailbox (and with them the process's share of the table
-    /// memory).
-    fn finish_polled(&self, d: usize, pid: ProcId, panic_msg: Option<String>) {
+    /// Marks a process finished, dropping its machine and its mailbox
+    /// (and with them the process's share of the table memory). A panic
+    /// out of the machine's destructor — a killed body that panics as it
+    /// unwinds — is the process's panic, reported as any other.
+    fn finish(&self, d: usize, pid: ProcId, mut panic_msg: Option<String>) {
         let released = {
             let mut st = self.dom(d);
             let Some(entry) = st.procs.get_mut(&pid) else {
                 return;
             };
-            if panic_msg.is_some() {
-                entry.panic_msg = panic_msg;
-            }
             if entry.state == ProcState::Finished {
                 return;
             }
             entry.state = ProcState::Finished;
-            let machine = match &mut entry.kind {
-                ProcKind::Polled { machine } => machine.take(),
-                ProcKind::Blocking { .. } => None,
-            };
             // Nothing reads a finished mailbox and later arrivals are
             // blackholed: what is queued (whole chunks on the bulk path)
             // goes now, not when the simulation is dropped.
-            (machine, std::mem::take(&mut entry.mailbox))
+            (entry.machine.take(), std::mem::take(&mut entry.mailbox))
         };
         // User destructors run outside the domain lock.
-        drop(released);
+        if let Err(p) = panic::catch_unwind(AssertUnwindSafe(|| drop(released))) {
+            panic_msg.get_or_insert_with(|| panic_message(p.as_ref()));
+        }
+        if let Some(msg) = panic_msg {
+            if let Some(entry) = self.dom(d).procs.get_mut(&pid) {
+                entry.panic_msg = Some(msg);
+            }
+        }
         self.note_proc_finished(d);
         self.record(d, obs::SpanId::NONE, || TraceEvent::Finished { pid });
     }
 
-    /// Resumes `pid`'s blocking body and runs it — on this thread — until
-    /// it blocks again or finishes, then records what it yielded. The
-    /// domain lock is **not** held while the body runs.
-    ///
-    /// Must run on the thread that executes domain `d`'s rounds: a body
-    /// suspended on its own stack can only continue on the thread that
-    /// started it (see `coro.rs`; the hand-off checks).
-    fn resume_and_wait(&self, d: usize, pid: ProcId, resume: Resume) {
-        let mut handoff = {
-            let mut st = self.dom(d);
-            let entry = st.procs.get_mut(&pid).expect("resume of unknown proc");
-            match &mut entry.kind {
-                ProcKind::Blocking { handoff } => handoff
-                    .take()
-                    .expect("resume of a running or finished process"),
-                ProcKind::Polled { .. } => unreachable!("resume of poll-driven process"),
-            }
-        };
-        let y = handoff.resume(resume);
-        let mut st = self.dom(d);
-        let entry = st.procs.get_mut(&pid).expect("proc vanished");
-        let ProcKind::Blocking { handoff: slot } = &mut entry.kind else {
-            unreachable!("checked above");
-        };
-        match y {
-            YieldMsg::Sleep(until) => {
-                *slot = Some(handoff);
-                entry.state = ProcState::Sleeping;
-                st.push_event(until, EvKind::Wake(pid));
-            }
-            YieldMsg::Recv { deadline } => {
-                *slot = Some(handoff);
-                entry.gen += 1;
-                entry.state = ProcState::BlockedRecv;
-                let gen = entry.gen;
-                if let Some(dl) = deadline {
-                    st.push_event(dl, EvKind::Timeout { pid, gen });
-                }
-            }
-            YieldMsg::Finished { panic_msg } => {
-                entry.state = ProcState::Finished;
-                entry.panic_msg = panic_msg;
-                // As in `finish_polled`: the mailbox goes with the stack,
-                // and both outside the lock.
-                let mailbox = std::mem::take(&mut entry.mailbox);
-                drop(st);
-                drop((handoff, mailbox));
-                self.note_proc_finished(d);
-                self.record(d, obs::SpanId::NONE, || TraceEvent::Finished { pid });
-            }
-        }
-    }
-
     /// Tells every live process of domain `d` to stop, in pid order (so
     /// the domain's `Finished` trace tail is the same however many
-    /// threads there are): a blocking body is resumed with `Shutdown`
-    /// until it returns; a poll-driven machine gets one final poll with
-    /// the stop flag set — the mirror of a body seeing [`Stopped`] — and
-    /// is then dropped regardless. Like a round, this runs on the thread
-    /// that executes the domain: suspended bodies continue nowhere else.
+    /// threads there are): each gets one final poll with the stop flag
+    /// set — a blocking body sees [`Stopped`] and is resumed until it
+    /// returns — and is then dropped regardless. Like a round, this runs
+    /// on the thread that executes the domain: suspended bodies continue
+    /// nowhere else.
     fn shutdown_domain(&self, d: usize) {
         let _running = Running::enter(self, d);
-        let mut pids: Vec<(ProcId, bool)> = self
+        let mut pids: Vec<ProcId> = self
             .dom(d)
             .procs
             .iter()
             .filter(|(_, e)| e.state != ProcState::Finished)
-            .map(|(pid, e)| (*pid, matches!(e.kind, ProcKind::Polled { .. })))
+            .map(|(pid, _)| *pid)
             .collect();
-        pids.sort_by_key(|(pid, _)| pid.0);
-        for (pid, polled) in pids {
-            if polled {
-                self.shutdown_polled(d, pid);
-            } else {
-                self.stop_blocking(d, pid);
-            }
-        }
-    }
-
-    /// Tears one blocking process down: a stopping body may legally
-    /// block a few more times before noticing, so keep resuming it with
-    /// `Shutdown` until it finishes.
-    fn stop_blocking(&self, d: usize, pid: ProcId) {
-        loop {
-            match self.proc_status(d, pid) {
-                Some((ProcState::Finished, _)) | None => break,
-                _ => self.resume_and_wait(d, pid, Resume::Shutdown),
-            }
+        pids.sort_by_key(|pid| pid.0);
+        for pid in pids {
+            self.shutdown_proc(d, pid);
         }
     }
 
@@ -1303,27 +1077,19 @@ impl Shared {
     /// the machine here also breaks the `Shared → process table →
     /// ProcCx → Shared` reference cycle a parked machine's context
     /// holds.
-    fn shutdown_polled(&self, d: usize, pid: ProcId) {
-        let machine = {
-            let mut st = self.dom(d);
-            let Some(entry) = st.procs.get_mut(&pid) else {
-                return;
-            };
-            if entry.state == ProcState::Finished {
-                return;
-            }
-            match &mut entry.kind {
-                ProcKind::Polled { machine } => machine.take(),
-                ProcKind::Blocking { .. } => unreachable!(),
-            }
-        };
+    fn shutdown_proc(&self, d: usize, pid: ProcId) {
+        let machine = self
+            .dom(d)
+            .procs
+            .get_mut(&pid)
+            .and_then(|e| e.machine.take());
         let panic_msg = machine.and_then(|mut m| {
             m.cx.ctx.stopped = true;
             panic::catch_unwind(AssertUnwindSafe(|| m.process.poll(&mut m.cx)))
                 .err()
                 .map(|p| panic_message(p.as_ref()))
         });
-        self.finish_polled(d, pid, panic_msg);
+        self.finish(d, pid, panic_msg);
     }
 
     /// Panics (deterministically, sorted by pid) if any simulated
@@ -1362,16 +1128,16 @@ pub struct Ctx {
     /// The domain this process executes in (its node's domain).
     domain: usize,
     shared: Arc<Shared>,
-    /// The process's side of its hand-off with the scheduler, from the
-    /// moment a blocking body starts. `None` for poll-driven processes,
-    /// which never block on the scheduler.
-    yielder: Option<Yielder>,
-    stopped: bool,
-    seq_counter: std::cell::Cell<u64>,
+    /// A blocking body's side of its hand-off with the scheduler, from
+    /// the moment the body starts. `None` in the context a machine is
+    /// polled with, which never suspends a stack.
+    pub(crate) yielder: Option<Yielder>,
+    pub(crate) stopped: bool,
+    seq_counter: Cell<u64>,
     /// The ids minted by [`Ctx::await_next`] still awaited; made on the
     /// first, so a process that never awaits a call pays nothing.
-    awaited: std::cell::OnceCell<AwaitedIds>,
-    current_span: std::cell::Cell<obs::SpanId>,
+    awaited: OnceCell<AwaitedIds>,
+    current_span: Cell<obs::SpanId>,
 }
 
 impl std::fmt::Debug for Ctx {
@@ -1496,38 +1262,6 @@ impl Ctx {
             .record(self.domain, span, || TraceEvent::Net(event()));
     }
 
-    /// Blocks until a message arrives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Stopped`] when the simulation is shutting down.
-    pub fn recv(&mut self) -> Result<Message, Stopped> {
-        match self.recv_inner(None)? {
-            Some(m) => Ok(m),
-            None => unreachable!("recv without deadline returned empty"),
-        }
-    }
-
-    /// Blocks until a message arrives or `timeout` elapses; `Ok(None)`
-    /// means the timeout fired first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Stopped`] when the simulation is shutting down.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, Stopped> {
-        let deadline = self.now() + timeout;
-        self.recv_inner(Some(deadline))
-    }
-
-    /// Blocks until a message arrives or the absolute `deadline` passes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Stopped`] when the simulation is shutting down.
-    pub fn recv_deadline(&mut self, deadline: SimTime) -> Result<Option<Message>, Stopped> {
-        self.recv_inner(Some(deadline))
-    }
-
     /// Non-blocking receive: returns a message already in the mailbox, or
     /// `None` without advancing virtual time. Messages still in flight
     /// (scheduled for this same instant but not yet dispatched) are not
@@ -1543,54 +1277,6 @@ impl Ctx {
         Ok(self.shared.pop_mailbox(self.domain, self.pid))
     }
 
-    fn recv_inner(&mut self, deadline: Option<SimTime>) -> Result<Option<Message>, Stopped> {
-        if self.stopped {
-            return Err(Stopped);
-        }
-        loop {
-            if let Some(m) = self.shared.pop_mailbox(self.domain, self.pid) {
-                return Ok(Some(m));
-            }
-            if let Some(dl) = deadline {
-                if dl <= self.now() {
-                    return Ok(None);
-                }
-            }
-            match self.block_on(YieldMsg::Recv { deadline }) {
-                Resume::Delivered => continue,
-                Resume::TimedOut => return Ok(None),
-                Resume::Shutdown => {
-                    self.stopped = true;
-                    return Err(Stopped);
-                }
-                other => unreachable!("unexpected resume in recv: {other:?}"),
-            }
-        }
-    }
-
-    /// Advances this process's virtual time by `d`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Stopped`] when the simulation is shutting down.
-    pub fn sleep(&mut self, d: Duration) -> Result<(), Stopped> {
-        if self.stopped {
-            return Err(Stopped);
-        }
-        if d.is_zero() {
-            return Ok(());
-        }
-        let until = self.now() + d;
-        match self.block_on(YieldMsg::Sleep(until)) {
-            Resume::Woken => Ok(()),
-            Resume::Shutdown => {
-                self.stopped = true;
-                Err(Stopped)
-            }
-            other => unreachable!("unexpected resume in sleep: {other:?}"),
-        }
-    }
-
     /// Spawns another process on `node` with an ephemeral port, returning
     /// its endpoint. A same-domain spawn starts at the current instant;
     /// a spawn landing in *another* domain starts one cross-domain
@@ -1601,7 +1287,9 @@ impl Ctx {
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
         self.shared
-            .spawn_proc(Some(self.domain), name.into(), node, None, Box::new(body))
+            .spawn_proc(Some(self.domain), name.into(), node, None, |ctx| {
+                Box::new(Body::new(ctx, body))
+            })
     }
 
     /// Spawns a process listening on a well-known port.
@@ -1619,13 +1307,10 @@ impl Ctx {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        self.shared.spawn_proc(
-            Some(self.domain),
-            name.into(),
-            node,
-            Some(port),
-            Box::new(body),
-        )
+        self.shared
+            .spawn_proc(Some(self.domain), name.into(), node, Some(port), |ctx| {
+                Box::new(Body::new(ctx, body))
+            })
     }
 
     /// Spawns a poll-driven process on `node` with an ephemeral port
@@ -1634,13 +1319,10 @@ impl Ctx {
     where
         P: Process,
     {
-        self.shared.spawn_polled(
-            Some(self.domain),
-            name.into(),
-            node,
-            None,
-            Box::new(process),
-        )
+        self.shared
+            .spawn_proc(Some(self.domain), name.into(), node, None, |_| {
+                Box::new(process)
+            })
     }
 
     /// Spawns a poll-driven process listening on a well-known port.
@@ -1659,13 +1341,10 @@ impl Ctx {
     where
         P: Process,
     {
-        self.shared.spawn_polled(
-            Some(self.domain),
-            name.into(),
-            node,
-            Some(port),
-            Box::new(process),
-        )
+        self.shared
+            .spawn_proc(Some(self.domain), name.into(), node, Some(port), |_| {
+                Box::new(process)
+            })
     }
 
     /// Exclusive access to the network model for runtime fault injection
@@ -1711,24 +1390,58 @@ impl Ctx {
         self.with_rng(|r| r.gen())
     }
 
-    /// Whether this context belongs to a poll-driven process. Blocking
-    /// operations are unavailable there; protocol layers can branch on
-    /// this to pick a non-blocking strategy.
+    /// Whether this context is one a machine is polled with, rather
+    /// than a blocking body's own: the context passed to
+    /// [`Process::poll`] (and every call it makes) says yes, the one a
+    /// [`Simulation::spawn`] body runs against says no. Blocking
+    /// operations are unavailable in the former; protocol layers can
+    /// branch on this to pick a non-blocking strategy.
     pub fn is_poll_driven(&self) -> bool {
         self.yielder.is_none()
     }
 
-    fn block_on(&mut self, y: YieldMsg) -> Resume {
-        let Some(yielder) = &self.yielder else {
-            panic!(
-                "blocking Ctx operation ({y:?}) in poll-driven process '{}': \
-                 a state machine parks by returning Poll::Pending (arm a timer \
-                 with ProcCx::wake_at / wake_after instead of sleeping, and use \
-                 try_recv instead of recv)",
-                self.name
-            );
-        };
-        yielder.block_on(y)
+    /// A context with this one's identity (pid, name, endpoint, domain)
+    /// and fresh per-process state: what a blocking body runs against,
+    /// beside the one its machine is polled with.
+    pub(crate) fn twin(&self) -> Ctx {
+        let shared = Arc::clone(&self.shared);
+        Ctx::new(
+            self.pid,
+            self.name.clone(),
+            self.endpoint,
+            self.domain,
+            shared,
+        )
+    }
+
+    fn new(
+        pid: ProcId,
+        name: String,
+        endpoint: Endpoint,
+        domain: usize,
+        shared: Arc<Shared>,
+    ) -> Ctx {
+        Ctx {
+            pid,
+            name,
+            endpoint,
+            domain,
+            shared,
+            yielder: None,
+            stopped: false,
+            seq_counter: Cell::new(0),
+            awaited: OnceCell::new(),
+            current_span: Cell::new(obs::SpanId::NONE),
+        }
+    }
+
+    /// Points this thread's obs writer lane and profiler at the
+    /// process's domain and simulation. A body sharing the thread that
+    /// runs its domain finds both already so; one with a thread of its
+    /// own says it here, once.
+    pub(crate) fn adopt_thread(&self) {
+        obs::set_ambient_lane(self.domain);
+        obs::set_ambient_profiler(Some(Arc::clone(&self.shared.obs)));
     }
 }
 
@@ -2123,7 +1836,9 @@ impl Simulation {
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
         self.shared
-            .spawn_proc(None, name.into(), node, None, Box::new(body))
+            .spawn_proc(None, name.into(), node, None, |ctx| {
+                Box::new(Body::new(ctx, body))
+            })
     }
 
     /// Spawns a process listening on a well-known port.
@@ -2143,7 +1858,9 @@ impl Simulation {
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
         self.shared
-            .spawn_proc(None, name.into(), node, Some(port), Box::new(body))
+            .spawn_proc(None, name.into(), node, Some(port), |ctx| {
+                Box::new(Body::new(ctx, body))
+            })
     }
 
     /// Spawns a poll-driven process on `node` with an ephemeral port.
@@ -2156,7 +1873,7 @@ impl Simulation {
         P: Process,
     {
         self.shared
-            .spawn_polled(None, name.into(), node, None, Box::new(process))
+            .spawn_proc(None, name.into(), node, None, |_| Box::new(process))
     }
 
     /// Spawns a poll-driven process listening on a well-known port.
@@ -2176,7 +1893,7 @@ impl Simulation {
         P: Process,
     {
         self.shared
-            .spawn_polled(None, name.into(), node, Some(port), Box::new(process))
+            .spawn_proc(None, name.into(), node, Some(port), |_| Box::new(process))
     }
 
     /// Runs the simulation until no events remain, then shuts all
@@ -2354,6 +2071,7 @@ impl Drop for Simulation {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn single_process_runs_to_completion() {
@@ -2817,6 +2535,7 @@ mod trace_tests {
 mod domain_tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+    use std::time::Duration;
 
     /// A closed-loop echo workload spread over 8 nodes, run to
     /// completion. Returns everything an outside observer can see.

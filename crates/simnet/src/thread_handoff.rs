@@ -14,7 +14,8 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
-use crate::sched::{panic_message, Resume, YieldMsg};
+use crate::body::{Resume, YieldMsg};
+use crate::sched::panic_message;
 
 /// The body handed to [`Handoff::new`]: receives the process side of the
 /// hand-off and runs to completion.

@@ -14,7 +14,7 @@
 //! `undelivered_cross_domain_spawn_is_dropped_unrun`, which there raced
 //! a detached thread that dropped the body a moment after the
 //! simulation was gone; the thread hand-off kept for other targets now
-//! joins, and passes all ten. Two are what sharing a thread adds, and
+//! joins, and passes them all. Two are what sharing a thread adds, and
 //! fail on a coroutine hand-off without the matching care:
 //! `open_scope_stays_with_its_process` (the profiler's open frames must
 //! travel with the body) and, at more than one thread,
@@ -172,6 +172,30 @@ fn kill_reaches_a_body_wherever_it_blocks_and_frees_its_port() {
     }
     assert_eq!(rebound.load(Ordering::SeqCst), 3);
     assert_eq!(report.finished, 7);
+}
+
+/// The kill above, with a victim that panics on its way out of
+/// `Stopped`: the panic is the victim's, and `run` reports it by name.
+#[test]
+fn a_killed_body_that_panics_as_it_unwinds_is_reported_by_name() {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 1);
+    let victim = sim.spawn("victim", NodeId(1), |ctx| {
+        assert_eq!(ctx.recv().map(|_| ()), Err(Stopped));
+        panic!("the victim's last words");
+    });
+    sim.spawn("killer", NodeId(0), move |ctx| {
+        ctx.sleep(Duration::from_millis(1)).unwrap();
+        assert!(ctx.kill(victim));
+    });
+    let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run must panic");
+    let msg = err
+        .downcast_ref::<String>()
+        .expect("string panic payload")
+        .as_str();
+    assert!(
+        msg.contains("victim: the victim's last words"),
+        "unexpected report: {msg}"
+    );
 }
 
 #[test]
