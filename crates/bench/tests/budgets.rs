@@ -12,6 +12,9 @@
 //! events, frames encoded (`rpc;encode` profiler scopes), datagrams
 //! decoded (`rpc;decode`), spans opened, heap allocations and bytes
 //! allocated, counted over `Simulation::run` alone (spawning is setup).
+//! One column is not per call: `peak_live_bytes` is the run's high-water
+//! mark of bytes allocated and not yet freed, above what was live when
+//! it started (a `realloc` counts by how much it grew or shrank).
 //! A call is one operation of the shape's workload: a fleet client's put
 //! or get, a pipelined put, a file read or write (seeding writes
 //! included), a bulk-plane get, a local put.
@@ -57,34 +60,57 @@ struct Row {
     spans: f64,
     allocs: f64,
     alloc_bytes: f64,
+    peak_live_bytes: u64,
 }
 
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
-    Row { shape: "fleet_stub", calls: 256, datagrams: 3.0625, wire_bytes: 291.78125, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 51.5703125, alloc_bytes: 7975.58984375 },
-    Row { shape: "fleet_sharded", calls: 256, datagrams: 3.0625, wire_bytes: 291.3515625, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 52.21875, alloc_bytes: 9935.3984375 },
-    Row { shape: "pipeline_blob", calls: 256, datagrams: 0.5, wire_bytes: 4223.00390625, events: 0.76953125, frames: 1.5, decodes: 0.5, spans: 2.0, allocs: 9.28125, alloc_bytes: 5597.7890625 },
-    Row { shape: "proxy_cache", calls: 310, datagrams: 0.43870967741935485, wire_bytes: 82.20645161290322, events: 0.8774193548387097, frames: 0.43870967741935485, decodes: 0.43870967741935485, spans: 1.2193548387096773, allocs: 11.3, alloc_bytes: 852.9806451612903 },
-    Row { shape: "bulk_edge", calls: 60, datagrams: 9.2, wire_bytes: 27962.683333333334, events: 16.816666666666666, frames: 8.383333333333333, decodes: 9.2, spans: 7.95, allocs: 324.06666666666666, alloc_bytes: 104877.21666666666 },
-    Row { shape: "local", calls: 100, datagrams: 0.0, wire_bytes: 0.0, events: 0.01, frames: 0.0, decodes: 0.0, spans: 1.0, allocs: 2.35, alloc_bytes: 721.13 },
+    Row { shape: "fleet_stub", calls: 256, datagrams: 3.0625, wire_bytes: 291.78125, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 51.5703125, alloc_bytes: 7975.58984375, peak_live_bytes: 428378 },
+    Row { shape: "fleet_sharded", calls: 256, datagrams: 3.0625, wire_bytes: 291.3515625, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 52.21875, alloc_bytes: 9935.3984375, peak_live_bytes: 430966 },
+    Row { shape: "pipeline_blob", calls: 256, datagrams: 0.5, wire_bytes: 4223.00390625, events: 0.76953125, frames: 1.5, decodes: 0.5, spans: 2.0, allocs: 9.28125, alloc_bytes: 5597.7890625, peak_live_bytes: 340729 },
+    Row { shape: "proxy_cache", calls: 310, datagrams: 0.43870967741935485, wire_bytes: 82.20645161290322, events: 0.8774193548387097, frames: 0.43870967741935485, decodes: 0.43870967741935485, spans: 1.2193548387096773, allocs: 11.3, alloc_bytes: 852.9806451612903, peak_live_bytes: 34274 },
+    Row { shape: "bulk_edge", calls: 60, datagrams: 9.2, wire_bytes: 27962.683333333334, events: 16.816666666666666, frames: 8.383333333333333, decodes: 9.2, spans: 7.95, allocs: 324.06666666666666, alloc_bytes: 104877.21666666666, peak_live_bytes: 694119 },
+    Row { shape: "local", calls: 100, datagrams: 0.0, wire_bytes: 0.0, events: 0.01, frames: 0.0, decodes: 0.0, spans: 1.0, allocs: 2.35, alloc_bytes: 721.13, peak_live_bytes: 645 },
 ];
 
 // -- counting -----------------------------------------------------------
 
-/// Counts this thread's allocations and the bytes they asked for, so
+/// Counts this thread's allocations, the bytes they asked for, and the
+/// bytes live (allocated minus freed) with their high-water mark, so
 /// tests running on other threads do not disturb the count.
 struct Counting;
 
-thread_local! {
-    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+/// One thread's allocation counters.
+#[derive(Clone, Copy)]
+struct Tally {
+    allocs: u64,
+    bytes: u64,
+    /// Allocated minus freed on this thread: signed, because a block
+    /// allocated elsewhere may be freed here.
+    live: i64,
+    peak: i64,
 }
 
-fn count_one(bytes: usize) {
+thread_local! {
+    static ALLOCS: Cell<Tally> = const {
+        Cell::new(Tally { allocs: 0, bytes: 0, live: 0, peak: 0 })
+    };
+}
+
+/// Records one allocation of `bytes` that changes the live bytes by
+/// `delta` (`None` for a free, which is no allocation).
+fn count(bytes: Option<usize>, delta: i64) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down.
     let _ = ALLOCS.try_with(|c| {
-        let (n, b) = c.get();
-        c.set((n + 1, b + bytes as u64));
+        let mut t = c.get();
+        if let Some(bytes) = bytes {
+            t.allocs += 1;
+            t.bytes += bytes as u64;
+        }
+        t.live += delta;
+        t.peak = t.peak.max(t.live);
+        c.set(t);
     });
 }
 
@@ -92,18 +118,19 @@ fn count_one(bytes: usize) {
 // a const-initialised thread-local `Cell` that never allocates itself.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one(layout.size());
+        count(Some(layout.size()), layout.size() as i64);
         // SAFETY: the caller's contract for `alloc`, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(None, -(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one(new_size);
+        count(Some(new_size), new_size as i64 - layout.size() as i64);
         // SAFETY: the caller's contract for `realloc`, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -123,6 +150,7 @@ struct Totals {
     spans: u64,
     allocs: u64,
     alloc_bytes: u64,
+    peak_live_bytes: u64,
 }
 
 /// Calls of the profiler frame `leaf`, wherever it was opened.
@@ -138,9 +166,15 @@ fn scope_calls(prof: &obs::ProfileReport, leaf: &str) -> u64 {
 fn run_counted(mut sim: Simulation) -> Totals {
     assert_eq!(sim.threads(), 1, "one thread sees every allocation");
     sim.obs().enable_profile(256);
-    let (n0, b0) = ALLOCS.with(Cell::get);
+    // The high-water mark starts over at what is live now.
+    let before = ALLOCS.with(|c| {
+        let mut t = c.get();
+        t.peak = t.live;
+        c.set(t);
+        t
+    });
     let run = sim.run();
-    let (n1, b1) = ALLOCS.with(Cell::get);
+    let after = ALLOCS.with(Cell::get);
     let report = sim.obs_report();
     let prof = report.profile.as_ref().expect("profiler is on");
     assert_eq!(prof.frames_evicted, 0, "the profile table saw every scope");
@@ -151,8 +185,9 @@ fn run_counted(mut sim: Simulation) -> Totals {
         frames: scope_calls(prof, "rpc;encode"),
         decodes: scope_calls(prof, "rpc;decode"),
         spans: report.spans.started,
-        allocs: n1 - n0,
-        alloc_bytes: b1 - b0,
+        allocs: after.allocs - before.allocs,
+        alloc_bytes: after.bytes - before.bytes,
+        peak_live_bytes: (after.peak - before.live) as u64,
     }
 }
 
@@ -325,6 +360,7 @@ fn row(shape: &Shape, t: Totals) -> Row {
         spans: per(t.spans),
         allocs: per(t.allocs),
         alloc_bytes: per(t.alloc_bytes),
+        peak_live_bytes: t.peak_live_bytes,
     }
 }
 
