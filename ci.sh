@@ -139,7 +139,9 @@ if [ "${1:-}" != "quick" ]; then
   # A second E19 smoke must export the same 1-thread trace, byte for
   # byte. Its transfers send their chunk calls in batches, and the blob
   # store and the edge caches splice the replies they recorded into
-  # their reply batches, fresh and retransmitted alike.
+  # their reply batches, fresh and retransmitted alike. The edges batch
+  # their origin calls too, and coalesce the fills one origin reply
+  # settles into one completion: one datagram per waiting client.
   mv target/traces/e19-t1.trace.jsonl target/traces/e19-t1.first.trace.jsonl
   PROXIDE_SMOKE=1 cargo run -q --release -p bench --bin e19_bulkplane >/dev/null
   cmp target/traces/e19-t1.first.trace.jsonl target/traces/e19-t1.trace.jsonl

@@ -569,7 +569,8 @@ impl<C: Control> ServiceServer<C> {
                         .in_service
                         .pop_front()
                         .expect("a request is in service");
-                    self.rpc.complete(ctx, req.reply_to, req.call_id, result);
+                    self.rpc
+                        .complete(ctx, [(req.reply_to, req.call_id, result)]);
                 }
                 self.unpublished = true;
                 return;

@@ -19,16 +19,19 @@
 //! [`ChannelConfig::max_batch`] per frame), and the server coalesces the
 //! replies it gives on the spot on the way back, splicing the reply
 //! frames it recorded into one batch as they stand — many calls, one
-//! network traversal each way. That holds for large replies as much as
-//! for small ones: a bulk transfer batches as deep as it pipelines, and
-//! a batch of 16 KiB chunk replies is one copy of each chunk. A lost
-//! datagram loses its calls together, so calls whose
-//! retransmission falls due together go out as one batch again. A staged
-//! call is encoded where it travels: straight into the frame of each
-//! batch that carries it, and into a frame of its own only the first
-//! time a datagram carries it alone — every later lone retransmission
-//! sends those same bytes. A call that only ever travels in batches is
-//! never framed by itself.
+//! network traversal each way. Replies a server defers and then
+//! completes together coalesce the same way. That holds for large
+//! replies as much as for small ones: a bulk transfer batches as deep as
+//! it pipelines, an edge cache batches its origin calls as deep as it
+//! pipelines them and answers the fills one origin reply brings in one
+//! datagram per client, and a batch of 16 KiB chunk replies is one copy
+//! of each chunk. A lost datagram loses its calls together, so calls
+//! whose retransmission falls due together go out as one batch again. A
+//! staged call is encoded where it travels: straight into the frame of
+//! each batch that carries it, and into a frame of its own only the
+//! first time a datagram carries it alone — every later lone
+//! retransmission sends those same bytes. A call that only ever travels
+//! in batches is never framed by itself.
 //!
 //! Loss is detected from evidence before it is inferred from silence.
 //! Every datagram the channel sends takes the next number of a send

@@ -33,6 +33,12 @@
 //! the id is *executing*: a retransmission of it is dropped, neither
 //! re-run nor answered; after completion it is answered from the reply
 //! cache like any other.
+//!
+//! Replies leave by one path, whichever way they were produced: those a
+//! batch gets on the spot, and those of calls completed together (the
+//! fills one origin reply batch settles at an edge), go out as one
+//! datagram per client, the recorded reply frames spliced into one batch
+//! as they stand. A reply alone goes out exactly as it was recorded.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -169,11 +175,93 @@ enum Answer {
     Deferred,
 }
 
+/// Encoded replies on their way out, grouped by destination in the
+/// order each destination first appears: the one send path of a batch's
+/// replies and of calls completed together. `S` is what a reply that
+/// travels alone is traced under: its call's span for a completion, and
+/// nothing (`()`) for a batch's replies, which travel under no span, as
+/// the batch did.
+struct Coalesced<S> {
+    /// The first reply while it is the only one, held without
+    /// allocating: a reply alone is the common case.
+    first: Option<(Endpoint, S, Bytes)>,
+    /// Every reply, once there is more than one.
+    by_dest: Vec<(Endpoint, S, Vec<Bytes>)>,
+}
+
+/// The span a reply travelling alone is traced under.
+trait LoneSpan: Copy {
+    fn span(self) -> obs::SpanId;
+}
+
+impl LoneSpan for () {
+    fn span(self) -> obs::SpanId {
+        obs::SpanId::NONE
+    }
+}
+
+impl LoneSpan for obs::SpanId {
+    fn span(self) -> obs::SpanId {
+        self
+    }
+}
+
+impl<S: LoneSpan> Coalesced<S> {
+    fn new() -> Coalesced<S> {
+        Coalesced {
+            first: None,
+            by_dest: Vec::new(),
+        }
+    }
+
+    /// Queues `reply` for `dest`; `lone` is what it is traced under if it
+    /// turns out to be the only reply to `dest`.
+    fn push(&mut self, dest: Endpoint, reply: Bytes, lone: S) {
+        if self.by_dest.is_empty() {
+            let Some((ep, s, first)) = self.first.take() else {
+                self.first = Some((dest, lone, reply));
+                return;
+            };
+            self.by_dest.push((ep, s, vec![first]));
+        }
+        match self.by_dest.iter_mut().find(|(ep, ..)| *ep == dest) {
+            Some((.., replies)) => replies.push(reply),
+            None => self.by_dest.push((dest, lone, vec![reply])),
+        }
+    }
+
+    /// Sends one datagram per destination. A lone reply needs no
+    /// envelope and goes out as recorded, so a retransmission answered
+    /// alone is byte-identical to it; several are spliced into one batch
+    /// as they stand, never decoded and written again.
+    fn send(self, ctx: &mut Ctx) {
+        if let Some((dest, lone, reply)) = self.first {
+            ctx.send_traced(dest, reply, lone.span());
+        }
+        for (dest, lone, mut replies) in self.by_dest {
+            if replies.len() == 1 {
+                ctx.send_traced(dest, replies.pop().expect("one reply"), lone.span());
+                continue;
+            }
+            let payload = splice_reply_batch(&replies);
+            ctx.trace(obs::SpanId::NONE, || obs::NetEventKind::Batched {
+                src: ctx.endpoint().into(),
+                dst: dest.into(),
+                count: replies.len() as u64,
+            });
+            ctx.send_traced(dest, payload, obs::SpanId::NONE);
+        }
+    }
+}
+
 /// Server-side call dispatch with per-client duplicate suppression.
 ///
 /// Use [`RpcServer::serve`] for a simple request loop, or
 /// [`RpcServer::handle`] inside a custom loop that also processes
-/// one-way control traffic.
+/// one-way control traffic. A server that answers some calls later uses
+/// [`RpcServer::handle_deferred`] and hands whatever results are ready
+/// to one [`RpcServer::complete`], which answers each client in one
+/// datagram.
 #[derive(Debug, Default)]
 pub struct RpcServer {
     windows: HashMap<Endpoint, ClientWindow>,
@@ -282,8 +370,7 @@ impl RpcServer {
         handler: &mut impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
     ) -> Served {
         let (mut executed, mut suppressed, mut dropped) = (0u64, 0u64, 0u64);
-        // Replies grouped by destination, preserving request order.
-        let mut by_dest: Vec<(Endpoint, Vec<Bytes>)> = Vec::new();
+        let mut out = Coalesced::new();
         for item in batch.items {
             let (req, lo) = match item {
                 Packet::Request(r, lo) => (r, lo),
@@ -312,27 +399,9 @@ impl RpcServer {
                     continue;
                 }
             };
-            match by_dest.iter_mut().find(|(ep, _)| *ep == reply_to) {
-                Some((_, replies)) => replies.push(bytes),
-                None => by_dest.push((reply_to, vec![bytes])),
-            }
+            out.push(reply_to, bytes, ());
         }
-        for (dest, mut replies) in by_dest {
-            if replies.len() == 1 {
-                // A lone reply needs no envelope; send the cached bytes
-                // as-is so single retransmissions stay byte-identical.
-                ctx.send_traced(dest, replies.pop().unwrap(), obs::SpanId::NONE);
-            } else {
-                let count = replies.len();
-                let payload = splice_reply_batch(&replies);
-                ctx.trace(obs::SpanId::NONE, || obs::NetEventKind::Batched {
-                    src: ctx.endpoint().into(),
-                    dst: dest.into(),
-                    count: count as u64,
-                });
-                ctx.send_traced(dest, payload, obs::SpanId::NONE);
-            }
-        }
+        out.send(ctx);
         Served::Batch {
             executed,
             suppressed,
@@ -438,33 +507,41 @@ impl RpcServer {
         encoded
     }
 
-    /// Delivers the result of a call whose handler deferred it (see
-    /// [`RpcServer::handle_deferred`]): the reply is recorded and sent to
-    /// `reply_to`, and the call's dispatch span closes. Returns `false`,
-    /// sending nothing, if `(reply_to, call_id)` is not executing — a
-    /// call is answered once.
+    /// Delivers the results of calls whose handlers deferred them (see
+    /// [`RpcServer::handle_deferred`]), given together as `(reply_to,
+    /// call_id, result)`: each reply is recorded, each call's dispatch
+    /// span closes, and the replies go out coalesced as
+    /// [`RpcServer::handle_deferred`] coalesces a batch's — one datagram
+    /// per `reply_to`, the recorded frames spliced into one batch. A lone
+    /// reply goes out as it was recorded, under its call's span. A pair
+    /// that is not executing is skipped, so a call is answered once.
+    /// Returns how many calls were answered.
     pub fn complete(
         &mut self,
         ctx: &mut Ctx,
-        reply_to: Endpoint,
-        call_id: u64,
-        result: Result<Value, RemoteError>,
-    ) -> bool {
-        let Some(window) = self.windows.get_mut(&reply_to) else {
-            return false;
-        };
-        let Some(at) = window
-            .executing
-            .iter()
-            .position(|e| e.call.call_id == call_id)
-        else {
-            return false;
-        };
-        let Executing { call, op } = window.executing.swap_remove(at);
-        let span = obs::SpanId::from_raw(call.span);
-        let encoded = self.finish(ctx, reply_to, call, &op, result);
-        ctx.send_traced(reply_to, encoded, span);
-        true
+        results: impl IntoIterator<Item = (Endpoint, u64, Result<Value, RemoteError>)>,
+    ) -> usize {
+        let mut out = Coalesced::new();
+        let mut answered = 0;
+        for (reply_to, call_id, result) in results {
+            let Some(window) = self.windows.get_mut(&reply_to) else {
+                continue;
+            };
+            let Some(at) = window
+                .executing
+                .iter()
+                .position(|e| e.call.call_id == call_id)
+            else {
+                continue;
+            };
+            let Executing { call, op } = window.executing.swap_remove(at);
+            let span = obs::SpanId::from_raw(call.span);
+            let encoded = self.finish(ctx, reply_to, call, &op, result);
+            out.push(reply_to, encoded, span);
+            answered += 1;
+        }
+        out.send(ctx);
+        answered
     }
 
     /// Runs `run` with the dispatch span of the started call `(reply_to,

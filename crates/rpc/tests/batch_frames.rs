@@ -10,7 +10,8 @@
 //! lone one to the call's own encoding, with the `lo` of its first send.
 //! The third holds a server's reply batch, spliced from the replies it
 //! recorded, to the bytes the same batch encoded from its decoded
-//! replies has.
+//! replies has, whether the server answered the calls on the spot or
+//! deferred them and completed them together.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -94,7 +95,7 @@ fn a_lone_datagram_is_the_calls_own_frame() {
                 None
             });
             for (reply_to, call_id, args) in started.drain(..) {
-                assert!(srv.complete(ctx, reply_to, call_id, Ok(args)));
+                assert_eq!(srv.complete(ctx, [(reply_to, call_id, Ok(args))]), 1);
             }
         }
     });
@@ -237,17 +238,34 @@ proptest! {
     /// A batch of fresh calls, then one of repeats the server answers
     /// from its reply cache (some twice in the same batch) mixed with
     /// fresh calls: every reply batch is byte for byte the batch its
-    /// decoded replies encode to, and carries the replies asked for.
+    /// decoded replies encode to, and carries the replies asked for. A
+    /// server that defers every call and completes what one datagram
+    /// started together sends the fresh calls' replies in one datagram
+    /// of their own, after the cached ones.
     #[test]
     fn a_spliced_reply_batch_is_the_batch_of_its_decoded_replies(
         first in proptest::collection::vec(arb_ask(), 2..6),
         repeats in proptest::collection::vec(any::<usize>(), 1..4),
         fresh in proptest::collection::vec(arb_ask(), 0..3),
+        deferred in any::<bool>(),
     ) {
         let mut sim = Simulation::new(NetworkConfig::lan(), 3);
-        let server = sim.spawn_at("answers", NodeId(0), PortId(1), |ctx| {
-            RpcServer::new().serve(ctx, |_, req| answer(&req.args), |_, _| {});
+        let server = sim.spawn_at("answers", NodeId(0), PortId(1), move |ctx| {
+            let mut srv = RpcServer::new();
+            let mut started = Vec::new();
+            while let Ok(msg) = ctx.recv() {
+                srv.handle_deferred(ctx, &msg, |_, req| {
+                    if !deferred {
+                        return Some(answer(&req.args));
+                    }
+                    started.push((req.reply_to, req.call_id, answer(&req.args)));
+                    None
+                });
+                let n = started.len();
+                assert_eq!(srv.complete(ctx, started.drain(..)), n);
+            }
         });
+        let second_datagrams = 1 + usize::from(deferred && !fresh.is_empty());
         let first_calls: Vec<(u64, Ask)> = (1..).zip(first).collect();
         let mut second_calls: Vec<(u64, Ask)> = repeats
             .iter()
@@ -265,15 +283,22 @@ proptest! {
         });
         sim.run();
         let datagrams = datagrams.lock().unwrap();
-        for (calls, got) in [&first_calls, &second_calls].into_iter().zip(datagrams.iter()) {
-            prop_assert_eq!(got.len(), 1, "one reply datagram per request batch");
-            let replies = match Packet::from_frame(&got[0]).expect("a reply datagram decodes") {
-                Packet::Batch(batch) => {
-                    prop_assert_eq!(&batch.to_bytes(), &got[0], "spliced batch differs");
-                    batch.items
+        let cases = [(&first_calls, 1), (&second_calls, second_datagrams)];
+        for ((calls, sent), got) in cases.into_iter().zip(datagrams.iter()) {
+            prop_assert_eq!(got.len(), sent, "reply datagrams per request batch");
+            let mut replies = Vec::new();
+            for datagram in got {
+                match Packet::from_frame(datagram).expect("a reply datagram decodes") {
+                    Packet::Batch(batch) => {
+                        prop_assert_eq!(&batch.to_bytes(), datagram, "spliced batch differs");
+                        replies.extend(batch.items);
+                    }
+                    lone => replies.push(lone),
                 }
-                lone => vec![lone],
-            };
+            }
+            // Two datagrams may land in either order; the request asks
+            // for the repeats (ids below 100) first.
+            replies.sort_by_key(|r| matches!(r, Packet::Reply(r) if r.call_id >= 100));
             let expected: Vec<Packet> = calls
                 .iter()
                 .map(|(call_id, ask)| {

@@ -315,13 +315,16 @@ fn spawn_deferring(sim: &Simulation) -> (Endpoint, Arc<AtomicU64>, Arc<AtomicU64
                 }
             });
             if release {
-                for (reply_to, call_id) in owed.drain(..) {
-                    assert!(rpc.complete(ctx, reply_to, call_id, Ok(Value::str("done"))));
-                    assert!(
-                        !rpc.complete(ctx, reply_to, call_id, Ok(Value::str("again"))),
-                        "a call completes once"
-                    );
-                }
+                // Every owed call, each named twice: the second is no
+                // longer executing when its turn comes.
+                let n = owed.len();
+                let results = owed.drain(..).flat_map(|(reply_to, call_id)| {
+                    [
+                        (reply_to, call_id, Ok(Value::str("done"))),
+                        (reply_to, call_id, Ok(Value::str("again"))),
+                    ]
+                });
+                assert_eq!(rpc.complete(ctx, results), n, "a call completes once");
             }
             d2.store(rpc.stats.duplicates_dropped, Ordering::SeqCst);
         }
@@ -382,6 +385,59 @@ fn retransmit_while_executing_is_neither_rerun_nor_answered() {
     );
 }
 
+/// Calls completed together leave as one datagram per client: a batch
+/// of that client's replies, in the order the calls started. Each item
+/// is the frame recorded for its call, so a later retransmission of the
+/// call is answered with those bytes, from the reply cache, unrun.
+#[test]
+fn calls_completed_together_are_one_datagram_per_client() {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 7);
+    let (server, execs, _) = spawn_deferring(&sim);
+    for c in 0..2u32 {
+        sim.spawn(format!("client{c}"), NodeId(1 + c), move |ctx| {
+            let me = ctx.endpoint();
+            ctx.send(server, raw_request(1, me, "slow"));
+            ctx.send(server, raw_request(2, me, "slow"));
+            let mut got = Vec::new();
+            if c == 1 {
+                // Both clients' calls are executing by now; this one
+                // releases them all at once.
+                ctx.sleep(std::time::Duration::from_millis(5)).unwrap();
+                ctx.send(server, raw_request(3, me, "release"));
+                got.push(ctx.recv().unwrap().payload);
+            }
+            got.push(ctx.recv().unwrap().payload);
+            assert_silent(ctx, "completed calls were answered more than once");
+            let mut batches = got.iter().filter_map(|p| match Packet::from_frame(p) {
+                Ok(Packet::Batch(batch)) => Some(batch),
+                _ => None,
+            });
+            let batch = batches.next().expect("one reply batch");
+            assert!(batches.next().is_none(), "client {c} got two batches");
+            let replies: Vec<Reply> = batch
+                .items
+                .into_iter()
+                .map(|item| match item {
+                    Packet::Reply(r) => r,
+                    other => panic!("not a reply: {other:?}"),
+                })
+                .collect();
+            assert_eq!(
+                replies.iter().map(|r| r.call_id).collect::<Vec<_>>(),
+                [1, 2]
+            );
+            assert!(replies.iter().all(|r| r.result == Ok(Value::str("done"))));
+            for reply in &replies {
+                ctx.send(server, raw_request(reply.call_id, me, "slow"));
+                let resent = ctx.recv().unwrap().payload;
+                assert_eq!(resent, reply.to_bytes(), "not the recorded frame");
+            }
+        });
+    }
+    sim.run();
+    assert_eq!(execs.load(Ordering::SeqCst), 4, "a retransmission re-ran");
+}
+
 #[test]
 fn completing_an_unknown_call_sends_nothing() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 6);
@@ -391,8 +447,8 @@ fn completing_an_unknown_call_sends_nothing() {
             let from = msg.src;
             rpc.handle(ctx, &msg, |_c, _req| Ok(Value::Null));
             // Call 1 was answered on the spot; call 9 never existed.
-            assert!(!rpc.complete(ctx, from, 1, Ok(Value::U64(1))));
-            assert!(!rpc.complete(ctx, from, 9, Ok(Value::U64(9))));
+            let results = [(from, 1, Ok(Value::U64(1))), (from, 9, Ok(Value::U64(9)))];
+            assert_eq!(rpc.complete(ctx, results), 0);
         }
     });
     sim.spawn("client", NodeId(1), move |ctx| {

@@ -77,7 +77,10 @@ fn spawn_slow_counter(
             }
             while owed.first().is_some_and(|&(due, ..)| due <= ctx.now()) {
                 let (_, reply_to, call_id, n) = owed.remove(0);
-                assert!(srv.complete(ctx, reply_to, call_id, Ok(Value::U64(n))));
+                assert_eq!(
+                    srv.complete(ctx, [(reply_to, call_id, Ok(Value::U64(n)))]),
+                    1
+                );
             }
         }
     });

@@ -12,7 +12,10 @@
 //! the origin store — the caching proxy's store and coherence rules,
 //! filled through an outstanding-miss table instead of a blocking call.
 //! Repeat fetches in a region are served locally; origin writes
-//! invalidate the edge through the ordinary subscription.
+//! invalidate the edge through the ordinary subscription. Both hops
+//! batch: the misses a client's datagram brings go to the origin in one
+//! datagram, the origin answers them in one, and the fills that land
+//! together reach each waiting client in one.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -259,11 +262,14 @@ impl ServiceObject for BlobStore {
     }
 }
 
-/// How many origin calls an edge keeps in flight. A client pipelines up
-/// to its bulk depth (8 by default) in chunk fetches and single-flight
-/// folds requests for the same chunk together, so 64 covers eight
-/// clients all missing on different blobs at once; beyond it misses
-/// queue on the channel and cost a further origin round trip.
+/// How many origin calls an edge keeps in flight, and how many share a
+/// datagram. A client pipelines up to its bulk depth (8 by default) in
+/// chunk fetches and single-flight folds requests for the same chunk
+/// together, so 64 covers eight clients all missing on different blobs
+/// at once; beyond it misses queue on the channel and cost a further
+/// origin round trip. The misses staged between two sends leave
+/// together, so one client datagram's misses cost one datagram to the
+/// origin and one back.
 const UPSTREAM_DEPTH: usize = 64;
 
 /// What to do with the cache when an origin call's answer lands.
@@ -373,8 +379,11 @@ impl Edge {
         }
     }
 
-    /// Answers the waiters of every fetch whose origin call has settled.
+    /// Answers the waiters of every fetch whose origin call has settled,
+    /// all in one completion: the fills one origin reply batch brought
+    /// reach each client as one datagram.
     fn settle(&mut self, ctx: &mut Ctx, up: &mut Channel, rpc: &mut RpcServer) {
+        let mut answers = Vec::new();
         let mut at = 0;
         while at < self.misses.len() {
             let Some(result) = up.try_take(self.misses[at].call) else {
@@ -402,10 +411,14 @@ impl Edge {
                 }
                 _ => {}
             }
-            for (reply_to, call_id) in fetch.waiters {
-                rpc.complete(ctx, reply_to, call_id, result.clone());
-            }
+            answers.extend(
+                fetch
+                    .waiters
+                    .into_iter()
+                    .map(|(reply_to, call_id)| (reply_to, call_id, result.clone())),
+            );
         }
+        rpc.complete(ctx, answers);
     }
 }
 
@@ -422,10 +435,14 @@ impl Edge {
 ///
 /// The edge never blocks on its origin. It is one event loop over one
 /// mailbox: a hit is answered at once even while misses are in flight; a
-/// miss is staged on a long-lived pipelined channel to the origin and its
-/// reply deferred until the fill lands, and concurrent requests for the
-/// same chunk wait on the one fetch. A cold get therefore costs one
-/// origin round trip, whatever else the region is asking for.
+/// miss is staged on a long-lived pipelined, batching channel to the
+/// origin and its reply deferred until the fill lands, and concurrent
+/// requests for the same chunk wait on the one fetch. A cold get
+/// therefore costs one origin round trip, whatever else the region is
+/// asking for, and on a loss-free network one datagram each way on each
+/// hop: the misses of one client datagram travel to the origin together,
+/// the origin answers them in one reply batch, and the fills that batch
+/// settles are completed together — one datagram per waiting client.
 pub fn spawn_edge_cache(
     sim: &Simulation,
     node: NodeId,
@@ -461,7 +478,7 @@ pub fn spawn_edge_cache(
         let mut up = Channel::new(
             origin.clone(),
             record.endpoint,
-            ChannelConfig::with_depth(UPSTREAM_DEPTH),
+            ChannelConfig::with_depth(UPSTREAM_DEPTH).batched(UPSTREAM_DEPTH),
         );
         // Nobody calls the edge before it registers, so set-up may still
         // block and let a client own the mailbox. Subscribing over the

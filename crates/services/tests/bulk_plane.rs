@@ -570,9 +570,10 @@ fn datagrams(
 /// A transfer's chunk calls travel batched, `depth` to a datagram, and
 /// whatever the server answers on the spot comes back in one: on a
 /// loss-free LAN a four-chunk put is one datagram each way, and so is a
-/// warm get through an edge that holds every chunk. A cold get still
-/// asks the edge in one datagram; the edge answers each chunk as its
-/// fill lands.
+/// warm get through an edge that holds every chunk. A cold get is one
+/// datagram on each hop each way too: the edge asks the origin for its
+/// four misses in one, the origin answers them in one, and the edge
+/// answers the fills that landed together in one.
 #[test]
 fn a_transfer_of_depth_chunks_is_one_datagram_each_way() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 35);
@@ -612,6 +613,9 @@ fn a_transfer_of_depth_chunks_is_one_datagram_each_way() {
     assert_eq!(datagrams(&trace, client, store, put), 1, "put request");
     assert_eq!(datagrams(&trace, store, client, put), 1, "put reply");
     assert_eq!(datagrams(&trace, client, edge, cold), 1, "cold get request");
+    assert_eq!(datagrams(&trace, edge, store, cold), 1, "cold fill request");
+    assert_eq!(datagrams(&trace, store, edge, cold), 1, "cold fill reply");
+    assert_eq!(datagrams(&trace, edge, client, cold), 1, "cold get reply");
     assert_eq!(datagrams(&trace, client, edge, warm), 1, "warm get request");
     assert_eq!(datagrams(&trace, edge, client, warm), 1, "warm get reply");
 }
@@ -661,6 +665,78 @@ proptest! {
         prop_assert!(
             reassembly_case(len, seed, loss, dup),
             "client did not complete"
+        );
+    }
+}
+
+/// The reassembly case through an edge cache: a writer puts the payload
+/// at the origin, then `readers` clients get it through `edge1` at the
+/// same instant once it is published, twice (a cold get and a warm
+/// one). Under loss, duplication and reordering the edge's batched
+/// origin calls and its coalesced fills must still give every reader
+/// the exact payload, CRC checked, and answer each waiting call once:
+/// every deferred dispatch span closes, and none twice.
+fn edge_reassembly_case(len: usize, seed: u64, loss: f64, dup: f64, readers: u32) -> bool {
+    let net = NetworkConfig::lan()
+        .with_loss(loss)
+        .with_duplicate(dup)
+        .with_reorder_window(Duration::from_micros(800));
+    let mut sim = Simulation::new(net, seed);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    ServiceBuilder::new("blob")
+        .object(|| Box::new(BlobStore::new()))
+        .spawn(&sim, ORIGIN, ns);
+    spawn_edge_cache(&sim, EDGE, ns, "edge1", "blob", 64);
+    let data = Bytes::from(payload(len, seed as u8));
+    let published = Arc::new(Mutex::new(None));
+    let (out, bytes) = (Arc::clone(&published), data.clone());
+    sim.spawn("writer", NodeId(3), move |ctx| {
+        let mut origin = BlobClient::new("blob", ns, CHUNK, 6);
+        let mut strays: Vec<rpc::Oneway> = Vec::new();
+        ctx.sleep(Duration::from_millis(20)).unwrap();
+        *out.lock() = Some(origin.put(ctx, "k", &bytes, &mut strays).unwrap());
+    });
+    let done = Arc::new(AtomicU64::new(0));
+    let go = SimTime::ZERO + Duration::from_secs(1);
+    for c in 0..readers {
+        let (published, want, done) = (Arc::clone(&published), data.clone(), Arc::clone(&done));
+        sim.spawn(format!("reader{c}"), NodeId(4 + c), move |ctx| {
+            let mut edge = BlobClient::new("edge1", ns, CHUNK, 6);
+            sleep_until(ctx, go);
+            let r = loop {
+                match published.lock().clone() {
+                    Some(r) => break r,
+                    None => ctx.sleep(Duration::from_millis(5)).unwrap(),
+                }
+            };
+            for _cold_then_warm in 0..2 {
+                fetch_via_edge(ctx, &mut edge, &r, &want);
+            }
+            done.fetch_add(1, Ordering::SeqCst);
+        });
+    }
+    sim.run();
+    let report = sim.obs_report();
+    let edge = report.proxies["blob@edge-edge1"];
+    assert_eq!(edge.invocations, edge.local_hits + edge.remote_calls);
+    assert_eq!(report.spans.started, report.spans.completed);
+    assert_eq!(report.spans.open, 0);
+    done.load(Ordering::SeqCst) == u64::from(readers)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+    #[test]
+    fn chunked_reassembly_through_the_edge_survives_chaos(
+        len in 0usize..60_000,
+        seed in 0u64..1000,
+        loss in 0.0f64..0.08,
+        dup in 0.0f64..0.08,
+        readers in 1u32..4,
+    ) {
+        prop_assert!(
+            edge_reassembly_case(len, seed, loss, dup, readers),
+            "a reader did not complete"
         );
     }
 }
