@@ -67,9 +67,9 @@ struct Row {
 const EXPECTED: &[Row] = &[
     Row { shape: "fleet_stub", calls: 256, datagrams: 3.0625, wire_bytes: 291.78125, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 51.5703125, alloc_bytes: 7975.58984375, peak_live_bytes: 428378 },
     Row { shape: "fleet_sharded", calls: 256, datagrams: 3.0625, wire_bytes: 291.3515625, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 52.21875, alloc_bytes: 9935.3984375, peak_live_bytes: 430966 },
-    Row { shape: "pipeline_blob", calls: 256, datagrams: 0.5, wire_bytes: 4223.00390625, events: 0.76953125, frames: 1.5, decodes: 0.5, spans: 2.0, allocs: 9.28125, alloc_bytes: 5597.7890625, peak_live_bytes: 340729 },
+    Row { shape: "pipeline_blob", calls: 256, datagrams: 0.5, wire_bytes: 4223.00390625, events: 0.76953125, frames: 1.5, decodes: 0.5, spans: 2.0, allocs: 9.28125, alloc_bytes: 5605.7890625, peak_live_bytes: 340729 },
     Row { shape: "proxy_cache", calls: 310, datagrams: 0.43870967741935485, wire_bytes: 82.20645161290322, events: 0.8774193548387097, frames: 0.43870967741935485, decodes: 0.43870967741935485, spans: 1.2193548387096773, allocs: 11.3, alloc_bytes: 852.9806451612903, peak_live_bytes: 34274 },
-    Row { shape: "bulk_edge", calls: 60, datagrams: 8.8, wire_bytes: 27988.85, events: 16.283333333333335, frames: 8.65, decodes: 8.8, spans: 7.95, allocs: 324.18333333333334, alloc_bytes: 111957.51666666666, peak_live_bytes: 760993 },
+    Row { shape: "bulk_edge", calls: 60, datagrams: 8.8, wire_bytes: 27988.85, events: 16.283333333333335, frames: 8.65, decodes: 8.8, spans: 7.95, allocs: 324.18333333333334, alloc_bytes: 111987.38333333333, peak_live_bytes: 760993 },
     Row { shape: "local", calls: 100, datagrams: 0.0, wire_bytes: 0.0, events: 0.01, frames: 0.0, decodes: 0.0, spans: 1.0, allocs: 2.35, alloc_bytes: 721.13, peak_live_bytes: 645 },
 ];
 

@@ -177,37 +177,20 @@ enum Answer {
 
 /// Encoded replies on their way out, grouped by destination in the
 /// order each destination first appears: the one send path of a batch's
-/// replies and of calls completed together. `S` is what a reply that
-/// travels alone is traced under: its call's span for a completion, and
-/// nothing (`()`) for a batch's replies, which travel under no span, as
-/// the batch did.
-struct Coalesced<S> {
+/// replies and of calls completed together. Each destination keeps the
+/// span a reply travelling alone to it is traced under: its call's span
+/// for a completion, and none for a batch's replies, which travel under
+/// no span, as the batch did.
+struct Coalesced {
     /// The first reply while it is the only one, held without
     /// allocating: a reply alone is the common case.
-    first: Option<(Endpoint, S, Bytes)>,
+    first: Option<(Endpoint, obs::SpanId, Bytes)>,
     /// Every reply, once there is more than one.
-    by_dest: Vec<(Endpoint, S, Vec<Bytes>)>,
+    by_dest: Vec<(Endpoint, obs::SpanId, Vec<Bytes>)>,
 }
 
-/// The span a reply travelling alone is traced under.
-trait LoneSpan: Copy {
-    fn span(self) -> obs::SpanId;
-}
-
-impl LoneSpan for () {
-    fn span(self) -> obs::SpanId {
-        obs::SpanId::NONE
-    }
-}
-
-impl LoneSpan for obs::SpanId {
-    fn span(self) -> obs::SpanId {
-        self
-    }
-}
-
-impl<S: LoneSpan> Coalesced<S> {
-    fn new() -> Coalesced<S> {
+impl Coalesced {
+    fn new() -> Coalesced {
         Coalesced {
             first: None,
             by_dest: Vec::new(),
@@ -216,7 +199,7 @@ impl<S: LoneSpan> Coalesced<S> {
 
     /// Queues `reply` for `dest`; `lone` is what it is traced under if it
     /// turns out to be the only reply to `dest`.
-    fn push(&mut self, dest: Endpoint, reply: Bytes, lone: S) {
+    fn push(&mut self, dest: Endpoint, reply: Bytes, lone: obs::SpanId) {
         if self.by_dest.is_empty() {
             let Some((ep, s, first)) = self.first.take() else {
                 self.first = Some((dest, lone, reply));
@@ -236,11 +219,11 @@ impl<S: LoneSpan> Coalesced<S> {
     /// as they stand, never decoded and written again.
     fn send(self, ctx: &mut Ctx) {
         if let Some((dest, lone, reply)) = self.first {
-            ctx.send_traced(dest, reply, lone.span());
+            ctx.send_traced(dest, reply, lone);
         }
         for (dest, lone, mut replies) in self.by_dest {
             if replies.len() == 1 {
-                ctx.send_traced(dest, replies.pop().expect("one reply"), lone.span());
+                ctx.send_traced(dest, replies.pop().expect("one reply"), lone);
                 continue;
             }
             let payload = splice_reply_batch(&replies);
@@ -399,7 +382,7 @@ impl RpcServer {
                     continue;
                 }
             };
-            out.push(reply_to, bytes, ());
+            out.push(reply_to, bytes, obs::SpanId::NONE);
         }
         out.send(ctx);
         Served::Batch {

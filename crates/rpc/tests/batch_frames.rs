@@ -286,19 +286,21 @@ proptest! {
         let cases = [(&first_calls, 1), (&second_calls, second_datagrams)];
         for ((calls, sent), got) in cases.into_iter().zip(datagrams.iter()) {
             prop_assert_eq!(got.len(), sent, "reply datagrams per request batch");
-            let mut replies = Vec::new();
+            let mut per_datagram = Vec::new();
             for datagram in got {
                 match Packet::from_frame(datagram).expect("a reply datagram decodes") {
                     Packet::Batch(batch) => {
                         prop_assert_eq!(&batch.to_bytes(), datagram, "spliced batch differs");
-                        replies.extend(batch.items);
+                        per_datagram.push(batch.items);
                     }
-                    lone => replies.push(lone),
+                    lone => per_datagram.push(vec![lone]),
                 }
             }
             // Two datagrams may land in either order; the request asks
-            // for the repeats (ids below 100) first.
-            replies.sort_by_key(|r| matches!(r, Packet::Reply(r) if r.call_id >= 100));
+            // for the repeats (ids below 100) first. Only the datagrams
+            // are ordered: the replies within each are compared as sent.
+            per_datagram.sort_by_key(|d| matches!(d.first(), Some(Packet::Reply(r)) if r.call_id >= 100));
+            let replies: Vec<Packet> = per_datagram.into_iter().flatten().collect();
             let expected: Vec<Packet> = calls
                 .iter()
                 .map(|(call_id, ask)| {
