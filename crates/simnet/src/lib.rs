@@ -7,9 +7,10 @@
 //! * **Processes** are [`Process`] state machines the scheduler polls
 //!   in event order; a parked one is a single heap entry with no stack
 //!   at all (see the [`poll`] module), so simulations scale to hundreds
-//!   of thousands of concurrent processes. Ordinary blocking Rust code
+//!   of thousands of concurrent processes. An `async` body runs as one
+//!   (see the [`task`] module), and so does ordinary blocking Rust code
 //!   against a [`Ctx`] handle ([`Ctx::send`], [`Ctx::recv`],
-//!   [`Ctx::sleep`]) runs as one too: the machine polled for it resumes
+//!   [`Ctx::sleep`]): the machine polled for it resumes
 //!   a stack of its own — a stackful coroutine on x86-64 Linux, an OS
 //!   thread elsewhere — until the body blocks again. A blocking body is
 //!   only ever resumed on the OS thread that started it. Each scheduling
@@ -57,6 +58,7 @@ mod msg;
 mod net;
 pub mod poll;
 mod sched;
+pub mod task;
 // Compiled here too under `cfg(test)`, so the portable hand-off stays
 // built and unit-tested on a host that never selects it.
 #[cfg(any(test, not(all(target_arch = "x86_64", target_os = "linux"))))]
@@ -71,5 +73,6 @@ pub use msg::Message;
 pub use net::{Network, NetworkConfig};
 pub use poll::{Poll, ProcCx, Process};
 pub use sched::{Ctx, RunReport, Simulation, Stopped};
+pub use task::AsyncCx;
 pub use time::{duration_to_nanos, SimTime};
 pub use trace::{TraceDump, TraceEvent, TraceRecord};

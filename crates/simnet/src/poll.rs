@@ -1,67 +1,47 @@
-//! Processes: every simulated process is a state machine the scheduler
-//! polls, and a parked one is a table entry.
+//! Processes: every simulated process is a machine the scheduler polls,
+//! and a parked one is a table entry.
 //!
 //! A [`Process`] is polled whenever one of its wake conditions fires,
 //! and returns [`Poll::Pending`] to park itself. This is the scheduler's
-//! only process model. A process written by hand as a state machine
-//! ([`Simulation::spawn_poll`]) parks at the cost of its own struct in
-//! the process table, and a wake is a function call on the scheduler's
-//! thread: this is how every server context in the workspace runs
-//! (`proxy_core::ServiceServer`, the name servers), and how a simulation
-//! holds hundreds of thousands of concurrent clients (experiment E16 runs
-//! 100k+). A blocking body ([`Simulation::spawn`]) is straight-line code
-//! on a stack of its own, run by a machine whose poll resumes that stack
-//! until the body blocks again: it reads naturally and dispatches about
-//! as fast, but every parked body pins the stack pages it has touched.
-//! Clients and experiment logic are written that way.
+//! only process model, and a process can be written three ways:
 //!
-//! # Process states and wake reasons
-//!
-//! A process moves through four states:
-//!
-//! * **not started** — spawned, first poll scheduled at the current
-//!   instant;
-//! * **parked** — the last poll returned [`Poll::Pending`]; the machine
-//!   sits in the process table waiting for a wake;
-//! * **sleeping** — parked *deaf* by [`ProcCx::sleep_until`]: only its
-//!   timer wakes it, and deliveries wait in the mailbox;
-//! * **finished** — the last poll returned [`Poll::Ready`] (or the
-//!   machine panicked, or the process was killed).
+//! * **by hand** ([`Simulation::spawn_poll`]): a state machine that
+//!   carries its own continuation, parked at the cost of its own struct;
+//!   the name servers are written so;
+//! * **`async`** ([`Simulation::spawn_async`]): straight-line code whose
+//!   machine the compiler writes, parked at the cost of its future — every
+//!   server context (the `proxy_core` engine around its control parts),
+//!   the blob edge caches and E16's fleet of 100k+ clients (see the
+//!   [`task`](crate::task) module);
+//! * **blocking** ([`Simulation::spawn`]): straight-line code on a stack of
+//!   its own, run by a machine whose poll resumes that stack until the body
+//!   blocks again; every parked body pins the stack pages it has touched.
+//!   Clients and experiment logic are written that way.
 //!
 //! A parked process wakes for exactly two reasons — the ones a blocking
 //! body's [`Ctx::recv`] waits for:
 //!
 //! * **message delivery** — every datagram delivered to one of the
 //!   process's endpoints triggers a poll, so a machine that drains its
-//!   mailbox with [`Ctx::try_recv`] can never miss a message: anything
-//!   that arrives after it observed an empty mailbox schedules a fresh
-//!   poll. Completion of an in-flight RPC is this reason seen from one
-//!   layer up: the reply datagram *is* the wake.
+//!   mailbox with [`Ctx::try_recv`] can never miss a message. Completion
+//!   of an in-flight RPC is this reason seen from one layer up: the reply
+//!   datagram *is* the wake.
 //! * **timer** — the machine asked for a wake at an instant via
 //!   [`ProcCx::wake_at`] / [`ProcCx::wake_after`] before parking. Each
-//!   park arms at most one timer (the earliest requested); re-arming
-//!   happens naturally because `poll` re-requests whatever deadline still
-//!   matters. Stale timers from earlier parks are ignored via a per-park
-//!   generation counter.
+//!   park arms at most one timer (the earliest requested), so each poll
+//!   re-requests whatever deadline still matters; stale timers from
+//!   earlier parks are ignored via a per-park generation counter.
 //!
-//! Inside `poll` the machine has the full non-blocking [`Ctx`] surface
-//! (`ProcCx` derefs to `Ctx`): `try_recv`, `send`, `spawn`, tracing,
-//! observability. The *blocking* surface (`recv`, `sleep`, …) panics
-//! with a descriptive message — a state machine parks by returning
-//! `Pending`, never by suspending a stack.
+//! A process parked *deaf* by [`ProcCx::sleep_until`] wakes for its timer
+//! only: deliveries wait in the mailbox, as they do for a blocking body's
+//! [`Ctx::sleep`]. Inside `poll` the machine has the full non-blocking
+//! [`Ctx`] surface (`ProcCx` derefs to `Ctx`); the *blocking* surface
+//! (`recv`, `sleep`, …) panics there with a descriptive message.
 //!
-//! # Determinism
-//!
-//! Polls run on the thread driving the machine's scheduler *domain* —
-//! the main thread by default, a worker thread when the simulation is
-//! sharded with [`Simulation::with_domains`] and given a pool via
-//! [`Simulation::with_threads`]. Either way the domain executes its
-//! events in deterministic order and the cross-domain merge is decided
-//! by `(time, src_domain, seq)`, never by thread timing, so runs stay
-//! bit-for-bit reproducible: same seed, same event order, same polls,
-//! at any thread count (see the `sched` module docs). The `Process`
-//! trait is `Send` because a machine may be polled from a worker
-//! thread.
+//! Polls run on the thread driving the machine's scheduler *domain*, in
+//! deterministic order whatever the thread count (see the `sched` module
+//! docs), so runs stay bit-for-bit reproducible. The `Process` trait is
+//! `Send` because a machine may be polled from a worker thread.
 //!
 //! # Example
 //!
@@ -79,14 +59,19 @@
 //!     cx.wake_after(Duration::from_millis(10));
 //!     Poll::Pending
 //! });
+//! // The same ticker, written `async`.
+//! sim.spawn_async("ticker", NodeId(1), |cx| async move {
+//!     for _ in 1..3 {
+//!         let _ = cx.sleep(Duration::from_millis(10)).await;
+//!     }
+//! });
 //! let report = sim.run();
-//! assert_eq!(report.finished, 1);
+//! assert_eq!(report.finished, 2);
 //! ```
 //!
 //! [`Simulation::spawn`]: crate::Simulation::spawn
 //! [`Simulation::spawn_poll`]: crate::Simulation::spawn_poll
-//! [`Simulation::with_domains`]: crate::Simulation::with_domains
-//! [`Simulation::with_threads`]: crate::Simulation::with_threads
+//! [`Simulation::spawn_async`]: crate::Simulation::spawn_async
 
 use std::ops::{Deref, DerefMut};
 use std::time::Duration;

@@ -7,15 +7,17 @@
 //! whenever one of its wake conditions fires (its first instant, a
 //! delivery, a timer it armed), and which parks by returning
 //! [`Poll::Pending`]. A parked process is one entry in its domain's
-//! process table; how it executes is invisible to the scheduler. Two
+//! process table; how it executes is invisible to the scheduler. Three
 //! spawn calls make one:
 //!
 //! * [`Simulation::spawn_poll`] takes a hand-written machine. Parked, it
-//!   costs its own struct and no stack at all — the reason left to write
-//!   one by hand — so simulations scale to hundreds of thousands of
-//!   concurrent processes (see the [`poll`](crate::poll) module and
-//!   experiment E16). Server contexts (services, name servers) are
-//!   written this way.
+//!   costs its own struct and no stack at all (see the
+//!   [`poll`](crate::poll) module). The name servers are written so.
+//! * [`Simulation::spawn_async`] takes a future, whose machine the
+//!   compiler writes: as cheap parked, as natural to write as a blocking
+//!   body (see the [`task`](crate::task) module), so simulations scale to
+//!   hundreds of thousands of concurrent processes (experiment E16).
+//!   Server contexts are written this way.
 //! * [`Simulation::spawn`] takes ordinary blocking Rust code against a
 //!   [`Ctx`], on a stack of its own. The machine polled for it resumes
 //!   the stack until the body blocks again (in [`Ctx::recv`],
@@ -79,6 +81,7 @@
 
 use std::cell::{Cell, OnceCell};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -100,6 +103,7 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::msg::Message;
 use crate::net::{Fate, Network, NetworkConfig};
 use crate::poll::{Poll, ProcCx, Process};
+use crate::task::{Async, AsyncCx};
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 use crate::thread_handoff::Yielder;
 use crate::time::{duration_to_nanos, SimTime};
@@ -1347,6 +1351,19 @@ impl Ctx {
             })
     }
 
+    /// Spawns an `async` body on `node` with an ephemeral port (see
+    /// [`Simulation::spawn_async`]).
+    pub fn spawn_async<F, Fut>(&self, name: impl Into<String>, node: NodeId, body: F) -> Endpoint
+    where
+        F: FnOnce(AsyncCx) -> Fut,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        self.shared
+            .spawn_proc(Some(self.domain), name.into(), node, None, |ctx| {
+                Box::new(Async::new(ctx, body))
+            })
+    }
+
     /// Exclusive access to the network model for runtime fault injection
     /// (partitions, loss, link latency). Do not hold across blocking calls.
     ///
@@ -1896,6 +1913,45 @@ impl Simulation {
             .spawn_proc(None, name.into(), node, Some(port), |_| Box::new(process))
     }
 
+    /// Spawns an `async` body on `node` with an ephemeral port: `body` is
+    /// handed the process's [`AsyncCx`] and returns the future the
+    /// scheduler then polls, as it polls any [`Process`]. A parked body
+    /// costs its future, and no stack. See the [`task`](crate::task)
+    /// module.
+    pub fn spawn_async<F, Fut>(&self, name: impl Into<String>, node: NodeId, body: F) -> Endpoint
+    where
+        F: FnOnce(AsyncCx) -> Fut,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        self.shared
+            .spawn_proc(None, name.into(), node, None, |ctx| {
+                Box::new(Async::new(ctx, body))
+            })
+    }
+
+    /// Spawns an `async` body listening on a well-known port.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the port is already bound on that node or is in the
+    /// ephemeral range.
+    pub fn spawn_async_at<F, Fut>(
+        &self,
+        name: impl Into<String>,
+        node: NodeId,
+        port: PortId,
+        body: F,
+    ) -> Endpoint
+    where
+        F: FnOnce(AsyncCx) -> Fut,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        self.shared
+            .spawn_proc(None, name.into(), node, Some(port), |ctx| {
+                Box::new(Async::new(ctx, body))
+            })
+    }
+
     /// Runs the simulation until no events remain, then shuts all
     /// processes down.
     ///
@@ -2263,11 +2319,20 @@ mod tests {
 
     #[test]
     fn a_deaf_sleep_wakes_once_as_a_blocking_sleep_does() {
-        // The same sleeper twice: a blocking body, then a machine parked
-        // with `sleep_until`. Deliveries during the sleep wake neither;
-        // both find the three messages at 10ms, after the same events.
-        fn run(deaf: bool) -> (u64, u64, u64) {
+        // The same sleeper three times: a blocking body, a machine parked
+        // with `sleep_until`, and an `async` body. Deliveries during the
+        // sleep wake none; each finds the three messages at 10ms, after
+        // the same events, and the blocking and `async` bodies leave the
+        // same trace.
+        #[derive(Clone, Copy)]
+        enum Sleeper {
+            Blocking,
+            Machine,
+            Async,
+        }
+        fn run(kind: Sleeper) -> (u64, u64, u64, String) {
             let mut sim = Simulation::new(NetworkConfig::lan(), 0);
+            sim.enable_trace(1024);
             let seen = Arc::new(AtomicU64::new(0));
             let at = Arc::new(AtomicU64::new(0));
             let (s, a) = (Arc::clone(&seen), Arc::clone(&at));
@@ -2277,21 +2342,26 @@ mod tests {
                 }
                 a.store(ctx.now().as_millis(), Ordering::SeqCst);
             };
-            let sleeper = if deaf {
-                let mut drain = Some(drain);
-                sim.spawn_poll("sleeper", NodeId(0), move |cx: &mut ProcCx| {
-                    if cx.now() == SimTime::ZERO {
-                        cx.sleep_until(SimTime::from_millis(10));
-                        return Poll::Pending;
-                    }
-                    (drain.take().expect("woken once"))(cx);
-                    Poll::Ready(())
-                })
-            } else {
-                sim.spawn("sleeper", NodeId(0), move |ctx| {
+            let sleeper = match kind {
+                Sleeper::Machine => {
+                    let mut drain = Some(drain);
+                    sim.spawn_poll("sleeper", NodeId(0), move |cx: &mut ProcCx| {
+                        if cx.now() == SimTime::ZERO {
+                            cx.sleep_until(SimTime::from_millis(10));
+                            return Poll::Pending;
+                        }
+                        (drain.take().expect("woken once"))(cx);
+                        Poll::Ready(())
+                    })
+                }
+                Sleeper::Blocking => sim.spawn("sleeper", NodeId(0), move |ctx| {
                     ctx.sleep(Duration::from_millis(10)).unwrap();
                     drain(ctx);
-                })
+                }),
+                Sleeper::Async => sim.spawn_async("sleeper", NodeId(0), move |cx| async move {
+                    cx.sleep(Duration::from_millis(10)).await.unwrap();
+                    cx.with(|cx| drain(cx));
+                }),
             };
             sim.spawn("sender", NodeId(1), move |ctx| {
                 for _ in 0..3 {
@@ -2303,10 +2373,13 @@ mod tests {
                 seen.load(Ordering::SeqCst),
                 at.load(Ordering::SeqCst),
                 r.metrics.events_dispatched,
+                format!("{:?}", sim.take_trace().records),
             )
         }
-        assert_eq!(run(true), (3, 10, run(false).2));
-        assert_eq!(run(false).0, 3);
+        let blocking = run(Sleeper::Blocking);
+        assert_eq!((blocking.0, blocking.1), (3, 10));
+        assert_eq!(run(Sleeper::Machine).2, blocking.2);
+        assert_eq!(run(Sleeper::Async), blocking);
     }
 
     #[test]

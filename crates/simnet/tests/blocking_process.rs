@@ -7,7 +7,9 @@
 //! locals are dropped exactly once however it ends, a kill or a
 //! shutdown reaches it wherever it is blocked, it has a real stack under
 //! it, thousands can be parked at once, and nothing observable depends
-//! on which OS thread carried it.
+//! on which OS thread carried it. The kill and the shutdown run again
+//! with the same bodies written `async` (`Simulation::spawn_async`),
+//! which must leave the same timeline and count the same events.
 //!
 //! At the parent of the change that added this file (a thread per
 //! process, everywhere) all of these pass but
@@ -113,65 +115,153 @@ fn undelivered_cross_domain_spawn_is_dropped_unrun() {
     assert_eq!(drops.load(Ordering::SeqCst), 2, "each capture dropped once");
 }
 
-#[test]
-fn kill_reaches_a_body_wherever_it_blocks_and_frees_its_port() {
-    type Block = fn(&mut Ctx) -> Result<(), Stopped>;
-    let blocks: [(&str, Block); 3] = [
-        ("recv", |ctx| ctx.recv().map(|_| ())),
-        ("sleep", |ctx| ctx.sleep(Duration::from_secs(3600))),
-        ("recv_deadline", |ctx| {
-            ctx.recv_deadline(SimTime::from_millis(3_600_000))
-                .map(|_| ())
+/// Where a victim parks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Park {
+    Recv,
+    Sleep,
+    RecvDeadline,
+}
+
+/// How a victim is written: straight-line blocking code, or `async`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Written {
+    Blocking,
+    Async,
+}
+
+type Seen = Arc<Mutex<Vec<(Park, Result<(), Stopped>)>>>;
+
+/// Spawns a victim at `port` of node 1 that parks in `park` and notes
+/// what the park returned; `g` goes with it.
+fn victim(sim: &Simulation, written: Written, park: Park, port: PortId, g: Guard, seen: Seen) {
+    const FAR: Duration = Duration::from_secs(3600);
+    let name = format!("{park:?}");
+    match written {
+        Written::Blocking => sim.spawn_at(name, NodeId(1), port, move |ctx| {
+            let _g = g;
+            let r = match park {
+                Park::Recv => ctx.recv().map(|_| ()),
+                Park::Sleep => ctx.sleep(FAR),
+                Park::RecvDeadline => ctx.recv_deadline(SimTime::ZERO + FAR).map(|_| ()),
+            };
+            seen.lock().unwrap().push((park, r));
         }),
-    ];
-    let drops: Vec<_> = blocks.iter().map(|_| counter()).collect();
-    let seen = Arc::new(Mutex::new(Vec::new()));
+        Written::Async => sim.spawn_async_at(name, NodeId(1), port, move |cx| async move {
+            let _g = g;
+            let r = match park {
+                Park::Recv => cx.recv().await.map(|_| ()),
+                Park::Sleep => cx.sleep(FAR).await,
+                Park::RecvDeadline => cx.recv_deadline(SimTime::ZERO + FAR).await.map(|_| ()),
+            };
+            seen.lock().unwrap().push((park, r));
+        }),
+    };
+}
+
+/// What stopping three parked victims leaves: what each saw, how often
+/// each was dropped, how many rebound their ports, the processes
+/// finished, the events dispatched and the scheduler's timeline.
+#[derive(Debug, PartialEq)]
+struct Stopping {
+    seen: Vec<(Park, Result<(), Stopped>)>,
+    drops: Vec<usize>,
+    rebound: usize,
+    finished: usize,
+    events: u64,
+    timeline: String,
+}
+
+/// Parks a victim in each of `recv`, `sleep` and `recv_deadline`, then
+/// stops them: a killer kills each at 1 ms and binds a new process to
+/// its port (`kill`), or the simulation is dropped at 1 ms (a shutdown).
+fn stop_parked(written: Written, kill: bool) -> Stopping {
+    let parks = [Park::Recv, Park::Sleep, Park::RecvDeadline];
+    let drops: Vec<_> = parks.iter().map(|_| counter()).collect();
+    let seen = Seen::default();
     let rebound = counter();
     let mut sim = Simulation::new(NetworkConfig::lan(), 1);
+    sim.enable_trace(1024);
     let mut victims: Vec<Endpoint> = Vec::new();
-    for (i, (name, block)) in blocks.into_iter().enumerate() {
-        let (g, s) = (Guard(Arc::clone(&drops[i])), Arc::clone(&seen));
+    for (i, park) in parks.into_iter().enumerate() {
         let port = PortId(10 + i as u32);
-        victims.push(sim.spawn_at(name, NodeId(1), port, move |ctx| {
-            let _g = g;
-            let r = block(ctx);
-            s.lock().unwrap().push((name, r));
-        }));
+        let g = Guard(Arc::clone(&drops[i]));
+        victim(&sim, written, park, port, g, Arc::clone(&seen));
+        victims.push(Endpoint::new(NodeId(1), port));
     }
     let r = Arc::clone(&rebound);
-    sim.spawn("killer", NodeId(0), move |ctx| {
-        ctx.sleep(Duration::from_millis(1)).unwrap();
-        for v in &victims {
-            assert!(ctx.kill(*v));
-            assert!(!ctx.kill(*v), "a dead process cannot be killed again");
-        }
-        // The victims' teardown runs at this instant, after this body
-        // next blocks; their ports are free already.
-        for v in victims {
-            let r = Arc::clone(&r);
-            let again = ctx.spawn_at("again", v.node, v.port, move |cctx| {
-                let m = cctx.recv().unwrap();
-                assert_eq!(&m.payload[..], b"hello again");
-                r.fetch_add(1, Ordering::SeqCst);
-            });
-            assert_eq!(again, v);
-            ctx.send(again, Bytes::from_static(b"hello again"));
-        }
-    });
-    let report = sim.run();
-    assert_eq!(
-        *seen.lock().unwrap(),
-        vec![
-            ("recv", Err(Stopped)),
-            ("sleep", Err(Stopped)),
-            ("recv_deadline", Err(Stopped))
-        ]
-    );
-    for d in &drops {
-        assert_eq!(d.load(Ordering::SeqCst), 1, "locals dropped exactly once");
+    if kill {
+        sim.spawn("killer", NodeId(0), move |ctx| {
+            ctx.sleep(Duration::from_millis(1)).unwrap();
+            for v in &victims {
+                assert!(ctx.kill(*v));
+                assert!(!ctx.kill(*v), "a dead process cannot be killed again");
+            }
+            // The victims' teardown runs at this instant, after this body
+            // next blocks; their ports are free already.
+            for v in victims {
+                let r = Arc::clone(&r);
+                let again = ctx.spawn_at("again", v.node, v.port, move |cctx| {
+                    let m = cctx.recv().unwrap();
+                    assert_eq!(&m.payload[..], b"hello again");
+                    r.fetch_add(1, Ordering::SeqCst);
+                });
+                assert_eq!(again, v);
+                ctx.send(again, Bytes::from_static(b"hello again"));
+            }
+        });
     }
-    assert_eq!(rebound.load(Ordering::SeqCst), 3);
-    assert_eq!(report.finished, 7);
+    let report = match kill {
+        true => sim.run(),
+        false => sim.run_until(SimTime::from_millis(1)),
+    };
+    let timeline = format!("{:?}", sim.take_trace().records);
+    drop(sim);
+    let seen = std::mem::take(&mut *seen.lock().unwrap());
+    Stopping {
+        seen,
+        drops: drops.iter().map(|d| d.load(Ordering::SeqCst)).collect(),
+        rebound: rebound.load(Ordering::SeqCst),
+        finished: report.finished,
+        events: report.metrics.events_dispatched,
+        timeline,
+    }
+}
+
+#[test]
+fn kill_reaches_a_body_wherever_it_blocks_and_frees_its_port() {
+    let blocking = stop_parked(Written::Blocking, true);
+    let stopped = |park| (park, Err(Stopped));
+    assert_eq!(
+        blocking.seen,
+        [Park::Recv, Park::Sleep, Park::RecvDeadline].map(stopped)
+    );
+    assert_eq!(blocking.drops, [1, 1, 1], "locals dropped exactly once");
+    assert_eq!(blocking.rebound, 3);
+    assert_eq!(blocking.finished, 7);
+    // An `async` body is dropped where it parked, unresumed: it sees
+    // nothing, and the run is the blocking one, event for event.
+    let killed = stop_parked(Written::Async, true);
+    assert_eq!(killed.seen, []);
+    assert_eq!(
+        Stopping {
+            seen: blocking.seen.clone(),
+            ..killed
+        },
+        blocking
+    );
+}
+
+#[test]
+fn shutdown_reaches_a_body_wherever_it_blocks() {
+    let stopped = |park| (park, Err(Stopped));
+    let blocking = stop_parked(Written::Blocking, false);
+    assert_eq!(
+        blocking.seen,
+        [Park::Recv, Park::Sleep, Park::RecvDeadline].map(stopped)
+    );
+    assert_eq!(blocking.drops, [1, 1, 1], "locals dropped exactly once");
+    assert_eq!(stop_parked(Written::Async, false), blocking);
 }
 
 /// The kill above, with a victim that panics on its way out of
