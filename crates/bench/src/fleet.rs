@@ -1,19 +1,20 @@
 //! The poll-driven KV fleet E16, E17, E18 and E20 all drive.
 //!
-//! Every client is a [`simnet::Process`] state machine on
+//! Every client is an `async` body ([`Simulation::spawn_async`]) on
 //! [`SessionCore`]'s non-blocking surface (`bind_async` → `poll_bind` →
 //! `invoke_async` → `poll_call`): it binds to one of `shards` stub-grade
 //! KV services through the name server, then alternates put/get
-//! calls. A parked client costs one registry entry holding its own state
-//! struct — no stack, no thread — so the whole fleet is alive at once.
+//! calls. A parked client costs one registry entry holding its future —
+//! no stack, no thread — so the whole fleet is alive at once.
 
+use std::future::{poll_fn, Future};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use proxy_core::{AsyncHandle, BindFuture, CallFuture, ProxySpec, ServiceBuilder, SessionCore};
+use proxy_core::{AsyncHandle, CallFuture, ProxySpec, ServiceBuilder, SessionCore};
 use services::kv::KvStore;
-use simnet::{Endpoint, NodeId, Poll, ProcCx, Process, RunReport, Simulation};
+use simnet::{AsyncCx, Endpoint, NodeId, ProcCx, RunReport, Simulation};
 use wire::Value;
 
 use crate::per_sec;
@@ -38,83 +39,71 @@ impl Shape {
     }
 }
 
-/// Where a poll-driven client is in its lifecycle.
-enum ClientState {
-    Start,
-    Binding(BindFuture),
-    Calling(AsyncHandle, CallFuture),
-    Done,
-}
-
-/// One client. Everything the client *is* lives in this struct — its
-/// size ([`STATE_BYTES`]) is the per-process memory cost E16 reports.
-struct ClientProc {
+/// One client, before it runs: what its future starts from.
+struct Client {
     core: SessionCore,
-    state: ClientState,
     shard: String,
     id: usize,
-    calls_target: u32,
-    calls_done: u32,
+    calls: u32,
+    done: u32,
     fleet: Fleet,
 }
 
-/// Bytes of machine state one parked client holds.
-pub const STATE_BYTES: usize = std::mem::size_of::<ClientProc>();
+/// Bytes one parked client holds: its future, where everything the
+/// client *is* lives — the per-process memory cost E16 reports.
+pub const STATE_BYTES: usize = output_size(&Client::run);
 
-impl ClientProc {
-    fn next_call(&mut self, cx: &mut ProcCx, h: AsyncHandle) {
-        let key = format!("c{}/k", self.id);
-        let f = if self.calls_done.is_multiple_of(2) {
-            self.core.invoke_async(
-                cx,
-                h,
-                "put",
-                Value::record([
-                    ("key", Value::str(key)),
-                    ("value", Value::str(format!("v{}", self.calls_done))),
-                ]),
-            )
-        } else {
-            self.core
-                .invoke_async(cx, h, "get", Value::record([("key", Value::str(key))]))
-        };
-        self.state = ClientState::Calling(h, f);
-    }
+/// The size of what `f` returns, here a client's future.
+const fn output_size<F: FnOnce(Client, AsyncCx) -> R, R>(_: &F) -> usize {
+    std::mem::size_of::<R>()
 }
 
-impl Process for ClientProc {
-    fn poll(&mut self, cx: &mut ProcCx) -> Poll<()> {
-        loop {
-            match self.state {
-                ClientState::Start => {
-                    let f = self.core.bind_async(cx, &self.shard);
-                    self.state = ClientState::Binding(f);
+impl Client {
+    /// Binds to the client's shard, then alternates put and get, each
+    /// call made as the previous one returns. Across a wait the future
+    /// holds the client, in place, and the poll in hand (a ticket and a
+    /// reference to the core) but nothing more: a client moved into a
+    /// local, or a ticket or result left in scope, would be held too, and
+    /// a parked client would outgrow the hand-written machine it was.
+    #[allow(clippy::manual_async_fn)] // an `async fn` moves `self` into a local: the client twice
+    fn run(mut self, cx: AsyncCx) -> impl Future<Output = ()> + Send {
+        async move {
+            let bound = poll_fn({
+                let bind = cx.with(|cx| self.core.bind_async(cx, &self.shard));
+                let core = &mut self.core;
+                move |_| cx.with(|cx| core.poll_bind(cx, bind))
+            });
+            let Ok(h) = bound.await else {
+                self.fleet.0.completed.fetch_add(1, Ordering::Relaxed);
+                return;
+            };
+            while self.done < self.calls {
+                let call = poll_fn({
+                    let call = cx.with(|cx| self.next_call(cx, h));
+                    let core = &mut self.core;
+                    move |_| cx.with(|cx| core.poll_call(cx, call))
+                });
+                if call.await.is_ok() {
+                    self.fleet.0.ok.fetch_add(1, Ordering::Relaxed);
                 }
-                ClientState::Binding(f) => match self.core.poll_bind(cx, f) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(Ok(h)) => self.next_call(cx, h),
-                    Poll::Ready(Err(_)) => {
-                        self.state = ClientState::Done;
-                    }
-                },
-                ClientState::Calling(h, f) => match self.core.poll_call(cx, f) {
-                    Poll::Pending => return Poll::Pending,
-                    Poll::Ready(r) => {
-                        if r.is_ok() {
-                            self.fleet.ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                        self.calls_done += 1;
-                        if self.calls_done < self.calls_target {
-                            self.next_call(cx, h);
-                        } else {
-                            self.state = ClientState::Done;
-                        }
-                    }
-                },
-                ClientState::Done => {
-                    self.fleet.completed.fetch_add(1, Ordering::Relaxed);
-                    return Poll::Ready(());
-                }
+                self.done += 1;
+            }
+            self.fleet.0.completed.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Starts the client's next call: a put on even turns, a get on odd.
+    fn next_call(&mut self, cx: &mut ProcCx, h: AsyncHandle) -> CallFuture {
+        let key = Value::str(format!("c{}/k", self.id));
+        match self.done % 2 {
+            0 => {
+                let value = Value::str(format!("v{}", self.done));
+                let args = Value::record([("key", key), ("value", value)]);
+                self.core.invoke_async(cx, h, "put", args)
+            }
+            _ => {
+                let args = Value::record([("key", key)]);
+                self.core.invoke_async(cx, h, "get", args)
             }
         }
     }
@@ -124,9 +113,14 @@ impl Process for ClientProc {
 /// count as they go: calls that returned `Ok`, and clients that ran to
 /// their end.
 #[derive(Debug, Clone, Default)]
-pub struct Fleet {
-    ok: Arc<AtomicU64>,
-    completed: Arc<AtomicU64>,
+pub struct Fleet(Arc<Counts>);
+
+/// What a fleet's clients count, in one allocation: each client holds
+/// one pointer to it.
+#[derive(Debug, Default)]
+struct Counts {
+    ok: AtomicU64,
+    completed: AtomicU64,
 }
 
 /// Spawns the fleet: `shape.shards` KV services on the nodes from
@@ -142,19 +136,16 @@ pub fn spawn(sim: &Simulation, shape: Shape, ns: Endpoint, first_node: u32) -> F
     let fleet = Fleet::default();
     let first_client_node = first_node + shape.shards as u32;
     for c in 0..shape.clients {
-        sim.spawn_poll(
-            format!("c{c}"),
-            NodeId(first_client_node + (c as u32 % shape.nodes)),
-            ClientProc {
-                core: SessionCore::new(ns),
-                state: ClientState::Start,
-                shard: format!("kv{}", c % shape.shards),
-                id: c,
-                calls_target: shape.calls_per_client,
-                calls_done: 0,
-                fleet: fleet.clone(),
-            },
-        );
+        let client = Client {
+            core: SessionCore::new(ns),
+            shard: format!("kv{}", c % shape.shards),
+            id: c,
+            calls: shape.calls_per_client,
+            done: 0,
+            fleet: fleet.clone(),
+        };
+        let node = NodeId(first_client_node + (c as u32 % shape.nodes));
+        sim.spawn_async(format!("c{c}"), node, move |cx| client.run(cx));
     }
     fleet
 }
@@ -179,8 +170,8 @@ impl Fleet {
         let report = sim.run();
         Run {
             wall: t0.elapsed(),
-            ok: self.ok.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
+            ok: self.0.ok.load(Ordering::Relaxed),
+            completed: self.0.completed.load(Ordering::Relaxed),
             report,
         }
     }

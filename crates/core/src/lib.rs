@@ -104,9 +104,7 @@ pub use bulk::{BlobClient, BulkEngine, BulkParams};
 pub use interface::{InterfaceDesc, OpDesc, OpKind};
 pub use object::{FactoryRegistry, ObjectCtor, ServiceObject};
 pub use proxy::{protocol, DiscardStrays, OnewaySink, Proxy, ProxyStats};
-pub use server::{
-    server_process, Control, Outcome, ServerStats, ServiceBuilder, ServiceServer, Step, Strays,
-};
+pub use server::{serve, Control, Io, ServerStats, ServiceBuilder, ServiceServer, Strays};
 pub use session::Session;
 pub use session_core::{AsyncHandle, BindFuture, CallFuture, ProxyHandle, SessionCore};
 pub use spec::{AdaptiveParams, CachingParams, Coherence, ProxySpec, ReadTarget};

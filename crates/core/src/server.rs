@@ -9,43 +9,45 @@
 //! checkout/checkin for migration).
 //!
 //! How the context executes is the service's private business — no
-//! client can tell — so it is the cheap kind: a poll-driven
-//! [`Process`], not a thread. What it does with a request is its
-//! [`Control`] part: the object host [`ServiceBuilder`] builds, or one
-//! plugged in through [`server_process`] (the migration host, the
-//! replica, the DSM manager and pager). Every kind runs on one machine
-//! with four states:
+//! client can tell — so it is the cheap kind: an `async` process with no
+//! stack of its own. What it does with a request is its [`Control`]
+//! part: the object host [`ServiceBuilder`] builds, or one run through
+//! [`serve`] (the migration host, the replica, the DSM manager and
+//! pager). Every kind runs on one engine, one future written as
+//! straight-line code:
 //!
-//! * **registering** — its first poll sends the registration, if the
-//!   kind registers; it parks until the name server answers,
-//!   retransmitting on the default [`rpc::RetryPolicy`]'s schedule, and
-//!   panics if that gives up;
-//! * **serving** — every poll drains the mailbox, answers each datagram
-//!   and parks on the empty mailbox;
-//! * **in service** — a request whose control part asks for service
-//!   time ([`Step::Busy`], [`Step::Sleep`]) is started (its dispatch
-//!   span opens) but neither finished nor answered until that long has
-//!   passed; meanwhile the mailbox is left alone, because the context is
-//!   a single FIFO server;
-//! * **calling out** — a request whose control part calls out
-//!   ([`Step::Call`]) is parked the same way while the machine drives
-//!   the call, reading the mailbox for its reply and treating anything
-//!   else by the call's [`Strays`] rule.
+//! * it registers first, if the kind registers, retransmitting on the
+//!   default [`rpc::RetryPolicy`]'s schedule, and panics if that gives
+//!   up;
+//! * it then takes each datagram in turn, answering every request the
+//!   datagram carries under its own dispatch span: a handler that
+//!   finishes without waiting is answered inside the datagram's
+//!   [`rpc::Pass`], so a batch's answers leave together;
+//! * a handler may wait: for service time ([`Io::busy`], [`Io::sleep`]),
+//!   or for a call out ([`Io::call`]), treating what arrives meanwhile
+//!   by the call's [`Strays`] rule. Its request is then answered, through
+//!   [`RpcServer::complete`], once the handler ends; the requests the
+//!   same datagram carried behind it, and those its wait queued, are
+//!   started and wait their turn, because the context is a single FIFO
+//!   server.
 //!
-//! When the wait ends the control part continues the request: it may
-//! wait again or answer, through [`RpcServer::complete`], exactly once.
-//! Work a one-way starts (a backup repairing a gap) waits the same way,
-//! for no request.
+//! A waiting handler is a local of the engine's future, so the code after
+//! each of its awaits runs, under the same dispatch span, when the wait
+//! is over. Work a one-way starts (a backup repairing a gap) waits the
+//! same way, for no request.
 
 use std::collections::VecDeque;
+use std::future::{poll_fn, Future};
+use std::pin::{pin, Pin};
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use naming::NameClient;
+use parking_lot::Mutex;
 use rpc::{
-    endpoint_from_value, send_oneway, Advance, CallHandle, ErrorCode, Oneway, Packet, RemoteError,
+    endpoint_from_value, send_oneway, Advance, ErrorCode, Fresh, Oneway, Packet, Pass, RemoteError,
     Request, RpcClient, RpcError, RpcServer, Served,
 };
-use simnet::{Ctx, Endpoint, Message, NodeId, Poll, ProcCx, Process, SimTime, Simulation};
+use simnet::{AsyncCx, Ctx, Endpoint, Message, NodeId, Simulation};
 use wire::Value;
 
 use crate::interface::{InterfaceDesc, OpKind};
@@ -274,27 +276,6 @@ fn sharer_cap(spec: &ProxySpec) -> usize {
         .unwrap_or_else(|| CachingParams::default().capacity)
 }
 
-/// What a [`Control`] part does next with the work in hand.
-#[derive(Debug)]
-pub enum Step {
-    /// Done: answer its request, if it has one.
-    Reply(Result<Value, RemoteError>),
-    /// Spend this much service time, then resume. A delivery meanwhile
-    /// polls the context, which leaves the mailbox alone and re-arms its
-    /// timer (the object host's accounting).
-    Busy(Duration),
-    /// As `Busy`, but deaf: deliveries wait without polling the context,
-    /// event for event as they waited for a blocking host's `Ctx::sleep`.
-    Sleep(Duration),
-    /// Call `op` with these args at an endpoint, treating whatever else
-    /// arrives by the [`Strays`] rule, then resume with the outcome.
-    Call(Endpoint, &'static str, Value, Strays),
-    /// As `Call`, on the client that made the previous call to the same
-    /// endpoint (its round-trip estimate included), as a blocking caller
-    /// retrying on one `RpcClient` does.
-    Retry(Endpoint, &'static str, Value, Strays),
-}
-
 /// What a context does with a datagram that arrives while it calls out
 /// and is not the call's reply. The call site chooses: what it holds,
 /// keeps or drops decides which requests are answered, and when.
@@ -315,42 +296,34 @@ pub enum Strays {
     HoldKeeping(&'static str),
 }
 
-/// How a call or a wait ended, for [`Control::resume`].
-#[derive(Debug)]
-pub struct Outcome {
-    /// The call's result; `Ok(Null)` after service time.
-    pub result: Result<Value, RpcError>,
-    /// The one-ways [`Strays::HoldKeeping`] kept, in arrival order.
-    pub kept: Vec<Oneway>,
-}
-
 /// The control part of a server context: what it does with each
-/// request. The machine around it is the same for every kind; see the
+/// request. The engine around it is the same for every kind; see the
 /// module docs.
+///
+/// A handler is `async`: it awaits its waits through its [`Io`], and in
+/// between has the process's [`Ctx`] through [`Io::with`].
 pub trait Control: Send + std::fmt::Debug + 'static {
     /// The name the context registers under, if it registers.
     fn name(&self) -> &str;
 
-    /// Starts a fresh request, under its open dispatch span.
-    fn execute(&mut self, ctx: &mut Ctx, req: &Request) -> Step;
-
-    /// Continues the work a waiting [`Step`] suspended, under the same
-    /// span; `req` is the request it is for, if any.
-    fn resume(&mut self, ctx: &mut Ctx, req: Option<&Request>, outcome: Outcome) -> Step;
+    /// Executes a fresh request, under its open dispatch span: its
+    /// answer.
+    fn execute(
+        &mut self,
+        io: &Io,
+        req: &Request,
+    ) -> impl Future<Output = Result<Value, RemoteError>> + Send;
 
     /// A one-way notification arrived (default: ignored).
-    fn oneway(&mut self, _ctx: &mut Ctx, _oneway: Oneway) -> Step {
-        Step::Reply(Ok(Value::Null))
+    fn oneway(&mut self, _io: &Io, _oneway: Oneway) -> impl Future<Output = ()> + Send {
+        async {}
     }
 
-    /// Consulted with each datagram before it is handled: a call returned
-    /// here runs first, for no request, while the datagram waits.
-    fn intercept(&mut self) -> Option<Step> {
-        None
+    /// Runs before each datagram is handled, for no request, while the
+    /// datagram waits (default: nothing).
+    fn intercept(&mut self, _io: &Io) -> impl Future<Output = ()> + Send {
+        async {}
     }
-
-    /// Publishes the kind's counters, once per drained mailbox.
-    fn publish(&self, _obs: &obs::MetricsRegistry) {}
 }
 
 impl Control for Core {
@@ -358,53 +331,302 @@ impl Control for Core {
         &self.name
     }
 
-    fn execute(&mut self, ctx: &mut Ctx, req: &Request) -> Step {
-        match self.service_time(req) {
-            time if time.is_zero() => Step::Reply(self.run(ctx, req)),
-            time => Step::Busy(time),
+    async fn execute(&mut self, io: &Io, req: &Request) -> Result<Value, RemoteError> {
+        let time = self.service_time(req);
+        if !time.is_zero() {
+            io.busy(time).await;
+        }
+        io.with(|ctx| {
+            let result = self.run(ctx, req);
+            ctx.obs().set_server_stats(&self.name, self.stats);
+            result
+        })
+    }
+}
+
+/// What a [`Control`] part's handler has besides itself: its process's
+/// [`Ctx`] between its awaits, and the waits the engine carries out for
+/// it.
+#[derive(Debug)]
+pub struct Io {
+    cx: AsyncCx,
+    wait: Mutex<Wait>,
+}
+
+/// What a call or a wait ends with: the call's result (`Ok(Null)` after
+/// service time) and the one-ways [`Strays::HoldKeeping`] kept.
+type Over = (Result<Value, RpcError>, Vec<Oneway>);
+
+/// A handler's wait, handed to the engine, and how it ended, handed back.
+#[derive(Debug)]
+enum Wait {
+    None,
+    /// Service time, deaf or not.
+    Time(Duration, bool),
+    /// A call out, on the previous client or not.
+    Call(Endpoint, &'static str, Value, Strays, bool),
+    Over(Over),
+}
+
+impl Io {
+    /// Runs `f` with the process's context.
+    pub fn with<R>(&self, f: impl FnOnce(&mut Ctx) -> R) -> R {
+        self.cx.with(|cx| f(cx))
+    }
+
+    /// Spends `d` of service time. A delivery meanwhile polls the
+    /// context, which leaves the mailbox alone and re-arms its timer (the
+    /// object host's accounting).
+    pub async fn busy(&self, d: Duration) {
+        let _ = self.wait(Wait::Time(d, false)).await;
+    }
+
+    /// As [`Io::busy`], but deaf: deliveries wait without polling the
+    /// context, event for event as they waited for a blocking host's
+    /// `Ctx::sleep`.
+    pub async fn sleep(&self, d: Duration) {
+        let _ = self.wait(Wait::Time(d, true)).await;
+    }
+
+    /// Calls `op` with `args` at `to`, treating whatever else arrives by
+    /// the `strays` rule: the call's result, and the one-ways
+    /// [`Strays::HoldKeeping`] kept, in arrival order.
+    pub async fn call(&self, to: Endpoint, op: &'static str, args: Value, strays: Strays) -> Over {
+        self.wait(Wait::Call(to, op, args, strays, false)).await
+    }
+
+    /// As [`Io::call`], on the client that made the previous call to the
+    /// same endpoint (its round-trip estimate included), as a blocking
+    /// caller retrying on one `RpcClient` does.
+    pub async fn retry(&self, to: Endpoint, op: &'static str, args: Value, strays: Strays) -> Over {
+        self.wait(Wait::Call(to, op, args, strays, true)).await
+    }
+
+    /// Hands `wait` to the engine and parks until it is over.
+    async fn wait(&self, wait: Wait) -> Over {
+        *self.wait.lock() = wait;
+        poll_fn(|_| {
+            let mut slot = self.wait.lock();
+            match std::mem::replace(&mut *slot, Wait::None) {
+                Wait::Over(over) => Poll::Ready(over),
+                asked => {
+                    *slot = asked;
+                    Poll::Pending
+                }
+            }
+        })
+        .await
+    }
+}
+
+/// Polls `work` once, under `span` if it is for a request: the code after
+/// each of a handler's awaits runs under its request's dispatch span, as
+/// the code before the first did.
+fn poll_under<F: Future>(io: &Io, span: Option<obs::SpanId>, work: Pin<&mut F>) -> Poll<F::Output> {
+    let previous = span.map(|span| io.with(|ctx| ctx.set_current_span(span)));
+    let polled = work.poll(&mut Context::from_waker(Waker::noop()));
+    if let Some(previous) = previous {
+        io.with(|ctx| ctx.set_current_span(previous));
+    }
+    polled
+}
+
+/// Starts the fresh requests left in `pass`, each to wait its turn in
+/// `in_service`, and sends the pass's answers.
+fn defer_rest(mut pass: Pass<'_>, ctx: &mut Ctx, in_service: &mut VecDeque<Fresh>) {
+    while let Some(fresh) = pass.next(ctx) {
+        pass.settle(ctx, &fresh, None);
+        in_service.push_back(fresh);
+    }
+    pass.finish(ctx);
+}
+
+/// The engine's state around a control part.
+#[derive(Debug, Default)]
+struct Engine {
+    rpc: RpcServer,
+    /// Calls started but not yet answered, each waiting its turn: those
+    /// a datagram carried behind a handler that waited, and those that
+    /// arrived while one called out.
+    in_service: VecDeque<Fresh>,
+    /// Requests held raw by [`Strays::Hold`]; served before the mailbox.
+    held: VecDeque<Message>,
+    /// The client of the latest call out.
+    client: Option<RpcClient>,
+}
+
+impl Engine {
+    /// Serves `control` until the simulation stops (`None`).
+    async fn serve<C: Control>(&mut self, io: &Io, control: &mut C) -> Option<()> {
+        loop {
+            if let Some(fresh) = self.in_service.pop_front() {
+                let handler = pin!(control.execute(io, &fresh.req));
+                let result = self.run(io, Some(fresh.dispatch()), handler).await?;
+                let req = &fresh.req;
+                io.with(|ctx| {
+                    self.rpc
+                        .complete(ctx, [(req.reply_to, req.call_id, result)])
+                });
+                continue;
+            }
+            let msg = match self.held.pop_front() {
+                Some(msg) => msg,
+                None => io.cx.recv().await.ok()?,
+            };
+            self.run(io, None, pin!(control.intercept(io))).await?;
+            self.handle(io, control, &msg).await?;
         }
     }
 
-    fn resume(&mut self, ctx: &mut Ctx, req: Option<&Request>, _: Outcome) -> Step {
-        Step::Reply(self.run(ctx, req.expect("an object host waits for requests")))
+    /// Answers every request `msg` carries, executing each fresh one in
+    /// turn, until a handler waits: the requests behind it are started
+    /// to wait their turn, the datagram's answers leave, and the engine
+    /// carries that handler to its end.
+    async fn handle<C: Control>(&mut self, io: &Io, control: &mut C, msg: &Message) -> Option<()> {
+        let mut pass = match io.cx.with(|cx| self.rpc.pass(cx, msg)) {
+            Ok(pass) => pass,
+            Err(Served::Oneway(oneway)) => {
+                return self.run(io, None, pin!(control.oneway(io, oneway))).await;
+            }
+            Err(_) => return Some(()),
+        };
+        while let Some(fresh) = io.cx.with(|cx| pass.next(cx)) {
+            let mut handler = pin!(control.execute(io, &fresh.req));
+            if let Poll::Ready(result) = poll_under(io, None, handler.as_mut()) {
+                io.cx.with(|cx| pass.settle(cx, &fresh, Some(result)));
+                continue;
+            }
+            io.cx.with(|cx| {
+                pass.settle(cx, &fresh, None);
+                defer_rest(pass, cx, &mut self.in_service);
+            });
+            let span = Some(fresh.dispatch());
+            self.carry_out(io, span).await?;
+            let result = self.run(io, span, handler).await?;
+            let req = &fresh.req;
+            io.with(|ctx| {
+                self.rpc
+                    .complete(ctx, [(req.reply_to, req.call_id, result)])
+            });
+            return Some(());
+        }
+        io.cx.with(|cx| pass.finish(cx));
+        Some(())
     }
 
-    fn publish(&self, obs: &obs::MetricsRegistry) {
-        obs.set_server_stats(&self.name, self.stats);
+    /// Carries `work` — a handler, under its request's dispatch `span`,
+    /// or work for no request — to its end. `None` if the simulation
+    /// stops first.
+    async fn run<T>(
+        &mut self,
+        io: &Io,
+        span: Option<obs::SpanId>,
+        mut work: Pin<&mut impl Future<Output = T>>,
+    ) -> Option<T> {
+        loop {
+            if let Poll::Ready(out) = poll_under(io, span, work.as_mut()) {
+                return Some(out);
+            }
+            self.carry_out(io, span).await?;
+        }
+    }
+
+    /// Carries out the wait a handler parked on, and hands it the end.
+    async fn carry_out(&mut self, io: &Io, span: Option<obs::SpanId>) -> Option<()> {
+        let asked = std::mem::replace(&mut *io.wait.lock(), Wait::None);
+        let over = match asked {
+            Wait::Time(d, deaf) => {
+                let at = io.with(|ctx| ctx.now()) + d;
+                poll_fn(|_| {
+                    io.cx.with(|cx| {
+                        if cx.now() >= at {
+                            return Poll::Ready(());
+                        }
+                        match deaf {
+                            true => cx.sleep_until(at),
+                            false => cx.wake_at(at),
+                        }
+                        Poll::Pending
+                    })
+                })
+                .await;
+                (Ok(Value::Null), Vec::new())
+            }
+            Wait::Call(to, op, args, strays, again) => {
+                let call = (to, op, args);
+                self.call(io.cx, span, call, strays, again).await?
+            }
+            other => unreachable!("a handler parked on no wait of its Io: {other:?}"),
+        };
+        *io.wait.lock() = Wait::Over(over);
+        Some(())
+    }
+
+    /// Makes a call out, under `span`, treating what else arrives by the
+    /// `strays` rule, on a fresh client or — `again` — on the previous
+    /// one if it called the same endpoint. `None` if the simulation
+    /// stops first.
+    async fn call(
+        &mut self,
+        cx: AsyncCx,
+        span: Option<obs::SpanId>,
+        (to, op, args): (Endpoint, &str, Value),
+        strays: Strays,
+        again: bool,
+    ) -> Option<Over> {
+        let mut client = match self.client.take() {
+            Some(client) if again && client.server() == to => client,
+            _ => RpcClient::new(to),
+        };
+        let handle = cx.with(|cx| {
+            let previous = span.map(|span| cx.set_current_span(span));
+            let handle = client.start(cx, "", op, args);
+            if let Some(previous) = previous {
+                cx.set_current_span(previous);
+            }
+            handle
+        });
+        let mut kept = Vec::new();
+        let result = loop {
+            let advanced = poll_fn(|_| {
+                cx.with(|cx| match client.advance(cx, handle) {
+                    Advance::Pending => Poll::Pending,
+                    advanced => Poll::Ready(advanced),
+                })
+            })
+            .await;
+            let (packet, msg) = match advanced {
+                Advance::Settled(Err(RpcError::Stopped)) => return None,
+                Advance::Settled(result) => break result,
+                Advance::Stray(packet, msg) => (packet, msg),
+                Advance::Pending => unreachable!("a pending call parks"),
+            };
+            match (strays, packet) {
+                (Strays::Queue, Some(Packet::Request(..) | Packet::Batch(_))) => cx.with(|cx| {
+                    if let Ok(pass) = self.rpc.pass(cx, &msg) {
+                        defer_rest(pass, cx, &mut self.in_service);
+                    }
+                }),
+                (Strays::Hold | Strays::HoldKeeping(_), Some(Packet::Request(..))) => {
+                    self.held.push_back(msg)
+                }
+                (Strays::HoldKeeping(op), Some(Packet::Oneway(o))) if o.op == op => kept.push(o),
+                _ => cx.with(|cx| client.discard(cx)),
+            }
+        };
+        self.client = Some(client);
+        Some((result, kept))
     }
 }
 
-/// What the work in hand waits for: an instant (deafly or not), or a
-/// call with its stray rule and the one-ways it kept.
-#[derive(Debug)]
-enum Wait {
-    Until(SimTime, bool),
-    Call(CallHandle, Strays, Vec<Oneway>),
-}
-
-/// A process hosting one server context: a poll-driven [`Process`] (see
-/// the module docs for its states) around a [`Control`] part. Built by
-/// [`ServiceBuilder`] for an object host, or by [`server_process`].
+/// A process hosting one server context: the engine (see the module
+/// docs) around a [`Control`] part. Built by [`ServiceBuilder`] for an
+/// object host, or by the `build` given to [`serve`].
 #[derive(Debug)]
 pub struct ServiceServer<C> {
     control: C,
-    rpc: RpcServer,
-    /// The registration in flight; `None` once the name server answered
-    /// (or for a kind that does not register).
-    registering: Option<Box<(NameClient, CallHandle)>>,
-    /// The work in hand, and whether it answers the front of
-    /// `in_service` (or no request).
-    task: Option<(bool, Wait)>,
-    /// Calls started but not yet answered: the front one is the task's
-    /// (or is about to run); requests the same batch carried behind it
-    /// wait their turn.
-    in_service: VecDeque<Request>,
-    /// Requests held raw by [`Strays::Hold`]; served before the mailbox.
-    held: VecDeque<Message>,
-    /// The client of the latest outbound call.
-    client: Option<RpcClient>,
-    /// Whether anything was served since the counters were published.
-    unpublished: bool,
+    /// Where it registers, and with what, for a kind that registers.
+    registration: Option<(Endpoint, Value)>,
 }
 
 impl<C: Control> ServiceServer<C> {
@@ -412,227 +634,52 @@ impl<C: Control> ServiceServer<C> {
     pub fn new(control: C) -> ServiceServer<C> {
         ServiceServer {
             control,
-            rpc: RpcServer::new(),
-            registering: None,
-            task: None,
-            in_service: VecDeque::new(),
-            held: VecDeque::new(),
-            client: None,
-            unpublished: false,
+            registration: None,
         }
     }
 
-    /// Sends the registration of the control part's
-    /// [`name`](Control::name) at this process's endpoint, with `meta`,
-    /// to the name server at `ns`; the context serves once answered.
-    pub fn register(mut self, ctx: &mut Ctx, ns: Endpoint, meta: Value) -> ServiceServer<C> {
-        let mut names = NameClient::new(ns);
-        let call = names.start_register(ctx, self.control.name(), ctx.endpoint(), meta);
-        self.registering = Some(Box::new((names, call)));
+    /// Registers the control part's [`name`](Control::name) at the
+    /// process's endpoint, with `meta`, at the name server at `ns`, as
+    /// the context starts; it serves once answered, retransmitting on the
+    /// default [`rpc::RetryPolicy`]'s schedule meanwhile.
+    pub fn register(mut self, ns: Endpoint, meta: Value) -> ServiceServer<C> {
+        self.registration = Some((ns, meta));
         self
     }
-
-    /// Serves until the mailbox is empty or the work in hand waits.
-    fn serve(&mut self, cx: &mut ProcCx) -> Poll<()> {
-        loop {
-            if let Some((for_request, wait)) = &mut self.task {
-                let for_request = *for_request;
-                let outcome = match wait {
-                    Wait::Until(at, deaf) if cx.now() < *at => {
-                        match deaf {
-                            true => cx.sleep_until(*at),
-                            false => cx.wake_at(*at),
-                        }
-                        return Poll::Pending;
-                    }
-                    Wait::Until(..) => Ok(Value::Null),
-                    Wait::Call(handle, strays, kept) => {
-                        let client = self.client.as_mut().expect("a call is out");
-                        match client.advance(cx, *handle) {
-                            Advance::Pending => return Poll::Pending,
-                            Advance::Settled(Err(RpcError::Stopped)) => return Poll::Ready(()),
-                            Advance::Settled(result) => result,
-                            Advance::Stray(packet, msg) => {
-                                match (*strays, packet) {
-                                    (
-                                        Strays::Queue,
-                                        Some(Packet::Request(..) | Packet::Batch(_)),
-                                    ) => self.handle_msg(cx, &msg),
-                                    (
-                                        Strays::Hold | Strays::HoldKeeping(_),
-                                        Some(Packet::Request(..)),
-                                    ) => self.held.push_back(msg),
-                                    (Strays::HoldKeeping(op), Some(Packet::Oneway(o)))
-                                        if o.op == op =>
-                                    {
-                                        kept.push(o)
-                                    }
-                                    _ => client.discard(cx),
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                };
-                let kept = match self.task.take() {
-                    Some((_, Wait::Call(_, _, kept))) => kept,
-                    _ => Vec::new(),
-                };
-                let outcome = Outcome {
-                    result: outcome,
-                    kept,
-                };
-                let step = self.within(cx, for_request, |control, _, ctx, req| {
-                    control.resume(ctx, req, outcome)
-                });
-                self.step(cx, for_request, step);
-            } else if !self.in_service.is_empty() {
-                let step = self.within(cx, true, |control, _, ctx, req| {
-                    control.execute(ctx, req.expect("a request is in service"))
-                });
-                self.step(cx, true, step);
-            } else {
-                let msg = match self.held.pop_front() {
-                    Some(msg) => msg,
-                    None => match cx.try_recv() {
-                        Ok(Some(msg)) => msg,
-                        Ok(None) => return Poll::Pending,
-                        Err(_stopped) => return Poll::Ready(()),
-                    },
-                };
-                match self.control.intercept() {
-                    Some(step) => {
-                        self.held.push_front(msg);
-                        self.step(cx, false, step);
-                    }
-                    None => self.handle_msg(cx, &msg),
-                }
-            }
-        }
-    }
-
-    /// Processes one incoming datagram. A fresh request is executed and
-    /// answered on the spot unless its control part parks it (or it
-    /// stands behind work in hand): that one is only started.
-    fn handle_msg(&mut self, ctx: &mut Ctx, msg: &Message) {
-        let idle = self.task.is_none();
-        let (control, in_service) = (&mut self.control, &mut self.in_service);
-        let mut parked = None;
-        let served = self.rpc.handle_deferred(ctx, msg, |ctx, req| {
-            if idle && in_service.is_empty() {
-                match control.execute(ctx, req) {
-                    Step::Reply(result) => return Some(result),
-                    step => parked = Some(step),
-                }
-            }
-            in_service.push_back(req.clone());
-            None
-        });
-        if let Served::Oneway(oneway) = served {
-            let step = self.control.oneway(ctx, oneway);
-            self.step(ctx, false, step);
-        }
-        if let Some(step) = parked {
-            self.step(ctx, true, step);
-        }
-        self.unpublished = true;
-    }
-
-    /// Runs `f` for the request in service, under its dispatch span, or —
-    /// `for_request` false — for no request.
-    fn within<R>(
-        &mut self,
-        ctx: &mut Ctx,
-        for_request: bool,
-        f: impl FnOnce(&mut C, &mut Option<RpcClient>, &mut Ctx, Option<&Request>) -> R,
-    ) -> R {
-        let (control, client) = (&mut self.control, &mut self.client);
-        match self.in_service.front().filter(|_| for_request) {
-            Some(req) => self
-                .rpc
-                .continue_with(ctx, req.reply_to, req.call_id, |ctx| {
-                    f(control, client, ctx, Some(req))
-                })
-                .expect("the request in service is executing"),
-            None => f(control, client, ctx, None),
-        }
-    }
-
-    /// Puts `step` into effect for the request in service (or for no
-    /// request): answers it, or makes it the work in hand.
-    fn step(&mut self, ctx: &mut Ctx, for_request: bool, step: Step) {
-        let again = matches!(step, Step::Retry(..));
-        let wait = match step {
-            Step::Reply(result) => {
-                if for_request {
-                    let req = self
-                        .in_service
-                        .pop_front()
-                        .expect("a request is in service");
-                    self.rpc
-                        .complete(ctx, [(req.reply_to, req.call_id, result)]);
-                }
-                self.unpublished = true;
-                return;
-            }
-            Step::Busy(time) => Wait::Until(ctx.now() + time, false),
-            Step::Sleep(time) => Wait::Until(ctx.now() + time, true),
-            Step::Call(to, op, args, strays) | Step::Retry(to, op, args, strays) => {
-                let handle = self.within(ctx, for_request, |_, client, ctx, _| {
-                    let client = match client {
-                        Some(client) if again && client.server() == to => client,
-                        slot => slot.insert(RpcClient::new(to)),
-                    };
-                    client.start(ctx, "", op, args)
-                });
-                Wait::Call(handle, strays, Vec::new())
-            }
-        };
-        self.task = Some((for_request, wait));
-    }
 }
 
-impl<C: Control> Process for ServiceServer<C> {
-    /// # Panics
-    ///
-    /// Panics if registration fails for a reason other than simulation
-    /// shutdown.
-    fn poll(&mut self, cx: &mut ProcCx) -> Poll<()> {
-        if let Some(reg) = &mut self.registering {
-            match reg.0.poll_register(cx, reg.1) {
-                Poll::Pending => return Poll::Pending,
-                Poll::Ready(Ok(_)) => self.registering = None,
-                Poll::Ready(Err(RpcError::Stopped)) => return Poll::Ready(()),
-                Poll::Ready(Err(e)) => {
-                    panic!("service `{}` failed to register: {e}", self.control.name())
-                }
-            }
-        }
-        let done = self.serve(cx);
-        // Publish the latest counters so the unified run report always
-        // reflects this service, even if the process never exits — once
-        // per drained mailbox, not per datagram: the report reads only
-        // the last value.
-        if std::mem::take(&mut self.unpublished) {
-            self.control.publish(cx.obs());
-        }
-        done
-    }
-}
-
-/// The process of a server context that `build` makes on its first poll
+/// The body of a server context that `build` makes when it first runs
 /// (on the context's own node, with its own endpoint): how a crate runs
-/// its own [`Control`] part. Spawn it with `spawn_poll`.
-pub fn server_process<C: Control>(
-    build: impl FnOnce(&mut Ctx) -> ServiceServer<C> + Send + 'static,
-) -> impl Process {
-    let mut build = Some(build);
-    let mut server = None;
-    move |cx: &mut ProcCx| {
-        server
-            .get_or_insert_with(|| (build.take().expect("built once"))(cx))
-            .poll(cx)
+/// its own [`Control`] part. Spawn it with `spawn_async`.
+///
+/// # Panics
+///
+/// Panics if registration fails for a reason other than simulation
+/// shutdown.
+pub async fn serve<C: Control>(cx: AsyncCx, build: impl FnOnce(&mut Ctx) -> ServiceServer<C>) {
+    let ServiceServer {
+        mut control,
+        registration,
+    } = cx.with(|cx| build(cx));
+    let mut engine = Engine::default();
+    if let Some((ns, meta)) = registration {
+        let args = cx.with(|cx| naming::binding_args(control.name(), cx.endpoint(), meta));
+        match engine
+            .call(cx, None, (ns, "register", args), Strays::Drop, false)
+            .await
+        {
+            Some((Ok(_), _)) => {}
+            Some((Err(e), _)) => panic!("service `{}` failed to register: {e}", control.name()),
+            None => return,
+        }
+        // Its client goes with it: no call of the context's reuses it.
+        engine.client = None;
     }
+    let io = Io {
+        cx,
+        wait: Mutex::new(Wait::None),
+    };
+    engine.serve(&io, &mut control).await;
 }
 
 /// Declarative spawning of a service process: one builder covering the
@@ -739,8 +786,10 @@ impl ServiceBuilder {
     /// if [`recovered`](ServiceBuilder::recovered) was requested without
     /// [`factories`](ServiceBuilder::factories).
     pub fn spawn(self, sim: &Simulation, node: NodeId, ns: Endpoint) -> Endpoint {
-        let (label, process) = self.into_process(ns);
-        sim.spawn_poll(label, node, process)
+        let label = self.label();
+        sim.spawn_async(label, node, move |cx| {
+            serve(cx, move |ctx| self.build(ctx, ns))
+        })
     }
 
     /// [`spawn`](ServiceBuilder::spawn) from inside a running process:
@@ -751,13 +800,15 @@ impl ServiceBuilder {
     ///
     /// As [`spawn`](ServiceBuilder::spawn).
     pub fn spawn_from(self, ctx: &Ctx, node: NodeId, ns: Endpoint) -> Endpoint {
-        let (label, process) = self.into_process(ns);
-        ctx.spawn_poll(label, node, process)
+        let label = self.label();
+        ctx.spawn_async(label, node, move |cx| {
+            serve(cx, move |ctx| self.build(ctx, ns))
+        })
     }
 
-    /// The process label and the machine: the server is built by the
-    /// process's own first poll, then polled.
-    fn into_process(self, ns: Endpoint) -> (String, impl Process) {
+    /// The process label, once the builder is checked: the server itself
+    /// is built when the process first runs.
+    fn label(&self) -> String {
         let name = &self.name;
         assert!(
             self.make_object.is_some(),
@@ -767,11 +818,10 @@ impl ServiceBuilder {
             !self.recover || self.factories.is_some(),
             "service `{name}`: recovery needs a factory registry to rebuild snapshots"
         );
-        let label = format!("svc-{name}");
-        (label, server_process(move |ctx| self.build(ctx, ns)))
+        format!("svc-{name}")
     }
 
-    /// Runs on the process's first poll: makes the object — recovered
+    /// Runs when the process first runs: makes the object — recovered
     /// from the node's last checkpoint if asked to and there is one —
     /// and the server around it, and sends its registration `{spec,
     /// iface}` to the name server at `ns`.
@@ -809,6 +859,6 @@ impl ServiceBuilder {
             stats: ServerStats::default(),
             name: self.name,
         };
-        ServiceServer::new(core).register(ctx, ns, meta)
+        ServiceServer::new(core).register(ns, meta)
     }
 }

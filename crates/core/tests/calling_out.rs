@@ -1,8 +1,8 @@
-//! The server engine's calling-out state: a request whose control part
-//! calls out is parked until the call settles, then answered exactly
-//! once; what arrives meanwhile waits its turn (under
-//! [`Strays::Queue`]), and a retransmission of the parked call is
-//! dropped, never re-run, until its reply exists.
+//! The server engine calling out: a request whose handler awaits a call
+//! is parked until the call settles, then answered exactly once; what
+//! arrives meanwhile waits its turn (under [`Strays::Queue`]), and a
+//! retransmission of the parked call is dropped, never re-run, until its
+//! reply exists.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -10,8 +10,7 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    server_process, Control, InterfaceDesc, OpDesc, Outcome, ServiceBuilder, ServiceObject,
-    ServiceServer, Step, Strays,
+    serve, Control, InterfaceDesc, Io, OpDesc, ServiceBuilder, ServiceObject, ServiceServer, Strays,
 };
 use rpc::{ErrorCode, Packet, RemoteError, Request};
 use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, PortId, SimTime, Simulation};
@@ -35,8 +34,9 @@ impl ServiceObject for Slow {
     }
 }
 
-/// `relay` calls the backend's `work` and answers with its reply;
-/// `echo` answers on the spot.
+/// `relay` calls the backend's `work` and answers with its reply,
+/// counting the handlers that got past the call; `echo` answers on the
+/// spot.
 #[derive(Debug)]
 struct Relay {
     backend: Endpoint,
@@ -48,20 +48,14 @@ impl Control for Relay {
         "relay"
     }
 
-    fn execute(&mut self, _ctx: &mut Ctx, req: &Request) -> Step {
-        match req.op.as_str() {
-            "relay" => Step::Call(self.backend, "work", req.args.clone(), Strays::Queue),
-            _ => Step::Reply(Ok(req.args.clone())),
+    async fn execute(&mut self, io: &Io, req: &Request) -> Result<Value, RemoteError> {
+        if req.op != "relay" {
+            return Ok(req.args.clone());
         }
-    }
-
-    fn resume(&mut self, _ctx: &mut Ctx, _req: Option<&Request>, outcome: Outcome) -> Step {
+        let args = req.args.clone();
+        let (result, _) = io.call(self.backend, "work", args, Strays::Queue).await;
         self.resumes.fetch_add(1, Ordering::SeqCst);
-        Step::Reply(
-            outcome
-                .result
-                .map_err(|e| RemoteError::new(ErrorCode::Unavailable, e.to_string())),
-        )
+        result.map_err(|e| RemoteError::new(ErrorCode::Unavailable, e.to_string()))
     }
 }
 
@@ -86,16 +80,14 @@ fn rig(backend: Option<Endpoint>) -> Rig {
     });
     let resumes = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&resumes);
-    let relay = sim.spawn_poll(
-        "relay",
-        NodeId(1),
-        server_process(move |_| {
+    let relay = sim.spawn_async("relay", NodeId(1), move |cx| {
+        serve(cx, move |_| {
             ServiceServer::new(Relay {
                 backend,
                 resumes: counter,
             })
-        }),
-    );
+        })
+    });
     Rig {
         sim,
         relay,

@@ -7,13 +7,13 @@
 //! manager calls out, one pager at a time. That ordering is what makes
 //! the protocol single-writer/multiple-reader at every instant.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::time::Duration;
 
 use bytes::Bytes;
-use proxy_core::{server_process, Control, Outcome, ServiceServer, Step, Strays};
+use proxy_core::{serve, Control, Io, ServiceServer, Strays};
 use rpc::{endpoint_from_value, ErrorCode, RemoteError, Request, RpcError};
-use simnet::{Ctx, Endpoint, NodeId, Simulation};
+use simnet::{Endpoint, NodeId, Simulation};
 use wire::Value;
 
 use crate::{page_arg, proto, PageId};
@@ -41,34 +41,42 @@ enum PageState {
     Exclusive { owner: Endpoint },
 }
 
-/// A fetch waiting for its coherence calls: `op` goes to each of
-/// `pagers` in turn (the front one is being called) before `page` is
-/// granted to `to`. `data` is the home copy, when it is current.
-#[derive(Debug)]
-struct Pending {
-    page: PageId,
-    to: Endpoint,
-    op: &'static str,
-    pagers: VecDeque<Endpoint>,
-    data: Bytes,
-    /// Calls of the front pager made before this one, and whether the
-    /// manager is waiting to call again.
-    tries: u32,
-    backing_off: bool,
-}
-
 /// Tries one coherence call makes before giving up.
 const COHERENCE_TRIES: u32 = 32;
 
-impl Pending {
-    /// The call of the front pager. App requests arriving meanwhile are
-    /// held; one-ways are dropped.
-    fn call(&self, again: bool) -> Step {
-        let pager = *self.pagers.front().expect("a pager to call");
-        let args = Value::record([("page", Value::U64(self.page.0.into()))]);
-        match again {
-            true => Step::Retry(pager, self.op, args, Strays::Hold),
-            false => Step::Call(pager, self.op, args, Strays::Hold),
+/// Calls `op` at `pager`. A grant reply and a subsequent coherence
+/// request race on the network: the manager may demand a
+/// surrender/downgrade before the target app has even received the
+/// grant that creates the mapping. The pager answers `NoSuchObject`
+/// in that window, so the call is retried briefly, on the same
+/// client, until the mapping lands — the standard in-flight-grant
+/// resolution in directory-based DSM protocols.
+async fn coherence(
+    io: &Io,
+    page: PageId,
+    op: &'static str,
+    pager: Endpoint,
+) -> Result<Value, RpcError> {
+    let args = || Value::record([("page", Value::U64(page.0.into()))]);
+    let (mut result, _) = io.call(pager, op, args(), Strays::Hold).await;
+    let mut tries = 0;
+    loop {
+        match result {
+            Err(RpcError::Remote(ref e))
+                if e.code == ErrorCode::NoSuchObject && op != proto::OP_INVALIDATE =>
+            {
+                // Grant still in flight to that context; let it land.
+                io.sleep(Duration::from_millis(1)).await;
+                tries += 1;
+                if tries == COHERENCE_TRIES {
+                    return Err(RpcError::Remote(RemoteError::new(
+                        ErrorCode::Unavailable,
+                        format!("{op} for {page} never became possible"),
+                    )));
+                }
+                (result, _) = io.retry(pager, op, args(), Strays::Hold).await;
+            }
+            result => return result,
         }
     }
 }
@@ -78,7 +86,6 @@ impl Pending {
 struct Manager {
     page_size: usize,
     pages: HashMap<PageId, PageState>,
-    pending: Option<Pending>,
     stats: ManagerStats,
 }
 
@@ -97,8 +104,15 @@ impl Manager {
 
     /// Maps `page` for the pager named in `req`, exclusively or not,
     /// after demoting, taking or shooting down whatever other mappings
-    /// the protocol forbids alongside it.
-    fn fetch(&mut self, req: &Request, exclusive: bool) -> Result<Step, RemoteError> {
+    /// the protocol forbids alongside it: one pager at a time, app
+    /// requests arriving meanwhile held. A failed call fails the fetch,
+    /// and the page's entry stays dropped.
+    async fn fetch(
+        &mut self,
+        io: &Io,
+        req: &Request,
+        exclusive: bool,
+    ) -> Result<Value, RemoteError> {
         let (page, to) = (page_arg(&req.args)?, pager_arg(&req.args)?);
         let zero = self.zero_page();
         let state = self.pages.remove(&page).unwrap_or(PageState::Shared {
@@ -114,7 +128,7 @@ impl Manager {
             (PageState::Exclusive { owner }, true) if owner == to => {
                 self.pages.insert(page, PageState::Exclusive { owner });
                 self.stats.rw_grants += 1;
-                return Ok(Step::Reply(Ok(Value::Null)));
+                return Ok(Value::Null);
             }
             // Demote the writer so both can read.
             (PageState::Exclusive { owner }, false) => (proto::OP_DOWNGRADE, vec![owner], zero),
@@ -125,26 +139,26 @@ impl Manager {
                 (proto::OP_INVALIDATE, readers, data)
             }
         };
-        let pending = Pending {
-            page,
-            to,
-            op,
-            pagers: pagers.into(),
-            data,
-            tries: 0,
-            backing_off: false,
-        };
-        Ok(self.next(pending))
-    }
-
-    /// Calls the next pager of `pending`, or grants once none is left.
-    fn next(&mut self, pending: Pending) -> Step {
-        if pending.pagers.is_empty() {
-            return self.grant_rw(pending.page, pending.to, pending.data);
+        for pager in pagers {
+            let reply = coherence(io, page, op, pager).await.map_err(|e| {
+                RemoteError::new(ErrorCode::Unavailable, format!("{op} failed: {e}"))
+            })?;
+            let data = reply.as_blob().cloned();
+            match op {
+                proto::OP_DOWNGRADE => {
+                    self.stats.downgrades += 1;
+                    let data = data.unwrap_or_else(|| self.zero_page());
+                    return Ok(self.grant_ro(page, to, data, vec![pager]));
+                }
+                proto::OP_SURRENDER => {
+                    self.stats.surrenders += 1;
+                    let data = data.unwrap_or_else(|| self.zero_page());
+                    return Ok(self.grant_rw(page, to, data));
+                }
+                _ => self.stats.invalidations += 1,
+            }
         }
-        let call = pending.call(false);
-        self.pending = Some(pending);
-        call
+        Ok(self.grant_rw(page, to, data))
     }
 
     fn grant_ro(
@@ -153,20 +167,20 @@ impl Manager {
         to: Endpoint,
         data: Bytes,
         mut copyset: Vec<Endpoint>,
-    ) -> Step {
+    ) -> Value {
         if !copyset.contains(&to) {
             copyset.push(to);
         }
         self.stats.ro_grants += 1;
         let reply = Value::blob(data.clone());
         self.pages.insert(page, PageState::Shared { data, copyset });
-        Step::Reply(Ok(reply))
+        reply
     }
 
-    fn grant_rw(&mut self, page: PageId, to: Endpoint, data: Bytes) -> Step {
+    fn grant_rw(&mut self, page: PageId, to: Endpoint, data: Bytes) -> Value {
         self.stats.rw_grants += 1;
         self.pages.insert(page, PageState::Exclusive { owner: to });
-        Step::Reply(Ok(Value::blob(data)))
+        Value::blob(data)
     }
 }
 
@@ -175,84 +189,18 @@ impl Control for Manager {
         "dsm-manager"
     }
 
-    fn execute(&mut self, _ctx: &mut Ctx, req: &Request) -> Step {
-        let step = match req.op.as_str() {
-            proto::OP_FETCH_RO => self.fetch(req, false),
-            proto::OP_FETCH_RW => self.fetch(req, true),
-            "_stats" => Ok(Step::Reply(Ok(Value::record([
+    async fn execute(&mut self, io: &Io, req: &Request) -> Result<Value, RemoteError> {
+        match req.op.as_str() {
+            proto::OP_FETCH_RO => self.fetch(io, req, false).await,
+            proto::OP_FETCH_RW => self.fetch(io, req, true).await,
+            "_stats" => Ok(Value::record([
                 ("ro", Value::U64(self.stats.ro_grants)),
                 ("rw", Value::U64(self.stats.rw_grants)),
                 ("downgrades", Value::U64(self.stats.downgrades)),
                 ("invalidations", Value::U64(self.stats.invalidations)),
                 ("surrenders", Value::U64(self.stats.surrenders)),
-            ])))),
+            ])),
             other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
-        };
-        step.unwrap_or_else(|e| Step::Reply(Err(e)))
-    }
-
-    /// A grant reply and a subsequent coherence request race on the
-    /// network: the manager may demand a surrender/downgrade before the
-    /// target app has even received the grant that creates the mapping.
-    /// The pager answers `NoSuchObject` in that window, so coherence
-    /// calls retry briefly until the mapping lands — the standard
-    /// in-flight-grant resolution in directory-based DSM protocols. A
-    /// failed call fails the fetch, and the page's entry stays dropped.
-    fn resume(&mut self, _ctx: &mut Ctx, _req: Option<&Request>, outcome: Outcome) -> Step {
-        let mut p = self
-            .pending
-            .take()
-            .expect("the manager waits only for a fetch");
-        let result = if p.backing_off {
-            p.backing_off = false;
-            p.tries += 1;
-            if p.tries < COHERENCE_TRIES {
-                let call = p.call(true);
-                self.pending = Some(p);
-                return call;
-            }
-            Err(RpcError::Remote(RemoteError::new(
-                ErrorCode::Unavailable,
-                format!("{} for {} never became possible", p.op, p.page),
-            )))
-        } else {
-            match outcome.result {
-                Err(RpcError::Remote(ref e))
-                    if e.code == ErrorCode::NoSuchObject && p.op != proto::OP_INVALIDATE =>
-                {
-                    // Grant still in flight to that context; let it land.
-                    p.backing_off = true;
-                    self.pending = Some(p);
-                    return Step::Sleep(Duration::from_millis(1));
-                }
-                result => result,
-            }
-        };
-        let reply = match result {
-            Ok(reply) => reply,
-            Err(e) => {
-                let e = RemoteError::new(ErrorCode::Unavailable, format!("{} failed: {e}", p.op));
-                return Step::Reply(Err(e));
-            }
-        };
-        let pager = p.pagers.pop_front().expect("the pager called");
-        let data = reply.as_blob().cloned();
-        match p.op {
-            proto::OP_DOWNGRADE => {
-                self.stats.downgrades += 1;
-                let data = data.unwrap_or_else(|| self.zero_page());
-                self.grant_ro(p.page, p.to, data, vec![pager])
-            }
-            proto::OP_SURRENDER => {
-                self.stats.surrenders += 1;
-                let data = data.unwrap_or_else(|| self.zero_page());
-                self.grant_rw(p.page, p.to, data)
-            }
-            _ => {
-                self.stats.invalidations += 1;
-                p.tries = 0;
-                self.next(p)
-            }
         }
     }
 }
@@ -261,16 +209,13 @@ impl Control for Manager {
 /// its endpoint (pass to [`crate::DsmClient::attach`]).
 pub fn spawn_dsm_manager(sim: &Simulation, node: NodeId, page_size: usize) -> Endpoint {
     assert!(page_size > 0, "page size must be positive");
-    sim.spawn_poll(
-        "dsm-manager",
-        node,
-        server_process(move |_| {
+    sim.spawn_async("dsm-manager", node, move |cx| {
+        serve(cx, move |_| {
             ServiceServer::new(Manager {
                 page_size,
                 pages: HashMap::new(),
-                pending: None,
                 stats: ManagerStats::default(),
             })
-        }),
-    )
+        })
+    })
 }

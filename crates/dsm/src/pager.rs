@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use proxy_core::{server_process, Control, Outcome, ServiceServer, Step};
+use proxy_core::{serve, Control, Io, ServiceServer};
 use rpc::{ErrorCode, RemoteError, Request};
 use simnet::{Ctx, Endpoint};
 use wire::Value;
@@ -36,15 +36,12 @@ impl Control for Pager {
         "pager"
     }
 
-    fn execute(&mut self, _ctx: &mut Ctx, req: &Request) -> Step {
+    async fn execute(&mut self, _io: &Io, req: &Request) -> Result<Value, RemoteError> {
         let unmapped =
             |page| RemoteError::new(ErrorCode::NoSuchObject, format!("{page} not mapped here"));
-        let page = match page_arg(&req.args) {
-            Ok(page) => page,
-            Err(e) => return Step::Reply(Err(e)),
-        };
+        let page = page_arg(&req.args)?;
         let mut table = self.0.lock();
-        Step::Reply(match req.op.as_str() {
+        match req.op.as_str() {
             proto::OP_DOWNGRADE => match table.get_mut(&page) {
                 Some(entry) => {
                     entry.mode = Mode::Read;
@@ -63,11 +60,7 @@ impl Control for Pager {
                 None => Err(unmapped(page)),
             },
             other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
-        })
-    }
-
-    fn resume(&mut self, _ctx: &mut Ctx, _req: Option<&Request>, _outcome: Outcome) -> Step {
-        unreachable!("a pager answers on the spot")
+        }
     }
 }
 
@@ -75,11 +68,9 @@ impl Control for Pager {
 /// process: it serves coherence traffic for as long as the simulation
 /// runs.
 pub(crate) fn spawn_pager(ctx: &Ctx, cache: PageCache) -> Endpoint {
-    ctx.spawn_poll(
-        "pager",
-        ctx.node(),
-        server_process(move |_| ServiceServer::new(Pager(cache))),
-    )
+    ctx.spawn_async("pager", ctx.node(), move |cx| {
+        serve(cx, move |_| ServiceServer::new(Pager(cache)))
+    })
 }
 
 #[cfg(test)]
@@ -100,11 +91,9 @@ mod tests {
             },
         );
         let c2 = Arc::clone(&cache);
-        let pager = sim.spawn_poll(
-            "pager",
-            NodeId(0),
-            server_process(move |_| ServiceServer::new(Pager(c2))),
-        );
+        let pager = sim.spawn_async("pager", NodeId(0), move |cx| {
+            serve(cx, move |_| ServiceServer::new(Pager(c2)))
+        });
         let c3 = Arc::clone(&cache);
         sim.spawn("manager", NodeId(1), move |ctx| {
             let mut rpc = RpcClient::new(pager);

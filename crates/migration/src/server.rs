@@ -2,8 +2,8 @@
 //! [`Control`] part on the server engine.
 
 use proxy_core::{
-    protocol, server_process, Control, FactoryRegistry, InterfaceDesc, Outcome, ProxySpec,
-    ServiceObject, ServiceServer, Step, Strays,
+    protocol, serve, Control, FactoryRegistry, InterfaceDesc, Io, ProxySpec, ServiceObject,
+    ServiceServer, Strays,
 };
 use rpc::{
     endpoint_from_value, endpoint_to_value, ErrorCode, RemoteError, Request, RpcClient, RpcError,
@@ -129,17 +129,15 @@ where
     F: FnOnce() -> Box<dyn ServiceObject> + Send + 'static,
 {
     let label = format!("migratable-{}", config.service);
-    sim.spawn_poll(
-        label,
-        node,
-        server_process(move |ctx| {
+    sim.spawn_async(label, node, move |cx| {
+        serve(cx, move |_| {
             let host = Host::new(config, ns, factories, make_object());
             // Only the very first host registers the name.
             let spec = host.config.spec.to_value();
             let meta = Value::record([("spec", spec), ("iface", host.iface.to_value())]);
-            ServiceServer::new(host).register(ctx, ns, meta)
-        }),
-    )
+            ServiceServer::new(host).register(ns, meta)
+        })
+    })
 }
 
 /// A migratable service's control part: it serves the object until a
@@ -155,29 +153,18 @@ struct Host {
 
 #[derive(Debug)]
 enum State {
-    /// The object lives here; `moving` is its new home while the
-    /// `_migrate` that made it waits for the naming update.
-    Home {
-        object: Box<dyn ServiceObject>,
-        moving: Option<Endpoint>,
-    },
+    /// The object lives here.
+    Home(Box<dyn ServiceObject>),
     /// The object left for `next_hop`. A [`ForwardMode::Resolve`]
-    /// forwarder walks the chain once: `walk` is the hop being asked and
-    /// the calls made so far, `resolved` where the walk ended.
+    /// forwarder walks the chain once, to `resolved`.
     Forwarding {
         next_hop: Endpoint,
-        walk: Option<(Endpoint, u32)>,
         resolved: Option<Endpoint>,
     },
 }
 
 /// Most `_locate` calls one chain walk makes.
 const MAX_WALK: u32 = 32;
-
-/// Asks `hop` where the object is.
-fn locate(hop: Endpoint) -> Step {
-    Step::Call(hop, OP_LOCATE, Value::Null, Strays::Drop)
-}
 
 impl Host {
     fn new(
@@ -191,16 +178,21 @@ impl Host {
             ns,
             factories,
             iface: object.interface(),
-            state: State::Home {
-                object,
-                moving: None,
-            },
+            state: State::Home(object),
         }
     }
 
-    /// Moves the object to a new host on `req`'s node; sends the naming
-    /// update first, if configured.
-    fn migrate(&mut self, ctx: &mut Ctx, req: &Request) -> Result<Step, RemoteError> {
+    /// Spawns the context that serves this host on `node`.
+    fn spawn(self, ctx: &Ctx, node: NodeId) -> Endpoint {
+        let label = format!("migratable-{}", self.config.service);
+        ctx.spawn_async(label, node, move |cx| {
+            serve(cx, move |_| ServiceServer::new(self))
+        })
+    }
+
+    /// Moves the object to a new host on `req`'s node — updating the
+    /// name service first, if configured — and becomes its forwarder.
+    async fn migrate(&mut self, io: &Io, req: &Request) -> Result<Value, RemoteError> {
         let bad_args = |e: String| RemoteError::new(ErrorCode::BadArgs, e);
         let node = req
             .args
@@ -208,7 +200,7 @@ impl Host {
             .map_err(|e| bad_args(e.to_string()))?;
         let node =
             NodeId(u32::try_from(node).map_err(|_| bad_args("node id out of range".into()))?);
-        let State::Home { object, moving } = &mut self.state else {
+        let State::Home(object) = &self.state else {
             unreachable!("only a home migrates")
         };
         let restored = self
@@ -220,30 +212,24 @@ impl Host {
             self.factories.clone(),
             restored,
         );
-        let label = format!("migratable-{}", self.config.service);
-        let process = server_process(move |_| ServiceServer::new(host));
-        let new_ep = ctx.spawn_poll(label, node, process);
-        if !self.config.update_naming {
-            return Ok(self.depart(ctx, new_ep));
+        let new_ep = io.with(|ctx| host.spawn(ctx, node));
+        if self.config.update_naming {
+            // Answered or given up on: either way the object has moved.
+            let binding = naming::binding_args(&self.config.service, new_ep, Value::Null);
+            let _ = io.call(self.ns, "update", binding, Strays::Drop).await;
         }
-        *moving = Some(new_ep);
-        let binding = naming::binding_args(&self.config.service, new_ep, Value::Null);
-        Ok(Step::Call(self.ns, "update", binding, Strays::Drop))
-    }
-
-    /// Becomes a forwarder to `new_ep` and answers the `_migrate`.
-    fn depart(&mut self, ctx: &mut Ctx, new_ep: Endpoint) -> Step {
         self.state = State::Forwarding {
             next_hop: new_ep,
-            walk: None,
             resolved: None,
         };
-        ctx.trace(ctx.current_span(), || obs::NetEventKind::Migrated {
-            service: self.config.service.clone(),
-            from: ctx.endpoint().into(),
-            to: new_ep.into(),
+        io.with(|ctx| {
+            ctx.trace(ctx.current_span(), || obs::NetEventKind::Migrated {
+                service: self.config.service.clone(),
+                from: ctx.endpoint().into(),
+                to: new_ep.into(),
+            })
         });
-        Step::Reply(Ok(Value::record([("ep", endpoint_to_value(new_ep))])))
+        Ok(Value::record([("ep", endpoint_to_value(new_ep))]))
     }
 }
 
@@ -252,90 +238,72 @@ impl Control for Host {
         &self.config.service
     }
 
-    fn execute(&mut self, ctx: &mut Ctx, req: &Request) -> Step {
+    async fn execute(&mut self, io: &Io, req: &Request) -> Result<Value, RemoteError> {
         let object = match &mut self.state {
-            State::Home { object, .. } => object,
-            State::Forwarding {
-                next_hop, resolved, ..
-            } => {
+            State::Home(object) => object,
+            State::Forwarding { next_hop, resolved } => {
                 let target = resolved.unwrap_or(*next_hop);
                 if req.op == OP_LOCATE {
-                    return Step::Reply(Ok(endpoint_to_value(target)));
+                    return Ok(endpoint_to_value(target));
                 }
-                ctx.trace(ctx.current_span(), || obs::NetEventKind::Forwarded {
-                    from: ctx.endpoint().into(),
-                    to: target.into(),
+                io.with(|ctx| {
+                    ctx.trace(ctx.current_span(), || obs::NetEventKind::Forwarded {
+                        from: ctx.endpoint().into(),
+                        to: target.into(),
+                    })
                 });
                 let moved = endpoint_to_value(target);
-                let e = RemoteError::with_data(ErrorCode::Moved, "object has migrated", moved);
-                return Step::Reply(Err(e));
+                return Err(RemoteError::with_data(
+                    ErrorCode::Moved,
+                    "object has migrated",
+                    moved,
+                ));
             }
         };
-        Step::Reply(match req.op.as_str() {
+        match req.op.as_str() {
             protocol::OP_PING => Ok(Value::Null),
             protocol::OP_IFACE => Ok(self.iface.to_value()),
             protocol::OP_SNAPSHOT => object.snapshot(),
-            OP_LOCATE => Ok(endpoint_to_value(ctx.endpoint())),
-            OP_MIGRATE => {
-                return self
-                    .migrate(ctx, req)
-                    .unwrap_or_else(|e| Step::Reply(Err(e)))
-            }
+            OP_LOCATE => Ok(io.with(|ctx| endpoint_to_value(ctx.endpoint()))),
+            OP_MIGRATE => self.migrate(io, req).await,
             op if op.starts_with('_') => Err(RemoteError::new(ErrorCode::NoSuchOp, op.to_owned())),
-            op => match object.service_time(op, &req.args) {
-                time if time.is_zero() => object.dispatch(ctx, op, &req.args),
-                time => return Step::Sleep(time),
-            },
-        })
-    }
-
-    fn resume(&mut self, ctx: &mut Ctx, req: Option<&Request>, outcome: Outcome) -> Step {
-        match &mut self.state {
-            // The naming update answered (or gave up): either way the
-            // object has moved.
-            State::Home {
-                moving: Some(new_ep),
-                ..
-            } => {
-                let new_ep = *new_ep;
-                self.depart(ctx, new_ep)
-            }
-            State::Home { object, .. } => {
-                let req = req.expect("an operation's service time is a request's");
-                Step::Reply(object.dispatch(ctx, &req.op, &req.args))
-            }
-            State::Forwarding { walk, resolved, .. } => {
-                let (hop, calls) = walk.take().expect("a chain walk is under way");
-                let located = outcome
-                    .result
-                    .ok()
-                    .and_then(|v| endpoint_from_value(&v).ok());
-                match located {
-                    Some(next) if next != hop && calls + 1 < MAX_WALK => {
-                        *walk = Some((next, calls + 1));
-                        return locate(next);
-                    }
-                    Some(next) if next != hop => *resolved = Some(next),
-                    _ => *resolved = Some(hop),
+            op => {
+                let time = object.service_time(op, &req.args);
+                if !time.is_zero() {
+                    io.sleep(time).await;
                 }
-                Step::Reply(Ok(Value::Null))
+                io.with(|ctx| object.dispatch(ctx, op, &req.args))
             }
         }
     }
 
     /// A resolving forwarder walks the chain once, when the first
     /// datagram after the move arrives, before answering it.
-    fn intercept(&mut self) -> Option<Step> {
-        match &mut self.state {
-            State::Forwarding {
-                next_hop,
-                walk,
-                resolved: None,
-            } if self.config.forward_mode == ForwardMode::Resolve => {
-                *walk = Some((*next_hop, 0));
-                Some(locate(*next_hop))
-            }
-            _ => None,
+    async fn intercept(&mut self, io: &Io) {
+        let State::Forwarding {
+            next_hop,
+            resolved: None,
+        } = self.state
+        else {
+            return;
+        };
+        if self.config.forward_mode != ForwardMode::Resolve {
+            return;
         }
+        let (mut hop, mut calls) = (next_hop, 0);
+        let end = loop {
+            let (located, _) = io.call(hop, OP_LOCATE, Value::Null, Strays::Drop).await;
+            match located.ok().and_then(|v| endpoint_from_value(&v).ok()) {
+                Some(next) if next != hop && calls + 1 < MAX_WALK => {
+                    (hop, calls) = (next, calls + 1)
+                }
+                Some(next) if next != hop => break next,
+                _ => break hop,
+            }
+        };
+        self.state = State::Forwarding {
+            next_hop,
+            resolved: Some(end),
+        };
     }
 }

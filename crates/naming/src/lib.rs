@@ -43,8 +43,8 @@ pub use server::{spawn_name_server, NAME_SERVER_PORT};
 
 use std::collections::HashMap;
 
-use rpc::{endpoint_to_value, Advance, CallHandle, ErrorCode, RpcClient, RpcError};
-use simnet::{Ctx, Endpoint, Poll, ProcCx};
+use rpc::{endpoint_to_value, ErrorCode, RpcClient, RpcError};
+use simnet::{AsyncCx, Ctx, Endpoint};
 use wire::Value;
 
 /// The arguments of `register` and `update`: a name's binding.
@@ -102,36 +102,21 @@ impl NameClient {
         Ok(rep.get_u64("gen")?)
     }
 
-    /// [`NameClient::register`] for a process that cannot block: sends
-    /// the same request and returns it in flight, to be driven by
-    /// [`NameClient::poll_register`].
-    pub fn start_register(
+    /// [`NameClient::register`] for an `async` body.
+    ///
+    /// # Errors
+    ///
+    /// Any [`RpcError`] from the underlying call.
+    pub async fn register_async(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         name: &str,
         endpoint: Endpoint,
         meta: Value,
-    ) -> CallHandle {
-        self.rpc
-            .start(ctx, "", "register", binding_args(name, endpoint, meta))
-    }
-
-    /// Advances a registration made by [`NameClient::start_register`]
-    /// (see [`RpcClient::advance`]; whatever else arrives meanwhile is
-    /// dropped and counted); `Ready` carries what
-    /// [`NameClient::register`] returns.
-    pub fn poll_register(
-        &mut self,
-        cx: &mut ProcCx,
-        call: CallHandle,
-    ) -> Poll<Result<u64, RpcError>> {
-        loop {
-            match self.rpc.advance(cx, call) {
-                Advance::Pending => return Poll::Pending,
-                Advance::Settled(rep) => return Poll::Ready(Ok(rep?.get_u64("gen")?)),
-                Advance::Stray(..) => self.rpc.discard(cx),
-            }
-        }
+    ) -> Result<u64, RpcError> {
+        let args = binding_args(name, endpoint, meta);
+        let rep = self.rpc.call_async(cx, "register", args).await?;
+        Ok(rep.get_u64("gen")?)
     }
 
     /// Updates the location of an existing name (migration), bumping its
@@ -179,10 +164,23 @@ impl NameClient {
     /// [`ErrorCode::NoSuchObject`] if the name is unknown, or any
     /// transport error.
     pub fn lookup(&mut self, ctx: &mut Ctx, name: &str) -> Result<NameRecord, RpcError> {
-        let rep = self
-            .rpc
-            .call(ctx, "lookup", Value::record([("name", Value::str(name))]))?;
-        let rec = NameRecord::from_value(&rep)?;
+        let rep = self.rpc.call(ctx, "lookup", lookup_args(name))?;
+        self.remember(name, &rep)
+    }
+
+    /// [`NameClient::lookup`] for an `async` body.
+    ///
+    /// # Errors
+    ///
+    /// As [`NameClient::lookup`].
+    pub async fn lookup_async(&mut self, cx: AsyncCx, name: &str) -> Result<NameRecord, RpcError> {
+        let rep = self.rpc.call_async(cx, "lookup", lookup_args(name)).await?;
+        self.remember(name, &rep)
+    }
+
+    /// Caches the record a lookup of `name` returned.
+    fn remember(&mut self, name: &str, rep: &Value) -> Result<NameRecord, RpcError> {
+        let rec = NameRecord::from_value(rep)?;
         self.cache.insert(name.to_owned(), rec.clone());
         Ok(rec)
     }
@@ -219,6 +217,10 @@ impl NameClient {
             .filter_map(|v| v.as_str().map(str::to_owned))
             .collect())
     }
+}
+
+fn lookup_args(name: &str) -> Value {
+    Value::record([("name", Value::str(name))])
 }
 
 /// Convenience: true if the error is "name not found".

@@ -18,11 +18,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use proxy_core::{
-    protocol, server_process, Control, InterfaceDesc, Outcome, ProxySpec, ReadTarget,
-    ServiceObject, ServiceServer, Step, Strays,
+    protocol, serve, Control, InterfaceDesc, Io, ProxySpec, ReadTarget, ServiceObject,
+    ServiceServer, Strays,
 };
 use rpc::{endpoint_to_value, ErrorCode, Oneway, RemoteError, Request};
-use simnet::{Ctx, Endpoint, NodeId, Simulation};
+use simnet::{Endpoint, NodeId, Simulation};
 use wire::Value;
 
 /// How the primary ships writes to its backups.
@@ -66,29 +66,6 @@ enum Role {
     },
 }
 
-/// What a replica is in the middle of, while its context waits.
-#[derive(Debug)]
-enum Job {
-    /// An operation waiting out its service time.
-    Dispatch,
-    /// A primary's sync propagation: `update` goes to backup `next`, and
-    /// `reply` answers the writer after the last one.
-    Propagate {
-        update: Value,
-        next: usize,
-        reply: Value,
-    },
-    /// A backup applying consecutive updates: `applying` is the next,
-    /// taken off `pending` (it waits out its service time first);
-    /// `repaired_from` is the version a gap repair's drain started at.
-    Ingest {
-        applying: Option<(String, Value)>,
-        repaired_from: Option<u64>,
-    },
-    /// A backup waiting for the primary's log.
-    Fetch,
-}
-
 /// One member of a replica group: the group's [`Control`] part.
 #[derive(Debug)]
 struct Replica {
@@ -97,14 +74,13 @@ struct Replica {
     iface: InterfaceDesc,
     version: u64,
     role: Role,
-    job: Option<Job>,
     stats: ReplicaStats,
 }
 
 const LOG_CAP: usize = 1024;
 
-fn bad_args(msg: impl Into<String>) -> Step {
-    Step::Reply(Err(RemoteError::new(ErrorCode::BadArgs, msg)))
+fn bad_args(msg: impl Into<String>) -> RemoteError {
+    RemoteError::new(ErrorCode::BadArgs, msg)
 }
 
 impl Replica {
@@ -115,43 +91,37 @@ impl Replica {
             object,
             version: 0,
             role,
-            job: None,
             stats: ReplicaStats::default(),
         }
     }
 
     /// Runs an operation on the object, after its service time.
-    fn dispatch(&mut self, ctx: &mut Ctx, req: &Request) -> Step {
+    async fn dispatch(&mut self, io: &Io, req: &Request) -> Result<Value, RemoteError> {
         let time = self.object.service_time(&req.op, &req.args);
         if !time.is_zero() {
-            self.job = Some(Job::Dispatch);
-            return Step::Sleep(time);
+            io.sleep(time).await;
         }
-        self.finish_dispatch(ctx, req)
-    }
-
-    fn finish_dispatch(&mut self, ctx: &mut Ctx, req: &Request) -> Step {
         let op = req.op.as_str();
-        let val = match self.object.dispatch(ctx, op, &req.args) {
-            Ok(val) => val,
-            Err(e) => return Step::Reply(Err(e)),
-        };
+        let val = io.with(|ctx| self.object.dispatch(ctx, op, &req.args))?;
         if self.iface.is_write(op) {
-            return self.commit(ctx, req, val);
+            return Ok(self.commit(io, req, val).await);
         }
         if !self.iface.is_read(op) {
-            return Step::Reply(Ok(val));
+            return Ok(val);
         }
         self.stats.reads += 1;
-        Step::Reply(Ok(self.versioned(val)))
+        Ok(self.versioned(val))
     }
 
     fn versioned(&self, val: Value) -> Value {
         Value::record([("val", val), ("ver", Value::U64(self.version))])
     }
 
-    /// A primary's applied write: version it, log it and ship it.
-    fn commit(&mut self, ctx: &mut Ctx, req: &Request, val: Value) -> Step {
+    /// A primary's applied write: version it, log it and ship it — a sync
+    /// write to each backup in turn before the writer is answered.
+    /// Requests arriving meanwhile are held, not dropped; a backup that
+    /// missed the update (e.g. partitioned) is stale until it repairs.
+    async fn commit(&mut self, io: &Io, req: &Request, val: Value) -> Value {
         self.version += 1;
         self.stats.writes_applied += 1;
         let reply = self.versioned(val);
@@ -174,106 +144,92 @@ impl Replica {
             ("ver", Value::U64(self.version)),
         ]);
         match propagation {
-            Propagation::Async => {
+            Propagation::Async => io.with(|ctx| {
                 for b in backups.iter() {
                     rpc::send_oneway(ctx, *b, "_apply", &update);
                 }
-                Step::Reply(Ok(reply))
+            }),
+            Propagation::Sync => {
+                for &backup in backups.iter() {
+                    let _ = io
+                        .call(backup, "_apply", update.clone(), Strays::Hold)
+                        .await;
+                }
             }
-            Propagation::Sync => self.propagate(update, 0, reply),
         }
-    }
-
-    /// Sends the sync propagation of `update` to backup `next`, or — all
-    /// acknowledged — answers the writer with `reply`. Requests arriving
-    /// meanwhile are held, not dropped; a backup that missed the update
-    /// (e.g. partitioned) is stale until it repairs.
-    fn propagate(&mut self, update: Value, next: usize, reply: Value) -> Step {
-        let Role::Primary { backups, .. } = &self.role else {
-            unreachable!("only the primary propagates")
-        };
-        let Some(&backup) = backups.get(next) else {
-            return Step::Reply(Ok(reply));
-        };
-        let call = Step::Call(backup, "_apply", update.clone(), Strays::Hold);
-        self.job = Some(Job::Propagate {
-            update,
-            next,
-            reply,
-        });
-        call
+        reply
     }
 
     /// Takes an `_apply` update in, buffering out-of-order versions and
     /// repairing persistent gaps from the primary's log.
-    fn ingest(&mut self, ctx: &mut Ctx, args: &Value) -> Step {
+    async fn ingest(&mut self, io: &Io, args: &Value) {
         let Role::Backup { pending, .. } = &mut self.role else {
-            return Step::Reply(Ok(Value::Null));
+            return;
         };
         let (Ok(ver), Ok(op)) = (args.get_u64("ver"), args.get_str("op")) else {
-            return Step::Reply(Ok(Value::Null));
+            return;
         };
         if ver <= self.version {
-            return Step::Reply(Ok(Value::Null)); // duplicate
+            return; // duplicate
         }
         let op_args = args.get("args").cloned().unwrap_or(Value::Null);
         pending.insert(ver, (op.to_owned(), op_args));
-        self.job = Some(Job::Ingest {
-            applying: None,
-            repaired_from: None,
-        });
-        self.drain(ctx)
+        self.drain(io).await;
     }
 
     /// Applies every consecutive pending update, each after its service
-    /// time; then, after a first drain that leaves a gap, asks the
-    /// primary for the missing range.
-    fn drain(&mut self, ctx: &mut Ctx) -> Step {
-        let Role::Backup { primary, pending } = &mut self.role else {
-            unreachable!("only backups ingest")
-        };
-        let Some(Job::Ingest {
-            applying,
-            repaired_from,
-        }) = &mut self.job
-        else {
-            unreachable!("a drain belongs to an ingest")
-        };
+    /// time; a first drain that leaves a gap asks the primary for the
+    /// missing range, merges it and drains once more.
+    async fn drain(&mut self, io: &Io) {
+        let mut repaired_from = None;
         loop {
-            if let Some((op, args)) = applying.take() {
-                if self.object.dispatch(ctx, &op, &args).is_ok() {
+            while let Some((op, args)) = self.next_pending() {
+                let time = self.object.service_time(&op, &args);
+                if !time.is_zero() {
+                    io.sleep(time).await;
+                }
+                if io.with(|ctx| self.object.dispatch(ctx, &op, &args)).is_ok() {
                     self.stats.writes_applied += 1;
                 }
                 self.version += 1;
             }
-            let Some((op, args)) = pending.remove(&(self.version + 1)) else {
-                break;
+            let Role::Backup { primary, pending } = &self.role else {
+                unreachable!("only backups ingest")
             };
-            let time = self.object.service_time(&op, &args);
-            *applying = Some((op, args));
-            if !time.is_zero() {
-                return Step::Sleep(time);
+            if let Some(before) = repaired_from {
+                self.stats.repaired += self.version - before;
+                return;
             }
-        }
-        if let Some(before) = *repaired_from {
-            self.stats.repaired += self.version - before;
-        } else if !pending.is_empty() {
+            if pending.is_empty() {
+                return;
+            }
             self.stats.buffered += pending.len() as u64;
             // A gap: some predecessor was lost in flight. Updates that
             // arrive while the fetch waits are kept and merged after the
             // reply: the fetch was issued before they were logged, and
             // no later update may ever come to expose the new gap.
-            self.job = Some(Job::Fetch);
             let from = Value::record([("from", Value::U64(self.version + 1))]);
-            return Step::Call(*primary, "_fetch", from, Strays::HoldKeeping("_apply"));
+            let fetch = Strays::HoldKeeping("_apply");
+            let (reply, late) = io.call(*primary, "_fetch", from, fetch).await;
+            let Ok(reply) = reply else {
+                return;
+            };
+            self.merge(&reply, &late);
+            repaired_from = Some(self.version);
         }
-        self.job = None;
-        Step::Reply(Ok(Value::Null))
     }
 
-    /// Merges the primary's log (and the updates that arrived while it
-    /// was on its way) into the pending set, then drains it.
-    fn repair(&mut self, ctx: &mut Ctx, reply: &Value, late: &[Oneway]) -> Step {
+    /// Takes the next consecutive pending update off a backup's buffer.
+    fn next_pending(&mut self) -> Option<(String, Value)> {
+        let Role::Backup { pending, .. } = &mut self.role else {
+            unreachable!("only backups ingest")
+        };
+        pending.remove(&(self.version + 1))
+    }
+
+    /// Merges the primary's log, and the updates that arrived while it
+    /// was on its way, into the pending set.
+    fn merge(&mut self, reply: &Value, late: &[Oneway]) {
         let Role::Backup { pending, .. } = &mut self.role else {
             unreachable!("only backups repair")
         };
@@ -288,11 +244,6 @@ impl Replica {
                 }
             }
         }
-        self.job = Some(Job::Ingest {
-            applying: None,
-            repaired_from: Some(self.version),
-        });
-        self.drain(ctx)
     }
 }
 
@@ -301,20 +252,20 @@ impl Control for Replica {
         &self.service
     }
 
-    fn execute(&mut self, ctx: &mut Ctx, req: &Request) -> Step {
+    async fn execute(&mut self, io: &Io, req: &Request) -> Result<Value, RemoteError> {
         match req.op.as_str() {
-            protocol::OP_PING => Step::Reply(Ok(Value::Null)),
-            protocol::OP_IFACE => Step::Reply(Ok(self.iface.to_value())),
-            "_ver" => Step::Reply(Ok(Value::U64(self.version))),
+            protocol::OP_PING => Ok(Value::Null),
+            protocol::OP_IFACE => Ok(self.iface.to_value()),
+            "_ver" => Ok(Value::U64(self.version)),
             "_fetch" => match &self.role {
                 // Gap repair: a backup asks for every logged update at
                 // or after `from`.
                 Role::Primary { log, .. } => {
-                    let from = match req.args.get_u64("from") {
-                        Ok(from) => from,
-                        Err(e) => return bad_args(e.to_string()),
-                    };
-                    Step::Reply(Ok(Value::record([(
+                    let from = req
+                        .args
+                        .get_u64("from")
+                        .map_err(|e| bad_args(e.to_string()))?;
+                    Ok(Value::record([(
                         "updates",
                         Value::list(log.iter().filter(|(v, _, _)| *v >= from).map(
                             |(v, op, args)| {
@@ -325,58 +276,37 @@ impl Control for Replica {
                                 ])
                             },
                         )),
-                    )])))
+                    )]))
                 }
-                Role::Backup { .. } => bad_args("backups have no log to fetch"),
+                Role::Backup { .. } => Err(bad_args("backups have no log to fetch")),
             },
             // Sync propagation arrives as an RPC.
             "_apply" => match &self.role {
-                Role::Backup { .. } => self.ingest(ctx, &req.args),
-                Role::Primary { .. } => bad_args("primary does not accept _apply"),
+                Role::Backup { .. } => {
+                    self.ingest(io, &req.args).await;
+                    Ok(Value::Null)
+                }
+                Role::Primary { .. } => Err(bad_args("primary does not accept _apply")),
             },
             op if self.iface.is_write(op) => match &self.role {
-                Role::Primary { .. } => self.dispatch(ctx, req),
+                Role::Primary { .. } => self.dispatch(io, req).await,
                 Role::Backup { primary, .. } => {
                     self.stats.not_primary += 1;
-                    Step::Reply(Err(RemoteError::with_data(
+                    Err(RemoteError::with_data(
                         ErrorCode::NotPrimary,
                         "writes must go to the primary",
                         endpoint_to_value(*primary),
-                    )))
+                    ))
                 }
             },
-            _ => self.dispatch(ctx, req),
+            _ => self.dispatch(io, req).await,
         }
     }
 
-    fn resume(&mut self, ctx: &mut Ctx, req: Option<&Request>, outcome: Outcome) -> Step {
-        match self
-            .job
-            .take()
-            .expect("a replica waits only with a job in hand")
-        {
-            Job::Dispatch => self.finish_dispatch(ctx, req.expect("a dispatch is a request's")),
-            Job::Propagate {
-                update,
-                next,
-                reply,
-            } => self.propagate(update, next + 1, reply),
-            job @ Job::Ingest { .. } => {
-                self.job = Some(job);
-                self.drain(ctx)
-            }
-            Job::Fetch => match outcome.result {
-                Ok(reply) => self.repair(ctx, &reply, &outcome.kept),
-                Err(_) => Step::Reply(Ok(Value::Null)),
-            },
-        }
-    }
-
-    fn oneway(&mut self, ctx: &mut Ctx, oneway: Oneway) -> Step {
+    async fn oneway(&mut self, io: &Io, oneway: Oneway) {
         if oneway.op == "_apply" {
-            return self.ingest(ctx, &oneway.args);
+            self.ingest(io, &oneway.args).await;
         }
-        Step::Reply(Ok(Value::Null))
     }
 }
 
@@ -423,17 +353,15 @@ where
         let service = config.service.clone();
         let slot = Arc::clone(&primary_slot);
         let label = format!("replica-{service}-{i}");
-        let ep = sim.spawn_poll(
-            label,
-            node,
-            server_process(move |_| {
+        let ep = sim.spawn_async(label, node, move |cx| {
+            serve(cx, move |_| {
                 let role = Role::Backup {
                     primary: slot.lock().expect("the primary is spawned before the run"),
                     pending: BTreeMap::new(),
                 };
                 ServiceServer::new(Replica::new(service, mk(), role))
-            }),
-        );
+            })
+        });
         backups.push(ep);
     }
 
@@ -442,28 +370,30 @@ where
     let propagation = config.propagation;
     let read_target = config.read_target;
     let backups_for_primary = backups.clone();
-    let primary = sim.spawn_poll(
+    let primary = sim.spawn_async(
         format!("replica-{service}-primary"),
         config.nodes[0],
-        server_process(move |ctx| {
-            let object = mk();
-            let iface = object.interface();
-            let me = ctx.endpoint();
-            let spec = ProxySpec::Replicated {
-                primary: me,
-                replicas: std::iter::once(me)
-                    .chain(backups_for_primary.iter().copied())
-                    .collect(),
-                read_target,
-            };
-            let meta = Value::record([("spec", spec.to_value()), ("iface", iface.to_value())]);
-            let role = Role::Primary {
-                backups: backups_for_primary,
-                propagation,
-                log: VecDeque::new(),
-            };
-            ServiceServer::new(Replica::new(service, object, role)).register(ctx, ns, meta)
-        }),
+        move |cx| {
+            serve(cx, move |ctx| {
+                let object = mk();
+                let iface = object.interface();
+                let me = ctx.endpoint();
+                let spec = ProxySpec::Replicated {
+                    primary: me,
+                    replicas: std::iter::once(me)
+                        .chain(backups_for_primary.iter().copied())
+                        .collect(),
+                    read_target,
+                };
+                let meta = Value::record([("spec", spec.to_value()), ("iface", iface.to_value())]);
+                let role = Role::Primary {
+                    backups: backups_for_primary,
+                    propagation,
+                    log: VecDeque::new(),
+                };
+                ServiceServer::new(Replica::new(service, object, role)).register(ns, meta)
+            })
+        },
     );
 
     *primary_slot.lock() = Some(primary);

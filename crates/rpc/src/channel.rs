@@ -80,7 +80,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
-use simnet::{Ctx, Endpoint, Message, SimTime};
+use simnet::{AsyncCx, Ctx, Endpoint, Message, SimTime};
 use wire::Value;
 
 use crate::client::RetryPolicy;
@@ -684,17 +684,9 @@ impl Channel {
         mut recv: impl FnMut(&mut Ctx, SimTime) -> Result<Option<Message>, simnet::Stopped>,
     ) -> Result<Turn, RpcError> {
         loop {
-            self.tick(ctx);
-            let settled = match target {
-                Some(h) => self.is_settled(h),
-                None => self.calls.is_empty(),
-            };
-            if settled {
+            let Some(deadline) = self.turn(ctx, target) else {
                 return Ok(Turn::Settled);
-            }
-            // The flush above put every call the window has room for in
-            // flight, the unsettled target among them.
-            let deadline = self.next_deadline().expect("a call is in flight");
+            };
             match recv(ctx, deadline)? {
                 Some(msg) => {
                     if let Absorbed::Declined(packet) = self.absorb(ctx, &msg) {
@@ -706,6 +698,21 @@ impl Channel {
                 None => return Ok(Turn::Empty(deadline)),
             }
         }
+    }
+
+    /// What [`Channel::drive`] does before each receive: sends what the
+    /// window has room for and fires due timers. `None` once `target`
+    /// (with `None`, every staged call) has settled, else the deadline to
+    /// receive by.
+    fn turn(&mut self, ctx: &mut Ctx, target: Option<CallHandle>) -> Option<SimTime> {
+        self.tick(ctx);
+        let settled = match target {
+            Some(h) => self.is_settled(h),
+            None => self.calls.is_empty(),
+        };
+        // The flush above put every call the window has room for in
+        // flight, the unsettled target among them.
+        (!settled).then(|| self.next_deadline().expect("a call is in flight"))
     }
 
     /// Blocks until `target` settles (see [`Channel::drive`]), keeping
@@ -751,6 +758,29 @@ impl Channel {
     pub fn wait(&mut self, ctx: &mut Ctx, h: CallHandle) -> Result<Value, RpcError> {
         if !self.is_settled(h) {
             self.pump(ctx, Some(h))?;
+        }
+        self.claim(h)
+    }
+
+    /// [`Channel::wait`] for an `async` body: the same turns, each
+    /// receive an [`AsyncCx::recv_deadline`] that parks as a blocking
+    /// one does, so the call goes out, retransmits and settles event for
+    /// event as a blocking caller's.
+    ///
+    /// # Errors
+    ///
+    /// As [`Channel::wait`].
+    pub async fn wait_async(&mut self, cx: AsyncCx, h: CallHandle) -> Result<Value, RpcError> {
+        if !self.is_settled(h) {
+            while let Some(deadline) = cx.with(|cx| self.turn(cx, Some(h))) {
+                if let Some(msg) = cx.recv_deadline(deadline).await? {
+                    cx.with(|cx| {
+                        if let Absorbed::Declined(packet) = self.absorb(cx, &msg) {
+                            self.keep_oneway(cx, packet, &msg);
+                        }
+                    });
+                }
+            }
         }
         self.claim(h)
     }

@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 
-use simnet::{Ctx, Endpoint, ProcCx};
+use simnet::{AsyncCx, Ctx, Endpoint, ProcCx};
 use wire::Value;
 
 use crate::channel::{Advance, CallHandle, Channel, ChannelConfig};
@@ -183,6 +183,24 @@ impl RpcClient {
     ) -> Result<Value, RpcError> {
         let call = self.start(ctx, object, op, args);
         let result = self.channel.wait(ctx, call);
+        self.publish();
+        result
+    }
+
+    /// [`RpcClient::call`] for an `async` body: the same call, waited for
+    /// by [`Channel::wait_async`].
+    ///
+    /// # Errors
+    ///
+    /// As [`RpcClient::call`].
+    pub async fn call_async(
+        &mut self,
+        cx: AsyncCx,
+        op: &str,
+        args: Value,
+    ) -> Result<Value, RpcError> {
+        let call = cx.with(|cx| self.start(cx, "", op, args));
+        let result = self.channel.wait_async(cx, call).await;
         self.publish();
         result
     }

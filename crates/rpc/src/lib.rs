@@ -58,4 +58,4 @@ pub use error::{ErrorCode, RemoteError, RpcError};
 pub use proto::{
     endpoint_from_value, endpoint_to_value, with_encoder, Batch, Oneway, Packet, Reply, Request,
 };
-pub use server::{RpcServer, ServeStats, Served};
+pub use server::{Fresh, Pass, RpcServer, ServeStats, Served};

@@ -47,7 +47,7 @@ use simnet::{Ctx, Endpoint, Message, SimTime};
 use wire::Value;
 
 use crate::error::RemoteError;
-use crate::proto::{splice_reply_batch, Batch, Oneway, Packet, Reply, Request};
+use crate::proto::{splice_reply_batch, Oneway, Packet, Reply, Request};
 
 /// Counters accumulated by a server.
 ///
@@ -60,10 +60,10 @@ pub use obs::ServeStats;
 #[derive(Debug)]
 pub enum Served {
     /// A fresh request was executed and replied to.
-    Executed(Request),
+    Executed,
     /// A fresh request was started; its handler deferred the reply to a
     /// later [`RpcServer::complete`].
-    Deferred(Request),
+    Deferred,
     /// A duplicate was answered from the reply cache (handler not run).
     DuplicateSuppressed,
     /// A request was dropped, unanswered and unrun: its call is still
@@ -162,17 +162,15 @@ impl ClientWindow {
     }
 }
 
-/// What `answer_request` produced for one request.
-enum Answer {
-    /// Fresh execution; the encoded reply to send.
-    Executed(Bytes),
-    /// Duplicate answered from the cache; the recorded reply to resend.
+/// What duplicate suppression makes of one request.
+enum Admit {
+    /// A retransmission of a call with a recorded reply: the reply to
+    /// resend.
     Cached(Bytes),
     /// Still executing, or no longer awaited; nothing to send.
     Dropped,
-    /// Fresh execution whose handler deferred the reply; nothing to send
-    /// yet.
-    Deferred,
+    /// A fresh call, started.
+    Fresh(Call),
 }
 
 /// Encoded replies on their way out, grouped by destination in the
@@ -181,6 +179,7 @@ enum Answer {
 /// span a reply travelling alone to it is traced under: its call's span
 /// for a completion, and none for a batch's replies, which travel under
 /// no span, as the batch did.
+#[derive(Debug)]
 struct Coalesced {
     /// The first reply while it is the only one, held without
     /// allocating: a reply alone is the common case.
@@ -282,129 +281,73 @@ impl RpcServer {
     /// through [`RpcServer::complete`], naming the request's `reply_to`
     /// and `call_id`. Until then a retransmission of the id is dropped
     /// (counted under `duplicates_dropped`), never re-run and never
-    /// answered; afterwards it gets the recorded reply.
+    /// answered; afterwards it gets the recorded reply. This is a
+    /// [`Pass`] with `handler` run between each [`Pass::next`] and its
+    /// [`Pass::settle`].
     pub fn handle_deferred(
         &mut self,
         ctx: &mut Ctx,
         msg: &Message,
         mut handler: impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
     ) -> Served {
-        let packet = match Packet::from_frame(&msg.payload) {
-            Ok(p) => p,
+        let mut pass = match self.pass(ctx, msg) {
+            Ok(pass) => pass,
+            Err(served) => return served,
+        };
+        while let Some(fresh) = pass.next(ctx) {
+            let result = handler(ctx, &fresh.req);
+            pass.settle(ctx, &fresh, result);
+        }
+        pass.finish(ctx)
+    }
+
+    /// Decodes `msg` for a [`Pass`] over the requests it carries, one or
+    /// a batch; anything else is what [`RpcServer::handle`] returns for
+    /// it. Items of a batch that are not requests are a protocol
+    /// violation, counted as undecodable as the pass meets them.
+    ///
+    /// # Errors
+    ///
+    /// The [`Served`] of a datagram that carries no request.
+    pub fn pass(&mut self, ctx: &mut Ctx, msg: &Message) -> Result<Pass<'_>, Served> {
+        let (lone, items) = match Packet::from_frame(&msg.payload) {
+            Ok(Packet::Request(req, lo)) => (Some((req, lo)), Vec::new()),
+            Ok(Packet::Batch(batch)) => (None, batch.items),
+            Ok(Packet::Oneway(o)) => {
+                self.stats.oneways += 1;
+                ctx.obs().on_oneway_rx();
+                return Err(Served::Oneway(o));
+            }
+            Ok(Packet::Reply(r)) => return Err(Served::Reply(r)),
             Err(_) => {
                 self.stats.undecodable += 1;
                 ctx.obs().on_undecodable();
-                return Served::Undecodable;
+                return Err(Served::Undecodable);
             }
         };
-        match packet {
-            Packet::Request(req, lo) => self.handle_request(ctx, req, lo, &mut handler),
-            Packet::Oneway(o) => {
-                self.stats.oneways += 1;
-                ctx.obs().on_oneway_rx();
-                Served::Oneway(o)
-            }
-            Packet::Reply(r) => Served::Reply(r),
-            Packet::Batch(batch) => self.handle_batch(ctx, batch, &mut handler),
-        }
+        let served = match lone {
+            Some(_) => Served::DuplicateDropped,
+            None => Served::Batch {
+                executed: 0,
+                suppressed: 0,
+                dropped: 0,
+            },
+        };
+        Ok(Pass {
+            server: self,
+            lone,
+            items: items.into_iter(),
+            out: Coalesced::new(),
+            served,
+        })
     }
 
-    fn handle_request(
-        &mut self,
-        ctx: &mut Ctx,
-        req: Request,
-        lo: u64,
-        handler: &mut impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
-    ) -> Served {
-        let span = obs::SpanId::from_raw(req.span);
-        match self.answer_request(ctx, &req, lo, handler) {
-            Answer::Cached(bytes) => {
-                ctx.send_traced(req.reply_to, bytes, span);
-                Served::DuplicateSuppressed
-            }
-            Answer::Dropped => Served::DuplicateDropped,
-            Answer::Deferred => Served::Deferred(req),
-            Answer::Executed(bytes) => {
-                // The reply belongs to the request's span (the handler
-                // restored the server's previous span inside
-                // `answer_request`).
-                ctx.send_traced(req.reply_to, bytes, span);
-                Served::Executed(req)
-            }
-        }
-    }
-
-    /// Unbatches a batch of requests, dispatches each with duplicate
-    /// suppression, and sends the replies back coalesced: one batch
-    /// datagram per `reply_to` (a single reply goes out plain).
-    /// Non-request items inside a batch are a protocol violation and are
-    /// counted as undecodable.
-    ///
-    /// A coalesced reply is the frame recorded for duplicate suppression,
-    /// fresh or cached: its encoded record is spliced into the batch as
-    /// it stands, never decoded and written again. The batch comes out
-    /// byte-identical to one built from the decoded replies, and a
-    /// bulk-plane batch of 16 KiB chunk replies costs one copy of each
-    /// chunk instead of a decode and a re-encode.
-    fn handle_batch(
-        &mut self,
-        ctx: &mut Ctx,
-        batch: Batch,
-        handler: &mut impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
-    ) -> Served {
-        let (mut executed, mut suppressed, mut dropped) = (0u64, 0u64, 0u64);
-        let mut out = Coalesced::new();
-        for item in batch.items {
-            let (req, lo) = match item {
-                Packet::Request(r, lo) => (r, lo),
-                _ => {
-                    self.stats.undecodable += 1;
-                    ctx.obs().on_undecodable();
-                    continue;
-                }
-            };
-            let reply_to = req.reply_to;
-            let bytes = match self.answer_request(ctx, &req, lo, handler) {
-                Answer::Executed(b) => {
-                    executed += 1;
-                    b
-                }
-                Answer::Cached(b) => {
-                    suppressed += 1;
-                    b
-                }
-                Answer::Dropped => {
-                    dropped += 1;
-                    continue;
-                }
-                Answer::Deferred => {
-                    executed += 1;
-                    continue;
-                }
-            };
-            out.push(reply_to, bytes, obs::SpanId::NONE);
-        }
-        out.send(ctx);
-        Served::Batch {
-            executed,
-            suppressed,
-            dropped,
-        }
-    }
-
-    /// Duplicate-suppressed execution of one request: first forgets what
-    /// the client's `lo` says it no longer awaits, then runs the handler
-    /// only for fresh ids, records the encoded reply, and returns what
-    /// to send — without sending it, so batch dispatch can coalesce. A
-    /// request whose `lo` is above its own id is one its client no longer
-    /// awaits, and is dropped.
-    fn answer_request(
-        &mut self,
-        ctx: &mut Ctx,
-        req: &Request,
-        lo: u64,
-        handler: &mut impl FnMut(&mut Ctx, &Request) -> Option<Result<Value, RemoteError>>,
-    ) -> Answer {
+    /// Duplicate suppression for one request: first forgets what the
+    /// client's `lo` says it no longer awaits, then finds the id's
+    /// recorded reply, drops an id that is still executing or that the
+    /// client no longer awaits, and starts a fresh one — its dispatch
+    /// span opened as a child of the request's invoke span.
+    fn admit(&mut self, ctx: &mut Ctx, req: &Request, lo: u64) -> Admit {
         let window = self.windows.entry(req.reply_to).or_default();
         window.release_below(lo);
         if let Some(cached) = window.lookup(req.call_id) {
@@ -415,19 +358,15 @@ impl RpcServer {
             let cached = cached.clone();
             self.stats.duplicates_suppressed += 1;
             ctx.obs().on_duplicate_suppressed();
-            return Answer::Cached(cached);
+            return Admit::Cached(cached);
         }
         if window.drops(req.call_id) {
             // Still executing (the reply will come when it completes), or
             // at or below the floor: the client no longer awaits it — drop.
             self.stats.duplicates_dropped += 1;
             ctx.obs().on_duplicate_dropped();
-            return Answer::Dropped;
+            return Admit::Dropped;
         }
-        // Open a dispatch span as a child of the request's invoke span
-        // and make it the process's active span while the handler runs,
-        // so notifications the handler sends (invalidations, recalls,
-        // replication updates) are parented to this dispatch.
         let dispatch = ctx.obs().open_span(
             obs::SpanKind::Dispatch,
             obs::SpanId::from_raw(req.span),
@@ -435,29 +374,12 @@ impl RpcServer {
             &req.op,
             ctx.now().as_nanos(),
         );
-        let previous = ctx.set_current_span(dispatch);
-        let started = ctx.now();
-        let result = handler(ctx, req);
-        ctx.set_current_span(previous);
-        self.stats.executed += 1;
-        ctx.obs().on_executed();
-        let call = Call {
+        Admit::Fresh(Call {
             call_id: req.call_id,
             span: req.span,
             dispatch,
-            started,
-        };
-        match result {
-            Some(result) => Answer::Executed(self.finish(ctx, req.reply_to, call, &req.op, result)),
-            None => {
-                let window = self.windows.entry(req.reply_to).or_default();
-                window.executing.push(Executing {
-                    call,
-                    op: req.op.clone(),
-                });
-                Answer::Deferred
-            }
-        }
+            started: ctx.now(),
+        })
     }
 
     /// Closes a call's dispatch span, records its encoded reply for
@@ -527,31 +449,6 @@ impl RpcServer {
         answered
     }
 
-    /// Runs `run` with the dispatch span of the started call `(reply_to,
-    /// call_id)` as the process's active span, exactly as a handler that
-    /// answers on the spot runs, so what it sends is parented to the
-    /// dispatch; the call stays executing. How an owner does the work of
-    /// a call it answers later (a server modelling service time, or
-    /// calling out). `None`, and `run` not called, if the call is not
-    /// executing.
-    pub fn continue_with<R>(
-        &self,
-        ctx: &mut Ctx,
-        reply_to: Endpoint,
-        call_id: u64,
-        run: impl FnOnce(&mut Ctx) -> R,
-    ) -> Option<R> {
-        let window = self.windows.get(&reply_to)?;
-        let started = window
-            .executing
-            .iter()
-            .find(|e| e.call.call_id == call_id)?;
-        let previous = ctx.set_current_span(started.call.dispatch);
-        let result = run(ctx);
-        ctx.set_current_span(previous);
-        Some(result)
-    }
-
     /// Runs a request loop until the simulation stops. One-way traffic is
     /// passed to `on_oneway`; replies and undecodable datagrams are
     /// dropped (counted).
@@ -565,6 +462,147 @@ impl RpcServer {
             if let Served::Oneway(o) = self.handle(ctx, &msg, &mut handler) {
                 on_oneway(ctx, &o);
             }
+        }
+    }
+}
+
+/// A pass over one datagram's requests, for an owner that runs each
+/// fresh one itself, one at a time ([`RpcServer::handle_deferred`] is
+/// this pass around a closure): [`Pass::next`] answers duplicates from
+/// the reply cache and hands out the next fresh request, its dispatch
+/// span open and current; [`Pass::settle`] takes its result, or `None` —
+/// "started, will answer later"; [`Pass::finish`] sends the replies,
+/// coalesced as [`RpcServer::handle`] coalesces a batch's.
+#[derive(Debug)]
+pub struct Pass<'a> {
+    server: &'a mut RpcServer,
+    /// A lone request, until it is taken.
+    lone: Option<(Request, u64)>,
+    /// A batch's items not yet taken.
+    items: std::vec::IntoIter<Packet>,
+    out: Coalesced,
+    /// What the pass did so far: counts, for a batch.
+    served: Served,
+}
+
+/// A fresh request a [`Pass`] hands out: until it is settled, its
+/// dispatch span is the process's current span.
+#[derive(Debug)]
+pub struct Fresh {
+    /// The request.
+    pub req: Request,
+    call: Call,
+    /// The span current before the dispatch span, back once settled.
+    previous: obs::SpanId,
+}
+
+impl Fresh {
+    /// The request's dispatch span: what the work its owner does for it
+    /// later runs under, so that what it sends is parented to the
+    /// dispatch, as a handler's sends are.
+    pub fn dispatch(&self) -> obs::SpanId {
+        self.call.dispatch
+    }
+}
+
+impl Pass<'_> {
+    /// The next fresh request, after answering (or dropping) the
+    /// duplicates before it; `None` when the datagram has no more.
+    pub fn next(&mut self, ctx: &mut Ctx) -> Option<Fresh> {
+        loop {
+            let (req, lo) = match self.lone.take() {
+                Some(lone) => lone,
+                None => match self.items.next()? {
+                    Packet::Request(req, lo) => (req, lo),
+                    _ => {
+                        self.server.stats.undecodable += 1;
+                        ctx.obs().on_undecodable();
+                        continue;
+                    }
+                },
+            };
+            match self.server.admit(ctx, &req, lo) {
+                Admit::Cached(bytes) => {
+                    self.tally(Served::DuplicateSuppressed);
+                    self.out.push(req.reply_to, bytes, self.lone_span(&req));
+                }
+                Admit::Dropped => self.tally(Served::DuplicateDropped),
+                Admit::Fresh(call) => {
+                    // The dispatch is the process's active span while the
+                    // request runs, so notifications it sends
+                    // (invalidations, recalls, replication updates) are
+                    // parented to it.
+                    let previous = ctx.set_current_span(call.dispatch);
+                    return Some(Fresh {
+                        req,
+                        call,
+                        previous,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Takes the result of `fresh`, handed out by this pass: `Some` is
+    /// answered with the pass's replies; `None` leaves the call executing
+    /// until [`RpcServer::complete`] answers it.
+    pub fn settle(
+        &mut self,
+        ctx: &mut Ctx,
+        fresh: &Fresh,
+        result: Option<Result<Value, RemoteError>>,
+    ) {
+        ctx.set_current_span(fresh.previous);
+        let server = &mut *self.server;
+        server.stats.executed += 1;
+        ctx.obs().on_executed();
+        let req = &fresh.req;
+        match result {
+            Some(result) => {
+                let bytes = server.finish(ctx, req.reply_to, fresh.call, &req.op, result);
+                self.out.push(req.reply_to, bytes, self.lone_span(req));
+                self.tally(Served::Executed);
+            }
+            None => {
+                let window = server.windows.entry(req.reply_to).or_default();
+                window.executing.push(Executing {
+                    call: fresh.call,
+                    op: req.op.clone(),
+                });
+                self.tally(Served::Deferred);
+            }
+        }
+    }
+
+    /// Sends the pass's replies; returns what it did.
+    pub fn finish(self, ctx: &mut Ctx) -> Served {
+        self.out.send(ctx);
+        self.served
+    }
+
+    /// What `req`'s reply travels under if it goes alone: its call's
+    /// span for a lone request, none for a batch's.
+    fn lone_span(&self, req: &Request) -> obs::SpanId {
+        match self.served {
+            Served::Batch { .. } => obs::SpanId::NONE,
+            _ => obs::SpanId::from_raw(req.span),
+        }
+    }
+
+    fn tally(&mut self, what: Served) {
+        let Served::Batch {
+            executed,
+            suppressed,
+            dropped,
+        } = &mut self.served
+        else {
+            self.served = what;
+            return;
+        };
+        match what {
+            Served::Executed | Served::Deferred => *executed += 1,
+            Served::DuplicateSuppressed => *suppressed += 1,
+            _ => *dropped += 1,
         }
     }
 }

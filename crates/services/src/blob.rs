@@ -31,7 +31,7 @@ use rpc::{
     CallHandle, Channel, ChannelConfig, ErrorCode, RemoteError, Request, RpcError, RpcServer,
     Served,
 };
-use simnet::{Ctx, Endpoint, NodeId, Simulation};
+use simnet::{AsyncCx, Ctx, Endpoint, NodeId, Simulation};
 use wire::Value;
 
 use crate::{bad_args, malformed};
@@ -423,7 +423,7 @@ impl Edge {
 }
 
 /// Spawns a region-local edge cache for the blob store registered under
-/// `origin`: a process serving the same chunk protocol out of a
+/// `origin`: an `async` process serving the same chunk protocol out of a
 /// [`ReadCache`] kept coherent with the origin by invalidation.
 ///
 /// The edge registers itself in the name service under `name` (with a
@@ -433,16 +433,17 @@ impl Edge {
 /// invalidation to the edge's subscription, after which the next fetch
 /// re-reads through to the origin.
 ///
-/// The edge never blocks on its origin. It is one event loop over one
-/// mailbox: a hit is answered at once even while misses are in flight; a
-/// miss is staged on a long-lived pipelined, batching channel to the
-/// origin and its reply deferred until the fill lands, and concurrent
-/// requests for the same chunk wait on the one fetch. A cold get
-/// therefore costs one origin round trip, whatever else the region is
-/// asking for, and on a loss-free network one datagram each way on each
-/// hop: the misses of one client datagram travel to the origin together,
-/// the origin answers them in one reply batch, and the fills that batch
-/// settles are completed together — one datagram per waiting client.
+/// Once registered, the edge never waits on its origin. It is one loop
+/// over one mailbox: a hit is answered at once even while misses are in
+/// flight; a miss is staged on a long-lived pipelined, batching channel
+/// to the origin and its reply deferred until the fill lands, and
+/// concurrent requests for the same chunk wait on the one fetch. A cold
+/// get therefore costs one origin round trip, whatever else the region
+/// is asking for, and on a loss-free network one datagram each way on
+/// each hop: the misses of one client datagram travel to the origin
+/// together, the origin answers them in one reply batch, and the fills
+/// that batch settles are completed together — one datagram per waiting
+/// client.
 pub fn spawn_edge_cache(
     sim: &Simulation,
     node: NodeId,
@@ -454,89 +455,96 @@ pub fn spawn_edge_cache(
     let name = name.into();
     let origin = origin.into();
     let label = format!("edge-{name}");
-    sim.spawn(label, node, move |ctx| {
-        let mut nsc = naming::NameClient::new(ns);
-        // The origin registers asynchronously; wait for it.
-        let record = loop {
-            match nsc.resolve(ctx, &origin) {
-                Ok(r) => break r,
-                Err(e) if naming::is_not_found(&e) => {
-                    nsc.forget(&origin);
-                    if ctx.sleep(std::time::Duration::from_millis(1)).is_err() {
-                        return;
-                    }
+    sim.spawn_async(label, node, move |cx| {
+        edge_cache(cx, ns, name, origin, capacity)
+    })
+}
+
+/// The edge's body: resolve the origin, subscribe there, register, then
+/// serve.
+async fn edge_cache(cx: AsyncCx, ns: Endpoint, name: String, origin: String, capacity: usize) {
+    let mut nsc = naming::NameClient::new(ns);
+    // The origin registers asynchronously; wait for it.
+    let record = loop {
+        match nsc.lookup_async(cx, &origin).await {
+            Ok(r) => break r,
+            Err(e) if naming::is_not_found(&e) => {
+                if cx.sleep(std::time::Duration::from_millis(1)).await.is_err() {
+                    return;
                 }
-                Err(RpcError::Stopped) => return,
-                Err(e) => panic!("edge cache failed to resolve origin `{origin}`: {e}"),
             }
-        };
-        let iface = record
-            .meta
-            .get("iface")
-            .and_then(|v| InterfaceDesc::from_value(v).ok())
-            .unwrap_or_else(BlobStore::interface);
-        let mut up = Channel::new(
-            origin.clone(),
-            record.endpoint,
-            ChannelConfig::with_depth(UPSTREAM_DEPTH).batched(UPSTREAM_DEPTH),
-        );
-        // Nobody calls the edge before it registers, so set-up may still
-        // block and let a client own the mailbox. Subscribing over the
-        // origin channel itself gives its timers a first look at the path
-        // before the first burst of misses.
-        let subscribe = up.begin_call(
-            ctx,
-            protocol::OP_SUBSCRIBE,
-            Value::record([("cb", rpc::endpoint_to_value(ctx.endpoint()))]),
-        );
-        match up.wait(ctx, subscribe) {
-            Ok(_) => {}
             Err(RpcError::Stopped) => return,
-            Err(e) => panic!("edge cache failed to subscribe at origin `{origin}`: {e}"),
+            Err(e) => panic!("edge cache failed to resolve origin `{origin}`: {e}"),
         }
-        let meta = Value::record([
-            ("spec", ProxySpec::Stub.to_value()),
-            ("iface", iface.to_value()),
-        ]);
-        match nsc.register(ctx, &name, ctx.endpoint(), meta) {
-            Ok(_) => {}
-            Err(RpcError::Stopped) => return,
-            Err(e) => panic!("edge cache `{name}` failed to register: {e}"),
-        }
-        let mut rpc = RpcServer::new();
-        let mut edge = Edge {
-            origin,
-            iface,
-            cache: ReadCache::new(CachingParams {
-                coherence: Coherence::Invalidate,
-                capacity,
-            }),
-            misses: Vec::new(),
-            stats: ProxyStats::default(),
+    };
+    let iface = record
+        .meta
+        .get("iface")
+        .and_then(|v| InterfaceDesc::from_value(v).ok())
+        .unwrap_or_else(BlobStore::interface);
+    let mut up = Channel::new(
+        origin.clone(),
+        record.endpoint,
+        ChannelConfig::with_depth(UPSTREAM_DEPTH).batched(UPSTREAM_DEPTH),
+    );
+    // Nobody calls the edge before it registers, so set-up may wait on
+    // one call at a time and let it own the mailbox. Subscribing over the
+    // origin channel itself gives its timers a first look at the path
+    // before the first burst of misses.
+    let subscribe = cx.with(|cx| {
+        let cb = Value::record([("cb", rpc::endpoint_to_value(cx.endpoint()))]);
+        up.begin_call(cx, protocol::OP_SUBSCRIBE, cb)
+    });
+    match up.wait_async(cx, subscribe).await {
+        Ok(_) => {}
+        Err(RpcError::Stopped) => return,
+        Err(e) => panic!("edge cache failed to subscribe at origin `{origin}`: {e}"),
+    }
+    let meta = Value::record([
+        ("spec", ProxySpec::Stub.to_value()),
+        ("iface", iface.to_value()),
+    ]);
+    let me = cx.with(|cx| cx.endpoint());
+    match nsc.register_async(cx, &name, me, meta).await {
+        Ok(_) => {}
+        Err(RpcError::Stopped) => return,
+        Err(e) => panic!("edge cache `{name}` failed to register: {e}"),
+    }
+    let mut rpc = RpcServer::new();
+    let mut edge = Edge {
+        origin,
+        iface,
+        cache: ReadCache::new(CachingParams {
+            coherence: Coherence::Invalidate,
+            capacity,
+        }),
+        misses: Vec::new(),
+        stats: ProxyStats::default(),
+    };
+    loop {
+        // Park until a datagram arrives or an origin call is due for
+        // retransmission, whichever is first.
+        let msg = match up.next_deadline() {
+            Some(deadline) => cx.recv_deadline(deadline).await,
+            None => cx.recv().await.map(Some),
         };
-        loop {
-            // Sleep until a datagram arrives or an origin call is due for
-            // retransmission, whichever is first.
-            let msg = match up.next_deadline() {
-                Some(deadline) => ctx.recv_deadline(deadline),
-                None => ctx.recv().map(Some),
-            };
-            let Ok(msg) = msg else { return };
+        let Ok(msg) = msg else { return };
+        cx.with(|cx| {
             if let Some(msg) = msg {
-                if !up.offer(ctx, &msg) {
+                if !up.offer(cx, &msg) {
                     let served = rpc
-                        .handle_deferred(ctx, &msg, |ctx, req| edge.on_request(ctx, &mut up, req));
+                        .handle_deferred(cx, &msg, |ctx, req| edge.on_request(ctx, &mut up, req));
                     if let Served::Oneway(o) = served {
                         edge.on_oneway(&o);
                     }
                 }
             }
-            up.tick(ctx);
-            edge.settle(ctx, &mut up, &mut rpc);
-            ctx.obs()
-                .set_proxy_stats(ctx.name(), &edge.origin, edge.stats);
-        }
-    })
+            up.tick(cx);
+            edge.settle(cx, &mut up, &mut rpc);
+            cx.obs()
+                .set_proxy_stats(cx.name(), &edge.origin, edge.stats);
+        });
+    }
 }
 
 #[cfg(test)]
