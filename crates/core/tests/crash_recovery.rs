@@ -9,6 +9,11 @@
 //! call times out, its stub looks the name up again and finds the new
 //! incarnation. Re-issuing `incr` there would be a new call the new
 //! incarnation cannot tell from the first, and it would answer `2`.
+//!
+//! The same crash with a checkpoint every second write lands between the
+//! execution and its checkpoint: the recovered incarnation starts cold,
+//! having lost the increment and its reply together. Whatever the client
+//! is told must then agree with what the service reads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,7 +66,7 @@ impl ServiceObject for Counter {
     }
 }
 
-fn counter_service(store: &StableStore, runs: &Arc<AtomicU64>) -> ServiceBuilder {
+fn counter_service(store: &StableStore, every: u64, runs: &Arc<AtomicU64>) -> ServiceBuilder {
     let (fresh, restored) = (Arc::clone(runs), Arc::clone(runs));
     let factories = FactoryRegistry::new().register("counter", move |v: &Value| {
         let n = v
@@ -72,24 +77,32 @@ fn counter_service(store: &StableStore, runs: &Arc<AtomicU64>) -> ServiceBuilder
     });
     ServiceBuilder::new("counter")
         .factories(factories)
-        .recovered(CheckpointPolicy::every(store.clone(), 1))
+        .recovered(CheckpointPolicy::every(store.clone(), every))
         .object(move || Box::new(Counter { n: 0, runs: fresh }))
 }
 
-#[test]
-fn a_lost_reply_is_not_executed_again_by_the_recovered_incarnation() {
+/// What one crash and recovery leaves, for a service checkpointing every
+/// `every` writes.
+struct Crash {
+    incr: Result<Value, RpcError>,
+    get: Result<Value, RpcError>,
+    runs: u64,
+    store: StableStore,
+}
+
+fn crash(every: u64) -> Crash {
     let mut sim = Simulation::new(NetworkConfig::lan(), 1);
     let ns = spawn_name_server(&sim, NodeId(0));
     let store = StableStore::new();
     let runs = Arc::new(AtomicU64::new(0));
-    let first = counter_service(&store, &runs).spawn(&sim, SERVER, ns);
+    let first = counter_service(&store, every, &runs).spawn(&sim, SERVER, ns);
 
     let (st, r) = (store.clone(), Arc::clone(&runs));
     sim.spawn("controller", NodeId(3), move |ctx| {
         ctx.sleep(Duration::from_millis(20)).unwrap();
         assert!(ctx.kill(first));
         ctx.net().heal(SERVER, CLIENT);
-        counter_service(&st, &r).spawn_from(ctx, SERVER, ns);
+        counter_service(&st, every, &r).spawn_from(ctx, SERVER, ns);
     });
 
     let seen = Arc::new(Mutex::new(Vec::new()));
@@ -103,18 +116,38 @@ fn a_lost_reply_is_not_executed_again_by_the_recovered_incarnation() {
         s.lock().unwrap().extend([incr, get]);
     });
     sim.run();
+    let mut seen = std::mem::take(&mut *seen.lock().unwrap()).into_iter();
+    Crash {
+        incr: seen.next().expect("incr answered"),
+        get: seen.next().expect("get answered"),
+        runs: runs.load(Ordering::SeqCst),
+        store,
+    }
+}
 
-    assert_eq!(
-        runs.load(Ordering::SeqCst),
-        1,
-        "incr executed more than once"
-    );
-    let seen = seen.lock().unwrap();
+#[test]
+fn a_lost_reply_is_not_executed_again_by_the_recovered_incarnation() {
+    let Crash {
+        incr,
+        get,
+        runs,
+        store,
+    } = crash(1);
+    assert_eq!(runs, 1, "incr executed more than once");
     assert!(
-        matches!(seen[0], Ok(Value::U64(1)) | Err(RpcError::Timeout { .. })),
-        "incr answered {:?}",
-        seen[0]
+        matches!(incr, Ok(Value::U64(1)) | Err(RpcError::Timeout { .. })),
+        "incr answered {incr:?}"
     );
-    assert_eq!(seen[1], Ok(Value::U64(1)));
+    assert_eq!(get, Ok(Value::U64(1)));
     assert_eq!(store.load(SERVER, "counter"), Some(Value::U64(1)));
+}
+
+#[test]
+fn a_kill_between_execution_and_checkpoint_loses_the_effect_with_its_reply() {
+    let Crash { incr, get, .. } = crash(2);
+    match incr {
+        Ok(Value::U64(1)) => assert_eq!(get, Ok(Value::U64(1)), "incr said 1"),
+        Err(RpcError::Timeout { .. }) => assert_eq!(get, Ok(Value::U64(0)), "incr timed out"),
+        other => panic!("incr answered {other:?}"),
+    }
 }
