@@ -1,15 +1,16 @@
-//! E16 — Million-process scale: poll-driven clients against sharded KV
+//! E16 — Million-process scale: `async` clients against sharded KV
 //! services.
 //!
 //! A blocking process (a `sim.spawn` body: a coroutine on x86-64
 //! Linux, a thread elsewhere) keeps a stack of its own and pins every
 //! page of it that it has touched for as long as it is parked, which a
 //! million parked clients cannot afford. This experiment exercises the
-//! other process kind: the poll-driven fleet of [`crate::fleet`],
-//! where a parked client costs one registry entry holding its own state
-//! struct — no stack, no thread.
+//! stackless kind: the `async` fleet of [`crate::fleet`], where a parked
+//! client costs one registry entry holding its future — no stack, no
+//! thread — and the twin context the adapter lends the future (see
+//! [`fleet::STATE_BYTES`]).
 //!
-//! The workload: `clients` poll-driven clients spread over `nodes`
+//! The workload: `clients` `async` clients spread over `nodes`
 //! simulated nodes, each binding to one of `shards` stub-grade KV
 //! services through the name server, then running `calls_per_client`
 //! alternating put/get calls. All clients are alive *simultaneously* —
@@ -17,7 +18,7 @@
 //! every one of them, which is the point: the same shape with threads
 //! would need ~8 GiB of stacks at the full 100k-client scale, while
 //! here the whole fleet parks in `clients × fleet::STATE_BYTES` bytes of
-//! machine state (the "rss proxy" column).
+//! futures (the "rss proxy" column).
 //!
 //! Wall-clock columns are host-dependent; `benchmark/`'s `fleet_stub`
 //! workload is where this shape's speed is measured.

@@ -49,8 +49,11 @@ struct Client {
     fleet: Fleet,
 }
 
-/// Bytes one parked client holds: its future, where everything the
-/// client *is* lives — the per-process memory cost E16 reports.
+/// Bytes one parked client holds in its future, where everything the
+/// client *is* lives — the per-process memory cost E16 reports. Beside
+/// it, simnet's `async` adapter keeps a twin of the process's context
+/// (a 120 B `ProcCx` and a copy of the name: about 165 B per client in
+/// E16's peak RSS at full size), which this figure leaves out.
 pub const STATE_BYTES: usize = output_size(&Client::run);
 
 /// The size of what `f` returns, here a client's future.

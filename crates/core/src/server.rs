@@ -39,9 +39,11 @@
 use std::collections::VecDeque;
 use std::future::{poll_fn, Future};
 use std::pin::{pin, Pin};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
+use naming::NameClient;
 use parking_lot::Mutex;
 use rpc::{
     endpoint_from_value, send_oneway, Advance, ErrorCode, Fresh, Oneway, Packet, Pass, RemoteError,
@@ -324,6 +326,10 @@ pub trait Control: Send + std::fmt::Debug + 'static {
     fn intercept(&mut self, _io: &Io) -> impl Future<Output = ()> + Send {
         async {}
     }
+
+    /// Publishes the kind's counters, once per datagram handled
+    /// (default: nothing).
+    fn publish(&self, _obs: &obs::MetricsRegistry) {}
 }
 
 impl Control for Core {
@@ -336,109 +342,24 @@ impl Control for Core {
         if !time.is_zero() {
             io.busy(time).await;
         }
-        io.with(|ctx| {
-            let result = self.run(ctx, req);
-            ctx.obs().set_server_stats(&self.name, self.stats);
-            result
-        })
+        io.with(|ctx| self.run(ctx, req))
+    }
+
+    fn publish(&self, obs: &obs::MetricsRegistry) {
+        obs.set_server_stats(&self.name, self.stats);
     }
 }
 
 /// What a [`Control`] part's handler has besides itself: its process's
-/// [`Ctx`] between its awaits, and the waits the engine carries out for
-/// it.
+/// [`Ctx`] between its awaits, and its waits. It is also where the
+/// engine keeps its own state, which a call out shares.
 #[derive(Debug)]
 pub struct Io {
     cx: AsyncCx,
-    wait: Mutex<Wait>,
-}
-
-/// What a call or a wait ends with: the call's result (`Ok(Null)` after
-/// service time) and the one-ways [`Strays::HoldKeeping`] kept.
-type Over = (Result<Value, RpcError>, Vec<Oneway>);
-
-/// A handler's wait, handed to the engine, and how it ended, handed back.
-#[derive(Debug)]
-enum Wait {
-    None,
-    /// Service time, deaf or not.
-    Time(Duration, bool),
-    /// A call out, on the previous client or not.
-    Call(Endpoint, &'static str, Value, Strays, bool),
-    Over(Over),
-}
-
-impl Io {
-    /// Runs `f` with the process's context.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Ctx) -> R) -> R {
-        self.cx.with(|cx| f(cx))
-    }
-
-    /// Spends `d` of service time. A delivery meanwhile polls the
-    /// context, which leaves the mailbox alone and re-arms its timer (the
-    /// object host's accounting).
-    pub async fn busy(&self, d: Duration) {
-        let _ = self.wait(Wait::Time(d, false)).await;
-    }
-
-    /// As [`Io::busy`], but deaf: deliveries wait without polling the
-    /// context, event for event as they waited for a blocking host's
-    /// `Ctx::sleep`.
-    pub async fn sleep(&self, d: Duration) {
-        let _ = self.wait(Wait::Time(d, true)).await;
-    }
-
-    /// Calls `op` with `args` at `to`, treating whatever else arrives by
-    /// the `strays` rule: the call's result, and the one-ways
-    /// [`Strays::HoldKeeping`] kept, in arrival order.
-    pub async fn call(&self, to: Endpoint, op: &'static str, args: Value, strays: Strays) -> Over {
-        self.wait(Wait::Call(to, op, args, strays, false)).await
-    }
-
-    /// As [`Io::call`], on the client that made the previous call to the
-    /// same endpoint (its round-trip estimate included), as a blocking
-    /// caller retrying on one `RpcClient` does.
-    pub async fn retry(&self, to: Endpoint, op: &'static str, args: Value, strays: Strays) -> Over {
-        self.wait(Wait::Call(to, op, args, strays, true)).await
-    }
-
-    /// Hands `wait` to the engine and parks until it is over.
-    async fn wait(&self, wait: Wait) -> Over {
-        *self.wait.lock() = wait;
-        poll_fn(|_| {
-            let mut slot = self.wait.lock();
-            match std::mem::replace(&mut *slot, Wait::None) {
-                Wait::Over(over) => Poll::Ready(over),
-                asked => {
-                    *slot = asked;
-                    Poll::Pending
-                }
-            }
-        })
-        .await
-    }
-}
-
-/// Polls `work` once, under `span` if it is for a request: the code after
-/// each of a handler's awaits runs under its request's dispatch span, as
-/// the code before the first did.
-fn poll_under<F: Future>(io: &Io, span: Option<obs::SpanId>, work: Pin<&mut F>) -> Poll<F::Output> {
-    let previous = span.map(|span| io.with(|ctx| ctx.set_current_span(span)));
-    let polled = work.poll(&mut Context::from_waker(Waker::noop()));
-    if let Some(previous) = previous {
-        io.with(|ctx| ctx.set_current_span(previous));
-    }
-    polled
-}
-
-/// Starts the fresh requests left in `pass`, each to wait its turn in
-/// `in_service`, and sends the pass's answers.
-fn defer_rest(mut pass: Pass<'_>, ctx: &mut Ctx, in_service: &mut VecDeque<Fresh>) {
-    while let Some(fresh) = pass.next(ctx) {
-        pass.settle(ctx, &fresh, None);
-        in_service.push_back(fresh);
-    }
-    pass.finish(ctx);
+    /// Whether a datagram's pass is open. A call a handler makes inside
+    /// it starts once the pass is closed, after the pass's answers.
+    passing: AtomicBool,
+    engine: Mutex<Engine>,
 }
 
 /// The engine's state around a control part.
@@ -455,167 +376,226 @@ struct Engine {
     client: Option<RpcClient>,
 }
 
-impl Engine {
-    /// Serves `control` until the simulation stops (`None`).
-    async fn serve<C: Control>(&mut self, io: &Io, control: &mut C) -> Option<()> {
-        loop {
-            if let Some(fresh) = self.in_service.pop_front() {
-                let handler = pin!(control.execute(io, &fresh.req));
-                let result = self.run(io, Some(fresh.dispatch()), handler).await?;
-                let req = &fresh.req;
-                io.with(|ctx| {
-                    self.rpc
-                        .complete(ctx, [(req.reply_to, req.call_id, result)])
-                });
-                continue;
-            }
-            let msg = match self.held.pop_front() {
-                Some(msg) => msg,
-                None => io.cx.recv().await.ok()?,
-            };
-            self.run(io, None, pin!(control.intercept(io))).await?;
-            self.handle(io, control, &msg).await?;
-        }
+impl Io {
+    /// Runs `f` with the process's context.
+    pub fn with<R>(&self, f: impl FnOnce(&mut Ctx) -> R) -> R {
+        self.cx.with(|cx| f(cx))
     }
 
-    /// Answers every request `msg` carries, executing each fresh one in
-    /// turn, until a handler waits: the requests behind it are started
-    /// to wait their turn, the datagram's answers leave, and the engine
-    /// carries that handler to its end.
-    async fn handle<C: Control>(&mut self, io: &Io, control: &mut C, msg: &Message) -> Option<()> {
-        let mut pass = match io.cx.with(|cx| self.rpc.pass(cx, msg)) {
-            Ok(pass) => pass,
-            Err(Served::Oneway(oneway)) => {
-                return self.run(io, None, pin!(control.oneway(io, oneway))).await;
-            }
-            Err(_) => return Some(()),
-        };
-        while let Some(fresh) = io.cx.with(|cx| pass.next(cx)) {
-            let mut handler = pin!(control.execute(io, &fresh.req));
-            if let Poll::Ready(result) = poll_under(io, None, handler.as_mut()) {
-                io.cx.with(|cx| pass.settle(cx, &fresh, Some(result)));
-                continue;
-            }
-            io.cx.with(|cx| {
-                pass.settle(cx, &fresh, None);
-                defer_rest(pass, cx, &mut self.in_service);
-            });
-            let span = Some(fresh.dispatch());
-            self.carry_out(io, span).await?;
-            let result = self.run(io, span, handler).await?;
-            let req = &fresh.req;
-            io.with(|ctx| {
-                self.rpc
-                    .complete(ctx, [(req.reply_to, req.call_id, result)])
-            });
-            return Some(());
-        }
-        io.cx.with(|cx| pass.finish(cx));
-        Some(())
+    /// Spends `d` of service time. A delivery meanwhile polls the
+    /// context, which leaves the mailbox alone and re-arms its timer (the
+    /// object host's accounting).
+    pub async fn busy(&self, d: Duration) {
+        self.until(d, false).await
     }
 
-    /// Carries `work` — a handler, under its request's dispatch `span`,
-    /// or work for no request — to its end. `None` if the simulation
-    /// stops first.
-    async fn run<T>(
-        &mut self,
-        io: &Io,
-        span: Option<obs::SpanId>,
-        mut work: Pin<&mut impl Future<Output = T>>,
-    ) -> Option<T> {
-        loop {
-            if let Poll::Ready(out) = poll_under(io, span, work.as_mut()) {
-                return Some(out);
-            }
-            self.carry_out(io, span).await?;
-        }
+    /// As [`Io::busy`], but deaf: deliveries wait without polling the
+    /// context, event for event as they waited for a blocking host's
+    /// `Ctx::sleep`.
+    pub async fn sleep(&self, d: Duration) {
+        self.until(d, true).await
     }
 
-    /// Carries out the wait a handler parked on, and hands it the end.
-    async fn carry_out(&mut self, io: &Io, span: Option<obs::SpanId>) -> Option<()> {
-        let asked = std::mem::replace(&mut *io.wait.lock(), Wait::None);
-        let over = match asked {
-            Wait::Time(d, deaf) => {
-                let at = io.with(|ctx| ctx.now()) + d;
-                poll_fn(|_| {
-                    io.cx.with(|cx| {
-                        if cx.now() >= at {
-                            return Poll::Ready(());
-                        }
-                        match deaf {
-                            true => cx.sleep_until(at),
-                            false => cx.wake_at(at),
-                        }
-                        Poll::Pending
-                    })
-                })
-                .await;
-                (Ok(Value::Null), Vec::new())
-            }
-            Wait::Call(to, op, args, strays, again) => {
-                let call = (to, op, args);
-                self.call(io.cx, span, call, strays, again).await?
-            }
-            other => unreachable!("a handler parked on no wait of its Io: {other:?}"),
-        };
-        *io.wait.lock() = Wait::Over(over);
-        Some(())
+    /// Parks for `d`. A shutdown ends the context here, as at any wait.
+    async fn until(&self, d: Duration, deaf: bool) {
+        let at = self.with(|ctx| ctx.now()) + d;
+        poll_fn(|_| {
+            self.cx.with(|cx| {
+                if cx.now() >= at {
+                    return Poll::Ready(());
+                }
+                match deaf {
+                    true => cx.sleep_until(at),
+                    false => cx.wake_at(at),
+                }
+                Poll::Pending
+            })
+        })
+        .await
     }
 
-    /// Makes a call out, under `span`, treating what else arrives by the
-    /// `strays` rule, on a fresh client or — `again` — on the previous
-    /// one if it called the same endpoint. `None` if the simulation
-    /// stops first.
-    async fn call(
-        &mut self,
-        cx: AsyncCx,
-        span: Option<obs::SpanId>,
-        (to, op, args): (Endpoint, &str, Value),
+    /// Calls `op` with `args` at `to`, treating whatever else arrives by
+    /// the `strays` rule: the call's result, and the one-ways
+    /// [`Strays::HoldKeeping`] kept, in arrival order. A shutdown ends
+    /// the context here: the call never returns [`RpcError::Stopped`].
+    pub async fn call(
+        &self,
+        to: Endpoint,
+        op: &'static str,
+        args: Value,
         strays: Strays,
+    ) -> (Result<Value, RpcError>, Vec<Oneway>) {
+        self.call_on(false, to, op, args, strays).await
+    }
+
+    /// As [`Io::call`], on the client that made the previous call to the
+    /// same endpoint (its round-trip estimate included), as a blocking
+    /// caller retrying on one `RpcClient` does.
+    pub async fn retry(
+        &self,
+        to: Endpoint,
+        op: &'static str,
+        args: Value,
+        strays: Strays,
+    ) -> (Result<Value, RpcError>, Vec<Oneway>) {
+        self.call_on(true, to, op, args, strays).await
+    }
+
+    async fn call_on(
+        &self,
         again: bool,
-    ) -> Option<Over> {
-        let mut client = match self.client.take() {
+        to: Endpoint,
+        op: &str,
+        args: Value,
+        strays: Strays,
+    ) -> (Result<Value, RpcError>, Vec<Oneway>) {
+        // A handler that calls out inside its datagram's pass waits for
+        // the engine to close it: the call leaves after the pass's answers.
+        poll_fn(|_| match self.passing.load(Ordering::Relaxed) {
+            true => Poll::Pending,
+            false => Poll::Ready(()),
+        })
+        .await;
+        let mut client = match self.engine.lock().client.take() {
             Some(client) if again && client.server() == to => client,
             _ => RpcClient::new(to),
         };
-        let handle = cx.with(|cx| {
-            let previous = span.map(|span| cx.set_current_span(span));
-            let handle = client.start(cx, "", op, args);
-            if let Some(previous) = previous {
-                cx.set_current_span(previous);
-            }
-            handle
-        });
+        let handle = self.with(|ctx| client.start(ctx, "", op, args));
         let mut kept = Vec::new();
         let result = loop {
             let advanced = poll_fn(|_| {
-                cx.with(|cx| match client.advance(cx, handle) {
+                self.cx.with(|cx| match client.advance(cx, handle) {
                     Advance::Pending => Poll::Pending,
                     advanced => Poll::Ready(advanced),
                 })
             })
             .await;
             let (packet, msg) = match advanced {
-                Advance::Settled(Err(RpcError::Stopped)) => return None,
+                Advance::Settled(Err(RpcError::Stopped)) => std::future::pending().await,
                 Advance::Settled(result) => break result,
                 Advance::Stray(packet, msg) => (packet, msg),
                 Advance::Pending => unreachable!("a pending call parks"),
             };
+            let engine = &mut *self.engine.lock();
             match (strays, packet) {
-                (Strays::Queue, Some(Packet::Request(..) | Packet::Batch(_))) => cx.with(|cx| {
-                    if let Ok(pass) = self.rpc.pass(cx, &msg) {
-                        defer_rest(pass, cx, &mut self.in_service);
+                (Strays::Queue, Some(Packet::Request(..) | Packet::Batch(_))) => self.with(|ctx| {
+                    if let Ok(pass) = engine.rpc.pass(ctx, &msg) {
+                        defer_rest(pass, engine, ctx);
                     }
                 }),
                 (Strays::Hold | Strays::HoldKeeping(_), Some(Packet::Request(..))) => {
-                    self.held.push_back(msg)
+                    engine.held.push_back(msg)
                 }
                 (Strays::HoldKeeping(op), Some(Packet::Oneway(o))) if o.op == op => kept.push(o),
-                _ => cx.with(|cx| client.discard(cx)),
+                _ => self.with(|ctx| client.discard(ctx)),
             }
         };
-        self.client = Some(client);
-        Some((result, kept))
+        self.engine.lock().client = Some(client);
+        (result, kept)
+    }
+}
+
+/// Polls `work` to its end, under `span` if it is for a request: the code
+/// after each of a handler's awaits runs under its request's dispatch
+/// span, as the code before the first did.
+async fn run<T>(
+    io: &Io,
+    span: Option<obs::SpanId>,
+    mut work: Pin<&mut impl Future<Output = T>>,
+) -> T {
+    poll_fn(|cx| {
+        let previous = span.map(|span| io.with(|ctx| ctx.set_current_span(span)));
+        let polled = work.as_mut().poll(cx);
+        if let Some(previous) = previous {
+            io.with(|ctx| ctx.set_current_span(previous));
+        }
+        polled
+    })
+    .await
+}
+
+/// Starts the fresh requests left in `pass`, each to wait its turn in
+/// `in_service`, and sends the pass's answers.
+fn defer_rest(mut pass: Pass, engine: &mut Engine, ctx: &mut Ctx) {
+    while let Some(fresh) = pass.next(&mut engine.rpc, ctx) {
+        pass.settle(&mut engine.rpc, ctx, &fresh, None);
+        engine.in_service.push_back(fresh);
+    }
+    pass.finish(ctx);
+}
+
+impl Io {
+    /// Serves `control` until the simulation stops.
+    async fn serve<C: Control>(&self, control: &mut C) {
+        loop {
+            let next = self.engine.lock().in_service.pop_front();
+            if let Some(fresh) = next {
+                let handler = pin!(control.execute(self, &fresh.req));
+                let result = run(self, Some(fresh.dispatch()), handler).await;
+                self.complete(&fresh, result);
+            } else {
+                let held = self.engine.lock().held.pop_front();
+                let msg = match held {
+                    Some(msg) => msg,
+                    None => match self.cx.recv().await {
+                        Ok(msg) => msg,
+                        Err(_) => return,
+                    },
+                };
+                run(self, None, pin!(control.intercept(self))).await;
+                if let Some(oneway) = self.handle(control, &msg).await {
+                    run(self, None, pin!(control.oneway(self, oneway))).await;
+                }
+            }
+            self.with(|ctx| control.publish(ctx.obs()));
+        }
+    }
+
+    /// Answers every request `msg` carries, executing each fresh one in
+    /// turn, until a handler waits: the requests behind it are started
+    /// to wait their turn, the datagram's answers leave, and the handler
+    /// is carried to its end. A one-way is handed back.
+    async fn handle<C: Control>(&self, control: &mut C, msg: &Message) -> Option<Oneway> {
+        let passed = self.with(|ctx| self.engine.lock().rpc.pass(ctx, msg));
+        let mut pass = match passed {
+            Ok(pass) => pass,
+            Err(Served::Oneway(oneway)) => return Some(oneway),
+            Err(_) => return None,
+        };
+        self.passing.store(true, Ordering::Relaxed);
+        while let Some(fresh) = self.with(|ctx| pass.next(&mut self.engine.lock().rpc, ctx)) {
+            let mut handler = pin!(control.execute(self, &fresh.req));
+            let polled = handler
+                .as_mut()
+                .poll(&mut Context::from_waker(Waker::noop()));
+            if let Poll::Ready(result) = polled {
+                self.with(|ctx| {
+                    pass.settle(&mut self.engine.lock().rpc, ctx, &fresh, Some(result))
+                });
+                continue;
+            }
+            self.passing.store(false, Ordering::Relaxed);
+            self.with(|ctx| {
+                let engine = &mut *self.engine.lock();
+                pass.settle(&mut engine.rpc, ctx, &fresh, None);
+                defer_rest(pass, engine, ctx);
+            });
+            let result = run(self, Some(fresh.dispatch()), handler).await;
+            self.complete(&fresh, result);
+            return None;
+        }
+        self.passing.store(false, Ordering::Relaxed);
+        self.with(|ctx| pass.finish(ctx));
+        None
+    }
+
+    /// Answers `fresh`, which waited.
+    fn complete(&self, fresh: &Fresh, result: Result<Value, RemoteError>) {
+        let req = &fresh.req;
+        self.with(|ctx| {
+            let answer = [(req.reply_to, req.call_id, result)];
+            self.engine.lock().rpc.complete(ctx, answer)
+        });
     }
 }
 
@@ -661,25 +641,23 @@ pub async fn serve<C: Control>(cx: AsyncCx, build: impl FnOnce(&mut Ctx) -> Serv
         mut control,
         registration,
     } = cx.with(|cx| build(cx));
-    let mut engine = Engine::default();
     if let Some((ns, meta)) = registration {
-        let args = cx.with(|cx| naming::binding_args(control.name(), cx.endpoint(), meta));
-        match engine
-            .call(cx, None, (ns, "register", args), Strays::Drop, false)
+        let me = cx.with(|cx| cx.endpoint());
+        match NameClient::new(ns)
+            .register_async(cx, control.name(), me, meta)
             .await
         {
-            Some((Ok(_), _)) => {}
-            Some((Err(e), _)) => panic!("service `{}` failed to register: {e}", control.name()),
-            None => return,
+            Ok(_) => {}
+            Err(RpcError::Stopped) => return,
+            Err(e) => panic!("service `{}` failed to register: {e}", control.name()),
         }
-        // Its client goes with it: no call of the context's reuses it.
-        engine.client = None;
     }
     let io = Io {
         cx,
-        wait: Mutex::new(Wait::None),
+        passing: AtomicBool::new(false),
+        engine: Mutex::default(),
     };
-    engine.serve(&io, &mut control).await;
+    io.serve(&mut control).await;
 }
 
 /// Declarative spawning of a service process: one builder covering the

@@ -294,9 +294,9 @@ impl RpcServer {
             Ok(pass) => pass,
             Err(served) => return served,
         };
-        while let Some(fresh) = pass.next(ctx) {
+        while let Some(fresh) = pass.next(self, ctx) {
             let result = handler(ctx, &fresh.req);
-            pass.settle(ctx, &fresh, result);
+            pass.settle(self, ctx, &fresh, result);
         }
         pass.finish(ctx)
     }
@@ -309,7 +309,7 @@ impl RpcServer {
     /// # Errors
     ///
     /// The [`Served`] of a datagram that carries no request.
-    pub fn pass(&mut self, ctx: &mut Ctx, msg: &Message) -> Result<Pass<'_>, Served> {
+    pub fn pass(&mut self, ctx: &mut Ctx, msg: &Message) -> Result<Pass, Served> {
         let (lone, items) = match Packet::from_frame(&msg.payload) {
             Ok(Packet::Request(req, lo)) => (Some((req, lo)), Vec::new()),
             Ok(Packet::Batch(batch)) => (None, batch.items),
@@ -334,7 +334,6 @@ impl RpcServer {
             },
         };
         Ok(Pass {
-            server: self,
             lone,
             items: items.into_iter(),
             out: Coalesced::new(),
@@ -472,10 +471,11 @@ impl RpcServer {
 /// the reply cache and hands out the next fresh request, its dispatch
 /// span open and current; [`Pass::settle`] takes its result, or `None` —
 /// "started, will answer later"; [`Pass::finish`] sends the replies,
-/// coalesced as [`RpcServer::handle`] coalesces a batch's.
+/// coalesced as [`RpcServer::handle`] coalesces a batch's. Each step
+/// takes the server that made the pass, so the owner may use the server
+/// between steps.
 #[derive(Debug)]
-pub struct Pass<'a> {
-    server: &'a mut RpcServer,
+pub struct Pass {
     /// A lone request, until it is taken.
     lone: Option<(Request, u64)>,
     /// A batch's items not yet taken.
@@ -505,23 +505,23 @@ impl Fresh {
     }
 }
 
-impl Pass<'_> {
+impl Pass {
     /// The next fresh request, after answering (or dropping) the
     /// duplicates before it; `None` when the datagram has no more.
-    pub fn next(&mut self, ctx: &mut Ctx) -> Option<Fresh> {
+    pub fn next(&mut self, server: &mut RpcServer, ctx: &mut Ctx) -> Option<Fresh> {
         loop {
             let (req, lo) = match self.lone.take() {
                 Some(lone) => lone,
                 None => match self.items.next()? {
                     Packet::Request(req, lo) => (req, lo),
                     _ => {
-                        self.server.stats.undecodable += 1;
+                        server.stats.undecodable += 1;
                         ctx.obs().on_undecodable();
                         continue;
                     }
                 },
             };
-            match self.server.admit(ctx, &req, lo) {
+            match server.admit(ctx, &req, lo) {
                 Admit::Cached(bytes) => {
                     self.tally(Served::DuplicateSuppressed);
                     self.out.push(req.reply_to, bytes, self.lone_span(&req));
@@ -548,12 +548,12 @@ impl Pass<'_> {
     /// until [`RpcServer::complete`] answers it.
     pub fn settle(
         &mut self,
+        server: &mut RpcServer,
         ctx: &mut Ctx,
         fresh: &Fresh,
         result: Option<Result<Value, RemoteError>>,
     ) {
         ctx.set_current_span(fresh.previous);
-        let server = &mut *self.server;
         server.stats.executed += 1;
         ctx.obs().on_executed();
         let req = &fresh.req;

@@ -2378,7 +2378,8 @@ mod tests {
         }
         let blocking = run(Sleeper::Blocking);
         assert_eq!((blocking.0, blocking.1), (3, 10));
-        assert_eq!(run(Sleeper::Machine).2, blocking.2);
+        let m = run(Sleeper::Machine);
+        assert_eq!((m.0, m.1, m.2), (3, 10, blocking.2));
         assert_eq!(run(Sleeper::Async), blocking);
     }
 
