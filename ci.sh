@@ -12,7 +12,8 @@ step() { printf '\n==> %s\n' "$*"; }
 if [ "${1:-}" = identity ]; then
   # A change that must move no event shows it here, in one command: the
   # trace artifacts the gate compares run to run (E3, E4, E7, E10, E12
-  # and E13 at full size, E18 and E19 in smoke mode at one thread) are
+  # and E13 at full size, E18 and E19 in smoke mode at one thread), and
+  # those of the caching and adaptive proxies (E2 at 90% reads, E9), are
   # exported by REV, built in a worktree under target/ with a target dir
   # of its own, and by the working tree, and must be byte-identical.
   rev="${2:?usage: ./ci.sh identity REV}"
@@ -23,9 +24,10 @@ if [ "${1:-}" = identity ]; then
   rm -rf target/identity/base target/identity/work
   git worktree add --detach "$wt" "$rev"
   export_traces() { # $1: checkout, $2: its target dir, $3: where the traces go
-    step "E3-E19 traces of $1"
+    step "E2-E19 traces of $1"
     (cd "$1" && CARGO_TARGET_DIR="$2" cargo build -q --release -p bench)
-    for e in e3_migration e4_replication e7_loss e10_forwarding e12_dsm e13_pipeline; do
+    for e in e2_cache_sweep e3_migration e4_replication e7_loss e9_adaptive e10_forwarding \
+             e12_dsm e13_pipeline; do
       PROXIDE_TRACE_DIR="$3" "$2/release/$e" >/dev/null
     done
     for e in e18_multicore e19_bulkplane; do
@@ -36,8 +38,9 @@ if [ "${1:-}" = identity ]; then
   export_traces "$wt" "$here/target/identity/target" "$here/target/identity/base"
   export_traces . "${CARGO_TARGET_DIR:-$here/target}" "$here/target/identity/work"
   step "byte identity against $rev"
-  for t in e3-migratory-n200 e4-reads-3 e4-writes-sync e4-writes-async e7-loss-30 \
-           e10-nexthop-k8 e10-resolve-k8 e12-locality e12-pingpong e13-depth-8 e18-t1 e19-t1; do
+  for t in e2-cache-inv-90 e2-cache-lease-90 e3-migratory-n200 e4-reads-3 e4-writes-sync \
+           e4-writes-async e7-loss-30 e9-always-caching e9-adaptive e10-nexthop-k8 \
+           e10-resolve-k8 e12-locality e12-pingpong e13-depth-8 e18-t1 e19-t1; do
     cmp "target/identity/base/$t.trace.jsonl" "target/identity/work/$t.trace.jsonl"
     echo "identical: $t"
   done

@@ -7,8 +7,7 @@
 //! million parked clients cannot afford. This experiment exercises the
 //! stackless kind: the `async` fleet of [`crate::fleet`], where a parked
 //! client costs one registry entry holding its future — no stack, no
-//! thread — and the twin context the adapter lends the future (see
-//! [`fleet::STATE_BYTES`]).
+//! thread (see [`fleet::STATE_BYTES`]).
 //!
 //! The workload: `clients` `async` clients spread over `nodes`
 //! simulated nodes, each binding to one of `shards` stub-grade KV

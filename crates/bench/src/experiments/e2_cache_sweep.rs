@@ -18,7 +18,10 @@ use services::file::{block_addr, BlockFile};
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
 
-use crate::{check, obs_report, slot, take, us_per_op_f, ExperimentOutput, ObsReport, Slot, Table};
+use crate::{
+    capture_trace, check, obs_report, slot, take, us_per_op_f, ExperimentOutput, ObsReport, Slot,
+    Table, TraceArtifact,
+};
 
 /// Operations the client makes per point, after seeding the blocks.
 pub const OPS: u64 = 300;
@@ -92,12 +95,19 @@ pub fn spawn(spec: ProxySpec, read_pct: u64, seed: u64) -> (Simulation, Slot<Poi
     (sim, r)
 }
 
-fn measure(label: &str, spec: ProxySpec, read_pct: u64, seed: u64) -> (Point, ObsReport) {
+fn measure(
+    label: &str,
+    spec: ProxySpec,
+    read_pct: u64,
+    seed: u64,
+) -> (Point, ObsReport, TraceArtifact) {
     let (mut sim, r) = spawn(spec, read_pct, seed);
+    sim.enable_trace(1 << 16);
     sim.run();
     (
         take(r),
         obs_report(format!("{label}@{read_pct}%reads"), &sim),
+        capture_trace(format!("{label}-{read_pct}"), &sim),
     )
 }
 
@@ -113,10 +123,11 @@ pub fn run() -> ExperimentOutput {
     let mut inv_pts = Vec::new();
     let mut lease_pts = Vec::new();
     let mut reports = Vec::new();
+    let mut traces = Vec::new();
     for (i, &pct) in ratios.iter().enumerate() {
         let seed = 10 + i as u64;
-        let (stub, stub_obs) = measure("stub", ProxySpec::Stub, pct, seed);
-        let (inv, inv_obs) = measure(
+        let (stub, stub_obs, _) = measure("stub", ProxySpec::Stub, pct, seed);
+        let (inv, inv_obs, inv_trace) = measure(
             "cache-inv",
             ProxySpec::Caching(CachingParams {
                 coherence: Coherence::Invalidate,
@@ -125,7 +136,7 @@ pub fn run() -> ExperimentOutput {
             pct,
             seed,
         );
-        let (lease, _) = measure(
+        let (lease, _, lease_trace) = measure(
             "cache-lease",
             ProxySpec::Caching(CachingParams {
                 coherence: Coherence::Lease(Duration::from_millis(20)),
@@ -134,10 +145,13 @@ pub fn run() -> ExperimentOutput {
             pct,
             seed,
         );
-        // Keep one representative report pair (the 90%-reads point).
+        // Keep one representative report pair (the 90%-reads point), and
+        // the caching proxy's traces there.
         if pct == 90 {
             reports.push(stub_obs);
             reports.push(inv_obs);
+            traces.push(inv_trace);
+            traces.push(lease_trace);
         }
         table.add_row(vec![
             pct.to_string(),
@@ -216,6 +230,6 @@ pub fn run() -> ExperimentOutput {
         tables: vec![table],
         checks,
         reports,
-        traces: vec![],
+        traces,
     }
 }

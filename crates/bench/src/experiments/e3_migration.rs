@@ -43,15 +43,15 @@ fn measure(migratory: bool, n: u64, seed: u64) -> (Point, ObsReport, TraceArtifa
     }
     builder.spawn(&sim, NodeId(1), ns);
     let (w, r) = slot::<Point>();
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns).with_factories(factories);
-        let ctr = rt.bind(ctx, "ctr").unwrap();
-        let t0 = ctx.now();
+        let ctr = rt.attach(cx, "ctr").await.unwrap();
+        let t0 = cx.with(|cx| cx.now());
         for _ in 0..n {
-            rt.invoke(ctx, ctr, "inc", Value::Null).unwrap();
+            rt.call(cx, ctr, "inc", Value::Null).await.unwrap();
         }
         *w.lock().unwrap() = Some(Point {
-            total_us: (ctx.now() - t0).as_secs_f64() * 1e6,
+            total_us: (cx.with(|cx| cx.now()) - t0).as_secs_f64() * 1e6,
             migrations: rt.stats(ctr).migrations,
         });
     });

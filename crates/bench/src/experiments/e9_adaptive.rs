@@ -23,7 +23,9 @@ use services::kv::KvStore;
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
 use wire::Value;
 
-use crate::{check, obs_report, slot, take, ExperimentOutput, ObsReport, Table};
+use crate::{
+    capture_trace, check, obs_report, slot, take, ExperimentOutput, ObsReport, Table, TraceArtifact,
+};
 
 const CLIENTS: u32 = 4;
 const PHASE_OPS: u64 = 150;
@@ -71,8 +73,9 @@ fn run_workload(rt: &mut SessionCore, ctx: &mut Ctx, handle: proxy_core::ProxyHa
     }
 }
 
-fn measure(label: &str, spec: ProxySpec, seed: u64) -> (Point, ObsReport) {
+fn measure(label: &str, spec: ProxySpec, seed: u64) -> (Point, ObsReport, TraceArtifact) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
+    sim.enable_trace(1 << 16);
     let ns = spawn_name_server(&sim, NodeId(0));
     ServiceBuilder::new("kv")
         .spec(spec)
@@ -111,13 +114,14 @@ fn measure(label: &str, spec: ProxySpec, seed: u64) -> (Point, ObsReport) {
             switches,
         },
         obs_report(label, &sim),
+        capture_trace(label, &sim),
     )
 }
 
 /// Runs E9 and returns its tables and shape checks.
 pub fn run() -> ExperimentOutput {
-    let (stub, stub_obs) = measure("stub", ProxySpec::Stub, 100);
-    let (caching, caching_obs) = measure(
+    let (stub, stub_obs, _) = measure("stub", ProxySpec::Stub, 100);
+    let (caching, caching_obs, caching_trace) = measure(
         "always-caching",
         ProxySpec::Caching(CachingParams {
             coherence: Coherence::Invalidate,
@@ -125,7 +129,7 @@ pub fn run() -> ExperimentOutput {
         }),
         100,
     );
-    let (adaptive, adaptive_obs) = measure(
+    let (adaptive, adaptive_obs, adaptive_trace) = measure(
         "adaptive",
         ProxySpec::Adaptive(AdaptiveParams {
             window: 40,
@@ -196,6 +200,6 @@ pub fn run() -> ExperimentOutput {
         tables: vec![table],
         checks,
         reports: vec![stub_obs, caching_obs, adaptive_obs],
-        traces: vec![],
+        traces: vec![caching_trace, adaptive_trace],
     }
 }

@@ -11,18 +11,18 @@ use std::sync::Arc;
 
 use naming::{NameClient, NameRecord};
 use rpc::RpcError;
-use simnet::{Ctx, Endpoint};
+use simnet::{AsyncCx, Endpoint};
 use wire::{Value, WireError};
 
 use crate::bulk::BulkEngine;
 use crate::interface::InterfaceDesc;
 use crate::object::FactoryRegistry;
 use crate::proxies::{AdaptiveProxy, CachingProxy, MigratoryProxy, StubProxy};
-use crate::proxy::Proxy;
+use crate::proxy::{Proxy, ProxyFuture};
 use crate::spec::ProxySpec;
 
 /// Everything a custom proxy factory gets to work with.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct BindContext<'a> {
     /// The service name being bound.
     pub service: &'a str,
@@ -38,9 +38,11 @@ pub struct BindContext<'a> {
     pub factories: &'a FactoryRegistry,
 }
 
+/// What a [`ProxyCtor`] returns: the proxy, once its bind step is done.
+pub type BoundProxy<'a> = ProxyFuture<'a, Result<Box<dyn Proxy>, RpcError>>;
+
 /// Constructor for a [`ProxySpec::Custom`] proxy.
-pub type ProxyCtor =
-    dyn for<'a> Fn(&mut Ctx, &BindContext<'a>) -> Result<Box<dyn Proxy>, RpcError> + Send + Sync;
+pub type ProxyCtor = dyn for<'a> Fn(AsyncCx, BindContext<'a>) -> BoundProxy<'a> + Send + Sync;
 
 /// Client-side half of the binding protocol.
 pub struct Binder {
@@ -104,10 +106,7 @@ impl Binder {
     pub fn register_proxy(
         &mut self,
         kind: impl Into<String>,
-        ctor: impl for<'a> Fn(&mut Ctx, &BindContext<'a>) -> Result<Box<dyn Proxy>, RpcError>
-            + Send
-            + Sync
-            + 'static,
+        ctor: impl for<'a> Fn(AsyncCx, BindContext<'a>) -> BoundProxy<'a> + Send + Sync + 'static,
     ) {
         self.proxy_ctors.insert(kind.into(), Arc::new(ctor));
     }
@@ -120,8 +119,8 @@ impl Binder {
     /// * name-service errors (unknown name, transport),
     /// * [`RpcError::Wire`] if the binding metadata is malformed,
     /// * any error from the proxy's own bind step (e.g. subscribe).
-    pub fn bind(&mut self, ctx: &mut Ctx, service: &str) -> Result<Box<dyn Proxy>, RpcError> {
-        let record = self.ns.resolve(ctx, service)?;
+    pub async fn bind(&mut self, cx: AsyncCx, service: &str) -> Result<Box<dyn Proxy>, RpcError> {
+        let record = self.ns.resolve_async(cx, service).await?;
         let spec_v = record
             .meta
             .get("spec")
@@ -132,7 +131,7 @@ impl Binder {
             .ok_or(RpcError::Wire(WireError::MissingField("iface")))?;
         let spec = ProxySpec::from_value(spec_v)?;
         let iface = InterfaceDesc::from_value(iface_v)?;
-        self.instantiate(ctx, service, &record, spec, iface)
+        self.instantiate(cx, service, &record, spec, iface).await
     }
 
     /// Binds, retrying while the name is not yet registered (services
@@ -141,29 +140,28 @@ impl Binder {
     /// # Errors
     ///
     /// The final error if the deadline passes without a successful bind.
-    pub fn bind_wait(
+    pub async fn bind_wait(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         service: &str,
         within: std::time::Duration,
     ) -> Result<Box<dyn Proxy>, RpcError> {
-        let deadline = ctx.now() + within;
+        let deadline = cx.with(|cx| cx.now()) + within;
         loop {
-            match self.bind(ctx, service) {
+            match self.bind(cx, service).await {
                 Ok(p) => return Ok(p),
-                Err(e) if naming::is_not_found(&e) && ctx.now() < deadline => {
+                Err(e) if naming::is_not_found(&e) && cx.with(|cx| cx.now()) < deadline => {
                     self.ns.forget(service);
-                    ctx.sleep(std::time::Duration::from_millis(1))
-                        .map_err(|_| RpcError::Stopped)?;
+                    cx.sleep(std::time::Duration::from_millis(1)).await?;
                 }
                 Err(e) => return Err(e),
             }
         }
     }
 
-    fn instantiate(
+    async fn instantiate(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         service: &str,
         record: &NameRecord,
         spec: ProxySpec,
@@ -172,9 +170,9 @@ impl Binder {
         let server = record.endpoint;
         match spec {
             ProxySpec::Stub => Ok(Box::new(StubProxy::new(service, server, self.ns_ep, iface))),
-            ProxySpec::Caching(params) => Ok(Box::new(CachingProxy::bind(
-                ctx, service, server, self.ns_ep, iface, params,
-            )?)),
+            ProxySpec::Caching(params) => Ok(Box::new(
+                CachingProxy::bind(cx, service, server, self.ns_ep, iface, params).await?,
+            )),
             ProxySpec::Migratory { threshold } => Ok(Box::new(MigratoryProxy::new(
                 service,
                 server,
@@ -183,14 +181,14 @@ impl Binder {
                 self.factories.clone(),
                 threshold,
             ))),
-            ProxySpec::Adaptive(params) => Ok(Box::new(AdaptiveProxy::bind(
-                ctx, service, server, self.ns_ep, iface, params,
-            )?)),
+            ProxySpec::Adaptive(params) => Ok(Box::new(
+                AdaptiveProxy::bind(cx, service, server, self.ns_ep, iface, params).await?,
+            )),
             ProxySpec::Replicated { .. } => {
                 // The replica proxy lives in the `replication` crate; it
                 // registers itself here under this custom kind.
                 let params = spec.to_value();
-                self.bind_custom(ctx, "replicated", service, record, &iface, &params)
+                (self.bind_custom(cx, "replicated", service, record, &iface, &params)).await
             }
             ProxySpec::Bulk { inner, params } => {
                 let mut bulk = BulkEngine::new(params, self.ns_ep);
@@ -203,7 +201,7 @@ impl Binder {
                     }
                     ProxySpec::Caching(cp) => {
                         let mut p =
-                            CachingProxy::bind(ctx, service, server, self.ns_ep, iface, cp)?;
+                            CachingProxy::bind(cx, service, server, self.ns_ep, iface, cp).await?;
                         p.enable_bulk(bulk);
                         Ok(Box::new(p))
                     }
@@ -214,14 +212,15 @@ impl Binder {
                 }
             }
             ProxySpec::Custom { kind, params } => {
-                self.bind_custom(ctx, &kind, service, record, &iface, &params)
+                self.bind_custom(cx, &kind, service, record, &iface, &params)
+                    .await
             }
         }
     }
 
-    fn bind_custom(
+    async fn bind_custom(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         kind: &str,
         service: &str,
         record: &NameRecord,
@@ -242,6 +241,6 @@ impl Binder {
             ns: self.ns_ep,
             factories: &self.factories,
         };
-        ctor(ctx, &bind_ctx)
+        ctor(cx, bind_ctx).await
     }
 }

@@ -29,11 +29,9 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use naming::NameClient;
-use rpc::{Channel, ChannelConfig, ErrorCode, RemoteError, RpcError};
-use simnet::{Ctx, Endpoint};
+use rpc::{CallHandle, Channel, ChannelConfig, ErrorCode, Oneway, RemoteError, RpcError};
+use simnet::{AsyncCx, Endpoint};
 use wire::{BlobRef, Value};
-
-use crate::proxy::OnewaySink;
 
 /// Blob-store protocol operation names.
 pub mod ops {
@@ -177,31 +175,39 @@ impl BlobClient {
         &self.store
     }
 
-    /// Takes the channel out of the client for one transfer;
-    /// [`BlobClient::finish`] puts it back.
-    fn channel(&mut self, ctx: &mut Ctx) -> Result<Channel, RpcError> {
-        if let Some(ch) = self.channel.take() {
-            return Ok(ch);
-        }
-        let rec = self.ns.resolve(ctx, &self.store)?;
-        Ok(Channel::new(
-            self.store.clone(),
-            rec.endpoint,
-            ChannelConfig::with_depth(self.depth).batched(self.depth),
-        ))
-    }
-
-    /// Ends a transfer: routes the one-ways the channel absorbed and
-    /// keeps the channel for the next transfer unless this one failed.
-    fn finish<T>(
+    /// Stages `calls` on the client's channel and waits for them all: the
+    /// channel comes out of the client for the transfer, its one-ways go
+    /// to `strays`, and it goes back unless a call failed. Each call's
+    /// reply goes to `each` in staging order.
+    async fn transfer(
         &mut self,
-        mut ch: Channel,
-        strays: &mut dyn OnewaySink,
-        result: Result<T, RpcError>,
-    ) -> Result<T, RpcError> {
-        for o in ch.take_strays() {
-            strays.push(o);
+        cx: AsyncCx,
+        calls: impl Iterator<Item = (&'static str, Value)>,
+        strays: &mut Vec<Oneway>,
+        mut each: impl FnMut(Value) -> Result<(), RpcError>,
+    ) -> Result<(), RpcError> {
+        let mut ch = match self.channel.take() {
+            Some(ch) => ch,
+            None => {
+                let rec = self.ns.resolve_async(cx, &self.store).await?;
+                let cfg = ChannelConfig::with_depth(self.depth).batched(self.depth);
+                Channel::new(self.store.clone(), rec.endpoint, cfg)
+            }
+        };
+        let handles: Vec<CallHandle> = cx.with(|cx| {
+            calls
+                .map(|(op, args)| ch.begin_call(cx, op, args))
+                .collect()
+        });
+        ch.wait_async(cx, None, None).await?;
+        let mut result = Ok(());
+        for h in handles {
+            let taken = ch.try_take(h).expect("every call settled");
+            if let Err(e) = taken.and_then(&mut each) {
+                result = Err(e);
+            }
         }
+        strays.extend(ch.take_strays());
         if result.is_ok() {
             self.channel = Some(ch);
         }
@@ -215,42 +221,30 @@ impl BlobClient {
     ///
     /// Any [`RpcError`] from the transfer; on error the upload may be
     /// partially applied (a later upload under a fresh key supersedes it).
-    pub fn put(
+    pub async fn put(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         key: &str,
         data: &Bytes,
-        strays: &mut dyn OnewaySink,
+        strays: &mut Vec<Oneway>,
     ) -> Result<BlobRef, RpcError> {
         let crc = wire::crc32(data);
         let total = data.len().div_ceil(self.chunk).max(1) as u64;
-        let mut ch = self.channel(ctx)?;
-        let handles: Vec<_> = (0..total)
-            .map(|seq| {
-                let start = seq as usize * self.chunk;
-                let end = (start + self.chunk).min(data.len());
-                ch.begin_call(
-                    ctx,
-                    ops::PUT_CHUNK,
-                    Value::record([
-                        ("key", Value::str(key)),
-                        ("seq", Value::U64(seq)),
-                        ("total", Value::U64(total)),
-                        ("len", Value::U64(data.len() as u64)),
-                        ("crc", Value::U64(u64::from(crc))),
-                        ("data", Value::Blob(data.slice(start..end))),
-                    ]),
-                )
-            })
-            .collect();
-        ch.wait_all(ctx)?;
-        let mut result = Ok(());
-        for h in handles {
-            if let Err(e) = ch.wait(ctx, h) {
-                result = Err(e);
-            }
-        }
-        self.finish(ch, strays, result)?;
+        let chunk = self.chunk;
+        let calls = (0..total).map(|seq| {
+            let start = seq as usize * chunk;
+            let end = (start + chunk).min(data.len());
+            let args = Value::record([
+                ("key", Value::str(key)),
+                ("seq", Value::U64(seq)),
+                ("total", Value::U64(total)),
+                ("len", Value::U64(data.len() as u64)),
+                ("crc", Value::U64(u64::from(crc))),
+                ("data", Value::Blob(data.slice(start..end))),
+            ]);
+            (ops::PUT_CHUNK, args)
+        });
+        self.transfer(cx, calls, strays, |_| Ok(())).await?;
         Ok(BlobRef {
             store: self.store.clone().into(),
             key: key.into(),
@@ -272,11 +266,11 @@ impl BlobClient {
     ///
     /// Any transfer [`RpcError`]; [`ErrorCode::App`] if the reassembled
     /// payload fails length or CRC verification.
-    pub fn get(
+    pub async fn get(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         r: &BlobRef,
-        strays: &mut dyn OnewaySink,
+        strays: &mut Vec<Oneway>,
     ) -> Result<Bytes, RpcError> {
         if r.len > wire::MAX_BULK_LEN {
             return Err(remote(
@@ -285,32 +279,19 @@ impl BlobClient {
             ));
         }
         let total = (r.len as usize).div_ceil(self.chunk).max(1) as u64;
-        let mut ch = self.channel(ctx)?;
-        let handles: Vec<_> = (0..total)
-            .map(|seq| {
-                ch.begin_call(
-                    ctx,
-                    ops::GET_CHUNK,
-                    Value::record([
-                        ("key", Value::str(r.key.as_str())),
-                        ("seq", Value::U64(seq)),
-                    ]),
-                )
-            })
-            .collect();
-        ch.wait_all(ctx)?;
+        let calls = (0..total).map(|seq| {
+            let args = Value::record([
+                ("key", Value::str(r.key.as_str())),
+                ("seq", Value::U64(seq)),
+            ]);
+            (ops::GET_CHUNK, args)
+        });
         let mut buf = Vec::with_capacity(r.len as usize);
-        let mut result = Ok(());
-        for h in handles {
-            match ch.wait(ctx, h) {
-                Ok(rep) => match rep.get_blob("data") {
-                    Ok(b) => buf.extend_from_slice(b),
-                    Err(e) => result = Err(RpcError::Wire(e)),
-                },
-                Err(e) => result = Err(e),
-            }
-        }
-        self.finish(ch, strays, result)?;
+        let append = |rep: Value| {
+            buf.extend_from_slice(rep.get_blob("data")?);
+            Ok(())
+        };
+        self.transfer(cx, calls, strays, append).await?;
         if buf.len() as u64 != r.len {
             return Err(remote(
                 ErrorCode::App,
@@ -337,17 +318,15 @@ impl BlobClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the call.
-    pub fn del(
+    pub async fn del(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         key: &str,
-        strays: &mut dyn OnewaySink,
+        strays: &mut Vec<Oneway>,
     ) -> Result<(), RpcError> {
-        let mut ch = self.channel(ctx)?;
-        let h = ch.begin_call(ctx, ops::DEL, Value::record([("key", Value::str(key))]));
-        ch.wait_all(ctx)?;
-        let r = ch.wait(ctx, h).map(drop);
-        self.finish(ch, strays, r)
+        let args = Value::record([("key", Value::str(key))]);
+        let calls = std::iter::once((ops::DEL, args));
+        self.transfer(cx, calls, strays, |_| Ok(())).await
     }
 }
 
@@ -442,37 +421,13 @@ impl BulkEngine {
     ///
     /// Any [`RpcError`] from an upload; already-spilled siblings stay
     /// uploaded (orphans are garbage, collectible via [`ops::DEL`]).
-    pub fn spill(
+    pub async fn spill(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         v: Value,
-        strays: &mut dyn OnewaySink,
+        strays: &mut Vec<Oneway>,
     ) -> Result<Value, RpcError> {
-        match v {
-            Value::Blob(b) if b.len() > self.params.threshold => {
-                let key = format!("s/{}/{}", ctx.endpoint(), ctx.next_seq());
-                let store = self.params.store.clone();
-                let r = self.client(&store).put(ctx, &key, &b, strays)?;
-                self.spills += 1;
-                self.bytes_spilled += b.len() as u64;
-                Ok(Value::Ref(r))
-            }
-            Value::List(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    out.push(self.spill(ctx, item, strays)?);
-                }
-                Ok(Value::List(out))
-            }
-            Value::Record(fields) => {
-                let mut out = Vec::with_capacity(fields.len());
-                for (k, item) in fields {
-                    out.push((k, self.spill(ctx, item, strays)?));
-                }
-                Ok(Value::Record(out))
-            }
-            other => Ok(other),
-        }
+        self.walk(cx, v, strays, true).await
     }
 
     /// Replaces every reference in `v` with the fetched payload bytes.
@@ -480,19 +435,39 @@ impl BulkEngine {
     /// # Errors
     ///
     /// Any [`RpcError`] from a fetch, including verification failures.
-    pub fn resolve(
+    pub async fn resolve(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         v: Value,
-        strays: &mut dyn OnewaySink,
+        strays: &mut Vec<Oneway>,
+    ) -> Result<Value, RpcError> {
+        self.walk(cx, v, strays, false).await
+    }
+
+    /// Spills (with `spill`) or resolves every leaf of `v` that asks for
+    /// it, rebuilding the tree around them.
+    async fn walk(
+        &mut self,
+        cx: AsyncCx,
+        v: Value,
+        strays: &mut Vec<Oneway>,
+        spill: bool,
     ) -> Result<Value, RpcError> {
         match v {
-            Value::Ref(r) => {
+            Value::Blob(b) if spill && b.len() > self.params.threshold => {
+                let key = cx.with(|cx| format!("s/{}/{}", cx.endpoint(), cx.next_seq()));
+                let store = self.params.store.clone();
+                let r = self.client(&store).put(cx, &key, &b, strays).await?;
+                self.spills += 1;
+                self.bytes_spilled += b.len() as u64;
+                Ok(Value::Ref(r))
+            }
+            Value::Ref(r) if !spill => {
                 let service = match &self.route {
                     Some(route) => route.clone(),
                     None => r.store.as_str().to_owned(),
                 };
-                let bytes = self.client(&service).get(ctx, &r, strays)?;
+                let bytes = self.client(&service).get(cx, &r, strays).await?;
                 self.resolves += 1;
                 self.bytes_resolved += bytes.len() as u64;
                 Ok(Value::Blob(bytes))
@@ -500,14 +475,14 @@ impl BulkEngine {
             Value::List(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for item in items {
-                    out.push(self.resolve(ctx, item, strays)?);
+                    out.push(Box::pin(self.walk(cx, item, strays, spill)).await?);
                 }
                 Ok(Value::List(out))
             }
             Value::Record(fields) => {
                 let mut out = Vec::with_capacity(fields.len());
                 for (k, item) in fields {
-                    out.push((k, self.resolve(ctx, item, strays)?));
+                    out.push((k, Box::pin(self.walk(cx, item, strays, spill)).await?));
                 }
                 Ok(Value::Record(out))
             }

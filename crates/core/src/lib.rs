@@ -99,11 +99,11 @@ mod sharers;
 mod spec;
 mod stable;
 
-pub use binder::{BindContext, Binder, ProxyCtor};
+pub use binder::{BindContext, Binder, BoundProxy, ProxyCtor};
 pub use bulk::{BlobClient, BulkEngine, BulkParams};
 pub use interface::{InterfaceDesc, OpDesc, OpKind};
 pub use object::{FactoryRegistry, ObjectCtor, ServiceObject};
-pub use proxy::{protocol, DiscardStrays, OnewaySink, Proxy, ProxyStats};
+pub use proxy::{protocol, Proxy, ProxyFuture, ProxyStats};
 pub use server::{serve, Control, Io, ServerStats, ServiceBuilder, ServiceServer, Strays};
 pub use session::Session;
 pub use session_core::{AsyncHandle, BindFuture, CallFuture, ProxyHandle, SessionCore};

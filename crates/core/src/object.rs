@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rpc::{ErrorCode, RemoteError};
-use simnet::Ctx;
+use simnet::{AsyncCx, Ctx};
 use wire::Value;
 
 use crate::interface::InterfaceDesc;
@@ -70,19 +70,19 @@ pub trait ServiceObject: Send {
     }
 }
 
-/// How a proxy holding the object in a blocking client's context
-/// executes an operation: sleeps the object's
+/// How a proxy holding the object in a client's context executes an
+/// operation: sleeps the object's
 /// [`service_time`](ServiceObject::service_time), then dispatches.
-pub(crate) fn dispatch_blocking(
+pub(crate) async fn dispatch_local(
     object: &mut dyn ServiceObject,
-    ctx: &mut Ctx,
+    cx: AsyncCx,
     op: &str,
     args: &Value,
 ) -> Result<Value, RemoteError> {
     // Interrupted only by shutdown; the call still completes, as a
     // handler that slept did.
-    let _ = ctx.sleep(object.service_time(op, args));
-    object.dispatch(ctx, op, args)
+    let _ = cx.sleep(object.service_time(op, args)).await;
+    cx.with(|cx| object.dispatch(cx, op, args))
 }
 
 impl fmt::Debug for dyn ServiceObject {

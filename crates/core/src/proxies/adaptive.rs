@@ -13,13 +13,13 @@
 
 use std::collections::VecDeque;
 
-use rpc::RpcError;
-use simnet::{Ctx, Endpoint};
+use rpc::{Oneway, RpcError};
+use simnet::{AsyncCx, Ctx, Endpoint};
 use wire::Value;
 
 use super::caching::CachingProxy;
 use crate::interface::{InterfaceDesc, OpKind};
-use crate::proxy::{OnewaySink, Proxy, ProxyStats};
+use crate::proxy::{Proxy, ProxyFuture, ProxyStats};
 use crate::spec::AdaptiveParams;
 
 /// A proxy that toggles between stub and caching behaviour based on the
@@ -42,8 +42,8 @@ impl AdaptiveProxy {
     /// # Errors
     ///
     /// Any [`RpcError`] from constructing the inner proxy.
-    pub fn bind(
-        ctx: &mut Ctx,
+    pub async fn bind(
+        cx: AsyncCx,
         service: impl Into<String>,
         server: Endpoint,
         ns: Endpoint,
@@ -54,9 +54,9 @@ impl AdaptiveProxy {
         // we subscribe only when caching turns on.
         let mut caching = params.caching.clone();
         caching.coherence = crate::spec::Coherence::Lease(std::time::Duration::ZERO);
-        let mut inner = CachingProxy::bind(ctx, service, server, ns, iface.clone(), caching)?;
+        let mut inner = CachingProxy::bind(cx, service, server, ns, iface.clone(), caching).await?;
         // Restore the real parameters for when caching turns on.
-        inner_set_params(&mut inner, &params);
+        inner.set_params(params.caching.clone());
         Ok(AdaptiveProxy {
             inner,
             iface,
@@ -94,7 +94,7 @@ impl AdaptiveProxy {
         }
     }
 
-    fn maybe_switch(&mut self, ctx: &mut Ctx) {
+    async fn maybe_switch(&mut self, cx: AsyncCx) {
         // Wait for a meaningful sample before the first switch.
         if self.window.len() < self.params.window / 2 {
             return;
@@ -102,7 +102,7 @@ impl AdaptiveProxy {
         let frac = self.read_fraction();
         if !self.caching_on && frac >= self.params.enable_at {
             let ready = if self.params.caching.coherence.subscribes() {
-                self.inner.subscribe(ctx).is_ok()
+                self.inner.subscribe(cx).await.is_ok()
             } else {
                 true // lease-only coherence needs no server cooperation
             };
@@ -111,7 +111,7 @@ impl AdaptiveProxy {
                 self.switches += 1;
             }
         } else if self.caching_on && frac <= self.params.disable_at {
-            let _ = self.inner.unsubscribe(ctx);
+            let _ = self.inner.unsubscribe(cx).await;
             self.inner.clear();
             self.caching_on = false;
             self.switches += 1;
@@ -119,44 +119,36 @@ impl AdaptiveProxy {
     }
 }
 
-/// Applies the adaptive proxy's *target* caching parameters to the inner
-/// proxy (coherence mode used while caching is enabled).
-fn inner_set_params(inner: &mut CachingProxy, params: &AdaptiveParams) {
-    inner.set_params(params.caching.clone());
-}
-
 impl Proxy for AdaptiveProxy {
     fn service(&self) -> &str {
         self.inner.service()
     }
 
-    fn invoke(
-        &mut self,
-        ctx: &mut Ctx,
-        op: &str,
+    fn invoke<'a>(
+        &'a mut self,
+        cx: AsyncCx,
+        op: &'a str,
         args: Value,
-        strays: &mut dyn OnewaySink,
-    ) -> Result<Value, RpcError> {
-        let is_read = matches!(self.iface.op(op), Some(d) if d.kind == OpKind::Read);
-        self.record(is_read);
-        self.maybe_switch(ctx);
-        if self.caching_on {
-            self.inner.invoke(ctx, op, args, strays)
-        } else {
-            self.inner.invoke_nocache(ctx, op, args, strays)
-        }
+        strays: &'a mut Vec<Oneway>,
+    ) -> ProxyFuture<'a, Result<Value, RpcError>> {
+        Box::pin(async move {
+            let is_read = matches!(self.iface.op(op), Some(d) if d.kind == OpKind::Read);
+            self.record(is_read);
+            self.maybe_switch(cx).await;
+            if self.caching_on {
+                self.inner.invoke_cached(cx, op, args, strays).await
+            } else {
+                self.inner.invoke_nocache(cx, op, args, strays).await
+            }
+        })
     }
 
     fn on_oneway(&mut self, ctx: &mut Ctx, oneway: &rpc::Oneway) {
         self.inner.on_oneway(ctx, oneway);
     }
 
-    fn poll(&mut self, ctx: &mut Ctx) {
-        self.inner.poll(ctx);
-    }
-
-    fn detach(&mut self, ctx: &mut Ctx) {
-        self.inner.detach(ctx);
+    fn detach(&mut self, cx: AsyncCx) -> ProxyFuture<'_, ()> {
+        self.inner.detach(cx)
     }
 
     fn stats(&self) -> ProxyStats {

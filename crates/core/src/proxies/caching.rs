@@ -18,33 +18,27 @@
 //! The proxy always invalidates its own tag on its own writes, so a
 //! client reads its own writes regardless of mode.
 
-use naming::NameClient;
-use rpc::{endpoint_to_value, RpcClient, RpcError};
-use simnet::{Ctx, Endpoint};
+use rpc::{endpoint_to_value, Oneway, RpcError};
+use simnet::{AsyncCx, Ctx, Endpoint};
 use wire::Value;
 
 use super::read_cache::{note_lookup, ReadCache};
-use super::robust_call;
+use super::Remote;
 use crate::bulk::BulkEngine;
 use crate::interface::{InterfaceDesc, OpKind};
-use crate::proxy::{protocol, OnewaySink, Proxy, ProxyStats};
+use crate::proxy::{protocol, Proxy, ProxyFuture, ProxyStats};
 use crate::spec::CachingParams;
 
 /// A proxy that caches read results.
 #[derive(Debug)]
 pub struct CachingProxy {
-    service: String,
-    rpc: RpcClient,
-    ns: NameClient,
-    iface: InterfaceDesc,
+    /// The service's remote end. With a bulk engine enabled, replies are
+    /// resolved *before* they enter the cache, so repeat reads of a bulk
+    /// value are pure local hits — the hierarchical edge cache's
+    /// client-level tier.
+    remote: Remote,
     subscribed: bool,
     cache: ReadCache,
-    /// When `Some`, over-threshold blobs spill out-of-band and reply
-    /// references resolve out-of-band. Replies are resolved *before*
-    /// they enter the cache, so repeat reads of a bulk value are pure
-    /// local hits — the hierarchical edge cache's client-level tier.
-    bulk: Option<BulkEngine>,
-    stats: ProxyStats,
 }
 
 impl CachingProxy {
@@ -54,8 +48,8 @@ impl CachingProxy {
     /// # Errors
     ///
     /// Any [`RpcError`] from the subscribe call.
-    pub fn bind(
-        ctx: &mut Ctx,
+    pub async fn bind(
+        cx: AsyncCx,
         service: impl Into<String>,
         server: Endpoint,
         ns: Endpoint,
@@ -63,19 +57,27 @@ impl CachingProxy {
         params: CachingParams,
     ) -> Result<CachingProxy, RpcError> {
         let mut proxy = CachingProxy {
-            service: service.into(),
-            rpc: RpcClient::new(server),
-            ns: NameClient::new(ns),
-            iface,
+            remote: Remote::new(service, server, ns, iface),
             subscribed: false,
             cache: ReadCache::new(params.clone()),
-            bulk: None,
-            stats: ProxyStats::default(),
         };
         if params.coherence.subscribes() {
-            proxy.subscribe(ctx)?;
+            proxy.subscribe(cx).await?;
         }
         Ok(proxy)
+    }
+
+    /// Subscribes (`OP_SUBSCRIBE`) or unsubscribes for invalidation
+    /// pushes.
+    ///
+    /// # Errors
+    ///
+    /// Any [`RpcError`] from the call.
+    async fn subscription(&mut self, cx: AsyncCx, op: &str) -> Result<(), RpcError> {
+        let args = Value::record([("cb", endpoint_to_value(cx.with(|cx| cx.endpoint())))]);
+        self.remote.rpc.call_async(cx, op, args).await?;
+        self.subscribed = op == protocol::OP_SUBSCRIBE;
+        Ok(())
     }
 
     /// Subscribes for invalidation pushes.
@@ -83,14 +85,8 @@ impl CachingProxy {
     /// # Errors
     ///
     /// Any [`RpcError`] from the call.
-    pub(crate) fn subscribe(&mut self, ctx: &mut Ctx) -> Result<(), RpcError> {
-        self.rpc.call(
-            ctx,
-            protocol::OP_SUBSCRIBE,
-            Value::record([("cb", endpoint_to_value(ctx.endpoint()))]),
-        )?;
-        self.subscribed = true;
-        Ok(())
+    pub(crate) async fn subscribe(&mut self, cx: AsyncCx) -> Result<(), RpcError> {
+        self.subscription(cx, protocol::OP_SUBSCRIBE).await
     }
 
     /// Cancels the invalidation subscription.
@@ -98,52 +94,23 @@ impl CachingProxy {
     /// # Errors
     ///
     /// Any [`RpcError`] from the call.
-    pub(crate) fn unsubscribe(&mut self, ctx: &mut Ctx) -> Result<(), RpcError> {
-        if self.subscribed {
-            self.rpc.call(
-                ctx,
-                protocol::OP_UNSUBSCRIBE,
-                Value::record([("cb", endpoint_to_value(ctx.endpoint()))]),
-            )?;
-            self.subscribed = false;
+    pub(crate) async fn unsubscribe(&mut self, cx: AsyncCx) -> Result<(), RpcError> {
+        match self.subscribed {
+            true => self.subscription(cx, protocol::OP_UNSUBSCRIBE).await,
+            false => Ok(()),
         }
-        Ok(())
     }
 
     /// Enables the out-of-band bulk data plane: `engine` spills and
     /// resolves this proxy's blobs.
     pub fn enable_bulk(&mut self, engine: BulkEngine) {
-        self.bulk = Some(engine);
+        self.remote.enable_bulk(engine);
     }
 
     /// The bulk engine, if [`Self::enable_bulk`] was called — for
     /// region routing overrides and transfer counters.
     pub fn bulk_mut(&mut self) -> Option<&mut BulkEngine> {
-        self.bulk.as_mut()
-    }
-
-    fn bulk_spill(
-        &mut self,
-        ctx: &mut Ctx,
-        args: Value,
-        strays: &mut dyn OnewaySink,
-    ) -> Result<Value, RpcError> {
-        match &mut self.bulk {
-            Some(eng) if eng.wants_spill(&args) => eng.spill(ctx, args, strays),
-            _ => Ok(args),
-        }
-    }
-
-    fn bulk_resolve(
-        &mut self,
-        ctx: &mut Ctx,
-        v: Value,
-        strays: &mut dyn OnewaySink,
-    ) -> Result<Value, RpcError> {
-        match &mut self.bulk {
-            Some(eng) if BulkEngine::wants_resolve(&v) => eng.resolve(ctx, v, strays),
-            _ => Ok(v),
-        }
+        self.remote.bulk_mut()
     }
 
     /// Replaces the caching parameters (used by the adaptive proxy when
@@ -159,35 +126,28 @@ impl CachingProxy {
 
     /// Forwards a call without consulting or filling the cache (used by
     /// the adaptive proxy while caching is disabled).
-    pub(crate) fn invoke_nocache(
+    pub(crate) async fn invoke_nocache(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         op: &str,
         args: Value,
-        strays: &mut dyn OnewaySink,
+        strays: &mut Vec<Oneway>,
     ) -> Result<Value, RpcError> {
-        self.stats.invocations += 1;
-        self.stats.remote_calls += 1;
-        robust_call(
-            &mut self.rpc,
-            &mut self.ns,
-            &self.service,
-            &self.iface,
-            ctx,
-            op,
-            args,
-            strays,
-            &mut self.stats,
-        )
+        self.remote.stats.invocations += 1;
+        self.remote.stats.remote_calls += 1;
+        self.remote.call_plain(cx, op, args, strays).await
     }
 
     /// Drains invalidations already sitting in the process mailbox so a
     /// read that follows a remote write observes it promptly.
-    fn drain_mailbox(&mut self, ctx: &mut Ctx, strays: &mut dyn OnewaySink) {
+    fn drain_mailbox(&mut self, ctx: &mut Ctx, strays: &mut Vec<Oneway>) {
+        if !self.subscribed {
+            return;
+        }
         while let Ok(Some(msg)) = ctx.try_recv() {
             match rpc::Packet::from_frame(&msg.payload) {
                 Ok(rpc::Packet::Oneway(o)) => {
-                    if o.args.get("svc").and_then(Value::as_str) == Some(self.service.as_str()) {
+                    if o.args.get("svc").and_then(Value::as_str) == Some(self.service()) {
                         self.handle_oneway(&o);
                     } else {
                         strays.push(o);
@@ -198,7 +158,7 @@ impl CachingProxy {
                 // They used to vanish silently; now the drop is at least
                 // visible.
                 Ok(_) | Err(_) => {
-                    self.stats.datagrams_discarded += 1;
+                    self.remote.stats.datagrams_discarded += 1;
                     ctx.obs().on_stray_dropped();
                 }
             }
@@ -207,121 +167,107 @@ impl CachingProxy {
 
     fn handle_oneway(&mut self, o: &rpc::Oneway) {
         if self.cache.on_invalidate(o).is_some() {
-            self.stats.invalidations_rx += 1;
+            self.remote.stats.invalidations_rx += 1;
         }
+    }
+
+    /// Looks a call up in the cache: `Ok` is a hit (counted), `Err` a
+    /// call to make, with the key a read fills.
+    fn lookup(&mut self, ctx: &Ctx, op: &str, args: &Value) -> Result<Value, Option<Vec<u8>>> {
+        let desc = self
+            .remote
+            .iface()
+            .op(op)
+            .filter(|d| d.kind == OpKind::Read);
+        let Some(desc) = desc else {
+            return Err(None);
+        };
+        let v = (self.cache)
+            .lookup_read(&desc.tag(args), op, args, ctx.now())
+            .map_err(Some)?;
+        self.remote.stats.invocations += 1;
+        self.remote.stats.local_hits += 1;
+        note_lookup(ctx, self.service(), op, true);
+        Ok(v)
+    }
+
+    /// Invokes through the cache: a read hit is answered locally, a miss
+    /// filled from the service, and a write forwarded.
+    pub(crate) async fn invoke_cached(
+        &mut self,
+        cx: AsyncCx,
+        op: &str,
+        args: Value,
+        strays: &mut Vec<Oneway>,
+    ) -> Result<Value, RpcError> {
+        let looked = cx.with(|cx| {
+            self.drain_mailbox(cx, strays);
+            self.lookup(cx, op, &args)
+        });
+        let key = match looked {
+            Ok(v) => return Ok(v),
+            Err(key) => key,
+        };
+        self.remote.stats.invocations += 1;
+        self.remote.stats.remote_calls += 1;
+        let Some(desc) = self.remote.iface().op(op) else {
+            // Undeclared (system or unknown) op: pass through.
+            return self.remote.call(cx, op, args, strays).await;
+        };
+        let tag = desc.tag(&args).into_owned();
+        if let Some(key) = key {
+            cx.with(|cx| note_lookup(cx, self.service(), op, false));
+            let v = self.remote.call(cx, op, args, strays).await?;
+            let now = cx.with(|cx| cx.now());
+            self.cache.insert(tag, key, v.clone(), now);
+            return Ok(v);
+        }
+        // A write: forward, then drop our own stale reads of the tag so
+        // we read our own writes.
+        let v = self.remote.call(cx, op, args, strays).await?;
+        self.cache.invalidate_tag(&tag);
+        Ok(v)
     }
 }
 
 impl Proxy for CachingProxy {
     fn service(&self) -> &str {
-        &self.service
+        self.remote.service()
     }
 
-    fn invoke(
+    fn try_ready(
         &mut self,
         ctx: &mut Ctx,
         op: &str,
+        args: &Value,
+        strays: &mut Vec<Oneway>,
+    ) -> Option<Result<Value, RpcError>> {
+        self.drain_mailbox(ctx, strays);
+        self.lookup(ctx, op, args).ok().map(Ok)
+    }
+
+    fn invoke<'a>(
+        &'a mut self,
+        cx: AsyncCx,
+        op: &'a str,
         args: Value,
-        strays: &mut dyn OnewaySink,
-    ) -> Result<Value, RpcError> {
-        if self.subscribed {
-            self.drain_mailbox(ctx, strays);
-        }
-        self.stats.invocations += 1;
-        let Some(desc) = self.iface.op(op) else {
-            // Undeclared (system or unknown) op: pass through.
-            self.stats.remote_calls += 1;
-            let args = self.bulk_spill(ctx, args, strays)?;
-            let v = robust_call(
-                &mut self.rpc,
-                &mut self.ns,
-                &self.service,
-                &self.iface,
-                ctx,
-                op,
-                args,
-                strays,
-                &mut self.stats,
-            )?;
-            return self.bulk_resolve(ctx, v, strays);
-        };
-        let kind = desc.kind;
-        // Borrowed from `args` on the hit path; owned only once the call
-        // goes remote and `args` moves into it.
-        let tag = desc.tag(&args);
-        if kind == OpKind::Read {
-            let key = ReadCache::key(op, &args);
-            if let Some(v) = self.cache.lookup(&tag, &key, ctx.now()) {
-                self.stats.local_hits += 1;
-                note_lookup(ctx, &self.service, op, true);
-                return Ok(v);
-            }
-            let tag = tag.into_owned();
-            self.stats.remote_calls += 1;
-            note_lookup(ctx, &self.service, op, false);
-            let args = self.bulk_spill(ctx, args, strays)?;
-            let v = robust_call(
-                &mut self.rpc,
-                &mut self.ns,
-                &self.service,
-                &self.iface,
-                ctx,
-                op,
-                args,
-                strays,
-                &mut self.stats,
-            )?;
-            let v = self.bulk_resolve(ctx, v, strays)?;
-            self.cache.insert(tag, key, v.clone(), ctx.now());
-            return Ok(v);
-        }
-        // A write: forward, then drop our own stale reads of the tag so
-        // we read our own writes.
-        let tag = tag.into_owned();
-        self.stats.remote_calls += 1;
-        let args = self.bulk_spill(ctx, args, strays)?;
-        let v = robust_call(
-            &mut self.rpc,
-            &mut self.ns,
-            &self.service,
-            &self.iface,
-            ctx,
-            op,
-            args,
-            strays,
-            &mut self.stats,
-        )?;
-        let v = self.bulk_resolve(ctx, v, strays)?;
-        self.cache.invalidate_tag(&tag);
-        Ok(v)
+        strays: &'a mut Vec<Oneway>,
+    ) -> ProxyFuture<'a, Result<Value, RpcError>> {
+        Box::pin(self.invoke_cached(cx, op, args, strays))
     }
 
     fn on_oneway(&mut self, _ctx: &mut Ctx, oneway: &rpc::Oneway) {
         self.handle_oneway(oneway);
     }
 
-    fn poll(&mut self, ctx: &mut Ctx) {
-        if self.subscribed {
-            let mut sink: Vec<rpc::Oneway> = Vec::new();
-            self.drain_mailbox(ctx, &mut sink);
-            // Strays for other services found during a poll cannot be
-            // routed from here; the session core's pump drains the
-            // mailbox itself, so this path only runs for standalone
-            // proxies.
-        }
-    }
-
-    fn detach(&mut self, ctx: &mut Ctx) {
-        let _ = self.unsubscribe(ctx);
-        self.clear();
+    fn detach(&mut self, cx: AsyncCx) -> ProxyFuture<'_, ()> {
+        Box::pin(async move {
+            let _ = self.unsubscribe(cx).await;
+            self.clear();
+        })
     }
 
     fn stats(&self) -> ProxyStats {
-        let mut s = self.stats;
-        if let Some(eng) = &self.bulk {
-            s.bulk_spills = eng.spills;
-            s.bulk_resolves = eng.resolves;
-        }
-        s
+        self.remote.stats()
     }
 }

@@ -6,12 +6,12 @@
 //! the object directly in the client's context and dispatches in-line;
 //! experiment E5 measures the gap against a remote stub.
 
-use rpc::RpcError;
-use simnet::Ctx;
+use rpc::{Oneway, RpcError};
+use simnet::{AsyncCx, Ctx};
 use wire::Value;
 
-use crate::object::{dispatch_blocking, ServiceObject};
-use crate::proxy::{OnewaySink, Proxy, ProxyStats};
+use crate::object::{dispatch_local, ServiceObject};
+use crate::proxy::{Proxy, ProxyFuture, ProxyStats};
 
 /// A proxy for an object living in this very context.
 pub struct LocalProxy {
@@ -44,16 +44,39 @@ impl Proxy for LocalProxy {
         &self.service
     }
 
-    fn invoke(
+    fn try_ready(
         &mut self,
         ctx: &mut Ctx,
         op: &str,
-        args: Value,
-        _strays: &mut dyn OnewaySink,
-    ) -> Result<Value, RpcError> {
+        args: &Value,
+        _strays: &mut Vec<Oneway>,
+    ) -> Option<Result<Value, RpcError>> {
+        if !self.object.service_time(op, args).is_zero() {
+            return None;
+        }
         self.stats.invocations += 1;
         self.stats.local_hits += 1;
-        dispatch_blocking(self.object.as_mut(), ctx, op, &args).map_err(RpcError::Remote)
+        Some(
+            self.object
+                .dispatch(ctx, op, args)
+                .map_err(RpcError::Remote),
+        )
+    }
+
+    fn invoke<'a>(
+        &'a mut self,
+        cx: AsyncCx,
+        op: &'a str,
+        args: Value,
+        _strays: &'a mut Vec<Oneway>,
+    ) -> ProxyFuture<'a, Result<Value, RpcError>> {
+        self.stats.invocations += 1;
+        self.stats.local_hits += 1;
+        Box::pin(async move {
+            dispatch_local(self.object.as_mut(), cx, op, &args)
+                .await
+                .map_err(RpcError::Remote)
+        })
     }
 
     fn stats(&self) -> ProxyStats {
@@ -65,7 +88,6 @@ impl Proxy for LocalProxy {
 mod tests {
     use super::*;
     use crate::object::testutil::TestKv;
-    use crate::proxy::DiscardStrays;
     use simnet::{NetworkConfig, NodeId, Simulation};
 
     #[test]
@@ -73,23 +95,13 @@ mod tests {
         let mut sim = Simulation::new(NetworkConfig::lan(), 0);
         sim.spawn("host", NodeId(0), |ctx| {
             let mut p = LocalProxy::new("kv", Box::new(TestKv::default()));
-            let mut sink = DiscardStrays;
-            p.invoke(
-                ctx,
-                "put",
-                Value::record([("key", Value::str("a")), ("value", Value::str("1"))]),
-                &mut sink,
-            )
-            .unwrap();
-            let v = p
-                .invoke(
-                    ctx,
-                    "get",
-                    Value::record([("key", Value::str("a"))]),
-                    &mut sink,
-                )
+            let mut sink = Vec::new();
+            let put = Value::record([("key", Value::str("a")), ("value", Value::str("1"))]);
+            ctx.block_on(|cx| p.invoke(cx, "put", put, &mut sink))
                 .unwrap();
-            assert_eq!(v, Value::str("1"));
+            let get = Value::record([("key", Value::str("a"))]);
+            let v = p.try_ready(ctx, "get", &get, &mut sink).unwrap();
+            assert_eq!(v.unwrap(), Value::str("1"));
             assert_eq!(p.stats().local_hits, 2);
             assert_eq!(p.stats().remote_calls, 0);
         });

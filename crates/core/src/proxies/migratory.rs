@@ -10,35 +10,30 @@
 //! a service may transparently relocate state toward its dominant user
 //! while clients keep calling through the same interface.
 
-use naming::NameClient;
-use rpc::{ErrorCode, RpcClient, RpcError};
-use simnet::{Ctx, Endpoint};
+use rpc::{ErrorCode, Oneway, RpcError};
+use simnet::{AsyncCx, Ctx, Endpoint};
 use wire::Value;
 
-use super::robust_call;
+use super::Remote;
 use crate::interface::InterfaceDesc;
-use crate::object::{dispatch_blocking, FactoryRegistry, ServiceObject};
-use crate::proxy::{protocol, OnewaySink, Proxy, ProxyStats};
+use crate::object::{dispatch_local, FactoryRegistry, ServiceObject};
+use crate::proxy::{protocol, Proxy, ProxyFuture, ProxyStats};
 
 /// A proxy that migrates the object into the client context once the
 /// client proves to be a heavy user.
 pub struct MigratoryProxy {
-    service: String,
-    rpc: RpcClient,
-    ns: NameClient,
-    iface: InterfaceDesc,
+    remote: Remote,
     factories: FactoryRegistry,
     threshold: u64,
     calls_seen: u64,
     local: Option<Box<dyn ServiceObject>>,
     recall_requested: bool,
-    stats: ProxyStats,
 }
 
 impl std::fmt::Debug for MigratoryProxy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MigratoryProxy")
-            .field("service", &self.service)
+            .field("service", &self.service())
             .field("holding", &self.local.is_some())
             .field("calls_seen", &self.calls_seen)
             .field("threshold", &self.threshold)
@@ -59,50 +54,41 @@ impl MigratoryProxy {
         threshold: u64,
     ) -> MigratoryProxy {
         MigratoryProxy {
-            service: service.into(),
-            rpc: RpcClient::new(server),
-            ns: NameClient::new(ns),
-            iface,
+            remote: Remote::new(service, server, ns, iface),
             factories,
             threshold: threshold.max(1),
             calls_seen: 0,
             local: None,
             recall_requested: false,
-            stats: ProxyStats::default(),
         }
     }
 
-    fn try_checkout(&mut self, ctx: &mut Ctx, strays: &mut dyn OnewaySink) {
-        if !self.factories.knows(&self.iface.type_name) {
+    async fn try_checkout(&mut self, cx: AsyncCx, strays: &mut Vec<Oneway>) {
+        let type_name = &self.remote.iface().type_name;
+        if !self.factories.knows(type_name) {
             return;
         }
-        let result = robust_call(
-            &mut self.rpc,
-            &mut self.ns,
-            &self.service,
-            &self.iface,
-            ctx,
-            protocol::OP_CHECKOUT,
-            Value::Null,
-            strays,
-            &mut self.stats,
-        );
+        let result = (self.remote)
+            .call_plain(cx, protocol::OP_CHECKOUT, Value::Null, strays)
+            .await;
         match result {
             Ok(reply) => {
                 let state = reply.get("state").cloned().unwrap_or(Value::Null);
-                match self.factories.create(&self.iface.type_name, &state) {
+                match self
+                    .factories
+                    .create(&self.remote.iface().type_name, &state)
+                {
                     Ok(obj) => {
                         self.local = Some(obj);
-                        self.stats.migrations += 1;
+                        self.remote.stats.migrations += 1;
                     }
                     Err(_) => {
                         // We took the object but cannot host it; push the
                         // state straight back.
-                        let _ = self.rpc.call(
-                            ctx,
-                            protocol::OP_CHECKIN,
-                            Value::record([("state", state)]),
-                        );
+                        let args = Value::record([("state", state)]);
+                        let _ = (self.remote.rpc)
+                            .call_async(cx, protocol::OP_CHECKIN, args)
+                            .await;
                     }
                 }
             }
@@ -114,25 +100,20 @@ impl MigratoryProxy {
         }
     }
 
-    fn checkin(&mut self, ctx: &mut Ctx, strays: &mut dyn OnewaySink) -> Result<(), RpcError> {
+    async fn checkin(&mut self, cx: AsyncCx, strays: &mut Vec<Oneway>) -> Result<(), RpcError> {
         let Some(obj) = self.local.take() else {
             self.recall_requested = false;
             return Ok(());
         };
         let state = obj.snapshot().map_err(RpcError::Remote)?;
-        match robust_call(
-            &mut self.rpc,
-            &mut self.ns,
-            &self.service,
-            &self.iface,
-            ctx,
-            protocol::OP_CHECKIN,
-            Value::record([("state", state)]),
-            strays,
-            &mut self.stats,
-        ) {
+        let args = Value::record([("state", state)]);
+        match self
+            .remote
+            .call_plain(cx, protocol::OP_CHECKIN, args, strays)
+            .await
+        {
             Ok(_) => {
-                self.stats.checkins += 1;
+                self.remote.stats.checkins += 1;
                 self.recall_requested = false;
                 self.calls_seen = 0; // restart the usage count
                 Ok(())
@@ -144,54 +125,68 @@ impl MigratoryProxy {
             }
         }
     }
+
+    /// Checks a held object back in, if any, its strays dropped.
+    fn checkin_alone(&mut self, cx: AsyncCx) -> ProxyFuture<'_, ()> {
+        Box::pin(async move {
+            if self.local.is_some() {
+                let _ = self.checkin(cx, &mut Vec::new()).await;
+            }
+        })
+    }
 }
 
 impl Proxy for MigratoryProxy {
     fn service(&self) -> &str {
-        &self.service
+        self.remote.service()
     }
 
-    fn invoke(
+    fn try_ready(
         &mut self,
         ctx: &mut Ctx,
         op: &str,
+        args: &Value,
+        _strays: &mut Vec<Oneway>,
+    ) -> Option<Result<Value, RpcError>> {
+        let obj = self.local.as_mut()?;
+        if self.recall_requested || !obj.service_time(op, args).is_zero() {
+            return None;
+        }
+        self.remote.stats.invocations += 1;
+        self.remote.stats.local_hits += 1;
+        Some(obj.dispatch(ctx, op, args).map_err(RpcError::Remote))
+    }
+
+    fn invoke<'a>(
+        &'a mut self,
+        cx: AsyncCx,
+        op: &'a str,
         args: Value,
-        strays: &mut dyn OnewaySink,
-    ) -> Result<Value, RpcError> {
-        self.stats.invocations += 1;
-
-        // Honour a pending recall before doing anything else.
-        if self.recall_requested && self.local.is_some() {
-            let _ = self.checkin(ctx, strays);
-        }
-
-        if self.local.is_none() {
-            self.calls_seen += 1;
-            if self.calls_seen >= self.threshold && !self.recall_requested {
-                self.try_checkout(ctx, strays);
+        strays: &'a mut Vec<Oneway>,
+    ) -> ProxyFuture<'a, Result<Value, RpcError>> {
+        self.remote.stats.invocations += 1;
+        Box::pin(async move {
+            // Honour a pending recall before doing anything else.
+            if self.recall_requested && self.local.is_some() {
+                let _ = self.checkin(cx, strays).await;
             }
-        }
-
-        match &mut self.local {
-            Some(obj) => {
-                self.stats.local_hits += 1;
-                dispatch_blocking(obj.as_mut(), ctx, op, &args).map_err(RpcError::Remote)
+            if self.local.is_none() {
+                self.calls_seen += 1;
+                if self.calls_seen >= self.threshold && !self.recall_requested {
+                    self.try_checkout(cx, strays).await;
+                }
             }
-            None => {
-                self.stats.remote_calls += 1;
-                robust_call(
-                    &mut self.rpc,
-                    &mut self.ns,
-                    &self.service,
-                    &self.iface,
-                    ctx,
-                    op,
-                    args,
-                    strays,
-                    &mut self.stats,
-                )
+            match &mut self.local {
+                Some(obj) => {
+                    self.remote.stats.local_hits += 1;
+                    (dispatch_local(obj.as_mut(), cx, op, &args).await).map_err(RpcError::Remote)
+                }
+                None => {
+                    self.remote.stats.remote_calls += 1;
+                    self.remote.call_plain(cx, op, args, strays).await
+                }
             }
-        }
+        })
     }
 
     fn on_oneway(&mut self, _ctx: &mut Ctx, oneway: &rpc::Oneway) {
@@ -200,21 +195,19 @@ impl Proxy for MigratoryProxy {
         }
     }
 
-    fn poll(&mut self, ctx: &mut Ctx) {
-        if self.recall_requested && self.local.is_some() {
-            let mut sink: Vec<rpc::Oneway> = Vec::new();
-            let _ = self.checkin(ctx, &mut sink);
-        }
+    fn deferred(&self) -> bool {
+        self.recall_requested && self.local.is_some()
     }
 
-    fn detach(&mut self, ctx: &mut Ctx) {
-        if self.local.is_some() {
-            let mut sink: Vec<rpc::Oneway> = Vec::new();
-            let _ = self.checkin(ctx, &mut sink);
-        }
+    fn poll(&mut self, cx: AsyncCx) -> ProxyFuture<'_, ()> {
+        self.checkin_alone(cx)
+    }
+
+    fn detach(&mut self, cx: AsyncCx) -> ProxyFuture<'_, ()> {
+        self.checkin_alone(cx)
     }
 
     fn stats(&self) -> ProxyStats {
-        self.stats
+        self.remote.stats
     }
 }

@@ -71,15 +71,35 @@ impl ReadCache {
     /// The key a read is cached under within its tag: the operation and
     /// its exact arguments.
     pub fn key(op: &str, args: &Value) -> Vec<u8> {
+        Self::with_key(op, args, <[u8]>::to_vec)
+    }
+
+    /// Runs `f` with the key of `op` and `args`, encoded in this thread's
+    /// pooled encoder: no allocation.
+    fn with_key<R>(op: &str, args: &Value, f: impl FnOnce(&[u8]) -> R) -> R {
         rpc::with_encoder(|e| {
-            e.encode_borrowed(|w| {
+            f(e.encode_borrowed(|w| {
                 w.begin_record(2);
                 w.key("op");
                 w.str(op);
                 w.key("a");
                 w.value(args);
-            })
-            .to_vec()
+            }))
+        })
+    }
+
+    /// [`ReadCache::lookup`] of the read of `op` with `args` filed under
+    /// `tag`; on a miss, the key to [`ReadCache::insert`] its result
+    /// under. A hit allocates no key.
+    pub fn lookup_read(
+        &mut self,
+        tag: &str,
+        op: &str,
+        args: &Value,
+        now: SimTime,
+    ) -> Result<Value, Vec<u8>> {
+        Self::with_key(op, args, |key| {
+            self.lookup(tag, key, now).ok_or_else(|| key.to_vec())
         })
     }
 

@@ -1,55 +1,65 @@
-//! The stub proxy: marshal and forward.
+//! The remote end of a service, and the stub proxy that is nothing more.
 
 use naming::NameClient;
-use rpc::{RpcClient, RpcError};
-use simnet::{Ctx, Endpoint};
+use rpc::{endpoint_from_value, ErrorCode, Oneway, RpcClient, RpcError};
+use simnet::{AsyncCx, Endpoint};
 use wire::Value;
 
-use super::robust_call;
+use super::MAX_REDIRECTS;
 use crate::bulk::BulkEngine;
 use crate::interface::InterfaceDesc;
-use crate::proxy::{OnewaySink, Proxy, ProxyStats};
+use crate::proxy::{Proxy, ProxyFuture, ProxyStats};
 
-/// The degenerate proxy: every invocation becomes one remote call.
+/// The stub proxy: a [`Remote`], every invocation one remote call.
 ///
 /// This is exactly the stub of classic RPC (Birrell & Nelson 1984) —
 /// the baseline the paper generalizes. It still benefits from the
 /// binding protocol: `Moved` redirects and dead-endpoint re-lookups are
 /// handled transparently, and the interface says which calls a timeout
 /// may re-issue.
+pub type StubProxy = Remote;
+
+/// A service's remote end, as every proxy reaches it: the client that
+/// calls it, the name service that rebinds it, its interface, the bulk
+/// plane if the service asked for one, and the proxy's counters.
 #[derive(Debug)]
-pub struct StubProxy {
+pub struct Remote {
     service: String,
     iface: InterfaceDesc,
-    rpc: RpcClient,
+    pub(crate) rpc: RpcClient,
     ns: NameClient,
-    stats: ProxyStats,
     bulk: Option<BulkEngine>,
+    pub(crate) stats: ProxyStats,
 }
 
-impl StubProxy {
-    /// Creates a stub proxy for `service` at `server`, using the name
-    /// server at `ns` for rebinds. After a timeout it re-issues only the
-    /// ops `iface` declares idempotent (and the ones it does not declare).
+impl Remote {
+    /// The remote end of `service` at `server`, using the name server at
+    /// `ns` for rebinds. After a timeout it re-issues only the ops
+    /// `iface` declares idempotent (and the ones it does not declare).
     pub fn new(
         service: impl Into<String>,
         server: Endpoint,
         ns: Endpoint,
         iface: InterfaceDesc,
-    ) -> StubProxy {
-        StubProxy {
+    ) -> Remote {
+        Remote {
             service: service.into(),
             iface,
             rpc: RpcClient::new(server),
             ns: NameClient::new(ns),
-            stats: ProxyStats::default(),
             bulk: None,
+            stats: ProxyStats::default(),
         }
     }
 
     /// The endpoint currently called (may change after redirects).
     pub fn server(&self) -> Endpoint {
         self.rpc.server()
+    }
+
+    /// The service's interface.
+    pub fn iface(&self) -> &InterfaceDesc {
+        &self.iface
     }
 
     /// Enables the out-of-band bulk data plane: over-threshold blobs in
@@ -64,41 +74,118 @@ impl StubProxy {
     pub fn bulk_mut(&mut self) -> Option<&mut BulkEngine> {
         self.bulk.as_mut()
     }
+
+    /// Calls `op`: spills the arguments' large blobs, makes the call
+    /// robustly ([`Remote::call_plain`]) and resolves the reply's
+    /// references.
+    ///
+    /// # Errors
+    ///
+    /// Any [`RpcError`] from the transfers or the call.
+    pub async fn call(
+        &mut self,
+        cx: AsyncCx,
+        op: &str,
+        args: Value,
+        strays: &mut Vec<Oneway>,
+    ) -> Result<Value, RpcError> {
+        // The transfers are boxed: a call that makes none carries no room
+        // for them.
+        let args = match &mut self.bulk {
+            Some(eng) if eng.wants_spill(&args) => Box::pin(eng.spill(cx, args, strays)).await?,
+            _ => args,
+        };
+        let reply = self.call_plain(cx, op, args, strays).await?;
+        match &mut self.bulk {
+            Some(eng) if BulkEngine::wants_resolve(&reply) => {
+                Box::pin(eng.resolve(cx, reply, strays)).await
+            }
+            _ => Ok(reply),
+        }
+    }
+
+    /// Issues a call, collecting stray one-way notifications into
+    /// `strays`, following `Moved` redirects (forwarding pointers left by
+    /// migration) and falling back to a fresh name-service lookup after
+    /// a timeout.
+    ///
+    /// After that lookup the call is issued again only if the interface
+    /// declares `op` idempotent, or does not declare it at all (system
+    /// ops). A timed out call may have run with its reply lost, and the
+    /// re-issue is a new call: a recovered incarnation would run a
+    /// non-idempotent op twice. Such a call returns its `Timeout`; the
+    /// proxy stays rebound for the next one.
+    ///
+    /// Local rebinds performed here are the *lazy* path-compression of
+    /// experiment E10: after following a chain once, the proxy points at
+    /// the object's true home and later calls pay a single hop.
+    ///
+    /// # Errors
+    ///
+    /// Any [`RpcError`] from the call.
+    pub async fn call_plain(
+        &mut self,
+        cx: AsyncCx,
+        op: &str,
+        args: Value,
+        strays: &mut Vec<Oneway>,
+    ) -> Result<Value, RpcError> {
+        let mut redirects = 0;
+        let mut relookups = 0;
+        loop {
+            let result = self.rpc.call_async(cx, op, args.clone()).await;
+            strays.extend(self.rpc.take_strays());
+            match result {
+                Err(RpcError::Remote(ref e)) if e.code == ErrorCode::Moved => {
+                    if redirects >= MAX_REDIRECTS {
+                        return result;
+                    }
+                    match endpoint_from_value(&e.data) {
+                        Ok(new_ep) => {
+                            self.rpc.rebind(new_ep);
+                            self.stats.rebinds += 1;
+                            redirects += 1;
+                        }
+                        Err(_) => return result,
+                    }
+                }
+                Err(RpcError::Timeout { .. }) if relookups == 0 => {
+                    // The recorded endpoint may be dead (crashed or moved
+                    // without a forwarder); ask the name service once.
+                    relookups += 1;
+                    self.ns.forget(&self.service);
+                    match Box::pin(self.ns.lookup_async(cx, &self.service)).await {
+                        Ok(rec) if rec.endpoint != self.rpc.server() => {
+                            self.rpc.rebind(rec.endpoint);
+                            self.stats.rebinds += 1;
+                        }
+                        _ => return result,
+                    }
+                    if self.iface.op(op).is_some_and(|d| !d.idempotent) {
+                        return result;
+                    }
+                }
+                other => return other,
+            }
+        }
+    }
 }
 
-impl Proxy for StubProxy {
+impl Proxy for Remote {
     fn service(&self) -> &str {
         &self.service
     }
 
-    fn invoke(
-        &mut self,
-        ctx: &mut Ctx,
-        op: &str,
+    fn invoke<'a>(
+        &'a mut self,
+        cx: AsyncCx,
+        op: &'a str,
         args: Value,
-        strays: &mut dyn OnewaySink,
-    ) -> Result<Value, RpcError> {
+        strays: &'a mut Vec<Oneway>,
+    ) -> ProxyFuture<'a, Result<Value, RpcError>> {
         self.stats.invocations += 1;
         self.stats.remote_calls += 1;
-        let args = match &mut self.bulk {
-            Some(eng) if eng.wants_spill(&args) => eng.spill(ctx, args, strays)?,
-            _ => args,
-        };
-        let reply = robust_call(
-            &mut self.rpc,
-            &mut self.ns,
-            &self.service,
-            &self.iface,
-            ctx,
-            op,
-            args,
-            strays,
-            &mut self.stats,
-        )?;
-        match &mut self.bulk {
-            Some(eng) if BulkEngine::wants_resolve(&reply) => eng.resolve(ctx, reply, strays),
-            _ => Ok(reply),
-        }
+        Box::pin(self.call(cx, op, args, strays))
     }
 
     fn stats(&self) -> ProxyStats {

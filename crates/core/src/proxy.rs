@@ -6,8 +6,11 @@
 //! is the service's business, selected by the [`crate::ProxySpec`] it
 //! published.
 
+use std::future::Future;
+use std::pin::Pin;
+
 use rpc::{Oneway, RpcError};
-use simnet::Ctx;
+use simnet::{AsyncCx, Ctx};
 use wire::Value;
 
 /// Well-known operation and notification names of the proxy protocol.
@@ -46,33 +49,34 @@ pub mod protocol {
 /// snapshots the same counters per `(owner, service)` pair.
 pub use obs::ProxyStats;
 
-/// Collects one-way notifications that arrive while a proxy is blocked
-/// in a call but belong to *other* proxies in the same context. The
-/// [`crate::SessionCore`] routes them after the call returns.
-pub trait OnewaySink {
-    /// Queues a notification for later routing.
-    fn push(&mut self, oneway: Oneway);
-}
-
-impl OnewaySink for Vec<Oneway> {
-    fn push(&mut self, oneway: Oneway) {
-        Vec::push(self, oneway);
-    }
-}
-
-/// A sink that discards notifications (for standalone proxies in
-/// single-service processes that know no other traffic can arrive).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DiscardStrays;
-
-impl OnewaySink for DiscardStrays {
-    fn push(&mut self, _oneway: Oneway) {}
-}
+/// The future a [`Proxy`] method returns: boxed, so `dyn Proxy` can
+/// return one.
+pub type ProxyFuture<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
 
 /// A local representative of a remote service.
+///
+/// A proxy is written once, as `async`: an `async` body awaits it, and a
+/// blocking one runs the same future on its stack
+/// ([`simnet::Ctx::block_on`]). A call that needs no wait (a cache hit,
+/// an in-context call with no service time) is answered by
+/// [`Proxy::try_ready`] first, synchronously: it allocates no future,
+/// and a blocking caller does not enter the bridge for it.
 pub trait Proxy: Send {
     /// The service name this proxy represents.
     fn service(&self) -> &str;
+
+    /// Answers a call at once if it needs no wait; `None` leaves it to
+    /// [`Proxy::invoke`]. One-way notifications found meanwhile that are
+    /// addressed to other services are pushed into `strays`.
+    fn try_ready(
+        &mut self,
+        _ctx: &mut Ctx,
+        _op: &str,
+        _args: &Value,
+        _strays: &mut Vec<Oneway>,
+    ) -> Option<Result<Value, RpcError>> {
+        None
+    }
 
     /// Invokes an operation through the proxy. One-way notifications
     /// that arrive while waiting and are addressed to other services are
@@ -81,25 +85,34 @@ pub trait Proxy: Send {
     /// # Errors
     ///
     /// Any [`RpcError`]: transport failure, remote failure, or shutdown.
-    fn invoke(
-        &mut self,
-        ctx: &mut Ctx,
-        op: &str,
+    fn invoke<'a>(
+        &'a mut self,
+        cx: AsyncCx,
+        op: &'a str,
         args: Value,
-        strays: &mut dyn OnewaySink,
-    ) -> Result<Value, RpcError>;
+        strays: &'a mut Vec<Oneway>,
+    ) -> ProxyFuture<'a, Result<Value, RpcError>>;
 
     /// Delivers a one-way notification addressed to this proxy's service
     /// (invalidation, recall, …). Must not block.
     fn on_oneway(&mut self, _ctx: &mut Ctx, _oneway: &Oneway) {}
 
-    /// Gives the proxy a chance to do deferred work (e.g. honour a
-    /// pending recall). Called by the session core between invocations.
-    fn poll(&mut self, _ctx: &mut Ctx) {}
+    /// Whether the proxy has deferred work (e.g. a pending recall) for
+    /// [`Proxy::poll`]. The session core asks between invocations.
+    fn deferred(&self) -> bool {
+        false
+    }
+
+    /// Does the deferred work [`Proxy::deferred`] reported.
+    fn poll(&mut self, _cx: AsyncCx) -> ProxyFuture<'_, ()> {
+        Box::pin(async {})
+    }
 
     /// Cleanly unbinds: unsubscribe, check state back in. Called by
     /// [`crate::SessionCore::unbind`] and before client exit.
-    fn detach(&mut self, _ctx: &mut Ctx) {}
+    fn detach(&mut self, _cx: AsyncCx) -> ProxyFuture<'_, ()> {
+        Box::pin(async {})
+    }
 
     /// Current counters.
     fn stats(&self) -> ProxyStats;
@@ -108,44 +121,5 @@ pub trait Proxy: Send {
 impl std::fmt::Debug for dyn Proxy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Proxy({})", self.service())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use simnet::{Endpoint, NodeId, PortId};
-
-    #[test]
-    fn vec_sink_collects() {
-        let mut sink: Vec<Oneway> = Vec::new();
-        sink.push(Oneway {
-            from: Endpoint::new(NodeId(0), PortId(1)),
-            op: "inv".into(),
-            args: Value::Null,
-            span: 0,
-        });
-        OnewaySink::push(
-            &mut sink,
-            Oneway {
-                from: Endpoint::new(NodeId(0), PortId(1)),
-                op: "recall".into(),
-                args: Value::Null,
-                span: 0,
-            },
-        );
-        assert_eq!(sink.len(), 2);
-    }
-
-    #[test]
-    fn discard_sink_discards() {
-        let mut sink = DiscardStrays;
-        sink.push(Oneway {
-            from: Endpoint::new(NodeId(0), PortId(1)),
-            op: "inv".into(),
-            args: Value::Null,
-            span: 0,
-        });
-        // Nothing to observe: it simply must not panic or accumulate.
     }
 }

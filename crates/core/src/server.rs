@@ -46,8 +46,8 @@ use std::time::Duration;
 use naming::NameClient;
 use parking_lot::Mutex;
 use rpc::{
-    endpoint_from_value, send_oneway, Advance, ErrorCode, Fresh, Oneway, Packet, Pass, RemoteError,
-    Request, RpcClient, RpcError, RpcServer, Served,
+    endpoint_from_value, send_oneway, ErrorCode, Fresh, Oneway, Packet, Pass, RemoteError, Request,
+    RpcClient, RpcError, RpcServer, Served,
 };
 use simnet::{AsyncCx, Ctx, Endpoint, Message, NodeId, Simulation};
 use wire::Value;
@@ -460,35 +460,29 @@ impl Io {
             Some(client) if again && client.server() == to => client,
             _ => RpcClient::new(to),
         };
-        let handle = self.with(|ctx| client.start(ctx, "", op, args));
         let mut kept = Vec::new();
-        let result = loop {
-            let advanced = poll_fn(|_| {
-                self.cx.with(|cx| match client.advance(cx, handle) {
-                    Advance::Pending => Poll::Pending,
-                    advanced => Poll::Ready(advanced),
-                })
-            })
-            .await;
-            let (packet, msg) = match advanced {
-                Advance::Settled(Err(RpcError::Stopped)) => std::future::pending().await,
-                Advance::Settled(result) => break result,
-                Advance::Stray(packet, msg) => (packet, msg),
-                Advance::Pending => unreachable!("a pending call parks"),
-            };
+        let mut take = |ctx: &mut Ctx, packet: Option<Packet>, msg: Message| {
             let engine = &mut *self.engine.lock();
             match (strays, packet) {
-                (Strays::Queue, Some(Packet::Request(..) | Packet::Batch(_))) => self.with(|ctx| {
+                (Strays::Queue, Some(Packet::Request(..) | Packet::Batch(_))) => {
                     if let Ok(pass) = engine.rpc.pass(ctx, &msg) {
                         defer_rest(pass, engine, ctx);
                     }
-                }),
+                }
                 (Strays::Hold | Strays::HoldKeeping(_), Some(Packet::Request(..))) => {
                     engine.held.push_back(msg)
                 }
                 (Strays::HoldKeeping(op), Some(Packet::Oneway(o))) if o.op == op => kept.push(o),
-                _ => self.with(|ctx| client.discard(ctx)),
+                _ => return false,
             }
+            true
+        };
+        let result = match client
+            .call_with(self.cx, "", op, args, Some(&mut take))
+            .await
+        {
+            Err(RpcError::Stopped) => std::future::pending().await,
+            result => result,
         };
         self.engine.lock().client = Some(client);
         (result, kept)

@@ -9,10 +9,11 @@
 //! take a single `&mut Session<'_>`.
 //!
 //! `Session` is the *blocking* face of the session engine: every method
-//! forwards to [`SessionCore`]'s blocking surface. Poll-driven
-//! processes use the same core's non-blocking surface
-//! (`bind_async`/`invoke_async`) instead — see the [`SessionCore`] docs
-//! and `DESIGN.md` §8.
+//! forwards to [`SessionCore`]'s blocking bridge, which runs the `async`
+//! engine on the body's stack. An `async` body uses the engine itself
+//! (`attach`/`call`), and a hand-written poll-driven process the tickets
+//! (`bind_async`/`invoke_async`) — see the [`SessionCore`] docs and
+//! `DESIGN.md` §8.
 //!
 //! ```
 //! use simnet::{Simulation, NetworkConfig, NodeId};
@@ -61,7 +62,7 @@ use crate::session_core::{ProxyHandle, SessionCore};
 ///
 /// `Session` owns nothing: it reborrows a [`SessionCore`] and the
 /// process [`Ctx`] for as long as the client needs them together, and
-/// forwards to the core's blocking methods. Construct it once at the
+/// forwards to the core's blocking bridge. Construct it once at the
 /// top of a client body and pass `&mut session` everywhere a typed
 /// client or helper would otherwise take the `(core, ctx)` pair.
 #[derive(Debug)]

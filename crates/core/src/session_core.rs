@@ -1,32 +1,42 @@
-//! The session engine: one core, two surfaces.
+//! The session engine: one core, three faces.
 //!
 //! [`SessionCore`] owns everything a client context needs — the
-//! [`Binder`], the proxy table, the one-way router — and exposes it
-//! through two surfaces:
+//! [`Binder`], the proxy table, the one-way router — and shows it three
+//! ways:
 //!
-//! * **Blocking** ([`SessionCore::bind`], [`SessionCore::invoke`], …):
-//!   the classic call-and-wait style used by blocking processes
-//!   (`sim.spawn` bodies). [`Session`](crate::Session) borrows a core
-//!   and its [`Ctx`] together and forwards to these methods — the
-//!   paper's proxy interface, unchanged.
-//! * **Non-blocking** ([`SessionCore::bind_async`],
+//! * **The engine** ([`SessionCore::attach`], [`SessionCore::call`],
+//!   [`SessionCore::tend`], [`SessionCore::detach`],
+//!   [`SessionCore::close`]): `async`, for an `async` body
+//!   ([`simnet::Simulation::spawn_async`]), binding any [`ProxySpec`].
+//!   Every proxy is written once, as `async`; a call its proxy answers at
+//!   once ([`Proxy::try_ready`]: a cache hit, an in-context call with no
+//!   service time) allocates no future. A call is three steps: a
+//!   synchronous begin (drain the mailbox, open the span, `try_ready`),
+//!   the proxy's future if it must wait, and a synchronous end.
+//! * **The blocking bridge** ([`SessionCore::bind`],
+//!   [`SessionCore::invoke`], [`SessionCore::pump`], …): the engine run
+//!   on a blocking body's stack through [`simnet::Ctx::block_on`],
+//!   parking the body exactly where the engine waits. `bind`, `unbind`
+//!   and `shutdown` are one line each; `invoke` and `pump` run the
+//!   engine's synchronous steps on the body's context directly and enter
+//!   the bridge only for the steps that wait, so a cache hit costs a
+//!   blocking caller what it costs an `async` one.
+//!   [`Session`](crate::Session) borrows a core and its [`Ctx`] together
+//!   and forwards to these methods — the paper's proxy interface,
+//!   unchanged.
+//! * **Tickets, kept for the benchmark** ([`SessionCore::bind_async`],
 //!   [`SessionCore::invoke_async`] and their `poll_*` drivers): returns
-//!   [`BindFuture`] / [`CallFuture`] tickets a poll-driven process
-//!   ([`simnet::Process`]) redeems from its `poll` method via
-//!   [`ProcCx`]. Nothing ever parks a thread: a pending bind or call
-//!   registers its wakes (reply delivery, retransmission deadline,
-//!   retry backoff) and the process returns `Poll::Pending`.
-//!
-//! The split is deliberate and narrow (see `DESIGN.md`): the async
-//! surface speaks the same wire protocol through the same
-//! [`rpc::Channel`] transport, so a server cannot tell a poll-driven
-//! client from a blocking one. It currently supports **stub-grade**
-//! bindings only — [`ProxySpec::Stub`] services, which is what
-//! million-client workloads (experiment E16) bind. Services that chose
-//! a smart proxy (caching, migratory, adaptive, replicated, custom)
-//! still require the blocking surface, where the full proxy zoo lives;
-//! asking for one through `bind_async` reports a descriptive error
-//! rather than silently downgrading the service's chosen strategy.
+//!   [`BindFuture`] / [`CallFuture`] tickets a hand-written poll-driven
+//!   process ([`simnet::Process`]) redeems from its `poll` method via
+//!   [`ProcCx`], registering its wakes (reply delivery, retransmission
+//!   deadline, retry backoff) and returning `Poll::Pending`. It speaks
+//!   the same wire protocol through the same [`rpc::Channel`] transport,
+//!   so a server cannot tell its clients apart, but it binds
+//!   **stub-grade** services only ([`ProxySpec::Stub`], what the
+//!   benchmark's million-client fleet binds): asking for a smart proxy
+//!   through `bind_async` reports a descriptive error rather than
+//!   silently downgrading the service's chosen strategy. An `async` body
+//!   binds smart proxies through the engine instead.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -34,7 +44,7 @@ use std::time::Duration;
 
 use naming::NameRecord;
 use rpc::{Channel, ChannelConfig, Oneway, RpcError};
-use simnet::{Ctx, Endpoint, Poll, ProcCx, SimTime};
+use simnet::{AsyncCx, Ctx, Endpoint, Poll, ProcCx, SimTime};
 use wire::{Value, WireError};
 
 use crate::binder::Binder;
@@ -45,6 +55,10 @@ use crate::spec::ProxySpec;
 /// Handle to a proxy owned by a session core (blocking surface).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProxyHandle(pub(crate) usize);
+
+/// A call [`SessionCore::begin`] began: its proxy, its span, the span it
+/// replaced, and the one-ways found meanwhile for other proxies.
+struct Begun(ProxyHandle, obs::SpanId, obs::SpanId, Vec<Oneway>);
 
 /// Ticket for an in-progress non-blocking bind; redeem with
 /// [`SessionCore::poll_bind`].
@@ -99,13 +113,14 @@ struct AsyncService {
 }
 
 /// The client-context engine behind [`Session`](crate::Session): the
-/// binder, the proxy table and the non-blocking call machinery.
+/// binder, the proxy table and the ticket machinery.
 ///
-/// It has two surfaces: blocking ([`SessionCore::bind`],
-/// [`SessionCore::invoke`]) for `sim.spawn` bodies, which binds any
-/// [`ProxySpec`], and non-blocking ([`SessionCore::bind_async`],
-/// [`SessionCore::invoke_async`]) for poll-driven processes, which
-/// binds [`ProxySpec::Stub`] services only.
+/// Its engine ([`SessionCore::attach`], [`SessionCore::call`]) is
+/// `async` and binds any [`ProxySpec`]; a blocking body reaches it
+/// through [`SessionCore::bind`] and [`SessionCore::invoke`]. The ticket
+/// surface ([`SessionCore::bind_async`], [`SessionCore::invoke_async`])
+/// serves hand-written poll-driven processes and binds
+/// [`ProxySpec::Stub`] services only.
 pub struct SessionCore {
     binder: Binder,
     proxies: Vec<Box<dyn Proxy>>,
@@ -150,7 +165,7 @@ impl SessionCore {
     }
 
     // -----------------------------------------------------------------
-    // Blocking surface (the Session shim forwards here)
+    // The engine: `async`, for any body and any proxy
     // -----------------------------------------------------------------
 
     /// Binds to `service`, waiting up to 100ms of virtual time for it to
@@ -159,10 +174,9 @@ impl SessionCore {
     /// # Errors
     ///
     /// See [`Binder::bind_wait`].
-    pub fn bind(&mut self, ctx: &mut Ctx, service: &str) -> Result<ProxyHandle, RpcError> {
-        let proxy = self
-            .binder
-            .bind_wait(ctx, service, Duration::from_millis(100))?;
+    pub async fn attach(&mut self, cx: AsyncCx, service: &str) -> Result<ProxyHandle, RpcError> {
+        let within = Duration::from_millis(100);
+        let proxy = self.binder.bind_wait(cx, service, within).await?;
         let idx = self.proxies.len();
         self.by_service.insert(proxy.service().to_owned(), idx);
         self.proxies.push(proxy);
@@ -183,6 +197,139 @@ impl SessionCore {
     /// # Panics
     ///
     /// Panics if the handle did not come from this core.
+    pub async fn call(
+        &mut self,
+        cx: AsyncCx,
+        handle: ProxyHandle,
+        op: &str,
+        args: Value,
+    ) -> Result<Value, RpcError> {
+        self.tend(cx).await;
+        match cx.with(|cx| self.begin(cx, handle, op, &args)) {
+            (begun, Some(result)) => cx.with(|cx| self.end(cx, begun, result)),
+            (begun, None) => self.finish(cx, op, args, begun).await,
+        }
+    }
+
+    /// Opens a call's span and asks its proxy for an answer that needs
+    /// no wait ([`Proxy::try_ready`]).
+    fn begin(
+        &mut self,
+        ctx: &mut Ctx,
+        handle: ProxyHandle,
+        op: &str,
+        args: &Value,
+    ) -> (Begun, Option<Result<Value, RpcError>>) {
+        let proxy = &mut self.proxies[handle.0];
+        let (now, parent) = (ctx.now().as_nanos(), ctx.current_span());
+        let span = (ctx.obs()).open_span(obs::SpanKind::Invoke, parent, proxy.service(), op, now);
+        let previous = ctx.set_current_span(span);
+        let mut begun = Begun(handle, span, previous, Vec::new());
+        let ready = proxy.try_ready(ctx, op, args, &mut begun.3);
+        (begun, ready)
+    }
+
+    /// The rest of a call its proxy could not answer at once: the
+    /// proxy's future, then [`SessionCore::end`].
+    async fn finish(
+        &mut self,
+        cx: AsyncCx,
+        op: &str,
+        args: Value,
+        mut begun: Begun,
+    ) -> Result<Value, RpcError> {
+        let result = (self.proxies[begun.0 .0].invoke(cx, op, args, &mut begun.3)).await;
+        cx.with(|cx| self.end(cx, begun, result))
+    }
+
+    /// Closes a call's span, publishes its proxy's counters and routes
+    /// the one-ways found meanwhile; hands back the call's result.
+    fn end(
+        &mut self,
+        ctx: &mut Ctx,
+        begun: Begun,
+        result: Result<Value, RpcError>,
+    ) -> Result<Value, RpcError> {
+        let Begun(handle, span, previous, strays) = begun;
+        ctx.set_current_span(previous);
+        (ctx.obs()).close_span(span, ctx.now().as_nanos(), result.is_ok());
+        let proxy = &self.proxies[handle.0];
+        (ctx.obs()).set_proxy_stats(ctx.name(), proxy.service(), proxy.stats());
+        self.route(ctx, strays);
+        result
+    }
+
+    /// Drains the process mailbox and routes notifications; gives every
+    /// proxy a chance to do deferred work (honour recalls, etc.).
+    pub async fn tend(&mut self, cx: AsyncCx) {
+        cx.with(|cx| self.drain(cx));
+        self.catch_up(cx).await;
+    }
+
+    /// Drains the process mailbox and routes what it held.
+    fn drain(&mut self, ctx: &mut Ctx) {
+        let mut pending: Vec<Oneway> = Vec::new();
+        while let Ok(Some(msg)) = ctx.try_recv() {
+            match rpc::Packet::from_frame(&msg.payload) {
+                Ok(rpc::Packet::Oneway(o)) => pending.push(o),
+                // Replies outside any call are late duplicates.
+                _ => ctx.obs().on_stray_dropped(),
+            }
+        }
+        self.route(ctx, pending);
+    }
+
+    /// Lets every proxy with deferred work do it.
+    async fn catch_up(&mut self, cx: AsyncCx) {
+        for p in &mut self.proxies {
+            if p.deferred() {
+                p.poll(cx).await;
+            }
+        }
+    }
+
+    /// Cleanly detaches one proxy (unsubscribe, check state back in).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle did not come from this core.
+    pub async fn detach(&mut self, cx: AsyncCx, handle: ProxyHandle) {
+        self.proxies[handle.0].detach(cx).await;
+    }
+
+    /// Detaches every proxy (call before client exit).
+    pub async fn close(&mut self, cx: AsyncCx) {
+        for p in &mut self.proxies {
+            p.detach(cx).await;
+        }
+    }
+
+    pub(crate) fn route(&mut self, ctx: &mut Ctx, oneways: Vec<Oneway>) {
+        for o in oneways {
+            let target = o
+                .args
+                .get("svc")
+                .and_then(Value::as_str)
+                .and_then(|svc| self.by_service.get(svc).copied());
+            match target {
+                Some(idx) => self.proxies[idx].on_oneway(ctx, &o),
+                None => ctx.obs().on_stray_dropped(),
+            }
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The blocking bridge: the engine, run on a blocking body's stack
+    // -----------------------------------------------------------------
+
+    /// [`SessionCore::attach`] for a blocking body.
+    pub fn bind(&mut self, ctx: &mut Ctx, service: &str) -> Result<ProxyHandle, RpcError> {
+        ctx.block_on(|cx| self.attach(cx, service))
+    }
+
+    /// [`SessionCore::call`] for a blocking body. It enters the bridge
+    /// only where the engine waits: a call its proxy answers at once
+    /// ([`Proxy::try_ready`]) runs on the body's context directly.
     pub fn invoke(
         &mut self,
         ctx: &mut Ctx,
@@ -191,24 +338,29 @@ impl SessionCore {
         args: Value,
     ) -> Result<Value, RpcError> {
         self.pump(ctx);
-        let span = ctx.obs().open_span(
-            obs::SpanKind::Invoke,
-            ctx.current_span(),
-            self.proxies[handle.0].service(),
-            op,
-            ctx.now().as_nanos(),
-        );
-        let previous = ctx.set_current_span(span);
-        let mut strays: Vec<Oneway> = Vec::new();
-        let result = self.proxies[handle.0].invoke(ctx, op, args, &mut strays);
-        ctx.set_current_span(previous);
-        ctx.obs()
-            .close_span(span, ctx.now().as_nanos(), result.is_ok());
-        let proxy = &self.proxies[handle.0];
-        ctx.obs()
-            .set_proxy_stats(ctx.name(), proxy.service(), proxy.stats());
-        self.route(ctx, strays);
-        result
+        match self.begin(ctx, handle, op, &args) {
+            (begun, Some(result)) => self.end(ctx, begun, result),
+            (begun, None) => ctx.block_on(|cx| self.finish(cx, op, args, begun)),
+        }
+    }
+
+    /// [`SessionCore::tend`] for a blocking body: call it from client
+    /// loops that go quiet.
+    pub fn pump(&mut self, ctx: &mut Ctx) {
+        self.drain(ctx);
+        if self.proxies.iter().any(|p| p.deferred()) {
+            ctx.block_on(|cx| self.catch_up(cx));
+        }
+    }
+
+    /// [`SessionCore::detach`] for a blocking body.
+    pub fn unbind(&mut self, ctx: &mut Ctx, handle: ProxyHandle) {
+        ctx.block_on(|cx| self.detach(cx, handle));
+    }
+
+    /// [`SessionCore::close`] for a blocking body.
+    pub fn shutdown(&mut self, ctx: &mut Ctx) {
+        ctx.block_on(|cx| self.close(cx));
     }
 
     /// Hosts an object directly in this context under `service` — the
@@ -227,36 +379,6 @@ impl SessionCore {
         ProxyHandle(idx)
     }
 
-    /// Drains the process mailbox and routes notifications; gives every
-    /// proxy a chance to do deferred work (honour recalls, etc.). Call
-    /// this periodically from client loops that go quiet.
-    pub fn pump(&mut self, ctx: &mut Ctx) {
-        let mut pending: Vec<Oneway> = Vec::new();
-        while let Ok(Some(msg)) = ctx.try_recv() {
-            if let Ok(rpc::Packet::Oneway(o)) = rpc::Packet::from_frame(&msg.payload) {
-                pending.push(o);
-            }
-            // Replies outside any call are late duplicates: dropped.
-        }
-        self.route(ctx, pending);
-        for p in &mut self.proxies {
-            p.poll(ctx);
-        }
-    }
-
-    pub(crate) fn route(&mut self, ctx: &mut Ctx, oneways: Vec<Oneway>) {
-        for o in oneways {
-            let target = o
-                .args
-                .get("svc")
-                .and_then(Value::as_str)
-                .and_then(|svc| self.by_service.get(svc).copied());
-            if let Some(idx) = target {
-                self.proxies[idx].on_oneway(ctx, &o);
-            }
-        }
-    }
-
     /// Stats for one proxy.
     ///
     /// # Panics
@@ -266,24 +388,8 @@ impl SessionCore {
         self.proxies[handle.0].stats()
     }
 
-    /// Cleanly detaches one proxy (unsubscribe, check state back in).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle did not come from this core.
-    pub fn unbind(&mut self, ctx: &mut Ctx, handle: ProxyHandle) {
-        self.proxies[handle.0].detach(ctx);
-    }
-
-    /// Detaches every proxy (call before client exit).
-    pub fn shutdown(&mut self, ctx: &mut Ctx) {
-        for p in &mut self.proxies {
-            p.detach(ctx);
-        }
-    }
-
     // -----------------------------------------------------------------
-    // Non-blocking surface (poll-driven processes)
+    // Tickets (hand-written poll-driven processes; kept for the benchmark)
     // -----------------------------------------------------------------
 
     /// Starts a non-blocking bind to `service`: issues the name lookup

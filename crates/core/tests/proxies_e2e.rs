@@ -496,7 +496,7 @@ fn service_switches_spec_without_client_change() {
 
 #[test]
 fn custom_proxy_kind_via_factory() {
-    use proxy_core::{OnewaySink, Proxy, ProxyStats};
+    use proxy_core::{Proxy, ProxyFuture, ProxyStats};
 
     /// A trivial custom proxy that counts invocations and forwards via a
     /// nested stub.
@@ -508,15 +508,15 @@ fn custom_proxy_kind_via_factory() {
         fn service(&self) -> &str {
             self.inner.service()
         }
-        fn invoke(
-            &mut self,
-            ctx: &mut Ctx,
-            op: &str,
+        fn invoke<'a>(
+            &'a mut self,
+            cx: simnet::AsyncCx,
+            op: &'a str,
             args: Value,
-            strays: &mut dyn OnewaySink,
-        ) -> Result<Value, rpc::RpcError> {
+            strays: &'a mut Vec<rpc::Oneway>,
+        ) -> ProxyFuture<'a, Result<Value, rpc::RpcError>> {
             self.count.fetch_add(1, Ordering::SeqCst);
-            self.inner.invoke(ctx, op, args, strays)
+            self.inner.invoke(cx, op, args, strays)
         }
         fn stats(&self) -> ProxyStats {
             self.inner.stats()
@@ -537,8 +537,8 @@ fn custom_proxy_kind_via_factory() {
     sim.spawn("client", NodeId(2), move |ctx| {
         let mut rt = SessionCore::new(ns);
         let c2 = Arc::clone(&c);
-        rt.binder_mut().register_proxy("counting", move |_ctx, bc| {
-            Ok(Box::new(CountingProxy {
+        rt.binder_mut().register_proxy("counting", move |_cx, bc| {
+            let proxy: Box<dyn Proxy> = Box::new(CountingProxy {
                 inner: proxy_core::proxies::StubProxy::new(
                     bc.service,
                     bc.record.endpoint,
@@ -546,7 +546,8 @@ fn custom_proxy_kind_via_factory() {
                     bc.iface.clone(),
                 ),
                 count: Arc::clone(&c2),
-            }))
+            });
+            Box::pin(std::future::ready(Ok(proxy)))
         });
         let kv = rt.bind(ctx, "kv").unwrap();
         for _ in 0..7 {

@@ -164,6 +164,47 @@ fn pump_routes_notifications_while_idle() {
     sim.run();
 }
 
+/// Strays dropped over a run in which a client on a duplicating link
+/// makes one call, goes idle while the reply's duplicate and a one-way
+/// for a service it never bound arrive, and then (if `pump`) pumps.
+fn strays_dropped_around_a_pump(pump: bool) -> u64 {
+    let mut sim = Simulation::new(NetworkConfig::lan().with_duplicate(1.0), 12);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    ServiceBuilder::new("svc-a")
+        .spec(ProxySpec::Stub)
+        .object(|| {
+            Box::new(SlowKv {
+                map: BTreeMap::new(),
+                read_delay: Duration::ZERO,
+            })
+        })
+        .spawn(&sim, NodeId(1), ns);
+    let client = sim.spawn("client", NodeId(2), move |ctx| {
+        let mut rt = SessionCore::new(ns);
+        let a = rt.bind(ctx, "svc-a").unwrap();
+        rt.invoke(ctx, a, "put", kv("x", "1")).unwrap();
+        ctx.sleep(Duration::from_millis(30)).unwrap();
+        if pump {
+            rt.pump(ctx);
+        }
+    });
+    sim.spawn("notifier", NodeId(3), move |ctx| {
+        ctx.sleep(Duration::from_millis(20)).unwrap();
+        let inv = Value::record([("svc", Value::str("unbound")), ("tag", Value::str("*"))]);
+        rpc::send_oneway(ctx, client, "inv", &inv);
+    });
+    sim.run();
+    sim.obs_report().rpc.client.strays_dropped
+}
+
+#[test]
+fn pump_counts_the_late_duplicates_and_unroutable_one_ways_it_drops() {
+    let dropped = strays_dropped_around_a_pump(true) - strays_dropped_around_a_pump(false);
+    // At least the put's duplicated reply, and both copies of the one-way
+    // addressed to a service the client never bound.
+    assert!(dropped >= 3, "the pump dropped {dropped} datagrams unseen");
+}
+
 #[test]
 fn a_bulk_spec_around_an_unsupported_inner_is_refused_and_the_core_stays_usable() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 15);

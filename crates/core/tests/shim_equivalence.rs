@@ -1,19 +1,23 @@
-//! Shim equivalence: the blocking `Session` surface and the
-//! non-blocking `SessionCore` surface are two faces of one engine, so a
-//! workload expressed both ways must look identical to the service.
+//! Shim equivalence: the blocking `Session` surface, an `async` body on
+//! `SessionCore`'s engine and the non-blocking ticket surface are faces
+//! of one engine, so a workload expressed each way must look identical
+//! to the service.
 //!
 //! Twin runs with the same seed — one blocking client using
-//! `Session::{bind,invoke}`, one poll-driven `Process` using
-//! `bind_async`/`invoke_async` — must produce the same per-call
-//! results, the same server-side dispatch counts, and the same number
-//! of client RPC calls.
+//! `Session::{bind,invoke}`, and one `async` body using
+//! `SessionCore::{attach,call}` for every proxy spec, or one poll-driven
+//! `Process` using `bind_async`/`invoke_async` for a stub — must produce
+//! the same per-call results, the same server-side dispatch counts, and
+//! the same number of client RPC calls.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use proxy_core::{
-    AsyncHandle, BindFuture, CallFuture, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder,
-    ServiceObject, Session, SessionCore,
+    AdaptiveParams, AsyncHandle, BindFuture, BulkParams, CachingParams, CallFuture, Coherence,
+    FactoryRegistry, InterfaceDesc, OpDesc, ProxySpec, ProxyStats, ServiceBuilder, ServiceObject,
+    Session, SessionCore,
 };
 use rpc::{ErrorCode, RemoteError};
 use simnet::{NetworkConfig, NodeId, Poll, ProcCx, Process, Simulation};
@@ -21,12 +25,31 @@ use wire::Value;
 
 const CALLS: u32 = 10;
 
-/// A counter service: `add {n}` returns the running total.
-struct Adder(u64);
+/// A counter service: `add {n}` returns the running total and `total`
+/// reads it; `stash {v}` keeps a value and `fetch` reads it back.
+#[derive(Default)]
+struct Adder(u64, Value);
+
+impl Adder {
+    fn from_snapshot(v: &Value) -> Result<Box<dyn ServiceObject>, RemoteError> {
+        let total = v
+            .as_u64()
+            .ok_or_else(|| RemoteError::new(ErrorCode::BadArgs, "snapshot"))?;
+        Ok(Box::new(Adder(total, Value::Null)))
+    }
+}
 
 impl ServiceObject for Adder {
     fn interface(&self) -> InterfaceDesc {
-        InterfaceDesc::new("adder", [OpDesc::write_whole("add")])
+        InterfaceDesc::new(
+            "adder",
+            [
+                OpDesc::write_whole("add"),
+                OpDesc::read_whole("total"),
+                OpDesc::write_whole("stash"),
+                OpDesc::read_whole("fetch"),
+            ],
+        )
     }
 
     fn dispatch(
@@ -35,16 +58,24 @@ impl ServiceObject for Adder {
         op: &str,
         args: &Value,
     ) -> Result<Value, RemoteError> {
+        let bad = |e: wire::WireError| RemoteError::new(ErrorCode::BadArgs, e.to_string());
         match op {
             "add" => {
-                let n = args
-                    .get_u64("n")
-                    .map_err(|e| RemoteError::new(ErrorCode::BadArgs, e.to_string()))?;
-                self.0 += n;
+                self.0 += args.get_u64("n").map_err(bad)?;
                 Ok(Value::U64(self.0))
             }
+            "total" => Ok(Value::U64(self.0)),
+            "stash" => {
+                self.1 = args.get("v").cloned().unwrap_or(Value::Null);
+                Ok(Value::Null)
+            }
+            "fetch" => Ok(self.1.clone()),
             other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
         }
+    }
+
+    fn snapshot(&self) -> Result<Value, RemoteError> {
+        Ok(Value::U64(self.0))
     }
 }
 
@@ -52,12 +83,12 @@ impl ServiceObject for Adder {
 /// service's dispatch count, and the client-side RPC call count.
 #[derive(Debug, PartialEq)]
 struct RunShape {
-    results: Vec<u64>,
+    results: Vec<Value>,
     dispatched: u64,
     client_calls: u64,
 }
 
-fn shape(sim: &Simulation, results: Vec<u64>) -> RunShape {
+fn shape(sim: &Simulation, results: Vec<Value>) -> RunShape {
     let report = sim.obs_report();
     RunShape {
         results,
@@ -71,7 +102,7 @@ fn blocking_run(seed: u64) -> RunShape {
     let ns = naming::spawn_name_server(&sim, NodeId(0));
     ServiceBuilder::new("adder")
         .spec(ProxySpec::Stub)
-        .object(|| Box::new(Adder(0)))
+        .object(|| Box::<Adder>::default())
         .spawn(&sim, NodeId(1), ns);
     let results = Arc::new(Mutex::new(Vec::new()));
     let r2 = Arc::clone(&results);
@@ -87,7 +118,7 @@ fn blocking_run(seed: u64) -> RunShape {
                     Value::record([("n", Value::U64(u64::from(i) + 1))]),
                 )
                 .unwrap();
-            r2.lock().unwrap().push(v.as_u64().unwrap());
+            r2.lock().unwrap().push(v);
         }
     });
     sim.run();
@@ -100,7 +131,7 @@ struct PollClient {
     core: SessionCore,
     state: State,
     done: u32,
-    results: Arc<Mutex<Vec<u64>>>,
+    results: Arc<Mutex<Vec<Value>>>,
 }
 
 enum State {
@@ -134,7 +165,7 @@ impl Process for PollClient {
                     Poll::Pending => return Poll::Pending,
                     Poll::Ready(r) => {
                         let v = r.unwrap();
-                        self.results.lock().unwrap().push(v.as_u64().unwrap());
+                        self.results.lock().unwrap().push(v);
                         self.done += 1;
                         if self.done == CALLS {
                             return Poll::Ready(());
@@ -158,7 +189,7 @@ fn polled_run(seed: u64) -> RunShape {
     let ns = naming::spawn_name_server(&sim, NodeId(0));
     ServiceBuilder::new("adder")
         .spec(ProxySpec::Stub)
-        .object(|| Box::new(Adder(0)))
+        .object(|| Box::<Adder>::default())
         .spawn(&sim, NodeId(1), ns);
     let results = Arc::new(Mutex::new(Vec::new()));
     sim.spawn_poll(
@@ -189,7 +220,7 @@ fn blocking_session_and_poll_driven_twin_agree() {
         (1..=u64::from(CALLS))
             .scan(0, |acc, i| {
                 *acc += i;
-                Some(*acc)
+                Some(Value::U64(*acc))
             })
             .collect::<Vec<_>>()
     );
@@ -205,7 +236,7 @@ fn async_surface_refuses_smart_proxy_specs() {
     let ns = naming::spawn_name_server(&sim, NodeId(0));
     ServiceBuilder::new("cached")
         .spec(ProxySpec::Caching(proxy_core::CachingParams::default()))
-        .object(|| Box::new(Adder(0)))
+        .object(|| Box::<Adder>::default())
         .spawn(&sim, NodeId(1), ns);
     let refused = Arc::new(AtomicU64::new(0));
     let r2 = Arc::clone(&refused);
@@ -228,4 +259,167 @@ fn async_surface_refuses_smart_proxy_specs() {
     });
     sim.run();
     assert_eq!(refused.load(Ordering::Relaxed), 1);
+}
+
+// ---------------------------------------------------------------------
+// Every proxy spec, blocking `Session` against an `async` body.
+// ---------------------------------------------------------------------
+
+/// How the service under test is published.
+#[derive(Debug, Clone)]
+enum Published {
+    /// One server with this spec.
+    Spec(ProxySpec),
+    /// A primary/backup group (`ProxySpec::Replicated`).
+    Replicated,
+}
+
+/// The workload: each call's op and arguments. Adds interleaved with
+/// repeated reads (hits for a cache, local calls once migrated), and for
+/// a bulk spec a blob big enough to spill, read back twice.
+fn workload(bulk: bool) -> Vec<(&'static str, Value)> {
+    let mut calls = Vec::new();
+    for i in 0..u64::from(CALLS) {
+        calls.push(("add", Value::record([("n", Value::U64(i + 1))])));
+        calls.push(("total", Value::Null));
+        calls.push(("total", Value::Null));
+    }
+    if bulk {
+        let blob = Value::blob((0..10_000u32).map(|i| i as u8).collect::<Vec<_>>());
+        calls.push(("stash", Value::record([("v", blob)])));
+        calls.push(("fetch", Value::Null));
+        calls.push(("fetch", Value::Null));
+    }
+    calls
+}
+
+fn factories() -> FactoryRegistry {
+    FactoryRegistry::new().register("adder", Adder::from_snapshot)
+}
+
+/// Publishes the service (and a blob store for a bulk spec), then runs
+/// the workload in a client spawned by `client`, which gets the name
+/// server, the workload and where to put the results.
+fn twin_run(
+    published: &Published,
+    client: impl FnOnce(&Simulation, simnet::Endpoint, Vec<(&'static str, Value)>, Results),
+) -> (RunShape, ProxyStats) {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 21);
+    let ns = naming::spawn_name_server(&sim, NodeId(0));
+    let bulk = matches!(published, Published::Spec(ProxySpec::Bulk { .. }));
+    match published {
+        Published::Spec(spec) => {
+            ServiceBuilder::new("adder")
+                .spec(spec.clone())
+                .object(|| Box::<Adder>::default())
+                .factories(factories())
+                .spawn(&sim, NodeId(1), ns);
+        }
+        Published::Replicated => {
+            let config = replication::ReplicaGroupConfig {
+                service: "adder".into(),
+                nodes: vec![NodeId(1), NodeId(3), NodeId(4)],
+                propagation: replication::Propagation::Sync,
+                read_target: proxy_core::ReadTarget::Nearest,
+            };
+            replication::spawn_replica_group(&sim, ns, config, || Box::<Adder>::default());
+        }
+    }
+    if bulk {
+        ServiceBuilder::new("blob")
+            .object(|| Box::new(services::blob::BlobStore::new()))
+            .spawn(&sim, NodeId(5), ns);
+    }
+    let results = Arc::new(Mutex::new(Vec::new()));
+    client(&sim, ns, workload(bulk), Arc::clone(&results));
+    sim.run();
+    let results = std::mem::take(&mut *results.lock().unwrap());
+    assert_eq!(results.len(), workload(bulk).len(), "every call answered");
+    let proxy = sim.obs_report().proxies["adder@client"];
+    (shape(&sim, results), proxy)
+}
+
+type Results = Arc<Mutex<Vec<Value>>>;
+
+/// The client's session core: object factories, and the replica proxy.
+fn core(ns: simnet::Endpoint) -> SessionCore {
+    let mut core = SessionCore::new(ns).with_factories(factories());
+    replication::register_replica_proxy(core.binder_mut());
+    core
+}
+
+fn blocking_leg(published: &Published) -> (RunShape, ProxyStats) {
+    twin_run(published, |sim, ns, calls, results| {
+        sim.spawn("client", NodeId(2), move |ctx| {
+            let mut rt = core(ns);
+            let mut session = Session::new(&mut rt, ctx);
+            let h = session.bind("adder").unwrap();
+            for (op, args) in calls {
+                let v = session.invoke(h, op, args).unwrap();
+                results.lock().unwrap().push(v);
+            }
+            session.shutdown();
+        });
+    })
+}
+
+fn async_leg(published: &Published) -> (RunShape, ProxyStats) {
+    twin_run(published, |sim, ns, calls, results| {
+        sim.spawn_async("client", NodeId(2), move |cx| async move {
+            let mut rt = core(ns);
+            let h = rt.attach(cx, "adder").await.unwrap();
+            for (op, args) in calls {
+                let v = rt.call(cx, h, op, args).await.unwrap();
+                results.lock().unwrap().push(v);
+            }
+            rt.close(cx).await;
+        });
+    })
+}
+
+#[test]
+fn blocking_session_and_async_body_agree_for_every_spec() {
+    let lease = Duration::from_millis(20);
+    let caching = |coherence| {
+        ProxySpec::Caching(CachingParams {
+            coherence,
+            capacity: 64,
+        })
+    };
+    let bulk = |inner: ProxySpec| ProxySpec::Bulk {
+        inner: Box::new(inner),
+        params: BulkParams::default(),
+    };
+    let published = [
+        Published::Spec(ProxySpec::Stub),
+        Published::Spec(caching(Coherence::Lease(lease))),
+        Published::Spec(caching(Coherence::Invalidate)),
+        Published::Spec(caching(Coherence::LeaseAndInvalidate(lease))),
+        Published::Spec(ProxySpec::Migratory { threshold: 3 }),
+        Published::Spec(ProxySpec::Adaptive(AdaptiveParams {
+            window: 6,
+            enable_at: 0.6,
+            disable_at: 0.2,
+            caching: CachingParams::default(),
+        })),
+        Published::Replicated,
+        Published::Spec(bulk(ProxySpec::Stub)),
+        Published::Spec(bulk(caching(Coherence::Invalidate))),
+    ];
+    for p in &published {
+        let (blocking, stats) = blocking_leg(p);
+        assert_eq!(blocking.results[1], Value::U64(1), "{p:?}");
+        assert_eq!((blocking, stats), async_leg(p), "{p:?}");
+        // Each spec did what it is for, so the legs agree on real work.
+        let worked = match p {
+            Published::Spec(ProxySpec::Stub) | Published::Replicated => {
+                stats.remote_calls == stats.invocations
+            }
+            Published::Spec(ProxySpec::Caching(_)) => stats.local_hits > 0,
+            Published::Spec(ProxySpec::Migratory { .. }) => stats.migrations == 1,
+            Published::Spec(ProxySpec::Adaptive(_)) => stats.strategy_switches > 0,
+            Published::Spec(_) => stats.bulk_spills == 1 && stats.bulk_resolves > 0,
+        };
+        assert!(worked, "{p:?}: {stats:?}");
+    }
 }

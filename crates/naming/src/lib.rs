@@ -96,10 +96,7 @@ impl NameClient {
         endpoint: Endpoint,
         meta: Value,
     ) -> Result<u64, RpcError> {
-        let rep = self
-            .rpc
-            .call(ctx, "register", binding_args(name, endpoint, meta))?;
-        Ok(rep.get_u64("gen")?)
+        ctx.block_on(|cx| self.register_async(cx, name, endpoint, meta))
     }
 
     /// [`NameClient::register`] for an `async` body.
@@ -164,8 +161,7 @@ impl NameClient {
     /// [`ErrorCode::NoSuchObject`] if the name is unknown, or any
     /// transport error.
     pub fn lookup(&mut self, ctx: &mut Ctx, name: &str) -> Result<NameRecord, RpcError> {
-        let rep = self.rpc.call(ctx, "lookup", lookup_args(name))?;
-        self.remember(name, &rep)
+        ctx.block_on(|cx| self.lookup_async(cx, name))
     }
 
     /// [`NameClient::lookup`] for an `async` body.
@@ -174,13 +170,8 @@ impl NameClient {
     ///
     /// As [`NameClient::lookup`].
     pub async fn lookup_async(&mut self, cx: AsyncCx, name: &str) -> Result<NameRecord, RpcError> {
-        let rep = self.rpc.call_async(cx, "lookup", lookup_args(name)).await?;
-        self.remember(name, &rep)
-    }
-
-    /// Caches the record a lookup of `name` returned.
-    fn remember(&mut self, name: &str, rep: &Value) -> Result<NameRecord, RpcError> {
-        let rec = NameRecord::from_value(rep)?;
+        let args = Value::record([("name", Value::str(name))]);
+        let rec = NameRecord::from_value(&self.rpc.call_async(cx, "lookup", args).await?)?;
         self.cache.insert(name.to_owned(), rec.clone());
         Ok(rec)
     }
@@ -191,12 +182,21 @@ impl NameClient {
     ///
     /// Same as [`NameClient::lookup`] on a cache miss.
     pub fn resolve(&mut self, ctx: &mut Ctx, name: &str) -> Result<NameRecord, RpcError> {
+        ctx.block_on(|cx| self.resolve_async(cx, name))
+    }
+
+    /// [`NameClient::resolve`] for an `async` body.
+    ///
+    /// # Errors
+    ///
+    /// As [`NameClient::resolve`].
+    pub async fn resolve_async(&mut self, cx: AsyncCx, name: &str) -> Result<NameRecord, RpcError> {
         if let Some(rec) = self.cache.get(name) {
             self.cache_hits += 1;
             return Ok(rec.clone());
         }
         self.cache_misses += 1;
-        self.lookup(ctx, name)
+        self.lookup_async(cx, name).await
     }
 
     /// Drops a cached binding (after discovering it is stale).
@@ -217,10 +217,6 @@ impl NameClient {
             .filter_map(|v| v.as_str().map(str::to_owned))
             .collect())
     }
-}
-
-fn lookup_args(name: &str) -> Value {
-    Value::record([("name", Value::str(name))])
 }
 
 /// Convenience: true if the error is "name not found".

@@ -8,11 +8,11 @@
 
 use naming::NameClient;
 use proxy_core::{
-    protocol, BindContext, Binder, InterfaceDesc, OnewaySink, Proxy, ProxyStats, ReadTarget,
+    protocol, BindContext, Binder, InterfaceDesc, Proxy, ProxyFuture, ProxyStats, ReadTarget,
     SessionCore,
 };
-use rpc::{ErrorCode, RpcClient, RpcError};
-use simnet::{Ctx, Endpoint};
+use rpc::{ErrorCode, Oneway, RpcClient, RpcError};
+use simnet::{AsyncCx, Endpoint};
 use std::time::Duration;
 use wire::Value;
 
@@ -51,8 +51,8 @@ impl ReplicaProxy {
     /// # Errors
     ///
     /// Any [`RpcError`] if no replica answers the probe.
-    pub fn bind(
-        ctx: &mut Ctx,
+    pub async fn bind(
+        cx: AsyncCx,
         service: impl Into<String>,
         ns: Endpoint,
         iface: InterfaceDesc,
@@ -70,9 +70,13 @@ impl ReplicaProxy {
                         r,
                         rpc::RetryPolicy::no_retry(Duration::from_millis(50)),
                     );
-                    let t0 = ctx.now();
-                    if probe.call(ctx, protocol::OP_PING, Value::Null).is_ok() {
-                        let rtt = ctx.now() - t0;
+                    let t0 = cx.with(|cx| cx.now());
+                    if probe
+                        .call_async(cx, protocol::OP_PING, Value::Null)
+                        .await
+                        .is_ok()
+                    {
+                        let rtt = cx.with(|cx| cx.now()) - t0;
                         if best.map(|(b, _)| rtt < b).unwrap_or(true) {
                             best = Some((rtt, r));
                         }
@@ -99,17 +103,15 @@ impl ReplicaProxy {
         self.nearest
     }
 
-    fn call_collecting(
+    async fn call_collecting(
         rpc: &mut RpcClient,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         op: &str,
         args: Value,
-        strays: &mut dyn OnewaySink,
+        strays: &mut Vec<Oneway>,
     ) -> Result<Value, RpcError> {
-        let result = rpc.call(ctx, op, args);
-        for oneway in rpc.take_strays() {
-            strays.push(oneway);
-        }
+        let result = rpc.call_async(cx, op, args).await;
+        strays.extend(rpc.take_strays());
         result
     }
 
@@ -128,50 +130,56 @@ impl Proxy for ReplicaProxy {
         &self.service
     }
 
-    fn invoke(
-        &mut self,
-        ctx: &mut Ctx,
-        op: &str,
+    fn invoke<'a>(
+        &'a mut self,
+        cx: AsyncCx,
+        op: &'a str,
         args: Value,
-        strays: &mut dyn OnewaySink,
-    ) -> Result<Value, RpcError> {
+        strays: &'a mut Vec<Oneway>,
+    ) -> ProxyFuture<'a, Result<Value, RpcError>> {
         self.stats.invocations += 1;
         self.stats.remote_calls += 1;
-        if self.iface.is_write(op) {
-            let result = Self::call_collecting(&mut self.primary, ctx, op, args.clone(), strays);
-            let reply = match result {
-                Err(RpcError::Remote(ref e)) if e.code == ErrorCode::NotPrimary => {
-                    // The group reconfigured; follow the redirect if the
-                    // error carries one.
-                    if let Ok(new_primary) = rpc::endpoint_from_value(&e.data) {
-                        self.primary.rebind(new_primary);
-                        self.replica_stats.primary_redirects += 1;
-                        self.stats.rebinds += 1;
-                        Self::call_collecting(&mut self.primary, ctx, op, args, strays)?
-                    } else {
-                        return result;
+        // Writes go to the primary, reads to the chosen replica unless it
+        // lags what this client has seen.
+        Box::pin(async move {
+            if self.iface.is_write(op) {
+                let result =
+                    Self::call_collecting(&mut self.primary, cx, op, args.clone(), strays).await;
+                let reply = match result {
+                    Err(RpcError::Remote(ref e)) if e.code == ErrorCode::NotPrimary => {
+                        // The group reconfigured; follow the redirect if the
+                        // error carries one.
+                        if let Ok(new_primary) = rpc::endpoint_from_value(&e.data) {
+                            self.primary.rebind(new_primary);
+                            self.replica_stats.primary_redirects += 1;
+                            self.stats.rebinds += 1;
+                            Self::call_collecting(&mut self.primary, cx, op, args, strays).await?
+                        } else {
+                            return result;
+                        }
                     }
-                }
-                other => other?,
-            };
-            return self.unwrap_versioned(reply);
-        }
-        if self.iface.is_read(op) {
-            let reply = Self::call_collecting(&mut self.reader, ctx, op, args.clone(), strays)?;
-            let ver = reply.get_u64("ver")?;
-            if ver >= self.min_version {
-                self.replica_stats.replica_reads += 1;
+                    other => other?,
+                };
                 return self.unwrap_versioned(reply);
             }
-            // Replica is behind what we've already seen: re-read at the
-            // primary to preserve read-your-writes / monotonic reads.
-            self.replica_stats.freshness_fallbacks += 1;
-            self.stats.remote_calls += 1;
-            let reply = Self::call_collecting(&mut self.primary, ctx, op, args, strays)?;
-            return self.unwrap_versioned(reply);
-        }
-        // System / undeclared ops go to the primary unwrapped.
-        Self::call_collecting(&mut self.primary, ctx, op, args, strays)
+            if self.iface.is_read(op) {
+                let reply =
+                    Self::call_collecting(&mut self.reader, cx, op, args.clone(), strays).await?;
+                let ver = reply.get_u64("ver")?;
+                if ver >= self.min_version {
+                    self.replica_stats.replica_reads += 1;
+                    return self.unwrap_versioned(reply);
+                }
+                // Replica is behind what we've already seen: re-read at the
+                // primary to preserve read-your-writes / monotonic reads.
+                self.replica_stats.freshness_fallbacks += 1;
+                self.stats.remote_calls += 1;
+                let reply = Self::call_collecting(&mut self.primary, cx, op, args, strays).await?;
+                return self.unwrap_versioned(reply);
+            }
+            // System / undeclared ops go to the primary unwrapped.
+            Self::call_collecting(&mut self.primary, cx, op, args, strays).await
+        })
     }
 
     fn stats(&self) -> ProxyStats {
@@ -182,27 +190,31 @@ impl Proxy for ReplicaProxy {
 /// Registers the replica proxy constructor with a binder so that
 /// [`proxy_core::ProxySpec::Replicated`] bindings resolve.
 pub fn register_replica_proxy(binder: &mut Binder) {
-    binder.register_proxy("replicated", |ctx, bc: &BindContext<'_>| {
-        let spec = proxy_core::ProxySpec::from_value(bc.params)?;
-        match spec {
-            proxy_core::ProxySpec::Replicated {
+    binder.register_proxy("replicated", |cx, bc: BindContext<'_>| {
+        Box::pin(async move {
+            let proxy_core::ProxySpec::Replicated {
                 primary,
                 replicas,
                 read_target,
-            } => Ok(Box::new(ReplicaProxy::bind(
-                ctx,
+            } = proxy_core::ProxySpec::from_value(bc.params)?
+            else {
+                return Err(RpcError::Wire(wire::WireError::WrongKind {
+                    expected: "replicated spec",
+                    actual: "other",
+                }));
+            };
+            let iface = bc.iface.clone();
+            let proxy = ReplicaProxy::bind(
+                cx,
                 bc.service,
                 bc.ns,
-                bc.iface.clone(),
+                iface,
                 primary,
                 &replicas,
                 read_target,
-            )?)),
-            _ => Err(RpcError::Wire(wire::WireError::WrongKind {
-                expected: "replicated spec",
-                actual: "other",
-            })),
-        }
+            );
+            Ok(Box::new(proxy.await?) as Box<dyn Proxy>)
+        })
     });
 }
 

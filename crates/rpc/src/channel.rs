@@ -3,11 +3,12 @@
 //!
 //! A [`Channel`] keeps up to [`ChannelConfig::pipeline_depth`] calls in
 //! flight against one server endpoint: [`Channel::begin_call`] stages a
-//! call and returns a [`CallHandle`]; [`Channel::wait`] /
-//! [`Channel::wait_all`] drive the channel until replies arrive
-//! (blocking style), and [`Channel::poll_wait`] / [`Channel::try_take`]
-//! do the same for poll-driven processes, completing on the reply's own
-//! delivery wake. Replies are matched by call id, each call keeps its
+//! call and returns a [`CallHandle`]; [`Channel::wait_async`], the one
+//! wait loop, drives the channel until replies arrive (an `async` body
+//! awaits it, and [`Channel::wait`] / [`Channel::wait_all`] run it on a
+//! blocking body's stack through [`simnet::Ctx::block_on`]), and
+//! [`Channel::poll_wait`] / [`Channel::try_take`] do the same for
+//! poll-driven processes, completing on the reply's own delivery wake. Replies are matched by call id, each call keeps its
 //! own retransmission timer, and ids retransmit unchanged — so the
 //! server's per-client window gives at-most-once execution even though
 //! calls complete out of order. [`RpcClient`](crate::RpcClient) is this
@@ -206,28 +207,11 @@ struct CallRec {
     deadline: SimTime,
 }
 
-/// One step of a call driven by a process that reads its own mailbox
-/// ([`RpcClient::advance`](crate::RpcClient::advance)).
-#[derive(Debug)]
-pub enum Advance {
-    /// The call settled: its result.
-    Settled(Result<Value, RpcError>),
-    /// A datagram that is not the channel's, as it arrived, with what it
-    /// decoded to if it decoded.
-    Stray(Option<Packet>, Message),
-    /// The mailbox is empty; the wake for the next deadline is armed.
-    Pending,
-}
-
-/// Where one [`Channel::drive`] stopped.
-enum Turn {
-    Settled,
-    /// A datagram that is not the channel's, with what it decoded to.
-    /// Boxed: it is the rare turn, and the others stay small.
-    Stray(Box<(Option<Packet>, Message)>),
-    /// Nothing to receive before this deadline.
-    Empty(SimTime),
-}
+/// What a caller waiting on a channel does with a datagram that is not
+/// the channel's ([`Channel::wait_async`]): it is handed the datagram, with
+/// what it decoded to if it decoded, and says whether it took it. One it
+/// did not take is dropped and counted.
+pub type OnStray<'a> = &'a mut (dyn FnMut(&mut Ctx, Option<Packet>, Message) -> bool + Send);
 
 /// What [`Channel::absorb`] made of a datagram.
 enum Absorbed {
@@ -657,7 +641,7 @@ impl Channel {
     /// [`Channel::take_strays`]; anything else is dropped and counted. A
     /// process that also serves requests must receive for itself and use
     /// [`Channel::offer`], or its requests end up here.
-    fn keep_oneway(&mut self, ctx: &mut Ctx, declined: Option<Packet>, _msg: &Message) {
+    fn keep_oneway(&mut self, ctx: &mut Ctx, declined: Option<Packet>) {
         match declined {
             Some(Packet::Oneway(o)) => self.strays.push(o),
             _ => self.discard(ctx),
@@ -672,37 +656,9 @@ impl Channel {
         self.expire(ctx);
     }
 
-    /// Drives the channel until `target` settles (with `None`, until
-    /// every staged call has), a datagram that is not the channel's
-    /// arrives, or `recv`, handed the next deadline, finds nothing before
-    /// it. The one loop behind a blocking wait (`recv` blocks until the
-    /// deadline) and a poll-driven one (`recv` only looks).
-    fn drive(
-        &mut self,
-        ctx: &mut Ctx,
-        target: Option<CallHandle>,
-        mut recv: impl FnMut(&mut Ctx, SimTime) -> Result<Option<Message>, simnet::Stopped>,
-    ) -> Result<Turn, RpcError> {
-        loop {
-            let Some(deadline) = self.turn(ctx, target) else {
-                return Ok(Turn::Settled);
-            };
-            match recv(ctx, deadline)? {
-                Some(msg) => {
-                    if let Absorbed::Declined(packet) = self.absorb(ctx, &msg) {
-                        return Ok(Turn::Stray(Box::new((packet, msg))));
-                    }
-                }
-                // Past the deadline: the timer fires on the next turn.
-                None if deadline <= ctx.now() => {}
-                None => return Ok(Turn::Empty(deadline)),
-            }
-        }
-    }
-
-    /// What [`Channel::drive`] does before each receive: sends what the
-    /// window has room for and fires due timers. `None` once `target`
-    /// (with `None`, every staged call) has settled, else the deadline to
+    /// What the wait loop does before each receive: sends what the window
+    /// has room for and fires due timers. `None` once `target` (with
+    /// `None`, every staged call) has settled, else the deadline to
     /// receive by.
     fn turn(&mut self, ctx: &mut Ctx, target: Option<CallHandle>) -> Option<SimTime> {
         self.tick(ctx);
@@ -715,35 +671,44 @@ impl Channel {
         (!settled).then(|| self.next_deadline().expect("a call is in flight"))
     }
 
-    /// Blocks until `target` settles (see [`Channel::drive`]), keeping
-    /// one-ways and dropping what else arrives.
-    fn pump(&mut self, ctx: &mut Ctx, target: Option<CallHandle>) -> Result<(), RpcError> {
-        loop {
-            match self.drive(ctx, target, Ctx::recv_deadline)? {
-                Turn::Settled => return Ok(()),
-                Turn::Stray(stray) => self.keep_oneway(ctx, stray.0, &stray.1),
-                Turn::Empty(_) => unreachable!("a blocking receive waits out its deadline"),
+    /// Waits until `target` settles (with `None`, until every staged call
+    /// has): the one wait loop. Each turn sends what the window has room
+    /// for and fires due timers, then receives until the next deadline. A
+    /// datagram that is not the channel's goes to `strays` if given;
+    /// without it, a one-way is kept for [`Channel::take_strays`] and
+    /// anything else is dropped and counted. A settled target returns at
+    /// once; its result stays claimable ([`Channel::try_take`]).
+    ///
+    /// # Errors
+    ///
+    /// [`RpcError::Stopped`] on simulation shutdown.
+    pub async fn wait_async(
+        &mut self,
+        cx: AsyncCx,
+        target: Option<CallHandle>,
+        mut strays: Option<OnStray<'_>>,
+    ) -> Result<(), RpcError> {
+        if target.is_some_and(|h| self.is_settled(h)) {
+            return Ok(());
+        }
+        while let Some(deadline) = cx.with(|cx| self.turn(cx, target)) {
+            if let Some(msg) = cx.recv_deadline(deadline).await? {
+                cx.with(|cx| {
+                    let Absorbed::Declined(packet) = self.absorb(cx, &msg) else {
+                        return;
+                    };
+                    match strays.as_deref_mut() {
+                        Some(take) => {
+                            if !take(cx, packet, msg) {
+                                self.discard(cx);
+                            }
+                        }
+                        None => self.keep_oneway(cx, packet),
+                    }
+                });
             }
         }
-    }
-
-    /// One turn of [`Channel::drive`] for a poll-driven caller that reads
-    /// its own mailbox, arming the wake for the next deadline when the
-    /// mailbox is empty: a call goes out, retransmits, settles and hands
-    /// over strays exactly as a blocking caller's does.
-    pub(crate) fn advance(&mut self, cx: &mut simnet::ProcCx, h: CallHandle) -> Advance {
-        match self.drive(cx.ctx(), Some(h), |ctx, _| ctx.try_recv()) {
-            Err(e) => Advance::Settled(Err(e)),
-            Ok(Turn::Settled) => Advance::Settled(self.claim(h)),
-            Ok(Turn::Stray(stray)) => {
-                let (packet, msg) = *stray;
-                Advance::Stray(packet, msg)
-            }
-            Ok(Turn::Empty(deadline)) => {
-                cx.wake_at(deadline);
-                Advance::Pending
-            }
-        }
+        Ok(())
     }
 
     /// Waits for one call to settle and returns its result. Consumes the
@@ -756,33 +721,8 @@ impl Channel {
     /// * [`RpcError::Remote`] — the server executed and reported failure.
     /// * [`RpcError::Stopped`] — simulation shutdown.
     pub fn wait(&mut self, ctx: &mut Ctx, h: CallHandle) -> Result<Value, RpcError> {
-        if !self.is_settled(h) {
-            self.pump(ctx, Some(h))?;
-        }
-        self.claim(h)
-    }
-
-    /// [`Channel::wait`] for an `async` body: the same turns, each
-    /// receive an [`AsyncCx::recv_deadline`] that parks as a blocking
-    /// one does, so the call goes out, retransmits and settles event for
-    /// event as a blocking caller's.
-    ///
-    /// # Errors
-    ///
-    /// As [`Channel::wait`].
-    pub async fn wait_async(&mut self, cx: AsyncCx, h: CallHandle) -> Result<Value, RpcError> {
-        if !self.is_settled(h) {
-            while let Some(deadline) = cx.with(|cx| self.turn(cx, Some(h))) {
-                if let Some(msg) = cx.recv_deadline(deadline).await? {
-                    cx.with(|cx| {
-                        if let Absorbed::Declined(packet) = self.absorb(cx, &msg) {
-                            self.keep_oneway(cx, packet, &msg);
-                        }
-                    });
-                }
-            }
-        }
-        self.claim(h)
+        ctx.block_on(|cx| self.wait_async(cx, Some(h), None))
+            .and_then(|()| self.claim(h))
     }
 
     /// Hands out the result of a settled call, once.
@@ -803,7 +743,7 @@ impl Channel {
     ///
     /// [`RpcError::Stopped`] on simulation shutdown.
     pub fn wait_all(&mut self, ctx: &mut Ctx) -> Result<(), RpcError> {
-        self.pump(ctx, None)
+        ctx.block_on(|cx| self.wait_async(cx, None, None))
     }
 
     /// Non-blocking progress: sends staged calls, fires due timers, and
@@ -816,7 +756,7 @@ impl Channel {
         self.tick(ctx);
         while let Some(msg) = ctx.try_recv()? {
             if let Absorbed::Declined(packet) = self.absorb(ctx, &msg) {
-                self.keep_oneway(ctx, packet, &msg);
+                self.keep_oneway(ctx, packet);
             }
         }
         self.flush(ctx);

@@ -10,17 +10,17 @@
 //! the channel's. The client adds its surface: a call opens no span of
 //! its own (the request carries the caller's), and while it waits it
 //! keeps one-way notifications for [`RpcClient::take_strays`] and drops
-//! everything else. A blocking process blocks in [`RpcClient::call`]; a
-//! poll-driven one makes the same call with [`RpcClient::start`] and
-//! drives it from its `poll`, one datagram at a time, with
-//! [`RpcClient::advance`].
+//! everything else, unless the caller hands it a rule of its own
+//! ([`RpcClient::call_with`]). An `async` body awaits the call; a
+//! blocking body blocks in [`RpcClient::call`], which runs the same call
+//! on its stack.
 
 use std::time::Duration;
 
-use simnet::{AsyncCx, Ctx, Endpoint, ProcCx};
+use simnet::{AsyncCx, Ctx, Endpoint};
 use wire::Value;
 
-use crate::channel::{Advance, CallHandle, Channel, ChannelConfig};
+use crate::channel::{CallHandle, Channel, ChannelConfig, OnStray};
 use crate::error::RpcError;
 use crate::proto::Oneway;
 
@@ -181,14 +181,10 @@ impl RpcClient {
         op: &str,
         args: Value,
     ) -> Result<Value, RpcError> {
-        let call = self.start(ctx, object, op, args);
-        let result = self.channel.wait(ctx, call);
-        self.publish();
-        result
+        ctx.block_on(|cx| self.call_with(cx, object, op, args, None))
     }
 
-    /// [`RpcClient::call`] for an `async` body: the same call, waited for
-    /// by [`Channel::wait_async`].
+    /// [`RpcClient::call`] for an `async` body.
     ///
     /// # Errors
     ///
@@ -199,8 +195,28 @@ impl RpcClient {
         op: &str,
         args: Value,
     ) -> Result<Value, RpcError> {
-        let call = cx.with(|cx| self.start(cx, "", op, args));
-        let result = self.channel.wait_async(cx, call).await;
+        self.call_with(cx, "", op, args, None).await
+    }
+
+    /// The one call: `op` on `object`, waited for by
+    /// [`Channel::wait_async`], which hands `strays` every datagram that
+    /// is not the reply (see [`RpcClient::call_object`] for what happens
+    /// to them without it).
+    ///
+    /// # Errors
+    ///
+    /// As [`RpcClient::call_object`].
+    pub async fn call_with(
+        &mut self,
+        cx: AsyncCx,
+        object: &str,
+        op: &str,
+        args: Value,
+        strays: Option<OnStray<'_>>,
+    ) -> Result<Value, RpcError> {
+        let call = cx.with(|cx| self.start(cx, object, op, args));
+        let waited = self.channel.wait_async(cx, Some(call), strays).await;
+        let result = waited.and_then(|()| self.channel.claim(call));
         self.publish();
         result
     }
@@ -211,10 +227,9 @@ impl RpcClient {
     }
 
     /// Sends the first transmission of a call and returns its handle,
-    /// for a process that cannot block: drive it with [`RpcClient::advance`].
-    /// The blocking calls above start the same way, so a call goes out,
-    /// is retransmitted and gives up identically either way.
-    pub fn start(&mut self, ctx: &mut Ctx, object: &str, op: &str, args: Value) -> CallHandle {
+    /// dropping (and counting) the one-ways the last call kept and
+    /// nobody took.
+    fn start(&mut self, ctx: &mut Ctx, object: &str, op: &str, args: Value) -> CallHandle {
         for _ in self.channel.take_strays() {
             self.channel.discard(ctx);
         }
@@ -226,27 +241,6 @@ impl RpcClient {
         self.channel.flush(ctx);
         self.publish();
         call
-    }
-
-    /// One step of a call made by [`RpcClient::start`], for a poll-driven
-    /// process that reads its own mailbox (a server calling out): as a
-    /// blocking call does between two receives, it fires due timers,
-    /// checks whether the call has settled, and takes one datagram. A
-    /// reply is the client's; anything else comes back as
-    /// [`Advance::Stray`] for the caller's own rule (to keep it, or to
-    /// [`discard`](RpcClient::discard) it). `Pending` means the mailbox
-    /// is empty and the wake for the next deadline is armed.
-    pub fn advance(&mut self, cx: &mut ProcCx, call: CallHandle) -> Advance {
-        let advanced = self.channel.advance(cx, call);
-        self.publish();
-        advanced
-    }
-
-    /// Counts a datagram [`RpcClient::advance`] handed back that its
-    /// caller drops, as a blocking call counts the strays it drops.
-    pub fn discard(&mut self, ctx: &mut Ctx) {
-        self.channel.discard(ctx);
-        self.publish();
     }
 
     /// Brings `stats` up to date with the channel's counters.

@@ -52,7 +52,7 @@ mod proto;
 mod rtt;
 mod server;
 
-pub use channel::{Advance, CallHandle, Channel, ChannelConfig, ChannelStats};
+pub use channel::{CallHandle, Channel, ChannelConfig, ChannelStats, OnStray};
 pub use client::{send_oneway, CallStats, RetryPolicy, RpcClient};
 pub use error::{ErrorCode, RemoteError, RpcError};
 pub use proto::{

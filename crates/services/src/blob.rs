@@ -495,7 +495,8 @@ async fn edge_cache(cx: AsyncCx, ns: Endpoint, name: String, origin: String, cap
         let cb = Value::record([("cb", rpc::endpoint_to_value(cx.endpoint()))]);
         up.begin_call(cx, protocol::OP_SUBSCRIBE, cb)
     });
-    match up.wait_async(cx, subscribe).await {
+    let waited = up.wait_async(cx, Some(subscribe), None).await;
+    match waited.and_then(|()| up.try_take(subscribe).expect("the call settled")) {
         Ok(_) => {}
         Err(RpcError::Stopped) => return,
         Err(e) => panic!("edge cache failed to subscribe at origin `{origin}`: {e}"),

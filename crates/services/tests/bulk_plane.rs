@@ -150,8 +150,9 @@ fn hierarchy_invalidation(net: NetworkConfig, seed: u64, racer: bool) {
         let mut client = BlobClient::new("blob", ns, 4096, 4);
         let mut strays: Vec<rpc::Oneway> = Vec::new();
         ctx.sleep(Duration::from_millis(50)).unwrap();
-        let r1 = client
-            .put(ctx, "asset", &Bytes::from(payload(40_000, 1)), &mut strays)
+        let data = Bytes::from(payload(40_000, 1));
+        let r1 = ctx
+            .block_on(|cx| client.put(cx, "asset", &data, &mut strays))
             .unwrap();
         writer_refs.lock().push(r1);
         let mut patience = 3000;
@@ -160,8 +161,9 @@ fn hierarchy_invalidation(net: NetworkConfig, seed: u64, racer: bool) {
             assert!(patience > 0, "reader never warmed the edge");
             ctx.sleep(Duration::from_millis(10)).unwrap();
         }
-        let r2 = client
-            .put(ctx, "asset", &Bytes::from(payload(52_000, 2)), &mut strays)
+        let data = Bytes::from(payload(52_000, 2));
+        let r2 = ctx
+            .block_on(|cx| client.put(cx, "asset", &data, &mut strays))
             .unwrap();
         writer_refs.lock().push(r2);
     });
@@ -179,7 +181,7 @@ fn hierarchy_invalidation(net: NetworkConfig, seed: u64, racer: bool) {
                     (refs.first().cloned(), refs.len() > 1)
                 };
                 if let Some(r1) = first {
-                    let _ = edge.get(ctx, &r1, &mut strays);
+                    let _ = ctx.block_on(|cx| edge.get(cx, &r1, &mut strays));
                 }
                 since_write += u32::from(written);
                 if ctx.sleep(Duration::from_millis(2)).is_err() {
@@ -205,10 +207,10 @@ fn hierarchy_invalidation(net: NetworkConfig, seed: u64, racer: bool) {
         let mut strays: Vec<rpc::Oneway> = Vec::new();
         // Warm the edge with the first version.
         let r1 = wait_for_ref(ctx, 0);
-        let v1 = edge.get(ctx, &r1, &mut strays).unwrap();
+        let v1 = ctx.block_on(|cx| edge.get(cx, &r1, &mut strays)).unwrap();
         assert_eq!(v1.as_ref(), &payload(40_000, 1)[..]);
         // Cached repeat read, still version 1 (no write happened yet).
-        let again = edge.get(ctx, &r1, &mut strays).unwrap();
+        let again = ctx.block_on(|cx| edge.get(cx, &r1, &mut strays)).unwrap();
         assert_eq!(again, v1);
         *warmed.lock() = true;
         // After the origin write + invalidation delivery, the edge must
@@ -217,7 +219,7 @@ fn hierarchy_invalidation(net: NetworkConfig, seed: u64, racer: bool) {
         let r2 = wait_for_ref(ctx, 1);
         ctx.sleep(Duration::from_millis(if racer { 400 } else { 100 }))
             .unwrap();
-        let v2 = edge.get(ctx, &r2, &mut strays).unwrap();
+        let v2 = ctx.block_on(|cx| edge.get(cx, &r2, &mut strays)).unwrap();
         assert_eq!(v2.as_ref(), &payload(52_000, 2)[..]);
     });
     sim.run();
@@ -341,7 +343,7 @@ fn fetch_via_edge(
     let mut patience = 200;
     loop {
         let started = ctx.now();
-        match edge.get(ctx, r, &mut strays) {
+        match ctx.block_on(|cx| edge.get(cx, r, &mut strays)) {
             Ok(bytes) => {
                 assert_eq!(bytes.as_ref(), want);
                 return (started, ctx.now());
@@ -537,8 +539,8 @@ fn republish_invalidates_only_the_edges_that_fetched_the_asset() {
         sleep_until(ctx, SimTime::ZERO + Duration::from_secs(2));
         let mut origin = BlobClient::new("blob", ns, CHUNK, 4);
         let mut strays: Vec<rpc::Oneway> = Vec::new();
-        origin
-            .put(ctx, "a", &Bytes::from(payload(40_000, 9)), &mut strays)
+        let data = Bytes::from(payload(40_000, 9));
+        ctx.block_on(|cx| origin.put(cx, "a", &data, &mut strays))
             .unwrap();
     });
     sim.run();
@@ -594,12 +596,17 @@ fn a_transfer_of_depth_chunks_is_one_datagram_each_way() {
         let mut windows = Vec::new();
         ctx.sleep(Duration::from_millis(50)).unwrap();
         let started = ctx.now();
-        let r = origin.put(ctx, "k", &data, &mut strays).unwrap();
+        let r = ctx
+            .block_on(|cx| origin.put(cx, "k", &data, &mut strays))
+            .unwrap();
         windows.push((started, ctx.now()));
         for _cold_then_warm in 0..2 {
             ctx.sleep(Duration::from_millis(50)).unwrap();
             let started = ctx.now();
-            assert_eq!(near.get(ctx, &r, &mut strays).unwrap(), data);
+            assert_eq!(
+                ctx.block_on(|cx| near.get(cx, &r, &mut strays)).unwrap(),
+                data
+            );
             windows.push((started, ctx.now()));
         }
         *out.lock() = windows;
@@ -642,9 +649,11 @@ fn reassembly_case(len: usize, seed: u64, loss: f64, dup: f64) -> bool {
         let mut strays: Vec<rpc::Oneway> = Vec::new();
         ctx.sleep(Duration::from_millis(20)).unwrap();
         let data = Bytes::from(payload(len, seed as u8));
-        let r = client.put(ctx, "k", &data, &mut strays).unwrap();
+        let r = ctx
+            .block_on(|cx| client.put(cx, "k", &data, &mut strays))
+            .unwrap();
         assert_eq!(r.len, len as u64);
-        let back = client.get(ctx, &r, &mut strays).unwrap();
+        let back = ctx.block_on(|cx| client.get(cx, &r, &mut strays)).unwrap();
         assert_eq!(back, data);
         *done.lock() = true;
     });
@@ -694,7 +703,10 @@ fn edge_reassembly_case(len: usize, seed: u64, loss: f64, dup: f64, readers: u32
         let mut origin = BlobClient::new("blob", ns, CHUNK, 6);
         let mut strays: Vec<rpc::Oneway> = Vec::new();
         ctx.sleep(Duration::from_millis(20)).unwrap();
-        *out.lock() = Some(origin.put(ctx, "k", &bytes, &mut strays).unwrap());
+        *out.lock() = Some(
+            ctx.block_on(|cx| origin.put(cx, "k", &bytes, &mut strays))
+                .unwrap(),
+        );
     });
     let done = Arc::new(AtomicU64::new(0));
     let go = SimTime::ZERO + Duration::from_secs(1);
@@ -762,11 +774,18 @@ fn a_failed_transfer_leaves_no_call_awaited() {
             len: 40_000,
             crc: 0,
         };
-        assert!(client.get(ctx, &missing, &mut strays).is_err());
+        assert!(ctx
+            .block_on(|cx| client.get(cx, &missing, &mut strays))
+            .is_err());
         assert_eq!(ctx.lowest_awaited(), None, "a failed transfer pins lo");
         let data = Bytes::from(payload(40_000, 9));
-        let r = client.put(ctx, "asset", &data, &mut strays).unwrap();
-        assert_eq!(client.get(ctx, &r, &mut strays).unwrap(), data);
+        let r = ctx
+            .block_on(|cx| client.put(cx, "asset", &data, &mut strays))
+            .unwrap();
+        assert_eq!(
+            ctx.block_on(|cx| client.get(cx, &r, &mut strays)).unwrap(),
+            data
+        );
         assert_eq!(ctx.lowest_awaited(), None);
         d2.store(1, Ordering::SeqCst);
     });

@@ -160,7 +160,8 @@ impl Drop for Body {
     }
 }
 
-/// The blocking operations: a body's context suspends its stack in them.
+/// The blocking operations: the waits of [`AsyncCx`](crate::AsyncCx),
+/// run on the body's stack ([`Ctx::block_on`]).
 impl Ctx {
     /// Blocks until a message arrives.
     ///
@@ -168,10 +169,7 @@ impl Ctx {
     ///
     /// Returns [`Stopped`] when the simulation is shutting down.
     pub fn recv(&mut self) -> Result<Message, Stopped> {
-        match self.recv_inner(None)? {
-            Some(m) => Ok(m),
-            None => unreachable!("recv without deadline returned empty"),
-        }
+        self.block_on(|cx| cx.recv())
     }
 
     /// Blocks until a message arrives or `timeout` elapses; `Ok(None)`
@@ -182,7 +180,7 @@ impl Ctx {
     /// Returns [`Stopped`] when the simulation is shutting down.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, Stopped> {
         let deadline = self.now() + timeout;
-        self.recv_inner(Some(deadline))
+        self.recv_deadline(deadline)
     }
 
     /// Blocks until a message arrives or the absolute `deadline` passes.
@@ -191,53 +189,20 @@ impl Ctx {
     ///
     /// Returns [`Stopped`] when the simulation is shutting down.
     pub fn recv_deadline(&mut self, deadline: SimTime) -> Result<Option<Message>, Stopped> {
-        self.recv_inner(Some(deadline))
+        self.block_on(|cx| cx.recv_deadline(deadline))
     }
 
-    fn recv_inner(&mut self, deadline: Option<SimTime>) -> Result<Option<Message>, Stopped> {
-        loop {
-            if let Some(m) = self.try_recv()? {
-                return Ok(Some(m));
-            }
-            // Nothing to read at or past the deadline is a timeout.
-            if deadline.is_some_and(|dl| dl <= self.now()) {
-                return Ok(None);
-            }
-            match self.block_on(YieldMsg::Recv { deadline }) {
-                Resume::Delivered => {}
-                Resume::Shutdown => {
-                    self.stopped = true;
-                    return Err(Stopped);
-                }
-                other => unreachable!("unexpected resume in recv: {other:?}"),
-            }
-        }
-    }
-
-    /// Advances this process's virtual time by `d`.
+    /// Advances this process's virtual time by `d`, deaf to deliveries.
     ///
     /// # Errors
     ///
     /// Returns [`Stopped`] when the simulation is shutting down.
     pub fn sleep(&mut self, d: Duration) -> Result<(), Stopped> {
-        if self.stopped {
-            return Err(Stopped);
-        }
-        if d.is_zero() {
-            return Ok(());
-        }
-        let until = self.now() + d;
-        match self.block_on(YieldMsg::Sleep(until)) {
-            Resume::Woken => Ok(()),
-            Resume::Shutdown => {
-                self.stopped = true;
-                Err(Stopped)
-            }
-            other => unreachable!("unexpected resume in sleep: {other:?}"),
-        }
+        self.block_on(|cx| cx.sleep(d))
     }
 
-    fn block_on(&mut self, y: YieldMsg) -> Resume {
+    /// Suspends the body's stack until the scheduler resumes it.
+    pub(crate) fn suspend(&mut self, y: YieldMsg) -> Resume {
         let Some(yielder) = &self.yielder else {
             panic!(
                 "blocking Ctx operation ({y:?}) in poll-driven process '{}': \

@@ -1359,8 +1359,8 @@ impl Ctx {
         Fut: Future<Output = ()> + Send + 'static,
     {
         self.shared
-            .spawn_proc(Some(self.domain), name.into(), node, None, |ctx| {
-                Box::new(Async::new(ctx, body))
+            .spawn_proc(Some(self.domain), name.into(), node, None, |_| {
+                Box::new(Async::new(body))
             })
     }
 
@@ -1429,6 +1429,14 @@ impl Ctx {
             self.domain,
             shared,
         )
+    }
+
+    /// A context with this one's identity but no name and fresh
+    /// per-process state: what stands in the place of a context lent out
+    /// for a poll.
+    pub(crate) fn vacant(&self) -> Ctx {
+        let shared = Arc::clone(&self.shared);
+        Ctx::new(self.pid, String::new(), self.endpoint, self.domain, shared)
     }
 
     fn new(
@@ -1923,10 +1931,9 @@ impl Simulation {
         F: FnOnce(AsyncCx) -> Fut,
         Fut: Future<Output = ()> + Send + 'static,
     {
-        self.shared
-            .spawn_proc(None, name.into(), node, None, |ctx| {
-                Box::new(Async::new(ctx, body))
-            })
+        self.shared.spawn_proc(None, name.into(), node, None, |_| {
+            Box::new(Async::new(body))
+        })
     }
 
     /// Spawns an `async` body listening on a well-known port.
@@ -1947,8 +1954,8 @@ impl Simulation {
         Fut: Future<Output = ()> + Send + 'static,
     {
         self.shared
-            .spawn_proc(None, name.into(), node, Some(port), |ctx| {
-                Box::new(Async::new(ctx, body))
+            .spawn_proc(None, name.into(), node, Some(port), |_| {
+                Box::new(Async::new(body))
             })
     }
 
