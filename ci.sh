@@ -11,9 +11,9 @@ step() { printf '\n==> %s\n' "$*"; }
 
 if [ "${1:-}" = identity ]; then
   # A change that must move no event shows it here, in one command: the
-  # trace artifacts the gate compares run to run (E3, E4, E7, E10, E12
-  # and E13 at full size, E18 and E19 in smoke mode at one thread), and
-  # those of the caching and adaptive proxies (E2 at 90% reads, E9), are
+  # trace artifacts the gate compares run to run (E3, E4, E7, E10, E11,
+  # E12 and E13 at full size, E18 and E19 in smoke mode at one thread),
+  # and those of the caching and adaptive proxies (E2 at 90% reads, E9), are
   # exported by REV, built in a worktree under target/ with a target dir
   # of its own, and by the working tree, and must be byte-identical.
   rev="${2:?usage: ./ci.sh identity REV}"
@@ -27,7 +27,7 @@ if [ "${1:-}" = identity ]; then
     step "E2-E19 traces of $1"
     (cd "$1" && CARGO_TARGET_DIR="$2" cargo build -q --release -p bench)
     for e in e2_cache_sweep e3_migration e4_replication e7_loss e9_adaptive e10_forwarding \
-             e12_dsm e13_pipeline; do
+             e11_recovery e12_dsm e13_pipeline; do
       PROXIDE_TRACE_DIR="$3" "$2/release/$e" >/dev/null
     done
     for e in e18_multicore e19_bulkplane; do
@@ -40,7 +40,8 @@ if [ "${1:-}" = identity ]; then
   step "byte identity against $rev"
   for t in e2-cache-inv-90 e2-cache-lease-90 e3-migratory-n200 e4-reads-3 e4-writes-sync \
            e4-writes-async e7-loss-30 e9-always-caching e9-adaptive e10-nexthop-k8 \
-           e10-resolve-k8 e12-locality e12-pingpong e13-depth-8 e18-t1 e19-t1; do
+           e10-resolve-k8 e11-checkpoint-every-5 e12-locality e12-pingpong e13-depth-8 e18-t1 \
+           e19-t1; do
     cmp "target/identity/base/$t.trace.jsonl" "target/identity/work/$t.trace.jsonl"
     echo "identical: $t"
   done
@@ -129,7 +130,7 @@ if [ "${1:-}" != "quick" ]; then
   step "the paper's evaluation: E1-E7, E9-E13 (each exits 1 on a failed shape check)"
   # The experiments that reproduce the paper's claims; together they take
   # well under a second in the release build. Their tables are printed
-  # only when a check fails. E3, E4, E7, E10, E12 and E13 export the
+  # only when a check fails. E3, E4, E7, E10, E11, E12 and E13 export the
   # causal traces checked right after.
   for e in e1_access_methods e2_cache_sweep e3_migration e4_replication e5_local_fastpath \
            e6_binding_cost e7_loss e9_adaptive e10_forwarding e11_recovery e12_dsm e13_pipeline; do
@@ -140,11 +141,13 @@ if [ "${1:-}" != "quick" ]; then
     fi
   done
   for t in e3-migratory-n200 e4-reads-3 e4-writes-sync e4-writes-async e7-loss-30 \
-           e10-nexthop-k8 e10-resolve-k8 e12-locality e12-pingpong e13-depth-8; do
+           e10-nexthop-k8 e10-resolve-k8 e11-checkpoint-every-5 e12-locality e12-pingpong \
+           e13-depth-8; do
     cargo run -q --release -p bench --bin tracectl -- check target/traces/$t.trace.jsonl
   done
-  # A second run of E3, E4, E7, E10, E12 and E13 must pass its checks
-  # again and export the same traces, byte for byte. E3's clients are
+  # A second run of E3, E4, E7, E10, E11, E12 and E13 must pass its
+  # checks again and export the same traces, byte for byte. E11's client
+  # rides a crash through a timeout, a relookup and a rebind. E3's clients are
   # blocking bodies, polled through the scheduler's body adapter like
   # every other process. E7's servers answer
   # duplicates under loss and duplication, decoding each datagram once
@@ -155,6 +158,7 @@ if [ "${1:-}" != "quick" ]; then
   # migration host and forwarder, and the DSM manager and pager, whose
   # handlers park their requests while they call out.
   for pair in e3_migration:e3-migratory-n200 e7_loss:e7-loss-30 e13_pipeline:e13-depth-8 \
+              e11_recovery:e11-checkpoint-every-5 \
               e4_replication:e4-reads-3,e4-writes-sync,e4-writes-async \
               e10_forwarding:e10-nexthop-k8,e10-resolve-k8 e12_dsm:e12-locality,e12-pingpong; do
     e="${pair%%:*}" traces="${pair#*:}"

@@ -24,7 +24,9 @@ use rpc::{ErrorCode, RemoteError, RpcError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
 use wire::Value;
 
-use crate::{check, obs_report, slot, take, ExperimentOutput, ObsReport, Table};
+use crate::{
+    capture_trace, check, obs_report, slot, take, ExperimentOutput, ObsReport, Table, TraceArtifact,
+};
 
 const WRITES_BEFORE_CRASH: u64 = 23;
 
@@ -97,7 +99,7 @@ struct Point {
     outage_us: f64,
 }
 
-fn measure(interval: u64, seed: u64) -> (Point, ObsReport) {
+fn measure(interval: u64, seed: u64) -> (Point, ObsReport, TraceArtifact) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
     let ns = spawn_name_server(&sim, NodeId(0));
     let store = StableStore::new();
@@ -160,10 +162,13 @@ fn measure(interval: u64, seed: u64) -> (Point, ObsReport) {
             outage_us,
         });
     });
+    sim.enable_trace(1 << 16);
     sim.run();
+    let label = format!("checkpoint-every-{interval}");
     (
         take(r),
-        obs_report(format!("checkpoint-every-{interval}"), &sim),
+        obs_report(label.clone(), &sim),
+        capture_trace(label, &sim),
     )
 }
 
@@ -183,10 +188,14 @@ pub fn run() -> ExperimentOutput {
     );
     let mut pts = Vec::new();
     let mut reports = Vec::new();
+    let mut traces = Vec::new();
     for (i, &n) in intervals.iter().enumerate() {
-        let (p, obs) = measure(n, 130 + i as u64);
+        let (p, obs, trace) = measure(n, 130 + i as u64);
+        // One representative report, and its trace: the crash's timeout,
+        // relookup and rebind.
         if n == 5 {
             reports.push(obs);
+            traces.push(trace);
         }
         table.add_row(vec![
             format!("{n} writes"),
@@ -235,6 +244,6 @@ pub fn run() -> ExperimentOutput {
         tables: vec![table],
         checks,
         reports,
-        traces: vec![],
+        traces,
     }
 }

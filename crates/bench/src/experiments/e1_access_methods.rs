@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{CachingParams, Coherence, ProxySpec, ServiceBuilder, SessionCore};
-use rpc::{RetryPolicy, RpcClient};
+use rpc::{Channel, ChannelConfig, RetryPolicy};
 use services::kv::KvStore;
 use simnet::{Ctx, NetworkConfig, NodeId, SimTime, Simulation};
 use wire::Value;
@@ -68,18 +68,13 @@ fn measure(label: &str, spec: Option<ProxySpec>, seed: u64) -> (Row, ObsReport) 
     let (w, r) = slot::<Row>();
     sim.spawn("client", NodeId(2), move |ctx| {
         // Seed the keys (unmeasured).
-        let mut seed_rpc = RpcClient::new(server);
+        let mut seed_rpc = Channel::new("", server, ChannelConfig::with_depth(1));
         for k in 0..KEYS {
-            seed_rpc
-                .call(
-                    ctx,
-                    "put",
-                    Value::record([
-                        ("key", Value::str(key_for(k))),
-                        ("value", Value::str("seed")),
-                    ]),
-                )
-                .unwrap();
+            let args = Value::record([
+                ("key", Value::str(key_for(k))),
+                ("value", Value::str("seed")),
+            ]);
+            (ctx.block_on(|cx| seed_rpc.call(cx, "", "put", args, None))).unwrap();
         }
 
         let run = |ctx: &mut Ctx| -> (SimTime, Row) {
@@ -87,14 +82,13 @@ fn measure(label: &str, spec: Option<ProxySpec>, seed: u64) -> (Row, ObsReport) 
                 None => {
                     // Direct message passing: one-shot request/response
                     // without retries, dedup windows or binding.
-                    let mut raw = RpcClient::with_policy(
-                        server,
-                        RetryPolicy::no_retry(Duration::from_secs(1)),
-                    );
+                    let policy = RetryPolicy::no_retry(Duration::from_secs(1));
+                    let cfg = ChannelConfig::with_depth(1).with_policy(policy);
+                    let mut raw = Channel::new("", server, cfg);
                     let t0 = ctx.now();
                     workload(ctx, |ctx, is_read, key| {
                         let (op, args) = op_args(is_read, key);
-                        raw.call(ctx, op, args).unwrap();
+                        (ctx.block_on(|cx| raw.call(cx, "", op, args, None))).unwrap();
                     });
                     (
                         t0,

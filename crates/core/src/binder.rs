@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use naming::{NameClient, NameRecord};
-use rpc::RpcError;
+use rpc::{oneways_into, Oneway, RpcError};
 use simnet::{AsyncCx, Endpoint};
 use wire::{Value, WireError};
 
@@ -41,8 +41,10 @@ pub struct BindContext<'a> {
 /// What a [`ProxyCtor`] returns: the proxy, once its bind step is done.
 pub type BoundProxy<'a> = ProxyFuture<'a, Result<Box<dyn Proxy>, RpcError>>;
 
-/// Constructor for a [`ProxySpec::Custom`] proxy.
-pub type ProxyCtor = dyn for<'a> Fn(AsyncCx, BindContext<'a>) -> BoundProxy<'a> + Send + Sync;
+/// Constructor for a [`ProxySpec::Custom`] proxy. One-way notifications
+/// that arrive while its bind step waits go into the `Vec` it is handed.
+pub type ProxyCtor =
+    dyn for<'a> Fn(AsyncCx, BindContext<'a>, &'a mut Vec<Oneway>) -> BoundProxy<'a> + Send + Sync;
 
 /// Client-side half of the binding protocol.
 pub struct Binder {
@@ -106,21 +108,34 @@ impl Binder {
     pub fn register_proxy(
         &mut self,
         kind: impl Into<String>,
-        ctor: impl for<'a> Fn(AsyncCx, BindContext<'a>) -> BoundProxy<'a> + Send + Sync + 'static,
+        ctor: impl for<'a> Fn(AsyncCx, BindContext<'a>, &'a mut Vec<Oneway>) -> BoundProxy<'a>
+            + Send
+            + Sync
+            + 'static,
     ) {
         self.proxy_ctors.insert(kind.into(), Arc::new(ctor));
     }
 
     /// Binds to `service`: resolves the name and instantiates the proxy
-    /// the service asked for.
+    /// the service asked for. One-way notifications that arrive while it
+    /// waits (for the name server, or for the proxy's own bind step) go
+    /// into `strays`, for the caller to route.
     ///
     /// # Errors
     ///
     /// * name-service errors (unknown name, transport),
     /// * [`RpcError::Wire`] if the binding metadata is malformed,
     /// * any error from the proxy's own bind step (e.g. subscribe).
-    pub async fn bind(&mut self, cx: AsyncCx, service: &str) -> Result<Box<dyn Proxy>, RpcError> {
-        let record = self.ns.resolve_async(cx, service).await?;
+    pub async fn bind(
+        &mut self,
+        cx: AsyncCx,
+        service: &str,
+        strays: &mut Vec<Oneway>,
+    ) -> Result<Box<dyn Proxy>, RpcError> {
+        let record = self
+            .ns
+            .resolve_async(cx, service, Some(&mut oneways_into(strays)))
+            .await?;
         let spec_v = record
             .meta
             .get("spec")
@@ -131,7 +146,8 @@ impl Binder {
             .ok_or(RpcError::Wire(WireError::MissingField("iface")))?;
         let spec = ProxySpec::from_value(spec_v)?;
         let iface = InterfaceDesc::from_value(iface_v)?;
-        self.instantiate(cx, service, &record, spec, iface).await
+        self.instantiate(cx, service, &record, spec, iface, strays)
+            .await
     }
 
     /// Binds, retrying while the name is not yet registered (services
@@ -145,10 +161,11 @@ impl Binder {
         cx: AsyncCx,
         service: &str,
         within: std::time::Duration,
+        strays: &mut Vec<Oneway>,
     ) -> Result<Box<dyn Proxy>, RpcError> {
         let deadline = cx.with(|cx| cx.now()) + within;
         loop {
-            match self.bind(cx, service).await {
+            match self.bind(cx, service, strays).await {
                 Ok(p) => return Ok(p),
                 Err(e) if naming::is_not_found(&e) && cx.with(|cx| cx.now()) < deadline => {
                     self.ns.forget(service);
@@ -166,42 +183,36 @@ impl Binder {
         record: &NameRecord,
         spec: ProxySpec,
         iface: InterfaceDesc,
+        strays: &mut Vec<Oneway>,
     ) -> Result<Box<dyn Proxy>, RpcError> {
-        let server = record.endpoint;
-        match spec {
-            ProxySpec::Stub => Ok(Box::new(StubProxy::new(service, server, self.ns_ep, iface))),
-            ProxySpec::Caching(params) => Ok(Box::new(
-                CachingProxy::bind(cx, service, server, self.ns_ep, iface, params).await?,
-            )),
-            ProxySpec::Migratory { threshold } => Ok(Box::new(MigratoryProxy::new(
-                service,
-                server,
-                self.ns_ep,
-                iface,
-                self.factories.clone(),
-                threshold,
-            ))),
-            ProxySpec::Adaptive(params) => Ok(Box::new(
-                AdaptiveProxy::bind(cx, service, server, self.ns_ep, iface, params).await?,
-            )),
-            ProxySpec::Replicated { .. } => {
-                // The replica proxy lives in the `replication` crate; it
-                // registers itself here under this custom kind.
-                let params = spec.to_value();
-                (self.bind_custom(cx, "replicated", service, record, &iface, &params)).await
+        let (server, ns) = (record.endpoint, self.ns_ep);
+        let (kind, params) = match spec {
+            ProxySpec::Stub => return Ok(Box::new(StubProxy::new(service, server, ns, iface))),
+            ProxySpec::Caching(params) => {
+                let p = CachingProxy::bind(cx, service, server, ns, iface, params, strays).await?;
+                return Ok(Box::new(p));
+            }
+            ProxySpec::Migratory { threshold } => {
+                let factories = self.factories.clone();
+                let p = MigratoryProxy::new(service, server, ns, iface, factories, threshold);
+                return Ok(Box::new(p));
+            }
+            ProxySpec::Adaptive(params) => {
+                let p = AdaptiveProxy::bind(cx, service, server, ns, iface, params, strays).await?;
+                return Ok(Box::new(p));
             }
             ProxySpec::Bulk { inner, params } => {
-                let mut bulk = BulkEngine::new(params, self.ns_ep);
+                let mut bulk = BulkEngine::new(params, ns);
                 bulk.set_route(self.bulk_route.clone());
-                match *inner {
+                return match *inner {
                     ProxySpec::Stub => {
-                        let mut p = StubProxy::new(service, server, self.ns_ep, iface);
+                        let mut p = StubProxy::new(service, server, ns, iface);
                         p.enable_bulk(bulk);
                         Ok(Box::new(p))
                     }
                     ProxySpec::Caching(cp) => {
                         let mut p =
-                            CachingProxy::bind(cx, service, server, self.ns_ep, iface, cp).await?;
+                            CachingProxy::bind(cx, service, server, ns, iface, cp, strays).await?;
                         p.enable_bulk(bulk);
                         Ok(Box::new(p))
                     }
@@ -209,25 +220,14 @@ impl Binder {
                         expected: "bulk inner spec of kind stub or caching",
                         actual: other.kind(),
                     })),
-                }
+                };
             }
-            ProxySpec::Custom { kind, params } => {
-                self.bind_custom(cx, &kind, service, record, &iface, &params)
-                    .await
-            }
-        }
-    }
-
-    async fn bind_custom(
-        &mut self,
-        cx: AsyncCx,
-        kind: &str,
-        service: &str,
-        record: &NameRecord,
-        iface: &InterfaceDesc,
-        params: &Value,
-    ) -> Result<Box<dyn Proxy>, RpcError> {
-        let ctor = self.proxy_ctors.get(kind).cloned().ok_or_else(|| {
+            // The replica proxy lives in the `replication` crate; it
+            // registers itself here under this custom kind.
+            ProxySpec::Replicated { .. } => ("replicated".to_owned(), spec.to_value()),
+            ProxySpec::Custom { kind, params } => (kind, params),
+        };
+        let ctor = self.proxy_ctors.get(&kind).cloned().ok_or_else(|| {
             RpcError::Remote(rpc::RemoteError::new(
                 rpc::ErrorCode::Unavailable,
                 format!("no proxy implementation registered for kind `{kind}`"),
@@ -236,11 +236,11 @@ impl Binder {
         let bind_ctx = BindContext {
             service,
             record,
-            iface,
-            params,
-            ns: self.ns_ep,
+            iface: &iface,
+            params: &params,
+            ns,
             factories: &self.factories,
         };
-        ctor(cx, bind_ctx).await
+        ctor(cx, bind_ctx, strays).await
     }
 }

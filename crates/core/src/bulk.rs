@@ -29,7 +29,9 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use naming::NameClient;
-use rpc::{CallHandle, Channel, ChannelConfig, ErrorCode, Oneway, RemoteError, RpcError};
+use rpc::{
+    oneways_into, CallHandle, Channel, ChannelConfig, ErrorCode, Oneway, RemoteError, RpcError,
+};
 use simnet::{AsyncCx, Endpoint};
 use wire::{BlobRef, Value};
 
@@ -176,9 +178,10 @@ impl BlobClient {
     }
 
     /// Stages `calls` on the client's channel and waits for them all: the
-    /// channel comes out of the client for the transfer, its one-ways go
-    /// to `strays`, and it goes back unless a call failed. Each call's
-    /// reply goes to `each` in staging order.
+    /// channel comes out of the client for the transfer, the one-ways that
+    /// arrive meanwhile (the store's resolve included) go to `strays`, and
+    /// it goes back unless a call failed. Each call's reply goes to `each`
+    /// in staging order.
     async fn transfer(
         &mut self,
         cx: AsyncCx,
@@ -189,7 +192,10 @@ impl BlobClient {
         let mut ch = match self.channel.take() {
             Some(ch) => ch,
             None => {
-                let rec = self.ns.resolve_async(cx, &self.store).await?;
+                let rec = self
+                    .ns
+                    .resolve_async(cx, &self.store, Some(&mut oneways_into(strays)))
+                    .await?;
                 let cfg = ChannelConfig::with_depth(self.depth).batched(self.depth);
                 Channel::new(self.store.clone(), rec.endpoint, cfg)
             }
@@ -199,7 +205,8 @@ impl BlobClient {
                 .map(|(op, args)| ch.begin_call(cx, op, args))
                 .collect()
         });
-        ch.wait_async(cx, None, None).await?;
+        ch.wait_async(cx, None, Some(&mut oneways_into(strays)))
+            .await?;
         let mut result = Ok(());
         for h in handles {
             let taken = ch.try_take(h).expect("every call settled");
@@ -207,7 +214,6 @@ impl BlobClient {
                 result = Err(e);
             }
         }
-        strays.extend(ch.take_strays());
         if result.is_ok() {
             self.channel = Some(ch);
         }

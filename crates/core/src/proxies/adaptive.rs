@@ -49,12 +49,14 @@ impl AdaptiveProxy {
         ns: Endpoint,
         iface: InterfaceDesc,
         params: AdaptiveParams,
+        strays: &mut Vec<Oneway>,
     ) -> Result<AdaptiveProxy, RpcError> {
         // Start unsubscribed regardless of the caching params' coherence:
         // we subscribe only when caching turns on.
         let mut caching = params.caching.clone();
         caching.coherence = crate::spec::Coherence::Lease(std::time::Duration::ZERO);
-        let mut inner = CachingProxy::bind(cx, service, server, ns, iface.clone(), caching).await?;
+        let mut inner =
+            CachingProxy::bind(cx, service, server, ns, iface.clone(), caching, strays).await?;
         // Restore the real parameters for when caching turns on.
         inner.set_params(params.caching.clone());
         Ok(AdaptiveProxy {
@@ -94,7 +96,7 @@ impl AdaptiveProxy {
         }
     }
 
-    async fn maybe_switch(&mut self, cx: AsyncCx) {
+    async fn maybe_switch(&mut self, cx: AsyncCx, strays: &mut Vec<Oneway>) {
         // Wait for a meaningful sample before the first switch.
         if self.window.len() < self.params.window / 2 {
             return;
@@ -102,7 +104,7 @@ impl AdaptiveProxy {
         let frac = self.read_fraction();
         if !self.caching_on && frac >= self.params.enable_at {
             let ready = if self.params.caching.coherence.subscribes() {
-                self.inner.subscribe(cx).await.is_ok()
+                self.inner.subscribe(cx, strays).await.is_ok()
             } else {
                 true // lease-only coherence needs no server cooperation
             };
@@ -111,7 +113,7 @@ impl AdaptiveProxy {
                 self.switches += 1;
             }
         } else if self.caching_on && frac <= self.params.disable_at {
-            let _ = self.inner.unsubscribe(cx).await;
+            let _ = self.inner.unsubscribe(cx, strays).await;
             self.inner.clear();
             self.caching_on = false;
             self.switches += 1;
@@ -134,7 +136,7 @@ impl Proxy for AdaptiveProxy {
         Box::pin(async move {
             let is_read = matches!(self.iface.op(op), Some(d) if d.kind == OpKind::Read);
             self.record(is_read);
-            self.maybe_switch(cx).await;
+            self.maybe_switch(cx, strays).await;
             if self.caching_on {
                 self.inner.invoke_cached(cx, op, args, strays).await
             } else {
@@ -147,8 +149,8 @@ impl Proxy for AdaptiveProxy {
         self.inner.on_oneway(ctx, oneway);
     }
 
-    fn detach(&mut self, cx: AsyncCx) -> ProxyFuture<'_, ()> {
-        self.inner.detach(cx)
+    fn detach<'a>(&'a mut self, cx: AsyncCx, strays: &'a mut Vec<Oneway>) -> ProxyFuture<'a, ()> {
+        self.inner.detach(cx, strays)
     }
 
     fn stats(&self) -> ProxyStats {

@@ -18,7 +18,7 @@
 //! The proxy always invalidates its own tag on its own writes, so a
 //! client reads its own writes regardless of mode.
 
-use rpc::{endpoint_to_value, Oneway, RpcError};
+use rpc::{endpoint_to_value, oneways_into, Oneway, RpcError};
 use simnet::{AsyncCx, Ctx, Endpoint};
 use wire::Value;
 
@@ -43,7 +43,8 @@ pub struct CachingProxy {
 
 impl CachingProxy {
     /// Creates the proxy and, if the coherence mode calls for it,
-    /// subscribes for invalidations.
+    /// subscribes for invalidations. One-way notifications that arrive
+    /// while it subscribes go into `strays`.
     ///
     /// # Errors
     ///
@@ -55,6 +56,7 @@ impl CachingProxy {
         ns: Endpoint,
         iface: InterfaceDesc,
         params: CachingParams,
+        strays: &mut Vec<Oneway>,
     ) -> Result<CachingProxy, RpcError> {
         let mut proxy = CachingProxy {
             remote: Remote::new(service, server, ns, iface),
@@ -62,20 +64,28 @@ impl CachingProxy {
             cache: ReadCache::new(params.clone()),
         };
         if params.coherence.subscribes() {
-            proxy.subscribe(cx).await?;
+            proxy.subscribe(cx, strays).await?;
         }
         Ok(proxy)
     }
 
     /// Subscribes (`OP_SUBSCRIBE`) or unsubscribes for invalidation
-    /// pushes.
+    /// pushes, handing the one-ways that arrive meanwhile to `strays`.
     ///
     /// # Errors
     ///
     /// Any [`RpcError`] from the call.
-    async fn subscription(&mut self, cx: AsyncCx, op: &str) -> Result<(), RpcError> {
+    async fn subscription(
+        &mut self,
+        cx: AsyncCx,
+        op: &str,
+        strays: &mut Vec<Oneway>,
+    ) -> Result<(), RpcError> {
         let args = Value::record([("cb", endpoint_to_value(cx.with(|cx| cx.endpoint())))]);
-        self.remote.rpc.call_async(cx, op, args).await?;
+        self.remote
+            .rpc
+            .call(cx, "", op, args, Some(&mut oneways_into(strays)))
+            .await?;
         self.subscribed = op == protocol::OP_SUBSCRIBE;
         Ok(())
     }
@@ -85,8 +95,12 @@ impl CachingProxy {
     /// # Errors
     ///
     /// Any [`RpcError`] from the call.
-    pub(crate) async fn subscribe(&mut self, cx: AsyncCx) -> Result<(), RpcError> {
-        self.subscription(cx, protocol::OP_SUBSCRIBE).await
+    pub(crate) async fn subscribe(
+        &mut self,
+        cx: AsyncCx,
+        strays: &mut Vec<Oneway>,
+    ) -> Result<(), RpcError> {
+        self.subscription(cx, protocol::OP_SUBSCRIBE, strays).await
     }
 
     /// Cancels the invalidation subscription.
@@ -94,9 +108,16 @@ impl CachingProxy {
     /// # Errors
     ///
     /// Any [`RpcError`] from the call.
-    pub(crate) async fn unsubscribe(&mut self, cx: AsyncCx) -> Result<(), RpcError> {
+    pub(crate) async fn unsubscribe(
+        &mut self,
+        cx: AsyncCx,
+        strays: &mut Vec<Oneway>,
+    ) -> Result<(), RpcError> {
         match self.subscribed {
-            true => self.subscription(cx, protocol::OP_UNSUBSCRIBE).await,
+            true => {
+                self.subscription(cx, protocol::OP_UNSUBSCRIBE, strays)
+                    .await
+            }
             false => Ok(()),
         }
     }
@@ -260,9 +281,9 @@ impl Proxy for CachingProxy {
         self.handle_oneway(oneway);
     }
 
-    fn detach(&mut self, cx: AsyncCx) -> ProxyFuture<'_, ()> {
+    fn detach<'a>(&'a mut self, cx: AsyncCx, strays: &'a mut Vec<Oneway>) -> ProxyFuture<'a, ()> {
         Box::pin(async move {
-            let _ = self.unsubscribe(cx).await;
+            let _ = self.unsubscribe(cx, strays).await;
             self.clear();
         })
     }

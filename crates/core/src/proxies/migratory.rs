@@ -10,7 +10,7 @@
 //! a service may transparently relocate state toward its dominant user
 //! while clients keep calling through the same interface.
 
-use rpc::{ErrorCode, Oneway, RpcError};
+use rpc::{oneways_into, ErrorCode, Oneway, RpcError};
 use simnet::{AsyncCx, Ctx, Endpoint};
 use wire::Value;
 
@@ -87,7 +87,13 @@ impl MigratoryProxy {
                         // state straight back.
                         let args = Value::record([("state", state)]);
                         let _ = (self.remote.rpc)
-                            .call_async(cx, protocol::OP_CHECKIN, args)
+                            .call(
+                                cx,
+                                "",
+                                protocol::OP_CHECKIN,
+                                args,
+                                Some(&mut oneways_into(strays)),
+                            )
                             .await;
                     }
                 }
@@ -126,11 +132,15 @@ impl MigratoryProxy {
         }
     }
 
-    /// Checks a held object back in, if any, its strays dropped.
-    fn checkin_alone(&mut self, cx: AsyncCx) -> ProxyFuture<'_, ()> {
+    /// Checks a held object back in, if any.
+    fn checkin_alone<'a>(
+        &'a mut self,
+        cx: AsyncCx,
+        strays: &'a mut Vec<Oneway>,
+    ) -> ProxyFuture<'a, ()> {
         Box::pin(async move {
             if self.local.is_some() {
-                let _ = self.checkin(cx, &mut Vec::new()).await;
+                let _ = self.checkin(cx, strays).await;
             }
         })
     }
@@ -199,12 +209,12 @@ impl Proxy for MigratoryProxy {
         self.recall_requested && self.local.is_some()
     }
 
-    fn poll(&mut self, cx: AsyncCx) -> ProxyFuture<'_, ()> {
-        self.checkin_alone(cx)
+    fn poll<'a>(&'a mut self, cx: AsyncCx, strays: &'a mut Vec<Oneway>) -> ProxyFuture<'a, ()> {
+        self.checkin_alone(cx, strays)
     }
 
-    fn detach(&mut self, cx: AsyncCx) -> ProxyFuture<'_, ()> {
-        self.checkin_alone(cx)
+    fn detach<'a>(&'a mut self, cx: AsyncCx, strays: &'a mut Vec<Oneway>) -> ProxyFuture<'a, ()> {
+        self.checkin_alone(cx, strays)
     }
 
     fn stats(&self) -> ProxyStats {

@@ -1,7 +1,7 @@
 //! The remote end of a service, and the stub proxy that is nothing more.
 
 use naming::NameClient;
-use rpc::{endpoint_from_value, ErrorCode, Oneway, RpcClient, RpcError};
+use rpc::{endpoint_from_value, oneways_into, Channel, ChannelConfig, ErrorCode, Oneway, RpcError};
 use simnet::{AsyncCx, Endpoint};
 use wire::Value;
 
@@ -19,14 +19,14 @@ use crate::proxy::{Proxy, ProxyFuture, ProxyStats};
 /// may re-issue.
 pub type StubProxy = Remote;
 
-/// A service's remote end, as every proxy reaches it: the client that
+/// A service's remote end, as every proxy reaches it: the channel that
 /// calls it, the name service that rebinds it, its interface, the bulk
 /// plane if the service asked for one, and the proxy's counters.
 #[derive(Debug)]
 pub struct Remote {
     service: String,
     iface: InterfaceDesc,
-    pub(crate) rpc: RpcClient,
+    pub(crate) rpc: Channel,
     ns: NameClient,
     bulk: Option<BulkEngine>,
     pub(crate) stats: ProxyStats,
@@ -45,7 +45,7 @@ impl Remote {
         Remote {
             service: service.into(),
             iface,
-            rpc: RpcClient::new(server),
+            rpc: Channel::new("", server, ChannelConfig::with_depth(1)),
             ns: NameClient::new(ns),
             bulk: None,
             stats: ProxyStats::default(),
@@ -104,8 +104,9 @@ impl Remote {
         }
     }
 
-    /// Issues a call, collecting stray one-way notifications into
-    /// `strays`, following `Moved` redirects (forwarding pointers left by
+    /// Issues a call, collecting the one-way notifications that arrive
+    /// while it waits (the relookup's wait included) into `strays`,
+    /// following `Moved` redirects (forwarding pointers left by
     /// migration) and falling back to a fresh name-service lookup after
     /// a timeout.
     ///
@@ -133,8 +134,10 @@ impl Remote {
         let mut redirects = 0;
         let mut relookups = 0;
         loop {
-            let result = self.rpc.call_async(cx, op, args.clone()).await;
-            strays.extend(self.rpc.take_strays());
+            let result = self
+                .rpc
+                .call(cx, "", op, args.clone(), Some(&mut oneways_into(strays)))
+                .await;
             match result {
                 Err(RpcError::Remote(ref e)) if e.code == ErrorCode::Moved => {
                     if redirects >= MAX_REDIRECTS {
@@ -154,7 +157,13 @@ impl Remote {
                     // without a forwarder); ask the name service once.
                     relookups += 1;
                     self.ns.forget(&self.service);
-                    match Box::pin(self.ns.lookup_async(cx, &self.service)).await {
+                    match Box::pin(self.ns.lookup_async(
+                        cx,
+                        &self.service,
+                        Some(&mut oneways_into(strays)),
+                    ))
+                    .await
+                    {
                         Ok(rec) if rec.endpoint != self.rpc.server() => {
                             self.rpc.rebind(rec.endpoint);
                             self.stats.rebinds += 1;

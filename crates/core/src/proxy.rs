@@ -103,14 +103,16 @@ pub trait Proxy: Send {
         false
     }
 
-    /// Does the deferred work [`Proxy::deferred`] reported.
-    fn poll(&mut self, _cx: AsyncCx) -> ProxyFuture<'_, ()> {
+    /// Does the deferred work [`Proxy::deferred`] reported. One-way
+    /// notifications that arrive while it waits go into `strays`.
+    fn poll<'a>(&'a mut self, _cx: AsyncCx, _strays: &'a mut Vec<Oneway>) -> ProxyFuture<'a, ()> {
         Box::pin(async {})
     }
 
     /// Cleanly unbinds: unsubscribe, check state back in. Called by
-    /// [`crate::SessionCore::unbind`] and before client exit.
-    fn detach(&mut self, _cx: AsyncCx) -> ProxyFuture<'_, ()> {
+    /// [`crate::SessionCore::unbind`] and before client exit. One-way
+    /// notifications that arrive while it waits go into `strays`.
+    fn detach<'a>(&'a mut self, _cx: AsyncCx, _strays: &'a mut Vec<Oneway>) -> ProxyFuture<'a, ()> {
         Box::pin(async {})
     }
 

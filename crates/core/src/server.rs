@@ -46,8 +46,8 @@ use std::time::Duration;
 use naming::NameClient;
 use parking_lot::Mutex;
 use rpc::{
-    endpoint_from_value, send_oneway, ErrorCode, Fresh, Oneway, Packet, Pass, RemoteError, Request,
-    RpcClient, RpcError, RpcServer, Served,
+    endpoint_from_value, send_oneway, Channel, ChannelConfig, ErrorCode, Fresh, Oneway, Packet,
+    Pass, RemoteError, Request, RpcError, RpcServer, Served,
 };
 use simnet::{AsyncCx, Ctx, Endpoint, Message, NodeId, Simulation};
 use wire::Value;
@@ -287,7 +287,7 @@ pub enum Strays {
     /// retransmission of a started call is dropped, a fresh request is
     /// started and waits its turn. Anything else is dropped and counted.
     Queue,
-    /// Dropped and counted, requests included, as `RpcClient::call`
+    /// Dropped and counted, requests included, as a wait given no rule
     /// drops them.
     Drop,
     /// Requests are held raw — not decoded, deduplicated or spanned — and
@@ -372,8 +372,8 @@ struct Engine {
     in_service: VecDeque<Fresh>,
     /// Requests held raw by [`Strays::Hold`]; served before the mailbox.
     held: VecDeque<Message>,
-    /// The client of the latest call out.
-    client: Option<RpcClient>,
+    /// The channel of the latest call out.
+    client: Option<Channel>,
 }
 
 impl Io {
@@ -428,9 +428,9 @@ impl Io {
         self.call_on(false, to, op, args, strays).await
     }
 
-    /// As [`Io::call`], on the client that made the previous call to the
+    /// As [`Io::call`], on the channel that made the previous call to the
     /// same endpoint (its round-trip estimate included), as a blocking
-    /// caller retrying on one `RpcClient` does.
+    /// caller retrying on one channel does.
     pub async fn retry(
         &self,
         to: Endpoint,
@@ -458,7 +458,7 @@ impl Io {
         .await;
         let mut client = match self.engine.lock().client.take() {
             Some(client) if again && client.server() == to => client,
-            _ => RpcClient::new(to),
+            _ => Channel::new("", to, ChannelConfig::with_depth(1)),
         };
         let mut kept = Vec::new();
         let mut take = |ctx: &mut Ctx, packet: Option<Packet>, msg: Message| {
@@ -477,10 +477,7 @@ impl Io {
             }
             true
         };
-        let result = match client
-            .call_with(self.cx, "", op, args, Some(&mut take))
-            .await
-        {
+        let result = match client.call(self.cx, "", op, args, Some(&mut take)).await {
             Err(RpcError::Stopped) => std::future::pending().await,
             result => result,
         };

@@ -169,18 +169,26 @@ impl SessionCore {
     // -----------------------------------------------------------------
 
     /// Binds to `service`, waiting up to 100ms of virtual time for it to
-    /// register.
+    /// register, and then routes the one-ways that arrived while it
+    /// waited.
     ///
     /// # Errors
     ///
     /// See [`Binder::bind_wait`].
     pub async fn attach(&mut self, cx: AsyncCx, service: &str) -> Result<ProxyHandle, RpcError> {
-        let within = Duration::from_millis(100);
-        let proxy = self.binder.bind_wait(cx, service, within).await?;
-        let idx = self.proxies.len();
-        self.by_service.insert(proxy.service().to_owned(), idx);
-        self.proxies.push(proxy);
-        Ok(ProxyHandle(idx))
+        let (within, mut strays) = (Duration::from_millis(100), Vec::new());
+        let bound = self
+            .binder
+            .bind_wait(cx, service, within, &mut strays)
+            .await;
+        let handle = bound.map(|proxy| {
+            let idx = self.proxies.len();
+            self.by_service.insert(proxy.service().to_owned(), idx);
+            self.proxies.push(proxy);
+            ProxyHandle(idx)
+        });
+        cx.with(|cx| self.route(cx, strays));
+        handle
     }
 
     /// Invokes an operation through a bound proxy.
@@ -279,29 +287,38 @@ impl SessionCore {
         self.route(ctx, pending);
     }
 
-    /// Lets every proxy with deferred work do it.
+    /// Lets every proxy with deferred work do it, and routes the one-ways
+    /// that arrived meanwhile.
     async fn catch_up(&mut self, cx: AsyncCx) {
+        let mut strays = Vec::new();
         for p in &mut self.proxies {
             if p.deferred() {
-                p.poll(cx).await;
+                p.poll(cx, &mut strays).await;
             }
         }
+        cx.with(|cx| self.route(cx, strays));
     }
 
-    /// Cleanly detaches one proxy (unsubscribe, check state back in).
+    /// Cleanly detaches one proxy (unsubscribe, check state back in), and
+    /// routes the one-ways that arrived meanwhile.
     ///
     /// # Panics
     ///
     /// Panics if the handle did not come from this core.
     pub async fn detach(&mut self, cx: AsyncCx, handle: ProxyHandle) {
-        self.proxies[handle.0].detach(cx).await;
+        let mut strays = Vec::new();
+        self.proxies[handle.0].detach(cx, &mut strays).await;
+        cx.with(|cx| self.route(cx, strays));
     }
 
-    /// Detaches every proxy (call before client exit).
+    /// Detaches every proxy (call before client exit), and routes the
+    /// one-ways that arrived meanwhile.
     pub async fn close(&mut self, cx: AsyncCx) {
+        let mut strays = Vec::new();
         for p in &mut self.proxies {
-            p.detach(cx).await;
+            p.detach(cx, &mut strays).await;
         }
+        cx.with(|cx| self.route(cx, strays));
     }
 
     pub(crate) fn route(&mut self, ctx: &mut Ctx, oneways: Vec<Oneway>) {

@@ -16,9 +16,19 @@ use proxy_core::{
     CheckpointPolicy, FactoryRegistry, InterfaceDesc, OpDesc, ServiceBuilder, ServiceObject,
     SessionCore, StableStore,
 };
-use rpc::{ErrorCode, RemoteError, RpcClient, RpcError};
+use rpc::{Channel, ChannelConfig, ErrorCode, RemoteError, RpcError};
 use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, SimTime, Simulation, TraceEvent};
 use wire::Value;
+
+/// A channel to `to` for one plain call at a time.
+fn channel(to: Endpoint) -> Channel {
+    Channel::new("", to, ChannelConfig::with_depth(1))
+}
+
+/// One plain call of `op` on `ch`, the body blocked until it settles.
+fn call(ch: &mut Channel, ctx: &mut Ctx, op: &str) -> Result<Value, RpcError> {
+    ctx.block_on(|cx| ch.call(cx, "", op, Value::Null, None))
+}
 
 const MS: Duration = Duration::from_millis(1);
 
@@ -126,7 +136,7 @@ fn service_time_makes_the_context_a_fifo_server() {
         let done = Arc::clone(&done);
         sim.spawn(format!("caller-{node}"), NodeId(node), move |ctx| {
             sleep_until(ctx, start);
-            let nth = RpcClient::new(svc).call(ctx, "work", Value::Null).unwrap();
+            let nth = call(&mut channel(svc), ctx, "work").unwrap();
             let took = ctx.now().saturating_since(start);
             done.lock().unwrap().push((nth.as_u64().unwrap(), took));
         });
@@ -156,16 +166,13 @@ fn a_retransmission_during_a_long_service_time_is_answered_from_the_reply_cache(
         sleep_until(ctx, start);
         // The default policy's 10 ms floor retransmits at +10 ms, while
         // the call is still in service.
-        let mut client = RpcClient::new(svc);
-        assert_eq!(
-            client.call(ctx, "work", Value::Null).unwrap(),
-            Value::U64(1)
-        );
+        let mut client = channel(svc);
+        assert_eq!(call(&mut client, ctx, "work").unwrap(), Value::U64(1));
         assert_eq!(ctx.now().saturating_since(start), 16 * MS);
         assert_eq!(client.stats.retries, 1);
         // The duplicate's answer is on its way; the handler ran once.
         ctx.sleep(5 * MS).unwrap();
-        assert_eq!(client.call(ctx, "get", Value::Null).unwrap(), Value::U64(1));
+        assert_eq!(call(&mut client, ctx, "get").unwrap(), Value::U64(1));
         c.store(1, Ordering::SeqCst);
     });
     sim.run();
@@ -298,7 +305,7 @@ fn crash_and_recover(threads: usize) -> (String, String) {
     )
 }
 
-/// At the parent: passes — the registration was a polled `RpcClient`
+/// At the parent: passes — the registration was a polled client
 /// call with a matcher of its own, which dropped and counted the same
 /// request.
 #[test]
@@ -311,12 +318,9 @@ fn a_request_that_finds_the_service_still_registering_is_dropped_counted_and_ret
     let c = Arc::clone(&checked);
     sim.spawn("client", NodeId(2), move |ctx| {
         ctx.sleep(20 * MS).unwrap();
-        let mut client = RpcClient::new(first);
+        let mut client = channel(first);
         for n in 1..=3 {
-            assert_eq!(
-                client.call(ctx, "work", Value::Null).unwrap(),
-                Value::U64(n)
-            );
+            assert_eq!(call(&mut client, ctx, "work").unwrap(), Value::U64(n));
         }
         assert!(ctx.kill(first));
         // The client knows the new endpoint before the name server does:
@@ -325,14 +329,11 @@ fn a_request_that_finds_the_service_still_registering_is_dropped_counted_and_ret
         // to hand it to; the retransmission 10 ms later is served.
         let reborn = recoverable(&store).spawn_from(ctx, NodeId(1), ns);
         let sent = ctx.now();
-        let mut client = RpcClient::new(reborn);
-        assert_eq!(
-            client.call(ctx, "work", Value::Null).unwrap(),
-            Value::U64(4)
-        );
+        let mut client = channel(reborn);
+        assert_eq!(call(&mut client, ctx, "work").unwrap(), Value::U64(4));
         assert_eq!(ctx.now().saturating_since(sent), 11 * MS);
         assert_eq!(client.stats.retries, 1);
-        assert_eq!(client.call(ctx, "get", Value::Null).unwrap(), Value::U64(4));
+        assert_eq!(call(&mut client, ctx, "get").unwrap(), Value::U64(4));
         c.store(1, Ordering::SeqCst);
     });
     sim.run();

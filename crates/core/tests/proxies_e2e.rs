@@ -537,18 +537,19 @@ fn custom_proxy_kind_via_factory() {
     sim.spawn("client", NodeId(2), move |ctx| {
         let mut rt = SessionCore::new(ns);
         let c2 = Arc::clone(&c);
-        rt.binder_mut().register_proxy("counting", move |_cx, bc| {
-            let proxy: Box<dyn Proxy> = Box::new(CountingProxy {
-                inner: proxy_core::proxies::StubProxy::new(
-                    bc.service,
-                    bc.record.endpoint,
-                    bc.ns,
-                    bc.iface.clone(),
-                ),
-                count: Arc::clone(&c2),
+        rt.binder_mut()
+            .register_proxy("counting", move |_cx, bc, _strays| {
+                let proxy: Box<dyn Proxy> = Box::new(CountingProxy {
+                    inner: proxy_core::proxies::StubProxy::new(
+                        bc.service,
+                        bc.record.endpoint,
+                        bc.ns,
+                        bc.iface.clone(),
+                    ),
+                    count: Arc::clone(&c2),
+                });
+                Box::pin(std::future::ready(Ok(proxy)))
             });
-            Box::pin(std::future::ready(Ok(proxy)))
-        });
         let kv = rt.bind(ctx, "kv").unwrap();
         for _ in 0..7 {
             rt.invoke(ctx, kv, "len", Value::Null).unwrap();

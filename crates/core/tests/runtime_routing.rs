@@ -205,6 +205,85 @@ fn pump_counts_the_late_duplicates_and_unroutable_one_ways_it_drops() {
     assert!(dropped >= 3, "the pump dropped {dropped} datagrams unseen");
 }
 
+/// What a client's second read of `k` at `a` returns, and the
+/// invalidations its proxy took, when `k` is overwritten while the client
+/// binds `b` between its two reads: its link to the name server is 20 ms
+/// each way, so the bind's lookup waits 40 ms, and the write's
+/// invalidation arrives in the middle of that wait. The client is a
+/// blocking body, or (with `async_body`) an `async` one on the engine.
+fn second_read_after_a_bind(async_body: bool) -> (Value, u64) {
+    const WRITE_AT: Duration = Duration::from_millis(70);
+    let mut sim = Simulation::new(NetworkConfig::lan(), 16);
+    sim.net()
+        .set_link_latency(NodeId(2), NodeId(0), Duration::from_millis(20));
+    let ns = spawn_name_server(&sim, NodeId(0));
+    let caching = ProxySpec::Caching(CachingParams {
+        coherence: Coherence::Invalidate,
+        capacity: 64,
+    });
+    let kv_store = || Box::new(services::kv::KvStore::new()) as Box<dyn ServiceObject>;
+    (ServiceBuilder::new("a").spec(caching).object(kv_store)).spawn(&sim, NodeId(1), ns);
+    (ServiceBuilder::new("b")
+        .spec(ProxySpec::Stub)
+        .object(kv_store))
+    .spawn(&sim, NodeId(3), ns);
+    let seen = Arc::new(std::sync::Mutex::new(None));
+    let out = Arc::clone(&seen);
+    // The bind of `b` must straddle the write for the test to mean
+    // anything.
+    let check_straddles = |before: simnet::SimTime, after: simnet::SimTime| {
+        let write = simnet::SimTime::ZERO + WRITE_AT;
+        assert!(before < write && write < after, "{before:?}..{after:?}");
+    };
+    if async_body {
+        sim.spawn_async("client", NodeId(2), move |cx| async move {
+            let mut core = SessionCore::new(ns);
+            let a = core.attach(cx, "a").await.unwrap();
+            assert_eq!(
+                core.call(cx, a, "get", key("k")).await,
+                Ok(Value::str("v1"))
+            );
+            let before = cx.with(|cx| cx.now());
+            core.attach(cx, "b").await.unwrap();
+            check_straddles(before, cx.with(|cx| cx.now()));
+            let again = core.call(cx, a, "get", key("k")).await.unwrap();
+            *out.lock().unwrap() = Some((again, core.stats(a).invalidations_rx));
+        });
+    } else {
+        sim.spawn("client", NodeId(2), move |ctx| {
+            let mut core = SessionCore::new(ns);
+            let a = core.bind(ctx, "a").unwrap();
+            assert_eq!(core.invoke(ctx, a, "get", key("k")), Ok(Value::str("v1")));
+            let before = ctx.now();
+            core.bind(ctx, "b").unwrap();
+            check_straddles(before, ctx.now());
+            let again = core.invoke(ctx, a, "get", key("k")).unwrap();
+            *out.lock().unwrap() = Some((again, core.stats(a).invalidations_rx));
+        });
+    }
+    sim.spawn("writer", NodeId(4), move |ctx| {
+        let mut core = SessionCore::new(ns);
+        let a = core.bind(ctx, "a").unwrap();
+        core.invoke(ctx, a, "put", kv("k", "v1")).unwrap();
+        ctx.sleep(WRITE_AT.saturating_sub(ctx.now().saturating_since(simnet::SimTime::ZERO)))
+            .unwrap();
+        core.invoke(ctx, a, "put", kv("k", "v2")).unwrap();
+    });
+    sim.run();
+    let seen = seen.lock().unwrap().take();
+    seen.expect("the client finished")
+}
+
+#[test]
+fn an_invalidation_that_arrives_while_a_blocking_client_binds_is_routed() {
+    assert_eq!(second_read_after_a_bind(false), (Value::str("v2"), 1));
+}
+
+#[test]
+fn an_invalidation_that_arrives_while_an_async_client_attaches_is_routed() {
+    assert_eq!(second_read_after_a_bind(true), (Value::str("v2"), 1));
+}
+
 #[test]
 fn a_bulk_spec_around_an_unsupported_inner_is_refused_and_the_core_stays_usable() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 15);

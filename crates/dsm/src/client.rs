@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rpc::{endpoint_to_value, RpcClient, RpcError};
+use rpc::{endpoint_to_value, Channel, ChannelConfig, RpcError};
 use simnet::{Ctx, Endpoint};
 use wire::Value;
 
@@ -67,7 +67,7 @@ pub struct DsmStats {
 /// forces a demotion.
 #[derive(Debug)]
 pub struct DsmClient {
-    manager: RpcClient,
+    manager: Channel,
     pager: Endpoint,
     cache: PageCache,
     page_size: usize,
@@ -84,7 +84,7 @@ impl DsmClient {
         let pager_cache = Arc::clone(&cache);
         let pager = spawn_pager(ctx, pager_cache);
         DsmClient {
-            manager: RpcClient::new(manager),
+            manager: Channel::new("", manager, ChannelConfig::with_depth(1)),
             pager,
             cache,
             page_size: 0, // learned on first fault
@@ -103,14 +103,11 @@ impl DsmClient {
         } else {
             proto::OP_FETCH_RO
         };
-        let reply = self.manager.call(
-            ctx,
-            op,
-            Value::record([
-                ("page", Value::U64(page.0.into())),
-                ("pager", endpoint_to_value(self.pager)),
-            ]),
-        )?;
+        let args = Value::record([
+            ("page", Value::U64(page.0.into())),
+            ("pager", endpoint_to_value(self.pager)),
+        ]);
+        let reply = ctx.block_on(|cx| self.manager.call(cx, "", op, args, None))?;
         let mut table = self.cache.lock();
         match reply.as_blob() {
             Some(bytes) => {

@@ -76,7 +76,7 @@ pub(crate) fn spawn_pager(ctx: &Ctx, cache: PageCache) -> Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpc::RpcClient;
+    use rpc::{Channel, ChannelConfig};
     use simnet::{NetworkConfig, NodeId, Simulation};
 
     #[test]
@@ -96,42 +96,42 @@ mod tests {
         });
         let c3 = Arc::clone(&cache);
         sim.spawn("manager", NodeId(1), move |ctx| {
-            let mut rpc = RpcClient::new(pager);
+            let mut rpc = Channel::new("", pager, ChannelConfig::with_depth(1));
+            let mut call = |ctx: &mut simnet::Ctx, op, args| {
+                ctx.block_on(|cx| rpc.call(cx, "", op, args, None))
+            };
             // Downgrade returns the bytes and leaves a Read mapping.
-            let v = rpc
-                .call(
-                    ctx,
-                    proto::OP_DOWNGRADE,
-                    Value::record([("page", Value::U64(3))]),
-                )
-                .unwrap();
+            let v = call(
+                ctx,
+                proto::OP_DOWNGRADE,
+                Value::record([("page", Value::U64(3))]),
+            )
+            .unwrap();
             assert_eq!(v.as_blob().unwrap().as_ref(), &[1, 2, 3]);
             assert_eq!(c3.lock().get(&PageId(3)).unwrap().mode, Mode::Read);
             // Surrender removes it and returns the bytes.
-            let v = rpc
-                .call(
-                    ctx,
-                    proto::OP_SURRENDER,
-                    Value::record([("page", Value::U64(3))]),
-                )
-                .unwrap();
+            let v = call(
+                ctx,
+                proto::OP_SURRENDER,
+                Value::record([("page", Value::U64(3))]),
+            )
+            .unwrap();
             assert_eq!(v.as_blob().unwrap().as_ref(), &[1, 2, 3]);
             assert!(c3.lock().is_empty());
             // Invalidate is idempotent on unmapped pages.
-            rpc.call(
+            call(
                 ctx,
                 proto::OP_INVALIDATE,
                 Value::record([("page", Value::U64(3))]),
             )
             .unwrap();
             // Surrendering an unmapped page is an error.
-            let err = rpc
-                .call(
-                    ctx,
-                    proto::OP_SURRENDER,
-                    Value::record([("page", Value::U64(3))]),
-                )
-                .unwrap_err();
+            let err = call(
+                ctx,
+                proto::OP_SURRENDER,
+                Value::record([("page", Value::U64(3))]),
+            )
+            .unwrap_err();
             assert!(
                 matches!(err, rpc::RpcError::Remote(ref e) if e.code == ErrorCode::NoSuchObject)
             );

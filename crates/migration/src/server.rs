@@ -6,7 +6,8 @@ use proxy_core::{
     ServiceServer, Strays,
 };
 use rpc::{
-    endpoint_from_value, endpoint_to_value, ErrorCode, RemoteError, Request, RpcClient, RpcError,
+    endpoint_from_value, endpoint_to_value, Channel, ChannelConfig, ErrorCode, RemoteError,
+    Request, RpcError,
 };
 use simnet::{Ctx, Endpoint, NodeId, Simulation};
 use wire::Value;
@@ -99,13 +100,10 @@ pub fn request_migration(
     host: Endpoint,
     target: NodeId,
 ) -> Result<Endpoint, MigrationError> {
-    let mut client = RpcClient::new(host);
-    let reply = client
-        .call(
-            ctx,
-            OP_MIGRATE,
-            Value::record([("node", Value::U64(target.0.into()))]),
-        )
+    let mut client = Channel::new("", host, ChannelConfig::with_depth(1));
+    let args = Value::record([("node", Value::U64(target.0.into()))]);
+    let reply = ctx
+        .block_on(|cx| client.call(cx, "", OP_MIGRATE, args, None))
         .map_err(MigrationError::Rpc)?;
     reply
         .get("ep")

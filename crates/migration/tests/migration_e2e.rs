@@ -236,8 +236,9 @@ fn locate_returns_current_home() {
         let h2 = request_migration(ctx, home, NodeId(3)).unwrap();
         let h3 = request_migration(ctx, h2, NodeId(4)).unwrap();
         // Ask the original (now twice-stale) host where the object is.
-        let mut c = rpc::RpcClient::new(home);
-        let v = c.call(ctx, migration::OP_LOCATE, Value::Null).unwrap();
+        let mut c = rpc::Channel::new("", home, rpc::ChannelConfig::with_depth(1));
+        let op = migration::OP_LOCATE;
+        let v = (ctx.block_on(|cx| c.call(cx, "", op, Value::Null, None))).unwrap();
         let located = rpc::endpoint_from_value(&v).unwrap();
         assert_eq!(located, h3, "resolve-mode forwarder should know the home");
     });

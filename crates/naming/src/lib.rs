@@ -43,7 +43,7 @@ pub use server::{spawn_name_server, NAME_SERVER_PORT};
 
 use std::collections::HashMap;
 
-use rpc::{endpoint_to_value, ErrorCode, RpcClient, RpcError};
+use rpc::{endpoint_to_value, Channel, ChannelConfig, ErrorCode, OnStray, RpcError};
 use simnet::{AsyncCx, Ctx, Endpoint};
 use wire::Value;
 
@@ -62,9 +62,13 @@ pub fn binding_args(name: &str, endpoint: Endpoint, meta: Value) -> Value {
 /// discovers a binding is stale (e.g. an RPC to the recorded endpoint
 /// times out or returns `Moved`) calls [`NameClient::forget`] and
 /// resolves again.
+///
+/// A lookup waits on the name server's reply, so it is told what to do
+/// with whatever else arrives meanwhile: a caller that routes one-ways
+/// hands it an [`OnStray`] rule, as to any [`Channel::call`].
 #[derive(Debug)]
 pub struct NameClient {
-    rpc: RpcClient,
+    rpc: Channel,
     cache: HashMap<String, NameRecord>,
     /// Cache hits served without contacting the name server.
     pub cache_hits: u64,
@@ -76,7 +80,7 @@ impl NameClient {
     /// Creates a client for the name server at `ns`.
     pub fn new(ns: Endpoint) -> NameClient {
         NameClient {
-            rpc: RpcClient::new(ns),
+            rpc: Channel::new("", ns, ChannelConfig::with_depth(1)),
             cache: HashMap::new(),
             cache_hits: 0,
             cache_misses: 0,
@@ -112,7 +116,7 @@ impl NameClient {
         meta: Value,
     ) -> Result<u64, RpcError> {
         let args = binding_args(name, endpoint, meta);
-        let rep = self.rpc.call_async(cx, "register", args).await?;
+        let rep = self.rpc.call(cx, "", "register", args, None).await?;
         Ok(rep.get_u64("gen")?)
     }
 
@@ -130,9 +134,8 @@ impl NameClient {
         endpoint: Endpoint,
         meta: Value,
     ) -> Result<u64, RpcError> {
-        let rep = self
-            .rpc
-            .call(ctx, "update", binding_args(name, endpoint, meta))?;
+        let args = binding_args(name, endpoint, meta);
+        let rep = ctx.block_on(|cx| self.rpc.call(cx, "", "update", args, None))?;
         self.cache.remove(name);
         Ok(rep.get_u64("gen")?)
     }
@@ -144,11 +147,8 @@ impl NameClient {
     /// [`ErrorCode::NoSuchObject`] if the name is unknown, or any
     /// transport error.
     pub fn unregister(&mut self, ctx: &mut Ctx, name: &str) -> Result<(), RpcError> {
-        self.rpc.call(
-            ctx,
-            "unregister",
-            Value::record([("name", Value::str(name))]),
-        )?;
+        let args = Value::record([("name", Value::str(name))]);
+        ctx.block_on(|cx| self.rpc.call(cx, "", "unregister", args, None))?;
         self.cache.remove(name);
         Ok(())
     }
@@ -161,17 +161,23 @@ impl NameClient {
     /// [`ErrorCode::NoSuchObject`] if the name is unknown, or any
     /// transport error.
     pub fn lookup(&mut self, ctx: &mut Ctx, name: &str) -> Result<NameRecord, RpcError> {
-        ctx.block_on(|cx| self.lookup_async(cx, name))
+        ctx.block_on(|cx| self.lookup_async(cx, name, None))
     }
 
-    /// [`NameClient::lookup`] for an `async` body.
+    /// [`NameClient::lookup`] for an `async` body, handing what arrives
+    /// meanwhile to `strays`.
     ///
     /// # Errors
     ///
     /// As [`NameClient::lookup`].
-    pub async fn lookup_async(&mut self, cx: AsyncCx, name: &str) -> Result<NameRecord, RpcError> {
+    pub async fn lookup_async(
+        &mut self,
+        cx: AsyncCx,
+        name: &str,
+        strays: Option<OnStray<'_>>,
+    ) -> Result<NameRecord, RpcError> {
         let args = Value::record([("name", Value::str(name))]);
-        let rec = NameRecord::from_value(&self.rpc.call_async(cx, "lookup", args).await?)?;
+        let rec = NameRecord::from_value(&self.rpc.call(cx, "", "lookup", args, strays).await?)?;
         self.cache.insert(name.to_owned(), rec.clone());
         Ok(rec)
     }
@@ -182,21 +188,27 @@ impl NameClient {
     ///
     /// Same as [`NameClient::lookup`] on a cache miss.
     pub fn resolve(&mut self, ctx: &mut Ctx, name: &str) -> Result<NameRecord, RpcError> {
-        ctx.block_on(|cx| self.resolve_async(cx, name))
+        ctx.block_on(|cx| self.resolve_async(cx, name, None))
     }
 
-    /// [`NameClient::resolve`] for an `async` body.
+    /// [`NameClient::resolve`] for an `async` body, handing what arrives
+    /// while it looks up to `strays`.
     ///
     /// # Errors
     ///
     /// As [`NameClient::resolve`].
-    pub async fn resolve_async(&mut self, cx: AsyncCx, name: &str) -> Result<NameRecord, RpcError> {
+    pub async fn resolve_async(
+        &mut self,
+        cx: AsyncCx,
+        name: &str,
+        strays: Option<OnStray<'_>>,
+    ) -> Result<NameRecord, RpcError> {
         if let Some(rec) = self.cache.get(name) {
             self.cache_hits += 1;
             return Ok(rec.clone());
         }
         self.cache_misses += 1;
-        self.lookup_async(cx, name).await
+        self.lookup_async(cx, name, strays).await
     }
 
     /// Drops a cached binding (after discovering it is stale).
@@ -210,7 +222,7 @@ impl NameClient {
     ///
     /// Any [`RpcError`] from the underlying call.
     pub fn list(&mut self, ctx: &mut Ctx) -> Result<Vec<String>, RpcError> {
-        let rep = self.rpc.call(ctx, "list", Value::Null)?;
+        let rep = ctx.block_on(|cx| self.rpc.call(cx, "", "list", Value::Null, None))?;
         let items = rep.get_list("names")?;
         Ok(items
             .iter()

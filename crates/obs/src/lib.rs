@@ -146,10 +146,9 @@ impl MetricsSnapshot {
     }
 }
 
-/// Client-side RPC counters (at-most-once caller).
-///
-/// Canonical definition; `rpc` re-exports it and each `RpcClient` keeps
-/// its own copy, while the registry aggregates across all clients.
+/// Client-side RPC counters (at-most-once caller), summed over every
+/// client channel by the registry. A channel counts its own in
+/// `rpc::ChannelStats`; nothing keeps a copy of this per client.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CallStats {
     /// Calls issued.

@@ -6,12 +6,11 @@
 //! replica's reply is older — giving each client monotonic reads and
 //! read-your-writes on top of primary/backup replication.
 
-use naming::NameClient;
 use proxy_core::{
     protocol, BindContext, Binder, InterfaceDesc, Proxy, ProxyFuture, ProxyStats, ReadTarget,
     SessionCore,
 };
-use rpc::{ErrorCode, Oneway, RpcClient, RpcError};
+use rpc::{oneways_into, Channel, ChannelConfig, ErrorCode, Oneway, RpcError};
 use simnet::{AsyncCx, Endpoint};
 use std::time::Duration;
 use wire::Value;
@@ -31,10 +30,8 @@ pub struct ReplicaProxyStats {
 #[derive(Debug)]
 pub struct ReplicaProxy {
     service: String,
-    primary: RpcClient,
-    reader: RpcClient,
-    #[allow(dead_code)]
-    ns: NameClient,
+    primary: Channel,
+    reader: Channel,
     iface: InterfaceDesc,
     /// Highest version this client has written or observed.
     min_version: u64,
@@ -46,7 +43,8 @@ pub struct ReplicaProxy {
 
 impl ReplicaProxy {
     /// Binds to a replicated service: probes every replica once and
-    /// chooses the fastest responder for reads.
+    /// chooses the fastest responder for reads. One-way notifications
+    /// that arrive while it probes go into `strays`.
     ///
     /// # Errors
     ///
@@ -54,11 +52,11 @@ impl ReplicaProxy {
     pub async fn bind(
         cx: AsyncCx,
         service: impl Into<String>,
-        ns: Endpoint,
         iface: InterfaceDesc,
         primary: Endpoint,
         replicas: &[Endpoint],
         read_target: ReadTarget,
+        strays: &mut Vec<Oneway>,
     ) -> Result<ReplicaProxy, RpcError> {
         let service = service.into();
         let nearest = match read_target {
@@ -66,16 +64,13 @@ impl ReplicaProxy {
             ReadTarget::Nearest => {
                 let mut best: Option<(Duration, Endpoint)> = None;
                 for &r in replicas {
-                    let mut probe = RpcClient::with_policy(
-                        r,
-                        rpc::RetryPolicy::no_retry(Duration::from_millis(50)),
-                    );
+                    let policy = rpc::RetryPolicy::no_retry(Duration::from_millis(50));
+                    let mut probe =
+                        Channel::new("", r, ChannelConfig::with_depth(1).with_policy(policy));
                     let t0 = cx.with(|cx| cx.now());
-                    if probe
-                        .call_async(cx, protocol::OP_PING, Value::Null)
-                        .await
-                        .is_ok()
-                    {
+                    let sink = &mut oneways_into(strays);
+                    let ping = probe.call(cx, "", protocol::OP_PING, Value::Null, Some(sink));
+                    if ping.await.is_ok() {
                         let rtt = cx.with(|cx| cx.now()) - t0;
                         if best.map(|(b, _)| rtt < b).unwrap_or(true) {
                             best = Some((rtt, r));
@@ -87,9 +82,8 @@ impl ReplicaProxy {
         };
         Ok(ReplicaProxy {
             service,
-            primary: RpcClient::new(primary),
-            reader: RpcClient::new(nearest),
-            ns: NameClient::new(ns),
+            primary: Channel::new("", primary, ChannelConfig::with_depth(1)),
+            reader: Channel::new("", nearest, ChannelConfig::with_depth(1)),
             iface,
             min_version: 0,
             stats: ProxyStats::default(),
@@ -104,15 +98,14 @@ impl ReplicaProxy {
     }
 
     async fn call_collecting(
-        rpc: &mut RpcClient,
+        rpc: &mut Channel,
         cx: AsyncCx,
         op: &str,
         args: Value,
         strays: &mut Vec<Oneway>,
     ) -> Result<Value, RpcError> {
-        let result = rpc.call_async(cx, op, args).await;
-        strays.extend(rpc.take_strays());
-        result
+        rpc.call(cx, "", op, args, Some(&mut oneways_into(strays)))
+            .await
     }
 
     fn unwrap_versioned(&mut self, reply: Value) -> Result<Value, RpcError> {
@@ -190,7 +183,7 @@ impl Proxy for ReplicaProxy {
 /// Registers the replica proxy constructor with a binder so that
 /// [`proxy_core::ProxySpec::Replicated`] bindings resolve.
 pub fn register_replica_proxy(binder: &mut Binder) {
-    binder.register_proxy("replicated", |cx, bc: BindContext<'_>| {
+    binder.register_proxy("replicated", |cx, bc: BindContext<'_>, strays| {
         Box::pin(async move {
             let proxy_core::ProxySpec::Replicated {
                 primary,
@@ -207,11 +200,11 @@ pub fn register_replica_proxy(binder: &mut Binder) {
             let proxy = ReplicaProxy::bind(
                 cx,
                 bc.service,
-                bc.ns,
                 iface,
                 primary,
                 &replicas,
                 read_target,
+                strays,
             );
             Ok(Box::new(proxy.await?) as Box<dyn Proxy>)
         })

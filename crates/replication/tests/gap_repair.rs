@@ -35,11 +35,14 @@ impl ServiceObject for Register {
 
 /// Reads a replica's version counter directly.
 fn replica_version(ctx: &mut Ctx, replica: simnet::Endpoint) -> u64 {
-    let mut raw = rpc::RpcClient::new(replica);
-    raw.call(ctx, "_ver", Value::Null)
-        .unwrap()
-        .as_u64()
-        .unwrap()
+    let v = read(ctx, replica, "_ver").unwrap();
+    v.as_u64().unwrap()
+}
+
+/// Calls `op` at a replica directly, on a channel of its own.
+fn read(ctx: &mut Ctx, replica: simnet::Endpoint, op: &str) -> Result<Value, rpc::RpcError> {
+    let mut raw = rpc::Channel::new("", replica, rpc::ChannelConfig::with_depth(1));
+    ctx.block_on(|cx| raw.call(cx, "", op, Value::Null, None))
 }
 
 #[test]
@@ -94,8 +97,7 @@ fn backup_catches_up_after_lost_async_updates() {
             "backup failed to repair the gap"
         );
         // And its object state matches, not just its counter.
-        let mut raw = rpc::RpcClient::new(backup);
-        let reply = raw.call(ctx, "read", Value::Null).unwrap();
+        let reply = read(ctx, backup, "read").unwrap();
         assert_eq!(reply.get("val"), Some(&Value::U64(7)));
     });
     sim.run();

@@ -192,10 +192,9 @@ fn writes_to_backup_redirect_to_primary() {
     sim.spawn("client", NodeId(3), move |ctx| {
         // Hand-build a raw RPC to the backup to verify the NotPrimary
         // error surface (a real proxy would never do this).
-        let mut raw = rpc::RpcClient::new(backup);
-        let err = raw
-            .call(ctx, "write", Value::record([("v", Value::U64(1))]))
-            .unwrap_err();
+        let mut raw = rpc::Channel::new("", backup, rpc::ChannelConfig::with_depth(1));
+        let args = Value::record([("v", Value::U64(1))]);
+        let err = (ctx.block_on(|cx| raw.call(cx, "", "write", args, None))).unwrap_err();
         match err {
             rpc::RpcError::Remote(e) => assert_eq!(e.code, ErrorCode::NotPrimary),
             other => panic!("expected NotPrimary, got {other:?}"),
@@ -221,8 +220,8 @@ fn sync_propagation_keeps_replicas_current() {
             .unwrap();
         // Read every replica directly: sync mode means none may lag.
         for &r in &replicas {
-            let mut raw = rpc::RpcClient::new(r);
-            let reply = raw.call(ctx, "read", Value::Null).unwrap();
+            let mut raw = rpc::Channel::new("", r, rpc::ChannelConfig::with_depth(1));
+            let reply = (ctx.block_on(|cx| raw.call(cx, "", "read", Value::Null, None))).unwrap();
             assert_eq!(reply.get("val"), Some(&Value::U64(42)));
             assert_eq!(reply.get_u64("ver").unwrap(), 1);
         }

@@ -2,18 +2,26 @@
 //! one endpoint.
 //!
 //! A [`Channel`] keeps up to [`ChannelConfig::pipeline_depth`] calls in
-//! flight against one server endpoint: [`Channel::begin_call`] stages a
-//! call and returns a [`CallHandle`]; [`Channel::wait_async`], the one
-//! wait loop, drives the channel until replies arrive (an `async` body
-//! awaits it, and [`Channel::wait`] / [`Channel::wait_all`] run it on a
-//! blocking body's stack through [`simnet::Ctx::block_on`]), and
-//! [`Channel::poll_wait`] / [`Channel::try_take`] do the same for
-//! poll-driven processes, completing on the reply's own delivery wake. Replies are matched by call id, each call keeps its
-//! own retransmission timer, and ids retransmit unchanged — so the
-//! server's per-client window gives at-most-once execution even though
-//! calls complete out of order. [`RpcClient`](crate::RpcClient) is this
-//! machine at depth 1 behind a blocking call: one call, one reply, one
-//! RTT.
+//! flight against one server endpoint. [`Channel::call`] is the one
+//! request–reply call: it stages a call under the caller's span, waits
+//! for it and hands back its result, one call and one round trip. A
+//! pipelining caller stages calls itself ([`Channel::begin_call`], each
+//! under an `Invoke` span of its own) and redeems the [`CallHandle`]s
+//! later. [`Channel::wait_async`], the one wait loop, drives the channel
+//! until replies arrive (an `async` body awaits it, and [`Channel::wait`]
+//! / [`Channel::wait_all`] run it on a blocking body's stack through
+//! [`simnet::Ctx::block_on`]), and [`Channel::poll_wait`] /
+//! [`Channel::try_take`] do the same for poll-driven processes,
+//! completing on the reply's own delivery wake. Replies are matched by
+//! call id, each call keeps its own retransmission timer, and ids
+//! retransmit unchanged — so the server's per-client window gives
+//! at-most-once execution even though calls complete out of order.
+//!
+//! Every wait hands what is not its reply to its caller. A wait that
+//! owns the mailbox is given an [`OnStray`] rule for the datagrams that
+//! are not the channel's — [`oneways_into`] collects the one-ways for a
+//! proxy to route — and one given no rule drops and counts each as it
+//! arrives ([`ChannelStats::discarded`]). Nothing is kept for later.
 //!
 //! On top of pipelining the channel *batches*: staged requests bound for
 //! the same endpoint coalesce into one [`Batch`] datagram (up to
@@ -76,7 +84,8 @@
 //!
 //! Every call begun through [`Channel::begin_call`] gets its own
 //! `Invoke` span (parented to the caller's active span), so causal traces
-//! show per-call latency even when the datagrams were shared.
+//! show per-call latency even when the datagrams were shared. A
+//! [`Channel::call`] opens none: its request carries the caller's span.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -166,10 +175,11 @@ pub struct ChannelStats {
     pub batched_calls: u64,
     /// Replies that matched no outstanding call.
     pub stale_replies: u64,
-    /// Non-reply datagrams discarded while the channel owned the mailbox
-    /// (`wait`/`poll`): stray requests, undecodable frames. A datagram
-    /// declined by [`Channel::offer`] stays with the caller and is not
-    /// counted here.
+    /// Non-reply datagrams discarded while the channel owned the mailbox,
+    /// as they arrived: all of them in a wait given no [`OnStray`] rule,
+    /// those the rule declined in one given a rule. A datagram declined
+    /// by [`Channel::offer`] stays with the caller and is not counted
+    /// here.
     pub discarded: u64,
 }
 
@@ -208,10 +218,24 @@ struct CallRec {
 }
 
 /// What a caller waiting on a channel does with a datagram that is not
-/// the channel's ([`Channel::wait_async`]): it is handed the datagram, with
-/// what it decoded to if it decoded, and says whether it took it. One it
-/// did not take is dropped and counted.
+/// the channel's ([`Channel::wait_async`], [`Channel::call`]): it is
+/// handed the datagram, with what it decoded to if it decoded, and says
+/// whether it took it. One it did not take is dropped and counted.
 pub type OnStray<'a> = &'a mut (dyn FnMut(&mut Ctx, Option<Packet>, Message) -> bool + Send);
+
+/// The [`OnStray`] rule that takes every one-way into `sink`, in arrival
+/// order, and declines everything else.
+pub fn oneways_into(
+    sink: &mut Vec<Oneway>,
+) -> impl FnMut(&mut Ctx, Option<Packet>, Message) -> bool + Send + '_ {
+    move |_, packet, _| match packet {
+        Some(Packet::Oneway(o)) => {
+            sink.push(o);
+            true
+        }
+        _ => false,
+    }
+}
 
 /// What [`Channel::absorb`] made of a datagram.
 enum Absorbed {
@@ -243,7 +267,6 @@ pub struct Channel {
     settled: HashMap<u64, Option<Result<Value, RemoteError>>>,
     /// Datagrams sent so far carrying requests.
     sends: u64,
-    strays: Vec<Oneway>,
     rtt: RttEstimator,
     /// Settled calls that had been retransmitted, oldest first.
     recent: VecDeque<(u64, Sent)>,
@@ -266,7 +289,6 @@ impl Channel {
             outstanding: 0,
             settled: HashMap::new(),
             sends: 0,
-            strays: Vec::new(),
             rtt: RttEstimator::default(),
             recent: VecDeque::new(),
             stats: ChannelStats::default(),
@@ -278,10 +300,11 @@ impl Channel {
         self.server
     }
 
-    /// Repoints the channel at a new server endpoint. The round-trip
-    /// estimate, and the retransmitted calls remembered for it, belong to
-    /// the old path and start over.
-    pub(crate) fn rebind(&mut self, server: Endpoint) {
+    /// Repoints the channel at a new server endpoint (after a migration
+    /// or rebind). Late replies from the old server fail the source check
+    /// and count as stale. The round-trip estimate, and the retransmitted
+    /// calls remembered for it, belong to the old path and start over.
+    pub fn rebind(&mut self, server: Endpoint) {
         self.server = server;
         self.rtt = RttEstimator::default();
         self.recent.clear();
@@ -351,7 +374,7 @@ impl Channel {
     /// Stages a call whose request carries `span` and whose settling
     /// closes `close`: the same span if it is the channel's to close,
     /// none if `span` is the caller's.
-    pub(crate) fn stage(
+    fn stage(
         &mut self,
         ctx: &mut Ctx,
         object: &str,
@@ -630,22 +653,12 @@ impl Channel {
         Absorbed::Replies
     }
 
-    /// Counts a datagram (or batch item) nobody wanted.
-    pub(crate) fn discard(&mut self, ctx: &mut Ctx) {
+    /// Counts a datagram (or batch item) nobody wanted. A process that
+    /// also serves requests must receive for itself and use
+    /// [`Channel::offer`], or its requests end up here.
+    fn discard(&mut self, ctx: &mut Ctx) {
         self.stats.discarded += 1;
         ctx.obs().on_stray_dropped();
-    }
-
-    /// What `wait`/`poll` do with a datagram the channel declined while
-    /// it owned the mailbox: a one-way is kept for
-    /// [`Channel::take_strays`]; anything else is dropped and counted. A
-    /// process that also serves requests must receive for itself and use
-    /// [`Channel::offer`], or its requests end up here.
-    fn keep_oneway(&mut self, ctx: &mut Ctx, declined: Option<Packet>) {
-        match declined {
-            Some(Packet::Oneway(o)) => self.strays.push(o),
-            _ => self.discard(ctx),
-        }
     }
 
     /// Receive-free progress for a process that owns its mailbox: sends
@@ -674,10 +687,10 @@ impl Channel {
     /// Waits until `target` settles (with `None`, until every staged call
     /// has): the one wait loop. Each turn sends what the window has room
     /// for and fires due timers, then receives until the next deadline. A
-    /// datagram that is not the channel's goes to `strays` if given;
-    /// without it, a one-way is kept for [`Channel::take_strays`] and
-    /// anything else is dropped and counted. A settled target returns at
-    /// once; its result stays claimable ([`Channel::try_take`]).
+    /// datagram that is not the channel's goes to `strays` if given, and
+    /// is dropped and counted if not, or if `strays` declines it. A
+    /// settled target returns at once; its result stays claimable
+    /// ([`Channel::try_take`]).
     ///
     /// # Errors
     ///
@@ -697,18 +710,69 @@ impl Channel {
                     let Absorbed::Declined(packet) = self.absorb(cx, &msg) else {
                         return;
                     };
-                    match strays.as_deref_mut() {
-                        Some(take) => {
-                            if !take(cx, packet, msg) {
-                                self.discard(cx);
-                            }
-                        }
-                        None => self.keep_oneway(cx, packet),
+                    if !strays
+                        .as_deref_mut()
+                        .is_some_and(|take| take(cx, packet, msg))
+                    {
+                        self.discard(cx);
                     }
                 });
             }
         }
         Ok(())
+    }
+
+    /// Calls `op` on `object` (`""` for the server's default object) and
+    /// returns its result: the one request–reply call. The call opens no
+    /// span of its own — the request carries the caller's — and while it
+    /// waits, a datagram that is not its reply goes to `strays` as in
+    /// [`Channel::wait_async`]: dropped and counted without a rule.
+    ///
+    /// ```
+    /// use simnet::{Simulation, NetworkConfig, NodeId, PortId};
+    /// use rpc::{Channel, ChannelConfig, RpcServer, RemoteError, ErrorCode};
+    /// use wire::Value;
+    ///
+    /// let mut sim = Simulation::new(NetworkConfig::lan(), 1);
+    /// let server = sim.spawn_at("adder", NodeId(0), PortId(10), |ctx| {
+    ///     let mut srv = RpcServer::new();
+    ///     srv.serve(ctx, |_ctx, req| match req.op.as_str() {
+    ///         "add" => {
+    ///             let a = req.args.get_u64("a").map_err(|_| RemoteError::new(ErrorCode::BadArgs, "a"))?;
+    ///             let b = req.args.get_u64("b").map_err(|_| RemoteError::new(ErrorCode::BadArgs, "b"))?;
+    ///             Ok(Value::U64(a + b))
+    ///         }
+    ///         _ => Err(RemoteError::new(ErrorCode::NoSuchOp, req.op.clone())),
+    ///     }, |_ctx, _oneway| {});
+    /// });
+    /// sim.spawn("client", NodeId(1), move |ctx| {
+    ///     let mut ch = Channel::new("", server, ChannelConfig::with_depth(1));
+    ///     let args = Value::record([("a", Value::U64(2)), ("b", Value::U64(3))]);
+    ///     let sum = ctx.block_on(|cx| ch.call(cx, "", "add", args, None)).unwrap();
+    ///     assert_eq!(sum, Value::U64(5));
+    /// });
+    /// sim.run();
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// * [`RpcError::Timeout`] — no reply within the retry budget.
+    /// * [`RpcError::Remote`] — the server executed and reported failure.
+    /// * [`RpcError::Stopped`] — simulation shutdown.
+    pub async fn call(
+        &mut self,
+        cx: AsyncCx,
+        object: &str,
+        op: &str,
+        args: Value,
+        strays: Option<OnStray<'_>>,
+    ) -> Result<Value, RpcError> {
+        let call = cx.with(|cx| {
+            let span = cx.current_span();
+            self.stage(cx, object, op, args, span, obs::SpanId::NONE)
+        });
+        self.wait_async(cx, Some(call), strays).await?;
+        self.claim(call)
     }
 
     /// Waits for one call to settle and returns its result. Consumes the
@@ -726,7 +790,7 @@ impl Channel {
     }
 
     /// Hands out the result of a settled call, once.
-    pub(crate) fn claim(&mut self, h: CallHandle) -> Result<Value, RpcError> {
+    fn claim(&mut self, h: CallHandle) -> Result<Value, RpcError> {
         match self.settled.remove(&h.0) {
             Some(Some(result)) => result.map_err(RpcError::Remote),
             _ => Err(RpcError::Timeout {
@@ -747,7 +811,8 @@ impl Channel {
     }
 
     /// Non-blocking progress: sends staged calls, fires due timers, and
-    /// absorbs whatever already sits in the mailbox.
+    /// absorbs whatever already sits in the mailbox, dropping and
+    /// counting what is not the channel's.
     ///
     /// # Errors
     ///
@@ -755,8 +820,8 @@ impl Channel {
     pub fn poll(&mut self, ctx: &mut Ctx) -> Result<(), RpcError> {
         self.tick(ctx);
         while let Some(msg) = ctx.try_recv()? {
-            if let Absorbed::Declined(packet) = self.absorb(ctx, &msg) {
-                self.keep_oneway(ctx, packet);
+            if let Absorbed::Declined(_) = self.absorb(ctx, &msg) {
+                self.discard(ctx);
             }
         }
         self.flush(ctx);
@@ -814,13 +879,6 @@ impl Channel {
             Some(result) => simnet::Poll::Ready(result),
             None => simnet::Poll::Pending,
         }
-    }
-
-    /// Takes the one-way notifications (invalidations, recalls) that
-    /// arrived while the channel was pumping. Callers route them to
-    /// their proxies.
-    pub fn take_strays(&mut self) -> Vec<Oneway> {
-        std::mem::take(&mut self.strays)
     }
 }
 

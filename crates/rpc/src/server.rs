@@ -613,7 +613,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::RpcClient;
+    use crate::{Channel, ChannelConfig};
     use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 
     fn ep(n: u32, p: u32) -> Endpoint {
@@ -725,10 +725,13 @@ mod tests {
             })
             .collect();
         sim.spawn("client", NodeId(2), move |ctx| {
-            let mut clients: Vec<_> = servers.iter().map(|&s| RpcClient::new(s)).collect();
+            let mut clients: Vec<_> = (servers.iter())
+                .map(|&s| Channel::new("", s, ChannelConfig::with_depth(1)))
+                .collect();
             for round in 1..=150u64 {
                 for c in &mut clients {
-                    assert_eq!(c.call(ctx, "inc", Value::Null), Ok(Value::U64(round)));
+                    let got = ctx.block_on(|cx| c.call(cx, "", "inc", Value::Null, None));
+                    assert_eq!(got, Ok(Value::U64(round)));
                 }
             }
         });

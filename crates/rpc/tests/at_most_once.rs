@@ -6,11 +6,21 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rpc::{
-    Channel, ChannelConfig, ErrorCode, Packet, RemoteError, Request, RetryPolicy, RpcClient,
-    RpcError, RpcServer, Served,
+    Channel, ChannelConfig, ErrorCode, Packet, RemoteError, Request, RetryPolicy, RpcError,
+    RpcServer, Served,
 };
-use simnet::{NetworkConfig, NodeId, PortId, Simulation};
+use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
+
+/// A channel to `server` for one plain call at a time.
+fn client(server: Endpoint, policy: RetryPolicy) -> Channel {
+    Channel::new("", server, ChannelConfig::with_depth(1).with_policy(policy))
+}
+
+/// One plain call of `op` on `ch`, the body blocked until it settles.
+fn call(ch: &mut Channel, ctx: &mut Ctx, op: &str, args: Value) -> Result<Value, RpcError> {
+    ctx.block_on(|cx| ch.call(cx, "", op, args, None))
+}
 
 /// Spawns a counter server whose `inc` op is deliberately non-idempotent;
 /// returns the shared execution counter.
@@ -46,9 +56,9 @@ fn calls_execute_exactly_once_on_clean_network() {
     let ok = Arc::new(AtomicU64::new(0));
     let ok2 = Arc::clone(&ok);
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut c = RpcClient::new(server);
+        let mut c = client(server, RetryPolicy::default());
         for i in 1..=50u64 {
-            let v = c.call(ctx, "inc", Value::Null).unwrap();
+            let v = call(&mut c, ctx, "inc", Value::Null).unwrap();
             assert_eq!(v, Value::U64(i));
         }
         assert_eq!(c.stats.retries, 0);
@@ -75,9 +85,9 @@ fn every_datagram_is_decoded_once() {
     sim.obs().enable_profile(64);
     let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut c = RpcClient::new(server);
+        let mut c = client(server, RetryPolicy::default());
         for _ in 0..50 {
-            c.call(ctx, "inc", Value::Null).unwrap();
+            call(&mut c, ctx, "inc", Value::Null).unwrap();
         }
     });
     sim.run();
@@ -135,12 +145,12 @@ fn lossy_network_retries_but_never_double_executes() {
     let retries = Arc::new(AtomicU64::new(0));
     let (s2, r2) = (Arc::clone(&successes), Arc::clone(&retries));
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut c = RpcClient::with_policy(
+        let mut c = client(
             server,
             RetryPolicy::exponential(Duration::from_millis(5), 8),
         );
         for _ in 0..100 {
-            match c.call(ctx, "inc", Value::Null) {
+            match call(&mut c, ctx, "inc", Value::Null) {
                 Ok(_) => {
                     s2.fetch_add(1, Ordering::SeqCst);
                 }
@@ -176,9 +186,9 @@ fn duplicating_network_never_double_executes() {
     let mut sim = Simulation::new(NetworkConfig::lan().with_duplicate(0.5), 11);
     let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut c = RpcClient::new(server);
+        let mut c = client(server, RetryPolicy::default());
         for i in 1..=100u64 {
-            let v = c.call(ctx, "inc", Value::Null).unwrap();
+            let v = call(&mut c, ctx, "inc", Value::Null).unwrap();
             assert_eq!(v, Value::U64(i), "duplicate executed!");
         }
     });
@@ -195,7 +205,7 @@ fn a_blocked_client_counts_every_reply_it_cannot_use_and_every_stray_it_drops() 
     // together. It takes the first and returns; the next call finds the
     // other three in the mailbox.
     const CALLS: u64 = 10;
-    let expected = rpc::CallStats {
+    let expected = obs::CallStats {
         calls: CALLS,
         retries: 0,
         timeouts: 0,
@@ -204,22 +214,32 @@ fn a_blocked_client_counts_every_reply_it_cannot_use_and_every_stray_it_drops() 
     };
     let mut sim = Simulation::new(NetworkConfig::lan().with_duplicate(1.0), 17);
     let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
-    let client = sim.spawn_at("client", NodeId(1), PortId(5), move |ctx| {
-        let mut c = RpcClient::new(server);
+    let caller = sim.spawn_at("client", NodeId(1), PortId(5), move |ctx| {
+        let mut c = client(server, RetryPolicy::default());
         for i in 1..=CALLS {
             // Under a span of the caller's, so replies are correlated.
             let (kind, now) = (obs::SpanKind::Invoke, ctx.now().as_nanos());
             let span = (ctx.obs()).open_span(kind, obs::SpanId::NONE, "counter", "inc", now);
             ctx.set_current_span(span);
-            assert_eq!(c.call(ctx, "inc", Value::Null).unwrap(), Value::U64(i));
+            assert_eq!(
+                call(&mut c, ctx, "inc", Value::Null).unwrap(),
+                Value::U64(i)
+            );
             ctx.obs().close_span(span, ctx.now().as_nanos(), true);
         }
-        assert_eq!(c.stats, expected);
+        let seen = obs::CallStats {
+            calls: c.stats.calls,
+            retries: c.stats.retries,
+            timeouts: c.stats.timeouts,
+            stale_replies: c.stats.stale_replies,
+            strays_dropped: c.stats.discarded,
+        };
+        assert_eq!(seen, expected);
     });
     // While the first call waits (its replies arrive at 1 ms): a one-way
     // and a request nobody asked the client to serve, two copies of each.
     sim.spawn("intruder", NodeId(2), move |ctx| {
-        rpc::send_oneway(ctx, client, "poke", &Value::Null);
+        rpc::send_oneway(ctx, caller, "poke", &Value::Null);
         let request = Request {
             call_id: 1,
             reply_to: ctx.endpoint(),
@@ -228,7 +248,7 @@ fn a_blocked_client_counts_every_reply_it_cannot_use_and_every_stray_it_drops() 
             args: Value::Null,
             span: 0,
         };
-        ctx.send(client, request.to_bytes());
+        ctx.send(caller, request.to_bytes());
     });
     sim.run();
     assert_eq!(execs.load(Ordering::SeqCst), CALLS);
@@ -250,9 +270,9 @@ fn reordering_network_preserves_exactly_once() {
     let mut sim = Simulation::new(cfg, 13);
     let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut c = RpcClient::with_policy(server, RetryPolicy::fixed(Duration::from_millis(8), 6));
+        let mut c = client(server, RetryPolicy::fixed(Duration::from_millis(8), 6));
         for i in 1..=60u64 {
-            let v = c.call(ctx, "inc", Value::Null).unwrap();
+            let v = call(&mut c, ctx, "inc", Value::Null).unwrap();
             assert_eq!(v, Value::U64(i));
         }
     });
@@ -268,8 +288,8 @@ fn total_partition_times_out() {
     let o2 = Arc::clone(&outcome);
     sim.spawn("client", NodeId(1), move |ctx| {
         ctx.net().partition(NodeId(0), NodeId(1));
-        let mut c = RpcClient::with_policy(server, RetryPolicy::fixed(Duration::from_millis(2), 3));
-        match c.call(ctx, "inc", Value::Null) {
+        let mut c = client(server, RetryPolicy::fixed(Duration::from_millis(2), 3));
+        match call(&mut c, ctx, "inc", Value::Null) {
             Err(RpcError::Timeout { attempts: 3 }) => o2.store(1, Ordering::SeqCst),
             other => panic!("expected timeout, got {other:?}"),
         }
@@ -284,8 +304,8 @@ fn remote_errors_propagate() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 5);
     let (server, _execs) = spawn_counter(&sim, NodeId(0), PortId(1));
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut c = RpcClient::new(server);
-        match c.call(ctx, "frobnicate", Value::Null) {
+        let mut c = client(server, RetryPolicy::default());
+        match call(&mut c, ctx, "frobnicate", Value::Null) {
             Err(RpcError::Remote(e)) => {
                 assert_eq!(e.code, ErrorCode::NoSuchOp);
                 assert_eq!(e.message, "frobnicate");
@@ -305,14 +325,17 @@ fn two_clients_do_not_cross_replies() {
         srv.serve(ctx, |_c, req| Ok(req.args.clone()), |_, _| {});
     });
     sim.spawn("client", NodeId(1), move |ctx| {
-        // Two RpcClients in the same process with overlapping call-id
+        // Two channels in the same process with overlapping call-id
         // spaces; source matching must keep replies straight.
-        let mut a = RpcClient::new(server_a);
-        let mut b = RpcClient::new(echo);
+        let mut a = client(server_a, RetryPolicy::default());
+        let mut b = client(echo, RetryPolicy::default());
         for i in 1..=20u64 {
-            assert_eq!(a.call(ctx, "inc", Value::Null).unwrap(), Value::U64(i));
             assert_eq!(
-                b.call(ctx, "echo", Value::U64(i * 100)).unwrap(),
+                call(&mut a, ctx, "inc", Value::Null).unwrap(),
+                Value::U64(i)
+            );
+            assert_eq!(
+                call(&mut b, ctx, "echo", Value::U64(i * 100)).unwrap(),
                 Value::U64(i * 100)
             );
         }
@@ -328,12 +351,12 @@ fn retry_cost_grows_with_loss_rate() {
         let mut sim = Simulation::new(NetworkConfig::lan().with_loss(loss), 21);
         let (server, _) = spawn_counter(&sim, NodeId(0), PortId(1));
         sim.spawn("client", NodeId(1), move |ctx| {
-            let mut c = RpcClient::with_policy(
+            let mut c = client(
                 server,
                 RetryPolicy::exponential(Duration::from_millis(4), 10),
             );
             for _ in 0..80 {
-                let _ = c.call(ctx, "inc", Value::Null);
+                let _ = call(&mut c, ctx, "inc", Value::Null);
             }
         });
         let report = sim.run();
@@ -474,9 +497,8 @@ fn a_dropped_channel_releases_the_calls_it_had_in_flight() {
             None,
             "a dropped call is still awaited"
         );
-        RpcClient::new(counter)
-            .call(ctx, "get", Value::Null)
-            .unwrap();
+        let mut c = client(counter, RetryPolicy::default());
+        call(&mut c, ctx, "get", Value::Null).unwrap();
         *st2.lock().unwrap() = ids;
     });
     sim.run();

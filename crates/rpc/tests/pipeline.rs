@@ -3,7 +3,7 @@
 //! must survive all of it — at-most-once execution under loss and
 //! duplication, also when the server defers its replies. The later
 //! sections cover the per-path round-trip estimate behind the
-//! retransmission timers of both [`Channel`] and [`RpcClient`], and loss
+//! retransmission timers of staged and plain calls alike, and loss
 //! detection from evidence: an overtaken call is repaired a round trip
 //! after the evidence, reordering alone repairs nothing, and the policy
 //! still decides when to give up.
@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use rpc::{Channel, ChannelConfig, ErrorCode, RemoteError, RetryPolicy, RpcClient, RpcError};
+use rpc::{Channel, ChannelConfig, ErrorCode, RemoteError, RetryPolicy, RpcError};
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
@@ -264,17 +264,17 @@ fn batched_calls_execute_exactly_once() {
 
 #[test]
 fn channel_and_sync_client_share_id_space_safely() {
-    // A process may hold both a Channel and a plain RpcClient against
-    // the same server; call ids come from one per-process counter so the
-    // server window never confuses them.
+    // A process may hold a pipelined Channel and a depth-1 one making
+    // plain calls against the same server; call ids come from one
+    // per-process counter so the server window never confuses them.
     let mut sim = Simulation::new(NetworkConfig::lan(), 13);
     let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
     sim.spawn("client", NodeId(1), move |ctx| {
         let mut ch = Channel::new("counter", server, ChannelConfig::with_depth(4));
-        let mut sync = RpcClient::new(server);
+        let mut sync = Channel::new("", server, ChannelConfig::with_depth(1));
         for round in 0..10u64 {
             let h = ch.begin_call(ctx, "inc", Value::Null);
-            let _ = sync.call(ctx, "inc", Value::Null).unwrap();
+            let _ = (ctx.block_on(|cx| sync.call(cx, "", "inc", Value::Null, None))).unwrap();
             ch.wait(ctx, h).unwrap();
             let _ = round;
         }
@@ -353,8 +353,9 @@ fn deferred_replies_under_loss_and_duplication_execute_exactly_once() {
 /// sample afterwards, and when it completed.
 type CallLog = Vec<(u64, bool, simnet::SimTime)>;
 
-/// Runs `calls` sequential echo calls over `cfg`, once through a
-/// [`Channel`] of depth 1 and once through an [`RpcClient`], both with a
+/// Runs `calls` sequential echo calls over `cfg`, once staged and waited
+/// for on a [`Channel`] of depth 1 and once through [`Channel::call`] on
+/// another, both with a
 /// 10 ms floor and patience for a 1 s round trip. Each client has a
 /// simulation of its own with the same seed, so the two meet the same
 /// network as long as they send the same datagrams at the same instants.
@@ -369,9 +370,9 @@ fn sequential_calls(
         let log = Arc::new(Mutex::new(CallLog::new()));
         let l2 = Arc::clone(&log);
         sim.spawn("client", NodeId(1), move |ctx| {
-            let cfg = ChannelConfig::with_depth(1).with_policy(policy.clone());
-            let mut ch = Channel::new("counter", server, cfg);
-            let mut client = RpcClient::with_policy(server, policy);
+            let cfg = ChannelConfig::with_depth(1).with_policy(policy);
+            let mut ch = Channel::new("counter", server, cfg.clone());
+            let mut client = Channel::new("", server, cfg);
             for i in 0..calls {
                 let (retries, sampled) = if pipelined {
                     let before = ch.stats.retries;
@@ -379,15 +380,16 @@ fn sequential_calls(
                     assert_eq!(ch.wait(ctx, h).unwrap(), Value::U64(i));
                     (ch.stats.retries - before, ch.srtt().is_some())
                 } else {
-                    // The channel opens an invoke span for each call and
-                    // its requests carry it; the client's carry the
-                    // caller's, so the caller opens the same one.
+                    // A staged call opens an invoke span and its requests
+                    // carry it; a plain call's carry the caller's, so the
+                    // caller opens the same one.
                     let (kind, now) = (obs::SpanKind::Invoke, ctx.now().as_nanos());
                     let parent = ctx.current_span();
                     let span = (ctx.obs()).open_span(kind, parent, "counter", "echo", now);
                     let outer = ctx.set_current_span(span);
                     let before = client.stats.retries;
-                    let reply = client.call(ctx, "echo", Value::U64(i));
+                    let args = Value::U64(i);
+                    let reply = ctx.block_on(|cx| client.call(cx, "", "echo", args, None));
                     ctx.set_current_span(outer);
                     let now = ctx.now().as_nanos();
                     ctx.obs().close_span(span, now, reply.is_ok());

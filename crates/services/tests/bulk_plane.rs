@@ -495,10 +495,11 @@ fn fill_overtaken_by_its_invalidation_is_delivered_but_not_cached() {
                 Err(_) => ctx.sleep(Duration::from_millis(5)).unwrap(),
             }
         };
-        let mut client = rpc::RpcClient::new(edge);
+        let mut client = rpc::Channel::new("", edge, rpc::ChannelConfig::with_depth(1));
         let mut read = |ctx: &mut Ctx| {
             let args = Value::record([("key", Value::str("k")), ("seq", Value::U64(0))]);
-            let rep = client.call(ctx, ops::GET_CHUNK, args).unwrap();
+            let op = ops::GET_CHUNK;
+            let rep = (ctx.block_on(|cx| client.call(cx, "", op, args, None))).unwrap();
             rep.get_blob("data").unwrap()[0]
         };
         assert_eq!(read(ctx), 1, "the reader that asked gets the answer");

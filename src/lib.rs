@@ -65,7 +65,7 @@ pub mod prelude {
         SessionCore,
     };
     pub use replication::{client_runtime, spawn_replica_group, Propagation, ReplicaGroupConfig};
-    pub use rpc::{ErrorCode, RemoteError, RpcClient, RpcError, RpcServer};
+    pub use rpc::{Channel, ChannelConfig, ErrorCode, RemoteError, RpcError, RpcServer};
     pub use services;
     pub use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, PortId, SimTime, Simulation};
     pub use wire::Value;
