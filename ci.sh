@@ -100,6 +100,11 @@ step "cargo test --release -p bench --test budgets (per-call costs as they ship)
 # the release build, so the pinned table has to hold in that build too.
 cargo test -q --release -p bench --test budgets
 
+step "cargo test --release -p proxy-core --test future_sizes (future sizes as they ship)"
+# The exact size of each client-engine future, one column per build
+# profile; tier-1 checks the debug column, this step the release one.
+cargo test -q --release -p proxy-core --test future_sizes
+
 if [ "${1:-}" != "quick" ]; then
   step "cargo build --release (experiment harness)"
   cargo build --release -p bench

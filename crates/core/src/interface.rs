@@ -122,9 +122,17 @@ impl OpDesc {
     }
 
     fn from_value(v: &Value) -> Result<OpDesc, WireError> {
+        // An unknown kind is refused, not read as `Read`: a misspelt
+        // write would otherwise be cached and never invalidated.
         let kind = match v.get_str("kind")? {
+            "read" => OpKind::Read,
             "write" => OpKind::Write,
-            _ => OpKind::Read,
+            _ => {
+                return Err(WireError::WrongKind {
+                    expected: "op kind read or write",
+                    actual: "unknown",
+                })
+            }
         };
         Ok(OpDesc {
             name: v.get_str("name")?.to_owned(),
@@ -271,6 +279,30 @@ mod tests {
         let i = kv_iface();
         let v = i.to_value();
         assert_eq!(InterfaceDesc::from_value(&v).unwrap(), i);
+    }
+
+    #[test]
+    fn an_unknown_op_kind_is_refused() {
+        let op = |kind: &str| {
+            Value::record([
+                ("type", Value::str("kv")),
+                (
+                    "ops",
+                    Value::list([Value::record([
+                        ("name", Value::str("put")),
+                        ("kind", Value::str(kind)),
+                        ("idem", Value::Bool(false)),
+                    ])]),
+                ),
+            ])
+        };
+        assert!(matches!(
+            InterfaceDesc::from_value(&op("wirte")),
+            Err(WireError::WrongKind { .. })
+        ));
+        assert!(InterfaceDesc::from_value(&op("")).is_err());
+        let read = InterfaceDesc::from_value(&op("read")).unwrap();
+        assert_eq!(read.op("put").unwrap().kind, OpKind::Read);
     }
 
     #[test]

@@ -488,7 +488,7 @@ impl SessionCore {
                     match chan.poll_wait(cx, call) {
                         Poll::Pending => return Poll::Pending,
                         Poll::Ready(Ok(rep)) => {
-                            let settled = self.settle_bind(&service, &rep);
+                            let settled = self.settle_bind(&service, rep);
                             if let Ok(idx) = settled {
                                 self.async_by_service.insert(service, idx);
                                 self.binds[f.0] = BindState::Claimed;
@@ -543,7 +543,7 @@ impl SessionCore {
     }
 
     /// Validates the resolved record and installs the async service.
-    fn settle_bind(&mut self, service: &str, rep: &Value) -> Result<usize, RpcError> {
+    fn settle_bind(&mut self, service: &str, rep: Value) -> Result<usize, RpcError> {
         if let Some(&idx) = self.async_by_service.get(service) {
             return Ok(idx);
         }

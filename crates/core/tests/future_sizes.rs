@@ -1,13 +1,19 @@
-//! The sizes of the client engine's futures, printed, not judged: a
-//! remote call's future is what a proxy boxes per call and what a
-//! blocking body pins on its stack while it waits. Run it in the build
-//! that is measured:
+//! Exact sizes of the client engine's futures: a remote call's future is
+//! what a proxy boxes per call and what a blocking body pins on its stack
+//! while it waits. One column per build profile; each build checks its
+//! own. A change that moves a size pastes the table a failure prints and
+//! says why, as the per-call budgets ask. The release column is checked
+//! by
 //!
 //! ```text
-//! cargo test --release -p proxy-core --test future_sizes -- --ignored --nocapture
+//! cargo test --release -p proxy-core --test future_sizes
 //! ```
+//!
+//! The sizes are this toolchain's: a compiler upgrade may move them.
 
+use std::fmt::Write as _;
 use std::mem::size_of_val;
+use std::sync::{Arc, Mutex};
 
 use naming::NameClient;
 use proxy_core::proxies::Remote;
@@ -16,11 +22,30 @@ use rpc::{Channel, ChannelConfig};
 use simnet::{Endpoint, NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
-#[test]
-#[ignore = "prints sizes; run by hand with --ignored --nocapture"]
-fn print_the_client_engines_future_sizes() {
+/// One future's size in bytes, per build profile.
+#[derive(Debug, PartialEq)]
+struct Size {
+    future: &'static str,
+    debug: usize,
+    release: usize,
+}
+
+#[rustfmt::skip]
+const EXPECTED: &[Size] = &[
+    Size { future: "Remote::call (stub)", debug: 832, release: 832 },
+    Size { future: "Channel::call", debug: 280, release: 280 },
+    Size { future: "NameClient::lookup_async", debug: 352, release: 352 },
+    Size { future: "Binder::bind", debug: 2416, release: 2416 },
+    Size { future: "SessionCore::attach", debug: 2680, release: 2680 },
+    Size { future: "SessionCore::call", debug: 592, release: 592 },
+];
+
+/// Each future's size in this build.
+fn measure() -> Vec<(&'static str, usize)> {
     let mut sim = Simulation::new(NetworkConfig::lan(), 1);
     let far = Endpoint::new(NodeId(0), PortId(1));
+    let measured = Arc::new(Mutex::new(Vec::new()));
+    let out = Arc::clone(&measured);
     sim.spawn_async("probe", NodeId(1), move |cx| async move {
         let mut sizes = Vec::new();
         let mut remote = Remote::new("svc", far, far, InterfaceDesc::new("svc", []));
@@ -49,9 +74,41 @@ fn print_the_client_engines_future_sizes() {
         let f = core.call(cx, local, "get", Value::Null);
         sizes.push(("SessionCore::call", size_of_val(&f)));
         drop(f);
-        for (future, bytes) in sizes {
-            println!("{future:<28} {bytes:>6} B");
-        }
+        *out.lock().unwrap() = sizes;
     });
     sim.run();
+    let sizes = std::mem::take(&mut *measured.lock().unwrap());
+    sizes
+}
+
+#[test]
+fn the_client_engines_futures_are_exactly_their_size() {
+    let is_release = !cfg!(debug_assertions);
+    let actual: Vec<Size> = measure()
+        .into_iter()
+        .map(|(future, bytes)| {
+            // The other profile's column stays as it is.
+            let known = EXPECTED.iter().find(|e| e.future == future);
+            let other = known.map_or(bytes, |e| if is_release { e.debug } else { e.release });
+            let (debug, release) = if is_release {
+                (other, bytes)
+            } else {
+                (bytes, other)
+            };
+            Size {
+                future,
+                debug,
+                release,
+            }
+        })
+        .collect();
+    if actual != EXPECTED {
+        let profile = if is_release { "release" } else { "debug" };
+        let mut table = String::from("const EXPECTED: &[Size] = &[\n");
+        for s in &actual {
+            let _ = writeln!(table, "    {s:?},");
+        }
+        table.push_str("];\n");
+        panic!("future sizes moved in the {profile} column; the whole table:\n\n{table}");
+    }
 }

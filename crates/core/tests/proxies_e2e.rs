@@ -749,3 +749,40 @@ fn unsubscribing_purges_the_reader_from_the_directory() {
     sim.run();
     assert_eq!(server_stats(&sim).invalidations_sent, 0);
 }
+
+#[test]
+fn a_descriptor_with_an_unknown_op_kind_fails_the_bind() {
+    // `put`'s kind is misspelt. Read as a read, a caching proxy would
+    // cache what `put` returns and nothing would invalidate it.
+    let iface = Value::record([
+        ("type", Value::str("kv")),
+        (
+            "ops",
+            Value::list([Value::record([
+                ("name", Value::str("put")),
+                ("kind", Value::str("wirte")),
+                ("idem", Value::Bool(false)),
+                ("key", Value::str("key")),
+            ])]),
+        ),
+    ]);
+    let spec = ProxySpec::Caching(CachingParams::default());
+    let meta = Value::record([("spec", spec.to_value()), ("iface", iface)]);
+    let refused = Arc::new(AtomicU64::new(0));
+    let r = Arc::clone(&refused);
+    let mut sim = Simulation::new(NetworkConfig::lan(), 1);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    sim.spawn("client", NodeId(2), move |ctx| {
+        let here = ctx.endpoint();
+        naming::NameClient::new(ns)
+            .register(ctx, "kv", here, meta)
+            .unwrap();
+        let mut rt = SessionCore::new(ns);
+        match rt.bind(ctx, "kv") {
+            Err(rpc::RpcError::Wire(_)) => r.store(1, Ordering::SeqCst),
+            other => panic!("bound a descriptor with an unknown op kind: {other:?}"),
+        }
+    });
+    sim.run();
+    assert_eq!(refused.load(Ordering::SeqCst), 1);
+}

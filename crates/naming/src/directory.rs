@@ -1,14 +1,17 @@
 //! The name server's table.
 //!
-//! [`Directory`] is one ordered map from name to [`NameRecord`] and one
-//! generation counter. The name-server process owns it outright: other
-//! contexts reach it only by message, so nothing here locks. Every
-//! successful write takes the next generation, so generations are
-//! unique, increase by one per write and never skip.
+//! [`Directory`] is one ordered map from name to its [`NameRecord`],
+//! kept encoded, and one generation counter. The name-server process
+//! owns it outright: other contexts reach it only by message, so nothing
+//! here locks. Every successful write takes the next generation, so
+//! generations are unique, increase by one per write and never skip.
+//! Each write encodes the record once; every lookup until the next write
+//! answers with those bytes, so a lookup copies no metadata.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
+use bytes::Bytes;
 use simnet::Endpoint;
 use wire::Value;
 
@@ -20,8 +23,16 @@ use crate::record::NameRecord;
 /// caller holding a shared reference can still populate one.
 #[derive(Debug, Default)]
 pub struct Directory {
-    names: RefCell<BTreeMap<String, NameRecord>>,
+    /// Each bound name's record as [`NameRecord::encode`] encodes it.
+    names: RefCell<BTreeMap<String, Bytes>>,
     last_gen: Cell<u64>,
+}
+
+/// Decodes a record this directory encoded.
+fn decode(encoded: &Bytes) -> NameRecord {
+    wire::decode_bytes(encoded)
+        .and_then(NameRecord::from_value)
+        .expect("the directory encoded this record")
 }
 
 impl Directory {
@@ -39,16 +50,16 @@ impl Directory {
     /// Binds `name` to `ep` (replacing any existing binding) and
     /// returns the new generation.
     pub fn register(&self, name: &str, ep: Endpoint, meta: Value) -> u64 {
-        let gen = self.bump();
-        self.names.borrow_mut().insert(
-            name.to_string(),
-            NameRecord {
-                endpoint: ep,
-                meta,
-                generation: gen,
-            },
-        );
-        gen
+        let generation = self.bump();
+        let record = NameRecord {
+            endpoint: ep,
+            meta,
+            generation,
+        };
+        self.names
+            .borrow_mut()
+            .insert(name.to_string(), record.encode());
+        generation
     }
 
     /// Rebinds an existing `name` to `ep`, returning the new generation,
@@ -56,12 +67,14 @@ impl Directory {
     /// `Value::Null` meta keeps the existing meta.
     pub fn update(&self, name: &str, ep: Endpoint, meta: Value) -> Option<u64> {
         let mut names = self.names.borrow_mut();
-        let rec = names.get_mut(name)?;
+        let encoded = names.get_mut(name)?;
+        let mut rec = decode(encoded);
         rec.endpoint = ep;
         if meta != Value::Null {
             rec.meta = meta;
         }
         rec.generation = self.bump();
+        *encoded = rec.encode();
         Some(rec.generation)
     }
 
@@ -72,6 +85,12 @@ impl Directory {
 
     /// The current record for `name`, if bound.
     pub fn lookup(&self, name: &str) -> Option<NameRecord> {
+        self.names.borrow().get(name).map(decode)
+    }
+
+    /// The current record for `name` as [`NameRecord::encode`] encodes
+    /// it, if bound: the bytes made at its last write, shared.
+    pub fn lookup_encoded(&self, name: &str) -> Option<Bytes> {
         self.names.borrow().get(name).cloned()
     }
 

@@ -12,6 +12,15 @@
 //! owns its table ([`Directory`]): every other context reaches the
 //! table only by message, so the table needs no lock.
 //!
+//! Its writes (`register`, `update`, `unregister`) are at-most-once like
+//! any RPC: a retransmission is answered from the recorded reply. Its
+//! reads (`lookup`, `list`) are the exception: running one twice does
+//! no harm, so the server records no reply and keeps no per-client state
+//! for them, and a retransmitted lookup is run again, answered with the
+//! binding as it stands then. A client that only binds leaves nothing
+//! behind. The table keeps each record encoded, made once per write,
+//! and every lookup reply carries those bytes.
+//!
 //! ## Example
 //!
 //! ```
@@ -177,7 +186,7 @@ impl NameClient {
         strays: Option<OnStray<'_>>,
     ) -> Result<NameRecord, RpcError> {
         let args = Value::record([("name", Value::str(name))]);
-        let rec = NameRecord::from_value(&self.rpc.call(cx, "", "lookup", args, strays).await?)?;
+        let rec = NameRecord::from_value(self.rpc.call(cx, "", "lookup", args, strays).await?)?;
         self.cache.insert(name.to_owned(), rec.clone());
         Ok(rec)
     }

@@ -1,5 +1,6 @@
 //! The record a name maps to.
 
+use bytes::Bytes;
 use rpc::{endpoint_from_value, endpoint_to_value};
 use simnet::Endpoint;
 use wire::{Value, WireError};
@@ -30,16 +31,30 @@ impl NameRecord {
         ])
     }
 
-    /// Decodes a record from a wire value.
+    /// Encodes the record as [`NameRecord::to_value`] would be encoded
+    /// (unframed): the form the name server keeps and splices into each
+    /// lookup reply.
+    pub fn encode(&self) -> Bytes {
+        wire::encode(&self.to_value())
+    }
+
+    /// Decodes a record from a wire value, moving `meta` out of it.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] if fields are missing or malformed.
-    pub fn from_value(v: &Value) -> Result<NameRecord, WireError> {
+    pub fn from_value(v: Value) -> Result<NameRecord, WireError> {
+        let endpoint = endpoint_from_value(v.get("ep").ok_or(WireError::MissingField("ep"))?)?;
+        let generation = v.get_u64("gen")?;
+        let meta = match v {
+            // The first field of a name counts, as for `Value::get`.
+            Value::Record(fields) => fields.into_iter().find(|(k, _)| k == "meta"),
+            _ => None,
+        };
         Ok(NameRecord {
-            endpoint: endpoint_from_value(v.get("ep").ok_or(WireError::MissingField("ep"))?)?,
-            meta: v.get("meta").cloned().unwrap_or(Value::Null),
-            generation: v.get_u64("gen")?,
+            endpoint,
+            meta: meta.map_or(Value::Null, |(_, m)| m),
+            generation,
         })
     }
 }
@@ -56,13 +71,14 @@ mod tests {
             meta: Value::record([("proxy", Value::str("caching"))]),
             generation: 17,
         };
-        assert_eq!(NameRecord::from_value(&rec.to_value()).unwrap(), rec);
+        assert_eq!(NameRecord::from_value(rec.to_value()).unwrap(), rec);
+        assert_eq!(rec.encode(), wire::encode(&rec.to_value()));
     }
 
     #[test]
     fn missing_endpoint_rejected() {
         let v = Value::record([("gen", Value::U64(1))]);
-        assert!(NameRecord::from_value(&v).is_err());
+        assert!(NameRecord::from_value(v).is_err());
     }
 
     #[test]
@@ -76,6 +92,6 @@ mod tests {
         if let Value::Record(ref mut fields) = v {
             fields.retain(|(k, _)| k != "meta");
         }
-        assert_eq!(NameRecord::from_value(&v).unwrap(), rec);
+        assert_eq!(NameRecord::from_value(v).unwrap(), rec);
     }
 }

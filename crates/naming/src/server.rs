@@ -1,7 +1,17 @@
 //! The name server process.
+//!
+//! Its reads, `lookup` and `list`, are answered unrecorded
+//! ([`rpc::Pass::settle_unrecorded`]): running one twice is harmless, so
+//! a client that only binds leaves nothing behind, and a retransmitted
+//! lookup is run again and gets the binding as it stands then. Its
+//! writes, `register`, `update` and `unregister`, keep at-most-once: a
+//! retransmission is answered from the recorded reply. So what the
+//! server keeps grows with the names and the clients that write, not
+//! with every client that ever bound.
 
+use bytes::Bytes;
 use rpc::{endpoint_from_value, ErrorCode, RemoteError, Request, RpcServer};
-use simnet::{Endpoint, NodeId, Poll, PortId, ProcCx, Process, Simulation};
+use simnet::{Endpoint, Message, NodeId, Poll, PortId, ProcCx, Process, Simulation};
 use wire::{Value, WireError};
 
 use crate::directory::Directory;
@@ -13,7 +23,34 @@ fn bad_args(e: WireError) -> RemoteError {
     RemoteError::new(ErrorCode::BadArgs, e.to_string())
 }
 
-fn handle(dir: &Directory, req: &Request) -> Result<Value, RemoteError> {
+/// What the name server makes of one call.
+enum Answer {
+    /// A read, answered unrecorded: its value already encoded.
+    Read(Result<Bytes, RemoteError>),
+    /// A write (or an unknown op), answered with a recorded reply.
+    Write(Result<Value, RemoteError>),
+}
+
+fn handle(dir: &Directory, req: &Request) -> Answer {
+    match req.op.as_str() {
+        "lookup" => Answer::Read(lookup(dir, req)),
+        "list" => Answer::Read(Ok(wire::encode(&Value::record([(
+            "names",
+            Value::list(dir.list().iter().map(Value::str)),
+        )])))),
+        _ => Answer::Write(write(dir, req)),
+    }
+}
+
+/// A lookup's answer: the bytes the directory encoded at the name's last
+/// write, shared.
+fn lookup(dir: &Directory, req: &Request) -> Result<Bytes, RemoteError> {
+    let name = req.args.get_str("name").map_err(bad_args)?;
+    dir.lookup_encoded(name)
+        .ok_or_else(|| RemoteError::new(ErrorCode::NoSuchObject, format!("unknown name `{name}`")))
+}
+
+fn write(dir: &Directory, req: &Request) -> Result<Value, RemoteError> {
     match req.op.as_str() {
         "register" => {
             let name = req.args.get_str("name").map_err(bad_args)?;
@@ -55,31 +92,39 @@ fn handle(dir: &Directory, req: &Request) -> Result<Value, RemoteError> {
                 ))
             }
         }
-        "lookup" => {
-            let name = req.args.get_str("name").map_err(bad_args)?;
-            match dir.lookup(name) {
-                Some(rec) => Ok(rec.to_value()),
-                None => Err(RemoteError::new(
-                    ErrorCode::NoSuchObject,
-                    format!("unknown name `{name}`"),
-                )),
-            }
-        }
-        "list" => Ok(Value::record([(
-            "names",
-            Value::list(dir.list().iter().map(Value::str)),
-        )])),
         other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
     }
 }
 
-/// The name-server process: a poll-driven machine that owns `dir`,
+/// The name-server process: a poll-driven machine that owns its table,
 /// answers every datagram in its mailbox from it and parks.
-fn name_server(dir: Directory) -> impl Process {
-    let mut server = RpcServer::new();
-    move |cx: &mut ProcCx| {
+#[derive(Debug, Default)]
+struct NameServer {
+    dir: Directory,
+    rpc: RpcServer,
+}
+
+impl NameServer {
+    /// Answers the requests `msg` carries: reads unrecorded, writes
+    /// recorded.
+    fn serve(&mut self, cx: &mut ProcCx, msg: &Message) {
+        let Ok(mut pass) = self.rpc.pass(cx, msg) else {
+            return;
+        };
+        while let Some(fresh) = pass.next(&mut self.rpc, cx) {
+            match handle(&self.dir, &fresh.req) {
+                Answer::Read(result) => pass.settle_unrecorded(&mut self.rpc, cx, &fresh, result),
+                Answer::Write(result) => pass.settle(&mut self.rpc, cx, &fresh, Some(result)),
+            }
+        }
+        pass.finish(cx);
+    }
+}
+
+impl Process for NameServer {
+    fn poll(&mut self, cx: &mut ProcCx) -> Poll<()> {
         while let Ok(Some(msg)) = cx.try_recv() {
-            server.handle(cx, &msg, |_ctx, req| handle(&dir, req));
+            self.serve(cx, &msg);
         }
         if cx.is_stopped() {
             Poll::Ready(())
@@ -104,16 +149,17 @@ fn name_server(dir: Directory) -> impl Process {
 ///
 /// Panics if the port is already bound on that node.
 pub fn spawn_name_server(sim: &Simulation, node: NodeId) -> Endpoint {
-    sim.spawn_poll_at(
-        "name-server",
-        node,
-        NAME_SERVER_PORT,
-        name_server(Directory::new()),
-    )
+    sim.spawn_poll_at("name-server", node, NAME_SERVER_PORT, NameServer::default())
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    use rpc::{Packet, Reply};
+    use simnet::{Ctx, NetworkConfig};
+
     use super::*;
     use crate::record::NameRecord;
 
@@ -128,6 +174,14 @@ mod tests {
         }
     }
 
+    /// Runs `req` as the server does, a read's encoded answer decoded.
+    fn call(dir: &Directory, req: &Request) -> Result<Value, RemoteError> {
+        match handle(dir, req) {
+            Answer::Read(result) => result.map(|b| wire::decode(&b).expect("one encoded value")),
+            Answer::Write(result) => result,
+        }
+    }
+
     fn ep_value(n: u32, p: u32) -> Value {
         rpc::endpoint_to_value(Endpoint::new(NodeId(n), PortId(p)))
     }
@@ -135,7 +189,7 @@ mod tests {
     #[test]
     fn register_then_lookup() {
         let t = Directory::new();
-        let r = handle(
+        let r = call(
             &t,
             &req(
                 "register",
@@ -144,19 +198,19 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.get_u64("gen").unwrap(), 1);
-        let rec = handle(
+        let rec = call(
             &t,
             &req("lookup", Value::record([("name", Value::str("kv"))])),
         )
         .unwrap();
-        let rec = NameRecord::from_value(&rec).unwrap();
+        let rec = NameRecord::from_value(rec).unwrap();
         assert_eq!(rec.endpoint, Endpoint::new(NodeId(1), PortId(2)));
     }
 
     #[test]
     fn update_bumps_generation_and_moves() {
         let t = Directory::new();
-        handle(
+        call(
             &t,
             &req(
                 "register",
@@ -164,7 +218,7 @@ mod tests {
             ),
         )
         .unwrap();
-        let r = handle(
+        let r = call(
             &t,
             &req(
                 "update",
@@ -174,7 +228,7 @@ mod tests {
         .unwrap();
         assert_eq!(r.get_u64("gen").unwrap(), 2);
         let rec = NameRecord::from_value(
-            &handle(
+            call(
                 &t,
                 &req("lookup", Value::record([("name", Value::str("kv"))])),
             )
@@ -188,13 +242,13 @@ mod tests {
     #[test]
     fn unknown_name_is_no_such_object() {
         let t = Directory::new();
-        let e = handle(
+        let e = call(
             &t,
             &req("lookup", Value::record([("name", Value::str("x"))])),
         )
         .unwrap_err();
         assert_eq!(e.code, ErrorCode::NoSuchObject);
-        let e = handle(
+        let e = call(
             &t,
             &req(
                 "update",
@@ -203,7 +257,7 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(e.code, ErrorCode::NoSuchObject);
-        let e = handle(
+        let e = call(
             &t,
             &req("unregister", Value::record([("name", Value::str("x"))])),
         )
@@ -215,7 +269,7 @@ mod tests {
     fn list_is_sorted() {
         let t = Directory::new();
         for n in ["zeta", "alpha", "mid"] {
-            handle(
+            call(
                 &t,
                 &req(
                     "register",
@@ -224,7 +278,7 @@ mod tests {
             )
             .unwrap();
         }
-        let r = handle(&t, &req("list", Value::Null)).unwrap();
+        let r = call(&t, &req("list", Value::Null)).unwrap();
         let names: Vec<&str> = r
             .get_list("names")
             .unwrap()
@@ -237,7 +291,7 @@ mod tests {
     #[test]
     fn bad_args_reported() {
         let t = Directory::new();
-        let e = handle(&t, &req("register", Value::Null)).unwrap_err();
+        let e = call(&t, &req("register", Value::Null)).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadArgs);
     }
 
@@ -245,7 +299,7 @@ mod tests {
     fn reregister_replaces_binding() {
         let t = Directory::new();
         for p in [2u32, 7] {
-            handle(
+            call(
                 &t,
                 &req(
                     "register",
@@ -255,7 +309,7 @@ mod tests {
             .unwrap();
         }
         let rec = NameRecord::from_value(
-            &handle(
+            call(
                 &t,
                 &req("lookup", Value::record([("name", Value::str("kv"))])),
             )
@@ -264,5 +318,176 @@ mod tests {
         .unwrap();
         assert_eq!(rec.endpoint, Endpoint::new(NodeId(1), PortId(7)));
         assert_eq!(rec.generation, 2);
+    }
+
+    // -- served over the network -------------------------------------------
+
+    /// A name server over `dir` at node 0 that publishes, after each
+    /// poll, how many client windows it keeps.
+    fn probed(sim: &Simulation, dir: Directory, windows: Arc<AtomicUsize>) -> Endpoint {
+        let mut ns = NameServer {
+            dir,
+            rpc: RpcServer::new(),
+        };
+        let probe = move |cx: &mut ProcCx| {
+            let done = ns.poll(cx);
+            windows.store(ns.rpc.windows_len(), Ordering::SeqCst);
+            done
+        };
+        sim.spawn_poll_at("name-server", NodeId(0), NAME_SERVER_PORT, probe)
+    }
+
+    fn ep(n: u32, p: u32) -> Endpoint {
+        Endpoint::new(NodeId(n), PortId(p))
+    }
+
+    /// Metadata shaped like a service's: nested records and a list.
+    fn meta() -> Value {
+        Value::record([
+            ("spec", Value::record([("kind", Value::str("stub"))])),
+            (
+                "iface",
+                Value::record([
+                    ("type", Value::str("kv")),
+                    ("ops", Value::list([Value::str("get"), Value::str("put")])),
+                ]),
+            ),
+        ])
+    }
+
+    /// Sends one raw request (stating `lo` 1: the client still awaits
+    /// its first call) and returns the reply frame.
+    fn exchange(ctx: &mut Ctx, ns: Endpoint, call_id: u64, op: &str, args: Value) -> Bytes {
+        let req = Request {
+            call_id,
+            reply_to: ctx.endpoint(),
+            object: String::new(),
+            op: op.into(),
+            args,
+            span: 40 + call_id,
+        };
+        ctx.send(ns, req.to_bytes_with_lo(1));
+        ctx.recv().expect("a reply").payload
+    }
+
+    /// The reply frame the server sent before lookups were encoded once:
+    /// `Reply { ok: rec.to_value() }`, encoded whole.
+    fn recorded_form(call_id: u64, rec: &NameRecord) -> Bytes {
+        Reply {
+            call_id,
+            result: Ok(rec.to_value()),
+            span: 40 + call_id,
+        }
+        .to_bytes()
+    }
+
+    fn gen_of(frame: &Bytes) -> u64 {
+        match Packet::from_frame(frame).unwrap() {
+            Packet::Reply(r) => r.result.unwrap().get_u64("gen").unwrap(),
+            other => panic!("expected a reply, got {other:?}"),
+        }
+    }
+
+    fn name(n: &str) -> Value {
+        Value::record([("name", Value::str(n))])
+    }
+
+    #[test]
+    fn clients_that_only_look_up_leave_no_window() {
+        let dir = Directory::new();
+        dir.register("svc", ep(1, 5), meta());
+        let windows = Arc::new(AtomicUsize::new(usize::MAX));
+        let found = Arc::new(AtomicU64::new(0));
+        let mut sim = Simulation::new(NetworkConfig::lan(), 1);
+        let ns = probed(&sim, dir, Arc::clone(&windows));
+        for i in 0..64 {
+            let f = Arc::clone(&found);
+            sim.spawn("client", NodeId(2 + i % 8), move |ctx| {
+                let rec = crate::NameClient::new(ns).lookup(ctx, "svc").unwrap();
+                assert_eq!((rec.endpoint, rec.generation), (ep(1, 5), 1));
+                f.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        sim.run();
+        assert_eq!(found.load(Ordering::SeqCst), 64);
+        assert_eq!(windows.load(Ordering::SeqCst), 0, "a lookup left a window");
+    }
+
+    #[test]
+    fn a_retransmitted_register_is_answered_from_its_record() {
+        let windows = Arc::new(AtomicUsize::new(0));
+        let mut sim = Simulation::new(NetworkConfig::lan(), 2);
+        let ns = probed(&sim, Directory::new(), Arc::clone(&windows));
+        sim.spawn("registrar", NodeId(1), move |ctx| {
+            let args = crate::binding_args("svc", ep(1, 5), meta());
+            let first = exchange(ctx, ns, 1, "register", args.clone());
+            let again = exchange(ctx, ns, 1, "register", args);
+            assert_eq!(again, first, "not answered from the record");
+            assert_eq!(gen_of(&again), 1, "the register ran again");
+            let looked_up = exchange(ctx, ns, 2, "lookup", name("svc"));
+            assert_eq!(gen_of(&looked_up), 1);
+        });
+        sim.run();
+        assert_eq!(
+            windows.load(Ordering::SeqCst),
+            1,
+            "the register left no record"
+        );
+    }
+
+    #[test]
+    fn a_lookup_retransmitted_across_an_update_gets_the_new_record() {
+        let dir = Directory::new();
+        dir.register("svc", ep(1, 5), meta());
+        let mut sim = Simulation::new(NetworkConfig::lan(), 3);
+        let ns = probed(&sim, dir, Arc::default());
+        sim.spawn("client", NodeId(2), move |ctx| {
+            let before = exchange(ctx, ns, 1, "lookup", name("svc"));
+            let moved = crate::binding_args("svc", ep(3, 6), Value::Null);
+            assert_eq!(gen_of(&exchange(ctx, ns, 2, "update", moved)), 2);
+            let after = exchange(ctx, ns, 1, "lookup", name("svc"));
+            let rec = |endpoint, generation| NameRecord {
+                endpoint,
+                meta: meta(),
+                generation,
+            };
+            assert_eq!(before, recorded_form(1, &rec(ep(1, 5), 1)));
+            assert_eq!(after, recorded_form(1, &rec(ep(3, 6), 2)));
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn lookup_replies_are_the_frames_a_recorded_reply_would_be() {
+        let dir = Directory::new();
+        dir.register("svc", ep(1, 5), meta());
+        dir.register("bare", ep(2, 9), Value::Null);
+        let mut sim = Simulation::new(NetworkConfig::lan(), 4);
+        let ns = probed(&sim, dir, Arc::default());
+        sim.spawn("client", NodeId(2), move |ctx| {
+            for (id, n, endpoint, meta, generation) in [
+                (1, "svc", ep(1, 5), meta(), 1),
+                (2, "bare", ep(2, 9), Value::Null, 2),
+            ] {
+                let rec = NameRecord {
+                    endpoint,
+                    meta,
+                    generation,
+                };
+                let frame = exchange(ctx, ns, id, "lookup", name(n));
+                assert_eq!(frame, recorded_form(id, &rec), "lookup of `{n}`");
+            }
+            let missing = Reply {
+                call_id: 3,
+                result: Err(RemoteError::new(
+                    ErrorCode::NoSuchObject,
+                    "unknown name `nope`",
+                )),
+                span: 43,
+            };
+            let frame = exchange(ctx, ns, 3, "lookup", name("nope"));
+            assert_eq!(frame, missing.to_bytes());
+        });
+        sim.run();
     }
 }

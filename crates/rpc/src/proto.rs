@@ -197,35 +197,11 @@ impl Reply {
     /// Writes this reply's record through a [`ValueWriter`] without
     /// cloning the result payload or error strings.
     fn write_into(&self, w: &mut ValueWriter<'_>) {
-        let span_extra = usize::from(self.span != 0);
-        match &self.result {
-            Ok(v) => {
-                w.begin_record(3 + span_extra);
-                w.key("t");
-                w.str("rep");
-                w.key("id");
-                w.u64(self.call_id);
-                w.key("ok");
-                w.value(v);
-            }
-            Err(e) => {
-                w.begin_record(5 + span_extra);
-                w.key("t");
-                w.str("rep");
-                w.key("id");
-                w.u64(self.call_id);
-                w.key("err");
-                w.str(e.code.as_str());
-                w.key("msg");
-                w.str(&e.message);
-                w.key("data");
-                w.value(&e.data);
-            }
-        }
-        if self.span != 0 {
-            w.key("sp");
-            w.u64(self.span);
-        }
+        let ok = self
+            .result
+            .as_ref()
+            .map(|v| |w: &mut ValueWriter<'_>| w.value(v));
+        write_reply(w, self.call_id, self.span, ok);
     }
 
     /// Encodes this reply into a framed datagram payload (pooled,
@@ -234,6 +210,53 @@ impl Reply {
         let _p = obs::scope("rpc;encode");
         with_encoder(|e| e.frame_with(|w| self.write_into(w)))
     }
+}
+
+/// Writes a reply record: `ok` writes the success value in place.
+fn write_reply(
+    w: &mut ValueWriter<'_>,
+    call_id: u64,
+    span: u64,
+    result: Result<impl FnOnce(&mut ValueWriter<'_>), &RemoteError>,
+) {
+    let span_extra = usize::from(span != 0);
+    match result {
+        Ok(ok) => {
+            w.begin_record(3 + span_extra);
+            w.key("t");
+            w.str("rep");
+            w.key("id");
+            w.u64(call_id);
+            w.key("ok");
+            ok(w);
+        }
+        Err(e) => {
+            w.begin_record(5 + span_extra);
+            w.key("t");
+            w.str("rep");
+            w.key("id");
+            w.u64(call_id);
+            w.key("err");
+            w.str(e.code.as_str());
+            w.key("msg");
+            w.str(&e.message);
+            w.key("data");
+            w.value(&e.data);
+        }
+    }
+    if span != 0 {
+        w.key("sp");
+        w.u64(span);
+    }
+}
+
+/// Frames a reply whose success value is already encoded (one value as
+/// [`wire::encode`] writes it), copied in as it stands. Byte-identical
+/// to [`Reply::to_bytes`] over the value `ok` encodes.
+pub(crate) fn encode_reply(call_id: u64, span: u64, result: Result<&[u8], &RemoteError>) -> Bytes {
+    let _p = obs::scope("rpc;encode");
+    let ok = result.map(|ok| move |w: &mut ValueWriter<'_>| w.encoded(ok));
+    with_encoder(|e| e.frame_with(|w| write_reply(w, call_id, span, ok)))
 }
 
 /// A one-way notification (no reply expected): cache invalidations,

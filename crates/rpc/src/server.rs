@@ -5,7 +5,12 @@
 //! executed that the client may still be waiting for. A retransmitted
 //! request is answered from that reply cache without re-executing the
 //! handler — the property experiment E7 verifies under loss and
-//! duplication.
+//! duplication. The exception is a call its owner answers *unrecorded*
+//! ([`Pass::settle_unrecorded`]): one that is safe to run twice, such as
+//! a name server's lookup. It leaves nothing behind — no client window,
+//! no recorded reply, no `lo` released — and a retransmission of it is
+//! run again. What a server keeps is then bounded by the clients that
+//! made recorded calls, not by every client that ever asked.
 //!
 //! How long a reply is kept is the client's to say, not a constant's.
 //! Every request a [`Channel`](crate::Channel) sends carries `lo`, the
@@ -17,7 +22,9 @@
 //! has it or has given up on its call, however many later calls
 //! complete first, and what a server keeps per client is bounded by
 //! that client's outstanding window. A request that states no `lo`
-//! releases nothing.
+//! releases nothing. A client's window is made by its first recorded or
+//! deferred call, when that call settles; duplicate suppression before
+//! then reads it as empty.
 //!
 //! A pipelined client keeps many calls outstanding, so ids may *execute
 //! out of order* (call 7's datagram can arrive before call 5's). Above
@@ -47,7 +54,7 @@ use simnet::{Ctx, Endpoint, Message, SimTime};
 use wire::Value;
 
 use crate::error::RemoteError;
-use crate::proto::{splice_reply_batch, Oneway, Packet, Reply, Request};
+use crate::proto::{encode_reply, splice_reply_batch, Oneway, Packet, Reply, Request};
 
 /// Counters accumulated by a server.
 ///
@@ -132,6 +139,14 @@ struct Executing {
 }
 
 impl ClientWindow {
+    /// The window of a client with none: what admission reads before a
+    /// client's first recorded call makes its own.
+    const NONE: ClientWindow = ClientWindow {
+        floor: 0,
+        cached: VecDeque::new(),
+        executing: Vec::new(),
+    };
+
     fn lookup(&self, id: u64) -> Option<&Bytes> {
         self.cached.iter().find(|(i, _)| *i == id).map(|(_, b)| b)
     }
@@ -141,6 +156,15 @@ impl ClientWindow {
     /// longer awaits it.
     fn drops(&self, id: u64) -> bool {
         id <= self.floor || self.executing.iter().any(|e| e.call.call_id == id)
+    }
+
+    /// Whether a request for `id` carrying `lo` is fresh: above the
+    /// floor its `lo` would raise, with no recorded reply and not
+    /// executing. Exactly what [`ClientWindow::release_below`] followed by
+    /// [`ClientWindow::lookup`] and [`ClientWindow::drops`] would find,
+    /// releasing nothing.
+    fn is_fresh(&self, id: u64, lo: u64) -> bool {
+        id > self.floor.max(lo.saturating_sub(1)) && self.lookup(id).is_none() && !self.drops(id)
     }
 
     /// Takes a request's `lo`: the client awaits no id below it, so the
@@ -160,6 +184,26 @@ impl ClientWindow {
             self.cached.push_back((id, reply));
         }
     }
+
+    /// Closes a call's dispatch span, records its encoded reply for
+    /// duplicate suppression and returns it for sending.
+    fn answer(
+        &mut self,
+        ctx: &mut Ctx,
+        call: Call,
+        op: &str,
+        result: Result<Value, RemoteError>,
+    ) -> Bytes {
+        close_dispatch(ctx, &call, op, result.is_ok());
+        let encoded = Reply {
+            call_id: call.call_id,
+            result,
+            span: call.span,
+        }
+        .to_bytes();
+        self.insert(call.call_id, encoded.clone());
+        encoded
+    }
 }
 
 /// What duplicate suppression makes of one request.
@@ -169,8 +213,8 @@ enum Admit {
     Cached(Bytes),
     /// Still executing, or no longer awaited; nothing to send.
     Dropped,
-    /// A fresh call, started.
-    Fresh(Call),
+    /// A fresh call, started, and the `lo` its request stated.
+    Fresh(Call, u64),
 }
 
 /// Encoded replies on their way out, grouped by destination in the
@@ -341,12 +385,33 @@ impl RpcServer {
         })
     }
 
-    /// Duplicate suppression for one request: first forgets what the
-    /// client's `lo` says it no longer awaits, then finds the id's
-    /// recorded reply, drops an id that is still executing or that the
-    /// client no longer awaits, and starts a fresh one — its dispatch
-    /// span opened as a child of the request's invoke span.
+    /// Duplicate suppression for one request: starts a fresh one — its
+    /// dispatch span opened as a child of the request's invoke span —
+    /// touching no window, since its owner has yet to say whether it is
+    /// recorded. Otherwise forgets what the client's `lo` says it no
+    /// longer awaits, then finds the id's recorded reply, or drops an id
+    /// that is still executing or that the client no longer awaits.
     fn admit(&mut self, ctx: &mut Ctx, req: &Request, lo: u64) -> Admit {
+        let known = self.windows.get(&req.reply_to);
+        if known
+            .unwrap_or(&ClientWindow::NONE)
+            .is_fresh(req.call_id, lo)
+        {
+            let dispatch = ctx.obs().open_span(
+                obs::SpanKind::Dispatch,
+                obs::SpanId::from_raw(req.span),
+                ctx.name(),
+                &req.op,
+                ctx.now().as_nanos(),
+            );
+            let call = Call {
+                call_id: req.call_id,
+                span: req.span,
+                dispatch,
+                started: ctx.now(),
+            };
+            return Admit::Fresh(call, lo);
+        }
         let window = self.windows.entry(req.reply_to).or_default();
         window.release_below(lo);
         if let Some(cached) = window.lookup(req.call_id) {
@@ -359,56 +424,18 @@ impl RpcServer {
             ctx.obs().on_duplicate_suppressed();
             return Admit::Cached(cached);
         }
-        if window.drops(req.call_id) {
-            // Still executing (the reply will come when it completes), or
-            // at or below the floor: the client no longer awaits it — drop.
-            self.stats.duplicates_dropped += 1;
-            ctx.obs().on_duplicate_dropped();
-            return Admit::Dropped;
-        }
-        let dispatch = ctx.obs().open_span(
-            obs::SpanKind::Dispatch,
-            obs::SpanId::from_raw(req.span),
-            ctx.name(),
-            &req.op,
-            ctx.now().as_nanos(),
-        );
-        Admit::Fresh(Call {
-            call_id: req.call_id,
-            span: req.span,
-            dispatch,
-            started: ctx.now(),
-        })
+        // Still executing (the reply will come when it completes), or at
+        // or below the floor: the client no longer awaits it — drop.
+        self.stats.duplicates_dropped += 1;
+        ctx.obs().on_duplicate_dropped();
+        Admit::Dropped
     }
 
-    /// Closes a call's dispatch span, records its encoded reply for
-    /// duplicate suppression and returns it for sending.
-    fn finish(
-        &mut self,
-        ctx: &mut Ctx,
-        reply_to: Endpoint,
-        call: Call,
-        op: &str,
-        result: Result<Value, RemoteError>,
-    ) -> Bytes {
-        ctx.obs()
-            .close_span(call.dispatch, ctx.now().as_nanos(), result.is_ok());
-        ctx.trace(call.dispatch, || obs::NetEventKind::ServerExecute {
-            service: ctx.name().to_owned(),
-            op: op.to_owned(),
-            dur_ns: ctx.now().saturating_since(call.started).as_nanos() as u64,
-        });
-        let encoded = Reply {
-            call_id: call.call_id,
-            result,
-            span: call.span,
-        }
-        .to_bytes();
-        self.windows
-            .entry(reply_to)
-            .or_default()
-            .insert(call.call_id, encoded.clone());
-        encoded
+    /// How many clients this server keeps a window for (test hook: a
+    /// client whose calls were all answered unrecorded has none).
+    #[doc(hidden)]
+    pub fn windows_len(&self) -> usize {
+        self.windows.len()
     }
 
     /// Delivers the results of calls whose handlers deferred them (see
@@ -440,7 +467,7 @@ impl RpcServer {
             };
             let Executing { call, op } = window.executing.swap_remove(at);
             let span = obs::SpanId::from_raw(call.span);
-            let encoded = self.finish(ctx, reply_to, call, &op, result);
+            let encoded = window.answer(ctx, call, &op, result);
             out.push(reply_to, encoded, span);
             answered += 1;
         }
@@ -465,12 +492,24 @@ impl RpcServer {
     }
 }
 
+/// Closes a call's dispatch span and traces its execution.
+fn close_dispatch(ctx: &mut Ctx, call: &Call, op: &str, ok: bool) {
+    ctx.obs()
+        .close_span(call.dispatch, ctx.now().as_nanos(), ok);
+    ctx.trace(call.dispatch, || obs::NetEventKind::ServerExecute {
+        service: ctx.name().to_owned(),
+        op: op.to_owned(),
+        dur_ns: ctx.now().saturating_since(call.started).as_nanos() as u64,
+    });
+}
+
 /// A pass over one datagram's requests, for an owner that runs each
 /// fresh one itself, one at a time ([`RpcServer::handle_deferred`] is
 /// this pass around a closure): [`Pass::next`] answers duplicates from
 /// the reply cache and hands out the next fresh request, its dispatch
 /// span open and current; [`Pass::settle`] takes its result, or `None` —
-/// "started, will answer later"; [`Pass::finish`] sends the replies,
+/// "started, will answer later" — or [`Pass::settle_unrecorded`] answers
+/// it without a record; [`Pass::finish`] sends the replies,
 /// coalesced as [`RpcServer::handle`] coalesces a batch's. Each step
 /// takes the server that made the pass, so the owner may use the server
 /// between steps.
@@ -492,6 +531,9 @@ pub struct Fresh {
     /// The request.
     pub req: Request,
     call: Call,
+    /// The request's `lo`, taken into its client's window when the call
+    /// settles recorded or deferred.
+    lo: u64,
     /// The span current before the dispatch span, back once settled.
     previous: obs::SpanId,
 }
@@ -527,7 +569,7 @@ impl Pass {
                     self.out.push(req.reply_to, bytes, self.lone_span(&req));
                 }
                 Admit::Dropped => self.tally(Served::DuplicateDropped),
-                Admit::Fresh(call) => {
+                Admit::Fresh(call, lo) => {
                     // The dispatch is the process's active span while the
                     // request runs, so notifications it sends
                     // (invalidations, recalls, replication updates) are
@@ -536,6 +578,7 @@ impl Pass {
                     return Some(Fresh {
                         req,
                         call,
+                        lo,
                         previous,
                     });
                 }
@@ -553,18 +596,18 @@ impl Pass {
         fresh: &Fresh,
         result: Option<Result<Value, RemoteError>>,
     ) {
-        ctx.set_current_span(fresh.previous);
-        server.stats.executed += 1;
-        ctx.obs().on_executed();
+        Pass::executed(server, ctx, fresh);
         let req = &fresh.req;
+        // The client's first recorded call makes its window.
+        let window = server.windows.entry(req.reply_to).or_default();
+        window.release_below(fresh.lo);
         match result {
             Some(result) => {
-                let bytes = server.finish(ctx, req.reply_to, fresh.call, &req.op, result);
+                let bytes = window.answer(ctx, fresh.call, &req.op, result);
                 self.out.push(req.reply_to, bytes, self.lone_span(req));
                 self.tally(Served::Executed);
             }
             None => {
-                let window = server.windows.entry(req.reply_to).or_default();
                 window.executing.push(Executing {
                     call: fresh.call,
                     op: req.op.clone(),
@@ -572,6 +615,35 @@ impl Pass {
                 self.tally(Served::Deferred);
             }
         }
+    }
+
+    /// Answers `fresh` with the pass's replies without recording the
+    /// reply, for a call that is safe to run twice (a read): its client
+    /// gets no window, its `lo` releases nothing, and a retransmission
+    /// of it runs again. `Ok` holds the success value already encoded
+    /// (one value as [`wire::encode`] writes it), copied into the reply
+    /// as it stands.
+    pub fn settle_unrecorded(
+        &mut self,
+        server: &mut RpcServer,
+        ctx: &mut Ctx,
+        fresh: &Fresh,
+        result: Result<Bytes, RemoteError>,
+    ) {
+        Pass::executed(server, ctx, fresh);
+        let (req, call) = (&fresh.req, &fresh.call);
+        close_dispatch(ctx, call, &req.op, result.is_ok());
+        let ok = result.as_ref().map(|ok| &ok[..]);
+        let bytes = encode_reply(call.call_id, call.span, ok);
+        self.out.push(req.reply_to, bytes, self.lone_span(req));
+        self.tally(Served::Executed);
+    }
+
+    /// Counts `fresh` as executed, its dispatch span no longer current.
+    fn executed(server: &mut RpcServer, ctx: &mut Ctx, fresh: &Fresh) {
+        ctx.set_current_span(fresh.previous);
+        server.stats.executed += 1;
+        ctx.obs().on_executed();
     }
 
     /// Sends the pass's replies; returns what it did.
