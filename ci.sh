@@ -56,6 +56,32 @@ tree_at_start="$(tree)"
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
+step "census of blocking calls (only the benchmark's bridge may block)"
+# Client libraries are written once, as `async`. A blocking body reaches
+# them only through the bridge the benchmark's blocking bodies use
+# (benchmark/src/sut.rs): SessionCore::{bind, invoke, shutdown}, invoke's
+# own tend step included, and Channel::wait. Each `block_on(` in the
+# non-test code of these crates (a file up to its first column-0
+# `#[cfg(test)]`, comments skipped) is listed with the function it is in,
+# and the list must be exactly that bridge.
+census="$(for c in core rpc naming services dsm migration replication; do
+  for f in $(find "crates/$c/src" -name '*.rs' | sort); do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+      /^[[:space:]]*\/\// { next }
+      match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+      /block_on\(/ { print f " " fn }' "$f"
+  done
+done)"
+bridge="crates/core/src/session_core.rs bind
+crates/core/src/session_core.rs invoke
+crates/core/src/session_core.rs invoke
+crates/core/src/session_core.rs shutdown
+crates/rpc/src/channel.rs wait"
+if [ "$census" != "$bridge" ]; then
+  printf 'blocking calls outside the bridge:\n%s\n' "$census"
+  exit 1
+fi
+
 step "cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

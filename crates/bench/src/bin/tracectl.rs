@@ -25,9 +25,10 @@ use std::time::Duration;
 
 use bench::Table;
 use naming::spawn_name_server;
-use proxy_core::{CachingParams, ProxySpec, ServiceBuilder, Session, SessionCore};
-use services::kv::{KvClient, KvStore};
+use proxy_core::{CachingParams, ProxySpec, ServiceBuilder, SessionCore};
+use services::kv::KvStore;
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
+use wire::Value;
 
 /// Components must sum to the measured span duration within this
 /// fraction (the acceptance bar for the reconstruction).
@@ -182,20 +183,21 @@ fn chaos_run(opts: &RunOpts) -> (Simulation, obs::CausalTrace) {
         let node = NodeId(2 + c);
         sim.spawn(format!("client-{c}"), node, move |ctx| {
             let mut rt = SessionCore::new(ns);
-            let mut s = Session::new(&mut rt, ctx);
-            let kv = match KvClient::bind(&mut s, "kv") {
-                Ok(kv) => kv,
-                Err(_) => return,
+            let Ok(kv) = rt.bind(ctx, "kv") else {
+                return;
             };
             for round in 0..rounds {
                 // Write occasionally, read mostly — cache hits, misses,
                 // invalidations, and (under loss) retransmissions all
                 // show up on the trace.
+                let key = Value::str(format!("k{}", round % 3));
                 if round % 5 == c as u64 % 5 {
-                    let _ = kv.put(&mut s, &format!("k{}", round % 3), &format!("v{round}"));
+                    let value = Value::str(format!("v{round}"));
+                    let args = Value::record([("key", key.clone()), ("value", value)]);
+                    let _ = rt.invoke(ctx, kv, "put", args);
                 }
-                let _ = kv.get(&mut s, &format!("k{}", round % 3));
-                if s.ctx().sleep(Duration::from_millis(1)).is_err() {
+                let _ = rt.invoke(ctx, kv, "get", Value::record([("key", key)]));
+                if ctx.sleep(Duration::from_millis(1)).is_err() {
                     return;
                 }
             }

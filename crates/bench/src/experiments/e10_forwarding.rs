@@ -44,24 +44,25 @@ fn measure(mode: ForwardMode, hops: u32, seed: u64) -> (Point, ObsReport, TraceA
         || Box::new(Counter::new()),
     );
     let (w, r) = slot::<Point>();
-    sim.spawn("client", NodeId(50), move |ctx| {
+    sim.spawn_async("client", NodeId(50), move |cx| async move {
+        let now = || cx.with(|cx| cx.now());
         let mut rt = SessionCore::new(ns);
-        let ctr = rt.bind(ctx, "ctr").unwrap();
-        rt.invoke(ctx, ctr, "get", Value::Null).unwrap(); // warm bind
+        let ctr = rt.attach(cx, "ctr").await.unwrap();
+        rt.call(cx, ctr, "get", Value::Null).await.unwrap(); // warm bind
 
         let mut host = home;
         for i in 0..hops {
-            host = request_migration(ctx, host, NodeId(2 + i)).unwrap();
+            host = request_migration(cx, host, NodeId(2 + i)).await.unwrap();
         }
 
         let s0 = rt.stats(ctr);
-        let t0 = ctx.now();
-        rt.invoke(ctx, ctr, "get", Value::Null).unwrap();
-        let first_call_us = (ctx.now() - t0).as_secs_f64() * 1e6;
+        let t0 = now();
+        rt.call(cx, ctr, "get", Value::Null).await.unwrap();
+        let first_call_us = (now() - t0).as_secs_f64() * 1e6;
         let s1 = rt.stats(ctr);
-        let t1 = ctx.now();
-        rt.invoke(ctx, ctr, "get", Value::Null).unwrap();
-        let second_call_us = (ctx.now() - t1).as_secs_f64() * 1e6;
+        let t1 = now();
+        rt.call(cx, ctr, "get", Value::Null).await.unwrap();
+        let second_call_us = (now() - t1).as_secs_f64() * 1e6;
         let s2 = rt.stats(ctr);
         *w.lock().unwrap() = Some(Point {
             first_call_us,
@@ -75,13 +76,16 @@ fn measure(mode: ForwardMode, hops: u32, seed: u64) -> (Point, ObsReport, TraceA
     // A later client binds the stale name after everything above settled
     // (resolve-mode forwarders have cached the chain walk by then).
     let (fw, fr) = slot::<(f64, u64)>();
-    sim.spawn("fresh-client", NodeId(51), move |ctx| {
-        ctx.sleep(std::time::Duration::from_millis(200)).unwrap();
+    sim.spawn_async("fresh-client", NodeId(51), move |cx| async move {
+        let now = || cx.with(|cx| cx.now());
+        cx.sleep(std::time::Duration::from_millis(200))
+            .await
+            .unwrap();
         let mut rt = SessionCore::new(ns);
-        let ctr = rt.bind(ctx, "ctr").unwrap();
-        let t0 = ctx.now();
-        rt.invoke(ctx, ctr, "get", Value::Null).unwrap();
-        *fw.lock().unwrap() = Some(((ctx.now() - t0).as_secs_f64() * 1e6, rt.stats(ctr).rebinds));
+        let ctr = rt.attach(cx, "ctr").await.unwrap();
+        let t0 = now();
+        rt.call(cx, ctr, "get", Value::Null).await.unwrap();
+        *fw.lock().unwrap() = Some(((now() - t0).as_secs_f64() * 1e6, rt.stats(ctr).rebinds));
     });
     sim.run();
     let mut p = take(r);

@@ -22,7 +22,7 @@ use dsm::{spawn_dsm_manager, DsmClient, PageId};
 use naming::spawn_name_server;
 use proxy_core::{ProxySpec, ServiceBuilder, SessionCore};
 use services::counter::Counter;
-use simnet::{NetworkConfig, NodeId, Simulation};
+use simnet::{AsyncCx, NetworkConfig, NodeId, Simulation};
 use wire::Value;
 
 use crate::{
@@ -32,25 +32,30 @@ use crate::{
 
 const OPS: u64 = 200;
 
+/// Draws the next access of the 90 %-read mix from the process's stream.
+fn read_mostly(cx: AsyncCx) -> bool {
+    cx.with(|cx| cx.with_rng(|r| rand::Rng::gen_bool(r, 0.9)))
+}
+
 /// Scenario A: one client hammers one object (90% reads).
 fn locality_dsm(seed: u64) -> (f64, u64, ObsReport, TraceArtifact) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
     sim.enable_trace(1 << 16);
     let manager = spawn_dsm_manager(&sim, NodeId(0), 64);
     let (w, r) = slot::<f64>();
-    sim.spawn("client", NodeId(1), move |ctx| {
-        let mut mem = DsmClient::attach(ctx, manager);
+    sim.spawn_async("client", NodeId(1), move |cx| async move {
+        let now = || cx.with(|cx| cx.now());
+        let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
         // Warm nothing: the first access faults, as in real DSM.
-        let t0 = ctx.now();
+        let t0 = now();
         for i in 0..OPS {
-            let is_read = ctx.with_rng(|r| rand::Rng::gen_bool(r, 0.9));
-            if is_read {
-                let _ = mem.read(ctx, PageId(0), 0, 8).unwrap();
+            if read_mostly(cx) {
+                let _ = mem.read(cx, PageId(0), 0, 8).await.unwrap();
             } else {
-                mem.write(ctx, PageId(0), 0, &i.to_le_bytes()).unwrap();
+                mem.write(cx, PageId(0), 0, &i.to_le_bytes()).await.unwrap();
             }
         }
-        *w.lock().unwrap() = Some(us_per_op_f(ctx.now() - t0, OPS));
+        *w.lock().unwrap() = Some(us_per_op_f(now() - t0, OPS));
     });
     let report = sim.run();
     (
@@ -70,16 +75,16 @@ fn locality_proxy(label: &str, spec: ProxySpec, seed: u64) -> (f64, u64, ObsRepo
         .object(|| Box::new(Counter::new()))
         .spawn(&sim, NodeId(0), ns);
     let (w, r) = slot::<f64>();
-    sim.spawn("client", NodeId(1), move |ctx| {
+    sim.spawn_async("client", NodeId(1), move |cx| async move {
+        let now = || cx.with(|cx| cx.now());
         let mut rt = SessionCore::new(ns).with_factories(services::all_factories());
-        let ctr = rt.bind(ctx, "ctr").unwrap();
-        let t0 = ctx.now();
+        let ctr = rt.attach(cx, "ctr").await.unwrap();
+        let t0 = now();
         for _ in 0..OPS {
-            let is_read = ctx.with_rng(|r| rand::Rng::gen_bool(r, 0.9));
-            let op = if is_read { "get" } else { "inc" };
-            rt.invoke(ctx, ctr, op, Value::Null).unwrap();
+            let op = if read_mostly(cx) { "get" } else { "inc" };
+            rt.call(cx, ctr, op, Value::Null).await.unwrap();
         }
-        *w.lock().unwrap() = Some(us_per_op_f(ctx.now() - t0, OPS));
+        *w.lock().unwrap() = Some(us_per_op_f(now() - t0, OPS));
     });
     let report = sim.run();
     (take(r), report.metrics.msgs_sent, obs_report(label, &sim))
@@ -95,17 +100,20 @@ fn pingpong_dsm(seed: u64) -> (f64, TraceArtifact) {
     for c in 0..2u32 {
         let (w, r) = slot::<f64>();
         slots.push(r);
-        sim.spawn(format!("writer{c}"), NodeId(1 + c), move |ctx| {
-            let mut mem = DsmClient::attach(ctx, manager);
-            let t0 = ctx.now();
+        sim.spawn_async(format!("writer{c}"), NodeId(1 + c), move |cx| async move {
+            let now = || cx.with(|cx| cx.now());
+            let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
+            let t0 = now();
             for i in 0..50u64 {
                 // Each writer touches its own offset — *false sharing*:
                 // the page, not the datum, is the coherence unit.
-                mem.write(ctx, PageId(0), (c as usize) * 8, &i.to_le_bytes())
+                let offset = (c as usize) * 8;
+                mem.write(cx, PageId(0), offset, &i.to_le_bytes())
+                    .await
                     .unwrap();
-                ctx.sleep(Duration::from_micros(200)).unwrap();
+                cx.sleep(Duration::from_micros(200)).await.unwrap();
             }
-            *w.lock().unwrap() = Some(((ctx.now() - t0).as_secs_f64() * 1e6 - 50.0 * 200.0) / 50.0);
+            *w.lock().unwrap() = Some(((now() - t0).as_secs_f64() * 1e6 - 50.0 * 200.0) / 50.0);
         });
     }
     sim.run();
@@ -127,15 +135,16 @@ fn pingpong_stub(seed: u64) -> f64 {
     for c in 0..2u32 {
         let (w, r) = slot::<f64>();
         slots.push(r);
-        sim.spawn(format!("writer{c}"), NodeId(1 + c), move |ctx| {
+        sim.spawn_async(format!("writer{c}"), NodeId(1 + c), move |cx| async move {
+            let now = || cx.with(|cx| cx.now());
             let mut rt = SessionCore::new(ns);
-            let ctr = rt.bind(ctx, "ctr").unwrap();
-            let t0 = ctx.now();
+            let ctr = rt.attach(cx, "ctr").await.unwrap();
+            let t0 = now();
             for _ in 0..50 {
-                rt.invoke(ctx, ctr, "inc", Value::Null).unwrap();
-                ctx.sleep(Duration::from_micros(200)).unwrap();
+                rt.call(cx, ctr, "inc", Value::Null).await.unwrap();
+                cx.sleep(Duration::from_micros(200)).await.unwrap();
             }
-            *w.lock().unwrap() = Some(((ctx.now() - t0).as_secs_f64() * 1e6 - 50.0 * 200.0) / 50.0);
+            *w.lock().unwrap() = Some(((now() - t0).as_secs_f64() * 1e6 - 50.0 * 200.0) / 50.0);
         });
     }
     sim.run();

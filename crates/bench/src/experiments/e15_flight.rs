@@ -24,9 +24,10 @@
 use std::time::Duration;
 
 use naming::spawn_name_server;
-use proxy_core::{CachingParams, ProxySpec, ServiceBuilder, Session, SessionCore};
-use services::kv::{KvClient, KvStore};
+use proxy_core::{CachingParams, ProxySpec, ServiceBuilder, SessionCore};
+use services::kv::KvStore;
 use simnet::{NetworkConfig, NodeId, Simulation};
+use wire::Value;
 
 use crate::{check, trace_dir, ExperimentOutput, ObsReport, Table, TraceArtifact};
 
@@ -74,17 +75,18 @@ fn run_flight(width_ns: u64) -> FlightRun {
         let node = NodeId(2 + c);
         sim.spawn(format!("client-{c}"), node, move |ctx| {
             let mut rt = SessionCore::new(ns);
-            let mut s = Session::new(&mut rt, ctx);
-            let kv = match KvClient::bind(&mut s, "kv") {
-                Ok(kv) => kv,
-                Err(_) => return,
+            let Ok(kv) = rt.bind(ctx, "kv") else {
+                return;
             };
             for round in 0..ROUNDS {
+                let key = Value::str(format!("k{}", round % 3));
                 if round % 5 == u64::from(c) % 5 {
-                    let _ = kv.put(&mut s, &format!("k{}", round % 3), &format!("v{round}"));
+                    let value = Value::str(format!("v{round}"));
+                    let args = Value::record([("key", key.clone()), ("value", value)]);
+                    let _ = rt.invoke(ctx, kv, "put", args);
                 }
-                let _ = kv.get(&mut s, &format!("k{}", round % 3));
-                if s.ctx().sleep(Duration::from_millis(1)).is_err() {
+                let _ = rt.invoke(ctx, kv, "get", Value::record([("key", key)]));
+                if ctx.sleep(Duration::from_millis(1)).is_err() {
                     return;
                 }
             }

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use proxy_core::{BulkParams, ProxySpec, ServiceBuilder, Session, SessionCore};
+use proxy_core::{BulkParams, ProxySpec, ServiceBuilder, SessionCore};
 use services::blob::{spawn_edge_cache, BlobStore};
 use services::kv::KvStore;
 use simnet::{NetworkConfig, NodeId, Simulation};
@@ -405,22 +405,22 @@ pub fn spawn_leg(cfg: Config, bulk: bool, threads: usize) -> (Simulation, Tallie
     // thread count cannot reorder anything observable.
     sim.spawn("publisher", NodeId(NODE_PUBLISHER), move |ctx| {
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
         let mut patience = 200;
         let catalog = loop {
-            match s.bind("catalog") {
+            match rt.bind(ctx, "catalog") {
                 Ok(h) => break h,
                 Err(_) => {
                     patience -= 1;
                     assert!(patience > 0, "publisher could not bind the catalog");
-                    if s.ctx().sleep(Duration::from_millis(5)).is_err() {
+                    if ctx.sleep(Duration::from_millis(5)).is_err() {
                         return;
                     }
                 }
             }
         };
         for a in 0..cfg.assets {
-            s.invoke(
+            rt.invoke(
+                ctx,
                 catalog,
                 "put",
                 Value::record([
@@ -430,7 +430,8 @@ pub fn spawn_leg(cfg: Config, bulk: bool, threads: usize) -> (Simulation, Tallie
             )
             .expect("publish must succeed");
         }
-        s.invoke(
+        rt.invoke(
+            ctx,
             catalog,
             "put",
             Value::record([
@@ -459,15 +460,14 @@ pub fn spawn_leg(cfg: Config, bulk: bool, threads: usize) -> (Simulation, Tallie
             sim.spawn(format!("r{r}c{c}"), client_node(cfg, r, c), move |ctx| {
                 let mut rt = SessionCore::new(ns);
                 rt.binder_mut().set_bulk_route(route);
-                let mut s = Session::new(&mut rt, ctx);
                 let mut patience = 400;
                 let catalog = loop {
-                    match s.bind("catalog") {
+                    match rt.bind(ctx, "catalog") {
                         Ok(h) => break h,
                         Err(_) => {
                             patience -= 1;
                             assert!(patience > 0, "client {id} could not bind");
-                            if s.ctx().sleep(Duration::from_millis(5)).is_err() {
+                            if ctx.sleep(Duration::from_millis(5)).is_err() {
                                 return;
                             }
                         }
@@ -476,7 +476,8 @@ pub fn spawn_leg(cfg: Config, bulk: bool, threads: usize) -> (Simulation, Tallie
                 // Wait (over the network) for the catalog to fill.
                 let mut patience = 4000;
                 loop {
-                    let v = s.invoke(
+                    let v = rt.invoke(
+                        ctx,
                         catalog,
                         "get",
                         Value::record([("key", Value::str("__manifest"))]),
@@ -486,7 +487,7 @@ pub fn spawn_leg(cfg: Config, bulk: bool, threads: usize) -> (Simulation, Tallie
                     }
                     patience -= 1;
                     assert!(patience > 0, "client {id}: manifest never appeared");
-                    if s.ctx().sleep(Duration::from_millis(10)).is_err() {
+                    if ctx.sleep(Duration::from_millis(10)).is_err() {
                         return;
                     }
                 }
@@ -503,10 +504,11 @@ pub fn spawn_leg(cfg: Config, bulk: bool, threads: usize) -> (Simulation, Tallie
                     } else {
                         zipf.sample(&mut rng)
                     };
-                    let t0 = ctx_now(&mut s);
+                    let t0 = ctx.now().as_nanos();
                     let mut patience = 40;
                     let v = loop {
-                        match s.invoke(
+                        match rt.invoke(
+                            ctx,
                             catalog,
                             "get",
                             Value::record([("key", Value::str(format!("asset-{asset}")))]),
@@ -515,13 +517,13 @@ pub fn spawn_leg(cfg: Config, bulk: bool, threads: usize) -> (Simulation, Tallie
                             Err(e) => {
                                 patience -= 1;
                                 assert!(patience > 0, "client {id} get failed for good: {e}");
-                                if s.ctx().sleep(Duration::from_millis(10)).is_err() {
+                                if ctx.sleep(Duration::from_millis(10)).is_err() {
                                     return;
                                 }
                             }
                         }
                     };
-                    let dt = ctx_now(&mut s) - t0;
+                    let dt = ctx.now().as_nanos() - t0;
                     let bytes = v.as_blob().expect("catalog serves blobs");
                     let mut h = FNV_OFFSET;
                     h = fnv_bytes(h, &(id as u64).to_le_bytes());
@@ -538,7 +540,7 @@ pub fn spawn_leg(cfg: Config, bulk: bool, threads: usize) -> (Simulation, Tallie
                             l.zipf.push(dt);
                         }
                     }
-                    if s.ctx().sleep(Duration::from_millis(2)).is_err() {
+                    if ctx.sleep(Duration::from_millis(2)).is_err() {
                         return;
                     }
                 }
@@ -650,10 +652,6 @@ fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
 }
 
 /// The session's current virtual time, in nanoseconds.
-fn ctx_now(s: &mut Session<'_>) -> u64 {
-    s.ctx().now().as_nanos()
-}
-
 /// Runs E19 and returns its tables and shape checks.
 #[allow(clippy::too_many_lines)] // three legs, four tables, eleven checks
 pub fn run() -> ExperimentOutput {

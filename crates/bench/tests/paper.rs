@@ -1,0 +1,66 @@
+//! The paper's evaluation under `cargo test`: each experiment whose
+//! client libraries are written as `async` bodies runs here as its binary
+//! runs in `ci.sh` — every shape check must pass, and each causal trace
+//! it exports must be valid, canonical JSONL (what `tracectl check`
+//! asks) and byte-identical across two runs of the same seeds.
+
+use bench::experiments::{e10_forwarding, e12_dsm};
+use bench::ExperimentOutput;
+
+/// Runs `run` twice and holds it to its checks and its traces.
+fn holds(run: fn() -> ExperimentOutput) {
+    let first = run();
+    let failed: Vec<String> = (first.checks.iter())
+        .filter(|c| !c.pass)
+        .map(|c| format!("  [FAIL] {} — {}", c.name, c.detail))
+        .collect();
+    if !failed.is_empty() {
+        let tables: String = first.tables.iter().map(bench::Table::render).collect();
+        panic!(
+            "{} — {}\n{tables}\n{}",
+            first.id,
+            first.title,
+            failed.join("\n")
+        );
+    }
+    let second = run();
+    assert_eq!(
+        first.traces.len(),
+        second.traces.len(),
+        "{}: traces",
+        first.id
+    );
+    for (a, b) in first.traces.iter().zip(&second.traces) {
+        let jsonl = obs::to_jsonl(&a.trace);
+        let parsed = obs::from_jsonl(&jsonl)
+            .unwrap_or_else(|e| panic!("{} {}: invalid trace JSONL: {e}", first.id, a.label));
+        assert_eq!(
+            parsed.events.len(),
+            a.trace.events.len(),
+            "{}: events",
+            a.label
+        );
+        assert!(
+            obs::to_jsonl(&parsed) == jsonl,
+            "{} {}: the re-export is not byte-identical",
+            first.id,
+            a.label
+        );
+        assert!(
+            obs::to_jsonl(&b.trace) == jsonl,
+            "{} {}: two runs exported different traces",
+            first.id,
+            a.label
+        );
+    }
+}
+
+#[test]
+fn e10_forwarding_chains_and_path_compression() {
+    holds(e10_forwarding::run);
+}
+
+#[test]
+fn e12_proxies_against_distributed_shared_memory() {
+    holds(e12_dsm::run);
+}

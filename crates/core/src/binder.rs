@@ -134,7 +134,7 @@ impl Binder {
     ) -> Result<Box<dyn Proxy>, RpcError> {
         let record = self
             .ns
-            .resolve_async(cx, service, Some(&mut oneways_into(strays)))
+            .resolve(cx, service, Some(&mut oneways_into(strays)))
             .await?;
         let spec_v = record
             .meta

@@ -194,7 +194,7 @@ impl BlobClient {
             None => {
                 let rec = self
                     .ns
-                    .resolve_async(cx, &self.store, Some(&mut oneways_into(strays)))
+                    .resolve(cx, &self.store, Some(&mut oneways_into(strays)))
                     .await?;
                 let cfg = ChannelConfig::with_depth(self.depth).batched(self.depth);
                 Channel::new(self.store.clone(), rec.endpoint, cfg)

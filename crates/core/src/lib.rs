@@ -25,8 +25,9 @@
 //! * [`ServiceObject`] + [`ServiceServer`] — the server context hosting
 //!   an object behind the proxy protocol.
 //! * [`Binder`] / [`SessionCore`] — the client context: the binding
-//!   protocol plus notification routing. [`Session`] borrows a core
-//!   and the process's `Ctx` together for typed clients.
+//!   protocol plus notification routing, written as `async`. A client
+//!   body holds a core and hands it, with its [`simnet::AsyncCx`], to
+//!   every call.
 //! * [`Proxy`] and the [`proxies`] zoo — the client-side
 //!   representatives.
 //!
@@ -35,7 +36,7 @@
 //! ```
 //! use simnet::{Simulation, NetworkConfig, NodeId};
 //! use naming::spawn_name_server;
-//! use proxy_core::{ServiceBuilder, SessionCore, Session, ProxySpec, CachingParams};
+//! use proxy_core::{ServiceBuilder, SessionCore, ProxySpec, CachingParams};
 //! use proxy_core::{InterfaceDesc, OpDesc, ServiceObject};
 //! use rpc::{RemoteError, ErrorCode};
 //! use wire::Value;
@@ -71,14 +72,13 @@
 //!     .spec(ProxySpec::Caching(CachingParams::default()))
 //!     .object(|| Box::new(Register(7)))
 //!     .spawn(&sim, NodeId(1), ns);
-//! sim.spawn("client", NodeId(2), move |ctx| {
+//! sim.spawn_async("client", NodeId(2), move |cx| async move {
 //!     let mut core = SessionCore::new(ns);
-//!     let mut session = Session::new(&mut core, ctx);
-//!     let reg = session.bind("reg").unwrap();
-//!     assert_eq!(session.invoke(reg, "read", Value::Null).unwrap(), Value::U64(7));
+//!     let reg = core.attach(cx, "reg").await.unwrap();
+//!     assert_eq!(core.call(cx, reg, "read", Value::Null).await.unwrap(), Value::U64(7));
 //!     // Second read is served from the proxy's cache: no network.
-//!     assert_eq!(session.invoke(reg, "read", Value::Null).unwrap(), Value::U64(7));
-//!     assert_eq!(session.stats(reg).local_hits, 1);
+//!     assert_eq!(core.call(cx, reg, "read", Value::Null).await.unwrap(), Value::U64(7));
+//!     assert_eq!(core.stats(reg).local_hits, 1);
 //! });
 //! sim.run();
 //! ```
@@ -93,7 +93,6 @@ mod object;
 pub mod proxies;
 mod proxy;
 mod server;
-mod session;
 mod session_core;
 mod sharers;
 mod spec;
@@ -105,7 +104,6 @@ pub use interface::{InterfaceDesc, OpDesc, OpKind};
 pub use object::{FactoryRegistry, ObjectCtor, ServiceObject};
 pub use proxy::{protocol, Proxy, ProxyFuture, ProxyStats};
 pub use server::{serve, Control, Io, ServerStats, ServiceBuilder, ServiceServer, Strays};
-pub use session::Session;
 pub use session_core::{AsyncHandle, BindFuture, CallFuture, ProxyHandle, SessionCore};
 pub use spec::{AdaptiveParams, CachingParams, Coherence, ProxySpec, ReadTarget};
 pub use stable::{CheckpointPolicy, StableStore};

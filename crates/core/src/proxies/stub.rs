@@ -157,7 +157,7 @@ impl Remote {
                     // without a forwarder); ask the name service once.
                     relookups += 1;
                     self.ns.forget(&self.service);
-                    match Box::pin(self.ns.lookup_async(
+                    match Box::pin(self.ns.lookup(
                         cx,
                         &self.service,
                         Some(&mut oneways_into(strays)),

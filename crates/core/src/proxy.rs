@@ -110,7 +110,7 @@ pub trait Proxy: Send {
     }
 
     /// Cleanly unbinds: unsubscribe, check state back in. Called by
-    /// [`crate::SessionCore::unbind`] and before client exit. One-way
+    /// [`crate::SessionCore::detach`] and before client exit. One-way
     /// notifications that arrive while it waits go into `strays`.
     fn detach<'a>(&'a mut self, _cx: AsyncCx, _strays: &'a mut Vec<Oneway>) -> ProxyFuture<'a, ()> {
         Box::pin(async {})

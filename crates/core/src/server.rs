@@ -635,7 +635,7 @@ pub async fn serve<C: Control>(cx: AsyncCx, build: impl FnOnce(&mut Ctx) -> Serv
     if let Some((ns, meta)) = registration {
         let me = cx.with(|cx| cx.endpoint());
         match NameClient::new(ns)
-            .register_async(cx, control.name(), me, meta)
+            .register(cx, control.name(), me, meta)
             .await
         {
             Ok(_) => {}

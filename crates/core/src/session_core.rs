@@ -1,42 +1,47 @@
-//! The session engine: one core, three faces.
+//! The session engine: one core, written once as `async`, with two
+//! other ways in that the benchmark keeps.
 //!
 //! [`SessionCore`] owns everything a client context needs — the
-//! [`Binder`], the proxy table, the one-way router — and shows it three
-//! ways:
+//! [`Binder`], the proxy table, the one-way router:
 //!
 //! * **The engine** ([`SessionCore::attach`], [`SessionCore::call`],
 //!   [`SessionCore::tend`], [`SessionCore::detach`],
 //!   [`SessionCore::close`]): `async`, for an `async` body
 //!   ([`simnet::Simulation::spawn_async`]), binding any [`ProxySpec`].
+//!   Every client library is written against it — the typed clients of
+//!   the `services` crate take a core and their body's [`AsyncCx`].
 //!   Every proxy is written once, as `async`; a call its proxy answers at
 //!   once ([`Proxy::try_ready`]: a cache hit, an in-context call with no
 //!   service time) allocates no future. A call is three steps: a
 //!   synchronous begin (drain the mailbox, open the span, `try_ready`),
 //!   the proxy's future if it must wait, and a synchronous end.
-//! * **The blocking bridge** ([`SessionCore::bind`],
-//!   [`SessionCore::invoke`], [`SessionCore::pump`], …): the engine run
+//! * **The benchmark's blocking bridge** ([`SessionCore::bind`],
+//!   [`SessionCore::invoke`], [`SessionCore::shutdown`]): the engine run
 //!   on a blocking body's stack through [`simnet::Ctx::block_on`],
-//!   parking the body exactly where the engine waits. `bind`, `unbind`
-//!   and `shutdown` are one line each; `invoke` and `pump` run the
-//!   engine's synchronous steps on the body's context directly and enter
-//!   the bridge only for the steps that wait, so a cache hit costs a
-//!   blocking caller what it costs an `async` one.
-//!   [`Session`](crate::Session) borrows a core and its [`Ctx`] together
-//!   and forwards to these methods — the paper's proxy interface,
-//!   unchanged.
+//!   parking the body exactly where the engine waits. It stays for the
+//!   blocking bodies of the benchmark (`benchmark/src/sut.rs`) and of the
+//!   experiments that drive it, until the last blocking body is ported
+//!   (ROADMAP item 6d). `invoke` runs the engine's synchronous steps on
+//!   the body's context directly and enters the bridge only for the steps
+//!   that wait, so a cache hit costs a blocking caller what it costs an
+//!   `async` one.
 //! * **Tickets, kept for the benchmark** ([`SessionCore::bind_async`],
 //!   [`SessionCore::invoke_async`] and their `poll_*` drivers): returns
 //!   [`BindFuture`] / [`CallFuture`] tickets a hand-written poll-driven
 //!   process ([`simnet::Process`]) redeems from its `poll` method via
 //!   [`ProcCx`], registering its wakes (reply delivery, retransmission
-//!   deadline, retry backoff) and returning `Poll::Pending`. It speaks
-//!   the same wire protocol through the same [`rpc::Channel`] transport,
-//!   so a server cannot tell its clients apart, but it binds
-//!   **stub-grade** services only ([`ProxySpec::Stub`], what the
-//!   benchmark's million-client fleet binds): asking for a smart proxy
-//!   through `bind_async` reports a descriptive error rather than
-//!   silently downgrading the service's chosen strategy. An `async` body
-//!   binds smart proxies through the engine instead.
+//!   deadline, retry backoff) and returning `Poll::Pending`. Each ticket
+//!   poll drives every ticket at once: it drains the mailbox once and
+//!   hands each reply to the channel whose server sent it, so a client
+//!   with calls in flight on two services, or a lookup beside a call,
+//!   loses none of them. It speaks the same wire protocol through the
+//!   same [`rpc::Channel`] transport, so a server cannot tell its clients
+//!   apart, but it binds **stub-grade** services only
+//!   ([`ProxySpec::Stub`], what the benchmark's million-client fleet
+//!   binds): asking for a smart proxy through `bind_async` reports a
+//!   descriptive error rather than silently downgrading the service's
+//!   chosen strategy. An `async` body binds smart proxies through the
+//!   engine instead.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -44,7 +49,7 @@ use std::time::Duration;
 
 use naming::NameRecord;
 use rpc::{Channel, ChannelConfig, Oneway, RpcError};
-use simnet::{AsyncCx, Ctx, Endpoint, Poll, ProcCx, SimTime};
+use simnet::{AsyncCx, Ctx, Endpoint, Message, Poll, ProcCx, SimTime};
 use wire::{Value, WireError};
 
 use crate::binder::Binder;
@@ -52,7 +57,7 @@ use crate::object::FactoryRegistry;
 use crate::proxy::{Proxy, ProxyStats};
 use crate::spec::ProxySpec;
 
-/// Handle to a proxy owned by a session core (blocking surface).
+/// Handle to a proxy owned by a session core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProxyHandle(pub(crate) usize);
 
@@ -106,28 +111,22 @@ enum BindState {
     Claimed,
 }
 
-/// One service bound through the async surface: a pipelined channel to
-/// its endpoint.
-struct AsyncService {
-    chan: Channel,
-}
-
-/// The client-context engine behind [`Session`](crate::Session): the
-/// binder, the proxy table and the ticket machinery.
+/// The client-context engine: the binder, the proxy table and the ticket
+/// machinery.
 ///
 /// Its engine ([`SessionCore::attach`], [`SessionCore::call`]) is
-/// `async` and binds any [`ProxySpec`]; a blocking body reaches it
-/// through [`SessionCore::bind`] and [`SessionCore::invoke`]. The ticket
-/// surface ([`SessionCore::bind_async`], [`SessionCore::invoke_async`])
-/// serves hand-written poll-driven processes and binds
-/// [`ProxySpec::Stub`] services only.
+/// `async` and binds any [`ProxySpec`]; the benchmark's blocking bodies
+/// reach it through [`SessionCore::bind`] and [`SessionCore::invoke`].
+/// The ticket surface ([`SessionCore::bind_async`],
+/// [`SessionCore::invoke_async`]) serves hand-written poll-driven
+/// processes and binds [`ProxySpec::Stub`] services only.
 pub struct SessionCore {
     binder: Binder,
     proxies: Vec<Box<dyn Proxy>>,
     by_service: HashMap<String, usize>,
-    // -- non-blocking surface state --
+    // -- ticket state: one pipelined channel per bound service --
     binds: Vec<BindState>,
-    services: Vec<AsyncService>,
+    services: Vec<Channel>,
     async_by_service: HashMap<String, usize>,
 }
 
@@ -336,17 +335,25 @@ impl SessionCore {
     }
 
     // -----------------------------------------------------------------
-    // The blocking bridge: the engine, run on a blocking body's stack
+    // The benchmark's blocking bridge: the engine, run on a blocking
+    // body's stack. It stays for the benchmark's blocking bodies
+    // (`benchmark/src/sut.rs`) until the last blocking body is ported
+    // (ROADMAP item 6d); client libraries are written against the engine.
     // -----------------------------------------------------------------
 
-    /// [`SessionCore::attach`] for a blocking body.
+    /// [`SessionCore::attach`] for a blocking body. It stays for the
+    /// benchmark's blocking bodies until the last one is ported (ROADMAP
+    /// item 6d).
     pub fn bind(&mut self, ctx: &mut Ctx, service: &str) -> Result<ProxyHandle, RpcError> {
         ctx.block_on(|cx| self.attach(cx, service))
     }
 
-    /// [`SessionCore::call`] for a blocking body. It enters the bridge
-    /// only where the engine waits: a call its proxy answers at once
-    /// ([`Proxy::try_ready`]) runs on the body's context directly.
+    /// [`SessionCore::call`] for a blocking body. It stays for the
+    /// benchmark's blocking bodies until the last one is ported (ROADMAP
+    /// item 6d). It enters the bridge only where the engine waits: its
+    /// [`SessionCore::tend`] step lets proxies with deferred work do it,
+    /// and a call its proxy answers at once ([`Proxy::try_ready`]) runs on
+    /// the body's context directly.
     pub fn invoke(
         &mut self,
         ctx: &mut Ctx,
@@ -354,28 +361,19 @@ impl SessionCore {
         op: &str,
         args: Value,
     ) -> Result<Value, RpcError> {
-        self.pump(ctx);
+        self.drain(ctx);
+        if self.proxies.iter().any(|p| p.deferred()) {
+            ctx.block_on(|cx| self.catch_up(cx));
+        }
         match self.begin(ctx, handle, op, &args) {
             (begun, Some(result)) => self.end(ctx, begun, result),
             (begun, None) => ctx.block_on(|cx| self.finish(cx, op, args, begun)),
         }
     }
 
-    /// [`SessionCore::tend`] for a blocking body: call it from client
-    /// loops that go quiet.
-    pub fn pump(&mut self, ctx: &mut Ctx) {
-        self.drain(ctx);
-        if self.proxies.iter().any(|p| p.deferred()) {
-            ctx.block_on(|cx| self.catch_up(cx));
-        }
-    }
-
-    /// [`SessionCore::detach`] for a blocking body.
-    pub fn unbind(&mut self, ctx: &mut Ctx, handle: ProxyHandle) {
-        ctx.block_on(|cx| self.detach(cx, handle));
-    }
-
-    /// [`SessionCore::close`] for a blocking body.
+    /// [`SessionCore::close`] for a blocking body. It stays for the
+    /// benchmark's blocking bodies until the last one is ported (ROADMAP
+    /// item 6d).
     pub fn shutdown(&mut self, ctx: &mut Ctx) {
         ctx.block_on(|cx| self.close(cx));
     }
@@ -444,16 +442,17 @@ impl SessionCore {
     /// Drives a non-blocking bind. Returns `Poll::Pending` with wakes
     /// registered (reply delivery / retransmission deadline / retry
     /// backoff) until the bind settles; the first `Ready` claims the
-    /// result, later polls of the same ticket report a timeout.
+    /// result, later polls of the same ticket report a timeout. Like
+    /// [`SessionCore::poll_call`], it drives every ticket of the core.
     ///
     /// # Errors (inside `Poll::Ready`)
     ///
     /// * name-service errors (unknown name after the wait, transport),
     /// * [`RpcError::Wire`] if the binding metadata is malformed,
     /// * [`rpc::ErrorCode::Unavailable`] if the service chose a proxy
-    ///   strategy the async surface does not implement (anything but
-    ///   [`ProxySpec::Stub`]) — bind through the blocking
-    ///   [`Session`](crate::Session) instead.
+    ///   strategy the ticket surface does not implement (anything but
+    ///   [`ProxySpec::Stub`]) — bind through the engine
+    ///   ([`SessionCore::attach`]) instead.
     ///
     /// # Panics
     ///
@@ -463,10 +462,11 @@ impl SessionCore {
         cx: &mut ProcCx,
         f: BindFuture,
     ) -> Poll<Result<AsyncHandle, RpcError>> {
+        if let Err(e) = self.pump(cx) {
+            return Poll::Ready(Err(e));
+        }
         let r = self.poll_bind_inner(cx, f);
-        // Same as poll_call: no channel may be left with an unarmed
-        // retransmit deadline when the caller parks after this pass.
-        self.arm_all_deadlines(cx);
+        self.arm(cx);
         r
     }
 
@@ -484,10 +484,12 @@ impl SessionCore {
                     call,
                     deadline,
                 } => {
-                    let (service, deadline, call) = (service.clone(), *deadline, *call);
-                    match chan.poll_wait(cx, call) {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready(Ok(rep)) => {
+                    let Some(result) = chan.try_take(*call) else {
+                        return Poll::Pending;
+                    };
+                    let (service, deadline) = (service.clone(), *deadline);
+                    match result {
+                        Ok(rep) => {
                             let settled = self.settle_bind(&service, rep);
                             if let Ok(idx) = settled {
                                 self.async_by_service.insert(service, idx);
@@ -496,20 +498,18 @@ impl SessionCore {
                             }
                             self.binds[f.0] = BindState::Done(settled);
                         }
-                        Poll::Ready(Err(e)) if naming::is_not_found(&e) && cx.now() < deadline => {
+                        Err(e) if naming::is_not_found(&e) && cx.now() < deadline => {
                             // Services register asynchronously at start:
                             // back off 1ms and look up again, exactly like
-                            // the blocking bind_wait.
-                            let retry_at = cx.now() + Duration::from_millis(1);
-                            cx.wake_at(retry_at);
+                            // the engine's bind_wait.
                             self.binds[f.0] = BindState::Backoff {
                                 service,
-                                retry_at,
+                                retry_at: cx.now() + Duration::from_millis(1),
                                 deadline,
                             };
                             return Poll::Pending;
                         }
-                        Poll::Ready(Err(e)) => {
+                        Err(e) => {
                             self.binds[f.0] = BindState::Done(Err(e));
                         }
                     }
@@ -520,8 +520,6 @@ impl SessionCore {
                     deadline,
                 } => {
                     if cx.now() < *retry_at {
-                        let at = *retry_at;
-                        cx.wake_at(at);
                         return Poll::Pending;
                     }
                     let (service, deadline) = (service.clone(), *deadline);
@@ -557,16 +555,15 @@ impl SessionCore {
             return Err(RpcError::Remote(rpc::RemoteError::new(
                 rpc::ErrorCode::Unavailable,
                 format!(
-                    "service `{service}` chose proxy spec {spec:?}; the non-blocking \
-                     surface implements stub-grade bindings only — use the blocking \
-                     Session shim for smart proxies"
+                    "service `{service}` chose proxy spec {spec:?}; the ticket \
+                     surface implements stub-grade bindings only — bind smart proxies \
+                     through SessionCore::attach"
                 ),
             )));
         }
         let idx = self.services.len();
-        self.services.push(AsyncService {
-            chan: Channel::new(service, record.endpoint, ChannelConfig::default()),
-        });
+        let chan = Channel::new(service, record.endpoint, ChannelConfig::default());
+        self.services.push(chan);
         Ok(idx)
     }
 
@@ -584,9 +581,9 @@ impl SessionCore {
         op: &str,
         args: Value,
     ) -> CallFuture {
-        let svc = &mut self.services[handle.0];
-        let call = svc.chan.begin_call(cx.ctx(), op, args);
-        svc.chan.flush(cx.ctx());
+        let chan = &mut self.services[handle.0];
+        let call = chan.begin_call(cx.ctx(), op, args);
+        chan.flush(cx.ctx());
         CallFuture {
             svc: handle.0,
             call,
@@ -595,11 +592,13 @@ impl SessionCore {
 
     /// Drives one non-blocking call to completion: absorbs deliveries,
     /// fires retransmission timers, and either yields the settled result
-    /// or registers the wakes that will complete it.
+    /// or registers the wakes that will complete it. It drives every
+    /// ticket of the core, not only `f`: the other calls' replies are
+    /// theirs, and their timers fire on time.
     ///
     /// # Errors (inside `Poll::Ready`)
     ///
-    /// Same contract as [`rpc::Channel::wait`]: `Timeout` after the
+    /// Same contract as [`rpc::Channel::call`]: `Timeout` after the
     /// retry budget, `Remote` for server-reported failures, `Stopped` on
     /// simulation shutdown.
     ///
@@ -607,31 +606,67 @@ impl SessionCore {
     ///
     /// Panics if the future did not come from this core.
     pub fn poll_call(&mut self, cx: &mut ProcCx, f: CallFuture) -> Poll<Result<Value, RpcError>> {
-        let r = self.services[f.svc].chan.poll_wait(cx, f.call);
-        // The caller may park after this without polling its other
-        // futures this pass; make sure no channel in the core is left
-        // with an unarmed (possibly earlier) retransmit deadline.
-        self.arm_all_deadlines(cx);
-        r
+        if let Err(e) = self.pump(cx) {
+            return Poll::Ready(Err(e));
+        }
+        // Armed whether or not `f` settled: the caller may park after
+        // this without polling its other tickets.
+        self.arm(cx);
+        match self.services[f.svc].try_take(f.call) {
+            Some(result) => Poll::Ready(result),
+            None => Poll::Pending,
+        }
     }
 
-    /// Arms a timer wake at the earliest retransmit deadline across
-    /// *every* channel this core owns — bound services and in-flight
-    /// binds alike. A poll pass typically drives one future; any other
-    /// channel with outstanding calls still needs its timer armed, or a
-    /// deadline computed before the caller parked would go stale and
-    /// its retransmissions would wait on an unrelated delivery.
-    fn arm_all_deadlines(&self, cx: &mut ProcCx) {
-        for s in &self.services {
-            if let Some(dl) = s.chan.next_deadline() {
-                cx.wake_at(dl);
+    /// Every channel a ticket waits on: the bound services' and the
+    /// in-flight binds' lookups.
+    fn channels(&mut self) -> impl Iterator<Item = &mut Channel> {
+        let lookups = self.binds.iter_mut().filter_map(|b| match b {
+            BindState::Resolving { chan, .. } => Some(&mut **chan),
+            _ => None,
+        });
+        self.services.iter_mut().chain(lookups)
+    }
+
+    /// One ticket poll's progress over every channel: each sends what it
+    /// has staged and fires its due timers, the mailbox is drained once
+    /// with each datagram handed to the channel whose server sent it,
+    /// what no channel takes is dropped and counted, and what the replies
+    /// made room for is sent.
+    fn pump(&mut self, cx: &mut ProcCx) -> Result<(), RpcError> {
+        self.channels().for_each(|chan| chan.tick(cx));
+        while let Some(msg) = cx.try_recv()? {
+            if !self.offer(cx, &msg) {
+                cx.obs().on_stray_dropped();
             }
         }
-        for b in &self.binds {
-            if let BindState::Resolving { chan, .. } = b {
-                if let Some(dl) = chan.next_deadline() {
-                    cx.wake_at(dl);
-                }
+        self.channels().for_each(|chan| chan.flush(cx));
+        Ok(())
+    }
+
+    /// Hands `msg` to the channel whose server sent it ([`Channel::offer`]);
+    /// `false` if no channel takes it. Only lookups share a server, the
+    /// name server, and a reply's call id says whose it is.
+    fn offer(&mut self, ctx: &mut Ctx, msg: &Message) -> bool {
+        let id = match self.channels().filter(|c| c.server() == msg.src).count() {
+            0 => return false,
+            1 => None,
+            _ => reply_id(msg),
+        };
+        self.channels()
+            .find(|c| c.server() == msg.src && id.is_none_or(|id| c.awaits(id)))
+            .is_some_and(|chan| chan.offer(ctx, msg))
+    }
+
+    /// Arms a wake at the earliest instant a ticket needs one: a channel's
+    /// retransmit deadline or a bind's retry.
+    fn arm(&mut self, cx: &mut ProcCx) {
+        for deadline in self.channels().filter_map(|chan| chan.next_deadline()) {
+            cx.wake_at(deadline);
+        }
+        for bind in &self.binds {
+            if let BindState::Backoff { retry_at, .. } = bind {
+                cx.wake_at(*retry_at);
             }
         }
     }
@@ -643,6 +678,18 @@ impl SessionCore {
     ///
     /// Panics if the handle did not come from this core.
     pub fn async_stats(&self, handle: AsyncHandle) -> rpc::ChannelStats {
-        self.services[handle.0].chan.stats
+        self.services[handle.0].stats
+    }
+}
+
+/// The call id of the first reply `msg` carries, if it carries one.
+fn reply_id(msg: &Message) -> Option<u64> {
+    match rpc::Packet::from_frame(&msg.payload).ok()? {
+        rpc::Packet::Reply(rep) => Some(rep.call_id),
+        rpc::Packet::Batch(batch) => batch.items.into_iter().find_map(|item| match item {
+            rpc::Packet::Reply(rep) => Some(rep.call_id),
+            _ => None,
+        }),
+        _ => None,
     }
 }

@@ -34,7 +34,7 @@ struct Size {
 const EXPECTED: &[Size] = &[
     Size { future: "Remote::call (stub)", debug: 832, release: 832 },
     Size { future: "Channel::call", debug: 280, release: 280 },
-    Size { future: "NameClient::lookup_async", debug: 352, release: 352 },
+    Size { future: "NameClient::lookup", debug: 352, release: 352 },
     Size { future: "Binder::bind", debug: 2416, release: 2416 },
     Size { future: "SessionCore::attach", debug: 2680, release: 2680 },
     Size { future: "SessionCore::call", debug: 592, release: 592 },
@@ -58,8 +58,8 @@ fn measure() -> Vec<(&'static str, usize)> {
         sizes.push(("Channel::call", size_of_val(&f)));
         drop(f);
         let mut ns = NameClient::new(far);
-        let f = ns.lookup_async(cx, "svc", None);
-        sizes.push(("NameClient::lookup_async", size_of_val(&f)));
+        let f = ns.lookup(cx, "svc", None);
+        sizes.push(("NameClient::lookup", size_of_val(&f)));
         drop(f);
         let mut binder = Binder::new(far);
         let f = binder.bind(cx, "svc", &mut strays);

@@ -219,8 +219,8 @@ fn registration_retransmits_through_loss_and_gives_up_on_a_dead_name_server() {
     sim.net().set_loss(0.0);
     let found = Arc::new(AtomicU64::new(0));
     let f = Arc::clone(&found);
-    sim.spawn("resolver", NodeId(2), move |ctx| {
-        let rec = NameClient::new(ns).lookup(ctx, "work").unwrap();
+    sim.spawn_async("resolver", NodeId(2), move |cx| async move {
+        let rec = NameClient::new(ns).lookup(cx, "work", None).await.unwrap();
         assert_eq!((rec.endpoint, rec.generation), (svc, 1));
         f.store(1, Ordering::SeqCst);
     });
@@ -293,7 +293,8 @@ fn crash_and_recover(threads: usize) -> (String, String) {
             Value::U64(3)
         );
         assert_eq!(rt.stats(work).rebinds, 1);
-        let rec = NameClient::new(ns).lookup(ctx, "work").unwrap();
+        let mut nc = NameClient::new(ns);
+        let rec = (ctx.block_on(|cx| nc.lookup(cx, "work", None))).unwrap();
         assert_eq!((rec.endpoint, rec.generation), (reborn, 2));
         c.store(1, Ordering::SeqCst);
     });

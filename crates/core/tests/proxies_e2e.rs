@@ -707,7 +707,7 @@ fn whole_object_readers_hear_every_write_and_whole_object_writes_reach_every_sha
             Value::str("1")
         );
         at(ctx, 30);
-        rt.pump(ctx);
+        ctx.block_on(|cx| rt.tend(cx));
         assert_eq!(rt.stats(kv).invalidations_rx, 0, "b is not its key");
         at(ctx, 50);
         assert_eq!(
@@ -736,7 +736,7 @@ fn unsubscribing_purges_the_reader_from_the_directory() {
         let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "get", get_args("a")).unwrap();
-        rt.unbind(ctx, kv);
+        ctx.block_on(|cx| rt.detach(cx, kv));
         at(ctx, 40);
         assert!(ctx.try_recv().unwrap().is_none());
     });
@@ -774,9 +774,8 @@ fn a_descriptor_with_an_unknown_op_kind_fails_the_bind() {
     let ns = spawn_name_server(&sim, NodeId(0));
     sim.spawn("client", NodeId(2), move |ctx| {
         let here = ctx.endpoint();
-        naming::NameClient::new(ns)
-            .register(ctx, "kv", here, meta)
-            .unwrap();
+        let mut nc = naming::NameClient::new(ns);
+        (ctx.block_on(|cx| nc.register(cx, "kv", here, meta))).unwrap();
         let mut rt = SessionCore::new(ns);
         match rt.bind(ctx, "kv") {
             Err(rpc::RpcError::Wire(_)) => r.store(1, Ordering::SeqCst),

@@ -141,17 +141,17 @@ fn pump_routes_notifications_while_idle() {
             })
         })
         .spawn(&sim, NodeId(1), ns);
-    sim.spawn("observer", NodeId(2), move |ctx| {
+    sim.spawn_async("observer", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let a = rt.bind(ctx, "svc-a").unwrap();
-        rt.invoke(ctx, a, "put", kv("x", "old")).unwrap();
-        rt.invoke(ctx, a, "get", key("x")).unwrap(); // cached
-                                                     // Go idle; a writer invalidates; pump (not invoke) processes it.
-        ctx.sleep(Duration::from_millis(30)).unwrap();
-        rt.pump(ctx);
+        let a = rt.attach(cx, "svc-a").await.unwrap();
+        rt.call(cx, a, "put", kv("x", "old")).await.unwrap();
+        rt.call(cx, a, "get", key("x")).await.unwrap(); // cached
+                                                        // Go idle; a writer invalidates; tend (not call) processes it.
+        cx.sleep(Duration::from_millis(30)).await.unwrap();
+        rt.tend(cx).await;
         assert_eq!(rt.stats(a).invalidations_rx, 1, "pump did not route");
         assert_eq!(
-            rt.invoke(ctx, a, "get", key("x")).unwrap(),
+            rt.call(cx, a, "get", key("x")).await.unwrap(),
             Value::str("new")
         );
     });
@@ -179,13 +179,13 @@ fn strays_dropped_around_a_pump(pump: bool) -> u64 {
             })
         })
         .spawn(&sim, NodeId(1), ns);
-    let client = sim.spawn("client", NodeId(2), move |ctx| {
+    let client = sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let a = rt.bind(ctx, "svc-a").unwrap();
-        rt.invoke(ctx, a, "put", kv("x", "1")).unwrap();
-        ctx.sleep(Duration::from_millis(30)).unwrap();
+        let a = rt.attach(cx, "svc-a").await.unwrap();
+        rt.call(cx, a, "put", kv("x", "1")).await.unwrap();
+        cx.sleep(Duration::from_millis(30)).await.unwrap();
         if pump {
-            rt.pump(ctx);
+            rt.tend(cx).await;
         }
     });
     sim.spawn("notifier", NodeId(3), move |ctx| {

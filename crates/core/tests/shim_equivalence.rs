@@ -1,10 +1,10 @@
-//! Shim equivalence: the blocking `Session` surface, an `async` body on
-//! `SessionCore`'s engine and the non-blocking ticket surface are faces
-//! of one engine, so a workload expressed each way must look identical
-//! to the service.
+//! Shim equivalence: the blocking bridge the benchmark keeps, an `async`
+//! body on `SessionCore`'s engine and the non-blocking ticket surface are
+//! faces of one engine, so a workload expressed each way must look
+//! identical to the service.
 //!
 //! Twin runs with the same seed — one blocking client using
-//! `Session::{bind,invoke}`, and one `async` body using
+//! `SessionCore::{bind,invoke}`, and one `async` body using
 //! `SessionCore::{attach,call}` for every proxy spec, or one poll-driven
 //! `Process` using `bind_async`/`invoke_async` for a stub — must produce
 //! the same per-call results, the same server-side dispatch counts, and
@@ -17,7 +17,7 @@ use std::time::Duration;
 use proxy_core::{
     AdaptiveParams, AsyncHandle, BindFuture, BulkParams, CachingParams, CallFuture, Coherence,
     FactoryRegistry, InterfaceDesc, OpDesc, ProxySpec, ProxyStats, ServiceBuilder, ServiceObject,
-    Session, SessionCore,
+    SessionCore,
 };
 use rpc::{ErrorCode, RemoteError};
 use simnet::{NetworkConfig, NodeId, Poll, ProcCx, Process, Simulation};
@@ -108,16 +108,10 @@ fn blocking_run(seed: u64) -> RunShape {
     let r2 = Arc::clone(&results);
     sim.spawn("client", NodeId(2), move |ctx| {
         let mut rt = SessionCore::new(ns);
-        let mut session = Session::new(&mut rt, ctx);
-        let h = session.bind("adder").unwrap();
+        let h = rt.bind(ctx, "adder").unwrap();
         for i in 0..CALLS {
-            let v = session
-                .invoke(
-                    h,
-                    "add",
-                    Value::record([("n", Value::U64(u64::from(i) + 1))]),
-                )
-                .unwrap();
+            let args = Value::record([("n", Value::U64(u64::from(i) + 1))]);
+            let v = rt.invoke(ctx, h, "add", args).unwrap();
             r2.lock().unwrap().push(v);
         }
     });
@@ -262,7 +256,7 @@ fn async_surface_refuses_smart_proxy_specs() {
 }
 
 // ---------------------------------------------------------------------
-// Every proxy spec, blocking `Session` against an `async` body.
+// Every proxy spec, the blocking bridge against an `async` body.
 // ---------------------------------------------------------------------
 
 /// How the service under test is published.
@@ -352,13 +346,12 @@ fn blocking_leg(published: &Published) -> (RunShape, ProxyStats) {
     twin_run(published, |sim, ns, calls, results| {
         sim.spawn("client", NodeId(2), move |ctx| {
             let mut rt = core(ns);
-            let mut session = Session::new(&mut rt, ctx);
-            let h = session.bind("adder").unwrap();
+            let h = rt.bind(ctx, "adder").unwrap();
             for (op, args) in calls {
-                let v = session.invoke(h, op, args).unwrap();
+                let v = rt.invoke(ctx, h, op, args).unwrap();
                 results.lock().unwrap().push(v);
             }
-            session.shutdown();
+            rt.shutdown(ctx);
         });
     })
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rpc::{endpoint_to_value, Channel, ChannelConfig, RpcError};
-use simnet::{Ctx, Endpoint};
+use simnet::{AsyncCx, Ctx, Endpoint};
 use wire::Value;
 
 use crate::pager::{spawn_pager, CachedPage, PageCache};
@@ -97,7 +97,7 @@ impl DsmClient {
         self.pager
     }
 
-    fn fault(&mut self, ctx: &mut Ctx, page: PageId, exclusive: bool) -> Result<(), DsmError> {
+    async fn fault(&mut self, cx: AsyncCx, page: PageId, exclusive: bool) -> Result<(), DsmError> {
         let op = if exclusive {
             proto::OP_FETCH_RW
         } else {
@@ -107,7 +107,7 @@ impl DsmClient {
             ("page", Value::U64(page.0.into())),
             ("pager", endpoint_to_value(self.pager)),
         ]);
-        let reply = ctx.block_on(|cx| self.manager.call(cx, "", op, args, None))?;
+        let reply = self.manager.call(cx, "", op, args, None).await?;
         let mut table = self.cache.lock();
         match reply.as_blob() {
             Some(bytes) => {
@@ -137,9 +137,9 @@ impl DsmClient {
     ///
     /// [`DsmError::OutOfBounds`] for accesses past the page, or any
     /// protocol error.
-    pub fn read(
+    pub async fn read(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         page: PageId,
         offset: usize,
         len: usize,
@@ -152,7 +152,7 @@ impl DsmClient {
             }
         }
         self.stats.read_faults += 1;
-        self.fault(ctx, page, false)?;
+        self.fault(cx, page, false).await?;
         let table = self.cache.lock();
         let entry = table.get(&page).expect("page mapped by fault");
         slice_page(&entry.data, offset, len)
@@ -166,9 +166,9 @@ impl DsmClient {
     ///
     /// [`DsmError::OutOfBounds`] for accesses past the page, or any
     /// protocol error.
-    pub fn write(
+    pub async fn write(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         page: PageId,
         offset: usize,
         data: &[u8],
@@ -183,7 +183,7 @@ impl DsmClient {
             }
         }
         self.stats.write_faults += 1;
-        self.fault(ctx, page, true)?;
+        self.fault(cx, page, true).await?;
         let mut table = self.cache.lock();
         let entry = table.get_mut(&page).expect("page mapped by fault");
         write_page(&mut entry.data, offset, data)

@@ -48,12 +48,12 @@
 //!
 //! let mut sim = Simulation::new(NetworkConfig::lan(), 1);
 //! let manager = spawn_dsm_manager(&sim, NodeId(0), 64);
-//! sim.spawn("writer", NodeId(1), move |ctx| {
-//!     let mut mem = DsmClient::attach(ctx, manager);
-//!     mem.write(ctx, PageId(0), 0, b"hello").unwrap();
+//! sim.spawn_async("writer", NodeId(1), move |cx| async move {
+//!     let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
+//!     mem.write(cx, PageId(0), 0, b"hello").await.unwrap();
 //!     // Mapped exclusively now: further writes are local.
-//!     mem.write(ctx, PageId(0), 5, b" dsm").unwrap();
-//!     let bytes = mem.read(ctx, PageId(0), 0, 9).unwrap();
+//!     mem.write(cx, PageId(0), 5, b" dsm").await.unwrap();
+//!     let bytes = mem.read(cx, PageId(0), 0, 9).await.unwrap();
 //!     assert_eq!(&bytes[..], b"hello dsm");
 //! });
 //! sim.run();

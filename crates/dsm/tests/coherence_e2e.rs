@@ -15,17 +15,17 @@ fn write_then_remote_read_sees_latest_bytes() {
     let manager = spawn_dsm_manager(&sim, NodeId(0), PAGE);
     let done = Arc::new(AtomicU64::new(0));
     let d2 = Arc::clone(&done);
-    sim.spawn("writer", NodeId(1), move |ctx| {
-        let mut mem = DsmClient::attach(ctx, manager);
-        mem.write(ctx, PageId(0), 0, b"v1").unwrap();
-        ctx.sleep(Duration::from_millis(20)).unwrap();
+    sim.spawn_async("writer", NodeId(1), move |cx| async move {
+        let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
+        mem.write(cx, PageId(0), 0, b"v1").await.unwrap();
+        cx.sleep(Duration::from_millis(20)).await.unwrap();
         // Reader has demoted us to a shared mapping by now.
         assert_eq!(mem.mapping(PageId(0)), Some(Mode::Read));
     });
-    sim.spawn("reader", NodeId(2), move |ctx| {
-        ctx.sleep(Duration::from_millis(5)).unwrap();
-        let mut mem = DsmClient::attach(ctx, manager);
-        let v = mem.read(ctx, PageId(0), 0, 2).unwrap();
+    sim.spawn_async("reader", NodeId(2), move |cx| async move {
+        cx.sleep(Duration::from_millis(5)).await.unwrap();
+        let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
+        let v = mem.read(cx, PageId(0), 0, 2).await.unwrap();
         assert_eq!(&v, b"v1", "reader must see the writer's bytes");
         d2.store(1, Ordering::SeqCst);
     });
@@ -37,14 +37,15 @@ fn write_then_remote_read_sees_latest_bytes() {
 fn exclusive_writes_are_free_after_the_fault() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 2);
     let manager = spawn_dsm_manager(&sim, NodeId(0), PAGE);
-    sim.spawn("writer", NodeId(1), move |ctx| {
-        let mut mem = DsmClient::attach(ctx, manager);
-        mem.write(ctx, PageId(7), 0, b"x").unwrap(); // fault
-        let t0 = ctx.now();
+    sim.spawn_async("writer", NodeId(1), move |cx| async move {
+        let now = || cx.with(|cx| cx.now());
+        let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
+        mem.write(cx, PageId(7), 0, b"x").await.unwrap(); // fault
+        let t0 = now();
         for i in 0..100usize {
-            mem.write(ctx, PageId(7), i % PAGE, b"y").unwrap();
+            mem.write(cx, PageId(7), i % PAGE, b"y").await.unwrap();
         }
-        assert_eq!(ctx.now(), t0, "mapped writes must cost zero simulated time");
+        assert_eq!(now(), t0, "mapped writes must cost zero simulated time");
         assert_eq!(mem.stats.write_faults, 1);
         assert_eq!(mem.stats.write_hits, 100);
     });
@@ -63,13 +64,13 @@ fn writer_invalidates_all_readers() {
     // shot down synchronously before the write was granted).
     for r in 0..2u32 {
         let stale = Arc::clone(&stale_reads);
-        sim.spawn(format!("reader{r}"), NodeId(2 + r), move |ctx| {
-            let mut mem = DsmClient::attach(ctx, manager);
-            let v = mem.read(ctx, PageId(0), 0, 1).unwrap();
+        sim.spawn_async(format!("reader{r}"), NodeId(2 + r), move |cx| async move {
+            let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
+            let v = mem.read(cx, PageId(0), 0, 1).await.unwrap();
             assert_eq!(v[0], 0, "page starts zeroed");
             // Wait past the writer's update.
-            ctx.sleep(Duration::from_millis(50)).unwrap();
-            let v = mem.read(ctx, PageId(0), 0, 1).unwrap();
+            cx.sleep(Duration::from_millis(50)).await.unwrap();
+            let v = mem.read(cx, PageId(0), 0, 1).await.unwrap();
             if v[0] != 9 {
                 stale.fetch_add(1, Ordering::SeqCst);
             }
@@ -77,10 +78,10 @@ fn writer_invalidates_all_readers() {
             assert_eq!(mem.stats.read_faults, 2, "stale mapping survived");
         });
     }
-    sim.spawn("writer", NodeId(5), move |ctx| {
-        ctx.sleep(Duration::from_millis(20)).unwrap();
-        let mut mem = DsmClient::attach(ctx, manager);
-        mem.write(ctx, PageId(0), 0, &[9]).unwrap();
+    sim.spawn_async("writer", NodeId(5), move |cx| async move {
+        cx.sleep(Duration::from_millis(20)).await.unwrap();
+        let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
+        mem.write(cx, PageId(0), 0, &[9]).await.unwrap();
     });
     sim.run();
     assert_eq!(stale_reads.load(Ordering::SeqCst), 0, "stale data observed");
@@ -95,17 +96,17 @@ fn ping_pong_ownership_transfers_preserve_data() {
     let final_a = Arc::new(AtomicU64::new(0));
     for w in 0..2u32 {
         let fa = Arc::clone(&final_a);
-        sim.spawn(format!("writer{w}"), NodeId(1 + w), move |ctx| {
-            let mut mem = DsmClient::attach(ctx, manager);
+        sim.spawn_async(format!("writer{w}"), NodeId(1 + w), move |cx| async move {
+            let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
             for round in 0..10u64 {
                 // Loose alternation via sleeps keyed by writer index.
-                ctx.sleep(Duration::from_millis(2 + w as u64)).unwrap();
-                let cur = mem.read(ctx, PageId(0), 0, 1).unwrap()[0];
-                mem.write(ctx, PageId(0), 0, &[cur + 1]).unwrap();
+                cx.sleep(Duration::from_millis(2 + w as u64)).await.unwrap();
+                let cur = mem.read(cx, PageId(0), 0, 1).await.unwrap()[0];
+                mem.write(cx, PageId(0), 0, &[cur + 1]).await.unwrap();
                 let _ = round;
             }
-            ctx.sleep(Duration::from_millis(80)).unwrap();
-            let v = mem.read(ctx, PageId(0), 0, 1).unwrap()[0];
+            cx.sleep(Duration::from_millis(80)).await.unwrap();
+            let v = mem.read(cx, PageId(0), 0, 1).await.unwrap()[0];
             fa.store(v as u64, Ordering::SeqCst);
         });
     }
@@ -123,14 +124,15 @@ fn ping_pong_ownership_transfers_preserve_data() {
 fn reads_scale_without_traffic_once_shared() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 5);
     let manager = spawn_dsm_manager(&sim, NodeId(0), PAGE);
-    sim.spawn("reader", NodeId(1), move |ctx| {
-        let mut mem = DsmClient::attach(ctx, manager);
-        mem.read(ctx, PageId(3), 0, 8).unwrap(); // fault
-        let t0 = ctx.now();
+    sim.spawn_async("reader", NodeId(1), move |cx| async move {
+        let now = || cx.with(|cx| cx.now());
+        let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
+        mem.read(cx, PageId(3), 0, 8).await.unwrap(); // fault
+        let t0 = now();
         for _ in 0..500 {
-            mem.read(ctx, PageId(3), 0, 8).unwrap();
+            mem.read(cx, PageId(3), 0, 8).await.unwrap();
         }
-        assert_eq!(ctx.now(), t0, "mapped reads must be free");
+        assert_eq!(now(), t0, "mapped reads must be free");
         assert_eq!(mem.stats.read_hits, 500);
     });
     sim.run();
@@ -140,12 +142,12 @@ fn reads_scale_without_traffic_once_shared() {
 fn out_of_bounds_access_is_rejected_locally() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 6);
     let manager = spawn_dsm_manager(&sim, NodeId(0), PAGE);
-    sim.spawn("client", NodeId(1), move |ctx| {
-        let mut mem = DsmClient::attach(ctx, manager);
-        mem.write(ctx, PageId(0), 0, b"ok").unwrap();
-        let err = mem.write(ctx, PageId(0), PAGE - 1, b"xy").unwrap_err();
+    sim.spawn_async("client", NodeId(1), move |cx| async move {
+        let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
+        mem.write(cx, PageId(0), 0, b"ok").await.unwrap();
+        let err = mem.write(cx, PageId(0), PAGE - 1, b"xy").await.unwrap_err();
         assert!(matches!(err, dsm::DsmError::OutOfBounds { .. }));
-        let err = mem.read(ctx, PageId(0), 0, PAGE + 1).unwrap_err();
+        let err = mem.read(cx, PageId(0), 0, PAGE + 1).await.unwrap_err();
         assert!(matches!(err, dsm::DsmError::OutOfBounds { .. }));
     });
     sim.run();

@@ -54,20 +54,20 @@ proptest! {
         let mut sim = Simulation::new(NetworkConfig::lan(), seed);
         let manager = spawn_dsm_manager(&sim, NodeId(0), PAGE);
         for (name, node, schedule) in [("a", 1u32, a), ("b", 2, b)] {
-            sim.spawn(name, NodeId(node), move |ctx| {
-                let mut mem = DsmClient::attach(ctx, manager);
+            sim.spawn_async(name, NodeId(node), move |cx| async move {
+                let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
                 for access in &schedule {
                     match *access {
                         Access::Read { page, offset } => {
-                            let _ = mem.read(ctx, PageId(page as u32), offset as usize, 1)
+                            let _ = mem.read(cx, PageId(page as u32), offset as usize, 1).await
                                 .unwrap();
                         }
                         Access::Write { page, offset, value } => {
-                            mem.write(ctx, PageId(page as u32), offset as usize, &[value])
+                            mem.write(cx, PageId(page as u32), offset as usize, &[value]).await
                                 .unwrap();
                         }
                         Access::Pause { ms } => {
-                            if ctx.sleep(Duration::from_millis(ms as u64)).is_err() {
+                            if cx.sleep(Duration::from_millis(ms as u64)).await.is_err() {
                                 return;
                             }
                         }
@@ -77,16 +77,16 @@ proptest! {
         }
         let snapshots: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
         let s2 = Arc::clone(&snapshots);
-        sim.spawn("auditor", NodeId(3), move |ctx| {
+        sim.spawn_async("auditor", NodeId(3), move |cx| async move {
             // Run well after both schedules can possibly finish.
-            if ctx.sleep(Duration::from_millis(600)).is_err() {
+            if cx.sleep(Duration::from_millis(600)).await.is_err() {
                 return;
             }
-            let mut mem = DsmClient::attach(ctx, manager);
+            let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
             for round in 0..2 {
                 let mut snap = Vec::new();
                 for p in 0..PAGES {
-                    snap.extend(mem.read(ctx, PageId(p), 0, PAGE).unwrap());
+                    snap.extend(mem.read(cx, PageId(p), 0, PAGE).await.unwrap());
                 }
                 s2.lock().unwrap().push(snap);
                 let _ = round;
@@ -110,34 +110,34 @@ proptest! {
         let expected: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(vec![0; PAGE]));
         let e2 = Arc::clone(&expected);
         let w2 = writes.clone();
-        sim.spawn("writer", NodeId(1), move |ctx| {
-            let mut mem = DsmClient::attach(ctx, manager);
+        sim.spawn_async("writer", NodeId(1), move |cx| async move {
+            let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
             for (off, val) in &w2 {
                 let off = *off as usize % PAGE;
-                mem.write(ctx, PageId(0), off, &[*val]).unwrap();
+                mem.write(cx, PageId(0), off, &[*val]).await.unwrap();
                 e2.lock().unwrap()[off] = *val;
-                if ctx.sleep(Duration::from_millis(1)).is_err() {
+                if cx.sleep(Duration::from_millis(1)).await.is_err() {
                     return;
                 }
             }
         });
-        sim.spawn("reader", NodeId(2), move |ctx| {
-            let mut mem = DsmClient::attach(ctx, manager);
+        sim.spawn_async("reader", NodeId(2), move |cx| async move {
+            let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
             for _ in 0..10 {
-                let _ = mem.read(ctx, PageId(0), 0, PAGE).unwrap();
-                if ctx.sleep(Duration::from_millis(2)).is_err() {
+                let _ = mem.read(cx, PageId(0), 0, PAGE).await.unwrap();
+                if cx.sleep(Duration::from_millis(2)).await.is_err() {
                     return;
                 }
             }
         });
         let observed: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         let o2 = Arc::clone(&observed);
-        sim.spawn("auditor", NodeId(3), move |ctx| {
-            if ctx.sleep(Duration::from_millis(300)).is_err() {
+        sim.spawn_async("auditor", NodeId(3), move |cx| async move {
+            if cx.sleep(Duration::from_millis(300)).await.is_err() {
                 return;
             }
-            let mut mem = DsmClient::attach(ctx, manager);
-            *o2.lock().unwrap() = mem.read(ctx, PageId(0), 0, PAGE).unwrap();
+            let mut mem = cx.with(|cx| DsmClient::attach(cx, manager));
+            *o2.lock().unwrap() = mem.read(cx, PageId(0), 0, PAGE).await.unwrap();
         });
         sim.run();
         prop_assert_eq!(

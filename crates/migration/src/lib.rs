@@ -57,14 +57,14 @@
 //!     reg_factory(),
 //!     || Box::new(Reg(5)),
 //! );
-//! sim.spawn("admin+client", NodeId(2), move |ctx| {
+//! sim.spawn_async("admin+client", NodeId(2), move |cx| async move {
 //!     let mut rt = SessionCore::new(ns);
-//!     let reg = rt.bind(ctx, "reg").unwrap();
-//!     assert_eq!(rt.invoke(ctx, reg, "read", Value::Null).unwrap(), Value::U64(5));
+//!     let reg = rt.attach(cx, "reg").await.unwrap();
+//!     assert_eq!(rt.call(cx, reg, "read", Value::Null).await.unwrap(), Value::U64(5));
 //!     // Move the object to node 3; the old host becomes a forwarder.
-//!     request_migration(ctx, home, NodeId(3)).unwrap();
+//!     request_migration(cx, home, NodeId(3)).await.unwrap();
 //!     // Same proxy, same call: transparently redirected.
-//!     assert_eq!(rt.invoke(ctx, reg, "read", Value::Null).unwrap(), Value::U64(5));
+//!     assert_eq!(rt.call(cx, reg, "read", Value::Null).await.unwrap(), Value::U64(5));
 //!     assert_eq!(rt.stats(reg).rebinds, 1);
 //! });
 //! sim.run();

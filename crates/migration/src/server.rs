@@ -9,7 +9,7 @@ use rpc::{
     endpoint_from_value, endpoint_to_value, Channel, ChannelConfig, ErrorCode, RemoteError,
     Request, RpcError,
 };
-use simnet::{Ctx, Endpoint, NodeId, Simulation};
+use simnet::{AsyncCx, Ctx, Endpoint, NodeId, Simulation};
 use wire::Value;
 
 /// The administrative operation that orders a move.
@@ -95,16 +95,15 @@ impl std::error::Error for MigrationError {}
 /// # Errors
 ///
 /// [`MigrationError`] if the call fails or the reply is malformed.
-pub fn request_migration(
-    ctx: &mut Ctx,
+pub async fn request_migration(
+    cx: AsyncCx,
     host: Endpoint,
     target: NodeId,
 ) -> Result<Endpoint, MigrationError> {
     let mut client = Channel::new("", host, ChannelConfig::with_depth(1));
     let args = Value::record([("node", Value::U64(target.0.into()))]);
-    let reply = ctx
-        .block_on(|cx| client.call(cx, "", OP_MIGRATE, args, None))
-        .map_err(MigrationError::Rpc)?;
+    let reply = client.call(cx, "", OP_MIGRATE, args, None).await;
+    let reply = reply.map_err(MigrationError::Rpc)?;
     reply
         .get("ep")
         .and_then(|v| endpoint_from_value(v).ok())

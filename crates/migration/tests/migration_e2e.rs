@@ -56,21 +56,21 @@ fn migration_is_transparent_and_preserves_state() {
         counter_factory(),
         || Box::new(Counter(0)),
     );
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let ctr = rt.bind(ctx, "ctr").unwrap();
+        let ctr = rt.attach(cx, "ctr").await.unwrap();
         for _ in 0..5 {
-            rt.invoke(ctx, ctr, "inc", Value::Null).unwrap();
+            rt.call(cx, ctr, "inc", Value::Null).await.unwrap();
         }
-        let new_ep = request_migration(ctx, home, NodeId(3)).unwrap();
+        let new_ep = request_migration(cx, home, NodeId(3)).await.unwrap();
         assert_eq!(new_ep.node, NodeId(3));
         // Same proxy keeps working; count survived the move.
         assert_eq!(
-            rt.invoke(ctx, ctr, "get", Value::Null).unwrap(),
+            rt.call(cx, ctr, "get", Value::Null).await.unwrap(),
             Value::U64(5)
         );
         assert_eq!(
-            rt.invoke(ctx, ctr, "inc", Value::Null).unwrap(),
+            rt.call(cx, ctr, "inc", Value::Null).await.unwrap(),
             Value::U64(6)
         );
         assert_eq!(rt.stats(ctr).rebinds, 1, "one redirect expected");
@@ -94,29 +94,29 @@ fn chain_rebinds(mode: ForwardMode, hops: u32, seed: u64) -> (u64, u64) {
     );
     let out = Arc::new(AtomicU64::new(0));
     let out2 = Arc::clone(&out);
-    sim.spawn("client", NodeId(100), move |ctx| {
+    sim.spawn_async("client", NodeId(100), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let ctr = rt.bind(ctx, "ctr").unwrap();
+        let ctr = rt.attach(cx, "ctr").await.unwrap();
         // Bind is warm: one call before any migration.
         assert_eq!(
-            rt.invoke(ctx, ctr, "get", Value::Null).unwrap(),
+            rt.call(cx, ctr, "get", Value::Null).await.unwrap(),
             Value::U64(7)
         );
 
         // Build the chain: node 1 -> 2 -> 3 -> ...
         let mut host = home;
         for i in 0..hops {
-            host = request_migration(ctx, host, NodeId(2 + i)).unwrap();
+            host = request_migration(cx, host, NodeId(2 + i)).await.unwrap();
         }
 
         let before = rt.stats(ctr).rebinds;
         assert_eq!(
-            rt.invoke(ctx, ctr, "get", Value::Null).unwrap(),
+            rt.call(cx, ctr, "get", Value::Null).await.unwrap(),
             Value::U64(7)
         );
         let first = rt.stats(ctr).rebinds - before;
         assert_eq!(
-            rt.invoke(ctx, ctr, "get", Value::Null).unwrap(),
+            rt.call(cx, ctr, "get", Value::Null).await.unwrap(),
             Value::U64(7)
         );
         let second = rt.stats(ctr).rebinds - before - first;
@@ -163,16 +163,16 @@ fn naming_updates_let_fresh_clients_bind_directly() {
         counter_factory(),
         || Box::new(Counter(1)),
     );
-    sim.spawn("admin", NodeId(2), move |ctx| {
+    sim.spawn_async("admin", NodeId(2), move |cx| async move {
         // Move twice with naming updates.
-        let h2 = request_migration(ctx, home, NodeId(3)).unwrap();
-        let _h3 = request_migration(ctx, h2, NodeId(4)).unwrap();
+        let h2 = request_migration(cx, home, NodeId(3)).await.unwrap();
+        let _h3 = request_migration(cx, h2, NodeId(4)).await.unwrap();
         // A fresh client binds *after* the moves: naming points at the
         // current home, so no redirects at all.
         let mut rt = SessionCore::new(ns);
-        let ctr = rt.bind(ctx, "ctr").unwrap();
+        let ctr = rt.attach(cx, "ctr").await.unwrap();
         assert_eq!(
-            rt.invoke(ctx, ctr, "get", Value::Null).unwrap(),
+            rt.call(cx, ctr, "get", Value::Null).await.unwrap(),
             Value::U64(1)
         );
         assert_eq!(
@@ -196,24 +196,26 @@ fn migrating_twice_to_same_chain_is_consistent_under_writes() {
         counter_factory(),
         || Box::new(Counter(0)),
     );
-    sim.spawn("client", NodeId(9), move |ctx| {
+    sim.spawn_async("client", NodeId(9), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let ctr = rt.bind(ctx, "ctr").unwrap();
+        let ctr = rt.attach(cx, "ctr").await.unwrap();
         let mut expected = 0u64;
         let mut host = home;
         for round in 0..4u32 {
             for _ in 0..3 {
                 expected += 1;
                 assert_eq!(
-                    rt.invoke(ctx, ctr, "inc", Value::Null).unwrap(),
+                    rt.call(cx, ctr, "inc", Value::Null).await.unwrap(),
                     Value::U64(expected),
                     "count drifted after {round} migrations"
                 );
             }
-            host = request_migration(ctx, host, NodeId(2 + round)).unwrap();
+            host = request_migration(cx, host, NodeId(2 + round))
+                .await
+                .unwrap();
         }
         assert_eq!(
-            rt.invoke(ctx, ctr, "get", Value::Null).unwrap(),
+            rt.call(cx, ctr, "get", Value::Null).await.unwrap(),
             Value::U64(expected)
         );
     });
@@ -232,13 +234,13 @@ fn locate_returns_current_home() {
         counter_factory(),
         || Box::new(Counter(0)),
     );
-    sim.spawn("admin", NodeId(2), move |ctx| {
-        let h2 = request_migration(ctx, home, NodeId(3)).unwrap();
-        let h3 = request_migration(ctx, h2, NodeId(4)).unwrap();
+    sim.spawn_async("admin", NodeId(2), move |cx| async move {
+        let h2 = request_migration(cx, home, NodeId(3)).await.unwrap();
+        let h3 = request_migration(cx, h2, NodeId(4)).await.unwrap();
         // Ask the original (now twice-stale) host where the object is.
         let mut c = rpc::Channel::new("", home, rpc::ChannelConfig::with_depth(1));
         let op = migration::OP_LOCATE;
-        let v = (ctx.block_on(|cx| c.call(cx, "", op, Value::Null, None))).unwrap();
+        let v = c.call(cx, "", op, Value::Null, None).await.unwrap();
         let located = rpc::endpoint_from_value(&v).unwrap();
         assert_eq!(located, h3, "resolve-mode forwarder should know the home");
     });

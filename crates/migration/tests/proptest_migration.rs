@@ -76,9 +76,9 @@ fn run_schedule(steps: Vec<Step>, mode: ForwardMode, seed: u64) -> Result<(), Te
     );
     let failure: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
     let f2 = Arc::clone(&failure);
-    sim.spawn("driver", NodeId(40), move |ctx| {
+    sim.spawn_async("driver", NodeId(40), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let ctr = rt.bind(ctx, "ctr").unwrap();
+        let ctr = rt.attach(cx, "ctr").await.unwrap();
         let mut expected = 0u64;
         let mut host = home;
         for (i, step) in steps.iter().enumerate() {
@@ -86,7 +86,8 @@ fn run_schedule(steps: Vec<Step>, mode: ForwardMode, seed: u64) -> Result<(), Te
                 Step::Inc => {
                     expected += 1;
                     let v = rt
-                        .invoke(ctx, ctr, "inc", Value::Null)
+                        .call(cx, ctr, "inc", Value::Null)
+                        .await
                         .unwrap()
                         .as_u64()
                         .unwrap();
@@ -100,7 +101,8 @@ fn run_schedule(steps: Vec<Step>, mode: ForwardMode, seed: u64) -> Result<(), Te
                 }
                 Step::Get => {
                     let v = rt
-                        .invoke(ctx, ctr, "get", Value::Null)
+                        .call(cx, ctr, "get", Value::Null)
+                        .await
                         .unwrap()
                         .as_u64()
                         .unwrap();
@@ -113,10 +115,12 @@ fn run_schedule(steps: Vec<Step>, mode: ForwardMode, seed: u64) -> Result<(), Te
                 Step::Migrate(node) => {
                     // Target nodes 10..16; migrating to the current node
                     // is legal (object moves to a sibling process).
-                    host = request_migration(ctx, host, NodeId(10 + *node as u32)).unwrap();
+                    host = request_migration(cx, host, NodeId(10 + *node as u32))
+                        .await
+                        .unwrap();
                 }
                 Step::Pause(ms) => {
-                    let _ = ctx.sleep(Duration::from_millis(*ms as u64));
+                    let _ = cx.sleep(Duration::from_millis(*ms as u64)).await;
                 }
             }
         }

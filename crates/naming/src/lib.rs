@@ -30,11 +30,12 @@
 //!
 //! let mut sim = Simulation::new(NetworkConfig::lan(), 1);
 //! let ns = spawn_name_server(&sim, NodeId(0));
-//! sim.spawn("svc", NodeId(1), move |ctx| {
+//! sim.spawn_async("svc", NodeId(1), move |cx| async move {
 //!     let mut nc = NameClient::new(ns);
-//!     nc.register(ctx, "printer", ctx.endpoint(), Value::Null).unwrap();
-//!     let rec = nc.lookup(ctx, "printer").unwrap();
-//!     assert_eq!(rec.endpoint, ctx.endpoint());
+//!     let me = cx.with(|cx| cx.endpoint());
+//!     nc.register(cx, "printer", me, Value::Null).await.unwrap();
+//!     let rec = nc.lookup(cx, "printer", None).await.unwrap();
+//!     assert_eq!(rec.endpoint, me);
 //! });
 //! sim.run();
 //! ```
@@ -53,7 +54,7 @@ pub use server::{spawn_name_server, NAME_SERVER_PORT};
 use std::collections::HashMap;
 
 use rpc::{endpoint_to_value, Channel, ChannelConfig, ErrorCode, OnStray, RpcError};
-use simnet::{AsyncCx, Ctx, Endpoint};
+use simnet::{AsyncCx, Endpoint};
 use wire::Value;
 
 /// The arguments of `register` and `update`: a name's binding.
@@ -102,22 +103,7 @@ impl NameClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the underlying call.
-    pub fn register(
-        &mut self,
-        ctx: &mut Ctx,
-        name: &str,
-        endpoint: Endpoint,
-        meta: Value,
-    ) -> Result<u64, RpcError> {
-        ctx.block_on(|cx| self.register_async(cx, name, endpoint, meta))
-    }
-
-    /// [`NameClient::register`] for an `async` body.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RpcError`] from the underlying call.
-    pub async fn register_async(
+    pub async fn register(
         &mut self,
         cx: AsyncCx,
         name: &str,
@@ -136,15 +122,15 @@ impl NameClient {
     ///
     /// [`ErrorCode::NoSuchObject`] if the name is unknown, or any
     /// transport error.
-    pub fn update(
+    pub async fn update(
         &mut self,
-        ctx: &mut Ctx,
+        cx: AsyncCx,
         name: &str,
         endpoint: Endpoint,
         meta: Value,
     ) -> Result<u64, RpcError> {
         let args = binding_args(name, endpoint, meta);
-        let rep = ctx.block_on(|cx| self.rpc.call(cx, "", "update", args, None))?;
+        let rep = self.rpc.call(cx, "", "update", args, None).await?;
         self.cache.remove(name);
         Ok(rep.get_u64("gen")?)
     }
@@ -155,31 +141,22 @@ impl NameClient {
     ///
     /// [`ErrorCode::NoSuchObject`] if the name is unknown, or any
     /// transport error.
-    pub fn unregister(&mut self, ctx: &mut Ctx, name: &str) -> Result<(), RpcError> {
+    pub async fn unregister(&mut self, cx: AsyncCx, name: &str) -> Result<(), RpcError> {
         let args = Value::record([("name", Value::str(name))]);
-        ctx.block_on(|cx| self.rpc.call(cx, "", "unregister", args, None))?;
+        self.rpc.call(cx, "", "unregister", args, None).await?;
         self.cache.remove(name);
         Ok(())
     }
 
     /// Looks `name` up at the name server (bypassing the cache) and
-    /// refreshes the cache entry.
+    /// refreshes the cache entry, handing what arrives meanwhile to
+    /// `strays`.
     ///
     /// # Errors
     ///
     /// [`ErrorCode::NoSuchObject`] if the name is unknown, or any
     /// transport error.
-    pub fn lookup(&mut self, ctx: &mut Ctx, name: &str) -> Result<NameRecord, RpcError> {
-        ctx.block_on(|cx| self.lookup_async(cx, name, None))
-    }
-
-    /// [`NameClient::lookup`] for an `async` body, handing what arrives
-    /// meanwhile to `strays`.
-    ///
-    /// # Errors
-    ///
-    /// As [`NameClient::lookup`].
-    pub async fn lookup_async(
+    pub async fn lookup(
         &mut self,
         cx: AsyncCx,
         name: &str,
@@ -191,22 +168,13 @@ impl NameClient {
         Ok(rec)
     }
 
-    /// Resolves `name`, preferring the local binding cache.
+    /// Resolves `name`, preferring the local binding cache, and handing
+    /// what arrives while it looks up to `strays`.
     ///
     /// # Errors
     ///
     /// Same as [`NameClient::lookup`] on a cache miss.
-    pub fn resolve(&mut self, ctx: &mut Ctx, name: &str) -> Result<NameRecord, RpcError> {
-        ctx.block_on(|cx| self.resolve_async(cx, name, None))
-    }
-
-    /// [`NameClient::resolve`] for an `async` body, handing what arrives
-    /// while it looks up to `strays`.
-    ///
-    /// # Errors
-    ///
-    /// As [`NameClient::resolve`].
-    pub async fn resolve_async(
+    pub async fn resolve(
         &mut self,
         cx: AsyncCx,
         name: &str,
@@ -217,7 +185,7 @@ impl NameClient {
             return Ok(rec.clone());
         }
         self.cache_misses += 1;
-        self.lookup_async(cx, name, strays).await
+        self.lookup(cx, name, strays).await
     }
 
     /// Drops a cached binding (after discovering it is stale).
@@ -230,8 +198,8 @@ impl NameClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the underlying call.
-    pub fn list(&mut self, ctx: &mut Ctx) -> Result<Vec<String>, RpcError> {
-        let rep = ctx.block_on(|cx| self.rpc.call(cx, "", "list", Value::Null, None))?;
+    pub async fn list(&mut self, cx: AsyncCx) -> Result<Vec<String>, RpcError> {
+        let rep = self.rpc.call(cx, "", "list", Value::Null, None).await?;
         let items = rep.get_list("names")?;
         Ok(items
             .iter()

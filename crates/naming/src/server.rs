@@ -402,8 +402,9 @@ mod tests {
         let ns = probed(&sim, dir, Arc::clone(&windows));
         for i in 0..64 {
             let f = Arc::clone(&found);
-            sim.spawn("client", NodeId(2 + i % 8), move |ctx| {
-                let rec = crate::NameClient::new(ns).lookup(ctx, "svc").unwrap();
+            sim.spawn_async("client", NodeId(2 + i % 8), move |cx| async move {
+                let mut nc = crate::NameClient::new(ns);
+                let rec = nc.lookup(cx, "svc", None).await.unwrap();
                 assert_eq!((rec.endpoint, rec.generation), (ep(1, 5), 1));
                 f.fetch_add(1, Ordering::SeqCst);
             });

@@ -21,25 +21,19 @@ fn register_lookup_across_nodes() {
     );
     let checked = Arc::new(AtomicU64::new(0));
     let c2 = Arc::clone(&checked);
-    sim.spawn("registrar", NodeId(1), move |ctx| {
+    sim.spawn_async("registrar", NodeId(1), move |cx| async move {
         let mut nc = NameClient::new(ns);
-        let gen = nc
-            .register(
-                ctx,
-                "svc",
-                svc,
-                Value::record([("proxy", Value::str("stub"))]),
-            )
-            .unwrap();
+        let meta = Value::record([("proxy", Value::str("stub"))]);
+        let gen = nc.register(cx, "svc", svc, meta).await.unwrap();
         assert_eq!(gen, 1);
         c2.store(1, Ordering::SeqCst);
     });
     sim.run_until(simnet::SimTime::from_millis(100));
     let found = Arc::new(AtomicU64::new(0));
     let f2 = Arc::clone(&found);
-    sim.spawn("resolver", NodeId(2), move |ctx| {
+    sim.spawn_async("resolver", NodeId(2), move |cx| async move {
         let mut nc = NameClient::new(ns);
-        let rec = nc.lookup(ctx, "svc").unwrap();
+        let rec = nc.lookup(cx, "svc", None).await.unwrap();
         assert_eq!(rec.endpoint, svc);
         assert_eq!(rec.meta.get_str("proxy").unwrap(), "stub");
         f2.store(1, Ordering::SeqCst);
@@ -53,17 +47,18 @@ fn register_lookup_across_nodes() {
 fn resolve_uses_cache_until_forgotten() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 2);
     let ns = spawn_name_server(&sim, NodeId(0));
-    sim.spawn("client", NodeId(1), move |ctx| {
+    sim.spawn_async("client", NodeId(1), move |cx| async move {
+        let me = cx.with(|cx| cx.endpoint());
         let mut nc = NameClient::new(ns);
-        nc.register(ctx, "x", ctx.endpoint(), Value::Null).unwrap();
-        let _ = nc.lookup(ctx, "x").unwrap(); // populates cache
+        nc.register(cx, "x", me, Value::Null).await.unwrap();
+        let _ = nc.lookup(cx, "x", None).await.unwrap(); // populates cache
         for _ in 0..5 {
-            let _ = nc.resolve(ctx, "x").unwrap();
+            let _ = nc.resolve(cx, "x", None).await.unwrap();
         }
         assert_eq!(nc.cache_hits, 5);
         assert_eq!(nc.cache_misses, 0);
         nc.forget("x");
-        let _ = nc.resolve(ctx, "x").unwrap();
+        let _ = nc.resolve(cx, "x", None).await.unwrap();
         assert_eq!(nc.cache_misses, 1);
     });
     sim.run();
@@ -73,18 +68,19 @@ fn resolve_uses_cache_until_forgotten() {
 fn stale_binding_detected_via_generation() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 3);
     let ns = spawn_name_server(&sim, NodeId(0));
-    sim.spawn("mover", NodeId(1), move |ctx| {
+    sim.spawn_async("mover", NodeId(1), move |cx| async move {
+        let me = cx.with(|cx| cx.endpoint());
         let mut nc = NameClient::new(ns);
-        let old_ep = ctx.endpoint();
-        nc.register(ctx, "svc", old_ep, Value::Null).unwrap();
-        let rec1 = nc.lookup(ctx, "svc").unwrap();
+        let old_ep = me;
+        nc.register(cx, "svc", old_ep, Value::Null).await.unwrap();
+        let rec1 = nc.lookup(cx, "svc", None).await.unwrap();
 
         // Service migrates: a second registrar updates the binding.
         let new_ep = simnet::Endpoint::new(NodeId(2), PortId(9));
-        let gen2 = nc.update(ctx, "svc", new_ep, Value::Null).unwrap();
+        let gen2 = nc.update(cx, "svc", new_ep, Value::Null).await.unwrap();
         assert!(gen2 > rec1.generation);
 
-        let rec2 = nc.lookup(ctx, "svc").unwrap();
+        let rec2 = nc.lookup(cx, "svc", None).await.unwrap();
         assert_eq!(rec2.endpoint, new_ep);
         assert!(rec2.generation > rec1.generation);
     });
@@ -95,9 +91,9 @@ fn stale_binding_detected_via_generation() {
 fn not_found_helper() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 4);
     let ns = spawn_name_server(&sim, NodeId(0));
-    sim.spawn("client", NodeId(1), move |ctx| {
+    sim.spawn_async("client", NodeId(1), move |cx| async move {
         let mut nc = NameClient::new(ns);
-        let err = nc.lookup(ctx, "ghost").unwrap_err();
+        let err = nc.lookup(cx, "ghost", None).await.unwrap_err();
         assert!(is_not_found(&err));
     });
     sim.run();
@@ -107,13 +103,14 @@ fn not_found_helper() {
 fn list_reflects_registrations() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 5);
     let ns = spawn_name_server(&sim, NodeId(0));
-    sim.spawn("client", NodeId(1), move |ctx| {
+    sim.spawn_async("client", NodeId(1), move |cx| async move {
+        let me = cx.with(|cx| cx.endpoint());
         let mut nc = NameClient::new(ns);
         for name in ["b", "a", "c"] {
-            nc.register(ctx, name, ctx.endpoint(), Value::Null).unwrap();
+            nc.register(cx, name, me, Value::Null).await.unwrap();
         }
-        nc.unregister(ctx, "b").unwrap();
-        let names = nc.list(ctx).unwrap();
+        nc.unregister(cx, "b").await.unwrap();
+        let names = nc.list(cx).await.unwrap();
         assert_eq!(names, vec!["a".to_string(), "c".to_string()]);
     });
     sim.run();
@@ -123,13 +120,13 @@ fn list_reflects_registrations() {
 fn survives_lossy_network() {
     let mut sim = Simulation::new(NetworkConfig::lan().with_loss(0.15), 6);
     let ns = spawn_name_server(&sim, NodeId(0));
-    sim.spawn("client", NodeId(1), move |ctx| {
+    sim.spawn_async("client", NodeId(1), move |cx| async move {
+        let me = cx.with(|cx| cx.endpoint());
         let mut nc = NameClient::new(ns);
-        nc.register(ctx, "svc", ctx.endpoint(), Value::Null)
-            .unwrap();
+        nc.register(cx, "svc", me, Value::Null).await.unwrap();
         for _ in 0..20 {
-            let rec = nc.lookup(ctx, "svc").unwrap();
-            assert_eq!(rec.endpoint, ctx.endpoint());
+            let rec = nc.lookup(cx, "svc", None).await.unwrap();
+            assert_eq!(rec.endpoint, me);
         }
     });
     sim.run();
@@ -145,19 +142,25 @@ fn registrations_from_four_domains(threads: usize) -> Vec<(String, u64)> {
         .with_threads(threads);
     let ns = spawn_name_server(&sim, NodeId(0));
     for i in 0..8u32 {
-        sim.spawn(format!("registrar-{i}"), NodeId(1 + i), move |ctx| {
-            NameClient::new(ns)
-                .register(ctx, &format!("svc-{i}"), ctx.endpoint(), Value::Null)
-                .unwrap();
-        });
+        sim.spawn_async(
+            format!("registrar-{i}"),
+            NodeId(1 + i),
+            move |cx| async move {
+                let me = cx.with(|cx| cx.endpoint());
+                NameClient::new(ns)
+                    .register(cx, &format!("svc-{i}"), me, Value::Null)
+                    .await
+                    .unwrap();
+            },
+        );
     }
     sim.run_until(simnet::SimTime::from_millis(100));
     let seen = Arc::new(Mutex::new(Vec::new()));
     let s = Arc::clone(&seen);
-    sim.spawn("client", NodeId(9), move |ctx| {
+    sim.spawn_async("client", NodeId(9), move |cx| async move {
         let mut nc = NameClient::new(ns);
-        for name in nc.list(ctx).unwrap() {
-            let gen = nc.lookup(ctx, &name).unwrap().generation;
+        for name in nc.list(cx).await.unwrap() {
+            let gen = nc.lookup(cx, &name, None).await.unwrap().generation;
             s.lock().unwrap().push((name, gen));
         }
     });

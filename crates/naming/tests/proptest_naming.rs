@@ -40,7 +40,7 @@ proptest! {
         let ns = spawn_name_server(&sim, NodeId(0));
         let failure: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
         let f2 = Arc::clone(&failure);
-        sim.spawn("driver", NodeId(1), move |ctx| {
+        sim.spawn_async("driver", NodeId(1), move |cx| async move {
             let mut nc = NameClient::new(ns);
             let mut oracle: HashMap<String, Endpoint> = HashMap::new();
             let mut last_gen = 0u64;
@@ -49,7 +49,7 @@ proptest! {
                     Cmd::Register(n, p) => {
                         let name = format!("svc{n}");
                         let ep = Endpoint::new(NodeId(9), PortId(*p as u32));
-                        let g = nc.register(ctx, &name, ep, Value::Null).unwrap();
+                        let g = nc.register(cx, &name, ep, Value::Null).await.unwrap();
                         if g != last_gen + 1 {
                             *f2.lock().unwrap() =
                                 Some(format!("step {i}: generation {g} after {last_gen}"));
@@ -61,7 +61,7 @@ proptest! {
                     Cmd::Update(n, p) => {
                         let name = format!("svc{n}");
                         let ep = Endpoint::new(NodeId(9), PortId(*p as u32));
-                        match nc.update(ctx, &name, ep, Value::Null) {
+                        match nc.update(cx, &name, ep, Value::Null).await {
                             Ok(g) => {
                                 if !oracle.contains_key(&name) {
                                     *f2.lock().unwrap() = Some(format!(
@@ -93,7 +93,7 @@ proptest! {
                     }
                     Cmd::Unregister(n) => {
                         let name = format!("svc{n}");
-                        match nc.unregister(ctx, &name) {
+                        match nc.unregister(cx, &name).await {
                             Ok(()) => {
                                 if oracle.remove(&name).is_none() {
                                     *f2.lock().unwrap() = Some(format!(
@@ -118,7 +118,7 @@ proptest! {
                     }
                     Cmd::Lookup(n) => {
                         let name = format!("svc{n}");
-                        match nc.lookup(ctx, &name) {
+                        match nc.lookup(cx, &name, None).await {
                             Ok(rec) => match oracle.get(&name) {
                                 Some(ep) if *ep == rec.endpoint => {}
                                 Some(ep) => {
@@ -151,7 +151,7 @@ proptest! {
                 }
             }
             // Terminal: `list` agrees with the oracle's key set.
-            let mut names = nc.list(ctx).unwrap();
+            let mut names = nc.list(cx).await.unwrap();
             names.sort();
             let mut expected: Vec<String> = oracle.keys().cloned().collect();
             expected.sort();

@@ -48,11 +48,11 @@
 //!     propagation: Propagation::Sync,
 //!     read_target: ReadTarget::Nearest,
 //! }, || Box::new(Register(0)));
-//! sim.spawn("client", NodeId(2), move |ctx| {
+//! sim.spawn_async("client", NodeId(2), move |cx| async move {
 //!     let mut rt = client_runtime(ns);
-//!     let reg = rt.bind(ctx, "reg").unwrap();
-//!     rt.invoke(ctx, reg, "write", Value::record([("v", Value::U64(9))])).unwrap();
-//!     assert_eq!(rt.invoke(ctx, reg, "read", Value::Null).unwrap(), Value::U64(9));
+//!     let reg = rt.attach(cx, "reg").await.unwrap();
+//!     rt.call(cx, reg, "write", Value::record([("v", Value::U64(9))])).await.unwrap();
+//!     assert_eq!(rt.call(cx, reg, "read", Value::Null).await.unwrap(), Value::U64(9));
 //! });
 //! sim.run();
 //! ```

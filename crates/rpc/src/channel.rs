@@ -9,9 +9,10 @@
 //! under an `Invoke` span of its own) and redeems the [`CallHandle`]s
 //! later. [`Channel::wait_async`], the one wait loop, drives the channel
 //! until replies arrive (an `async` body awaits it, and [`Channel::wait`]
-//! / [`Channel::wait_all`] run it on a blocking body's stack through
-//! [`simnet::Ctx::block_on`]), and [`Channel::poll_wait`] /
-//! [`Channel::try_take`] do the same for poll-driven processes,
+//! runs it on the benchmark's blocking bodies through
+//! [`simnet::Ctx::block_on`]). A poll-driven process that receives for
+//! itself shows each datagram to [`Channel::offer`], drives the channel
+//! with [`Channel::tick`] and claims results with [`Channel::try_take`],
 //! completing on the reply's own delivery wake. Replies are matched by
 //! call id, each call keeps its own retransmission timer, and ids
 //! retransmit unchanged — so the server's per-client window gives
@@ -63,10 +64,12 @@
 //!
 //! A process that is both client and server (an edge cache: it answers
 //! its own clients and calls its origin) cannot let the channel own the
-//! mailbox — `wait`/`poll` would swallow the requests it is supposed to
-//! serve. Such a process receives for itself, shows each datagram to
+//! mailbox — a wait would swallow the requests it is supposed to serve.
+//! Such a process receives for itself, shows each datagram to
 //! [`Channel::offer`] (which takes replies and nothing else) and calls
-//! [`Channel::tick`] to send staged calls and fire timers.
+//! [`Channel::tick`] to send staged calls and fire timers. So does a
+//! process that waits on several channels at once, such as the ticket
+//! pump of `proxy_core::SessionCore`.
 //!
 //! Every request the channel sends carries `lo`, the lowest call id its
 //! *process* still awaits ([`simnet::Ctx::lowest_awaited`]), beside the
@@ -337,6 +340,12 @@ impl Channel {
         self.position(h.0).is_none()
     }
 
+    /// Whether the call `call_id` is one of this channel's and has not
+    /// settled: whose a reply is, when two channels share a server.
+    pub fn awaits(&self, call_id: u64) -> bool {
+        self.position(call_id).is_some()
+    }
+
     /// Where the unsettled call `id` sits in `calls`.
     fn position(&self, id: u64) -> Option<usize> {
         self.calls
@@ -345,8 +354,8 @@ impl Channel {
     }
 
     /// Stages a call on the server's default object and returns its
-    /// handle. Nothing is sent until [`Channel::flush`] (which `wait`,
-    /// `wait_all` and `poll` call for you).
+    /// handle. Nothing is sent until [`Channel::flush`] (which the waits
+    /// and [`Channel::tick`] call for you).
     pub fn begin_call(&mut self, ctx: &mut Ctx, op: &str, args: Value) -> CallHandle {
         self.begin_call_object(ctx, "", op, args)
     }
@@ -745,10 +754,10 @@ impl Channel {
     ///         _ => Err(RemoteError::new(ErrorCode::NoSuchOp, req.op.clone())),
     ///     }, |_ctx, _oneway| {});
     /// });
-    /// sim.spawn("client", NodeId(1), move |ctx| {
+    /// sim.spawn_async("client", NodeId(1), move |cx| async move {
     ///     let mut ch = Channel::new("", server, ChannelConfig::with_depth(1));
     ///     let args = Value::record([("a", Value::U64(2)), ("b", Value::U64(3))]);
-    ///     let sum = ctx.block_on(|cx| ch.call(cx, "", "add", args, None)).unwrap();
+    ///     let sum = ch.call(cx, "", "add", args, None).await.unwrap();
     ///     assert_eq!(sum, Value::U64(5));
     /// });
     /// sim.run();
@@ -775,9 +784,11 @@ impl Channel {
         self.claim(call)
     }
 
-    /// Waits for one call to settle and returns its result. Consumes the
-    /// handle's slot: waiting twice on the same handle returns
-    /// [`RpcError::Timeout`].
+    /// Waits for one call to settle and returns its result, on a blocking
+    /// body. Consumes the handle's slot: waiting twice on the same handle
+    /// returns [`RpcError::Timeout`]. It stays for the benchmark's blocking
+    /// bodies (`benchmark/src/sut.rs`) until the last one is ported
+    /// (ROADMAP item 6d); an `async` body awaits [`Channel::wait_async`].
     ///
     /// # Errors
     ///
@@ -799,39 +810,11 @@ impl Channel {
         }
     }
 
-    /// Drives the channel until every staged call has settled. Results
-    /// stay claimable through [`Channel::wait`] (which then returns
-    /// immediately).
-    ///
-    /// # Errors
-    ///
-    /// [`RpcError::Stopped`] on simulation shutdown.
-    pub fn wait_all(&mut self, ctx: &mut Ctx) -> Result<(), RpcError> {
-        ctx.block_on(|cx| self.wait_async(cx, None, None))
-    }
-
-    /// Non-blocking progress: sends staged calls, fires due timers, and
-    /// absorbs whatever already sits in the mailbox, dropping and
-    /// counting what is not the channel's.
-    ///
-    /// # Errors
-    ///
-    /// [`RpcError::Stopped`] on simulation shutdown.
-    pub fn poll(&mut self, ctx: &mut Ctx) -> Result<(), RpcError> {
-        self.tick(ctx);
-        while let Some(msg) = ctx.try_recv()? {
-            if let Absorbed::Declined(_) = self.absorb(ctx, &msg) {
-                self.discard(ctx);
-            }
-        }
-        self.flush(ctx);
-        Ok(())
-    }
-
     /// Claims the result of a settled call without blocking, consuming
     /// its slot. Returns `None` while the call is still in flight; a
     /// claimed or unknown handle reports `Some(Err(Timeout))`, matching
-    /// [`Channel::wait`].
+    /// [`Channel::wait`]. A poll-driven caller settles calls through
+    /// [`Channel::offer`] and [`Channel::tick`].
     pub fn try_take(&mut self, h: CallHandle) -> Option<Result<Value, RpcError>> {
         self.is_settled(h).then(|| self.claim(h))
     }
@@ -846,39 +829,6 @@ impl Channel {
             .take(self.outstanding)
             .map(|rec| rec.deadline)
             .min()
-    }
-
-    /// Poll-driven analogue of [`Channel::wait`]: drives the channel as
-    /// far as it can without blocking, and either yields the settled
-    /// result or registers the wakes that complete it — the reply
-    /// delivery itself (every delivery polls a parked process) plus a
-    /// timer at the next retransmission deadline.
-    ///
-    /// Completed calls settle via the *completion wake* of the reply
-    /// datagram.
-    pub fn poll_wait(
-        &mut self,
-        cx: &mut simnet::ProcCx,
-        h: CallHandle,
-    ) -> simnet::Poll<Result<Value, RpcError>> {
-        if let Err(e) = self.poll(cx.ctx()) {
-            return simnet::Poll::Ready(Err(e));
-        }
-        // Arm the earliest retransmit deadline *before* checking for
-        // completion: when this call settles, a sibling pipelined call
-        // may still be outstanding, and this poll may be the last one
-        // the process makes before parking. Arming only on the Pending
-        // path would leave that sibling with no timer — a lost wakeup,
-        // not a slowdown. A wake for a deadline that retransmission
-        // later supersedes is harmless: the timer is gen-stale by the
-        // time it fires.
-        if let Some(dl) = self.next_deadline() {
-            cx.wake_at(dl);
-        }
-        match self.try_take(h) {
-            Some(result) => simnet::Poll::Ready(result),
-            None => simnet::Poll::Pending,
-        }
     }
 }
 

@@ -428,7 +428,7 @@ fn a_call_staged_behind_two_hundred_others_completes_under_loss_and_duplication(
         let handles: Vec<_> = (0..200)
             .map(|_| ch.begin_call(ctx, "inc", Value::Null))
             .collect();
-        ch.wait_all(ctx).unwrap();
+        ctx.block_on(|cx| ch.wait_async(cx, None, None)).unwrap();
         let mut seen = std::collections::BTreeSet::new();
         for h in handles {
             let v = ch.wait(ctx, h).expect("every call completes");

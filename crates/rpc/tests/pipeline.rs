@@ -119,7 +119,7 @@ fn results_claimable_in_any_order() {
         let handles: Vec<_> = (0..4u64)
             .map(|i| ch.begin_call(ctx, "echo", Value::U64(i)))
             .collect();
-        ch.wait_all(ctx).unwrap();
+        ctx.block_on(|cx| ch.wait_async(cx, None, None)).unwrap();
         // Claim in reverse: results must stay addressable by handle.
         for (i, h) in handles.into_iter().enumerate().rev() {
             assert_eq!(ch.wait(ctx, h).unwrap(), Value::U64(i as u64));
@@ -745,7 +745,11 @@ fn a_lost_retransmission_backs_off_from_the_path_not_the_floor() {
         ctx.net().partition(NodeId(0), NodeId(1));
         while ch.stats.retries == 0 {
             ctx.sleep(Duration::from_micros(100)).expect("running");
-            ch.poll(ctx).expect("running");
+            ch.tick(ctx);
+            while let Some(msg) = ctx.try_recv().expect("running") {
+                ch.offer(ctx, &msg);
+            }
+            ch.flush(ctx);
         }
         ctx.net().heal(NodeId(0), NodeId(1));
         for h in lost {

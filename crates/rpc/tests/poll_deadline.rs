@@ -1,14 +1,31 @@
-//! Regression tests for the poll-driven channel's retransmit-deadline
+//! Regression tests for a poll-driven channel's retransmit-deadline
 //! arming: a parked client's only lifeline is the timer wake armed from
 //! [`Channel::next_deadline`], so a stale or missing deadline is a lost
-//! wakeup, not a slowdown.
+//! wakeup, not a slowdown. The clients are hand-written machines that own
+//! their mailbox and drive the channel through its primitives, as the
+//! ticket pump of `proxy_core::SessionCore` does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rpc::{Channel, ChannelConfig, ErrorCode, RemoteError, RpcError};
-use simnet::{Endpoint, NetworkConfig, NodeId, Poll, PortId, Simulation};
+use simnet::{Endpoint, NetworkConfig, NodeId, Poll, PortId, ProcCx, Simulation};
 use wire::Value;
+
+/// One poll's progress: send what is staged and fire due timers, hand the
+/// channel every datagram waiting, send what the replies made room for,
+/// and arm a wake at the earliest retransmit deadline — before the caller
+/// claims anything, so a call that settles here leaves its siblings timed.
+fn drive(ch: &mut Channel, cx: &mut ProcCx) {
+    ch.tick(cx);
+    while let Ok(Some(msg)) = cx.try_recv() {
+        ch.offer(cx, &msg);
+    }
+    ch.flush(cx);
+    if let Some(deadline) = ch.next_deadline() {
+        cx.wake_at(deadline);
+    }
+}
 
 /// With 100% loss nothing is ever delivered, so the *only* thing that
 /// can advance the client is the retransmit timer it arms before
@@ -37,13 +54,14 @@ fn deadline_boundary_wake_drives_call_to_timeout() {
             let ctx = cx.ctx();
             ch.begin_call(ctx, "echo", Value::U64(7))
         });
-        match ch.poll_wait(cx, h) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready(Err(RpcError::Timeout { .. })) => {
+        drive(ch, cx);
+        match ch.try_take(h) {
+            None => Poll::Pending,
+            Some(Err(RpcError::Timeout { .. })) => {
                 o.store(1, Ordering::SeqCst);
                 Poll::Ready(())
             }
-            Poll::Ready(other) => panic!("expected timeout, got {other:?}"),
+            Some(other) => panic!("expected timeout, got {other:?}"),
         }
     });
     let report = sim.run();
@@ -61,9 +79,10 @@ fn deadline_boundary_wake_drives_call_to_timeout() {
 /// endpoint and no reply will ever come. The client awaits A, then
 /// parks *without polling B in that pass* — the natural shape of
 /// sequential awaits interleaved with other work. The pass in which A
-/// settles must still arm B's retransmit deadline; if `poll_wait` armed
-/// the timer only on `Pending`, A's completion would consume the poll
-/// and leave B with no timer, parking the client forever.
+/// settles must still arm B's retransmit deadline: B's must be the
+/// channel's next deadline once A has settled, or A's completion would
+/// consume the poll and leave B with no timer, parking the client
+/// forever.
 #[test]
 fn sibling_deadline_survives_settled_call() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 4);
@@ -95,27 +114,28 @@ fn sibling_deadline_survives_settled_call() {
             let b = ch.begin_call(ctx, "echo", Value::U64(2));
             (a, b)
         });
+        drive(ch, cx);
         if s.load(Ordering::SeqCst) == 0 {
-            match ch.poll_wait(cx, a) {
-                Poll::Pending => return Poll::Pending,
-                Poll::Ready(r) => {
+            match ch.try_take(a) {
+                None => return Poll::Pending,
+                Some(r) => {
                     r.expect("call A should echo back");
                     s.store(1, Ordering::SeqCst);
                     // Park WITHOUT polling B and without arming any
                     // wake of our own. Only the deadline armed during
-                    // A's final poll_wait can wake us again.
+                    // A's final drive can wake us again.
                     return Poll::Pending;
                 }
             }
         }
         s.store(2, Ordering::SeqCst);
-        match ch.poll_wait(cx, b) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready(Err(RpcError::Timeout { .. })) => {
+        match ch.try_take(b) {
+            None => Poll::Pending,
+            Some(Err(RpcError::Timeout { .. })) => {
                 s.store(3, Ordering::SeqCst);
                 Poll::Ready(())
             }
-            Poll::Ready(other) => panic!("expected timeout for B, got {other:?}"),
+            Some(other) => panic!("expected timeout for B, got {other:?}"),
         }
     });
     let report = sim.run();

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rpc::{Channel, ChannelConfig, ChannelStats, Oneway, Request, RpcServer};
-use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, Poll, PortId, Simulation};
+use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
 const SERVER: NodeId = NodeId(0);
@@ -59,35 +59,6 @@ fn a_wait_given_no_rule_drops_and_counts_what_is_not_its_reply() {
         assert_eq!(ch.wait(ctx, h), Ok(Value::U64(7)));
         *out.lock().unwrap() = Some(ch.stats);
     });
-    sim.run();
-    let stats: ChannelStats = seen.lock().unwrap().expect("the client finished");
-    assert_eq!(stats.discarded, 2, "the one-way and the request");
-    assert_eq!(sim.obs_report().rpc.client.strays_dropped, 2);
-}
-
-#[test]
-fn a_poll_wait_drops_and_counts_what_is_not_its_reply() {
-    let (mut sim, server) = setup(2, &["poke"]);
-    let seen = Arc::new(Mutex::new(None));
-    let out = Arc::clone(&seen);
-    let (mut ch, mut call) = (None, None);
-    sim.spawn_poll_at(
-        "client",
-        CLIENT,
-        CLIENT_PORT,
-        move |cx: &mut simnet::ProcCx| {
-            let ch: &mut Channel = ch.get_or_insert_with(|| channel(server));
-            let h = *call.get_or_insert_with(|| ch.begin_call(cx.ctx(), "echo", Value::U64(7)));
-            match ch.poll_wait(cx, h) {
-                Poll::Pending => Poll::Pending,
-                Poll::Ready(result) => {
-                    assert_eq!(result, Ok(Value::U64(7)));
-                    *out.lock().unwrap() = Some(ch.stats);
-                    Poll::Ready(())
-                }
-            }
-        },
-    );
     sim.run();
     let stats: ChannelStats = seen.lock().unwrap().expect("the client finished");
     assert_eq!(stats.discarded, 2, "the one-way and the request");

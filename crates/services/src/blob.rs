@@ -466,7 +466,7 @@ async fn edge_cache(cx: AsyncCx, ns: Endpoint, name: String, origin: String, cap
     let mut nsc = naming::NameClient::new(ns);
     // The origin registers asynchronously; wait for it.
     let record = loop {
-        match nsc.lookup_async(cx, &origin, None).await {
+        match nsc.lookup(cx, &origin, None).await {
             Ok(r) => break r,
             Err(e) if naming::is_not_found(&e) => {
                 if cx.sleep(std::time::Duration::from_millis(1)).await.is_err() {
@@ -506,7 +506,7 @@ async fn edge_cache(cx: AsyncCx, ns: Endpoint, name: String, origin: String, cap
         ("iface", iface.to_value()),
     ]);
     let me = cx.with(|cx| cx.endpoint());
-    match nsc.register_async(cx, &name, me, meta).await {
+    match nsc.register(cx, &name, me, meta).await {
         Ok(_) => {}
         Err(RpcError::Stopped) => return,
         Err(e) => panic!("edge cache `{name}` failed to register: {e}"),

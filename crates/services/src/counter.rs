@@ -4,9 +4,9 @@
 //! state fits in one datagram, so the checkout cost is one RTT and the
 //! crossover against a stub appears after only a handful of calls.
 
-use proxy_core::{InterfaceDesc, OpDesc, ProxyHandle, ServiceObject, Session};
+use proxy_core::{InterfaceDesc, OpDesc, ProxyHandle, ServiceObject, SessionCore};
 use rpc::{ErrorCode, RemoteError, RpcError};
-use simnet::Ctx;
+use simnet::{AsyncCx, Ctx};
 use wire::Value;
 
 use crate::{bad_args, malformed};
@@ -101,9 +101,13 @@ impl CounterClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the bind.
-    pub fn bind(session: &mut Session<'_>, service: &str) -> Result<CounterClient, RpcError> {
+    pub async fn bind(
+        core: &mut SessionCore,
+        cx: AsyncCx,
+        service: &str,
+    ) -> Result<CounterClient, RpcError> {
         Ok(CounterClient {
-            handle: session.bind(service)?,
+            handle: core.attach(cx, service).await?,
         })
     }
 
@@ -117,8 +121,8 @@ impl CounterClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn get(&self, session: &mut Session<'_>) -> Result<u64, RpcError> {
-        let v = session.invoke(self.handle, "get", Value::Null)?;
+    pub async fn get(&self, core: &mut SessionCore, cx: AsyncCx) -> Result<u64, RpcError> {
+        let v = core.call(cx, self.handle, "get", Value::Null).await?;
         Ok(v.as_u64().unwrap_or(0))
     }
 
@@ -127,8 +131,8 @@ impl CounterClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn inc(&self, session: &mut Session<'_>) -> Result<u64, RpcError> {
-        let v = session.invoke(self.handle, "inc", Value::Null)?;
+    pub async fn inc(&self, core: &mut SessionCore, cx: AsyncCx) -> Result<u64, RpcError> {
+        let v = core.call(cx, self.handle, "inc", Value::Null).await?;
         Ok(v.as_u64().unwrap_or(0))
     }
 
@@ -137,8 +141,9 @@ impl CounterClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn add(&self, session: &mut Session<'_>, n: u64) -> Result<u64, RpcError> {
-        let v = session.invoke(self.handle, "add", Value::record([("n", Value::U64(n))]))?;
+    pub async fn add(&self, core: &mut SessionCore, cx: AsyncCx, n: u64) -> Result<u64, RpcError> {
+        let args = Value::record([("n", Value::U64(n))]);
+        let v = core.call(cx, self.handle, "add", args).await?;
         Ok(v.as_u64().unwrap_or(0))
     }
 }

@@ -6,9 +6,9 @@
 
 use std::collections::BTreeMap;
 
-use proxy_core::{InterfaceDesc, OpDesc, ProxyHandle, ServiceObject, Session};
+use proxy_core::{InterfaceDesc, OpDesc, ProxyHandle, ServiceObject, SessionCore};
 use rpc::{ErrorCode, RemoteError, RpcError};
-use simnet::Ctx;
+use simnet::{AsyncCx, Ctx};
 use wire::Value;
 
 use crate::{bad_args, malformed};
@@ -167,9 +167,13 @@ impl DirectoryClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the bind.
-    pub fn bind(session: &mut Session<'_>, service: &str) -> Result<DirectoryClient, RpcError> {
+    pub async fn bind(
+        core: &mut SessionCore,
+        cx: AsyncCx,
+        service: &str,
+    ) -> Result<DirectoryClient, RpcError> {
         Ok(DirectoryClient {
-            handle: session.bind(service)?,
+            handle: core.attach(cx, service).await?,
         })
     }
 
@@ -183,16 +187,14 @@ impl DirectoryClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn lookup(
+    pub async fn lookup(
         &self,
-        session: &mut Session<'_>,
+        core: &mut SessionCore,
+        cx: AsyncCx,
         path: &str,
     ) -> Result<Option<DirEntry>, RpcError> {
-        let v = session.invoke(
-            self.handle,
-            "lookup",
-            Value::record([("path", Value::str(path))]),
-        )?;
+        let args = Value::record([("path", Value::str(path))]);
+        let v = core.call(cx, self.handle, "lookup", args).await?;
         if v == Value::Null {
             return Ok(None);
         }
@@ -207,17 +209,15 @@ impl DirectoryClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn insert(
+    pub async fn insert(
         &self,
-        session: &mut Session<'_>,
+        core: &mut SessionCore,
+        cx: AsyncCx,
         path: &str,
         value: &str,
     ) -> Result<u64, RpcError> {
-        let v = session.invoke(
-            self.handle,
-            "insert",
-            Value::record([("path", Value::str(path)), ("value", Value::str(value))]),
-        )?;
+        let args = Value::record([("path", Value::str(path)), ("value", Value::str(value))]);
+        let v = core.call(cx, self.handle, "insert", args).await?;
         Ok(v.as_u64().unwrap_or(0))
     }
 
@@ -226,12 +226,14 @@ impl DirectoryClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn remove(&self, session: &mut Session<'_>, path: &str) -> Result<bool, RpcError> {
-        let v = session.invoke(
-            self.handle,
-            "remove",
-            Value::record([("path", Value::str(path))]),
-        )?;
+    pub async fn remove(
+        &self,
+        core: &mut SessionCore,
+        cx: AsyncCx,
+        path: &str,
+    ) -> Result<bool, RpcError> {
+        let args = Value::record([("path", Value::str(path))]);
+        let v = core.call(cx, self.handle, "remove", args).await?;
         Ok(v.as_bool().unwrap_or(false))
     }
 
@@ -240,12 +242,14 @@ impl DirectoryClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn list(&self, session: &mut Session<'_>, prefix: &str) -> Result<Vec<String>, RpcError> {
-        let v = session.invoke(
-            self.handle,
-            "list",
-            Value::record([("prefix", Value::str(prefix))]),
-        )?;
+    pub async fn list(
+        &self,
+        core: &mut SessionCore,
+        cx: AsyncCx,
+        prefix: &str,
+    ) -> Result<Vec<String>, RpcError> {
+        let args = Value::record([("prefix", Value::str(prefix))]);
+        let v = core.call(cx, self.handle, "list", args).await?;
         Ok(v.as_list()
             .map(|items| {
                 items

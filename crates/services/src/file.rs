@@ -9,9 +9,9 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use bytes::Bytes;
-use proxy_core::{InterfaceDesc, OpDesc, ProxyHandle, ServiceObject, Session};
+use proxy_core::{InterfaceDesc, OpDesc, ProxyHandle, ServiceObject, SessionCore};
 use rpc::{ErrorCode, RemoteError, RpcError};
-use simnet::Ctx;
+use simnet::{AsyncCx, Ctx};
 use wire::Value;
 
 use crate::{bad_args, malformed};
@@ -166,9 +166,13 @@ impl FileClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the bind.
-    pub fn bind(session: &mut Session<'_>, service: &str) -> Result<FileClient, RpcError> {
+    pub async fn bind(
+        core: &mut SessionCore,
+        cx: AsyncCx,
+        service: &str,
+    ) -> Result<FileClient, RpcError> {
         Ok(FileClient {
-            handle: session.bind(service)?,
+            handle: core.attach(cx, service).await?,
         })
     }
 
@@ -182,17 +186,15 @@ impl FileClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn read(
+    pub async fn read(
         &self,
-        session: &mut Session<'_>,
+        core: &mut SessionCore,
+        cx: AsyncCx,
         file: &str,
         index: u64,
     ) -> Result<Option<Bytes>, RpcError> {
-        let v = session.invoke(
-            self.handle,
-            "read",
-            Value::record([("addr", Value::str(block_addr(file, index)))]),
-        )?;
+        let args = Value::record([("addr", Value::str(block_addr(file, index)))]);
+        let v = core.call(cx, self.handle, "read", args).await?;
         Ok(v.as_blob().cloned())
     }
 
@@ -202,21 +204,17 @@ impl FileClient {
     ///
     /// Any [`RpcError`] from the invocation, including `BadArgs` for
     /// blocks over [`BLOCK_SIZE`].
-    pub fn write(
+    pub async fn write(
         &self,
-        session: &mut Session<'_>,
+        core: &mut SessionCore,
+        cx: AsyncCx,
         file: &str,
         index: u64,
         data: impl Into<Bytes>,
     ) -> Result<(), RpcError> {
-        session.invoke(
-            self.handle,
-            "write",
-            Value::record([
-                ("addr", Value::str(block_addr(file, index))),
-                ("data", Value::Blob(data.into())),
-            ]),
-        )?;
+        let addr = Value::str(block_addr(file, index));
+        let args = Value::record([("addr", addr), ("data", Value::Blob(data.into()))]);
+        core.call(cx, self.handle, "write", args).await?;
         Ok(())
     }
 
@@ -225,8 +223,8 @@ impl FileClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn blocks(&self, session: &mut Session<'_>) -> Result<u64, RpcError> {
-        let v = session.invoke(self.handle, "blocks", Value::Null)?;
+    pub async fn blocks(&self, core: &mut SessionCore, cx: AsyncCx) -> Result<u64, RpcError> {
+        let v = core.call(cx, self.handle, "blocks", Value::Null).await?;
         Ok(v.as_u64().unwrap_or(0))
     }
 }

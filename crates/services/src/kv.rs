@@ -2,9 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use proxy_core::{InterfaceDesc, OpDesc, ProxyHandle, ServiceObject, Session};
+use proxy_core::{InterfaceDesc, OpDesc, ProxyHandle, ServiceObject, SessionCore};
 use rpc::{ErrorCode, RemoteError, RpcError};
-use simnet::Ctx;
+use simnet::{AsyncCx, Ctx};
 use wire::Value;
 
 use crate::{bad_args, malformed};
@@ -117,9 +117,13 @@ impl KvClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the bind.
-    pub fn bind(session: &mut Session<'_>, service: &str) -> Result<KvClient, RpcError> {
+    pub async fn bind(
+        core: &mut SessionCore,
+        cx: AsyncCx,
+        service: &str,
+    ) -> Result<KvClient, RpcError> {
         Ok(KvClient {
-            handle: session.bind(service)?,
+            handle: core.attach(cx, service).await?,
         })
     }
 
@@ -133,12 +137,14 @@ impl KvClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn get(&self, session: &mut Session<'_>, key: &str) -> Result<Option<String>, RpcError> {
-        let v = session.invoke(
-            self.handle,
-            "get",
-            Value::record([("key", Value::str(key))]),
-        )?;
+    pub async fn get(
+        &self,
+        core: &mut SessionCore,
+        cx: AsyncCx,
+        key: &str,
+    ) -> Result<Option<String>, RpcError> {
+        let args = Value::record([("key", Value::str(key))]);
+        let v = core.call(cx, self.handle, "get", args).await?;
         Ok(v.as_str().map(str::to_owned))
     }
 
@@ -147,17 +153,15 @@ impl KvClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn put(
+    pub async fn put(
         &self,
-        session: &mut Session<'_>,
+        core: &mut SessionCore,
+        cx: AsyncCx,
         key: &str,
         value: &str,
     ) -> Result<Option<String>, RpcError> {
-        let v = session.invoke(
-            self.handle,
-            "put",
-            Value::record([("key", Value::str(key)), ("value", Value::str(value))]),
-        )?;
+        let args = Value::record([("key", Value::str(key)), ("value", Value::str(value))]);
+        let v = core.call(cx, self.handle, "put", args).await?;
         Ok(v.as_str().map(str::to_owned))
     }
 
@@ -166,12 +170,14 @@ impl KvClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn del(&self, session: &mut Session<'_>, key: &str) -> Result<bool, RpcError> {
-        let v = session.invoke(
-            self.handle,
-            "del",
-            Value::record([("key", Value::str(key))]),
-        )?;
+    pub async fn del(
+        &self,
+        core: &mut SessionCore,
+        cx: AsyncCx,
+        key: &str,
+    ) -> Result<bool, RpcError> {
+        let args = Value::record([("key", Value::str(key))]);
+        let v = core.call(cx, self.handle, "del", args).await?;
         Ok(v.as_bool().unwrap_or(false))
     }
 
@@ -180,8 +186,8 @@ impl KvClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn len(&self, session: &mut Session<'_>) -> Result<u64, RpcError> {
-        let v = session.invoke(self.handle, "len", Value::Null)?;
+    pub async fn len(&self, core: &mut SessionCore, cx: AsyncCx) -> Result<u64, RpcError> {
+        let v = core.call(cx, self.handle, "len", Value::Null).await?;
         Ok(v.as_u64().unwrap_or(0))
     }
 
@@ -190,8 +196,8 @@ impl KvClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn is_empty(&self, session: &mut Session<'_>) -> Result<bool, RpcError> {
-        Ok(self.len(session)? == 0)
+    pub async fn is_empty(&self, core: &mut SessionCore, cx: AsyncCx) -> Result<bool, RpcError> {
+        Ok(self.len(core, cx).await? == 0)
     }
 }
 

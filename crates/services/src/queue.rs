@@ -7,9 +7,9 @@
 
 use std::collections::VecDeque;
 
-use proxy_core::{InterfaceDesc, OpDesc, ProxyHandle, ServiceObject, Session};
+use proxy_core::{InterfaceDesc, OpDesc, ProxyHandle, ServiceObject, SessionCore};
 use rpc::{ErrorCode, RemoteError, RpcError};
-use simnet::Ctx;
+use simnet::{AsyncCx, Ctx};
 use wire::Value;
 
 use crate::bad_args;
@@ -127,9 +127,13 @@ impl QueueClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the bind.
-    pub fn bind(session: &mut Session<'_>, service: &str) -> Result<QueueClient, RpcError> {
+    pub async fn bind(
+        core: &mut SessionCore,
+        cx: AsyncCx,
+        service: &str,
+    ) -> Result<QueueClient, RpcError> {
         Ok(QueueClient {
-            handle: session.bind(service)?,
+            handle: core.attach(cx, service).await?,
         })
     }
 
@@ -143,12 +147,14 @@ impl QueueClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn submit(&self, session: &mut Session<'_>, doc: &str) -> Result<u64, RpcError> {
-        let v = session.invoke(
-            self.handle,
-            "submit",
-            Value::record([("doc", Value::str(doc))]),
-        )?;
+    pub async fn submit(
+        &self,
+        core: &mut SessionCore,
+        cx: AsyncCx,
+        doc: &str,
+    ) -> Result<u64, RpcError> {
+        let args = Value::record([("doc", Value::str(doc))]);
+        let v = core.call(cx, self.handle, "submit", args).await?;
         Ok(v.as_u64().unwrap_or(0))
     }
 
@@ -157,8 +163,8 @@ impl QueueClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn take(&self, session: &mut Session<'_>) -> Result<Option<Job>, RpcError> {
-        let v = session.invoke(self.handle, "take", Value::Null)?;
+    pub async fn take(&self, core: &mut SessionCore, cx: AsyncCx) -> Result<Option<Job>, RpcError> {
+        let v = core.call(cx, self.handle, "take", Value::Null).await?;
         if v == Value::Null {
             return Ok(None);
         }
@@ -173,8 +179,8 @@ impl QueueClient {
     /// # Errors
     ///
     /// Any [`RpcError`] from the invocation.
-    pub fn len(&self, session: &mut Session<'_>) -> Result<u64, RpcError> {
-        let v = session.invoke(self.handle, "len", Value::Null)?;
+    pub async fn len(&self, core: &mut SessionCore, cx: AsyncCx) -> Result<u64, RpcError> {
+        let v = core.call(cx, self.handle, "len", Value::Null).await?;
         Ok(v.as_u64().unwrap_or(0))
     }
 }

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use proxy_core::bulk::{ops, BlobClient};
 use proxy_core::{
     BulkParams, CachingParams, Coherence, InterfaceDesc, ProxySpec, ServiceBuilder, ServiceObject,
-    Session, SessionCore,
+    SessionCore,
 };
 use services::blob::{spawn_edge_cache, BlobStore};
 use services::kv::KvStore;
@@ -46,12 +46,12 @@ fn stub_proxy_spills_and_resolves_through_blob_store() {
         })
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(2), ns);
-    sim.spawn("client", NodeId(3), move |ctx| {
+    sim.spawn_async("client", NodeId(3), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let kv = s.bind("kv").unwrap();
+        let kv = rt.attach(cx, "kv").await.unwrap();
         let data = payload(256 * 1024, 3);
-        s.invoke(
+        rt.call(
+            cx,
             kv,
             "put",
             Value::record([
@@ -59,22 +59,26 @@ fn stub_proxy_spills_and_resolves_through_blob_store() {
                 ("value", Value::blob(data.clone())),
             ]),
         )
+        .await
         .unwrap();
-        let got = s
-            .invoke(kv, "get", Value::record([("key", Value::str("asset"))]))
+        let got = rt
+            .call(cx, kv, "get", Value::record([("key", Value::str("asset"))]))
+            .await
             .unwrap();
         assert_eq!(got.as_blob().map(|b| b.as_ref()), Some(&data[..]));
-        let stats = s.stats(kv);
+        let stats = rt.stats(kv);
         assert_eq!(stats.bulk_spills, 1, "large put must spill");
         assert_eq!(stats.bulk_resolves, 1, "get must resolve the ref");
         // Small values stay inline: no extra spill.
-        s.invoke(
+        rt.call(
+            cx,
             kv,
             "put",
             Value::record([("key", Value::str("tiny")), ("value", Value::blob(vec![1]))]),
         )
+        .await
         .unwrap();
-        assert_eq!(s.stats(kv).bulk_spills, 1);
+        assert_eq!(rt.stats(kv).bulk_spills, 1);
     });
     sim.run();
 }
@@ -98,12 +102,12 @@ fn caching_proxy_caches_resolved_bulk_values() {
         })
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(2), ns);
-    sim.spawn("client", NodeId(3), move |ctx| {
+    sim.spawn_async("client", NodeId(3), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let kv = s.bind("kv").unwrap();
+        let kv = rt.attach(cx, "kv").await.unwrap();
         let data = payload(64 * 1024, 9);
-        s.invoke(
+        rt.call(
+            cx,
             kv,
             "put",
             Value::record([
@@ -111,14 +115,16 @@ fn caching_proxy_caches_resolved_bulk_values() {
                 ("value", Value::blob(data.clone())),
             ]),
         )
+        .await
         .unwrap();
         for _ in 0..3 {
-            let got = s
-                .invoke(kv, "get", Value::record([("key", Value::str("a"))]))
+            let got = rt
+                .call(cx, kv, "get", Value::record([("key", Value::str("a"))]))
+                .await
                 .unwrap();
             assert_eq!(got.as_blob().map(|b| b.as_ref()), Some(&data[..]));
         }
-        let stats = s.stats(kv);
+        let stats = rt.stats(kv);
         assert_eq!(stats.bulk_resolves, 1, "only the miss fetches out-of-band");
         assert_eq!(stats.local_hits, 2, "repeat reads are local");
     });
@@ -455,9 +461,8 @@ fn fill_overtaken_by_its_invalidation_is_delivered_but_not_cached() {
     let reads = Arc::new(AtomicU64::new(0));
     let r2 = Arc::clone(&reads);
     sim.spawn("origin", ORIGIN, move |ctx| {
-        naming::NameClient::new(ns)
-            .register(ctx, "blob", ctx.endpoint(), Value::Null)
-            .unwrap();
+        let (me, mut nsc) = (ctx.endpoint(), naming::NameClient::new(ns));
+        (ctx.block_on(|cx| nsc.register(cx, "blob", me, Value::Null))).unwrap();
         let mut subscriber = None;
         rpc::RpcServer::new().serve(
             ctx,
@@ -490,7 +495,7 @@ fn fill_overtaken_by_its_invalidation_is_delivered_but_not_cached() {
     sim.spawn("reader", NodeId(3), move |ctx| {
         let mut nsc = naming::NameClient::new(ns);
         let edge = loop {
-            match nsc.lookup(ctx, "edge1") {
+            match ctx.block_on(|cx| nsc.lookup(cx, "edge1", None)) {
                 Ok(rec) => break rec.endpoint,
                 Err(_) => ctx.sleep(Duration::from_millis(5)).unwrap(),
             }

@@ -2,10 +2,12 @@
 //! the interfaces a stub compiler would emit, exercised exactly as an
 //! application would.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use naming::spawn_name_server;
-use proxy_core::{CachingParams, Coherence, ProxySpec, ServiceBuilder, Session, SessionCore};
+use proxy_core::{CachingParams, Coherence, ProxySpec, ServiceBuilder, SessionCore};
 use services::counter::{Counter, CounterClient};
 use services::directory::{Directory, DirectoryClient};
 use services::file::{BlockFile, FileClient};
@@ -20,19 +22,21 @@ fn kv_client_full_surface() {
     ServiceBuilder::new("kv")
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(1), ns);
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let kv = KvClient::bind(&mut s, "kv").unwrap();
-        assert!(kv.is_empty(&mut s).unwrap());
-        assert_eq!(kv.put(&mut s, "a", "1").unwrap(), None);
-        assert_eq!(kv.put(&mut s, "a", "2").unwrap(), Some("1".into()));
-        assert_eq!(kv.get(&mut s, "a").unwrap(), Some("2".into()));
-        assert_eq!(kv.get(&mut s, "zzz").unwrap(), None);
-        assert_eq!(kv.len(&mut s).unwrap(), 1);
-        assert!(kv.del(&mut s, "a").unwrap());
-        assert!(!kv.del(&mut s, "a").unwrap());
-        assert!(kv.is_empty(&mut s).unwrap());
+        let kv = KvClient::bind(&mut rt, cx, "kv").await.unwrap();
+        assert!(kv.is_empty(&mut rt, cx).await.unwrap());
+        assert_eq!(kv.put(&mut rt, cx, "a", "1").await.unwrap(), None);
+        assert_eq!(
+            kv.put(&mut rt, cx, "a", "2").await.unwrap(),
+            Some("1".into())
+        );
+        assert_eq!(kv.get(&mut rt, cx, "a").await.unwrap(), Some("2".into()));
+        assert_eq!(kv.get(&mut rt, cx, "zzz").await.unwrap(), None);
+        assert_eq!(kv.len(&mut rt, cx).await.unwrap(), 1);
+        assert!(kv.del(&mut rt, cx, "a").await.unwrap());
+        assert!(!kv.del(&mut rt, cx, "a").await.unwrap());
+        assert!(kv.is_empty(&mut rt, cx).await.unwrap());
     });
     sim.run();
 }
@@ -48,23 +52,31 @@ fn file_client_full_surface() {
         }))
         .object(|| Box::new(BlockFile::new()))
         .spawn(&sim, NodeId(1), ns);
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let fs = FileClient::bind(&mut s, "fs").unwrap();
-        assert_eq!(fs.read(&mut s, "doc", 0).unwrap(), None);
-        fs.write(&mut s, "doc", 0, vec![1, 2, 3]).unwrap();
+        let fs = FileClient::bind(&mut rt, cx, "fs").await.unwrap();
+        assert_eq!(fs.read(&mut rt, cx, "doc", 0).await.unwrap(), None);
+        fs.write(&mut rt, cx, "doc", 0, vec![1, 2, 3])
+            .await
+            .unwrap();
         assert_eq!(
-            fs.read(&mut s, "doc", 0).unwrap().as_deref(),
+            fs.read(&mut rt, cx, "doc", 0).await.unwrap().as_deref(),
             Some(&[1u8, 2, 3][..])
         );
         // Cached second read.
-        fs.read(&mut s, "doc", 0).unwrap();
-        assert_eq!(s.stats(fs.handle()).local_hits, 1);
-        assert_eq!(fs.blocks(&mut s).unwrap(), 1);
+        fs.read(&mut rt, cx, "doc", 0).await.unwrap();
+        assert_eq!(rt.stats(fs.handle()).local_hits, 1);
+        assert_eq!(fs.blocks(&mut rt, cx).await.unwrap(), 1);
         // Oversized block surfaces the remote validation error.
         let err = fs
-            .write(&mut s, "doc", 1, vec![0u8; services::file::BLOCK_SIZE + 1])
+            .write(
+                &mut rt,
+                cx,
+                "doc",
+                1,
+                vec![0u8; services::file::BLOCK_SIZE + 1],
+            )
+            .await
             .unwrap_err();
         assert!(matches!(err, rpc::RpcError::Remote(ref e) if e.code == rpc::ErrorCode::BadArgs));
     });
@@ -85,16 +97,17 @@ fn a_disk_read_takes_exactly_its_disk_time_longer() {
     ServiceBuilder::new("disk")
         .object(move || Box::new(BlockFile::new().with_disk_time(disk)))
         .spawn(&sim, NodeId(1), ns);
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
+        let now = || cx.with(|cx| cx.now());
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let mut read_takes = |service: &str| {
-            let fs = FileClient::bind(&mut s, service).unwrap();
-            let t0 = s.ctx().now();
-            assert_eq!(fs.read(&mut s, "doc", 0).unwrap(), None);
-            s.ctx().now() - t0
-        };
-        assert_eq!(read_takes("disk"), read_takes("ram") + disk);
+        let mut took = Vec::new();
+        for service in ["disk", "ram"] {
+            let fs = FileClient::bind(&mut rt, cx, service).await.unwrap();
+            let t0 = now();
+            assert_eq!(fs.read(&mut rt, cx, "doc", 0).await.unwrap(), None);
+            took.push(now() - t0);
+        }
+        assert_eq!(took[0], took[1] + disk);
     });
     sim.run();
 }
@@ -106,13 +119,12 @@ fn counter_client_full_surface() {
     ServiceBuilder::new("ctr")
         .object(|| Box::new(Counter::starting_at(10)))
         .spawn(&sim, NodeId(1), ns);
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let ctr = CounterClient::bind(&mut s, "ctr").unwrap();
-        assert_eq!(ctr.get(&mut s).unwrap(), 10);
-        assert_eq!(ctr.inc(&mut s).unwrap(), 11);
-        assert_eq!(ctr.add(&mut s, 9).unwrap(), 20);
+        let ctr = CounterClient::bind(&mut rt, cx, "ctr").await.unwrap();
+        assert_eq!(ctr.get(&mut rt, cx).await.unwrap(), 10);
+        assert_eq!(ctr.inc(&mut rt, cx).await.unwrap(), 11);
+        assert_eq!(ctr.add(&mut rt, cx, 9).await.unwrap(), 20);
     });
     sim.run();
 }
@@ -124,16 +136,15 @@ fn queue_client_full_surface() {
     ServiceBuilder::new("q")
         .object(|| Box::new(PrintQueue::new()))
         .spawn(&sim, NodeId(1), ns);
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let q = QueueClient::bind(&mut s, "q").unwrap();
-        assert_eq!(q.take(&mut s).unwrap(), None);
-        let id1 = q.submit(&mut s, "first").unwrap();
-        let id2 = q.submit(&mut s, "second").unwrap();
+        let q = QueueClient::bind(&mut rt, cx, "q").await.unwrap();
+        assert_eq!(q.take(&mut rt, cx).await.unwrap(), None);
+        let id1 = q.submit(&mut rt, cx, "first").await.unwrap();
+        let id2 = q.submit(&mut rt, cx, "second").await.unwrap();
         assert!(id2 > id1);
-        assert_eq!(q.len(&mut s).unwrap(), 2);
-        let job = q.take(&mut s).unwrap().unwrap();
+        assert_eq!(q.len(&mut rt, cx).await.unwrap(), 2);
+        let job = q.take(&mut rt, cx).await.unwrap().unwrap();
         assert_eq!((job.id, job.doc.as_str()), (id1, "first"));
     });
     sim.run();
@@ -146,19 +157,18 @@ fn directory_client_full_surface() {
     ServiceBuilder::new("dir")
         .object(|| Box::new(Directory::new()))
         .spawn(&sim, NodeId(1), ns);
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let dir = DirectoryClient::bind(&mut s, "dir").unwrap();
-        assert_eq!(dir.lookup(&mut s, "/a").unwrap(), None);
-        assert_eq!(dir.insert(&mut s, "/a", "one").unwrap(), 1);
-        assert_eq!(dir.insert(&mut s, "/a", "two").unwrap(), 2);
-        assert_eq!(dir.insert(&mut s, "/b/c", "x").unwrap(), 1);
-        let e = dir.lookup(&mut s, "/a").unwrap().unwrap();
+        let dir = DirectoryClient::bind(&mut rt, cx, "dir").await.unwrap();
+        assert_eq!(dir.lookup(&mut rt, cx, "/a").await.unwrap(), None);
+        assert_eq!(dir.insert(&mut rt, cx, "/a", "one").await.unwrap(), 1);
+        assert_eq!(dir.insert(&mut rt, cx, "/a", "two").await.unwrap(), 2);
+        assert_eq!(dir.insert(&mut rt, cx, "/b/c", "x").await.unwrap(), 1);
+        let e = dir.lookup(&mut rt, cx, "/a").await.unwrap().unwrap();
         assert_eq!((e.value.as_str(), e.revision), ("two", 2));
-        assert_eq!(dir.list(&mut s, "/b").unwrap(), vec!["/b/c"]);
-        assert!(dir.remove(&mut s, "/a").unwrap());
-        assert!(!dir.remove(&mut s, "/a").unwrap());
+        assert_eq!(dir.list(&mut rt, cx, "/b").await.unwrap(), vec!["/b/c"]);
+        assert!(dir.remove(&mut rt, cx, "/a").await.unwrap());
+        assert!(!dir.remove(&mut rt, cx, "/a").await.unwrap());
     });
     sim.run();
 }
@@ -176,25 +186,78 @@ fn unbind_cancels_invalidation_subscription() {
         }))
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(1), ns);
-    sim.spawn("subscriber", NodeId(2), move |ctx| {
+    sim.spawn_async("subscriber", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let kv = KvClient::bind(&mut s, "kv").unwrap();
-        kv.put(&mut s, "a", "1").unwrap();
-        kv.get(&mut s, "a").unwrap(); // now subscribed & cached
-        s.unbind(kv.handle());
+        let kv = KvClient::bind(&mut rt, cx, "kv").await.unwrap();
+        kv.put(&mut rt, cx, "a", "1").await.unwrap();
+        kv.get(&mut rt, cx, "a").await.unwrap(); // now subscribed & cached
+        rt.detach(cx, kv.handle()).await;
         // Stay alive while the writer writes; if we were still
         // subscribed, an invalidation would arrive in our mailbox.
-        s.ctx().sleep(Duration::from_millis(40)).unwrap();
-        let stray = s.ctx().try_recv().unwrap();
+        cx.sleep(Duration::from_millis(40)).await.unwrap();
+        let stray = cx.with(|cx| cx.try_recv()).unwrap();
         assert!(stray.is_none(), "received traffic after unbind: {stray:?}");
     });
-    sim.spawn("writer", NodeId(3), move |ctx| {
-        ctx.sleep(Duration::from_millis(15)).unwrap();
+    sim.spawn_async("writer", NodeId(3), move |cx| async move {
+        cx.sleep(Duration::from_millis(15)).await.unwrap();
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let kv = KvClient::bind(&mut s, "kv").unwrap();
-        kv.put(&mut s, "a", "2").unwrap();
+        let kv = KvClient::bind(&mut rt, cx, "kv").await.unwrap();
+        kv.put(&mut rt, cx, "a", "2").await.unwrap();
     });
     sim.run();
+}
+
+/// A typed client runs in an `async` body past its first cache hit: a
+/// thousand bodies, all alive at once, each bind a `KvClient` to one
+/// caching store and put, get and get their own key — the put and the
+/// first get go to the store, the second get is a hit.
+#[test]
+fn a_thousand_async_clients_share_one_caching_store() {
+    const CLIENTS: u64 = 1_000;
+    let mut sim = Simulation::new(NetworkConfig::lan(), 9);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    ServiceBuilder::new("kv")
+        .spec(ProxySpec::Caching(CachingParams {
+            coherence: Coherence::Invalidate,
+            capacity: 64,
+        }))
+        .object(|| Box::new(KvStore::new()))
+        .spawn(&sim, NodeId(1), ns);
+    let as_scripted = Arc::new(AtomicU64::new(0));
+    for c in 0..CLIENTS {
+        let done = Arc::clone(&as_scripted);
+        sim.spawn_async(
+            format!("c{c}"),
+            NodeId(2 + c as u32 % 8),
+            move |cx| async move {
+                let mut rt = SessionCore::new(ns);
+                let kv = KvClient::bind(&mut rt, cx, "kv").await.unwrap();
+                let (key, value) = (format!("k{c}"), format!("v{c}"));
+                assert_eq!(kv.put(&mut rt, cx, &key, &value).await.unwrap(), None);
+                for _ in 0..2 {
+                    assert_eq!(
+                        kv.get(&mut rt, cx, &key).await.unwrap(),
+                        Some(value.clone())
+                    );
+                }
+                let stats = rt.stats(kv.handle());
+                if (stats.invocations, stats.remote_calls, stats.local_hits) == (3, 2, 1) {
+                    done.fetch_add(1, Ordering::Relaxed);
+                }
+            },
+        );
+    }
+    let report = sim.run();
+    // Every client ran its script to the end; the name server and the
+    // store are all that is left.
+    assert_eq!(as_scripted.load(Ordering::Relaxed), CLIENTS);
+    assert_eq!(report.alive, 2);
+    assert!(report.metrics.processes_peak >= CLIENTS);
+    let hits: u64 = sim
+        .obs_report()
+        .proxies
+        .values()
+        .map(|p| p.local_hits)
+        .sum();
+    assert_eq!(hits, CLIENTS);
 }

@@ -7,7 +7,7 @@
 //!
 //! * **by hand** ([`Simulation::spawn_poll`]): a state machine that
 //!   carries its own continuation, parked at the cost of its own struct;
-//!   the name servers are written so;
+//!   the name server is written so;
 //! * **`async`** ([`Simulation::spawn_async`]): straight-line code whose
 //!   machine the compiler writes, parked at the cost of its future — every
 //!   server context (the `proxy_core` engine around its control parts),
@@ -16,7 +16,8 @@
 //! * **blocking** ([`Simulation::spawn`]): straight-line code on a stack of
 //!   its own, run by a machine whose poll resumes that stack until the body
 //!   blocks again; every parked body pins the stack pages it has touched.
-//!   Clients and experiment logic are written that way.
+//!   Servers' test doubles, the benchmark's clients and much experiment
+//!   logic are still written that way; client libraries are `async`.
 //!
 //! A parked process wakes for exactly two reasons — the ones a blocking
 //! body's [`Ctx::recv`] waits for:

@@ -12,7 +12,7 @@
 //!
 //! * [`Simulation::spawn_poll`] takes a hand-written machine. Parked, it
 //!   costs its own struct and no stack at all (see the
-//!   [`poll`](crate::poll) module). The name servers are written so.
+//!   [`poll`](crate::poll) module). The name server is written so.
 //! * [`Simulation::spawn_async`] takes a future, whose machine the
 //!   compiler writes: as cheap parked, as natural to write as a blocking
 //!   body (see the [`task`](crate::task) module), so simulations scale to

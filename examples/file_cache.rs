@@ -28,23 +28,26 @@ fn main() {
         .spawn(&sim, NodeId(1), ns);
 
     // Engineer A: writes a file, then "builds" (re-reads it many times).
-    sim.spawn("engineer-a", NodeId(2), move |ctx| {
+    sim.spawn_async("engineer-a", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut session = Session::new(&mut rt, ctx);
-        let fs = FileClient::bind(&mut session, "src-tree").expect("bind");
+        let fs = FileClient::bind(&mut rt, cx, "src-tree")
+            .await
+            .expect("bind");
 
         for block in 0..8u64 {
-            fs.write(&mut session, "main.rs", block, vec![b'a'; 512])
+            let data = vec![b'a'; 512];
+            fs.write(&mut rt, cx, "main.rs", block, data)
+                .await
                 .expect("write");
         }
         // Three "build passes" over the whole file.
         for _pass in 0..3 {
             for block in 0..8u64 {
-                let data = fs.read(&mut session, "main.rs", block).expect("read");
+                let data = fs.read(&mut rt, cx, "main.rs", block).await.expect("read");
                 assert!(data.is_some());
             }
         }
-        let s = session.stats(fs.handle());
+        let s = rt.stats(fs.handle());
         println!(
             "engineer-a: {} reads, {} from cache, {} remote",
             24, s.local_hits, s.remote_calls
@@ -54,8 +57,8 @@ fn main() {
         assert!(s.local_hits >= 15, "second and third passes should hit");
 
         // Keep polling briefly so engineer B's save can invalidate us.
-        session.ctx().sleep(Duration::from_millis(30)).unwrap();
-        let after_save = fs.read(&mut session, "main.rs", 0).expect("read");
+        cx.sleep(Duration::from_millis(30)).await.unwrap();
+        let after_save = fs.read(&mut rt, cx, "main.rs", 0).await.expect("read");
         assert_eq!(
             after_save.as_deref(),
             Some(&[b'B'; 512][..]),
@@ -65,12 +68,15 @@ fn main() {
     });
 
     // Engineer B: saves block 0 of the same file mid-build.
-    sim.spawn("engineer-b", NodeId(3), move |ctx| {
-        ctx.sleep(Duration::from_millis(15)).unwrap();
+    sim.spawn_async("engineer-b", NodeId(3), move |cx| async move {
+        cx.sleep(Duration::from_millis(15)).await.unwrap();
         let mut rt = SessionCore::new(ns);
-        let mut session = Session::new(&mut rt, ctx);
-        let fs = FileClient::bind(&mut session, "src-tree").expect("bind");
-        fs.write(&mut session, "main.rs", 0, vec![b'B'; 512])
+        let fs = FileClient::bind(&mut rt, cx, "src-tree")
+            .await
+            .expect("bind");
+        let data = vec![b'B'; 512];
+        fs.write(&mut rt, cx, "main.rs", 0, data)
+            .await
             .expect("save");
         println!("engineer-b: saved main.rs block 0");
     });

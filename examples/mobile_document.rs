@@ -28,17 +28,19 @@ fn main() {
         .spawn(&sim, NodeId(1), ns);
 
     let f_editor = factories.clone();
-    sim.spawn("editor", NodeId(2), move |ctx| {
+    sim.spawn_async("editor", NodeId(2), move |cx| async move {
+        let now = || cx.with(|cx| cx.now());
         let mut rt = SessionCore::new(ns).with_factories(f_editor);
-        let mut session = Session::new(&mut rt, ctx);
-        let doc = CounterClient::bind(&mut session, "edit-count").expect("bind");
+        let doc = CounterClient::bind(&mut rt, cx, "edit-count")
+            .await
+            .expect("bind");
 
-        let t0 = session.ctx().now();
+        let t0 = now();
         for _ in 0..200 {
-            doc.inc(&mut session).expect("inc");
+            doc.inc(&mut rt, cx).await.expect("inc");
         }
-        let elapsed = session.ctx().now() - t0;
-        let s = session.stats(doc.handle());
+        let elapsed = now() - t0;
+        let s = rt.stats(doc.handle());
         println!(
             "editor: 200 increments in {:.2}ms — {} remote, {} local, {} migration(s)",
             elapsed.as_secs_f64() * 1e3,
@@ -51,31 +53,29 @@ fn main() {
 
         // Stay responsive so the recall (for the reviewer) is honoured.
         for _ in 0..30 {
-            session.ctx().sleep(Duration::from_millis(2)).unwrap();
-            session.pump();
+            cx.sleep(Duration::from_millis(2)).await.unwrap();
+            rt.tend(cx).await;
         }
-        println!(
-            "editor: checkins = {}",
-            session.stats(doc.handle()).checkins
-        );
+        println!("editor: checkins = {}", rt.stats(doc.handle()).checkins);
     });
 
-    sim.spawn("reviewer", NodeId(3), move |ctx| {
-        ctx.sleep(Duration::from_millis(25)).unwrap();
+    sim.spawn_async("reviewer", NodeId(3), move |cx| async move {
+        cx.sleep(Duration::from_millis(25)).await.unwrap();
         let mut rt = SessionCore::new(ns).with_factories(factories);
-        let mut session = Session::new(&mut rt, ctx);
-        let doc = CounterClient::bind(&mut session, "edit-count").expect("bind");
+        let doc = CounterClient::bind(&mut rt, cx, "edit-count")
+            .await
+            .expect("bind");
         // The object is checked out to the editor; the service recalls
         // it on our behalf. Retry until the transfer completes.
         for attempt in 0..100 {
-            match doc.get(&mut session) {
+            match doc.get(&mut rt, cx).await {
                 Ok(v) => {
                     println!("reviewer: edit count = {v} (after {attempt} retries)");
                     assert_eq!(v, 200);
                     return;
                 }
                 Err(RpcError::Remote(ref e)) if e.code == ErrorCode::Unavailable => {
-                    session.ctx().sleep(Duration::from_millis(2)).unwrap();
+                    cx.sleep(Duration::from_millis(2)).await.unwrap();
                 }
                 Err(e) => panic!("unexpected error: {e}"),
             }

@@ -26,35 +26,40 @@ fn main() {
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(1), ns);
 
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut session = Session::new(&mut rt, ctx);
-        let ledger = KvClient::bind(&mut session, "ledger").expect("bind");
+        let ledger = KvClient::bind(&mut rt, cx, "ledger").await.expect("bind");
 
         for (k, v) in [("mon", "12"), ("tue", "7"), ("wed", "31"), ("thu", "4")] {
-            ledger.put(&mut session, k, v).expect("put");
+            ledger.put(&mut rt, cx, k, v).await.expect("put");
         }
         println!("client: wrote 4 entries (checkpoint covers the first 3)");
 
         // ── The service crashes. ────────────────────────────────────
-        assert!(session.ctx().kill(incarnation_one));
-        match ledger.get(&mut session, "mon") {
+        assert!(cx.with(|cx| cx.kill(incarnation_one)));
+        match ledger.get(&mut rt, cx, "mon").await {
             Err(RpcError::Timeout { .. }) => println!("client: service is down (call timed out)"),
             other => panic!("expected an outage, got {other:?}"),
         }
 
         // ── Operations restarts it on the same node from its disk. ──
-        ServiceBuilder::new("ledger")
+        let restarted = ServiceBuilder::new("ledger")
             .factories(all_factories())
             .recovered(CheckpointPolicy::every(store.clone(), 3))
-            .object(|| Box::new(KvStore::new()))
-            .spawn_from(session.ctx(), NodeId(1), ns);
-        session.ctx().sleep(Duration::from_millis(10)).unwrap();
+            .object(|| Box::new(KvStore::new()));
+        cx.with(|cx| restarted.spawn_from(cx, NodeId(1), ns));
+        cx.sleep(Duration::from_millis(10)).await.unwrap();
 
         // Same proxy keeps working: it re-resolves through the name
         // service on its next call.
-        let mon = ledger.get(&mut session, "mon").expect("get after recovery");
-        let thu = ledger.get(&mut session, "thu").expect("get after recovery");
+        let mon = ledger
+            .get(&mut rt, cx, "mon")
+            .await
+            .expect("get after recovery");
+        let thu = ledger
+            .get(&mut rt, cx, "thu")
+            .await
+            .expect("get after recovery");
         println!(
             "client: after recovery mon={:?} (checkpointed), thu={:?} (lost with the crash)",
             mon, thu
@@ -63,7 +68,7 @@ fn main() {
         assert_eq!(thu, None);
         println!(
             "client: proxy rebinds performed transparently: {}",
-            session.stats(ledger.handle()).rebinds
+            rt.stats(ledger.handle()).rebinds
         );
     });
 

@@ -23,24 +23,23 @@ fn main() {
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(1), ns);
 
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut session = Session::new(&mut rt, ctx);
-        let kv = KvClient::bind(&mut session, "settings").expect("bind");
+        let kv = KvClient::bind(&mut rt, cx, "settings").await.expect("bind");
 
-        kv.put(&mut session, "theme", "dark").expect("put");
-        kv.put(&mut session, "lang", "en").expect("put");
+        kv.put(&mut rt, cx, "theme", "dark").await.expect("put");
+        kv.put(&mut rt, cx, "lang", "en").await.expect("put");
 
         // Read each key a few times; only the first read of each goes
         // over the network.
         for _ in 0..5 {
-            let theme = kv.get(&mut session, "theme").expect("get");
-            let lang = kv.get(&mut session, "lang").expect("get");
+            let theme = kv.get(&mut rt, cx, "theme").await.expect("get");
+            let lang = kv.get(&mut rt, cx, "lang").await.expect("get");
             assert_eq!(theme.as_deref(), Some("dark"));
             assert_eq!(lang.as_deref(), Some("en"));
         }
 
-        let stats = session.stats(kv.handle());
+        let stats = rt.stats(kv.handle());
         println!("invocations : {}", stats.invocations);
         println!("remote calls: {}", stats.remote_calls);
         println!("cache hits  : {}", stats.local_hits);

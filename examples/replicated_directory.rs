@@ -51,47 +51,46 @@ fn main() {
     );
 
     // The Paris client seeds the directory.
-    sim.spawn("paris", NodeId(11), move |ctx| {
+    sim.spawn_async("paris", NodeId(11), move |cx| async move {
         let mut rt = client_runtime(ns);
-        let mut session = Session::new(&mut rt, ctx);
-        let dir = DirectoryClient::bind(&mut session, "staff").expect("bind");
+        let dir = DirectoryClient::bind(&mut rt, cx, "staff")
+            .await
+            .expect("bind");
         for (path, name) in [
             ("/eng/alice", "Alice — systems"),
             ("/eng/bob", "Bob — networks"),
             ("/ops/carol", "Carol — sites"),
         ] {
-            dir.insert(&mut session, path, name).expect("insert");
+            dir.insert(&mut rt, cx, path, name).await.expect("insert");
         }
         println!(
             "paris: seeded {} entries",
-            dir.list(&mut session, "/").unwrap().len()
+            dir.list(&mut rt, cx, "/").await.unwrap().len()
         );
     });
 
     // London and Oslo read heavily, each from their nearest replica.
     for (name, node) in [("london", 12u32), ("oslo", 13)] {
-        sim.spawn(name, NodeId(node), move |ctx| {
+        sim.spawn_async(name, NodeId(node), move |cx| async move {
+            let now = || cx.with(|cx| cx.now());
             let mut rt = client_runtime(ns);
-            let mut session = Session::new(&mut rt, ctx);
-            let dir = DirectoryClient::bind(&mut session, "staff").expect("bind");
+            let dir = DirectoryClient::bind(&mut rt, cx, "staff")
+                .await
+                .expect("bind");
             // Wait for the Paris seed (sync-propagated writes over slow
             // inter-site links) to become visible.
-            while dir.list(&mut session, "/").expect("list").len() < 3 {
-                session.ctx().sleep(Duration::from_millis(10)).unwrap();
+            while dir.list(&mut rt, cx, "/").await.expect("list").len() < 3 {
+                cx.sleep(Duration::from_millis(10)).await.unwrap();
             }
-            let t0 = session.ctx().now();
+            let t0 = now();
             for _ in 0..20 {
-                let eng = dir.list(&mut session, "/eng/").expect("list");
+                let eng = dir.list(&mut rt, cx, "/eng/").await.expect("list");
                 assert_eq!(eng.len(), 2);
-                let alice = dir.lookup(&mut session, "/eng/alice").expect("lookup");
+                let alice = dir.lookup(&mut rt, cx, "/eng/alice").await.expect("lookup");
                 assert!(alice.unwrap().value.starts_with("Alice"));
             }
-            let elapsed = session.ctx().now() - t0;
-            println!(
-                "{}: 40 reads in {} (simulated)",
-                session.ctx().name(),
-                fmt(elapsed)
-            );
+            let elapsed = now() - t0;
+            println!("{name}: 40 reads in {} (simulated)", fmt(elapsed));
             // 40 nearest reads at ~300µs RTT ≈ 12ms ≪ 40 × 24ms remote.
             assert!(
                 elapsed < Duration::from_millis(100),

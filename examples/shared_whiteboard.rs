@@ -23,17 +23,18 @@ fn main() {
     let manager = spawn_dsm_manager(&sim, NodeId(0), PAGE);
 
     for a in 0..ARTISTS {
-        sim.spawn(format!("artist{a}"), NodeId(1 + a), move |ctx| {
-            let mut canvas = DsmClient::attach(ctx, manager);
+        sim.spawn_async(format!("artist{a}"), NodeId(1 + a), move |cx| async move {
+            let now = || cx.with(|cx| cx.now());
+            let mut canvas = cx.with(|cx| DsmClient::attach(cx, manager));
             let my_page = PageId(a);
             let brush = b'A' + a as u8;
 
             // Paint my region: one fault, then free local strokes.
-            let t0 = ctx.now();
+            let t0 = now();
             for stroke in 0..PAGE {
-                canvas.write(ctx, my_page, stroke, &[brush]).unwrap();
+                canvas.write(cx, my_page, stroke, &[brush]).await.unwrap();
             }
-            let paint_time = ctx.now() - t0;
+            let paint_time = now() - t0;
             println!(
                 "artist{a}: painted {PAGE} strokes in {:.2}ms ({} fault, {} local)",
                 paint_time.as_secs_f64() * 1e3,
@@ -42,10 +43,10 @@ fn main() {
             );
 
             // Wait for everyone, then view the whole canvas.
-            ctx.sleep(Duration::from_millis(50)).unwrap();
+            cx.sleep(Duration::from_millis(50)).await.unwrap();
             let mut seen = Vec::new();
             for p in 0..ARTISTS {
-                let region = canvas.read(ctx, PageId(p), 0, PAGE).unwrap();
+                let region = canvas.read(cx, PageId(p), 0, PAGE).await.unwrap();
                 assert!(
                     region.iter().all(|&b| b == b'A' + p as u8),
                     "artist{a} saw a torn region {p}"

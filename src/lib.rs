@@ -33,12 +33,11 @@
 //!     .spec(ProxySpec::Caching(CachingParams::default()))
 //!     .object(|| Box::new(services::kv::KvStore::new()))
 //!     .spawn(&sim, NodeId(1), ns);
-//! sim.spawn("client", NodeId(2), move |ctx| {
+//! sim.spawn_async("client", NodeId(2), move |cx| async move {
 //!     let mut rt = SessionCore::new(ns);
-//!     let mut session = Session::new(&mut rt, ctx);
-//!     let kv = services::kv::KvClient::bind(&mut session, "kv").unwrap();
-//!     kv.put(&mut session, "color", "blue").unwrap();
-//!     assert_eq!(kv.get(&mut session, "color").unwrap().as_deref(), Some("blue"));
+//!     let kv = services::kv::KvClient::bind(&mut rt, cx, "kv").await.unwrap();
+//!     kv.put(&mut rt, cx, "color", "blue").await.unwrap();
+//!     assert_eq!(kv.get(&mut rt, cx, "color").await.unwrap().as_deref(), Some("blue"));
 //! });
 //! sim.run();
 //! ```
@@ -61,12 +60,11 @@ pub mod prelude {
     pub use naming::{spawn_name_server, NameClient};
     pub use proxy_core::{
         AdaptiveParams, Binder, CachingParams, Coherence, FactoryRegistry, InterfaceDesc, OpDesc,
-        Proxy, ProxySpec, ReadTarget, ServiceBuilder, ServiceObject, ServiceServer, Session,
-        SessionCore,
+        Proxy, ProxySpec, ReadTarget, ServiceBuilder, ServiceObject, ServiceServer, SessionCore,
     };
     pub use replication::{client_runtime, spawn_replica_group, Propagation, ReplicaGroupConfig};
     pub use rpc::{Channel, ChannelConfig, ErrorCode, RemoteError, RpcError, RpcServer};
     pub use services;
-    pub use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, PortId, SimTime, Simulation};
+    pub use simnet::{AsyncCx, Ctx, Endpoint, NetworkConfig, NodeId, PortId, SimTime, Simulation};
     pub use wire::Value;
 }

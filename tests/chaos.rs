@@ -67,38 +67,37 @@ fn chaos_soak_preserves_every_layer_invariant() {
         let incs = Arc::clone(&acked_incs);
         let fails = Arc::clone(&invariant_failures);
         let facs = factories.clone();
-        sim.spawn(format!("client{c}"), NodeId(10 + c), move |ctx| {
+        sim.spawn_async(format!("client{c}"), NodeId(10 + c), move |cx| async move {
             let mut rt = SessionCore::new(ns).with_factories(facs);
             register_replica_proxy(rt.binder_mut());
-            let mut s = Session::new(&mut rt, ctx);
-            let kv = match KvClient::bind(&mut s, "kv") {
+            let kv = match KvClient::bind(&mut rt, cx, "kv").await {
                 Ok(h) => h,
                 Err(_) => return,
             };
-            let ctr = CounterClient::bind(&mut s, "ctr").unwrap();
-            let q = QueueClient::bind(&mut s, "queue").unwrap();
-            let reg = s.bind("reg").unwrap();
+            let ctr = CounterClient::bind(&mut rt, cx, "ctr").await.unwrap();
+            let q = QueueClient::bind(&mut rt, cx, "queue").await.unwrap();
+            let reg = rt.attach(cx, "reg").await.unwrap();
 
             let mut my_kv: Option<String> = None; // last acked value of MY key
             for round in 0..ROUNDS {
                 // kv: write then read MY OWN key — RYW must hold since
                 // nobody else touches it.
                 let val = format!("r{round}");
-                match kv.put(&mut s, &format!("client{c}"), &val) {
+                match kv.put(&mut rt, cx, &format!("client{c}"), &val).await {
                     Ok(_) => my_kv = Some(val),
                     Err(RpcError::Timeout { .. }) => my_kv = None, // ambiguous
                     Err(RpcError::Remote(_)) | Err(RpcError::Wire(_)) => {}
                     Err(RpcError::Stopped) => return,
                 }
                 if let Some(expect) = &my_kv {
-                    if let Ok(Some(got)) = kv.get(&mut s, &format!("client{c}")) {
+                    if let Ok(Some(got)) = kv.get(&mut rt, cx, &format!("client{c}")).await {
                         if &got != expect {
                             fails.fetch_add(1, Ordering::SeqCst);
                         }
                     }
                 }
                 // counter: count only acknowledged increments.
-                match ctr.inc(&mut s) {
+                match ctr.inc(&mut rt, cx).await {
                     Ok(_) => {
                         incs.fetch_add(1, Ordering::SeqCst);
                     }
@@ -106,7 +105,7 @@ fn chaos_soak_preserves_every_layer_invariant() {
                     Err(_) => {}
                 }
                 // queue: acked submissions must appear exactly once.
-                match q.submit(&mut s, &format!("c{c}r{round}")) {
+                match q.submit(&mut rt, cx, &format!("c{c}r{round}")).await {
                     Ok(_) => {
                         subs.fetch_add(1, Ordering::SeqCst);
                     }
@@ -118,15 +117,18 @@ fn chaos_soak_preserves_every_layer_invariant() {
                 // concurrent writers the *values* are arbitrary, so the
                 // checkable invariant here is just that reads keep
                 // working through partitions and replica lag.
-                let _ = s.invoke(reg, "read", Value::Null);
+                let _ = rt.call(cx, reg, "read", Value::Null).await;
                 if round % 7 == c as u64 % 7 {
-                    let _ = s.invoke(
-                        reg,
-                        "write",
-                        Value::record([("v", Value::U64(round * 100 + c as u64))]),
-                    );
+                    let _ = rt
+                        .call(
+                            cx,
+                            reg,
+                            "write",
+                            Value::record([("v", Value::U64(round * 100 + c as u64))]),
+                        )
+                        .await;
                 }
-                if s.ctx().sleep(Duration::from_millis(2)).is_err() {
+                if cx.sleep(Duration::from_millis(2)).await.is_err() {
                     return;
                 }
             }
@@ -246,27 +248,26 @@ fn proxy_stats_meter_adversity() {
 
     let observed = Arc::new(AtomicU64::new(0));
     let obs2 = Arc::clone(&observed);
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns).with_factories(factories);
-        let mut s = Session::new(&mut rt, ctx);
-        let ctr = CounterClient::bind(&mut s, "ctr").unwrap();
+        let ctr = CounterClient::bind(&mut rt, cx, "ctr").await.unwrap();
         for _ in 0..15 {
-            let _ = ctr.inc(&mut s);
+            let _ = ctr.inc(&mut rt, cx).await;
         }
         // Move the object: the stale binding now yields Moved redirects,
         // each repaired with a rebind to the forwarder's next hop.
-        request_migration(s.ctx(), home, NodeId(3)).unwrap();
+        request_migration(cx, home, NodeId(3)).await.unwrap();
         for _ in 0..15 {
-            let _ = ctr.inc(&mut s);
+            let _ = ctr.inc(&mut rt, cx).await;
         }
         // A partition window forces timeouts too (retries under loss are
         // already guaranteed by the 10% drop rate).
-        s.ctx().net().partition(NodeId(3), NodeId(2));
-        let _ = ctr.get(&mut s);
-        s.ctx().net().heal(NodeId(3), NodeId(2));
-        let _ = ctr.get(&mut s);
+        cx.with(|cx| cx.net().partition(NodeId(3), NodeId(2)));
+        let _ = ctr.get(&mut rt, cx).await;
+        cx.with(|cx| cx.net().heal(NodeId(3), NodeId(2)));
+        let _ = ctr.get(&mut rt, cx).await;
 
-        let stats = s.stats(ctr.handle());
+        let stats = rt.stats(ctr.handle());
         assert!(stats.invocations >= 32);
         assert!(
             stats.rebinds >= 1,
@@ -300,18 +301,17 @@ fn proxy_stats_meter_adversity() {
         .spec(ProxySpec::Adaptive(AdaptiveParams::default()))
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(1), ns);
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let kv = KvClient::bind(&mut s, "adapt").unwrap();
-        kv.put(&mut s, "k", "v").unwrap();
+        let kv = KvClient::bind(&mut rt, cx, "adapt").await.unwrap();
+        kv.put(&mut rt, cx, "k", "v").await.unwrap();
         for _ in 0..40 {
-            kv.get(&mut s, "k").unwrap(); // read-heavy: caching turns on
+            kv.get(&mut rt, cx, "k").await.unwrap(); // read-heavy: caching turns on
         }
         for i in 0..40u64 {
-            kv.put(&mut s, "k", &format!("v{i}")).unwrap(); // write-heavy: off again
+            kv.put(&mut rt, cx, "k", &format!("v{i}")).await.unwrap(); // write-heavy: off again
         }
-        let stats = s.stats(kv.handle());
+        let stats = rt.stats(kv.handle());
         assert!(
             stats.strategy_switches >= 2,
             "read->write phase shift must toggle the adaptive strategy: {stats:?}"

@@ -57,49 +57,57 @@ fn five_services_five_strategies_one_client() {
 
     let done = Arc::new(AtomicU64::new(0));
     let d = Arc::clone(&done);
-    sim.spawn("client", NodeId(9), move |ctx| {
+    sim.spawn_async("client", NodeId(9), move |cx| async move {
         let mut rt = SessionCore::new(ns).with_factories(factories);
         register_replica_proxy(rt.binder_mut());
-        let mut s = Session::new(&mut rt, ctx);
 
-        let kv = KvClient::bind(&mut s, "kv").unwrap();
-        let fs = FileClient::bind(&mut s, "files").unwrap();
-        let ctr = CounterClient::bind(&mut s, "counter").unwrap();
-        let q = QueueClient::bind(&mut s, "queue").unwrap();
-        let dir = DirectoryClient::bind(&mut s, "dir").unwrap();
+        let kv = KvClient::bind(&mut rt, cx, "kv").await.unwrap();
+        let fs = FileClient::bind(&mut rt, cx, "files").await.unwrap();
+        let ctr = CounterClient::bind(&mut rt, cx, "counter").await.unwrap();
+        let q = QueueClient::bind(&mut rt, cx, "queue").await.unwrap();
+        let dir = DirectoryClient::bind(&mut rt, cx, "dir").await.unwrap();
 
         // Interleave operations across all five.
         for i in 0..20u64 {
-            kv.put(&mut s, &format!("k{i}"), "v").unwrap();
-            fs.write(&mut s, "f", i, vec![i as u8]).unwrap();
-            ctr.inc(&mut s).unwrap();
-            q.submit(&mut s, &format!("job{i}")).unwrap();
-            dir.insert(&mut s, &format!("/p{i}"), "x").unwrap();
+            kv.put(&mut rt, cx, &format!("k{i}"), "v").await.unwrap();
+            fs.write(&mut rt, cx, "f", i, vec![i as u8]).await.unwrap();
+            ctr.inc(&mut rt, cx).await.unwrap();
+            q.submit(&mut rt, cx, &format!("job{i}")).await.unwrap();
+            dir.insert(&mut rt, cx, &format!("/p{i}"), "x")
+                .await
+                .unwrap();
         }
         for pass in 0..2 {
             for i in 0..20u64 {
                 assert_eq!(
-                    kv.get(&mut s, &format!("k{i}")).unwrap().as_deref(),
+                    kv.get(&mut rt, cx, &format!("k{i}"))
+                        .await
+                        .unwrap()
+                        .as_deref(),
                     Some("v")
                 );
                 assert_eq!(
-                    fs.read(&mut s, "f", i).unwrap().as_deref(),
+                    fs.read(&mut rt, cx, "f", i).await.unwrap().as_deref(),
                     Some(&[i as u8][..])
                 );
-                assert!(dir.lookup(&mut s, &format!("/p{i}")).unwrap().is_some());
+                assert!(dir
+                    .lookup(&mut rt, cx, &format!("/p{i}"))
+                    .await
+                    .unwrap()
+                    .is_some());
             }
             let _ = pass;
         }
-        assert_eq!(ctr.get(&mut s).unwrap(), 20);
-        assert_eq!(q.len(&mut s).unwrap(), 20);
-        let job = q.take(&mut s).unwrap().unwrap();
+        assert_eq!(ctr.get(&mut rt, cx).await.unwrap(), 20);
+        assert_eq!(q.len(&mut rt, cx).await.unwrap(), 20);
+        let job = q.take(&mut rt, cx).await.unwrap().unwrap();
         assert_eq!(job.doc, "job0");
 
         // The migratory counter should have localized.
-        assert_eq!(s.stats(ctr.handle()).migrations, 1);
+        assert_eq!(rt.stats(ctr.handle()).migrations, 1);
         // The caching file proxy fills on the first read pass and hits
         // on the whole second pass.
-        assert!(s.stats(fs.handle()).local_hits >= 20);
+        assert!(rt.stats(fs.handle()).local_hits >= 20);
 
         d.store(1, Ordering::SeqCst);
     });
@@ -119,16 +127,15 @@ fn whole_system_is_deterministic() {
             .object(|| Box::new(KvStore::new()))
             .spawn(&sim, NodeId(1), ns);
         for c in 0..3u32 {
-            sim.spawn(format!("c{c}"), NodeId(2 + c), move |ctx| {
+            sim.spawn_async(format!("c{c}"), NodeId(2 + c), move |cx| async move {
                 let mut rt = SessionCore::new(ns);
-                let mut s = Session::new(&mut rt, ctx);
-                let kv = KvClient::bind(&mut s, "kv").unwrap();
+                let kv = KvClient::bind(&mut rt, cx, "kv").await.unwrap();
                 for i in 0..30u64 {
                     let key = format!("k{}", i % 7);
                     if i % 3 == 0 {
-                        let _ = kv.put(&mut s, &key, "x");
+                        let _ = kv.put(&mut rt, cx, &key, "x").await;
                     } else {
-                        let _ = kv.get(&mut s, &key);
+                        let _ = kv.get(&mut rt, cx, &key).await;
                     }
                 }
             });
@@ -159,13 +166,12 @@ fn queue_is_exactly_once_under_hostile_network() {
         .spawn(&sim, NodeId(1), ns);
     let submitted = Arc::new(AtomicU64::new(0));
     let s2 = Arc::clone(&submitted);
-    sim.spawn("submitter", NodeId(2), move |ctx| {
+    sim.spawn_async("submitter", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let q = QueueClient::bind(&mut s, "printq").unwrap();
+        let q = QueueClient::bind(&mut rt, cx, "printq").await.unwrap();
         let mut ok = 0u64;
         for i in 0..60 {
-            match q.submit(&mut s, &format!("doc{i}")) {
+            match q.submit(&mut rt, cx, &format!("doc{i}")).await {
                 Ok(_) => ok += 1,
                 Err(RpcError::Timeout { .. }) => {} // may have executed; counted below
                 Err(e) => panic!("unexpected: {e}"),
@@ -174,7 +180,7 @@ fn queue_is_exactly_once_under_hostile_network() {
         s2.store(ok, Ordering::SeqCst);
         // Drain: the queue length must be between the acknowledged count
         // (every acked submit executed exactly once) and 60.
-        let len = q.len(&mut s).unwrap();
+        let len = q.len(&mut rt, cx).await.unwrap();
         assert!(len >= ok, "acked submissions missing: {len} < {ok}");
         assert!(len <= 60, "duplicate executions inflated the queue: {len}");
     });
@@ -206,23 +212,28 @@ fn migration_and_caching_coexist() {
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(2), ns);
 
-    sim.spawn("client", NodeId(3), move |ctx| {
+    sim.spawn_async("client", NodeId(3), move |cx| async move {
         let mut rt = SessionCore::new(ns).with_factories(factories);
-        let mut s = Session::new(&mut rt, ctx);
-        let ctr = CounterClient::bind(&mut s, "ctr").unwrap();
-        let kv = KvClient::bind(&mut s, "kv").unwrap();
+        let ctr = CounterClient::bind(&mut rt, cx, "ctr").await.unwrap();
+        let kv = KvClient::bind(&mut rt, cx, "kv").await.unwrap();
 
-        kv.put(&mut s, "a", "1").unwrap();
-        assert_eq!(kv.get(&mut s, "a").unwrap().as_deref(), Some("1"));
-        ctr.inc(&mut s).unwrap();
+        kv.put(&mut rt, cx, "a", "1").await.unwrap();
+        assert_eq!(
+            kv.get(&mut rt, cx, "a").await.unwrap().as_deref(),
+            Some("1")
+        );
+        ctr.inc(&mut rt, cx).await.unwrap();
 
         // Move the counter to another node mid-session.
-        request_migration(s.ctx(), home, NodeId(4)).unwrap();
+        request_migration(cx, home, NodeId(4)).await.unwrap();
 
         // Both services still work; cached kv entry still valid.
-        assert_eq!(ctr.inc(&mut s).unwrap(), 2);
-        assert_eq!(kv.get(&mut s, "a").unwrap().as_deref(), Some("1"));
-        let kv_stats = s.stats(kv.handle());
+        assert_eq!(ctr.inc(&mut rt, cx).await.unwrap(), 2);
+        assert_eq!(
+            kv.get(&mut rt, cx, "a").await.unwrap().as_deref(),
+            Some("1")
+        );
+        let kv_stats = rt.stats(kv.handle());
         assert_eq!(kv_stats.local_hits, 1, "cache disturbed by migration");
     });
     sim.run();
@@ -237,20 +248,22 @@ fn crash_and_recovery_through_same_proxy() {
     ServiceBuilder::new("kv")
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(1), ns);
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let mut s = Session::new(&mut rt, ctx);
-        let kv = KvClient::bind(&mut s, "kv").unwrap();
-        kv.put(&mut s, "x", "1").unwrap();
+        let kv = KvClient::bind(&mut rt, cx, "kv").await.unwrap();
+        kv.put(&mut rt, cx, "x", "1").await.unwrap();
 
-        s.ctx().net().take_down(NodeId(1));
-        match kv.get(&mut s, "x") {
+        cx.with(|cx| cx.net().take_down(NodeId(1)));
+        match kv.get(&mut rt, cx, "x").await {
             Err(RpcError::Timeout { .. }) => {}
             other => panic!("expected timeout while down, got {other:?}"),
         }
 
-        s.ctx().net().bring_up(NodeId(1));
-        assert_eq!(kv.get(&mut s, "x").unwrap().as_deref(), Some("1"));
+        cx.with(|cx| cx.net().bring_up(NodeId(1)));
+        assert_eq!(
+            kv.get(&mut rt, cx, "x").await.unwrap().as_deref(),
+            Some("1")
+        );
     });
     sim.run();
 }
@@ -295,46 +308,51 @@ fn every_trace_event_kind_is_emitted() {
 
     let done = Arc::new(AtomicU64::new(0));
     let d = Arc::clone(&done);
-    sim.spawn("client", NodeId(9), move |ctx| {
+    sim.spawn_async("client", NodeId(9), move |cx| async move {
         let mut rt = SessionCore::new(ns).with_factories(factories);
-        let mut s = Session::new(&mut rt, ctx);
 
-        let fs = FileClient::bind(&mut s, "files").unwrap();
-        fs.write(&mut s, "f", 0, vec![1]).unwrap();
+        let fs = FileClient::bind(&mut rt, cx, "files").await.unwrap();
+        fs.write(&mut rt, cx, "f", 0, vec![1]).await.unwrap();
         for _ in 0..2 {
-            assert_eq!(fs.read(&mut s, "f", 0).unwrap().as_deref(), Some(&[1][..]));
+            assert_eq!(
+                fs.read(&mut rt, cx, "f", 0).await.unwrap().as_deref(),
+                Some(&[1][..])
+            );
         }
 
-        let ctr = CounterClient::bind(&mut s, "counter").unwrap();
+        let ctr = CounterClient::bind(&mut rt, cx, "counter").await.unwrap();
         for _ in 0..4 {
-            ctr.inc(&mut s).unwrap();
+            ctr.inc(&mut rt, cx).await.unwrap();
         }
-        assert_eq!(s.stats(ctr.handle()).migrations, 1);
+        assert_eq!(rt.stats(ctr.handle()).migrations, 1);
 
         // Bound before the move, so the next call lands on the forwarder.
-        let moved = CounterClient::bind(&mut s, "ctr").unwrap();
-        request_migration(s.ctx(), home, NodeId(5)).unwrap();
-        assert_eq!(moved.inc(&mut s).unwrap(), 1);
+        let moved = CounterClient::bind(&mut rt, cx, "ctr").await.unwrap();
+        request_migration(cx, home, NodeId(5)).await.unwrap();
+        assert_eq!(moved.inc(&mut rt, cx).await.unwrap(), 1);
 
-        s.ctx().net().set_loss(0.3);
+        cx.with(|cx| cx.net().set_loss(0.3));
         let mut ch = Channel::new("pipesvc", pipe, ChannelConfig::with_depth(8).batched(4));
-        let handles: Vec<_> = (0..32u64)
-            .map(|i| ch.begin_call(s.ctx(), "echo", Value::U64(i)))
-            .collect();
+        let handles: Vec<_> = cx.with(|cx| {
+            (0..32u64)
+                .map(|i| ch.begin_call(cx, "echo", Value::U64(i)))
+                .collect()
+        });
         for h in handles {
-            let _ = ch.wait(s.ctx(), h);
+            let _ = ch.wait_async(cx, Some(h), None).await;
+            let _ = ch.try_take(h);
         }
         assert!(ch.stats.retries > 0, "nothing was lost");
         // A batch is on no one call's timeline: lose some calls of a
         // session's own, which go one to a datagram.
         for i in 0..8 {
-            let _ = fs.write(&mut s, "f", 1, vec![i]);
+            let _ = fs.write(&mut rt, cx, "f", 1, vec![i]).await;
         }
-        s.ctx().net().set_loss(0.0);
+        cx.with(|cx| cx.net().set_loss(0.0));
 
-        s.ctx().net().take_down(NodeId(1));
-        assert!(fs.write(&mut s, "f", 0, vec![2]).is_err());
-        s.ctx().net().bring_up(NodeId(1));
+        cx.with(|cx| cx.net().take_down(NodeId(1)));
+        assert!(fs.write(&mut rt, cx, "f", 0, vec![2]).await.is_err());
+        cx.with(|cx| cx.net().bring_up(NodeId(1)));
         d.store(1, Ordering::SeqCst);
     });
     sim.run();
