@@ -96,13 +96,16 @@ step "cargo test (workspace)"
 # stand-ins; here so a red suite stops the gate before the release build.
 cargo test --workspace -q
 
-step "cargo test --release -p wire (the CRC kernel as it ships)"
+step "cargo test --release -p wire -p bytes (the CRC kernel and the buffers as they ship)"
 # `#[target_feature]` SIMD code inlines and schedules differently under
 # optimisation, and the benchmark and every experiment run the release
 # build. Sender and receiver share the kernel, so a wrong checksum still
 # round-trips: only wire's known-answer and differential tests catch it,
-# and they have to catch it in the build that is measured.
-cargo test -q --release -p wire
+# and they have to catch it in the build that is measured. The vendored
+# `bytes` holds every frame, string and blob in one block it builds
+# itself (`unsafe` in one place); its own tests and wire's
+# representation pins (`tests/bytes_repr.rs`) run in that build too.
+cargo test -q --release -p wire -p bytes
 
 step "cargo test --release -p simnet (the stack switch as it ships)"
 # A blocking process body runs on a stack of its own, entered and left

@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use naming::NameClient;
 use rpc::{
     oneways_into, CallHandle, Channel, ChannelConfig, ErrorCode, Oneway, RemoteError, RpcError,
@@ -292,9 +292,11 @@ impl BlobClient {
             ]);
             (ops::GET_CHUNK, args)
         });
-        let mut buf = Vec::with_capacity(r.len as usize);
+        // The chunks land in the block the returned `Bytes` holds: one
+        // allocation of the declared length, each byte copied once.
+        let mut buf = BytesMut::with_capacity(r.len as usize);
         let append = |rep: Value| {
-            buf.extend_from_slice(rep.get_blob("data")?);
+            buf.put_slice(rep.get_blob("data")?);
             Ok(())
         };
         self.transfer(cx, calls, strays, append).await?;
@@ -316,7 +318,7 @@ impl BlobClient {
                 format!("bulk payload {}: CRC mismatch after reassembly", r.key),
             ));
         }
-        Ok(Bytes::from(buf))
+        Ok(buf.freeze())
     }
 
     /// Deletes `key` from the store.

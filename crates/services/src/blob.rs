@@ -40,7 +40,8 @@ use crate::{bad_args, malformed};
 pub const TYPE_NAME: &str = "proxide.blob";
 
 /// Upper bound on a blob's chunk count (with the default 64 KiB chunk
-/// this admits 4 GiB blobs, the wire-level `MAX_BULK_LEN`).
+/// this admits blobs up to 4 GiB; the wire-level `MAX_BULK_LEN` caps a
+/// blob one byte below that).
 pub const MAX_TOTAL_CHUNKS: u64 = 1 << 16;
 
 #[derive(Debug, Clone)]

@@ -40,7 +40,7 @@
 //! marshal straight from their own fields without building an
 //! intermediate `Value` tree.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::WireError;
 use crate::value::{BlobRef, Value};
@@ -58,8 +58,10 @@ pub const MAX_LEN: u64 = 1 << 28;
 /// blob store enforces on chunked uploads. A ref's bytes live out-of-band
 /// so they may legitimately exceed [`MAX_LEN`], but a decoder still
 /// refuses absurd declared lengths outright ([`WireError::TooLong`],
-/// before any resolver allocates reassembly buffers for them).
-pub const MAX_BULK_LEN: u64 = 1 << 32;
+/// before any resolver allocates reassembly buffers for them). A resolved
+/// payload is one [`Bytes`], so the ceiling is the most one holds:
+/// [`MAX_PAYLOAD_LEN`][crate::MAX_PAYLOAD_LEN].
+pub const MAX_BULK_LEN: u64 = crate::frame::MAX_PAYLOAD_LEN as u64;
 
 pub(crate) mod tag {
     pub const NULL: u8 = 0;
@@ -75,15 +77,15 @@ pub(crate) mod tag {
     pub const REF: u8 = 10;
 }
 
-pub(crate) fn put_varint(buf: &mut Vec<u8>, mut n: u64) {
+pub(crate) fn put_varint(buf: &mut impl BufMut, mut n: u64) {
     loop {
         let byte = (n & 0x7F) as u8;
         n >>= 7;
         if n == 0 {
-            buf.push(byte);
+            buf.put_u8(byte);
             return;
         }
-        buf.push(byte | 0x80);
+        buf.put_u8(byte | 0x80);
     }
 }
 
@@ -95,65 +97,70 @@ fn unzigzag(n: u64) -> i64 {
     ((n >> 1) as i64) ^ -((n & 1) as i64)
 }
 
-pub(crate) fn encode_into(v: &Value, buf: &mut Vec<u8>) {
+/// Appends the canonical encoding of `v`: into a pooled scratch `Vec`
+/// ([`ValueWriter`]), or straight into the block a one-shot [`encode`]
+/// or [`frame`][crate::frame] returns.
+pub(crate) fn encode_into(v: &Value, buf: &mut impl BufMut) {
     match v {
-        Value::Null => buf.push(tag::NULL),
-        Value::Bool(false) => buf.push(tag::FALSE),
-        Value::Bool(true) => buf.push(tag::TRUE),
+        Value::Null => buf.put_u8(tag::NULL),
+        Value::Bool(false) => buf.put_u8(tag::FALSE),
+        Value::Bool(true) => buf.put_u8(tag::TRUE),
         Value::U64(n) => {
-            buf.push(tag::U64);
+            buf.put_u8(tag::U64);
             put_varint(buf, *n);
         }
         Value::I64(n) => {
-            buf.push(tag::I64);
+            buf.put_u8(tag::I64);
             put_varint(buf, zigzag(*n));
         }
         Value::F64(x) => {
-            buf.push(tag::F64);
-            buf.extend_from_slice(&x.to_le_bytes());
+            buf.put_u8(tag::F64);
+            buf.put_slice(&x.to_le_bytes());
         }
         Value::Str(s) => {
-            buf.push(tag::STR);
+            buf.put_u8(tag::STR);
             put_varint(buf, s.len() as u64);
-            buf.extend_from_slice(s.as_bytes());
+            buf.put_slice(s.as_bytes());
         }
         Value::Blob(b) => {
-            buf.push(tag::BLOB);
+            buf.put_u8(tag::BLOB);
             put_varint(buf, b.len() as u64);
-            buf.extend_from_slice(b);
+            buf.put_slice(b);
         }
         Value::List(items) => {
-            buf.push(tag::LIST);
+            buf.put_u8(tag::LIST);
             put_varint(buf, items.len() as u64);
             for item in items {
                 encode_into(item, buf);
             }
         }
         Value::Record(fields) => {
-            buf.push(tag::RECORD);
+            buf.put_u8(tag::RECORD);
             put_varint(buf, fields.len() as u64);
             for (k, v) in fields {
                 put_varint(buf, k.len() as u64);
-                buf.extend_from_slice(k.as_bytes());
+                buf.put_slice(k.as_bytes());
                 encode_into(v, buf);
             }
         }
         Value::Ref(r) => {
-            buf.push(tag::REF);
+            buf.put_u8(tag::REF);
             put_varint(buf, r.store.len() as u64);
-            buf.extend_from_slice(r.store.as_bytes());
+            buf.put_slice(r.store.as_bytes());
             put_varint(buf, r.key.len() as u64);
-            buf.extend_from_slice(r.key.as_bytes());
+            buf.put_slice(r.key.as_bytes());
             put_varint(buf, r.len);
-            buf.extend_from_slice(&r.crc.to_le_bytes());
+            buf.put_slice(&r.crc.to_le_bytes());
         }
     }
 }
 
 /// Encodes a value to its canonical byte representation.
 ///
-/// One-shot convenience; hot paths that encode many messages should hold
-/// an [`Encoder`] and reuse its buffer.
+/// One-shot convenience: the value is encoded straight into the block
+/// the returned [`Bytes`] holds, one allocation for an encoding of up to
+/// 64 bytes. Hot paths that encode many messages should hold an
+/// [`Encoder`] and reuse its buffer.
 ///
 /// ```
 /// use wire::{encode, decode, Value};
@@ -161,9 +168,9 @@ pub(crate) fn encode_into(v: &Value, buf: &mut Vec<u8>) {
 /// assert_eq!(decode(&encode(&v)).unwrap(), v);
 /// ```
 pub fn encode(v: &Value) -> Bytes {
-    let mut buf = Vec::with_capacity(64);
+    let mut buf = BytesMut::with_capacity(64);
     encode_into(v, &mut buf);
-    Bytes::from(buf)
+    buf.freeze()
 }
 
 /// A streaming value writer over a borrowed buffer.

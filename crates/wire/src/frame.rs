@@ -18,7 +18,7 @@
 //! alias the datagram instead of copying out of it; [`unframe`] is the
 //! copying equivalent for plain slices.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::codec::{decode, encode_into};
 use crate::crc::crc32;
@@ -34,15 +34,39 @@ pub const FRAME_VERSION: u8 = 1;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 2 + 1 + 4 + 4;
 
+/// The largest payload one frame carries: the header states its length
+/// as a `u32`. It is also the most bytes one [`Bytes`] holds, whose
+/// offsets are `u32` for the same reason, and so the most a resolved
+/// bulk payload ([`crate::MAX_BULK_LEN`]) may declare.
+pub const MAX_PAYLOAD_LEN: usize = u32::MAX as usize;
+
+/// The header's length field for a payload of `len` bytes.
+///
+/// # Panics
+///
+/// If `len` exceeds [`MAX_PAYLOAD_LEN`]: a wrapped length would frame
+/// a payload the receiver reads back short.
+fn payload_len_field(len: usize) -> u32 {
+    assert!(
+        len <= MAX_PAYLOAD_LEN,
+        "frame payload of {len} bytes exceeds MAX_PAYLOAD_LEN ({MAX_PAYLOAD_LEN})"
+    );
+    len as u32
+}
+
 /// Fills in the frame header over a buffer whose first [`HEADER_LEN`]
 /// bytes are reserved and whose remainder is the encoded payload. This
 /// is the single-buffer framing path shared by [`frame`] and the pooled
 /// [`crate::Encoder::frame_with`] — encode once, patch the header, no
 /// second buffer.
+///
+/// # Panics
+///
+/// If the payload exceeds [`MAX_PAYLOAD_LEN`].
 pub(crate) fn finish_frame(buf: &mut [u8]) {
     debug_assert!(buf.len() >= HEADER_LEN);
+    let len = payload_len_field(buf.len() - HEADER_LEN);
     let crc = crc32(&buf[HEADER_LEN..]);
-    let len = (buf.len() - HEADER_LEN) as u32;
     buf[0..2].copy_from_slice(&MAGIC);
     buf[2] = FRAME_VERSION;
     buf[3..7].copy_from_slice(&crc.to_le_bytes());
@@ -51,10 +75,15 @@ pub(crate) fn finish_frame(buf: &mut [u8]) {
 
 /// Wraps an encoded value in a checksummed frame.
 ///
-/// Single allocation: the payload is encoded directly after a reserved
-/// header which is then patched in place. Hot paths framing many
-/// messages should prefer [`crate::Encoder::frame`], which also reuses
-/// the scratch buffer across messages.
+/// Single allocation for a payload of up to 64 bytes: the payload is
+/// encoded directly after a reserved header, in the block the returned
+/// [`Bytes`] holds, and the header is then patched in place. Hot paths
+/// framing many messages should prefer [`crate::Encoder::frame`], which
+/// also reuses the scratch buffer across messages.
+///
+/// # Panics
+///
+/// If the payload exceeds [`MAX_PAYLOAD_LEN`].
 ///
 /// ```
 /// use wire::{frame, unframe, Value};
@@ -62,11 +91,11 @@ pub(crate) fn finish_frame(buf: &mut [u8]) {
 /// assert_eq!(unframe(&frame(&v)).unwrap(), v);
 /// ```
 pub fn frame(v: &Value) -> Bytes {
-    let mut buf = Vec::with_capacity(HEADER_LEN + 64);
-    buf.resize(HEADER_LEN, 0);
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + 64);
+    buf.put_slice(&[0; HEADER_LEN]);
     encode_into(v, &mut buf);
     finish_frame(&mut buf);
-    Bytes::from(buf)
+    buf.freeze()
 }
 
 /// Validates the envelope (magic, version, length, checksum) and returns
@@ -200,6 +229,19 @@ mod tests {
         let mut f = frame(&Value::Null).to_vec();
         f.push(0xAA);
         assert_eq!(unframe(&f), Err(WireError::TrailingBytes(1)));
+    }
+
+    #[test]
+    fn payload_length_field_reaches_u32_max() {
+        assert_eq!(payload_len_field(0), 0);
+        assert_eq!(payload_len_field(MAX_PAYLOAD_LEN), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_PAYLOAD_LEN")]
+    fn payload_past_u32_max_fails_loudly() {
+        // Once wrapped `as u32`, 4 GiB + 5 read as a 5-byte payload.
+        payload_len_field(MAX_PAYLOAD_LEN + 6);
     }
 
     #[test]

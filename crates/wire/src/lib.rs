@@ -60,6 +60,6 @@ pub use codec::{
 pub use crc::{crc32, crc32_bytewise, Crc32};
 pub use error::WireError;
 pub use fields::FieldReader;
-pub use frame::{frame, unframe, unframe_bytes, FRAME_VERSION, HEADER_LEN};
+pub use frame::{frame, unframe, unframe_bytes, FRAME_VERSION, HEADER_LEN, MAX_PAYLOAD_LEN};
 pub use value::{BlobRef, Value};
 pub use wstr::WStr;

@@ -58,9 +58,12 @@ pub enum Value {
     F64(f64),
     /// A UTF-8 string. Backed by a refcounted buffer ([`WStr`]), so the
     /// zero-copy decoder can alias the incoming frame and clones are
-    /// cheap.
+    /// cheap. A string built here costs one heap block, which holds
+    /// the reference counts and the text; an empty one costs none.
     Str(WStr),
-    /// Raw bytes.
+    /// Raw bytes, as one [`Bytes`] block shared by clones and by the
+    /// frame it was decoded from (none when empty). [`Value::blob`] of a
+    /// `Vec` copies it into a block of its length.
     Blob(Bytes),
     /// An ordered list of values.
     List(Vec<Value>),

@@ -7,6 +7,11 @@
 //! Cloning a `WStr` bumps a refcount; comparisons, ordering and hashing
 //! all delegate to the underlying `str`, so it behaves like a `String`
 //! for map keys and equality checks.
+//!
+//! A `WStr` is a [`Bytes`]: 24 bytes inline, and one heap block that
+//! holds the reference counts and the text together. A string made from
+//! a `&str` or a `String` costs that one allocation (a copy); an empty
+//! string and a slice of a frame cost none.
 
 use bytes::Bytes;
 
