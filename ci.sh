@@ -129,6 +129,14 @@ step "cargo test --release -p bench --test budgets (per-call costs as they ship)
 # the release build, so the pinned table has to hold in that build too.
 cargo test -q --release -p bench --test budgets
 
+step "cargo test -p bench --test alloc_attribution -- --ignored (who makes the fleet_stub row's costs)"
+# The attribution of the budgets fleet_stub row's allocations and of its
+# live bytes at the high-water mark, by caller. Ignored under tier-1
+# (every allocation's backtrace is symbolised); here each table's total
+# must equal its budgets cell, so the instrument cannot drift from the
+# table it explains. Debug build, where every function keeps its frame.
+cargo test -q -p bench --test alloc_attribution -- --ignored
+
 step "cargo test --release -p proxy-core --test future_sizes (future sizes as they ship)"
 # The exact size of each client-engine future, one column per build
 # profile; tier-1 checks the debug column, this step the release one.

@@ -6,8 +6,9 @@
 //! page of it that it has touched for as long as it is parked, which a
 //! million parked clients cannot afford. This experiment exercises the
 //! stackless kind: the `async` fleet of [`crate::fleet`], where a parked
-//! client costs one registry entry holding its future — no stack, no
-//! thread (see [`fleet::STATE_BYTES`]).
+//! client costs one registry entry holding its future and what that
+//! future's channels, tickets, mailbox and spans hold on the heap — no
+//! stack, no thread (see [`fleet::STATE_BYTES`]).
 //!
 //! The workload: `clients` `async` clients spread over `nodes`
 //! simulated nodes, each binding to one of `shards` stub-grade KV
@@ -16,8 +17,12 @@
 //! the process-table high-water mark (`processes_peak`) must cover
 //! every one of them, which is the point: the same shape with threads
 //! would need ~8 GiB of stacks at the full 100k-client scale, while
-//! here the whole fleet parks in `clients × fleet::STATE_BYTES` bytes of
-//! futures (the "rss proxy" column).
+//! here the whole fleet's futures take `clients × fleet::STATE_BYTES`
+//! bytes (the "rss proxy" column). That is the inline part only: the
+//! heap a parked client holds comes on top, 2 611 B per client at the
+//! budgets fleet's high-water mark (`tests/alloc_attribution.rs`), and
+//! `benchmark/`'s `fleet_stub` reports the whole as
+//! `simnet.rss_kb_per_client`.
 //!
 //! Wall-clock columns are host-dependent; `benchmark/`'s `fleet_stub`
 //! workload is where this shape's speed is measured.

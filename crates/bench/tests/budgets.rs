@@ -65,12 +65,12 @@ struct Row {
 
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
-    Row { shape: "fleet_stub", calls: 256, datagrams: 3.0625, wire_bytes: 291.78125, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 33.24609375, alloc_bytes: 5126.46484375, peak_live_bytes: 345682 },
-    Row { shape: "fleet_sharded", calls: 256, datagrams: 3.0625, wire_bytes: 291.3515625, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 33.89453125, alloc_bytes: 7086.703125, peak_live_bytes: 348325 },
-    Row { shape: "pipeline_blob", calls: 256, datagrams: 0.5, wire_bytes: 4223.00390625, events: 0.76953125, frames: 1.5, decodes: 0.5, spans: 2.0, allocs: 7.75, alloc_bytes: 5641.4375, peak_live_bytes: 339201 },
-    Row { shape: "proxy_cache", calls: 310, datagrams: 0.43870967741935485, wire_bytes: 82.20645161290322, events: 0.8774193548387097, frames: 0.43870967741935485, decodes: 0.43870967741935485, spans: 1.2193548387096773, allocs: 8.63225806451613, alloc_bytes: 999.4741935483871, peak_live_bytes: 30832 },
-    Row { shape: "bulk_edge", calls: 60, datagrams: 8.8, wire_bytes: 27989.016666666666, events: 16.283333333333335, frames: 9.266666666666667, decodes: 8.8, spans: 8.566666666666666, allocs: 294.85, alloc_bytes: 114661.33333333333, peak_live_bytes: 745642 },
-    Row { shape: "local", calls: 100, datagrams: 0.0, wire_bytes: 0.0, events: 0.01, frames: 0.0, decodes: 0.0, spans: 1.0, allocs: 2.31, alloc_bytes: 720.39, peak_live_bytes: 571 },
+    Row { shape: "fleet_stub", calls: 256, datagrams: 3.0625, wire_bytes: 291.78125, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 31.74609375, alloc_bytes: 3802.33984375, peak_live_bytes: 167122 },
+    Row { shape: "fleet_sharded", calls: 256, datagrams: 3.0625, wire_bytes: 291.3515625, events: 5.12890625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 32.39453125, alloc_bytes: 5762.578125, peak_live_bytes: 169765 },
+    Row { shape: "pipeline_blob", calls: 256, datagrams: 0.5, wire_bytes: 4223.00390625, events: 0.76953125, frames: 1.5, decodes: 0.5, spans: 2.0, allocs: 7.765625, alloc_bytes: 5629.0, peak_live_bytes: 336353 },
+    Row { shape: "proxy_cache", calls: 310, datagrams: 0.43870967741935485, wire_bytes: 82.20645161290322, events: 0.8774193548387097, frames: 0.43870967741935485, decodes: 0.43870967741935485, spans: 1.2193548387096773, allocs: 8.629032258064516, alloc_bytes: 986.9193548387096, peak_live_bytes: 27832 },
+    Row { shape: "bulk_edge", calls: 60, datagrams: 8.8, wire_bytes: 27989.016666666666, events: 16.283333333333335, frames: 9.266666666666667, decodes: 8.8, spans: 8.566666666666666, allocs: 294.9, alloc_bytes: 114297.6, peak_live_bytes: 731594 },
+    Row { shape: "local", calls: 100, datagrams: 0.0, wire_bytes: 0.0, events: 0.01, frames: 0.0, decodes: 0.0, spans: 1.0, allocs: 2.31, alloc_bytes: 719.91, peak_live_bytes: 523 },
 ];
 
 // -- counting -----------------------------------------------------------

@@ -48,7 +48,6 @@ pub type ProxyCtor =
 
 /// Client-side half of the binding protocol.
 pub struct Binder {
-    ns_ep: Endpoint,
     ns: NameClient,
     factories: FactoryRegistry,
     proxy_ctors: HashMap<String, Arc<ProxyCtor>>,
@@ -61,7 +60,7 @@ pub struct Binder {
 impl fmt::Debug for Binder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Binder")
-            .field("ns", &self.ns_ep)
+            .field("ns", &self.ns.server())
             .field("factories", &self.factories)
             .finish_non_exhaustive()
     }
@@ -71,7 +70,6 @@ impl Binder {
     /// Creates a binder talking to the name server at `ns`.
     pub fn new(ns: Endpoint) -> Binder {
         Binder {
-            ns_ep: ns,
             ns: NameClient::new(ns),
             factories: FactoryRegistry::new(),
             proxy_ctors: HashMap::new(),
@@ -98,7 +96,7 @@ impl Binder {
 
     /// The name-server endpoint this binder resolves against.
     pub fn ns_endpoint(&self) -> Endpoint {
-        self.ns_ep
+        self.ns.server()
     }
 
     /// Registers a constructor for [`ProxySpec::Custom`] specs of the
@@ -185,7 +183,7 @@ impl Binder {
         iface: InterfaceDesc,
         strays: &mut Vec<Oneway>,
     ) -> Result<Box<dyn Proxy>, RpcError> {
-        let (server, ns) = (record.endpoint, self.ns_ep);
+        let (server, ns) = (record.endpoint, self.ns.server());
         let (kind, params) = match spec {
             ProxySpec::Stub => return Ok(Box::new(StubProxy::new(service, server, ns, iface))),
             ProxySpec::Caching(params) => {

@@ -127,7 +127,6 @@ pub struct SessionCore {
     // -- ticket state: one pipelined channel per bound service --
     binds: Vec<BindState>,
     services: Vec<Channel>,
-    async_by_service: HashMap<String, usize>,
 }
 
 impl fmt::Debug for SessionCore {
@@ -148,7 +147,6 @@ impl SessionCore {
             by_service: HashMap::new(),
             binds: Vec::new(),
             services: Vec::new(),
-            async_by_service: HashMap::new(),
         }
     }
 
@@ -183,7 +181,7 @@ impl SessionCore {
         let handle = bound.map(|proxy| {
             let idx = self.proxies.len();
             self.by_service.insert(proxy.service().to_owned(), idx);
-            self.proxies.push(proxy);
+            push_exact_first(&mut self.proxies, proxy);
             ProxyHandle(idx)
         });
         cx.with(|cx| self.route(cx, strays));
@@ -389,8 +387,8 @@ impl SessionCore {
         let service = service.into();
         let idx = self.proxies.len();
         self.by_service.insert(service.clone(), idx);
-        self.proxies
-            .push(Box::new(crate::proxies::LocalProxy::new(service, object)));
+        let proxy = Box::new(crate::proxies::LocalProxy::new(service, object));
+        push_exact_first(&mut self.proxies, proxy);
         ProxyHandle(idx)
     }
 
@@ -414,9 +412,7 @@ impl SessionCore {
     pub fn bind_async(&mut self, cx: &mut ProcCx, service: &str) -> BindFuture {
         let deadline = cx.now() + Duration::from_millis(100);
         let state = self.start_lookup(cx, service, deadline);
-        let idx = self.binds.len();
-        self.binds.push(state);
-        BindFuture(idx)
+        BindFuture(push_exact_first(&mut self.binds, state))
     }
 
     fn start_lookup(&mut self, cx: &mut ProcCx, service: &str, deadline: SimTime) -> BindState {
@@ -478,22 +474,20 @@ impl SessionCore {
         loop {
             let state = &mut self.binds[f.0];
             match state {
-                BindState::Resolving {
-                    service,
-                    chan,
-                    call,
-                    deadline,
-                } => {
+                BindState::Resolving { chan, call, .. } => {
                     let Some(result) = chan.try_take(*call) else {
                         return Poll::Pending;
                     };
-                    let (service, deadline) = (service.clone(), *deadline);
+                    let BindState::Resolving {
+                        service, deadline, ..
+                    } = std::mem::replace(&mut self.binds[f.0], BindState::Claimed)
+                    else {
+                        unreachable!()
+                    };
                     match result {
                         Ok(rep) => {
                             let settled = self.settle_bind(&service, rep);
                             if let Ok(idx) = settled {
-                                self.async_by_service.insert(service, idx);
-                                self.binds[f.0] = BindState::Claimed;
                                 return Poll::Ready(Ok(AsyncHandle(idx)));
                             }
                             self.binds[f.0] = BindState::Done(settled);
@@ -540,9 +534,11 @@ impl SessionCore {
         }
     }
 
-    /// Validates the resolved record and installs the async service.
+    /// Validates the resolved record and installs the async service: a
+    /// service bound before keeps its channel, found by name (a client
+    /// binds few services).
     fn settle_bind(&mut self, service: &str, rep: Value) -> Result<usize, RpcError> {
-        if let Some(&idx) = self.async_by_service.get(service) {
+        if let Some(idx) = self.services.iter().position(|c| c.service() == service) {
             return Ok(idx);
         }
         let record = NameRecord::from_value(rep)?;
@@ -561,10 +557,8 @@ impl SessionCore {
                 ),
             )));
         }
-        let idx = self.services.len();
         let chan = Channel::new(service, record.endpoint, ChannelConfig::default());
-        self.services.push(chan);
-        Ok(idx)
+        Ok(push_exact_first(&mut self.services, chan))
     }
 
     /// Stages a non-blocking call on an async-bound service and returns
@@ -680,6 +674,17 @@ impl SessionCore {
     pub fn async_stats(&self, handle: AsyncHandle) -> rpc::ChannelStats {
         self.services[handle.0].stats
     }
+}
+
+/// Pushes `item` and returns its index. The first push reserves room for
+/// exactly one, not the standard four: a client binds one service far
+/// more often than several. Later pushes grow as a `Vec` does.
+fn push_exact_first<T>(v: &mut Vec<T>, item: T) -> usize {
+    if v.capacity() == 0 {
+        v.reserve_exact(1);
+    }
+    v.push(item);
+    v.len() - 1
 }
 
 /// The call id of the first reply `msg` carries, if it carries one.

@@ -35,8 +35,8 @@ const EXPECTED: &[Size] = &[
     Size { future: "Remote::call (stub)", debug: 832, release: 832 },
     Size { future: "Channel::call", debug: 280, release: 280 },
     Size { future: "NameClient::lookup", debug: 352, release: 352 },
-    Size { future: "Binder::bind", debug: 2416, release: 2416 },
-    Size { future: "SessionCore::attach", debug: 2680, release: 2680 },
+    Size { future: "Binder::bind", debug: 2216, release: 2216 },
+    Size { future: "SessionCore::attach", debug: 2480, release: 2480 },
     Size { future: "SessionCore::call", debug: 592, release: 592 },
 ];
 

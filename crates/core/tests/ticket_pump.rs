@@ -7,9 +7,11 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use proxy_core::{InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder, ServiceObject, SessionCore};
+use proxy_core::{
+    CallFuture, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder, ServiceObject, SessionCore,
+};
 use rpc::{ChannelStats, RemoteError, Request};
-use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, Poll, PortId, ProcCx, Simulation};
+use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, Poll, PortId, ProcCx, SimTime, Simulation};
 use wire::Value;
 
 const SLOW: NodeId = NodeId(1);
@@ -168,4 +170,87 @@ fn a_ticket_poll_drops_and_counts_what_is_not_a_reply() {
     sim.run();
     assert_eq!(seen.lock().unwrap().take(), Some(Ok(Value::U64(7))));
     assert_eq!(sim.obs_report().rpc.client.strays_dropped, 2);
+}
+
+/// A bind that found no name backs off 1 ms before it looks up again,
+/// and only a poll of that bind moves it on. A machine that then polls
+/// only its calls must still be woken at the retry: the call polls arm
+/// the backing-off bind's instant too. Here the client's poll after the
+/// bind backs off ends on two calls, one on `fast` (100 µs away) and one
+/// on `slow` (3 ms away); `fast` answers first, and the poll that takes
+/// its reply polls calls alone and parks. The next wake must be the
+/// bind's retry, 1 ms after the backoff began, long before `slow`
+/// answers. Without that wake the bind would wait for a reply it has
+/// nothing to do with.
+#[test]
+fn polling_only_calls_still_wakes_for_a_backing_off_bind() {
+    let (mut sim, ns) = two_services(4);
+    sim.net()
+        .set_link_latency(CLIENT, FAST, Duration::from_micros(100));
+    let seen = Arc::new(Mutex::new(None));
+    let out = Arc::clone(&seen);
+    let mut core = SessionCore::new(ns);
+    let (mut bind, mut handles) = (None, Vec::new());
+    let (mut absent, mut backoff_at) = (None, None);
+    let mut calls: Option<[CallFuture; 2]> = None;
+    // `None` until `fast` answers, then `Some(None)` until the next wake.
+    let mut woke_at: Option<Option<SimTime>> = None;
+    sim.spawn_poll("client", CLIENT, move |cx: &mut ProcCx| {
+        while handles.len() < 2 {
+            let name = ["slow", "fast"][handles.len()];
+            let f = *bind.get_or_insert_with(|| core.bind_async(cx, name));
+            match core.poll_bind(cx, f) {
+                Poll::Pending => return Poll::Pending,
+                Poll::Ready(h) => (handles.push(h.expect("bound")), bind = None),
+            };
+        }
+        let Some(missing) = absent else {
+            // The lookup goes out; its `NoSuchObject` is the next wake.
+            let f = *absent.insert(core.bind_async(cx, "absent"));
+            assert!(core.poll_bind(cx, f).is_pending());
+            return Poll::Pending;
+        };
+        let Some([on_slow, on_fast]) = calls else {
+            // The bind takes its `NoSuchObject` and backs off.
+            assert!(core.poll_bind(cx, missing).is_pending());
+            backoff_at = Some(cx.now());
+            calls = Some(
+                [0, 1].map(|i| core.invoke_async(cx, handles[i], "echo", Value::U64(i as u64))),
+            );
+            return Poll::Pending;
+        };
+        match woke_at {
+            None if core.poll_call(cx, on_fast).is_pending() => return Poll::Pending,
+            None => {
+                // `fast` answered: from here on only calls are polled.
+                woke_at = Some(None);
+                assert!(core.poll_call(cx, on_slow).is_pending());
+                return Poll::Pending;
+            }
+            Some(None) => {
+                woke_at = Some(Some(cx.now()));
+                // The bind looks up again; it stays in flight, unpolled.
+                assert!(core.poll_bind(cx, missing).is_pending());
+            }
+            Some(Some(_)) => {}
+        }
+        match core.poll_call(cx, on_slow) {
+            Poll::Pending => Poll::Pending,
+            Poll::Ready(r) => {
+                *out.lock().unwrap() = Some((r, backoff_at, woke_at.flatten(), cx.now()));
+                Poll::Ready(())
+            }
+        }
+    });
+    sim.run();
+    let (slow, backoff_at, woke_at, done_at) = seen.lock().unwrap().take().expect("finished");
+    assert_eq!(slow, Ok(Value::U64(0)));
+    let (backoff_at, woke_at) = (backoff_at.expect("backed off"), woke_at.expect("woke"));
+    assert_eq!(
+        woke_at,
+        backoff_at + Duration::from_millis(1),
+        "the wake after the calls-only poll was not the bind's retry \
+         (backed off at {backoff_at:?}, `slow` answered at {done_at:?})"
+    );
+    assert!(woke_at < done_at);
 }

@@ -78,7 +78,10 @@ pub fn binding_args(name: &str, endpoint: Endpoint, meta: Value) -> Value {
 /// hands it an [`OnStray`] rule, as to any [`Channel::call`].
 #[derive(Debug)]
 pub struct NameClient {
-    rpc: Channel,
+    ns: Endpoint,
+    /// The channel to the name server, built by the first call: a
+    /// context that only binds through the ticket surface never opens it.
+    rpc: Option<Box<Channel>>,
     cache: HashMap<String, NameRecord>,
     /// Cache hits served without contacting the name server.
     pub cache_hits: u64,
@@ -90,11 +93,24 @@ impl NameClient {
     /// Creates a client for the name server at `ns`.
     pub fn new(ns: Endpoint) -> NameClient {
         NameClient {
-            rpc: Channel::new("", ns, ChannelConfig::with_depth(1)),
+            ns,
+            rpc: None,
             cache: HashMap::new(),
             cache_hits: 0,
             cache_misses: 0,
         }
+    }
+
+    /// The name server's endpoint.
+    pub fn server(&self) -> Endpoint {
+        self.ns
+    }
+
+    /// The channel to the name server, built on first use.
+    fn rpc(&mut self) -> &mut Channel {
+        let ns = self.ns;
+        self.rpc
+            .get_or_insert_with(|| Box::new(Channel::new("", ns, ChannelConfig::with_depth(1))))
     }
 
     /// Registers (or replaces) `name` with a location and binding
@@ -111,7 +127,7 @@ impl NameClient {
         meta: Value,
     ) -> Result<u64, RpcError> {
         let args = binding_args(name, endpoint, meta);
-        let rep = self.rpc.call(cx, "", "register", args, None).await?;
+        let rep = self.rpc().call(cx, "", "register", args, None).await?;
         Ok(rep.get_u64("gen")?)
     }
 
@@ -130,7 +146,7 @@ impl NameClient {
         meta: Value,
     ) -> Result<u64, RpcError> {
         let args = binding_args(name, endpoint, meta);
-        let rep = self.rpc.call(cx, "", "update", args, None).await?;
+        let rep = self.rpc().call(cx, "", "update", args, None).await?;
         self.cache.remove(name);
         Ok(rep.get_u64("gen")?)
     }
@@ -143,7 +159,7 @@ impl NameClient {
     /// transport error.
     pub async fn unregister(&mut self, cx: AsyncCx, name: &str) -> Result<(), RpcError> {
         let args = Value::record([("name", Value::str(name))]);
-        self.rpc.call(cx, "", "unregister", args, None).await?;
+        self.rpc().call(cx, "", "unregister", args, None).await?;
         self.cache.remove(name);
         Ok(())
     }
@@ -163,7 +179,7 @@ impl NameClient {
         strays: Option<OnStray<'_>>,
     ) -> Result<NameRecord, RpcError> {
         let args = Value::record([("name", Value::str(name))]);
-        let rec = NameRecord::from_value(self.rpc.call(cx, "", "lookup", args, strays).await?)?;
+        let rec = NameRecord::from_value(self.rpc().call(cx, "", "lookup", args, strays).await?)?;
         self.cache.insert(name.to_owned(), rec.clone());
         Ok(rec)
     }
@@ -199,7 +215,7 @@ impl NameClient {
     ///
     /// Any [`RpcError`] from the underlying call.
     pub async fn list(&mut self, cx: AsyncCx) -> Result<Vec<String>, RpcError> {
-        let rep = self.rpc.call(cx, "", "list", Value::Null, None).await?;
+        let rep = self.rpc().call(cx, "", "list", Value::Null, None).await?;
         let items = rep.get_list("names")?;
         Ok(items
             .iter()

@@ -90,7 +90,7 @@
 //! show per-call latency even when the datagrams were shared. A
 //! [`Channel::call`] opens none: its request carries the caller's span.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use simnet::{AsyncCx, Ctx, Endpoint, Message, SimTime};
@@ -248,6 +248,43 @@ enum Absorbed {
     Declined(Option<Packet>),
 }
 
+/// A settled call's result: the reply, or `None` for a call that timed
+/// out.
+type Outcome = Option<Result<Value, RemoteError>>;
+
+/// Settled calls nobody has claimed yet, by call id. A caller that claims
+/// each call before the next settles keeps at most one, and that one is
+/// held inline: it costs no block. The rest are kept in a `Vec` in
+/// ascending id order and found by binary search, however many a
+/// pipelining caller leaves unclaimed and in whatever order they settle.
+#[derive(Debug, Default)]
+struct Settled {
+    one: Option<(u64, Outcome)>,
+    more: Vec<(u64, Outcome)>,
+}
+
+impl Settled {
+    fn insert(&mut self, id: u64, outcome: Outcome) {
+        if self.one.is_none() {
+            self.one = Some((id, outcome));
+            return;
+        }
+        if self.more.capacity() == 0 {
+            self.more.reserve_exact(1);
+        }
+        let at = self.more.partition_point(|&(k, _)| k < id);
+        self.more.insert(at, (id, outcome));
+    }
+
+    fn remove(&mut self, id: u64) -> Option<Outcome> {
+        if self.one.as_ref().is_some_and(|&(k, _)| k == id) {
+            return self.one.take().map(|(_, outcome)| outcome);
+        }
+        let at = self.more.binary_search_by_key(&id, |&(k, _)| k).ok()?;
+        Some(self.more.remove(at).1)
+    }
+}
+
 /// A pipelined, batching RPC channel bound to one server endpoint.
 ///
 /// Not a [`Proxy`](../index.html): the channel is the *transport object*
@@ -265,9 +302,8 @@ pub struct Channel {
     /// are in flight, the rest are queued.
     calls: VecDeque<CallRec>,
     outstanding: usize,
-    /// Settled calls nobody has claimed yet: the reply, or `None` for a
-    /// call that timed out.
-    settled: HashMap<u64, Option<Result<Value, RemoteError>>>,
+    /// Settled calls nobody has claimed yet.
+    settled: Settled,
     /// Datagrams sent so far carrying requests.
     sends: u64,
     rtt: RttEstimator,
@@ -290,12 +326,17 @@ impl Channel {
             },
             calls: VecDeque::new(),
             outstanding: 0,
-            settled: HashMap::new(),
+            settled: Settled::default(),
             sends: 0,
             rtt: RttEstimator::default(),
             recent: VecDeque::new(),
             stats: ChannelStats::default(),
         }
+    }
+
+    /// The service this channel calls (spans and histograms carry it).
+    pub fn service(&self) -> &str {
+        &self.service
     }
 
     /// The server endpoint this channel is bound to.
@@ -416,6 +457,11 @@ impl Channel {
                 .is_none_or(|last| last.request.call_id < call_id),
             "call ids ascend"
         );
+        // The first call reserves room for one, not the standard four: a
+        // caller that waits on each call before the next never needs more.
+        if self.calls.capacity() == 0 {
+            self.calls.reserve_exact(1);
+        }
         self.calls.push_back(CallRec {
             request,
             _awaited: awaited,
@@ -802,7 +848,7 @@ impl Channel {
 
     /// Hands out the result of a settled call, once.
     fn claim(&mut self, h: CallHandle) -> Result<Value, RpcError> {
-        match self.settled.remove(&h.0) {
+        match self.settled.remove(h.0) {
             Some(Some(result)) => result.map_err(RpcError::Remote),
             _ => Err(RpcError::Timeout {
                 attempts: self.cfg.policy.max_attempts,
@@ -848,6 +894,24 @@ mod tests {
         assert_eq!(ch.cfg.max_batch, 1, "batch clamped to 1");
         assert_eq!(ch.outstanding(), 0);
         assert_eq!(ch.queued(), 0);
+    }
+
+    #[test]
+    fn settled_results_are_found_by_id_in_any_order() {
+        let mut settled = Settled::default();
+        let ids = [7, 3, 12, 5, 9, 4];
+        for id in ids {
+            settled.insert(id, Some(Ok(Value::U64(id))));
+        }
+        settled.insert(6, None);
+        assert!(settled.more.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(settled.remove(8), None, "never settled");
+        assert_eq!(settled.remove(6), Some(None), "timed out");
+        for id in [12, 7, 4, 3, 9, 5] {
+            assert_eq!(settled.remove(id), Some(Some(Ok(Value::U64(id)))));
+            assert_eq!(settled.remove(id), None, "claimed once");
+        }
+        assert!(settled.one.is_none() && settled.more.is_empty());
     }
 
     #[test]

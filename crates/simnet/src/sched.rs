@@ -939,6 +939,12 @@ impl Shared {
                         });
                         return;
                     };
+                    // The first delivery reserves room for one message, not
+                    // the standard four: most processes drain each datagram
+                    // before the next arrives.
+                    if entry.mailbox.capacity() == 0 {
+                        entry.mailbox.reserve_exact(1);
+                    }
                     entry.mailbox.push_back(msg);
                     // Every delivery wakes a parked process: it parked
                     // after seeing an empty mailbox, so this message is
