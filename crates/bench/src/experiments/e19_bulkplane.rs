@@ -28,10 +28,8 @@
 //! edge-cache hit ratios (from the flight
 //! recorder and the per-edge proxy stats), and a content checksum that
 //! must be *identical* between legs — by-reference is a transport
-//! optimization, never a semantic one. The bulk leg runs at 1 and 4
-//! scheduler threads and must be byte-identical across them (summary
-//! counters, causal trace JSONL, `RunReport` JSON), re-checked by
-//! `ci.sh` with `cmp` on the exported `e19-t1`/`e19-t4` traces.
+//! optimization, never a semantic one. The bulk leg's causal trace is
+//! exported as `e19-t1`; `ci.sh` runs E19 twice and `cmp`s the two.
 //!
 //! Every gate above is on simulated time, bytes or counts; the one
 //! wall-clock column is host-dependent and only printed (`benchmark/`'s
@@ -52,9 +50,6 @@ use wire::Value;
 use crate::{capture_trace, check, obs_report, pick, ExperimentOutput, Table, TraceArtifact};
 
 const SEED: u64 = 1900;
-
-/// The thread counts the bulk leg is swept over (byte-identity gate).
-const THREADS: [usize; 2] = [1, 4];
 
 /// Retransmission budget on E19's loss-free network, per process that
 /// makes calls (readers and edges). Zero is not attainable with a 10 ms
@@ -84,7 +79,7 @@ pub struct Config {
     payload_max: usize,
     /// Edge cache capacity (chunk entries).
     edge_capacity: usize,
-    /// Scheduler domains (fixed across legs; threads are swept).
+    /// Scheduler domains (the same in both legs).
     domains: usize,
 }
 
@@ -199,7 +194,7 @@ fn apply_latency_matrix(sim: &Simulation, cfg: Config) {
 // -- deterministic workload material -----------------------------------
 
 /// xorshift64* — the per-client RNG. Seeded from the run seed and the
-/// client id, so every leg and every thread count samples identically.
+/// client id, so every leg samples identically.
 struct Rng(u64);
 
 impl Rng {
@@ -281,7 +276,7 @@ struct RegionLat {
 }
 
 struct Leg {
-    label: String,
+    label: &'static str,
     wall: Duration,
     /// XOR over per-call FNV digests of (client, round, asset, bytes):
     /// order-independent, content- and position-sensitive.
@@ -304,9 +299,6 @@ struct Leg {
     ts_cache_hit: u64,
     ts_cache_miss: u64,
     bulk_resolves: u64,
-    summary: String,
-    trace_jsonl: String,
-    report_json: String,
     trace: TraceArtifact,
     obs: crate::ObsReport,
 }
@@ -356,10 +348,8 @@ pub struct Tallies {
 /// origin blob store, an edge cache per region with `bulk`, the
 /// publisher and the readers.
 #[allow(clippy::too_many_lines)] // one leg is one story: topology, services, clients
-pub fn spawn_leg(cfg: Config, bulk: bool, threads: usize) -> (Simulation, Tallies) {
-    let sim = Simulation::new(NetworkConfig::wan(), SEED)
-        .with_domains(cfg.domains)
-        .with_threads(threads);
+pub fn spawn_leg(cfg: Config, bulk: bool) -> (Simulation, Tallies) {
+    let sim = Simulation::new(NetworkConfig::wan(), SEED).with_domains(cfg.domains);
     apply_latency_matrix(&sim, cfg);
     sim.enable_trace(1 << 16);
     sim.obs().enable_timeseries(50_000_000, 4096);
@@ -401,8 +391,7 @@ pub fn spawn_leg(cfg: Config, bulk: bool, threads: usize) -> (Simulation, Tallie
     }
 
     // The publisher fills the catalog, then writes the manifest key the
-    // readers poll for. All coordination rides the simulated network so
-    // thread count cannot reorder anything observable.
+    // readers poll for. All coordination rides the simulated network.
     sim.spawn("publisher", NodeId(NODE_PUBLISHER), move |ctx| {
         let mut rt = SessionCore::new(ns);
         let mut patience = 200;
@@ -560,12 +549,8 @@ pub fn spawn_leg(cfg: Config, bulk: bool, threads: usize) -> (Simulation, Tallie
     (sim, tallies)
 }
 
-fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
-    let label = if bulk {
-        format!("bulk-t{threads}")
-    } else {
-        format!("inline-t{threads}")
-    };
+fn run_leg(cfg: Config, bulk: bool) -> Leg {
+    let label = if bulk { "bulk-t1" } else { "inline-t1" };
     let (
         mut sim,
         Tallies {
@@ -574,7 +559,7 @@ fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
             ok_gets,
             lat,
         },
-    ) = spawn_leg(cfg, bulk, threads);
+    ) = spawn_leg(cfg, bulk);
     let t0 = Instant::now();
     let run = sim.run();
     let wall = t0.elapsed();
@@ -602,20 +587,6 @@ fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
         .collect();
     let bulk_resolves: u64 = report.proxies.values().map(|s| s.bulk_resolves).sum();
 
-    let trace = capture_trace(format!("t{threads}"), &sim);
-    let trace_jsonl = obs::to_jsonl(&trace.trace);
-    let obs_rep = obs_report(format!("e19-{label}"), &sim);
-    let report_json = obs_rep.report.to_json();
-    let summary = format!(
-        "end={} sent={} delivered={} events={} spawned={} finished={} alive={}",
-        run.end_time.as_nanos(),
-        run.metrics.msgs_sent,
-        run.metrics.msgs_delivered,
-        run.metrics.events_dispatched,
-        run.metrics.processes_spawned,
-        run.finished,
-        run.alive
-    );
     Leg {
         label,
         wall,
@@ -643,42 +614,22 @@ fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
         ts_cache_hit: ts.counter_total("cache_hit@blob"),
         ts_cache_miss: ts.counter_total("cache_miss@blob"),
         bulk_resolves,
-        summary,
-        trace_jsonl,
-        report_json,
-        trace,
-        obs: obs_rep,
+        trace: capture_trace("t1", &sim),
+        obs: obs_report(format!("e19-{label}"), &sim),
     }
 }
 
 /// The session's current virtual time, in nanoseconds.
 /// Runs E19 and returns its tables and shape checks.
-#[allow(clippy::too_many_lines)] // three legs, four tables, eleven checks
+#[allow(clippy::too_many_lines)] // two legs, three tables, ten checks
 pub fn run() -> ExperimentOutput {
     let (cfg, mode) = pick(Config::full(), Config::smoke());
 
-    let inline = run_leg(cfg, false, 1);
-    let bulk_legs: Vec<Leg> = THREADS.iter().map(|&t| run_leg(cfg, true, t)).collect();
-    let bulk = &bulk_legs[0];
-    let bulk4 = bulk_legs.last().expect("sweep is non-empty");
+    let inline = run_leg(cfg, false);
+    let bulk = run_leg(cfg, true);
 
     let reduction = inline.catalog_bytes as f64 / (bulk.catalog_bytes.max(1)) as f64;
     let identical_results = inline.checksum == bulk.checksum && inline.checksum != 0;
-
-    let mut divergences = Vec::new();
-    if bulk4.summary != bulk.summary {
-        divergences.push("summary counters".to_owned());
-    }
-    if bulk4.trace_jsonl != bulk.trace_jsonl {
-        divergences.push("causal trace".to_owned());
-    }
-    if bulk4.report_json != bulk.report_json {
-        divergences.push("RunReport JSON".to_owned());
-    }
-    if bulk4.checksum != bulk.checksum {
-        divergences.push("content checksum".to_owned());
-    }
-    let deterministic = divergences.is_empty();
 
     let total_gets = cfg.clients() as u64 * u64::from(cfg.gets_per_client());
 
@@ -696,9 +647,9 @@ pub fn run() -> ExperimentOutput {
             "wall ms (host)",
         ],
     );
-    for l in std::iter::once(&inline).chain(bulk_legs.iter()) {
+    for l in [&inline, &bulk] {
         bytes_table.add_row(vec![
-            l.label.clone(),
+            l.label.to_owned(),
             l.catalog_bytes.to_string(),
             l.origin_blob_bytes.to_string(),
             l.bytes.to_string(),
@@ -796,23 +747,14 @@ pub fn run() -> ExperimentOutput {
             ),
         ),
         check(
-            "bulk leg byte-identical across scheduler threads (1 vs 4)",
-            deterministic,
-            if deterministic {
-                "summary + causal trace + RunReport JSON + checksum identical".to_owned()
-            } else {
-                format!("diverged: {}", divergences.join(", "))
-            },
-        ),
-        check(
             "every client completed every get in every leg",
-            std::iter::once(&inline)
-                .chain(bulk_legs.iter())
+            [&inline, &bulk]
+                .iter()
                 .all(|l| l.completed == cfg.clients() as u64 && l.ok_gets == total_gets),
             format!(
                 "completed/gets per leg: {:?} (want {}/{total_gets})",
-                std::iter::once(&inline)
-                    .chain(bulk_legs.iter())
+                [&inline, &bulk]
+                    .iter()
                     .map(|l| (l.completed, l.ok_gets))
                     .collect::<Vec<_>>(),
                 cfg.clients()
@@ -860,11 +802,11 @@ pub fn run() -> ExperimentOutput {
         check(
             "loss-free network: only paths still learning their round trip retransmit \
              (<= 24 retries per calling process in every leg)",
-            std::iter::once(&inline)
-                .chain(bulk_legs.iter())
+            [&inline, &bulk]
+                .iter()
                 .all(|l| l.retries_per_process() <= MAX_RETRIES_PER_PROCESS),
-            std::iter::once(&inline)
-                .chain(bulk_legs.iter())
+            [&inline, &bulk]
+                .iter()
                 .map(|l| {
                     format!(
                         "{} {}/{} ({:.1})",
@@ -892,19 +834,12 @@ pub fn run() -> ExperimentOutput {
         ),
     ];
 
-    let mut traces = Vec::new();
-    let mut reports = Vec::new();
-    for l in bulk_legs {
-        traces.push(l.trace);
-        reports.push(l.obs);
-    }
-
     ExperimentOutput {
         id: "E19",
         title: "Out-of-band bulk data plane (pass-by-reference proxies, hierarchical edge caches)",
         tables: vec![bytes_table, lat_table, edge_table],
         checks,
-        reports,
-        traces,
+        reports: vec![bulk.obs],
+        traces: vec![bulk.trace],
     }
 }

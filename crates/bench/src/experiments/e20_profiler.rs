@@ -6,7 +6,7 @@
 //! the three claims it ships under on the record:
 //!
 //! * **Overhead** — after a discarded warmup, the E18 workload runs
-//!   five interleaved off/on pairs (1 thread, same seed); the gated
+//!   five interleaved off/on pairs (same seed); the gated
 //!   statistic is the *median of the per-pair wall ratios*, so slow
 //!   host drift cancels within each adjacent pair and drift-poisoned
 //!   pairs cannot swing the verdict. Full mode gates at <5%; smoke
@@ -21,8 +21,7 @@
 //! * **Determinism** — frame *paths and call counts* are pure
 //!   functions of the simulated execution, so `canonical_frames()`
 //!   (paths + calls, wall excluded) must be byte-identical between
-//!   repeated 1-thread runs and across 1 vs 4 worker threads; and a
-//!   profiled run must leave the causal trace and summary counters of
+//!   repeated runs; and a profiled run must leave the causal trace and summary counters of
 //!   an unprofiled run untouched. `wall_ns` is host time: printed in
 //!   every table, judged by none.
 //!
@@ -35,7 +34,7 @@
 use simnet::{NetworkConfig, NodeId, Simulation};
 
 // The E18 workload, reused deliberately: the profiler is measured on the
-// fleet whose thread-invariance is already pinned.
+// fleet whose run-to-run identity is already pinned.
 use super::e18_multicore::{DOMAINS, FULL, SMOKE};
 use crate::fleet::{self, Shape};
 use crate::{
@@ -53,7 +52,6 @@ const MAX_FRAMES: usize = 4096;
 struct Leg {
     label: &'static str,
     profiled: bool,
-    threads: usize,
     run: fleet::Run,
     summary: String,
     trace_jsonl: String,
@@ -62,10 +60,8 @@ struct Leg {
     obs: ObsReport,
 }
 
-fn run_leg(cfg: Shape, seed: u64, threads: usize, profiled: bool, label: &'static str) -> Leg {
-    let mut sim = Simulation::new(NetworkConfig::lan(), seed)
-        .with_domains(DOMAINS)
-        .with_threads(threads);
+fn run_leg(cfg: Shape, seed: u64, profiled: bool, label: &'static str) -> Leg {
+    let mut sim = Simulation::new(NetworkConfig::lan(), seed).with_domains(DOMAINS);
     sim.enable_trace(1 << 16);
     if profiled {
         sim.obs().enable_profile(MAX_FRAMES);
@@ -78,7 +74,6 @@ fn run_leg(cfg: Shape, seed: u64, threads: usize, profiled: bool, label: &'stati
     Leg {
         label,
         profiled,
-        threads,
         summary: run.summary(),
         run,
         trace_jsonl: obs::to_jsonl(&trace.trace),
@@ -98,39 +93,32 @@ pub fn run() -> ExperimentOutput {
 
     // A discarded warmup leg absorbs cold caches, then off/on legs
     // interleave (five pairs) so slow host drift — CPU steal, thermal
-    // throttle — lands on both arms instead of biasing one; a profiled
-    // 4-thread leg closes the sweep for the cross-thread frame
-    // identity check.
-    drop(run_leg(cfg, seed, 1, false, "warmup"));
+    // throttle — lands on both arms instead of biasing one.
+    drop(run_leg(cfg, seed, false, "warmup"));
     let legs = vec![
-        run_leg(cfg, seed, 1, false, "off-t1-a"),
-        run_leg(cfg, seed, 1, true, "on-t1-a"),
-        run_leg(cfg, seed, 1, false, "off-t1-b"),
-        run_leg(cfg, seed, 1, true, "on-t1-b"),
-        run_leg(cfg, seed, 1, false, "off-t1-c"),
-        run_leg(cfg, seed, 1, true, "on-t1-c"),
-        run_leg(cfg, seed, 1, false, "off-t1-d"),
-        run_leg(cfg, seed, 1, true, "on-t1-d"),
-        run_leg(cfg, seed, 1, false, "off-t1-e"),
-        run_leg(cfg, seed, 1, true, "on-t1-e"),
-        run_leg(cfg, seed, 4, true, "on-t4"),
+        run_leg(cfg, seed, false, "off-t1-a"),
+        run_leg(cfg, seed, true, "on-t1-a"),
+        run_leg(cfg, seed, false, "off-t1-b"),
+        run_leg(cfg, seed, true, "on-t1-b"),
+        run_leg(cfg, seed, false, "off-t1-c"),
+        run_leg(cfg, seed, true, "on-t1-c"),
+        run_leg(cfg, seed, false, "off-t1-d"),
+        run_leg(cfg, seed, true, "on-t1-d"),
+        run_leg(cfg, seed, false, "off-t1-e"),
+        run_leg(cfg, seed, true, "on-t1-e"),
     ];
     let off_best = legs
         .iter()
         .filter(|l| !l.profiled)
         .min_by_key(|l| l.run.wall)
         .expect("five off legs");
-    let on_t1: Vec<&Leg> = legs
-        .iter()
-        .filter(|l| l.profiled && l.threads == 1)
-        .collect();
+    let on_t1: Vec<&Leg> = legs.iter().filter(|l| l.profiled).collect();
     let on_best = *on_t1
         .iter()
         .min_by_key(|l| l.run.wall)
         .expect("five on legs");
     let on_a = on_t1[0];
     let on_b = on_t1[1];
-    let on_t4 = legs.last().expect("eleven legs");
 
     // Each on leg is compared to the off leg that ran immediately
     // before it, so slow host drift (CPU steal, thermal throttle)
@@ -180,8 +168,8 @@ pub fn run() -> ExperimentOutput {
     let rpc_seen = prof.frames.contains_key("rpc;encode") && prof.frames.contains_key("rpc;decode");
 
     // Determinism: frame paths + call counts byte-identical between
-    // repeated 1-thread runs and across 1 vs 4 threads (wall excluded
-    // by construction of the canonical form).
+    // repeated runs (wall excluded by construction of the canonical
+    // form).
     let canon_a = on_a
         .profile
         .as_ref()
@@ -190,12 +178,7 @@ pub fn run() -> ExperimentOutput {
         .profile
         .as_ref()
         .map(obs::ProfileReport::canonical_frames);
-    let canon_t4 = on_t4
-        .profile
-        .as_ref()
-        .map(obs::ProfileReport::canonical_frames);
     let frames_repeatable = canon_a.is_some() && canon_a == canon_b;
-    let frames_thread_invariant = canon_a.is_some() && canon_a == canon_t4;
 
     // Purity: a profiled run must not perturb the simulation an
     // unprofiled observer sees — same summary counters, same causal
@@ -233,7 +216,6 @@ pub fn run() -> ExperimentOutput {
         &[
             "leg",
             "profiled",
-            "threads",
             "wall ms (host)",
             "events/s (host)",
             "vs off-best (host)",
@@ -247,7 +229,6 @@ pub fn run() -> ExperimentOutput {
             } else {
                 "no".into()
             },
-            l.threads.to_string(),
             format!("{:.2}", l.run.wall.as_secs_f64() * 1e3),
             format!("{:.0}", l.run.events_per_sec()),
             format!(
@@ -349,11 +330,6 @@ pub fn run() -> ExperimentOutput {
             ),
         ),
         check(
-            "frame paths+calls byte-identical at 1 vs 4 worker threads",
-            frames_thread_invariant,
-            format!("on-t1-a == on-t4: {frames_thread_invariant} (wall_ns excluded by canonical form)"),
-        ),
-        check(
             "profiling leaves the simulation untouched (trace + counters identical)",
             pure && off_clean,
             format!(
@@ -390,7 +366,7 @@ pub fn run() -> ExperimentOutput {
     let mut traces = Vec::new();
     let mut reports = Vec::new();
     for l in legs {
-        if l.label == "off-t1-a" || l.label == "on-t1-a" || l.label == "on-t4" {
+        if l.label == "off-t1-a" || l.label == "on-t1-a" {
             traces.push(l.trace);
             reports.push(l.obs);
         }

@@ -66,7 +66,8 @@ pub struct ProxyHandle(pub(crate) usize);
 struct Begun(ProxyHandle, obs::SpanId, obs::SpanId, Vec<Oneway>);
 
 /// Ticket for an in-progress non-blocking bind; redeem with
-/// [`SessionCore::poll_bind`].
+/// [`SessionCore::poll_bind`]. Its number counts the core's binds, so a
+/// claimed ticket never names a newer bind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BindFuture(usize);
 
@@ -99,15 +100,14 @@ enum BindState {
         call: rpc::CallHandle,
         deadline: SimTime,
     },
-    /// Name not registered yet; retry the lookup at `retry_at`.
+    /// Name not registered yet; the pump looks it up again at
+    /// `retry_at`.
     Backoff {
         service: String,
         retry_at: SimTime,
         deadline: SimTime,
     },
-    /// Settled, result not yet claimed by `poll_bind`.
-    Done(Result<usize, RpcError>),
-    /// Result claimed.
+    /// Result claimed; dropped once every older bind is claimed too.
     Claimed,
 }
 
@@ -125,7 +125,10 @@ pub struct SessionCore {
     proxies: Vec<Box<dyn Proxy>>,
     by_service: HashMap<String, usize>,
     // -- ticket state: one pipelined channel per bound service --
+    /// The binds from ticket number `first_bind` on; older ones are all
+    /// claimed and gone.
     binds: Vec<BindState>,
+    first_bind: usize,
     services: Vec<Channel>,
 }
 
@@ -146,6 +149,7 @@ impl SessionCore {
             proxies: Vec::new(),
             by_service: HashMap::new(),
             binds: Vec::new(),
+            first_bind: 0,
             services: Vec::new(),
         }
     }
@@ -412,7 +416,7 @@ impl SessionCore {
     pub fn bind_async(&mut self, cx: &mut ProcCx, service: &str) -> BindFuture {
         let deadline = cx.now() + Duration::from_millis(100);
         let state = self.start_lookup(cx, service, deadline);
-        BindFuture(push_exact_first(&mut self.binds, state))
+        BindFuture(self.first_bind + push_exact_first(&mut self.binds, state))
     }
 
     fn start_lookup(&mut self, cx: &mut ProcCx, service: &str, deadline: SimTime) -> BindState {
@@ -439,7 +443,9 @@ impl SessionCore {
     /// registered (reply delivery / retransmission deadline / retry
     /// backoff) until the bind settles; the first `Ready` claims the
     /// result, later polls of the same ticket report a timeout. Like
-    /// [`SessionCore::poll_call`], it drives every ticket of the core.
+    /// [`SessionCore::poll_call`], it drives every ticket of the core,
+    /// and a bind whose backoff is over looks its name up again whichever
+    /// ticket is polled.
     ///
     /// # Errors (inside `Poll::Ready`)
     ///
@@ -461,7 +467,11 @@ impl SessionCore {
         if let Err(e) = self.pump(cx) {
             return Poll::Ready(Err(e));
         }
-        let r = self.poll_bind_inner(cx, f);
+        let r = match f.0.checked_sub(self.first_bind) {
+            Some(i) => self.poll_bind_inner(cx, i),
+            None => Poll::Ready(Err(RpcError::Timeout { attempts: 0 })),
+        };
+        self.drop_claimed_binds();
         self.arm(cx);
         r
     }
@@ -469,69 +479,55 @@ impl SessionCore {
     fn poll_bind_inner(
         &mut self,
         cx: &mut ProcCx,
-        f: BindFuture,
+        i: usize,
     ) -> Poll<Result<AsyncHandle, RpcError>> {
-        loop {
-            let state = &mut self.binds[f.0];
-            match state {
-                BindState::Resolving { chan, call, .. } => {
-                    let Some(result) = chan.try_take(*call) else {
-                        return Poll::Pending;
-                    };
-                    let BindState::Resolving {
-                        service, deadline, ..
-                    } = std::mem::replace(&mut self.binds[f.0], BindState::Claimed)
-                    else {
-                        unreachable!()
-                    };
-                    match result {
-                        Ok(rep) => {
-                            let settled = self.settle_bind(&service, rep);
-                            if let Ok(idx) = settled {
-                                return Poll::Ready(Ok(AsyncHandle(idx)));
-                            }
-                            self.binds[f.0] = BindState::Done(settled);
-                        }
-                        Err(e) if naming::is_not_found(&e) && cx.now() < deadline => {
-                            // Services register asynchronously at start:
-                            // back off 1ms and look up again, exactly like
-                            // the engine's bind_wait.
-                            self.binds[f.0] = BindState::Backoff {
-                                service,
-                                retry_at: cx.now() + Duration::from_millis(1),
-                                deadline,
-                            };
-                            return Poll::Pending;
-                        }
-                        Err(e) => {
-                            self.binds[f.0] = BindState::Done(Err(e));
-                        }
+        match &mut self.binds[i] {
+            BindState::Resolving { chan, call, .. } => {
+                let Some(result) = chan.try_take(*call) else {
+                    return Poll::Pending;
+                };
+                let BindState::Resolving {
+                    service, deadline, ..
+                } = std::mem::replace(&mut self.binds[i], BindState::Claimed)
+                else {
+                    unreachable!()
+                };
+                match result {
+                    Ok(rep) => Poll::Ready(self.settle_bind(&service, rep).map(AsyncHandle)),
+                    Err(e) if naming::is_not_found(&e) && cx.now() < deadline => {
+                        // Services register asynchronously at start: back
+                        // off 1ms and look up again, exactly like the
+                        // engine's bind_wait.
+                        self.binds[i] = BindState::Backoff {
+                            service,
+                            retry_at: cx.now() + Duration::from_millis(1),
+                            deadline,
+                        };
+                        Poll::Pending
                     }
-                }
-                BindState::Backoff {
-                    service,
-                    retry_at,
-                    deadline,
-                } => {
-                    if cx.now() < *retry_at {
-                        return Poll::Pending;
-                    }
-                    let (service, deadline) = (service.clone(), *deadline);
-                    self.binds[f.0] = self.start_lookup(cx, &service, deadline);
-                }
-                BindState::Done(_) => {
-                    let BindState::Done(result) =
-                        std::mem::replace(&mut self.binds[f.0], BindState::Claimed)
-                    else {
-                        unreachable!()
-                    };
-                    return Poll::Ready(result.map(AsyncHandle));
-                }
-                BindState::Claimed => {
-                    return Poll::Ready(Err(RpcError::Timeout { attempts: 0 }));
+                    Err(e) => Poll::Ready(Err(e)),
                 }
             }
+            // The pump looks the name up again once the backoff is over.
+            BindState::Backoff { .. } => Poll::Pending,
+            BindState::Claimed => Poll::Ready(Err(RpcError::Timeout { attempts: 0 })),
         }
+    }
+
+    /// Drops the claimed binds at the front, and the vector's block with
+    /// the last of them: a settled bind costs its client nothing.
+    fn drop_claimed_binds(&mut self) {
+        let claimed = self
+            .binds
+            .iter()
+            .take_while(|b| matches!(b, BindState::Claimed))
+            .count();
+        if claimed == self.binds.len() {
+            self.binds = Vec::new();
+        } else {
+            self.binds.drain(..claimed);
+        }
+        self.first_bind += claimed;
     }
 
     /// Validates the resolved record and installs the async service: a
@@ -626,7 +622,9 @@ impl SessionCore {
     /// has staged and fires its due timers, the mailbox is drained once
     /// with each datagram handed to the channel whose server sent it,
     /// what no channel takes is dropped and counted, and what the replies
-    /// made room for is sent.
+    /// made room for is sent. Then each bind whose backoff is over looks
+    /// its name up again, so [`SessionCore::arm`] never arms an instant
+    /// already past.
     fn pump(&mut self, cx: &mut ProcCx) -> Result<(), RpcError> {
         self.channels().for_each(|chan| chan.tick(cx));
         while let Some(msg) = cx.try_recv()? {
@@ -635,6 +633,19 @@ impl SessionCore {
             }
         }
         self.channels().for_each(|chan| chan.flush(cx));
+        for i in 0..self.binds.len() {
+            match &self.binds[i] {
+                BindState::Backoff {
+                    service,
+                    retry_at,
+                    deadline,
+                } if *retry_at <= cx.now() => {
+                    let (service, deadline) = (service.clone(), *deadline);
+                    self.binds[i] = self.start_lookup(cx, &service, deadline);
+                }
+                _ => {}
+            }
+        }
         Ok(())
     }
 
@@ -653,7 +664,8 @@ impl SessionCore {
     }
 
     /// Arms a wake at the earliest instant a ticket needs one: a channel's
-    /// retransmit deadline or a bind's retry.
+    /// retransmit deadline or a bind's retry, always after the pump, so
+    /// every retry still to come is in the future.
     fn arm(&mut self, cx: &mut ProcCx) {
         for deadline in self.channels().filter_map(|chan| chan.next_deadline()) {
             cx.wake_at(deadline);
@@ -696,5 +708,73 @@ fn reply_id(msg: &Message) -> Option<u64> {
             _ => None,
         }),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use rpc::RemoteError;
+    use simnet::{NetworkConfig, NodeId, Simulation};
+
+    use super::*;
+    use crate::{InterfaceDesc, OpDesc, ServiceBuilder, ServiceObject};
+
+    #[derive(Clone)]
+    struct Echo;
+
+    impl ServiceObject for Echo {
+        fn interface(&self) -> InterfaceDesc {
+            InterfaceDesc::new("echo", [OpDesc::read("echo", "v")])
+        }
+
+        fn dispatch(&mut self, _: &mut Ctx, _: &str, args: &Value) -> Result<Value, RemoteError> {
+            Ok(args.clone())
+        }
+    }
+
+    /// A client binds one service 1 000 times, one bind after another.
+    /// It never holds more than the bind in flight, and once the last is
+    /// claimed it holds none, nor the block they lived in. Its first and
+    /// last tickets, polled again, read `Timeout`: a claimed ticket names
+    /// no newer bind.
+    #[test]
+    fn a_claimed_bind_frees_its_state() {
+        const BINDS: usize = 1_000;
+        let mut sim = Simulation::new(NetworkConfig::lan(), 1);
+        let ns = naming::spawn_name_server(&sim, NodeId(0));
+        ServiceBuilder::new("echo")
+            .spec(ProxySpec::Stub)
+            .object(|| Box::new(Echo))
+            .spawn(&sim, NodeId(1), ns);
+        let seen = Arc::new(Mutex::new(None));
+        let out = Arc::clone(&seen);
+        let mut core = SessionCore::new(ns);
+        let (mut tickets, mut ticket, mut most) = (Vec::new(), None, 0);
+        sim.spawn_poll("client", NodeId(2), move |cx: &mut ProcCx| {
+            while tickets.len() < BINDS {
+                let f = *ticket.get_or_insert_with(|| core.bind_async(cx, "echo"));
+                most = most.max(core.binds.len());
+                match core.poll_bind(cx, f) {
+                    Poll::Pending => return Poll::Pending,
+                    Poll::Ready(h) => {
+                        assert_eq!(h, Ok(AsyncHandle(0)), "bind {}", tickets.len());
+                        tickets.push(f);
+                        ticket = None;
+                    }
+                }
+            }
+            let stale = [tickets[0], tickets[BINDS - 1]].map(|f| core.poll_bind(cx, f));
+            let held = (core.binds.len(), core.binds.capacity());
+            *out.lock().unwrap() = Some((most, held, stale));
+            Poll::Ready(())
+        });
+        sim.run();
+        let (most, held, stale) = seen.lock().unwrap().take().expect("the client finished");
+        assert_eq!(most, 1, "bind states held at once");
+        assert_eq!(held, (0, 0), "bind states (and room for them) left");
+        let timeout = Poll::Ready(Err(RpcError::Timeout { attempts: 0 }));
+        assert_eq!(stale, [timeout.clone(), timeout]);
     }
 }

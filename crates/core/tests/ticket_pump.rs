@@ -7,11 +7,14 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use obs::NetEventKind;
 use proxy_core::{
     CallFuture, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder, ServiceObject, SessionCore,
 };
 use rpc::{ChannelStats, RemoteError, Request};
-use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, Poll, PortId, ProcCx, SimTime, Simulation};
+use simnet::{
+    Ctx, Endpoint, NetworkConfig, NodeId, Poll, PortId, ProcCx, SimTime, Simulation, TraceEvent,
+};
 use wire::Value;
 
 const SLOW: NodeId = NodeId(1);
@@ -172,10 +175,9 @@ fn a_ticket_poll_drops_and_counts_what_is_not_a_reply() {
     assert_eq!(sim.obs_report().rpc.client.strays_dropped, 2);
 }
 
-/// A bind that found no name backs off 1 ms before it looks up again,
-/// and only a poll of that bind moves it on. A machine that then polls
-/// only its calls must still be woken at the retry: the call polls arm
-/// the backing-off bind's instant too. Here the client's poll after the
+/// A bind that found no name backs off 1 ms before it looks up again.
+/// A machine that then polls only its calls must still be woken at the
+/// retry: the call polls arm the backing-off bind's instant too. Here the client's poll after the
 /// bind backs off ends on two calls, one on `fast` (100 µs away) and one
 /// on `slow` (3 ms away); `fast` answers first, and the poll that takes
 /// its reply polls calls alone and parks. The next wake must be the
@@ -253,4 +255,83 @@ fn polling_only_calls_still_wakes_for_a_backing_off_bind() {
          (backed off at {backoff_at:?}, `slow` answered at {done_at:?})"
     );
     assert!(woke_at < done_at);
+}
+
+/// The same client, but after the wake at the bind's retry it polls only
+/// its call on `slow`, never the bind. The pump polling that call starts
+/// the bind's next lookup, so no wake is left armed at an instant already
+/// past: the client is polled a handful of times, not again and again at
+/// the retry instant.
+#[test]
+fn a_backing_off_bind_polled_no_more_does_not_spin_its_client() {
+    const GUARD: u32 = 1_000;
+    let (mut sim, ns) = two_services(4);
+    sim.net()
+        .set_link_latency(CLIENT, FAST, Duration::from_micros(100));
+    sim.enable_trace(1 << 12);
+    let seen = Arc::new(Mutex::new(None));
+    let out = Arc::clone(&seen);
+    let mut core = SessionCore::new(ns);
+    let (mut bind, mut handles) = (None, Vec::new());
+    let (mut absent, mut backoff_at, mut polls) = (None, None, 0);
+    let mut calls: Option<[CallFuture; 2]> = None;
+    sim.spawn_poll("client", CLIENT, move |cx: &mut ProcCx| {
+        polls += 1;
+        assert!(polls < GUARD, "polled {polls} times, now at {:?}", cx.now());
+        while handles.len() < 2 {
+            let name = ["slow", "fast"][handles.len()];
+            let f = *bind.get_or_insert_with(|| core.bind_async(cx, name));
+            match core.poll_bind(cx, f) {
+                Poll::Pending => return Poll::Pending,
+                Poll::Ready(h) => (handles.push(h.expect("bound")), bind = None),
+            };
+        }
+        let Some(missing) = absent else {
+            let f = *absent.insert(core.bind_async(cx, "absent"));
+            assert!(core.poll_bind(cx, f).is_pending());
+            return Poll::Pending;
+        };
+        let Some([on_slow, on_fast]) = calls else {
+            assert!(core.poll_bind(cx, missing).is_pending());
+            backoff_at = Some(cx.now());
+            calls = Some(
+                [0, 1].map(|i| core.invoke_async(cx, handles[i], "echo", Value::U64(i as u64))),
+            );
+            return Poll::Pending;
+        };
+        // From here on only calls are polled.
+        if core.poll_call(cx, on_fast).is_pending() {
+            return Poll::Pending;
+        }
+        match core.poll_call(cx, on_slow) {
+            Poll::Pending => Poll::Pending,
+            Poll::Ready(r) => {
+                *out.lock().unwrap() = Some((r, backoff_at, polls));
+                Poll::Ready(())
+            }
+        }
+    });
+    sim.run();
+    let (slow, backoff_at, polls) = seen.lock().unwrap().take().expect("finished");
+    assert_eq!(slow, Ok(Value::U64(0)));
+    let backoff_at = backoff_at.expect("backed off");
+    assert!(polls < 20, "polled {polls} times");
+    // The bind looked its name up again at its retry, unpolled. Five
+    // lookups left the client: two for `slow` (the first one before it
+    // registered), one for `fast`, and `absent`'s first and its retry,
+    // 1 ms after the backoff began.
+    let lookups: Vec<SimTime> = sim
+        .take_trace()
+        .iter()
+        .filter_map(|r| match &r.event {
+            TraceEvent::Net(NetEventKind::Sent { src, dst, .. })
+                if src.node == CLIENT.0 && dst.node == ns.node.0 =>
+            {
+                Some(r.at)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(lookups.len(), 5, "lookups sent at {lookups:?}");
+    assert_eq!(lookups[4], backoff_at + Duration::from_millis(1));
 }

@@ -711,7 +711,7 @@ fn key_hash(service: &str, op: &str) -> u64 {
 /// counters. [`MetricsRegistry::report`] merges the lanes: histograms
 /// merge exactly, counters sum, map output is ordered by name and
 /// exemplars are concatenated in lane order — so the report does not
-/// depend on how many threads ran the domains.
+/// depend on which thread wrote a lane, or when.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     /// Mirrors "the flight recorder is on" so hot paths can skip the
@@ -741,13 +741,13 @@ pub struct MetricsRegistry {
     prof_self_ns: AtomicU64,
     prof_self_calls: AtomicU64,
     // -- writer lanes --
-    /// Per-lane state. Each concurrent deterministic writer (a scheduler
-    /// domain) owns one lane, selected by the thread's ambient lane
+    /// Per-lane state. Each deterministic writer (a scheduler domain)
+    /// owns one lane, selected by the thread's ambient lane
     /// ([`set_ambient_lane`]): span-id striping, the span slab with its
     /// retirement sampler and residency gauges, the per-key statistics
     /// and exemplars, the hot counters and the flight recorder all
-    /// advance per lane so parallel domains never interleave on
-    /// order-sensitive state. The lane count is part of the run
+    /// advance per lane so domains never interleave on order-sensitive
+    /// state. The lane count is part of the run
     /// configuration: it changes span ids, sampling decisions and the
     /// history each watchdog judgment sees, the way a different seed
     /// would.
@@ -758,7 +758,8 @@ pub struct MetricsRegistry {
 }
 
 /// Per-writer-lane sequenced state (see [`MetricsRegistry::lanes`]).
-/// Cache-line aligned so lanes written by different threads never
+/// Cache-line aligned so lanes written by different threads (a
+/// blocking body on a thread of its own beside the driver) never
 /// false-share.
 #[derive(Debug, Default)]
 #[repr(align(128))]
@@ -1258,8 +1259,8 @@ impl MetricsRegistry {
     /// The lanes merge deterministically: per-key histograms merge
     /// exactly, counters and folds sum, map output is ordered by name
     /// and exemplars are concatenated in lane order. A run reports the
-    /// same bytes at any thread count, and a one-lane run reports its
-    /// lane verbatim.
+    /// same bytes every time, and a one-lane run reports its lane
+    /// verbatim.
     pub fn report(&self, net: MetricsSnapshot, end_time_ns: u64) -> RunReport {
         let csum = |field| self.counter_sum(field);
         let client = CallStats {

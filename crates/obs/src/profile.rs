@@ -4,16 +4,16 @@
 //! The proxy principle makes every distribution decision the system's
 //! private business — so only the observability plane can say where
 //! *host* time actually goes. This module adds that capability without
-//! breaking the repo's core invariant (byte-identical runs across
-//! thread counts):
+//! breaking the repo's core invariant (byte-identical runs for a
+//! seed):
 //!
 //! * **RAII scope guards** ([`scope`]) push a frame name onto a
 //!   thread-local stack and, on drop, fold the semicolon-joined path
 //!   into the calling writer lane's bounded frame table as
 //!   `{calls, wall_ns}`.
 //! * **Deterministic by construction**: frame *paths and call counts*
-//!   depend only on simulated execution, which is byte-identical across
-//!   `with_threads` (proptested in `simnet/tests/profile_determinism.rs`).
+//!   depend only on simulated execution, which is byte-identical from
+//!   run to run (proptested in `simnet/tests/profile_determinism.rs`).
 //!   Only `wall_ns` is host-dependent; consumers must treat it as
 //!   *reported, not judged* — the experiments print it and gate only
 //!   within-run ratios, and the determinism tests compare paths/calls
@@ -28,13 +28,13 @@
 //!
 //! Profilers are per-[`MetricsRegistry`]; threads declare which
 //! registry they profile into with [`set_ambient_profiler`] (the
-//! simulator does this for its driver and worker threads, and carries
-//! each blocking process's open scopes with the process through
-//! [`swap_open_frames`]).
+//! simulator does this for the thread driving it and for a blocking
+//! body's own thread, and carries each blocking process's open scopes
+//! with the process through [`swap_open_frames`]).
 //! The registry folds per writer lane — the same lane striping the rest
 //! of the plane uses — and [`MetricsRegistry::profile_report`] merges
-//! lanes key-ordered, so the merged frame table is byte-identical for
-//! any thread count.
+//! lanes key-ordered, so the merged frame table does not depend on
+//! which thread folded into a lane.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -79,8 +79,9 @@ thread_local! {
 
 /// Declares which registry the calling thread's [`scope`] guards fold
 /// into (`None` disarms the thread). The simulator sets this on every
-/// thread that executes simulated work — the driver at `run`, worker
-/// threads at pool start — mirroring [`crate::set_ambient_lane`].
+/// thread that executes simulated work — the driver at `run`, a
+/// blocking body's own thread at its start — mirroring
+/// [`crate::set_ambient_lane`].
 pub fn set_ambient_profiler(reg: Option<Arc<MetricsRegistry>>) {
     PROF_TLS.with(|t| t.borrow_mut().reg = reg);
 }
@@ -177,7 +178,7 @@ impl Drop for ScopeGuard {
 /// Accumulated statistics for one frame path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameStat {
-    /// Times the path was folded (deterministic across thread counts).
+    /// Times the path was folded (deterministic for a seed).
     pub calls: u64,
     /// Total wall-clock nanoseconds attributed to the path
     /// (host-dependent: reported, never judged).
@@ -249,7 +250,7 @@ impl ProfileLane {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileReport {
     /// Folded frame paths → accumulated stats, key-ordered (merged
-    /// across writer lanes; byte-identical for any thread count).
+    /// across writer lanes; byte-identical for a seed).
     pub frames: BTreeMap<String, FrameStat>,
     /// Distinct paths resident after the merge (== `frames.len()`).
     pub frames_resident: u64,
@@ -266,8 +267,7 @@ pub struct ProfileReport {
 impl ProfileReport {
     /// The deterministic shape of the profile: one `path calls` line
     /// per frame, key-ordered, `wall_ns` excluded. Two runs of the same
-    /// seed at different thread counts must produce byte-identical
-    /// canonical frames.
+    /// seed must produce byte-identical canonical frames.
     pub fn canonical_frames(&self) -> String {
         let mut out = String::new();
         for (path, st) in &self.frames {

@@ -39,10 +39,11 @@
 //! [`Ctx`] surface (`ProcCx` derefs to `Ctx`); the *blocking* surface
 //! (`recv`, `sleep`, …) panics there with a descriptive message.
 //!
-//! Polls run on the thread driving the machine's scheduler *domain*, in
-//! deterministic order whatever the thread count (see the `sched` module
-//! docs), so runs stay bit-for-bit reproducible. The `Process` trait is
-//! `Send` because a machine may be polled from a worker thread.
+//! Polls run on the thread driving the simulation, in deterministic
+//! order (see the `sched` module docs), so runs stay bit-for-bit
+//! reproducible. The `Process` trait is `Send` because a blocking body
+//! on a target without coroutines runs on an OS thread of its own and
+//! reaches the process table through its [`Ctx`].
 //!
 //! # Example
 //!

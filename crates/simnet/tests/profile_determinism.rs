@@ -1,14 +1,13 @@
-//! Thread-count invariance of the continuous profiler, and its
+//! Run-to-run determinism of the continuous profiler, and its
 //! zero-perturbation contract, proved at the property level.
 //!
 //! The profiler's *shape* — which frame paths exist and how many times
 //! each folded — is a pure function of the simulated execution: the
-//! driver folds each round's phase frames exactly once, the workers
-//! fold per-domain busy/stall frames once per round, and instrumented
-//! library scopes fire once per simulated operation. None of that
-//! depends on which OS thread ran a domain, so `canonical_frames()`
-//! (paths + calls, `wall_ns` excluded) must be byte-identical across
-//! worker-thread counts. Wall time is host noise and is deliberately
+//! driver folds each round's phase frames and each domain's busy/stall
+//! frames exactly once per round, and instrumented library scopes fire
+//! once per simulated operation. So `canonical_frames()` (paths +
+//! calls, `wall_ns` excluded) must be byte-identical when the same
+//! seed runs twice. Wall time is host noise and is deliberately
 //! outside the canonical form — these tests never look at it.
 //!
 //! The second contract is purity: turning the profiler on must not
@@ -25,8 +24,7 @@ use proptest::prelude::*;
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 
 /// A random topology + traffic description. The profile's canonical
-/// frames must be a function of this struct alone, never of the
-/// thread count.
+/// frames must be a function of this struct alone.
 #[derive(Debug, Clone)]
 struct Workload {
     seed: u64,
@@ -76,11 +74,9 @@ fn fnv(s: &str) -> u64 {
 /// One full run. Returns the profile's canonical frames (empty string
 /// when the profiler is off), the summary counters, a trace
 /// fingerprint, and the echo count.
-fn run(w: &Workload, threads: usize, profiled: bool) -> (String, String, u64, u64) {
+fn run(w: &Workload, profiled: bool) -> (String, String, u64, u64) {
     let cfg = NetworkConfig::lan().with_loss(w.loss).with_jitter(w.jitter);
-    let mut sim = Simulation::new(cfg, w.seed)
-        .with_domains(w.domains)
-        .with_threads(threads);
+    let mut sim = Simulation::new(cfg, w.seed).with_domains(w.domains);
     sim.enable_trace(1 << 16);
     if profiled {
         sim.obs().enable_profile(1 << 12);
@@ -145,23 +141,18 @@ fn run(w: &Workload, threads: usize, profiled: bool) -> (String, String, u64, u6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The headline invariant: same workload, threads 1..4 → identical
+    /// The headline invariant: same workload run twice → identical
     /// canonical frames (paths + call counts), alongside the identical
     /// summary/trace the scheduler already guarantees.
     #[test]
     fn canonical_frames_invariant_across_thread_counts(w in arb_workload()) {
-        let base = run(&w, 1, true);
+        let base = run(&w, true);
         prop_assert!(!base.0.is_empty(), "profiled run produced no frames");
-        for threads in 2..=4usize {
-            let other = run(&w, threads, true);
-            prop_assert_eq!(
-                &other.0, &base.0,
-                "canonical frames differ at {} threads", threads
-            );
-            prop_assert_eq!(&other.1, &base.1, "summary differs at {} threads", threads);
-            prop_assert_eq!(other.2, base.2, "trace differs at {} threads", threads);
-            prop_assert_eq!(other.3, base.3, "echo count differs at {} threads", threads);
-        }
+        let again = run(&w, true);
+        prop_assert_eq!(&again.0, &base.0, "canonical frames differ between two runs");
+        prop_assert_eq!(&again.1, &base.1, "summary differs between two runs");
+        prop_assert_eq!(again.2, base.2, "trace differs between two runs");
+        prop_assert_eq!(again.3, base.3, "echo count differs between two runs");
     }
 
     /// Purity: the profiler observes the simulation without moving it.
@@ -170,8 +161,8 @@ proptest! {
     /// the E18 determinism gate compares.
     #[test]
     fn profiling_does_not_perturb_the_run(w in arb_workload()) {
-        let off = run(&w, 2, false);
-        let on = run(&w, 2, true);
+        let off = run(&w, false);
+        let on = run(&w, true);
         prop_assert!(off.0.is_empty(), "unprofiled run leaked a profile");
         prop_assert!(!on.0.is_empty(), "profiled run produced no frames");
         prop_assert_eq!(&on.1, &off.1, "summary perturbed by profiling");
