@@ -12,7 +12,7 @@ step() { printf '\n==> %s\n' "$*"; }
 if [ "${1:-}" = identity ]; then
   # A change that must move no event shows it here, in one command: the
   # trace artifacts the gate compares run to run (E3, E4, E7, E10, E11,
-  # E12 and E13 at full size, E18 and E19 in smoke mode),
+  # E12 and E13 at full size, E19 in smoke mode),
   # and those of the caching and adaptive proxies (E2 at 90% reads, E9), are
   # exported by REV, built in a worktree under target/ with a target dir
   # of its own, and by the working tree, and must be byte-identical.
@@ -30,9 +30,7 @@ if [ "${1:-}" = identity ]; then
              e11_recovery e12_dsm e13_pipeline; do
       PROXIDE_TRACE_DIR="$3" "$2/release/$e" >/dev/null
     done
-    for e in e18_multicore e19_bulkplane; do
-      PROXIDE_SMOKE=1 PROXIDE_TRACE_DIR="$3" "$2/release/$e" >/dev/null
-    done
+    PROXIDE_SMOKE=1 PROXIDE_TRACE_DIR="$3" "$2/release/e19_bulkplane" >/dev/null
   }
   here="$(pwd)"
   export_traces "$wt" "$here/target/identity/target" "$here/target/identity/base"
@@ -40,7 +38,7 @@ if [ "${1:-}" = identity ]; then
   step "byte identity against $rev"
   for t in e2-cache-inv-90 e2-cache-lease-90 e3-migratory-n200 e4-reads-3 e4-writes-sync \
            e4-writes-async e7-loss-30 e9-always-caching e9-adaptive e10-nexthop-k8 \
-           e10-resolve-k8 e11-checkpoint-every-5 e12-locality e12-pingpong e13-depth-8 e18-t1 \
+           e10-resolve-k8 e11-checkpoint-every-5 e12-locality e12-pingpong e13-depth-8 \
            e19-t1; do
     cmp "target/identity/base/$t.trace.jsonl" "target/identity/work/$t.trace.jsonl"
     echo "identical: $t"
@@ -83,7 +81,7 @@ if [ "$census" != "$bridge" ]; then
 fi
 
 step "census of thread creation (one thread runs the scheduler)"
-# The thread that drives a simulation runs every domain's rounds itself.
+# The thread that drives a simulation runs every event itself.
 # The one OS thread program code may start is a blocking body's own, on
 # targets without the coroutine hand-off (crates/simnet/src/thread_handoff.rs).
 # Each `thread::Builder`, `thread::spawn` or `thread::scope` in the
@@ -97,6 +95,25 @@ threads="$(for f in $(find crates/*/src -name '*.rs' | sort); do
 done)"
 if [ "$threads" != "crates/simnet/src/thread_handoff.rs" ]; then
   printf 'OS threads started outside the blocking-body hand-off:\n%s\n' "$threads"
+  exit 1
+fi
+
+step "census of the partition's knobs (one event heap, no writer lanes)"
+# A simulation runs one event heap and the obs registry one writer.
+# `Simulation::with_domains` and `with_threads` stay as documented
+# no-ops for the benchmark (benchmark/src/sut.rs) until it stops calling
+# them; nothing in the program may. Each call of either, and each
+# `set_writer_lanes` or `set_ambient_lane`, in the non-test code of
+# crates/*/src, examples/ and src/ (a file up to its first column-0
+# `#[cfg(test)]`, comments skipped) is listed, and the list must be
+# empty. Tests may call the no-ops to show they change nothing.
+knobs="$(for f in $(find crates/*/src examples src -name '*.rs' | sort); do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    /\.with_(domains|threads)\(|set_writer_lanes|set_ambient_lane/ { print f ": " $0 }' "$f"
+done)"
+if [ -n "$knobs" ]; then
+  printf 'the scheduler partition or the obs writer lanes are back:\n%s\n' "$knobs"
   exit 1
 fi
 
@@ -143,7 +160,8 @@ cargo test -q --release -p rpc
 
 step "cargo test --release -p bench --test budgets (per-call costs as they ship)"
 # The exact datagrams, frames, decodes, spans and allocations every call
-# of the benchmark's five workload shapes costs. The benchmark measures
+# of four of the benchmark's workload shapes costs (`fleet_sharded` runs
+# `fleet_stub`'s simulation). The benchmark measures
 # the release build, so the pinned table has to hold in that build too.
 cargo test -q --release -p bench --test budgets
 
@@ -231,19 +249,16 @@ if [ "${1:-}" != "quick" ]; then
     done
   done
 
-  step "E16-E20 smokes (PROXIDE_SMOKE=1: CI sizes, every shape check on)"
+  step "E16, E17, E19 and E20 smokes (PROXIDE_SMOKE=1: CI sizes, every shape check on)"
   # Each binary exits nonzero if a shape check fails: completion,
-  # determinism, conservation, at-most-once, purity, E18's run-twice
-  # byte identity, and the within-run ratio and simulated-time gates of
-  # E17, E19 and E20. Wall-clock is printed, not judged; that is
-  # benchmark/'s job. E18-E20 export the traces the gates below read;
-  # E18's and E19's must be well-formed.
-  for e in e16_million e17_obsplane e18_multicore e19_bulkplane e20_profiler; do
+  # determinism, conservation, at-most-once, purity, and the within-run
+  # ratio and simulated-time gates of E17, E19 and E20. Wall-clock is
+  # printed, not judged; that is benchmark/'s job. E19 and E20 export
+  # the traces the gates below read; E19's must be well-formed.
+  for e in e16_million e17_obsplane e19_bulkplane e20_profiler; do
     PROXIDE_SMOKE=1 cargo run -q --release -p bench --bin "$e"
   done
-  for t in e18-t1 e19-t1; do
-    cargo run -q --release -p bench --bin tracectl -- check target/traces/$t.trace.jsonl
-  done
+  cargo run -q --release -p bench --bin tracectl -- check target/traces/e19-t1.trace.jsonl
   # A second E19 smoke must export the same trace, byte for byte. Its
   # transfers send their chunk calls in batches, and the blob
   # store and the edge caches splice the replies they recorded into
@@ -270,9 +285,8 @@ if [ "${1:-}" != "quick" ]; then
   cargo run -q --release -p bench --bin e15_flight
   cargo run -q --release -p bench --bin tracectl -- check target/traces/e15-flight.report.json
   # A second run must export the same report, byte for byte. It carries
-  # the watchdog's exemplars, which each writer lane pins against its
-  # own history, and the flight recording, which carries every lane's
-  # windows.
+  # the watchdog's exemplars, each pinned against the history of the
+  # calls before it, and the flight recording's windows.
   mv target/traces/e15-flight.report.json target/traces/e15-flight.first.report.json
   cargo run -q --release -p bench --bin e15_flight >/dev/null
   cmp target/traces/e15-flight.first.report.json target/traces/e15-flight.report.json

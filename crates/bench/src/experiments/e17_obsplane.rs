@@ -6,7 +6,7 @@
 //! scale. The workload is E16's sharded-KV fleet ([`crate::fleet`])
 //! pushed to 1M clients, run twice with the same seed:
 //!
-//! * **obs-on** — the sharded registry with span retirement armed
+//! * **obs-on** — the registry with span retirement armed
 //!   (closed spans fold into per-`(service, op)` aggregates and leave
 //!   the table, every nth kept as a sampled exemplar) and
 //!   self-measurement recording the nanoseconds spent inside obs calls.
@@ -55,8 +55,6 @@ struct Leg {
     /// Invoke/dispatch spans still open at run end. 0 on the obs-off
     /// leg.
     spans_open: u64,
-    /// Writer lanes of the registry (one per scheduler domain).
-    lanes: u64,
 }
 
 fn run_once(shape: Shape, seed: u64, obs_on: bool) -> (Leg, Option<ObsReport>) {
@@ -75,7 +73,6 @@ fn run_once(shape: Shape, seed: u64, obs_on: bool) -> (Leg, Option<ObsReport>) {
         plane: run_report.obs,
         spans_allocated: run_report.spans.started + run_report.spans.oneways,
         spans_open: run_report.spans.open,
-        lanes: sim.domains() as u64,
     };
     let obs = obs_on.then(|| obs_report("e17 (obs-on)", &sim));
     (leg, obs)
@@ -124,11 +121,11 @@ pub fn run() -> ExperimentOutput {
     let (on_m, off_m) = (&on.run.report.metrics, &off.run.report.metrics);
     let overhead_pct = (on.run.wall.as_secs_f64() / off.run.wall.as_secs_f64() - 1.0) * 100.0;
     let retired_frac = on.plane.spans_retired as f64 / on.spans_allocated.max(1) as f64;
-    // Spans retire in about the order they opened, so each lane holds
+    // Spans retire in about the order they opened, so the slab holds
     // its resident spans plus two partial pages (see
     // `obs::SPAN_PAGE_BYTES`).
     let table_bound =
-        on.plane.spans_resident_peak * obs::SPAN_SLOT_BYTES + 2 * on.lanes * obs::SPAN_PAGE_BYTES;
+        on.plane.spans_resident_peak * obs::SPAN_SLOT_BYTES + 2 * obs::SPAN_PAGE_BYTES;
     let checks = vec![
         check(
             "every client completed on both legs",
@@ -187,14 +184,13 @@ pub fn run() -> ExperimentOutput {
             ),
         ),
         check(
-            "the slab returns memory: table peak within resident peak plus two pages per lane",
+            "the slab returns memory: table peak within resident peak plus two pages",
             on.plane.span_table_bytes_peak <= table_bound,
             format!(
-                "{} B peak <= {} resident x {} B + 2 x {} lane(s) x {} B = {table_bound} B",
+                "{} B peak <= {} resident x {} B + 2 x {} B = {table_bound} B",
                 on.plane.span_table_bytes_peak,
                 on.plane.spans_resident_peak,
                 obs::SPAN_SLOT_BYTES,
-                on.lanes,
                 obs::SPAN_PAGE_BYTES
             ),
         ),
@@ -221,7 +217,7 @@ pub fn run() -> ExperimentOutput {
 
     ExperimentOutput {
         id: "E17",
-        title: "Million-span observability plane (sharded registry, retirement, self-measured overhead)",
+        title: "Million-span observability plane (retirement, self-measured overhead)",
         tables: vec![table],
         checks,
         reports: obs.into_iter().collect(),

@@ -41,13 +41,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use bytes::{BufMut, Bytes, BytesMut};
 use proxy_core::{BulkParams, ProxySpec, ServiceBuilder, SessionCore};
 use services::blob::{spawn_edge_cache, BlobStore};
 use services::kv::KvStore;
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
 
-use crate::{capture_trace, check, obs_report, pick, ExperimentOutput, Table, TraceArtifact};
+use crate::{capture_trace, check, obs_report, pick, ExperimentOutput, Table};
 
 const SEED: u64 = 1900;
 
@@ -79,8 +80,6 @@ pub struct Config {
     payload_max: usize,
     /// Edge cache capacity (chunk entries).
     edge_capacity: usize,
-    /// Scheduler domains (the same in both legs).
-    domains: usize,
 }
 
 impl Config {
@@ -95,7 +94,6 @@ impl Config {
             payload_min: 8 * 1024,
             payload_max: 64 * 1024,
             edge_capacity: 256,
-            domains: 8,
         }
     }
 
@@ -111,7 +109,6 @@ impl Config {
             payload_min: 4 * 1024,
             payload_max: 24 * 1024,
             edge_capacity: 64,
-            domains: 8,
         }
     }
 
@@ -248,11 +245,14 @@ fn asset_len(cfg: Config, asset: usize) -> usize {
     cfg.payload_min + (h.next() as usize % span.max(1))
 }
 
-fn asset_payload(cfg: Config, asset: usize) -> Vec<u8> {
+/// Built in the block it is sent in: one allocation, no copy.
+fn asset_payload(cfg: Config, asset: usize) -> Bytes {
     let len = asset_len(cfg, asset);
-    (0..len)
-        .map(|i| (i as u8).wrapping_mul(31).wrapping_add(asset as u8))
-        .collect()
+    let mut payload = BytesMut::with_capacity(len);
+    for i in 0..len {
+        payload.put_u8((i as u8).wrapping_mul(31).wrapping_add(asset as u8));
+    }
+    payload.freeze()
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -299,8 +299,6 @@ struct Leg {
     ts_cache_hit: u64,
     ts_cache_miss: u64,
     bulk_resolves: u64,
-    trace: TraceArtifact,
-    obs: crate::ObsReport,
 }
 
 impl Leg {
@@ -349,7 +347,7 @@ pub struct Tallies {
 /// publisher and the readers.
 #[allow(clippy::too_many_lines)] // one leg is one story: topology, services, clients
 pub fn spawn_leg(cfg: Config, bulk: bool) -> (Simulation, Tallies) {
-    let sim = Simulation::new(NetworkConfig::wan(), SEED).with_domains(cfg.domains);
+    let sim = Simulation::new(NetworkConfig::wan(), SEED);
     apply_latency_matrix(&sim, cfg);
     sim.enable_trace(1 << 16);
     sim.obs().enable_timeseries(50_000_000, 4096);
@@ -549,7 +547,9 @@ pub fn spawn_leg(cfg: Config, bulk: bool) -> (Simulation, Tallies) {
     (sim, tallies)
 }
 
-fn run_leg(cfg: Config, bulk: bool) -> Leg {
+/// Runs one leg; the simulation comes back for whatever else the caller
+/// reads from it.
+fn run_leg(cfg: Config, bulk: bool) -> (Leg, Simulation) {
     let label = if bulk { "bulk-t1" } else { "inline-t1" };
     let (
         mut sim,
@@ -587,7 +587,7 @@ fn run_leg(cfg: Config, bulk: bool) -> Leg {
         .collect();
     let bulk_resolves: u64 = report.proxies.values().map(|s| s.bulk_resolves).sum();
 
-    Leg {
+    let leg = Leg {
         label,
         wall,
         checksum: checksum.load(Ordering::Relaxed),
@@ -614,9 +614,8 @@ fn run_leg(cfg: Config, bulk: bool) -> Leg {
         ts_cache_hit: ts.counter_total("cache_hit@blob"),
         ts_cache_miss: ts.counter_total("cache_miss@blob"),
         bulk_resolves,
-        trace: capture_trace("t1", &sim),
-        obs: obs_report(format!("e19-{label}"), &sim),
-    }
+    };
+    (leg, sim)
 }
 
 /// The session's current virtual time, in nanoseconds.
@@ -625,8 +624,12 @@ fn run_leg(cfg: Config, bulk: bool) -> Leg {
 pub fn run() -> ExperimentOutput {
     let (cfg, mode) = pick(Config::full(), Config::smoke());
 
-    let inline = run_leg(cfg, false);
-    let bulk = run_leg(cfg, true);
+    let (inline, _) = run_leg(cfg, false);
+    // Only the bulk leg's trace and report are exported.
+    let (bulk, bulk_sim) = run_leg(cfg, true);
+    let trace = capture_trace("t1", &bulk_sim);
+    let report = obs_report(format!("e19-{}", bulk.label), &bulk_sim);
+    drop(bulk_sim);
 
     let reduction = inline.catalog_bytes as f64 / (bulk.catalog_bytes.max(1)) as f64;
     let identical_results = inline.checksum == bulk.checksum && inline.checksum != 0;
@@ -839,7 +842,7 @@ pub fn run() -> ExperimentOutput {
         title: "Out-of-band bulk data plane (pass-by-reference proxies, hierarchical edge caches)",
         tables: vec![bytes_table, lat_table, edge_table],
         checks,
-        reports: vec![bulk.obs],
-        traces: vec![bulk.trace],
+        reports: vec![report],
+        traces: vec![trace],
     }
 }

@@ -1,23 +1,18 @@
-//! E20 — Continuous profiler: overhead, conservation, determinism.
+//! E20 — Continuous profiler: overhead and determinism.
 //!
-//! The profiler (`obs::profile`) folds RAII scope timings into bounded
-//! per-lane frame tables and brackets every scheduler round with phase
-//! timestamps (`sched;round;{pick,exec,merge}`). This experiment puts
-//! the three claims it ships under on the record:
+//! The profiler (`obs::profile`) folds RAII scope timings into a
+//! bounded frame table, and the scheduler folds the wall time of each
+//! `run_until` call as `sched;run`. This experiment puts the two claims
+//! it ships under on the record:
 //!
-//! * **Overhead** — after a discarded warmup, the E18 workload runs
-//!   five interleaved off/on pairs (same seed); the gated
-//!   statistic is the *median of the per-pair wall ratios*, so slow
+//! * **Overhead** — after a discarded warmup, the poll-driven KV fleet
+//!   of [`crate::fleet`] runs five interleaved off/on pairs (same seed);
+//!   the gated statistic is the *median of the per-pair wall ratios*, so slow
 //!   host drift cancels within each adjacent pair and drift-poisoned
 //!   pairs cannot swing the verdict. Full mode gates at <5%; smoke
 //!   mode is too short to time honestly on a shared CI core, so there
 //!   the gate loosens to <100% and the measured number is provenance,
 //!   not verdict.
-//! * **Conservation** — the driver stamps consecutive `Instant`s
-//!   around each round's phases, so the phase durations telescope:
-//!   pick + exec + merge must equal the round total *exactly*, not
-//!   within an epsilon. Same for call counts (one fold per phase per
-//!   round).
 //! * **Determinism** — frame *paths and call counts* are pure
 //!   functions of the simulated execution, so `canonical_frames()`
 //!   (paths + calls, wall excluded) must be byte-identical between
@@ -33,19 +28,29 @@
 
 use simnet::{NetworkConfig, NodeId, Simulation};
 
-// The E18 workload, reused deliberately: the profiler is measured on the
-// fleet whose run-to-run identity is already pinned.
-use super::e18_multicore::{DOMAINS, FULL, SMOKE};
 use crate::fleet::{self, Shape};
 use crate::{
     capture_trace, check, obs_report, pick, trace_dir, ExperimentOutput, ObsReport, Table,
     TraceArtifact,
 };
 
-/// Folded-frame table capacity per writer lane. Generous for this
-/// workload (a few dozen distinct paths); evictions are counted, never
-/// silent.
+/// Folded-frame table capacity. Generous for this workload (a few dozen
+/// distinct paths); evictions are counted, never silent.
 const MAX_FRAMES: usize = 4096;
+
+const FULL: Shape = Shape {
+    clients: 20_000,
+    calls_per_client: 4,
+    shards: 8,
+    nodes: 32,
+};
+
+const SMOKE: Shape = Shape {
+    clients: 1_000,
+    calls_per_client: 4,
+    shards: 4,
+    nodes: 16,
+};
 
 /// One leg: the measured numbers, the determinism surfaces, and (when
 /// profiled) the folded-stack report.
@@ -61,7 +66,7 @@ struct Leg {
 }
 
 fn run_leg(cfg: Shape, seed: u64, profiled: bool, label: &'static str) -> Leg {
-    let mut sim = Simulation::new(NetworkConfig::lan(), seed).with_domains(DOMAINS);
+    let mut sim = Simulation::new(NetworkConfig::lan(), seed);
     sim.enable_trace(1 << 16);
     if profiled {
         sim.obs().enable_profile(MAX_FRAMES);
@@ -82,9 +87,6 @@ fn run_leg(cfg: Shape, seed: u64, profiled: bool, label: &'static str) -> Leg {
         obs: obs_report(format!("e20-{label}"), &sim),
     }
 }
-
-/// The scheduler phase frames the driver folds once per round.
-const PHASE_FRAMES: [&str; 3] = ["sched;round;pick", "sched;round;exec", "sched;round;merge"];
 
 /// Runs E20 and returns its tables and shape checks.
 pub fn run() -> ExperimentOutput {
@@ -142,22 +144,6 @@ pub fn run() -> ExperimentOutput {
 
     let prof = on_a.profile.clone().unwrap_or_default();
 
-    // Phase conservation: the driver stamps t0..t3 consecutively, so
-    // Duration subtraction telescopes and the phase sums must equal the
-    // round totals exactly — calls and wall both.
-    let round = prof.frames.get("sched;round").copied().unwrap_or_default();
-    let phase_wall: u64 = PHASE_FRAMES
-        .iter()
-        .filter_map(|f| prof.frames.get(*f))
-        .map(|s| s.wall_ns)
-        .sum();
-    let phases_present = PHASE_FRAMES.iter().all(|f| prof.frames.contains_key(*f));
-    let phase_calls_ok = phases_present
-        && PHASE_FRAMES
-            .iter()
-            .all(|f| prof.frames[*f].calls == round.calls);
-    let conserved = phases_present && round.calls > 0 && phase_wall == round.wall_ns;
-
     // Top frame by attributed wall time.
     let (top_frame, top_stat) = prof
         .frames
@@ -210,8 +196,8 @@ pub fn run() -> ExperimentOutput {
 
     let mut table = Table::new(
         format!(
-            "profiler legs ({mode}) — {} clients x {} calls, {} domains on {} nodes",
-            cfg.clients, cfg.calls_per_client, DOMAINS, cfg.nodes
+            "profiler legs ({mode}) — {} clients x {} calls on {} nodes",
+            cfg.clients, cfg.calls_per_client, cfg.nodes
         ),
         &[
             "leg",
@@ -293,26 +279,6 @@ pub fn run() -> ExperimentOutput {
             ),
         ),
         check(
-            "phase wall times tile the round wall exactly (pick+exec+merge == round)",
-            conserved,
-            format!(
-                "{phase_wall}ns across phases vs {}ns round over {} rounds",
-                round.wall_ns, round.calls
-            ),
-        ),
-        check(
-            "each phase folded exactly once per round",
-            phase_calls_ok,
-            format!(
-                "round calls {} vs {:?}",
-                round.calls,
-                PHASE_FRAMES
-                    .iter()
-                    .map(|f| prof.frames.get(*f).map_or(0, |s| s.calls))
-                    .collect::<Vec<_>>()
-            ),
-        ),
-        check(
             "top frame identified with nonzero attribution",
             !top_frame.is_empty() && top_stat.wall_ns > 0 && rpc_seen,
             format!(
@@ -341,7 +307,7 @@ pub fn run() -> ExperimentOutput {
             "no frames evicted at this table size",
             prof.frames_evicted == 0 && prof.frames_resident > 0,
             format!(
-                "{} resident, {} evicted (capacity {MAX_FRAMES} per lane)",
+                "{} resident, {} evicted (capacity {MAX_FRAMES})",
                 prof.frames_resident, prof.frames_evicted
             ),
         ),
@@ -374,7 +340,7 @@ pub fn run() -> ExperimentOutput {
 
     ExperimentOutput {
         id: "E20",
-        title: "Continuous profiler (folded stacks, phase attribution, flamegraph export)",
+        title: "Continuous profiler (folded stacks, flamegraph export)",
         tables: vec![table, frames_table],
         checks,
         reports,

@@ -7,7 +7,6 @@ pub mod e13_pipeline;
 pub mod e15_flight;
 pub mod e16_million;
 pub mod e17_obsplane;
-pub mod e18_multicore;
 pub mod e19_bulkplane;
 pub mod e1_access_methods;
 pub mod e20_profiler;
@@ -40,7 +39,6 @@ pub fn run_all() -> bool {
         e15_flight::run(),
         e16_million::run(),
         e17_obsplane::run(),
-        e18_multicore::run(),
         e19_bulkplane::run(),
         e20_profiler::run(),
     ];

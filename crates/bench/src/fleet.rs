@@ -1,4 +1,4 @@
-//! The poll-driven KV fleet E16, E17, E18 and E20 all drive.
+//! The poll-driven KV fleet E16, E17 and E20 all drive.
 //!
 //! Every client is an `async` body ([`Simulation::spawn_async`]) on
 //! [`SessionCore`]'s non-blocking surface (`bind_async` → `poll_bind` →

@@ -3,10 +3,10 @@
 //!
 //! `budgets.rs` pins how many allocations a call costs and how many bytes
 //! the run holds at its high-water mark; this says who makes them. Both
-//! tests run the same shape as that row (the budgets `FLEET` fleet on one
-//! scheduler domain, profiler on, counted over `Simulation::run` after a
-//! warm-up run) under an allocator that captures a backtrace at every
-//! allocation on this thread. Each allocation is charged to the first
+//! tests run the same shape as that row (the budgets `FLEET` fleet,
+//! profiler on, counted over `Simulation::run` after a warm-up run)
+//! under an allocator that captures a backtrace at every allocation on
+//! this thread. Each allocation is charged to the first
 //! frame outside `wire`, `bytes` and the standard library: the code that
 //! asked for a buffer, a string or a value, not the code that built it.
 //!

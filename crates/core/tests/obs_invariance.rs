@@ -1,9 +1,9 @@
 //! The observability registry at the full simulation level: span
 //! retirement conserves every report aggregate exactly while bounding
-//! the resident span table; and a run whose caching clients sit in four
-//! scheduler domains — reads filing sharers, writes pushing
-//! invalidations across domain boundaries — is byte-identical when the
-//! same seed runs twice, with the slow-call watchdog armed or not.
+//! the resident span table; and a run whose caching clients sit on six
+//! nodes — reads filing sharers, writes pushing invalidations to them —
+//! is byte-identical when the same seed runs twice, with the slow-call
+//! watchdog armed or not.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -216,12 +216,12 @@ impl ServiceObject for Cells {
     }
 }
 
-/// Six blocking caching clients over four domains (nodes 10..16, the
+/// Six blocking caching clients (nodes 10..16, the
 /// service on node 1), each reading every cell and `sum` and writing
 /// the cells it owns, under jitter, with the slow-call watchdog armed
 /// at `watchdog`. Returns `(summary, trace hash, report JSON)`.
 fn run_caching(seed: u64, watchdog: Option<obs::WatchdogConfig>) -> (String, u64, String) {
-    let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.3), seed).with_domains(4);
+    let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.3), seed);
     sim.enable_trace(1 << 16);
     if let Some(cfg) = watchdog {
         sim.obs().enable_watchdog(cfg);
@@ -281,9 +281,9 @@ fn caching_clients_across_domains_are_thread_invariant() {
     assert_eq!(run_caching(91, None), base, "diverged between two runs");
 }
 
-/// Each domain's watchdog judges its calls against its own writer
-/// lane's history, so which calls it pins, their thresholds and their
-/// order repeat when the same seed runs twice.
+/// The watchdog judges each call against the history of the calls
+/// before it, so which calls it pins, their thresholds and their order
+/// repeat when the same seed runs twice.
 #[test]
 fn watchdog_exemplars_are_thread_invariant() {
     let cfg = obs::WatchdogConfig {

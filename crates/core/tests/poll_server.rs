@@ -264,7 +264,7 @@ fn recoverable(store: &StableStore) -> ServiceBuilder {
 /// builder, from inside the client process. Returns the report and the
 /// trace.
 fn crash_and_recover() -> (String, String) {
-    let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.2), 6).with_domains(4);
+    let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.2), 6);
     sim.enable_trace(1 << 14);
     let ns = spawn_name_server(&sim, NodeId(0));
     let store = StableStore::new();

@@ -88,10 +88,10 @@ pub struct MetricsSnapshot {
     /// This is a **gauge**, not a counter: [`MetricsSnapshot::since`]
     /// carries the later snapshot's level through instead of diffing it.
     pub processes_peak: u64,
-    /// Events popped with a timestamp behind their domain's clock. A
+    /// Events popped with a timestamp behind the scheduler's clock. A
     /// scheduler that respects causality never produces one; any nonzero
-    /// value means the conservative-lookahead bound was violated (or a
-    /// bug reordered the heap) and the run's timing data is suspect.
+    /// value means a bug reordered the heap and the run's timing data is
+    /// suspect.
     pub sched_time_inversions: u64,
 }
 
@@ -573,25 +573,23 @@ struct RetiredAgg {
     retransmissions: u64,
 }
 
-/// What one writer lane's closing spans have recorded, indexed by
-/// interned `(service, op)` key: the latency histograms the watchdog
-/// judges against, the folds of retired spans, and the exemplars the
-/// watchdog pinned. Kept under the lane's span-slab lock, so a close
-/// takes one lock; written only by the lane's own domain, so what a lane
-/// holds never depends on how domains interleave.
+/// What the closing spans have recorded, indexed by interned
+/// `(service, op)` key: the latency histograms the watchdog judges
+/// against, the folds of retired spans, and the exemplars the watchdog
+/// pinned. Kept under the span-slab lock, so a close takes one lock.
 #[derive(Debug, Default)]
-pub(crate) struct LaneStats {
+pub(crate) struct KeyStats {
     /// Per-key latency histograms; `None` until a sample lands.
     hists: Vec<Option<Histogram>>,
     /// Per-key folds of retired spans.
     retired: Vec<RetiredAgg>,
-    /// Slow calls this lane's watchdog pinned, in close order.
+    /// Slow calls the watchdog pinned, in close order.
     exemplars: Vec<Exemplar>,
-    /// Slow calls seen after this lane's exemplar buffer filled.
+    /// Slow calls seen after the exemplar buffer filled.
     exemplars_suppressed: u64,
 }
 
-impl LaneStats {
+impl KeyStats {
     /// The histogram of `key`, created empty on first use.
     fn hist(&mut self, key: u32) -> &mut Histogram {
         let i = key as usize;
@@ -611,11 +609,10 @@ impl LaneStats {
     }
 }
 
-/// The hot RPC counters of one writer lane. Every field is a relaxed
-/// atomic because the counters are pure sums with no cross-field
-/// invariants; the report sums the lanes.
+/// The hot RPC counters. Every field is a relaxed atomic because the
+/// counters are pure sums with no cross-field invariants.
 #[derive(Debug, Default)]
-struct LaneCounters {
+struct Counters {
     calls: AtomicU64,
     retries: AtomicU64,
     timeouts: AtomicU64,
@@ -665,13 +662,11 @@ pub struct ObsPlaneReport {
     /// Bytes the span table's slabs hold at report time: one
     /// [`SPAN_PAGE_BYTES`] page per live slab page (a page of
     /// [`SPAN_SLOT_BYTES`] slots is freed once every slot in it has been
-    /// allocated and retired) plus one slot per kept exemplar. Summed
-    /// over writer lanes; each lane's figure follows from that lane's
-    /// own span calls alone, so it is deterministic. The registry-wide
-    /// `(service, op)` name table is not counted.
+    /// allocated and retired) plus one slot per kept exemplar. It
+    /// follows from the run's span calls alone, so it is deterministic.
+    /// The `(service, op)` name table is not counted.
     pub span_table_bytes: u64,
-    /// Sum over writer lanes of each lane's high-water mark of
-    /// `span_table_bytes`.
+    /// High-water mark of `span_table_bytes`.
     pub span_table_bytes_peak: u64,
     /// Wall-clock nanoseconds spent inside registry calls while
     /// self-measurement was on (0 when it never was).
@@ -702,21 +697,16 @@ fn key_hash(service: &str, op: &str) -> u64 {
 /// whole run. All methods take `&self`; interior mutability keeps the
 /// call sites free of plumbing.
 ///
-/// Internally the registry is split into writer lanes, one per
-/// scheduler domain, so a million-client run can leave it on: each lane
-/// holds the span records its domain opened (slabs of fixed-size slots,
-/// their `(service, op)` names interned once into `u32` keys), the
-/// per-key statistics its closing spans recorded (histograms, retirement
-/// folds, the watchdog's exemplars) and its share of the hot RPC
-/// counters. [`MetricsRegistry::report`] merges the lanes: histograms
-/// merge exactly, counters sum, map output is ordered by name and
-/// exemplars are concatenated in lane order — so the report does not
-/// depend on which thread wrote a lane, or when.
+/// The span records live in a slab of fixed-size slots, their
+/// `(service, op)` names interned once into `u32` keys, beside the
+/// per-key statistics the closing spans recorded (histograms,
+/// retirement folds, the watchdog's exemplars), so a million-client run
+/// can leave the registry on.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     /// Mirrors "the flight recorder is on" so hot paths can skip the
-    /// lane lock (and the series-name formatting feeding it) with a
-    /// single relaxed load when the recorder is off.
+    /// recorder's lock (and the series-name formatting feeding it) with
+    /// a single relaxed load when the recorder is off.
     ts_enabled: AtomicBool,
     /// Mirrors `misc.watchdog.is_some()` for the same reason.
     wd_enabled: AtomicBool,
@@ -735,70 +725,20 @@ pub struct MetricsRegistry {
     /// Mirrors "the profiler is on" for the hot-path relaxed-load check
     /// ([`MetricsRegistry::profile_enabled`]), like `ts_enabled`.
     prof_enabled: AtomicBool,
-    /// Per-lane frame-table bound, preserved across `set_writer_lanes`.
-    prof_max_frames: AtomicU64,
     /// Wall time the profiler spent folding (its own overhead).
     prof_self_ns: AtomicU64,
     prof_self_calls: AtomicU64,
-    // -- writer lanes --
-    /// Per-lane state. Each deterministic writer (a scheduler domain)
-    /// owns one lane, selected by the thread's ambient lane
-    /// ([`set_ambient_lane`]): span-id striping, the span slab with its
-    /// retirement sampler and residency gauges, the per-key statistics
-    /// and exemplars, the hot counters and the flight recorder all
-    /// advance per lane so domains never interleave on order-sensitive
-    /// state. The lane count is part of the run
-    /// configuration: it changes span ids, sampling decisions and the
-    /// history each watchdog judgment sees, the way a different seed
-    /// would.
-    lanes: Box<[WriterLane]>,
+    /// The spans opened so far, with the retirement sampler, the
+    /// residency gauges and the per-key statistics of the closed ones.
+    spans: Mutex<spans::SpanSlab>,
+    counters: Counters,
+    /// The flight recorder, when enabled.
+    timeseries: Mutex<Option<TimeSeries>>,
+    /// The continuous profiler's folded-stack table, when enabled.
+    profile: Mutex<Option<profile::FrameTable>>,
     /// Interned `(service, op)` names; read-mostly.
     keys: RwLock<spans::KeyTable>,
     misc: Mutex<MiscInner>,
-}
-
-/// Per-writer-lane sequenced state (see [`MetricsRegistry::lanes`]).
-/// Cache-line aligned so lanes written by different threads (a
-/// blocking body on a thread of its own beside the driver) never
-/// false-share.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct WriterLane {
-    /// The spans this lane opened (span id = `count * nlanes + lane +
-    /// 1`), with the lane's retirement sampler and residency gauges and
-    /// the statistics its closing spans recorded. The cross-lane peaks
-    /// are reported as the sum of lane peaks — a deterministic upper
-    /// bound on the true concurrent peak (exact with one lane).
-    spans: Mutex<spans::LaneSlab>,
-    /// The RPC counters bumped by threads writing to this lane.
-    counters: LaneCounters,
-    /// This lane's slice of the flight recorder, when enabled. Reports
-    /// merge the lanes deterministically (see [`TimeSeries::merged`]).
-    timeseries: Mutex<Option<TimeSeries>>,
-    /// This lane's slice of the continuous profiler, when enabled
-    /// (bounded folded-stack table; see [`profile::ProfileLane`]).
-    profile: Mutex<Option<profile::ProfileLane>>,
-}
-
-thread_local! {
-    /// The lane this thread writes to; see [`set_ambient_lane`].
-    static AMBIENT_LANE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Declares which writer lane the calling thread records into (clamped
-/// modulo the registry's lane count at use). The simulator sets this on
-/// every thread that executes a scheduler domain — before each domain
-/// round and each domain's shutdown, which is also where that domain's
-/// blocking process bodies run — so that all observability state
-/// advances deterministically per domain. Threads that never call this
-/// write to lane 0.
-pub fn set_ambient_lane(lane: usize) {
-    AMBIENT_LANE.with(|l| l.set(lane));
-}
-
-/// The calling thread's current writer lane (unclamped).
-pub fn ambient_lane() -> usize {
-    AMBIENT_LANE.with(|l| l.get())
 }
 
 impl Default for MetricsRegistry {
@@ -818,7 +758,7 @@ impl Drop for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// A fresh registry with one writer lane.
+    /// A fresh registry.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
             ts_enabled: AtomicBool::new(false),
@@ -830,36 +770,15 @@ impl MetricsRegistry {
             self_ns: AtomicU64::new(0),
             self_calls: AtomicU64::new(0),
             prof_enabled: AtomicBool::new(false),
-            prof_max_frames: AtomicU64::new(0),
             prof_self_ns: AtomicU64::new(0),
             prof_self_calls: AtomicU64::new(0),
-            lanes: (0..1).map(|_| WriterLane::default()).collect(),
+            spans: Mutex::default(),
+            counters: Counters::default(),
+            timeseries: Mutex::default(),
+            profile: Mutex::default(),
             keys: RwLock::default(),
             misc: Mutex::new(MiscInner::default()),
         }
-    }
-
-    /// Sets the number of writer lanes (clamped to ≥ 1). One lane per
-    /// concurrent deterministic writer — the simulator calls this with
-    /// its domain count before any span opens. This is run
-    /// *configuration*: span ids are striped across lanes, and the
-    /// retirement sampler and the watchdog's history advance per lane,
-    /// so a different lane count is a different (equally valid) run.
-    /// Must be called before recording starts — it resets all lane
-    /// state: spans, statistics, exemplars and counters.
-    pub fn set_writer_lanes(&mut self, n: usize) {
-        let n = n.max(1);
-        let recorder = self.lanes[0]
-            .timeseries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|ts| (ts.width_ns(), ts.capacity()));
-        self.lanes = (0..n).map(|_| WriterLane::default()).collect();
-        if let Some((width, cap)) = recorder {
-            self.enable_timeseries(width, cap);
-        }
-        self.prof_rearm_lanes();
     }
 
     #[inline]
@@ -873,32 +792,6 @@ impl MetricsRegistry {
 
     fn misc(&self) -> std::sync::MutexGuard<'_, MiscInner> {
         self.misc.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The calling thread's writer-lane index.
-    #[inline]
-    fn lane_idx(&self) -> usize {
-        ambient_lane() % self.lanes.len()
-    }
-
-    /// The calling thread's writer lane.
-    #[inline]
-    fn lane(&self) -> &WriterLane {
-        &self.lanes[self.lane_idx()]
-    }
-
-    /// The calling thread's lane's counters.
-    #[inline]
-    fn counters(&self) -> &LaneCounters {
-        &self.lane().counters
-    }
-
-    /// `field` summed over every lane's counters.
-    fn counter_sum(&self, field: fn(&LaneCounters) -> &AtomicU64) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| field(&l.counters).load(Ordering::Relaxed))
-            .sum()
     }
 
     #[inline]
@@ -955,39 +848,32 @@ impl MetricsRegistry {
     }
 
     /// The plane's self-measurement gauges, as they stand right now.
-    /// Current values are exact lane sums; the peaks are the sum of
-    /// per-lane peaks — a deterministic upper bound on the true
-    /// concurrent peak (exact with one writer lane).
     pub fn obs_plane(&self) -> ObsPlaneReport {
-        let mut plane = ObsPlaneReport {
+        let slab = self.slab();
+        ObsPlaneReport {
+            spans_retired: slab.retired,
+            spans_sampled: slab.sampled,
+            spans_resident: slab.resident,
+            spans_resident_peak: slab.resident_peak,
+            span_table_bytes: slab.bytes,
+            span_table_bytes_peak: slab.bytes_peak,
             self_ns: self.self_ns.load(Ordering::Relaxed),
             self_calls: self.self_calls.load(Ordering::Relaxed),
-            ..ObsPlaneReport::default()
-        };
-        for lane in 0..self.lanes.len() {
-            let slab = self.slab(lane);
-            plane.spans_retired += slab.retired;
-            plane.spans_sampled += slab.sampled;
-            plane.spans_resident += slab.resident;
-            plane.spans_resident_peak += slab.resident_peak;
-            plane.span_table_bytes += slab.bytes;
-            plane.span_table_bytes_peak += slab.bytes_peak;
         }
-        plane
     }
 
     // -- flight recorder ---------------------------------------------------
 
     /// Turns on the windowed flight recorder with `width_ns`-wide
-    /// windows and a ring of at most `capacity` windows *per writer
-    /// lane*. Idempotent in effect but resets the recording when called
-    /// again.
+    /// windows and a ring of at most `capacity` windows. Idempotent in
+    /// effect but resets the recording when called again.
     pub fn enable_timeseries(&self, width_ns: u64, capacity: usize) {
-        for lane in self.lanes.iter() {
-            let mut ts = lane.timeseries.lock().unwrap_or_else(|e| e.into_inner());
-            *ts = Some(TimeSeries::new(width_ns, capacity));
-        }
+        *self.recorder() = Some(TimeSeries::new(width_ns, capacity));
         self.ts_enabled.store(true, Ordering::Relaxed);
+    }
+
+    fn recorder(&self) -> std::sync::MutexGuard<'_, Option<TimeSeries>> {
+        self.timeseries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// True when the flight recorder is on. Call sites use this to skip
@@ -999,77 +885,41 @@ impl MetricsRegistry {
     }
 
     /// Adds `delta` to counter `series` in the window covering `at_ns`
-    /// (in the calling lane's recorder). No-op while the recorder is off.
+    /// No-op while the recorder is off.
     pub fn ts_add(&self, at_ns: u64, series: &str, delta: u64) {
         if !self.timeseries_enabled() {
             return;
         }
-        let mut guard = self
-            .lane()
-            .timeseries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(ts) = guard.as_mut() {
+        if let Some(ts) = self.recorder().as_mut() {
             ts.add(at_ns, series, delta);
         }
     }
 
     /// Samples gauge `series` at `value` in the window covering `at_ns`
-    /// (in the calling lane's recorder). No-op while the recorder is off.
+    /// No-op while the recorder is off.
     pub fn ts_gauge(&self, at_ns: u64, series: &str, value: u64) {
         if !self.timeseries_enabled() {
             return;
         }
-        let mut guard = self
-            .lane()
-            .timeseries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(ts) = guard.as_mut() {
+        if let Some(ts) = self.recorder().as_mut() {
             ts.gauge(at_ns, series, value);
         }
     }
 
-    /// Records `value` into windowed histogram `series` (in the calling
-    /// lane's recorder). No-op while the recorder is off.
+    /// Records `value` into windowed histogram `series`. No-op while the
+    /// recorder is off.
     pub fn ts_observe(&self, at_ns: u64, series: &str, value: u64) {
         if !self.timeseries_enabled() {
             return;
         }
-        let mut guard = self
-            .lane()
-            .timeseries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(ts) = guard.as_mut() {
+        if let Some(ts) = self.recorder().as_mut() {
             ts.observe(at_ns, series, value);
         }
     }
 
-    /// Snapshot of the flight recording, if the recorder is on. With
-    /// one writer lane this is that lane's report verbatim; with more,
-    /// the lanes are merged deterministically by window (counters sum,
-    /// histograms merge, gauge extrema combine — see
-    /// [`TimeSeries::merged`]).
+    /// Snapshot of the flight recording, if the recorder is on.
     pub fn timeseries_report(&self) -> Option<TimeSeriesReport> {
-        if self.lanes.len() == 1 {
-            return self.lanes[0]
-                .timeseries
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .as_ref()
-                .map(|ts| ts.report());
-        }
-        let guards: Vec<_> = self
-            .lanes
-            .iter()
-            .map(|l| l.timeseries.lock().unwrap_or_else(|e| e.into_inner()))
-            .collect();
-        let lanes: Vec<&TimeSeries> = guards.iter().filter_map(|g| g.as_ref()).collect();
-        if lanes.is_empty() {
-            return None;
-        }
-        Some(TimeSeries::merged(&lanes).report())
+        self.recorder().as_ref().map(TimeSeries::report)
     }
 
     /// Arms the slow-call watchdog. Exemplars accumulate from this point
@@ -1083,27 +933,7 @@ impl MetricsRegistry {
     /// Copy of the exemplars pinned so far, as [`RunReport::exemplars`]
     /// lists them.
     pub fn exemplars(&self) -> Vec<Exemplar> {
-        self.merged_exemplars().0
-    }
-
-    /// Every lane's exemplars concatenated in lane order and capped at
-    /// `max_exemplars`, with the suppressed count: the lanes' own plus
-    /// whatever the cap cut off here. With one lane this is that lane's
-    /// buffer verbatim.
-    fn merged_exemplars(&self) -> (Vec<Exemplar>, u64) {
-        let cap = self.misc().watchdog.map_or(0, |c| c.max_exemplars);
-        let mut exemplars = Vec::new();
-        let mut suppressed = 0;
-        for lane in 0..self.lanes.len() {
-            let slab = self.slab(lane);
-            exemplars.extend(slab.stats.exemplars.iter().cloned());
-            suppressed += slab.stats.exemplars_suppressed;
-        }
-        if exemplars.len() > cap {
-            suppressed += (exemplars.len() - cap) as u64;
-            exemplars.truncate(cap);
-        }
-        (exemplars, suppressed)
+        self.slab().stats.exemplars.clone()
     }
 
     /// Stamps run provenance into the registry (merged field-wise: only
@@ -1139,53 +969,49 @@ impl MetricsRegistry {
     /// A call was issued.
     pub fn on_call(&self) {
         if self.on() {
-            self.counters().calls.fetch_add(1, Ordering::Relaxed);
+            self.counters.calls.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A request was retransmitted.
     pub fn on_retry(&self) {
         if self.on() {
-            self.counters().retries.fetch_add(1, Ordering::Relaxed);
+            self.counters.retries.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A call exhausted all attempts.
     pub fn on_timeout(&self) {
         if self.on() {
-            self.counters().timeouts.fetch_add(1, Ordering::Relaxed);
+            self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A reply arrived for an already-completed call.
     pub fn on_stale_reply(&self) {
         if self.on() {
-            self.counters()
-                .stale_replies
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.stale_replies.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A stray packet was discarded while waiting for a reply.
     pub fn on_stray_dropped(&self) {
         if self.on() {
-            self.counters()
-                .strays_dropped
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.strays_dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A request was executed for the first time.
     pub fn on_executed(&self) {
         if self.on() {
-            self.counters().executed.fetch_add(1, Ordering::Relaxed);
+            self.counters.executed.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A duplicate request was answered from the reply cache.
     pub fn on_duplicate_suppressed(&self) {
         if self.on() {
-            self.counters()
+            self.counters
                 .duplicates_suppressed
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -1194,7 +1020,7 @@ impl MetricsRegistry {
     /// A duplicate request was dropped.
     pub fn on_duplicate_dropped(&self) {
         if self.on() {
-            self.counters()
+            self.counters
                 .duplicates_dropped
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -1203,14 +1029,14 @@ impl MetricsRegistry {
     /// A one-way message was received by a server.
     pub fn on_oneway_rx(&self) {
         if self.on() {
-            self.counters().oneways.fetch_add(1, Ordering::Relaxed);
+            self.counters.oneways.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// An undecodable packet was received by a server.
     pub fn on_undecodable(&self) {
         if self.on() {
-            self.counters().undecodable.fetch_add(1, Ordering::Relaxed);
+            self.counters.undecodable.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1255,14 +1081,11 @@ impl MetricsRegistry {
 
     /// Builds the unified report. `net` is the simulator's counter
     /// snapshot and `end_time_ns` the simulated clock at report time.
-    ///
-    /// The lanes merge deterministically: per-key histograms merge
-    /// exactly, counters and folds sum, map output is ordered by name
-    /// and exemplars are concatenated in lane order. A run reports the
-    /// same bytes every time, and a one-lane run reports its lane
-    /// verbatim.
+    /// Map output is ordered by name, so a run reports the same bytes
+    /// every time.
     pub fn report(&self, net: MetricsSnapshot, end_time_ns: u64) -> RunReport {
-        let csum = |field| self.counter_sum(field);
+        let csum =
+            |field: fn(&Counters) -> &AtomicU64| field(&self.counters).load(Ordering::Relaxed);
         let client = CallStats {
             calls: csum(|c| &c.calls),
             retries: csum(|c| &c.retries),
@@ -1277,47 +1100,34 @@ impl MetricsRegistry {
             oneways: csum(|c| &c.oneways),
             undecodable: csum(|c| &c.undecodable),
         };
-        let mut hists: Vec<Option<Histogram>> = Vec::new();
         let mut started = 0u64;
         let mut completed = 0u64;
         let mut oneways = 0u64;
         let mut retransmissions = 0u64;
-        for lane in 0..self.lanes.len() {
-            let slab = self.slab(lane);
-            // Per-key statistics: histograms into the name-ordered ops
-            // map, retired folds into the span totals.
-            if hists.len() < slab.stats.hists.len() {
-                hists.resize_with(slab.stats.hists.len(), || None);
-            }
-            for (merged, hist) in hists.iter_mut().zip(&slab.stats.hists) {
-                if let Some(hist) = hist {
-                    merged.get_or_insert_with(Histogram::new).merge(hist);
-                }
-            }
-            for agg in &slab.stats.retired {
-                started += agg.invokes + agg.dispatches;
-                completed += agg.invokes + agg.dispatches;
-                oneways += agg.oneways;
-                retransmissions += agg.retransmissions;
-            }
-            // The resident spans.
-            retransmissions += slab.retired_retransmissions;
-            for (_, slot) in slab.resident() {
-                match slot.kind {
-                    SpanKind::Oneway => oneways += 1,
-                    _ => {
-                        started += 1;
-                        if !slot.is_open() {
-                            completed += 1;
-                        }
+        let slab = self.slab();
+        for agg in &slab.stats.retired {
+            started += agg.invokes + agg.dispatches;
+            completed += agg.invokes + agg.dispatches;
+            oneways += agg.oneways;
+            retransmissions += agg.retransmissions;
+        }
+        retransmissions += slab.retired_retransmissions;
+        for (_, slot) in slab.resident() {
+            match slot.kind {
+                SpanKind::Oneway => oneways += 1,
+                _ => {
+                    started += 1;
+                    if !slot.is_open() {
+                        completed += 1;
                     }
                 }
-                retransmissions += slot.retransmissions;
             }
+            retransmissions += slot.retransmissions;
         }
         let ops: BTreeMap<String, OpLatency> = {
             let keys = self.keys();
-            hists
+            slab.stats
+                .hists
                 .iter()
                 .enumerate()
                 .filter_map(|(key, hist)| {
@@ -1326,7 +1136,9 @@ impl MetricsRegistry {
                 })
                 .collect()
         };
-        let (exemplars, exemplars_suppressed) = self.merged_exemplars();
+        let exemplars = slab.stats.exemplars.clone();
+        let exemplars_suppressed = slab.stats.exemplars_suppressed;
+        drop(slab);
         let misc = self.misc();
         RunReport {
             end_time_ns,
@@ -1955,42 +1767,6 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_judges_against_its_own_lane() {
-        let reg = with_lanes(2);
-        reg.enable_watchdog(WatchdogConfig {
-            multiplier: 3.0,
-            slo_ns: None,
-            min_samples: 10,
-            max_exemplars: 2,
-        });
-        let call = |lane: usize, at: u64, dur: u64| {
-            set_ambient_lane(lane);
-            let sp = reg.open_span(SpanKind::Invoke, SpanId::NONE, "kv", "get", at);
-            reg.close_span(sp, at + dur, true);
-            set_ambient_lane(0);
-            sp
-        };
-        for i in 0..10 {
-            call(0, i * 1_000, 100);
-        }
-        // Lane 0's history does not arm lane 1's trigger.
-        call(1, 20_000, 5_000);
-        assert!(reg.exemplars().is_empty());
-        for i in 0..10 {
-            call(1, 30_000 + i * 1_000, 100);
-        }
-        let late = call(1, 50_000, 100_000);
-        let first = call(0, 60_000, 5_000);
-        let second = call(0, 70_000, 100_000);
-        // Lane order, not close order; the cap applies to the merge.
-        let report = reg.report(MetricsSnapshot::default(), 100_000);
-        let spans: Vec<SpanId> = report.exemplars.iter().map(|e| e.span).collect();
-        assert_eq!(spans, [first, second]);
-        assert_eq!(report.exemplars_suppressed, 1);
-        assert_ne!(late, first);
-    }
-
-    #[test]
     fn timeseries_feeds_from_span_close_and_retransmit() {
         let reg = MetricsRegistry::new();
         assert!(!reg.timeseries_enabled());
@@ -2077,11 +1853,9 @@ mod tests {
         );
     }
 
-    /// Drives an identical call sequence into a registry, call `i` from
-    /// writer lane `i % lanes`.
-    fn drive(reg: &MetricsRegistry, lanes: usize) {
+    /// Drives a fixed call sequence into a registry.
+    fn drive(reg: &MetricsRegistry) {
         for i in 0..100u64 {
-            set_ambient_lane(i as usize % lanes);
             let svc = if i % 2 == 0 { "kv" } else { "dir" };
             let op = if i % 3 == 0 { "get" } else { "put" };
             let inv = reg.open_span(SpanKind::Invoke, SpanId::NONE, svc, op, i * 10);
@@ -2098,7 +1872,6 @@ mod tests {
                 reg.note_oneway(disp, svc, "inv", i * 10 + 9);
             }
         }
-        set_ambient_lane(0);
         // Leave a few spans open so `open` is nonzero.
         for _ in 0..3 {
             reg.open_span(SpanKind::Invoke, SpanId::NONE, "kv", "get", 9_999);
@@ -2106,30 +1879,12 @@ mod tests {
     }
 
     #[test]
-    fn report_merges_lanes_exactly() {
-        let one = MetricsRegistry::new();
-        drive(&one, 1);
-        let four = with_lanes(4);
-        drive(&four, 4);
-        let a = one.report(MetricsSnapshot::default(), 10_000);
-        let b = four.report(MetricsSnapshot::default(), 10_000);
-        // Histograms merge exactly and counters sum, so how the calls
-        // were spread over lanes does not show. (The `obs` section's
-        // peaks are per-lane upper bounds and may differ.)
-        assert_eq!(a.rpc, b.rpc);
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.spans, b.spans);
-        assert_eq!(a.ops.len(), 4, "{:?}", a.ops.keys());
-        assert_eq!(a.rpc.client.calls, 100);
-    }
-
-    #[test]
     fn retirement_conserves_report_totals() {
         let plain = MetricsRegistry::new();
-        drive(&plain, 1);
+        drive(&plain);
         let retiring = MetricsRegistry::new();
         retiring.enable_retirement(0);
-        drive(&retiring, 1);
+        drive(&retiring);
 
         let a = plain.report(MetricsSnapshot::default(), 10_000);
         let b = retiring.report(MetricsSnapshot::default(), 10_000);
@@ -2208,47 +1963,41 @@ mod tests {
             .is_some());
     }
 
-    /// A registry with `n` writer lanes.
-    fn with_lanes(n: usize) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        reg.set_writer_lanes(n);
-        reg
-    }
-
-    /// Opens a span from writer lane `lane`.
-    fn open_on(reg: &MetricsRegistry, lane: usize, parent: SpanId, op: &str, at: u64) -> SpanId {
-        set_ambient_lane(lane);
-        let id = reg.open_span(SpanKind::Invoke, parent, "kv", op, at);
-        set_ambient_lane(0);
-        id
+    /// Opens an invoke span of `kv/op`.
+    fn open_on(reg: &MetricsRegistry, parent: SpanId, op: &str, at: u64) -> SpanId {
+        reg.open_span(SpanKind::Invoke, parent, "kv", op, at)
     }
 
     #[test]
     fn for_each_span_visits_ascending_ids() {
-        let reg = with_lanes(3);
-        // Uneven lanes: lane 2 runs ahead, lane 1 lags.
-        for i in 0..50u64 {
-            let lane = [0, 2, 2, 1, 0, 2][i as usize % 6];
-            open_on(&reg, lane, SpanId::NONE, "get", i);
+        let reg = MetricsRegistry::new();
+        reg.enable_retirement(3);
+        // Close some, out of order: kept ones move to the side map.
+        let ids: Vec<SpanId> = (0..50u64)
+            .map(|i| open_on(&reg, SpanId::NONE, "get", i))
+            .collect();
+        for (i, id) in ids.iter().enumerate().rev().step_by(2) {
+            reg.close_span(*id, 100 + i as u64, true);
         }
         let mut ids = Vec::new();
         reg.for_each_span(|rec| ids.push(rec.id.raw()));
-        assert_eq!(ids.len(), 50);
+        // 25 still open, and every third of the 25 closed kept.
+        assert_eq!(ids.len(), 25 + 8);
         assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
             "ids must ascend: {ids:?}"
         );
     }
 
+    /// What a span's slot holds comes back as its record. (Named when
+    /// spans were spread over writer lanes.)
     #[test]
     fn span_record_round_trips_across_lanes() {
-        let reg = with_lanes(3);
-        let root = open_on(&reg, 1, SpanId::NONE, "get", 10);
-        let child = open_on(&reg, 2, root, "put", 20);
-        set_ambient_lane(2);
+        let reg = MetricsRegistry::new();
+        let root = open_on(&reg, SpanId::NONE, "get", 10);
+        let child = open_on(&reg, root, "put", 20);
         reg.span_retransmit_at(child, 25);
         reg.close_span(child, 30, false);
-        set_ambient_lane(0);
         assert_eq!(reg.span_reply(child.raw(), 31), ReplyKind::Late);
         let r = reg.span_record(root).expect("root resident");
         assert_eq!(
@@ -2262,20 +2011,20 @@ mod tests {
         assert_eq!(c.op, "put");
         assert_eq!((c.start_ns, c.end_ns, c.ok), (20, Some(30), Some(false)));
         assert_eq!((c.retransmissions, c.replies), (1, 1));
-        assert_ne!(root.raw() % 3, child.raw() % 3, "different lanes");
+        assert_eq!((root.raw(), child.raw()), (1, 2), "ids count from 1");
     }
 
+    /// An id beyond the last one opened is unknown to every span call.
+    /// (Named when each writer lane allocated ids of its own.)
     #[test]
     fn unallocated_ids_are_unknown_per_lane() {
-        // Lane 3 of 4 allocates id 4; ids 1..=3 belong to lanes that
-        // have opened nothing.
-        let reg = with_lanes(4);
-        let sp = open_on(&reg, 3, SpanId::NONE, "get", 0);
-        assert_eq!(sp, SpanId(4));
-        assert_eq!(reg.span_reply(2, 5), ReplyKind::UnknownSpan);
-        assert_eq!(reg.span_reply(4, 6), ReplyKind::Matched);
-        reg.span_retransmit_at(SpanId(2), 7);
-        open_on(&reg, 3, SpanId(2), "put", 8);
+        let reg = MetricsRegistry::new();
+        let sp = open_on(&reg, SpanId::NONE, "get", 0);
+        assert_eq!(sp, SpanId(1));
+        assert_eq!(reg.span_reply(9, 5), ReplyKind::UnknownSpan);
+        assert_eq!(reg.span_reply(1, 6), ReplyKind::Matched);
+        reg.span_retransmit_at(SpanId(9), 7);
+        open_on(&reg, SpanId(9), "put", 8);
         let report = reg.report(MetricsSnapshot::default(), 10);
         assert_eq!(report.spans.replies.unknown_span, 1);
         assert_eq!(report.spans.retransmissions, 0);
@@ -2283,7 +2032,7 @@ mod tests {
         assert!(
             violations
                 .iter()
-                .any(|v| v.contains("unallocated parent sp:2")),
+                .any(|v| v.contains("unallocated parent sp:9")),
             "{violations:?}"
         );
         assert!(violations.iter().any(|v| v.contains("never allocated")));
@@ -2297,7 +2046,7 @@ mod tests {
         let full = reg.obs_plane();
         assert_eq!(full.spans_resident, 2);
         assert_eq!(full.spans_resident_peak, 2);
-        // The first span allocates the lane's first page; names live in
+        // The first span allocates the first page; names live in
         // the key table, not in the slab.
         assert_eq!(full.span_table_bytes, SPAN_PAGE_BYTES);
         reg.enable_retirement(0);
@@ -2314,20 +2063,19 @@ mod tests {
 
     #[test]
     fn retirement_frees_every_page() {
-        let reg = with_lanes(2);
+        let reg = MetricsRegistry::new();
         reg.enable_retirement(0);
-        // 100k pairs over two lanes: 50 whole pages each.
+        // 100k spans, each closed as soon as opened: 100 whole pages,
+        // one live at a time.
         for i in 0..100_000u64 {
-            set_ambient_lane((i % 2) as usize);
             let sp = reg.open_span(SpanKind::Invoke, SpanId::NONE, "kv", "get", i);
             reg.close_span(sp, i + 1, true);
         }
-        set_ambient_lane(0);
         let obs = reg.obs_plane();
         assert_eq!(obs.spans_retired, 100_000);
         assert_eq!(obs.spans_resident, 0);
         assert_eq!(obs.span_table_bytes, 0);
-        assert_eq!(obs.span_table_bytes_peak, 2 * SPAN_PAGE_BYTES);
+        assert_eq!(obs.span_table_bytes_peak, SPAN_PAGE_BYTES);
         assert_eq!(reg.span_count(), 100_000);
     }
 

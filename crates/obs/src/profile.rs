@@ -9,8 +9,7 @@
 //!
 //! * **RAII scope guards** ([`scope`]) push a frame name onto a
 //!   thread-local stack and, on drop, fold the semicolon-joined path
-//!   into the calling writer lane's bounded frame table as
-//!   `{calls, wall_ns}`.
+//!   into the registry's bounded frame table as `{calls, wall_ns}`.
 //! * **Deterministic by construction**: frame *paths and call counts*
 //!   depend only on simulated execution, which is byte-identical from
 //!   run to run (proptested in `simnet/tests/profile_determinism.rs`).
@@ -18,8 +17,7 @@
 //!   *reported, not judged* — the experiments print it and gate only
 //!   within-run ratios, and the determinism tests compare paths/calls
 //!   with wall excluded.
-//! * **Counted, never silent, evictions**: the per-lane table is
-//!   bounded; once full, folds into *new* paths are dropped and counted
+//! * **Counted, never silent, evictions**: the table is bounded; once full, folds into *new* paths are dropped and counted
 //!   in `frames_evicted` (existing paths keep accumulating).
 //! * **Relaxed-atomic off-switch**: like the flight recorder, the
 //!   disabled fast path of [`scope`] is a single relaxed atomic load of
@@ -30,11 +28,8 @@
 //! registry they profile into with [`set_ambient_profiler`] (the
 //! simulator does this for the thread driving it and for a blocking
 //! body's own thread, and carries each blocking process's open scopes
-//! with the process through [`swap_open_frames`]).
-//! The registry folds per writer lane — the same lane striping the rest
-//! of the plane uses — and [`MetricsRegistry::profile_report`] merges
-//! lanes key-ordered, so the merged frame table does not depend on
-//! which thread folded into a lane.
+//! with the process through [`swap_open_frames`]), and
+//! [`MetricsRegistry::profile_report`] renders its table key-ordered.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -80,8 +75,7 @@ thread_local! {
 /// Declares which registry the calling thread's [`scope`] guards fold
 /// into (`None` disarms the thread). The simulator sets this on every
 /// thread that executes simulated work — the driver at `run`, a
-/// blocking body's own thread at its start — mirroring
-/// [`crate::set_ambient_lane`].
+/// blocking body's own thread at its start.
 pub fn set_ambient_profiler(reg: Option<Arc<MetricsRegistry>>) {
     PROF_TLS.with(|t| t.borrow_mut().reg = reg);
 }
@@ -89,7 +83,7 @@ pub fn set_ambient_profiler(reg: Option<Arc<MetricsRegistry>>) {
 /// Exchanges the calling thread's open-frame stack with `frames`.
 ///
 /// This is the simulator's hook, not an application's: simulated
-/// processes that block share the thread of their scheduler domain, so
+/// processes that block share the thread that drives the simulation, so
 /// a scope one of them holds open across a blocking call must leave the
 /// thread's stack with it — or it would become the parent of every frame
 /// any other process folds meanwhile. The simulator keeps one `frames`
@@ -212,18 +206,17 @@ impl std::hash::Hasher for FnvHasher {
 
 type FnvBuild = std::hash::BuildHasherDefault<FnvHasher>;
 
-/// One writer lane's slice of the profiler: a bounded folded-stack
-/// table plus its eviction count.
+/// The profiler's bounded folded-stack table plus its eviction count.
 #[derive(Debug)]
-pub(crate) struct ProfileLane {
+pub(crate) struct FrameTable {
     frames: HashMap<String, FrameStat, FnvBuild>,
     evicted: u64,
     max_frames: usize,
 }
 
-impl ProfileLane {
-    pub(crate) fn new(max_frames: usize) -> ProfileLane {
-        ProfileLane {
+impl FrameTable {
+    pub(crate) fn new(max_frames: usize) -> FrameTable {
+        FrameTable {
             frames: HashMap::default(),
             evicted: 0,
             max_frames: max_frames.max(1),
@@ -245,17 +238,17 @@ impl ProfileLane {
     }
 }
 
-/// The merged profiler section of a [`crate::RunReport`]: the folded
-/// frame table plus honesty counters.
+/// The profiler section of a [`crate::RunReport`]: the folded frame
+/// table plus honesty counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileReport {
-    /// Folded frame paths → accumulated stats, key-ordered (merged
-    /// across writer lanes; byte-identical for a seed).
+    /// Folded frame paths → accumulated stats, key-ordered
+    /// (byte-identical for a seed).
     pub frames: BTreeMap<String, FrameStat>,
-    /// Distinct paths resident after the merge (== `frames.len()`).
+    /// Distinct paths resident (== `frames.len()`).
     pub frames_resident: u64,
-    /// Folds dropped because a lane's table was full (summed over
-    /// lanes). Zero means the table saw everything.
+    /// Folds dropped because the table was full. Zero means the table
+    /// saw everything.
     pub frames_evicted: u64,
     /// Wall time the profiler spent folding, in nanoseconds (its own
     /// overhead, measured the same way it measures everyone else).
@@ -282,16 +275,11 @@ impl ProfileReport {
 
 impl MetricsRegistry {
     /// Turns on the profiler with at most `max_frames` distinct frame
-    /// paths *per writer lane* (clamped to ≥ 1). Resets any existing
-    /// recording. Scopes only fold from threads that also declared this
-    /// registry ambient via [`set_ambient_profiler`].
+    /// paths (clamped to ≥ 1). Resets any existing recording. Scopes
+    /// only fold from threads that also declared this registry ambient
+    /// via [`set_ambient_profiler`].
     pub fn enable_profile(&self, max_frames: usize) {
-        for lane in self.lanes.iter() {
-            let mut p = lane.profile.lock().unwrap_or_else(|e| e.into_inner());
-            *p = Some(ProfileLane::new(max_frames));
-        }
-        self.prof_max_frames
-            .store(max_frames.max(1) as u64, Ordering::Relaxed);
+        *self.frames() = Some(FrameTable::new(max_frames));
         if !self.prof_enabled.swap(true, Ordering::Relaxed) {
             active_inc();
         }
@@ -305,10 +293,9 @@ impl MetricsRegistry {
         self.prof_enabled.load(Ordering::Relaxed)
     }
 
-    /// Folds `calls`/`wall_ns` into `path` in the calling lane's table.
-    /// This is the direct API for call sites that already measured a
-    /// duration themselves (the scheduler's round phases, obs
-    /// self-measurement piggybacking); [`scope`] guards route here too.
+    /// Folds `calls`/`wall_ns` into `path`. This is the direct API for
+    /// call sites that already measured a duration themselves (the
+    /// scheduler's event loop, obs self-measurement piggybacking); [`scope`] guards route here too.
     /// No-op while the profiler is off.
     pub fn profile_add(&self, path: &str, calls: u64, wall_ns: u64) {
         if !self.profile_enabled() {
@@ -329,57 +316,28 @@ impl MetricsRegistry {
     /// timestamp (a scope guard reuses its own end-of-scope reading),
     /// saving one clock read per fold on the hot path.
     pub(crate) fn prof_fold_at(&self, t0: Instant, path: &str, calls: u64, wall_ns: u64) {
-        {
-            let mut guard = self
-                .lane()
-                .profile
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if let Some(lane) = guard.as_mut() {
-                lane.fold(path, calls, wall_ns);
-            }
+        if let Some(table) = self.frames().as_mut() {
+            table.fold(path, calls, wall_ns);
         }
         self.prof_self_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.prof_self_calls.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Re-arms freshly rebuilt lanes after
-    /// [`MetricsRegistry::set_writer_lanes`] (the enable flag and the
-    /// process-wide ACTIVE count are untouched — only the lane tables
-    /// are recreated).
-    pub(crate) fn prof_rearm_lanes(&self) {
-        if !self.profile_enabled() {
-            return;
-        }
-        let max = self.prof_max_frames.load(Ordering::Relaxed) as usize;
-        for lane in self.lanes.iter() {
-            let mut p = lane.profile.lock().unwrap_or_else(|e| e.into_inner());
-            *p = Some(ProfileLane::new(max));
-        }
+    fn frames(&self) -> std::sync::MutexGuard<'_, Option<FrameTable>> {
+        self.profile.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Snapshot of the profile, if the profiler is armed: lanes merged
-    /// key-ordered (per-path stats summed), eviction counts summed.
-    /// Byte-identical output for any lane interleaving of the same
-    /// simulated execution.
+    /// Snapshot of the profile, if the profiler is armed, key-ordered.
     pub fn profile_report(&self) -> Option<ProfileReport> {
         if !self.profile_enabled() {
             return None;
         }
-        let mut frames: BTreeMap<String, FrameStat> = BTreeMap::new();
-        let mut evicted = 0u64;
-        for lane in self.lanes.iter() {
-            let guard = lane.profile.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(p) = guard.as_ref() {
-                evicted += p.evicted;
-                for (path, st) in &p.frames {
-                    let e = frames.entry(path.clone()).or_default();
-                    e.calls += st.calls;
-                    e.wall_ns += st.wall_ns;
-                }
-            }
-        }
+        let (frames, evicted) = self.frames().as_ref().map_or_else(Default::default, |t| {
+            let frames: BTreeMap<String, FrameStat> =
+                t.frames.iter().map(|(p, st)| (p.clone(), *st)).collect();
+            (frames, t.evicted)
+        });
         Some(ProfileReport {
             frames_resident: frames.len() as u64,
             frames_evicted: evicted,
@@ -541,39 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn report_merges_lanes_key_ordered() {
-        let mut reg = MetricsRegistry::new();
-        reg.enable_profile(64);
-        reg.set_writer_lanes(4);
-        let reg = Arc::new(reg);
-        for lane in 0..4 {
-            crate::set_ambient_lane(lane);
-            reg.profile_add("shared", 1, lane as u64 + 1);
-            reg.profile_add(&format!("lane{lane}"), 1, 7);
-        }
-        crate::set_ambient_lane(0);
-        let rep = reg.profile_report().unwrap();
-        assert_eq!(rep.frames["shared"].calls, 4);
-        assert_eq!(rep.frames["shared"].wall_ns, 1 + 2 + 3 + 4);
-        assert_eq!(rep.frames_resident, 5);
-        let keys: Vec<&String> = rep.frames.keys().collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn set_writer_lanes_preserves_profiler() {
-        let mut reg = MetricsRegistry::new();
-        reg.enable_profile(32);
-        reg.set_writer_lanes(3);
-        assert!(reg.profile_enabled());
-        reg.profile_add("x", 1, 1);
-        let rep = reg.profile_report().unwrap();
-        assert_eq!(rep.frames_resident, 1);
-    }
-
-    #[test]
     fn canonical_frames_exclude_wall() {
         let reg = MetricsRegistry::new();
         reg.enable_profile(8);
@@ -587,11 +512,11 @@ mod tests {
     fn folded_round_trip_is_canonical() {
         let reg = MetricsRegistry::new();
         reg.enable_profile(8);
-        reg.profile_add("sched;round;exec", 3, 300);
+        reg.profile_add("sched;run;x", 3, 300);
         reg.profile_add("rpc;encode", 5, 50);
         let rep = reg.profile_report().unwrap();
         let folded = profile_to_folded(&rep);
-        assert_eq!(folded, "rpc;encode 50\nsched;round;exec 300\n");
+        assert_eq!(folded, "rpc;encode 50\nsched;run;x 300\n");
         let summary = validate_folded(&folded).unwrap();
         assert_eq!(summary.lines, 2);
         assert_eq!(summary.max_depth, 3);

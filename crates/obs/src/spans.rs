@@ -1,16 +1,15 @@
 //! The span table.
 //!
-//! Spans live in per-writer-lane slabs of fixed-size pages. A span id is
-//! `count * nlanes + lane + 1`, so the id alone names its lane and its
-//! slot: slot `count % PAGE_SLOTS` of page `count / PAGE_SLOTS` in that
-//! lane's slab. A slot is a 48-byte `Copy` record; its `(service, op)`
+//! Spans live in a slab of fixed-size pages. A span id is `count + 1`,
+//! so the id alone names its slot: slot `count % PAGE_SLOTS` of page
+//! `count / PAGE_SLOTS`. A slot is a 48-byte `Copy` record; its `(service, op)`
 //! names are interned once per registry into a `u32` key ([`KeyTable`])
 //! and resolved back to strings only on cold paths — [`SpanRecord`]s
 //! handed to visitors, exemplars, flight-recorder series names and the
 //! report's per-op map.
 //!
 //! With retirement armed a closed span leaves its page (a kept exemplar
-//! moves to the lane's small side map) and a page whose every slot has
+//! moves to a small side map) and a page whose every slot has
 //! been allocated and has left is freed, so the slab holds O(open spans
 //! + kept exemplars) memory however many spans a run opens.
 
@@ -18,7 +17,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering;
 
-use crate::{key_hash, Exemplar, LaneStats, MetricsRegistry};
+use crate::{key_hash, Exemplar, KeyStats, MetricsRegistry};
 
 // ---------------------------------------------------------------------------
 // Span vocabulary
@@ -140,8 +139,7 @@ const NO_KEY: u32 = u32::MAX;
 
 /// Registry-wide interning of `(service, op)` names to dense `u32` keys,
 /// in first-seen order. Keys never leave the registry: everything it
-/// reports is keyed by name, so the order (which concurrent lanes may
-/// race on) shows in no output.
+/// reports is keyed by name.
 #[derive(Debug, Default)]
 pub(crate) struct KeyTable {
     /// The last key interned under each FNV hash; earlier keys with the
@@ -216,7 +214,7 @@ impl KeyTable {
 }
 
 // ---------------------------------------------------------------------------
-// Per-lane slab
+// The slab
 // ---------------------------------------------------------------------------
 
 /// Slots per slab page.
@@ -225,12 +223,12 @@ const PAGE_SLOTS: u64 = 1000;
 /// `end_ns` of a span that is still open.
 const OPEN: u64 = u64::MAX;
 
-/// Bytes one span occupies in the table: a slot of a slab page, or of a
-/// lane's side map of kept exemplars.
+/// Bytes one span occupies in the table: a slot of a slab page, or of
+/// the side map of kept exemplars.
 pub const SPAN_SLOT_BYTES: u64 = std::mem::size_of::<Slot>() as u64;
 
-/// Bytes of one slab page, the unit in which a lane's slab grows and
-/// shrinks. A lane whose spans retire in about the order they opened
+/// Bytes of one slab page, the unit in which the slab grows and
+/// shrinks. A run whose spans retire in about the order they opened
 /// holds its resident spans plus at most two partial pages: the oldest,
 /// partly retired, and the newest, partly allocated.
 pub const SPAN_PAGE_BYTES: u64 = SPAN_SLOT_BYTES * PAGE_SLOTS;
@@ -287,16 +285,16 @@ struct Page {
     gone: u64,
 }
 
-/// One writer lane's share of the span table, with the lane's residency
-/// and retirement gauges and the statistics its closing spans recorded.
+/// The span table, with its residency and retirement gauges and the
+/// statistics the closing spans recorded.
 ///
 /// `bytes` is what the slab holds: [`SPAN_PAGE_BYTES`] per live page
 /// plus [`SPAN_SLOT_BYTES`] per kept exemplar (the side map's keys and
 /// nodes are not counted, nor are `stats`). It is a function of the
-/// lane's own sequence of span calls, so it is deterministic per lane.
+/// sequence of span calls, so it is deterministic.
 #[derive(Debug, Default)]
-pub(crate) struct LaneSlab {
-    /// Spans this lane has opened: a count below this was allocated.
+pub(crate) struct SpanSlab {
+    /// Spans opened so far: a count below this was allocated.
     opened: u64,
     /// Page number of `pages[0]`; every earlier page was freed.
     first_page: u64,
@@ -305,8 +303,7 @@ pub(crate) struct LaneSlab {
     /// Closed spans the retirement sampler kept, by count.
     kept: BTreeMap<u64, Slot>,
     /// Retirement-eligible closes so far: the keep-every-nth sampler's
-    /// sequence, lane-local so the decision is independent of how lanes
-    /// interleave.
+    /// sequence.
     closed_seq: u64,
     pub(crate) retired: u64,
     pub(crate) sampled: u64,
@@ -318,10 +315,10 @@ pub(crate) struct LaneSlab {
     pub(crate) bytes: u64,
     pub(crate) bytes_peak: u64,
     /// Per-key histograms, retired folds and pinned exemplars.
-    pub(crate) stats: LaneStats,
+    pub(crate) stats: KeyStats,
 }
 
-impl LaneSlab {
+impl SpanSlab {
     fn grow(&mut self, bytes: u64) {
         self.bytes += bytes;
         self.bytes_peak = self.bytes_peak.max(self.bytes);
@@ -447,19 +444,9 @@ impl MetricsRegistry {
         (service.to_string(), op.to_string())
     }
 
-    /// The lane and lane-local count a span id encodes.
-    fn span_loc(&self, id: u64) -> (usize, u64) {
-        let n = self.lanes.len() as u64;
-        let i = id - 1;
-        ((i % n) as usize, i / n)
-    }
-
-    /// The slab of lane `lane`.
-    pub(crate) fn slab(&self, lane: usize) -> std::sync::MutexGuard<'_, LaneSlab> {
-        self.lanes[lane]
-            .spans
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    /// The span table.
+    pub(crate) fn slab(&self) -> std::sync::MutexGuard<'_, SpanSlab> {
+        self.spans.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// `Some(keep_every)` while retirement is armed.
@@ -484,12 +471,7 @@ impl MetricsRegistry {
         }
         let t0 = self.sm_start();
         let key = self.intern(service, op);
-        // Ids are striped across writer lanes: lane `l` of `n` allocates
-        // `count*n + l + 1`, so concurrent lanes never contend and every
-        // lane's sequence is deterministic. One lane degenerates to the
-        // dense `count + 1` sequence.
-        let lane = self.lane_idx();
-        let count = self.slab(lane).push(Slot {
+        let count = self.slab().push(Slot {
             parent: parent.0,
             start_ns: now_ns,
             end_ns: OPEN,
@@ -501,13 +483,13 @@ impl MetricsRegistry {
             in_page: true,
         });
         self.sm_end(t0);
-        SpanId(count * self.lanes.len() as u64 + lane as u64 + 1)
+        SpanId(count + 1)
     }
 
     /// Closes a span and, for `Invoke` and `Dispatch` spans, records its
-    /// duration into the `(service, op)` histogram of the span's lane.
-    /// Closing [`SpanId::NONE`] or an already-closed span is a no-op.
-    /// When retirement is armed the closed record folds into its lane's
+    /// duration into the `(service, op)` histogram. Closing
+    /// [`SpanId::NONE`] or an already-closed span is a no-op. When
+    /// retirement is armed the closed record folds into its
     /// aggregate and leaves the table (unless the sampler keeps it).
     pub fn close_span(&self, id: SpanId, now_ns: u64, ok: bool) {
         if !id.is_some() || !self.on() {
@@ -519,9 +501,9 @@ impl MetricsRegistry {
         } else {
             None
         };
-        let (lane, count) = self.span_loc(id.0);
+        let count = id.0 - 1;
         let (closed, dur) = {
-            let mut slab = self.slab(lane);
+            let mut slab = self.slab();
             let Some(slot) = slab.get_mut(count).filter(|s| s.is_open()) else {
                 drop(slab);
                 self.sm_end(t0);
@@ -541,7 +523,7 @@ impl MetricsRegistry {
             let dur = now_ns.saturating_sub(closed.start_ns);
             let stats = &mut slab.stats;
             // The watchdog judges the closing call against the p99 of the
-            // lane's calls *before* it, so the outlier cannot raise its
+            // calls *before* it, so the outlier cannot raise its
             // own bar.
             if let Some(cfg) = wd.filter(|_| closed.kind == SpanKind::Invoke) {
                 let p99 = stats
@@ -616,9 +598,9 @@ impl MetricsRegistry {
             return;
         }
         let t0 = self.sm_start();
-        let (lane, count) = self.span_loc(id.0);
+        let count = id.0 - 1;
         let key = {
-            let mut slab = self.slab(lane);
+            let mut slab = self.slab();
             match slab.get_mut(count) {
                 Some(slot) => {
                     slot.retransmissions += 1;
@@ -643,8 +625,7 @@ impl MetricsRegistry {
     /// it against the registry's span table. A reply for a span that was
     /// allocated but has since been retired is `Late` — retirement only
     /// ever evicts *closed* spans, so any further reply is by definition
-    /// a duplicate or stale one. An id its lane never allocated is
-    /// `UnknownSpan`.
+    /// a duplicate or stale one. An id never allocated is `UnknownSpan`.
     pub fn span_reply(&self, raw: u64, _now_ns: u64) -> ReplyKind {
         if !self.on() {
             return ReplyKind::Untracked;
@@ -653,8 +634,8 @@ impl MetricsRegistry {
         let kind = if raw == 0 {
             ReplyKind::Untracked
         } else {
-            let (lane, count) = self.span_loc(raw);
-            let mut slab = self.slab(lane);
+            let count = raw - 1;
+            let mut slab = self.slab();
             let allocated = count < slab.opened;
             match slab.get_mut(count) {
                 Some(slot) => {
@@ -669,7 +650,7 @@ impl MetricsRegistry {
                 None => ReplyKind::UnknownSpan,
             }
         };
-        let counters = self.counters();
+        let counters = &self.counters;
         match kind {
             ReplyKind::Matched => &counters.replies_matched,
             ReplyKind::Late => &counters.replies_late,
@@ -693,8 +674,8 @@ impl MetricsRegistry {
             return id;
         }
         let t0 = self.sm_start();
-        let (lane, count) = self.span_loc(id.0);
-        let mut slab = self.slab(lane);
+        let count = id.0 - 1;
+        let mut slab = self.slab();
         let slot = slab.get_mut(count).expect("span just opened");
         // Close without touching the latency histograms: a one-way has
         // no observable duration.
@@ -712,21 +693,16 @@ impl MetricsRegistry {
     }
 
     /// Visits every resident span in ascending id order. The visitor
-    /// sees one record at a time, built from the slab on the way (every
-    /// lane is locked meanwhile), so building a trace or checking
+    /// sees one record at a time, built from the slab on the way (the
+    /// slab is locked meanwhile), so building a trace or checking
     /// invariants costs O(resident), not O(all-time) heap.
     pub fn for_each_span(&self, mut f: impl FnMut(&SpanRecord)) {
-        let n = self.lanes.len() as u64;
-        let slabs: Vec<_> = (0..self.lanes.len()).map(|l| self.slab(l)).collect();
-        let mut spans: Vec<(u64, &Slot)> = slabs
-            .iter()
-            .enumerate()
-            .flat_map(|(l, slab)| slab.resident().map(move |(c, s)| (c * n + l as u64 + 1, s)))
-            .collect();
-        spans.sort_unstable_by_key(|&(id, _)| id);
+        let slab = self.slab();
+        let mut spans: Vec<(u64, &Slot)> = slab.resident().collect();
+        spans.sort_unstable_by_key(|&(count, _)| count);
         let keys = self.keys();
-        for (id, slot) in spans {
-            f(&slot.to_record(id, &keys));
+        for (count, slot) in spans {
+            f(&slot.to_record(count + 1, &keys));
         }
     }
 
@@ -735,25 +711,23 @@ impl MetricsRegistry {
         if !id.is_some() {
             return None;
         }
-        let (lane, count) = self.span_loc(id.0);
-        let slot = *self.slab(lane).get(count)?;
+        let slot = *self.slab().get(id.0 - 1)?;
         Some(slot.to_record(id.0, &self.keys()))
     }
 
-    /// Number of spans opened so far (summed over writer lanes).
+    /// Number of spans opened so far.
     pub fn span_count(&self) -> u64 {
-        (0..self.lanes.len()).map(|l| self.slab(l).opened).sum()
+        self.slab().opened
     }
 
     /// Spans currently resident in the table (open + retained).
     pub fn resident_spans(&self) -> u64 {
-        (0..self.lanes.len()).map(|l| self.slab(l).resident).sum()
+        self.slab().resident
     }
 
-    /// True if `id`'s lane has allocated it.
+    /// True if `id` has been allocated.
     fn allocated(&self, id: SpanId) -> bool {
-        let (lane, count) = self.span_loc(id.0);
-        count < self.slab(lane).opened
+        id.0 - 1 < self.slab().opened
     }
 
     /// Checks the structural causality invariants of the span table and
@@ -800,7 +774,7 @@ impl MetricsRegistry {
                 // validly, nothing left to cross-check.
             }
         }
-        let unknown = self.counter_sum(|c| &c.replies_unknown_span);
+        let unknown = self.counters.replies_unknown_span.load(Ordering::Relaxed);
         if unknown > 0 {
             violations.push(format!(
                 "{unknown} replies carried span ids never allocated"

@@ -35,11 +35,6 @@
 //! | `link_bytes@n<a>->n<b>`     | counter | simnet send path           |
 //! | `sched_lag`                 | hist    | scheduler dispatch loop    |
 //! | `sched_depth`               | gauge   | scheduler event heap       |
-//!
-//! A multi-domain scheduler suffixes its per-domain series with
-//! `@d<domain>` (`sched_lag@d2`, `sched_depth@d0`) so each domain's
-//! stream stays deterministic regardless of how domains interleave; the
-//! plain names above are the single-domain (default) spelling.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -72,28 +67,6 @@ impl GaugeStat {
         self.last = value;
         self.sum = self.sum.saturating_add(value);
         self.samples += 1;
-    }
-
-    /// Folds `other` into `self` when merging writer lanes. Extrema,
-    /// sum and sample count combine exactly; `last` is taken from
-    /// `other` when it has samples (lanes are absorbed in ascending
-    /// lane order, so "last" deterministically means "the last sample
-    /// of the highest-indexed lane that sampled this window" — an
-    /// approximation, since samples of concurrent lanes have no single
-    /// total order within a window).
-    fn absorb(&mut self, other: &GaugeStat) {
-        if other.samples == 0 {
-            return;
-        }
-        if self.samples == 0 {
-            *self = *other;
-            return;
-        }
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.samples += other.samples;
-        self.last = other.last;
     }
 }
 
@@ -148,50 +121,6 @@ impl TimeSeries {
     /// Windows evicted so far.
     pub fn evicted(&self) -> u64 {
         self.evicted
-    }
-
-    /// Merges per-lane recordings into one store, deterministically.
-    ///
-    /// Windows are united by index: counters sum, histograms merge
-    /// bucket-wise, gauges combine via `GaugeStat::absorb` in
-    /// ascending lane order. Eviction and straggler counts sum — a
-    /// window evicted from *any* lane's ring still counts as truncation
-    /// even if another lane retained its copy of that window index.
-    /// All lanes must share the width (enforced by the registry, which
-    /// creates them together); the first lane's width is used.
-    pub fn merged(lanes: &[&TimeSeries]) -> TimeSeries {
-        let width_ns = lanes.first().map_or(1, |l| l.width_ns);
-        let mut by_index: BTreeMap<u64, Window> = BTreeMap::new();
-        let mut evicted = 0u64;
-        let mut late_dropped = 0u64;
-        for lane in lanes {
-            debug_assert_eq!(lane.width_ns, width_ns, "lanes share a window width");
-            evicted += lane.evicted;
-            late_dropped += lane.late_dropped;
-            for w in &lane.windows {
-                let merged = by_index.entry(w.index).or_insert_with(|| Window {
-                    index: w.index,
-                    ..Window::default()
-                });
-                for (name, delta) in &w.counters {
-                    *merged.counters.entry(name.clone()).or_insert(0) += delta;
-                }
-                for (name, g) in &w.gauges {
-                    merged.gauges.entry(name.clone()).or_default().absorb(g);
-                }
-                for (name, h) in &w.hists {
-                    merged.hists.entry(name.clone()).or_default().merge(h);
-                }
-            }
-        }
-        let windows: VecDeque<Window> = by_index.into_values().collect();
-        TimeSeries {
-            width_ns,
-            capacity: windows.len().max(1),
-            windows,
-            evicted,
-            late_dropped,
-        }
     }
 
     /// The window covering `at_ns`, creating (and possibly evicting) as
@@ -420,32 +349,6 @@ mod tests {
         ts.gauge(0, "a", 1);
         ts.observe(1_500, "b", 1);
         assert_eq!(ts.report().series_names(), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn lane_merge_unites_windows_deterministically() {
-        let mut a = TimeSeries::new(1_000, 8);
-        let mut b = TimeSeries::new(1_000, 8);
-        a.add(100, "c", 1);
-        a.gauge(150, "g", 4);
-        a.observe(200, "h", 10);
-        b.add(120, "c", 2);
-        b.gauge(160, "g", 8);
-        b.add(1_500, "c", 5);
-        let r = TimeSeries::merged(&[&a, &b]).report();
-        assert_eq!(r.windows.len(), 2);
-        assert_eq!(r.windows[0].counters["c"], 3);
-        let g = r.windows[0].gauges["g"];
-        assert_eq!((g.min, g.max, g.sum, g.samples), (4, 8, 12, 2));
-        assert_eq!(g.last, 8, "highest lane's last sample wins");
-        assert_eq!(r.windows[0].hists["h"].count, 1);
-        assert_eq!(r.windows[1].start_ns, 1_000);
-        assert_eq!(r.windows[1].counters["c"], 5);
-        // Merging a single lane reproduces its own report.
-        assert_eq!(
-            TimeSeries::merged(&[&a]).report().windows.len(),
-            a.report().windows.len()
-        );
     }
 
     #[test]

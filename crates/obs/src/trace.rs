@@ -17,7 +17,7 @@
 //! an event.
 //!
 //! The trace is honest about what it lacks: the bound on the timeline is
-//! simnet's per-domain ring, whose evictions the sink reports as
+//! simnet's ring, whose evictions the sink reports as
 //! [`CausalTrace::evicted`], and the every-Nth-span sampling knob counts
 //! what it sampled away, so a truncated trace can never be mistaken for a
 //! complete one.
@@ -252,7 +252,7 @@ impl CausalEvent {
 /// [`CausalTrace`].
 ///
 /// The sink keeps everything it is given: the network events arrive from
-/// an already-bounded source (simnet's per-domain ring), and span records
+/// an already-bounded source (simnet's ring), and span records
 /// are small and kept so the analyzer can always resolve parent chains.
 /// The sampling knob keeps every Nth *root* span — a sampled-out root
 /// drops its entire subtree and all attributed network events, which

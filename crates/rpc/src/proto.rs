@@ -37,7 +37,7 @@ use crate::error::{ErrorCode, RemoteError};
 thread_local! {
     /// Per-thread pooled encoder: every `to_bytes` in this module reuses
     /// one scratch buffer instead of allocating a fresh one per message.
-    /// (Simulated processes of one scheduler domain share a thread and
+    /// (Simulated processes share the thread that drives them and
     /// this buffer, one at a time: `with_encoder` closures are leaf
     /// work and never block.)
     static ENCODER: RefCell<Encoder> = RefCell::new(Encoder::with_capacity(256));

@@ -881,15 +881,15 @@ fn the_policy_alone_decides_when_to_give_up() {
     }
 }
 
-/// A lossy pipelined run over four scheduler domains. Returns every byte
+/// A lossy pipelined run. Returns every byte
 /// an observer can see: summary counters, the causal trace as JSONL and
 /// the report JSON.
-fn lossy_run_across_domains(seed: u64) -> (String, String, String) {
+fn lossy_run(seed: u64) -> (String, String, String) {
     let net = NetworkConfig::lan()
         .with_jitter(0.05)
         .with_loss(0.02)
         .with_duplicate(0.005);
-    let mut sim = Simulation::new(net, seed).with_domains(4);
+    let mut sim = Simulation::new(net, seed);
     sim.enable_trace(1 << 18);
     let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
     let retries = Arc::new(AtomicU64::new(0));
@@ -930,7 +930,7 @@ fn lossy_run_across_domains(seed: u64) -> (String, String, String) {
 
 #[test]
 fn a_lossy_pipelined_run_is_a_function_of_its_seed() {
-    let base = lossy_run_across_domains(71);
+    let base = lossy_run(71);
     assert!(base.0.contains("inversions=0 execs=1800"), "{}", base.0);
     assert!(
         !base.0.ends_with("retries=0"),
@@ -938,7 +938,7 @@ fn a_lossy_pipelined_run_is_a_function_of_its_seed() {
         base.0
     );
     assert!(
-        lossy_run_across_domains(71) == base,
+        lossy_run(71) == base,
         "diverged between two runs of one seed: {}",
         base.0
     );

@@ -23,7 +23,8 @@
 //! A stopping body (shutdown, or a kill) is resumed with `Shutdown` until
 //! it returns: each blocking call it makes returns [`Stopped`]. A killed
 //! process is dropped wherever it was parked, so dropping a `Body` does
-//! the same — on its domain's thread, where kills are dispatched — since
+//! the same — on the thread driving the simulation, where kills are
+//! dispatched — since
 //! a hand-off dropped with live frames leaks them.
 //!
 //! [`Simulation::spawn`]: crate::Simulation::spawn

@@ -21,9 +21,9 @@
 //! a register or a stack slot across a call, and it cannot see that
 //! `switch` might return on another thread; the body's frames may also
 //! hold values that are not `Send` (a `MutexGuard`, an `Rc`). The
-//! scheduler upholds the invariant by construction — a process belongs
-//! to one domain, a domain's rounds and its shutdown run on one fixed
-//! thread — and [`Handoff::resume`] checks it on every switch.
+//! scheduler upholds the invariant by construction — the thread that
+//! drives the simulation runs every event and the shutdown — and
+//! [`Handoff::resume`] checks it on every switch.
 //!
 //! # What a blocking body may not expect
 //!
@@ -31,7 +31,7 @@
 //!   bare `SIGSEGV`: `std`'s "thread has overflowed its stack" message
 //!   only knows about stacks `std` created.
 //! * The body shares its thread with the scheduler and every other
-//!   process of its domain, and with them everything thread-local —
+//!   process, and with them everything thread-local —
 //!   including `std`'s panic count: a destructor that blocks *while the
 //!   body is unwinding from a panic* hands control back to a scheduler
 //!   whose thread reports `std::thread::panicking()`.
@@ -348,7 +348,7 @@ impl Handoff {
                 State::Started => assert_eq!(
                     (*inner).owner,
                     thread_mark(),
-                    "simnet: blocking process resumed off the thread that runs its domain"
+                    "simnet: blocking process resumed off the thread that drives its simulation"
                 ),
                 State::Done => panic!("simnet: resume of a finished process"),
             }
@@ -440,7 +440,7 @@ mod tests {
     use super::*;
 
     #[test]
-    #[should_panic(expected = "off the thread that runs its domain")]
+    #[should_panic(expected = "off the thread that drives its simulation")]
     fn resume_on_another_thread_is_refused() {
         let mut h = Handoff::new(
             "t",

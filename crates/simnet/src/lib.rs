@@ -13,11 +13,10 @@
 //!   [`Ctx::sleep`]): the machine polled for it resumes
 //!   a stack of its own — a stackful coroutine on x86-64 Linux, an OS
 //!   thread elsewhere — until the body blocks again. A blocking body is
-//!   only ever resumed on the OS thread that started it. Each scheduling
-//!   domain runs one process at a time, in virtual-time order; the
-//!   thread driving the simulation runs the domains one after another,
-//!   and they exchange messages only at round barriers, so every run is
-//!   deterministic for a given seed.
+//!   only ever resumed on the OS thread that started it. The thread
+//!   driving the simulation runs one process at a time, popping events
+//!   off one heap in `(time, seq)` order, so every run is deterministic
+//!   for a given seed.
 //! * **The network** between nodes models latency, bandwidth, jitter,
 //!   loss, duplication, reordering, link overrides, partitions and node
 //!   crashes (see [`NetworkConfig`] and [`Network`]).

@@ -74,33 +74,13 @@ impl Metrics {
         }
     }
 
-    /// Spawn accounting without the peak fold, for multi-domain rounds
-    /// where concurrent domains cannot order their spawns: the round
-    /// barrier folds a deterministic bound in via
-    /// [`Metrics::note_peak_bound`] instead.
-    pub(crate) fn on_proc_spawn_counts(&self) {
-        self.processes_spawned.fetch_add(1, Ordering::Relaxed);
-        self.processes_live.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn on_proc_finish(&self) {
         self.processes_live.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Current live-process count.
-    pub(crate) fn live(&self) -> u64 {
-        self.processes_live.load(Ordering::Relaxed)
-    }
-
-    /// Raises the peak to at least `bound`.
-    pub(crate) fn note_peak_bound(&self, bound: u64) {
-        self.processes_peak.fetch_max(bound, Ordering::Relaxed);
-    }
-
     /// Counts one scheduler time inversion — an event dispatched at a
-    /// clock later than its scheduled time. Structurally zero; nonzero
-    /// means conservative lookahead was violated (e.g. a cross-domain
-    /// latency was lowered mid-round).
+    /// clock later than its scheduled time. Structurally zero: every
+    /// event is scheduled at or after the instant that schedules it.
     pub(crate) fn on_time_inversion(&self) {
         self.sched_time_inversions.fetch_add(1, Ordering::Relaxed);
     }

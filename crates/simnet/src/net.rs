@@ -148,10 +148,13 @@ impl LinkKey {
 }
 
 /// What the network decided to do with one message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Fate {
-    /// Deliver at each listed instant (two entries = duplicated).
-    Deliver(Vec<SimTime>),
+    /// Deliver at `at`, and a second copy at `duplicate` if duplicated.
+    Deliver {
+        at: SimTime,
+        duplicate: Option<SimTime>,
+    },
     /// Dropped by the loss model.
     Dropped,
     /// Discarded: src and dst are partitioned or a node is down.
@@ -206,24 +209,6 @@ impl Network {
     /// Removes a link-latency override.
     pub fn clear_link_latency(&mut self, a: NodeId, b: NodeId) {
         self.latency_overrides.remove(&LinkKey::new(a, b));
-    }
-
-    /// The smallest possible base latency between nodes in *different*
-    /// scheduling domains (node `i` belongs to domain `i % ndomains`):
-    /// the remote latency, unless some cross-domain pair has a lower
-    /// override. This is the scheduler's conservative lookahead bound —
-    /// no cross-domain message can arrive sooner than this (scaled down
-    /// by the jitter factor). Nodes in the same domain never constrain
-    /// the bound: their traffic stays inside one event queue.
-    pub fn min_cross_domain_base_latency(&self, ndomains: usize) -> Duration {
-        let mut min = self.config.remote_latency;
-        for (k, d) in &self.latency_overrides {
-            let cross = k.0 .0 as usize % ndomains != k.1 .0 as usize % ndomains;
-            if cross && *d < min {
-                min = *d;
-            }
-        }
-        min
     }
 
     /// Cuts the link between `a` and `b`: messages in either direction are
@@ -288,7 +273,10 @@ impl Network {
         }
         if local {
             // IPC: fixed cost, fault-exempt.
-            return Fate::Deliver(vec![now + self.config.local_latency]);
+            return Fate::Deliver {
+                at: now + self.config.local_latency,
+                duplicate: None,
+            };
         }
         if self.config.loss > 0.0 && rng.gen_bool(self.config.loss) {
             return Fate::Dropped;
@@ -297,13 +285,9 @@ impl Network {
             + Duration::from_nanos(
                 (self.config.per_byte.as_nanos() as u64).saturating_mul(size as u64),
             );
-        let mut times = Vec::with_capacity(1);
-        let copies = if self.config.duplicate > 0.0 && rng.gen_bool(self.config.duplicate) {
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
+        let duplicated = self.config.duplicate > 0.0 && rng.gen_bool(self.config.duplicate);
+        // Each copy draws its own jitter and reordering, first copy first.
+        let mut arrival = || {
             let mut lat = base;
             if self.config.jitter > 0.0 {
                 let factor = 1.0 + rng.gen_range(-self.config.jitter..=self.config.jitter);
@@ -314,9 +298,13 @@ impl Network {
                     rng.gen_range(0..=self.config.reorder_window.as_nanos() as u64),
                 );
             }
-            times.push(now + lat);
+            now + lat
+        };
+        let at = arrival();
+        Fate::Deliver {
+            at,
+            duplicate: duplicated.then(arrival),
         }
-        Fate::Deliver(times)
     }
 }
 
@@ -335,13 +323,13 @@ mod tests {
         let mut net = Network::new(NetworkConfig::lan().with_loss(1.0).with_duplicate(1.0));
         net.partition(NodeId(0), NodeId(1));
         let fate = net.plan(NodeId(0), NodeId(0), 100, SimTime::ZERO, &mut rng());
-        match fate {
-            Fate::Deliver(ts) => {
-                assert_eq!(ts.len(), 1);
-                assert_eq!(ts[0], SimTime::ZERO + Duration::from_micros(10));
+        assert_eq!(
+            fate,
+            Fate::Deliver {
+                at: SimTime::ZERO + Duration::from_micros(10),
+                duplicate: None,
             }
-            other => panic!("expected delivery, got {other:?}"),
-        }
+        );
     }
 
     #[test]
@@ -360,7 +348,7 @@ mod tests {
     fn duplication_yields_two_copies() {
         let net = Network::new(NetworkConfig::lan().with_duplicate(1.0));
         match net.plan(NodeId(0), NodeId(1), 0, SimTime::ZERO, &mut rng()) {
-            Fate::Deliver(ts) => assert_eq!(ts.len(), 2),
+            Fate::Deliver { duplicate, .. } => assert!(duplicate.is_some()),
             other => panic!("expected delivery, got {other:?}"),
         }
     }
@@ -383,7 +371,7 @@ mod tests {
         assert!(!net.is_partitioned(NodeId(1), NodeId(2)));
         assert!(matches!(
             net.plan(NodeId(1), NodeId(2), 1, SimTime::ZERO, &mut r),
-            Fate::Deliver(_)
+            Fate::Deliver { .. }
         ));
     }
 
@@ -400,7 +388,7 @@ mod tests {
         net.bring_up(NodeId(3));
         assert!(matches!(
             net.plan(NodeId(3), NodeId(3), 1, SimTime::ZERO, &mut r),
-            Fate::Deliver(_)
+            Fate::Deliver { .. }
         ));
     }
 
@@ -409,11 +397,11 @@ mod tests {
         let net = Network::new(NetworkConfig::lan());
         let mut r = rng();
         let small = match net.plan(NodeId(0), NodeId(1), 0, SimTime::ZERO, &mut r) {
-            Fate::Deliver(ts) => ts[0],
+            Fate::Deliver { at, .. } => at,
             _ => unreachable!(),
         };
         let big = match net.plan(NodeId(0), NodeId(1), 1_000_000, SimTime::ZERO, &mut r) {
-            Fate::Deliver(ts) => ts[0],
+            Fate::Deliver { at, .. } => at,
             _ => unreachable!(),
         };
         assert_eq!(big - small, Duration::from_millis(1));
@@ -445,8 +433,8 @@ mod tests {
         let mut r = rng();
         for _ in 0..200 {
             match net.plan(NodeId(0), NodeId(1), 0, SimTime::ZERO, &mut r) {
-                Fate::Deliver(ts) => {
-                    let lat = ts[0].as_nanos() as f64;
+                Fate::Deliver { at, .. } => {
+                    let lat = at.as_nanos() as f64;
                     assert!(lat >= base * 0.8 - 1.0 && lat <= base * 1.2 + 1.0);
                 }
                 other => panic!("unexpected {other:?}"),

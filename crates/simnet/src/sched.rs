@@ -3,12 +3,12 @@
 //! # Execution model
 //!
 //! Every simulated process is a [`Process`]: a state machine the
-//! scheduler polls in event order, on the thread running its domain,
+//! scheduler polls in event order, on the thread driving the simulation,
 //! whenever one of its wake conditions fires (its first instant, a
 //! delivery, a timer it armed), and which parks by returning
-//! [`Poll::Pending`]. A parked process is one entry in its domain's
-//! process table; how it executes is invisible to the scheduler. Three
-//! spawn calls make one:
+//! [`Poll::Pending`]. A parked process is one entry in the process
+//! table; how it executes is invisible to the scheduler. Three spawn
+//! calls make one:
 //!
 //! * [`Simulation::spawn_poll`] takes a hand-written machine. Parked, it
 //!   costs its own struct and no stack at all (see the
@@ -25,56 +25,38 @@
 //!   same thing would (see `body.rs`), so the two dispatch the same
 //!   events. On x86-64 Linux the stack is a coroutine's — a private
 //!   2 MiB mapping switched to and from in user space, on the thread
-//!   running the body's domain — so a poll costs two register swaps and
-//!   a parked body costs the stack pages it has touched. Every other
+//!   driving the simulation — so a poll costs two register swaps and a
+//!   parked body costs the stack pages it has touched. Every other
 //!   target gives each body an OS thread and hands off through two
 //!   channels; nothing but the cost differs. Natural to write — clients
 //!   and experiment logic use it.
 //!
 //!   What a body may rely on and what it may not: it is only ever
-//!   resumed on the OS thread that started it (the scheduler runs a
-//!   domain's rounds *and its shutdown* on one fixed thread, and the
-//!   hand-off checks), so thread-locals and non-`Send` values may live
-//!   across a blocking call; it shares that thread's thread-locals with
-//!   the scheduler and the domain's other processes; overflowing its
-//!   stack is a bare `SIGSEGV` on the guard page; and a destructor that
-//!   blocks while the body is unwinding from a panic hands control to a
+//!   resumed on the OS thread that started it (the thread that calls
+//!   [`Simulation::run_until`] runs every event *and the shutdown*, and
+//!   the hand-off checks), so thread-locals and non-`Send` values may
+//!   live across a blocking call; it shares that thread's thread-locals
+//!   with the scheduler and every other process; overflowing its stack
+//!   is a bare `SIGSEGV` on the guard page; and a destructor that blocks
+//!   while the body is unwinding from a panic hands control to a
 //!   scheduler whose thread reports `std::thread::panicking()`.
 //!
-//! # Domains
+//! # One event heap
 //!
-//! The event queue is sharded into **domains**: nodes are partitioned
-//! round-robin (`node % ndomains`, see [`Simulation::with_domains`]) and
-//! each domain owns its own virtual clock, event heap, tie-breaking
-//! sequence counter, RNG stream, trace ring, process table, id counters
-//! and outbox, under one mutex. A round locks only its own domain (debug
-//! builds check it); the only shared state it touches is the network
-//! `RwLock`, the metrics atomics and its own obs lane. Domains advance in
-//! *barrier rounds* under conservative lookahead: each round computes
-//! the global minimum event time and lets every domain execute events up
-//! to `min cross-domain link latency` past it; cross-domain effects
-//! (message deliveries, spawns, kills) are buffered in per-source
-//! outboxes and merged at the barrier in `(time, src domain, send
-//! order)` order, with fresh target-local sequence numbers. The thread
-//! that calls [`Simulation::run_until`] runs every domain's round itself,
-//! in index order. Because the merge order and every per-domain decision
-//! are functions of the seed and the topology alone, that order is
-//! invisible: a round touches no other domain's state, and what it sends
-//! across waits in its outbox for the merge. The locks stay because a
+//! Every pending event — a process's first instant, a delivery, a timer,
+//! a kill — waits in one heap ordered by `(time, seq)`, where `seq` is
+//! a counter bumped on every push: events at one instant run in the
+//! order they were scheduled. A schedule *is* that order. The heap holds
+//! 16-byte keys only; each names its event's slot in a slab, so a sift
+//! moves keys, not messages, and a popped event's slot is reused by the
+//! next push.
+//!
+//! [`Simulation::run_until`] pops and dispatches one event at a time:
+//! one clock, one RNG drawn in event order, one process running at any
+//! instant — the same seed gives the same interleaving and the same
+//! results. The scheduler's state sits under one mutex because a
 //! blocking body on a target without coroutines runs on an OS thread of
-//! its own and reaches its domain through its [`Ctx`].
-//!
-//! With the default single domain the round structure degenerates to
-//! exactly the classic sequential loop: one heap, one clock, one RNG
-//! drawn in event order — same seed, same interleaving, same results.
-//!
-//! Within one domain at most one process runs at any instant, and all
-//! of a domain's randomness comes from its own seeded RNG drawn in
-//! event order. Caveats that come with multiple domains are documented
-//! on the relevant methods: cross-domain [`Ctx::spawn`]/[`Ctx::kill`]
-//! take effect one lookahead later, and mutating the network topology
-//! from *inside* a multi-domain simulation mid-round is detectably
-//! unsafe (see `sched_time_inversions`) rather than silently wrong.
+//! its own and reaches that state through its [`Ctx`].
 //!
 //! This is the repo's substitute for the paper's testbed of Unix processes
 //! on a LAN (see `DESIGN.md` §6): client processes can keep the natural
@@ -82,10 +64,11 @@
 //! simulated and fault-injectable.
 
 use std::cell::{Cell, OnceCell};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -106,7 +89,7 @@ use crate::poll::{Poll, ProcCx, Process};
 use crate::task::{Async, AsyncCx};
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 use crate::thread_handoff::Yielder;
-use crate::time::{duration_to_nanos, SimTime};
+use crate::time::SimTime;
 use crate::trace::{Trace, TraceDump, TraceEvent, TraceRecord};
 
 /// Error returned by blocking [`Ctx`] operations once the simulation is
@@ -141,58 +124,108 @@ enum ProcState {
     Finished,
 }
 
+enum EvKind {
+    Wake(ProcId),
+    Timeout { pid: ProcId, gen: u64 },
+    Deliver { msg: Message },
+    Kill(ProcId),
+}
+
+/// Bits of [`EvKey::order`] that name the event's slab slot: at most
+/// 2^24 events pending at once. The other 40 hold its sequence number.
+const SLOT_BITS: u32 = 24;
+
+/// A pending event's place in the schedule: its instant, then `order =
+/// seq << SLOT_BITS | slot`. Every push takes a fresh `seq`, so the slot
+/// bits never decide a comparison: keys order exactly as `(time, seq)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EvKey {
     time: SimTime,
+    order: u64,
+}
+
+/// One slab slot: a pending event, or the next free slot ([`NO_SLOT`]
+/// ends the list).
+enum Slot {
+    Pending(EvKind),
+    Free(u32),
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+/// The pending events: a min-heap of [`EvKey`]s over a slab of payloads
+/// with a free list.
+struct Events {
+    heap: BinaryHeap<Reverse<EvKey>>,
+    slab: Vec<Slot>,
+    free: u32,
     seq: u64,
 }
 
-enum EvKind {
-    Wake(ProcId),
-    Timeout {
-        pid: ProcId,
-        gen: u64,
-    },
-    Deliver {
-        msg: Message,
-    },
-    Kill(ProcId),
-    /// Deferred registration of a process spawned from *another* domain:
-    /// the entry (and its endpoint binding) materializes at this instant
-    /// in the target domain's own timeline, so concurrent deliveries and
-    /// binds in the target can never race the registration.
-    ApplySpawn {
-        pid: ProcId,
-        endpoint: Endpoint,
-        entry: Box<ProcEntry>,
-    },
-    /// Deferred cross-domain kill: unbind + teardown runs at this
-    /// instant in the victim's domain.
-    RemoteKill {
-        target: Endpoint,
-    },
-}
-
-struct Ev {
-    key: EvKey,
-    kind: EvKind,
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+impl Events {
+    fn new() -> Events {
+        Events {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: NO_SLOT,
+            seq: 0,
+        }
     }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    /// Schedules `kind` at `time`, after every event already scheduled
+    /// at that instant.
+    fn push(&mut self, time: SimTime, kind: EvKind) {
+        let slot = if self.free == NO_SLOT {
+            assert!(
+                self.slab.len() < 1 << SLOT_BITS,
+                "simnet: more than 2^{SLOT_BITS} events pending"
+            );
+            self.slab.push(Slot::Pending(kind));
+            self.slab.len() as u32 - 1
+        } else {
+            let slot = self.free;
+            match std::mem::replace(&mut self.slab[slot as usize], Slot::Pending(kind)) {
+                Slot::Free(next) => self.free = next,
+                Slot::Pending(_) => unreachable!("the free list names a pending slot"),
+            }
+            slot
+        };
+        self.seq += 1;
+        assert!(
+            self.seq < 1 << (64 - SLOT_BITS),
+            "simnet: more than 2^{} events scheduled",
+            64 - SLOT_BITS
+        );
+        let order = self.seq << SLOT_BITS | u64::from(slot);
+        self.heap.push(Reverse(EvKey { time, order }));
     }
-}
-impl Ord for Ev {
-    // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key.cmp(&self.key)
+
+    /// The instant of the next event, if any.
+    fn next_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(key)| key.time)
+    }
+
+    /// Takes the next event out, freeing its slot.
+    fn pop(&mut self) -> Option<(SimTime, EvKind)> {
+        let Reverse(key) = self.heap.pop()?;
+        let slot = (key.order & ((1 << SLOT_BITS) - 1)) as u32;
+        match std::mem::replace(&mut self.slab[slot as usize], Slot::Free(self.free)) {
+            Slot::Pending(kind) => {
+                self.free = slot;
+                Some((key.time, kind))
+            }
+            Slot::Free(_) => unreachable!("a heap key names a free slot"),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.slab.clear();
+        self.free = NO_SLOT;
     }
 }
 
@@ -216,90 +249,29 @@ struct ProcEntry {
     panic_msg: Option<String>,
 }
 
-/// One domain's share of the scheduler: its virtual clock, pending-event
-/// heap, tie-breaking sequence counter, RNG stream, trace ring, process
-/// table, id counters, outbox and process-accounting ledger — everything
-/// a round touches, under ONE mutex per domain. Only the domain's own
-/// round (or the driving thread between rounds) takes it, so the round
-/// loop pops the next event and advances time in a single uncontended
-/// acquisition, and no observer can see a clock out of step with the
-/// heap it was derived from.
-struct DomainState {
+/// The scheduler's state: the virtual clock, the pending events, the
+/// RNG, the trace ring, the process table and the id counters, under
+/// ONE mutex. The loop pops the next event and advances the clock in a
+/// single acquisition, so no observer can see a clock out of step with
+/// the heap it was derived from.
+struct SchedState {
     now: SimTime,
-    events: BinaryHeap<Ev>,
-    seq: u64,
-    /// This domain's deterministic RNG stream. Domain 0 is seeded with
-    /// the simulation seed itself (so a single-domain run draws exactly
-    /// the classic sequence); further domains derive their stream from
-    /// the seed and the domain index.
+    events: Events,
+    /// Seeded with the simulation seed, drawn in event order.
     rng: StdRng,
-    /// This domain's slice of the timeline; merged on
-    /// [`Simulation::take_trace`] by `(time, domain, push order)`.
     trace: Option<Trace>,
-    /// The processes on this domain's nodes, and the endpoint each one
-    /// is bound to (one per process).
+    /// Every process, and the endpoint each one is bound to (one per
+    /// process).
     procs: HashMap<ProcId, ProcEntry>,
     endpoints: HashMap<Endpoint, ProcId>,
-    /// Pids this domain has handed out, and ephemeral ports per node.
-    /// Ids are striped by the *allocating* domain — `id = count ·
-    /// ndomains + domain` — so domains mint disjoint sequences, each
-    /// deterministic in its own execution order. With one domain this is
-    /// the classic sequential counter.
+    /// Pids handed out so far, and ephemeral ports per node.
     next_proc: u32,
     next_ephemeral: HashMap<NodeId, u32>,
-    /// Cross-domain events this domain's execution produced this round,
-    /// in send order; the barrier drains every outbox and merges them.
-    outbox: Vec<OutboundEv>,
-    /// Net spawn-minus-finish delta accumulated this round.
-    round_delta: i64,
-    /// Maximum prefix value of `round_delta` this round — the domain's
-    /// contribution to the deterministic `processes_peak` upper bound.
-    round_rise: i64,
-    /// Wall nanoseconds this domain spent popping + dispatching events
-    /// this round (host-dependent; only accumulated while the profiler
-    /// is on).
-    round_busy_ns: u64,
 }
 
-impl DomainState {
-    fn new(d: usize, seed: u64) -> DomainState {
-        // Domain 0 draws the exact stream a 1-domain simulation draws;
-        // the golden-ratio multiplier decorrelates the other streams.
-        let rng_seed = if d == 0 {
-            seed
-        } else {
-            seed.wrapping_add((d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        };
-        DomainState {
-            now: SimTime::ZERO,
-            events: BinaryHeap::new(),
-            seq: 0,
-            rng: StdRng::seed_from_u64(rng_seed),
-            trace: None,
-            procs: HashMap::new(),
-            endpoints: HashMap::new(),
-            next_proc: 0,
-            next_ephemeral: HashMap::new(),
-            outbox: Vec::new(),
-            round_delta: 0,
-            round_rise: 0,
-            round_busy_ns: 0,
-        }
-    }
-
-    /// Enqueues an event into this domain's heap with a fresh
-    /// domain-local sequence number.
-    fn push_event(&mut self, time: SimTime, kind: EvKind) {
-        self.seq += 1;
-        let key = EvKey {
-            time,
-            seq: self.seq,
-        };
-        self.events.push(Ev { key, kind });
-    }
-
-    /// Appends the event `event` builds to the trace ring at the
-    /// domain's current instant; an untraced domain never calls `event`.
+impl SchedState {
+    /// Appends the event `event` builds to the trace ring at the current
+    /// instant; an untraced run never calls `event`.
     fn record(&mut self, span: obs::SpanId, event: impl FnOnce() -> TraceEvent) {
         let at = self.now;
         if let Some(trace) = self.trace.as_mut() {
@@ -312,87 +284,12 @@ impl DomainState {
     }
 }
 
-/// Pre-formatted flight-recorder series names for one domain, so the
-/// per-event hot path never allocates. Single-domain simulations keep
-/// the classic un-suffixed names; multi-domain ones get `@d<i>`.
-struct DomainSeries {
-    lag: String,
-    depth: String,
-    /// Folded-stack frame paths for the domain's share of the exec
-    /// phase (its own wall busy time, and its share of the rest).
-    busy_frame: String,
-    stall_frame: String,
-}
-
-impl DomainSeries {
-    fn new(d: usize, ndomains: usize) -> DomainSeries {
-        if ndomains == 1 {
-            DomainSeries {
-                lag: "sched_lag".to_string(),
-                depth: "sched_depth".to_string(),
-                busy_frame: "sched;round;exec;busy".to_string(),
-                stall_frame: "sched;round;exec;stall".to_string(),
-            }
-        } else {
-            DomainSeries {
-                lag: format!("sched_lag@d{d}"),
-                depth: format!("sched_depth@d{d}"),
-                busy_frame: format!("sched;round;exec;busy@d{d}"),
-                stall_frame: format!("sched;round;exec;stall@d{d}"),
-            }
-        }
-    }
-}
-
-/// A cross-domain event parked in its source domain's outbox until the
-/// round barrier merges it into the target heap.
-struct OutboundEv {
-    dst: usize,
-    time: SimTime,
-    kind: EvKind,
-}
-
-/// One scheduling domain: its state, and the series names it reports
-/// under.
-struct Domain {
-    state: Mutex<DomainState>,
-    series: DomainSeries,
-}
-
-thread_local! {
-    /// The `(simulation, domain)` whose round or shutdown this thread is
-    /// executing, if any: what the debug ownership check in
-    /// [`Shared::dom`] compares against.
-    static RUNNING: Cell<Option<(*const Shared, usize)>> = const { Cell::new(None) };
-}
-
-/// Marks this thread as executing one domain's round (or shutdown)
-/// until dropped.
-struct Running(Option<(*const Shared, usize)>);
-
-impl Running {
-    fn enter(shared: &Shared, d: usize) -> Running {
-        Running(RUNNING.replace(Some((shared, d))))
-    }
-}
-
-impl Drop for Running {
-    fn drop(&mut self) {
-        RUNNING.set(self.0);
-    }
-}
-
 struct Shared {
-    domains: Box<[Domain]>,
-    /// The current round's conservative lookahead in nanoseconds
-    /// (`u64::MAX` for a single domain). Deferred cross-domain effects
-    /// (spawn/kill) are timestamped `now + lookahead` so they land at or
-    /// beyond the round horizon in the target's timeline.
-    round_lookahead_ns: AtomicU64,
-    /// Whether [`Simulation::enable_trace`] installed the trace rings.
-    /// Relaxed: it guards no data (the rings sit under the domain
-    /// mutexes); it only lets an untraced run skip building the event
-    /// and locking a domain to find no ring there.
+    state: Mutex<SchedState>,
+    /// Whether [`Simulation::enable_trace`] installed the trace ring.
+    /// Relaxed: it guards no data (the ring sits under the state mutex);
+    /// it only lets an untraced run skip building the event and taking
+    /// the lock to find no ring there.
     tracing: AtomicBool,
     network: RwLock<Network>,
     metrics: Arc<Metrics>,
@@ -403,73 +300,36 @@ struct Shared {
 }
 
 impl Shared {
-    fn ndomains(&self) -> usize {
-        self.domains.len()
+    fn st(&self) -> MutexGuard<'_, SchedState> {
+        self.state.lock()
     }
 
-    /// The domain a node's processes and events belong to.
-    fn domain_of(&self, node: NodeId) -> usize {
-        node.0 as usize % self.domains.len()
+    fn now(&self) -> SimTime {
+        self.st().now
     }
 
-    /// The one way to a domain's state. A round owns its domain: in
-    /// debug builds, the round (or shutdown) of domain `e` asking for
-    /// domain `d ≠ e` panics. The barrier merge and the driving thread
-    /// between rounds run outside every round and may touch any domain.
-    fn dom(&self, d: usize) -> MutexGuard<'_, DomainState> {
-        if cfg!(debug_assertions) {
-            if let Some((sim, own)) = RUNNING.get() {
-                assert!(
-                    own == d || !std::ptr::eq(sim, self),
-                    "simnet: domain {own}'s round touched domain {d}'s state"
-                );
-            }
-        }
-        self.domains[d].state.lock()
-    }
-
-    fn domain_now(&self, d: usize) -> SimTime {
-        self.dom(d).now
-    }
-
-    /// The most advanced domain clock — what an outside observer calls
-    /// "now". With one domain this is the classic scheduler clock.
-    fn max_now(&self) -> SimTime {
-        (0..self.ndomains())
-            .map(|d| self.domain_now(d))
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Records the event `event` builds in domain `d`'s trace ring at
-    /// that domain's current instant; an untraced run never calls
-    /// `event`. It runs before the domain is locked (building an event
-    /// may read the clock); one lock acquisition then covers the
-    /// timestamp and the push, so the two can never drift apart.
-    fn record(&self, d: usize, span: obs::SpanId, event: impl FnOnce() -> TraceEvent) {
+    /// Records the event `event` builds in the trace ring at the current
+    /// instant; an untraced run never calls `event`. It runs before the
+    /// state is locked (building an event may read the clock); one lock
+    /// acquisition then covers the timestamp and the push, so the two
+    /// can never drift apart.
+    fn record(&self, span: obs::SpanId, event: impl FnOnce() -> TraceEvent) {
         if !self.tracing.load(Ordering::Relaxed) {
             return;
         }
         let event = event();
-        self.dom(d).record(span, || event);
+        self.st().record(span, || event);
     }
 
     /// Plans delivery for a payload and enqueues the resulting events.
     /// `span` is the causal span the send happens on behalf of; it
     /// rides along in the [`Message`] so the delivery (or loss) trace
     /// event stays attributed to the request.
-    ///
-    /// All random draws (loss, duplication, jitter) come from the
-    /// *sending* domain's RNG stream, in that domain's execution order —
-    /// the target domain's stream is untouched, which is what keeps the
-    /// fate of every message independent of how rounds interleave.
     fn send(&self, src: Endpoint, dst: Endpoint, payload: Bytes, span: obs::SpanId) {
-        let sd = self.domain_of(src.node);
-        let dd = self.domain_of(dst.node);
         self.metrics.on_send(payload.len());
-        // Lock order: network before domain, never the reverse.
+        // Lock order: network before state, never the reverse.
         let net = self.network.read();
-        let mut st = self.dom(sd);
+        let mut st = self.st();
         let now = st.now;
         // Per-link wire bytes for the flight recorder. The enabled check
         // is one relaxed load; the series-name formatting only happens
@@ -488,34 +348,25 @@ impl Shared {
                 bytes: payload.len() as u64,
             })
         });
+        let deliver = |st: &mut SchedState, at: SimTime, payload: Bytes| {
+            let msg = Message {
+                src,
+                dst,
+                payload,
+                sent_at: now,
+                delivered_at: at,
+                span,
+            };
+            st.events.push(at, EvKind::Deliver { msg });
+        };
         match net.plan(src.node, dst.node, payload.len(), now, &mut st.rng) {
-            Fate::Deliver(times) => {
-                if times.len() > 1 {
+            Fate::Deliver { at, duplicate } => {
+                if let Some(again) = duplicate {
                     self.metrics.on_duplicate();
-                }
-                for t in times {
-                    let kind = EvKind::Deliver {
-                        msg: Message {
-                            src,
-                            dst,
-                            payload: payload.clone(),
-                            sent_at: now,
-                            delivered_at: t,
-                            span,
-                        },
-                    };
-                    if dd == sd {
-                        st.push_event(t, kind);
-                    } else {
-                        // Cross-domain: park in the source outbox; the
-                        // round barrier merges outboxes in (time, src
-                        // domain, send order) order.
-                        st.outbox.push(OutboundEv {
-                            dst: dd,
-                            time: t,
-                            kind,
-                        });
-                    }
+                    deliver(&mut st, at, payload.clone());
+                    deliver(&mut st, again, payload);
+                } else {
+                    deliver(&mut st, at, payload);
                 }
             }
             Fate::Dropped => {
@@ -539,118 +390,47 @@ impl Shared {
         }
     }
 
-    fn pop_mailbox(&self, d: usize, pid: ProcId) -> Option<Message> {
-        self.dom(d)
+    fn pop_mailbox(&self, pid: ProcId) -> Option<Message> {
+        self.st()
             .procs
             .get_mut(&pid)
             .and_then(|e| e.mailbox.pop_front())
     }
 
-    /// Allocates a pid and the primary endpoint for a new process from
-    /// domain `stripe`'s counters: the spawner's domain for an in-round
-    /// spawn, the target's for one from the driving thread. The endpoint
-    /// is *not* bound here — binding happens at registration time, in
-    /// the target domain's timeline.
-    fn alloc_proc(&self, stripe: usize, node: NodeId, port: Option<PortId>) -> (ProcId, Endpoint) {
+    /// Allocates a pid and the primary endpoint for a new process. The
+    /// endpoint is *not* bound here — binding happens at registration.
+    fn alloc_proc(&self, node: NodeId, port: Option<PortId>) -> (ProcId, Endpoint) {
         if let Some(p) = port {
             assert!(
                 !p.is_ephemeral(),
                 "explicitly bound ports must be below PortId::EPHEMERAL_BASE, got {p}"
             );
         }
-        let nd = self.ndomains() as u32;
-        let s = stripe as u32;
-        let mut st = self.dom(stripe);
-        let pid = ProcId(st.next_proc * nd + s);
+        let mut st = self.st();
+        let pid = ProcId(st.next_proc);
         st.next_proc += 1;
         let port = port.unwrap_or_else(|| {
             let c = st.next_ephemeral.entry(node).or_insert(0);
-            let port = PortId(PortId::EPHEMERAL_BASE + *c * nd + s);
+            let port = PortId(PortId::EPHEMERAL_BASE + *c);
             *c += 1;
             port
         });
         (pid, Endpoint::new(node, port))
     }
 
-    /// Records the spawn, binds the endpoint, inserts the entry and
-    /// schedules the first wake — all in domain `d`'s timeline.
-    /// `in_round` distinguishes spawns made by running processes from
-    /// out-of-round spawns made by the driving thread between rounds.
-    fn register_proc(
-        &self,
-        d: usize,
-        pid: ProcId,
-        endpoint: Endpoint,
-        entry: ProcEntry,
-        in_round: bool,
-    ) {
-        let mut st = self.dom(d);
-        st.record(obs::SpanId::NONE, || TraceEvent::Spawned {
-            pid,
-            name: entry.name.clone(),
-            endpoint,
-        });
-        assert!(
-            !st.endpoints.contains_key(&endpoint),
-            "endpoint {endpoint} already bound"
-        );
-        st.endpoints.insert(endpoint, pid);
-        st.procs.insert(pid, entry);
-        self.note_proc_spawned(&mut st, in_round);
-        // Start the process at the domain's current instant.
-        let now = st.now;
-        st.push_event(now, EvKind::Wake(pid));
-    }
-
-    /// Updates process-count metrics for a spawn landing in the domain
-    /// whose state is `st`.
-    ///
-    /// Single-domain simulations take the classic exact path (`peak`
-    /// updated inline). In a multi-domain round the order the domains
-    /// run in must not show, so in-round spawns only bump counters and a
-    /// per-domain ledger; the round barrier folds the ledgers into a
-    /// deterministic *upper bound* on the peak (see `finish_round`).
-    /// Out-of-round spawns (from the driving thread, nothing else
-    /// running) still take the exact path.
-    fn note_proc_spawned(&self, st: &mut DomainState, in_round: bool) {
-        if self.ndomains() == 1 {
-            self.metrics.on_proc_spawn();
-            return;
-        }
-        if in_round {
-            self.metrics.on_proc_spawn_counts();
-        } else {
-            // Out-of-round: no other domain is executing, the global
-            // live count is exact — keep the classic peak fold.
-            self.metrics.on_proc_spawn();
-        }
-        st.round_delta += 1;
-        st.round_rise = st.round_rise.max(st.round_delta);
-    }
-
-    /// Process-count bookkeeping for a process that finished or was
-    /// killed in domain `d`.
-    fn note_proc_finished(&self, d: usize) {
-        self.metrics.on_proc_finish();
-        if self.ndomains() > 1 {
-            self.dom(d).round_delta -= 1;
-        }
-    }
-
     /// The one spawn path: allocates the process's pid and endpoint,
-    /// builds its context, and registers the machine `make` builds
-    /// against that context (see [`Shared::commit_spawn`]).
+    /// builds its context and the machine `make` builds against it, then
+    /// records the spawn, binds the endpoint, inserts the entry and
+    /// schedules the first wake at the current instant.
     fn spawn_proc(
         self: &Arc<Self>,
-        spawner: Option<usize>,
         name: String,
         node: NodeId,
         port: Option<PortId>,
         make: impl FnOnce(&Ctx) -> Box<dyn Process>,
     ) -> Endpoint {
-        let target = self.domain_of(node);
-        let (pid, endpoint) = self.alloc_proc(spawner.unwrap_or(target), node, port);
-        let ctx = Ctx::new(pid, name.clone(), endpoint, target, Arc::clone(self));
+        let (pid, endpoint) = self.alloc_proc(node, port);
+        let ctx = Ctx::new(pid, name.clone(), endpoint, Arc::clone(self));
         let process = make(&ctx);
         let entry = ProcEntry {
             name,
@@ -663,68 +443,28 @@ impl Shared {
             }),
             panic_msg: None,
         };
-        self.commit_spawn(spawner, target, pid, endpoint, entry);
+        let mut st = self.st();
+        st.record(obs::SpanId::NONE, || TraceEvent::Spawned {
+            pid,
+            name: entry.name.clone(),
+            endpoint,
+        });
+        assert!(
+            !st.endpoints.contains_key(&endpoint),
+            "endpoint {endpoint} already bound"
+        );
+        st.endpoints.insert(endpoint, pid);
+        st.procs.insert(pid, entry);
+        self.metrics.on_proc_spawn();
+        let now = st.now;
+        st.events.push(now, EvKind::Wake(pid));
         endpoint
     }
 
-    /// Parks `kind` in domain `s`'s outbox for domain `dst`, one
-    /// lookahead past `s`'s clock: the earliest instant `dst` can
-    /// causally observe anything from `s`'s current round.
-    fn defer(&self, s: usize, dst: usize, kind: EvKind) {
-        let la = self.round_lookahead_ns.load(Ordering::Relaxed);
-        let mut st = self.dom(s);
-        let time = SimTime::from_nanos(st.now.as_nanos().saturating_add(la));
-        st.outbox.push(OutboundEv { dst, time, kind });
-    }
-
-    /// Registers a freshly built process entry. Same-domain (and
-    /// out-of-round) spawns register immediately, exactly like the
-    /// sequential scheduler. A spawn *from another domain's execution*
-    /// is instead shipped through the outbox as an `ApplySpawn` that
-    /// lands one lookahead later in the target's timeline.
-    fn commit_spawn(
-        &self,
-        spawner: Option<usize>,
-        target: usize,
-        pid: ProcId,
-        endpoint: Endpoint,
-        entry: ProcEntry,
-    ) {
-        match spawner {
-            Some(s) if s != target => self.defer(
-                s,
-                target,
-                EvKind::ApplySpawn {
-                    pid,
-                    endpoint,
-                    entry: Box::new(entry),
-                },
-            ),
-            _ => self.register_proc(target, pid, endpoint, entry, spawner.is_some()),
-        }
-    }
-
-    /// Schedules a crash of the process owning `target`. Same-domain
-    /// kills unbind the endpoint and schedule the `Kill` at the current
-    /// instant, exactly like the sequential scheduler. A kill *from
-    /// another domain's execution* takes effect one lookahead later in
-    /// the victim's timeline and optimistically returns `true` (the
-    /// caller cannot observe the victim's state without crossing the
-    /// same latency anyway).
-    fn request_kill(&self, from: usize, target: Endpoint) -> bool {
-        let td = self.domain_of(target.node);
-        if from == td {
-            return self.kill_local(td, target);
-        }
-        self.defer(from, td, EvKind::RemoteKill { target });
-        true
-    }
-
-    /// Kill running in the victim's own domain: unbind its endpoint,
-    /// clear the mailbox, schedule teardown at the domain's current
-    /// instant.
-    fn kill_local(&self, d: usize, target: Endpoint) -> bool {
-        let mut guard = self.dom(d);
+    /// Crashes the process owning `target`: unbinds its endpoint, clears
+    /// its mailbox and schedules the teardown at the current instant.
+    fn kill(&self, target: Endpoint) -> bool {
+        let mut guard = self.st();
         let st = &mut *guard;
         let Some(&pid) = st.endpoints.get(&target) else {
             return false;
@@ -742,80 +482,51 @@ impl Shared {
         st.endpoints.remove(&target);
         st.record(obs::SpanId::NONE, || TraceEvent::Killed { pid });
         let now = st.now;
-        st.push_event(now, EvKind::Kill(pid));
+        st.events.push(now, EvKind::Kill(pid));
         true
-    }
-
-    /// The conservative lookahead for the coming round, in nanoseconds:
-    /// how far past the global minimum clock a domain may safely run.
-    /// Any cross-domain message sent at `t` arrives no earlier than
-    /// `t + min cross-domain base latency × (1 − jitter)`; we subtract
-    /// one more nanosecond to stay strictly below even after float
-    /// truncation. A single domain has no cross-domain traffic at all —
-    /// its horizon is unbounded.
-    fn round_lookahead(&self) -> u64 {
-        if self.ndomains() == 1 {
-            return u64::MAX;
-        }
-        let net = self.network.read();
-        let base = duration_to_nanos(net.min_cross_domain_base_latency(self.ndomains()));
-        let jitter = net.config().jitter;
-        (((base as f64) * (1.0 - jitter)) as u64).saturating_sub(1)
     }
 }
 
-/// The round-execution engine. Everything here runs with `&self`, on the
-/// thread driving the simulation. A round locks only its own domain; the
-/// only shared state it touches is the network `RwLock`, the metrics
-/// atomics and its own obs lane.
+/// The event loop. Everything here runs with `&self`, on the thread
+/// driving the simulation.
 impl Shared {
-    /// Executes one barrier round for domain `d`: pop-and-run every
-    /// event with time `t` satisfying `t <= limit && (t == gm || t <
-    /// horizon)`. The `t == gm` clause guarantees progress even at zero
-    /// lookahead (and lets `SimTime::MAX`-scheduled events eventually
-    /// run); the strict `<` keeps the horizon conservative under float
-    /// truncation.
-    fn domain_round(&self, d: usize, gm: SimTime, horizon: SimTime, limit: SimTime) {
-        let _running = Running::enter(self, d);
-        // While the profiler is armed, bracket the whole drain with two
-        // clock reads — per round per domain, not per event, so the
-        // measurement itself stays out of the hot loop.
-        let t_round = self.obs.profile_enabled().then(Instant::now);
-        let series = &self.domains[d].series;
+    /// Pops and dispatches every event scheduled at or before `limit`,
+    /// in `(time, seq)` order. If the next event lies beyond `limit`,
+    /// the clock stops at `limit`.
+    fn run_events(&self, limit: SimTime) {
         loop {
-            // One lock acquisition pops the next runnable event AND
-            // advances the domain clock to it, so no observer can see
-            // the old time paired with the drained heap (or vice versa).
+            // One lock acquisition pops the next event AND advances the
+            // clock to it, so no observer can see the old time paired
+            // with the drained heap (or vice versa).
             let popped = {
-                let mut st = self.dom(d);
-                match st.events.peek() {
-                    Some(ev)
-                        if ev.key.time <= limit && (ev.key.time == gm || ev.key.time < horizon) =>
-                    {
-                        let ev = st.events.pop().expect("peeked event vanished");
-                        // An event scheduled before the clock it runs at
-                        // is a time inversion — the bug class lookahead
-                        // can introduce (e.g. a topology mutation that
-                        // lowered a cross-domain latency mid-round).
-                        // Count it honestly instead of clamping it away;
-                        // the clock itself stays monotone.
-                        let inverted = ev.key.time < st.now;
-                        if !inverted {
-                            st.now = ev.key.time;
-                        }
-                        Some((ev, st.now, st.events.len() as u64, inverted))
+                let mut st = self.st();
+                match st.events.next_time() {
+                    None => None,
+                    Some(t) if t > limit => {
+                        st.now = limit;
+                        None
                     }
-                    _ => None,
+                    Some(_) => {
+                        let (time, kind) = st.events.pop().expect("peeked event vanished");
+                        // An event scheduled before the clock it runs at
+                        // is a time inversion. Count it honestly instead
+                        // of clamping it away; the clock itself stays
+                        // monotone.
+                        let inverted = time < st.now;
+                        if !inverted {
+                            st.now = time;
+                        }
+                        Some((time, kind, st.now, st.events.len() as u64, inverted))
+                    }
                 }
             };
-            let Some((ev, dispatched_at, depth, inverted)) = popped else {
+            let Some((time, kind, dispatched_at, depth, inverted)) = popped else {
                 break;
             };
             if inverted {
                 debug_assert!(
                     false,
-                    "simnet: time inversion in domain {d}: event at {:?} dispatched at {:?}",
-                    ev.key.time, dispatched_at
+                    "simnet: time inversion: event at {time:?} dispatched at {dispatched_at:?}"
                 );
                 self.metrics.on_time_inversion();
             }
@@ -829,100 +540,37 @@ impl Shared {
                 // window means the scheduler contract broke, e.g. a
                 // counted time inversion) and as the anchor the
                 // genuinely varying heap-depth gauge hangs on.
-                self.obs.ts_observe(
-                    now_ns,
-                    &series.lag,
-                    now_ns.saturating_sub(ev.key.time.as_nanos()),
-                );
-                self.obs.ts_gauge(now_ns, &series.depth, depth);
+                self.obs
+                    .ts_observe(now_ns, "sched_lag", now_ns.saturating_sub(time.as_nanos()));
+                self.obs.ts_gauge(now_ns, "sched_depth", depth);
             }
-            self.dispatch(d, ev.kind);
-        }
-        if let Some(t_round) = t_round {
-            // Stamp the round ledger for the driver's phase accounting.
-            self.dom(d).round_busy_ns = t_round.elapsed().as_nanos() as u64;
+            self.dispatch(kind);
         }
     }
 
-    /// Barrier step: drain every outbox and merge the parked
-    /// cross-domain events into their target heaps in `(time, source
-    /// domain, send order)` order, assigning fresh target-local sequence
-    /// numbers. The merge order is a pure function of what each domain
-    /// did in its own timeline, so it is identical for every worker
-    /// count.
-    fn flush_outboxes(&self) {
-        let mut all: Vec<(SimTime, usize, usize, OutboundEv)> = Vec::new();
-        for src in 0..self.ndomains() {
-            let drained = std::mem::take(&mut self.dom(src).outbox);
-            for (idx, ev) in drained.into_iter().enumerate() {
-                all.push((ev.time, src, idx, ev));
-            }
-        }
-        if all.is_empty() {
-            return;
-        }
-        all.sort_by_key(|a| (a.0, a.1, a.2));
-        for (_, _, _, ev) in all {
-            self.dom(ev.dst).push_event(ev.time, ev.kind);
-        }
-    }
-
-    /// Folds the per-domain spawn ledgers accumulated this round into a
-    /// deterministic upper bound on the concurrent-process peak:
-    /// `live-at-round-start + Σ max(0, per-domain max prefix rise)`.
-    /// Each domain's rise is exact in its own timeline; summing them
-    /// bounds every possible interleaving from above and depends only on
-    /// per-domain facts — so the reported peak is identical for every
-    /// worker count (and exact whenever one domain drives the growth).
-    fn finish_round(&self, live_start: u64) {
-        let rise_sum: u64 = (0..self.ndomains())
-            .map(|d| self.dom(d).round_rise.max(0) as u64)
-            .sum();
-        if rise_sum > 0 {
-            self.metrics.note_peak_bound(live_start + rise_sum);
-        }
-    }
-
-    fn dispatch(&self, d: usize, kind: EvKind) {
+    fn dispatch(&self, kind: EvKind) {
         match kind {
             // A process's first instant, or the end of a deaf sleep.
-            EvKind::Wake(pid) => self.poll_process(d, pid),
+            EvKind::Wake(pid) => self.poll_process(pid),
             EvKind::Timeout { pid, gen } => {
                 // A timer is live only if the process still blocks on the
                 // park that armed it: the generation bumps on every park.
                 let live = self
-                    .dom(d)
+                    .st()
                     .procs
                     .get(&pid)
                     .is_some_and(|e| e.gen == gen && e.state == ProcState::Parked);
                 if live {
-                    self.poll_process(d, pid);
+                    self.poll_process(pid);
                 }
             }
             // A crash runs no farewell code: the machine just drops (a
             // blocking body unwinds out of `Stopped` as it does).
-            EvKind::Kill(pid) => self.finish(d, pid, None),
-            EvKind::ApplySpawn {
-                pid,
-                endpoint,
-                entry,
-            } => {
-                // A cross-domain spawn materializing in its target
-                // domain's timeline.
-                self.register_proc(d, pid, endpoint, *entry, true);
-            }
-            EvKind::RemoteKill { target } => {
-                // A cross-domain kill arriving in the victim's timeline.
-                // The endpoint may already be gone (victim finished or
-                // was killed locally first) — that's a no-op, and the
-                // optimistic `true` the remote caller saw is the same
-                // answer a racing local kill would have produced.
-                let _ = self.kill_local(d, target);
-            }
+            EvKind::Kill(pid) => self.finish(pid, None),
             EvKind::Deliver { msg } => {
                 let (src, dst, bytes, span) = (msg.src, msg.dst, msg.payload.len(), msg.span);
                 let parked = {
-                    let mut guard = self.dom(d);
+                    let mut guard = self.st();
                     let st = &mut *guard;
                     let entry = st
                         .endpoints
@@ -963,7 +611,7 @@ impl Shared {
                     parked
                 };
                 if let Some(pid) = parked {
-                    self.poll_process(d, pid);
+                    self.poll_process(pid);
                 }
             }
         }
@@ -972,20 +620,15 @@ impl Shared {
     /// Polls a process once. The machine is taken out of the process
     /// table for the duration, so no lock is held while user code runs
     /// (and the machine may freely spawn or kill other processes).
-    fn poll_process(&self, d: usize, pid: ProcId) {
-        let Some(mut m) = self
-            .dom(d)
-            .procs
-            .get_mut(&pid)
-            .and_then(|e| e.machine.take())
-        else {
+    fn poll_process(&self, pid: ProcId) {
+        let Some(mut m) = self.st().procs.get_mut(&pid).and_then(|e| e.machine.take()) else {
             return; // finished, or a stale wake
         };
         let result = panic::catch_unwind(AssertUnwindSafe(|| m.process.poll(&mut m.cx)));
         let wake = m.cx.take_wake();
         match result {
             Ok(Poll::Pending) => {
-                let mut st = self.dom(d);
+                let mut st = self.st();
                 let now = st.now;
                 let entry = st.procs.get_mut(&pid).expect("proc vanished");
                 entry.machine = Some(m);
@@ -1003,16 +646,16 @@ impl Shared {
                     }
                 };
                 if let Some((at, kind)) = event {
-                    st.push_event(at.max(now), kind);
+                    st.events.push(at.max(now), kind);
                 }
             }
             Ok(Poll::Ready(())) => {
                 drop(m);
-                self.finish(d, pid, None);
+                self.finish(pid, None);
             }
             Err(p) => {
                 drop(m);
-                self.finish(d, pid, Some(panic_message(p.as_ref())));
+                self.finish(pid, Some(panic_message(p.as_ref())));
             }
         }
     }
@@ -1021,9 +664,9 @@ impl Shared {
     /// (and with them the process's share of the table memory). A panic
     /// out of the machine's destructor — a killed body that panics as it
     /// unwinds — is the process's panic, reported as any other.
-    fn finish(&self, d: usize, pid: ProcId, mut panic_msg: Option<String>) {
+    fn finish(&self, pid: ProcId, mut panic_msg: Option<String>) {
         let released = {
-            let mut st = self.dom(d);
+            let mut st = self.st();
             let Some(entry) = st.procs.get_mut(&pid) else {
                 return;
             };
@@ -1036,82 +679,75 @@ impl Shared {
             // goes now, not when the simulation is dropped.
             (entry.machine.take(), std::mem::take(&mut entry.mailbox))
         };
-        // User destructors run outside the domain lock.
+        // User destructors run outside the state lock.
         if let Err(p) = panic::catch_unwind(AssertUnwindSafe(|| drop(released))) {
             panic_msg.get_or_insert_with(|| panic_message(p.as_ref()));
         }
         if let Some(msg) = panic_msg {
-            if let Some(entry) = self.dom(d).procs.get_mut(&pid) {
+            if let Some(entry) = self.st().procs.get_mut(&pid) {
                 entry.panic_msg = Some(msg);
             }
         }
-        self.note_proc_finished(d);
-        self.record(d, obs::SpanId::NONE, || TraceEvent::Finished { pid });
+        self.metrics.on_proc_finish();
+        self.record(obs::SpanId::NONE, || TraceEvent::Finished { pid });
     }
 
-    /// Tells every live process of domain `d` to stop, in pid order (so
-    /// the domain's `Finished` trace tail is fixed): each gets one final
-    /// poll with the stop flag set — a blocking body sees [`Stopped`] and
-    /// is resumed until it returns — and is then dropped regardless. Like
-    /// a round, this runs on the thread driving the simulation: suspended
-    /// bodies continue nowhere else.
-    fn shutdown_domain(&self, d: usize) {
-        let _running = Running::enter(self, d);
-        let mut pids: Vec<ProcId> = self
-            .dom(d)
-            .procs
-            .iter()
-            .filter(|(_, e)| e.state != ProcState::Finished)
-            .map(|(pid, _)| *pid)
-            .collect();
-        pids.sort_by_key(|pid| pid.0);
-        for pid in pids {
-            self.shutdown_proc(d, pid);
+    /// Tells every live process to stop, in pid order (so the
+    /// `Finished` trace tail is fixed): each gets one final poll with
+    /// the stop flag set — a blocking body sees [`Stopped`] and is
+    /// resumed until it returns — and is then dropped regardless. A
+    /// process spawned meanwhile is stopped in the next pass, before it
+    /// ever ran. This runs on the thread driving the simulation:
+    /// suspended bodies continue nowhere else. What was never dispatched
+    /// goes too.
+    fn shutdown(&self) {
+        loop {
+            let mut pids: Vec<ProcId> = self
+                .st()
+                .procs
+                .iter()
+                .filter(|(_, e)| e.state != ProcState::Finished)
+                .map(|(pid, _)| *pid)
+                .collect();
+            if pids.is_empty() {
+                break;
+            }
+            pids.sort_by_key(|pid| pid.0);
+            for pid in pids {
+                self.shutdown_proc(pid);
+            }
         }
-    }
-
-    /// Drops every undispatched event once all domains have shut down:
-    /// an `ApplySpawn` parked in a heap or outbox owns a ProcEntry whose
-    /// context points back at this Shared (and whose body never ran) —
-    /// clearing here breaks the cycle so the Arc can free.
-    fn clear_pending(&self) {
-        for d in 0..self.ndomains() {
-            let mut st = self.dom(d);
-            st.events.clear();
-            st.outbox.clear();
-        }
+        self.st().events.clear();
     }
 
     /// One final poll with the stop flag raised, then finish. Dropping
     /// the machine here also breaks the `Shared → process table →
     /// ProcCx → Shared` reference cycle a parked machine's context
     /// holds.
-    fn shutdown_proc(&self, d: usize, pid: ProcId) {
-        let machine = self
-            .dom(d)
-            .procs
-            .get_mut(&pid)
-            .and_then(|e| e.machine.take());
+    fn shutdown_proc(&self, pid: ProcId) {
+        let machine = self.st().procs.get_mut(&pid).and_then(|e| e.machine.take());
         let panic_msg = machine.and_then(|mut m| {
             m.cx.ctx.stopped = true;
             panic::catch_unwind(AssertUnwindSafe(|| m.process.poll(&mut m.cx)))
                 .err()
                 .map(|p| panic_message(p.as_ref()))
         });
-        self.finish(d, pid, panic_msg);
+        self.finish(pid, panic_msg);
     }
 
     /// Panics (deterministically, sorted by pid) if any simulated
     /// process panicked.
     fn check_panics(&self) {
-        let mut panics: Vec<(u32, String, String)> = Vec::new();
-        for d in 0..self.ndomains() {
-            panics.extend(self.dom(d).procs.iter().filter_map(|(pid, e)| {
+        let mut panics: Vec<(u32, String, String)> = self
+            .st()
+            .procs
+            .iter()
+            .filter_map(|(pid, e)| {
                 e.panic_msg
                     .as_ref()
                     .map(|m| (pid.0, e.name.clone(), m.clone()))
-            }));
-        }
+            })
+            .collect();
         if !panics.is_empty() {
             panics.sort();
             let mut s = String::from("simulated process(es) panicked:");
@@ -1122,7 +758,6 @@ impl Shared {
         }
     }
 }
-
 /// The handle a simulated process uses to interact with the world.
 ///
 /// A `Ctx` is passed by the scheduler to the process body closure. All of
@@ -1134,8 +769,6 @@ pub struct Ctx {
     pid: ProcId,
     name: String,
     endpoint: Endpoint,
-    /// The domain this process executes in (its node's domain).
-    domain: usize,
     shared: Arc<Shared>,
     /// A blocking body's side of its hand-off with the scheduler, from
     /// the moment the body starts. `None` in the context a machine is
@@ -1155,7 +788,6 @@ impl std::fmt::Debug for Ctx {
             .field("pid", &self.pid)
             .field("name", &self.name)
             .field("endpoint", &self.endpoint)
-            .field("domain", &self.domain)
             .field("stopped", &self.stopped)
             .finish()
     }
@@ -1182,11 +814,9 @@ impl Ctx {
         self.endpoint
     }
 
-    /// Current simulated time — this process's *domain* clock, which is
-    /// the only clock the process can causally observe. With one domain
-    /// (the default) it is the global clock.
+    /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.shared.domain_now(self.domain)
+        self.shared.now()
     }
 
     /// Whether the simulation has asked this process to stop.
@@ -1267,8 +897,7 @@ impl Ctx {
     /// event at all — whatever it would own (names, strings) is never
     /// allocated.
     pub fn trace(&self, span: obs::SpanId, event: impl FnOnce() -> obs::NetEventKind) {
-        self.shared
-            .record(self.domain, span, || TraceEvent::Net(event()));
+        self.shared.record(span, || TraceEvent::Net(event()));
     }
 
     /// Non-blocking receive: returns a message already in the mailbox, or
@@ -1283,22 +912,18 @@ impl Ctx {
         if self.stopped {
             return Err(Stopped);
         }
-        Ok(self.shared.pop_mailbox(self.domain, self.pid))
+        Ok(self.shared.pop_mailbox(self.pid))
     }
 
     /// Spawns another process on `node` with an ephemeral port, returning
-    /// its endpoint. A same-domain spawn starts at the current instant;
-    /// a spawn landing in *another* domain starts one cross-domain
-    /// lookahead later (the earliest instant that domain could causally
-    /// learn of it).
+    /// its endpoint. It starts at the current instant.
     pub fn spawn<F>(&self, name: impl Into<String>, node: NodeId, body: F) -> Endpoint
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        self.shared
-            .spawn_proc(Some(self.domain), name.into(), node, None, |ctx| {
-                Box::new(Body::new(ctx, body))
-            })
+        self.shared.spawn_proc(name.into(), node, None, |ctx| {
+            Box::new(Body::new(ctx, body))
+        })
     }
 
     /// Spawns a process listening on a well-known port.
@@ -1317,7 +942,7 @@ impl Ctx {
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
         self.shared
-            .spawn_proc(Some(self.domain), name.into(), node, Some(port), |ctx| {
+            .spawn_proc(name.into(), node, Some(port), |ctx| {
                 Box::new(Body::new(ctx, body))
             })
     }
@@ -1329,9 +954,7 @@ impl Ctx {
         P: Process,
     {
         self.shared
-            .spawn_proc(Some(self.domain), name.into(), node, None, |_| {
-                Box::new(process)
-            })
+            .spawn_proc(name.into(), node, None, |_| Box::new(process))
     }
 
     /// Spawns a poll-driven process listening on a well-known port.
@@ -1351,9 +974,7 @@ impl Ctx {
         P: Process,
     {
         self.shared
-            .spawn_proc(Some(self.domain), name.into(), node, Some(port), |_| {
-                Box::new(process)
-            })
+            .spawn_proc(name.into(), node, Some(port), |_| Box::new(process))
     }
 
     /// Spawns an `async` body on `node` with an ephemeral port (see
@@ -1364,20 +985,11 @@ impl Ctx {
         Fut: Future<Output = ()> + Send + 'static,
     {
         self.shared
-            .spawn_proc(Some(self.domain), name.into(), node, None, |_| {
-                Box::new(Async::new(body))
-            })
+            .spawn_proc(name.into(), node, None, |_| Box::new(Async::new(body)))
     }
 
     /// Exclusive access to the network model for runtime fault injection
     /// (partitions, loss, link latency). Do not hold across blocking calls.
-    ///
-    /// In a multi-domain simulation, *lowering* a cross-domain latency
-    /// from inside a running process can invalidate the round's
-    /// already-computed lookahead; the scheduler detects the resulting
-    /// time inversions and counts them in `sched_time_inversions`
-    /// rather than failing silently. Mutate topology from the driving
-    /// thread between runs (or raise latencies only) to stay exact.
     pub fn net(&self) -> RwLockWriteGuard<'_, Network> {
         self.shared.network.write()
     }
@@ -1386,28 +998,22 @@ impl Ctx {
     /// blocking call returns [`Stopped`]; a well-behaved process then
     /// exits) and its endpoint is unbound, so in-flight and
     /// future messages to it blackhole. Returns false if no live
-    /// process owns the endpoint.
-    ///
-    /// A same-domain kill lands at the current instant. A kill of a
-    /// process in *another* domain lands one cross-domain lookahead
-    /// later and optimistically returns `true` — the caller cannot
-    /// observe the victim's liveness faster than a message could travel
-    /// anyway.
+    /// process owns the endpoint. The teardown lands at the current
+    /// instant.
     ///
     /// Killing your own endpoint is allowed but pointless — prefer
     /// returning from the process body.
     pub fn kill(&self, target: Endpoint) -> bool {
-        self.shared.request_kill(self.domain, target)
+        self.shared.kill(target)
     }
 
-    /// Runs `f` with this process's domain RNG — deterministic in the
-    /// domain's execution order. With one domain this is the classic
-    /// simulation-wide RNG stream.
+    /// Runs `f` with the simulation's RNG — deterministic in event
+    /// order.
     pub fn with_rng<T>(&self, f: impl FnOnce(&mut StdRng) -> T) -> T {
-        f(&mut self.shared.dom(self.domain).rng)
+        f(&mut self.shared.st().rng)
     }
 
-    /// Draws a uniformly random `u64` from the domain RNG.
+    /// Draws a uniformly random `u64` from the simulation's RNG.
     pub fn rand_u64(&self) -> u64 {
         self.with_rng(|r| r.gen())
     }
@@ -1422,18 +1028,12 @@ impl Ctx {
         self.yielder.is_none()
     }
 
-    /// A context with this one's identity (pid, name, endpoint, domain)
+    /// A context with this one's identity (pid, name, endpoint)
     /// and fresh per-process state: what a blocking body runs against,
     /// beside the one its machine is polled with.
     pub(crate) fn twin(&self) -> Ctx {
         let shared = Arc::clone(&self.shared);
-        Ctx::new(
-            self.pid,
-            self.name.clone(),
-            self.endpoint,
-            self.domain,
-            shared,
-        )
+        Ctx::new(self.pid, self.name.clone(), self.endpoint, shared)
     }
 
     /// A context with this one's identity but no name and fresh
@@ -1441,21 +1041,14 @@ impl Ctx {
     /// for a poll.
     pub(crate) fn vacant(&self) -> Ctx {
         let shared = Arc::clone(&self.shared);
-        Ctx::new(self.pid, String::new(), self.endpoint, self.domain, shared)
+        Ctx::new(self.pid, String::new(), self.endpoint, shared)
     }
 
-    fn new(
-        pid: ProcId,
-        name: String,
-        endpoint: Endpoint,
-        domain: usize,
-        shared: Arc<Shared>,
-    ) -> Ctx {
+    fn new(pid: ProcId, name: String, endpoint: Endpoint, shared: Arc<Shared>) -> Ctx {
         Ctx {
             pid,
             name,
             endpoint,
-            domain,
             shared,
             yielder: None,
             stopped: false,
@@ -1465,12 +1058,10 @@ impl Ctx {
         }
     }
 
-    /// Points this thread's obs writer lane and profiler at the
-    /// process's domain and simulation. A body sharing the thread that
-    /// runs its domain finds both already so; one with a thread of its
-    /// own says it here, once.
+    /// Points this thread's profiler at the process's simulation. A body
+    /// sharing the thread that drives the simulation finds it already
+    /// so; one with a thread of its own says it here, once.
     pub(crate) fn adopt_thread(&self) {
-        obs::set_ambient_lane(self.domain);
         obs::set_ambient_profiler(Some(Arc::clone(&self.shared.obs)));
     }
 }
@@ -1523,29 +1114,26 @@ pub struct Simulation {
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("now", &self.shared.max_now())
-            .field("domains", &self.shared.ndomains())
+            .field("now", &self.shared.now())
             .finish_non_exhaustive()
     }
 }
 
-fn build_domains(n: usize, seed: u64) -> Box<[Domain]> {
-    (0..n)
-        .map(|d| Domain {
-            state: Mutex::new(DomainState::new(d, seed)),
-            series: DomainSeries::new(d, n),
-        })
-        .collect()
-}
-
 impl Simulation {
     /// Creates a simulation with the given network model and RNG seed.
-    /// One domain: the classic sequential scheduler.
     pub fn new(config: NetworkConfig, seed: u64) -> Simulation {
         Simulation {
             shared: Arc::new(Shared {
-                domains: build_domains(1, seed),
-                round_lookahead_ns: AtomicU64::new(u64::MAX),
+                state: Mutex::new(SchedState {
+                    now: SimTime::ZERO,
+                    events: Events::new(),
+                    rng: StdRng::seed_from_u64(seed),
+                    trace: None,
+                    procs: HashMap::new(),
+                    endpoints: HashMap::new(),
+                    next_proc: 0,
+                    next_ephemeral: HashMap::new(),
+                }),
                 tracing: AtomicBool::new(false),
                 network: RwLock::new(Network::new(config)),
                 metrics: Arc::new(Metrics::new()),
@@ -1555,58 +1143,26 @@ impl Simulation {
         }
     }
 
-    /// Partitions the simulation into `n` scheduling domains: node `i`'s
-    /// processes and events belong to domain `i % n`. For a fixed seed
-    /// and topology the results are **identical for every domain count
-    /// observable by the simulation** — except the documented
-    /// multi-domain approximations (cross-domain spawn/kill land one
-    /// lookahead later; `processes_peak` becomes a deterministic upper
-    /// bound).
-    ///
-    /// Call before enabling tracing or spawning any process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or a process has already been spawned.
+    /// Does nothing: every simulation runs one event heap. Kept for
+    /// callers written when the scheduler could partition its nodes into
+    /// domains, a choice that picked another valid schedule for a seed
+    /// and nothing else.
     #[must_use]
-    pub fn with_domains(mut self, n: usize) -> Simulation {
-        assert!(n > 0, "domain count must be at least 1");
-        let seed = self.shared.seed;
-        let shared = Arc::get_mut(&mut self.shared)
-            .expect("set the domain count before spawning any process");
-        assert!(
-            shared
-                .domains
-                .iter_mut()
-                .all(|d| d.state.get_mut().procs.is_empty()),
-            "set the domain count before spawning"
-        );
-        shared.domains = build_domains(n, seed);
-        shared
-            .round_lookahead_ns
-            .store(if n == 1 { u64::MAX } else { 0 }, Ordering::Relaxed);
-        Arc::get_mut(&mut shared.obs)
-            .expect("set the domain count before sharing the obs registry")
-            .set_writer_lanes(n);
+    pub fn with_domains(self, _n: usize) -> Simulation {
         self
     }
 
     /// Does nothing: the thread that calls [`Simulation::run_until`]
-    /// runs every domain's round. Kept for callers written when a worker
-    /// pool could run them, whose results never depended on its size.
+    /// runs every event. Kept for callers written when a worker pool
+    /// could run them, whose results never depended on its size.
     #[must_use]
     pub fn with_threads(self, _n: usize) -> Simulation {
         self
     }
 
-    /// The number of scheduling domains.
-    pub fn domains(&self) -> usize {
-        self.shared.ndomains()
-    }
-
-    /// Current simulated time (the most advanced domain clock).
+    /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.shared.max_now()
+        self.shared.now()
     }
 
     /// Current network/scheduler counters.
@@ -1624,10 +1180,10 @@ impl Simulation {
     /// counters, per-proxy/per-server stats, per-op latency percentiles
     /// and the span summary, as of the current simulated time.
     pub fn obs_report(&self) -> obs::RunReport {
-        let mut report = self.shared.obs.report(
-            self.shared.metrics.snapshot(),
-            self.shared.max_now().as_nanos(),
-        );
+        let mut report = self
+            .shared
+            .obs
+            .report(self.shared.metrics.snapshot(), self.shared.now().as_nanos());
         report.trace_evicted = self.trace_evicted();
         // The simulator always knows its seed; the harness can overwrite
         // the rest of the provenance via obs().set_run_meta.
@@ -1637,60 +1193,32 @@ impl Simulation {
         report
     }
 
-    /// Starts recording a timeline of up to `capacity` events *per
-    /// domain* (older entries fall off). Call before spawning to
-    /// capture everything.
+    /// Starts recording a timeline of up to `capacity` events (older
+    /// entries fall off). Call before spawning to capture everything.
     pub fn enable_trace(&self, capacity: usize) {
-        for d in 0..self.shared.ndomains() {
-            self.shared.dom(d).trace = Some(Trace::new(capacity));
-        }
+        self.shared.st().trace = Some(Trace::new(capacity));
         self.shared.tracing.store(true, Ordering::Relaxed);
     }
 
     /// Drains and returns the recorded timeline (empty if tracing was
-    /// never enabled). Recording continues afterwards. Domain slices
-    /// are merged by `(time, domain, record order)` — a pure function
-    /// of per-domain facts, so the merged timeline is identical however
-    /// the rounds interleave. The returned [`TraceDump`] carries the count
-    /// of records the bounded rings evicted, so a truncated timeline is
-    /// never mistaken for a complete one; draining resets the counters.
+    /// never enabled). Recording continues afterwards. The returned
+    /// [`TraceDump`] carries the count of records the bounded ring
+    /// evicted, so a truncated timeline is never mistaken for a complete
+    /// one; draining resets the counter.
     pub fn take_trace(&self) -> TraceDump {
-        let nd = self.shared.ndomains();
-        if nd == 1 {
-            return self
-                .shared
-                .dom(0)
-                .trace
-                .as_mut()
-                .map(|t| t.drain())
-                .unwrap_or_default();
-        }
-        let mut tagged: Vec<(SimTime, usize, usize, TraceRecord)> = Vec::new();
-        let mut evicted = 0;
-        for d in 0..nd {
-            let dump = match self.shared.dom(d).trace.as_mut() {
-                Some(t) => t.drain(),
-                None => continue,
-            };
-            evicted += dump.evicted;
-            for (idx, rec) in dump.records.into_iter().enumerate() {
-                tagged.push((rec.at, d, idx, rec));
-            }
-        }
-        tagged.sort_by_key(|a| (a.0, a.1, a.2));
-        TraceDump {
-            records: tagged.into_iter().map(|(_, _, _, r)| r).collect(),
-            evicted,
-        }
+        self.shared
+            .st()
+            .trace
+            .as_mut()
+            .map(|t| t.drain())
+            .unwrap_or_default()
     }
 
-    /// Records evicted from the trace rings since tracing was enabled
+    /// Records evicted from the trace ring since tracing was enabled
     /// (without draining). Also surfaced by [`RunReport::trace_evicted`]
     /// and reset by [`Simulation::take_trace`].
     pub fn trace_evicted(&self) -> u64 {
-        (0..self.shared.ndomains())
-            .map(|d| self.shared.dom(d).trace.as_ref().map_or(0, |t| t.truncated))
-            .sum()
+        self.shared.st().trace.as_ref().map_or(0, |t| t.truncated)
     }
 
     /// Drains the trace ring and merges it with the span records in the
@@ -1726,10 +1254,9 @@ impl Simulation {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        self.shared
-            .spawn_proc(None, name.into(), node, None, |ctx| {
-                Box::new(Body::new(ctx, body))
-            })
+        self.shared.spawn_proc(name.into(), node, None, |ctx| {
+            Box::new(Body::new(ctx, body))
+        })
     }
 
     /// Spawns a process listening on a well-known port.
@@ -1749,7 +1276,7 @@ impl Simulation {
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
         self.shared
-            .spawn_proc(None, name.into(), node, Some(port), |ctx| {
+            .spawn_proc(name.into(), node, Some(port), |ctx| {
                 Box::new(Body::new(ctx, body))
             })
     }
@@ -1764,7 +1291,7 @@ impl Simulation {
         P: Process,
     {
         self.shared
-            .spawn_proc(None, name.into(), node, None, |_| Box::new(process))
+            .spawn_proc(name.into(), node, None, |_| Box::new(process))
     }
 
     /// Spawns a poll-driven process listening on a well-known port.
@@ -1784,7 +1311,7 @@ impl Simulation {
         P: Process,
     {
         self.shared
-            .spawn_proc(None, name.into(), node, Some(port), |_| Box::new(process))
+            .spawn_proc(name.into(), node, Some(port), |_| Box::new(process))
     }
 
     /// Spawns an `async` body on `node` with an ephemeral port: `body` is
@@ -1797,9 +1324,8 @@ impl Simulation {
         F: FnOnce(AsyncCx) -> Fut,
         Fut: Future<Output = ()> + Send + 'static,
     {
-        self.shared.spawn_proc(None, name.into(), node, None, |_| {
-            Box::new(Async::new(body))
-        })
+        self.shared
+            .spawn_proc(name.into(), node, None, |_| Box::new(Async::new(body)))
     }
 
     /// Spawns an `async` body listening on a well-known port.
@@ -1819,10 +1345,9 @@ impl Simulation {
         F: FnOnce(AsyncCx) -> Fut,
         Fut: Future<Output = ()> + Send + 'static,
     {
-        self.shared
-            .spawn_proc(None, name.into(), node, Some(port), |_| {
-                Box::new(Async::new(body))
-            })
+        self.shared.spawn_proc(name.into(), node, Some(port), |_| {
+            Box::new(Async::new(body))
+        })
     }
 
     /// Runs the simulation until no events remain, then shuts all
@@ -1838,136 +1363,46 @@ impl Simulation {
         report
     }
 
-    /// Runs until the event queues are empty or virtual time would
-    /// exceed `limit`. Processes stay alive; call again to continue, or
-    /// call [`Simulation::run`] to finish.
-    ///
-    /// Folds one barrier round's wall time into the profiler: the
-    /// `sched;round` pick/exec/merge phase frames (consecutive clock
-    /// reads on the driving thread, so the phases tile the round wall
-    /// time *exactly*) and each domain's busy time and an even share of
-    /// the exec phase's rest, the stall: what running the domains one
-    /// after another cost beyond their own events. Frame call counts (1
-    /// per round per frame) are deterministic; every `wall_ns` is
-    /// host-dependent and reported-not-judged.
-    fn profile_round(&self, t0: Instant, t1: Instant, t2: Instant) {
-        let t3 = Instant::now();
-        let obs = &self.shared.obs;
-        obs.profile_add("sched;round", 1, (t3 - t0).as_nanos() as u64);
-        obs.profile_add("sched;round;pick", 1, (t1 - t0).as_nanos() as u64);
-        let exec_ns = (t2 - t1).as_nanos() as u64;
-        obs.profile_add("sched;round;exec", 1, exec_ns);
-        obs.profile_add("sched;round;merge", 1, (t3 - t2).as_nanos() as u64);
-        let nd = self.shared.ndomains();
-        // The domain's own clock reads bracket a subset of the exec
-        // phase, so clamp: busy is what the domain measured running
-        // events.
-        let busy = |d: usize| self.shared.dom(d).round_busy_ns.min(exec_ns);
-        let stall = exec_ns.saturating_sub((0..nd).map(busy).sum()) / nd as u64;
-        for d in 0..nd {
-            let series = &self.shared.domains[d].series;
-            obs.profile_add(&series.busy_frame, 1, busy(d));
-            obs.profile_add(&series.stall_frame, 1, stall);
-        }
-    }
-
-    /// Stops every live process, domain by domain on this thread, the one
-    /// that ran their rounds, then drops whatever never got dispatched.
-    fn shutdown(&self) {
-        obs::set_ambient_profiler(Some(Arc::clone(&self.shared.obs)));
-        for d in 0..self.shared.ndomains() {
-            obs::set_ambient_lane(d);
-            self.shared.shutdown_domain(d);
-        }
-        obs::set_ambient_lane(0);
-        self.shared.clear_pending();
-    }
-
-    /// Execution proceeds in barrier rounds: compute the global minimum
-    /// event time, let every domain run up to the conservative lookahead
-    /// horizon, then merge cross-domain outboxes. With one domain a
-    /// single round drains everything — the classic sequential loop.
+    /// Runs until no event is pending or virtual time would exceed
+    /// `limit`. Processes stay alive; call again to continue, or call
+    /// [`Simulation::run`] to finish.
     ///
     /// # Panics
     ///
     /// Panics if any simulated process panicked.
     pub fn run_until(&mut self, limit: SimTime) -> RunReport {
-        let nd = self.shared.ndomains();
-        // The driving thread folds the scheduler's round-phase frames
-        // into this simulation's registry (writer lane 0).
+        // Scopes opened by the events this thread runs fold into this
+        // simulation's profiler, and while it is armed the loop's own
+        // wall time folds as `sched;run`, once per call.
         obs::set_ambient_profiler(Some(Arc::clone(&self.shared.obs)));
-        let profiling = self.shared.obs.profile_enabled();
-        let mut beyond_limit = false;
-        loop {
-            // Phase brackets: consecutive Instants, so pick + exec +
-            // merge telescope to the round wall time *exactly* — the
-            // conservation E20 asserts holds by construction.
-            let t_round = profiling.then(Instant::now);
-            // Round setup runs alone on the driving thread: reset the
-            // per-round spawn ledgers and find the global minimum.
-            let mut gm: Option<SimTime> = None;
-            for d in 0..nd {
-                let mut st = self.shared.dom(d);
-                st.round_delta = 0;
-                st.round_rise = 0;
-                if let Some(ev) = st.events.peek() {
-                    gm = Some(match gm {
-                        Some(g) => g.min(ev.key.time),
-                        None => ev.key.time,
-                    });
-                }
-            }
-            let Some(gm) = gm else { break };
-            if gm > limit {
-                beyond_limit = true;
-                break;
-            }
-            let la = self.shared.round_lookahead();
-            self.shared.round_lookahead_ns.store(la, Ordering::Relaxed);
-            let horizon = SimTime::from_nanos(gm.as_nanos().saturating_add(la));
-            let live_start = self.shared.metrics.live();
-            let t_pick = profiling.then(Instant::now);
-            for d in 0..nd {
-                if nd > 1 {
-                    obs::set_ambient_lane(d);
-                }
-                self.shared.domain_round(d, gm, horizon, limit);
-            }
-            if nd > 1 {
-                obs::set_ambient_lane(0);
-            }
-            let t_exec = profiling.then(Instant::now);
-            self.shared.flush_outboxes();
-            if nd > 1 {
-                self.shared.finish_round(live_start);
-            }
-            if let (Some(t0), Some(t1), Some(t2)) = (t_round, t_pick, t_exec) {
-                self.profile_round(t0, t1, t2);
-            }
-        }
-        if beyond_limit {
-            for d in 0..nd {
-                self.shared.dom(d).now = limit;
-            }
+        let t0 = self.shared.obs.profile_enabled().then(Instant::now);
+        self.shared.run_events(limit);
+        if let Some(t0) = t0 {
+            let wall_ns = t0.elapsed().as_nanos() as u64;
+            self.shared.obs.profile_add("sched;run", 1, wall_ns);
         }
         self.shared.check_panics();
         let (mut finished, mut alive) = (0, 0);
-        for d in 0..nd {
-            for p in self.shared.dom(d).procs.values() {
-                if p.state == ProcState::Finished {
-                    finished += 1;
-                } else {
-                    alive += 1;
-                }
+        for p in self.shared.st().procs.values() {
+            if p.state == ProcState::Finished {
+                finished += 1;
+            } else {
+                alive += 1;
             }
         }
         RunReport {
-            end_time: self.shared.max_now(),
+            end_time: self.shared.now(),
             metrics: self.shared.metrics.snapshot(),
             finished,
             alive,
             trace_evicted: self.trace_evicted(),
         }
+    }
+
+    /// Stops every live process on this thread, the one that ran them.
+    fn shutdown(&self) {
+        obs::set_ambient_profiler(Some(Arc::clone(&self.shared.obs)));
+        self.shared.shutdown();
     }
 }
 
@@ -2336,6 +1771,38 @@ mod tests {
         // instant; FIFO tie-break must preserve send order.
         assert_eq!(*order.lock(), vec![1, 2, 3]);
     }
+
+    /// The heap orders its keys by `(time, seq)` alone: same-instant
+    /// events pop in push order even when later pushes took freed slots
+    /// below earlier ones.
+    #[test]
+    fn same_instant_events_pop_in_push_order_after_slot_reuse() {
+        let mut events = Events::new();
+        let at = SimTime::from_millis;
+        let woken = |events: &mut Events| match events.pop() {
+            Some((_, EvKind::Wake(pid))) => pid.0,
+            _ => panic!("expected a wake"),
+        };
+        for pid in 0..4 {
+            events.push(at(5), EvKind::Wake(ProcId(pid)));
+        }
+        events.push(at(1), EvKind::Wake(ProcId(90)));
+        events.push(at(2), EvKind::Wake(ProcId(91)));
+        assert_eq!((woken(&mut events), woken(&mut events)), (90, 91));
+        // Pids 4 and 5 take the freed slots 5 and 4; 6 and 7 new ones.
+        for pid in 4..8 {
+            events.push(at(5), EvKind::Wake(ProcId(pid)));
+        }
+        assert_eq!(events.slab.len(), 8, "freed slots are reused");
+        assert_eq!(woken(&mut events), 0);
+        // A slot freed mid-instant is reused by an event that still runs
+        // after every earlier push at that instant.
+        events.push(at(5), EvKind::Wake(ProcId(8)));
+        let order: Vec<u32> = (0..8).map(|_| woken(&mut events)).collect();
+        assert_eq!(order, [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert!(events.pop().is_none());
+        assert_eq!(events.slab.len(), 8);
+    }
 }
 
 #[cfg(test)]
@@ -2343,6 +1810,7 @@ mod trace_tests {
     use super::*;
     use crate::trace::TraceEvent;
     use obs::NetEventKind;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn trace_captures_ordered_timeline() {
@@ -2470,11 +1938,10 @@ mod domain_tests {
     use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
     use std::time::Duration;
 
-    /// A closed-loop echo workload spread over 8 nodes, run to
-    /// completion. Returns everything an outside observer can see.
-    fn run_workload(domains: usize, seed: u64) -> (String, String, u64, u64) {
-        let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.2).with_loss(0.05), seed)
-            .with_domains(domains);
+    /// A closed-loop echo workload spread over 12 nodes, paused at 40 ms.
+    /// Returns everything an outside observer can see.
+    fn run_workload(sim: Simulation) -> (String, String, u64, u64) {
+        let mut sim = sim;
         sim.enable_trace(65536);
         let mut servers = Vec::new();
         for n in 0..4u32 {
@@ -2521,32 +1988,40 @@ mod domain_tests {
         )
     }
 
-    /// One thread runs every domain now, so the thread count is fixed:
-    /// what stays to check is that the same seed gives the same bytes.
+    fn lossy(seed: u64) -> Simulation {
+        Simulation::new(NetworkConfig::lan().with_jitter(0.2).with_loss(0.05), seed)
+    }
+
+    /// One thread runs every event, so what stays to check is that the
+    /// same seed gives the same bytes.
     #[test]
     fn thread_count_does_not_change_results() {
-        let base = run_workload(4, 42);
-        let again = run_workload(4, 42);
+        let base = run_workload(lossy(42));
+        let again = run_workload(lossy(42));
         assert_eq!(base.0, again.0, "summary differs between two runs");
         assert_eq!(base.1, again.1, "trace differs between two runs");
         assert_eq!(base.2, again.2, "peak differs between two runs");
         assert_eq!(base.3, 0, "no time inversions in an undisturbed run");
     }
 
+    /// `with_domains` and `with_threads` are no-ops: a run built with
+    /// them is byte for byte the run built without.
     #[test]
     fn single_domain_ignores_thread_count() {
-        assert_eq!(run_workload(1, 7), run_workload(1, 7));
+        let plain = run_workload(lossy(7));
+        assert_eq!(run_workload(lossy(7).with_domains(4)), plain);
+        assert_eq!(run_workload(lossy(7).with_threads(4)), plain);
     }
 
     #[test]
     fn cross_domain_spawn_and_kill_are_deterministic() {
         fn run_once() -> (String, u64) {
-            let mut sim = Simulation::new(NetworkConfig::lan(), 9).with_domains(3);
+            let mut sim = Simulation::new(NetworkConfig::lan(), 9);
             sim.enable_trace(4096);
             let spawned = Arc::new(AtomicU64::new(0));
             let s = Arc::clone(&spawned);
-            // driver on node 0 (domain 0) spawns a child on node 1
-            // (domain 1), then kills a victim on node 2 (domain 2).
+            // The driver on node 0 spawns a child on node 1, then kills
+            // a victim on node 2.
             let victim = sim.spawn_at(
                 "victim",
                 NodeId(2),
@@ -2563,7 +2038,8 @@ mod domain_tests {
                 });
                 ctx.send(child, Bytes::from_static(b"hi"));
                 ctx.sleep(Duration::from_millis(1)).unwrap();
-                assert!(ctx.kill(victim), "cross-domain kill is optimistic");
+                assert!(ctx.kill(victim), "the victim is alive");
+                assert!(!ctx.kill(victim), "and then it is not");
             });
             sim.run();
             let trace: String = sim
@@ -2574,36 +2050,14 @@ mod domain_tests {
             (trace, spawned.load(AtomicOrdering::SeqCst))
         }
         let a = run_once();
-        assert_eq!(a, run_once(), "cross-domain spawn/kill must repeat");
+        assert_eq!(a, run_once(), "spawn and kill must repeat");
         assert_eq!(a.1, 1, "child must receive the driver's message");
-    }
-
-    #[test]
-    fn striped_ids_are_unique_across_domains() {
-        let sim = Simulation::new(NetworkConfig::lan(), 0).with_domains(4);
-        let mut eps = std::collections::HashSet::new();
-        for n in 0..12u32 {
-            // Spawned from the driving thread: stripe = target domain.
-            let ep = sim.spawn(format!("p{n}"), NodeId(n), |ctx| {
-                // Spawn a sibling on a *different* node from in here, so
-                // in-round cross-domain allocation paths get exercised.
-                if ctx.node().0 < 4 {
-                    let peer = NodeId(ctx.node().0 + 20);
-                    ctx.spawn("peer", peer, |_| {});
-                }
-            });
-            assert!(eps.insert(ep), "duplicate endpoint {ep}");
-        }
-        let mut sim = sim;
-        let report = sim.run();
-        assert_eq!(report.alive, 0);
-        assert_eq!(report.finished, 16, "12 parents + 4 in-round children");
     }
 
     #[test]
     fn run_until_resumes_identically_across_threads() {
         fn staged() -> (u64, u64, String) {
-            let mut sim = Simulation::new(NetworkConfig::lan(), 5).with_domains(2);
+            let mut sim = Simulation::new(NetworkConfig::lan(), 5);
             sim.enable_trace(4096);
             let server = sim.spawn_at("server", NodeId(0), PortId(1), |ctx| {
                 while let Ok(m) = ctx.recv() {
@@ -2660,9 +2114,8 @@ mod domain_tests {
         });
         let mid = sim.run_until(SimTime::from_millis(5));
         assert_eq!(mid.metrics.msgs_delivered, 6);
-        // Both live on node 0: domain 0's table.
         let queued = |sim: &Simulation| -> Vec<(usize, usize)> {
-            let st = sim.shared.dom(0);
+            let st = sim.shared.st();
             [blocking, polled]
                 .iter()
                 .map(|ep| {
@@ -2679,11 +2132,11 @@ mod domain_tests {
         assert_eq!(queued(&sim), vec![(0, 0), (0, 0)]);
     }
 
-    /// Every `Spawned` record's `(name, pid, endpoint)` on 4 domains, from
-    /// out-of-round spawns, in-round same- and cross-domain spawns and
-    /// one in-round `spawn_at`.
+    /// Every `Spawned` record's `(name, pid, endpoint)`, from spawns made
+    /// before the run, spawns made by running processes onto their own
+    /// and other nodes, and one in-run `spawn_at`.
     fn spawned_ids() -> Vec<(String, u32, String)> {
-        let mut sim = Simulation::new(NetworkConfig::lan(), 3).with_domains(4);
+        let mut sim = Simulation::new(NetworkConfig::lan(), 3);
         sim.enable_trace(4096);
         for n in 0..6u32 {
             sim.spawn(format!("root{n}"), NodeId(n), |ctx| {
@@ -2711,32 +2164,31 @@ mod domain_tests {
             .collect()
     }
 
-    /// Pids and ports keep the striped sequence of the simulation-wide
-    /// table they came from: each counter belongs to the allocating
-    /// domain.
+    /// Pids count up from 0 in spawn order, and each node's ephemeral
+    /// ports count up from `PortId::EPHEMERAL_BASE`.
     #[test]
     fn id_sequence_is_pinned() {
         let want: Vec<(String, u32, String)> = [
             ("root0", 0, "n0:p65536"),
+            ("root1", 1, "n1:p65536"),
+            ("root2", 2, "n2:p65536"),
+            ("root3", 3, "n3:p65536"),
             ("root4", 4, "n4:p65536"),
-            ("same0", 8, "n4:p65540"),
-            ("same4", 16, "n8:p65536"),
-            ("root1", 1, "n1:p65537"),
-            ("root5", 5, "n5:p65537"),
-            ("same1", 9, "n5:p65541"),
-            ("same5", 21, "n9:p65537"),
-            ("root2", 2, "n2:p65538"),
-            ("same2", 6, "n6:p65538"),
-            ("root3", 3, "n3:p65539"),
-            ("same3", 7, "n7:p65539"),
-            ("cross3", 11, "n4:p65539"),
-            ("cross0", 12, "n1:p65536"),
-            ("cross4", 20, "n5:p65536"),
-            ("cross1", 13, "n2:p65537"),
-            ("well-known", 17, "n6:p7"),
-            ("cross5", 25, "n6:p65537"),
-            ("grandchild", 14, "n6:p65542"),
-            ("cross2", 10, "n3:p65538"),
+            ("root5", 5, "n5:p65536"),
+            ("same0", 6, "n4:p65537"),
+            ("cross0", 7, "n1:p65537"),
+            ("same1", 8, "n5:p65537"),
+            ("cross1", 9, "n2:p65537"),
+            ("well-known", 10, "n6:p7"),
+            ("same2", 11, "n6:p65536"),
+            ("cross2", 12, "n3:p65537"),
+            ("same3", 13, "n7:p65536"),
+            ("cross3", 14, "n4:p65538"),
+            ("same4", 15, "n8:p65536"),
+            ("cross4", 16, "n5:p65538"),
+            ("same5", 17, "n9:p65536"),
+            ("cross5", 18, "n6:p65537"),
+            ("grandchild", 19, "n6:p65538"),
         ]
         .into_iter()
         .map(|(name, pid, ep)| (name.to_string(), pid, ep.to_string()))

@@ -11,13 +11,11 @@
 //! with the same bodies written `async` (`Simulation::spawn_async`),
 //! which must leave the same timeline and count the same events.
 //!
-//! At the parent of the change that added this file (a thread per
-//! process, everywhere) all of these pass but
-//! `undelivered_cross_domain_spawn_is_dropped_unrun`, which there raced
-//! a detached thread that dropped the body a moment after the
-//! simulation was gone; the thread hand-off kept for other targets now
-//! joins, and passes them all. One is what sharing a thread adds, and
-//! fails on a coroutine hand-off without the matching care:
+//! The thread hand-off kept for other targets joins a body's thread
+//! before it lets go, so a body dropped unrun is gone when the
+//! simulation is (`undelivered_cross_domain_spawn_is_dropped_unrun`).
+//! One test is what sharing a thread adds, and fails on a coroutine
+//! hand-off without the matching care:
 //! `open_scope_stays_with_its_process` (the profiler's open frames must
 //! travel with the body).
 
@@ -27,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
-use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, PortId, SimTime, Simulation, Stopped};
+use simnet::{Endpoint, NetworkConfig, NodeId, PortId, SimTime, Simulation, Stopped};
 
 /// Counts its own drops.
 struct Guard(Arc<AtomicUsize>);
@@ -82,35 +80,28 @@ fn killed_in_its_spawn_instant_stops_at_its_first_block() {
     assert_eq!(report.finished, 2);
 }
 
-/// A cross-domain spawn is an event (or an outbox entry) until its
-/// target domain reaches it; a simulation dropped first drops the body
-/// unrun, wherever it was parked.
+/// A spawn onto another node made while the simulation shuts down
+/// never gets its first wake: its body is dropped unrun, and its
+/// captures go with the simulation.
 #[test]
 fn undelivered_cross_domain_spawn_is_dropped_unrun() {
     let ran = Arc::new(AtomicUsize::new(0));
     let drops = counter();
-    let mut sim = Simulation::new(NetworkConfig::lan(), 1).with_domains(2);
+    let mut sim = Simulation::new(NetworkConfig::lan(), 1);
     let (r, d) = (Arc::clone(&ran), Arc::clone(&drops));
     sim.spawn("spawner", NodeId(0), move |ctx| {
-        let foreign = |ctx: &Ctx, r: Arc<AtomicUsize>, g: Guard| {
-            ctx.spawn("foreign", NodeId(1), move |_| {
-                let _g = g;
-                r.fetch_add(1, Ordering::SeqCst);
-            });
-        };
-        // Lands in domain 1's heap one lookahead from now: beyond the
-        // pause below.
-        foreign(ctx, Arc::clone(&r), Guard(Arc::clone(&d)));
         assert_eq!(ctx.recv().map(|_| ()), Err(Stopped));
-        // Spawned during shutdown: still in domain 0's outbox when the
-        // simulation goes.
-        foreign(ctx, r, Guard(d));
+        let g = Guard(d);
+        ctx.spawn("foreign", NodeId(1), move |_| {
+            let _g = g;
+            r.fetch_add(1, Ordering::SeqCst);
+        });
     });
     sim.run_until(SimTime::ZERO);
     assert_eq!(drops.load(Ordering::SeqCst), 0);
     drop(sim);
     assert_eq!(ran.load(Ordering::SeqCst), 0, "a foreign body ran");
-    assert_eq!(drops.load(Ordering::SeqCst), 2, "each capture dropped once");
+    assert_eq!(drops.load(Ordering::SeqCst), 1, "the capture dropped once");
 }
 
 /// Where a victim parks.
@@ -405,14 +396,13 @@ fn a_backtrace_taken_in_a_body_terminates() {
     );
 }
 
-/// Blocking bodies in each of four domains, cross-domain traffic, a
-/// mid-run pause, and eight bodies (two per domain) still blocked in
-/// `recv` when the run ends. Returns every byte an observer can read:
+/// Blocking bodies on twelve nodes, traffic between them, a mid-run
+/// pause, and eight bodies still blocked in `recv` when the run ends. Returns every byte an observer can read:
 /// the run summary, the `RunReport` JSON, the scheduler's timeline
 /// (lifecycle records included) and the causal trace as JSONL.
-fn four_domain_run() -> [String; 4] {
+fn paused_run() -> [String; 4] {
     let cfg = NetworkConfig::lan().with_jitter(0.2).with_loss(0.05);
-    let mut sim = Simulation::new(cfg, 22).with_domains(4);
+    let mut sim = Simulation::new(cfg, 22);
     sim.enable_trace(1 << 16);
     let servers: Vec<Endpoint> = (0..4u32)
         .map(|n| {
@@ -424,7 +414,6 @@ fn four_domain_run() -> [String; 4] {
         })
         .collect();
     for c in 0..8u32 {
-        // Node 4 + c is in domain c % 4; its server is in the next one.
         let server = servers[(c as usize + 1) % 4];
         sim.spawn(format!("client{c}"), NodeId(4 + c), move |ctx| {
             for i in 0..6u8 {
@@ -446,7 +435,7 @@ fn four_domain_run() -> [String; 4] {
                 }
             }
             if c < 4 {
-                // Outlives the run, one in each domain.
+                // Outlives the run.
                 let _ = ctx.recv();
             }
         });
@@ -475,17 +464,17 @@ fn four_domain_run() -> [String; 4] {
     ]
 }
 
-/// Bodies suspended in every domain, across a pause and at shutdown,
-/// give the same bytes when the same seed runs twice.
+/// Bodies suspended across a pause and at shutdown give the same bytes
+/// when the same seed runs twice.
 #[test]
 fn blocking_bodies_in_every_domain_are_thread_invariant() {
-    let one = four_domain_run();
+    let one = paused_run();
     let shutdown_tail = one[2].lines().rev().take(8).collect::<Vec<_>>();
     assert!(
         shutdown_tail.iter().all(|l| l.contains("Finished")),
         "the timeline should end with the eight survivors' teardown: {shutdown_tail:?}"
     );
-    assert_eq!(four_domain_run(), one);
+    assert_eq!(paused_run(), one);
 }
 
 /// A profiler scope held open across a blocking call belongs to the

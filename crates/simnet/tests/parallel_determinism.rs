@@ -1,17 +1,15 @@
-//! Determinism of the sharded scheduler, proved at the property level:
-//! for a fixed seed and a fixed domain count, the `RunReport` JSON, the
-//! event trace, and every observable byte of the run are identical
-//! from one run to the next — the deterministic `(time, src_domain,
-//! seq)` merge decides every ordering question, and nothing a run
-//! leaves behind on its thread reaches the next one.
+//! Determinism of the scheduler, proved at the property level: for a
+//! fixed seed, the `RunReport` JSON, the event trace, and every
+//! observable byte of the run are identical from one run to the next —
+//! the `(time, seq)` order of the one event heap decides every ordering
+//! question, and nothing a run leaves behind on its thread reaches the
+//! next one.
 //!
-//! The workloads deliberately cover the paths where sharding could
-//! leak: lossy/jittery links (per-domain RNG draws), cross-domain
-//! request/reply traffic (outbox merge), in-flight `ctx.spawn` onto
-//! foreign nodes (striped pid/port allocation + `ApplySpawn`),
-//! mid-run `ctx.kill` of a foreign-domain victim (`RemoteKill`), a
-//! `run_until` pause and resume (round state survives re-entry), and
-//! shutdown with processes still parked (deterministic teardown).
+//! The workloads cover lossy/jittery links (RNG draws in event order),
+//! request/reply traffic between nodes, link-latency overrides, an
+//! in-flight `ctx.spawn` onto another node, a mid-run `ctx.kill`, a
+//! `run_until` pause and resume, and shutdown with processes still
+//! parked (deterministic teardown).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,7 +24,6 @@ use simnet::{NetworkConfig, NodeId, PortId, SimTime, Simulation};
 #[derive(Debug, Clone)]
 struct Workload {
     seed: u64,
-    domains: usize,
     /// Echo servers (one per node, nodes 0..servers).
     servers: u8,
     /// Clients (nodes 100..100+clients), each doing `calls` echo RTTs.
@@ -34,13 +31,10 @@ struct Workload {
     calls: u8,
     loss: f64,
     jitter: f64,
-    /// Per-link latency overrides `(a, b, micros)` — these feed the
-    /// conservative-lookahead bound, so shrinking one below the config
-    /// default exercises the tightest horizon the scheduler allows.
+    /// Per-link latency overrides `(a, b, micros)`.
     overrides: Vec<(u32, u32, u64)>,
-    /// Whether a driver kills one server mid-run (cross-domain
-    /// `RemoteKill`) and spawns a late child on a foreign node
-    /// (cross-domain `ApplySpawn`).
+    /// Whether a driver on another node kills one server mid-run and
+    /// spawns a late child on a node of its own.
     disruptor: bool,
     /// Pause point for a `run_until` + resume split, in microseconds;
     /// 0 means run to completion in one call.
@@ -49,7 +43,7 @@ struct Workload {
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
     (
-        (any::<u64>(), 1usize..5, 1u8..4, 1u8..6, 1u8..5),
+        (any::<u64>(), 1u8..4, 1u8..6, 1u8..5),
         (
             0.0f64..0.3,
             0.0f64..0.5,
@@ -59,13 +53,9 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
         ),
     )
         .prop_map(
-            |(
-                (seed, domains, servers, clients, calls),
-                (loss, jitter, overrides, disruptor, pause_us),
-            )| {
+            |((seed, servers, clients, calls), (loss, jitter, overrides, disruptor, pause_us))| {
                 Workload {
                     seed,
-                    domains,
                     servers,
                     clients,
                     calls,
@@ -79,22 +69,21 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
         )
 }
 
-/// FNV-1a over a string, for compact trace fingerprints.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// One full run. Returns every byte an outside observer can see: the
+/// summary counters, the full event trace, the `RunReport` JSON, and
+/// the number of echoes completed.
+fn run(w: &Workload) -> (String, String, String, u64) {
+    run_built(w, Simulation::new)
 }
 
-/// One full run. Returns every byte an outside observer can see: the
-/// `RunReport` JSON, the full event trace, the summary counters, and
-/// the number of echoes completed.
-fn run(w: &Workload) -> (String, u64, String, u64) {
+/// [`run`] on the simulation `build` makes from the workload's network
+/// and seed.
+fn run_built(
+    w: &Workload,
+    build: impl FnOnce(NetworkConfig, u64) -> Simulation,
+) -> (String, String, String, u64) {
     let cfg = NetworkConfig::lan().with_loss(w.loss).with_jitter(w.jitter);
-    let mut sim = Simulation::new(cfg, w.seed).with_domains(w.domains);
+    let mut sim = build(cfg, w.seed);
     sim.enable_trace(1 << 16);
     {
         let mut net = sim.net();
@@ -135,9 +124,6 @@ fn run(w: &Workload) -> (String, u64, String, u64) {
     }
 
     if w.disruptor {
-        // Node 50 lands in a different domain than server 0 whenever
-        // `domains > 1`, so the kill rides the cross-domain outbox; the
-        // late child lands on node 51 and exercises `ApplySpawn`.
         let victim = servers[0];
         sim.spawn("disruptor", NodeId(50), move |ctx| {
             ctx.sleep(Duration::from_micros(700)).unwrap();
@@ -150,8 +136,8 @@ fn run(w: &Workload) -> (String, u64, String, u64) {
     }
 
     let report = if w.pause_us > 0 {
-        // Pause mid-flight, observe, resume: round state (clocks,
-        // outboxes, lookahead) must survive re-entry identically.
+        // Pause mid-flight, observe, resume: the clock and the pending
+        // events must survive re-entry identically.
         let _mid = sim.run_until(SimTime::from_micros(w.pause_us));
         sim.run()
     } else {
@@ -179,7 +165,7 @@ fn run(w: &Workload) -> (String, u64, String, u64) {
         report.finished,
         report.alive
     );
-    (summary, fnv(&trace), json, echoes.load(Ordering::Relaxed))
+    (summary, trace, json, echoes.load(Ordering::Relaxed))
 }
 
 proptest! {
@@ -188,7 +174,8 @@ proptest! {
     /// The headline invariant: same workload run twice → identical
     /// summary counters, identical trace bytes, identical report JSON,
     /// identical application-level outcome. And no run may ever count a
-    /// time inversion — the conservative horizon forbids them.
+    /// time inversion — no event is scheduled before the instant that
+    /// schedules it.
     #[test]
     fn report_and_trace_invariant_across_thread_counts(w in arb_workload()) {
         let base = run(&w);
@@ -198,14 +185,14 @@ proptest! {
         );
         let again = run(&w);
         prop_assert_eq!(&again.0, &base.0, "summary differs between two runs");
-        prop_assert_eq!(again.1, base.1, "trace differs between two runs");
+        prop_assert_eq!(&again.1, &base.1, "trace differs between two runs");
         prop_assert_eq!(&again.2, &base.2, "report JSON differs between two runs");
         prop_assert_eq!(again.3, base.3, "echo count differs between two runs");
     }
 
     /// A run of another workload in between changes nothing either: the
     /// thread-local state a simulation sets on the thread that drives it
-    /// (the obs writer lane, the profiler) does not carry into the next.
+    /// (the profiler) does not carry into the next.
     #[test]
     fn parallel_runs_are_repeatable(w in arb_workload(), other in arb_workload()) {
         let a = run(&w);
@@ -215,14 +202,12 @@ proptest! {
     }
 }
 
-/// Kill/shutdown mid-run, pinned (non-random) so the cross-domain
-/// `RemoteKill` + `ApplySpawn` + paused-resume combination is exercised
-/// on every test run, not only when proptest happens to draw it.
-#[test]
-fn disrupted_paused_run_is_thread_invariant() {
-    let w = Workload {
+/// Kill/shutdown mid-run, pinned (non-random) so the kill + spawn +
+/// paused-resume combination is exercised on every test run, not only
+/// when proptest happens to draw it.
+fn disrupted() -> Workload {
+    Workload {
         seed: 0xD15_7077,
-        domains: 3,
         servers: 3,
         clients: 4,
         calls: 4,
@@ -231,6 +216,25 @@ fn disrupted_paused_run_is_thread_invariant() {
         overrides: vec![(0, 50, 40), (1, 2, 60)],
         disruptor: true,
         pause_us: 900,
-    };
+    }
+}
+
+#[test]
+fn disrupted_paused_run_is_thread_invariant() {
+    let w = disrupted();
     assert_eq!(run(&w), run(&w), "disrupted run diverged between two runs");
+}
+
+/// `Simulation::with_domains` is a no-op: the disrupted workload (lossy
+/// links, a spawn onto another node, a kill, a pause and resume) built
+/// with eight domains leaves the same report JSON and trace, byte for
+/// byte, as built without.
+#[test]
+fn with_domains_changes_no_byte() {
+    let w = disrupted();
+    let plain = run(&w);
+    let eight = run_built(&w, |cfg, seed| Simulation::new(cfg, seed).with_domains(8));
+    assert_eq!(eight.2, plain.2, "report JSON differs");
+    assert_eq!(eight.1, plain.1, "trace differs");
+    assert_eq!(eight, plain);
 }

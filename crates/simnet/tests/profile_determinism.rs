@@ -3,17 +3,15 @@
 //!
 //! The profiler's *shape* — which frame paths exist and how many times
 //! each folded — is a pure function of the simulated execution: the
-//! driver folds each round's phase frames and each domain's busy/stall
-//! frames exactly once per round, and instrumented library scopes fire
-//! once per simulated operation. So `canonical_frames()` (paths +
+//! driver folds its `sched;run` frame once per `run_until` call, and
+//! instrumented library scopes fire once per simulated operation. So `canonical_frames()` (paths +
 //! calls, `wall_ns` excluded) must be byte-identical when the same
 //! seed runs twice. Wall time is host noise and is deliberately
 //! outside the canonical form — these tests never look at it.
 //!
 //! The second contract is purity: turning the profiler on must not
 //! move a single simulated event. A profiled run's summary counters
-//! and trace bytes must equal the unprofiled run's, byte for byte —
-//! the same surfaces the E18 determinism gate compares.
+//! and trace bytes must equal the unprofiled run's, byte for byte.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,7 +26,6 @@ use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 #[derive(Debug, Clone)]
 struct Workload {
     seed: u64,
-    domains: usize,
     /// Echo servers (one per node, nodes 0..servers).
     servers: u8,
     /// Clients (nodes 100..100+clients), each doing `calls` echo RTTs.
@@ -41,24 +38,20 @@ struct Workload {
 fn arb_workload() -> impl Strategy<Value = Workload> {
     (
         any::<u64>(),
-        1usize..5,
         1u8..4,
         1u8..6,
         1u8..5,
         0.0f64..0.3,
         0.0f64..0.5,
     )
-        .prop_map(
-            |(seed, domains, servers, clients, calls, loss, jitter)| Workload {
-                seed,
-                domains,
-                servers,
-                clients,
-                calls,
-                loss,
-                jitter,
-            },
-        )
+        .prop_map(|(seed, servers, clients, calls, loss, jitter)| Workload {
+            seed,
+            servers,
+            clients,
+            calls,
+            loss,
+            jitter,
+        })
 }
 
 /// FNV-1a over a string, for compact trace fingerprints.
@@ -76,7 +69,7 @@ fn fnv(s: &str) -> u64 {
 /// fingerprint, and the echo count.
 fn run(w: &Workload, profiled: bool) -> (String, String, u64, u64) {
     let cfg = NetworkConfig::lan().with_loss(w.loss).with_jitter(w.jitter);
-    let mut sim = Simulation::new(cfg, w.seed).with_domains(w.domains);
+    let mut sim = Simulation::new(cfg, w.seed);
     sim.enable_trace(1 << 16);
     if profiled {
         sim.obs().enable_profile(1 << 12);
@@ -157,8 +150,7 @@ proptest! {
 
     /// Purity: the profiler observes the simulation without moving it.
     /// Summary counters, trace bytes and application outcome must be
-    /// byte-identical with the profiler on and off — the same surfaces
-    /// the E18 determinism gate compares.
+    /// byte-identical with the profiler on and off.
     #[test]
     fn profiling_does_not_perturb_the_run(w in arb_workload()) {
         let off = run(&w, false);
@@ -169,62 +161,4 @@ proptest! {
         prop_assert_eq!(on.2, off.2, "trace perturbed by profiling");
         prop_assert_eq!(on.3, off.3, "echo count perturbed by profiling");
     }
-}
-
-/// Pinned (non-random) spot check: the scheduler phase frames fold
-/// exactly once per round with their wall times telescoping to the
-/// round total, on every test run — not only when proptest draws a
-/// friendly workload.
-#[test]
-fn phase_frames_fold_once_per_round_and_conserve() {
-    let w = Workload {
-        seed: 0x90F1_1E20,
-        domains: 3,
-        servers: 2,
-        clients: 4,
-        calls: 3,
-        loss: 0.0,
-        jitter: 0.2,
-    };
-    let cfg = NetworkConfig::lan().with_jitter(w.jitter);
-    let mut sim = Simulation::new(cfg, w.seed).with_domains(w.domains);
-    sim.obs().enable_profile(1 << 12);
-    let mut servers = Vec::new();
-    for n in 0..w.servers {
-        servers.push(
-            sim.spawn_at(format!("server{n}"), NodeId(n as u32), PortId(1), |ctx| {
-                while let Ok(m) = ctx.recv() {
-                    ctx.send(m.src, m.payload);
-                }
-            }),
-        );
-    }
-    for c in 0..w.clients {
-        let server = servers[(c as usize) % servers.len()];
-        let calls = w.calls;
-        sim.spawn(format!("client{c}"), NodeId(100 + c as u32), move |ctx| {
-            for i in 0..calls {
-                ctx.send(server, Bytes::copy_from_slice(&[c, i]));
-                let _ = ctx.recv_timeout(Duration::from_millis(2));
-            }
-        });
-    }
-    sim.run();
-    let prof = sim.obs().profile_report().expect("profiler was enabled");
-    let round = prof.frames.get("sched;round").expect("round frame");
-    assert!(round.calls > 0, "no rounds profiled");
-    let mut phase_wall = 0u64;
-    for phase in ["sched;round;pick", "sched;round;exec", "sched;round;merge"] {
-        let st = prof
-            .frames
-            .get(phase)
-            .unwrap_or_else(|| panic!("missing {phase}"));
-        assert_eq!(st.calls, round.calls, "{phase} did not fold once per round");
-        phase_wall += st.wall_ns;
-    }
-    assert_eq!(
-        phase_wall, round.wall_ns,
-        "phase walls do not tile the round wall"
-    );
-    assert_eq!(prof.frames_evicted, 0, "tiny workload evicted frames");
 }
