@@ -12,10 +12,12 @@ step() { printf '\n==> %s\n' "$*"; }
 if [ "${1:-}" = identity ]; then
   # A change that must move no event shows it here, in one command: the
   # trace artifacts the gate compares run to run (E3, E4, E7, E10, E11,
-  # E12 and E13 at full size, E19 in smoke mode),
-  # and those of the caching and adaptive proxies (E2 at 90% reads, E9), are
-  # exported by REV, built in a worktree under target/ with a target dir
-  # of its own, and by the working tree, and must be byte-identical.
+  # E12 and E13 at full size, E19 in smoke mode, and E15's flight
+  # recording: its trace and the report that carries its windows and
+  # exemplars), and those of the caching and adaptive proxies (E2 at 90%
+  # reads, E9), are exported by REV, built in a worktree under target/
+  # with a target dir of its own, and by the working tree, and must be
+  # byte-identical.
   rev="${2:?usage: ./ci.sh identity REV}"
   wt=target/identity/worktree
   unwork() { git worktree remove --force "$wt" 2>/dev/null || true; git worktree prune; }
@@ -27,7 +29,7 @@ if [ "${1:-}" = identity ]; then
     step "E2-E19 traces of $1"
     (cd "$1" && CARGO_TARGET_DIR="$2" cargo build -q --release -p bench)
     for e in e2_cache_sweep e3_migration e4_replication e7_loss e9_adaptive e10_forwarding \
-             e11_recovery e12_dsm e13_pipeline; do
+             e11_recovery e12_dsm e13_pipeline e15_flight; do
       PROXIDE_TRACE_DIR="$3" "$2/release/$e" >/dev/null
     done
     PROXIDE_SMOKE=1 PROXIDE_TRACE_DIR="$3" "$2/release/e19_bulkplane" >/dev/null
@@ -39,10 +41,12 @@ if [ "${1:-}" = identity ]; then
   for t in e2-cache-inv-90 e2-cache-lease-90 e3-migratory-n200 e4-reads-3 e4-writes-sync \
            e4-writes-async e7-loss-30 e9-always-caching e9-adaptive e10-nexthop-k8 \
            e10-resolve-k8 e11-checkpoint-every-5 e12-locality e12-pingpong e13-depth-8 \
-           e19-t1; do
+           e15-flight e19-t1; do
     cmp "target/identity/base/$t.trace.jsonl" "target/identity/work/$t.trace.jsonl"
     echo "identical: $t"
   done
+  cmp target/identity/base/e15-flight.report.json target/identity/work/e15-flight.report.json
+  echo "identical: e15-flight.report.json"
   printf '\nci.sh: every trace identical to %s\n' "$rev"
   exit 0
 fi
@@ -54,27 +58,39 @@ tree_at_start="$(tree)"
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
-step "census of blocking calls (only the benchmark's bridge may block)"
-# Client libraries are written once, as `async`. A blocking body reaches
-# them only through the bridge the benchmark's blocking bodies use
-# (benchmark/src/sut.rs): SessionCore::{bind, invoke, shutdown}, invoke's
-# own tend step included, and Channel::wait. Each `block_on(` in the
-# non-test code of these crates (a file up to its first column-0
-# `#[cfg(test)]`, comments skipped) is listed with the function it is in,
-# and the list must be exactly that bridge.
-census="$(for c in core rpc naming services dsm migration replication; do
-  for f in $(find "crates/$c/src" -name '*.rs' | sort); do
-    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
-      /^[[:space:]]*\/\// { next }
-      match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
-      /block_on\(/ { print f " " fn }' "$f"
-  done
+step "census of blocking calls (every program body is async)"
+# Every process body in the program is an `async` body
+# (Simulation::spawn_async). Blocking bodies, the bridge that runs the
+# engine on their stacks and hand-written machines remain only for the
+# benchmark (benchmark/src/sut.rs, which nothing here compiles) and for
+# tests. So the non-test code of crates/*/src (simnet's own, which
+# defines them, aside), examples/ and src/ (a file up to its first
+# column-0 `#[cfg(test)]`, comments skipped) may make none of these calls:
+# a blocking spawn (`.spawn(`/`.spawn_at(` given a process name, not a
+# ServiceBuilder's simulation), `block_on(`, a bridge call
+# (SessionCore::{bind, invoke, shutdown}, Channel::wait or
+# RpcServer::serve, each given the body's `ctx`) or `spawn_poll`. Each is
+# listed with the function it is in, and the list must be exactly the
+# bridge's own definitions, which run the engine through `block_on`. The
+# tickets (SessionCore::{bind_async, poll_bind, invoke_async, poll_call})
+# may appear only in crates/bench/src/fleet.rs, the ticket fleet E16 and
+# the budgets table run.
+census="$(for f in $(find crates/*/src examples src -name '*.rs' -not -path 'crates/simnet/*' | sort); do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /block_on\(/ { print f " " fn ": block_on" }
+    /\.spawn(_at)?\(/ && !/\.spawn(_at)?\((&?sim|self|ctx|cx)[,)]/ { print f " " fn ": blocking spawn" }
+    /\.(bind|invoke|shutdown|wait|serve)\(ctx[,)]/ { print f " " fn ": bridge" }
+    /spawn_poll(_at)?\(/ { print f " " fn ": spawn_poll" }
+    /\.(bind_async|poll_bind|invoke_async|poll_call)\(/ && f != "crates/bench/src/fleet.rs" {
+      print f " " fn ": ticket" }' "$f"
 done)"
-bridge="crates/core/src/session_core.rs bind
-crates/core/src/session_core.rs invoke
-crates/core/src/session_core.rs invoke
-crates/core/src/session_core.rs shutdown
-crates/rpc/src/channel.rs wait"
+bridge="crates/core/src/session_core.rs bind: block_on
+crates/core/src/session_core.rs invoke: block_on
+crates/core/src/session_core.rs invoke: block_on
+crates/core/src/session_core.rs shutdown: block_on
+crates/rpc/src/channel.rs wait: block_on"
 if [ "$census" != "$bridge" ]; then
   printf 'blocking calls outside the bridge:\n%s\n' "$census"
   exit 1

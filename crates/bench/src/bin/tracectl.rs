@@ -23,12 +23,9 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use bench::Table;
-use naming::spawn_name_server;
-use proxy_core::{CachingParams, ProxySpec, ServiceBuilder, SessionCore};
-use services::kv::KvStore;
+use bench::experiments::e15_flight::spawn_chaos;
+use bench::{redeem, Table};
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
-use wire::Value;
 
 /// Components must sum to the measured span duration within this
 /// fraction (the acceptance bar for the reconstruction).
@@ -172,56 +169,7 @@ fn chaos_run(opts: &RunOpts) -> (Simulation, obs::CausalTrace) {
         .with_duplicate(opts.dup);
     let mut sim = Simulation::new(cfg, opts.seed);
     sim.enable_trace(1 << 18);
-    let ns = spawn_name_server(&sim, NodeId(0));
-    ServiceBuilder::new("kv")
-        .spec(ProxySpec::Caching(CachingParams::default()))
-        .object(|| Box::new(KvStore::new()))
-        .spawn(&sim, NodeId(1), ns);
-
-    let rounds = opts.rounds;
-    for c in 0..opts.clients {
-        let node = NodeId(2 + c);
-        sim.spawn(format!("client-{c}"), node, move |ctx| {
-            let mut rt = SessionCore::new(ns);
-            let Ok(kv) = rt.bind(ctx, "kv") else {
-                return;
-            };
-            for round in 0..rounds {
-                // Write occasionally, read mostly — cache hits, misses,
-                // invalidations, and (under loss) retransmissions all
-                // show up on the trace.
-                let key = Value::str(format!("k{}", round % 3));
-                if round % 5 == c as u64 % 5 {
-                    let value = Value::str(format!("v{round}"));
-                    let args = Value::record([("key", key.clone()), ("value", value)]);
-                    let _ = rt.invoke(ctx, kv, "put", args);
-                }
-                let _ = rt.invoke(ctx, kv, "get", Value::record([("key", key)]));
-                if ctx.sleep(Duration::from_millis(1)).is_err() {
-                    return;
-                }
-            }
-        });
-    }
-
-    // The saboteur: a partition window cutting every client off from
-    // the server mid-run, forcing timeouts and retransmit waits.
-    let clients = opts.clients;
-    sim.spawn("saboteur", NodeId(99), move |ctx| {
-        if ctx.sleep(Duration::from_millis(10)).is_err() {
-            return;
-        }
-        for c in 0..clients {
-            ctx.net().partition(NodeId(2 + c), NodeId(1));
-        }
-        if ctx.sleep(Duration::from_millis(8)).is_err() {
-            return;
-        }
-        for c in 0..clients {
-            ctx.net().heal(NodeId(2 + c), NodeId(1));
-        }
-    });
-
+    spawn_chaos(&sim, opts.clients, opts.rounds);
     sim.run();
     let trace = if opts.sample > 1 {
         sim.causal_trace_with(obs::TraceSink::new().sample_every(opts.sample))
@@ -320,19 +268,23 @@ fn smoke_pipelined(failures: &mut Vec<String>) {
     let cfg = NetworkConfig::lan().with_loss(0.15).with_duplicate(0.10);
     let mut sim = Simulation::new(cfg, 23);
     sim.enable_trace(1 << 16);
-    let server = sim.spawn_at("pipesvc", NodeId(1), PortId(5), |ctx| {
+    let server = sim.spawn_async_at("pipesvc", NodeId(1), PortId(5), |cx| async move {
         let mut srv = rpc::RpcServer::new();
-        srv.serve(ctx, |_ctx, req| Ok(req.args.clone()), |_, _| {});
+        while let Ok(msg) = cx.recv().await {
+            cx.with(|cx| srv.handle(cx, &msg, |_ctx, req| Ok(req.args.clone())));
+        }
     });
-    sim.spawn("pipeliner", NodeId(2), move |ctx| {
+    sim.spawn_async("pipeliner", NodeId(2), move |cx| async move {
         let cfg = rpc::ChannelConfig::with_depth(8)
             .with_policy(rpc::RetryPolicy::exponential(Duration::from_millis(4), 8));
         let mut ch = rpc::Channel::new("pipesvc", server, cfg);
-        let handles: Vec<_> = (0..48u64)
-            .map(|i| ch.begin_call(ctx, "echo", wire::Value::U64(i)))
-            .collect();
+        let handles: Vec<_> = cx.with(|cx| {
+            (0..48u64)
+                .map(|i| ch.begin_call(cx, "echo", wire::Value::U64(i)))
+                .collect()
+        });
         for h in handles {
-            let _ = ch.wait(ctx, h);
+            let _ = redeem(&mut ch, cx, h).await;
         }
     });
     sim.run();

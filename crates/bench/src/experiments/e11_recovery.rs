@@ -105,49 +105,37 @@ fn measure(interval: u64, seed: u64) -> (Point, ObsReport, TraceArtifact) {
     let store = StableStore::new();
     let incarnation = ledger(&store, interval).spawn(&sim, NodeId(1), ns);
     let (w, r) = slot::<Point>();
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let h = rt.bind(ctx, "ledger").unwrap();
+        let h = rt.attach(cx, "ledger").await.unwrap();
         for i in 0..WRITES_BEFORE_CRASH {
-            rt.invoke(
-                ctx,
-                h,
-                "put",
-                Value::record([
-                    ("key", Value::str(format!("k{i}"))),
-                    ("value", Value::str("v")),
-                ]),
-            )
-            .unwrap();
+            let args = Value::record([
+                ("key", Value::str(format!("k{i}"))),
+                ("value", Value::str("v")),
+            ]);
+            rt.call(cx, h, "put", args).await.unwrap();
         }
 
         // Crash & restart from the checkpoint.
-        assert!(ctx.kill(incarnation));
-        let t_down = ctx.now();
-        ledger(&store, interval).spawn_from(ctx, NodeId(1), ns);
-        ctx.sleep(Duration::from_millis(5)).unwrap();
+        let t_down = cx.with(|cx| {
+            assert!(cx.kill(incarnation));
+            let t_down = cx.now();
+            ledger(&store, interval).spawn_from(cx, NodeId(1), ns);
+            t_down
+        });
+        cx.sleep(Duration::from_millis(5)).await.unwrap();
 
         // First call after the crash rides through the rebind path.
         let before = rt.stats(h).rebinds;
         let mut lost = 0u64;
         for i in 0..WRITES_BEFORE_CRASH {
-            let v = match rt.invoke(
-                ctx,
-                h,
-                "get",
-                Value::record([("key", Value::str(format!("k{i}")))]),
-            ) {
+            let get = || Value::record([("key", Value::str(format!("k{i}")))]);
+            let v = match rt.call(cx, h, "get", get()).await {
                 Ok(v) => v,
                 Err(RpcError::Timeout { .. }) => {
                     // One extra settle round if the re-registration raced.
-                    ctx.sleep(Duration::from_millis(5)).unwrap();
-                    rt.invoke(
-                        ctx,
-                        h,
-                        "get",
-                        Value::record([("key", Value::str(format!("k{i}")))]),
-                    )
-                    .unwrap()
+                    cx.sleep(Duration::from_millis(5)).await.unwrap();
+                    rt.call(cx, h, "get", get()).await.unwrap()
                 }
                 Err(e) => panic!("unexpected: {e}"),
             };
@@ -155,7 +143,7 @@ fn measure(interval: u64, seed: u64) -> (Point, ObsReport, TraceArtifact) {
                 lost += 1;
             }
         }
-        let outage_us = (ctx.now() - t_down).as_secs_f64() * 1e6;
+        let outage_us = (cx.with(|cx| cx.now()) - t_down).as_secs_f64() * 1e6;
         *w.lock().unwrap() = Some(Point {
             lost_writes: lost,
             rebinds: rt.stats(h).rebinds - before,

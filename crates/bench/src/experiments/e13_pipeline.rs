@@ -31,7 +31,8 @@ use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
 use crate::{
-    capture_trace, check, obs_report, slot, take, ExperimentOutput, ObsReport, Table, TraceArtifact,
+    capture_trace, check, obs_report, redeem, slot, take, ExperimentOutput, ObsReport, Table,
+    TraceArtifact,
 };
 
 const CALLS: u64 = 256;
@@ -52,19 +53,25 @@ struct Point {
 
 fn spawn_service(sim: &Simulation, execs: &Arc<AtomicU64>) -> simnet::Endpoint {
     let e2 = Arc::clone(execs);
-    sim.spawn_at("pipesvc", NodeId(0), PortId(1), move |ctx| {
+    sim.spawn_async_at("pipesvc", NodeId(0), PortId(1), move |cx| async move {
         let mut srv = RpcServer::new();
-        srv.serve(
-            ctx,
-            |ctx, req| match req.op.as_str() {
-                "work" => {
-                    let _ = ctx.sleep(Duration::from_micros(SERVICE_US));
-                    Ok(Value::U64(e2.fetch_add(1, Ordering::SeqCst) + 1))
-                }
-                other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
-            },
-            |_, _| {},
-        );
+        while let Ok(msg) = cx.recv().await {
+            let Ok(mut pass) = cx.with(|cx| srv.pass(cx, &msg)) else {
+                continue;
+            };
+            // Each fresh request holds the server for its service time.
+            while let Some(fresh) = cx.with(|cx| pass.next(&mut srv, cx)) {
+                let result = match fresh.req.op.as_str() {
+                    "work" => {
+                        let _ = cx.sleep(Duration::from_micros(SERVICE_US)).await;
+                        Ok(Value::U64(e2.fetch_add(1, Ordering::SeqCst) + 1))
+                    }
+                    other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
+                };
+                cx.with(|cx| pass.settle(&mut srv, cx, &fresh, Some(result)));
+            }
+            cx.with(|cx| pass.finish(cx));
+        }
     })
 }
 
@@ -82,20 +89,22 @@ fn measure(
     let execs = Arc::new(AtomicU64::new(0));
     let server = spawn_service(&sim, &execs);
     let (w, r) = slot::<(u64, f64, u64)>();
-    sim.spawn("client", NodeId(1), move |ctx| {
+    sim.spawn_async("client", NodeId(1), move |cx| async move {
         let cfg = ChannelConfig::with_depth(depth).batched(max_batch);
         let mut ch = Channel::new("pipesvc", server, cfg);
-        let t0 = ctx.now();
-        let handles: Vec<_> = (0..calls)
-            .map(|_| ch.begin_call(ctx, "work", Value::Null))
-            .collect();
+        let (t0, handles) = cx.with(|cx| {
+            let calls: Vec<_> = (0..calls)
+                .map(|_| ch.begin_call(cx, "work", Value::Null))
+                .collect();
+            (cx.now(), calls)
+        });
         let mut ok = 0u64;
         for h in handles {
-            if ch.wait(ctx, h).is_ok() {
+            if redeem(&mut ch, cx, h).await.is_ok() {
                 ok += 1;
             }
         }
-        let elapsed = (ctx.now() - t0).as_secs_f64() * 1e6;
+        let elapsed = (cx.with(|cx| cx.now()) - t0).as_secs_f64() * 1e6;
         *w.lock().unwrap() = Some((ok, elapsed, ch.stats.batches_sent));
     });
     let report = sim.run();
@@ -128,17 +137,19 @@ fn chaos_leg(seed: u64) -> (u64, u64, u64, u64) {
     let execs = Arc::new(AtomicU64::new(0));
     let server = spawn_service(&sim, &execs);
     let (w, r) = slot::<(u64, u64)>();
-    sim.spawn("client", NodeId(1), move |ctx| {
+    sim.spawn_async("client", NodeId(1), move |cx| async move {
         let cfg = ChannelConfig::with_depth(8)
             .batched(4)
             .with_policy(RetryPolicy::exponential(Duration::from_millis(4), 10));
         let mut ch = Channel::new("pipesvc", server, cfg);
-        let handles: Vec<_> = (0..CALLS)
-            .map(|_| ch.begin_call(ctx, "work", Value::Null))
-            .collect();
+        let handles: Vec<_> = cx.with(|cx| {
+            (0..CALLS)
+                .map(|_| ch.begin_call(cx, "work", Value::Null))
+                .collect()
+        });
         let mut ok = 0u64;
         for h in handles {
-            match ch.wait(ctx, h) {
+            match redeem(&mut ch, cx, h).await {
                 Ok(_) => ok += 1,
                 Err(RpcError::Timeout { .. }) => {}
                 Err(_) => return,
@@ -180,7 +191,7 @@ fn window_leg(loss: f64, seed: u64) -> WindowPoint {
     let execs = Arc::new(AtomicU64::new(0));
     let server = spawn_service(&sim, &execs);
     let (w, r) = slot::<(Vec<u64>, u64)>();
-    sim.spawn("client", NodeId(1), move |ctx| {
+    sim.spawn_async("client", NodeId(1), move |cx| async move {
         let cfg = ChannelConfig::with_depth(16)
             .batched(4)
             .with_policy(RetryPolicy::exponential(Duration::from_millis(10), 8));
@@ -189,13 +200,15 @@ fn window_leg(loss: f64, seed: u64) -> WindowPoint {
         let mut latencies = Vec::new();
         let mut issued = 0;
         while issued < WINDOW_CALLS || !open.is_empty() {
-            while issued < WINDOW_CALLS && open.len() < 16 {
-                open.push_back((ch.begin_call(ctx, "work", Value::Null), ctx.now()));
-                issued += 1;
-            }
+            cx.with(|cx| {
+                while issued < WINDOW_CALLS && open.len() < 16 {
+                    open.push_back((ch.begin_call(cx, "work", Value::Null), cx.now()));
+                    issued += 1;
+                }
+            });
             while let Some(&(h, begun)) = open.front() {
-                if ch.wait(ctx, h).is_ok() {
-                    latencies.push((ctx.now() - begun).as_nanos() as u64);
+                if redeem(&mut ch, cx, h).await.is_ok() {
+                    latencies.push((cx.with(|cx| cx.now()) - begun).as_nanos() as u64);
                 }
                 open.pop_front();
                 if !open.front().is_some_and(|&(next, _)| ch.is_settled(next)) {

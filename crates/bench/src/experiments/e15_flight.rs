@@ -49,6 +49,55 @@ struct FlightRun {
     attached: usize,
 }
 
+/// Spawns the chaos scenario E15 records and `tracectl run` traces: a
+/// name server on node 0, a kv service behind caching proxies on node 1,
+/// `clients` clients (nodes 2 on) each making `rounds` read-mostly
+/// rounds 1 ms apart, and a saboteur that partitions every client off
+/// the server from 10 ms to 18 ms. The calls parked behind the
+/// partition time out and retransmit.
+pub fn spawn_chaos(sim: &Simulation, clients: u32, rounds: u64) {
+    let ns = spawn_name_server(sim, NodeId(0));
+    ServiceBuilder::new("kv")
+        .spec(ProxySpec::Caching(CachingParams::default()))
+        .object(|| Box::new(KvStore::new()))
+        .spawn(sim, NodeId(1), ns);
+
+    for c in 0..clients {
+        let node = NodeId(2 + c);
+        sim.spawn_async(format!("client-{c}"), node, move |cx| async move {
+            let mut rt = SessionCore::new(ns);
+            let Ok(kv) = rt.attach(cx, "kv").await else {
+                return;
+            };
+            for round in 0..rounds {
+                // Write occasionally, read mostly: cache hits, misses,
+                // invalidations and (under loss) retransmissions.
+                let key = Value::str(format!("k{}", round % 3));
+                if round % 5 == u64::from(c) % 5 {
+                    let value = Value::str(format!("v{round}"));
+                    let args = Value::record([("key", key.clone()), ("value", value)]);
+                    let _ = rt.call(cx, kv, "put", args).await;
+                }
+                let _ = rt.call(cx, kv, "get", Value::record([("key", key)])).await;
+                if cx.sleep(Duration::from_millis(1)).await.is_err() {
+                    return;
+                }
+            }
+        });
+    }
+
+    sim.spawn_async("saboteur", NodeId(99), move |cx| async move {
+        if cx.sleep(Duration::from_millis(10)).await.is_err() {
+            return;
+        }
+        cx.with(|cx| (0..clients).for_each(|c| cx.net().partition(NodeId(2 + c), NodeId(1))));
+        if cx.sleep(Duration::from_millis(8)).await.is_err() {
+            return;
+        }
+        cx.with(|cx| (0..clients).for_each(|c| cx.net().heal(NodeId(2 + c), NodeId(1))));
+    });
+}
+
 fn run_flight(width_ns: u64) -> FlightRun {
     let cfg = NetworkConfig::lan().with_loss(LOSS).with_duplicate(DUP);
     let mut sim = Simulation::new(cfg, SEED);
@@ -65,51 +114,7 @@ fn run_flight(width_ns: u64) -> FlightRun {
         ..Default::default()
     });
 
-    let ns = spawn_name_server(&sim, NodeId(0));
-    ServiceBuilder::new("kv")
-        .spec(ProxySpec::Caching(CachingParams::default()))
-        .object(|| Box::new(KvStore::new()))
-        .spawn(&sim, NodeId(1), ns);
-
-    for c in 0..CLIENTS {
-        let node = NodeId(2 + c);
-        sim.spawn(format!("client-{c}"), node, move |ctx| {
-            let mut rt = SessionCore::new(ns);
-            let Ok(kv) = rt.bind(ctx, "kv") else {
-                return;
-            };
-            for round in 0..ROUNDS {
-                let key = Value::str(format!("k{}", round % 3));
-                if round % 5 == u64::from(c) % 5 {
-                    let value = Value::str(format!("v{round}"));
-                    let args = Value::record([("key", key.clone()), ("value", value)]);
-                    let _ = rt.invoke(ctx, kv, "put", args);
-                }
-                let _ = rt.invoke(ctx, kv, "get", Value::record([("key", key)]));
-                if ctx.sleep(Duration::from_millis(1)).is_err() {
-                    return;
-                }
-            }
-        });
-    }
-
-    // The saboteur: partition every client off the server mid-run. The
-    // calls parked behind the partition are the watchdog's prey.
-    sim.spawn("saboteur", NodeId(99), move |ctx| {
-        if ctx.sleep(Duration::from_millis(10)).is_err() {
-            return;
-        }
-        for c in 0..CLIENTS {
-            ctx.net().partition(NodeId(2 + c), NodeId(1));
-        }
-        if ctx.sleep(Duration::from_millis(8)).is_err() {
-            return;
-        }
-        for c in 0..CLIENTS {
-            ctx.net().heal(NodeId(2 + c), NodeId(1));
-        }
-    });
-
+    spawn_chaos(&sim, CLIENTS, ROUNDS);
     sim.run();
     let trace = sim.causal_trace();
     let mut report = sim.obs_report();

@@ -19,7 +19,7 @@
 //! would need ~8 GiB of stacks at the full 100k-client scale, while
 //! here the whole fleet's futures take `clients × fleet::STATE_BYTES`
 //! bytes (the "rss proxy" column). That is the inline part only: the
-//! heap a parked client holds comes on top, 2 611 B per client at the
+//! heap a parked client holds comes on top, 3 690 B per client at the
 //! budgets fleet's high-water mark (`tests/alloc_attribution.rs`), and
 //! `benchmark/`'s `fleet_stub` reports the whole as
 //! `simnet.rss_kb_per_client`.

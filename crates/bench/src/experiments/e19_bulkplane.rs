@@ -390,43 +390,37 @@ pub fn spawn_leg(cfg: Config, bulk: bool) -> (Simulation, Tallies) {
 
     // The publisher fills the catalog, then writes the manifest key the
     // readers poll for. All coordination rides the simulated network.
-    sim.spawn("publisher", NodeId(NODE_PUBLISHER), move |ctx| {
+    sim.spawn_async("publisher", NodeId(NODE_PUBLISHER), move |cx| async move {
         let mut rt = SessionCore::new(ns);
         let mut patience = 200;
         let catalog = loop {
-            match rt.bind(ctx, "catalog") {
+            match rt.attach(cx, "catalog").await {
                 Ok(h) => break h,
                 Err(_) => {
                     patience -= 1;
                     assert!(patience > 0, "publisher could not bind the catalog");
-                    if ctx.sleep(Duration::from_millis(5)).is_err() {
+                    if cx.sleep(Duration::from_millis(5)).await.is_err() {
                         return;
                     }
                 }
             }
         };
         for a in 0..cfg.assets {
-            rt.invoke(
-                ctx,
-                catalog,
-                "put",
-                Value::record([
-                    ("key", Value::str(format!("asset-{a}"))),
-                    ("value", Value::blob(asset_payload(cfg, a))),
-                ]),
-            )
-            .expect("publish must succeed");
+            let args = Value::record([
+                ("key", Value::str(format!("asset-{a}"))),
+                ("value", Value::blob(asset_payload(cfg, a))),
+            ]);
+            rt.call(cx, catalog, "put", args)
+                .await
+                .expect("publish must succeed");
         }
-        rt.invoke(
-            ctx,
-            catalog,
-            "put",
-            Value::record([
-                ("key", Value::str("__manifest")),
-                ("value", Value::str("ready")),
-            ]),
-        )
-        .expect("manifest must publish");
+        let manifest = Value::record([
+            ("key", Value::str("__manifest")),
+            ("value", Value::str("ready")),
+        ]);
+        rt.call(cx, catalog, "put", manifest)
+            .await
+            .expect("manifest must publish");
     });
 
     let checksum = Arc::new(AtomicU64::new(0));
@@ -444,17 +438,19 @@ pub fn spawn_leg(cfg: Config, bulk: bool) -> (Simulation, Tallies) {
             let completed = Arc::clone(&completed);
             let ok_gets = Arc::clone(&ok_gets);
             let lat = Arc::clone(&lat[r]);
-            sim.spawn(format!("r{r}c{c}"), client_node(cfg, r, c), move |ctx| {
+            let client = client_node(cfg, r, c);
+            sim.spawn_async(format!("r{r}c{c}"), client, move |cx| async move {
+                let now_ns = || cx.with(|cx| cx.now().as_nanos());
                 let mut rt = SessionCore::new(ns);
                 rt.binder_mut().set_bulk_route(route);
                 let mut patience = 400;
                 let catalog = loop {
-                    match rt.bind(ctx, "catalog") {
+                    match rt.attach(cx, "catalog").await {
                         Ok(h) => break h,
                         Err(_) => {
                             patience -= 1;
                             assert!(patience > 0, "client {id} could not bind");
-                            if ctx.sleep(Duration::from_millis(5)).is_err() {
+                            if cx.sleep(Duration::from_millis(5)).await.is_err() {
                                 return;
                             }
                         }
@@ -463,18 +459,14 @@ pub fn spawn_leg(cfg: Config, bulk: bool) -> (Simulation, Tallies) {
                 // Wait (over the network) for the catalog to fill.
                 let mut patience = 4000;
                 loop {
-                    let v = rt.invoke(
-                        ctx,
-                        catalog,
-                        "get",
-                        Value::record([("key", Value::str("__manifest"))]),
-                    );
+                    let manifest = Value::record([("key", Value::str("__manifest"))]);
+                    let v = rt.call(cx, catalog, "get", manifest).await;
                     if matches!(&v, Ok(v) if v.as_str() == Some("ready")) {
                         break;
                     }
                     patience -= 1;
                     assert!(patience > 0, "client {id}: manifest never appeared");
-                    if ctx.sleep(Duration::from_millis(10)).is_err() {
+                    if cx.sleep(Duration::from_millis(10)).await.is_err() {
                         return;
                     }
                 }
@@ -491,26 +483,22 @@ pub fn spawn_leg(cfg: Config, bulk: bool) -> (Simulation, Tallies) {
                     } else {
                         zipf.sample(&mut rng)
                     };
-                    let t0 = ctx.now().as_nanos();
+                    let t0 = now_ns();
                     let mut patience = 40;
                     let v = loop {
-                        match rt.invoke(
-                            ctx,
-                            catalog,
-                            "get",
-                            Value::record([("key", Value::str(format!("asset-{asset}")))]),
-                        ) {
+                        let key = Value::record([("key", Value::str(format!("asset-{asset}")))]);
+                        match rt.call(cx, catalog, "get", key).await {
                             Ok(v) => break v,
                             Err(e) => {
                                 patience -= 1;
                                 assert!(patience > 0, "client {id} get failed for good: {e}");
-                                if ctx.sleep(Duration::from_millis(10)).is_err() {
+                                if cx.sleep(Duration::from_millis(10)).await.is_err() {
                                     return;
                                 }
                             }
                         }
                     };
-                    let dt = ctx.now().as_nanos() - t0;
+                    let dt = now_ns() - t0;
                     let bytes = v.as_blob().expect("catalog serves blobs");
                     let mut h = FNV_OFFSET;
                     h = fnv_bytes(h, &(id as u64).to_le_bytes());
@@ -527,7 +515,7 @@ pub fn spawn_leg(cfg: Config, bulk: bool) -> (Simulation, Tallies) {
                             l.zipf.push(dt);
                         }
                     }
-                    if ctx.sleep(Duration::from_millis(2)).is_err() {
+                    if cx.sleep(Duration::from_millis(2)).await.is_err() {
                         return;
                     }
                 }

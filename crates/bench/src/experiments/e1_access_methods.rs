@@ -18,7 +18,7 @@ use naming::spawn_name_server;
 use proxy_core::{CachingParams, Coherence, ProxySpec, ServiceBuilder, SessionCore};
 use rpc::{Channel, ChannelConfig, RetryPolicy};
 use services::kv::KvStore;
-use simnet::{Ctx, NetworkConfig, NodeId, SimTime, Simulation};
+use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
 
 use crate::{check, obs_report, slot, take, us_per_op_f, ExperimentOutput, ObsReport, Table};
@@ -39,16 +39,6 @@ fn key_for(i: u64) -> String {
     format!("k{}", i % KEYS)
 }
 
-/// The measured client loop: seeded mixed read/write workload over the
-/// already-bound invoke closure.
-fn workload(ctx: &mut Ctx, mut call: impl FnMut(&mut Ctx, bool, &str)) {
-    for i in 0..OPS {
-        let is_read = ctx.with_rng(|r| rand::Rng::gen_bool(r, READ_RATIO));
-        let key = key_for(i);
-        call(ctx, is_read, &key);
-    }
-}
-
 fn measure(label: &str, spec: Option<ProxySpec>, seed: u64) -> (Row, ObsReport) {
     let mut sim = Simulation::new(NetworkConfig::lan(), seed);
     let ns = spawn_name_server(&sim, NodeId(0));
@@ -66,7 +56,10 @@ fn measure(label: &str, spec: Option<ProxySpec>, seed: u64) -> (Row, ObsReport) 
     let server = builder.spawn(&sim, NodeId(1), ns);
 
     let (w, r) = slot::<Row>();
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
+        let now = || cx.with(|cx| cx.now());
+        // The measured workload: a seeded mix of reads and writes.
+        let is_read = || cx.with(|cx| cx.with_rng(|r| rand::Rng::gen_bool(r, READ_RATIO)));
         // Seed the keys (unmeasured).
         let mut seed_rpc = Channel::new("", server, ChannelConfig::with_depth(1));
         for k in 0..KEYS {
@@ -74,55 +67,48 @@ fn measure(label: &str, spec: Option<ProxySpec>, seed: u64) -> (Row, ObsReport) 
                 ("key", Value::str(key_for(k))),
                 ("value", Value::str("seed")),
             ]);
-            (ctx.block_on(|cx| seed_rpc.call(cx, "", "put", args, None))).unwrap();
+            seed_rpc.call(cx, "", "put", args, None).await.unwrap();
         }
 
-        let run = |ctx: &mut Ctx| -> (SimTime, Row) {
-            match &spec {
-                None => {
-                    // Direct message passing: one-shot request/response
-                    // without retries, dedup windows or binding.
-                    let policy = RetryPolicy::no_retry(Duration::from_secs(1));
-                    let cfg = ChannelConfig::with_depth(1).with_policy(policy);
-                    let mut raw = Channel::new("", server, cfg);
-                    let t0 = ctx.now();
-                    workload(ctx, |ctx, is_read, key| {
-                        let (op, args) = op_args(is_read, key);
-                        (ctx.block_on(|cx| raw.call(cx, "", op, args, None))).unwrap();
-                    });
-                    (
-                        t0,
-                        Row {
-                            per_op_us: 0.0,
-                            remote_calls: raw.stats.calls,
-                            local_hits: 0,
-                            msgs: 0,
-                        },
-                    )
+        let (t0, mut row) = match &spec {
+            None => {
+                // Direct message passing: one-shot request/response
+                // without retries, dedup windows or binding.
+                let policy = RetryPolicy::no_retry(Duration::from_secs(1));
+                let cfg = ChannelConfig::with_depth(1).with_policy(policy);
+                let mut raw = Channel::new("", server, cfg);
+                let t0 = now();
+                for i in 0..OPS {
+                    let (op, args) = op_args(is_read(), &key_for(i));
+                    raw.call(cx, "", op, args, None).await.unwrap();
                 }
-                Some(_) => {
-                    let mut rt = SessionCore::new(ns).with_factories(services::all_factories());
-                    let kv = rt.bind(ctx, "kv").unwrap();
-                    let t0 = ctx.now();
-                    workload(ctx, |ctx, is_read, key| {
-                        let (op, args) = op_args(is_read, key);
-                        rt.invoke(ctx, kv, op, args).unwrap();
-                    });
-                    let s = rt.stats(kv);
-                    (
-                        t0,
-                        Row {
-                            per_op_us: 0.0,
-                            remote_calls: s.remote_calls,
-                            local_hits: s.local_hits,
-                            msgs: 0,
-                        },
-                    )
+                let row = Row {
+                    per_op_us: 0.0,
+                    remote_calls: raw.stats.calls,
+                    local_hits: 0,
+                    msgs: 0,
+                };
+                (t0, row)
+            }
+            Some(_) => {
+                let mut rt = SessionCore::new(ns).with_factories(services::all_factories());
+                let kv = rt.attach(cx, "kv").await.unwrap();
+                let t0 = now();
+                for i in 0..OPS {
+                    let (op, args) = op_args(is_read(), &key_for(i));
+                    rt.call(cx, kv, op, args).await.unwrap();
                 }
+                let s = rt.stats(kv);
+                let row = Row {
+                    per_op_us: 0.0,
+                    remote_calls: s.remote_calls,
+                    local_hits: s.local_hits,
+                    msgs: 0,
+                };
+                (t0, row)
             }
         };
-        let (t0, mut row) = run(ctx);
-        row.per_op_us = us_per_op_f(ctx.now() - t0, OPS);
+        row.per_op_us = us_per_op_f(now() - t0, OPS);
         *w.lock().unwrap() = Some(row);
     });
     let report = sim.run();

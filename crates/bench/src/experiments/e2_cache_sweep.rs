@@ -48,46 +48,36 @@ pub fn spawn(spec: ProxySpec, read_pct: u64, seed: u64) -> (Simulation, Slot<Poi
         .object(|| Box::new(BlockFile::new().with_disk_time(Duration::from_micros(50))))
         .spawn(&sim, NodeId(1), ns);
     let (w, r) = slot::<Point>();
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let fs = rt.bind(ctx, "fs").unwrap();
+        let fs = rt.attach(cx, "fs").await.unwrap();
         // Seed every block (unmeasured).
         for b in 0..BLOCKS {
-            rt.invoke(
-                ctx,
-                fs,
-                "write",
-                Value::record([
-                    ("addr", Value::str(block_addr("data", b))),
-                    ("data", Value::blob(vec![0u8; 256])),
-                ]),
-            )
-            .unwrap();
+            let args = Value::record([
+                ("addr", Value::str(block_addr("data", b))),
+                ("data", Value::blob(vec![0u8; 256])),
+            ]);
+            rt.call(cx, fs, "write", args).await.unwrap();
         }
         let base = rt.stats(fs);
-        let t0 = ctx.now();
+        let t0 = cx.with(|cx| cx.now());
         for i in 0..OPS {
-            let is_read = ctx.with_rng(|r| rand::Rng::gen_range(r, 0..100)) < read_pct;
+            let is_read = cx.with(|cx| cx.with_rng(|r| rand::Rng::gen_range(r, 0..100))) < read_pct;
             let addr = block_addr("data", i % BLOCKS);
-            if is_read {
-                rt.invoke(ctx, fs, "read", Value::record([("addr", Value::str(addr))]))
-                    .unwrap();
+            let (op, args) = if is_read {
+                ("read", Value::record([("addr", Value::str(addr))]))
             } else {
-                rt.invoke(
-                    ctx,
-                    fs,
+                let data = Value::blob(vec![1u8; 256]);
+                (
                     "write",
-                    Value::record([
-                        ("addr", Value::str(addr)),
-                        ("data", Value::blob(vec![1u8; 256])),
-                    ]),
+                    Value::record([("addr", Value::str(addr)), ("data", data)]),
                 )
-                .unwrap();
-            }
+            };
+            rt.call(cx, fs, op, args).await.unwrap();
         }
         let s = rt.stats(fs);
         *w.lock().unwrap() = Some(Point {
-            per_op_us: us_per_op_f(ctx.now() - t0, OPS),
+            per_op_us: us_per_op_f(cx.with(|cx| cx.now()) - t0, OPS),
             remote: s.remote_calls - base.remote_calls,
             hits: s.local_hits - base.local_hits,
         });

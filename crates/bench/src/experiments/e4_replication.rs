@@ -74,32 +74,27 @@ fn measure_reads(replicas: u32, seed: u64) -> (Point, ObsReport, TraceArtifact) 
     for c in 0..CLIENTS {
         let (w, r) = slot::<(f64, f64)>(); // (elapsed_us, ops)
         slots.push(r);
-        sim.spawn(format!("client{c}"), NodeId(100 + c), move |ctx| {
-            let mut rt = client_runtime(ns);
-            let dir = rt.bind(ctx, "dir").unwrap();
-            // Seed one entry so lookups return data (only client 0).
-            if c == 0 {
-                rt.invoke(
-                    ctx,
-                    dir,
-                    "insert",
-                    Value::record([("path", Value::str("/x")), ("value", Value::str("v"))]),
-                )
-                .unwrap();
-            }
-            let t0 = ctx.now();
-            for _ in 0..READS_PER_CLIENT {
-                rt.invoke(
-                    ctx,
-                    dir,
-                    "lookup",
-                    Value::record([("path", Value::str("/x"))]),
-                )
-                .unwrap();
-            }
-            let elapsed = (ctx.now() - t0).as_secs_f64() * 1e6;
-            *w.lock().unwrap() = Some((elapsed, READS_PER_CLIENT as f64));
-        });
+        sim.spawn_async(
+            format!("client{c}"),
+            NodeId(100 + c),
+            move |cx| async move {
+                let mut rt = client_runtime(ns);
+                let dir = rt.attach(cx, "dir").await.unwrap();
+                // Seed one entry so lookups return data (only client 0).
+                if c == 0 {
+                    let args =
+                        Value::record([("path", Value::str("/x")), ("value", Value::str("v"))]);
+                    rt.call(cx, dir, "insert", args).await.unwrap();
+                }
+                let t0 = cx.with(|cx| cx.now());
+                for _ in 0..READS_PER_CLIENT {
+                    let args = Value::record([("path", Value::str("/x"))]);
+                    rt.call(cx, dir, "lookup", args).await.unwrap();
+                }
+                let elapsed = (cx.with(|cx| cx.now()) - t0).as_secs_f64() * 1e6;
+                *w.lock().unwrap() = Some((elapsed, READS_PER_CLIENT as f64));
+            },
+        );
     }
     sim.run();
     let mut total_ops = 0.0;
@@ -139,23 +134,18 @@ fn measure_writes(propagation: Propagation, seed: u64) -> (f64, TraceArtifact) {
         || Box::new(Directory::new()),
     );
     let (w, r) = slot::<f64>();
-    sim.spawn("writer", NodeId(9), move |ctx| {
+    sim.spawn_async("writer", NodeId(9), move |cx| async move {
         let mut rt = client_runtime(ns);
-        let dir = rt.bind(ctx, "dir").unwrap();
-        let t0 = ctx.now();
+        let dir = rt.attach(cx, "dir").await.unwrap();
+        let t0 = cx.with(|cx| cx.now());
         for i in 0..50u64 {
-            rt.invoke(
-                ctx,
-                dir,
-                "insert",
-                Value::record([
-                    ("path", Value::str(format!("/p{i}"))),
-                    ("value", Value::str("v")),
-                ]),
-            )
-            .unwrap();
+            let args = Value::record([
+                ("path", Value::str(format!("/p{i}"))),
+                ("value", Value::str("v")),
+            ]);
+            rt.call(cx, dir, "insert", args).await.unwrap();
         }
-        *w.lock().unwrap() = Some((ctx.now() - t0).as_secs_f64() * 1e6 / 50.0);
+        *w.lock().unwrap() = Some((cx.with(|cx| cx.now()) - t0).as_secs_f64() * 1e6 / 50.0);
     });
     sim.run();
     let label = format!("writes-{propagation:?}").to_lowercase();

@@ -45,18 +45,18 @@ fn measure(label: &str, placement: Placement, seed: u64) -> (Point, ObsReport) {
             .spawn(&sim, node, ns);
     }
     let (w, r) = slot::<Point>();
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
         let ctr = match placement {
             Placement::SameContext => rt.host_local("ctr", Box::new(Counter::new())),
-            _ => rt.bind(ctx, "ctr").unwrap(),
+            _ => rt.attach(cx, "ctr").await.unwrap(),
         };
-        let before = ctx.now();
+        let before = cx.with(|cx| cx.now());
         for _ in 0..OPS {
-            rt.invoke(ctx, ctr, "inc", Value::Null).unwrap();
+            rt.call(cx, ctr, "inc", Value::Null).await.unwrap();
         }
         *w.lock().unwrap() = Some(Point {
-            per_op_us: us_per_op_f(ctx.now() - before, OPS),
+            per_op_us: us_per_op_f(cx.with(|cx| cx.now()) - before, OPS),
             msgs: 0,
         });
     });

@@ -34,31 +34,27 @@ fn measure(n: u64, seed: u64) -> (Point, ObsReport) {
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(1), ns);
     let (w, r) = slot::<Point>();
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
+        let now = || cx.with(|cx| cx.now());
         // Let the service register first so bind latency measures the
         // protocol, not the retry loop.
-        ctx.sleep(std::time::Duration::from_millis(5)).unwrap();
-        let t_bind = ctx.now();
+        cx.sleep(std::time::Duration::from_millis(5)).await.unwrap();
+        let t_bind = now();
         let mut rt = SessionCore::new(ns);
-        let kv = rt.bind(ctx, "kv").unwrap();
-        let bind_us = (ctx.now() - t_bind).as_secs_f64() * 1e6;
-        let t0 = ctx.now();
+        let kv = rt.attach(cx, "kv").await.unwrap();
+        let bind_us = (now() - t_bind).as_secs_f64() * 1e6;
+        let t0 = now();
         for i in 0..n {
             // Distinct keys: every call goes remote (no cache hits), so
             // the steady cost is the honest per-call price.
-            rt.invoke(
-                ctx,
-                kv,
-                "put",
-                Value::record([
-                    ("key", Value::str(format!("k{i}"))),
-                    ("value", Value::str("v")),
-                ]),
-            )
-            .unwrap();
+            let args = Value::record([
+                ("key", Value::str(format!("k{i}"))),
+                ("value", Value::str("v")),
+            ]);
+            rt.call(cx, kv, "put", args).await.unwrap();
         }
-        let elapsed = ctx.now() - t0;
-        let total = (ctx.now() - t_bind).as_secs_f64() * 1e6;
+        let elapsed = now() - t0;
+        let total = (now() - t_bind).as_secs_f64() * 1e6;
         *w.lock().unwrap() = Some(Point {
             amortized_us: total / n as f64,
             bind_us,

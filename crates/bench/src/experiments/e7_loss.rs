@@ -50,42 +50,46 @@ fn measure(
     sim.enable_trace(1 << 16);
     let execs = Arc::new(AtomicU64::new(0));
     let e2 = Arc::clone(&execs);
-    let server = sim.spawn_at("counter", NodeId(0), PortId(1), move |ctx| {
+    let server = sim.spawn_async_at("counter", NodeId(0), PortId(1), move |cx| async move {
         let mut srv = RpcServer::new();
-        srv.serve(
-            ctx,
-            |_ctx, req| match req.op.as_str() {
-                "inc" => Ok(Value::U64(e2.fetch_add(1, Ordering::SeqCst) + 1)),
-                other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
-            },
-            |_, _| {},
-        );
+        while let Ok(msg) = cx.recv().await {
+            cx.with(|cx| {
+                srv.handle(cx, &msg, |_ctx, req| match req.op.as_str() {
+                    "inc" => Ok(Value::U64(e2.fetch_add(1, Ordering::SeqCst) + 1)),
+                    other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
+                })
+            });
+        }
     });
     let (w, r) = slot::<(u64, u64, u64, f64)>();
-    sim.spawn("client", NodeId(1), move |ctx| {
+    sim.spawn_async("client", NodeId(1), move |cx| async move {
         let mut c = Channel::new("", server, ChannelConfig::with_depth(1).with_policy(policy));
         let mut ok = 0u64;
         let mut latency_sum = 0.0;
         for _ in 0..CALLS {
-            let t0 = ctx.now();
             // Each call gets a root invoke span so the causal trace has
             // per-request groups for `tracectl` to analyze.
-            let span = ctx.obs().open_span(
-                obs::SpanKind::Invoke,
-                obs::SpanId::NONE,
-                "counter",
-                "inc",
-                ctx.now().as_nanos(),
-            );
-            let prev = ctx.set_current_span(span);
-            let res = ctx.block_on(|cx| c.call(cx, "", "inc", Value::Null, None));
-            ctx.set_current_span(prev);
-            ctx.obs()
-                .close_span(span, ctx.now().as_nanos(), res.is_ok());
+            let (t0, span, prev) = cx.with(|cx| {
+                let t0 = cx.now();
+                let span = cx.obs().open_span(
+                    obs::SpanKind::Invoke,
+                    obs::SpanId::NONE,
+                    "counter",
+                    "inc",
+                    t0.as_nanos(),
+                );
+                (t0, span, cx.set_current_span(span))
+            });
+            let res = c.call(cx, "", "inc", Value::Null, None).await;
+            let now = cx.with(|cx| {
+                cx.set_current_span(prev);
+                cx.obs().close_span(span, cx.now().as_nanos(), res.is_ok());
+                cx.now()
+            });
             match res {
                 Ok(_) => {
                     ok += 1;
-                    latency_sum += (ctx.now() - t0).as_secs_f64() * 1e6;
+                    latency_sum += (now - t0).as_secs_f64() * 1e6;
                 }
                 Err(RpcError::Timeout { .. }) => {}
                 Err(e) => panic!("unexpected error: {e}"),

@@ -20,7 +20,7 @@ use proxy_core::{
     AdaptiveParams, CachingParams, Coherence, ProxySpec, ServiceBuilder, SessionCore,
 };
 use services::kv::KvStore;
-use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
+use simnet::{AsyncCx, NetworkConfig, NodeId, Simulation};
 use wire::Value;
 
 use crate::{
@@ -46,29 +46,21 @@ fn phase_read_pct(phase: usize) -> u64 {
     }
 }
 
-fn run_workload(rt: &mut SessionCore, ctx: &mut Ctx, handle: proxy_core::ProxyHandle) {
+async fn run_workload(rt: &mut SessionCore, cx: AsyncCx, handle: proxy_core::ProxyHandle) {
     for phase in 0..3 {
         let read_pct = phase_read_pct(phase);
         for i in 0..PHASE_OPS {
-            let is_read = ctx.with_rng(|r| rand::Rng::gen_range(r, 0..100)) < read_pct;
-            let key = format!("k{}", i % KEYS);
-            if is_read {
-                rt.invoke(
-                    ctx,
-                    handle,
-                    "get",
-                    Value::record([("key", Value::str(key))]),
-                )
-                .unwrap();
+            let is_read = cx.with(|cx| cx.with_rng(|r| rand::Rng::gen_range(r, 0..100))) < read_pct;
+            let key = Value::str(format!("k{}", i % KEYS));
+            let (op, args) = if is_read {
+                ("get", Value::record([("key", key)]))
             } else {
-                rt.invoke(
-                    ctx,
-                    handle,
+                (
                     "put",
-                    Value::record([("key", Value::str(key)), ("value", Value::str("v"))]),
+                    Value::record([("key", key), ("value", Value::str("v"))]),
                 )
-                .unwrap();
-            }
+            };
+            rt.call(cx, handle, op, args).await.unwrap();
         }
     }
 }
@@ -85,16 +77,18 @@ fn measure(label: &str, spec: ProxySpec, seed: u64) -> (Point, ObsReport, TraceA
     for c in 0..CLIENTS {
         let (w, r) = slot::<(f64, u64)>();
         slots.push(r);
-        sim.spawn(format!("client{c}"), NodeId(2 + c), move |ctx| {
+        sim.spawn_async(format!("client{c}"), NodeId(2 + c), move |cx| async move {
             // Stagger starts slightly so clients interleave.
-            ctx.sleep(Duration::from_micros(200 * c as u64)).unwrap();
+            cx.sleep(Duration::from_micros(200 * c as u64))
+                .await
+                .unwrap();
             let mut rt = SessionCore::new(ns);
-            let kv = rt.bind(ctx, "kv").unwrap();
-            let t0 = ctx.now();
-            run_workload(&mut rt, ctx, kv);
+            let kv = rt.attach(cx, "kv").await.unwrap();
+            let t0 = cx.with(|cx| cx.now());
+            run_workload(&mut rt, cx, kv).await;
             let stats = rt.stats(kv);
             *w.lock().unwrap() = Some((
-                (ctx.now() - t0).as_secs_f64() * 1e3,
+                (cx.with(|cx| cx.now()) - t0).as_secs_f64() * 1e3,
                 stats.strategy_switches,
             ));
         });

@@ -344,6 +344,21 @@ pub fn take<T>(s: Slot<T>) -> T {
         .expect("measurement never recorded")
 }
 
+/// Waits for the call `h` staged on `ch` to settle and claims its
+/// result, once: what a pipelining `async` body does with each handle.
+///
+/// # Errors
+///
+/// The call's own error, or [`rpc::RpcError::Stopped`] on shutdown.
+pub async fn redeem(
+    ch: &mut rpc::Channel,
+    cx: simnet::AsyncCx,
+    h: rpc::CallHandle,
+) -> Result<wire::Value, rpc::RpcError> {
+    ch.wait_async(cx, Some(h), None).await?;
+    ch.try_take(h).expect("the call settled")
+}
+
 /// Formats a duration as microseconds with 1 decimal.
 pub fn us(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64() * 1e6)

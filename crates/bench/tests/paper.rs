@@ -1,10 +1,10 @@
-//! The paper's evaluation under `cargo test`: each experiment whose
-//! client libraries are written as `async` bodies runs here as its binary
-//! runs in `ci.sh` — every shape check must pass, and each causal trace
-//! it exports must be valid, canonical JSONL (what `tracectl check`
-//! asks) and byte-identical across two runs of the same seeds.
+//! The paper's evaluation under `cargo test`: each experiment here runs
+//! as its binary runs in `ci.sh` — every shape check must pass, and each
+//! causal trace it exports must be valid, canonical JSONL (what
+//! `tracectl check` asks) and byte-identical across two runs of the same
+//! seeds.
 
-use bench::experiments::{e10_forwarding, e12_dsm};
+use bench::experiments::{e10_forwarding, e11_recovery, e12_dsm, e7_loss};
 use bench::ExperimentOutput;
 
 /// Runs `run` twice and holds it to its checks and its traces.
@@ -56,8 +56,18 @@ fn holds(run: fn() -> ExperimentOutput) {
 }
 
 #[test]
+fn e7_at_most_once_under_loss_and_duplication() {
+    holds(e7_loss::run);
+}
+
+#[test]
 fn e10_forwarding_chains_and_path_compression() {
     holds(e10_forwarding::run);
+}
+
+#[test]
+fn e11_crash_recovery_behind_an_unchanged_proxy() {
+    holds(e11_recovery::run);
 }
 
 #[test]

@@ -18,13 +18,13 @@
 //! * **The benchmark's blocking bridge** ([`SessionCore::bind`],
 //!   [`SessionCore::invoke`], [`SessionCore::shutdown`]): the engine run
 //!   on a blocking body's stack through [`simnet::Ctx::block_on`],
-//!   parking the body exactly where the engine waits. It stays for the
-//!   blocking bodies of the benchmark (`benchmark/src/sut.rs`) and of the
-//!   experiments that drive it, until the last blocking body is ported
-//!   (ROADMAP item 6d). `invoke` runs the engine's synchronous steps on
-//!   the body's context directly and enters the bridge only for the steps
-//!   that wait, so a cache hit costs a blocking caller what it costs an
-//!   `async` one.
+//!   parking the body exactly where the engine waits. It stays only for
+//!   the blocking bodies of the benchmark's system under test
+//!   (`benchmark/src/sut.rs`), until the benchmark is ported, and for
+//!   tests: every program body is `async`. `invoke` runs the engine's
+//!   synchronous steps on the body's context directly and enters the
+//!   bridge only for the steps that wait, so a cache hit costs a blocking
+//!   caller what it costs an `async` one.
 //! * **Tickets, kept for the benchmark** ([`SessionCore::bind_async`],
 //!   [`SessionCore::invoke_async`] and their `poll_*` drivers): returns
 //!   [`BindFuture`] / [`CallFuture`] tickets a hand-written poll-driven
@@ -338,24 +338,22 @@ impl SessionCore {
 
     // -----------------------------------------------------------------
     // The benchmark's blocking bridge: the engine, run on a blocking
-    // body's stack. It stays for the benchmark's blocking bodies
-    // (`benchmark/src/sut.rs`) until the last blocking body is ported
-    // (ROADMAP item 6d); client libraries are written against the engine.
+    // body's stack. It stays only for the blocking bodies of the
+    // benchmark's system under test (`benchmark/src/sut.rs`) and of tests;
+    // every program body is `async` and awaits the engine.
     // -----------------------------------------------------------------
 
-    /// [`SessionCore::attach`] for a blocking body. It stays for the
-    /// benchmark's blocking bodies until the last one is ported (ROADMAP
-    /// item 6d).
+    /// [`SessionCore::attach`] for a blocking body (the benchmark's system
+    /// under test and tests).
     pub fn bind(&mut self, ctx: &mut Ctx, service: &str) -> Result<ProxyHandle, RpcError> {
         ctx.block_on(|cx| self.attach(cx, service))
     }
 
-    /// [`SessionCore::call`] for a blocking body. It stays for the
-    /// benchmark's blocking bodies until the last one is ported (ROADMAP
-    /// item 6d). It enters the bridge only where the engine waits: its
-    /// [`SessionCore::tend`] step lets proxies with deferred work do it,
-    /// and a call its proxy answers at once ([`Proxy::try_ready`]) runs on
-    /// the body's context directly.
+    /// [`SessionCore::call`] for a blocking body (the benchmark's system
+    /// under test and tests). It enters the bridge only where the engine
+    /// waits: its [`SessionCore::tend`] step lets proxies with deferred
+    /// work do it, and a call its proxy answers at once
+    /// ([`Proxy::try_ready`]) runs on the body's context directly.
     pub fn invoke(
         &mut self,
         ctx: &mut Ctx,
@@ -373,9 +371,8 @@ impl SessionCore {
         }
     }
 
-    /// [`SessionCore::close`] for a blocking body. It stays for the
-    /// benchmark's blocking bodies until the last one is ported (ROADMAP
-    /// item 6d).
+    /// [`SessionCore::close`] for a blocking body (the benchmark's system
+    /// under test and tests).
     pub fn shutdown(&mut self, ctx: &mut Ctx) {
         ctx.block_on(|cx| self.close(cx));
     }

@@ -113,7 +113,7 @@ type Replies = Vec<(u64, Result<Value, RemoteError>)>;
 
 fn replies_until(ctx: &mut Ctx, until: SimTime) -> Replies {
     let mut out = Vec::new();
-    while let Ok(Some(msg)) = ctx.recv_deadline(until) {
+    while let Ok(Some(msg)) = ctx.block_on(|cx| cx.recv_deadline(until)) {
         if let Ok(Packet::Reply(rep)) = Packet::from_frame(&msg.payload) {
             out.push((rep.call_id, rep.result));
         }

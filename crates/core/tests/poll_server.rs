@@ -6,7 +6,7 @@
 //! `dispatch`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -90,34 +90,36 @@ fn sleep_until(ctx: &mut Ctx, at: SimTime) {
     ctx.sleep(at.saturating_since(ctx.now())).unwrap();
 }
 
-/// At the parent: fails — `dispatch` ran on the service's own thread.
+/// A handler runs inside its context's poll, where nothing may block: a
+/// handler that tries to sleep panics in the service's own process, and
+/// `run` reports that process by name. On a blocking body's stack the
+/// sleep would simply have slept.
 #[test]
 fn a_builder_service_dispatches_inside_a_poll_driven_process() {
-    struct Probe(Arc<AtomicBool>);
+    struct Probe;
     impl ServiceObject for Probe {
         fn interface(&self) -> InterfaceDesc {
             InterfaceDesc::new("probe", [OpDesc::read_whole("get")])
         }
         fn dispatch(&mut self, ctx: &mut Ctx, _: &str, _: &Value) -> Result<Value, RemoteError> {
-            self.0.store(ctx.is_poll_driven(), Ordering::SeqCst);
+            let _ = ctx.sleep(MS);
             Ok(Value::Null)
         }
     }
 
     let mut sim = Simulation::new(NetworkConfig::lan(), 1);
     let ns = spawn_name_server(&sim, NodeId(0));
-    let polled = Arc::new(AtomicBool::new(false));
-    let seen = Arc::clone(&polled);
     ServiceBuilder::new("probe")
-        .object(move || Box::new(Probe(seen)))
+        .object(|| Box::new(Probe))
         .spawn(&sim, NodeId(1), ns);
-    sim.spawn("client", NodeId(2), move |ctx| {
+    sim.spawn_async("client", NodeId(2), move |cx| async move {
         let mut rt = SessionCore::new(ns);
-        let probe = rt.bind(ctx, "probe").unwrap();
-        rt.invoke(ctx, probe, "get", Value::Null).unwrap();
+        let probe = rt.attach(cx, "probe").await.unwrap();
+        let _ = rt.call(cx, probe, "get", Value::Null).await;
     });
-    sim.run();
-    assert!(polled.load(Ordering::SeqCst));
+    let err = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run must panic");
+    let msg = err.downcast_ref::<String>().expect("a string payload");
+    assert!(msg.contains("- svc-probe: "), "unexpected report: {msg}");
 }
 
 /// At the parent: does not compile (`service_time` is new); the same

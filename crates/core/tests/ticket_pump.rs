@@ -12,15 +12,12 @@ use proxy_core::{
     CallFuture, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder, ServiceObject, SessionCore,
 };
 use rpc::{ChannelStats, RemoteError, Request};
-use simnet::{
-    Ctx, Endpoint, NetworkConfig, NodeId, Poll, PortId, ProcCx, SimTime, Simulation, TraceEvent,
-};
+use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, Poll, ProcCx, SimTime, Simulation, TraceEvent};
 use wire::Value;
 
 const SLOW: NodeId = NodeId(1);
 const FAST: NodeId = NodeId(2);
 const CLIENT: NodeId = NodeId(3);
-const CLIENT_PORT: PortId = PortId(5);
 
 #[derive(Clone)]
 struct Echo;
@@ -131,26 +128,11 @@ fn two_binds_in_flight_share_the_name_server_and_lose_nothing() {
 #[test]
 fn a_ticket_poll_drops_and_counts_what_is_not_a_reply() {
     let (mut sim, ns) = two_services(3);
-    let client = Endpoint::new(CLIENT, CLIENT_PORT);
-    sim.spawn("intruder", NodeId(4), move |ctx| {
-        ctx.sleep(Duration::from_millis(3)).unwrap();
-        rpc::send_oneway(ctx, client, "poke", &Value::Null);
-        ctx.sleep(Duration::from_millis(1)).unwrap();
-        let request = Request {
-            call_id: 1,
-            reply_to: ctx.endpoint(),
-            object: String::new(),
-            op: "echo".to_owned(),
-            args: Value::Null,
-            span: 0,
-        };
-        ctx.send(client, request.to_bytes());
-    });
     let seen = Arc::new(Mutex::new(None));
     let out = Arc::clone(&seen);
     let mut core = SessionCore::new(ns);
     let (mut bind, mut handle, mut call) = (None, None, None);
-    sim.spawn_poll_at("client", CLIENT, CLIENT_PORT, move |cx: &mut ProcCx| {
+    let client = sim.spawn_poll("client", CLIENT, move |cx: &mut ProcCx| {
         let h = match handle {
             Some(h) => h,
             None => {
@@ -169,6 +151,20 @@ fn a_ticket_poll_drops_and_counts_what_is_not_a_reply() {
                 Poll::Ready(())
             }
         }
+    });
+    sim.spawn("intruder", NodeId(4), move |ctx| {
+        ctx.sleep(Duration::from_millis(3)).unwrap();
+        rpc::send_oneway(ctx, client, "poke", &Value::Null);
+        ctx.sleep(Duration::from_millis(1)).unwrap();
+        let request = Request {
+            call_id: 1,
+            reply_to: ctx.endpoint(),
+            object: String::new(),
+            op: "echo".to_owned(),
+            args: Value::Null,
+            span: 0,
+        };
+        ctx.send(client, request.to_bytes());
     });
     sim.run();
     assert_eq!(seen.lock().unwrap().take(), Some(Ok(Value::U64(7))));

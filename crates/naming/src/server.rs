@@ -11,7 +11,7 @@
 
 use bytes::Bytes;
 use rpc::{endpoint_from_value, ErrorCode, RemoteError, Request, RpcServer};
-use simnet::{Endpoint, Message, NodeId, Poll, PortId, ProcCx, Process, Simulation};
+use simnet::{Endpoint, Message, NodeId, PortId, ProcCx, Simulation};
 use wire::{Value, WireError};
 
 use crate::directory::Directory;
@@ -96,8 +96,8 @@ fn write(dir: &Directory, req: &Request) -> Result<Value, RemoteError> {
     }
 }
 
-/// The name-server process: a poll-driven machine that owns its table,
-/// answers every datagram in its mailbox from it and parks.
+/// What the name-server process owns: its table and the server side of
+/// its RPC protocol.
 #[derive(Debug, Default)]
 struct NameServer {
     dir: Directory,
@@ -121,21 +121,9 @@ impl NameServer {
     }
 }
 
-impl Process for NameServer {
-    fn poll(&mut self, cx: &mut ProcCx) -> Poll<()> {
-        while let Ok(Some(msg)) = cx.try_recv() {
-            self.serve(cx, &msg);
-        }
-        if cx.is_stopped() {
-            Poll::Ready(())
-        } else {
-            Poll::Pending
-        }
-    }
-}
-
 /// Spawns the name server on `node` at [`NAME_SERVER_PORT`], returning
-/// its endpoint.
+/// its endpoint: an `async` body that answers each datagram as it
+/// arrives, until the run ends.
 ///
 /// ```
 /// use simnet::{Simulation, NetworkConfig, NodeId};
@@ -149,7 +137,17 @@ impl Process for NameServer {
 ///
 /// Panics if the port is already bound on that node.
 pub fn spawn_name_server(sim: &Simulation, node: NodeId) -> Endpoint {
-    sim.spawn_poll_at("name-server", node, NAME_SERVER_PORT, NameServer::default())
+    let mut server = NameServer::default();
+    sim.spawn_async_at(
+        "name-server",
+        node,
+        NAME_SERVER_PORT,
+        move |cx| async move {
+            while let Ok(msg) = cx.recv().await {
+                cx.with(|cx| server.serve(cx, &msg));
+            }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -323,18 +321,23 @@ mod tests {
     // -- served over the network -------------------------------------------
 
     /// A name server over `dir` at node 0 that publishes, after each
-    /// poll, how many client windows it keeps.
+    /// datagram, how many client windows it keeps.
     fn probed(sim: &Simulation, dir: Directory, windows: Arc<AtomicUsize>) -> Endpoint {
         let mut ns = NameServer {
             dir,
             rpc: RpcServer::new(),
         };
-        let probe = move |cx: &mut ProcCx| {
-            let done = ns.poll(cx);
-            windows.store(ns.rpc.windows_len(), Ordering::SeqCst);
-            done
-        };
-        sim.spawn_poll_at("name-server", NodeId(0), NAME_SERVER_PORT, probe)
+        sim.spawn_async_at(
+            "name-server",
+            NodeId(0),
+            NAME_SERVER_PORT,
+            move |cx| async move {
+                while let Ok(msg) = cx.recv().await {
+                    cx.with(|cx| ns.serve(cx, &msg));
+                    windows.store(ns.rpc.windows_len(), Ordering::SeqCst);
+                }
+            },
+        )
     }
 
     fn ep(n: u32, p: u32) -> Endpoint {

@@ -73,11 +73,13 @@ thread_local! {
 }
 
 /// Declares which registry the calling thread's [`scope`] guards fold
-/// into (`None` disarms the thread). The simulator sets this on every
-/// thread that executes simulated work — the driver at `run`, a
-/// blocking body's own thread at its start.
-pub fn set_ambient_profiler(reg: Option<Arc<MetricsRegistry>>) {
-    PROF_TLS.with(|t| t.borrow_mut().reg = reg);
+/// into (`None` disarms the thread), and returns the one it replaces.
+/// The simulator sets this on every thread that executes simulated work
+/// — the driver for each `run_until` and shutdown, handing the one it
+/// found back when it returns; a blocking body's own thread at its
+/// start.
+pub fn set_ambient_profiler(reg: Option<Arc<MetricsRegistry>>) -> Option<Arc<MetricsRegistry>> {
+    PROF_TLS.with(|t| std::mem::replace(&mut t.borrow_mut().reg, reg))
 }
 
 /// Exchanges the calling thread's open-frame stack with `frames`.

@@ -8,9 +8,9 @@
 //! pipelining caller stages calls itself ([`Channel::begin_call`], each
 //! under an `Invoke` span of its own) and redeems the [`CallHandle`]s
 //! later. [`Channel::wait_async`], the one wait loop, drives the channel
-//! until replies arrive (an `async` body awaits it, and [`Channel::wait`]
-//! runs it on the benchmark's blocking bodies through
-//! [`simnet::Ctx::block_on`]). A poll-driven process that receives for
+//! until replies arrive (an `async` body awaits it; [`Channel::wait`]
+//! runs it through [`simnet::Ctx::block_on`] on a blocking body, which
+//! only the benchmark's system under test and tests still write). A poll-driven process that receives for
 //! itself shows each datagram to [`Channel::offer`], drives the channel
 //! with [`Channel::tick`] and claims results with [`Channel::try_take`],
 //! completing on the reply's own delivery wake. Replies are matched by
@@ -789,16 +789,18 @@ impl Channel {
     /// use wire::Value;
     ///
     /// let mut sim = Simulation::new(NetworkConfig::lan(), 1);
-    /// let server = sim.spawn_at("adder", NodeId(0), PortId(10), |ctx| {
+    /// let server = sim.spawn_async_at("adder", NodeId(0), PortId(10), |cx| async move {
     ///     let mut srv = RpcServer::new();
-    ///     srv.serve(ctx, |_ctx, req| match req.op.as_str() {
-    ///         "add" => {
-    ///             let a = req.args.get_u64("a").map_err(|_| RemoteError::new(ErrorCode::BadArgs, "a"))?;
-    ///             let b = req.args.get_u64("b").map_err(|_| RemoteError::new(ErrorCode::BadArgs, "b"))?;
-    ///             Ok(Value::U64(a + b))
-    ///         }
-    ///         _ => Err(RemoteError::new(ErrorCode::NoSuchOp, req.op.clone())),
-    ///     }, |_ctx, _oneway| {});
+    ///     while let Ok(msg) = cx.recv().await {
+    ///         cx.with(|cx| srv.handle(cx, &msg, |_ctx, req| match req.op.as_str() {
+    ///             "add" => {
+    ///                 let a = req.args.get_u64("a").map_err(|_| RemoteError::new(ErrorCode::BadArgs, "a"))?;
+    ///                 let b = req.args.get_u64("b").map_err(|_| RemoteError::new(ErrorCode::BadArgs, "b"))?;
+    ///                 Ok(Value::U64(a + b))
+    ///             }
+    ///             _ => Err(RemoteError::new(ErrorCode::NoSuchOp, req.op.clone())),
+    ///         }));
+    ///     }
     /// });
     /// sim.spawn_async("client", NodeId(1), move |cx| async move {
     ///     let mut ch = Channel::new("", server, ChannelConfig::with_depth(1));
@@ -832,9 +834,9 @@ impl Channel {
 
     /// Waits for one call to settle and returns its result, on a blocking
     /// body. Consumes the handle's slot: waiting twice on the same handle
-    /// returns [`RpcError::Timeout`]. It stays for the benchmark's blocking
-    /// bodies (`benchmark/src/sut.rs`) until the last one is ported
-    /// (ROADMAP item 6d); an `async` body awaits [`Channel::wait_async`].
+    /// returns [`RpcError::Timeout`]. It stays only for the blocking bodies
+    /// of the benchmark's system under test (`benchmark/src/sut.rs`) and of
+    /// tests; an `async` body awaits [`Channel::wait_async`].
     ///
     /// # Errors
     ///

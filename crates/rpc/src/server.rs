@@ -475,9 +475,12 @@ impl RpcServer {
         answered
     }
 
-    /// Runs a request loop until the simulation stops. One-way traffic is
-    /// passed to `on_oneway`; replies and undecodable datagrams are
-    /// dropped (counted).
+    /// Runs a request loop on a blocking body until the simulation stops.
+    /// One-way traffic is passed to `on_oneway`; replies and undecodable
+    /// datagrams are dropped (counted). It stays only for the benchmark's
+    /// system under test (`benchmark/src/sut.rs`) and for tests; an `async`
+    /// body loops over [`simnet::AsyncCx::recv`] and
+    /// [`RpcServer::handle`].
     pub fn serve(
         &mut self,
         ctx: &mut Ctx,

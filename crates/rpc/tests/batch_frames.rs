@@ -226,7 +226,11 @@ fn exchange(ctx: &mut Ctx, server: Endpoint, calls: &[(u64, Ask)]) -> Vec<Bytes>
         .collect();
     ctx.send(server, Batch { items }.to_bytes());
     let mut got = Vec::new();
-    while let Some(msg) = ctx.recv_timeout(Duration::from_millis(20)).unwrap() {
+    loop {
+        let deadline = ctx.now() + Duration::from_millis(20);
+        let Some(msg) = ctx.block_on(|cx| cx.recv_deadline(deadline)).unwrap() else {
+            break;
+        };
         got.push(msg.payload);
     }
     got

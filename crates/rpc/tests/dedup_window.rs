@@ -93,9 +93,8 @@ fn raw_request_lo(call_id: u64, reply_to: Endpoint, op: &str, lo: u64) -> Bytes 
 
 /// Waits a little for a datagram that must not come.
 fn assert_silent(ctx: &mut simnet::Ctx, what: &str) {
-    let silent = ctx
-        .recv_timeout(std::time::Duration::from_millis(20))
-        .unwrap();
+    let deadline = ctx.now() + std::time::Duration::from_millis(20);
+    let silent = ctx.block_on(|cx| cx.recv_deadline(deadline)).unwrap();
     assert!(silent.is_none(), "{what}");
 }
 
@@ -248,10 +247,7 @@ fn a_duplicate_the_decoder_rejects_is_undecodable_though_its_call_is_cached() {
             wire::WireError::BadUtf8
         );
         ctx.send(server, bad);
-        let silent = ctx
-            .recv_timeout(std::time::Duration::from_millis(20))
-            .unwrap();
-        assert!(silent.is_none(), "an undecodable duplicate got a reply");
+        assert_silent(ctx, "an undecodable duplicate got a reply");
     });
     sim.run();
     assert_eq!(
@@ -342,10 +338,7 @@ fn retransmit_while_executing_is_neither_rerun_nor_answered() {
         for _ in 0..3 {
             ctx.send(server, raw_request(1, me, "slow"));
         }
-        let silent = ctx
-            .recv_timeout(std::time::Duration::from_millis(20))
-            .unwrap();
-        assert!(silent.is_none(), "an executing call was answered early");
+        assert_silent(ctx, "an executing call was answered early");
         // Call 2 releases call 1: exactly one reply each.
         ctx.send(server, raw_request(2, me, "release"));
         let first = ctx.recv().unwrap();
@@ -356,10 +349,7 @@ fn retransmit_while_executing_is_neither_rerun_nor_answered() {
         ];
         ids.sort_unstable();
         assert_eq!(ids, [1, 2]);
-        let silent = ctx
-            .recv_timeout(std::time::Duration::from_millis(20))
-            .unwrap();
-        assert!(silent.is_none(), "call 1 was answered more than once");
+        assert_silent(ctx, "call 1 was answered more than once");
         // A retransmission after completion gets the recorded reply,
         // byte for byte.
         let original = if decode_reply(&first.payload).call_id == 1 {
@@ -455,10 +445,7 @@ fn completing_an_unknown_call_sends_nothing() {
         ctx.send(server, raw_request(1, ctx.endpoint(), "x"));
         let rep = decode_reply(&ctx.recv().unwrap().payload);
         assert_eq!(rep.result.unwrap(), Value::Null);
-        let silent = ctx
-            .recv_timeout(std::time::Duration::from_millis(20))
-            .unwrap();
-        assert!(silent.is_none(), "a stray completion produced a reply");
+        assert_silent(ctx, "a stray completion produced a reply");
     });
     sim.run();
 }

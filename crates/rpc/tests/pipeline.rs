@@ -59,7 +59,7 @@ fn spawn_slow_counter(
         let mut owed: Vec<(simnet::SimTime, simnet::Endpoint, u64, u64)> = Vec::new();
         loop {
             let msg = match owed.first() {
-                Some(&(due, ..)) => ctx.recv_deadline(due),
+                Some(&(due, ..)) => ctx.block_on(|cx| cx.recv_deadline(due)),
                 None => ctx.recv().map(Some),
             };
             let Ok(msg) = msg else { return };
@@ -972,10 +972,9 @@ fn a_retransmitted_batch_is_answered_from_the_reply_cache_in_one_datagram() {
             };
             answers.push(batch.to_bytes());
             // Nothing else is on its way: one datagram answered them all.
-            assert!(ctx
-                .recv_timeout(Duration::from_millis(5))
-                .expect("running")
-                .is_none());
+            let deadline = ctx.now() + Duration::from_millis(5);
+            let late = ctx.block_on(|cx| cx.recv_deadline(deadline));
+            assert!(late.expect("running").is_none());
         }
         assert_eq!(
             answers[0], answers[1],

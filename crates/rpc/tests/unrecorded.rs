@@ -64,7 +64,8 @@ fn request(ctx: &Ctx, call_id: u64, op: &str, lo: u64) -> Bytes {
 /// comes within 20 ms.
 fn call(ctx: &mut Ctx, server: Endpoint, call_id: u64, op: &str, lo: u64) -> Option<Bytes> {
     ctx.send(server, request(ctx, call_id, op, lo));
-    let msg = ctx.recv_timeout(Duration::from_millis(20)).unwrap()?;
+    let deadline = ctx.now() + Duration::from_millis(20);
+    let msg = ctx.block_on(|cx| cx.recv_deadline(deadline)).unwrap()?;
     Some(msg.payload)
 }
 

@@ -173,26 +173,6 @@ impl Ctx {
         self.block_on(|cx| cx.recv())
     }
 
-    /// Blocks until a message arrives or `timeout` elapses; `Ok(None)`
-    /// means the timeout fired first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Stopped`] when the simulation is shutting down.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, Stopped> {
-        let deadline = self.now() + timeout;
-        self.recv_deadline(deadline)
-    }
-
-    /// Blocks until a message arrives or the absolute `deadline` passes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Stopped`] when the simulation is shutting down.
-    pub fn recv_deadline(&mut self, deadline: SimTime) -> Result<Option<Message>, Stopped> {
-        self.block_on(|cx| cx.recv_deadline(deadline))
-    }
-
     /// Advances this process's virtual time by `d`, deaf to deliveries.
     ///
     /// # Errors
@@ -208,7 +188,7 @@ impl Ctx {
             panic!(
                 "blocking Ctx operation ({y:?}) in poll-driven process '{}': \
                  a state machine parks by returning Poll::Pending (arm a timer \
-                 with ProcCx::wake_at / wake_after instead of sleeping, and use \
+                 with ProcCx::wake_at instead of sleeping, and use \
                  try_recv instead of recv)",
                 self.name()
             );

@@ -7,16 +7,16 @@
 //! * **Processes** are [`Process`] state machines the scheduler polls
 //!   in event order; a parked one is a single heap entry with no stack
 //!   at all (see the [`poll`] module), so simulations scale to hundreds
-//!   of thousands of concurrent processes. An `async` body runs as one
-//!   (see the [`task`] module), and so does ordinary blocking Rust code
-//!   against a [`Ctx`] handle ([`Ctx::send`], [`Ctx::recv`],
-//!   [`Ctx::sleep`]): the machine polled for it resumes
+//!   of thousands of concurrent processes. A process is written as an
+//!   `async` body ([`Simulation::spawn_async`], see the [`task`]
+//!   module), which reaches its process through an [`AsyncCx`]. Blocking
+//!   Rust code against a [`Ctx`] handle ([`Simulation::spawn`]), run on
 //!   a stack of its own — a stackful coroutine on x86-64 Linux, an OS
-//!   thread elsewhere — until the body blocks again. A blocking body is
-//!   only ever resumed on the OS thread that started it. The thread
-//!   driving the simulation runs one process at a time, popping events
-//!   off one heap in `(time, seq)` order, so every run is deterministic
-//!   for a given seed.
+//!   thread elsewhere — and hand-written machines
+//!   ([`Simulation::spawn_poll`]) remain only for the benchmark's system
+//!   under test and for tests. The thread driving the simulation runs
+//!   one process at a time, popping events off one heap in `(time, seq)`
+//!   order, so every run is deterministic for a given seed.
 //! * **The network** between nodes models latency, bandwidth, jitter,
 //!   loss, duplication, reordering, link overrides, partitions and node
 //!   crashes (see [`NetworkConfig`] and [`Network`]).
@@ -30,14 +30,14 @@
 //! use bytes::Bytes;
 //!
 //! let mut sim = Simulation::new(NetworkConfig::lan(), 42);
-//! let echo = sim.spawn_at("echo", NodeId(0), PortId(7), |ctx| {
-//!     while let Ok(m) = ctx.recv() {
-//!         ctx.send(m.src, m.payload);
+//! let echo = sim.spawn_async_at("echo", NodeId(0), PortId(7), |cx| async move {
+//!     while let Ok(m) = cx.recv().await {
+//!         cx.with(|cx| cx.send(m.src, m.payload));
 //!     }
 //! });
-//! sim.spawn("client", NodeId(1), move |ctx| {
-//!     ctx.send(echo, Bytes::from_static(b"hello"));
-//!     let reply = ctx.recv().unwrap();
+//! sim.spawn_async("client", NodeId(1), move |cx| async move {
+//!     cx.with(|cx| cx.send(echo, Bytes::from_static(b"hello")));
+//!     let reply = cx.recv().await.unwrap();
 //!     assert_eq!(&reply.payload[..], b"hello");
 //! });
 //! sim.run();

@@ -3,21 +3,22 @@
 //!
 //! A [`Process`] is polled whenever one of its wake conditions fires,
 //! and returns [`Poll::Pending`] to park itself. This is the scheduler's
-//! only process model, and a process can be written three ways:
+//! only process model. The program writes every process one way:
+//!
+//! * **`async`** ([`Simulation::spawn_async`]): straight-line code whose
+//!   machine the compiler writes, parked at the cost of its future —
+//!   every server context (the `proxy_core` engine around its control
+//!   parts), the name server, the blob edge caches, every client and
+//!   E16's fleet of 100k+ clients (see the [`task`](crate::task) module).
+//!
+//! Two more ways remain only for the benchmark's system under test and
+//! for tests:
 //!
 //! * **by hand** ([`Simulation::spawn_poll`]): a state machine that
 //!   carries its own continuation, parked at the cost of its own struct;
-//!   the name server is written so;
-//! * **`async`** ([`Simulation::spawn_async`]): straight-line code whose
-//!   machine the compiler writes, parked at the cost of its future — every
-//!   server context (the `proxy_core` engine around its control parts),
-//!   the blob edge caches and E16's fleet of 100k+ clients (see the
-//!   [`task`](crate::task) module);
 //! * **blocking** ([`Simulation::spawn`]): straight-line code on a stack of
 //!   its own, run by a machine whose poll resumes that stack until the body
 //!   blocks again; every parked body pins the stack pages it has touched.
-//!   Servers' test doubles, the benchmark's clients and much experiment
-//!   logic are still written that way; client libraries are `async`.
 //!
 //! A parked process wakes for exactly two reasons — the ones a blocking
 //! body's [`Ctx::recv`] waits for:
@@ -28,7 +29,7 @@
 //!   of an in-flight RPC is this reason seen from one layer up: the reply
 //!   datagram *is* the wake.
 //! * **timer** — the machine asked for a wake at an instant via
-//!   [`ProcCx::wake_at`] / [`ProcCx::wake_after`] before parking. Each
+//!   [`ProcCx::wake_at`] before parking. Each
 //!   park arms at most one timer (the earliest requested), so each poll
 //!   re-requests whatever deadline still matters; stale timers from
 //!   earlier parks are ignored via a per-park generation counter.
@@ -58,7 +59,7 @@
 //!     if ticks == 3 {
 //!         return Poll::Ready(());
 //!     }
-//!     cx.wake_after(Duration::from_millis(10));
+//!     cx.wake_at(cx.now() + Duration::from_millis(10));
 //!     Poll::Pending
 //! });
 //! // The same ticker, written `async`.
@@ -76,7 +77,6 @@
 //! [`Simulation::spawn_async`]: crate::Simulation::spawn_async
 
 use std::ops::{Deref, DerefMut};
-use std::time::Duration;
 
 use crate::sched::Ctx;
 use crate::time::SimTime;
@@ -166,20 +166,6 @@ impl ProcCx {
             Some(cur) => cur.min(at),
             None => at,
         });
-    }
-
-    /// Requests a timer wake `d` from now — the poll-driven equivalent
-    /// of [`Ctx::sleep`].
-    pub fn wake_after(&mut self, d: Duration) {
-        let at = self.ctx.now() + d;
-        self.wake_at(at);
-    }
-
-    /// Requests an immediate re-poll (after all events already due at
-    /// this instant) — the poll-driven equivalent of a yield.
-    pub fn yield_now(&mut self) {
-        let now = self.ctx.now();
-        self.wake_at(now);
     }
 
     /// Parks until `at` *deaf*: deliveries meanwhile wait in the mailbox

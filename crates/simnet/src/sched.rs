@@ -7,29 +7,33 @@
 //! whenever one of its wake conditions fires (its first instant, a
 //! delivery, a timer it armed), and which parks by returning
 //! [`Poll::Pending`]. A parked process is one entry in the process
-//! table; how it executes is invisible to the scheduler. Three spawn
-//! calls make one:
+//! table; how it executes is invisible to the scheduler. The program
+//! writes every process one way:
+//!
+//! * [`Simulation::spawn_async`] takes a future, whose machine the
+//!   compiler writes: straight-line code that costs its future parked,
+//!   and no stack (see the [`task`](crate::task) module), so simulations
+//!   scale to hundreds of thousands of concurrent processes (experiment
+//!   E16). Servers, clients, name servers and experiment logic are all
+//!   written this way ([`Ctx::spawn_async`] spawns one from inside a
+//!   running process).
+//!
+//! Two more spawn calls remain only for the benchmark's system under
+//! test (`benchmark/src/sut.rs`), until it is ported, and for tests:
 //!
 //! * [`Simulation::spawn_poll`] takes a hand-written machine. Parked, it
-//!   costs its own struct and no stack at all (see the
-//!   [`poll`](crate::poll) module). The name server is written so.
-//! * [`Simulation::spawn_async`] takes a future, whose machine the
-//!   compiler writes: as cheap parked, as natural to write as a blocking
-//!   body (see the [`task`](crate::task) module), so simulations scale to
-//!   hundreds of thousands of concurrent processes (experiment E16).
-//!   Server contexts are written this way.
-//! * [`Simulation::spawn`] takes ordinary blocking Rust code against a
-//!   [`Ctx`], on a stack of its own. The machine polled for it resumes
-//!   the stack until the body blocks again (in [`Ctx::recv`],
-//!   [`Ctx::sleep`], …), then parks the way a machine waiting for the
-//!   same thing would (see `body.rs`), so the two dispatch the same
-//!   events. On x86-64 Linux the stack is a coroutine's — a private
-//!   2 MiB mapping switched to and from in user space, on the thread
-//!   driving the simulation — so a poll costs two register swaps and a
-//!   parked body costs the stack pages it has touched. Every other
-//!   target gives each body an OS thread and hands off through two
-//!   channels; nothing but the cost differs. Natural to write — clients
-//!   and experiment logic use it.
+//!   costs its own struct (see the [`poll`](crate::poll) module).
+//! * [`Simulation::spawn`] and [`Simulation::spawn_at`] take ordinary
+//!   blocking Rust code against a [`Ctx`], on a stack of its own. The
+//!   machine polled for it resumes the stack until the body blocks again
+//!   (in [`Ctx::recv`], [`Ctx::sleep`], [`Ctx::block_on`]), then parks
+//!   the way an `async` body waiting for the same thing would (see
+//!   `body.rs`), so the two dispatch the same events. On x86-64 Linux the
+//!   stack is a coroutine's — a private 2 MiB mapping switched to and
+//!   from in user space, on the thread driving the simulation — so a poll
+//!   costs two register swaps and a parked body costs the stack pages it
+//!   has touched. Every other target gives each body an OS thread and
+//!   hands off through two channels; nothing but the cost differs.
 //!
 //!   What a body may rely on and what it may not: it is only ever
 //!   resumed on the OS thread that started it (the thread that calls
@@ -59,9 +63,8 @@
 //! its own and reaches that state through its [`Ctx`].
 //!
 //! This is the repo's substitute for the paper's testbed of Unix processes
-//! on a LAN (see `DESIGN.md` §6): client processes can keep the natural
-//! blocking style of real code, while the network in between is
-//! simulated and fault-injectable.
+//! on a LAN (see `DESIGN.md` §6): a process is written as straight-line
+//! code, while the network in between is simulated and fault-injectable.
 
 use std::cell::{Cell, OnceCell};
 use std::cmp::Reverse;
@@ -915,68 +918,6 @@ impl Ctx {
         Ok(self.shared.pop_mailbox(self.pid))
     }
 
-    /// Spawns another process on `node` with an ephemeral port, returning
-    /// its endpoint. It starts at the current instant.
-    pub fn spawn<F>(&self, name: impl Into<String>, node: NodeId, body: F) -> Endpoint
-    where
-        F: FnOnce(&mut Ctx) + Send + 'static,
-    {
-        self.shared.spawn_proc(name.into(), node, None, |ctx| {
-            Box::new(Body::new(ctx, body))
-        })
-    }
-
-    /// Spawns a process listening on a well-known port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port is already bound on that node.
-    pub fn spawn_at<F>(
-        &self,
-        name: impl Into<String>,
-        node: NodeId,
-        port: PortId,
-        body: F,
-    ) -> Endpoint
-    where
-        F: FnOnce(&mut Ctx) + Send + 'static,
-    {
-        self.shared
-            .spawn_proc(name.into(), node, Some(port), |ctx| {
-                Box::new(Body::new(ctx, body))
-            })
-    }
-
-    /// Spawns a poll-driven process on `node` with an ephemeral port
-    /// (see [`Simulation::spawn_poll`]).
-    pub fn spawn_poll<P>(&self, name: impl Into<String>, node: NodeId, process: P) -> Endpoint
-    where
-        P: Process,
-    {
-        self.shared
-            .spawn_proc(name.into(), node, None, |_| Box::new(process))
-    }
-
-    /// Spawns a poll-driven process listening on a well-known port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port is already bound on that node or is in the
-    /// ephemeral range.
-    pub fn spawn_poll_at<P>(
-        &self,
-        name: impl Into<String>,
-        node: NodeId,
-        port: PortId,
-        process: P,
-    ) -> Endpoint
-    where
-        P: Process,
-    {
-        self.shared
-            .spawn_proc(name.into(), node, Some(port), |_| Box::new(process))
-    }
-
     /// Spawns an `async` body on `node` with an ephemeral port (see
     /// [`Simulation::spawn_async`]).
     pub fn spawn_async<F, Fut>(&self, name: impl Into<String>, node: NodeId, body: F) -> Endpoint
@@ -1016,16 +957,6 @@ impl Ctx {
     /// Draws a uniformly random `u64` from the simulation's RNG.
     pub fn rand_u64(&self) -> u64 {
         self.with_rng(|r| r.gen())
-    }
-
-    /// Whether this context is one a machine is polled with, rather
-    /// than a blocking body's own: the context passed to
-    /// [`Process::poll`] (and every call it makes) says yes, the one a
-    /// [`Simulation::spawn`] body runs against says no. Blocking
-    /// operations are unavailable in the former; protocol layers can
-    /// branch on this to pick a non-blocking strategy.
-    pub fn is_poll_driven(&self) -> bool {
-        self.yielder.is_none()
     }
 
     /// A context with this one's identity (pid, name, endpoint)
@@ -1094,14 +1025,14 @@ pub struct RunReport {
 /// use bytes::Bytes;
 ///
 /// let mut sim = Simulation::new(NetworkConfig::lan(), 1);
-/// let server = sim.spawn_at("server", NodeId(0), PortId(10), |ctx| {
-///     while let Ok(msg) = ctx.recv() {
-///         ctx.send(msg.src, msg.payload); // echo
+/// let server = sim.spawn_async_at("server", NodeId(0), PortId(10), |cx| async move {
+///     while let Ok(msg) = cx.recv().await {
+///         cx.with(|cx| cx.send(msg.src, msg.payload)); // echo
 ///     }
 /// });
-/// sim.spawn("client", NodeId(1), move |ctx| {
-///     ctx.send(server, Bytes::from_static(b"ping"));
-///     let reply = ctx.recv().expect("reply");
+/// sim.spawn_async("client", NodeId(1), move |cx| async move {
+///     cx.with(|cx| cx.send(server, Bytes::from_static(b"ping")));
+///     let reply = cx.recv().await.expect("reply");
 ///     assert_eq!(&reply.payload[..], b"ping");
 /// });
 /// let report = sim.run();
@@ -1249,7 +1180,10 @@ impl Simulation {
         self.shared.network.write()
     }
 
-    /// Spawns a process on `node` with an ephemeral port.
+    /// Spawns a blocking body on `node` with an ephemeral port. Blocking
+    /// bodies remain for the benchmark's system under test and for
+    /// tests; the program spawns `async` bodies
+    /// ([`Simulation::spawn_async`]).
     pub fn spawn<F>(&self, name: impl Into<String>, node: NodeId, body: F) -> Endpoint
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
@@ -1259,7 +1193,8 @@ impl Simulation {
         })
     }
 
-    /// Spawns a process listening on a well-known port.
+    /// Spawns a blocking body listening on a well-known port (see
+    /// [`Simulation::spawn`]).
     ///
     /// # Panics
     ///
@@ -1281,37 +1216,19 @@ impl Simulation {
             })
     }
 
-    /// Spawns a poll-driven process on `node` with an ephemeral port.
+    /// Spawns a hand-written machine on `node` with an ephemeral port.
     /// The scheduler polls it whenever a message is delivered to it or a
     /// timer it armed with [`ProcCx::wake_at`] fires; it parks by
     /// returning [`Poll::Pending`] and costs no stack while parked.
-    /// See the [`poll`](crate::poll) module for the full model.
+    /// See the [`poll`](crate::poll) module for the full model. Machines
+    /// remain for the benchmark's system under test and for tests; the
+    /// program spawns `async` bodies ([`Simulation::spawn_async`]).
     pub fn spawn_poll<P>(&self, name: impl Into<String>, node: NodeId, process: P) -> Endpoint
     where
         P: Process,
     {
         self.shared
             .spawn_proc(name.into(), node, None, |_| Box::new(process))
-    }
-
-    /// Spawns a poll-driven process listening on a well-known port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port is already bound on that node or is in the
-    /// ephemeral range.
-    pub fn spawn_poll_at<P>(
-        &self,
-        name: impl Into<String>,
-        node: NodeId,
-        port: PortId,
-        process: P,
-    ) -> Endpoint
-    where
-        P: Process,
-    {
-        self.shared
-            .spawn_proc(name.into(), node, Some(port), |_| Box::new(process))
     }
 
     /// Spawns an `async` body on `node` with an ephemeral port: `body` is
@@ -1371,16 +1288,16 @@ impl Simulation {
     ///
     /// Panics if any simulated process panicked.
     pub fn run_until(&mut self, limit: SimTime) -> RunReport {
-        // Scopes opened by the events this thread runs fold into this
-        // simulation's profiler, and while it is armed the loop's own
-        // wall time folds as `sched;run`, once per call.
-        obs::set_ambient_profiler(Some(Arc::clone(&self.shared.obs)));
-        let t0 = self.shared.obs.profile_enabled().then(Instant::now);
-        self.shared.run_events(limit);
-        if let Some(t0) = t0 {
-            let wall_ns = t0.elapsed().as_nanos() as u64;
-            self.shared.obs.profile_add("sched;run", 1, wall_ns);
-        }
+        // While its profiler is armed, the loop's own wall time folds as
+        // `sched;run`, once per call.
+        self.profiled(|| {
+            let t0 = self.shared.obs.profile_enabled().then(Instant::now);
+            self.shared.run_events(limit);
+            if let Some(t0) = t0 {
+                let wall_ns = t0.elapsed().as_nanos() as u64;
+                self.shared.obs.profile_add("sched;run", 1, wall_ns);
+            }
+        });
         self.shared.check_panics();
         let (mut finished, mut alive) = (0, 0);
         for p in self.shared.st().procs.values() {
@@ -1401,8 +1318,17 @@ impl Simulation {
 
     /// Stops every live process on this thread, the one that ran them.
     fn shutdown(&self) {
-        obs::set_ambient_profiler(Some(Arc::clone(&self.shared.obs)));
-        self.shared.shutdown();
+        self.profiled(|| self.shared.shutdown());
+    }
+
+    /// Runs `f` with this simulation's registry as the thread's ambient
+    /// profiler, so the scopes its events open fold here, then hands the
+    /// thread back the profiler it found: a finished simulation's
+    /// registry outlives it nowhere.
+    fn profiled(&self, f: impl FnOnce()) {
+        let found = obs::set_ambient_profiler(Some(Arc::clone(&self.shared.obs)));
+        f();
+        obs::set_ambient_profiler(found);
     }
 }
 
@@ -1415,6 +1341,13 @@ impl Drop for Simulation {
             self.shutdown();
         }
     }
+}
+
+/// A receive that gives up `d` from now: `Ok(None)` if nothing came.
+#[cfg(test)]
+async fn recv_within(cx: AsyncCx, d: std::time::Duration) -> Result<Option<Message>, Stopped> {
+    let deadline = cx.with(|cx| cx.now()) + d;
+    cx.recv_deadline(deadline).await
 }
 
 #[cfg(test)]
@@ -1436,6 +1369,24 @@ mod tests {
         assert_eq!(done.load(Ordering::SeqCst), 5);
         assert_eq!(report.finished, 1);
         assert_eq!(report.end_time, SimTime::from_millis(5));
+    }
+
+    /// `run_until` and the shutdown hand the thread back the ambient
+    /// profiler they found, so nothing keeps a finished simulation's
+    /// registry alive.
+    #[test]
+    fn a_dropped_simulation_frees_its_registry() {
+        let mut sim = Simulation::new(NetworkConfig::lan(), 0);
+        sim.spawn_async("worker", NodeId(0), |cx| async move {
+            let _ = cx.sleep(Duration::from_millis(1)).await;
+        });
+        let registry = Arc::downgrade(&sim.shared.obs);
+        sim.run();
+        drop(sim);
+        assert!(
+            registry.upgrade().is_none(),
+            "the registry outlived its simulation"
+        );
     }
 
     #[test]
@@ -1460,10 +1411,10 @@ mod tests {
         let mut sim = Simulation::new(NetworkConfig::lan(), 0);
         let got = Arc::new(AtomicU64::new(99));
         let g = Arc::clone(&got);
-        sim.spawn("waiter", NodeId(0), move |ctx| {
-            let r = ctx.recv_timeout(Duration::from_millis(3)).unwrap();
+        sim.spawn_async("waiter", NodeId(0), move |cx| async move {
+            let r = recv_within(cx, Duration::from_millis(3)).await.unwrap();
             assert!(r.is_none());
-            g.store(ctx.now().as_millis(), Ordering::SeqCst);
+            g.store(cx.with(|cx| cx.now()).as_millis(), Ordering::SeqCst);
         });
         sim.run();
         assert_eq!(got.load(Ordering::SeqCst), 3);
@@ -1474,12 +1425,12 @@ mod tests {
         let mut sim = Simulation::new(NetworkConfig::lan(), 0);
         let got = Arc::new(AtomicU64::new(0));
         let g = Arc::clone(&got);
-        let waiter = sim.spawn("waiter", NodeId(0), move |ctx| {
-            let r = ctx.recv_timeout(Duration::from_millis(100)).unwrap();
+        let waiter = sim.spawn_async("waiter", NodeId(0), move |cx| async move {
+            let r = recv_within(cx, Duration::from_millis(100)).await.unwrap();
             assert!(r.is_some());
             g.store(1, Ordering::SeqCst);
             // The stale timeout event must not corrupt a later recv.
-            let r2 = ctx.recv_timeout(Duration::from_millis(500)).unwrap();
+            let r2 = recv_within(cx, Duration::from_millis(500)).await.unwrap();
             assert!(r2.is_none());
             g.store(2, Ordering::SeqCst);
         });
@@ -1501,10 +1452,10 @@ mod tests {
                 }
             });
             for i in 0..5u32 {
-                sim.spawn(format!("client{i}"), NodeId(1 + i), move |ctx| {
+                sim.spawn_async(format!("client{i}"), NodeId(1 + i), move |cx| async move {
                     for _ in 0..20 {
-                        ctx.send(server, Bytes::from_static(b"req"));
-                        if ctx.recv_timeout(Duration::from_millis(5)).is_err() {
+                        cx.with(|cx| cx.send(server, Bytes::from_static(b"req")));
+                        if recv_within(cx, Duration::from_millis(5)).await.is_err() {
                             return;
                         }
                     }
@@ -1528,8 +1479,8 @@ mod tests {
         let c = Arc::clone(&count);
         sim.spawn("parent", NodeId(0), move |ctx| {
             let c2 = Arc::clone(&c);
-            let child = ctx.spawn("child", NodeId(1), move |cctx| {
-                let m = cctx.recv().unwrap();
+            let child = ctx.spawn_async("child", NodeId(1), move |cx| async move {
+                let m = cx.recv().await.unwrap();
                 assert_eq!(&m.payload[..], b"work");
                 c2.fetch_add(1, Ordering::SeqCst);
             });
@@ -1738,12 +1689,15 @@ mod tests {
         );
         sim.spawn("driver", NodeId(1), move |ctx| {
             ctx.kill(victim);
-            // The well-known port is free again: a replacement can bind it.
-            let replacement = ctx.spawn_at("new", NodeId(0), PortId(9), move |rctx| {
-                if rctx.recv().is_ok() {
-                    g2.fetch_add(1, Ordering::SeqCst);
-                }
-            });
+        });
+        sim.run_until(SimTime::from_millis(1));
+        // The well-known port is free again: a replacement can bind it.
+        let replacement = sim.spawn_async_at("new", NodeId(0), PortId(9), move |cx| async move {
+            if cx.recv().await.is_ok() {
+                g2.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        sim.spawn("sender", NodeId(1), move |ctx| {
             ctx.send(replacement, Bytes::from_static(b"hello"));
         });
         sim.run();
@@ -1955,10 +1909,10 @@ mod domain_tests {
         }
         for c in 0..8u32 {
             let server = servers[(c % 4) as usize];
-            sim.spawn(format!("client{c}"), NodeId(4 + c), move |ctx| {
+            sim.spawn_async(format!("client{c}"), NodeId(4 + c), move |cx| async move {
                 for _ in 0..10 {
-                    ctx.send(server, Bytes::from_static(b"req"));
-                    if ctx.recv_timeout(Duration::from_millis(5)).is_err() {
+                    cx.with(|cx| cx.send(server, Bytes::from_static(b"req")));
+                    if recv_within(cx, Duration::from_millis(5)).await.is_err() {
                         return;
                     }
                 }
@@ -2031,8 +1985,8 @@ mod domain_tests {
                 },
             );
             sim.spawn("driver", NodeId(0), move |ctx| {
-                let child = ctx.spawn("child", NodeId(1), move |cctx| {
-                    if cctx.recv().is_ok() {
+                let child = ctx.spawn_async("child", NodeId(1), move |cx| async move {
+                    if cx.recv().await.is_ok() {
                         s.fetch_add(1, AtomicOrdering::SeqCst);
                     }
                 });
@@ -2064,10 +2018,10 @@ mod domain_tests {
                     ctx.send(m.src, m.payload);
                 }
             });
-            sim.spawn("client", NodeId(1), move |ctx| {
+            sim.spawn_async("client", NodeId(1), move |cx| async move {
                 for _ in 0..5 {
-                    ctx.send(server, Bytes::from_static(b"x"));
-                    if ctx.recv_timeout(Duration::from_millis(4)).is_err() {
+                    cx.with(|cx| cx.send(server, Bytes::from_static(b"x")));
+                    if recv_within(cx, Duration::from_millis(4)).await.is_err() {
                         return;
                     }
                 }
@@ -2133,23 +2087,25 @@ mod domain_tests {
     }
 
     /// Every `Spawned` record's `(name, pid, endpoint)`, from spawns made
-    /// before the run, spawns made by running processes onto their own
-    /// and other nodes, and one in-run `spawn_at`.
+    /// before the run (one at a well-known port), spawns made by running
+    /// processes onto their own and other nodes, and one by a process
+    /// spawned in the run.
     fn spawned_ids() -> Vec<(String, u32, String)> {
         let mut sim = Simulation::new(NetworkConfig::lan(), 3);
         sim.enable_trace(4096);
         for n in 0..6u32 {
             sim.spawn(format!("root{n}"), NodeId(n), |ctx| {
                 let node = ctx.node().0;
-                ctx.spawn(format!("same{node}"), NodeId(node + 4), |_| {});
-                ctx.spawn(format!("cross{node}"), NodeId(node + 1), |_| {});
+                ctx.spawn_async(format!("same{node}"), NodeId(node + 4), |_| async {});
+                ctx.spawn_async(format!("cross{node}"), NodeId(node + 1), |_| async {});
                 if node == 1 {
-                    ctx.spawn_at("well-known", NodeId(6), PortId(7), |ctx| {
-                        ctx.spawn("grandchild", NodeId(6), |_| {});
+                    ctx.spawn_async("child", NodeId(6), |cx| async move {
+                        cx.with(|cx| cx.spawn_async("grandchild", NodeId(6), |_| async {}));
                     });
                 }
             });
         }
+        sim.spawn_at("well-known", NodeId(6), PortId(7), |_| {});
         sim.run();
         sim.take_trace()
             .iter()
@@ -2175,20 +2131,21 @@ mod domain_tests {
             ("root3", 3, "n3:p65536"),
             ("root4", 4, "n4:p65536"),
             ("root5", 5, "n5:p65536"),
-            ("same0", 6, "n4:p65537"),
-            ("cross0", 7, "n1:p65537"),
-            ("same1", 8, "n5:p65537"),
-            ("cross1", 9, "n2:p65537"),
-            ("well-known", 10, "n6:p7"),
-            ("same2", 11, "n6:p65536"),
-            ("cross2", 12, "n3:p65537"),
-            ("same3", 13, "n7:p65536"),
-            ("cross3", 14, "n4:p65538"),
-            ("same4", 15, "n8:p65536"),
-            ("cross4", 16, "n5:p65538"),
-            ("same5", 17, "n9:p65536"),
-            ("cross5", 18, "n6:p65537"),
-            ("grandchild", 19, "n6:p65538"),
+            ("well-known", 6, "n6:p7"),
+            ("same0", 7, "n4:p65537"),
+            ("cross0", 8, "n1:p65537"),
+            ("same1", 9, "n5:p65537"),
+            ("cross1", 10, "n2:p65537"),
+            ("child", 11, "n6:p65536"),
+            ("same2", 12, "n6:p65537"),
+            ("cross2", 13, "n3:p65537"),
+            ("same3", 14, "n7:p65536"),
+            ("cross3", 15, "n4:p65538"),
+            ("same4", 16, "n8:p65536"),
+            ("cross4", 17, "n5:p65538"),
+            ("same5", 18, "n9:p65536"),
+            ("cross5", 19, "n6:p65538"),
+            ("grandchild", 20, "n6:p65539"),
         ]
         .into_iter()
         .map(|(name, pid, ep)| (name.to_string(), pid, ep.to_string()))

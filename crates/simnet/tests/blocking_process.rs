@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
-use simnet::{Endpoint, NetworkConfig, NodeId, PortId, SimTime, Simulation, Stopped};
+use simnet::{Ctx, Endpoint, Message, NetworkConfig, NodeId, PortId, SimTime, Simulation, Stopped};
 
 /// Counts its own drops.
 struct Guard(Arc<AtomicUsize>);
@@ -38,6 +38,13 @@ impl Drop for Guard {
 
 fn counter() -> Arc<AtomicUsize> {
     Arc::new(AtomicUsize::new(0))
+}
+
+/// A blocking receive that gives up `d` from now: `Ok(None)` if nothing
+/// came.
+fn recv_within(ctx: &mut Ctx, d: Duration) -> Result<Option<Message>, Stopped> {
+    let deadline = ctx.now() + d;
+    ctx.block_on(|cx| cx.recv_deadline(deadline))
 }
 
 #[test]
@@ -58,21 +65,21 @@ fn never_started_body_is_dropped_unrun_by_drop() {
 
 /// A `Kill` can never overtake the victim's first `Wake` (the spawn
 /// enqueues the wake first, at the same instant), so a process killed
-/// in the instant it was spawned still starts: it runs to its first
-/// blocking call, which returns `Stopped`.
+/// in the instant it was spawned, before it ran, still starts: it runs
+/// to its first blocking call, which returns `Stopped`.
 #[test]
 fn killed_in_its_spawn_instant_stops_at_its_first_block() {
     let drops = counter();
     let seen = Arc::new(Mutex::new(Vec::new()));
     let mut sim = Simulation::new(NetworkConfig::lan(), 1);
-    let (d, s) = (Arc::clone(&drops), Arc::clone(&seen));
+    let (g, s) = (Guard(Arc::clone(&drops)), Arc::clone(&seen));
+    let child = Endpoint::new(NodeId(0), PortId(5));
     sim.spawn("parent", NodeId(0), move |ctx| {
-        let g = Guard(d);
-        let child = ctx.spawn("child", NodeId(0), move |cctx| {
-            let _g = g;
-            s.lock().unwrap().push(cctx.recv().map(|_| ()));
-        });
         assert!(ctx.kill(child));
+    });
+    sim.spawn_at("child", child.node, child.port, move |ctx| {
+        let _g = g;
+        s.lock().unwrap().push(ctx.recv().map(|_| ()));
     });
     let report = sim.run();
     assert_eq!(*seen.lock().unwrap(), vec![Err(Stopped)]);
@@ -80,24 +87,23 @@ fn killed_in_its_spawn_instant_stops_at_its_first_block() {
     assert_eq!(report.finished, 2);
 }
 
-/// A spawn onto another node made while the simulation shuts down
-/// never gets its first wake: its body is dropped unrun, and its
-/// captures go with the simulation.
+/// A body spawned onto another node after the last run, beside a body
+/// suspended in `recv`, never gets its first wake: the shutdown drops it
+/// unrun, and its captures go with the simulation.
 #[test]
 fn undelivered_cross_domain_spawn_is_dropped_unrun() {
     let ran = Arc::new(AtomicUsize::new(0));
     let drops = counter();
     let mut sim = Simulation::new(NetworkConfig::lan(), 1);
-    let (r, d) = (Arc::clone(&ran), Arc::clone(&drops));
-    sim.spawn("spawner", NodeId(0), move |ctx| {
+    let (r, g) = (Arc::clone(&ran), Guard(Arc::clone(&drops)));
+    sim.spawn("waiter", NodeId(0), move |ctx| {
         assert_eq!(ctx.recv().map(|_| ()), Err(Stopped));
-        let g = Guard(d);
-        ctx.spawn("foreign", NodeId(1), move |_| {
-            let _g = g;
-            r.fetch_add(1, Ordering::SeqCst);
-        });
     });
     sim.run_until(SimTime::ZERO);
+    sim.spawn("foreign", NodeId(1), move |_| {
+        let _g = g;
+        r.fetch_add(1, Ordering::SeqCst);
+    });
     assert_eq!(drops.load(Ordering::SeqCst), 0);
     drop(sim);
     assert_eq!(ran.load(Ordering::SeqCst), 0, "a foreign body ran");
@@ -132,7 +138,7 @@ fn victim(sim: &Simulation, written: Written, park: Park, port: PortId, g: Guard
             let r = match park {
                 Park::Recv => ctx.recv().map(|_| ()),
                 Park::Sleep => ctx.sleep(FAR),
-                Park::RecvDeadline => ctx.recv_deadline(SimTime::ZERO + FAR).map(|_| ()),
+                Park::RecvDeadline => recv_within(ctx, FAR).map(|_| ()),
             };
             seen.lock().unwrap().push((park, r));
         }),
@@ -162,8 +168,9 @@ struct Stopping {
 }
 
 /// Parks a victim in each of `recv`, `sleep` and `recv_deadline`, then
-/// stops them: a killer kills each at 1 ms and binds a new process to
-/// its port (`kill`), or the simulation is dropped at 1 ms (a shutdown).
+/// stops them: a killer kills each at 1 ms, a new process is bound to
+/// each port between two runs, and the killer greets them at 2 ms
+/// (`kill`); or the simulation is dropped at 1 ms (a shutdown).
 fn stop_parked(written: Written, kill: bool) -> Stopping {
     let parks = [Park::Recv, Park::Sleep, Park::RecvDeadline];
     let drops: Vec<_> = parks.iter().map(|_| counter()).collect();
@@ -178,32 +185,34 @@ fn stop_parked(written: Written, kill: bool) -> Stopping {
         victim(&sim, written, park, port, g, Arc::clone(&seen));
         victims.push(Endpoint::new(NodeId(1), port));
     }
-    let r = Arc::clone(&rebound);
     if kill {
+        let victims = victims.clone();
         sim.spawn("killer", NodeId(0), move |ctx| {
             ctx.sleep(Duration::from_millis(1)).unwrap();
             for v in &victims {
                 assert!(ctx.kill(*v));
                 assert!(!ctx.kill(*v), "a dead process cannot be killed again");
             }
-            // The victims' teardown runs at this instant, after this body
-            // next blocks; their ports are free already.
+            ctx.sleep(Duration::from_millis(1)).unwrap();
             for v in victims {
-                let r = Arc::clone(&r);
-                let again = ctx.spawn_at("again", v.node, v.port, move |cctx| {
-                    let m = cctx.recv().unwrap();
-                    assert_eq!(&m.payload[..], b"hello again");
-                    r.fetch_add(1, Ordering::SeqCst);
-                });
-                assert_eq!(again, v);
-                ctx.send(again, Bytes::from_static(b"hello again"));
+                ctx.send(v, Bytes::from_static(b"hello again"));
             }
         });
     }
-    let report = match kill {
-        true => sim.run(),
-        false => sim.run_until(SimTime::from_millis(1)),
-    };
+    let mut report = sim.run_until(SimTime::from_millis(1));
+    if kill {
+        // The victims are torn down; their ports are free again.
+        for v in victims {
+            let r = Arc::clone(&rebound);
+            let again = sim.spawn_async_at("again", v.node, v.port, move |cx| async move {
+                let m = cx.recv().await.unwrap();
+                assert_eq!(&m.payload[..], b"hello again");
+                r.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(again, v);
+        }
+        report = sim.run();
+    }
     let timeline = format!("{:?}", sim.take_trace().records);
     drop(sim);
     let seen = std::mem::take(&mut *seen.lock().unwrap());
@@ -426,7 +435,7 @@ fn paused_run() -> [String; 4] {
                 );
                 let prev = ctx.set_current_span(span);
                 ctx.send(server, Bytes::copy_from_slice(&[c as u8, i]));
-                let got = ctx.recv_timeout(Duration::from_millis(2));
+                let got = recv_within(ctx, Duration::from_millis(2));
                 ctx.set_current_span(prev);
                 ctx.obs()
                     .close_span(span, ctx.now().as_nanos(), got.is_ok());

@@ -108,19 +108,26 @@ fn run_built(
         let server = servers[(c as usize) % servers.len()];
         let calls = w.calls;
         let done = Arc::clone(&echoes);
-        sim.spawn(format!("client{c}"), NodeId(100 + c as u32), move |ctx| {
-            for i in 0..calls {
-                ctx.send(server, Bytes::copy_from_slice(&[c, i]));
-                match ctx.recv_timeout(Duration::from_millis(2)) {
-                    Ok(Some(_)) => {
-                        done.fetch_add(1, Ordering::Relaxed);
+        sim.spawn_async(
+            format!("client{c}"),
+            NodeId(100 + c as u32),
+            move |cx| async move {
+                for i in 0..calls {
+                    let deadline = cx.with(|cx| {
+                        cx.send(server, Bytes::copy_from_slice(&[c, i]));
+                        cx.now() + Duration::from_millis(2)
+                    });
+                    match cx.recv_deadline(deadline).await {
+                        Ok(Some(_)) => {
+                            done.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // Lost to the lossy link — move on.
+                        Ok(None) => {}
+                        Err(_) => return,
                     }
-                    // Lost to the lossy link — move on.
-                    Ok(None) => {}
-                    Err(_) => return,
                 }
-            }
-        });
+            },
+        );
     }
 
     if w.disruptor {
@@ -128,8 +135,9 @@ fn run_built(
         sim.spawn("disruptor", NodeId(50), move |ctx| {
             ctx.sleep(Duration::from_micros(700)).unwrap();
             ctx.kill(victim);
-            let child = ctx.spawn("late-child", NodeId(51), |cctx| {
-                let _ = cctx.recv_timeout(Duration::from_millis(1));
+            let child = ctx.spawn_async("late-child", NodeId(51), |cx| async move {
+                let deadline = cx.with(|cx| cx.now()) + Duration::from_millis(1);
+                let _ = cx.recv_deadline(deadline).await;
             });
             ctx.send(child, Bytes::from_static(b"wake"));
         });

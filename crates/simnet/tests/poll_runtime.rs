@@ -20,7 +20,7 @@ fn timer_wake_after_park() {
         if t.lock().len() == 3 {
             return Poll::Ready(());
         }
-        cx.wake_after(Duration::from_millis(10));
+        cx.wake_at(cx.now() + Duration::from_millis(10));
         Poll::Pending
     });
     let report = sim.run();
@@ -92,11 +92,10 @@ fn deterministic_ready_order_under_fixed_seed() {
     fn run_once(seed: u64) -> (u64, u64, Vec<u32>) {
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.3).with_loss(0.05), seed);
-        let server = sim.spawn_poll_at("server", NodeId(0), PortId(1), |cx: &mut ProcCx| {
-            while let Some(m) = cx.try_recv().unwrap() {
-                cx.send(m.src, m.payload);
+        let server = sim.spawn_async_at("server", NodeId(0), PortId(1), |cx| async move {
+            while let Ok(m) = cx.recv().await {
+                cx.with(|cx| cx.send(m.src, m.payload));
             }
-            Poll::Pending
         });
         for i in 0..8u32 {
             let o = Arc::clone(&order);
@@ -116,7 +115,7 @@ fn deterministic_ready_order_under_fixed_seed() {
                     if sent < 20 {
                         sent += 1;
                         cx.send(server, Bytes::from_static(b"req"));
-                        cx.wake_after(Duration::from_millis(2));
+                        cx.wake_at(cx.now() + Duration::from_millis(2));
                     }
                     Poll::Pending
                 },
@@ -182,7 +181,7 @@ fn yield_now_reschedules_after_current_instant() {
             return Poll::Ready(());
         }
         assert_eq!(cx.now(), SimTime::ZERO, "yield must not advance time");
-        cx.yield_now();
+        cx.wake_at(cx.now());
         Poll::Pending
     });
     let report = sim.run();
@@ -216,7 +215,7 @@ fn kill_drops_parked_machine_and_unbinds() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 0);
     let served = Arc::new(AtomicU64::new(0));
     let s = Arc::clone(&served);
-    let victim = sim.spawn_poll_at("victim", NodeId(0), PortId(9), move |cx: &mut ProcCx| {
+    let victim = sim.spawn_poll("victim", NodeId(0), move |cx: &mut ProcCx| {
         while cx.try_recv().unwrap().is_some() {
             s.fetch_add(1, Ordering::SeqCst);
         }
@@ -244,14 +243,10 @@ fn polled_process_can_spawn_children() {
         if !spawned {
             spawned = true;
             let d2 = Arc::clone(&d);
-            // A polled parent can spawn both kinds of child mid-poll.
-            let child = cx.spawn_poll("pchild", NodeId(1), move |ccx: &mut ProcCx| {
-                match ccx.try_recv().unwrap() {
-                    Some(_) => {
-                        d2.fetch_add(1, Ordering::SeqCst);
-                        Poll::Ready(())
-                    }
-                    None => Poll::Pending,
+            // A polled parent can spawn a child mid-poll.
+            let child = cx.spawn_async("child", NodeId(1), move |ccx| async move {
+                if ccx.recv().await.is_ok() {
+                    d2.fetch_add(1, Ordering::SeqCst);
                 }
             });
             cx.send(child, Bytes::from_static(b"work"));

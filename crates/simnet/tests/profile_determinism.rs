@@ -91,19 +91,26 @@ fn run(w: &Workload, profiled: bool) -> (String, String, u64, u64) {
         let server = servers[(c as usize) % servers.len()];
         let calls = w.calls;
         let done = Arc::clone(&echoes);
-        sim.spawn(format!("client{c}"), NodeId(100 + c as u32), move |ctx| {
-            for i in 0..calls {
-                ctx.send(server, Bytes::copy_from_slice(&[c, i]));
-                match ctx.recv_timeout(Duration::from_millis(2)) {
-                    Ok(Some(_)) => {
-                        done.fetch_add(1, Ordering::Relaxed);
+        sim.spawn_async(
+            format!("client{c}"),
+            NodeId(100 + c as u32),
+            move |cx| async move {
+                for i in 0..calls {
+                    let deadline = cx.with(|cx| {
+                        cx.send(server, Bytes::copy_from_slice(&[c, i]));
+                        cx.now() + Duration::from_millis(2)
+                    });
+                    match cx.recv_deadline(deadline).await {
+                        Ok(Some(_)) => {
+                            done.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // Lost to the lossy link — move on.
+                        Ok(None) => {}
+                        Err(_) => return,
                     }
-                    // Lost to the lossy link — move on.
-                    Ok(None) => {}
-                    Err(_) => return,
                 }
-            }
-        });
+            },
+        );
     }
 
     let report = sim.run();
