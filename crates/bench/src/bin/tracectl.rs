@@ -12,13 +12,15 @@
 //! reports no violations.
 //!
 //! ```text
-//! tracectl run [--loss P] [--dup P] [--seed N] [--rounds N] [--clients N]
-//!              [--top K] [--sample N] [--out DIR]
-//! tracectl analyze <trace.jsonl> [--top K]
+//! tracectl run [--loss=P] [--dup=P] [--seed=N] [--rounds=N] [--clients=N]
+//!              [--top=K] [--sample=N] [--out=DIR]
+//! tracectl analyze <trace.jsonl> [--top=K]
 //! tracectl check <artifact>     # trace JSONL, Chrome trace, run report, or folded flamegraph
 //! tracectl flame <report.json> [--out=FILE]
 //! tracectl smoke
 //! ```
+//!
+//! Every option is one argument, `--flag=value`.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -26,6 +28,20 @@ use std::time::Duration;
 use bench::experiments::e15_flight::spawn_chaos;
 use bench::{redeem, Table};
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
+
+/// What `tracectl` prints for a command it does not know.
+const USAGE: &str = "\
+usage: tracectl <run|analyze|check|flame|smoke> [options]
+
+run     [--loss=P] [--dup=P] [--seed=N] [--rounds=N] [--clients=N]
+        [--top=K] [--sample=N] [--out=DIR]   drive a chaos run, export + analyze
+analyze <trace.jsonl> [--top=K]                analyze an exported trace
+check   <artifact>                             validate an exported artifact
+                                               (trace JSONL, Chrome trace, run report,
+                                               or folded flamegraph)
+flame   <report.json> [--out=FILE]             export a report's profile section as a
+                                               collapsed flamegraph
+smoke                                          self-checking run for CI";
 
 /// Components must sum to the measured span duration within this
 /// fraction (the acceptance bar for the reconstruction).
@@ -85,13 +101,10 @@ fn main() -> ExitCode {
         Some("flame") => {
             let (files, flags): (Vec<&String>, Vec<&String>) =
                 args[1..].iter().partition(|a| !a.starts_with("--"));
-            let mut out = None;
-            for f in &flags {
-                match f.strip_prefix("--out=") {
-                    Some(v) => out = Some(v.to_string()),
-                    None => return usage_error(&format!("flame: unknown flag {f}")),
-                }
-            }
+            let out = match parse_flame_out(&flags) {
+                Ok(out) => out,
+                Err(e) => return usage_error(&e),
+            };
             match files.as_slice() {
                 [path] => cmd_flame(path, out.as_deref()),
                 _ => usage_error("flame takes exactly one <report.json> path"),
@@ -99,19 +112,7 @@ fn main() -> ExitCode {
         }
         Some("smoke") => cmd_run(&RunOpts::default(), true),
         _ => {
-            eprintln!(
-                "usage: tracectl <run|analyze|check|flame|smoke> [options]\n\
-                 \n\
-                 run     [--loss P] [--dup P] [--seed N] [--rounds N] [--clients N]\n\
-                 \x20       [--top K] [--sample N] [--out DIR]   drive a chaos run, export + analyze\n\
-                 analyze <trace.jsonl> [--top K]                analyze an exported trace\n\
-                 check   <artifact>                             validate an exported artifact\n\
-                 \x20                                           (trace JSONL, Chrome trace, run report,\n\
-                 \x20                                           or folded flamegraph)\n\
-                 flame   <report.json> [--out=FILE]             export a report's profile section as a\n\
-                 \x20                                           collapsed flamegraph\n\
-                 smoke                                          self-checking run for CI"
-            );
+            eprintln!("{USAGE}");
             ExitCode::from(2)
         }
     }
@@ -131,6 +132,17 @@ fn parse_top(flags: &[&String]) -> Result<usize, String> {
         }
     }
     Ok(top)
+}
+
+fn parse_flame_out(flags: &[&String]) -> Result<Option<String>, String> {
+    let mut out = None;
+    for f in flags {
+        match f.strip_prefix("--out=") {
+            Some(v) => out = Some(v.to_string()),
+            None => return Err(format!("flame: unknown flag {f}")),
+        }
+    }
+    Ok(out)
 }
 
 fn parse_run_opts(args: &[String]) -> Result<RunOpts, String> {
@@ -637,5 +649,51 @@ fn finish(failures: &[String]) -> ExitCode {
             eprintln!("tracectl: FAIL — {f}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every flag the usage text shows, with the command it belongs to:
+    /// a line that starts with a space continues the command above it.
+    fn usage_flags() -> Vec<(&'static str, String)> {
+        let mut command = "";
+        let mut flags = Vec::new();
+        for line in USAGE.lines().skip(1) {
+            if !line.starts_with(' ') {
+                command = line.split_whitespace().next().unwrap_or("");
+            }
+            for word in line.split_whitespace() {
+                if let Some(flag) = word.strip_prefix("[--").and_then(|w| w.strip_suffix(']')) {
+                    flags.push((command, format!("--{flag}")));
+                }
+            }
+        }
+        flags
+    }
+
+    #[test]
+    fn every_flag_the_usage_shows_parses() {
+        let flags = usage_flags();
+        assert_eq!(flags.len(), 10, "{flags:?}");
+        for (command, shown) in flags {
+            // The placeholder after `=` becomes a value its parser takes.
+            let (name, _) = shown.split_once('=').expect("shown as --flag=value");
+            let value = if matches!(name, "--loss" | "--dup") {
+                "0.5"
+            } else {
+                "3"
+            };
+            let arg = format!("{name}={value}");
+            let parsed = match command {
+                "run" => parse_run_opts(std::slice::from_ref(&arg)).map(drop),
+                "analyze" => parse_top(&[&arg]).map(drop),
+                "flame" => parse_flame_out(&[&arg]).map(drop),
+                other => panic!("a flag shown for `{other}`"),
+            };
+            assert_eq!(parsed, Ok(()), "{command} {arg}");
+        }
     }
 }

@@ -151,15 +151,21 @@ pub fn run() -> ExperimentOutput {
                 off.spans_allocated, off.plane.span_table_bytes_peak
             ),
         ),
-        // Bytes and hence exact simulated timing are allowed to differ:
-        // span ids travel in the wire header, the off leg's id 0
-        // varint-encodes shorter, and transmission delay follows size.
+        // A span slot has one width whatever its id, so the plane moves
+        // no datagram's size and no delivery instant.
         check(
             "the two legs did identical simulated work",
-            on_m.msgs_sent == off_m.msgs_sent && on_m.bytes_sent >= off_m.bytes_sent,
+            on_m.msgs_sent == off_m.msgs_sent
+                && on_m.bytes_sent == off_m.bytes_sent
+                && on.run.report.end_time == off.run.report.end_time,
             format!(
-                "msgs {} vs {} (bytes {} vs {}: span ids on the wire)",
-                on_m.msgs_sent, off_m.msgs_sent, on_m.bytes_sent, off_m.bytes_sent
+                "msgs {} vs {}, bytes {} vs {}, end {} vs {}",
+                on_m.msgs_sent,
+                off_m.msgs_sent,
+                on_m.bytes_sent,
+                off_m.bytes_sent,
+                on.run.report.end_time,
+                off.run.report.end_time
             ),
         ),
         check(

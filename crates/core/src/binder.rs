@@ -134,14 +134,7 @@ impl Binder {
             .ns
             .resolve(cx, service, Some(&mut oneways_into(strays)))
             .await?;
-        let spec_v = record
-            .meta
-            .get("spec")
-            .ok_or(RpcError::Wire(WireError::MissingField("spec")))?;
-        let iface_v = record
-            .meta
-            .get("iface")
-            .ok_or(RpcError::Wire(WireError::MissingField("iface")))?;
+        let [spec_v, iface_v] = split_binding_meta(&record.meta)?;
         let spec = ProxySpec::from_value(spec_v)?;
         let iface = InterfaceDesc::from_value(iface_v)?;
         self.instantiate(cx, service, &record, spec, iface, strays)
@@ -241,4 +234,24 @@ impl Binder {
         };
         ctor(cx, bind_ctx, strays).await
     }
+}
+
+/// The binding metadata a service registers with the name server,
+/// `[spec, iface]`: what a binder reads to build the service's proxy.
+pub fn binding_meta(spec: &ProxySpec, iface: &InterfaceDesc) -> Value {
+    Value::list([spec.to_value(), iface.to_value()])
+}
+
+/// Splits [`binding_meta`] into its spec and interface slots.
+///
+/// # Errors
+///
+/// [`WireError::WrongKind`] for any other shape.
+pub fn split_binding_meta(meta: &Value) -> Result<&[Value; 2], WireError> {
+    meta.as_list()
+        .and_then(|slots| slots.try_into().ok())
+        .ok_or(WireError::WrongKind {
+            expected: "binding metadata [spec, iface]",
+            actual: "another shape",
+        })
 }

@@ -8,6 +8,12 @@
 //! argument identifies the datum it touches. Generic smart proxies use
 //! these declarations to decide what is cacheable and what invalidates
 //! what, without knowing anything else about the service.
+//!
+//! A descriptor travels in every name-server lookup reply (inside the
+//! binding metadata `[spec, iface]`) and answers the `_iface` system op.
+//! Both ends run this crate, so it is positional and names no field:
+//! `[type, [op, …]]`, each op `[name, flags, key | null]` with `flags`
+//! = write | idempotent << 1. A flag bit no kind has is refused.
 
 use std::borrow::Cow;
 
@@ -20,16 +26,6 @@ pub enum OpKind {
     Read,
     /// Mutation; invalidates cached reads of the same tag.
     Write,
-}
-
-impl OpKind {
-    /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            OpKind::Read => "read",
-            OpKind::Write => "write",
-        }
-    }
 }
 
 /// Description of one operation in a service interface.
@@ -109,36 +105,47 @@ impl OpDesc {
         }
     }
 
+    /// The op's record, `[name, flags, key | null]`, with `flags` =
+    /// write | idempotent << 1.
     fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("name".into(), Value::str(self.name.clone())),
-            ("kind".into(), Value::str(self.kind.as_str())),
-            ("idem".into(), Value::Bool(self.idempotent)),
-        ];
-        if let Some(k) = &self.key_field {
-            fields.push(("key".into(), Value::str(k.clone())));
-        }
-        Value::Record(fields)
+        let flags = u64::from(self.kind == OpKind::Write) | u64::from(self.idempotent) << 1;
+        let key = self
+            .key_field
+            .as_ref()
+            .map_or(Value::Null, |k| Value::str(k.clone()));
+        Value::list([Value::str(self.name.clone()), Value::U64(flags), key])
     }
 
     fn from_value(v: &Value) -> Result<OpDesc, WireError> {
-        // An unknown kind is refused, not read as `Read`: a misspelt
-        // write would otherwise be cached and never invalidated.
-        let kind = match v.get_str("kind")? {
-            "read" => OpKind::Read,
-            "write" => OpKind::Write,
-            _ => {
-                return Err(WireError::WrongKind {
-                    expected: "op kind read or write",
-                    actual: "unknown",
-                })
-            }
+        let malformed = |actual| WireError::WrongKind {
+            expected: "op record [name, flags, key | null]",
+            actual,
+        };
+        let [name, flags, key] = v.as_list().ok_or(malformed("no list"))? else {
+            return Err(malformed("another arity"));
+        };
+        // An unknown flag is refused, not ignored: a write read as a
+        // read would be cached and never invalidated.
+        let flags = match flags {
+            Value::U64(f @ 0..=3) => *f,
+            _ => return Err(malformed("unknown flags")),
         };
         Ok(OpDesc {
-            name: v.get_str("name")?.to_owned(),
-            kind,
-            key_field: v.get("key").and_then(|k| k.as_str().map(str::to_owned)),
-            idempotent: v.get_bool("idem").unwrap_or(false),
+            name: name.as_str().ok_or(malformed("a nameless op"))?.to_owned(),
+            kind: if flags & 1 == 1 {
+                OpKind::Write
+            } else {
+                OpKind::Read
+            },
+            key_field: match key {
+                Value::Null => None,
+                k => Some(
+                    k.as_str()
+                        .ok_or(malformed("a key of another kind"))?
+                        .to_owned(),
+                ),
+            },
+            idempotent: flags & 2 == 2,
         })
     }
 }
@@ -196,11 +203,13 @@ impl InterfaceDesc {
         matches!(self.op(name), Some(o) if o.kind == OpKind::Write)
     }
 
-    /// Encodes the interface as a wire value (the `_iface` system op).
+    /// Encodes the interface as a wire value (the `_iface` system op and
+    /// the binding metadata): `[type, [op, …]]`, each op as
+    /// `[name, flags, key | null]` with `flags` = write | idempotent << 1.
     pub fn to_value(&self) -> Value {
-        Value::record([
-            ("type", Value::str(self.type_name.clone())),
-            ("ops", Value::list(self.ops.iter().map(OpDesc::to_value))),
+        Value::list([
+            Value::str(self.type_name.clone()),
+            Value::list(self.ops.iter().map(OpDesc::to_value)),
         ])
     }
 
@@ -208,16 +217,22 @@ impl InterfaceDesc {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] for missing or malformed fields.
+    /// Returns a [`WireError`] for a wrong arity, a slot of the wrong
+    /// kind or an unknown op flag.
     pub fn from_value(v: &Value) -> Result<InterfaceDesc, WireError> {
-        let ops = v
-            .get_list("ops")?
-            .iter()
-            .map(OpDesc::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
+        let malformed = WireError::WrongKind {
+            expected: "interface [type, [op, …]]",
+            actual: "another shape",
+        };
+        let Some([Value::Str(type_name), Value::List(ops)]) = v.as_list() else {
+            return Err(malformed);
+        };
         Ok(InterfaceDesc {
-            type_name: v.get_str("type")?.to_owned(),
-            ops,
+            type_name: type_name.as_str().to_owned(),
+            ops: ops
+                .iter()
+                .map(OpDesc::from_value)
+                .collect::<Result<_, _>>()?,
         })
     }
 
@@ -283,26 +298,20 @@ mod tests {
 
     #[test]
     fn an_unknown_op_kind_is_refused() {
-        let op = |kind: &str| {
-            Value::record([
-                ("type", Value::str("kv")),
-                (
-                    "ops",
-                    Value::list([Value::record([
-                        ("name", Value::str("put")),
-                        ("kind", Value::str(kind)),
-                        ("idem", Value::Bool(false)),
-                    ])]),
-                ),
+        let op = |flags: Value| {
+            Value::list([
+                Value::str("kv"),
+                Value::list([Value::list([Value::str("put"), flags, Value::Null])]),
             ])
         };
         assert!(matches!(
-            InterfaceDesc::from_value(&op("wirte")),
+            InterfaceDesc::from_value(&op(Value::U64(4))),
             Err(WireError::WrongKind { .. })
         ));
-        assert!(InterfaceDesc::from_value(&op("")).is_err());
-        let read = InterfaceDesc::from_value(&op("read")).unwrap();
+        assert!(InterfaceDesc::from_value(&op(Value::str("write"))).is_err());
+        let read = InterfaceDesc::from_value(&op(Value::U64(2))).unwrap();
         assert_eq!(read.op("put").unwrap().kind, OpKind::Read);
+        assert!(read.op("put").unwrap().idempotent);
     }
 
     #[test]

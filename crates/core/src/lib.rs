@@ -98,7 +98,7 @@ mod sharers;
 mod spec;
 mod stable;
 
-pub use binder::{BindContext, Binder, BoundProxy, ProxyCtor};
+pub use binder::{binding_meta, split_binding_meta, BindContext, Binder, BoundProxy, ProxyCtor};
 pub use bulk::{BlobClient, BulkEngine, BulkParams};
 pub use interface::{InterfaceDesc, OpDesc, OpKind};
 pub use object::{FactoryRegistry, ObjectCtor, ServiceObject};

@@ -792,8 +792,8 @@ impl ServiceBuilder {
 
     /// Runs when the process first runs: makes the object — recovered
     /// from the node's last checkpoint if asked to and there is one —
-    /// and the server around it, and sends its registration `{spec,
-    /// iface}` to the name server at `ns`.
+    /// and the server around it, and sends its registration `[spec,
+    /// iface]` to the name server at `ns`.
     ///
     /// # Panics
     ///
@@ -816,7 +816,7 @@ impl ServiceBuilder {
             _ => default,
         };
         let iface = object.interface();
-        let meta = Value::record([("spec", self.spec.to_value()), ("iface", iface.to_value())]);
+        let meta = crate::binder::binding_meta(&self.spec, &iface);
         let core = Core {
             sharers: Sharers::new(sharer_cap(&self.spec)),
             iface,

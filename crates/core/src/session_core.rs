@@ -50,7 +50,7 @@ use std::time::Duration;
 use naming::NameRecord;
 use rpc::{Channel, ChannelConfig, Oneway, RpcError};
 use simnet::{AsyncCx, Ctx, Endpoint, Message, Poll, ProcCx, SimTime};
-use wire::{Value, WireError};
+use wire::Value;
 
 use crate::binder::Binder;
 use crate::object::FactoryRegistry;
@@ -535,10 +535,7 @@ impl SessionCore {
             return Ok(idx);
         }
         let record = NameRecord::from_value(rep)?;
-        let spec_v = record
-            .meta
-            .get("spec")
-            .ok_or(RpcError::Wire(WireError::MissingField("spec")))?;
+        let [spec_v, _] = crate::binder::split_binding_meta(&record.meta)?;
         let spec = ProxySpec::from_value(spec_v)?;
         if !matches!(spec, ProxySpec::Stub) {
             return Err(RpcError::Remote(rpc::RemoteError::new(

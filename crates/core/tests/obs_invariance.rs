@@ -1,13 +1,15 @@
 //! The observability registry at the full simulation level: span
 //! retirement conserves every report aggregate exactly while bounding
-//! the resident span table; and a run whose caching clients sit on six
+//! the resident span table; a run whose caching clients sit on six
 //! nodes — reads filing sharers, writes pushing invalidations to them —
 //! is byte-identical when the same seed runs twice, with the slow-call
-//! watchdog armed or not.
+//! watchdog armed or not; and however that run is observed, it sends
+//! the same datagrams at the same instants.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use obs::{SpanId, SpanKind};
 use proxy_core::{
     BindFuture, CachingParams, CallFuture, Coherence, InterfaceDesc, OpDesc, ProxySpec,
     ServiceBuilder, ServiceObject, SessionCore,
@@ -216,24 +218,18 @@ impl ServiceObject for Cells {
     }
 }
 
-/// Six blocking caching clients (nodes 10..16, the
-/// service on node 1), each reading every cell and `sum` and writing
-/// the cells it owns, under jitter, with the slow-call watchdog armed
-/// at `watchdog`. Returns `(summary, trace hash, report JSON)`.
-fn run_caching(seed: u64, watchdog: Option<obs::WatchdogConfig>) -> (String, u64, String) {
-    let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.3), seed);
-    sim.enable_trace(1 << 16);
-    if let Some(cfg) = watchdog {
-        sim.obs().enable_watchdog(cfg);
-    }
-    let ns = naming::spawn_name_server(&sim, NodeId(0));
+/// Six blocking caching clients (nodes 10..16, the service on node 1),
+/// each reading every cell and `sum` and writing the cells it owns,
+/// under jitter. With `extra_span` each call opens one more span first.
+fn spawn_caching(sim: &Simulation, extra_span: bool) {
+    let ns = naming::spawn_name_server(sim, NodeId(0));
     ServiceBuilder::new("cells")
         .spec(ProxySpec::Caching(CachingParams {
             coherence: Coherence::Invalidate,
             capacity: 4,
         }))
         .object(|| Box::new(Cells([0; 8])))
-        .spawn(&sim, NodeId(1), ns);
+        .spawn(sim, NodeId(1), ns);
     for c in 0..CLIENTS {
         sim.spawn(format!("client-{c}"), NodeId(10 + c), move |ctx| {
             let mut core = SessionCore::new(ns);
@@ -249,11 +245,30 @@ fn run_caching(seed: u64, watchdog: Option<obs::WatchdogConfig>) -> (String, u64
                     4 => ("sum", Value::Null),
                     _ => ("get", Value::record([("key", Value::U64(key))])),
                 };
+                let now = ctx.now().as_nanos();
+                let extra = match extra_span {
+                    true => ctx
+                        .obs()
+                        .open_span(SpanKind::Invoke, SpanId::NONE, "extra", op, now),
+                    false => SpanId::NONE,
+                };
                 core.invoke(ctx, cells, op, args).expect("call succeeds");
+                ctx.obs().close_span(extra, ctx.now().as_nanos(), true);
             }
             core.shutdown(ctx);
         });
     }
+}
+
+/// The caching workload with the slow-call watchdog armed at
+/// `watchdog`. Returns `(summary, trace hash, report JSON)`.
+fn run_caching(seed: u64, watchdog: Option<obs::WatchdogConfig>) -> (String, u64, String) {
+    let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.3), seed);
+    sim.enable_trace(1 << 16);
+    if let Some(cfg) = watchdog {
+        sim.obs().enable_watchdog(cfg);
+    }
+    spawn_caching(&sim, false);
     let report = sim.run();
     let json = sim.obs_report().to_json();
     let summary = format!(
@@ -267,6 +282,81 @@ fn run_caching(seed: u64, watchdog: Option<obs::WatchdogConfig>) -> (String, u64
         sim.obs_report().servers["cells"].invalidations_sent,
     );
     (summary, fnv(&obs::to_jsonl(&sim.causal_trace())), json)
+}
+
+/// How a run of the caching workload is observed.
+#[derive(Debug, Clone, Copy)]
+enum Observer {
+    Plane,
+    PlaneOff,
+    WatchdogRetiring,
+    Profiler,
+    ExtraSpans,
+}
+
+/// What a run did in simulation: messages, bytes and end time, then
+/// every network event of its trace with its instant and without its
+/// span.
+fn observed(seed: u64, observer: Observer) -> ((u64, u64, u64), Vec<String>) {
+    let mut sim = Simulation::new(NetworkConfig::lan().with_jitter(0.3), seed);
+    sim.enable_trace(1 << 16);
+    match observer {
+        Observer::PlaneOff => sim.obs().set_enabled(false),
+        Observer::WatchdogRetiring => {
+            sim.obs().enable_watchdog(obs::WatchdogConfig {
+                multiplier: 1.05,
+                min_samples: 4,
+                slo_ns: None,
+                max_exemplars: 64,
+            });
+            sim.obs().enable_retirement(0);
+        }
+        Observer::Profiler => sim.obs().enable_profile(256),
+        Observer::Plane | Observer::ExtraSpans => {}
+    }
+    spawn_caching(&sim, matches!(observer, Observer::ExtraSpans));
+    let report = sim.run();
+    let net = sim
+        .causal_trace()
+        .events
+        .into_iter()
+        .filter_map(|e| match e {
+            obs::CausalEvent::Net(n) => Some(format!("{} {:?}", n.at_ns, n.kind)),
+            obs::CausalEvent::Span(_) => None,
+        })
+        .collect();
+    let m = &report.metrics;
+    ((m.msgs_sent, m.bytes_sent, report.end_time.as_nanos()), net)
+}
+
+/// Span ids travel in every envelope in a slot of one width, so neither
+/// switching the plane off nor opening more spans (whose ids then run
+/// higher) moves a datagram's size, nor with it any delivery instant.
+#[test]
+fn observation_moves_nothing_simulated() {
+    let (base, base_net) = observed(5, Observer::Plane);
+    assert!(
+        base_net.len() > 1_000,
+        "too little traffic to prove anything"
+    );
+    for observer in [
+        Observer::PlaneOff,
+        Observer::WatchdogRetiring,
+        Observer::Profiler,
+        Observer::ExtraSpans,
+    ] {
+        let (run, net) = observed(5, observer);
+        assert_eq!(run, base, "{observer:?}: (messages, bytes, end time) moved");
+        if let Some(at) =
+            (0..net.len().max(base_net.len())).find(|&i| net.get(i) != base_net.get(i))
+        {
+            panic!(
+                "{observer:?}: network event {at} moved: {:?} instead of {:?}",
+                net.get(at),
+                base_net.get(at)
+            );
+        }
+    }
 }
 
 #[test]

@@ -752,22 +752,19 @@ fn unsubscribing_purges_the_reader_from_the_directory() {
 
 #[test]
 fn a_descriptor_with_an_unknown_op_kind_fails_the_bind() {
-    // `put`'s kind is misspelt. Read as a read, a caching proxy would
-    // cache what `put` returns and nothing would invalidate it.
-    let iface = Value::record([
-        ("type", Value::str("kv")),
-        (
-            "ops",
-            Value::list([Value::record([
-                ("name", Value::str("put")),
-                ("kind", Value::str("wirte")),
-                ("idem", Value::Bool(false)),
-                ("key", Value::str("key")),
-            ])]),
-        ),
+    // `put`'s flags carry a bit no kind has. Read as a read, a caching
+    // proxy would cache what `put` returns and nothing would invalidate
+    // it.
+    let iface = Value::list([
+        Value::str("kv"),
+        Value::list([Value::list([
+            Value::str("put"),
+            Value::U64(1 | 4),
+            Value::str("key"),
+        ])]),
     ]);
     let spec = ProxySpec::Caching(CachingParams::default());
-    let meta = Value::record([("spec", spec.to_value()), ("iface", iface)]);
+    let meta = Value::list([spec.to_value(), iface]);
     let refused = Arc::new(AtomicU64::new(0));
     let r = Arc::clone(&refused);
     let mut sim = Simulation::new(NetworkConfig::lan(), 1);

@@ -130,8 +130,7 @@ where
         serve(cx, move |_| {
             let host = Host::new(config, ns, factories, make_object());
             // Only the very first host registers the name.
-            let spec = host.config.spec.to_value();
-            let meta = Value::record([("spec", spec), ("iface", host.iface.to_value())]);
+            let meta = proxy_core::binding_meta(&host.config.spec, &host.iface);
             ServiceServer::new(host).register(ns, meta)
         })
     })

@@ -1,8 +1,11 @@
 //! The record a name maps to.
+//!
+//! On the wire a record is positional, `[node, port, meta, gen]`: it
+//! travels only between this crate's server and its clients, so it pays
+//! for no field names.
 
 use bytes::Bytes;
-use rpc::{endpoint_from_value, endpoint_to_value};
-use simnet::Endpoint;
+use simnet::{Endpoint, NodeId, PortId};
 use wire::{Value, WireError};
 
 /// A name binding: where the service lives and how to bind to it.
@@ -22,12 +25,13 @@ pub struct NameRecord {
 }
 
 impl NameRecord {
-    /// Encodes the record as a wire value.
+    /// Encodes the record as a wire value, `[node, port, meta, gen]`.
     pub fn to_value(&self) -> Value {
-        Value::record([
-            ("ep", endpoint_to_value(self.endpoint)),
-            ("meta", self.meta.clone()),
-            ("gen", Value::U64(self.generation)),
+        Value::list([
+            Value::U64(self.endpoint.node.0.into()),
+            Value::U64(self.endpoint.port.0.into()),
+            self.meta.clone(),
+            Value::U64(self.generation),
         ])
     }
 
@@ -42,18 +46,28 @@ impl NameRecord {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] if fields are missing or malformed.
+    /// Returns a [`WireError`] for a wrong arity or a slot of the wrong
+    /// kind or range.
     pub fn from_value(v: Value) -> Result<NameRecord, WireError> {
-        let endpoint = endpoint_from_value(v.get("ep").ok_or(WireError::MissingField("ep"))?)?;
-        let generation = v.get_u64("gen")?;
-        let meta = match v {
-            // The first field of a name counts, as for `Value::get`.
-            Value::Record(fields) => fields.into_iter().find(|(k, _)| k == "meta"),
-            _ => None,
+        let malformed = || WireError::WrongKind {
+            expected: "name record [node, port, meta, gen]",
+            actual: "another shape",
+        };
+        let Value::List(slots) = v else {
+            return Err(malformed());
+        };
+        let Ok([node, port, meta, generation]) = <[Value; 4]>::try_from(slots) else {
+            return Err(malformed());
+        };
+        let part = |v: Value| v.as_u64().and_then(|n| u32::try_from(n).ok());
+        let (Some(node), Some(port), Some(generation)) =
+            (part(node), part(port), generation.as_u64())
+        else {
+            return Err(malformed());
         };
         Ok(NameRecord {
-            endpoint,
-            meta: meta.map_or(Value::Null, |(_, m)| m),
+            endpoint: Endpoint::new(NodeId(node), PortId(port)),
+            meta,
             generation,
         })
     }
@@ -77,21 +91,27 @@ mod tests {
 
     #[test]
     fn missing_endpoint_rejected() {
-        let v = Value::record([("gen", Value::U64(1))]);
+        let v = Value::list([Value::Null, Value::U64(1)]);
         assert!(NameRecord::from_value(v).is_err());
+        let v = Value::list([
+            Value::U64(1 << 32),
+            Value::U64(1),
+            Value::Null,
+            Value::U64(1),
+        ]);
+        assert!(NameRecord::from_value(v).is_err(), "node out of range");
     }
 
     #[test]
     fn missing_meta_defaults_to_null() {
+        // A service that registers no metadata gets a null slot back.
         let rec = NameRecord {
             endpoint: Endpoint::new(NodeId(1), PortId(1)),
             meta: Value::Null,
             generation: 1,
         };
-        let mut v = rec.to_value();
-        if let Value::Record(ref mut fields) = v {
-            fields.retain(|(k, _)| k != "meta");
-        }
+        let v = Value::list([Value::U64(1), Value::U64(1), Value::Null, Value::U64(1)]);
+        assert_eq!(rec.to_value(), v);
         assert_eq!(NameRecord::from_value(v).unwrap(), rec);
     }
 }

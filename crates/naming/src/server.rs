@@ -384,11 +384,16 @@ mod tests {
         .to_bytes()
     }
 
-    fn gen_of(frame: &Bytes) -> u64 {
+    fn ok_of(frame: &Bytes) -> Value {
         match Packet::from_frame(frame).unwrap() {
-            Packet::Reply(r) => r.result.unwrap().get_u64("gen").unwrap(),
+            Packet::Reply(r) => r.result.unwrap(),
             other => panic!("expected a reply, got {other:?}"),
         }
+    }
+
+    /// The generation a register or update answered with.
+    fn gen_of(frame: &Bytes) -> u64 {
+        ok_of(frame).get_u64("gen").unwrap()
     }
 
     fn name(n: &str) -> Value {
@@ -429,7 +434,8 @@ mod tests {
             assert_eq!(again, first, "not answered from the record");
             assert_eq!(gen_of(&again), 1, "the register ran again");
             let looked_up = exchange(ctx, ns, 2, "lookup", name("svc"));
-            assert_eq!(gen_of(&looked_up), 1);
+            let record = NameRecord::from_value(ok_of(&looked_up)).unwrap();
+            assert_eq!(record.generation, 1);
         });
         sim.run();
         assert_eq!(

@@ -385,7 +385,7 @@ where
                         .collect(),
                     read_target,
                 };
-                let meta = Value::record([("spec", spec.to_value()), ("iface", iface.to_value())]);
+                let meta = proxy_core::binding_meta(&spec, &iface);
                 let role = Role::Primary {
                     backups: backups_for_primary,
                     propagation,

@@ -1,30 +1,38 @@
 //! The RPC wire protocol: requests, replies, one-way notifications and
 //! batches.
 //!
-//! Every datagram is a framed [`Value`] record whose `"t"` field
-//! discriminates the envelope kind: `"req"`, `"rep"`, `"msg"` or
-//! `"bat"`. A batch coalesces several small envelopes (requests on the
-//! way out, replies on the way back) into one datagram so a pipelined
-//! channel pays one network traversal for many calls; batches never
-//! nest.
+//! Every datagram is one framed [`Value::List`]: the envelope's kind as
+//! a small integer, then a fixed run of slots that names no field. The
+//! protocol is private to the two ends of a channel, which run this same
+//! crate, so it pays for no self-description:
 //!
-//! A request record may carry, beside the [`Request`] itself, its
-//! sender's `lo`: the lowest call id the sending process still awaits
-//! (one varint field, omitted when zero). It is how a client tells a
-//! server which recorded replies it may forget; see
-//! [`RpcServer`](crate::RpcServer). [`Packet::Request`] holds it, 0 for
-//! a request that states none.
+//! | kind | envelope | slots after the kind |
+//! |------|----------|----------------------|
+//! | 0 | [`Request`] | `id, reply_node, reply_port, obj, op, args, sp, lo` |
+//! | 1 | [`Reply`] | `id, ok, sp`; a failure `id, err, msg, data, sp` |
+//! | 2 | [`Oneway`] | `from_node, from_port, op, args, sp` |
+//! | 3 | [`Batch`] | one request, reply or one-way list per item |
+//!
+//! A batch coalesces several small envelopes (requests on the way out,
+//! replies on the way back) into one datagram so a pipelined channel
+//! pays one network traversal for many calls; batches never nest.
+//!
+//! `sp` is the causal span (a raw [`obs::SpanId`]) as an 8-byte
+//! little-endian blob, all zeros when untracked: a datagram's size does
+//! not depend on the span's number or on whether anything observes the
+//! run, so observation moves no simulated delivery time.
+//!
+//! `lo` is the request's sender's lowest still-awaited call id (0 states
+//! none). It is how a client tells a server which recorded replies it
+//! may forget; see [`RpcServer`](crate::RpcServer). [`Packet::Request`]
+//! holds it beside the [`Request`].
 //!
 //! Encoding writes each envelope straight from its struct through the
-//! pooled [`ValueWriter`]. Decoding, [`Packet::from_frame`], is one
-//! forward pass over the frame with a [`FieldReader`]: the header fields
-//! (`t`, `id`, `rt`/`from`, `obj`, `op`, `sp`, `lo`, `err`, `msg`) are read in
-//! place, batch items in the same pass, and a [`Value`] is built only for
-//! `args`, `ok` and `data`, whose strings and blobs alias the datagram.
-//! It accepts exactly the frames a decode of the whole record as one
-//! `Value` tree followed by field lookups would, and yields equal
-//! packets: fields in any order, the first of two same-named fields
-//! counting, unknown fields validated and ignored.
+//! pooled [`ValueWriter`]. Decoding, [`Packet::from_frame`], reads the
+//! slots in order with a [`FieldReader`]: the header slots in place, and
+//! a [`Value`] only for `args`, `ok` and `data`, whose strings and blobs
+//! alias the datagram. A wrong kind, a wrong arity or a slot of the
+//! wrong type is a [`WireError`].
 
 use std::cell::RefCell;
 
@@ -48,22 +56,18 @@ pub fn with_encoder<R>(f: impl FnOnce(&mut Encoder) -> R) -> R {
     ENCODER.with(|e| f(&mut e.borrow_mut()))
 }
 
+/// The envelope kinds, each an envelope list's first slot.
+const REQUEST: u64 = 0;
+const REPLY: u64 = 1;
+const ONEWAY: u64 = 2;
+const BATCH: u64 = 3;
+
 /// Encodes an endpoint as a wire value.
 pub fn endpoint_to_value(ep: Endpoint) -> Value {
     Value::record([
         ("n", Value::U64(ep.node.0.into())),
         ("p", Value::U64(ep.port.0.into())),
     ])
-}
-
-/// Writes an endpoint through a [`ValueWriter`] (the no-clone twin of
-/// [`endpoint_to_value`]).
-fn write_endpoint(w: &mut ValueWriter<'_>, ep: Endpoint) {
-    w.begin_record(2);
-    w.key("n");
-    w.u64(ep.node.0.into());
-    w.key("p");
-    w.u64(ep.port.0.into());
 }
 
 /// Decodes an endpoint from a wire value.
@@ -75,6 +79,23 @@ pub fn endpoint_from_value(v: &Value) -> Result<Endpoint, WireError> {
     let node = u32::try_from(v.get_u64("n")?).map_err(|_| WireError::TooLong(u64::MAX))?;
     let port = u32::try_from(v.get_u64("p")?).map_err(|_| WireError::TooLong(u64::MAX))?;
     Ok(Endpoint::new(NodeId(node), PortId(port)))
+}
+
+/// Writes an endpoint as two slots, node then port.
+fn write_endpoint(w: &mut ValueWriter<'_>, ep: Endpoint) {
+    w.u64(ep.node.0.into());
+    w.u64(ep.port.0.into());
+}
+
+/// Writes a span slot: 8 bytes whatever its number.
+fn write_span(w: &mut ValueWriter<'_>, span: u64) {
+    w.blob(&span.to_le_bytes());
+}
+
+/// The tree form of the envelope `write` writes: the value that encodes
+/// to its bytes.
+fn tree(write: impl FnOnce(&mut ValueWriter<'_>)) -> Value {
+    wire::decode_bytes(&with_encoder(|e| e.encode_with(write))).expect("an envelope decodes")
 }
 
 /// An RPC request envelope.
@@ -100,48 +121,23 @@ pub struct Request {
 
 impl Request {
     /// Encodes this request as a wire value (the unframed form batches
-    /// embed), with no `lo` beside it.
+    /// embed), stating no `lo`.
     pub fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("t", Value::str("req")),
-            ("id", Value::U64(self.call_id)),
-            ("rt", endpoint_to_value(self.reply_to)),
-            ("obj", Value::str(self.object.clone())),
-            ("op", Value::str(self.op.clone())),
-            ("args", self.args.clone()),
-        ];
-        if self.span != 0 {
-            fields.push(("sp", Value::U64(self.span)));
-        }
-        Value::record(fields)
+        tree(|w| self.write_into(w, 0))
     }
 
-    /// Writes this request's record, with `lo` beside it unless zero,
-    /// through a [`ValueWriter`] without cloning the object name, op name
-    /// or args.
+    /// Writes this request's list, with `lo` in its last slot, through a
+    /// [`ValueWriter`] without cloning the object name, op name or args.
     pub(crate) fn write_into(&self, w: &mut ValueWriter<'_>, lo: u64) {
-        let count = 6 + usize::from(self.span != 0) + usize::from(lo != 0);
-        w.begin_record(count);
-        w.key("t");
-        w.str("req");
-        w.key("id");
+        w.begin_list(9);
+        w.u64(REQUEST);
         w.u64(self.call_id);
-        w.key("rt");
         write_endpoint(w, self.reply_to);
-        w.key("obj");
         w.str(&self.object);
-        w.key("op");
         w.str(&self.op);
-        w.key("args");
         w.value(&self.args);
-        if self.span != 0 {
-            w.key("sp");
-            w.u64(self.span);
-        }
-        if lo != 0 {
-            w.key("lo");
-            w.u64(lo);
-        }
+        write_span(w, self.span);
+        w.u64(lo);
     }
 
     /// Encodes this request into a framed datagram payload (pooled,
@@ -150,8 +146,7 @@ impl Request {
         self.to_bytes_with_lo(0)
     }
 
-    /// [`Request::to_bytes`] with the sender's `lo` beside the request
-    /// (0 states none).
+    /// [`Request::to_bytes`] with the sender's `lo` (0 states none).
     pub fn to_bytes_with_lo(&self, lo: u64) -> Bytes {
         let _p = obs::scope("rpc;encode");
         with_encoder(|e| e.frame_with(|w| self.write_into(w, lo)))
@@ -174,27 +169,10 @@ impl Reply {
     /// Encodes this reply as a wire value (the unframed form batches
     /// embed).
     pub fn to_value(&self) -> Value {
-        let mut fields = match &self.result {
-            Ok(v) => vec![
-                ("t", Value::str("rep")),
-                ("id", Value::U64(self.call_id)),
-                ("ok", v.clone()),
-            ],
-            Err(e) => vec![
-                ("t", Value::str("rep")),
-                ("id", Value::U64(self.call_id)),
-                ("err", Value::str(e.code.as_str())),
-                ("msg", Value::str(e.message.clone())),
-                ("data", e.data.clone()),
-            ],
-        };
-        if self.span != 0 {
-            fields.push(("sp", Value::U64(self.span)));
-        }
-        Value::record(fields)
+        tree(|w| self.write_into(w))
     }
 
-    /// Writes this reply's record through a [`ValueWriter`] without
+    /// Writes this reply's list through a [`ValueWriter`] without
     /// cloning the result payload or error strings.
     fn write_into(&self, w: &mut ValueWriter<'_>) {
         let ok = self
@@ -212,42 +190,30 @@ impl Reply {
     }
 }
 
-/// Writes a reply record: `ok` writes the success value in place.
+/// Writes a reply list: `ok` writes the success value in place.
 fn write_reply(
     w: &mut ValueWriter<'_>,
     call_id: u64,
     span: u64,
     result: Result<impl FnOnce(&mut ValueWriter<'_>), &RemoteError>,
 ) {
-    let span_extra = usize::from(span != 0);
     match result {
         Ok(ok) => {
-            w.begin_record(3 + span_extra);
-            w.key("t");
-            w.str("rep");
-            w.key("id");
+            w.begin_list(4);
+            w.u64(REPLY);
             w.u64(call_id);
-            w.key("ok");
             ok(w);
         }
         Err(e) => {
-            w.begin_record(5 + span_extra);
-            w.key("t");
-            w.str("rep");
-            w.key("id");
+            w.begin_list(6);
+            w.u64(REPLY);
             w.u64(call_id);
-            w.key("err");
             w.str(e.code.as_str());
-            w.key("msg");
             w.str(&e.message);
-            w.key("data");
             w.value(&e.data);
         }
     }
-    if span != 0 {
-        w.key("sp");
-        w.u64(span);
-    }
+    write_span(w, span);
 }
 
 /// Frames a reply whose success value is already encoded (one value as
@@ -278,34 +244,18 @@ impl Oneway {
     /// Encodes this notification as a wire value (the unframed form
     /// batches embed).
     pub fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("t", Value::str("msg")),
-            ("from", endpoint_to_value(self.from)),
-            ("op", Value::str(self.op.clone())),
-            ("args", self.args.clone()),
-        ];
-        if self.span != 0 {
-            fields.push(("sp", Value::U64(self.span)));
-        }
-        Value::record(fields)
+        tree(|w| self.write_into(w))
     }
 
-    /// Writes a notification's record through a [`ValueWriter`] straight
+    /// Writes a notification's list through a [`ValueWriter`] straight
     /// from its parts, cloning neither the op name nor the args.
     fn write_parts(w: &mut ValueWriter<'_>, from: Endpoint, op: &str, args: &Value, span: u64) {
-        w.begin_record(if span != 0 { 5 } else { 4 });
-        w.key("t");
-        w.str("msg");
-        w.key("from");
+        w.begin_list(6);
+        w.u64(ONEWAY);
         write_endpoint(w, from);
-        w.key("op");
         w.str(op);
-        w.key("args");
         w.value(args);
-        if span != 0 {
-            w.key("sp");
-            w.u64(span);
-        }
+        write_span(w, span);
     }
 
     fn write_into(&self, w: &mut ValueWriter<'_>) {
@@ -370,21 +320,18 @@ fn encode_batch(count: usize, items: impl FnOnce(&mut ValueWriter<'_>)) -> Bytes
     let _p = obs::scope("rpc;encode");
     with_encoder(|e| {
         e.frame_with(|w| {
-            w.begin_record(2);
-            w.key("t");
-            w.str("bat");
-            w.key("items");
-            w.begin_list(count);
+            w.begin_list(count + 1);
+            w.u64(BATCH);
             items(w);
         })
     })
 }
 
-/// Encodes a batch of *borrowed* requests, each with `lo` beside it,
-/// into one framed datagram — the zero-clone path a pipelined channel
-/// uses to coalesce its staged calls (building a [`Batch`] would clone
-/// every request first). Byte-identical to `Batch { items }.to_bytes()`
-/// over the same requests and `lo`.
+/// Encodes a batch of *borrowed* requests, each with `lo`, into one
+/// framed datagram — the zero-clone path a pipelined channel uses to
+/// coalesce its staged calls (building a [`Batch`] would clone every
+/// request first). Byte-identical to `Batch { items }.to_bytes()` over
+/// the same requests and `lo`.
 pub(crate) fn encode_request_batch<'a>(
     requests: impl ExactSizeIterator<Item = &'a Request>,
     lo: u64,
@@ -397,7 +344,7 @@ pub(crate) fn encode_request_batch<'a>(
 }
 
 /// Encodes recorded reply frames as one batch datagram: each frame's
-/// record, past its header, is copied in behind the batch header as it
+/// list, past its header, is copied in behind the batch's kind as it
 /// stands. Byte-identical to `Batch { items }.to_bytes()` over the
 /// replies the frames decode to, without decoding them. Every frame must
 /// be one [`Reply::to_bytes`] built.
@@ -427,205 +374,126 @@ pub enum Packet {
 impl Packet {
     /// Decodes a framed datagram payload in one pass over the frame.
     ///
-    /// The envelope's header fields are read in place; only `args`, `ok`
+    /// The envelope's header slots are read in place; only `args`, `ok`
     /// and `data` become [`Value`]s, and those alias the datagram's
-    /// refcounted buffer instead of copying out of it. Fields may come in
-    /// any order; of two fields with one name the first counts; unknown
-    /// fields are validated and ignored.
+    /// refcounted buffer instead of copying out of it.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] for malformed frames, unknown envelope
-    /// kinds, a batch inside a batch, or a missing or malformed field the
-    /// envelope's kind needs.
+    /// Returns a [`WireError`] for a malformed frame, an envelope of an
+    /// unknown kind or of the wrong arity for its kind, a batch inside a
+    /// batch, or a slot of the wrong type.
     pub fn from_frame(bytes: &Bytes) -> Result<Packet, WireError> {
         let _p = obs::scope("rpc;decode");
         let mut r = FieldReader::from_frame(bytes)?;
-        let envelope = match r.record(0)? {
-            Some(count) => Some(Envelope::read(&mut r, count, 1, true)?),
-            None => None,
-        };
+        let packet = read_envelope(&mut r, 0)?;
         r.finish()?;
-        envelope.ok_or(WireError::MissingField("t"))?.into_packet()
+        Ok(packet)
     }
 }
 
-/// An envelope field: `None` while absent, `Some(None)` when present
-/// with the wrong kind or shape. Whether either is an error depends on
-/// the envelope's kind, which `t` may name last.
-type Slot<T> = Option<Option<T>>;
-
-/// The first occurrence of each envelope field, read in place.
-#[derive(Default)]
-struct Envelope<'a> {
-    t: Slot<&'a str>,
-    id: Slot<u64>,
-    sp: Slot<u64>,
-    lo: Slot<u64>,
-    rt: Slot<Endpoint>,
-    from: Slot<Endpoint>,
-    obj: Slot<&'a str>,
-    op: Slot<&'a str>,
-    err: Slot<&'a str>,
-    msg: Slot<&'a str>,
-    args: Option<Value>,
-    ok: Option<Value>,
-    data: Option<Value>,
-    items: Slot<Vec<Packet>>,
-}
-
-impl<'a> Envelope<'a> {
-    /// Reads the `count` fields of an envelope record whose values sit at
-    /// `depth`. A batch item (`top` false) leaves its `items` unread, so
-    /// a batch inside a batch fails in [`Envelope::into_packet`] as one
-    /// without items.
-    fn read(
-        r: &mut FieldReader<'a>,
-        count: usize,
-        depth: usize,
-        top: bool,
-    ) -> Result<Envelope<'a>, WireError> {
-        let mut e = Envelope::default();
-        for _ in 0..count {
-            match r.key()? {
-                "t" => first(&mut e.t, r, depth, FieldReader::str),
-                "id" => first(&mut e.id, r, depth, FieldReader::u64),
-                "sp" => first(&mut e.sp, r, depth, FieldReader::u64),
-                "lo" => first(&mut e.lo, r, depth, FieldReader::u64),
-                "rt" => first(&mut e.rt, r, depth, read_endpoint),
-                "from" => first(&mut e.from, r, depth, read_endpoint),
-                "obj" => first(&mut e.obj, r, depth, FieldReader::str),
-                "op" => first(&mut e.op, r, depth, FieldReader::str),
-                "err" => first(&mut e.err, r, depth, FieldReader::str),
-                "msg" => first(&mut e.msg, r, depth, FieldReader::str),
-                "args" => first(&mut e.args, r, depth, FieldReader::value),
-                "ok" => first(&mut e.ok, r, depth, FieldReader::value),
-                "data" => first(&mut e.data, r, depth, FieldReader::value),
-                "items" if top => first(&mut e.items, r, depth, read_items),
-                _ => r.skip(depth),
-            }?;
-        }
-        Ok(e)
-    }
-
-    /// Builds the packet `t` names from the fields its kind needs.
-    fn into_packet(self) -> Result<Packet, WireError> {
-        // A non-u64 span reads as untracked, like a missing one.
-        let span = self.sp.flatten().unwrap_or(0);
-        let args = self.args.unwrap_or(Value::Null);
-        match need(self.t, "t")? {
-            "req" => Ok(Packet::Request(
-                Request {
-                    call_id: need(self.id, "id")?,
-                    reply_to: need(self.rt, "rt")?,
-                    object: need(self.obj, "obj")?.to_owned(),
-                    op: need(self.op, "op")?.to_owned(),
-                    args,
-                    span,
-                },
-                // A non-u64 `lo`, like a missing one, states none.
-                self.lo.flatten().unwrap_or(0),
-            )),
-            "rep" => {
-                let call_id = need(self.id, "id")?;
-                let result = match self.ok {
-                    Some(v) => Ok(v),
-                    None => Err(RemoteError {
-                        code: ErrorCode::from_str_loose(need(self.err, "err")?),
-                        message: need(self.msg, "msg")?.to_owned(),
-                        data: self.data.unwrap_or(Value::Null),
-                    }),
-                };
-                Ok(Packet::Reply(Reply {
-                    call_id,
-                    result,
-                    span,
-                }))
-            }
-            "msg" => Ok(Packet::Oneway(Oneway {
-                from: need(self.from, "from")?,
-                op: need(self.op, "op")?.to_owned(),
+/// Reads the envelope list at `depth`: a batch only at the top, its
+/// items one level deeper.
+fn read_envelope(r: &mut FieldReader<'_>, depth: usize) -> Result<Packet, WireError> {
+    let slots = need(r.list(depth)?, "an envelope list")?;
+    let d = depth + 1;
+    let kind = match slots {
+        0 => None,
+        _ => Some(need(r.u64(d)?, "an envelope kind")?),
+    };
+    Ok(match (kind, slots) {
+        (Some(REQUEST), 9) => {
+            let call_id = need(r.u64(d)?, "id")?;
+            let reply_to = read_endpoint(r, d)?;
+            let object = need(r.str(d)?, "obj")?.to_owned();
+            let op = need(r.str(d)?, "op")?.to_owned();
+            let args = r.value(d)?;
+            let span = read_span(r, d)?;
+            let request = Request {
+                call_id,
+                reply_to,
+                object,
+                op,
                 args,
                 span,
-            })),
-            "bat" => Ok(Packet::Batch(Batch {
-                items: need(self.items, "items")?,
-            })),
-            _ => Err(WireError::WrongKind {
-                expected: "req|rep|msg|bat",
-                actual: "unknown envelope",
-            }),
+            };
+            Packet::Request(request, need(r.u64(d)?, "lo")?)
         }
-    }
-}
-
-/// Reads a field into `slot` unless an earlier field of the same name
-/// filled it: the first one counts, as with [`Value::get`], and a later
-/// one is validated and ignored.
-fn first<'a, T>(
-    slot: &mut Option<T>,
-    r: &mut FieldReader<'a>,
-    depth: usize,
-    read: impl FnOnce(&mut FieldReader<'a>, usize) -> Result<T, WireError>,
-) -> Result<(), WireError> {
-    match slot {
-        Some(_) => r.skip(depth),
-        None => {
-            *slot = Some(read(r, depth)?);
-            Ok(())
+        (Some(REPLY), 4 | 6) => {
+            let call_id = need(r.u64(d)?, "id")?;
+            let result = if slots == 4 {
+                Ok(r.value(d)?)
+            } else {
+                let code = ErrorCode::from_str_loose(need(r.str(d)?, "err")?);
+                let message = need(r.str(d)?, "msg")?.to_owned();
+                let data = r.value(d)?;
+                Err(RemoteError {
+                    code,
+                    message,
+                    data,
+                })
+            };
+            let span = read_span(r, d)?;
+            Packet::Reply(Reply {
+                call_id,
+                result,
+                span,
+            })
         }
-    }
+        (Some(ONEWAY), 6) => {
+            let from = read_endpoint(r, d)?;
+            let op = need(r.str(d)?, "op")?.to_owned();
+            let args = r.value(d)?;
+            let span = read_span(r, d)?;
+            Packet::Oneway(Oneway {
+                from,
+                op,
+                args,
+                span,
+            })
+        }
+        (Some(BATCH), _) if depth == 0 => {
+            let mut items = Vec::with_capacity((slots - 1).min(1024));
+            for _ in 1..slots {
+                items.push(read_envelope(r, d)?);
+            }
+            Packet::Batch(Batch { items })
+        }
+        _ => {
+            return Err(WireError::WrongKind {
+                expected: "a request, reply, one-way or outermost batch",
+                actual: "another kind or arity",
+            })
+        }
+    })
 }
 
-/// A field the envelope's kind needs.
-fn need<T>(slot: Slot<T>, name: &'static str) -> Result<T, WireError> {
-    slot.ok_or(WireError::MissingField(name))?
-        .ok_or(WireError::WrongKind {
-            expected: name,
-            actual: "malformed field",
-        })
+/// A slot read as the type its envelope needs.
+fn need<T>(slot: Option<T>, name: &'static str) -> Result<T, WireError> {
+    slot.ok_or(WireError::WrongKind {
+        expected: name,
+        actual: "another type",
+    })
 }
 
-/// Reads an endpoint record in place (see [`endpoint_from_value`]);
-/// `None` if it is no record or lacks a `u32` node or port.
-fn read_endpoint(r: &mut FieldReader<'_>, depth: usize) -> Result<Option<Endpoint>, WireError> {
-    let Some(count) = r.record(depth)? else {
-        return Ok(None);
+/// Reads an endpoint's two slots in place.
+fn read_endpoint(r: &mut FieldReader<'_>, depth: usize) -> Result<Endpoint, WireError> {
+    let mut part = |name| {
+        let n = need(r.u64(depth)?, name)?;
+        u32::try_from(n).map_err(|_| WireError::TooLong(n))
     };
-    let (mut node, mut port) = (None, None);
-    for _ in 0..count {
-        match r.key()? {
-            "n" => first(&mut node, r, depth + 1, FieldReader::u64),
-            "p" => first(&mut port, r, depth + 1, FieldReader::u64),
-            _ => r.skip(depth + 1),
-        }?;
-    }
-    let part = |slot: Slot<u64>| slot.flatten().and_then(|n| u32::try_from(n).ok());
-    Ok(part(node)
-        .zip(part(port))
-        .map(|(n, p)| Endpoint::new(NodeId(n), PortId(p))))
+    let node = part("node")?;
+    Ok(Endpoint::new(NodeId(node), PortId(part("port")?)))
 }
 
-/// Reads a batch's item list; `None` if it is no list or any item is no
-/// request, reply or one-way envelope.
-fn read_items(r: &mut FieldReader<'_>, depth: usize) -> Result<Option<Vec<Packet>>, WireError> {
-    let Some(count) = r.list(depth)? else {
-        return Ok(None);
-    };
-    let mut items = Some(Vec::with_capacity(count.min(1024)));
-    for _ in 0..count {
-        let item = match r.record(depth + 1)? {
-            Some(n) => Envelope::read(r, n, depth + 2, false)?.into_packet().ok(),
-            None => None,
-        };
-        // A bad item fails the batch, but the items after it must still
-        // be well-formed bytes.
-        items = items.zip(item).map(|(mut items, item)| {
-            items.push(item);
-            items
-        });
-    }
-    Ok(items)
+/// Reads a span slot: exactly 8 bytes.
+fn read_span(r: &mut FieldReader<'_>, depth: usize) -> Result<u64, WireError> {
+    let bytes = need(r.blob(depth)?, "sp")?;
+    let bytes = <[u8; 8]>::try_from(bytes).map_err(|_| WireError::WrongKind {
+        expected: "an 8-byte span",
+        actual: "another width",
+    })?;
+    Ok(u64::from_le_bytes(bytes))
 }
 
 #[cfg(test)]
@@ -663,14 +531,18 @@ mod tests {
             args: Value::Null,
             span: 9,
         };
-        assert!(req.to_value().get("lo").is_none());
+        let lo_slot = |v: &Value| v.as_list().map(|slots| slots[8].clone());
+        assert_eq!(lo_slot(&req.to_value()), Some(Value::U64(0)));
         let framed = req.to_bytes_with_lo(40);
-        assert_eq!(wire::unframe(&framed).unwrap().get_u64("lo"), Ok(40));
+        assert_eq!(
+            lo_slot(&wire::unframe(&framed).unwrap()),
+            Some(Value::U64(40))
+        );
         assert_eq!(
             Packet::from_frame(&framed).unwrap(),
             Packet::Request(req.clone(), 40)
         );
-        // Zero states no `lo`: the field is left out.
+        // Zero states no `lo`.
         assert_eq!(req.to_bytes_with_lo(0), req.to_bytes());
     }
 
@@ -723,23 +595,33 @@ mod tests {
     }
 
     #[test]
-    fn span_is_optional_on_the_wire() {
-        // A spanless packet encodes no "sp" field at all and decodes
-        // back to span 0, so pre-span peers interoperate unchanged.
-        let req = Request {
+    fn a_span_has_one_width_on_the_wire() {
+        // Untracked, small and huge spans encode to one size, so neither
+        // the span count nor the obs switch moves a datagram's size.
+        let req = |span| Request {
             call_id: 1,
             reply_to: ep(1, 2),
             object: String::new(),
             op: "get".into(),
             args: Value::Null,
-            span: 0,
+            span,
         };
-        let v = wire::unframe(&req.to_bytes()).unwrap();
-        assert!(v.get("sp").is_none());
-        match Packet::from_frame(&req.to_bytes()).unwrap() {
-            Packet::Request(r, _) => assert_eq!(r.span, 0),
-            other => panic!("wrong packet {other:?}"),
+        let sizes: Vec<usize> = [0, 9, 1 << 40, u64::MAX]
+            .map(|span| req(span).to_bytes().len())
+            .to_vec();
+        assert!(sizes.windows(2).all(|w| w[0] == w[1]), "{sizes:?}");
+        for span in [0, u64::MAX] {
+            match Packet::from_frame(&req(span).to_bytes()).unwrap() {
+                Packet::Request(r, _) => assert_eq!(r.span, span),
+                other => panic!("wrong packet {other:?}"),
+            }
         }
+        let reply = |span| Reply {
+            call_id: 1,
+            result: Ok(Value::Null),
+            span,
+        };
+        assert_eq!(reply(0).to_bytes().len(), reply(u64::MAX).to_bytes().len());
     }
 
     #[test]
@@ -797,12 +679,37 @@ mod tests {
     #[test]
     fn nested_batches_rejected() {
         // Hand-build a batch whose item claims to be a batch.
-        let inner = Value::record([("t", Value::str("bat")), ("items", Value::List(vec![]))]);
-        let outer = frame(&Value::record([
-            ("t", Value::str("bat")),
-            ("items", Value::List(vec![inner])),
-        ]));
+        let inner = Value::List(vec![Value::U64(3)]);
+        let outer = frame(&Value::List(vec![Value::U64(3), inner]));
         assert!(Packet::from_frame(&outer).is_err());
+    }
+
+    #[test]
+    fn a_wrong_kind_or_arity_is_refused() {
+        let refused = |slots: Vec<Value>| Packet::from_frame(&frame(&Value::List(slots))).is_err();
+        let (u, sp) = (Value::U64, Value::blob(vec![0; 8]));
+        assert!(!refused(vec![u(1), u(1), Value::Null, sp.clone()]));
+        assert!(
+            refused(vec![u(4), u(1), Value::Null, sp.clone()]),
+            "unknown kind"
+        );
+        assert!(refused(vec![
+            Value::str("rep"),
+            u(1),
+            Value::Null,
+            sp.clone()
+        ]));
+        assert!(refused(vec![
+            u(1),
+            u(1),
+            Value::Null,
+            Value::blob(vec![0; 7])
+        ]));
+        assert!(
+            refused(vec![u(1), u(1), Value::Null, sp, Value::Null]),
+            "arity"
+        );
+        assert!(refused(vec![]));
     }
 
     #[test]
@@ -822,56 +729,61 @@ mod tests {
 
     #[test]
     fn writer_encoding_is_byte_identical_to_tree_encoding() {
-        // The borrow-based write_into paths must emit exactly the bytes
-        // frame(&to_value()) used to: retransmission dedup and checksums
-        // rely on stable encodings.
+        // The borrow-based write paths must emit exactly the layout the
+        // module doc tables: retransmission dedup and checksums rely on
+        // stable encodings.
+        let (u, s) = (Value::U64, Value::str);
+        let span = |n: u64| Value::blob(n.to_le_bytes().to_vec());
+        let args = Value::record([("key", s("color"))]);
         let req = Request {
             call_id: 42,
             reply_to: ep(1, 70000),
             object: "kv0".into(),
             op: "get".into(),
-            args: Value::record([("key", Value::str("color"))]),
+            args: args.clone(),
             span: 9,
         };
-        assert_eq!(req.to_bytes(), frame(&req.to_value()));
-        let spanless = Request {
-            span: 0,
-            ..req.clone()
+        let req_tree = |lo| {
+            let slots = [u(0), u(42), u(1), u(70000), s("kv0"), s("get")];
+            Value::list(slots.into_iter().chain([args.clone(), span(9), u(lo)]))
         };
-        assert_eq!(spanless.to_bytes(), frame(&spanless.to_value()));
+        assert_eq!(req.to_bytes_with_lo(7), frame(&req_tree(7)));
+        assert_eq!(req.to_value(), req_tree(0));
 
         let ok = Reply {
             call_id: 7,
-            result: Ok(Value::str("blue")),
+            result: Ok(s("blue")),
             span: 9,
         };
-        assert_eq!(ok.to_bytes(), frame(&ok.to_value()));
+        let ok_tree = Value::list([u(1), u(7), s("blue"), span(9)]);
+        assert_eq!(ok.to_bytes(), frame(&ok_tree));
+        let data = endpoint_to_value(ep(3, 12));
         let err = Reply {
             call_id: 8,
             result: Err(RemoteError::with_data(
                 ErrorCode::Moved,
                 "object moved",
-                endpoint_to_value(ep(3, 12)),
+                data.clone(),
             )),
             span: 0,
         };
-        assert_eq!(err.to_bytes(), frame(&err.to_value()));
+        let err_tree = Value::list([u(1), u(8), s("moved"), s("object moved"), data, span(0)]);
+        assert_eq!(err.to_bytes(), frame(&err_tree));
+        assert_eq!(err.to_value(), err_tree);
 
         let msg = Oneway {
             from: ep(2, 5),
             op: "invalidate".into(),
-            args: Value::str("key1"),
+            args: s("key1"),
             span: 3,
         };
-        assert_eq!(msg.to_bytes(), frame(&msg.to_value()));
+        let msg_tree = Value::list([u(2), u(2), u(5), s("invalidate"), s("key1"), span(3)]);
+        assert_eq!(msg.to_bytes(), frame(&msg_tree));
 
         let batch = Batch {
             items: vec![Packet::Request(req.clone(), 0), Packet::Reply(ok.clone())],
         };
-        let tree = frame(&Value::record([
-            ("t", Value::str("bat")),
-            ("items", Value::List(vec![req.to_value(), ok.to_value()])),
-        ]));
+        let tree = frame(&Value::list([u(3), req_tree(0), ok_tree]));
         assert_eq!(batch.to_bytes(), tree);
     }
 

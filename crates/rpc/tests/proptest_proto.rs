@@ -9,7 +9,7 @@ use rpc::{
     Request,
 };
 use simnet::{Endpoint, NodeId, PortId};
-use wire::{Value, WStr, WireError, MAX_DEPTH};
+use wire::{Value, WireError, MAX_DEPTH};
 
 fn arb_endpoint() -> impl Strategy<Value = Endpoint> {
     (any::<u32>(), any::<u32>()).prop_map(|(n, p)| Endpoint::new(NodeId(n), PortId(p)))
@@ -73,13 +73,13 @@ proptest! {
 
     /// `lo` rides beside each request, lone or batched, present or not,
     /// and never inside the request's own value: the value a request
-    /// encodes to is still a request with all six fields and no `lo`.
+    /// encodes to states none.
     #[test]
     fn lo_roundtrips_lone_and_batched(
         reqs in proptest::collection::vec((arb_request(), arb_lo()), 1..5),
     ) {
         for (req, lo) in &reqs {
-            prop_assert!(req.to_value().get("lo").is_none());
+            prop_assert_eq!(req.to_value().as_list().map(|s| s[8].clone()), Some(Value::U64(0)));
             prop_assert_eq!(
                 Packet::from_frame(&wire::frame(&req.to_value())).unwrap(),
                 Packet::Request(req.clone(), 0)
@@ -144,7 +144,7 @@ proptest! {
         args in arb_value(),
     ) {
         // A request and a reply with identical ids/payloads must decode
-        // to their own kinds (the "t" discriminator does its job).
+        // to their own kinds (the kind slot does its job).
         let req = Request { call_id, reply_to, object: String::new(), op: op.clone(), args: args.clone(), span: 0 };
         let rep = Reply { call_id, result: Ok(args.clone()), span: 0 };
         let one = Oneway { from: reply_to, op, args, span: 0 };
@@ -162,63 +162,68 @@ proptest! {
 
 // -- the one-pass decoder against the tree decoder ------------------------
 
-/// The decoder `Packet::from_frame` replaced, kept as the oracle: the
-/// whole datagram decoded as one `Value` tree, then each field looked up
-/// by name.
+/// The oracle: the whole datagram decoded as one `Value` tree, then each
+/// slot taken from the list by position.
 fn tree_decode(frame: &Bytes) -> Result<Packet, WireError> {
     tree_packet(&wire::unframe_bytes(frame)?, true)
 }
 
 fn tree_packet(v: &Value, top: bool) -> Result<Packet, WireError> {
-    let span = v.get_u64("sp").unwrap_or(0);
-    let lo = v.get_u64("lo").unwrap_or(0);
-    let args = || v.get("args").cloned().unwrap_or(Value::Null);
-    let endpoint = |name| endpoint_from_value(v.get(name).ok_or(WireError::MissingField(name))?);
-    match v.get_str("t")? {
-        "req" => Ok(Packet::Request(
+    let bad = || WireError::MissingField("slot");
+    let slots = v.as_list().ok_or_else(bad)?;
+    let u = |i: usize| match slots.get(i) {
+        Some(Value::U64(n)) => Ok(*n),
+        _ => Err(bad()),
+    };
+    let s = |i: usize| match slots.get(i) {
+        Some(Value::Str(s)) => Ok(s.as_str()),
+        _ => Err(bad()),
+    };
+    let u32_at = |i| u32::try_from(u(i)?).map_err(|_| bad());
+    let ep = |i| Ok::<_, WireError>(Endpoint::new(NodeId(u32_at(i)?), PortId(u32_at(i + 1)?)));
+    let span = |i: usize| match slots.get(i) {
+        Some(Value::Blob(b)) => Ok(u64::from_le_bytes(b[..].try_into().map_err(|_| bad())?)),
+        _ => Err(bad()),
+    };
+    match (slots.first(), slots.len()) {
+        (Some(Value::U64(0)), 9) => Ok(Packet::Request(
             Request {
-                call_id: v.get_u64("id")?,
-                reply_to: endpoint("rt")?,
-                object: v.get_str("obj")?.to_owned(),
-                op: v.get_str("op")?.to_owned(),
-                args: args(),
-                span,
+                call_id: u(1)?,
+                reply_to: ep(2)?,
+                object: s(4)?.to_owned(),
+                op: s(5)?.to_owned(),
+                args: slots[6].clone(),
+                span: span(7)?,
             },
-            lo,
+            u(8)?,
         )),
-        "rep" => {
-            let call_id = v.get_u64("id")?;
-            let result = match v.get("ok") {
-                Some(ok) => Ok(ok.clone()),
-                None => Err(RemoteError {
-                    code: ErrorCode::from_str_loose(v.get_str("err")?),
-                    message: v.get_str("msg")?.to_owned(),
-                    data: v.get("data").cloned().unwrap_or(Value::Null),
-                }),
-            };
-            Ok(Packet::Reply(Reply {
-                call_id,
-                result,
-                span,
-            }))
-        }
-        "msg" => Ok(Packet::Oneway(Oneway {
-            from: endpoint("from")?,
-            op: v.get_str("op")?.to_owned(),
-            args: args(),
-            span,
+        (Some(Value::U64(1)), 4) => Ok(Packet::Reply(Reply {
+            call_id: u(1)?,
+            result: Ok(slots[2].clone()),
+            span: span(3)?,
         })),
-        "bat" if top => Ok(Packet::Batch(Batch {
-            items: v
-                .get_list("items")?
+        (Some(Value::U64(1)), 6) => Ok(Packet::Reply(Reply {
+            call_id: u(1)?,
+            result: Err(RemoteError {
+                code: ErrorCode::from_str_loose(s(2)?),
+                message: s(3)?.to_owned(),
+                data: slots[4].clone(),
+            }),
+            span: span(5)?,
+        })),
+        (Some(Value::U64(2)), 6) => Ok(Packet::Oneway(Oneway {
+            from: ep(1)?,
+            op: s(3)?.to_owned(),
+            args: slots[4].clone(),
+            span: span(5)?,
+        })),
+        (Some(Value::U64(3)), _) if top => Ok(Packet::Batch(Batch {
+            items: slots[1..]
                 .iter()
                 .map(|item| tree_packet(item, false))
                 .collect::<Result<_, _>>()?,
         })),
-        _ => Err(WireError::WrongKind {
-            expected: "req|rep|msg|bat",
-            actual: "unknown or nested envelope",
-        }),
+        _ => Err(bad()),
     }
 }
 
@@ -312,25 +317,20 @@ fn to_value(p: &Packet) -> Value {
     match p {
         Packet::Request(r, lo) => {
             let mut v = r.to_value();
-            if let (Value::Record(fields), true) = (&mut v, *lo != 0) {
-                fields.push((WStr::from("lo"), Value::U64(*lo)));
+            if let Value::List(slots) = &mut v {
+                slots[8] = Value::U64(*lo);
             }
             v
         }
         Packet::Reply(r) => r.to_value(),
         Packet::Oneway(o) => o.to_value(),
-        Packet::Batch(b) => Value::record([
-            ("t", Value::str("bat")),
-            ("items", Value::List(b.items.iter().map(to_value).collect())),
-        ]),
+        Packet::Batch(b) => Value::list(
+            [Value::U64(3)]
+                .into_iter()
+                .chain(b.items.iter().map(to_value)),
+        ),
     }
 }
-
-/// Every key an envelope or endpoint uses, and two it does not.
-const KEYS: [&str; 18] = [
-    "t", "id", "sp", "lo", "rt", "from", "obj", "op", "err", "msg", "args", "ok", "data", "items",
-    "n", "p", "junk", "",
-];
 
 /// `levels` lists around a number: as `args` of a datagram it sits at
 /// the depth limit for `levels == MAX_DEPTH - 1`, of a batch item for
@@ -339,77 +339,62 @@ fn nested(levels: usize) -> Value {
     (0..levels).fold(Value::U64(7), |v, _| Value::List(vec![v]))
 }
 
-/// A field value of some kind an envelope field has, or should not have.
+/// A slot value of some type an envelope slot has, or should not have.
 fn arb_shape() -> BoxedStrategy<Value> {
     prop_oneof![
-        prop_oneof![
-            Just("req"),
-            Just("rep"),
-            Just("msg"),
-            Just("bat"),
-            Just("xyz")
-        ]
-        .prop_map(Value::str),
+        (0u64..5).prop_map(Value::U64),
         prop_oneof![
             Just(u64::from(u32::MAX)),
             Just(u64::from(u32::MAX) + 1),
             any::<u64>(),
-            0u64..4,
         ]
         .prop_map(Value::U64),
+        (7usize..=9).prop_map(|n| Value::blob(vec![0xA5; n])),
         arb_endpoint().prop_map(endpoint_to_value),
         arb_packet().prop_map(|p| to_value(&p)),
-        Just(Value::record([
-            ("t", Value::str("bat")),
-            ("items", Value::List(vec![]))
-        ])),
+        Just(Value::list([Value::U64(3)])),
         (MAX_DEPTH - 4..=MAX_DEPTH).prop_map(nested),
         Just(Value::str(BAD_UTF8)),
         arb_value(),
         Just(Value::Null),
         any::<i64>().prop_map(Value::I64),
     ]
+    .boxed()
 }
 
-/// Applies one random edit to a record's fields: swap two, duplicate one
-/// under a new value, drop one, change one's value, add a field from
-/// [`KEYS`], or edit inside one's value.
-fn mutate(fields: &mut Vec<(WStr, Value)>, rng: &mut TestRng, shape: &BoxedStrategy<Value>) {
+/// Applies one random edit to a list's items: swap two, duplicate one,
+/// drop one, change one, insert a new one, or edit inside one.
+fn mutate(items: &mut Vec<Value>, rng: &mut TestRng, shape: &BoxedStrategy<Value>) {
     let pick = |rng: &mut TestRng, n: usize| rng.below(n.max(1) as u64) as usize;
-    let at = pick(rng, fields.len());
-    match (rng.below(6), fields.is_empty()) {
+    let at = pick(rng, items.len());
+    match (rng.below(6), items.is_empty()) {
         (0, false) => {
-            let other = pick(rng, fields.len());
-            fields.swap(at, other);
+            let other = pick(rng, items.len());
+            items.swap(at, other);
         }
         (1, false) => {
-            let dup = (fields[at].0.clone(), shape.generate(rng));
-            let to = pick(rng, fields.len() + 1);
-            fields.insert(to, dup);
+            let dup = items[at].clone();
+            let to = pick(rng, items.len() + 1);
+            items.insert(to, dup);
         }
-        (2, false) => drop(fields.remove(at)),
-        (3, false) => fields[at].1 = shape.generate(rng),
-        (5, false) => mutate_value(&mut fields[at].1, rng, shape),
+        (2, false) => drop(items.remove(at)),
+        (3, false) => items[at] = shape.generate(rng),
+        (5, false) => mutate_value(&mut items[at], rng, shape),
         _ => {
-            let key = KEYS[pick(rng, KEYS.len())];
-            let to = pick(rng, fields.len() + 1);
-            fields.insert(to, (WStr::from(key), shape.generate(rng)));
+            let to = pick(rng, items.len() + 1);
+            items.insert(to, shape.generate(rng));
         }
     }
 }
 
-/// Edits inside a value: a record's fields, one item of a list or a new
-/// item in it (a batch inside a batch, say).
+/// Edits inside a value: a list's items (a batch inside a batch, say),
+/// one field of a record, or the whole of anything else.
 fn mutate_value(v: &mut Value, rng: &mut TestRng, shape: &BoxedStrategy<Value>) {
     match v {
-        Value::Record(fields) => mutate(fields, rng, shape),
-        Value::List(items) if !items.is_empty() && rng.below(2) == 0 => {
-            let at = rng.below(items.len() as u64) as usize;
-            mutate_value(&mut items[at], rng, shape);
-        }
-        Value::List(items) => {
-            let at = rng.below(items.len() as u64 + 1) as usize;
-            items.insert(at, shape.generate(rng));
+        Value::List(items) => mutate(items, rng, shape),
+        Value::Record(fields) if !fields.is_empty() => {
+            let at = rng.below(fields.len() as u64) as usize;
+            mutate_value(&mut fields[at].1, rng, shape);
         }
         other => *other = shape.generate(rng),
     }
@@ -420,10 +405,10 @@ fn mutate_value(v: &mut Value, rng: &mut TestRng, shape: &BoxedStrategy<Value>) 
 /// still checked.
 const BAD_UTF8: &str = "~bad-utf8~";
 
-/// A framed envelope record after zero to five random edits: fields
-/// reordered (`items` before `t` included), duplicated, missing, of the
-/// wrong kind, junk, invalid UTF-8, nested batches, args at and past the
-/// depth limit, and the same inside endpoints and batch items.
+/// A framed envelope list after zero to five random edits: slots
+/// reordered, duplicated, missing, of the wrong type, junk, invalid
+/// UTF-8, spans of the wrong width, nested batches, args at and past the
+/// depth limit, and the same inside batch items.
 fn arb_field_soup() -> BoxedStrategy<Bytes> {
     let packets = arb_packet();
     let shape = arb_shape();
@@ -444,7 +429,7 @@ fn arb_field_soup() -> BoxedStrategy<Bytes> {
 }
 
 /// A checksummed frame around hostile bytes: random bytes, random bytes
-/// after a record tag, or a real envelope with bytes overwritten or cut.
+/// after a list tag, or a real envelope with bytes overwritten or cut.
 fn arb_hostile_frame() -> BoxedStrategy<Bytes> {
     let random = proptest::collection::vec(any::<u8>(), 0..200);
     let envelope = arb_packet().prop_map(|p| to_value(&p));
@@ -452,7 +437,7 @@ fn arb_hostile_frame() -> BoxedStrategy<Bytes> {
         let payload = match rng.below(3) {
             0 => random.generate(rng),
             1 => {
-                let mut b = wire::encode(&Value::record([("t", Value::Null)]))[..1].to_vec();
+                let mut b = wire::encode(&Value::List(vec![]))[..1].to_vec();
                 b.extend(random.generate(rng));
                 b
             }
@@ -511,7 +496,7 @@ fn field_soup_reaches_both_outcomes() {
 
 #[test]
 fn depth_limit_is_counted_as_the_tree_decoder_counts_it() {
-    // Args of a datagram sit one level down, args of a batch item three.
+    // Args of a datagram sit one level down, args of a batch item two.
     let req = |levels| Request {
         call_id: 1,
         reply_to: Endpoint::new(NodeId(1), PortId(2)),
@@ -529,31 +514,6 @@ fn depth_limit_is_counted_as_the_tree_decoder_counts_it() {
         };
         agree(&batch.to_bytes()).unwrap().is_some()
     };
-    assert!(batched(MAX_DEPTH - 3));
-    assert!(!batched(MAX_DEPTH - 2));
-}
-
-#[test]
-fn reordered_and_duplicated_fields_decode_first_wins() {
-    // `items` before `t`, and a second `t` and `id` that must not count.
-    let item = Value::record([
-        ("id", Value::U64(5)),
-        ("ok", Value::str("v")),
-        ("id", Value::U64(6)),
-        ("t", Value::str("rep")),
-    ]);
-    let frame = wire::frame(&Value::record([
-        ("items", Value::List(vec![item])),
-        ("sp", Value::str("not a span")),
-        ("t", Value::str("bat")),
-        ("t", Value::str("req")),
-    ]));
-    let want = Packet::Batch(Batch {
-        items: vec![Packet::Reply(Reply {
-            call_id: 5,
-            result: Ok(Value::str("v")),
-            span: 0,
-        })],
-    });
-    assert_eq!(agree(&frame).unwrap(), Some(want));
+    assert!(batched(MAX_DEPTH - 2));
+    assert!(!batched(MAX_DEPTH - 1));
 }

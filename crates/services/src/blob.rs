@@ -478,10 +478,9 @@ async fn edge_cache(cx: AsyncCx, ns: Endpoint, name: String, origin: String, cap
             Err(e) => panic!("edge cache failed to resolve origin `{origin}`: {e}"),
         }
     };
-    let iface = record
-        .meta
-        .get("iface")
-        .and_then(|v| InterfaceDesc::from_value(v).ok())
+    let iface = proxy_core::split_binding_meta(&record.meta)
+        .ok()
+        .and_then(|[_, iface]| InterfaceDesc::from_value(iface).ok())
         .unwrap_or_else(BlobStore::interface);
     let mut up = Channel::new(
         origin.clone(),
@@ -502,10 +501,7 @@ async fn edge_cache(cx: AsyncCx, ns: Endpoint, name: String, origin: String, cap
         Err(RpcError::Stopped) => return,
         Err(e) => panic!("edge cache failed to subscribe at origin `{origin}`: {e}"),
     }
-    let meta = Value::record([
-        ("spec", ProxySpec::Stub.to_value()),
-        ("iface", iface.to_value()),
-    ]);
+    let meta = proxy_core::binding_meta(&ProxySpec::Stub, &iface);
     let me = cx.with(|cx| cx.endpoint());
     match nsc.register(cx, &name, me, meta).await {
         Ok(_) => {}

@@ -700,10 +700,11 @@ impl Shared {
     /// the stop flag set — a blocking body sees [`Stopped`] and is
     /// resumed until it returns — and is then dropped regardless. A
     /// process spawned meanwhile is stopped in the next pass, before it
-    /// ever ran. This runs on the thread driving the simulation:
-    /// suspended bodies continue nowhere else. What was never dispatched
-    /// goes too.
+    /// ever ran: it is dropped unpolled. This runs on the thread driving
+    /// the simulation: suspended bodies continue nowhere else. What was
+    /// never dispatched goes too.
     fn shutdown(&self) {
+        let mut first_pass = true;
         loop {
             let mut pids: Vec<ProcId> = self
                 .st()
@@ -717,8 +718,12 @@ impl Shared {
             }
             pids.sort_by_key(|pid| pid.0);
             for pid in pids {
-                self.shutdown_proc(pid);
+                match first_pass {
+                    true => self.shutdown_proc(pid),
+                    false => self.finish(pid, None),
+                }
             }
+            first_pass = false;
         }
         self.st().events.clear();
     }
@@ -1538,6 +1543,46 @@ mod tests {
         let report = sim.run();
         assert_eq!(report.end_time, SimTime::ZERO);
         // run() returned: the blocked server was shut down cleanly.
+    }
+
+    #[test]
+    fn a_process_spawned_during_shutdown_never_runs() {
+        // A server woken by the shutdown spawns a two-step child. The
+        // child is dropped unpolled; polled, each of its waits would
+        // return `Stopped` at once and it would run both steps.
+        let steps = Arc::new(AtomicU64::new(0));
+        let s = Arc::clone(&steps);
+        let mut sim = Simulation::new(NetworkConfig::lan(), 0);
+        sim.spawn_async("server", NodeId(0), move |cx| async move {
+            assert!(cx.recv().await.is_err(), "only the shutdown wakes it");
+            cx.with(|cx| {
+                cx.spawn_async("child", NodeId(0), move |cx| async move {
+                    for _ in 0..2 {
+                        let _ = cx.sleep(Duration::from_millis(1)).await;
+                        s.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            });
+        });
+        sim.run();
+        drop(sim);
+        assert_eq!(steps.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Ctx::block_on inside AsyncCx::with")]
+    fn block_on_inside_a_lent_context_panics_and_leaves_it_intact() {
+        let mut sim = Simulation::new(NetworkConfig::lan(), 0);
+        sim.spawn_async("body", NodeId(3), |cx| async move {
+            cx.with(|cx| {
+                let before = (cx.endpoint(), cx.node(), cx.now());
+                let blocked =
+                    std::panic::catch_unwind(AssertUnwindSafe(|| cx.block_on(|_| async {})));
+                assert_eq!((cx.endpoint(), cx.node(), cx.now()), before);
+                std::panic::resume_unwind(blocked.expect_err("block_on refused"));
+            })
+        });
+        sim.run();
     }
 
     #[test]

@@ -180,8 +180,14 @@ impl Ctx {
     /// # Panics
     ///
     /// Panics in a poll-driven process if the future has to wait, and
-    /// inside [`AsyncCx::with`].
+    /// inside [`AsyncCx::with`] (say, a `ServiceObject::dispatch` that
+    /// sleeps), before it touches this context.
     pub fn block_on<F: Future>(&mut self, make: impl FnOnce(AsyncCx) -> F) -> F::Output {
+        assert!(
+            LENT.with(|lent| lent.try_borrow_mut().is_ok()),
+            "Ctx::block_on inside AsyncCx::with: an async body's context cannot block; \
+             await the wait instead"
+        );
         let mut future = pin!(make(AsyncCx(())));
         let mut displaced = lend(ProcCx::new(mem::replace(self, self.vacant())));
         let out = loop {

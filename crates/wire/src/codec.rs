@@ -534,6 +534,13 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
     }
 
+    /// Reads a length-prefixed blob, borrowing from the input (used by
+    /// `FieldReader`).
+    pub(crate) fn blob_borrowed(&mut self) -> Result<&'a [u8], WireError> {
+        let len = self.length()?;
+        self.take(len)
+    }
+
     /// Reads one varint (used by `FieldReader`).
     pub(crate) fn read_varint(&mut self) -> Result<u64, WireError> {
         self.varint()

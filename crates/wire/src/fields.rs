@@ -26,9 +26,10 @@ use crate::value::Value;
 /// container. Every read takes the depth of the value it reads and
 /// rejects one past [`MAX_DEPTH`] with [`WireError::TooDeep`].
 ///
-/// The typed reads ([`FieldReader::str`], [`FieldReader::u64`],
-/// [`FieldReader::record`], [`FieldReader::list`]) return `None` when
-/// the next value is of another kind, after validating and skipping it.
+/// The typed reads ([`FieldReader::str`], [`FieldReader::blob`],
+/// [`FieldReader::u64`], [`FieldReader::record`], [`FieldReader::list`])
+/// return `None` when the next value is of another kind, after
+/// validating and skipping it.
 ///
 /// ```
 /// use wire::{frame, FieldReader, Value};
@@ -138,6 +139,19 @@ impl<'a> FieldReader<'a> {
         })
     }
 
+    /// Reads a blob in place, borrowed from the input.
+    ///
+    /// # Errors
+    ///
+    /// Any decode error in the value.
+    pub fn blob(&mut self, depth: usize) -> Result<Option<&'a [u8]>, WireError> {
+        Ok(if self.next_is(tag::BLOB, depth)? {
+            Some(self.r.blob_borrowed()?)
+        } else {
+            None
+        })
+    }
+
     /// Reads a `u64` in place.
     ///
     /// # Errors
@@ -222,7 +236,7 @@ mod tests {
         assert_eq!(r.u64(1), Ok(Some(4242)));
         assert_eq!(r.key(), Ok("args"));
         assert_eq!(r.list(1), Ok(Some(2)));
-        assert_eq!(r.value(2).unwrap().as_blob().unwrap().len(), 64);
+        assert_eq!(r.blob(2), Ok(Some(&[1u8; 64][..])));
         assert_eq!(r.str(2), Ok(Some("x")));
         assert_eq!(r.key(), Ok("nested"));
         r.skip(1).unwrap();
