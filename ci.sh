@@ -133,6 +133,22 @@ if [ -n "$knobs" ]; then
   exit 1
 fi
 
+step "census of unsafe (the buffers, the codec and the simulator add none)"
+# Each directory's non-comment lines that say `unsafe`, tests included,
+# may not grow past the count pinned here: the buffers' one is the
+# zeroed block `BytesMut` writes into, the codec's are the CRC kernel's
+# SIMD and the validated-UTF-8 strings, the simulator's the coroutine
+# a blocking body runs on (its stack mapping and the switch). Lower a
+# count when a change removes one.
+for pin in "vendor/bytes/src 1" "crates/wire/src 6" "crates/simnet/src 18"; do
+  set -- $pin
+  n="$(find "$1" -name '*.rs' -exec cat {} + | awk '/^[[:space:]]*\/\// { next } /unsafe/ { n++ } END { print n + 0 }')"
+  if [ "$n" -gt "$2" ]; then
+    printf '%s: %s lines say unsafe, more than the %s pinned\n' "$1" "$n" "$2"
+    exit 1
+  fi
+done
+
 step "cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

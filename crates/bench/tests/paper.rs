@@ -4,7 +4,9 @@
 //! `tracectl check` asks) and byte-identical across two runs of the same
 //! seeds.
 
-use bench::experiments::{e10_forwarding, e11_recovery, e12_dsm, e7_loss};
+use bench::experiments::{
+    e10_forwarding, e11_recovery, e12_dsm, e13_pipeline, e2_cache_sweep, e7_loss,
+};
 use bench::ExperimentOutput;
 
 /// Runs `run` twice and holds it to its checks and its traces.
@@ -56,6 +58,11 @@ fn holds(run: fn() -> ExperimentOutput) {
 }
 
 #[test]
+fn e2_caching_proxies_across_the_read_write_mix() {
+    holds(e2_cache_sweep::run);
+}
+
+#[test]
 fn e7_at_most_once_under_loss_and_duplication() {
     holds(e7_loss::run);
 }
@@ -73,4 +80,9 @@ fn e11_crash_recovery_behind_an_unchanged_proxy() {
 #[test]
 fn e12_proxies_against_distributed_shared_memory() {
     holds(e12_dsm::run);
+}
+
+#[test]
+fn e13_pipelined_and_batched_calls() {
+    holds(e13_pipeline::run);
 }

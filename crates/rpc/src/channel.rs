@@ -197,8 +197,9 @@ struct CallRec {
     _awaited: simnet::Awaited,
     /// The call's own frame, built the first time a datagram carries the
     /// call alone; later lone retransmissions reuse the bytes (and thus
-    /// the span). `None` while the call has only travelled in batches.
-    bytes: Option<Bytes>,
+    /// the span). Empty (a frame never is) while the call has only
+    /// travelled in batches: an `Option` would cost the record 8 bytes.
+    bytes: Bytes,
     /// The span the request carries and its transmissions are traced
     /// under.
     span: obs::SpanId,
@@ -465,7 +466,7 @@ impl Channel {
         self.calls.push_back(CallRec {
             request,
             _awaited: awaited,
-            bytes: None,
+            bytes: Bytes::new(),
             span,
             close,
             attempt: 0,
@@ -514,10 +515,10 @@ impl Channel {
         let lo = |ctx: &Ctx| ctx.lowest_awaited().unwrap_or(0);
         if batch.len() == 1 {
             let rec = &mut self.calls[batch.clone().next().expect("one call")];
-            let bytes = rec
-                .bytes
-                .get_or_insert_with(|| rec.request.to_bytes_with_lo(lo(ctx)));
-            ctx.send_traced(self.server, bytes.clone(), rec.span);
+            if rec.bytes.is_empty() {
+                rec.bytes = rec.request.to_bytes_with_lo(lo(ctx));
+            }
+            ctx.send_traced(self.server, rec.bytes.clone(), rec.span);
             return;
         }
         // Borrow-based batch encode: the staged requests are written

@@ -31,7 +31,8 @@
 //! pooled [`ValueWriter`]. Decoding, [`Packet::from_frame`], reads the
 //! slots in order with a [`FieldReader`]: the header slots in place, and
 //! a [`Value`] only for `args`, `ok` and `data`, whose strings and blobs
-//! alias the datagram. A wrong kind, a wrong arity or a slot of the
+//! longer than 15 bytes alias the datagram (shorter ones are copied
+//! inline). A wrong kind, a wrong arity or a slot of the
 //! wrong type is a [`WireError`].
 
 use std::cell::RefCell;
@@ -375,8 +376,10 @@ impl Packet {
     /// Decodes a framed datagram payload in one pass over the frame.
     ///
     /// The envelope's header slots are read in place; only `args`, `ok`
-    /// and `data` become [`Value`]s, and those alias the datagram's
-    /// refcounted buffer instead of copying out of it.
+    /// and `data` become [`Value`]s, whose strings and blobs longer than
+    /// 15 bytes alias the datagram's refcounted buffer instead of
+    /// copying out of it; shorter ones are copied inline, so keeping
+    /// one does not keep the datagram.
     ///
     /// # Errors
     ///

@@ -67,7 +67,7 @@ fn held<T>(value: T) -> i64 {
 
 /// The size of one call's record in a channel's queue of unsettled calls
 /// (private to `rpc`): one call's worth of that queue's capacity.
-const CALL_SLOT: i64 = 272;
+const CALL_SLOT: i64 = 264;
 
 /// A depth-8 channel makes `k` calls one after another, claiming each
 /// before it begins the next, for `k` from 1 to 5; each channel is

@@ -28,8 +28,8 @@
 //!   string/blob payloads into fresh buffers.
 //! * [`decode_bytes`] — the *zero-copy* decoder: works on a refcounted
 //!   [`Bytes`] frame and returns `Value`s whose `Str`/`Blob` payloads
-//!   (and record keys) are cheap slices of the input, sharing its
-//!   allocation.
+//!   (and record keys) longer than 15 bytes are cheap slices of the
+//!   input, sharing its allocation; shorter ones are copied inline.
 //!
 //! [`FieldReader`][crate::FieldReader] walks the same grammar one field
 //! at a time, for protocol envelopes read in a single pass.
@@ -361,7 +361,8 @@ pub(crate) struct Reader<'a> {
     pub(crate) pos: usize,
     /// When decoding from a refcounted frame, the buffer `input` borrows
     /// from (`input == &shared[base..]`): str/blob payloads become
-    /// zero-copy slices of it instead of fresh allocations.
+    /// slices of it ([`Bytes::slice`]: zero-copy above 15 bytes, an
+    /// inline copy at or below) instead of fresh allocations.
     shared: Option<(&'a Bytes, usize)>,
 }
 
@@ -448,8 +449,9 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// Reads a length-prefixed UTF-8 string: a zero-copy slice of the
-    /// shared buffer when one is attached, a fresh copy otherwise.
+    /// Reads a length-prefixed UTF-8 string: a slice of the shared
+    /// buffer when one is attached, a fresh copy otherwise. Either way a
+    /// string of up to 15 bytes is copied inline and pins no buffer.
     fn string(&mut self) -> Result<WStr, WireError> {
         let len = self.length()?;
         let start = self.pos;
@@ -464,6 +466,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a length-prefixed blob, as [`Reader::string`] reads a string.
     fn blob(&mut self) -> Result<Bytes, WireError> {
         let len = self.length()?;
         let start = self.pos;
@@ -566,13 +569,14 @@ pub fn decode(input: &[u8]) -> Result<Value, WireError> {
     Ok(v)
 }
 
-/// Decodes a value zero-copy: `Str`/`Blob` payloads (and record keys) in
-/// the result are cheap slices of `input`, sharing its refcounted
-/// allocation instead of copying.
+/// Decodes a value zero-copy: `Str`/`Blob` payloads (and record keys)
+/// longer than 15 bytes in the result are cheap slices of `input`,
+/// sharing its refcounted allocation instead of copying; shorter ones
+/// are copied into their values, which hold no block.
 ///
 /// Accepts exactly the same byte strings as [`decode`] and produces equal
 /// `Value`s — only the backing of the leaves differs. The input buffer
-/// stays alive as long as any decoded leaf does.
+/// stays alive as long as any decoded leaf that aliases it does.
 ///
 /// ```
 /// use wire::{decode, decode_bytes, encode, Value};
@@ -834,28 +838,40 @@ mod tests {
         assert_eq!(decode(&raw), Err(WireError::TooLong(u64::MAX - 1)));
     }
 
+    /// Whether `bytes` lie inside the buffer `within`.
+    fn aliases(bytes: &[u8], within: &[u8]) -> bool {
+        let (p, base) = (bytes.as_ptr() as usize, within.as_ptr() as usize);
+        p >= base && p + bytes.len() <= base + within.len()
+    }
+
+    /// Whether `bytes` lie inside `owner` itself: held inline, no block.
+    fn inline_in<T>(bytes: &[u8], owner: &T) -> bool {
+        let base = owner as *const T as usize;
+        let p = bytes.as_ptr() as usize;
+        p >= base && p + bytes.len() <= base + std::mem::size_of::<T>()
+    }
+
     #[test]
     fn zero_copy_decode_shares_the_input_allocation() {
         let v = Value::record([
-            ("key", Value::str("some/key")),
+            ("key", Value::str("some/longer/key/path")),
+            ("short", Value::str("k0012")),
             ("blob", Value::blob(vec![0xA5u8; 64])),
         ]);
         let enc = encode(&v);
         let dec = decode_bytes(&enc).unwrap();
         // The decoded blob is a sub-slice of the encoding, not a copy.
         let blob = dec.get_blob("blob").unwrap();
-        let enc_ptr = enc.as_ref().as_ptr() as usize;
-        let blob_ptr = blob.as_ref().as_ptr() as usize;
-        assert!(
-            blob_ptr >= enc_ptr && blob_ptr + blob.len() <= enc_ptr + enc.len(),
-            "blob should alias the input frame"
-        );
+        assert!(aliases(blob, &enc), "blob should alias the input frame");
+        // So is a string longer than 15 bytes.
         let s = dec.get("key").unwrap().as_wstr().unwrap();
-        let s_ptr = s.as_bytes().as_ptr() as usize;
         assert!(
-            s_ptr >= enc_ptr && s_ptr + s.len() <= enc_ptr + enc.len(),
+            aliases(s.as_bytes(), &enc),
             "str should alias the input frame"
         );
+        // A shorter one is copied into its value, and pins no frame.
+        let short = dec.get("short").unwrap().as_wstr().unwrap();
+        assert!(inline_in(short.as_bytes(), short), "short str is inline");
     }
 
     #[test]
@@ -968,16 +984,26 @@ mod tests {
 
     #[test]
     fn zero_copy_blob_ref_aliases_the_frame() {
-        let enc = encode(&Value::blob_ref("blob-origin", "some/long/key", 99, 3));
+        let enc = encode(&Value::blob_ref(
+            "blob-origin-region-1",
+            "some/long/key/of/a/payload",
+            99,
+            3,
+        ));
         let dec = decode_bytes(&enc).unwrap();
         let r = dec.as_blob_ref().unwrap();
-        let enc_ptr = enc.as_ref().as_ptr() as usize;
         for s in [&r.store, &r.key] {
-            let p = s.as_bytes().as_ptr() as usize;
             assert!(
-                p >= enc_ptr && p + s.len() <= enc_ptr + enc.len(),
+                aliases(s.as_bytes(), &enc),
                 "ref strings should alias the input frame"
             );
+        }
+        // Strings of 15 bytes or fewer are copied out of the frame.
+        let enc = encode(&Value::blob_ref("blob-origin", "some/key", 99, 3));
+        let dec = decode_bytes(&enc).unwrap();
+        let r = dec.as_blob_ref().unwrap();
+        for s in [&r.store, &r.key] {
+            assert!(inline_in(s.as_bytes(), s), "short ref strings are inline");
         }
     }
 }

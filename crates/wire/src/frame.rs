@@ -15,8 +15,9 @@
 //!
 //! On the receive side, [`unframe_bytes`] pairs the envelope check with
 //! the zero-copy decoder so the resulting `Value`'s string/blob leaves
-//! alias the datagram instead of copying out of it; [`unframe`] is the
-//! copying equivalent for plain slices.
+//! longer than 15 bytes alias the datagram instead of copying out of it
+//! (shorter ones are held inline); [`unframe`] is the copying
+//! equivalent for plain slices.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -147,7 +148,8 @@ pub fn unframe(input: &[u8]) -> Result<Value, WireError> {
 }
 
 /// Validates a frame and decodes its payload zero-copy: string and blob
-/// leaves of the result alias the frame's refcounted buffer.
+/// leaves of the result longer than 15 bytes alias the frame's
+/// refcounted buffer; shorter ones are held inline.
 ///
 /// Accepts exactly the frames [`unframe`] accepts and produces equal
 /// `Value`s; only the backing of the leaves differs.

@@ -56,21 +56,24 @@ pub enum Value {
     I64(i64),
     /// A 64-bit float.
     F64(f64),
-    /// A UTF-8 string. Backed by a refcounted buffer ([`WStr`]), so the
-    /// zero-copy decoder can alias the incoming frame and clones are
-    /// cheap. A string built here costs one heap block, which holds
-    /// the reference counts and the text; an empty one costs none.
+    /// A UTF-8 string ([`WStr`]). One of up to 15 bytes is held inline
+    /// and costs no heap block, built here or decoded. A longer one is
+    /// one refcounted block, which holds the reference counts and the
+    /// text: the zero-copy decoder aliases the incoming frame, and
+    /// clones are cheap.
     Str(WStr),
-    /// Raw bytes, as one [`Bytes`] block shared by clones and by the
-    /// frame it was decoded from (none when empty). [`Value::blob`] of a
-    /// `Vec` copies it into a block of its length.
+    /// Raw bytes ([`Bytes`]): up to 15 held inline, with no block; more
+    /// as one block shared by clones and by the frame they were decoded
+    /// from. [`Value::blob`] of a `Vec` copies it, into a block of its
+    /// length when it is longer than 15 bytes.
     Blob(Bytes),
     /// An ordered list of values.
     List(Vec<Value>),
     /// An ordered list of named fields (a record). Field order is
     /// preserved and significant for encoding, but lookup by name via
-    /// [`Value::get`] ignores order. Keys are [`WStr`] so the zero-copy
-    /// decoder can alias them into the incoming frame as well.
+    /// [`Value::get`] ignores order. Keys are [`WStr`], so a key longer
+    /// than 15 bytes aliases the incoming frame as well, and a shorter
+    /// one is held inline.
     Record(Vec<(WStr, Value)>),
     /// A reference to a payload stored out-of-band in a blob-store
     /// service (the bulk data plane's pass-by-reference handle).

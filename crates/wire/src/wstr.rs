@@ -2,16 +2,19 @@
 //! buffer.
 //!
 //! The codec stores every decoded string as a [`WStr`] so that the
-//! zero-copy decoder ([`crate::decode_bytes`]) can hand out strings that
-//! are cheap slices of the incoming frame instead of fresh heap copies.
-//! Cloning a `WStr` bumps a refcount; comparisons, ordering and hashing
-//! all delegate to the underlying `str`, so it behaves like a `String`
-//! for map keys and equality checks.
+//! zero-copy decoder ([`crate::decode_bytes`]) can hand out strings
+//! longer than 15 bytes that are cheap slices of the incoming frame
+//! instead of fresh heap copies. Comparisons, ordering and hashing all
+//! delegate to the underlying `str`, so it behaves like a `String` for
+//! map keys and equality checks.
 //!
-//! A `WStr` is a [`Bytes`]: 24 bytes inline, and one heap block that
-//! holds the reference counts and the text together. A string made from
-//! a `&str` or a `String` costs that one allocation (a copy); an empty
-//! string and a slice of a frame cost none.
+//! A `WStr` is a [`Bytes`], 24 bytes. A string of up to 15 bytes (most
+//! record keys and names) lives in those 24 bytes and holds no heap
+//! block: making one from a `&str`, a `String` or a frame copies it in,
+//! and a clone copies the 24 bytes. A longer one is one heap block that
+//! holds the reference counts and the text together: made from a `&str`
+//! or a `String` it costs that one allocation (a copy), a slice of a
+//! frame and a clone cost a reference count.
 
 use bytes::Bytes;
 
