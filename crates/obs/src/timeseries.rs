@@ -35,6 +35,12 @@
 //! | `link_bytes@n<a>->n<b>`     | counter | simnet send path           |
 //! | `sched_lag`                 | hist    | scheduler dispatch loop    |
 //! | `sched_depth`               | gauge   | scheduler event heap       |
+//!
+//! `sched_depth` counts the events pending after each pop, and every one
+//! of them is live: a process's abandoned timer leaves the heap when the
+//! process is polled again or finishes, not when its instant comes. A
+//! fleet that re-arms a deadline per call shows a depth of about one
+//! timer per parked process, where it showed every deadline not yet due.
 
 use std::collections::{BTreeMap, VecDeque};
 

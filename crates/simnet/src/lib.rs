@@ -53,6 +53,7 @@ mod body;
 // other is chosen by platform at build time and by nothing else.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod coro;
+mod events;
 mod metrics;
 mod msg;
 mod net;

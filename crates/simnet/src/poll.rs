@@ -31,8 +31,9 @@
 //! * **timer** — the machine asked for a wake at an instant via
 //!   [`ProcCx::wake_at`] before parking. Each
 //!   park arms at most one timer (the earliest requested), so each poll
-//!   re-requests whatever deadline still matters; stale timers from
-//!   earlier parks are ignored via a per-park generation counter.
+//!   re-requests whatever deadline still matters. The timer an earlier
+//!   park armed leaves the event heap when the machine is polled again
+//!   or finishes: a process never has two pending.
 //!
 //! A process parked *deaf* by [`ProcCx::sleep_until`] wakes for its timer
 //! only: deliveries wait in the mailbox, as they do for a blocking body's

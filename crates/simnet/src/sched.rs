@@ -52,8 +52,15 @@
 //! a counter bumped on every push: events at one instant run in the
 //! order they were scheduled. A schedule *is* that order. The heap holds
 //! 16-byte keys only; each names its event's slot in a slab, so a sift
-//! moves keys, not messages, and a popped event's slot is reused by the
-//! next push.
+//! moves keys, not messages, and a freed slot is reused by the next push
+//! (see `events.rs`).
+//!
+//! The heap holds live events only. A parked process has at most one
+//! pending timer, the earliest wake its last poll asked for. When the
+//! process is polled again (a delivery woke it first) or finishes, that
+//! timer is taken out of the heap, so no abandoned deadline waits for
+//! its instant. Taking an event out moves no other: every push keeps its
+//! `seq`, so the order of the events that run does not change.
 //!
 //! [`Simulation::run_until`] pops and dispatches one event at a time:
 //! one clock, one RNG drawn in event order, one process running at any
@@ -67,8 +74,7 @@
 //! code, while the network in between is simulated and fault-injectable.
 
 use std::cell::{Cell, OnceCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,6 +91,7 @@ use crate::awaited::{Awaited, AwaitedIds};
 use crate::body::Body;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 use crate::coro::Yielder;
+use crate::events::{Events, NO_SLOT};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::msg::Message;
 use crate::net::{Fate, Network, NetworkConfig};
@@ -127,109 +134,14 @@ enum ProcState {
     Finished,
 }
 
+/// A pending event: a process's first instant or the end of its deaf
+/// sleep (`Wake`), the timer a parked process armed (`Timeout`, its
+/// [`ProcEntry::timer`]), a datagram's arrival, or a crash.
 enum EvKind {
     Wake(ProcId),
-    Timeout { pid: ProcId, gen: u64 },
+    Timeout(ProcId),
     Deliver { msg: Message },
     Kill(ProcId),
-}
-
-/// Bits of [`EvKey::order`] that name the event's slab slot: at most
-/// 2^24 events pending at once. The other 40 hold its sequence number.
-const SLOT_BITS: u32 = 24;
-
-/// A pending event's place in the schedule: its instant, then `order =
-/// seq << SLOT_BITS | slot`. Every push takes a fresh `seq`, so the slot
-/// bits never decide a comparison: keys order exactly as `(time, seq)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct EvKey {
-    time: SimTime,
-    order: u64,
-}
-
-/// One slab slot: a pending event, or the next free slot ([`NO_SLOT`]
-/// ends the list).
-enum Slot {
-    Pending(EvKind),
-    Free(u32),
-}
-
-const NO_SLOT: u32 = u32::MAX;
-
-/// The pending events: a min-heap of [`EvKey`]s over a slab of payloads
-/// with a free list.
-struct Events {
-    heap: BinaryHeap<Reverse<EvKey>>,
-    slab: Vec<Slot>,
-    free: u32,
-    seq: u64,
-}
-
-impl Events {
-    fn new() -> Events {
-        Events {
-            heap: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: NO_SLOT,
-            seq: 0,
-        }
-    }
-
-    /// Schedules `kind` at `time`, after every event already scheduled
-    /// at that instant.
-    fn push(&mut self, time: SimTime, kind: EvKind) {
-        let slot = if self.free == NO_SLOT {
-            assert!(
-                self.slab.len() < 1 << SLOT_BITS,
-                "simnet: more than 2^{SLOT_BITS} events pending"
-            );
-            self.slab.push(Slot::Pending(kind));
-            self.slab.len() as u32 - 1
-        } else {
-            let slot = self.free;
-            match std::mem::replace(&mut self.slab[slot as usize], Slot::Pending(kind)) {
-                Slot::Free(next) => self.free = next,
-                Slot::Pending(_) => unreachable!("the free list names a pending slot"),
-            }
-            slot
-        };
-        self.seq += 1;
-        assert!(
-            self.seq < 1 << (64 - SLOT_BITS),
-            "simnet: more than 2^{} events scheduled",
-            64 - SLOT_BITS
-        );
-        let order = self.seq << SLOT_BITS | u64::from(slot);
-        self.heap.push(Reverse(EvKey { time, order }));
-    }
-
-    /// The instant of the next event, if any.
-    fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(key)| key.time)
-    }
-
-    /// Takes the next event out, freeing its slot.
-    fn pop(&mut self) -> Option<(SimTime, EvKind)> {
-        let Reverse(key) = self.heap.pop()?;
-        let slot = (key.order & ((1 << SLOT_BITS) - 1)) as u32;
-        match std::mem::replace(&mut self.slab[slot as usize], Slot::Free(self.free)) {
-            Slot::Pending(kind) => {
-                self.free = slot;
-                Some((key.time, kind))
-            }
-            Slot::Free(_) => unreachable!("a heap key names a free slot"),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn clear(&mut self) {
-        self.heap.clear();
-        self.slab.clear();
-        self.free = NO_SLOT;
-    }
 }
 
 /// A process's state machine plus its per-process context.
@@ -242,9 +154,11 @@ struct ProcEntry {
     name: String,
     mailbox: VecDeque<Message>,
     state: ProcState,
-    /// Incremented every time the process parks; stale timeout events
-    /// carry an older generation and are ignored.
-    gen: u64,
+    /// The slot of the process's one pending [`EvKind::Timeout`], or
+    /// [`NO_SLOT`]. It leaves the heap when it pops, when the process
+    /// is polled again and when the process finishes, so the heap holds
+    /// no timer that would wake nothing.
+    timer: u32,
     /// Taken out of the process table while being polled, so no lock is
     /// held during user code, and put back if the poll returns
     /// `Pending`; gone once the process has finished.
@@ -259,7 +173,7 @@ struct ProcEntry {
 /// the heap it was derived from.
 struct SchedState {
     now: SimTime,
-    events: Events,
+    events: Events<EvKind>,
     /// Seeded with the simulation seed, drawn in event order.
     rng: StdRng,
     trace: Option<Trace>,
@@ -439,7 +353,7 @@ impl Shared {
             name,
             mailbox: VecDeque::new(),
             state: ProcState::NotStarted,
-            gen: 0,
+            timer: NO_SLOT,
             machine: Some(PolledMachine {
                 process,
                 cx: ProcCx::new(ctx),
@@ -510,7 +424,17 @@ impl Shared {
                         None
                     }
                     Some(_) => {
-                        let (time, kind) = st.events.pop().expect("peeked event vanished");
+                        let (time, slot, kind) = st.events.pop().expect("peeked event vanished");
+                        // A timer leaves its process as it leaves the
+                        // heap, before anything else can be pushed.
+                        if let EvKind::Timeout(pid) = kind {
+                            let entry = st.procs.get_mut(&pid).expect("a timer's process");
+                            assert!(
+                                entry.state == ProcState::Parked && entry.timer == slot,
+                                "simnet: a timer popped that its process does not hold"
+                            );
+                            entry.timer = NO_SLOT;
+                        }
                         // An event scheduled before the clock it runs at
                         // is a time inversion. Count it honestly instead
                         // of clamping it away; the clock itself stays
@@ -553,20 +477,9 @@ impl Shared {
 
     fn dispatch(&self, kind: EvKind) {
         match kind {
-            // A process's first instant, or the end of a deaf sleep.
-            EvKind::Wake(pid) => self.poll_process(pid),
-            EvKind::Timeout { pid, gen } => {
-                // A timer is live only if the process still blocks on the
-                // park that armed it: the generation bumps on every park.
-                let live = self
-                    .st()
-                    .procs
-                    .get(&pid)
-                    .is_some_and(|e| e.gen == gen && e.state == ProcState::Parked);
-                if live {
-                    self.poll_process(pid);
-                }
-            }
+            // Every timer in the heap is live: a re-poll or the end of
+            // its process takes it out.
+            EvKind::Wake(pid) | EvKind::Timeout(pid) => self.poll_process(pid),
             // A crash runs no farewell code: the machine just drops (a
             // blocking body unwinds out of `Stopped` as it does).
             EvKind::Kill(pid) => self.finish(pid, None),
@@ -624,32 +537,45 @@ impl Shared {
     /// table for the duration, so no lock is held while user code runs
     /// (and the machine may freely spawn or kill other processes).
     fn poll_process(&self, pid: ProcId) {
-        let Some(mut m) = self.st().procs.get_mut(&pid).and_then(|e| e.machine.take()) else {
-            return; // finished, or a stale wake
+        let mut m = {
+            let mut guard = self.st();
+            let st = &mut *guard;
+            let Some(entry) = st.procs.get_mut(&pid) else {
+                return;
+            };
+            let Some(m) = entry.machine.take() else {
+                return; // finished, or a stale wake
+            };
+            // Polled again, the process no longer waits for the timer
+            // its last park armed.
+            disarm(&mut st.events, &mut entry.timer);
+            m
         };
         let result = panic::catch_unwind(AssertUnwindSafe(|| m.process.poll(&mut m.cx)));
         let wake = m.cx.take_wake();
         match result {
             Ok(Poll::Pending) => {
-                let mut st = self.st();
+                let mut guard = self.st();
+                let st = &mut *guard;
                 let now = st.now;
                 let entry = st.procs.get_mut(&pid).expect("proc vanished");
                 entry.machine = Some(m);
-                let event = match wake {
-                    // A deaf sleep: no generation bump, one wake.
+                match wake {
+                    // A deaf sleep: one wake, which no delivery preempts.
                     Some((until, true)) => {
                         entry.state = ProcState::Sleeping;
-                        Some((until, EvKind::Wake(pid)))
+                        st.events.push(until.max(now), EvKind::Wake(pid));
                     }
                     wake => {
-                        entry.gen += 1;
                         entry.state = ProcState::Parked;
-                        let gen = entry.gen;
-                        wake.map(|(at, _)| (at, EvKind::Timeout { pid, gen }))
+                        if let Some((at, _)) = wake {
+                            debug_assert_eq!(
+                                entry.timer, NO_SLOT,
+                                "simnet: {pid} would have two pending timers"
+                            );
+                            entry.timer = st.events.push(at.max(now), EvKind::Timeout(pid));
+                        }
                     }
-                };
-                if let Some((at, kind)) = event {
-                    st.events.push(at.max(now), kind);
                 }
             }
             Ok(Poll::Ready(())) => {
@@ -669,7 +595,8 @@ impl Shared {
     /// unwinds — is the process's panic, reported as any other.
     fn finish(&self, pid: ProcId, mut panic_msg: Option<String>) {
         let released = {
-            let mut st = self.st();
+            let mut guard = self.st();
+            let st = &mut *guard;
             let Some(entry) = st.procs.get_mut(&pid) else {
                 return;
             };
@@ -677,6 +604,7 @@ impl Shared {
                 return;
             }
             entry.state = ProcState::Finished;
+            disarm(&mut st.events, &mut entry.timer);
             // Nothing reads a finished mailbox and later arrivals are
             // blackholed: what is queued (whole chunks on the bulk path)
             // goes now, not when the simulation is dropped.
@@ -766,6 +694,15 @@ impl Shared {
         }
     }
 }
+
+/// Takes a process's pending timer, if it has one, out of the heap.
+fn disarm(events: &mut Events<EvKind>, timer: &mut u32) {
+    let slot = std::mem::replace(timer, NO_SLOT);
+    if slot != NO_SLOT {
+        events.remove(slot);
+    }
+}
+
 /// The handle a simulated process uses to interact with the world.
 ///
 /// A `Ctx` is passed by the scheduler to the process body closure. All of
@@ -1771,36 +1708,31 @@ mod tests {
         assert_eq!(*order.lock(), vec![1, 2, 3]);
     }
 
-    /// The heap orders its keys by `(time, seq)` alone: same-instant
-    /// events pop in push order even when later pushes took freed slots
-    /// below earlier ones.
+    /// A receiver that re-arms a 1 s deadline on each of 1 000 echoed
+    /// deliveries leaves no abandoned deadline behind: at most its one
+    /// timer and the one datagram in flight are ever pending.
     #[test]
-    fn same_instant_events_pop_in_push_order_after_slot_reuse() {
-        let mut events = Events::new();
-        let at = SimTime::from_millis;
-        let woken = |events: &mut Events| match events.pop() {
-            Some((_, EvKind::Wake(pid))) => pid.0,
-            _ => panic!("expected a wake"),
-        };
-        for pid in 0..4 {
-            events.push(at(5), EvKind::Wake(ProcId(pid)));
-        }
-        events.push(at(1), EvKind::Wake(ProcId(90)));
-        events.push(at(2), EvKind::Wake(ProcId(91)));
-        assert_eq!((woken(&mut events), woken(&mut events)), (90, 91));
-        // Pids 4 and 5 take the freed slots 5 and 4; 6 and 7 new ones.
-        for pid in 4..8 {
-            events.push(at(5), EvKind::Wake(ProcId(pid)));
-        }
-        assert_eq!(events.slab.len(), 8, "freed slots are reused");
-        assert_eq!(woken(&mut events), 0);
-        // A slot freed mid-instant is reused by an event that still runs
-        // after every earlier push at that instant.
-        events.push(at(5), EvKind::Wake(ProcId(8)));
-        let order: Vec<u32> = (0..8).map(|_| woken(&mut events)).collect();
-        assert_eq!(order, [1, 2, 3, 4, 5, 6, 7, 8]);
-        assert!(events.pop().is_none());
-        assert_eq!(events.slab.len(), 8);
+    fn a_re_armed_deadline_leaves_one_timer_pending() {
+        let mut sim = Simulation::new(NetworkConfig::lan(), 0);
+        let echo = sim.spawn_async("echo", NodeId(0), |cx| async move {
+            for _ in 0..1000 {
+                let m = recv_within(cx, Duration::from_secs(1)).await.unwrap();
+                let m = m.expect("every deadline is re-armed before it fires");
+                cx.with(|cx| cx.send(m.src, m.payload));
+            }
+        });
+        sim.spawn_async("pinger", NodeId(1), move |cx| async move {
+            for _ in 0..1000 {
+                cx.with(|cx| cx.send(echo, Bytes::from_static(b"ping")));
+                cx.recv().await.unwrap();
+            }
+        });
+        let report = sim.run_until(SimTime::MAX);
+        assert_eq!((report.finished, report.metrics.msgs_delivered), (2, 2000));
+        assert!(sim.shared.st().events.peak() <= 2);
+        // The run ends on the last live event, the last echo's delivery,
+        // not a second after it.
+        assert_eq!(report.end_time, SimTime::from_nanos(2000 * 500_004));
     }
 }
 
