@@ -164,6 +164,22 @@ if [ "$simnet_lines" -gt 3700 ]; then
   exit 1
 fi
 
+step "census of rpc's and core's non-test lines (the transport and the proxy core may shrink, never grow)"
+# Cut as simnet's census above cuts it: every file up to its first
+# column-0 `#[cfg(test)]`, comments and blank lines included. Each total
+# may not grow past the count pinned here; a change that removes lines
+# lowers its pin.
+for pin in "crates/rpc/src 2640" "crates/core/src 4774"; do
+  set -- $pin
+  n="$(for f in $(find "$1" -name '*.rs' | sort); do
+    awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"
+  done | awk '{ n += $1 } END { print n + 0 }')"
+  if [ "$n" -gt "$2" ]; then
+    printf '%s: %s non-test lines, more than the %s pinned\n' "$1" "$n" "$2"
+    exit 1
+  fi
+done
+
 step "cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

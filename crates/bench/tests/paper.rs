@@ -5,7 +5,8 @@
 //! seeds.
 
 use bench::experiments::{
-    e10_forwarding, e11_recovery, e12_dsm, e13_pipeline, e2_cache_sweep, e7_loss,
+    e10_forwarding, e11_recovery, e12_dsm, e13_pipeline, e1_access_methods, e2_cache_sweep,
+    e3_migration, e7_loss,
 };
 use bench::ExperimentOutput;
 
@@ -58,8 +59,18 @@ fn holds(run: fn() -> ExperimentOutput) {
 }
 
 #[test]
+fn e1_access_methods_from_local_call_to_remote_stub() {
+    holds(e1_access_methods::run);
+}
+
+#[test]
 fn e2_caching_proxies_across_the_read_write_mix() {
     holds(e2_cache_sweep::run);
+}
+
+#[test]
+fn e3_migration_and_the_moved_redirects_it_leaves() {
+    holds(e3_migration::run);
 }
 
 #[test]

@@ -4,16 +4,18 @@
 //! client sees — local, fixed and type-checked — while the *protocol*
 //! behind the proxy stays private to the service. [`InterfaceDesc`] is the
 //! runtime description of such an interface: each operation declares
-//! whether it reads or writes, whether it is idempotent, and which
-//! argument identifies the datum it touches. Generic smart proxies use
-//! these declarations to decide what is cacheable and what invalidates
-//! what, without knowing anything else about the service.
+//! whether it reads or writes, and which argument identifies the datum
+//! it touches. Generic smart proxies use these declarations to decide
+//! what is cacheable and what invalidates what, without knowing anything
+//! else about the service. No declaration decides whether a call may be
+//! sent again: every call is at-most-once, and the server's reply window
+//! decides (see `rpc::RpcServer`).
 //!
 //! A descriptor travels in every name-server lookup reply (inside the
 //! binding metadata `[spec, iface]`) and answers the `_iface` system op.
 //! Both ends run this crate, so it is positional and names no field:
 //! `[type, [op, …]]`, each op `[name, flags, key | null]` with `flags`
-//! = write | idempotent << 1. A flag bit no kind has is refused.
+//! = 1 for a write and 0 for a read. Any other flags are refused.
 
 use std::borrow::Cow;
 
@@ -40,9 +42,6 @@ pub struct OpDesc {
     /// touches the whole object: reads are tagged by the full argument
     /// encoding, and writes invalidate everything.
     pub key_field: Option<String>,
-    /// Whether re-executing the operation is harmless. Purely
-    /// informational for transports that might relax at-most-once.
-    pub idempotent: bool,
 }
 
 impl OpDesc {
@@ -52,7 +51,6 @@ impl OpDesc {
             name: name.into(),
             kind: OpKind::Read,
             key_field: Some(key_field.into()),
-            idempotent: true,
         }
     }
 
@@ -62,7 +60,6 @@ impl OpDesc {
             name: name.into(),
             kind: OpKind::Read,
             key_field: None,
-            idempotent: true,
         }
     }
 
@@ -72,7 +69,6 @@ impl OpDesc {
             name: name.into(),
             kind: OpKind::Write,
             key_field: Some(key_field.into()),
-            idempotent: false,
         }
     }
 
@@ -82,14 +78,7 @@ impl OpDesc {
             name: name.into(),
             kind: OpKind::Write,
             key_field: None,
-            idempotent: false,
         }
-    }
-
-    /// Marks the operation idempotent (builder style).
-    pub fn idempotent(mut self) -> OpDesc {
-        self.idempotent = true;
-        self
     }
 
     /// The cache tag this operation touches for the given arguments:
@@ -105,10 +94,10 @@ impl OpDesc {
         }
     }
 
-    /// The op's record, `[name, flags, key | null]`, with `flags` =
-    /// write | idempotent << 1.
+    /// The op's record, `[name, flags, key | null]`, with `flags` = 1
+    /// for a write.
     fn to_value(&self) -> Value {
-        let flags = u64::from(self.kind == OpKind::Write) | u64::from(self.idempotent) << 1;
+        let flags = u64::from(self.kind == OpKind::Write);
         let key = self
             .key_field
             .as_ref()
@@ -126,17 +115,14 @@ impl OpDesc {
         };
         // An unknown flag is refused, not ignored: a write read as a
         // read would be cached and never invalidated.
-        let flags = match flags {
-            Value::U64(f @ 0..=3) => *f,
+        let kind = match flags {
+            Value::U64(0) => OpKind::Read,
+            Value::U64(1) => OpKind::Write,
             _ => return Err(malformed("unknown flags")),
         };
         Ok(OpDesc {
             name: name.as_str().ok_or(malformed("a nameless op"))?.to_owned(),
-            kind: if flags & 1 == 1 {
-                OpKind::Write
-            } else {
-                OpKind::Read
-            },
+            kind,
             key_field: match key {
                 Value::Null => None,
                 k => Some(
@@ -145,7 +131,6 @@ impl OpDesc {
                         .to_owned(),
                 ),
             },
-            idempotent: flags & 2 == 2,
         })
     }
 }
@@ -205,7 +190,7 @@ impl InterfaceDesc {
 
     /// Encodes the interface as a wire value (the `_iface` system op and
     /// the binding metadata): `[type, [op, …]]`, each op as
-    /// `[name, flags, key | null]` with `flags` = write | idempotent << 1.
+    /// `[name, flags, key | null]` with `flags` = 1 for a write.
     pub fn to_value(&self) -> Value {
         Value::list([
             Value::str(self.type_name.clone()),
@@ -304,14 +289,15 @@ mod tests {
                 Value::list([Value::list([Value::str("put"), flags, Value::Null])]),
             ])
         };
-        assert!(matches!(
-            InterfaceDesc::from_value(&op(Value::U64(4))),
-            Err(WireError::WrongKind { .. })
-        ));
+        for flags in [2, 3, 4] {
+            assert!(matches!(
+                InterfaceDesc::from_value(&op(Value::U64(flags))),
+                Err(WireError::WrongKind { .. })
+            ));
+        }
         assert!(InterfaceDesc::from_value(&op(Value::str("write"))).is_err());
-        let read = InterfaceDesc::from_value(&op(Value::U64(2))).unwrap();
+        let read = InterfaceDesc::from_value(&op(Value::U64(0))).unwrap();
         assert_eq!(read.op("put").unwrap().kind, OpKind::Read);
-        assert!(read.op("put").unwrap().idempotent);
     }
 
     #[test]
@@ -326,11 +312,5 @@ mod tests {
         // Every interface conforms to itself and to the empty interface.
         assert!(full.conforms_to(&full));
         assert!(reader.conforms_to(&InterfaceDesc::new("empty", [])));
-    }
-
-    #[test]
-    fn idempotent_builder() {
-        let op = OpDesc::write("reset", "key").idempotent();
-        assert!(op.idempotent);
     }
 }

@@ -13,10 +13,11 @@ use crate::proxy::{Proxy, ProxyFuture, ProxyStats};
 /// The stub proxy: a [`Remote`], every invocation one remote call.
 ///
 /// This is exactly the stub of classic RPC (Birrell & Nelson 1984) —
-/// the baseline the paper generalizes. It still benefits from the
-/// binding protocol: `Moved` redirects and dead-endpoint re-lookups are
-/// handled transparently, and the interface says which calls a timeout
-/// may re-issue.
+/// the baseline the paper generalizes, at-most-once included. It still
+/// benefits from the binding protocol: `Moved` redirects and
+/// dead-endpoint re-lookups are handled transparently, and a call
+/// re-sent after either keeps its id, so the server's reply window
+/// decides whether it runs, across a crash too.
 pub type StubProxy = Remote;
 
 /// A service's remote end, as every proxy reaches it: the channel that
@@ -34,8 +35,7 @@ pub struct Remote {
 
 impl Remote {
     /// The remote end of `service` at `server`, using the name server at
-    /// `ns` for rebinds. After a timeout it re-issues only the ops
-    /// `iface` declares idempotent (and the ones it does not declare).
+    /// `ns` for rebinds.
     pub fn new(
         service: impl Into<String>,
         server: Endpoint,
@@ -110,12 +110,12 @@ impl Remote {
     /// migration) and falling back to a fresh name-service lookup after
     /// a timeout.
     ///
-    /// After that lookup the call is issued again only if the interface
-    /// declares `op` idempotent, or does not declare it at all (system
-    /// ops). A timed out call may have run with its reply lost, and the
-    /// re-issue is a new call: a recovered incarnation would run a
-    /// non-idempotent op twice. Such a call returns its `Timeout`; the
-    /// proxy stays rebound for the next one.
+    /// Every send of the call, to whichever endpoint, is under the one
+    /// id it was first sent under ([`Channel::call_as`]), held as awaited
+    /// throughout. A timed out call may have run with its reply lost; the
+    /// endpoint the relookup finds (a recovered incarnation restores its
+    /// reply windows from its checkpoint) answers it from its window or
+    /// runs it once, whatever the op.
     ///
     /// Local rebinds performed here are the *lazy* path-compression of
     /// experiment E10: after following a chain once, the proxy points at
@@ -133,10 +133,11 @@ impl Remote {
     ) -> Result<Value, RpcError> {
         let mut redirects = 0;
         let mut relookups = 0;
+        let id = cx.with(|cx| cx.await_next());
         loop {
             let result = self
                 .rpc
-                .call(cx, "", op, args.clone(), Some(&mut oneways_into(strays)))
+                .call_as(cx, &id, "", op, &args, Some(&mut oneways_into(strays)))
                 .await;
             match result {
                 Err(RpcError::Remote(ref e)) if e.code == ErrorCode::Moved => {
@@ -169,9 +170,6 @@ impl Remote {
                             self.stats.rebinds += 1;
                         }
                         _ => return result,
-                    }
-                    if self.iface.op(op).is_some_and(|d| !d.idempotent) {
-                        return result;
                     }
                 }
                 other => return other,

@@ -118,25 +118,6 @@ impl Core {
         }
     }
 
-    /// Writes a checkpoint to this node's stable storage if the policy
-    /// says it is due.
-    fn maybe_checkpoint(&mut self, ctx: &Ctx) {
-        let Some(policy) = &self.checkpoint else {
-            return;
-        };
-        self.writes_since_checkpoint += 1;
-        if self.writes_since_checkpoint < policy.every_writes {
-            return;
-        }
-        if let Some(obj) = &self.object {
-            if let Ok(snapshot) = obj.snapshot() {
-                policy.store.save(ctx.node(), &self.name, snapshot);
-                self.stats.checkpoints += 1;
-                self.writes_since_checkpoint = 0;
-            }
-        }
-    }
-
     /// How long `req` occupies the context before it executes: what the
     /// hosted object declares for an operation of its own, nothing for a
     /// protocol operation or while the object is checked out.
@@ -254,7 +235,7 @@ impl Core {
                         }
                         if kind == OpKind::Write {
                             self.stats.writes += 1;
-                            self.maybe_checkpoint(ctx);
+                            self.writes_since_checkpoint += 1;
                         }
                     }
                     result
@@ -330,6 +311,13 @@ pub trait Control: Send + std::fmt::Debug + 'static {
     /// Publishes the kind's counters, once per datagram handled
     /// (default: nothing).
     fn publish(&self, _obs: &obs::MetricsRegistry) {}
+
+    /// Runs after each datagram is handled and each waited call answered,
+    /// their answers recorded in the engine's reply windows (default:
+    /// nothing): where a kind that checkpoints saves its state and the
+    /// windows in one save, so that a restart from it answers every call
+    /// whose effect it holds from the recorded reply.
+    fn checkpoint(&mut self, _io: &Io) {}
 }
 
 impl Control for Core {
@@ -347,6 +335,24 @@ impl Control for Core {
 
     fn publish(&self, obs: &obs::MetricsRegistry) {
         obs.set_server_stats(&self.name, self.stats);
+    }
+
+    /// Saves `[object, windows]` to this node's stable storage once the
+    /// policy's count of writes is reached.
+    fn checkpoint(&mut self, io: &Io) {
+        let (Some(policy), Some(obj)) = (&self.checkpoint, &self.object) else {
+            return;
+        };
+        if self.writes_since_checkpoint < policy.every_writes {
+            return;
+        }
+        if let Ok(state) = obj.snapshot() {
+            let windows = Value::Blob(io.engine.lock().rpc.encode_windows());
+            let node = io.with(|ctx| ctx.node());
+            (policy.store).save(node, &self.name, Value::list([state, windows]));
+            self.stats.checkpoints += 1;
+            self.writes_since_checkpoint = 0;
+        }
     }
 }
 
@@ -538,6 +544,7 @@ impl Io {
                     run(self, None, pin!(control.oneway(self, oneway))).await;
                 }
             }
+            control.checkpoint(self);
             self.with(|ctx| control.publish(ctx.obs()));
         }
     }
@@ -598,6 +605,9 @@ pub struct ServiceServer<C> {
     control: C,
     /// Where it registers, and with what, for a kind that registers.
     registration: Option<(Endpoint, Value)>,
+    /// The reply windows it starts with: restored from a checkpoint, or
+    /// none.
+    rpc: RpcServer,
 }
 
 impl<C: Control> ServiceServer<C> {
@@ -606,6 +616,7 @@ impl<C: Control> ServiceServer<C> {
         ServiceServer {
             control,
             registration: None,
+            rpc: RpcServer::new(),
         }
     }
 
@@ -631,6 +642,7 @@ pub async fn serve<C: Control>(cx: AsyncCx, build: impl FnOnce(&mut Ctx) -> Serv
     let ServiceServer {
         mut control,
         registration,
+        rpc,
     } = cx.with(|cx| build(cx));
     if let Some((ns, meta)) = registration {
         let me = cx.with(|cx| cx.endpoint());
@@ -646,14 +658,17 @@ pub async fn serve<C: Control>(cx: AsyncCx, build: impl FnOnce(&mut Ctx) -> Serv
     let io = Io {
         cx,
         passing: AtomicBool::new(false),
-        engine: Mutex::default(),
+        engine: Mutex::new(Engine {
+            rpc,
+            ..Engine::default()
+        }),
     };
     io.serve(&mut control).await;
 }
 
 /// Declarative spawning of a service process: one builder covering the
-/// plain, factory-equipped, checkpointing and crash-recovering variants
-/// that used to be separate `spawn_service*` free functions.
+/// plain, factory-equipped and crash-recovering variants that used to be
+/// separate `spawn_service*` free functions.
 ///
 /// ```no_run
 /// # use proxy_core::{ServiceBuilder, ProxySpec, FactoryRegistry};
@@ -673,7 +688,6 @@ pub struct ServiceBuilder {
     make_object: Option<Box<dyn FnOnce() -> Box<dyn ServiceObject> + Send>>,
     factories: Option<FactoryRegistry>,
     checkpoint: Option<CheckpointPolicy>,
-    recover: bool,
 }
 
 impl std::fmt::Debug for ServiceBuilder {
@@ -695,7 +709,6 @@ impl ServiceBuilder {
             make_object: None,
             factories: None,
             checkpoint: None,
-            recover: false,
         }
     }
 
@@ -722,27 +735,21 @@ impl ServiceBuilder {
         self
     }
 
-    /// Checkpoints the object's snapshot to the node's stable storage
-    /// under `policy`.
-    pub fn checkpointing(mut self, policy: CheckpointPolicy) -> ServiceBuilder {
-        self.checkpoint = Some(policy);
-        self
-    }
-
-    /// Checkpoints under `policy` *and* recovers from the node's last
-    /// checkpoint at spawn, if one exists (the [`object`] closure then
-    /// only supplies the cold-start default). Re-registering bumps the
-    /// naming generation, so stub proxies whose calls time out against
-    /// the dead incarnation transparently re-resolve to the new one. A
-    /// stored checkpoint the factory refuses stops the service with a
-    /// panic naming it, never a silent cold start. Requires
-    /// [`factories`].
+    /// Checkpoints the object and its reply windows together, as
+    /// `[object, windows]`, under `policy` *and* recovers both from the
+    /// node's last checkpoint at spawn, if one exists (the [`object`]
+    /// closure then only supplies the cold-start default).
+    /// Re-registering bumps the naming generation, so stub proxies whose
+    /// calls time out against the dead incarnation transparently
+    /// re-resolve to the new one and re-send them under their ids. A
+    /// stored checkpoint whose object the factory refuses, or whose
+    /// windows do not decode, stops the service with a panic naming it,
+    /// never a silent cold start. Requires [`factories`].
     ///
     /// [`object`]: ServiceBuilder::object
     /// [`factories`]: ServiceBuilder::factories
     pub fn recovered(mut self, policy: CheckpointPolicy) -> ServiceBuilder {
         self.checkpoint = Some(policy);
-        self.recover = true;
         self
     }
 
@@ -784,16 +791,16 @@ impl ServiceBuilder {
             "service `{name}` spawned without an object closure"
         );
         assert!(
-            !self.recover || self.factories.is_some(),
+            self.checkpoint.is_none() || self.factories.is_some(),
             "service `{name}`: recovery needs a factory registry to rebuild snapshots"
         );
         format!("svc-{name}")
     }
 
-    /// Runs when the process first runs: makes the object — recovered
-    /// from the node's last checkpoint if asked to and there is one —
-    /// and the server around it, and sends its registration `[spec,
-    /// iface]` to the name server at `ns`.
+    /// Runs when the process first runs: makes the object and its reply
+    /// windows — recovered from the node's last checkpoint if asked to
+    /// and there is one — and the server around them, and sends its
+    /// registration `[spec, iface]` to the name server at `ns`.
     ///
     /// # Panics
     ///
@@ -802,18 +809,14 @@ impl ServiceBuilder {
     /// checkpoint says was done.
     fn build(self, ctx: &mut Ctx, ns: Endpoint) -> ServiceServer<Core> {
         let default = (self.make_object.expect("checked at spawn"))();
-        let object = match (&self.checkpoint, &self.factories) {
-            (Some(policy), Some(factories)) if self.recover => {
-                match policy.store.load(ctx.node(), &self.name) {
-                    Some(snapshot) => factories
-                        .create(&default.interface().type_name, &snapshot)
-                        .unwrap_or_else(|e| {
-                            panic!("service `{}` cannot restore its checkpoint: {e}", self.name)
-                        }),
-                    None => default,
-                }
+        let stored = (self.checkpoint.as_ref()).and_then(|p| p.store.load(ctx.node(), &self.name));
+        let (object, rpc) = match (stored, &self.factories) {
+            (Some(checkpoint), Some(factories)) => {
+                restore(&checkpoint, factories, &default.interface().type_name).unwrap_or_else(
+                    |e| panic!("service `{}` cannot restore its checkpoint: {e}", self.name),
+                )
             }
-            _ => default,
+            _ => (default, RpcServer::new()),
         };
         let iface = object.interface();
         let meta = crate::binder::binding_meta(&self.spec, &iface);
@@ -828,6 +831,26 @@ impl ServiceBuilder {
             stats: ServerStats::default(),
             name: self.name,
         };
-        ServiceServer::new(core).register(ns, meta)
+        ServiceServer {
+            rpc,
+            ..ServiceServer::new(core).register(ns, meta)
+        }
     }
+}
+
+/// A checkpoint's object, made by `factories`, and its reply windows.
+fn restore(
+    checkpoint: &Value,
+    factories: &FactoryRegistry,
+    type_name: &str,
+) -> Result<(Box<dyn ServiceObject>, RpcServer), RemoteError> {
+    let Some([state, Value::Blob(windows)]) = checkpoint.as_list() else {
+        return Err(RemoteError::new(
+            ErrorCode::BadArgs,
+            "a checkpoint is [object, windows]",
+        ));
+    };
+    let rpc = RpcServer::restore(windows)
+        .map_err(|e| RemoteError::new(ErrorCode::BadArgs, format!("its reply windows: {e}")))?;
+    Ok((factories.create(type_name, state)?, rpc))
 }

@@ -7,12 +7,20 @@
 //! that re-instantiates the object from the last checkpoint after a
 //! crash.
 //!
+//! A checkpoint is `[object, windows]`: the object's snapshot and, in one
+//! save with it, the server's reply windows
+//! ([`rpc::RpcServer::encode_windows`]), taken once the reply of the
+//! write that made it due is recorded. The two cannot disagree after
+//! recovery: a call whose effect the checkpoint holds has its reply
+//! there too, and one whose effect it lacks is unknown to it and runs.
+//!
 //! Semantics are deliberately classic checkpoint/restart: writes since
 //! the last checkpoint are lost on a crash; the name service is
 //! re-registered on recovery (bumping the binding generation), and
-//! proxies recover by re-resolving after their calls time out — no
-//! client code changes, which is the proxy principle applied to
-//! *failure* transparency.
+//! proxies recover by re-resolving after their calls time out and
+//! re-sending them under their ids — no client code changes, which is
+//! the proxy principle applied to *failure* transparency, and no call
+//! is run twice.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,24 +57,10 @@ impl StableStore {
     pub fn load(&self, node: NodeId, key: &str) -> Option<Value> {
         self.inner.lock().get(&(node, key.to_owned())).cloned()
     }
-
-    /// Removes a checkpoint; true if one existed.
-    pub fn remove(&self, node: NodeId, key: &str) -> bool {
-        self.inner.lock().remove(&(node, key.to_owned())).is_some()
-    }
-
-    /// Number of checkpoints currently stored (all nodes).
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Whether the store holds no checkpoints.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
 }
 
-/// Checkpointing policy for a service.
+/// Checkpointing policy for a service: how it checkpoints, and where
+/// it recovers from.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
     /// Shared stable storage (the node's disk).
@@ -97,12 +91,11 @@ mod tests {
     #[test]
     fn save_load_roundtrip() {
         let s = StableStore::new();
-        assert!(s.is_empty());
+        assert_eq!(s.load(NodeId(1), "svc"), None);
         s.save(NodeId(1), "svc", Value::U64(7));
         assert_eq!(s.load(NodeId(1), "svc"), Some(Value::U64(7)));
         assert_eq!(s.load(NodeId(2), "svc"), None, "disks are per node");
         assert_eq!(s.load(NodeId(1), "other"), None);
-        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -111,16 +104,6 @@ mod tests {
         s.save(NodeId(1), "svc", Value::U64(1));
         s.save(NodeId(1), "svc", Value::U64(2));
         assert_eq!(s.load(NodeId(1), "svc"), Some(Value::U64(2)));
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn remove_reports_presence() {
-        let s = StableStore::new();
-        s.save(NodeId(1), "svc", Value::Null);
-        assert!(s.remove(NodeId(1), "svc"));
-        assert!(!s.remove(NodeId(1), "svc"));
-        assert!(s.is_empty());
     }
 
     #[test]

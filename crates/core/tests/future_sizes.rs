@@ -32,7 +32,7 @@ struct Size {
 
 #[rustfmt::skip]
 const EXPECTED: &[Size] = &[
-    Size { future: "Remote::call (stub)", debug: 832, release: 832 },
+    Size { future: "Remote::call (stub)", debug: 792, release: 792 },
     Size { future: "Channel::call", debug: 280, release: 280 },
     Size { future: "NameClient::lookup", debug: 352, release: 352 },
     Size { future: "Binder::bind", debug: 2216, release: 2216 },

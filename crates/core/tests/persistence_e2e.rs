@@ -73,6 +73,11 @@ fn factories() -> FactoryRegistry {
     FactoryRegistry::new().register("pkv", Kv::from_snapshot)
 }
 
+/// A checkpoint's object part: it is `[object, windows]`.
+fn object(checkpoint: &Value) -> &Value {
+    &checkpoint.as_list().expect("a checkpoint is a list")[0]
+}
+
 fn put(rt: &mut SessionCore, ctx: &mut Ctx, h: proxy_core::ProxyHandle, k: &str, v: &str) {
     rt.invoke(
         ctx,
@@ -113,7 +118,7 @@ fn checkpoints_are_written_on_schedule() {
         // Third write crosses the interval.
         put(&mut rt, ctx, kv, "c", "3");
         let snap = s2.load(NodeId(1), "kv").expect("checkpoint missing");
-        assert_eq!(snap.get("c").and_then(Value::as_str), Some("3"));
+        assert_eq!(object(&snap).get("c").and_then(Value::as_str), Some("3"));
     });
     sim.run();
 }
@@ -214,8 +219,14 @@ fn checkpoints_are_per_node() {
         put(&mut rt, ctx, b, "x", "from-b");
         let snap_a = s2.load(NodeId(1), "kv-a").unwrap();
         let snap_b = s2.load(NodeId(2), "kv-b").unwrap();
-        assert_eq!(snap_a.get("x").and_then(Value::as_str), Some("from-a"));
-        assert_eq!(snap_b.get("x").and_then(Value::as_str), Some("from-b"));
+        assert_eq!(
+            object(&snap_a).get("x").and_then(Value::as_str),
+            Some("from-a")
+        );
+        assert_eq!(
+            object(&snap_b).get("x").and_then(Value::as_str),
+            Some("from-b")
+        );
     });
     sim.run();
 }

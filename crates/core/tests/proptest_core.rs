@@ -81,22 +81,17 @@ fn arb_iface() -> impl Strategy<Value = InterfaceDesc> {
         "[a-z.]{1,16}",
         proptest::collection::btree_map(
             "[a-z_]{1,10}".prop_map(String::from),
-            (
-                any::<bool>(),
-                proptest::option::of("[a-z]{1,6}"),
-                any::<bool>(),
-            ),
+            (any::<bool>(), proptest::option::of("[a-z]{1,6}")),
             0..8,
         ),
     )
         .prop_map(|(name, ops)| {
             InterfaceDesc::new(
                 name,
-                ops.into_iter().map(|(op, (is_read, key, idem))| OpDesc {
+                ops.into_iter().map(|(op, (is_read, key))| OpDesc {
                     name: op,
                     kind: if is_read { OpKind::Read } else { OpKind::Write },
                     key_field: key,
-                    idempotent: idem,
                 }),
             )
         })

@@ -77,7 +77,11 @@
 //! come from one per-process counter that every channel shares. Each
 //! call holds its id as awaited from the moment it is staged until its
 //! record goes — a reply, a timeout, or the channel dropped with the
-//! call in flight — so `lo` only rises, and a server may forget every
+//! call in flight — or, for a call made through [`Channel::call_as`],
+//! for as long as its caller holds the id: a call re-sent to another
+//! endpoint after a `Moved` redirect or a relookup keeps the id it was
+//! first sent under, and the server's window alone decides whether it
+//! runs. So `lo` only rises, and a server may forget every
 //! reply it recorded below it (see [`RpcServer`](crate::RpcServer)):
 //! what a server keeps for a client is bounded by what the client still
 //! awaits, not by a cache size, and a reply the client awaits is never
@@ -193,8 +197,9 @@ pub struct ChannelStats {
 struct CallRec {
     request: Request,
     /// Holds the call's id as one its process awaits until the record is
-    /// dropped: when the call settles, or with the channel.
-    _awaited: simnet::Awaited,
+    /// dropped: when the call settles, or with the channel. `None` when
+    /// the caller holds the id ([`Channel::call_as`]).
+    _awaited: Option<simnet::Awaited>,
     /// The call's own frame, built the first time a datagram carries the
     /// call alone; later lone retransmissions reuse the bytes (and thus
     /// the span). Empty (a frame never is) while the call has only
@@ -419,26 +424,36 @@ impl Channel {
             op,
             ctx.now().as_nanos(),
         );
-        self.stage(ctx, object, op, args, span, span)
+        self.stage(ctx, None, object, op, args, Some(span))
     }
 
-    /// Stages a call whose request carries `span` and whose settling
-    /// closes `close`: the same span if it is the channel's to close,
-    /// none if `span` is the caller's.
+    /// Stages a call: under `held`, an id its caller holds as awaited, or
+    /// under a fresh one the record holds. Its request carries `opened`,
+    /// which settling the call closes, or else the caller's span, which
+    /// it leaves open.
     fn stage(
         &mut self,
         ctx: &mut Ctx,
+        held: Option<u64>,
         object: &str,
         op: &str,
         args: Value,
-        span: obs::SpanId,
-        close: obs::SpanId,
+        opened: Option<obs::SpanId>,
     ) -> CallHandle {
         // Ids come from the per-process counter, shared by every channel
         // and client in the process, so the server's per-endpoint window
         // sees one id space.
-        let awaited = ctx.await_next();
-        let call_id = awaited.id();
+        let (call_id, awaited) = match held {
+            Some(id) => (id, None),
+            None => {
+                let awaited = ctx.await_next();
+                (awaited.id(), Some(awaited))
+            }
+        };
+        let (span, close) = match opened {
+            Some(span) => (span, span),
+            None => (ctx.current_span(), obs::SpanId::NONE),
+        };
         self.stats.calls += 1;
         ctx.obs().on_call();
         // `transmit` encodes the request into whichever datagram carries
@@ -825,10 +840,34 @@ impl Channel {
         args: Value,
         strays: Option<OnStray<'_>>,
     ) -> Result<Value, RpcError> {
-        let call = cx.with(|cx| {
-            let span = cx.current_span();
-            self.stage(cx, object, op, args, span, obs::SpanId::NONE)
-        });
+        let call = cx.with(|cx| self.stage(cx, None, object, op, args, None));
+        self.wait_async(cx, Some(call), strays).await?;
+        self.claim(call)
+    }
+
+    /// [`Channel::call`] under `id`, which the caller minted
+    /// ([`simnet::Ctx::await_next`]) and holds as awaited: how a call is
+    /// re-sent, keeping its id, to the endpoint the channel was rebound
+    /// to after a `Moved` redirect or a relookup. The id must be above
+    /// those of the channel's unsettled calls, and the caller keeps
+    /// holding it until it has the call's result or gives up on it, so
+    /// no `lo` passes it meanwhile. The caller keeps `args` for the next
+    /// send too; each send stages a copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`Channel::call`].
+    pub async fn call_as(
+        &mut self,
+        cx: AsyncCx,
+        id: &simnet::Awaited,
+        object: &str,
+        op: &str,
+        args: &Value,
+        strays: Option<OnStray<'_>>,
+    ) -> Result<Value, RpcError> {
+        let call = CallHandle(id.id());
+        cx.with(|cx| self.stage(cx, Some(call.0), object, op, args.clone(), None));
         self.wait_async(cx, Some(call), strays).await?;
         self.claim(call)
     }

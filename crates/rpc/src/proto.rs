@@ -83,7 +83,7 @@ pub fn endpoint_from_value(v: &Value) -> Result<Endpoint, WireError> {
 }
 
 /// Writes an endpoint as two slots, node then port.
-fn write_endpoint(w: &mut ValueWriter<'_>, ep: Endpoint) {
+pub(crate) fn write_endpoint(w: &mut ValueWriter<'_>, ep: Endpoint) {
     w.u64(ep.node.0.into());
     w.u64(ep.port.0.into());
 }
@@ -472,7 +472,7 @@ fn read_envelope(r: &mut FieldReader<'_>, depth: usize) -> Result<Packet, WireEr
 }
 
 /// A slot read as the type its envelope needs.
-fn need<T>(slot: Option<T>, name: &'static str) -> Result<T, WireError> {
+pub(crate) fn need<T>(slot: Option<T>, name: &'static str) -> Result<T, WireError> {
     slot.ok_or(WireError::WrongKind {
         expected: name,
         actual: "another type",
@@ -480,7 +480,7 @@ fn need<T>(slot: Option<T>, name: &'static str) -> Result<T, WireError> {
 }
 
 /// Reads an endpoint's two slots in place.
-fn read_endpoint(r: &mut FieldReader<'_>, depth: usize) -> Result<Endpoint, WireError> {
+pub(crate) fn read_endpoint(r: &mut FieldReader<'_>, depth: usize) -> Result<Endpoint, WireError> {
     let mut part = |name| {
         let n = need(r.u64(depth)?, name)?;
         u32::try_from(n).map_err(|_| WireError::TooLong(n))

@@ -41,6 +41,12 @@
 //! re-run nor answered; after completion it is answered from the reply
 //! cache like any other.
 //!
+//! A server that checkpoints its state writes its windows into the same
+//! checkpoint ([`RpcServer::encode_windows`]) and starts again from them
+//! ([`RpcServer::restore`]), so that a call whose reply was lost in a
+//! crash is answered from the restored window, not run again, by the
+//! incarnation that recovers.
+//!
 //! Replies leave by one path, whichever way they were produced: those a
 //! batch gets on the spot, and those of calls completed together (the
 //! fills one origin reply batch settles at an edge), go out as one
@@ -51,10 +57,13 @@ use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 use simnet::{Ctx, Endpoint, Message, SimTime};
-use wire::Value;
+use wire::{FieldReader, Value, WireError};
 
 use crate::error::RemoteError;
-use crate::proto::{encode_reply, splice_reply_batch, Oneway, Packet, Reply, Request};
+use crate::proto::{
+    encode_reply, need, read_endpoint, splice_reply_batch, with_encoder, write_endpoint, Oneway,
+    Packet, Reply, Request,
+};
 
 /// Counters accumulated by a server.
 ///
@@ -431,6 +440,66 @@ impl RpcServer {
         Admit::Dropped
     }
 
+    /// The reply windows, encoded for a checkpoint: one list, holding for
+    /// each client, in endpoint order, `[node, port, floor, id, reply,
+    /// …]` with every recorded reply as the frame it was recorded as. A
+    /// call still executing is left out: its handler has not finished,
+    /// so the checkpoint holds none of its effects either, and a
+    /// retransmission of it runs afresh on a server restored from it.
+    pub fn encode_windows(&self) -> Bytes {
+        let mut clients: Vec<_> = self.windows.iter().collect();
+        clients.sort_unstable_by_key(|&(&client, _)| client);
+        with_encoder(|e| {
+            e.encode_with(|w| {
+                w.begin_list(clients.len());
+                for (&client, window) in clients {
+                    w.begin_list(3 + 2 * window.cached.len());
+                    write_endpoint(w, client);
+                    w.u64(window.floor);
+                    for (id, reply) in &window.cached {
+                        w.u64(*id);
+                        w.blob(reply);
+                    }
+                }
+            })
+        })
+    }
+
+    /// A server whose windows are those `windows` encodes
+    /// ([`RpcServer::encode_windows`]), its counters at zero.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] for an encoding that is truncated, has a slot of
+    /// the wrong kind or a window of the wrong arity, or has bytes past
+    /// its end.
+    pub fn restore(windows: &Bytes) -> Result<RpcServer, WireError> {
+        let mut r = FieldReader::new(windows);
+        let mut server = RpcServer::new();
+        for _ in 0..need(r.list(0)?, "a list of windows")? {
+            let slots = need(r.list(1)?, "a window")?;
+            if slots < 3 || slots % 2 == 0 {
+                return Err(WireError::WrongKind {
+                    expected: "a window [node, port, floor, id, reply, …]",
+                    actual: "another arity",
+                });
+            }
+            let client = read_endpoint(&mut r, 2)?;
+            let mut window = ClientWindow {
+                floor: need(r.u64(2)?, "floor")?,
+                ..ClientWindow::default()
+            };
+            for _ in 0..(slots - 3) / 2 {
+                let id = need(r.u64(2)?, "id")?;
+                let reply = need(r.blob(2)?, "reply")?;
+                window.cached.push_back((id, Bytes::copy_from_slice(reply)));
+            }
+            server.windows.insert(client, window);
+        }
+        r.finish()?;
+        Ok(server)
+    }
+
     /// How many clients this server keeps a window for (test hook: a
     /// client whose calls were all answered unrecorded has none).
     #[doc(hidden)]
@@ -730,6 +799,36 @@ mod tests {
         // A reply to a call the client has given up on is not kept.
         w.insert(120, Bytes::from_static(b"late"));
         assert!(w.lookup(120).is_none());
+    }
+
+    #[test]
+    fn windows_round_trip_through_their_encoding_without_executing_calls() {
+        let mut s = RpcServer::new();
+        let w = s.windows.entry(ep(3, 70_000)).or_default();
+        w.release_below(5);
+        w.insert(6, Bytes::from_static(b"six"));
+        w.insert(9, Bytes::from(vec![9u8; 40]));
+        w.executing.push(Executing {
+            call: Call {
+                call_id: 7,
+                span: 0,
+                dispatch: obs::SpanId::NONE,
+                started: SimTime::ZERO,
+            },
+            op: "incr".into(),
+        });
+        s.windows.entry(ep(1, 2)).or_default();
+        let restored = RpcServer::restore(&s.encode_windows()).unwrap();
+        assert_eq!(restored.windows_len(), 2);
+        let w = &restored.windows[&ep(3, 70_000)];
+        assert_eq!(w.floor, 4);
+        assert_eq!(w.lookup(6).map(|b| &b[..]), Some(&b"six"[..]));
+        assert_eq!(w.lookup(9).map(|b| b.len()), Some(40));
+        assert!(w.executing.is_empty() && !w.drops(7), "7 has not run");
+        assert_eq!(restored.encode_windows(), {
+            s.windows.get_mut(&ep(3, 70_000)).unwrap().executing.clear();
+            s.encode_windows()
+        });
     }
 
     #[test]

@@ -449,3 +449,56 @@ fn completing_an_unknown_call_sends_nothing() {
     });
     sim.run();
 }
+
+#[test]
+fn a_truncated_wrong_kind_or_overlong_window_encoding_is_refused() {
+    // One client, 0:9, whose floor is 2 and whose call 3 has a recorded
+    // reply: the window as a checkpoint carries it.
+    let reply = Reply {
+        call_id: 3,
+        result: Ok(Value::U64(1)),
+        span: 0,
+    }
+    .to_bytes();
+    let window = |floor: Value, tail: &[Value]| {
+        let mut slots = vec![Value::U64(0), Value::U64(9), floor];
+        slots.extend_from_slice(tail);
+        wire::encode(&Value::list([Value::list(slots)]))
+    };
+    let recorded = [Value::U64(3), Value::Blob(reply.clone())];
+    let good = window(Value::U64(2), &recorded);
+    let restored = RpcServer::restore(&good).expect("a good encoding");
+    assert_eq!(restored.windows_len(), 1);
+    assert_eq!(restored.encode_windows(), good, "restored as encoded");
+
+    for cut in [0, 1, good.len() / 2, good.len() - 1] {
+        let truncated = Bytes::copy_from_slice(&good[..cut]);
+        assert!(RpcServer::restore(&truncated).is_err(), "cut at {cut}");
+    }
+    for wrong in [
+        window(Value::str("2"), &recorded),
+        window(
+            Value::U64(2),
+            &[Value::str("3"), Value::Blob(reply.clone())],
+        ),
+        window(Value::U64(2), &[Value::U64(3), Value::str("reply")]),
+        window(Value::U64(2), &recorded[..1]),
+        wire::encode(&Value::list([Value::U64(0)])),
+        wire::encode(&Value::str("garbage")),
+    ] {
+        assert!(
+            matches!(
+                RpcServer::restore(&wrong),
+                Err(wire::WireError::WrongKind { .. })
+            ),
+            "{:?}",
+            wire::decode(&wrong)
+        );
+    }
+    let mut long = good.to_vec();
+    long.push(0);
+    assert_eq!(
+        RpcServer::restore(&Bytes::from(long)).map(|s| s.windows_len()),
+        Err(wire::WireError::TrailingBytes(1))
+    );
+}

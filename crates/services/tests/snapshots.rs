@@ -245,19 +245,23 @@ fn blob_refuses_a_malformed_snapshot() {
 
 #[test]
 fn a_garbage_checkpoint_stops_recovery_naming_the_service() {
-    let store = StableStore::new();
-    store.save(NodeId(1), "ctr", Value::str("garbage"));
-    let mut sim = Simulation::new(NetworkConfig::lan(), 3);
-    let ns = spawn_name_server(&sim, NodeId(0));
-    ServiceBuilder::new("ctr")
-        .factories(services::all_factories())
-        .recovered(CheckpointPolicy::every(store, 1))
-        .object(|| Box::new(Counter::new()))
-        .spawn(&sim, NodeId(1), ns);
-    let panic = catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
-    let msg = panic.downcast_ref::<String>().expect("a formatted panic");
-    assert!(
-        msg.contains("svc-ctr: service `ctr` cannot restore its checkpoint"),
-        "{msg}"
-    );
+    // Garbage, and a good object beside reply windows that do not decode.
+    let windows = Value::blob(wire::encode(&Value::list([Value::U64(7)])));
+    for garbage in [Value::str("garbage"), Value::list([Value::U64(3), windows])] {
+        let store = StableStore::new();
+        store.save(NodeId(1), "ctr", garbage);
+        let mut sim = Simulation::new(NetworkConfig::lan(), 3);
+        let ns = spawn_name_server(&sim, NodeId(0));
+        ServiceBuilder::new("ctr")
+            .factories(services::all_factories())
+            .recovered(CheckpointPolicy::every(store, 1))
+            .object(|| Box::new(Counter::new()))
+            .spawn(&sim, NodeId(1), ns);
+        let panic = catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            msg.contains("svc-ctr: service `ctr` cannot restore its checkpoint"),
+            "{msg}"
+        );
+    }
 }

@@ -246,20 +246,6 @@ impl Value {
         })
     }
 
-    /// Required `i64` field of a record.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::MissingField`] if absent, [`WireError::WrongKind`] if
-    /// present with another kind.
-    pub fn get_i64(&self, name: &'static str) -> Result<i64, WireError> {
-        let v = self.get(name).ok_or(WireError::MissingField(name))?;
-        v.as_i64().ok_or(WireError::WrongKind {
-            expected: "i64",
-            actual: v.kind(),
-        })
-    }
-
     /// Required bool field of a record.
     ///
     /// # Errors
