@@ -67,10 +67,10 @@ struct Row {
 
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
-    Row { shape: "fleet_stub", calls: 256, datagrams: 3.0625, wire_bytes: 182.5625, events: 3.59765625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 22.28515625, alloc_bytes: 2830.12890625, peak_live_bytes: 196138 },
+    Row { shape: "fleet_stub", calls: 256, datagrams: 3.0625, wire_bytes: 175.8125, events: 3.59765625, frames: 3.0625, decodes: 3.0625, spans: 3.03125, allocs: 21.19140625, alloc_bytes: 2696.12890625, peak_live_bytes: 195050 },
     Row { shape: "pipeline_blob", calls: 256, datagrams: 0.5, wire_bytes: 4182.00390625, events: 0.51953125, frames: 1.5, decodes: 0.5, spans: 2.0, allocs: 7.18359375, alloc_bytes: 5437.0078125, peak_live_bytes: 375433 },
-    Row { shape: "proxy_cache", calls: 310, datagrams: 0.43870967741935485, wire_bytes: 74.05806451612904, events: 0.6580645161290323, frames: 0.43870967741935485, decodes: 0.43870967741935485, spans: 1.2193548387096773, allocs: 5.851612903225806, alloc_bytes: 884.6032258064516, peak_live_bytes: 81820 },
-    Row { shape: "bulk_edge", calls: 60, datagrams: 9.15, wire_bytes: 29325.316666666666, events: 12.116666666666667, frames: 9.4, decodes: 9.15, spans: 8.583333333333334, allocs: 240.36666666666667, alloc_bytes: 91564.53333333334, peak_live_bytes: 953550 },
+    Row { shape: "proxy_cache", calls: 310, datagrams: 0.43870967741935485, wire_bytes: 73.61935483870968, events: 0.6580645161290323, frames: 0.43870967741935485, decodes: 0.43870967741935485, spans: 1.2193548387096773, allocs: 5.82258064516129, alloc_bytes: 877.4548387096775, peak_live_bytes: 81564 },
+    Row { shape: "bulk_edge", calls: 60, datagrams: 9.15, wire_bytes: 29285.3, events: 12.116666666666667, frames: 9.4, decodes: 9.15, spans: 8.583333333333334, allocs: 238.66666666666666, alloc_bytes: 91198.13333333333, peak_live_bytes: 952934 },
     Row { shape: "local", calls: 100, datagrams: 0.0, wire_bytes: 0.0, events: 0.01, frames: 0.0, decodes: 0.0, spans: 1.0, allocs: 2.21, alloc_bytes: 714.57, peak_live_bytes: 52162 },
 ];
 

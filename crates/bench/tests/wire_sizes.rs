@@ -30,11 +30,11 @@ struct Size {
 const EXPECTED: &[Size] = &[
     Size { message: "put request", bytes: 64 },
     Size { message: "get request", bytes: 54 },
-    Size { message: "lookup request", bytes: 57 },
+    Size { message: "lookup request", bytes: 50 },
     Size { message: "put reply", bytes: 28 },
     Size { message: "get reply", bytes: 31 },
-    Size { message: "lookup reply", bytes: 162 },
-    Size { message: "invalidation", bytes: 57 },
+    Size { message: "lookup reply", bytes: 153 },
+    Size { message: "invalidation", bytes: 49 },
     Size { message: "4-reply batch", bytes: 83 },
 ];
 
@@ -80,13 +80,13 @@ fn measure() -> Vec<Size> {
         meta: Value::list([ProxySpec::Stub.to_value(), KvStore::interface().to_value()]),
         generation: 1,
     };
-    let invalidation = Value::record([("svc", Value::str("kv0")), ("tag", Value::str("c7/k"))]);
+    let invalidation = protocol::invalidation("kv0", "c7/k");
     let batch = Batch {
         items: (1..=4)
             .map(|n| Packet::Reply(reply(n, Value::Null)))
             .collect(),
     };
-    let lookup = Value::record([("name", Value::str("kv0"))]);
+    let lookup = naming::name_arg("kv0");
     let framed = [
         ("put request", request(2, "put", put)),
         ("get request", request(3, "get", Value::record([key()]))),

@@ -108,27 +108,38 @@ impl Default for BulkParams {
 }
 
 impl BulkParams {
-    /// Encodes the params for binding metadata.
+    /// Encodes the params for binding metadata: `[store, threshold,
+    /// chunk, depth]`.
     pub fn to_value(&self) -> Value {
-        Value::record([
-            ("store", Value::str(self.store.clone())),
-            ("threshold", Value::U64(self.threshold as u64)),
-            ("chunk", Value::U64(self.chunk as u64)),
-            ("depth", Value::U64(self.depth as u64)),
+        Value::list([
+            Value::str(self.store.clone()),
+            Value::U64(self.threshold as u64),
+            Value::U64(self.chunk as u64),
+            Value::U64(self.depth as u64),
         ])
     }
 
-    /// Decodes params from binding metadata.
+    /// Decodes params from binding metadata, clamping `chunk` and
+    /// `depth` to what a transfer supports.
     ///
     /// # Errors
     ///
-    /// [`wire::WireError`] for missing or malformed fields.
+    /// [`wire::WireError`] for any other shape.
     pub fn from_value(v: &Value) -> Result<BulkParams, wire::WireError> {
+        let [Value::Str(store), Value::U64(threshold), Value::U64(chunk), Value::U64(depth)] =
+            v.as_list().unwrap_or_default()
+        else {
+            let expected = "bulk params [store, threshold, chunk, depth]";
+            return Err(wire::WireError::WrongKind {
+                expected,
+                actual: v.kind(),
+            });
+        };
         Ok(BulkParams {
-            store: v.get_str("store")?.to_owned(),
-            threshold: v.get_u64("threshold")? as usize,
-            chunk: (v.get_u64("chunk")? as usize).clamp(1, MAX_CHUNK),
-            depth: (v.get_u64("depth")? as usize).clamp(1, MAX_DEPTH),
+            store: store.to_string_owned(),
+            threshold: *threshold as usize,
+            chunk: (*chunk as usize).clamp(1, MAX_CHUNK),
+            depth: (*depth as usize).clamp(1, MAX_DEPTH),
         })
     }
 }
@@ -514,12 +525,8 @@ mod tests {
         assert_eq!(BulkParams::from_value(&p.to_value()).unwrap(), p);
         // Hostile values are clamped into the legal range.
         let hostile = |depth| {
-            Value::record([
-                ("store", Value::str("s")),
-                ("threshold", Value::U64(10)),
-                ("chunk", Value::U64(u64::MAX)),
-                ("depth", Value::U64(depth)),
-            ])
+            let slots = [Value::U64(10), Value::U64(u64::MAX), Value::U64(depth)];
+            Value::list([Value::str("s")].into_iter().chain(slots))
         };
         let parsed = BulkParams::from_value(&hostile(0)).unwrap();
         assert_eq!(parsed.chunk, MAX_CHUNK);

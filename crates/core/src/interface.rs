@@ -12,7 +12,7 @@
 //! decides (see `rpc::RpcServer`).
 //!
 //! A descriptor travels in every name-server lookup reply (inside the
-//! binding metadata `[spec, iface]`) and answers the `_iface` system op.
+//! binding metadata `[spec, iface]`).
 //! Both ends run this crate, so it is positional and names no field:
 //! `[type, [op, …]]`, each op `[name, flags, key | null]` with `flags`
 //! = 1 for a write and 0 for a read. Any other flags are refused.
@@ -188,8 +188,8 @@ impl InterfaceDesc {
         matches!(self.op(name), Some(o) if o.kind == OpKind::Write)
     }
 
-    /// Encodes the interface as a wire value (the `_iface` system op and
-    /// the binding metadata): `[type, [op, …]]`, each op as
+    /// Encodes the interface as a wire value (for the binding
+    /// metadata): `[type, [op, …]]`, each op as
     /// `[name, flags, key | null]` with `flags` = 1 for a write.
     pub fn to_value(&self) -> Value {
         Value::list([

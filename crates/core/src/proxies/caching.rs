@@ -8,7 +8,7 @@
 //!   windows are bounded by the lease with zero server state.
 //! * **Invalidations** — the proxy subscribes at bind time; the service
 //!   files it under every tag it reads, and a write pushes an
-//!   `inv {svc, tag}` notification to the tag's current sharers only.
+//!   `inv [svc, tag]` notification to the tag's current sharers only.
 //!   The proxy drops the tag when the notification arrives (at its next
 //!   mailbox poll) and the service forgets it until it reads the tag
 //!   again — a proxy that never read what was written hears nothing. A
@@ -81,7 +81,7 @@ impl CachingProxy {
         op: &str,
         strays: &mut Vec<Oneway>,
     ) -> Result<(), RpcError> {
-        let args = Value::record([("cb", endpoint_to_value(cx.with(|cx| cx.endpoint())))]);
+        let args = endpoint_to_value(cx.with(|cx| cx.endpoint()));
         self.remote
             .rpc
             .call(cx, "", op, args, Some(&mut oneways_into(strays)))
@@ -168,7 +168,7 @@ impl CachingProxy {
         while let Ok(Some(msg)) = ctx.try_recv() {
             match rpc::Packet::from_frame(&msg.payload) {
                 Ok(rpc::Packet::Oneway(o)) => {
-                    if o.args.get("svc").and_then(Value::as_str) == Some(self.service()) {
+                    if protocol::notice(&o).is_ok_and(|(svc, _)| svc == self.service()) {
                         self.handle_oneway(&o);
                     } else {
                         strays.push(o);

@@ -72,8 +72,7 @@ impl MigratoryProxy {
             .call_plain(cx, protocol::OP_CHECKOUT, Value::Null, strays)
             .await;
         match result {
-            Ok(reply) => {
-                let state = reply.get("state").cloned().unwrap_or(Value::Null);
+            Ok(state) => {
                 match self
                     .factories
                     .create(&self.remote.iface().type_name, &state)
@@ -85,13 +84,12 @@ impl MigratoryProxy {
                     Err(_) => {
                         // We took the object but cannot host it; push the
                         // state straight back.
-                        let args = Value::record([("state", state)]);
                         let _ = (self.remote.rpc)
                             .call(
                                 cx,
                                 "",
                                 protocol::OP_CHECKIN,
-                                args,
+                                state,
                                 Some(&mut oneways_into(strays)),
                             )
                             .await;
@@ -111,8 +109,7 @@ impl MigratoryProxy {
             self.recall_requested = false;
             return Ok(());
         };
-        let state = obj.snapshot().map_err(RpcError::Remote)?;
-        let args = Value::record([("state", state)]);
+        let args = obj.snapshot().map_err(RpcError::Remote)?;
         match self
             .remote
             .call_plain(cx, protocol::OP_CHECKIN, args, strays)
@@ -200,7 +197,7 @@ impl Proxy for MigratoryProxy {
     }
 
     fn on_oneway(&mut self, _ctx: &mut Ctx, oneway: &rpc::Oneway) {
-        if oneway.op == protocol::MSG_RECALL {
+        if matches!(protocol::notice(oneway), Ok((_, None))) {
             self.recall_requested = true;
         }
     }

@@ -128,13 +128,13 @@ impl ReadCache {
         self.compact_order();
     }
 
-    /// Applies an `inv {svc, tag}` notification and returns the tag it
-    /// dropped; `None` (nothing touched) for any other one-way.
+    /// Applies an `inv [svc, tag]` notification and returns the tag it
+    /// dropped; `None` (nothing touched) for any other one-way, or one
+    /// that does not decode.
     pub fn on_invalidate<'a>(&mut self, oneway: &'a rpc::Oneway) -> Option<&'a str> {
-        if oneway.op != protocol::MSG_INVALIDATE {
+        let Ok((_, Some(tag))) = protocol::notice(oneway) else {
             return None;
-        }
-        let tag = oneway.args.get("tag").and_then(Value::as_str)?;
+        };
         self.invalidate_tag(tag);
         Some(tag)
     }

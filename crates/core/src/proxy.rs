@@ -13,14 +13,18 @@ use rpc::{Oneway, RpcError};
 use simnet::{AsyncCx, Ctx};
 use wire::Value;
 
-/// Well-known operation and notification names of the proxy protocol.
-///
-/// Operations beginning with `_` are *system* operations handled by the
-/// hosting [`crate::ServiceServer`] itself; all other operations are
-/// dispatched to the hosted [`crate::ServiceObject`].
+/// The proxy protocol: its names, and the one encoder and decoder of
+/// each notification. Operations beginning with `_` are *system*
+/// operations handled by the hosting [`crate::ServiceServer`] itself;
+/// the rest go to the hosted [`crate::ServiceObject`]. The protocol is
+/// private to a service and its proxies, so it is positional:
+/// `_subscribe` and `_unsubscribe` take the callback endpoint
+/// ([`rpc::endpoint_to_value`]), `_checkout` answers with the object's
+/// state and `_checkin` takes it; `inv` is `[svc, tag]`, `recall` `[svc]`.
 pub mod protocol {
-    /// Fetch the service interface description.
-    pub const OP_IFACE: &str = "_iface";
+    use rpc::Oneway;
+    use wire::{Value, WireError};
+
     /// Subscribe the caller for invalidation notifications.
     pub const OP_SUBSCRIBE: &str = "_subscribe";
     /// Remove an invalidation subscription.
@@ -29,16 +33,39 @@ pub mod protocol {
     pub const OP_CHECKOUT: &str = "_checkout";
     /// Return a checked-out object's state.
     pub const OP_CHECKIN: &str = "_checkin";
-    /// Capture the object state without transferring ownership.
-    pub const OP_SNAPSHOT: &str = "_snapshot";
-    /// Liveness / latency probe.
+    /// Liveness / latency probe (a replica answers it).
     pub const OP_PING: &str = "_ping";
-
-    /// One-way: a cached tag became stale (`args: {svc, tag}`).
+    /// One-way: a cached tag became stale.
     pub const MSG_INVALIDATE: &str = "inv";
-    /// One-way: the service wants a checked-out object back
-    /// (`args: {svc}`).
+    /// One-way: the service wants a checked-out object back.
     pub const MSG_RECALL: &str = "recall";
+
+    /// The body of an `inv`, `[svc, tag]`.
+    pub fn invalidation(service: &str, tag: &str) -> Value {
+        Value::list([Value::str(service), Value::str(tag)])
+    }
+
+    /// The body of a `recall`, `[svc]`.
+    pub fn recall(service: &str) -> Value {
+        Value::list([Value::str(service)])
+    }
+
+    /// Decodes a notice: the service it comes from, and the stale tag
+    /// of an `inv` (`None` for a `recall`).
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] for another op, or a body of another shape.
+    pub fn notice(o: &Oneway) -> Result<(&str, Option<&str>), WireError> {
+        match (o.op.as_str(), o.args.as_list().unwrap_or_default()) {
+            (MSG_INVALIDATE, [Value::Str(svc), Value::Str(tag)]) => Ok((svc, Some(tag))),
+            (MSG_RECALL, [Value::Str(svc)]) => Ok((svc, None)),
+            _ => Err(WireError::WrongKind {
+                expected: "inv [svc, tag] or recall [svc]",
+                actual: o.args.kind(),
+            }),
+        }
+    }
 }
 
 /// Counters every proxy maintains; the currency of the experiment
@@ -123,5 +150,49 @@ pub trait Proxy: Send {
 impl std::fmt::Debug for dyn Proxy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Proxy({})", self.service())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rpc::Oneway;
+    use simnet::{Endpoint, NodeId, PortId};
+    use wire::Value;
+
+    use super::protocol::{self, MSG_INVALIDATE, MSG_RECALL};
+
+    fn oneway(op: &str, args: Value) -> Oneway {
+        Oneway {
+            from: Endpoint::new(NodeId(1), PortId(2)),
+            op: op.into(),
+            args,
+            span: 0,
+        }
+    }
+
+    #[test]
+    fn notices_decode_strictly() {
+        let inv = oneway(MSG_INVALIDATE, protocol::invalidation("kv", "k"));
+        assert_eq!(protocol::notice(&inv).unwrap(), ("kv", Some("k")));
+        let recall = oneway(MSG_RECALL, protocol::recall("kv"));
+        assert_eq!(protocol::notice(&recall).unwrap(), ("kv", None));
+        let s = Value::str;
+        let refused = [
+            (MSG_INVALIDATE, Value::list([s("kv")])),
+            (MSG_INVALIDATE, Value::list([s("kv"), s("k"), s("k")])),
+            (MSG_INVALIDATE, Value::list([s("kv"), Value::U64(7)])),
+            (
+                MSG_INVALIDATE,
+                Value::record([("svc", s("kv")), ("tag", s("k"))]),
+            ),
+            (MSG_RECALL, Value::list([])),
+            (MSG_RECALL, Value::list([s("kv"), s("kv")])),
+            (MSG_RECALL, s("kv")),
+            ("poke", Value::list([s("kv")])),
+        ];
+        for (op, args) in refused {
+            let o = oneway(op, args);
+            assert!(protocol::notice(&o).is_err(), "{op} {} decoded", o.args);
+        }
     }
 }

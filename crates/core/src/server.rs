@@ -5,8 +5,8 @@
 //! [`ServiceObject`], registers it with the name service together with
 //! the [`ProxySpec`] its clients must run, and then serves the proxy
 //! protocol — ordinary operations, plus the system operations that smart
-//! proxies rely on (interface fetch, invalidation subscriptions,
-//! checkout/checkin for migration).
+//! proxies rely on (invalidation subscriptions, checkout/checkin for
+//! migration; [`protocol`] tables their bodies).
 //!
 //! How the context executes is the service's private business — no
 //! client can tell — so it is the cheap kind: an `async` process with no
@@ -86,26 +86,17 @@ struct Core {
 impl Core {
     fn send_recall(&mut self, ctx: &Ctx) {
         if let Some(holder) = self.holder {
-            send_oneway(
-                ctx,
-                holder,
-                protocol::MSG_RECALL,
-                &Value::record([("svc", Value::str(self.name.as_str()))]),
-            );
+            let body = protocol::recall(&self.name);
+            send_oneway(ctx, holder, &self.name, protocol::MSG_RECALL, &body);
             self.stats.recalls_sent += 1;
         }
     }
 
-    /// Pushes `inv {svc, tag}` to the caches a successful write under
+    /// Pushes `inv [svc, tag]` to the caches a successful write under
     /// `tag` staled: the tag's current sharers and the whole-object
     /// readers, never the writer (see [`Sharers::take`]).
     fn invalidate(&mut self, ctx: &Ctx, tag: &str, writer: Endpoint) {
-        let body = |tag: &str| {
-            Value::record([
-                ("svc", Value::str(self.name.as_str())),
-                ("tag", Value::str(tag)),
-            ])
-        };
+        let body = |tag: &str| protocol::invalidation(&self.name, tag);
         let (mut keyed, mut whole) = (None, None);
         for (sub, everything) in self.sharers.take(tag, writer) {
             let args = if everything {
@@ -113,7 +104,7 @@ impl Core {
             } else {
                 keyed.get_or_insert_with(|| body(tag))
             };
-            send_oneway(ctx, sub, protocol::MSG_INVALIDATE, args);
+            send_oneway(ctx, sub, &self.name, protocol::MSG_INVALIDATE, args);
             self.stats.invalidations_sent += 1;
         }
     }
@@ -130,35 +121,15 @@ impl Core {
 
     fn run(&mut self, ctx: &mut Ctx, req: &Request) -> Result<Value, RemoteError> {
         match req.op.as_str() {
-            protocol::OP_IFACE => Ok(self.iface.to_value()),
-            protocol::OP_PING => Ok(Value::Null),
-            protocol::OP_SUBSCRIBE => {
-                let cb = endpoint_from_value(
-                    req.args
-                        .get("cb")
-                        .ok_or_else(|| RemoteError::new(ErrorCode::BadArgs, "missing cb"))?,
-                )
-                .map_err(|e| RemoteError::new(ErrorCode::BadArgs, e.to_string()))?;
-                self.sharers.subscribe(cb);
+            op @ (protocol::OP_SUBSCRIBE | protocol::OP_UNSUBSCRIBE) => {
+                let cb = endpoint_from_value(&req.args)
+                    .map_err(|e| RemoteError::new(ErrorCode::BadArgs, e.to_string()))?;
+                match op {
+                    protocol::OP_SUBSCRIBE => self.sharers.subscribe(cb),
+                    _ => self.sharers.unsubscribe(cb),
+                }
                 Ok(Value::Null)
             }
-            protocol::OP_UNSUBSCRIBE => {
-                let cb = endpoint_from_value(
-                    req.args
-                        .get("cb")
-                        .ok_or_else(|| RemoteError::new(ErrorCode::BadArgs, "missing cb"))?,
-                )
-                .map_err(|e| RemoteError::new(ErrorCode::BadArgs, e.to_string()))?;
-                self.sharers.unsubscribe(cb);
-                Ok(Value::Null)
-            }
-            protocol::OP_SNAPSHOT => match &self.object {
-                Some(obj) => obj.snapshot(),
-                None => Err(RemoteError::new(
-                    ErrorCode::Unavailable,
-                    "object is checked out",
-                )),
-            },
             protocol::OP_CHECKOUT => match self.object.take() {
                 Some(obj) => match obj.snapshot() {
                     Ok(state) => {
@@ -169,7 +140,7 @@ impl Core {
                             from: ctx.endpoint().into(),
                             to: req.reply_to.into(),
                         });
-                        Ok(Value::record([("state", state)]))
+                        Ok(state)
                     }
                     Err(e) => {
                         self.object = Some(obj);
@@ -188,17 +159,13 @@ impl Core {
                 }
             },
             protocol::OP_CHECKIN => {
-                let state = req
-                    .args
-                    .get("state")
-                    .ok_or_else(|| RemoteError::new(ErrorCode::BadArgs, "missing state"))?;
                 let factories = self.factories.as_ref().ok_or_else(|| {
                     RemoteError::new(
                         ErrorCode::Unavailable,
                         "service cannot restore objects (no factories)",
                     )
                 })?;
-                let obj = factories.create(&self.iface.type_name, state)?;
+                let obj = factories.create(&self.iface.type_name, &req.args)?;
                 self.object = Some(obj);
                 self.holder = None;
                 self.stats.checkins += 1;

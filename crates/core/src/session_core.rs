@@ -54,7 +54,7 @@ use wire::Value;
 
 use crate::binder::Binder;
 use crate::object::FactoryRegistry;
-use crate::proxy::{Proxy, ProxyStats};
+use crate::proxy::{protocol, Proxy, ProxyStats};
 use crate::spec::ProxySpec;
 
 /// Handle to a proxy owned by a session core.
@@ -324,11 +324,9 @@ impl SessionCore {
 
     pub(crate) fn route(&mut self, ctx: &mut Ctx, oneways: Vec<Oneway>) {
         for o in oneways {
-            let target = o
-                .args
-                .get("svc")
-                .and_then(Value::as_str)
-                .and_then(|svc| self.by_service.get(svc).copied());
+            let target = protocol::notice(&o)
+                .ok()
+                .and_then(|(svc, _)| self.by_service.get(svc).copied());
             match target {
                 Some(idx) => self.proxies[idx].on_oneway(ctx, &o),
                 None => ctx.obs().on_stray_dropped(),
@@ -422,11 +420,7 @@ impl SessionCore {
             self.binder.ns_endpoint(),
             ChannelConfig::default(),
         ));
-        let call = chan.begin_call(
-            cx.ctx(),
-            "lookup",
-            Value::record([("name", Value::str(service))]),
-        );
+        let call = chan.begin_call(cx.ctx(), "lookup", naming::name_arg(service));
         chan.flush(cx.ctx());
         BindState::Resolving {
             service: service.to_owned(),

@@ -8,6 +8,18 @@
 //! service's replica list, and so on. Clients never hard-code a strategy,
 //! which is exactly the encapsulation the paper argues for: the service
 //! can change its distribution protocol without touching client code.
+//!
+//! The spec travels only between this crate and the services that
+//! publish it, so it is positional and names no field: `[kind, …]`, the
+//! kind a code and then its variant's slots. Stub is `[0]`, caching
+//! `[1, params]`, migratory `[2, threshold]`, replicated `[3, primary,
+//! [replica, …], read]` (read 0 nearest, 1 primary), adaptive
+//! `[4, [window, enable_at, disable_at, params]]`, bulk `[5, inner,
+//! [store, threshold, chunk, depth]]` and custom `[6, kind, params]`.
+//! Caching params are `[mode, lease_ns, capacity]` (mode 0 a lease, 1
+//! invalidations, 2 both); an endpoint is `[node, port]`. The decoder
+//! refuses an unknown kind, mode or read target, a missing or trailing
+//! slot and a slot of the wrong type, and fills in no default.
 
 use std::time::Duration;
 
@@ -164,7 +176,7 @@ impl ProxySpec {
         }
     }
 
-    /// The `kind` field of the encoded spec.
+    /// The spec's kind, as errors name it.
     pub(crate) fn kind(&self) -> &'static str {
         match self {
             ProxySpec::Stub => "stub",
@@ -177,149 +189,138 @@ impl ProxySpec {
         }
     }
 
-    /// Encodes the spec for the name-service metadata record.
+    /// Encodes the spec for the name-service metadata record (see the
+    /// module doc).
     pub fn to_value(&self) -> Value {
         match self {
-            ProxySpec::Stub => Value::record([("kind", Value::str(self.kind()))]),
-            ProxySpec::Caching(p) => Value::record([
-                ("kind", Value::str(self.kind())),
-                ("params", caching_to_value(p)),
-            ]),
-            ProxySpec::Migratory { threshold } => Value::record([
-                ("kind", Value::str(self.kind())),
-                ("threshold", Value::U64(*threshold)),
-            ]),
+            ProxySpec::Stub => Value::list([Value::U64(STUB)]),
+            ProxySpec::Caching(p) => Value::list([Value::U64(CACHING), caching_to_value(p)]),
+            ProxySpec::Migratory { threshold } => {
+                Value::list([Value::U64(MIGRATORY), Value::U64(*threshold)])
+            }
             ProxySpec::Replicated {
                 primary,
                 replicas,
                 read_target,
-            } => Value::record([
-                ("kind", Value::str(self.kind())),
-                ("primary", endpoint_to_value(*primary)),
-                (
-                    "replicas",
-                    Value::list(replicas.iter().map(|r| endpoint_to_value(*r))),
-                ),
-                (
-                    "read",
-                    Value::str(match read_target {
-                        ReadTarget::Nearest => "nearest",
-                        ReadTarget::Primary => "primary",
-                    }),
-                ),
+            } => Value::list([
+                Value::U64(REPLICATED),
+                endpoint_to_value(*primary),
+                Value::list(replicas.iter().map(|r| endpoint_to_value(*r))),
+                Value::U64((*read_target == ReadTarget::Primary).into()),
             ]),
-            ProxySpec::Adaptive(p) => Value::record([
-                ("kind", Value::str(self.kind())),
-                ("window", Value::U64(p.window as u64)),
-                ("enable_at", Value::F64(p.enable_at)),
-                ("disable_at", Value::F64(p.disable_at)),
-                ("caching", caching_to_value(&p.caching)),
+            ProxySpec::Adaptive(p) => Value::list([
+                Value::U64(ADAPTIVE),
+                Value::list([
+                    Value::U64(p.window as u64),
+                    Value::F64(p.enable_at),
+                    Value::F64(p.disable_at),
+                    caching_to_value(&p.caching),
+                ]),
             ]),
-            ProxySpec::Bulk { inner, params } => Value::record([
-                ("kind", Value::str(self.kind())),
-                ("inner", inner.to_value()),
-                ("bulk", params.to_value()),
-            ]),
-            ProxySpec::Custom { kind, params } => Value::record([
-                ("kind", Value::str(self.kind())),
-                ("custom_kind", Value::str(kind.clone())),
-                ("params", params.clone()),
-            ]),
+            ProxySpec::Bulk { inner, params } => {
+                Value::list([Value::U64(BULK), inner.to_value(), params.to_value()])
+            }
+            ProxySpec::Custom { kind, params } => {
+                Value::list([Value::U64(CUSTOM), Value::str(kind.clone()), params.clone()])
+            }
         }
     }
 
-    /// Decodes a spec from name-service metadata.
+    /// Decodes a spec from name-service metadata, strictly.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] for missing or malformed fields.
+    /// Returns a [`WireError`] for an unknown kind, coherence mode or
+    /// read target, a wrong arity, or a slot of the wrong kind or range.
     pub fn from_value(v: &Value) -> Result<ProxySpec, WireError> {
-        match v.get_str("kind")? {
-            "stub" => Ok(ProxySpec::Stub),
-            "caching" => Ok(ProxySpec::Caching(caching_from_value(
-                v.get("params").unwrap_or(&Value::Null),
-            )?)),
-            "migratory" => Ok(ProxySpec::Migratory {
-                threshold: v.get_u64("threshold")?,
-            }),
-            "replicated" => {
-                let primary = endpoint_from_value(
-                    v.get("primary").ok_or(WireError::MissingField("primary"))?,
-                )?;
-                let replicas = v
-                    .get_list("replicas")?
-                    .iter()
-                    .map(endpoint_from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let read_target = match v.get_str("read")? {
-                    "primary" => ReadTarget::Primary,
-                    _ => ReadTarget::Nearest,
-                };
-                Ok(ProxySpec::Replicated {
-                    primary,
-                    replicas,
-                    read_target,
-                })
+        let slots = v.as_list().ok_or(malformed("proxy spec [kind, …]"))?;
+        Ok(match slots {
+            [Value::U64(STUB)] => ProxySpec::Stub,
+            [Value::U64(CACHING), p] => ProxySpec::Caching(caching_from_value(p)?),
+            [Value::U64(MIGRATORY), Value::U64(threshold)] => ProxySpec::Migratory {
+                threshold: *threshold,
+            },
+            [Value::U64(REPLICATED), primary, Value::List(replicas), Value::U64(read)] => {
+                ProxySpec::Replicated {
+                    primary: endpoint_from_value(primary)?,
+                    replicas: replicas
+                        .iter()
+                        .map(endpoint_from_value)
+                        .collect::<Result<_, _>>()?,
+                    read_target: match read {
+                        0 => ReadTarget::Nearest,
+                        1 => ReadTarget::Primary,
+                        _ => return Err(malformed("read target 0 or 1")),
+                    },
+                }
             }
-            "adaptive" => Ok(ProxySpec::Adaptive(AdaptiveParams {
-                window: v.get_u64("window")? as usize,
-                enable_at: v
-                    .get("enable_at")
-                    .and_then(Value::as_f64)
-                    .ok_or(WireError::MissingField("enable_at"))?,
-                disable_at: v
-                    .get("disable_at")
-                    .and_then(Value::as_f64)
-                    .ok_or(WireError::MissingField("disable_at"))?,
-                caching: caching_from_value(v.get("caching").unwrap_or(&Value::Null))?,
-            })),
-            "bulk" => Ok(ProxySpec::Bulk {
-                inner: Box::new(ProxySpec::from_value(
-                    v.get("inner").ok_or(WireError::MissingField("inner"))?,
-                )?),
-                params: match v.get("bulk") {
-                    Some(p) => BulkParams::from_value(p)?,
-                    None => BulkParams::default(),
-                },
-            }),
-            "custom" => Ok(ProxySpec::Custom {
-                kind: v.get_str("custom_kind")?.to_owned(),
-                params: v.get("params").cloned().unwrap_or(Value::Null),
-            }),
-            other => Err(WireError::WrongKind {
-                expected: "known proxy spec kind",
-                actual: if other.is_empty() { "empty" } else { "unknown" },
-            }),
-        }
+            [Value::U64(ADAPTIVE), Value::List(p)] => match &p[..] {
+                [Value::U64(window), Value::F64(enable_at), Value::F64(disable_at), caching] => {
+                    ProxySpec::Adaptive(AdaptiveParams {
+                        window: *window as usize,
+                        enable_at: *enable_at,
+                        disable_at: *disable_at,
+                        caching: caching_from_value(caching)?,
+                    })
+                }
+                _ => return Err(malformed("adaptive [window, enable, disable, caching]")),
+            },
+            [Value::U64(BULK), inner, params] => ProxySpec::Bulk {
+                inner: Box::new(ProxySpec::from_value(inner)?),
+                params: BulkParams::from_value(params)?,
+            },
+            [Value::U64(CUSTOM), Value::Str(kind), params] => ProxySpec::Custom {
+                kind: kind.to_string_owned(),
+                params: params.clone(),
+            },
+            _ => return Err(malformed("a known proxy spec kind with its slots")),
+        })
     }
 }
 
+/// The spec kind codes, each an encoded spec's first slot.
+const STUB: u64 = 0;
+const CACHING: u64 = 1;
+const MIGRATORY: u64 = 2;
+const REPLICATED: u64 = 3;
+const ADAPTIVE: u64 = 4;
+const BULK: u64 = 5;
+const CUSTOM: u64 = 6;
+
+fn malformed(expected: &'static str) -> WireError {
+    WireError::WrongKind {
+        expected,
+        actual: "another shape",
+    }
+}
+
+/// `[mode, lease_ns, capacity]`, the mode 0 for a lease, 1 for
+/// invalidations, 2 for both.
 fn caching_to_value(p: &CachingParams) -> Value {
     let (mode, lease_ns) = match p.coherence {
-        Coherence::Lease(d) => ("lease", d.as_nanos() as u64),
-        Coherence::Invalidate => ("inv", 0),
-        Coherence::LeaseAndInvalidate(d) => ("lease+inv", d.as_nanos() as u64),
+        Coherence::Lease(d) => (0, d.as_nanos() as u64),
+        Coherence::Invalidate => (1, 0),
+        Coherence::LeaseAndInvalidate(d) => (2, d.as_nanos() as u64),
     };
-    Value::record([
-        ("mode", Value::str(mode)),
-        ("lease_ns", Value::U64(lease_ns)),
-        ("capacity", Value::U64(p.capacity as u64)),
-    ])
+    Value::list([mode, lease_ns, p.capacity as u64].map(Value::U64))
 }
 
 fn caching_from_value(v: &Value) -> Result<CachingParams, WireError> {
-    if *v == Value::Null {
-        return Ok(CachingParams::default());
-    }
-    let lease = Duration::from_nanos(v.get_u64("lease_ns")?);
-    let coherence = match v.get_str("mode")? {
-        "lease" => Coherence::Lease(lease),
-        "inv" => Coherence::Invalidate,
-        _ => Coherence::LeaseAndInvalidate(lease),
+    let [Value::U64(mode), Value::U64(lease_ns), Value::U64(capacity)] =
+        v.as_list().unwrap_or_default()
+    else {
+        return Err(malformed("caching [mode, lease_ns, capacity]"));
+    };
+    let lease = Duration::from_nanos(*lease_ns);
+    let coherence = match mode {
+        0 => Coherence::Lease(lease),
+        1 => Coherence::Invalidate,
+        2 => Coherence::LeaseAndInvalidate(lease),
+        _ => return Err(malformed("coherence mode 0, 1 or 2")),
     };
     Ok(CachingParams {
         coherence,
-        capacity: v.get_u64("capacity")? as usize,
+        capacity: *capacity as usize,
     })
 }
 
@@ -384,10 +385,44 @@ mod tests {
         }
     }
 
+    /// An unknown kind, mode or read target, a missing or trailing slot
+    /// and a slot of the wrong kind or range are refused, never defaulted.
     #[test]
     fn unknown_kind_rejected() {
-        let v = Value::record([("kind", Value::str("quantum"))]);
-        assert!(ProxySpec::from_value(&v).is_err());
+        let (u, l) = (Value::U64, Value::List);
+        let caching = |mode| l(vec![u(mode), u(0), u(16)]);
+        let at = |n, p| l(vec![u(n), u(p)]);
+        let stub = || l(vec![u(STUB)]);
+        let refused = [
+            l(vec![u(7)]),
+            l(vec![Value::str("stub")]),
+            Value::record([("kind", Value::str("stub"))]),
+            // Null params, an unknown mode, a missing slot: no default.
+            l(vec![u(CACHING), Value::Null]),
+            l(vec![u(CACHING), caching(3)]),
+            l(vec![u(CACHING), l(vec![u(1), u(0)])]),
+            l(vec![u(CACHING), caching(1), u(0)]),
+            // An unknown read target, a node or port above `u32::MAX`.
+            l(vec![u(REPLICATED), at(0, 3), l(vec![at(0, 3)]), u(2)]),
+            l(vec![u(REPLICATED), at(1 << 32, 3), l(vec![]), u(0)]),
+            l(vec![u(REPLICATED), at(0, 3), l(vec![at(0, 1 << 32)]), u(0)]),
+            // A bulk spec without its params, or with params misshapen.
+            l(vec![u(BULK), stub()]),
+            l(vec![
+                u(BULK),
+                stub(),
+                l(vec![Value::str("blob"), u(1), u(1)]),
+            ]),
+            l(vec![u(BULK), stub(), l(vec![u(1), u(1), u(1), u(1)])]),
+            l(vec![
+                u(ADAPTIVE),
+                l(vec![u(64), Value::F64(0.8), Value::F64(0.5)]),
+            ]),
+            l(vec![u(MIGRATORY), Value::I64(3)]),
+        ];
+        for v in refused {
+            assert!(ProxySpec::from_value(&v).is_err(), "{v} decoded");
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@ use std::time::Duration;
 use naming::spawn_name_server;
 use proptest::prelude::*;
 use proxy_core::{
-    AdaptiveParams, CachingParams, Coherence, InterfaceDesc, OpDesc, OpKind, ProxySpec, ReadTarget,
-    ServiceBuilder, ServiceObject, SessionCore,
+    AdaptiveParams, BulkParams, CachingParams, Coherence, InterfaceDesc, OpDesc, OpKind, ProxySpec,
+    ReadTarget, ServiceBuilder, ServiceObject, SessionCore,
 };
 use rpc::{ErrorCode, RemoteError};
 use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, PortId, Simulation};
@@ -73,6 +73,49 @@ fn arb_spec() -> impl Strategy<Value = ProxySpec> {
                 params: Value::list(ns.into_iter().map(Value::U64)),
             }
         }),
+        (
+            any::<bool>(),
+            "[a-z]{1,8}",
+            any::<u32>(),
+            any::<u32>(),
+            any::<u8>()
+        )
+            .prop_map(|(stub, store, threshold, chunk, depth)| ProxySpec::Bulk {
+                inner: Box::new(match stub {
+                    true => ProxySpec::Stub,
+                    false => ProxySpec::Caching(CachingParams::default()),
+                }),
+                params: BulkParams {
+                    store,
+                    threshold: threshold as usize,
+                    chunk: (chunk as usize).clamp(1, proxy_core::bulk::MAX_CHUNK),
+                    depth: (depth as usize).clamp(1, proxy_core::bulk::MAX_DEPTH),
+                },
+            }),
+    ]
+}
+
+/// One way to spoil an encoded spec's top-level list; the decoder
+/// refuses each, whatever the spec.
+#[derive(Debug, Clone)]
+enum Spoil {
+    /// Drop the last slot.
+    Missing,
+    /// Add a slot after the last.
+    Trailing,
+    /// Replace the kind code with an unknown one.
+    UnknownKind(u64),
+    /// Replace the first slot after the kind (the kind, for a stub) with
+    /// a slot no spec has.
+    WrongKind,
+}
+
+fn arb_spoil() -> impl Strategy<Value = Spoil> {
+    prop_oneof![
+        Just(Spoil::Missing),
+        Just(Spoil::Trailing),
+        (7u64..=u64::MAX).prop_map(Spoil::UnknownKind),
+        Just(Spoil::WrongKind),
     ]
 }
 
@@ -99,9 +142,23 @@ fn arb_iface() -> impl Strategy<Value = InterfaceDesc> {
 
 proptest! {
     #[test]
-    fn proxyspec_roundtrips(spec in arb_spec()) {
+    fn proxyspec_roundtrips(spec in arb_spec(), spoil in arb_spoil()) {
         let v = spec.to_value();
         prop_assert_eq!(ProxySpec::from_value(&v).unwrap(), spec);
+        let Value::List(mut slots) = v else {
+            panic!("a spec encodes as a list");
+        };
+        match spoil {
+            Spoil::Missing => drop(slots.pop()),
+            Spoil::Trailing => slots.push(Value::Null),
+            Spoil::UnknownKind(code) => slots[0] = Value::U64(code),
+            Spoil::WrongKind => {
+                let at = slots.len().min(2) - 1;
+                slots[at] = Value::Bool(true);
+            }
+        }
+        let spoiled = Value::List(slots);
+        prop_assert!(ProxySpec::from_value(&spoiled).is_err(), "{} decoded", spoiled);
     }
 
     #[test]

@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    BulkParams, CachingParams, Coherence, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder,
-    ServiceObject, SessionCore,
+    protocol, BulkParams, CachingParams, Coherence, InterfaceDesc, OpDesc, ProxySpec,
+    ServiceBuilder, ServiceObject, SessionCore,
 };
 use rpc::{ErrorCode, RemoteError, RpcError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
@@ -190,8 +190,8 @@ fn strays_dropped_around_a_pump(pump: bool) -> u64 {
     });
     sim.spawn("notifier", NodeId(3), move |ctx| {
         ctx.sleep(Duration::from_millis(20)).unwrap();
-        let inv = Value::record([("svc", Value::str("unbound")), ("tag", Value::str("*"))]);
-        rpc::send_oneway(ctx, client, "inv", &inv);
+        let inv = protocol::invalidation("unbound", "*");
+        rpc::send_oneway(ctx, client, "unbound", protocol::MSG_INVALIDATE, &inv);
     });
     sim.run();
     sim.obs_report().rpc.client.strays_dropped
@@ -203,6 +203,52 @@ fn pump_counts_the_late_duplicates_and_unroutable_one_ways_it_drops() {
     // At least the put's duplicated reply, and both copies of the one-way
     // addressed to a service the client never bound.
     assert!(dropped >= 3, "the pump dropped {dropped} datagrams unseen");
+}
+
+/// An `inv` whose body does not decode (the keyed form, a missing tag, a
+/// tag that is not a string) is dropped and counted as a stray, and the
+/// read it names stays cached: the client's next read is a local hit.
+#[test]
+fn an_inv_that_does_not_decode_is_dropped_and_counted_never_applied() {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 5);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    let caching = ProxySpec::Caching(CachingParams {
+        coherence: Coherence::Invalidate,
+        capacity: 64,
+    });
+    let kv_store = || Box::new(services::kv::KvStore::new()) as Box<dyn ServiceObject>;
+    (ServiceBuilder::new("kv").spec(caching).object(kv_store)).spawn(&sim, NodeId(1), ns);
+    let seen = Arc::new(std::sync::Mutex::new(None));
+    let out = Arc::clone(&seen);
+    let client = sim.spawn_async("client", NodeId(2), move |cx| async move {
+        let mut rt = SessionCore::new(ns);
+        let a = rt.attach(cx, "kv").await.unwrap();
+        rt.call(cx, a, "put", kv("x", "1")).await.unwrap();
+        rt.call(cx, a, "get", key("x")).await.unwrap();
+        cx.sleep(Duration::from_millis(30)).await.unwrap();
+        rt.tend(cx).await;
+        let before = rt.stats(a);
+        let got = rt.call(cx, a, "get", key("x")).await.unwrap();
+        let after = rt.stats(a);
+        *out.lock().unwrap() = Some((got, after.local_hits - before.local_hits, after));
+    });
+    sim.spawn("notifier", NodeId(3), move |ctx| {
+        ctx.sleep(Duration::from_millis(20)).unwrap();
+        let s = Value::str;
+        let malformed = [
+            Value::record([("svc", s("kv")), ("tag", s("x"))]),
+            Value::list([s("kv")]),
+            Value::list([s("kv"), Value::U64(7)]),
+        ];
+        for body in &malformed {
+            rpc::send_oneway(ctx, client, "kv", protocol::MSG_INVALIDATE, body);
+        }
+    });
+    sim.run();
+    let (got, hits, stats) = seen.lock().unwrap().take().expect("the client finished");
+    assert_eq!((got, hits), (Value::str("1"), 1), "the read stayed cached");
+    assert_eq!(stats.invalidations_rx, 0, "no malformed inv was applied");
+    assert_eq!(sim.obs_report().rpc.client.strays_dropped, 3);
 }
 
 /// What a client's second read of `k` at `a` returns, and the

@@ -154,7 +154,7 @@ fn a_ticket_poll_drops_and_counts_what_is_not_a_reply() {
     });
     sim.spawn("intruder", NodeId(4), move |ctx| {
         ctx.sleep(Duration::from_millis(3)).unwrap();
-        rpc::send_oneway(ctx, client, "poke", &Value::Null);
+        rpc::send_oneway(ctx, client, ctx.name(), "poke", &Value::Null);
         ctx.sleep(Duration::from_millis(1)).unwrap();
         let request = Request {
             call_id: 1,

@@ -103,10 +103,7 @@ impl DsmClient {
         } else {
             proto::OP_FETCH_RO
         };
-        let args = Value::record([
-            ("page", Value::U64(page.0.into())),
-            ("pager", endpoint_to_value(self.pager)),
-        ]);
+        let args = Value::list([Value::U64(page.0.into()), endpoint_to_value(self.pager)]);
         let reply = self.manager.call(cx, "", op, args, None).await?;
         let mut table = self.cache.lock();
         match reply.as_blob() {

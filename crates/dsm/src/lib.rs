@@ -90,17 +90,22 @@ pub enum Mode {
     Write,
 }
 
-/// The `page` argument of a DSM request.
-pub(crate) fn page_arg(args: &wire::Value) -> Result<PageId, rpc::RemoteError> {
-    let bad_args = |e: String| rpc::RemoteError::new(rpc::ErrorCode::BadArgs, e);
-    let n = args.get_u64("page").map_err(|e| bad_args(e.to_string()))?;
+/// A page number as the coherence protocol carries it: a `u64` no
+/// larger than `u32::MAX`.
+pub(crate) fn page_arg(arg: &wire::Value) -> Result<PageId, rpc::RemoteError> {
+    let bad_args = |e: &str| rpc::RemoteError::new(rpc::ErrorCode::BadArgs, e);
+    let n = arg.as_u64().ok_or_else(|| bad_args("page"))?;
     Ok(PageId(
-        u32::try_from(n).map_err(|_| bad_args("page id out of range".into()))?,
+        u32::try_from(n).map_err(|_| bad_args("page id out of range"))?,
     ))
 }
 
 pub(crate) mod proto {
-    //! Operation names of the DSM coherence protocol.
+    //! Operation names of the DSM coherence protocol. The protocol is
+    //! the manager's and its pagers' own, so its bodies are positional:
+    //! a fetch carries `[page, pager]` (the pager's endpoint as
+    //! `[node, port]`), each manager → pager call the page number
+    //! alone.
     /// App → manager: map a page read-only.
     pub const OP_FETCH_RO: &str = "fetch_ro";
     /// App → manager: map a page exclusively.

@@ -57,7 +57,7 @@ async fn coherence(
     op: &'static str,
     pager: Endpoint,
 ) -> Result<Value, RpcError> {
-    let args = || Value::record([("page", Value::U64(page.0.into()))]);
+    let args = || Value::U64(page.0.into());
     let (mut result, _) = io.call(pager, op, args(), Strays::Hold).await;
     let mut tries = 0;
     loop {
@@ -89,12 +89,14 @@ struct Manager {
     stats: ManagerStats,
 }
 
-fn pager_arg(args: &Value) -> Result<Endpoint, RemoteError> {
-    endpoint_from_value(
-        args.get("pager")
-            .ok_or_else(|| RemoteError::new(ErrorCode::BadArgs, "missing pager"))?,
-    )
-    .map_err(|e| RemoteError::new(ErrorCode::BadArgs, e.to_string()))
+/// A fetch's arguments, `[page, pager]`.
+fn fetch_args(args: &Value) -> Result<(PageId, Endpoint), RemoteError> {
+    let bad_args = |e: String| RemoteError::new(ErrorCode::BadArgs, e);
+    let [page, pager] = args.as_list().unwrap_or_default() else {
+        return Err(bad_args("fetch [page, pager]".into()));
+    };
+    let pager = endpoint_from_value(pager).map_err(|e| bad_args(e.to_string()))?;
+    Ok((page_arg(page)?, pager))
 }
 
 impl Manager {
@@ -113,7 +115,7 @@ impl Manager {
         req: &Request,
         exclusive: bool,
     ) -> Result<Value, RemoteError> {
-        let (page, to) = (page_arg(&req.args)?, pager_arg(&req.args)?);
+        let (page, to) = fetch_args(&req.args)?;
         let zero = self.zero_page();
         let state = self.pages.remove(&page).unwrap_or(PageState::Shared {
             data: zero.clone(),

@@ -101,37 +101,17 @@ mod tests {
                 ctx.block_on(|cx| rpc.call(cx, "", op, args, None))
             };
             // Downgrade returns the bytes and leaves a Read mapping.
-            let v = call(
-                ctx,
-                proto::OP_DOWNGRADE,
-                Value::record([("page", Value::U64(3))]),
-            )
-            .unwrap();
+            let v = call(ctx, proto::OP_DOWNGRADE, Value::U64(3)).unwrap();
             assert_eq!(v.as_blob().unwrap().as_ref(), &[1, 2, 3]);
             assert_eq!(c3.lock().get(&PageId(3)).unwrap().mode, Mode::Read);
             // Surrender removes it and returns the bytes.
-            let v = call(
-                ctx,
-                proto::OP_SURRENDER,
-                Value::record([("page", Value::U64(3))]),
-            )
-            .unwrap();
+            let v = call(ctx, proto::OP_SURRENDER, Value::U64(3)).unwrap();
             assert_eq!(v.as_blob().unwrap().as_ref(), &[1, 2, 3]);
             assert!(c3.lock().is_empty());
             // Invalidate is idempotent on unmapped pages.
-            call(
-                ctx,
-                proto::OP_INVALIDATE,
-                Value::record([("page", Value::U64(3))]),
-            )
-            .unwrap();
+            call(ctx, proto::OP_INVALIDATE, Value::U64(3)).unwrap();
             // Surrendering an unmapped page is an error.
-            let err = call(
-                ctx,
-                proto::OP_SURRENDER,
-                Value::record([("page", Value::U64(3))]),
-            )
-            .unwrap_err();
+            let err = call(ctx, proto::OP_SURRENDER, Value::U64(3)).unwrap_err();
             assert!(
                 matches!(err, rpc::RpcError::Remote(ref e) if e.code == ErrorCode::NoSuchObject)
             );

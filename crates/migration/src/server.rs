@@ -2,8 +2,8 @@
 //! [`Control`] part on the server engine.
 
 use proxy_core::{
-    protocol, serve, Control, FactoryRegistry, InterfaceDesc, Io, ProxySpec, ServiceObject,
-    ServiceServer, Strays,
+    serve, Control, FactoryRegistry, InterfaceDesc, Io, ProxySpec, ServiceObject, ServiceServer,
+    Strays,
 };
 use rpc::{
     endpoint_from_value, endpoint_to_value, Channel, ChannelConfig, ErrorCode, RemoteError,
@@ -12,9 +12,11 @@ use rpc::{
 use simnet::{AsyncCx, Ctx, Endpoint, NodeId, Simulation};
 use wire::Value;
 
-/// The administrative operation that orders a move.
+/// The administrative operation that orders a move: its argument is the
+/// target node (a `u64`), its answer the new endpoint, `[node, port]`.
 pub const OP_MIGRATE: &str = "_migrate";
-/// Asks a host (or forwarder) where the object currently lives.
+/// Asks a host (or forwarder) where the object currently lives; the
+/// answer is an endpoint, `[node, port]`.
 pub const OP_LOCATE: &str = "_locate";
 
 /// How a forwarder answers requests for a departed object.
@@ -101,13 +103,9 @@ pub async fn request_migration(
     target: NodeId,
 ) -> Result<Endpoint, MigrationError> {
     let mut client = Channel::new("", host, ChannelConfig::with_depth(1));
-    let args = Value::record([("node", Value::U64(target.0.into()))]);
+    let args = Value::U64(target.0.into());
     let reply = client.call(cx, "", OP_MIGRATE, args, None).await;
-    let reply = reply.map_err(MigrationError::Rpc)?;
-    reply
-        .get("ep")
-        .and_then(|v| endpoint_from_value(v).ok())
-        .ok_or(MigrationError::BadReply)
+    endpoint_from_value(&reply.map_err(MigrationError::Rpc)?).map_err(|_| MigrationError::BadReply)
 }
 
 /// Spawns the initial host of a migratable service on `node`.
@@ -190,10 +188,8 @@ impl Host {
     /// name service first, if configured — and becomes its forwarder.
     async fn migrate(&mut self, io: &Io, req: &Request) -> Result<Value, RemoteError> {
         let bad_args = |e: String| RemoteError::new(ErrorCode::BadArgs, e);
-        let node = req
-            .args
-            .get_u64("node")
-            .map_err(|e| bad_args(e.to_string()))?;
+        let node = req.args.as_u64();
+        let node = node.ok_or_else(|| bad_args("expected the target node".into()))?;
         let node =
             NodeId(u32::try_from(node).map_err(|_| bad_args("node id out of range".into()))?);
         let State::Home(object) = &self.state else {
@@ -225,7 +221,7 @@ impl Host {
                 to: new_ep.into(),
             })
         });
-        Ok(Value::record([("ep", endpoint_to_value(new_ep))]))
+        Ok(endpoint_to_value(new_ep))
     }
 }
 
@@ -257,9 +253,6 @@ impl Control for Host {
             }
         };
         match req.op.as_str() {
-            protocol::OP_PING => Ok(Value::Null),
-            protocol::OP_IFACE => Ok(self.iface.to_value()),
-            protocol::OP_SNAPSHOT => object.snapshot(),
             OP_LOCATE => Ok(io.with(|ctx| endpoint_to_value(ctx.endpoint()))),
             OP_MIGRATE => self.migrate(io, req).await,
             op if op.starts_with('_') => Err(RemoteError::new(ErrorCode::NoSuchOp, op.to_owned())),

@@ -246,3 +246,40 @@ fn locate_returns_current_home() {
     });
     sim.run();
 }
+
+/// `_migrate` takes the target node itself: the keyed form, another
+/// kind, a list and a node above `u32::MAX` are refused with `BadArgs`,
+/// and the object stays home.
+#[test]
+fn a_migrate_order_that_does_not_decode_is_refused() {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 3);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    let home = spawn_migratable(
+        &sim,
+        NodeId(1),
+        ns,
+        MigratableConfig::new("ctr"),
+        counter_factory(),
+        || Box::new(Counter(0)),
+    );
+    sim.spawn_async("admin", NodeId(2), move |cx| async move {
+        let mut c = rpc::Channel::new("", home, rpc::ChannelConfig::with_depth(1));
+        let refused = [
+            Value::record([("node", Value::U64(3))]),
+            Value::str("3"),
+            Value::list([Value::U64(3)]),
+            Value::U64(1 << 32),
+        ];
+        for args in refused {
+            let e = c.call(cx, "", migration::OP_MIGRATE, args, None).await;
+            assert!(
+                matches!(e, Err(rpc::RpcError::Remote(ref e)) if e.code == ErrorCode::BadArgs),
+                "{e:?}"
+            );
+        }
+        let op = migration::OP_LOCATE;
+        let v = c.call(cx, "", op, Value::Null, None).await.unwrap();
+        assert_eq!(rpc::endpoint_from_value(&v).unwrap(), home, "still home");
+    });
+    sim.run();
+}

@@ -21,6 +21,14 @@
 //! behind. The table keeps each record encoded, made once per write,
 //! and every lookup reply carries those bytes.
 //!
+//! The protocol is private to this crate, so its messages are
+//! positional: `lookup` and `unregister` take the name itself
+//! ([`name_arg`]); `register` and `update` take `[name, [node, port],
+//! meta]` ([`binding_args`]; an `update`'s null `meta` keeps the bound
+//! one) and answer with the new generation; `lookup` answers with the
+//! record ([`NameRecord`]), `list` with the sorted list of names. Any
+//! other shape, a missing `meta` included, is refused with `BadArgs`.
+//!
 //! ## Example
 //!
 //! ```
@@ -55,15 +63,27 @@ use std::collections::HashMap;
 
 use rpc::{endpoint_to_value, Channel, ChannelConfig, ErrorCode, OnStray, RpcError};
 use simnet::{AsyncCx, Endpoint};
-use wire::Value;
+use wire::{Value, WireError};
 
-/// The arguments of `register` and `update`: a name's binding.
+/// The argument of `lookup` and `unregister`: the name itself.
+pub fn name_arg(name: &str) -> Value {
+    Value::str(name)
+}
+
+/// The arguments of `register` and `update`: a name's binding,
+/// `[name, [node, port], meta]`.
 pub fn binding_args(name: &str, endpoint: Endpoint, meta: Value) -> Value {
-    Value::record([
-        ("name", Value::str(name)),
-        ("ep", endpoint_to_value(endpoint)),
-        ("meta", meta),
-    ])
+    Value::list([Value::str(name), endpoint_to_value(endpoint), meta])
+}
+
+/// The answer to `register` and `update`: the new generation.
+fn generation(rep: Value) -> Result<u64, RpcError> {
+    let actual = rep.kind();
+    let wrong = WireError::WrongKind {
+        expected: "generation",
+        actual,
+    };
+    Ok(rep.as_u64().ok_or(wrong)?)
 }
 
 /// Typed client for the name service, with an optional binding cache.
@@ -127,8 +147,7 @@ impl NameClient {
         meta: Value,
     ) -> Result<u64, RpcError> {
         let args = binding_args(name, endpoint, meta);
-        let rep = self.rpc().call(cx, "", "register", args, None).await?;
-        Ok(rep.get_u64("gen")?)
+        generation(self.rpc().call(cx, "", "register", args, None).await?)
     }
 
     /// Updates the location of an existing name (migration), bumping its
@@ -148,7 +167,7 @@ impl NameClient {
         let args = binding_args(name, endpoint, meta);
         let rep = self.rpc().call(cx, "", "update", args, None).await?;
         self.cache.remove(name);
-        Ok(rep.get_u64("gen")?)
+        generation(rep)
     }
 
     /// Removes a name.
@@ -158,7 +177,7 @@ impl NameClient {
     /// [`ErrorCode::NoSuchObject`] if the name is unknown, or any
     /// transport error.
     pub async fn unregister(&mut self, cx: AsyncCx, name: &str) -> Result<(), RpcError> {
-        let args = Value::record([("name", Value::str(name))]);
+        let args = name_arg(name);
         self.rpc().call(cx, "", "unregister", args, None).await?;
         self.cache.remove(name);
         Ok(())
@@ -178,7 +197,7 @@ impl NameClient {
         name: &str,
         strays: Option<OnStray<'_>>,
     ) -> Result<NameRecord, RpcError> {
-        let args = Value::record([("name", Value::str(name))]);
+        let args = name_arg(name);
         let rec = NameRecord::from_value(self.rpc().call(cx, "", "lookup", args, strays).await?)?;
         self.cache.insert(name.to_owned(), rec.clone());
         Ok(rec)
@@ -216,11 +235,14 @@ impl NameClient {
     /// Any [`RpcError`] from the underlying call.
     pub async fn list(&mut self, cx: AsyncCx) -> Result<Vec<String>, RpcError> {
         let rep = self.rpc().call(cx, "", "list", Value::Null, None).await?;
-        let items = rep.get_list("names")?;
-        Ok(items
-            .iter()
-            .filter_map(|v| v.as_str().map(str::to_owned))
-            .collect())
+        let names = rep.as_list().and_then(|names| {
+            let name = |v: &Value| v.as_str().map(str::to_owned);
+            names.iter().map(name).collect()
+        });
+        Ok(names.ok_or(WireError::WrongKind {
+            expected: "a list of names",
+            actual: rep.kind(),
+        })?)
     }
 }
 

@@ -8,19 +8,41 @@
 //! retransmission is answered from the recorded reply. So what the
 //! server keeps grows with the names and the clients that write, not
 //! with every client that ever bound.
+//!
+//! Every request is decoded strictly (see the crate doc for the
+//! shapes): a wrong kind, a wrong arity or a missing `meta` is answered
+//! `BadArgs` and changes no binding.
 
 use bytes::Bytes;
 use rpc::{endpoint_from_value, ErrorCode, RemoteError, Request, RpcServer};
 use simnet::{Endpoint, Message, NodeId, PortId, ProcCx, Simulation};
-use wire::{Value, WireError};
+use wire::Value;
 
 use crate::directory::Directory;
 
 /// The well-known port the name server listens on.
 pub const NAME_SERVER_PORT: PortId = PortId(1);
 
-fn bad_args(e: WireError) -> RemoteError {
-    RemoteError::new(ErrorCode::BadArgs, e.to_string())
+fn bad_args(msg: impl Into<String>) -> RemoteError {
+    RemoteError::new(ErrorCode::BadArgs, msg)
+}
+
+/// The argument of `lookup` and `unregister`: the name itself.
+fn read_name(args: &Value) -> Result<&str, RemoteError> {
+    args.as_str().ok_or_else(|| bad_args("expected a name"))
+}
+
+/// The arguments of `register` and `update`, `[name, endpoint, meta]`.
+fn read_binding(args: &Value) -> Result<(&str, Endpoint, Value), RemoteError> {
+    let [Value::Str(name), ep, meta] = args.as_list().unwrap_or_default() else {
+        return Err(bad_args("expected [name, endpoint, meta]"));
+    };
+    let ep = endpoint_from_value(ep).map_err(|e| bad_args(e.to_string()))?;
+    Ok((name.as_str(), ep, meta.clone()))
+}
+
+fn unknown(name: &str) -> RemoteError {
+    RemoteError::new(ErrorCode::NoSuchObject, format!("unknown name `{name}`"))
 }
 
 /// What the name server makes of one call.
@@ -34,10 +56,9 @@ enum Answer {
 fn handle(dir: &Directory, req: &Request) -> Answer {
     match req.op.as_str() {
         "lookup" => Answer::Read(lookup(dir, req)),
-        "list" => Answer::Read(Ok(wire::encode(&Value::record([(
-            "names",
-            Value::list(dir.list().iter().map(Value::str)),
-        )])))),
+        "list" => Answer::Read(Ok(wire::encode(&Value::list(
+            dir.list().iter().map(Value::str),
+        )))),
         _ => Answer::Write(write(dir, req)),
     }
 }
@@ -45,51 +66,26 @@ fn handle(dir: &Directory, req: &Request) -> Answer {
 /// A lookup's answer: the bytes the directory encoded at the name's last
 /// write, shared.
 fn lookup(dir: &Directory, req: &Request) -> Result<Bytes, RemoteError> {
-    let name = req.args.get_str("name").map_err(bad_args)?;
-    dir.lookup_encoded(name)
-        .ok_or_else(|| RemoteError::new(ErrorCode::NoSuchObject, format!("unknown name `{name}`")))
+    let name = read_name(&req.args)?;
+    dir.lookup_encoded(name).ok_or_else(|| unknown(name))
 }
 
 fn write(dir: &Directory, req: &Request) -> Result<Value, RemoteError> {
     match req.op.as_str() {
         "register" => {
-            let name = req.args.get_str("name").map_err(bad_args)?;
-            let ep = endpoint_from_value(
-                req.args
-                    .get("ep")
-                    .ok_or_else(|| RemoteError::new(ErrorCode::BadArgs, "missing ep"))?,
-            )
-            .map_err(bad_args)?;
-            let meta = req.args.get("meta").cloned().unwrap_or(Value::Null);
-            let gen = dir.register(name, ep, meta);
-            Ok(Value::record([("gen", Value::U64(gen))]))
+            let (name, ep, meta) = read_binding(&req.args)?;
+            Ok(Value::U64(dir.register(name, ep, meta)))
         }
         "update" => {
-            let name = req.args.get_str("name").map_err(bad_args)?;
-            let ep = endpoint_from_value(
-                req.args
-                    .get("ep")
-                    .ok_or_else(|| RemoteError::new(ErrorCode::BadArgs, "missing ep"))?,
-            )
-            .map_err(bad_args)?;
-            let meta = req.args.get("meta").cloned().unwrap_or(Value::Null);
-            match dir.update(name, ep, meta) {
-                Some(gen) => Ok(Value::record([("gen", Value::U64(gen))])),
-                None => Err(RemoteError::new(
-                    ErrorCode::NoSuchObject,
-                    format!("unknown name `{name}`"),
-                )),
-            }
+            let (name, ep, meta) = read_binding(&req.args)?;
+            let gen = dir.update(name, ep, meta).ok_or_else(|| unknown(name))?;
+            Ok(Value::U64(gen))
         }
         "unregister" => {
-            let name = req.args.get_str("name").map_err(bad_args)?;
-            if dir.unregister(name) {
-                Ok(Value::Null)
-            } else {
-                Err(RemoteError::new(
-                    ErrorCode::NoSuchObject,
-                    format!("unknown name `{name}`"),
-                ))
+            let name = read_name(&req.args)?;
+            match dir.unregister(name) {
+                true => Ok(Value::Null),
+                false => Err(unknown(name)),
             }
         }
         other => Err(RemoteError::new(ErrorCode::NoSuchOp, other.to_owned())),
@@ -180,27 +176,16 @@ mod tests {
         }
     }
 
-    fn ep_value(n: u32, p: u32) -> Value {
-        rpc::endpoint_to_value(Endpoint::new(NodeId(n), PortId(p)))
-    }
-
     #[test]
     fn register_then_lookup() {
         let t = Directory::new();
         let r = call(
             &t,
-            &req(
-                "register",
-                Value::record([("name", Value::str("kv")), ("ep", ep_value(1, 2))]),
-            ),
+            &req("register", crate::binding_args("kv", ep(1, 2), Value::Null)),
         )
         .unwrap();
-        assert_eq!(r.get_u64("gen").unwrap(), 1);
-        let rec = call(
-            &t,
-            &req("lookup", Value::record([("name", Value::str("kv"))])),
-        )
-        .unwrap();
+        assert_eq!(r.as_u64().unwrap(), 1);
+        let rec = call(&t, &req("lookup", crate::name_arg("kv"))).unwrap();
         let rec = NameRecord::from_value(rec).unwrap();
         assert_eq!(rec.endpoint, Endpoint::new(NodeId(1), PortId(2)));
     }
@@ -210,29 +195,17 @@ mod tests {
         let t = Directory::new();
         call(
             &t,
-            &req(
-                "register",
-                Value::record([("name", Value::str("kv")), ("ep", ep_value(1, 2))]),
-            ),
+            &req("register", crate::binding_args("kv", ep(1, 2), Value::Null)),
         )
         .unwrap();
         let r = call(
             &t,
-            &req(
-                "update",
-                Value::record([("name", Value::str("kv")), ("ep", ep_value(3, 4))]),
-            ),
+            &req("update", crate::binding_args("kv", ep(3, 4), Value::Null)),
         )
         .unwrap();
-        assert_eq!(r.get_u64("gen").unwrap(), 2);
-        let rec = NameRecord::from_value(
-            call(
-                &t,
-                &req("lookup", Value::record([("name", Value::str("kv"))])),
-            )
-            .unwrap(),
-        )
-        .unwrap();
+        assert_eq!(r.as_u64().unwrap(), 2);
+        let rec = NameRecord::from_value(call(&t, &req("lookup", crate::name_arg("kv"))).unwrap())
+            .unwrap();
         assert_eq!(rec.endpoint, Endpoint::new(NodeId(3), PortId(4)));
         assert_eq!(rec.generation, 2);
     }
@@ -240,26 +213,15 @@ mod tests {
     #[test]
     fn unknown_name_is_no_such_object() {
         let t = Directory::new();
-        let e = call(
-            &t,
-            &req("lookup", Value::record([("name", Value::str("x"))])),
-        )
-        .unwrap_err();
+        let e = call(&t, &req("lookup", crate::name_arg("x"))).unwrap_err();
         assert_eq!(e.code, ErrorCode::NoSuchObject);
         let e = call(
             &t,
-            &req(
-                "update",
-                Value::record([("name", Value::str("x")), ("ep", ep_value(0, 0))]),
-            ),
+            &req("update", crate::binding_args("x", ep(0, 0), Value::Null)),
         )
         .unwrap_err();
         assert_eq!(e.code, ErrorCode::NoSuchObject);
-        let e = call(
-            &t,
-            &req("unregister", Value::record([("name", Value::str("x"))])),
-        )
-        .unwrap_err();
+        let e = call(&t, &req("unregister", crate::name_arg("x"))).unwrap_err();
         assert_eq!(e.code, ErrorCode::NoSuchObject);
     }
 
@@ -269,16 +231,13 @@ mod tests {
         for n in ["zeta", "alpha", "mid"] {
             call(
                 &t,
-                &req(
-                    "register",
-                    Value::record([("name", Value::str(n)), ("ep", ep_value(0, 1))]),
-                ),
+                &req("register", crate::binding_args(n, ep(0, 1), Value::Null)),
             )
             .unwrap();
         }
         let r = call(&t, &req("list", Value::Null)).unwrap();
         let names: Vec<&str> = r
-            .get_list("names")
+            .as_list()
             .unwrap()
             .iter()
             .filter_map(Value::as_str)
@@ -286,11 +245,55 @@ mod tests {
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);
     }
 
+    /// A request of another shape (a missing `meta` included) is refused
+    /// with `BadArgs` and changes no binding.
     #[test]
     fn bad_args_reported() {
         let t = Directory::new();
-        let e = call(&t, &req("register", Value::Null)).unwrap_err();
-        assert_eq!(e.code, ErrorCode::BadArgs);
+        call(
+            &t,
+            &req("register", crate::binding_args("kv", ep(1, 2), meta())),
+        )
+        .unwrap();
+        let before = call(&t, &req("lookup", name("kv"))).unwrap();
+        let at = |n: u64, p: u64| Value::list([Value::U64(n), Value::U64(p)]);
+        let binding = |slots: &[Value]| Value::list(slots.iter().cloned());
+        let kv = || Value::str("kv");
+        let refused = [
+            ("register", Value::Null),
+            // No meta, or a slot after it.
+            ("register", binding(&[kv(), at(3, 4)])),
+            ("update", binding(&[kv(), at(3, 4)])),
+            (
+                "register",
+                binding(&[kv(), at(3, 4), Value::Null, Value::Null]),
+            ),
+            // A slot of the wrong kind.
+            ("register", binding(&[Value::U64(1), at(3, 4), Value::Null])),
+            ("update", binding(&[kv(), Value::str("3:4"), Value::Null])),
+            (
+                "update",
+                binding(&[kv(), Value::list([Value::U64(3)]), Value::Null]),
+            ),
+            // A node or a port above u32::MAX.
+            ("register", binding(&[kv(), at(1 << 32, 4), Value::Null])),
+            ("update", binding(&[kv(), at(3, 1 << 32), Value::Null])),
+            // The keyed forms, and a name that is not a string.
+            (
+                "register",
+                Value::record([("name", kv()), ("ep", at(3, 4)), ("meta", Value::Null)]),
+            ),
+            ("lookup", Value::record([("name", kv())])),
+            ("lookup", Value::list([kv()])),
+            ("unregister", Value::U64(7)),
+        ];
+        for (op, args) in refused {
+            let e = call(&t, &req(op, args.clone())).unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadArgs, "{op} {args}");
+        }
+        let after = call(&t, &req("lookup", name("kv"))).unwrap();
+        assert_eq!(after, before, "no binding changed");
+        assert_eq!(t.list(), ["kv"]);
     }
 
     #[test]
@@ -299,21 +302,12 @@ mod tests {
         for p in [2u32, 7] {
             call(
                 &t,
-                &req(
-                    "register",
-                    Value::record([("name", Value::str("kv")), ("ep", ep_value(1, p))]),
-                ),
+                &req("register", crate::binding_args("kv", ep(1, p), Value::Null)),
             )
             .unwrap();
         }
-        let rec = NameRecord::from_value(
-            call(
-                &t,
-                &req("lookup", Value::record([("name", Value::str("kv"))])),
-            )
-            .unwrap(),
-        )
-        .unwrap();
+        let rec = NameRecord::from_value(call(&t, &req("lookup", crate::name_arg("kv"))).unwrap())
+            .unwrap();
         assert_eq!(rec.endpoint, Endpoint::new(NodeId(1), PortId(7)));
         assert_eq!(rec.generation, 2);
     }
@@ -344,18 +338,12 @@ mod tests {
         Endpoint::new(NodeId(n), PortId(p))
     }
 
-    /// Metadata shaped like a service's: nested records and a list.
+    /// Metadata shaped like a service's: nested lists, `[spec, iface]`.
     fn meta() -> Value {
-        Value::record([
-            ("spec", Value::record([("kind", Value::str("stub"))])),
-            (
-                "iface",
-                Value::record([
-                    ("type", Value::str("kv")),
-                    ("ops", Value::list([Value::str("get"), Value::str("put")])),
-                ]),
-            ),
-        ])
+        let op =
+            |name: &str, flags| Value::list([Value::str(name), Value::U64(flags), Value::Null]);
+        let iface = Value::list([Value::str("kv"), Value::list([op("get", 0), op("put", 1)])]);
+        Value::list([Value::list([Value::U64(0)]), iface])
     }
 
     /// Sends one raw request (stating `lo` 1: the client still awaits
@@ -393,11 +381,11 @@ mod tests {
 
     /// The generation a register or update answered with.
     fn gen_of(frame: &Bytes) -> u64 {
-        ok_of(frame).get_u64("gen").unwrap()
+        ok_of(frame).as_u64().unwrap()
     }
 
     fn name(n: &str) -> Value {
-        Value::record([("name", Value::str(n))])
+        crate::name_arg(n)
     }
 
     #[test]

@@ -1898,7 +1898,7 @@ mod tests {
             b.obs.spans_retired + b.obs.spans_resident,
             b.spans.started + b.spans.oneways
         );
-        assert!(plain.resident_spans() > retiring.resident_spans());
+        assert!(plain.obs_plane().spans_resident > retiring.obs_plane().spans_resident);
     }
 
     #[test]

@@ -720,11 +720,6 @@ impl MetricsRegistry {
         self.slab().opened
     }
 
-    /// Spans currently resident in the table (open + retained).
-    pub fn resident_spans(&self) -> u64 {
-        self.slab().resident
-    }
-
     /// True if `id` has been allocated.
     fn allocated(&self, id: SpanId) -> bool {
         id.0 - 1 < self.slab().opened

@@ -15,6 +15,8 @@ use simnet::{AsyncCx, Endpoint};
 use std::time::Duration;
 use wire::Value;
 
+use crate::server::read_versioned;
+
 /// Counters specific to the replica proxy (on top of [`ProxyStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicaProxyStats {
@@ -109,12 +111,9 @@ impl ReplicaProxy {
     }
 
     fn unwrap_versioned(&mut self, reply: Value) -> Result<Value, RpcError> {
-        let ver = reply.get_u64("ver")?;
-        let val = reply.get("val").cloned().unwrap_or(Value::Null);
-        if ver > self.min_version {
-            self.min_version = ver;
-        }
-        Ok(val)
+        let (val, ver) = read_versioned(&reply)?;
+        self.min_version = self.min_version.max(ver);
+        Ok(val.clone())
     }
 }
 
@@ -158,10 +157,11 @@ impl Proxy for ReplicaProxy {
             if self.iface.is_read(op) {
                 let reply =
                     Self::call_collecting(&mut self.reader, cx, op, args.clone(), strays).await?;
-                let ver = reply.get_u64("ver")?;
+                let (val, ver) = read_versioned(&reply)?;
                 if ver >= self.min_version {
                     self.replica_stats.replica_reads += 1;
-                    return self.unwrap_versioned(reply);
+                    self.min_version = ver;
+                    return Ok(val.clone());
                 }
                 // Replica is behind what we've already seen: re-read at the
                 // primary to preserve read-your-writes / monotonic reads.

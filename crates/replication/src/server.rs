@@ -2,15 +2,17 @@
 //!
 //! Every replica hosts its own copy of the service object. Writes go to
 //! the primary, which assigns them a version, applies them, and
-//! propagates `_apply {op, args, ver}` to each backup — synchronously
+//! propagates `_apply [ver, op, args]` to each backup — synchronously
 //! (RPC, reply gated on all backups) or asynchronously (one-way,
 //! bounded staleness). Reads are served by any replica and return
-//! `{val, ver}` so the proxy can enforce read-your-writes.
+//! `[val, ver]` so the proxy can enforce read-your-writes. The group's
+//! protocol is its own, so its bodies are positional.
 //!
 //! A replica is a [`Control`] part on the server engine: a sync write
 //! is answered deferred, once the backups have acknowledged it one at a
-//! time, and a backup that finds a gap calls the primary for the
-//! missing range the same way.
+//! time, and a backup that finds a gap calls `_fetch` on the primary the
+//! same way, with the first version it lacks, for the list of logged
+//! updates from there on.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -23,7 +25,40 @@ use proxy_core::{
 };
 use rpc::{endpoint_to_value, ErrorCode, Oneway, RemoteError, Request};
 use simnet::{Endpoint, NodeId, Simulation};
-use wire::Value;
+use wire::{Value, WireError};
+
+/// A replica's answer to a read or a write, `[val, ver]`.
+fn versioned(val: Value, ver: u64) -> Value {
+    Value::list([val, Value::U64(ver)])
+}
+
+/// Decodes [`versioned`].
+pub(crate) fn read_versioned(v: &Value) -> Result<(&Value, u64), WireError> {
+    match v.as_list().unwrap_or_default() {
+        [val, Value::U64(ver)] => Ok((val, *ver)),
+        _ => Err(malformed("versioned reply [val, ver]")),
+    }
+}
+
+/// A logged write as it travels to a backup, `[ver, op, args]`.
+fn update(ver: u64, op: &str, args: &Value) -> Value {
+    Value::list([Value::U64(ver), Value::str(op), args.clone()])
+}
+
+/// Decodes [`update`].
+fn read_update(v: &Value) -> Result<(u64, &str, &Value), WireError> {
+    match v.as_list().unwrap_or_default() {
+        [Value::U64(ver), Value::Str(op), args] => Ok((*ver, op.as_str(), args)),
+        _ => Err(malformed("update [ver, op, args]")),
+    }
+}
+
+fn malformed(expected: &'static str) -> WireError {
+    WireError::WrongKind {
+        expected,
+        actual: "another shape",
+    }
+}
 
 /// How the primary ships writes to its backups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,11 +145,7 @@ impl Replica {
             return Ok(val);
         }
         self.stats.reads += 1;
-        Ok(self.versioned(val))
-    }
-
-    fn versioned(&self, val: Value) -> Value {
-        Value::record([("val", val), ("ver", Value::U64(self.version))])
+        Ok(versioned(val, self.version))
     }
 
     /// A primary's applied write: version it, log it and ship it — a sync
@@ -124,7 +155,7 @@ impl Replica {
     async fn commit(&mut self, io: &Io, req: &Request, val: Value) -> Value {
         self.version += 1;
         self.stats.writes_applied += 1;
-        let reply = self.versioned(val);
+        let reply = versioned(val, self.version);
         let Role::Primary {
             backups,
             propagation,
@@ -137,16 +168,11 @@ impl Replica {
         if log.len() > LOG_CAP {
             log.pop_front();
         }
-        let update = Value::record([
-            ("svc", Value::str(self.service.as_str())),
-            ("op", Value::str(req.op.as_str())),
-            ("args", req.args.clone()),
-            ("ver", Value::U64(self.version)),
-        ]);
+        let update = update(self.version, &req.op, &req.args);
         match propagation {
             Propagation::Async => io.with(|ctx| {
                 for b in backups.iter() {
-                    rpc::send_oneway(ctx, *b, "_apply", &update);
+                    rpc::send_oneway(ctx, *b, &self.service, "_apply", &update);
                 }
             }),
             Propagation::Sync => {
@@ -166,14 +192,13 @@ impl Replica {
         let Role::Backup { pending, .. } = &mut self.role else {
             return;
         };
-        let (Ok(ver), Ok(op)) = (args.get_u64("ver"), args.get_str("op")) else {
+        let Ok((ver, op, op_args)) = read_update(args) else {
             return;
         };
         if ver <= self.version {
             return; // duplicate
         }
-        let op_args = args.get("args").cloned().unwrap_or(Value::Null);
-        pending.insert(ver, (op.to_owned(), op_args));
+        pending.insert(ver, (op.to_owned(), op_args.clone()));
         self.drain(io).await;
     }
 
@@ -208,7 +233,7 @@ impl Replica {
             // arrive while the fetch waits are kept and merged after the
             // reply: the fetch was issued before they were logged, and
             // no later update may ever come to expose the new gap.
-            let from = Value::record([("from", Value::U64(self.version + 1))]);
+            let from = Value::U64(self.version + 1);
             let fetch = Strays::HoldKeeping("_apply");
             let (reply, late) = io.call(*primary, "_fetch", from, fetch).await;
             let Ok(reply) = reply else {
@@ -233,14 +258,11 @@ impl Replica {
         let Role::Backup { pending, .. } = &mut self.role else {
             unreachable!("only backups repair")
         };
-        let updates = reply.get_list("updates").unwrap_or(&[]);
+        let updates = reply.as_list().unwrap_or_default();
         for u in updates.iter().chain(late.iter().map(|o| &o.args)) {
-            if let (Ok(v), Ok(op)) = (u.get_u64("ver"), u.get_str("op")) {
+            if let Ok((v, op, args)) = read_update(u) {
                 if v > self.version && !pending.contains_key(&v) {
-                    pending.insert(
-                        v,
-                        (op.to_owned(), u.get("args").cloned().unwrap_or(Value::Null)),
-                    );
+                    pending.insert(v, (op.to_owned(), args.clone()));
                 }
             }
         }
@@ -255,28 +277,16 @@ impl Control for Replica {
     async fn execute(&mut self, io: &Io, req: &Request) -> Result<Value, RemoteError> {
         match req.op.as_str() {
             protocol::OP_PING => Ok(Value::Null),
-            protocol::OP_IFACE => Ok(self.iface.to_value()),
             "_ver" => Ok(Value::U64(self.version)),
             "_fetch" => match &self.role {
                 // Gap repair: a backup asks for every logged update at
                 // or after `from`.
                 Role::Primary { log, .. } => {
-                    let from = req
-                        .args
-                        .get_u64("from")
-                        .map_err(|e| bad_args(e.to_string()))?;
-                    Ok(Value::record([(
-                        "updates",
-                        Value::list(log.iter().filter(|(v, _, _)| *v >= from).map(
-                            |(v, op, args)| {
-                                Value::record([
-                                    ("ver", Value::U64(*v)),
-                                    ("op", Value::str(op.clone())),
-                                    ("args", args.clone()),
-                                ])
-                            },
-                        )),
-                    )]))
+                    let from = req.args.as_u64().ok_or_else(|| bad_args("from"))?;
+                    let logged = log.iter().filter(|(v, _, _)| *v >= from);
+                    Ok(Value::list(
+                        logged.map(|(v, op, args)| update(*v, op, args)),
+                    ))
                 }
                 Role::Backup { .. } => Err(bad_args("backups have no log to fetch")),
             },
@@ -401,4 +411,40 @@ where
     let mut all = vec![primary];
     all.extend(backups);
     all
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn versioned_replies_and_updates_decode_strictly() {
+        let (u, s) = (Value::U64, Value::str);
+        assert_eq!(read_versioned(&versioned(s("v"), 4)).unwrap(), (&s("v"), 4));
+        let args = Value::list([u(1)]);
+        assert_eq!(
+            read_update(&update(9, "put", &args)).unwrap(),
+            (9, "put", &args)
+        );
+        let refused = [
+            Value::list([s("v")]),
+            Value::list([s("v"), u(4), u(4)]),
+            Value::list([s("v"), s("4")]),
+            Value::record([("val", s("v")), ("ver", u(4))]),
+            Value::Null,
+        ];
+        for v in refused {
+            assert!(read_versioned(&v).is_err(), "{v} decoded");
+        }
+        let refused = [
+            Value::list([u(9), s("put")]),
+            Value::list([u(9), s("put"), Value::Null, Value::Null]),
+            Value::list([s("9"), s("put"), Value::Null]),
+            Value::list([u(9), u(1), Value::Null]),
+            Value::record([("ver", u(9)), ("op", s("put")), ("args", Value::Null)]),
+        ];
+        for v in refused {
+            assert!(read_update(&v).is_err(), "{v} decoded");
+        }
+    }
 }

@@ -98,7 +98,7 @@ fn backup_catches_up_after_lost_async_updates() {
         );
         // And its object state matches, not just its counter.
         let reply = read(ctx, backup, "read").unwrap();
-        assert_eq!(reply.get("val"), Some(&Value::U64(7)));
+        assert_eq!(reply.as_list().unwrap()[0], Value::U64(7), "[val, ver]");
     });
     sim.run();
 }

@@ -222,8 +222,7 @@ fn sync_propagation_keeps_replicas_current() {
         for &r in &replicas {
             let mut raw = rpc::Channel::new("", r, rpc::ChannelConfig::with_depth(1));
             let reply = (ctx.block_on(|cx| raw.call(cx, "", "read", Value::Null, None))).unwrap();
-            assert_eq!(reply.get("val"), Some(&Value::U64(42)));
-            assert_eq!(reply.get_u64("ver").unwrap(), 1);
+            assert_eq!(reply, Value::list([Value::U64(42), Value::U64(1)]));
         }
     });
     sim.run();
@@ -272,5 +271,41 @@ fn readers_observe_monotonic_values_under_async_replication() {
             }
         });
     }
+    sim.run();
+}
+
+/// The primary's `_fetch` takes the first version a backup lacks, a
+/// `u64`: the keyed form and another kind are refused with `BadArgs`,
+/// and a well-formed fetch is answered with the logged updates, each
+/// `[ver, op, args]`.
+#[test]
+fn a_fetch_that_does_not_decode_is_refused() {
+    let mut sim = Simulation::new(NetworkConfig::lan(), 2);
+    let ns = spawn_name_server(&sim, NodeId(0));
+    let replicas = spawn_replica_group(&sim, ns, group("reg", &[1, 2], Propagation::Sync), || {
+        Box::new(Register(0))
+    });
+    sim.spawn_async("client", NodeId(4), move |cx| async move {
+        let mut rt = client_runtime(ns);
+        let reg = rt.attach(cx, "reg").await.unwrap();
+        let args = Value::record([("v", Value::U64(5))]);
+        rt.call(cx, reg, "write", args.clone()).await.unwrap();
+        let mut raw = rpc::Channel::new("", replicas[0], rpc::ChannelConfig::with_depth(1));
+        let refused = [
+            Value::record([("from", Value::U64(1))]),
+            Value::str("1"),
+            Value::Null,
+        ];
+        for from in refused {
+            let e = raw.call(cx, "", "_fetch", from, None).await;
+            assert!(
+                matches!(e, Err(rpc::RpcError::Remote(ref e)) if e.code == ErrorCode::BadArgs),
+                "{e:?}"
+            );
+        }
+        let log = raw.call(cx, "", "_fetch", Value::U64(1), None).await;
+        let update = Value::list([Value::U64(1), Value::str("write"), args]);
+        assert_eq!(log.unwrap(), Value::list([update]));
+    });
     sim.run();
 }

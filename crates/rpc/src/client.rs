@@ -88,25 +88,18 @@ impl Default for RetryPolicy {
 }
 
 /// Sends a one-way notification (servers push invalidations and
-/// replication traffic this way). The notification
-/// carries the caller's active span and is recorded as an
-/// immediately-closed one-way span parented to it, which is how
+/// replication traffic this way). The notification carries the caller's
+/// active span and is recorded as an immediately-closed one-way span
+/// parented to it and labelled `(service, op)`, which is how
 /// invalidations and recalls stay causally attributable to the write
-/// that triggered them.
-pub fn send_oneway(ctx: &Ctx, to: Endpoint, op: &str, args: &Value) {
-    let span = note_oneway_span(ctx, op, args);
+/// that triggered them. The transport reads no body: the caller names
+/// the service the span is counted under.
+pub fn send_oneway(ctx: &Ctx, to: Endpoint, service: &str, op: &str, args: &Value) {
+    let span = ctx
+        .obs()
+        .note_oneway(ctx.current_span(), service, op, ctx.now().as_nanos());
     let payload = Oneway::encode(ctx.endpoint(), op, args, span.raw());
     ctx.send_traced(to, payload, span);
-}
-
-/// Records a one-way span for a notification, parented to the caller's
-/// active span. The service label comes from the body's `"svc"` field
-/// when present (invalidate/recall bodies carry it), falling back to the
-/// sending process's name.
-fn note_oneway_span(ctx: &Ctx, op: &str, args: &Value) -> obs::SpanId {
-    let service = args.get_str("svc").unwrap_or(ctx.name());
-    ctx.obs()
-        .note_oneway(ctx.current_span(), service, op, ctx.now().as_nanos())
 }
 
 #[cfg(test)]

@@ -63,23 +63,28 @@ const REPLY: u64 = 1;
 const ONEWAY: u64 = 2;
 const BATCH: u64 = 3;
 
-/// Encodes an endpoint as a wire value.
+/// Encodes an endpoint as a wire value, `[node, port]`: the one form of
+/// every endpoint a [`Value`] carries (`Moved` data, callbacks, names).
 pub fn endpoint_to_value(ep: Endpoint) -> Value {
-    Value::record([
-        ("n", Value::U64(ep.node.0.into())),
-        ("p", Value::U64(ep.port.0.into())),
-    ])
+    Value::list([Value::U64(ep.node.0.into()), Value::U64(ep.port.0.into())])
 }
 
-/// Decodes an endpoint from a wire value.
+/// Decodes an endpoint from `[node, port]`.
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] if fields are missing or out of range.
+/// A [`WireError`] for another shape or a node or port above `u32::MAX`.
 pub fn endpoint_from_value(v: &Value) -> Result<Endpoint, WireError> {
-    let node = u32::try_from(v.get_u64("n")?).map_err(|_| WireError::TooLong(u64::MAX))?;
-    let port = u32::try_from(v.get_u64("p")?).map_err(|_| WireError::TooLong(u64::MAX))?;
-    Ok(Endpoint::new(NodeId(node), PortId(port)))
+    let part = |n: u64| u32::try_from(n).map_err(|_| WireError::TooLong(n));
+    match v.as_list().unwrap_or_default() {
+        [Value::U64(node), Value::U64(port)] => {
+            Ok(Endpoint::new(NodeId(part(*node)?), PortId(part(*port)?)))
+        }
+        _ => Err(WireError::WrongKind {
+            expected: "endpoint [node, port]",
+            actual: v.kind(),
+        }),
+    }
 }
 
 /// Writes an endpoint as two slots, node then port.

@@ -239,7 +239,7 @@ fn a_blocked_client_counts_every_reply_it_cannot_use_and_every_stray_it_drops() 
     // While the first call waits (its replies arrive at 1 ms): a one-way
     // and a request nobody asked the client to serve, two copies of each.
     sim.spawn("intruder", NodeId(2), move |ctx| {
-        rpc::send_oneway(ctx, caller, "poke", &Value::Null);
+        rpc::send_oneway(ctx, caller, ctx.name(), "poke", &Value::Null);
         let request = Request {
             call_id: 1,
             reply_to: ctx.endpoint(),

@@ -154,9 +154,31 @@ proptest! {
     }
 
     #[test]
-    fn endpoint_encoding_roundtrips(ep in arb_endpoint()) {
+    fn endpoint_encoding_roundtrips(
+        ep in arb_endpoint(),
+        big in u64::from(u32::MAX) + 1..=u64::MAX,
+        other in arb_value(),
+    ) {
         let v = endpoint_to_value(ep);
         prop_assert_eq!(endpoint_from_value(&v).unwrap(), ep);
+        // `[node, port]` and nothing else: a node or port above
+        // `u32::MAX`, a missing or trailing slot, a slot of another kind
+        // and the keyed form are refused.
+        let (node, port) = (Value::U64(ep.node.0.into()), Value::U64(ep.port.0.into()));
+        let refused = [
+            Value::list([Value::U64(big), port.clone()]),
+            Value::list([node.clone(), Value::U64(big)]),
+            Value::list([node.clone()]),
+            Value::list([node.clone(), port.clone(), Value::U64(0)]),
+            Value::list([node.clone(), Value::I64(1)]),
+            Value::record([("n", node), ("p", port)]),
+        ];
+        for v in refused {
+            prop_assert!(endpoint_from_value(&v).is_err(), "{} decoded", v);
+        }
+        if let Ok(e) = endpoint_from_value(&other) {
+            prop_assert_eq!(endpoint_to_value(e), other);
+        }
     }
 }
 

@@ -28,7 +28,7 @@ fn setup(seed: u64, ops: &'static [&'static str]) -> (Simulation, Endpoint) {
     sim.spawn("intruder", NodeId(2), move |ctx| {
         ctx.sleep(Duration::from_millis(2)).unwrap();
         for op in ops {
-            rpc::send_oneway(ctx, client, op, &Value::Null);
+            rpc::send_oneway(ctx, client, ctx.name(), op, &Value::Null);
             ctx.sleep(Duration::from_millis(1)).unwrap();
         }
         let request = Request {

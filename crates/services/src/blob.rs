@@ -5,7 +5,7 @@
 //! fetched chunk-by-chunk over the pipelined RPC channel. Chunk
 //! operations are tagged by blob key, so the existing write-invalidation
 //! machinery gives cache coherence for free: a `put_chunk` at the origin
-//! pushes `inv {svc, tag: key}` to every subscribed edge cache.
+//! pushes `inv [svc, key]` to every subscribed edge cache.
 //!
 //! [`spawn_edge_cache`] is the hierarchy piece: a region-local process
 //! serving the same chunk protocol out of a [`ReadCache`] in front of
@@ -492,7 +492,7 @@ async fn edge_cache(cx: AsyncCx, ns: Endpoint, name: String, origin: String, cap
     // origin channel itself gives its timers a first look at the path
     // before the first burst of misses.
     let subscribe = cx.with(|cx| {
-        let cb = Value::record([("cb", rpc::endpoint_to_value(cx.endpoint()))]);
+        let cb = rpc::endpoint_to_value(cx.endpoint());
         up.begin_call(cx, protocol::OP_SUBSCRIBE, cb)
     });
     let waited = up.wait_async(cx, Some(subscribe), None).await;

@@ -15,8 +15,8 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use proxy_core::bulk::{ops, BlobClient};
 use proxy_core::{
-    BulkParams, CachingParams, Coherence, InterfaceDesc, ProxySpec, ServiceBuilder, ServiceObject,
-    SessionCore,
+    protocol, BulkParams, CachingParams, Coherence, InterfaceDesc, ProxySpec, ServiceBuilder,
+    ServiceObject, SessionCore,
 };
 use services::blob::{spawn_edge_cache, BlobStore};
 use services::kv::KvStore;
@@ -468,8 +468,7 @@ fn fill_overtaken_by_its_invalidation_is_delivered_but_not_cached() {
             ctx,
             |ctx, req| match req.op.as_str() {
                 "_subscribe" => {
-                    let cb = req.args.get("cb").expect("subscribe names a callback");
-                    subscriber = Some(rpc::endpoint_from_value(cb).unwrap());
+                    subscriber = Some(rpc::endpoint_from_value(&req.args).unwrap());
                     Ok(Value::Null)
                 }
                 ops::GET_CHUNK => {
@@ -480,8 +479,9 @@ fn fill_overtaken_by_its_invalidation_is_delivered_but_not_cached() {
                         rpc::send_oneway(
                             ctx,
                             subscriber.expect("edge subscribed"),
-                            "inv",
-                            &Value::record([("svc", Value::str("blob")), ("tag", Value::str("k"))]),
+                            "blob",
+                            protocol::MSG_INVALIDATE,
+                            &protocol::invalidation("blob", "k"),
                         );
                     }
                     Ok(Value::record([("data", Value::blob(vec![n as u8; 64]))]))

@@ -206,11 +206,6 @@ impl Network {
         self.latency_overrides.insert(LinkKey::new(a, b), d);
     }
 
-    /// Removes a link-latency override.
-    pub fn clear_link_latency(&mut self, a: NodeId, b: NodeId) {
-        self.latency_overrides.remove(&LinkKey::new(a, b));
-    }
-
     /// Cuts the link between `a` and `b`: messages in either direction are
     /// blackholed until [`Network::heal`].
     pub fn partition(&mut self, a: NodeId, b: NodeId) {
@@ -235,11 +230,6 @@ impl Network {
     /// Brings a crashed node back.
     pub fn bring_up(&mut self, n: NodeId) {
         self.down.remove(&n);
-    }
-
-    /// Whether the node is currently marked down.
-    pub fn is_down(&self, n: NodeId) -> bool {
-        self.down.contains(&n)
     }
 
     /// Base one-way latency between two nodes, before jitter and the
@@ -379,7 +369,6 @@ mod tests {
     fn down_node_blackholes_even_local_traffic() {
         let mut net = Network::new(NetworkConfig::lan());
         net.take_down(NodeId(3));
-        assert!(net.is_down(NodeId(3)));
         let mut r = rng();
         assert_eq!(
             net.plan(NodeId(3), NodeId(3), 1, SimTime::ZERO, &mut r),
@@ -417,11 +406,6 @@ mod tests {
         );
         assert_eq!(
             net.base_latency(NodeId(0), NodeId(2)),
-            NetworkConfig::lan().remote_latency
-        );
-        net.clear_link_latency(NodeId(1), NodeId(0));
-        assert_eq!(
-            net.base_latency(NodeId(0), NodeId(1)),
             NetworkConfig::lan().remote_latency
         );
     }

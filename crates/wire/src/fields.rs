@@ -279,7 +279,7 @@ mod tests {
             "blob aliases input"
         );
         assert_eq!(r.key(), Ok("nested"));
-        assert_eq!(r.value(1).unwrap().get_bool("deep"), Ok(true));
+        assert_eq!(r.value(1).unwrap().get("deep"), Some(&Value::Bool(true)));
         r.finish().unwrap();
     }
 

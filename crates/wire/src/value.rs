@@ -153,14 +153,6 @@ impl Value {
         }
     }
 
-    /// Returns the integer if this is a [`Value::I64`].
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::I64(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// Returns the float if this is a [`Value::F64`].
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -242,20 +234,6 @@ impl Value {
         let v = self.get(name).ok_or(WireError::MissingField(name))?;
         v.as_u64().ok_or(WireError::WrongKind {
             expected: "u64",
-            actual: v.kind(),
-        })
-    }
-
-    /// Required bool field of a record.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::MissingField`] if absent, [`WireError::WrongKind`] if
-    /// present with another kind.
-    pub fn get_bool(&self, name: &'static str) -> Result<bool, WireError> {
-        let v = self.get(name).ok_or(WireError::MissingField(name))?;
-        v.as_bool().ok_or(WireError::WrongKind {
-            expected: "bool",
             actual: v.kind(),
         })
     }
